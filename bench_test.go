@@ -1,6 +1,6 @@
-// Benchmarks: one per experiment in EXPERIMENTS.md (the paper has no
-// numbered tables/figures; each experiment reproduces a claim — see
-// DESIGN.md §4). The full swept tables are printed by cmd/oppbench; the
+// Benchmarks: one per experiment of the suite `oppbench -list` indexes
+// (the paper has no numbered tables/figures; each experiment reproduces
+// a claim). The full swept tables are printed by cmd/oppbench; the
 // benchmarks here expose each experiment's core operation to `go test
 // -bench` so regressions are visible in CI.
 package oopp_test

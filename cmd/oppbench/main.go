@@ -1,6 +1,6 @@
-// oppbench runs the experiment suite of EXPERIMENTS.md and prints one
+// oppbench runs the experiment suite (internal/exp) and prints one
 // table per experiment. Each experiment reproduces one claim of the
-// paper; see DESIGN.md §4 for the index.
+// paper; -list prints the index.
 //
 //	go run ./cmd/oppbench                       # full suite
 //	go run ./cmd/oppbench -quick                # smaller sweeps

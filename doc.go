@@ -96,6 +96,22 @@
 // returns, merged client-side in device order. Compute cost therefore
 // scales with aggregate device CPU, not with the client's link.
 //
+// There is ONE engine behind all of it. Every collective is a stage
+// chain — Fill, Scale, Sum, Dot, Axpy and the user-kernel entry points
+// are one-stage chains, a fused pipeline (next chapter) a longer one,
+// BlockStorage.ApplyAll/ReduceAll the same chain over every physical
+// page — and every chain goes through one device method
+// (applyPipelineK, which carries the chain inline and resolves each
+// stage in the device's own kernel registry) and one client loop: plan
+// the per-device batches, fan out, classify failures, replay what a
+// migration fence refused. Replication, migration and failure
+// semantics are therefore stated once, by the chain's shape: a chain
+// that only mutates degrades past a dead replica, a chain that only
+// reduces retries on the survivors, a chain that does both returns the
+// failure. In the always-on telemetry all collectives appear under
+// ArrayPageDevice.applyPipelineK; sampled spans keep the entry-point
+// names kernel.apply, kernel.reduce and kernel.pipeline.
+//
 // Kernels live in a process-global registry shared by client and
 // server (every process of a deployment runs the same binary, so —
 // like class registration — registering at init time keeps the two
@@ -145,8 +161,9 @@
 // stage: chain Scale, then Axpy, then Sum and every device pays three
 // RMI round-trips and loads and stores every page three times. A
 // Pipeline fuses the chain. Register an ordered stage list once — each
-// stage names an already-registered Map, Binary, or Reduce kernel —
-// and Array.ApplyPipeline ships the whole chain in ONE batched RMI per
+// stage names an already-registered Map, Binary, Reduce or BinaryReduce
+// kernel; the name lives client-side, the chain itself travels inline
+// — and Array.ApplyPipeline ships the whole chain in ONE batched RMI per
 // involved device; the device loads each page region once, walks the
 // stages in order while the data sits in the page buffer, and stores
 // once. Stage parameters travel out, fixed-width reduce partials travel
@@ -158,7 +175,7 @@
 //	        oopp.ReduceStage(oopp.KernelSum),   // Σu
 //	}})
 //	res, _ := u.ApplyPipeline(ctx, dom, "app.scaled-dot-step",
-//	        []*oopp.Array{v},                   // one operand per binary stage, in order
+//	        []*oopp.Array{v},                   // one operand per two-operand stage, in order
 //	        []float64{0.5}, []float64{2}, nil)  // one param vector per stage
 //	total := res[0].Acc[0]                      // one StageResult per reduce stage
 //
@@ -521,6 +538,6 @@
 //     plane — wire-propagated trace context, per-method telemetry, and
 //     the sampled span ring, pulled and stitched by cmd/opptrace.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// experiment suite; cmd/oppbench reproduces every experiment table.
+// This package doc is the system inventory; `oppbench -list` indexes the
+// experiment suite, and cmd/oppbench reproduces every experiment table.
 package oopp

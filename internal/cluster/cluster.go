@@ -2,7 +2,7 @@
 // the paper assumes ("multiple computers machine 0, machine 1, machine 2
 // ... are available"). Each machine hosts an RMI object server, an
 // outbound client for its objects' peer calls, and a set of simulated
-// disks (the hardware substitute described in DESIGN.md).
+// disks (the hardware substitute described in the root package doc).
 //
 // A cluster normally lives inside one OS process on an in-process
 // transport — deterministic and fast for tests and benchmarks — or over

@@ -533,7 +533,7 @@ func (a *Array) writeRegionSync(ctx context.Context, chain []PageAddress, write 
 // Sum reduces the subdomain dom — the paper's Array::sum. Every page is
 // summed *on the device that owns it* ("the partial sums are computed by
 // the data server processes and combined together by the Array client",
-// §5): one reduceK call per involved device carries the batch of
+// §5): one kernel call per involved device carries the batch of
 // regions, and only a (count, partial-sum) pair returns per device —
 // partial pages included, via the device-side sub-box fold.
 func (a *Array) Sum(ctx context.Context, dom Domain) (float64, error) {
@@ -544,7 +544,7 @@ func (a *Array) Sum(ctx context.Context, dom Domain) (float64, error) {
 	return acc[0], nil
 }
 
-// Fill sets every element of dom to v — one applyK broadcast per
+// Fill sets every element of dom to v — one kernel batch per
 // involved device, no element data on the wire. Partial pages fill
 // atomically inside their device's serial mailbox.
 func (a *Array) Fill(ctx context.Context, dom Domain, v float64) error {

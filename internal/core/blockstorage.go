@@ -198,19 +198,48 @@ func (b *BlockStorage) Collection() *collection.Collection[*pagedev.ArrayDevice]
 // other processes).
 func (b *BlockStorage) Refs() []rmi.Ref { return b.snap().coll.Refs() }
 
+// runAll runs a one-stage chain over every physical page of every
+// device: the same engine batch Array collectives send, with one
+// whole-page region per physical index (the devices know their own
+// page counts, so they are asked first).
+func (b *BlockStorage) runAll(ctx context.Context, st kernel.ResolvedStage, params []float64) ([]StageResult, error) {
+	s := b.snap()
+	c := newChain([]kernel.ResolvedStage{st}, [][]float64{params})
+	if len(s.devices) == 0 {
+		return c.results(nil), nil
+	}
+	byDev := make(map[int][]pagedev.PipeRegion, len(s.devices))
+	err := s.coll.CallAll(ctx, "numPages", nil, func(m collection.Member, d *wire.Decoder) error {
+		n1, n2, n3 := s.devices[m.Index].Dims()
+		regs := make([]pagedev.PipeRegion, d.Int())
+		for i := range regs {
+			regs[i] = pagedev.PipeRegion{Index: i, Box: pagedev.SubBox{Dim: [3]int{n1, n2, n3}}, Fold: true}
+		}
+		byDev[m.Index] = regs
+		return d.Err()
+	})
+	if err != nil {
+		return nil, err
+	}
+	totals := make([]pagedev.ReducePartial, len(c.reds))
+	if err := c.fanOut(ctx, s.coll, byDev, totals); err != nil {
+		return nil, err
+	}
+	return c.results(totals), nil
+}
+
 // ApplyAll runs a registered map kernel over every element of every
-// physical page on every device — one broadcast message per device, no
+// physical page on every device — one kernel batch per device, no
 // element data on the wire. (Unlike Array.Apply it covers physical
 // pages the PageMap may leave unmapped; use it to initialize storage,
 // not to transform a subdomain.)
 func (b *BlockStorage) ApplyAll(ctx context.Context, name string, params ...float64) error {
-	if _, err := kernel.LookupMap(name, params); err != nil {
+	k, err := kernel.LookupMap(name, params)
+	if err != nil {
 		return err
 	}
-	return b.snap().coll.Broadcast(ctx, "applyAllK", func(m collection.Member, e *wire.Encoder) error {
-		pagedev.EncodeKernelAll(e, name, params)
-		return nil
-	})
+	_, err = b.runAll(ctx, kernel.ResolvedStage{Kind: kernel.StageMap, Name: name, Map: k}, params)
+	return err
 }
 
 // ReduceAll folds a registered reduction kernel over every element of
@@ -223,25 +252,11 @@ func (b *BlockStorage) ReduceAll(ctx context.Context, name string, params ...flo
 	if err != nil {
 		return nil, 0, err
 	}
-	if b.Len() == 0 {
-		return k.NewAcc(params), 0, nil
-	}
-	total, err := collection.Reduce(ctx, b.snap().coll, "reduceAllK",
-		func(m collection.Member, e *wire.Encoder) error {
-			pagedev.EncodeKernelAll(e, name, params)
-			return nil
-		},
-		func(_ collection.Member, d *wire.Decoder) (pagedev.ReducePartial, error) {
-			return pagedev.DecodeReducePartial(d)
-		},
-		mergePartials(k.Merge))
+	res, err := b.runAll(ctx, kernel.ResolvedStage{Kind: kernel.StageReduce, Name: name, Red: k}, params)
 	if err != nil {
 		return nil, 0, err
 	}
-	if total.N == 0 {
-		return k.NewAcc(params), 0, nil
-	}
-	return total.Acc, total.N, nil
+	return res[0].Acc, res[0].N, nil
 }
 
 // FillAll sets every element of every page on every device to v — the

@@ -520,42 +520,3 @@ func relocatedAddr(pm PageMap, addr PageAddress) PageAddress {
 	}
 	return addr
 }
-
-// relocateKernelBatches rebuilds the refused devices' kernel batches
-// against the flipped map: every region of a refused batch is re-aimed
-// at its copy's new address. Refusal is all-or-nothing per device
-// (pagedev's fence pre-scan), so replaying exactly the refused batches
-// applies each kernel exactly once.
-func relocateKernelBatches(pm PageMap, failed []int, byDev map[int][]pagedev.KernelRegion) ([]int, map[int][]pagedev.KernelRegion) {
-	nb := make(map[int][]pagedev.KernelRegion)
-	var devs []int
-	for _, dev := range failed {
-		for _, kr := range byDev[dev] {
-			na := relocatedAddr(pm, PageAddress{Device: dev, Index: kr.Index})
-			if _, ok := nb[na.Device]; !ok {
-				devs = append(devs, na.Device)
-			}
-			nb[na.Device] = append(nb[na.Device], pagedev.KernelRegion{Index: na.Index, Box: kr.Box})
-		}
-	}
-	return devs, nb
-}
-
-// relocateBinaryBatches is relocateKernelBatches for two-operand
-// batches; the peer (read-side) half is never fenced and rides along
-// unchanged.
-func relocateBinaryBatches(pm PageMap, failed []int, byDev map[int][]pagedev.BinaryRegion) ([]int, map[int][]pagedev.BinaryRegion) {
-	nb := make(map[int][]pagedev.BinaryRegion)
-	var devs []int
-	for _, dev := range failed {
-		for _, br := range byDev[dev] {
-			na := relocatedAddr(pm, PageAddress{Device: dev, Index: br.Index})
-			if _, ok := nb[na.Device]; !ok {
-				devs = append(devs, na.Device)
-			}
-			br.Index = na.Index
-			nb[na.Device] = append(nb[na.Device], br)
-		}
-	}
-	return devs, nb
-}

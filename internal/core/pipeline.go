@@ -1,12 +1,15 @@
 package core
 
-// The fused-pipeline collective: ApplyPipeline carries a whole
-// registered stage chain to the devices in ONE windowed fan-out — one
-// RMI per involved device per chain, against one per device per STAGE
-// for the equivalent sequence of Apply/ApplyBinary/Reduce calls — and
-// each device walks every page region through all stages in a single
-// load/store pass. Stage parameters travel out, fixed-width reduce
-// partials travel back; no element data touches the client.
+// The kernel engine, client side: every array collective — Apply,
+// Reduce, ApplyBinary, ReduceBinary and the algebra built on them
+// (kernel.go), the fused ApplyPipeline, and the storage-wide
+// ApplyAll/ReduceAll — is a stage chain handed to ONE loop: plan the
+// per-device region batches, fan them out (one RMI per involved device
+// carries the whole chain; each device walks every page region through
+// all stages in a single load/store pass), classify the failures, and
+// replay what a migration fence refused. Stage parameters travel out,
+// fixed-width reduce partials travel back; no element data touches the
+// client.
 
 import (
 	"context"
@@ -32,17 +35,99 @@ type StageResult struct {
 	N     int64
 }
 
-// pipeBatches groups the fused batch by owning device, mirroring
-// batches/binaryBatches. Mutating pipelines fan every region to the
-// page's whole replica chain (the deterministic stage chain keeps
-// replica banks bitwise identical), but exactly ONE live replica per
-// page gets Fold=true — it alone folds the reduce stages and reports
-// partials, so the client-side merge never double-counts a page.
-// Read-only (pure-reduce) pipelines visit one live replica per page,
-// folding there; exclude filters devices on the read-only retry path.
-// Each binary stage's operand page is read from the operand array's
-// first live replica, like binaryBatches.
-func (a *Array) pipeBatches(operands []*Array, regs []region, mutates bool, exclude map[int]bool) (devs []int, byDev map[int][]pagedev.PipeRegion, err error) {
+// chain is one resolved stage chain ready to ship: its wire form, the
+// per-stage parameter vectors, and the client half of its reduce stages.
+type chain struct {
+	p      kernel.Pipeline
+	params [][]float64
+	reds   []reducer
+}
+
+// reducer is the client half of one reduce (or binary-reduce) stage:
+// where it sits in the chain, and its kernel's accumulator shape.
+type reducer struct {
+	stage int
+	name  string
+	width int
+	init  func(acc, params []float64)
+	merge func(acc, other []float64)
+}
+
+func newChain(stages []kernel.ResolvedStage, params [][]float64) *chain {
+	c := &chain{p: kernel.Pipeline{Stages: make([]kernel.Stage, len(stages))}, params: params}
+	for si, st := range stages {
+		c.p.Stages[si] = kernel.Stage{Kind: st.Kind, Name: st.Name}
+		switch st.Kind {
+		case kernel.StageReduce:
+			c.reds = append(c.reds, reducer{si, st.Name, st.Red.Width, st.Red.Init, st.Red.Merge})
+		case kernel.StageBinaryReduce:
+			c.reds = append(c.reds, reducer{si, st.Name, st.BinRed.Width, st.BinRed.Init, st.BinRed.Merge})
+		}
+	}
+	return c
+}
+
+// fanOut sends every device of view its batch — one applyPipelineK call
+// each — and merges each member's partials into totals in member order
+// (CallAll serializes collect), skipping identity-only (N == 0)
+// partials so ±Inf-style identities never poison a result.
+func (c *chain) fanOut(ctx context.Context, view *collection.Collection[*pagedev.ArrayDevice], byDev map[int][]pagedev.PipeRegion, totals []pagedev.ReducePartial) error {
+	return view.CallAll(ctx, "applyPipelineK",
+		func(m collection.Member, e *wire.Encoder) error {
+			pagedev.EncodeApplyPipelineK(e, c.p, c.params, byDev[m.Index])
+			return nil
+		},
+		func(m collection.Member, d *wire.Decoder) error {
+			_, parts, err := pagedev.DecodePipelinePartials(d, len(c.reds))
+			if err != nil {
+				return err
+			}
+			for i, y := range parts {
+				x := &totals[i]
+				switch {
+				case y.N == 0:
+				case x.N == 0:
+					*x = y
+				default:
+					c.reds[i].merge(x.Acc, y.Acc)
+					x.N += y.N
+				}
+			}
+			return nil
+		})
+}
+
+// results materializes the per-stage outcomes; an untouched stage
+// (N == 0, or totals == nil for an empty domain) reports its identity
+// accumulator, never a merged one.
+func (c *chain) results(totals []pagedev.ReducePartial) []StageResult {
+	out := make([]StageResult, len(c.reds))
+	for i, r := range c.reds {
+		out[i] = StageResult{Stage: r.stage, Name: r.name}
+		if totals == nil || totals[i].N == 0 {
+			out[i].Acc = make([]float64, r.width)
+			r.init(out[i].Acc, c.params[r.stage])
+		} else {
+			out[i].Acc, out[i].N = totals[i].Acc, totals[i].N
+		}
+	}
+	return out
+}
+
+// plan is the one kernel planner: it groups the regions by owning
+// device, in first-seen device order (row-major page order, so a
+// round-robin map yields balanced batches). Mutating chains fan every
+// region to the page's whole replica chain (kernels are deterministic
+// and each device applies them inside its serial mailbox, so replicas
+// stay bitwise identical); when the chain also reduces, exactly ONE
+// live replica per page gets Fold=true — it alone reports partials,
+// so the client-side merge never double-counts a page. Read-only
+// chains visit one live replica per page, chosen by pickLive with the
+// exclude set of the retry path, folding there. Each two-operand
+// stage's operand page is read from the operand array's first live
+// replica.
+func (a *Array) plan(c *chain, operands []*Array, regs []region, exclude map[int]bool) (devs []int, byDev map[int][]pagedev.PipeRegion, err error) {
+	mutates, fold := c.p.Mutates(), len(c.reds) > 0
 	byDev = make(map[int][]pagedev.PipeRegion)
 	add := func(addr PageAddress, pr pagedev.PipeRegion) {
 		pr.Index = addr.Index
@@ -52,29 +137,29 @@ func (a *Array) pipeBatches(operands []*Array, regs []region, mutates bool, excl
 		byDev[addr.Device] = append(byDev[addr.Device], pr)
 	}
 	for _, r := range regs {
-		var peers []pagedev.PipePeer
+		pr := pagedev.PipeRegion{Box: subBoxFor(r)}
 		if len(operands) > 0 {
-			peers = make([]pagedev.PipePeer, len(operands))
+			pr.Peers = make([]pagedev.PipePeer, len(operands))
 			for i, b := range operands {
 				bChain := replicasOf(b.Map(), r.box.Lo[0]/a.p[0], r.box.Lo[1]/a.p[1], r.box.Lo[2]/a.p[2])
 				bAddr, ok := b.pickLive(bChain, nil)
 				if !ok {
 					return nil, nil, fmt.Errorf("core: operand page %v: no replica left: %w", bChain[0], rmi.ErrMachineDown)
 				}
-				peers[i] = pagedev.PipePeer{Ref: b.storage.Device(bAddr.Device).Ref(), Index: bAddr.Index}
+				pr.Peers[i] = pagedev.PipePeer{Ref: b.storage.Device(bAddr.Device).Ref(), Index: bAddr.Index}
 			}
 		}
-		pr := pagedev.PipeRegion{Box: subBoxFor(r), Peers: peers}
 		if mutates {
-			chain := r.replicas()
-			foldAddr, ok := a.pickLive(chain, nil)
-			if !ok {
-				return nil, nil, fmt.Errorf("core: page %v: no replica left: %w", r.addr, rmi.ErrMachineDown)
+			var foldAddr PageAddress
+			if fold {
+				var ok bool
+				if foldAddr, ok = a.pickLive(r.replicas(), nil); !ok {
+					return nil, nil, fmt.Errorf("core: page %v: no replica left: %w", r.addr, rmi.ErrMachineDown)
+				}
 			}
-			for _, addr := range chain {
-				p := pr
-				p.Fold = addr == foldAddr
-				add(addr, p)
+			for _, addr := range r.replicas() {
+				pr.Fold = fold && addr == foldAddr
+				add(addr, pr)
 			}
 			continue
 		}
@@ -88,12 +173,14 @@ func (a *Array) pipeBatches(operands []*Array, regs []region, mutates bool, excl
 	return devs, byDev, nil
 }
 
-// relocatePipeBatches is relocateKernelBatches for fused batches: the
-// refused regions replay at the copies' post-flip addresses, fold flags
-// and peer operands riding along unchanged (a fenced device folded
-// nothing — refusal is all-or-nothing — so replaying the identical
-// regions keeps both the mutations and the partials exactly-once).
-func relocatePipeBatches(pm PageMap, failed []int, byDev map[int][]pagedev.PipeRegion) ([]int, map[int][]pagedev.PipeRegion) {
+// relocate is the one relocator: it rebuilds the refused devices'
+// batches against the flipped map, re-aiming every region at its copy's
+// new address; fold flags and peer operands ride along unchanged (the
+// read side is never fenced). Refusal is all-or-nothing per device
+// (pagedev's fence pre-scan) — a fenced device neither mutated nor
+// folded — so replaying exactly the refused batches keeps both the
+// mutations and the partials exactly-once.
+func relocate(pm PageMap, failed []int, byDev map[int][]pagedev.PipeRegion) ([]int, map[int][]pagedev.PipeRegion) {
 	nb := make(map[int][]pagedev.PipeRegion)
 	var devs []int
 	for _, dev := range failed {
@@ -109,45 +196,71 @@ func relocatePipeBatches(pm PageMap, failed []int, byDev map[int][]pagedev.PipeR
 	return devs, nb
 }
 
+// kernelView builds the collection view of exactly the listed devices,
+// honoring the array's pipelining configuration (window=1 recovers the
+// §2 sequential semantics).
+func (a *Array) kernelView(devs []int) *collection.Collection[*pagedev.ArrayDevice] {
+	view := a.storage.Collection().Select(devs...)
+	if a.pipeline {
+		view.SetWindow(a.window)
+	} else {
+		view.SetWindow(1)
+	}
+	return view
+}
+
 // ApplyPipeline runs the registered pipeline name over dom as one fused
 // pass: one RMI per involved device carries the whole stage chain, and
 // each device loads every page region once, applies the stages in
 // order, and stores once. operands supplies the second operand array of
-// each binary stage, in stage order (empty for pipelines without binary
-// stages); params supplies one parameter vector per stage. It returns
-// one StageResult per reduce stage, in stage order, merged across
-// devices in device order (deterministic for associative kernels).
+// each two-operand stage, in stage order (empty for pipelines without
+// one); params supplies one parameter vector per stage. It returns one
+// StageResult per reduce stage, in stage order, merged across devices
+// in device order (deterministic for associative kernels).
 //
 // Fusion changes the cost, not the semantics: the results are
 // bitwise-identical to issuing the stages as individual
 // Apply/ApplyBinary/Reduce calls, because each device applies the same
 // stage arithmetic to the same rows in the same order — the chain just
-// stays in the page buffer between stages. Like those calls, batches
-// are not transactional across devices, fenced batches park and replay
-// at the copies' post-flip addresses, and under a replicated map
-// mutating stages fan to every replica while each page's reduce stages
-// fold on exactly one.
-//
-// Failure tolerance depends on the chain's shape: a pure-map pipeline
-// degrades like Apply (machine-down members are absorbed while every
-// page keeps a live replica); a pure-reduce pipeline retries on the
-// surviving replicas like Reduce; a pipeline that both mutates and
-// reduces returns the failure — its mutations cannot be safely
-// re-executed to recover the lost partials.
+// stays in the page buffer between stages. See runChain for what every
+// chain, fused or one-stage, guarantees under replication, migration
+// and machine failure.
 func (a *Array) ApplyPipeline(ctx context.Context, dom Domain, name string, operands []*Array, params ...[]float64) ([]StageResult, error) {
 	ctx, sp := trace.StartSpan(ctx, "kernel.pipeline")
-	res, err := a.applyPipeline(ctx, dom, name, operands, params...)
+	_, stages, err := kernel.LookupPipeline(name, params)
+	var res []StageResult
+	if err == nil {
+		res, err = a.runChain(ctx, dom, stages, operands, params)
+	}
 	sp.End(err != nil)
 	return res, err
 }
 
-func (a *Array) applyPipeline(ctx context.Context, dom Domain, name string, operands []*Array, params ...[]float64) ([]StageResult, error) {
-	p, stages, err := kernel.LookupPipeline(name, params)
-	if err != nil {
-		return nil, err
-	}
-	if len(operands) != p.Binaries() {
-		return nil, fmt.Errorf("core: pipeline %q has %d binary stage(s), got %d operand array(s)", name, p.Binaries(), len(operands))
+// runChain is the one plan → fan-out → classify → replay loop. Batches
+// are not transactional across devices: a mid-operation failure can
+// leave dom partially transformed.
+//
+// Under a replicated map a mutating chain fans out to every replica of
+// every page while each page's reduce stages fold on exactly one. A
+// batch racing a live migration of this Array value is refused
+// all-or-nothing per device (rmi.ErrFenced): the loop parks until the
+// map flips and replays exactly the refused batches at the copies' new
+// addresses — each page copy sees each mutating stage exactly once,
+// fenced or not.
+//
+// Failure tolerance depends on the chain's shape. A chain that only
+// mutates has primary-ack semantics: member failures that are the
+// typed machine-down error are absorbed while every page kept at least
+// one live replica (the write lands there; the dead copy is dropped and
+// re-seeded at Failover). A chain that only reduces is read-only, so a
+// device that fails machine-down is excluded and the whole fold retries
+// against the surviving replicas. A chain that both mutates and reduces
+// returns the failure — its mutations cannot be safely re-executed to
+// recover the lost partials.
+func (a *Array) runChain(ctx context.Context, dom Domain, stages []kernel.ResolvedStage, operands []*Array, params [][]float64) ([]StageResult, error) {
+	c := newChain(stages, params)
+	if len(operands) != c.p.Binaries() {
+		return nil, fmt.Errorf("core: chain has %d two-operand stage(s), got %d operand array(s)", c.p.Binaries(), len(operands))
 	}
 	for _, b := range operands {
 		if err := a.conformant(b); err != nil {
@@ -157,82 +270,35 @@ func (a *Array) applyPipeline(ctx context.Context, dom Domain, name string, oper
 	if err := a.checkDomain(dom); err != nil {
 		return nil, err
 	}
-	nred := p.Reduces()
-	var merges []func(acc, other []float64)
-	for _, st := range stages {
-		if st.Kind == kernel.StageReduce {
-			merges = append(merges, st.Red.Merge)
-		}
-	}
-	// results materializes the per-stage outcomes; an untouched stage
-	// (N == 0) reports its identity accumulator, never a merged one.
-	results := func(totals []pagedev.ReducePartial) []StageResult {
-		out := make([]StageResult, 0, nred)
-		ri := 0
-		for si, st := range stages {
-			if st.Kind != kernel.StageReduce {
-				continue
-			}
-			res := StageResult{Stage: si, Name: st.Name}
-			if totals == nil || totals[ri].N == 0 {
-				res.Acc = st.Red.NewAcc(params[si])
-			} else {
-				res.Acc, res.N = totals[ri].Acc, totals[ri].N
-			}
-			out = append(out, res)
-			ri++
-		}
-		return out
-	}
-	// run fans one round of batches out and merges each member's
-	// partials into totals in member order (CallAll serializes collect).
-	run := func(devs []int, byDev map[int][]pagedev.PipeRegion, totals []pagedev.ReducePartial) error {
-		return a.kernelView(devs).CallAll(ctx, "applyPipelineK",
-			func(m collection.Member, e *wire.Encoder) error {
-				pagedev.EncodeApplyPipelineK(e, name, params, byDev[m.Index])
-				return nil
-			},
-			func(m collection.Member, d *wire.Decoder) error {
-				_, parts, derr := pagedev.DecodePipelinePartials(d, nred)
-				if derr != nil {
-					return derr
-				}
-				for i := range totals {
-					totals[i] = mergePartials(merges[i])(totals[i], parts[i])
-				}
-				return nil
-			})
+	pm := a.Map()
+	regs := a.regionsOf(pm, dom)
+	if len(regs) == 0 {
+		return c.results(nil), nil
 	}
 
-	if p.Mutates() {
-		pm := a.Map()
-		regs := a.regionsOf(pm, dom)
-		if len(regs) == 0 {
-			return results(nil), nil
-		}
-		devs, byDev, berr := a.pipeBatches(operands, regs, true, nil)
-		if berr != nil {
-			return nil, berr
+	if c.p.Mutates() {
+		devs, byDev, err := a.plan(c, operands, regs, nil)
+		if err != nil {
+			return nil, err
 		}
 		// totals persists across fence-replay rounds: members that
 		// succeeded keep their partials, refused members folded nothing.
-		totals := make([]pagedev.ReducePartial, nred)
-		err = run(devs, byDev, totals)
+		totals := make([]pagedev.ReducePartial, len(c.reds))
+		err = c.fanOut(ctx, a.kernelView(devs), byDev, totals)
 		for attempt := 0; err != nil && allFenced(err) && attempt < maxFenceRetries; attempt++ {
 			newPM, werr := a.waitMapFlip(ctx, pm)
 			if werr != nil {
 				return nil, err
 			}
 			pm = newPM
-			devs, byDev = relocatePipeBatches(pm, collection.Failed(err), byDev)
-			if len(devs) == 0 {
+			if devs, byDev = relocate(pm, collection.Failed(err), byDev); len(devs) == 0 {
 				err = nil
 				break
 			}
-			err = run(devs, byDev, totals)
+			err = c.fanOut(ctx, a.kernelView(devs), byDev, totals)
 		}
 		if err != nil {
-			if nred > 0 {
+			if len(c.reds) > 0 {
 				return nil, err
 			}
 			down := make(map[int]bool)
@@ -243,24 +309,18 @@ func (a *Array) applyPipeline(ctx context.Context, dom Domain, name string, oper
 				return nil, cerr
 			}
 		}
-		return results(totals), nil
+		return c.results(totals), nil
 	}
 
-	// Pure-reduce pipeline: read-only, so a machine-down failure retries
-	// the whole fold against the surviving replicas, like Reduce.
-	regs := a.regions(dom)
-	if len(regs) == 0 {
-		return results(nil), nil
-	}
-	replicas := replicaCount(a.Map())
+	replicas := replicaCount(pm)
 	exclude := make(map[int]bool)
 	for attempt := 0; ; attempt++ {
-		devs, byDev, berr := a.pipeBatches(operands, regs, false, exclude)
-		if berr != nil {
-			return nil, berr
+		devs, byDev, err := a.plan(c, operands, regs, exclude)
+		if err != nil {
+			return nil, err
 		}
-		totals := make([]pagedev.ReducePartial, nred)
-		if err := run(devs, byDev, totals); err != nil {
+		totals := make([]pagedev.ReducePartial, len(c.reds))
+		if err := c.fanOut(ctx, a.kernelView(devs), byDev, totals); err != nil {
 			if attempt+1 < replicas && allMachineDown(err) {
 				for _, dev := range collection.Failed(err) {
 					exclude[dev] = true
@@ -269,6 +329,6 @@ func (a *Array) applyPipeline(ctx context.Context, dom Domain, name string, oper
 			}
 			return nil, err
 		}
-		return results(totals), nil
+		return c.results(totals), nil
 	}
 }

@@ -142,6 +142,116 @@ func applyUnfused(t *testing.T, a *core.Array, dom core.Domain, stages []kernel.
 	return out
 }
 
+// applyOracle is the independent reference: applyUnfused runs through
+// the same engine it checks, this does not. It applies the chain to
+// plain slices (data is a's values, updated in place; operand the
+// second array's) with the kernels' own Fn/Row, in the order the engine
+// documents — pages row-major, every stage per page region row by row,
+// one accumulator per owning device in first-seen order, device
+// partials merged in that order — so the match is bitwise.
+func applyOracle(t *testing.T, pm core.PageMap, N, n int, data, operand []float64, dom core.Domain, stages []kernel.Stage, params [][]float64) []core.StageResult {
+	t.Helper()
+	type partial struct {
+		acc []float64
+		n   int64
+	}
+	var devOrder []int
+	accs := map[int][]partial{} // device → one partial per reduce stage
+	g := N / n
+	for p := 0; p < g*g*g; p++ {
+		p1, p2, p3 := p/(g*g), p/g%g, p%g
+		is := dom.Intersect(core.NewDomain(p1*n, (p1+1)*n, p2*n, (p2+1)*n, p3*n, (p3+1)*n))
+		if is.Empty() {
+			continue
+		}
+		dev := pm.Locate(p1, p2, p3).Device
+		if _, seen := accs[dev]; !seen {
+			devOrder = append(devOrder, dev)
+			accs[dev] = nil
+		}
+		ri := 0
+		for si, st := range stages {
+			sp := params[si]
+			var red kernel.Reduce
+			if st.Kind == kernel.StageReduce {
+				red, _ = kernel.LookupReduce(st.Name, sp)
+				if ri == len(accs[dev]) {
+					accs[dev] = append(accs[dev], partial{acc: red.NewAcc(sp)})
+				}
+			}
+			for i := is.Lo[0]; i < is.Hi[0]; i++ {
+				for j := is.Lo[1]; j < is.Hi[1]; j++ {
+					off := (i*N+j)*N + is.Lo[2]
+					row := data[off : off+is.Hi[2]-is.Lo[2]]
+					switch st.Kind {
+					case kernel.StageMap:
+						k, _ := kernel.LookupMap(st.Name, sp)
+						k.Fn(row, sp)
+					case kernel.StageBinary:
+						k, _ := kernel.LookupBinary(st.Name, sp)
+						k.Fn(row, operand[off:off+len(row)], sp)
+					case kernel.StageReduce:
+						red.Row(accs[dev][ri].acc, row, sp)
+						accs[dev][ri].n += int64(len(row))
+					}
+				}
+			}
+			if st.Kind == kernel.StageReduce {
+				ri++
+			}
+		}
+	}
+	var out []core.StageResult
+	ri := 0
+	for si, st := range stages {
+		if st.Kind != kernel.StageReduce {
+			continue
+		}
+		red, _ := kernel.LookupReduce(st.Name, params[si])
+		res := core.StageResult{Stage: si, Name: st.Name}
+		for _, dev := range devOrder {
+			if p := accs[dev][ri]; res.N == 0 {
+				res.Acc, res.N = p.acc, p.n
+			} else {
+				red.Merge(res.Acc, p.acc)
+				res.N += p.n
+			}
+		}
+		out = append(out, res)
+		ri++
+	}
+	return out
+}
+
+// checkOracle fails unless the fused results and a's elements agree
+// with the plain-slice oracle BITWISE.
+func checkOracle(t *testing.T, what string, got, want []core.StageResult, fused *core.Array, data []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d stage results, oracle has %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Stage != want[i].Stage || got[i].Name != want[i].Name || got[i].N != want[i].N {
+			t.Fatalf("%s: result %d = {%d %q n=%d}, oracle {%d %q n=%d}", what, i,
+				got[i].Stage, got[i].Name, got[i].N, want[i].Stage, want[i].Name, want[i].N)
+		}
+		for j := range want[i].Acc {
+			if math.Float64bits(got[i].Acc[j]) != math.Float64bits(want[i].Acc[j]) {
+				t.Fatalf("%s: result %d acc[%d] = %v, oracle %v", what, i, j, got[i].Acc[j], want[i].Acc[j])
+			}
+		}
+	}
+	back := make([]float64, len(data))
+	if err := fused.Read(bg, back, fused.Bounds()); err != nil {
+		t.Fatal(err)
+	}
+	for i := range back {
+		if math.Float64bits(back[i]) != math.Float64bits(data[i]) {
+			t.Fatalf("%s: element %d fused %v, oracle %v", what, i, back[i], data[i])
+		}
+	}
+}
+
 // checkAgainst fails unless fused results and elements agree with the
 // unfused references BITWISE.
 func checkAgainst(t *testing.T, what string, got, want []core.StageResult, fused, unfused *core.Array, full core.Domain) {
@@ -218,6 +328,7 @@ func TestPipelineFusedMatchesUnfused(t *testing.T) {
 	}
 	want := applyUnfused(t, au, dom, stages, params, []*core.Array{b})
 	checkAgainst(t, "saxpy", got, want, af, au, full)
+	checkOracle(t, "saxpy", got, applyOracle(t, af.Map(), N, n, va, vb, dom, stages, params), af, va)
 }
 
 // The fuzz-ish property: every registered random stage chain equals
@@ -253,6 +364,7 @@ func TestPipelineRandomChainsMatchSequential(t *testing.T) {
 		}
 		want := applyUnfused(t, au, dom, ch.stages, ch.params, operands)
 		checkAgainst(t, ch.name, got, want, af, au, full)
+		checkOracle(t, ch.name, got, applyOracle(t, af.Map(), N, n, va, vb, dom, ch.stages, ch.params), af, va)
 	}
 }
 
@@ -294,7 +406,7 @@ func TestPipelineOverwritesFirstStage(t *testing.T) {
 
 // Read-only pipelines mutate nothing; empty domains fold nothing and
 // report each stage's identity with N == 0 — the fused form of the
-// minmaxPage empty-region guarantee (a zero-row reduce stage must skip,
+// empty-region guarantee (a zero-row reduce stage must skip,
 // never poison the merge with its ±Inf identity).
 func TestPipelineReadOnlyAndEmptyDomain(t *testing.T) {
 	const N, n = 8, 2

@@ -14,8 +14,8 @@ import (
 )
 
 // The A-series are ablations of this implementation's own design choices
-// (DESIGN.md §5), not paper claims: they measure what each mechanism is
-// worth.
+// (see the root package doc), not paper claims: they measure what each
+// mechanism is worth.
 
 // A1PipelineWindow — ablation of the §4 pipelining depth: Array.Read of a
 // large domain with the outstanding-request window swept from 1

@@ -1,4 +1,4 @@
-// Package exp implements the experiment suite of EXPERIMENTS.md: one
+// Package exp implements the experiment suite (`oppbench -list`): one
 // experiment per claim of the paper, each producing a table. The paper
 // itself contains no tables or figures (it is an ideas paper), so these
 // experiments are the quantitative reproduction of its qualitative

@@ -97,9 +97,10 @@ func e14WaitDepth(srv *rmi.Server, cond func([rmi.NumPriorities]int) bool) error
 	}
 }
 
-// e14Quiesce waits for every admission slot to be released — the server
-// frees a slot just after sending the reply, so depths lag future
-// completion by a hair and phases must not read each other's leftovers.
+// e14Quiesce waits for every admission slot to be released — shed and
+// refused requests free theirs just after the reply is sent, so depths
+// can lag future completion by a hair and phases must not read each
+// other's leftovers.
 func e14Quiesce(srv *rmi.Server) error {
 	return e14WaitDepth(srv, func(d [rmi.NumPriorities]int) bool {
 		return d == [rmi.NumPriorities]int{}
@@ -189,16 +190,19 @@ func e14Burst(cfg Config, t *Table, front *e14Front, srv *rmi.Server) error {
 		return err
 	}
 	bulk := p.Session(rmi.WithPriority(rmi.PrioBulk))
+	shedBefore := srv.Counters().ReqShed.Load()
 	var bulkFuts []*rmi.Future
 	for i := 0; i < bulkCap+overflow; i++ {
 		bulkFuts = append(bulkFuts, bulk.CallAsync(bg, ref, "sleep", serve.SleepArgs(0)))
 	}
 	// The dam never opens until we say so, so no bulk call completes:
 	// exactly bulkCap are admitted and exactly overflow shed, no matter
-	// how the pooled connections interleave.
+	// how the pooled connections interleave — provided every call has
+	// ARRIVED before the dam opens (a straggler would find a freed slot),
+	// so wait for the sheds as well as the depth.
 	shed := 0
 	if err := e14WaitDepth(srv, func(d [rmi.NumPriorities]int) bool {
-		return d[rmi.PrioBulk] >= bulkCap
+		return d[rmi.PrioBulk] >= bulkCap && srv.Counters().ReqShed.Load()-shedBefore >= overflow
 	}); err != nil {
 		return err
 	}

@@ -17,13 +17,12 @@
 // Registration is panic-on-duplicate — kernel names are wire
 // identifiers and must be stable for the life of a deployment.
 //
-// The five shapes live in independent namespaces: a map kernel and a
-// reduce kernel may share a name without conflict. [RegisterMap],
-// [RegisterReduce], [RegisterBinary], [RegisterBinaryReduce] and
-// [RegisterPipeline] install them; the matching Lookup functions
-// ([LookupMap], [LookupReduce], [LookupBinary], [LookupBinaryReduce],
-// [LookupPipeline]) resolve a name AND validate the parameter vector in
-// one step.
+// The four kernel shapes live in independent namespaces: a map kernel
+// and a reduce kernel may share a name without conflict. [RegisterMap],
+// [RegisterReduce], [RegisterBinary] and [RegisterBinaryReduce] install
+// them; the matching Lookup functions ([LookupMap], [LookupReduce],
+// [LookupBinary], [LookupBinaryReduce]) resolve a name AND validate the
+// parameter vector in one step.
 //
 // # Kernel shapes
 //
@@ -39,15 +38,26 @@
 //     co-indexed source run pulled from a peer device (axpy, copy).
 //   - [BinaryReduce]: a reduction over co-indexed run pairs (dot).
 //
-// The fifth shape composes them: a [Pipeline] is an ordered chain of
-// map/binary/reduce [Stage] values registered under its own name and
+// # One engine: the stage chain
+//
+// Kernels never travel alone. The unit of execution is a [Pipeline]: an
+// ordered chain of [Stage] values, one [StageKind] per kernel shape
+// ([StageMap], [StageBinary], [StageReduce], [StageBinaryReduce]),
 // executed device-side as ONE page pass — each page region is loaded
 // once, every stage applied in order, and stored once, over one batched
-// RMI per device. A chain of k Apply/Reduce calls costs k RMIs and k
-// page load+store cycles per device; the fused pipeline costs one of
-// each, which is where its throughput win comes from (operator-oriented
-// composition; see the "Kernel pipeline" chapter in the root package
-// doc for client-side semantics and the migration table).
+// RMI per device. Array.Apply/Reduce/ApplyBinary/ReduceBinary are
+// one-stage chains; a chain of k such calls costs k RMIs and k page
+// load+store cycles per device, where the fused chain costs one of each
+// (operator-oriented composition; see the "Kernel pipeline" chapter in
+// the root package doc for client-side semantics).
+//
+// The chain crosses the wire INLINE — (kind, kernel name, parameters)
+// per stage — and the device resolves every stage in its kind's
+// registry before touching a page. "Both sides know every kernel" is
+// therefore enforced per kernel, and a device needs no pipeline table:
+// [RegisterPipeline] / [LookupPipeline] are a client-side name→chain
+// convenience (registration still panics on a stage whose kernel is not
+// registered).
 //
 // # Parameter-arity validation
 //
@@ -56,7 +66,7 @@
 // vector against it via [CheckParams] — client-side at issue time and
 // device-side at execution time — so a forgotten parameter is a typed
 // error on the calling machine, never an index-out-of-range panic
-// inside a storage device. Pipelines validate per stage: params[i]
+// inside a storage device. Chains validate per stage: params[i]
 // belongs to Stages[i], and [LookupPipeline] requires exactly one
 // vector per stage (nil is fine for parameterless stages).
 //

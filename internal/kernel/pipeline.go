@@ -18,6 +18,12 @@ const (
 	// values *as they stand at this point of the chain* and reports a
 	// (count, accumulator) partial per device.
 	StageReduce
+	// StageBinaryReduce folds a registered two-operand reduction kernel
+	// over the region's values and the co-indexed peer operand (the dot
+	// product shape): it consumes one peer operand like StageBinary and
+	// reports a partial like StageReduce, and like StageReduce it never
+	// writes.
+	StageBinaryReduce
 )
 
 func (k StageKind) String() string {
@@ -28,6 +34,8 @@ func (k StageKind) String() string {
 		return "binary"
 	case StageReduce:
 		return "reduce"
+	case StageBinaryReduce:
+		return "binary reduce"
 	default:
 		return fmt.Sprintf("StageKind(%d)", int(k))
 	}
@@ -40,55 +48,59 @@ type Stage struct {
 	Name string
 }
 
-// MapStage, BinaryStage and ReduceStage are the Stage constructors.
-func MapStage(name string) Stage    { return Stage{Kind: StageMap, Name: name} }
-func BinaryStage(name string) Stage { return Stage{Kind: StageBinary, Name: name} }
-func ReduceStage(name string) Stage { return Stage{Kind: StageReduce, Name: name} }
+// MapStage, BinaryStage, ReduceStage and BinaryReduceStage are the Stage
+// constructors.
+func MapStage(name string) Stage          { return Stage{Kind: StageMap, Name: name} }
+func BinaryStage(name string) Stage       { return Stage{Kind: StageBinary, Name: name} }
+func ReduceStage(name string) Stage       { return Stage{Kind: StageReduce, Name: name} }
+func BinaryReduceStage(name string) Stage { return Stage{Kind: StageBinaryReduce, Name: name} }
 
-// Pipeline is the fused-kernel shape: an ordered chain of stages
-// executed device-side as ONE page pass — each page region is loaded
-// once, every stage applied to it in order, and stored once — over one
-// batched RMI per device, where the equivalent chain of Apply/Reduce
-// calls costs one RMI and one page load+store per stage.
+// Pipeline is the one shape every array collective travels in: an
+// ordered chain of stages executed device-side as ONE page pass — each
+// page region is loaded once, every stage applied to it in order, and
+// stored once — over one batched RMI per device. A one-stage chain is
+// Apply/Reduce/ApplyBinary/ReduceBinary; a longer one is a fused
+// pipeline, where the equivalent sequence of one-stage calls costs one
+// RMI and one page load+store per stage.
 //
-// A pipeline is registered under a stable wire name exactly like the
-// four elementary shapes; every stage must already be registered in its
-// own registry at RegisterPipeline time, so a pipeline can never name a
-// kernel that only one side of the wire knows.
+// The chain crosses the wire inline (kind, kernel name, parameters per
+// stage) and the device resolves each stage in its kind's registry, so
+// a chain can never name a kernel that only one side of the wire knows.
+// RegisterPipeline names a chain client-side, for reuse.
 type Pipeline struct {
 	Stages []Stage
 }
 
 // Mutates reports whether the pipeline writes pages back (it contains
-// at least one map or binary stage). A pure-reduce pipeline is
+// at least one map or binary stage). A pipeline of reductions only is
 // read-only and never stores.
 func (p Pipeline) Mutates() bool {
 	for _, s := range p.Stages {
-		if s.Kind != StageReduce {
+		if s.Kind == StageMap || s.Kind == StageBinary {
 			return true
 		}
 	}
 	return false
 }
 
-// Reduces counts the reduce stages — the number of (count, accumulator)
-// partials each device reports per call.
+// Reduces counts the reduce and binary-reduce stages — the number of
+// (count, accumulator) partials each device reports per call.
 func (p Pipeline) Reduces() int {
 	n := 0
 	for _, s := range p.Stages {
-		if s.Kind == StageReduce {
+		if s.Kind == StageReduce || s.Kind == StageBinaryReduce {
 			n++
 		}
 	}
 	return n
 }
 
-// Binaries counts the binary stages — the number of peer operands each
-// region of a fused batch must carry.
+// Binaries counts the two-operand stages (binary and binary-reduce) —
+// the number of peer operands each region of a batch must carry.
 func (p Pipeline) Binaries() int {
 	n := 0
 	for _, s := range p.Stages {
-		if s.Kind == StageBinary {
+		if s.Kind == StageBinary || s.Kind == StageBinaryReduce {
 			n++
 		}
 	}
@@ -96,14 +108,15 @@ func (p Pipeline) Binaries() int {
 }
 
 // ResolvedStage is a stage with its kernel resolved — the executable
-// form the device engine walks. Exactly one of Map/Bin/Red is live,
-// selected by Kind.
+// form the device engine walks. Exactly one of Map/Bin/Red/BinRed is
+// live, selected by Kind.
 type ResolvedStage struct {
-	Kind StageKind
-	Name string
-	Map  Map
-	Bin  Binary
-	Red  Reduce
+	Kind   StageKind
+	Name   string
+	Map    Map
+	Bin    Binary
+	Red    Reduce
+	BinRed BinaryReduce
 }
 
 var (
@@ -111,10 +124,10 @@ var (
 	pipelines = map[string]Pipeline{}
 )
 
-// RegisterPipeline installs a fused pipeline under name. It panics on a
-// duplicate name, an empty chain, or a stage whose kernel is not yet
-// registered in its kind's registry — pipelines compose only the shared
-// vocabulary, so both sides of the wire resolve them identically.
+// RegisterPipeline installs a fused pipeline under name in the
+// client-side name→chain table. It panics on a duplicate name, an empty
+// chain, or a stage whose kernel is not yet registered in its kind's
+// registry — pipelines compose only the shared vocabulary.
 func RegisterPipeline(name string, p Pipeline) {
 	if len(p.Stages) == 0 {
 		panic(fmt.Sprintf("kernel: RegisterPipeline(%q): empty stage chain", name))
@@ -129,6 +142,8 @@ func RegisterPipeline(name string, p Pipeline) {
 			_, ok = binaries[s.Name]
 		case StageReduce:
 			_, ok = reduces[s.Name]
+		case StageBinaryReduce:
+			_, ok = binaryReduces[s.Name]
 		}
 		mu.RUnlock()
 		if !ok {
@@ -146,9 +161,9 @@ func RegisterPipeline(name string, p Pipeline) {
 // LookupPipeline resolves a pipeline by name and validates the
 // per-stage parameter vectors against each stage kernel's declared
 // arity — params[i] belongs to Stages[i] and must hold at least its
-// MinParams values. Like the elementary lookups it runs on both sides
-// of the wire, so a missing stage parameter fails at the client before
-// any RMI is issued and again at the device before any page is touched.
+// MinParams values — so a missing stage parameter fails at the client
+// before any RMI is issued (the device validates each inline stage
+// again before any page is touched).
 func LookupPipeline(name string, params [][]float64) (Pipeline, []ResolvedStage, error) {
 	pipeMu.RLock()
 	p, ok := pipelines[name]
@@ -170,6 +185,8 @@ func LookupPipeline(name string, params [][]float64) (Pipeline, []ResolvedStage,
 			rs.Bin, err = LookupBinary(s.Name, params[i])
 		case StageReduce:
 			rs.Red, err = LookupReduce(s.Name, params[i])
+		case StageBinaryReduce:
+			rs.BinRed, err = LookupBinaryReduce(s.Name, params[i])
 		default:
 			err = fmt.Errorf("kernel: pipeline %q stage %d has unknown kind %d", name, i, int(s.Kind))
 		}
@@ -179,12 +196,4 @@ func LookupPipeline(name string, params [][]float64) (Pipeline, []ResolvedStage,
 		resolved[i] = rs
 	}
 	return p, resolved, nil
-}
-
-// PipelineOverwrites reports whether the fused pass may skip the page
-// load for whole-page regions: only when the FIRST stage is a map
-// kernel that overwrites every element — later stages then read what
-// earlier stages wrote, never the stale page.
-func PipelineOverwrites(stages []ResolvedStage) bool {
-	return len(stages) > 0 && stages[0].Kind == StageMap && stages[0].Map.Overwrites
 }

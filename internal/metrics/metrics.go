@@ -8,9 +8,7 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -204,44 +202,4 @@ func (s Snapshot) String() string {
 		return "{}"
 	}
 	return "{" + strings.Join(parts, " ") + "}"
-}
-
-// Timer accumulates named durations (in nanoseconds) for coarse phase
-// breakdowns (e.g. "transpose" vs "local-fft" in the parallel FFT).
-type Timer struct {
-	mu     sync.Mutex
-	phases map[string]int64
-}
-
-// NewTimer returns an empty timer.
-func NewTimer() *Timer { return &Timer{phases: make(map[string]int64)} }
-
-// Add accumulates d nanoseconds against phase name.
-func (t *Timer) Add(name string, d int64) {
-	t.mu.Lock()
-	t.phases[name] += d
-	t.mu.Unlock()
-}
-
-// Get returns the accumulated nanoseconds for name.
-func (t *Timer) Get(name string) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.phases[name]
-}
-
-// String lists phases sorted by name.
-func (t *Timer) String() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	names := make([]string, 0, len(t.phases))
-	for n := range t.phases {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	parts := make([]string, len(names))
-	for i, n := range names {
-		parts[i] = fmt.Sprintf("%s=%.3fms", n, float64(t.phases[n])/1e6)
-	}
-	return strings.Join(parts, " ")
 }

@@ -76,39 +76,3 @@ func TestSnapshotString(t *testing.T) {
 		t.Errorf("snapshot string shows zero field: %q", str)
 	}
 }
-
-func TestTimer(t *testing.T) {
-	tm := NewTimer()
-	tm.Add("fft", 1_500_000)
-	tm.Add("fft", 500_000)
-	tm.Add("transpose", 3_000_000)
-	if got := tm.Get("fft"); got != 2_000_000 {
-		t.Errorf("fft = %d, want 2000000", got)
-	}
-	str := tm.String()
-	if !strings.Contains(str, "fft=2.000ms") || !strings.Contains(str, "transpose=3.000ms") {
-		t.Errorf("timer string: %q", str)
-	}
-	// Phases are sorted by name.
-	if strings.Index(str, "fft") > strings.Index(str, "transpose") {
-		t.Errorf("timer phases unsorted: %q", str)
-	}
-}
-
-func TestTimerConcurrent(t *testing.T) {
-	tm := NewTimer()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				tm.Add("x", 1)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := tm.Get("x"); got != 800 {
-		t.Errorf("x = %d, want 800", got)
-	}
-}

@@ -1,0 +1,124 @@
+package pagedev
+
+import (
+	"errors"
+	"math"
+	"testing"
+
+	"oopp/internal/kernel"
+	"oopp/internal/rmi"
+	"oopp/internal/wire"
+)
+
+// batchFrame encodes a valid applyPipelineK request, then lets edit
+// damage the bytes.
+func batchFrame(p kernel.Pipeline, params [][]float64, regions []PipeRegion, edit func([]byte) []byte) []byte {
+	e := wire.NewEncoder(64)
+	EncodeApplyPipelineK(e, p, params, regions)
+	frame := append([]byte(nil), e.Bytes()...)
+	if edit != nil {
+		frame = edit(frame)
+	}
+	return frame
+}
+
+// appendInt drops the frame's last n bytes and appends v as a varint.
+func appendInt(n int, v int) func([]byte) []byte {
+	return func(b []byte) []byte {
+		e := wire.NewEncoder(len(b) + 10)
+		e.AppendRaw(b[:len(b)-n])
+		e.PutInt(v)
+		return append([]byte(nil), e.Bytes()...)
+	}
+}
+
+// decodeCase is one frame for the kernel-batch decoder: ok says whether
+// it must decode; is, when set, is the error a refusal must match.
+type decodeCase struct {
+	name  string
+	frame []byte
+	ok    bool
+	is    error
+}
+
+var decodeCases = func() []decodeCase {
+	peer := []PipePeer{{Ref: rmi.Ref{Machine: 1, Object: 7, Class: ClassArrayPageDevice}, Index: 3}}
+	box := SubBox{Lo: [3]int{0, 1, 0}, Dim: [3]int{2, 1, 2}}
+	one := func(st kernel.Stage) kernel.Pipeline { return kernel.Pipeline{Stages: []kernel.Stage{st}} }
+	scale, sum := one(kernel.MapStage(kernel.Scale)), one(kernel.ReduceStage(kernel.Sum))
+	axpy, dot := one(kernel.BinaryStage(kernel.Axpy)), one(kernel.BinaryReduceStage(kernel.Dot))
+	plain := []PipeRegion{{Index: 1, Box: box, Fold: true}}
+	paired := []PipeRegion{{Index: 1, Box: box, Fold: true, Peers: peer}}
+	return []decodeCase{
+		{"map", batchFrame(scale, [][]float64{{2}}, plain, nil), true, nil},
+		{"reduce", batchFrame(sum, [][]float64{nil}, plain, nil), true, nil},
+		{"binary", batchFrame(axpy, [][]float64{{2}}, paired, nil), true, nil},
+		{"binary reduce", batchFrame(dot, [][]float64{nil}, paired, nil), true, nil},
+		{"no regions", batchFrame(scale, [][]float64{{2}}, nil, nil), true, nil},
+		{"empty frame", nil, false, nil},
+		{"empty chain", batchFrame(kernel.Pipeline{}, nil, plain, nil), false, nil},
+		{"truncated stage", batchFrame(scale, [][]float64{{2}}, plain, func(b []byte) []byte { return b[:4] }), false, nil},
+		{"truncated region", batchFrame(scale, [][]float64{{2}}, plain, func(b []byte) []byte { return b[:len(b)-3] }), false, nil},
+		{"stage count 1<<40", appendInt(0, 1<<40)(nil), false, wire.ErrCorrupt},
+		{"region count 1<<40", batchFrame(scale, [][]float64{{2}}, nil, appendInt(1, 1<<40)), false, wire.ErrCorrupt},
+		{"negative region count", batchFrame(scale, [][]float64{{2}}, nil, appendInt(1, -1)), false, wire.ErrCorrupt},
+		{"bad kind byte", batchFrame(one(kernel.Stage{Kind: 9, Name: kernel.Scale}), [][]float64{{2}}, plain, nil), false, nil},
+		{"unknown kernel", batchFrame(one(kernel.MapStage("no.such.kernel")), [][]float64{nil}, plain, nil), false, nil},
+		{"kernel of another kind", batchFrame(one(kernel.ReduceStage(kernel.Scale)), [][]float64{nil}, plain, nil), false, nil},
+		{"missing parameter", batchFrame(scale, [][]float64{nil}, plain, nil), false, nil},
+		{"box outside page", batchFrame(scale, [][]float64{{2}}, []PipeRegion{{Box: SubBox{Dim: [3]int{3, 1, 1}}}}, nil), false, nil},
+		{"box wraps int", batchFrame(scale, [][]float64{{2}}, []PipeRegion{{Box: SubBox{Lo: [3]int{math.MaxInt, 0, 0}, Dim: [3]int{1, 1, 1}}}}, nil), false, nil},
+		{"peer missing", batchFrame(axpy, [][]float64{{2}}, plain, nil), false, nil},
+		{"peer unasked for", batchFrame(scale, [][]float64{{2}}, paired, nil), false, nil},
+	}
+}()
+
+// The one kernel-batch decoder: every stage kind round-trips, and every
+// malformed frame — truncated, oversized or negative counts, bad kind
+// byte, unknown kernel, wrong arity, box outside the page, peer count
+// not matching the chain's two-operand stages — is refused before any
+// page could be touched; the oversized counts fail as corrupt frames,
+// not as allocations.
+func TestKernelBatchDecode(t *testing.T) {
+	for _, tc := range decodeCases {
+		b, err := decodeKernelBatch(wire.NewDecoder(tc.frame), [3]int{2, 2, 2})
+		if (err == nil) != tc.ok || (tc.is != nil && !errors.Is(err, tc.is)) {
+			t.Errorf("%s: decode error = %v, want ok=%v matching %v", tc.name, err, tc.ok, tc.is)
+		}
+		if err == nil && (len(b.stages) != 1 || len(b.regions) > 1) {
+			t.Errorf("%s: decoded %d stages, %d regions", tc.name, len(b.stages), len(b.regions))
+		}
+	}
+}
+
+// FuzzKernelBatchDecode: the decoder reads bytes off a socket, so no
+// input may panic it or make it allocate past the frame, and whatever
+// it accepts must be internally consistent — the region walk indexes
+// Peers by the chain's two-operand stage count.
+func FuzzKernelBatchDecode(f *testing.F) {
+	for _, tc := range decodeCases {
+		f.Add(tc.frame)
+	}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		b, err := decodeKernelBatch(wire.NewDecoder(frame), [3]int{2, 2, 2})
+		if err != nil {
+			return
+		}
+		if len(b.stages) == 0 || b.operands > len(b.stages) || b.reduces > len(b.stages) {
+			t.Fatalf("accepted an inconsistent chain: %+v", b)
+		}
+		if len(b.regions) > len(frame)/minRegion {
+			t.Fatalf("%d regions decoded from %d bytes", len(b.regions), len(frame))
+		}
+		for _, r := range b.regions {
+			if len(r.Peers) != b.operands {
+				t.Fatalf("region carries %d peers for %d two-operand stages", len(r.Peers), b.operands)
+			}
+			for x, n := range [3]int{2, 2, 2} {
+				if r.Box.Lo[x] < 0 || r.Box.Lo[x] > n || r.Box.Dim[x] < 0 || r.Box.Dim[x] > n-r.Box.Lo[x] {
+					t.Fatalf("accepted box %+v outside a 2x2x2 page", r.Box)
+				}
+			}
+		}
+	})
+}

@@ -411,9 +411,6 @@ func newArrayClass() *rmi.Class[*arrayPageDevice] {
 			}
 		})
 
-	// loadPage pulls page index into the scratch element buffer.
-	loadPage := func(a *arrayPageDevice, index int) error { return a.loadPage(index) }
-
 	c.Method("sum", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		// The §3 "move the computation to the data" method: the page never
 		// leaves this machine; only the scalar result crosses the network.
@@ -421,7 +418,7 @@ func newArrayClass() *rmi.Class[*arrayPageDevice] {
 		if err := args.Err(); err != nil {
 			return err
 		}
-		if err := loadPage(a, index); err != nil {
+		if err := a.loadPage(index); err != nil {
 			return err
 		}
 		var s float64
@@ -431,25 +428,12 @@ func newArrayClass() *rmi.Class[*arrayPageDevice] {
 		reply.PutFloat64(s)
 		return nil
 	})
-	c.Method("sumAll", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		var s float64
-		for i := 0; i < a.numPages; i++ {
-			if err := loadPage(a, i); err != nil {
-				return err
-			}
-			for _, v := range a.elems {
-				s += v
-			}
-		}
-		reply.PutFloat64(s)
-		return nil
-	})
 	c.Method("readArray", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		index := args.Int()
 		if err := args.Err(); err != nil {
 			return err
 		}
-		if err := loadPage(a, index); err != nil {
+		if err := a.loadPage(index); err != nil {
 			return err
 		}
 		reply.PutFloat64s(a.elems)
@@ -461,27 +445,7 @@ func newArrayClass() *rmi.Class[*arrayPageDevice] {
 		if err := args.Err(); err != nil {
 			return err
 		}
-		if err := Float64sToBytes(a.scratch, a.elems); err != nil {
-			return err
-		}
-		return a.write(index, a.scratch)
-	})
-	c.Method("scalePage", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		index := args.Int()
-		alpha := args.Float64()
-		if err := args.Err(); err != nil {
-			return err
-		}
-		if err := loadPage(a, index); err != nil {
-			return err
-		}
-		for i := range a.elems {
-			a.elems[i] *= alpha
-		}
-		if err := Float64sToBytes(a.scratch, a.elems); err != nil {
-			return err
-		}
-		return a.write(index, a.scratch)
+		return a.storePage(index)
 	})
 	c.Method("fillPage", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		index := args.Int()
@@ -492,246 +456,31 @@ func newArrayClass() *rmi.Class[*arrayPageDevice] {
 		for i := range a.elems {
 			a.elems[i] = v
 		}
-		if err := Float64sToBytes(a.scratch, a.elems); err != nil {
-			return err
-		}
-		return a.write(index, a.scratch)
+		return a.storePage(index)
 	})
-	c.Method("fillAll", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		// The whole-device fill: the broadcast half of a BlockStorage
-		// collective. One message per device fills every page it holds;
-		// no element data crosses the network.
-		v := args.Float64()
-		if err := args.Err(); err != nil {
-			return err
-		}
-		if err := a.checkFenceAll(); err != nil {
-			return err
-		}
-		for i := range a.elems {
-			a.elems[i] = v
-		}
-		if err := Float64sToBytes(a.scratch, a.elems); err != nil {
-			return err
-		}
-		for idx := 0; idx < a.numPages; idx++ {
-			if err := a.write(idx, a.scratch); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	c.Method("minmaxPage", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	// writeSub(index, lo3, dim3, rows...): overlay a sub-box with values
+	// that arrive row-packed, dim1*dim2 runs of dim3 float64s. A serial
+	// method, so the read-modify-write of the page region is atomic with
+	// respect to every other method on the device — this is what lets
+	// multiple Array clients write disjoint regions of a shared page
+	// concurrently (§5) without lost updates, and it ships only the
+	// region instead of the whole page.
+	c.Method("writeSub", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		index := args.Int()
-		if err := args.Err(); err != nil {
-			return err
-		}
-		if err := loadPage(a, index); err != nil {
-			return err
-		}
-		page := ArrayPage{N1: a.n1, N2: a.n2, N3: a.n3, Data: a.elems}
-		lo, hi, ok := page.MinMax()
-		if !ok {
-			// Unreachable for a constructed device (dims are validated
-			// positive), but an explicit failure beats shipping the ±Inf
-			// identity as if it were data.
-			return fmt.Errorf("pagedev: minmaxPage on empty page %d", index)
-		}
-		reply.PutFloat64(lo)
-		reply.PutFloat64(hi)
-		return nil
-	})
-	c.Method("dims", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		reply.PutInt(a.n1)
-		reply.PutInt(a.n2)
-		reply.PutInt(a.n3)
-		return nil
-	})
-
-	// decodeSubBox reads a sub-box header (origin + dims in local page
-	// coordinates) and validates it against the page geometry.
-	decodeSubBox := func(a *arrayPageDevice, args *wire.Decoder) (lo [3]int, dim [3]int, err error) {
-		return a.decodeSubBox(args)
-	}
-
-	// The sub-page mutators below run as serial methods, so a read-modify-
-	// write of a page region is atomic with respect to every other method
-	// on the device — this is what lets multiple Array clients write
-	// disjoint regions of a shared page concurrently (§5) without lost
-	// updates, and it ships only the region instead of the whole page.
-	subMutator := func(mutate func(a *arrayPageDevice, off int, runLen int, args *wire.Decoder) error,
-	) func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		return func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			index := args.Int()
-			lo, dim, err := decodeSubBox(a, args)
-			if err != nil {
-				return err
-			}
-			if err := loadPage(a, index); err != nil {
-				return err
-			}
-			for i := 0; i < dim[0]; i++ {
-				for j := 0; j < dim[1]; j++ {
-					off := ((lo[0]+i)*a.n2+(lo[1]+j))*a.n3 + lo[2]
-					if err := mutate(a, off, dim[2], args); err != nil {
-						return err
-					}
-				}
-			}
-			if err := args.Err(); err != nil {
-				return err
-			}
-			if err := Float64sToBytes(a.scratch, a.elems); err != nil {
-				return err
-			}
-			return a.write(index, a.scratch)
-		}
-	}
-
-	// writeSub(index, lo3, dim3, rows...): overlay a sub-box with values.
-	// Values arrive row-packed: dim1*dim2 runs of dim3 float64s.
-	c.Method("writeSub", subMutator(func(a *arrayPageDevice, off, runLen int, args *wire.Decoder) error {
-		args.Float64sInto(a.elems[off : off+runLen])
-		return args.Err()
-	}))
-	// fillSub(index, box, v): set a sub-box to a constant.
-	c.Method("fillSub", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		index := args.Int()
-		lo, dim, err := decodeSubBox(a, args)
+		lo, dim, err := a.decodeSubBox(args)
 		if err != nil {
 			return err
 		}
-		v := args.Float64()
+		if err := a.loadPage(index); err != nil {
+			return err
+		}
+		forEachRow(a.elems, a.n2, a.n3, lo, dim, func(row []float64) { args.Float64sInto(row) })
 		if err := args.Err(); err != nil {
 			return err
 		}
-		if err := loadPage(a, index); err != nil {
-			return err
-		}
-		for i := 0; i < dim[0]; i++ {
-			for j := 0; j < dim[1]; j++ {
-				off := ((lo[0]+i)*a.n2+(lo[1]+j))*a.n3 + lo[2]
-				for k := 0; k < dim[2]; k++ {
-					a.elems[off+k] = v
-				}
-			}
-		}
-		if err := Float64sToBytes(a.scratch, a.elems); err != nil {
-			return err
-		}
-		return a.write(index, a.scratch)
+		return a.storePage(index)
 	})
-	// scaleSub(index, box, alpha): multiply a sub-box by a constant.
-	c.Method("scaleSub", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		index := args.Int()
-		lo, dim, err := decodeSubBox(a, args)
-		if err != nil {
-			return err
-		}
-		alpha := args.Float64()
-		if err := args.Err(); err != nil {
-			return err
-		}
-		if err := loadPage(a, index); err != nil {
-			return err
-		}
-		for i := 0; i < dim[0]; i++ {
-			for j := 0; j < dim[1]; j++ {
-				off := ((lo[0]+i)*a.n2+(lo[1]+j))*a.n3 + lo[2]
-				for k := 0; k < dim[2]; k++ {
-					a.elems[off+k] *= alpha
-				}
-			}
-		}
-		if err := Float64sToBytes(a.scratch, a.elems); err != nil {
-			return err
-		}
-		return a.write(index, a.scratch)
-	})
-
-	// fetchPeerPage pulls a page from another ArrayPageDevice process via
-	// server-to-server RMI — data objects communicating with data objects
-	// (§5), no client in the data path.
-	//
-	// Co-location fast path: when the peer lives in this very address
-	// space (same machine — including this very object, e.g. Dot(a, a)
-	// under a layout that maps both pages to one device, where an RMI
-	// call would queue behind the running method in the object's own
-	// mailbox and deadlock), the page is read directly through the
-	// peer's thread-safe store instead of crossing the loopback link.
-	fetchPeerPage := func(a *arrayPageDevice, env *rmi.Env, peer rmi.Ref, peerIdx int, dst []float64) error {
-		if local, ok := localArrayDevice(env, peer); ok {
-			buf := make([]byte, local.pageSize)
-			if err := local.readInto(peerIdx, buf); err != nil {
-				return err
-			}
-			return BytesToFloat64s(dst, buf)
-		}
-		if env.Client == nil {
-			return fmt.Errorf("pagedev: machine %d has no outbound client", env.Machine)
-		}
-		d, err := env.Client.Call(env.Ctx(), peer, "readArray", func(e *wire.Encoder) error {
-			e.PutInt(peerIdx)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		defer d.Release()
-		d.Float64sInto(dst)
-		return d.Err()
-	}
-
-	c.Method("dotWith", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		// dotWith(localIdx, peerRef, peerIdx): dot product of a local page
-		// with a page held by another device process. The peer page moves
-		// device-to-device; only the scalar returns to the caller.
-		localIdx := args.Int()
-		peer := args.Ref()
-		peerIdx := args.Int()
-		if err := args.Err(); err != nil {
-			return err
-		}
-		if err := loadPage(a, localIdx); err != nil {
-			return err
-		}
-		peerPage := make([]float64, len(a.elems))
-		if err := fetchPeerPage(a, env, peer, peerIdx, peerPage); err != nil {
-			return err
-		}
-		var s float64
-		for i, v := range a.elems {
-			s += v * peerPage[i]
-		}
-		reply.PutFloat64(s)
-		return nil
-	})
-	c.Method("axpyWith", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		// axpyWith(localIdx, alpha, peerRef, peerIdx): local page +=
-		// alpha * peer page, computed at this device.
-		localIdx := args.Int()
-		alpha := args.Float64()
-		peer := args.Ref()
-		peerIdx := args.Int()
-		if err := args.Err(); err != nil {
-			return err
-		}
-		if err := loadPage(a, localIdx); err != nil {
-			return err
-		}
-		peerPage := make([]float64, len(a.elems))
-		if err := fetchPeerPage(a, env, peer, peerIdx, peerPage); err != nil {
-			return err
-		}
-		for i := range a.elems {
-			a.elems[i] += alpha * peerPage[i]
-		}
-		if err := Float64sToBytes(a.scratch, a.elems); err != nil {
-			return err
-		}
-		return a.write(localIdx, a.scratch)
-	})
-	registerKernelMethods(c)
+	registerTransferMethods(c)
 	registerPipelineMethod(c)
 	registerOwnerMethods(c)
 	return c
@@ -755,8 +504,13 @@ func (a *arrayPageDevice) storePage(index int) error {
 }
 
 // decodeSubBox reads a sub-box header (origin + dims in local page
-// coordinates) and validates it against the page geometry.
+// coordinates) and validates it against this device's page geometry.
 func (a *arrayPageDevice) decodeSubBox(args *wire.Decoder) (lo [3]int, dim [3]int, err error) {
+	return decodeSubBox(args, [3]int{a.n1, a.n2, a.n3})
+}
+
+// decodeSubBox is the pure form: page is the n1×n2×n3 page geometry.
+func decodeSubBox(args *wire.Decoder, page [3]int) (lo [3]int, dim [3]int, err error) {
 	for x := 0; x < 3; x++ {
 		lo[x] = args.Int()
 	}
@@ -766,9 +520,10 @@ func (a *arrayPageDevice) decodeSubBox(args *wire.Decoder) (lo [3]int, dim [3]in
 	if err := args.Err(); err != nil {
 		return lo, dim, err
 	}
-	page := [3]int{a.n1, a.n2, a.n3}
 	for x := 0; x < 3; x++ {
-		if lo[x] < 0 || dim[x] < 0 || lo[x]+dim[x] > page[x] {
+		// dim is compared against the room left, not added to lo: the sum
+		// of two huge wire values would wrap past the check.
+		if lo[x] < 0 || dim[x] < 0 || lo[x] > page[x] || dim[x] > page[x]-lo[x] {
 			return lo, dim, fmt.Errorf("pagedev: sub-box axis %d [%d,%d) outside page [0,%d)", x, lo[x], lo[x]+dim[x], page[x])
 		}
 	}

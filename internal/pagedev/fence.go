@@ -68,14 +68,6 @@ func (p *pageDevice) checkFenceBatch(indices []int) error {
 	return nil
 }
 
-// checkFenceAll refuses whole-device mutators while any fence is up.
-func (p *pageDevice) checkFenceAll() error {
-	if len(p.fence) == 0 {
-		return nil
-	}
-	return fmt.Errorf("%w: %d pages of %q mid-migration (whole-device op refused)", rmi.ErrFenced, len(p.fence), p.name)
-}
-
 // registerFenceMethods installs the migration-fence protocol on a class
 // (both PageDevice and, via Extend, ArrayPageDevice carry it).
 func registerFenceMethods(c *rmi.Class[baser]) *rmi.Class[baser] {
@@ -90,7 +82,8 @@ func registerFenceMethods(c *rmi.Class[baser]) *rmi.Class[baser] {
 				return err
 			}
 			if p.fence == nil {
-				p.fence = make(map[int]struct{}, count)
+				// No size hint: count is straight off the socket.
+				p.fence = make(map[int]struct{})
 			}
 			for n := 0; n < count; n++ {
 				idx := args.Int()

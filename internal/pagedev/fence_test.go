@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"oopp/internal/kernel"
 	"oopp/internal/metrics"
 	"oopp/internal/pagedev"
 	"oopp/internal/rmi"
@@ -11,9 +12,9 @@ import (
 
 // TestMigrationFence pins the device half of live page migration: fenced
 // pages refuse mutation typed (rmi.ErrFenced) while reads keep flowing,
-// batched mutators refuse all-or-nothing, whole-device mutators refuse
-// while any fence is up, and the adopt/release protocol moves the
-// migration gauges.
+// batched mutators refuse all-or-nothing (a whole-device kernel batch
+// refuses while any fence is up), and the adopt/release protocol moves
+// the migration gauges.
 func TestMigrationFence(t *testing.T) {
 	c := startCluster(t, 1, 0)
 	dev, err := pagedev.NewArrayDevice(bg, c.Client(), 0, "fenced", 3, 2, 2, 2, pagedev.DiskPrivate)
@@ -47,9 +48,16 @@ func TestMigrationFence(t *testing.T) {
 		t.Fatalf("fenced page read: sum = %v, %v (want 16)", s, err)
 	}
 
-	// Whole-device mutators refuse while any fence is up.
-	if err := dev.FillAll(bg, 5); !errors.Is(err, rmi.ErrFenced) {
-		t.Fatalf("FillAll under fence: got %v, want rmi.ErrFenced", err)
+	// A kernel batch over every page refuses while any fence is up, and
+	// applies nowhere.
+	fill := kernel.Pipeline{Stages: []kernel.Stage{kernel.MapStage(kernel.Fill)}}
+	box := pagedev.SubBox{Dim: [3]int{2, 2, 2}}
+	_, _, err = dev.ApplyPipelineK(bg, fill, [][]float64{{5}}, []pagedev.PipeRegion{{Index: 0, Box: box}, {Index: 1, Box: box}, {Index: 2, Box: box}})
+	if !errors.Is(err, rmi.ErrFenced) {
+		t.Fatalf("fill of every page under fence: got %v, want rmi.ErrFenced", err)
+	}
+	if s, err := dev.Sum(bg, 0); err != nil || s != 9*8 {
+		t.Fatalf("refused batch partially applied: page 0 sum = %v, %v (want 72)", s, err)
 	}
 
 	// A batched mutator touching the fenced page refuses the WHOLE

@@ -1,39 +1,40 @@
 package pagedev
 
-// The device-side kernel execution engine: the server half of the
-// owner-computes array surface. Each method receives a kernel name (a
-// wire identifier resolved in the process-global internal/kernel
-// registry) plus a batch of page regions, and runs the kernel where the
-// pages live — one RMI per *device* replaces one RMI per *page*, and
-// for reductions only a fixed-width accumulator crosses the network.
+// The device-side halves of the owner-computes array surface that are
+// not the kernel engine itself (pipeline.go): the row engine every
+// method walks pages with, the device-to-device operand/halo pull lane,
+// and the transfer primitives (pullSubBatch, copyPages).
 //
 // Method concurrency classes (they matter — see the mailbox rules in
 // the rmi package doc):
 //
-//	applyK, reduceK, applyAllK, reduceAllK   serial (use object buffers)
-//	applyBinaryK, reduceBinaryK, pullSubBatch serial; pull peer operands
-//	                                          device-to-device
-//	readSubBatch                              CONCURRENT: serves peer
-//	                                          pulls while this object's
-//	                                          mailbox is busy (two
-//	                                          devices mid-sweep can
-//	                                          exchange halos without
-//	                                          deadlock); uses only
-//	                                          caller-owned buffers
+//	applyPipelineK            serial (uses the object's page buffers);
+//	                          the ONE kernel executor — every array
+//	                          collective is a stage chain through it
+//	pullSubBatch, copyPages   serial; pullSubBatch pulls peer regions
+//	                          device-to-device
+//	readSubBatch              CONCURRENT: serves peer pulls while this
+//	                          object's mailbox is busy (two devices
+//	                          mid-sweep can exchange halos and operands
+//	                          without deadlock); uses only caller-owned
+//	                          buffers
 //
 // Batches are not transactional: a mid-batch failure leaves earlier
-// regions applied, exactly like a mid-loop failure of the per-page
-// surface it replaces. The one all-or-nothing guarantee is the
-// migration fence (fence.go): every mutating batch pre-scans its
-// destination pages and refuses the WHOLE batch typed (rmi.ErrFenced)
-// if any is mid-migration, so a caller can replay the identical batch
-// after the page map flips without double-applying a kernel.
+// regions applied. The one all-or-nothing guarantee is the migration
+// fence (fence.go): every mutating batch pre-scans its destination
+// pages and refuses the WHOLE batch typed (rmi.ErrFenced) if any is
+// mid-migration, so a caller can replay the identical batch after the
+// page map flips without double-applying a kernel.
+//
+// Every batch count is read off a socket, so it is bounded by what the
+// rest of the frame can hold before anything is allocated from it
+// (decodeCount): a six-byte varint must not be able to ask for a
+// terabyte.
 
 import (
 	"context"
 	"fmt"
 
-	"oopp/internal/kernel"
 	"oopp/internal/rmi"
 	"oopp/internal/wire"
 )
@@ -125,13 +126,29 @@ func gatherRowsFromBytes(page []byte, n2, n3 int, lo, dim [3]int, dst []float64)
 	return nil
 }
 
-// decodeKernelHeader reads the (name, params) prefix shared by every
-// kernel method.
-func decodeKernelHeader(args *wire.Decoder) (name string, params []float64, err error) {
-	name = args.String()
-	params = args.Float64s()
-	return name, params, args.Err()
+// decodeCount reads a batch's element count and bounds it by the bytes
+// left in the frame: each element encodes to at least minElem bytes, so
+// a larger (or negative) count cannot be honest and is refused before
+// any slice is sized from it.
+func decodeCount(args *wire.Decoder, minElem int) (int, error) {
+	count := args.Int()
+	if err := args.Err(); err != nil {
+		return 0, err
+	}
+	if count < 0 || count > args.Remaining()/minElem {
+		return 0, fmt.Errorf("pagedev: %w: batch count %d exceeds what %d remaining bytes can hold", wire.ErrCorrupt, count, args.Remaining())
+	}
+	return count, nil
 }
+
+// Minimum encoded sizes, in bytes, of one batch element of each method:
+// every varint, bool and length prefix is at least one byte, and a
+// sub-box is an index plus six ints.
+const (
+	minSubBox   = 7
+	minPullElem = minSubBox + 1 // + peerIdx
+	minCopyElem = 2             // src, dst
+)
 
 // fetchSubBatch pulls the row-packed values of each request from a peer
 // device into the caller-owned dst slices (dst[i] must have size
@@ -222,296 +239,16 @@ func (a *arrayPageDevice) fetchSubBatchAsync(env *rmi.Env, peer rmi.Ref, reqs []
 	}
 }
 
-// registerKernelMethods installs the kernel execution protocol on the
-// ArrayPageDevice class.
-func registerKernelMethods(c *rmi.Class[*arrayPageDevice]) {
-	// applyK(name, params, count, count×(idx, box)): run a map kernel in
-	// place over each listed region. Replies with the element count
-	// touched.
-	c.Method("applyK", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		name, params, err := decodeKernelHeader(args)
-		if err != nil {
-			return err
-		}
-		k, err := kernel.LookupMap(name, params)
-		if err != nil {
-			return err
-		}
-		count := args.Int()
-		if err := args.Err(); err != nil {
-			return err
-		}
-		// Decode the whole batch, then fence-scan it before touching any
-		// page: a batch refused by the migration fence applies nowhere, so
-		// the caller can replay it verbatim against the flipped map without
-		// double-applying a non-idempotent kernel.
-		regions := make([]subReq, 0, count)
-		for n := 0; n < count; n++ {
-			idx := args.Int()
-			lo, dim, err := a.decodeSubBox(args)
-			if err != nil {
-				return err
-			}
-			regions = append(regions, subReq{idx: idx, lo: lo, dim: dim})
-		}
-		if err := a.checkFenceBatch(reqIndices(regions)); err != nil {
-			return err
-		}
-		touched := 0
-		for _, rq := range regions {
-			if rq.size() == 0 {
-				continue
-			}
-			// A write-only kernel over a whole page needs no prior load
-			// (Fill stays write-only, as the per-page path it replaced).
-			wholePage := rq.size() == len(a.elems)
-			if !(k.Overwrites && wholePage) {
-				if err := a.loadPage(rq.idx); err != nil {
-					return err
-				}
-			}
-			forEachRun(a.elems, a.n2, a.n3, rq.lo, rq.dim, func(run []float64) { k.Fn(run, params) })
-			if err := a.storePage(rq.idx); err != nil {
-				return err
-			}
-			touched += rq.size()
-		}
-		reply.PutVarint(int64(touched))
-		return nil
-	})
-
-	// reduceK(name, params, count, count×(idx, box)): fold a reduction
-	// kernel over the listed regions; only (count, accumulator) returns.
-	// Empty regions are skipped — they contribute nothing, so the
-	// reduction identity (e.g. ±Inf for minmax) can never leak into a
-	// combined result.
-	c.Method("reduceK", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		name, params, err := decodeKernelHeader(args)
-		if err != nil {
-			return err
-		}
-		k, err := kernel.LookupReduce(name, params)
-		if err != nil {
-			return err
-		}
-		count := args.Int()
-		if err := args.Err(); err != nil {
-			return err
-		}
-		acc := k.NewAcc(params)
-		folded := 0
-		for n := 0; n < count; n++ {
-			idx := args.Int()
-			lo, dim, err := a.decodeSubBox(args)
-			if err != nil {
-				return err
-			}
-			rq := subReq{idx: idx, lo: lo, dim: dim}
-			if rq.size() == 0 {
-				continue
-			}
-			if err := a.loadPage(idx); err != nil {
-				return err
-			}
-			forEachRun(a.elems, a.n2, a.n3, lo, dim, func(run []float64) { k.Row(acc, run, params) })
-			folded += rq.size()
-		}
-		reply.PutVarint(int64(folded))
-		reply.PutFloat64s(acc)
-		return nil
-	})
-
-	// applyBinaryK(name, params, count, count×(idx, box, peerRef,
-	// peerIdx)): dst region op= the co-indexed region of a peer device's
-	// page, pulled device-to-device (locally when co-located).
-	c.Method("applyBinaryK", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		name, params, err := decodeKernelHeader(args)
-		if err != nil {
-			return err
-		}
-		k, err := kernel.LookupBinary(name, params)
-		if err != nil {
-			return err
-		}
-		count := args.Int()
-		if err := args.Err(); err != nil {
-			return err
-		}
-		// Decode-all-then-fence-scan, like applyK: the batch mutates no
-		// page unless every destination page is unfenced.
-		type binReq struct {
-			rq      subReq
-			peer    rmi.Ref
-			peerIdx int
-		}
-		regions := make([]binReq, 0, count)
-		dst := make([]int, 0, count)
-		for n := 0; n < count; n++ {
-			idx := args.Int()
-			lo, dim, err := a.decodeSubBox(args)
-			if err != nil {
-				return err
-			}
-			peer := args.Ref()
-			peerIdx := args.Int()
-			if err := args.Err(); err != nil {
-				return err
-			}
-			regions = append(regions, binReq{rq: subReq{idx: idx, lo: lo, dim: dim}, peer: peer, peerIdx: peerIdx})
-			dst = append(dst, idx)
-		}
-		if err := a.checkFenceBatch(dst); err != nil {
-			return err
-		}
-		var peerBuf []float64
-		touched := 0
-		for _, br := range regions {
-			size := br.rq.size()
-			if size == 0 {
-				continue
-			}
-			if cap(peerBuf) < size {
-				peerBuf = make([]float64, size)
-			}
-			vals := peerBuf[:size]
-			if err := a.fetchSub(env, br.peer, subReq{idx: br.peerIdx, lo: br.rq.lo, dim: br.rq.dim}, vals); err != nil {
-				return err
-			}
-			if err := a.loadPage(br.rq.idx); err != nil {
-				return err
-			}
-			pos := 0
-			forEachRun(a.elems, a.n2, a.n3, br.rq.lo, br.rq.dim, func(run []float64) {
-				k.Fn(run, vals[pos:pos+len(run)], params)
-				pos += len(run)
-			})
-			if err := a.storePage(br.rq.idx); err != nil {
-				return err
-			}
-			touched += size
-		}
-		reply.PutVarint(int64(touched))
-		return nil
-	})
-
-	// reduceBinaryK: the two-operand reduction (dot products) — like
-	// applyBinaryK but folding into an accumulator instead of writing.
-	c.Method("reduceBinaryK", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		name, params, err := decodeKernelHeader(args)
-		if err != nil {
-			return err
-		}
-		k, err := kernel.LookupBinaryReduce(name, params)
-		if err != nil {
-			return err
-		}
-		count := args.Int()
-		if err := args.Err(); err != nil {
-			return err
-		}
-		acc := k.NewAcc(params)
-		var peerBuf []float64
-		folded := 0
-		for n := 0; n < count; n++ {
-			idx := args.Int()
-			lo, dim, err := a.decodeSubBox(args)
-			if err != nil {
-				return err
-			}
-			peer := args.Ref()
-			peerIdx := args.Int()
-			if err := args.Err(); err != nil {
-				return err
-			}
-			rq := subReq{idx: idx, lo: lo, dim: dim}
-			size := rq.size()
-			if size == 0 {
-				continue
-			}
-			if cap(peerBuf) < size {
-				peerBuf = make([]float64, size)
-			}
-			vals := peerBuf[:size]
-			if err := a.fetchSub(env, peer, subReq{idx: peerIdx, lo: lo, dim: dim}, vals); err != nil {
-				return err
-			}
-			if err := a.loadPage(idx); err != nil {
-				return err
-			}
-			pos := 0
-			forEachRun(a.elems, a.n2, a.n3, lo, dim, func(run []float64) {
-				k.Row(acc, run, vals[pos:pos+len(run)], params)
-				pos += len(run)
-			})
-			folded += size
-		}
-		reply.PutVarint(int64(folded))
-		reply.PutFloat64s(acc)
-		return nil
-	})
-
-	// applyAllK(name, params): run a map kernel over every physical page
-	// — the whole-device broadcast half of a storage-wide operation
-	// (FillAll generalized to any registered kernel).
-	c.Method("applyAllK", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		name, params, err := decodeKernelHeader(args)
-		if err != nil {
-			return err
-		}
-		k, err := kernel.LookupMap(name, params)
-		if err != nil {
-			return err
-		}
-		if err := a.checkFenceAll(); err != nil {
-			return err
-		}
-		for idx := 0; idx < a.numPages; idx++ {
-			// A whole page is one contiguous run; write-only kernels
-			// (Fill) skip the load entirely.
-			if !k.Overwrites {
-				if err := a.loadPage(idx); err != nil {
-					return err
-				}
-			}
-			k.Fn(a.elems, params)
-			if err := a.storePage(idx); err != nil {
-				return err
-			}
-		}
-		reply.PutVarint(int64(a.numPages * len(a.elems)))
-		return nil
-	})
-
-	// reduceAllK(name, params): fold a reduction kernel over every
-	// physical page; replies (count, accumulator).
-	c.Method("reduceAllK", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		name, params, err := decodeKernelHeader(args)
-		if err != nil {
-			return err
-		}
-		k, err := kernel.LookupReduce(name, params)
-		if err != nil {
-			return err
-		}
-		acc := k.NewAcc(params)
-		for idx := 0; idx < a.numPages; idx++ {
-			if err := a.loadPage(idx); err != nil {
-				return err
-			}
-			k.Row(acc, a.elems, params)
-		}
-		reply.PutVarint(int64(a.numPages * len(a.elems)))
-		reply.PutFloat64s(acc)
-		return nil
-	})
-
+// registerTransferMethods installs the peer-pull lane and the transfer
+// primitives on the ArrayPageDevice class.
+func registerTransferMethods(c *rmi.Class[*arrayPageDevice]) {
 	// readSubBatch(count, count×(idx, box)): serve the row-packed values
 	// of each region. CONCURRENT — runs outside the mailbox with its own
 	// buffers, so this device can serve peer pulls (halo planes, binary
 	// operands) even while one of its own serial methods is running.
 	c.ConcurrentMethod("readSubBatch", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		count := args.Int()
-		if err := args.Err(); err != nil {
+		count, err := decodeCount(args, minSubBox)
+		if err != nil {
 			return err
 		}
 		buf := make([]byte, a.pageSize)
@@ -550,8 +287,8 @@ func registerKernelMethods(c *rmi.Class[*arrayPageDevice]) {
 	// groups regions by (destination device, source device).
 	c.Method("pullSubBatch", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		peer := args.Ref()
-		count := args.Int()
-		if err := args.Err(); err != nil {
+		count, err := decodeCount(args, minPullElem)
+		if err != nil {
 			return err
 		}
 		reqs := make([]subReq, 0, count)
@@ -606,8 +343,8 @@ func registerKernelMethods(c *rmi.Class[*arrayPageDevice]) {
 	// (bank moves of the owner-computes Jacobi; no data leaves the
 	// device).
 	c.Method("copyPages", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		count := args.Int()
-		if err := args.Err(); err != nil {
+		count, err := decodeCount(args, minCopyElem)
+		if err != nil {
 			return err
 		}
 		pairs := make([][2]int, 0, count)

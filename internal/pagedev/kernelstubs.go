@@ -1,55 +1,18 @@
 package pagedev
 
-// Client stubs and wire encoders for the kernel execution engine and
-// the owner-computes methods. core.Array drives the batched methods
-// through its storage collection with these encoders; the stub methods
-// exist for direct device use and tests.
+// Client stubs and wire encoders for the kernel engine's one method and
+// the owner-computes transfer methods. core.Array drives the batched
+// methods through its storage collection with the encoders; the stub
+// methods exist for direct device use and tests.
 
 import (
 	"context"
 	"fmt"
 
+	"oopp/internal/kernel"
 	"oopp/internal/rmi"
 	"oopp/internal/wire"
 )
-
-// KernelRegion addresses one sub-box of one page for a batched kernel
-// call.
-type KernelRegion struct {
-	Index int
-	Box   SubBox
-}
-
-// BinaryRegion extends KernelRegion with the co-indexed second operand:
-// the peer device process and page holding the same box of the other
-// array.
-type BinaryRegion struct {
-	Index     int
-	Box       SubBox
-	Peer      rmi.Ref
-	PeerIndex int
-}
-
-// PipePeer names the second operand of one binary stage of a fused
-// pipeline for one region: the peer device process and the page index
-// holding the co-indexed box.
-type PipePeer struct {
-	Ref   rmi.Ref
-	Index int
-}
-
-// PipeRegion addresses one sub-box of one page for a fused pipeline
-// call. Fold gates the pipeline's reduce stages for this region: under
-// replication every replica executes the mutating stages, but exactly
-// one live replica per page sets Fold and reports partials, so the
-// client-side merge never double-counts. Peers carries one operand per
-// binary stage of the pipeline, in stage order.
-type PipeRegion struct {
-	Index int
-	Box   SubBox
-	Fold  bool
-	Peers []PipePeer
-}
 
 // PullRegion names a local region and the peer page it is pulled from
 // (the box is shared: conformant arrays tile identically).
@@ -64,67 +27,6 @@ type PageCopy struct {
 	From, To int
 }
 
-// EncodeApplyK packs an applyK/reduceK request: kernel name, parameter
-// vector, and the region batch.
-func EncodeApplyK(e *wire.Encoder, name string, params []float64, regions []KernelRegion) {
-	e.PutString(name)
-	e.PutFloat64s(params)
-	e.PutInt(len(regions))
-	for _, r := range regions {
-		putSubBox(e, r.Index, r.Box)
-	}
-}
-
-// EncodeApplyBinaryK packs an applyBinaryK/reduceBinaryK request.
-func EncodeApplyBinaryK(e *wire.Encoder, name string, params []float64, regions []BinaryRegion) {
-	e.PutString(name)
-	e.PutFloat64s(params)
-	e.PutInt(len(regions))
-	for _, r := range regions {
-		putSubBox(e, r.Index, r.Box)
-		e.PutRef(r.Peer)
-		e.PutInt(r.PeerIndex)
-	}
-}
-
-// EncodeApplyPipelineK packs an applyPipelineK request: pipeline name,
-// one parameter vector per stage, and the region batch with fold flags
-// and per-binary-stage peer operands.
-func EncodeApplyPipelineK(e *wire.Encoder, name string, params [][]float64, regions []PipeRegion) {
-	e.PutString(name)
-	e.PutInt(len(params))
-	for _, p := range params {
-		e.PutFloat64s(p)
-	}
-	e.PutInt(len(regions))
-	for _, r := range regions {
-		putSubBox(e, r.Index, r.Box)
-		e.PutBool(r.Fold)
-		for _, pe := range r.Peers {
-			e.PutRef(pe.Ref)
-			e.PutInt(pe.Index)
-		}
-	}
-}
-
-// DecodePipelinePartials reads an applyPipelineK reply: the element
-// count touched, then one ReducePartial per reduce stage in stage
-// order.
-func DecodePipelinePartials(d *wire.Decoder, reduces int) (touched int64, partials []ReducePartial, err error) {
-	touched = d.Varint()
-	partials = make([]ReducePartial, reduces)
-	for i := range partials {
-		partials[i] = ReducePartial{N: d.Varint(), Acc: d.Float64s()}
-	}
-	return touched, partials, d.Err()
-}
-
-// EncodeKernelAll packs an applyAllK/reduceAllK request.
-func EncodeKernelAll(e *wire.Encoder, name string, params []float64) {
-	e.PutString(name)
-	e.PutFloat64s(params)
-}
-
 // EncodePullSubBatch packs a pullSubBatch request: one source device,
 // many (local region ← peer page) transfers.
 func EncodePullSubBatch(e *wire.Encoder, peer rmi.Ref, regions []PullRegion) {
@@ -136,119 +38,21 @@ func EncodePullSubBatch(e *wire.Encoder, peer rmi.Ref, regions []PullRegion) {
 	}
 }
 
-// ReducePartial is one device's contribution to a kernel reduction:
-// how many elements it folded and the accumulator it folded them into.
-// A partial with N == 0 carries only the reduction identity and must
-// not be merged (this is the structural fix for the empty-page ±Inf
-// poisoning of min/max reductions).
-type ReducePartial struct {
-	N   int64
-	Acc []float64
-}
-
-// DecodeReducePartial reads a reduceK/reduceBinaryK/reduceAllK reply.
-func DecodeReducePartial(d *wire.Decoder) (ReducePartial, error) {
-	p := ReducePartial{N: d.Varint(), Acc: d.Float64s()}
-	return p, d.Err()
-}
-
-// ApplyK runs a registered map kernel over the listed regions of this
-// device, in place, with one remote call. Returns the element count
-// touched.
-func (d *ArrayDevice) ApplyK(ctx context.Context, name string, params []float64, regions []KernelRegion) (int64, error) {
-	dec, err := d.client.Call(ctx, d.ref, "applyK", func(e *wire.Encoder) error {
-		EncodeApplyK(e, name, params, regions)
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	defer dec.Release()
-	n := dec.Varint()
-	return n, dec.Err()
-}
-
-// ReduceK folds a registered reduction kernel over the listed regions
-// device-side; only the (count, accumulator) partial returns.
-func (d *ArrayDevice) ReduceK(ctx context.Context, name string, params []float64, regions []KernelRegion) (ReducePartial, error) {
-	dec, err := d.client.Call(ctx, d.ref, "reduceK", func(e *wire.Encoder) error {
-		EncodeApplyK(e, name, params, regions)
-		return nil
-	})
-	if err != nil {
-		return ReducePartial{}, err
-	}
-	defer dec.Release()
-	return DecodeReducePartial(dec)
-}
-
-// ApplyBinaryK runs a registered two-operand kernel over the listed
-// regions, each second operand pulled device-to-device from its peer.
-func (d *ArrayDevice) ApplyBinaryK(ctx context.Context, name string, params []float64, regions []BinaryRegion) (int64, error) {
-	dec, err := d.client.Call(ctx, d.ref, "applyBinaryK", func(e *wire.Encoder) error {
-		EncodeApplyBinaryK(e, name, params, regions)
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	defer dec.Release()
-	n := dec.Varint()
-	return n, dec.Err()
-}
-
-// ReduceBinaryK folds a registered two-operand reduction kernel over
-// the listed region pairs device-side.
-func (d *ArrayDevice) ReduceBinaryK(ctx context.Context, name string, params []float64, regions []BinaryRegion) (ReducePartial, error) {
-	dec, err := d.client.Call(ctx, d.ref, "reduceBinaryK", func(e *wire.Encoder) error {
-		EncodeApplyBinaryK(e, name, params, regions)
-		return nil
-	})
-	if err != nil {
-		return ReducePartial{}, err
-	}
-	defer dec.Release()
-	return DecodeReducePartial(dec)
-}
-
-// ApplyPipelineK runs a registered fused pipeline over the listed
-// regions with one remote call: each region's page is loaded once,
-// every stage applied in order, and stored once. reduces is the
-// pipeline's reduce-stage count (it sizes the reply decode).
-func (d *ArrayDevice) ApplyPipelineK(ctx context.Context, name string, params [][]float64, regions []PipeRegion, reduces int) (int64, []ReducePartial, error) {
+// ApplyPipelineK runs the stage chain p (params[i] belongs to
+// p.Stages[i]) over the listed regions with one remote call: each
+// region's page is loaded once, every stage applied in order, and
+// stored once. It returns the element count touched and one partial per
+// reduce stage.
+func (d *ArrayDevice) ApplyPipelineK(ctx context.Context, p kernel.Pipeline, params [][]float64, regions []PipeRegion) (int64, []ReducePartial, error) {
 	dec, err := d.client.Call(ctx, d.ref, "applyPipelineK", func(e *wire.Encoder) error {
-		EncodeApplyPipelineK(e, name, params, regions)
+		EncodeApplyPipelineK(e, p, params, regions)
 		return nil
 	})
 	if err != nil {
 		return 0, nil, err
 	}
 	defer dec.Release()
-	return DecodePipelinePartials(dec, reduces)
-}
-
-// ReadSubBatch fetches the row-packed values of each region (dst[i]
-// must have Box.Size() elements). Served by a concurrent method: it
-// answers even while the device is inside a serial method.
-func (d *ArrayDevice) ReadSubBatch(ctx context.Context, regions []KernelRegion, dst [][]float64) error {
-	if len(dst) != len(regions) {
-		return fmt.Errorf("pagedev: ReadSubBatch: %d buffers for %d regions", len(dst), len(regions))
-	}
-	dec, err := d.client.Call(ctx, d.ref, "readSubBatch", func(e *wire.Encoder) error {
-		e.PutInt(len(regions))
-		for _, r := range regions {
-			putSubBox(e, r.Index, r.Box)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	defer dec.Release()
-	for i := range regions {
-		dec.Float64sInto(dst[i])
-	}
-	return dec.Err()
+	return DecodePipelinePartials(dec, p.Reduces())
 }
 
 // PullSubBatchAsync begins an owner-computes transfer: this device

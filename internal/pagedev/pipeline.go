@@ -1,15 +1,28 @@
 package pagedev
 
-// The fused-pipeline half of the kernel execution engine: one batched
-// RMI carries a whole stage chain, and each page region is loaded once,
-// walked through every stage in order, and stored once — where the
-// equivalent chain of applyK/reduceK calls costs one RMI and one page
-// load+store per stage.
+// The kernel engine: applyPipelineK is the ONE device method every
+// array collective executes through. A request carries a stage chain
+// inline plus the batch of page regions this device owns; each region
+// is loaded once, walked through every stage in order, and stored once.
+// A one-stage chain is Apply, Reduce, ApplyBinary or ReduceBinary; a
+// longer one is a fused pipeline.
+//
+// Only this file knows the wire format — the encoder, the decoder and
+// the reply pair sit side by side:
+//
+//	request: nstages, nstages×(kind byte, kernel name, params),
+//	         count, count×(idx, box, fold, operands×(peerRef, peerIdx))
+//	reply:   touched, reduces×(n, accumulator)
+//
+// where operands is the chain's two-operand stage count and reduces its
+// reduce-stage count. Each stage resolves in its kind's kernel registry
+// on this side of the wire too, so a chain can never run a kernel only
+// the client knows.
 //
 // applyPipelineK is a SERIAL method (it uses the object's page
-// buffers), but its binary stages pull peer operands through the
-// concurrent readSubBatch lane exactly like applyBinaryK, so two
-// devices mid-pipeline can still exchange operands without deadlock.
+// buffers), but its two-operand stages pull peer operands through the
+// concurrent readSubBatch lane, so two devices mid-batch can still
+// exchange operands without deadlock.
 
 import (
 	"fmt"
@@ -19,172 +32,297 @@ import (
 	"oopp/internal/wire"
 )
 
-// pipePeer names the second operand of one binary stage for one region:
-// the peer device process and the page index holding the co-indexed
-// box.
-type pipePeer struct {
-	ref rmi.Ref
-	idx int
+// PipePeer names the second operand of one two-operand stage for one
+// region: the peer device process and the page index holding the
+// co-indexed box.
+type PipePeer struct {
+	Ref   rmi.Ref
+	Index int
 }
 
-// pipeReq is one region of a fused batch. fold gates the reduce stages:
-// under replication every replica executes the mutating stages (the
-// deterministic chain keeps replica banks bitwise identical) but
-// exactly one live replica per page folds and reports, so client-side
-// merges never double-count.
-type pipeReq struct {
-	rq    subReq
-	fold  bool
-	peers []pipePeer
+// PipeRegion addresses one sub-box of one page for a kernel batch. Fold
+// gates the chain's reduce stages for this region: under replication
+// every replica executes the mutating stages (the deterministic chain
+// keeps replica banks bitwise identical) but exactly one live replica
+// per page sets Fold and reports partials, so the client-side merge
+// never double-counts. Peers carries one operand per two-operand stage
+// of the chain, in stage order.
+type PipeRegion struct {
+	Index int
+	Box   SubBox
+	Fold  bool
+	Peers []PipePeer
+}
+
+// ReducePartial is one device's contribution to one reduce stage: how
+// many elements it folded and the accumulator it folded them into. A
+// partial with N == 0 carries only the reduction identity and must not
+// be merged (this is the structural fix for the empty-page ±Inf
+// poisoning of min/max reductions).
+type ReducePartial struct {
+	N   int64
+	Acc []float64
+}
+
+// EncodeApplyPipelineK packs an applyPipelineK request: the chain inline
+// (params[i] belongs to p.Stages[i]) and the region batch with fold
+// flags and per-stage peer operands.
+func EncodeApplyPipelineK(e *wire.Encoder, p kernel.Pipeline, params [][]float64, regions []PipeRegion) {
+	e.PutInt(len(p.Stages))
+	for i, st := range p.Stages {
+		e.PutByte(byte(st.Kind))
+		e.PutString(st.Name)
+		e.PutFloat64s(params[i])
+	}
+	e.PutInt(len(regions))
+	for _, r := range regions {
+		putSubBox(e, r.Index, r.Box)
+		e.PutBool(r.Fold)
+		for _, pe := range r.Peers {
+			e.PutRef(pe.Ref)
+			e.PutInt(pe.Index)
+		}
+	}
+}
+
+// Minimum encoded sizes: a stage is a kind byte and two length
+// prefixes; a region is a sub-box and a fold flag, plus a ref (three
+// fields) and an index per operand.
+const (
+	minStage   = 3
+	minRegion  = minSubBox + 1
+	minOperand = 4
+)
+
+// kernelBatch is a decoded, validated applyPipelineK request.
+type kernelBatch struct {
+	stages   []batchStage
+	regions  []PipeRegion
+	mutates  bool // some stage writes: fence-scan first, store each page after
+	operands int  // two-operand stages: peers carried per region
+	reduces  int  // reduce stages: partials in the reply
+}
+
+// batchStage is one stage with its kernel resolved in this process's
+// registry, and its parameter vector.
+type batchStage struct {
+	kernel.ResolvedStage
+	params []float64
+}
+
+// decodeKernelBatch is the pure decode step of applyPipelineK: bytes in,
+// a validated batch out, no page touched. Every stage's kind, kernel
+// name and parameter arity, every sub-box against the page geometry,
+// and every count against the frame length are checked here; a frame
+// with bytes left over (more peers than two-operand stages) is refused
+// like one that runs short.
+func decodeKernelBatch(args *wire.Decoder, page [3]int) (b kernelBatch, err error) {
+	nstages, err := decodeCount(args, minStage)
+	if err != nil {
+		return b, err
+	}
+	if nstages == 0 {
+		return b, fmt.Errorf("pagedev: applyPipelineK: empty stage chain")
+	}
+	b.stages = make([]batchStage, nstages)
+	for i := range b.stages {
+		st := &b.stages[i]
+		st.Kind = kernel.StageKind(args.Byte())
+		st.Name = args.String()
+		st.params = args.Float64s()
+		if err := args.Err(); err != nil {
+			return b, err
+		}
+		switch st.Kind {
+		case kernel.StageMap:
+			st.Map, err = kernel.LookupMap(st.Name, st.params)
+			b.mutates = true
+		case kernel.StageBinary:
+			st.Bin, err = kernel.LookupBinary(st.Name, st.params)
+			b.mutates = true
+			b.operands++
+		case kernel.StageReduce:
+			st.Red, err = kernel.LookupReduce(st.Name, st.params)
+			b.reduces++
+		case kernel.StageBinaryReduce:
+			st.BinRed, err = kernel.LookupBinaryReduce(st.Name, st.params)
+			b.operands++
+			b.reduces++
+		default:
+			err = fmt.Errorf("pagedev: %w: unknown stage kind %d", wire.ErrCorrupt, int(st.Kind))
+		}
+		if err != nil {
+			return b, fmt.Errorf("pagedev: applyPipelineK stage %d: %w", i, err)
+		}
+	}
+	count, err := decodeCount(args, minRegion+b.operands*minOperand)
+	if err != nil {
+		return b, err
+	}
+	b.regions = make([]PipeRegion, count)
+	peers := make([]PipePeer, count*b.operands) // one backing array for every region's operands
+	for n := range b.regions {
+		r := &b.regions[n]
+		r.Index = args.Int()
+		if r.Box.Lo, r.Box.Dim, err = decodeSubBox(args, page); err != nil {
+			return b, err
+		}
+		r.Fold = args.Bool()
+		r.Peers = peers[n*b.operands : (n+1)*b.operands]
+		for o := range r.Peers {
+			r.Peers[o] = PipePeer{Ref: args.Ref(), Index: args.Int()}
+		}
+		if err := args.Err(); err != nil {
+			return b, err
+		}
+	}
+	if args.Remaining() != 0 {
+		return b, fmt.Errorf("pagedev: %w: %d bytes after the last region of an applyPipelineK batch", wire.ErrCorrupt, args.Remaining())
+	}
+	return b, nil
+}
+
+// DecodePipelinePartials reads an applyPipelineK reply: the element
+// count touched, then one ReducePartial per reduce stage in stage
+// order.
+func DecodePipelinePartials(d *wire.Decoder, reduces int) (touched int64, partials []ReducePartial, err error) {
+	touched = d.Varint()
+	partials = make([]ReducePartial, reduces)
+	for i := range partials {
+		partials[i] = ReducePartial{N: d.Varint(), Acc: d.Float64s()}
+	}
+	return touched, partials, d.Err()
 }
 
 // registerPipelineMethod installs applyPipelineK on the
 // ArrayPageDevice class.
 func registerPipelineMethod(c *rmi.Class[*arrayPageDevice]) {
-	// applyPipelineK(name, nstages, nstages×params, count,
-	//                count×(idx, box, fold, binaries×(peerRef, peerIdx))):
-	// run a registered pipeline over each listed region as one page
-	// pass. Replies with the element count touched, then one
-	// (count, accumulator) partial per reduce stage in stage order.
 	c.Method("applyPipelineK", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		name := args.String()
-		nstages := args.Int()
-		if err := args.Err(); err != nil {
-			return err
-		}
-		params := make([][]float64, nstages)
-		for i := range params {
-			params[i] = args.Float64s()
-		}
-		if err := args.Err(); err != nil {
-			return err
-		}
-		// Resolve name and validate every stage's parameter arity before
-		// any page is touched — same both-sides validation as the
-		// elementary kernels.
-		p, stages, err := kernel.LookupPipeline(name, params)
+		b, err := decodeKernelBatch(args, [3]int{a.n1, a.n2, a.n3})
 		if err != nil {
 			return err
 		}
-		nbin := p.Binaries()
-		count := args.Int()
-		if err := args.Err(); err != nil {
+		return a.runKernelBatch(env, b, reply)
+	})
+}
+
+// operand pulls the co-indexed box of a peer page into *buf (grown to
+// the largest region seen) and returns the filled prefix.
+func (a *arrayPageDevice) operand(env *rmi.Env, pe PipePeer, box SubBox, buf *[]float64) ([]float64, error) {
+	size := box.Size()
+	if cap(*buf) < size {
+		*buf = make([]float64, size)
+	}
+	vals := (*buf)[:size]
+	return vals, a.fetchSub(env, pe.Ref, subReq{idx: pe.Index, lo: box.Lo, dim: box.Dim}, vals)
+}
+
+// runKernelBatch walks a decoded batch: fence pre-scan, then per region
+// load once / every stage in order / store once, then the reply.
+func (a *arrayPageDevice) runKernelBatch(env *rmi.Env, b kernelBatch, reply *wire.Encoder) error {
+	// Fence-scan the whole batch before touching any page (mutating
+	// chains only; reads are never fenced): a batch refused by the
+	// migration fence applies nowhere, so the caller can replay it
+	// verbatim — fold flags included — without double-applying.
+	if b.mutates {
+		dst := make([]int, len(b.regions))
+		for i, r := range b.regions {
+			dst[i] = r.Index
+		}
+		if err := a.checkFenceBatch(dst); err != nil {
 			return err
 		}
-		// Decode the whole batch, then fence-scan it before touching any
-		// page (mutating pipelines only): a batch refused by the
-		// migration fence applies nowhere, so the caller can replay it
-		// verbatim — fold flags included — without double-applying.
-		regions := make([]pipeReq, 0, count)
-		for n := 0; n < count; n++ {
-			idx := args.Int()
-			lo, dim, err := a.decodeSubBox(args)
-			if err != nil {
+	}
+	// One partial per reduce stage, alive across the whole batch; its
+	// count lets an untouched stage (every region empty or fold=false)
+	// report N == 0 so its identity is never merged.
+	parts := make([]ReducePartial, 0, b.reduces)
+	for _, st := range b.stages {
+		switch st.Kind {
+		case kernel.StageReduce:
+			parts = append(parts, ReducePartial{Acc: st.Red.NewAcc(st.params)})
+		case kernel.StageBinaryReduce:
+			parts = append(parts, ReducePartial{Acc: st.BinRed.NewAcc(st.params)})
+		}
+	}
+	// A chain whose first stage overwrites every element may skip the
+	// load for whole-page regions; every later stage then reads what
+	// earlier stages wrote, never the stale page.
+	overwrites := b.stages[0].Kind == kernel.StageMap && b.stages[0].Map.Overwrites
+	var peerBuf []float64
+	touched := 0
+	for _, r := range b.regions {
+		size := r.Box.Size()
+		if size == 0 {
+			// An empty sub-box reaches no stage at all: map stages have
+			// nothing to write and reduce stages must skip, not fold.
+			continue
+		}
+		lo, dim := r.Box.Lo, r.Box.Dim
+		if !(overwrites && size == len(a.elems)) { // load once
+			if err := a.loadPage(r.Index); err != nil {
 				return err
 			}
-			pr := pipeReq{rq: subReq{idx: idx, lo: lo, dim: dim}, fold: args.Bool()}
-			if nbin > 0 {
-				pr.peers = make([]pipePeer, nbin)
-				for b := range pr.peers {
-					pr.peers[b] = pipePeer{ref: args.Ref(), idx: args.Int()}
-				}
-			}
-			if err := args.Err(); err != nil {
-				return err
-			}
-			regions = append(regions, pr)
 		}
-		if p.Mutates() {
-			dst := make([]int, len(regions))
-			for i, pr := range regions {
-				dst[i] = pr.rq.idx
-			}
-			if err := a.checkFenceBatch(dst); err != nil {
-				return err
-			}
-		}
-		// One accumulator per reduce stage, alive across the whole batch;
-		// folded counts let an untouched stage (every region empty or
-		// fold=false) report N == 0 so its identity is never merged.
-		var accs [][]float64
-		var folded []int64
-		for si, st := range stages {
-			if st.Kind == kernel.StageReduce {
-				accs = append(accs, st.Red.NewAcc(params[si]))
-				folded = append(folded, 0)
-			}
-		}
-		overwrites := kernel.PipelineOverwrites(stages)
-		var peerBuf []float64
-		touched := 0
-		for _, pr := range regions {
-			size := pr.rq.size()
-			if size == 0 {
-				// An empty sub-box reaches no stage at all: map stages have
-				// nothing to write and reduce stages must skip, not fold —
-				// folding zero rows would still report this region as
-				// covered and (for fold=false replicas) is moot anyway.
-				continue
-			}
-			// Load once. A pipeline whose first stage overwrites every
-			// element may skip the load for whole-page regions; every later
-			// stage then reads what earlier stages wrote, never the stale
-			// page.
-			wholePage := size == len(a.elems)
-			if !(overwrites && wholePage) {
-				if err := a.loadPage(pr.rq.idx); err != nil {
+		op, red := 0, 0
+		for si := range b.stages {
+			st := &b.stages[si]
+			sp := st.params
+			switch st.Kind {
+			case kernel.StageMap:
+				fn := st.Map.Fn
+				forEachRun(a.elems, a.n2, a.n3, lo, dim, func(run []float64) { fn(run, sp) })
+			case kernel.StageBinary:
+				vals, err := a.operand(env, r.Peers[op], r.Box, &peerBuf)
+				if err != nil {
 					return err
 				}
-			}
-			bin, red := 0, 0
-			for si, st := range stages {
-				sp := params[si]
-				switch st.Kind {
-				case kernel.StageMap:
-					fn := st.Map.Fn
-					forEachRun(a.elems, a.n2, a.n3, pr.rq.lo, pr.rq.dim, func(run []float64) { fn(run, sp) })
-				case kernel.StageBinary:
-					if bin >= len(pr.peers) {
-						return fmt.Errorf("pagedev: applyPipelineK(%q): region %d carries %d peer operands for %d binary stages", name, pr.rq.idx, len(pr.peers), nbin)
-					}
-					pe := pr.peers[bin]
-					if cap(peerBuf) < size {
-						peerBuf = make([]float64, size)
-					}
-					vals := peerBuf[:size]
-					if err := a.fetchSub(env, pe.ref, subReq{idx: pe.idx, lo: pr.rq.lo, dim: pr.rq.dim}, vals); err != nil {
+				op++
+				fn := st.Bin.Fn
+				pos := 0
+				forEachRun(a.elems, a.n2, a.n3, lo, dim, func(run []float64) {
+					fn(run, vals[pos:pos+len(run)], sp)
+					pos += len(run)
+				})
+			case kernel.StageReduce:
+				if r.Fold {
+					row, acc := st.Red.Row, parts[red].Acc
+					forEachRun(a.elems, a.n2, a.n3, lo, dim, func(run []float64) { row(acc, run, sp) })
+					parts[red].N += int64(size)
+				}
+				red++
+			case kernel.StageBinaryReduce:
+				// A non-folding replica skips the operand pull too: the
+				// stage writes nothing, so there is nothing to keep in step.
+				if r.Fold {
+					vals, err := a.operand(env, r.Peers[op], r.Box, &peerBuf)
+					if err != nil {
 						return err
 					}
-					fn := st.Bin.Fn
+					row, acc := st.BinRed.Row, parts[red].Acc
 					pos := 0
-					forEachRun(a.elems, a.n2, a.n3, pr.rq.lo, pr.rq.dim, func(run []float64) {
-						fn(run, vals[pos:pos+len(run)], sp)
+					forEachRun(a.elems, a.n2, a.n3, lo, dim, func(run []float64) {
+						row(acc, run, vals[pos:pos+len(run)], sp)
 						pos += len(run)
 					})
-					bin++
-				case kernel.StageReduce:
-					if pr.fold {
-						row := st.Red.Row
-						acc := accs[red]
-						forEachRun(a.elems, a.n2, a.n3, pr.rq.lo, pr.rq.dim, func(run []float64) { row(acc, run, sp) })
-						folded[red] += int64(size)
-					}
-					red++
+					parts[red].N += int64(size)
 				}
+				op++
+				red++
 			}
-			// Store once — only pipelines that mutate write back.
-			if p.Mutates() {
-				if err := a.storePage(pr.rq.idx); err != nil {
-					return err
-				}
+		}
+		// Store once — only chains that mutate write back.
+		if b.mutates {
+			if err := a.storePage(r.Index); err != nil {
+				return err
 			}
-			touched += size
 		}
-		reply.PutVarint(int64(touched))
-		for r := range accs {
-			reply.PutVarint(folded[r])
-			reply.PutFloat64s(accs[r])
-		}
-		return nil
-	})
+		touched += size
+	}
+	reply.PutVarint(int64(touched))
+	for _, p := range parts {
+		reply.PutVarint(p.N)
+		reply.PutFloat64s(p.Acc)
+	}
+	return nil
 }

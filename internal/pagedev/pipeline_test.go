@@ -1,19 +1,20 @@
 package pagedev_test
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"oopp/internal/kernel"
 	"oopp/internal/pagedev"
+	"oopp/internal/rmi"
+	"oopp/internal/wire"
 )
 
-func init() {
-	kernel.RegisterPipeline("test.pdev.scaleminmax", kernel.Pipeline{Stages: []kernel.Stage{
-		kernel.MapStage(kernel.Scale),
-		kernel.ReduceStage(kernel.MinMax),
-	}})
-}
+var scaleMinMax = kernel.Pipeline{Stages: []kernel.Stage{
+	kernel.MapStage(kernel.Scale),
+	kernel.ReduceStage(kernel.MinMax),
+}}
 
 // The device-level empty-region regression: a fused reduce stage over a
 // zero-size sub-box must be skipped entirely — its partial reports
@@ -42,8 +43,8 @@ func TestApplyPipelineKEmptyRegionSkips(t *testing.T) {
 
 	// A batch that is ONLY empty regions folds nothing and mutates
 	// nothing: identity partial, N == 0, zero elements touched.
-	touched, parts, err := dev.ApplyPipelineK(bg, "test.pdev.scaleminmax", params,
-		[]pagedev.PipeRegion{{Index: 0, Box: empty, Fold: true}}, 1)
+	touched, parts, err := dev.ApplyPipelineK(bg, scaleMinMax, params,
+		[]pagedev.PipeRegion{{Index: 0, Box: empty, Fold: true}})
 	if err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
@@ -56,11 +57,11 @@ func TestApplyPipelineKEmptyRegionSkips(t *testing.T) {
 
 	// Empty and non-empty regions in one batch: only the non-empty one
 	// folds, and the scale applied exactly once.
-	touched, parts, err = dev.ApplyPipelineK(bg, "test.pdev.scaleminmax", params,
+	touched, parts, err = dev.ApplyPipelineK(bg, scaleMinMax, params,
 		[]pagedev.PipeRegion{
 			{Index: 0, Box: empty, Fold: true},
 			{Index: 0, Box: full, Fold: true},
-		}, 1)
+		})
 	if err != nil {
 		t.Fatalf("mixed batch: %v", err)
 	}
@@ -73,8 +74,8 @@ func TestApplyPipelineKEmptyRegionSkips(t *testing.T) {
 
 	// Fold=false still mutates (the non-folding replica case) but
 	// reports nothing.
-	touched, parts, err = dev.ApplyPipelineK(bg, "test.pdev.scaleminmax", params,
-		[]pagedev.PipeRegion{{Index: 0, Box: full, Fold: false}}, 1)
+	touched, parts, err = dev.ApplyPipelineK(bg, scaleMinMax, params,
+		[]pagedev.PipeRegion{{Index: 0, Box: full, Fold: false}})
 	if err != nil {
 		t.Fatalf("no-fold batch: %v", err)
 	}
@@ -89,5 +90,48 @@ func TestApplyPipelineKEmptyRegionSkips(t *testing.T) {
 		if want := float64(i+1) * 4; back.Data[i] != want {
 			t.Fatalf("element %d = %v, want %v (scale applied per non-empty region exactly once)", i, back.Data[i], want)
 		}
+	}
+}
+
+// A batch count read off the socket must be bounded by the frame, not
+// handed to make(): count = 1<<40 is below Go's allocation limit, so an
+// unbounded decoder dies with an out-of-memory fatal error no recover
+// can catch. Every batch method refuses the frame with an error that
+// crosses the wire typed, and the device keeps serving.
+func TestOversizedBatchCountRefused(t *testing.T) {
+	c := startCluster(t, 1, 0)
+	dev, err := pagedev.NewArrayDevice(bg, c.Client(), 0, "huge", 2, 2, 2, 2, pagedev.DiskPrivate)
+	if err != nil {
+		t.Fatalf("device: %v", err)
+	}
+	defer dev.Close(bg)
+	if err := dev.FillPage(bg, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	const huge = 1 << 40
+	frames := map[string]func(e *wire.Encoder){
+		"applyPipelineK": func(e *wire.Encoder) {
+			pagedev.EncodeApplyPipelineK(e, scaleMinMax, [][]float64{{2}, nil}, nil)
+			// Replace the trailing region count (0) with the huge one.
+			frame := e.Bytes()
+			e.Reset()
+			e.AppendRaw(frame[:len(frame)-1])
+			e.PutInt(huge)
+		},
+		"readSubBatch": func(e *wire.Encoder) { e.PutInt(huge) },
+		"pullSubBatch": func(e *wire.Encoder) { e.PutRef(dev.Ref()); e.PutInt(huge) },
+		"copyPages":    func(e *wire.Encoder) { e.PutInt(huge) },
+		"fencePages":   func(e *wire.Encoder) { e.PutInt(huge) },
+	}
+	for method, enc := range frames {
+		d, err := c.Client().Call(bg, dev.Ref(), method, func(e *wire.Encoder) error { enc(e); return nil })
+		d.Release()
+		var re *rmi.RemoteError
+		if !errors.As(err, &re) {
+			t.Errorf("%s(count=1<<40): got %v, want a RemoteError", method, err)
+		}
+	}
+	if s, err := dev.Sum(bg, 0); err != nil || s != 8 {
+		t.Fatalf("device stopped serving after refused frames: sum = %v, %v", s, err)
 	}
 }

@@ -249,17 +249,6 @@ func EncodeArrayDeviceCtor(e *wire.Encoder, name string, numPages, n1, n2, n3, d
 	e.PutInt(diskIndex)
 }
 
-// FillAll sets every element of every page on the device to v with one
-// remote call (the broadcast half of BlockStorage.FillAll).
-func (d *ArrayDevice) FillAll(ctx context.Context, v float64) error {
-	dec, err := d.client.Call(ctx, d.ref, "fillAll", func(e *wire.Encoder) error {
-		e.PutFloat64(v)
-		return nil
-	})
-	dec.Release()
-	return err
-}
-
 // AttachArrayDevice wraps an existing remote pointer in an array stub.
 func AttachArrayDevice(client *rmi.Client, ref rmi.Ref, n1, n2, n3 int) *ArrayDevice {
 	return &ArrayDevice{Device: Device{client: client, ref: ref}, n1: n1, n2: n2, n3: n3}
@@ -267,17 +256,6 @@ func AttachArrayDevice(client *rmi.Client, ref rmi.Ref, n1, n2, n3 int) *ArrayDe
 
 // Dims returns the locally known block dimensions.
 func (d *ArrayDevice) Dims() (n1, n2, n3 int) { return d.n1, d.n2, d.n3 }
-
-// RemoteDims asks the process for its block dimensions.
-func (d *ArrayDevice) RemoteDims(ctx context.Context) (n1, n2, n3 int, err error) {
-	dec, err := d.client.Call(ctx, d.ref, "dims", nil)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	defer dec.Release()
-	n1, n2, n3 = dec.Int(), dec.Int(), dec.Int()
-	return n1, n2, n3, dec.Err()
-}
 
 // Sum computes the page's element sum on the remote machine — "moving the
 // computation to the data" (§3): only the scalar crosses the network.
@@ -305,17 +283,6 @@ func (d *ArrayDevice) SumAsync(ctx context.Context, index int) *rmi.Future {
 // DecodeSum extracts the scalar from a completed SumAsync future.
 func DecodeSum(ctx context.Context, fut *rmi.Future) (float64, error) {
 	dec, err := fut.Wait(ctx)
-	if err != nil {
-		return 0, err
-	}
-	defer dec.Release()
-	v := dec.Float64()
-	return v, dec.Err()
-}
-
-// SumAll sums every page on the device remotely.
-func (d *ArrayDevice) SumAll(ctx context.Context) (float64, error) {
-	dec, err := d.client.Call(ctx, d.ref, "sumAll", nil)
 	if err != nil {
 		return 0, err
 	}
@@ -388,17 +355,6 @@ func (d *ArrayDevice) WritePageAsync(ctx context.Context, p *ArrayPage, index in
 	})
 }
 
-// ScalePage multiplies page index by alpha, remotely.
-func (d *ArrayDevice) ScalePage(ctx context.Context, index int, alpha float64) error {
-	dec, err := d.client.Call(ctx, d.ref, "scalePage", func(e *wire.Encoder) error {
-		e.PutInt(index)
-		e.PutFloat64(alpha)
-		return nil
-	})
-	dec.Release()
-	return err
-}
-
 // FillPage sets every element of page index to v, remotely.
 func (d *ArrayDevice) FillPage(ctx context.Context, index int, v float64) error {
 	dec, err := d.client.Call(ctx, d.ref, "fillPage", func(e *wire.Encoder) error {
@@ -460,133 +416,4 @@ func (d *ArrayDevice) WriteSubAsync(ctx context.Context, index int, box SubBox, 
 // WriteSub is the synchronous WriteSubAsync.
 func (d *ArrayDevice) WriteSub(ctx context.Context, index int, box SubBox, vals []float64) error {
 	return d.WriteSubAsync(ctx, index, box, vals).Err(ctx)
-}
-
-// FillSubAsync sets the region box of page index to v, atomically on the
-// device.
-func (d *ArrayDevice) FillSubAsync(ctx context.Context, index int, box SubBox, v float64) *rmi.Future {
-	return d.client.CallAsync(ctx, d.ref, "fillSub", func(e *wire.Encoder) error {
-		putSubBox(e, index, box)
-		e.PutFloat64(v)
-		return nil
-	})
-}
-
-// FillSub is the synchronous FillSubAsync.
-func (d *ArrayDevice) FillSub(ctx context.Context, index int, box SubBox, v float64) error {
-	return d.FillSubAsync(ctx, index, box, v).Err(ctx)
-}
-
-// ScaleSubAsync multiplies the region box of page index by alpha,
-// atomically on the device.
-func (d *ArrayDevice) ScaleSubAsync(ctx context.Context, index int, box SubBox, alpha float64) *rmi.Future {
-	return d.client.CallAsync(ctx, d.ref, "scaleSub", func(e *wire.Encoder) error {
-		putSubBox(e, index, box)
-		e.PutFloat64(alpha)
-		return nil
-	})
-}
-
-// ScaleSub is the synchronous ScaleSubAsync.
-func (d *ArrayDevice) ScaleSub(ctx context.Context, index int, box SubBox, alpha float64) error {
-	return d.ScaleSubAsync(ctx, index, box, alpha).Err(ctx)
-}
-
-// ScalePageAsync begins a remote page scale.
-func (d *ArrayDevice) ScalePageAsync(ctx context.Context, index int, alpha float64) *rmi.Future {
-	return d.client.CallAsync(ctx, d.ref, "scalePage", func(e *wire.Encoder) error {
-		e.PutInt(index)
-		e.PutFloat64(alpha)
-		return nil
-	})
-}
-
-// MinMaxPageAsync begins a remote page min/max; decode with DecodeMinMax.
-func (d *ArrayDevice) MinMaxPageAsync(ctx context.Context, index int) *rmi.Future {
-	return d.client.CallAsync(ctx, d.ref, "minmaxPage", func(e *wire.Encoder) error {
-		e.PutInt(index)
-		return nil
-	})
-}
-
-// DecodeMinMax extracts the extrema from a completed MinMaxPageAsync
-// future.
-func DecodeMinMax(ctx context.Context, fut *rmi.Future) (lo, hi float64, err error) {
-	dec, err := fut.Wait(ctx)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer dec.Release()
-	lo = dec.Float64()
-	hi = dec.Float64()
-	return lo, hi, dec.Err()
-}
-
-// DotWith computes the dot product of local page index with page peerIdx
-// of another device process. The peer page travels device-to-device; the
-// caller receives only the scalar.
-func (d *ArrayDevice) DotWith(ctx context.Context, index int, peer rmi.Ref, peerIdx int) (float64, error) {
-	dec, err := d.client.Call(ctx, d.ref, "dotWith", func(e *wire.Encoder) error {
-		e.PutInt(index)
-		e.PutRef(peer)
-		e.PutInt(peerIdx)
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	defer dec.Release()
-	v := dec.Float64()
-	return v, dec.Err()
-}
-
-// DotWithAsync begins a device-to-device page dot product; decode with
-// DecodeSum.
-func (d *ArrayDevice) DotWithAsync(ctx context.Context, index int, peer rmi.Ref, peerIdx int) *rmi.Future {
-	return d.client.CallAsync(ctx, d.ref, "dotWith", func(e *wire.Encoder) error {
-		e.PutInt(index)
-		e.PutRef(peer)
-		e.PutInt(peerIdx)
-		return nil
-	})
-}
-
-// AxpyWith updates local page index += alpha * (peer page peerIdx),
-// computed at this device.
-func (d *ArrayDevice) AxpyWith(ctx context.Context, index int, alpha float64, peer rmi.Ref, peerIdx int) error {
-	dec, err := d.client.Call(ctx, d.ref, "axpyWith", func(e *wire.Encoder) error {
-		e.PutInt(index)
-		e.PutFloat64(alpha)
-		e.PutRef(peer)
-		e.PutInt(peerIdx)
-		return nil
-	})
-	dec.Release()
-	return err
-}
-
-// AxpyWithAsync begins a device-to-device page AXPY.
-func (d *ArrayDevice) AxpyWithAsync(ctx context.Context, index int, alpha float64, peer rmi.Ref, peerIdx int) *rmi.Future {
-	return d.client.CallAsync(ctx, d.ref, "axpyWith", func(e *wire.Encoder) error {
-		e.PutInt(index)
-		e.PutFloat64(alpha)
-		e.PutRef(peer)
-		e.PutInt(peerIdx)
-		return nil
-	})
-}
-
-// MinMaxPage returns the extrema of page index, computed remotely.
-func (d *ArrayDevice) MinMaxPage(ctx context.Context, index int) (lo, hi float64, err error) {
-	dec, err := d.client.Call(ctx, d.ref, "minmaxPage", func(e *wire.Encoder) error {
-		e.PutInt(index)
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	defer dec.Release()
-	lo = dec.Float64()
-	hi = dec.Float64()
-	return lo, hi, dec.Err()
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"oopp/internal/kernel"
 	"oopp/internal/pagedev"
 	"oopp/internal/persist"
 	"oopp/internal/rmi"
@@ -50,13 +51,6 @@ func TestAsyncStubVariants(t *testing.T) {
 	if err := dev.FillPageAsync(bg, 2, -1).Err(bg); err != nil {
 		t.Fatalf("FillPageAsync: %v", err)
 	}
-	if err := dev.ScalePageAsync(bg, 2, 3).Err(bg); err != nil {
-		t.Fatalf("ScalePageAsync: %v", err)
-	}
-	lo, hi, err := pagedev.DecodeMinMax(bg, dev.MinMaxPageAsync(bg, 2))
-	if err != nil || lo != -3 || hi != -3 {
-		t.Fatalf("MinMaxPageAsync = (%v,%v), %v", lo, hi, err)
-	}
 
 	// AttachDevice round trip.
 	attached := pagedev.AttachDevice(c.Client(), dev.Ref())
@@ -66,7 +60,12 @@ func TestAsyncStubVariants(t *testing.T) {
 	}
 }
 
-func TestDeviceDotAndAxpy(t *testing.T) {
+// TestKernelBatchTwoOperandStages drives the engine's two-operand
+// stages at device level: the peer page moves device-to-device (or is
+// read in place when the peer is this very object — an RMI there would
+// queue behind the running method in the object's own mailbox and
+// deadlock), and only the scalar partial returns.
+func TestKernelBatchTwoOperandStages(t *testing.T) {
 	c := startCluster(t, 2, 0)
 	client := c.Client()
 	a, err := pagedev.NewArrayDevice(bg, client, 0, "a", 2, 2, 2, 2, pagedev.DiskPrivate)
@@ -79,55 +78,44 @@ func TestDeviceDotAndAxpy(t *testing.T) {
 		t.Fatalf("b: %v", err)
 	}
 	defer b.Close(bg)
+	for _, f := range []struct {
+		dev *pagedev.ArrayDevice
+		idx int
+		v   float64
+	}{{a, 0, 3}, {a, 1, 2}, {b, 1, 4}} {
+		if err := f.dev.FillPage(bg, f.idx, f.v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full := pagedev.SubBox{Dim: [3]int{2, 2, 2}}
+	page0With := func(peer *pagedev.ArrayDevice) []pagedev.PipeRegion {
+		return []pagedev.PipeRegion{{Index: 0, Box: full, Fold: true, Peers: []pagedev.PipePeer{{Ref: peer.Ref(), Index: 1}}}}
+	}
+	dot := kernel.Pipeline{Stages: []kernel.Stage{kernel.BinaryReduceStage(kernel.Dot)}}
+	axpy := kernel.Pipeline{Stages: []kernel.Stage{kernel.BinaryStage(kernel.Axpy)}}
 
-	if err := a.FillPage(bg, 0, 3); err != nil {
-		t.Fatal(err)
+	// Cross-machine dot: page a[0] · page b[1] = 8 * 12; self dot a[0] · a[1] = 8 * 6.
+	for _, tc := range []struct {
+		peer *pagedev.ArrayDevice
+		want float64
+	}{{b, 8 * 12}, {a, 8 * 6}} {
+		touched, parts, err := a.ApplyPipelineK(bg, dot, [][]float64{nil}, page0With(tc.peer))
+		if err != nil || touched != 8 || parts[0].N != 8 || parts[0].Acc[0] != tc.want {
+			t.Fatalf("dot with %v: touched %d, partial %+v, %v (want %v)", tc.peer.Ref(), touched, parts, err, tc.want)
+		}
 	}
-	if err := b.FillPage(bg, 1, 4); err != nil {
-		t.Fatal(err)
+	// A non-folding replica of a binary-reduce stage reports nothing.
+	regs := page0With(b)
+	regs[0].Fold = false
+	if _, parts, err := a.ApplyPipelineK(bg, dot, [][]float64{nil}, regs); err != nil || parts[0].N != 0 {
+		t.Fatalf("no-fold dot: %+v, %v", parts, err)
 	}
-
-	// Cross-machine dot: page a[0] · page b[1] = 8 * 12.
-	s, err := a.DotWith(bg, 0, b.Ref(), 1)
-	if err != nil {
-		t.Fatalf("DotWith: %v", err)
-	}
-	if s != 8*12 {
-		t.Fatalf("dot = %v, want 96", s)
-	}
-	sAsync, err := pagedev.DecodeSum(bg, a.DotWithAsync(bg, 0, b.Ref(), 1))
-	if err != nil || sAsync != s {
-		t.Fatalf("DotWithAsync = %v, %v", sAsync, err)
-	}
-
-	// Self dot: same device object on both sides (the fast path that
-	// avoids a mailbox deadlock).
-	if err := a.FillPage(bg, 1, 2); err != nil {
-		t.Fatal(err)
-	}
-	self, err := a.DotWith(bg, 0, a.Ref(), 1)
-	if err != nil {
-		t.Fatalf("self DotWith: %v", err)
-	}
-	if self != 8*6 {
-		t.Fatalf("self dot = %v, want 48", self)
-	}
-
 	// AXPY: a[0] += -0.5 * b[1]  => 3 - 2 = 1 everywhere.
-	if err := a.AxpyWith(bg, 0, -0.5, b.Ref(), 1); err != nil {
-		t.Fatalf("AxpyWith: %v", err)
+	if _, _, err := a.ApplyPipelineK(bg, axpy, [][]float64{{-0.5}}, page0With(b)); err != nil {
+		t.Fatalf("axpy: %v", err)
 	}
-	sum, err := a.Sum(bg, 0)
-	if err != nil || math.Abs(sum-8) > 1e-12 {
+	if sum, err := a.Sum(bg, 0); err != nil || math.Abs(sum-8) > 1e-12 {
 		t.Fatalf("after axpy sum = %v, %v", sum, err)
-	}
-	// Async variant too: a[0] += 1 * b[1] => 1 + 4 = 5 everywhere.
-	if err := a.AxpyWithAsync(bg, 0, 1, b.Ref(), 1).Err(bg); err != nil {
-		t.Fatalf("AxpyWithAsync: %v", err)
-	}
-	sum, err = a.Sum(bg, 0)
-	if err != nil || math.Abs(sum-40) > 1e-12 {
-		t.Fatalf("after async axpy sum = %v, %v", sum, err)
 	}
 }
 

@@ -103,16 +103,26 @@ func (s *Server) admit(prio Priority) error {
 	return nil
 }
 
-// release returns the work token taken by admit, folding the request's
-// service time (acceptance to reply) into the class's EWMA so future
-// rejections carry a current retry hint.
+// release returns the work token taken by admit on the paths that have
+// already replied (sheds, decode errors): slot and drain token at once.
 func (s *Server) release(prio Priority, start time.Time) {
+	s.freeSlot(prio, start)
+	s.calls.Done()
+}
+
+// freeSlot gives the class its in-flight slot back, folding the
+// request's service time (acceptance to reply) into the class's EWMA so
+// future rejections carry a current retry hint. The paths that answer a
+// client's request call it BEFORE sending the reply and s.calls.Done()
+// after: a client holding a reply must find the slot it occupied free
+// (its next request is not shed by its own last one), while Drain
+// returning still means every accepted request's reply is on the wire.
+func (s *Server) freeSlot(prio Priority, start time.Time) {
 	s.observeService(prio, time.Since(start))
 	s.mu.Lock()
 	s.admitDepth[prio]--
 	s.mu.Unlock()
 	queueGauge(s.counters, prio).Add(-1)
-	s.calls.Done()
 }
 
 // queueGauge maps a class to its live-depth gauge.

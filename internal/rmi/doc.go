@@ -120,21 +120,25 @@
 // frame that is recycled the moment the callback returns — decode by
 // value, or copy views that must outlive the call.
 //
-// The owner-computes kernel redesign extends the pagedev method table;
-// callers of the per-page surface migrate to the batched per-device
-// protocol mechanically:
+// The ArrayPageDevice class registers ten methods of its own (plus the
+// inherited PageDevice and fence protocols). One of them is the kernel
+// engine: every array collective — fill, scale, sum, minmax, dot, axpy,
+// user kernels, fused pipelines, whole-storage fills and sums — is a
+// stage chain carried inline by applyPipelineK, so the per-method
+// telemetry of all collectives appears under
+// ArrayPageDevice.applyPipelineK (sampled spans keep the client-side
+// entry-point names kernel.apply / kernel.reduce / kernel.pipeline):
 //
-//	per-page (kept for direct use)           per-device kernel protocol
-//	---------------------------------------  -------------------------------------------
-//	fillPage/fillSub, scalePage/scaleSub     applyK(name, params, regions)      serial
-//	sum, minmaxPage (one page)               reduceK(name, params, regions)     serial
-//	dotWith, axpyWith (one page pair)        applyBinaryK / reduceBinaryK       serial
-//	chained applyK/reduceK rounds            applyPipelineK (fused stage chain) serial
-//	fillAll, sumAll (whole device)           applyAllK / reduceAllK             serial
-//	readArray (peer operand pull)            readSubBatch                       CONCURRENT
-//	copyFrom (whole-page runs)               pullSubBatch (sub-box batches)     serial
-//	—                                        jacobiPlane (owner Jacobi sweep)   serial
-//	—                                        copyPages (local bank moves)       serial
+//	method                                    role                               class
+//	----------------------------------------  ---------------------------------  ----------
+//	applyPipelineK(chain, regions)            the one kernel executor            serial
+//	readSubBatch(regions)                     peer operand and halo pulls        CONCURRENT
+//	pullSubBatch(peer, regions)               device-to-device sub-box transfer  serial
+//	copyPages(pairs)                          local bank moves                   serial
+//	jacobiPlane(...)                          owner Jacobi sweep                 serial
+//	readArray, writeArray, writeSub           the Array read/write path          serial
+//	sum, fillPage (one page)                  the §3 "move the computation to    serial
+//	                                          the data" illustration
 //
 // The concurrency column is the point: readSubBatch executes outside
 // the object mailbox (with caller-owned buffers and atomic counters),
@@ -147,7 +151,7 @@
 //
 // The single concurrent lane is also what makes ASYNC overlap safe.
 // jacobiPlane posts its halo pulls with CallAsync and sweeps interior
-// planes while they fly, and applyPipelineK pulls binary-stage operand
+// planes while they fly, and applyPipelineK pulls two-operand-stage
 // regions mid-chain — both are serial methods issuing reads AGAINST
 // peers' concurrent lane while holding their own mailbox. That cannot
 // deadlock, in any cycle of devices, because serving readSubBatch
@@ -233,7 +237,12 @@
 // chapter): the server restores it into the handler's Env.Ctx(), so
 // peer calls made through Env.Client extend the same trace, and the
 // sampled bit decides whether spans are captured — an unsampled header
-// propagates ids and records nothing.
+// propagates ids and records nothing. The server finishes a request's
+// bookkeeping BEFORE it sends the reply — span, per-method stats, and
+// the admission slot the request held — so a client holding a reply
+// can pull the debug snapshot (which bypasses the mailbox) and is
+// guaranteed to find its own call there, and its next request is never
+// shed by its own last one.
 // Three classes exist: PrioHigh (control traffic; Ping, Stat, and
 // Delete default here), PrioNormal (Call and New), and PrioBulk
 // (background work; opt in with WithPriority, per call or baked into a

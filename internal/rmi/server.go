@@ -317,9 +317,11 @@ func (s *Server) dispatch(conn transport.Conn, frame []byte) {
 		s.objWG.Add(1)
 		go func() {
 			defer s.objWG.Done()
-			defer s.release(prio, start)
-			defer d.Release()
-			s.handleNew(conn, reqID, class, d, tc)
+			defer s.calls.Done()
+			result, err := s.handleNew(class, d, tc)
+			d.Release()
+			s.freeSlot(prio, start)
+			s.reply(conn, reqID, result, err)
 		}()
 	case opCall:
 		if err := s.admit(prio); err != nil {
@@ -377,28 +379,27 @@ func (s *Server) callEnv(tc trace.SpanContext, nameIfSampled func() string) (*En
 	return s.env.withCtx(trace.ContextWith(context.Background(), sp.Context())), sp
 }
 
-func (s *Server) handleNew(conn transport.Conn, reqID uint64, class string, args *wire.Decoder, tc trace.SpanContext) {
+// handleNew constructs and adopts an object of class, returning the
+// reply payload (the new object id) or the error to send back.
+func (s *Server) handleNew(class string, args *wire.Decoder, tc trace.SpanContext) (*wire.Encoder, error) {
 	cl, ok := LookupClass(class)
 	if !ok {
-		s.reply(conn, reqID, nil, fmt.Errorf("%w: %q", ErrNoSuchClass, class))
-		return
+		return nil, fmt.Errorf("%w: %q", ErrNoSuchClass, class)
 	}
 	env, span := s.callEnv(tc, func() string { return "serve new " + class })
 	obj, err := s.construct(cl, env, args)
 	if err != nil {
 		span.End(true)
-		s.reply(conn, reqID, nil, fmt.Errorf("constructing %s: %w", class, err))
-		return
+		return nil, fmt.Errorf("constructing %s: %w", class, err)
 	}
 	id, err := s.adopt(cl, obj)
 	span.End(err != nil)
 	if err != nil {
-		s.reply(conn, reqID, nil, err)
-		return
+		return nil, err
 	}
 	e := wire.NewEncoder(16)
 	e.PutUvarint(id)
-	s.reply(conn, reqID, e, nil)
+	return e, nil
 }
 
 // construct runs a constructor, converting panics into errors: a buggy
@@ -576,13 +577,14 @@ func (t *callTask) run() {
 	}
 	frame := reply.Detach()
 	wire.PutEncoder(reply)
-	s.counters.MessagesSent.Add(1)
-	s.counters.BytesSent.Add(int64(len(frame)))
-	// Best effort: if the connection died the client sees ErrClosed.
-	_ = t.conn.Send(frame)
-	// Telemetry: latency from admission to reply (queueing included —
-	// that is what the caller experienced), outcome classified the same
-	// way the local branch above decided it.
+	// The server's bookkeeping for this call is finished BEFORE the reply
+	// goes on the wire, as for constructors: a client holding its reply
+	// may pull the debug snapshot (which bypasses the mailbox) and must
+	// find its own call's span and stats there, and its next request
+	// must find the admission slot this one held free. Latency runs from
+	// admission to the reply hand-off (queueing included — that is what
+	// the caller experienced); the outcome is classified the same way the
+	// local branch above decided.
 	if t.stats != nil {
 		t.stats.Hist.Observe(time.Since(t.start))
 		switch {
@@ -597,13 +599,17 @@ func (t *callTask) run() {
 		}
 	}
 	t.span.End(err != nil)
-	prio, start := t.prio, t.start
+	s.freeSlot(t.prio, t.start)
+	s.counters.MessagesSent.Add(1)
+	s.counters.BytesSent.Add(int64(len(frame)))
+	// Best effort: if the connection died the client sees ErrClosed.
+	_ = t.conn.Send(frame)
 	*t = callTask{}
 	callTaskPool.Put(t)
-	// The work token taken at acceptance (admit) is released only after
+	// The drain token taken at acceptance (admit) is retired only after
 	// the reply is on the wire: Drain returning means every accepted call
-	// has answered, and the admission depth counts queued work too.
-	s.release(prio, start)
+	// has answered.
+	s.calls.Done()
 }
 
 // handleCall routes one method invocation. It takes ownership of args

@@ -414,7 +414,7 @@ type (
 	// executed device-side as one page pass over one RMI per device.
 	Pipeline = kernel.Pipeline
 	// PipelineStage names one step of a fused pipeline (see MapStage,
-	// BinaryStage, ReduceStage).
+	// BinaryStage, ReduceStage, BinaryReduceStage).
 	PipelineStage = kernel.Stage
 	// StageResult is one reduce stage's merged (accumulator, count)
 	// outcome from Array.ApplyPipeline.
@@ -464,9 +464,15 @@ func BinaryStage(name string) PipelineStage { return kernel.BinaryStage(name) }
 // stage, folding the chain's values as they stand at that point.
 func ReduceStage(name string) PipelineStage { return kernel.ReduceStage(name) }
 
-// RegisterPipeline installs a fused stage chain under a stable wire
-// name; every stage must already be registered. See the "Kernel
-// pipeline" chapter of the package doc.
+// BinaryReduceStage names a registered two-operand reduction kernel as
+// one pipeline stage: it folds the chain's values against its operand
+// array (supplied by Array.ApplyPipeline) without writing.
+func BinaryReduceStage(name string) PipelineStage { return kernel.BinaryReduceStage(name) }
+
+// RegisterPipeline installs a fused stage chain under a stable name
+// (client-side: the chain itself travels inline); every stage must
+// already be registered. See the "Kernel pipeline" chapter of the
+// package doc.
 func RegisterPipeline(name string, p Pipeline) { kernel.RegisterPipeline(name, p) }
 
 // Jacobi runs the client-side Jacobi solver: sweeps read halo-expanded
