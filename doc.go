@@ -381,7 +381,9 @@
 // succeeds when at least one replica of every touched page acks, and a
 // replica lost to a down machine is tolerated and counted
 // (Array.DegradedWrites) rather than surfaced — any other failure is
-// still an error. The owner-computes kernels replay deterministic
+// still an error. One per-region tally in core classifies every
+// replica write outcome — Write's page calls, CopyFrom's pulls, a
+// kernel fan-out's failed devices. The owner-computes kernels replay deterministic
 // mutations on every replica, so replicas stay bitwise identical
 // without a read-back. Reads cost the same as unreplicated reads: any
 // one live replica serves, and a down primary just routes the read to
@@ -398,8 +400,8 @@
 // the first survivor to acting primary), re-seeds each lost replica
 // onto a surviving device's spare page slots — copied device-to-device
 // from the acting primary, never through the client — and atomically
-// re-mints the page map so subsequent operations address only
-// survivors. The FailoverReport says what happened: pages promoted and
+// re-mints the page map (its name gains a "+failover" marker) so
+// subsequent operations address only survivors. The FailoverReport says what happened: pages promoted and
 // re-seeded, pages left degraded (no spare slots to re-seed into — the
 // array still serves, one replica short), and pages lost outright
 // (every replica dead; only then is data gone). Devices provisioned
@@ -421,13 +423,18 @@
 //
 // Failover reacts to machines dying; elasticity is the planned
 // counterpart: page placement is a live, mutable property of a running
-// array. The migration engine moves pages device-to-device over the
-// same pull lanes failover re-seeds through, under a brief per-page
-// write fence: a fenced page refuses mutations with a typed error the
+// array. The migration engine moves pages device-to-device with the
+// one pull plan failover re-seeding and CopyFrom also execute (one
+// pullSubBatch call per destination/source device pair, issued through
+// the one split loop, rmi.SplitLoop, that bounds every transfer of an
+// Array client — window 1 is the sequential §2 form), under a brief
+// per-page write fence: a fenced page refuses mutations with a typed error the
 // client parks on and replays after the map flip, reads never block,
 // and the whole array keeps serving throughout. When the copies land,
-// the engine atomically re-mints the page map (its name gains a
-// "+resharded" marker that round-trips through NewPageMap) and retires
+// the engine atomically re-mints the page map — through the same one
+// constructor failover uses; its name gains a "+resharded" marker, and
+// both markers round-trip through NewPageMap and never repeat back to
+// back — and retires
 // the source slots — a client still holding the pre-flip map gets the
 // typed fence error and re-resolves, never a silent write into a dead
 // slot.

@@ -23,11 +23,14 @@ import (
 // may run in parallel (one per goroutine or per machine); experiment E8
 // measures that scaling.
 //
-// Read and Write move element data between the client and the devices.
-// Every compute operation (Fill, Scale, Sum, MinMax, Norm2, Dot, Axpy,
-// and the Apply/Reduce escape hatch for user kernels) is owner-computes:
-// it executes inside the device processes that hold the pages, one
-// batched RMI per involved device — see kernel.go and the package docs.
+// Read and Write move element data between the client and the devices;
+// like every other element move of this client (CopyFrom, re-seeding,
+// migration copies, checkpoints, owner-computes sweeps) they are one
+// rmi.SplitLoop at the window inFlight reports. Every compute operation
+// (Fill, Scale, Sum, MinMax, Norm2, Dot, Axpy, and the Apply/Reduce
+// escape hatch for user kernels) is owner-computes: it executes inside
+// the device processes that hold the pages, one batched RMI per involved
+// device — see kernel.go and the package docs.
 // All mutating operations, partial pages included, run inside the device
 // process's serial mailbox, so concurrent clients updating disjoint
 // element regions are safe even when those regions share pages (the
@@ -39,12 +42,14 @@ type Array struct {
 
 	storage *BlockStorage
 
-	// pm is guarded by pmMu: Failover re-mints the map while other
-	// goroutines may hold Array clients over the same storage. Every
-	// operation snapshots the map once (Map) and works against that
-	// snapshot.
-	pmMu sync.RWMutex
-	pm   PageMap
+	// pm is guarded by pmMu: Failover and MigratePages re-mint the map
+	// while other goroutines operate on this Array value. Every operation
+	// snapshots the map once (Map) and works against that snapshot.
+	// flipped is closed, and replaced, by every setMap: what a parked
+	// operation waits on (waitMapFlip).
+	pmMu    sync.RWMutex
+	pm      PageMap
+	flipped chan struct{}
 
 	// degraded counts replica writes tolerated against down machines —
 	// see DegradedWrites in replica.go.
@@ -97,6 +102,7 @@ func NewArray(ctx context.Context, storage *BlockStorage, pm PageMap, N1, N2, N3
 		g:        [3]int{N1 / n1, N2 / n2, N3 / n3},
 		storage:  storage,
 		pm:       pm,
+		flipped:  make(chan struct{}),
 		pipeline: true,
 		window:   DefaultWindow,
 	}, nil
@@ -124,57 +130,51 @@ func (a *Array) Map() PageMap {
 	return a.pm
 }
 
-// setMap atomically replaces the page map (Failover's final step).
+// setMap atomically replaces the page map (the final step of Failover
+// and MigratePages) and wakes every operation parked in waitMapFlip.
 func (a *Array) setMap(pm PageMap) {
 	a.pmMu.Lock()
 	a.pm = pm
+	close(a.flipped)
+	a.flipped = make(chan struct{})
 	a.pmMu.Unlock()
 }
 
 // SetPipeline toggles the §4 split-loop pipelining. With it off every
-// page operation is a synchronous §2 round trip — the configuration the
-// experiments use as the sequential baseline.
+// page operation is a synchronous §2 round trip (the split loop at
+// window 1) — the configuration the experiments use as the sequential
+// baseline.
 func (a *Array) SetPipeline(on bool) { a.pipeline = on }
 
 // SetWindow bounds the number of outstanding pipelined requests
-// (and therefore client buffering). Values < 1 reset to DefaultWindow.
-func (a *Array) SetWindow(w int) {
-	if w < 1 {
-		w = DefaultWindow
+// (and therefore client buffering). Values < 1 mean DefaultWindow (the
+// split loop's rule).
+func (a *Array) SetWindow(w int) { a.window = w }
+
+// inFlight is the window every transfer and kernel fan-out of this
+// client hands to rmi.SplitLoop — the one place the pipelining
+// configuration is read. The sequential §2 form is window 1.
+func (a *Array) inFlight() int {
+	if !a.pipeline {
+		return 1
 	}
-	a.window = w
+	return a.window
 }
 
 // region is one page overlapped by a domain operation.
 type region struct {
-	addr  PageAddress
-	addrs []PageAddress // full replica chain (primary first); nil on plain maps
+	chain []PageAddress // the page's replica chain, primary first (one address on plain maps)
 	box   Domain        // the page's global element box
 	isect Domain        // overlap with the operation's domain
 	full  bool          // the whole page is covered
 }
 
-// replicas returns the region's replica chain — addr alone on plain
-// maps.
-func (r *region) replicas() []PageAddress {
-	if r.addrs != nil {
-		return r.addrs
-	}
-	return []PageAddress{r.addr}
-}
-
-// regions enumerates the pages overlapping dom, with their physical
-// addresses. Page iteration order is row-major in page coordinates, which
-// under a round-robin map alternates devices — maximizing overlap.
-func (a *Array) regions(dom Domain) []region {
-	return a.regionsOf(a.Map(), dom)
-}
-
-// regionsOf is regions against an explicit map snapshot, so one
-// operation never mixes pre- and post-failover layouts. Under a
-// ReplicaMap each region carries its whole replica chain.
+// regionsOf enumerates the pages overlapping dom with their replica
+// chains under the map snapshot pm, so one operation never mixes pre-
+// and post-flip layouts. Page iteration order is row-major in page
+// coordinates, which under a round-robin map alternates devices —
+// maximizing overlap.
 func (a *Array) regionsOf(pm PageMap, dom Domain) []region {
-	rm, _ := pm.(ReplicaMap)
 	lo1, hi1 := dom.Lo[0]/a.p[0], (dom.Hi[0]-1)/a.p[0]
 	lo2, hi2 := dom.Lo[1]/a.p[1], (dom.Hi[1]-1)/a.p[1]
 	lo3, hi3 := dom.Lo[2]/a.p[2], (dom.Hi[2]-1)/a.p[2]
@@ -191,18 +191,12 @@ func (a *Array) regionsOf(pm PageMap, dom Domain) []region {
 				if isect.Empty() {
 					continue
 				}
-				r := region{
+				out = append(out, region{
+					chain: replicasOf(pm, p1, p2, p3),
 					box:   box,
 					isect: isect,
 					full:  isect.Equal(box),
-				}
-				if rm != nil {
-					r.addrs = rm.LocateAll(p1, p2, p3)
-					r.addr = r.addrs[0]
-				} else {
-					r.addr = pm.Locate(p1, p2, p3)
-				}
-				out = append(out, r)
+				})
 			}
 		}
 	}
@@ -222,25 +216,20 @@ func (a *Array) checkDomain(dom Domain) error {
 	return nil
 }
 
-// copyRegion moves the isect block between a page buffer and a
-// dom-shaped subarray. dir=+1 copies page->sub (read), dir=-1 sub->page
-// (write).
-func (a *Array) copyRegion(sub []float64, dom Domain, page []float64, r region, toSub bool) {
-	d2 := dom.Hi[1] - dom.Lo[1]
-	d3 := dom.Hi[2] - dom.Lo[2]
-	runLen := r.isect.Hi[2] - r.isect.Lo[2]
-	for i := r.isect.Lo[0]; i < r.isect.Hi[0]; i++ {
-		li := i - r.box.Lo[0] // local page coord, axis 1
-		si := i - dom.Lo[0]   // subarray coord, axis 1
-		for j := r.isect.Lo[1]; j < r.isect.Hi[1]; j++ {
-			lj := j - r.box.Lo[1]
-			sj := j - dom.Lo[1]
-			pOff := (li*a.p[1]+lj)*a.p[2] + (r.isect.Lo[2] - r.box.Lo[2])
-			sOff := (si*d2+sj)*d3 + (r.isect.Lo[2] - dom.Lo[2])
+// copyBlock moves the block isect between buf — row-major over box, a
+// whole page or the block itself — and a dom-shaped subarray.
+func copyBlock(sub []float64, dom Domain, buf []float64, box, isect Domain, toSub bool) {
+	b2, b3 := box.Hi[1]-box.Lo[1], box.Hi[2]-box.Lo[2]
+	d2, d3 := dom.Hi[1]-dom.Lo[1], dom.Hi[2]-dom.Lo[2]
+	runLen := isect.Hi[2] - isect.Lo[2]
+	for i := isect.Lo[0]; i < isect.Hi[0]; i++ {
+		for j := isect.Lo[1]; j < isect.Hi[1]; j++ {
+			bOff := ((i-box.Lo[0])*b2+(j-box.Lo[1]))*b3 + (isect.Lo[2] - box.Lo[2])
+			sOff := ((i-dom.Lo[0])*d2+(j-dom.Lo[1]))*d3 + (isect.Lo[2] - dom.Lo[2])
 			if toSub {
-				copy(sub[sOff:sOff+runLen], page[pOff:pOff+runLen])
+				copy(sub[sOff:sOff+runLen], buf[bOff:bOff+runLen])
 			} else {
-				copy(page[pOff:pOff+runLen], sub[sOff:sOff+runLen])
+				copy(buf[bOff:bOff+runLen], sub[sOff:sOff+runLen])
 			}
 		}
 	}
@@ -249,8 +238,8 @@ func (a *Array) copyRegion(sub []float64, dom Domain, page []float64, r region, 
 // Read gathers the subdomain dom into subarray (row-major, dom.Dims()
 // shaped) — the paper's Array::read. With pipelining on, page reads from
 // distinct devices overlap (§4); the PageMap decides how many devices
-// that engages (§5). Under a replicated map each page is read from its
-// first *live* replica (the failure detector's verdicts route around
+// that engages (§5). Under a replicated map each page is read from a
+// *live* replica (the failure detector's verdicts route around
 // down machines; a call-time machine-down failure falls back to the
 // next replica), so replication doubles as read scaling.
 func (a *Array) Read(ctx context.Context, subarray []float64, dom Domain) error {
@@ -260,64 +249,25 @@ func (a *Array) Read(ctx context.Context, subarray []float64, dom Domain) error 
 	if len(subarray) != dom.Size() {
 		return fmt.Errorf("core: subarray has %d elements, domain %v has %d", len(subarray), dom, dom.Size())
 	}
-	regs := a.regions(dom)
+	regs := a.regionsOf(a.Map(), dom)
 	scratch := pagedev.NewArrayPage(a.p[0], a.p[1], a.p[2])
-
-	if !a.pipeline {
-		for _, r := range regs {
-			if err := a.readRegion(ctx, r, scratch, nil); err != nil {
-				return err
-			}
-			a.copyRegion(subarray, dom, scratch.Data, r, true)
-		}
-		return nil
-	}
-
-	futs := make([]*rmi.Future, len(regs))
 	picked := make([]PageAddress, len(regs))
-	issued := 0
-	for done := 0; done < len(regs); done++ {
-		for issued < len(regs) && issued < done+a.window {
-			r := regs[issued]
-			addr, ok := a.pickLive(r.replicas(), nil)
-			if !ok {
-				addr = r.addr
-			}
-			picked[issued] = addr
-			futs[issued] = a.storage.Device(addr.Device).ReadPageAsync(ctx, addr.Index)
-			issued++
-		}
-		if err := pagedev.DecodeArrayPage(ctx, futs[done], scratch); err != nil {
-			// A replica dying between issue and decode: retry the page
-			// synchronously on its remaining replicas before giving up.
-			err = a.retryRead(ctx, regs[done], picked[done], scratch, err)
-			if err != nil {
-				// Drain remaining futures before returning.
-				for i := done + 1; i < issued; i++ {
-					_ = futs[i].Err(ctx)
+	return rmi.SplitLoop(ctx, len(regs), a.inFlight(),
+		func(i int) *rmi.Future {
+			picked[i], _ = a.pickLive(regs[i].chain, nil)
+			return a.storage.Device(picked[i].Device).ReadPageAsync(ctx, picked[i].Index)
+		},
+		func(i int, f *rmi.Future) error {
+			if err := pagedev.DecodeArrayPage(ctx, f, scratch); err != nil {
+				// A replica dying between issue and decode: retry the page
+				// synchronously on its remaining replicas before giving up.
+				if err = a.retryRead(ctx, regs[i], picked[i], scratch, err); err != nil {
+					return err
 				}
-				return err
 			}
-		}
-		a.copyRegion(subarray, dom, scratch.Data, regs[done], true)
-		futs[done] = nil
-	}
-	return nil
-}
-
-// readRegion reads one page region from the first live replica,
-// synchronously, falling back across the chain on typed machine-down
-// failures.
-func (a *Array) readRegion(ctx context.Context, r region, page *pagedev.ArrayPage, exclude map[int]bool) error {
-	addr, ok := a.pickLive(r.replicas(), exclude)
-	if !ok {
-		addr = r.addr
-	}
-	err := a.storage.Device(addr.Device).ReadPage(ctx, page, addr.Index)
-	if err == nil {
-		return nil
-	}
-	return a.retryRead(ctx, r, addr, page, err)
+			copyBlock(subarray, dom, scratch.Data, regs[i].box, regs[i].isect, true)
+			return nil
+		})
 }
 
 // retryRead walks the remaining replicas of r after a read from the
@@ -328,7 +278,7 @@ func (a *Array) retryRead(ctx context.Context, r region, failed PageAddress, pag
 	if !errors.Is(err, rmi.ErrMachineDown) {
 		return err
 	}
-	for _, addr := range r.replicas() {
+	for _, addr := range r.chain {
 		if addr == failed || !a.machineUp(addr.Device) {
 			continue
 		}
@@ -352,37 +302,17 @@ func subBoxFor(r region) pagedev.SubBox {
 	return b
 }
 
-// extractRegion gathers the region's values out of a dom-shaped subarray
-// into a row-packed buffer (the writeSub wire layout).
-func (a *Array) extractRegion(sub []float64, dom Domain, r region) []float64 {
-	d2 := dom.Hi[1] - dom.Lo[1]
-	d3 := dom.Hi[2] - dom.Lo[2]
-	runLen := r.isect.Hi[2] - r.isect.Lo[2]
-	out := make([]float64, r.isect.Size())
-	pos := 0
-	for i := r.isect.Lo[0]; i < r.isect.Hi[0]; i++ {
-		si := i - dom.Lo[0]
-		for j := r.isect.Lo[1]; j < r.isect.Hi[1]; j++ {
-			sj := j - dom.Lo[1]
-			sOff := (si*d2+sj)*d3 + (r.isect.Lo[2] - dom.Lo[2])
-			copy(out[pos:pos+runLen], sub[sOff:sOff+runLen])
-			pos += runLen
-		}
-	}
-	return out
-}
-
 // Write scatters subarray into the subdomain dom — the paper's
 // Array::write. Fully covered pages are written whole; partially covered
 // pages go through the device's atomic sub-page write. Both paths
 // pipeline.
 //
 // Under a replicated map every page write fans out to the whole replica
-// chain through the same pipeline, with primary-ack semantics: the
-// write succeeds iff at least one replica of every touched page
-// acknowledges; replicas failing with the typed machine-down error are
-// tolerated (counted in DegradedWrites), any other failure fails the
-// write.
+// chain through the same split loop, with primary-ack semantics
+// (ackTally): the write succeeds iff at least one replica of every
+// touched page acknowledges; replicas failing with the typed
+// machine-down error are tolerated (counted in DegradedWrites), any
+// other failure fails the write.
 //
 // A write racing a live migration of this Array value never fails from
 // it: pages mid-migration refuse writes typed (rmi.ErrFenced), and
@@ -410,124 +340,44 @@ func (a *Array) Write(ctx context.Context, subarray []float64, dom Domain) error
 	return err
 }
 
-// writeWith is one Write attempt against an explicit map snapshot.
+// writeWith is one Write attempt against an explicit map snapshot: one
+// call per (region, replica) pair, in region order, settled into the
+// primary-ack tally.
 func (a *Array) writeWith(ctx context.Context, pm PageMap, subarray []float64, dom Domain) error {
 	regs := a.regionsOf(pm, dom)
+	type replicaWrite struct{ reg, pos int }
+	calls := make([]replicaWrite, 0, len(regs)*replicaCount(pm))
+	for ri, r := range regs {
+		for pos := range r.chain {
+			calls = append(calls, replicaWrite{ri, pos})
+		}
+	}
+	// The payload of a region is gathered when its first replica is
+	// issued and reused for the rest of its chain (SplitLoop issues in
+	// index order, and a call's arguments are encoded when it is issued).
 	scratch := pagedev.NewArrayPage(a.p[0], a.p[1], a.p[2])
-
-	// Each pending group is one region's replica fan-out; a group is
-	// acked when at least one of its futures succeeds and no future
-	// failed with anything but the typed machine-down error.
-	type group struct {
-		futs []*rmi.Future
-	}
-	var pending []group
-	outstanding := 0
-	settle := func() error {
-		var hard error
-		for _, g := range pending {
-			acked := 0
-			var down error
-			for _, fut := range g.futs {
-				switch err := fut.Err(ctx); {
-				case err == nil:
-					acked++
-				case errors.Is(err, rmi.ErrMachineDown):
-					down = err
-				default:
-					if hard == nil {
-						hard = err
-					}
+	var vals []float64
+	t := a.newAckTally(regs)
+	return rmi.SplitLoop(ctx, len(calls), a.inFlight(),
+		func(i int) *rmi.Future {
+			r, first := regs[calls[i].reg], calls[i].pos == 0
+			addr := r.chain[calls[i].pos]
+			dev := a.storage.Device(addr.Device)
+			if r.full {
+				if first {
+					copyBlock(subarray, dom, scratch.Data, r.box, r.isect, false)
 				}
+				return dev.WritePageAsync(ctx, scratch, addr.Index)
 			}
-			if hard == nil && acked == 0 && down != nil {
-				hard = down
+			// Partial page: atomic sub-page write on the device (only the
+			// region travels, and concurrent clients can share the page).
+			if first { // row-packed, the writeSub wire layout
+				vals = make([]float64, r.isect.Size())
+				copyBlock(subarray, dom, vals, r.isect, r.isect, false)
 			}
-			if down != nil && acked > 0 {
-				a.degraded.Add(int64(len(g.futs) - acked))
-			}
-		}
-		pending = pending[:0]
-		outstanding = 0
-		return hard
-	}
-	push := func(futs []*rmi.Future) error {
-		pending = append(pending, group{futs: futs})
-		outstanding += len(futs)
-		if outstanding >= a.window {
-			return settle()
-		}
-		return nil
-	}
-
-	for _, r := range regs {
-		chain := r.replicas()
-		if r.full {
-			a.copyRegion(subarray, dom, scratch.Data, r, false)
-			if a.pipeline {
-				futs := make([]*rmi.Future, len(chain))
-				for i, addr := range chain {
-					futs[i] = a.storage.Device(addr.Device).WritePageAsync(ctx, scratch, addr.Index)
-				}
-				if err := push(futs); err != nil {
-					return err
-				}
-			} else if err := a.writeRegionSync(ctx, chain, func(addr PageAddress) error {
-				return a.storage.Device(addr.Device).WritePage(ctx, scratch, addr.Index)
-			}); err != nil {
-				return err
-			}
-			continue
-		}
-		// Partial page: atomic sub-page write on the device (only the
-		// region travels, and concurrent clients can share the page).
-		vals := a.extractRegion(subarray, dom, r)
-		box := subBoxFor(r)
-		if a.pipeline {
-			futs := make([]*rmi.Future, len(chain))
-			for i, addr := range chain {
-				futs[i] = a.storage.Device(addr.Device).WriteSubAsync(ctx, addr.Index, box, vals)
-			}
-			if err := push(futs); err != nil {
-				return err
-			}
-		} else if err := a.writeRegionSync(ctx, chain, func(addr PageAddress) error {
-			return a.storage.Device(addr.Device).WriteSub(ctx, addr.Index, box, vals)
-		}); err != nil {
-			return err
-		}
-	}
-	return settle()
-}
-
-// writeRegionSync applies one region's write to every replica
-// synchronously, with the same primary-ack classification as the
-// pipelined path.
-func (a *Array) writeRegionSync(ctx context.Context, chain []PageAddress, write func(PageAddress) error) error {
-	acked := 0
-	var down, hard error
-	for _, addr := range chain {
-		switch err := write(addr); {
-		case err == nil:
-			acked++
-		case errors.Is(err, rmi.ErrMachineDown):
-			down = err
-		default:
-			if hard == nil {
-				hard = err
-			}
-		}
-	}
-	if hard != nil {
-		return hard
-	}
-	if acked == 0 && down != nil {
-		return down
-	}
-	if down != nil {
-		a.degraded.Add(int64(len(chain) - acked))
-	}
-	return nil
+			return dev.WriteSubAsync(ctx, addr.Index, subBoxFor(r), vals)
+		},
+		func(i int, f *rmi.Future) error { return t.record(calls[i].reg, f.Err(ctx)) })
 }
 
 // Sum reduces the subdomain dom — the paper's Array::sum. Every page is

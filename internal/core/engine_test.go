@@ -3,6 +3,8 @@ package core_test
 import (
 	"encoding/json"
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -25,81 +27,122 @@ func init() {
 }
 
 // chainShape is one row of the engine table: a collective of one stage
-// kind (or the mixed chain), and its effect on plain slices — x is a's
-// values over the domain (updated in place), y the operand's. Values
-// are small integers, so every sum is exact in any fold order.
+// kind (or the mixed chain) or a transfer op, and its effect on plain
+// slices — x is a's values over the domain (updated in place), y the
+// operand's; want returns one accumulator per result. Values are small
+// integers, so every sum is exact in any fold order. A transfer that
+// returns data (Read) reports it as one result; noPark marks the one
+// mutator that does not replay across a map flip (CopyFrom surfaces the
+// typed fence refusal instead).
 type chainShape struct {
 	name             string
 	mutates, reduces bool
+	noPark           bool
 	run              func(a, b *core.Array, dom core.Domain) ([]core.StageResult, error)
-	want             func(x, y []float64) []float64
+	want             func(x, y []float64) [][]float64
 }
+
+// written is the value Write stores at position i of the domain.
+func written(i int) float64 { return float64(i%11 - 5) }
 
 func one(acc []float64, n int64, err error) ([]core.StageResult, error) {
 	return []core.StageResult{{Acc: acc, N: n}}, err
 }
 
 var chainShapes = []chainShape{
-	{"map", true, false,
+	{"map", true, false, false,
 		func(a, b *core.Array, dom core.Domain) ([]core.StageResult, error) {
 			return nil, a.Apply(bg, dom, kernel.Scale, 2)
 		},
-		func(x, y []float64) []float64 {
+		func(x, y []float64) [][]float64 {
 			for i := range x {
 				x[i] *= 2
 			}
 			return nil
 		}},
-	{"reduce", false, true,
+	{"reduce", false, true, false,
 		func(a, b *core.Array, dom core.Domain) ([]core.StageResult, error) {
 			return one(a.Reduce(bg, dom, kernel.Sum))
 		},
-		func(x, y []float64) []float64 {
+		func(x, y []float64) [][]float64 {
 			var s float64
 			for _, v := range x {
 				s += v
 			}
-			return []float64{s}
+			return [][]float64{{s}}
 		}},
-	{"binary", true, false,
+	{"binary", true, false, false,
 		func(a, b *core.Array, dom core.Domain) ([]core.StageResult, error) {
 			return nil, a.ApplyBinary(bg, dom, kernel.Axpy, b, 3)
 		},
-		func(x, y []float64) []float64 {
+		func(x, y []float64) [][]float64 {
 			for i := range x {
 				x[i] += 3 * y[i]
 			}
 			return nil
 		}},
-	{"binary-reduce", false, true,
+	{"binary-reduce", false, true, false,
 		func(a, b *core.Array, dom core.Domain) ([]core.StageResult, error) {
 			return one(a.ReduceBinary(bg, dom, kernel.Dot, b))
 		},
-		func(x, y []float64) []float64 {
+		func(x, y []float64) [][]float64 {
 			var s float64
 			for i := range x {
 				s += x[i] * y[i]
 			}
-			return []float64{s}
+			return [][]float64{{s}}
 		}},
-	{"mixed chain", true, true,
+	{"mixed chain", true, true, false,
 		func(a, b *core.Array, dom core.Domain) ([]core.StageResult, error) {
 			return a.ApplyPipeline(bg, dom, "test.engine.mixed", []*core.Array{b, b}, []float64{2}, []float64{3}, nil, nil)
 		},
-		func(x, y []float64) []float64 {
+		func(x, y []float64) [][]float64 {
 			var s, d float64
 			for i := range x {
 				x[i] = 2*x[i] + 3*y[i]
 				s += x[i]
 				d += x[i] * y[i]
 			}
-			return []float64{s, d}
+			return [][]float64{{s}, {d}}
+		}},
+	// The transfer ops: the same split loop, tally and pull plan under
+	// them as under the chains' fan-out.
+	{"read", false, true, false,
+		func(a, b *core.Array, dom core.Domain) ([]core.StageResult, error) {
+			buf := make([]float64, dom.Size())
+			err := a.Read(bg, buf, dom)
+			return one(buf, int64(len(buf)), err)
+		},
+		func(x, y []float64) [][]float64 { return [][]float64{x} }},
+	{"write", true, false, false,
+		func(a, b *core.Array, dom core.Domain) ([]core.StageResult, error) {
+			vals := make([]float64, dom.Size())
+			for i := range vals {
+				vals[i] = written(i)
+			}
+			return nil, a.Write(bg, vals, dom)
+		},
+		func(x, y []float64) [][]float64 {
+			for i := range x {
+				x[i] = written(i)
+			}
+			return nil
+		}},
+	{"copyFrom", true, false, true,
+		func(a, b *core.Array, dom core.Domain) ([]core.StageResult, error) {
+			return nil, a.CopyFrom(bg, b, dom)
+		},
+		func(x, y []float64) [][]float64 {
+			copy(x, y)
+			return nil
 		}},
 }
 
 const engN, engn = 8, 4 // 2x2x2 pages of 4x4x4
 
-var engDom = core.NewDomain(1, 8, 0, 8, 2, 7) // partial pages on two axes
+// engDom touches every page: partial pages on two axes, and the two
+// pages at (1, *, 1) whole — Write takes both its paths.
+var engDom = core.NewDomain(1, 8, 0, 8, 2, 8)
 
 // engineRig is one cluster holding the array under test (k replicas,
 // roundrobin over aOn) and its operand (unreplicated, blocked over bOn),
@@ -111,7 +154,7 @@ type engineRig struct {
 	y    []float64 // operand values over engDom
 }
 
-func newEngineRig(t *testing.T, machines int, aOn, bOn []int, k, spare int) *engineRig {
+func newEngineRig(t *testing.T, mode engineMode, machines int, aOn, bOn []int, k, spare int) *engineRig {
 	t.Helper()
 	cl, err := cluster.NewLocal(machines, 0)
 	if err != nil {
@@ -154,11 +197,51 @@ func newEngineRig(t *testing.T, machines int, aOn, bOn []int, k, spare int) *eng
 	bref := newShadow(engN, engN, engN)
 	copy(bref.data, vb)
 	r.y = bref.read(engDom)
+	if mode.set != nil {
+		mode.set(r.a)
+	}
 	return r
 }
 
+// engineMode is how the array under test bounds its outstanding
+// requests: the default window, or one of the two spellings of the
+// sequential §2 form.
+type engineMode struct {
+	name string
+	set  func(a *core.Array)
+}
+
+var engineModes = []engineMode{
+	{"default window", nil},
+	{"SetPipeline(false)", func(a *core.Array) { a.SetPipeline(false) }},
+	{"SetWindow(1)", func(a *core.Array) { a.SetWindow(1) }},
+}
+
+// run executes the shape on the rig and returns, beside its outcome, the
+// number of messages the cluster's clients sent for it.
+func (r *engineRig) run(sh chainShape) ([]core.StageResult, int64, error) {
+	sent := &r.cl.Client().Counters().MessagesSent
+	before := sent.Load()
+	got, err := sh.run(r.a, r.b, engDom)
+	return got, sent.Load() - before, err
+}
+
+// copiesOn counts the page copies of a that live on device dev (engDom
+// touches every page).
+func (r *engineRig) copiesOn(dev int) (n int64) {
+	grid := engN / engn
+	for p := 0; p < grid*grid*grid; p++ {
+		for _, addr := range r.a.Map().(core.ReplicaMap).LocateAll(p/(grid*grid), p/grid%grid, p%grid) {
+			if addr.Device == dev {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // check advances the shadow by the shape's effect and compares: every
-// reduce result exact with N counting each element once, and — read
+// result exact with N counting each element once, and — read
 // twice, so replica rotation visits every bank — every element of a
 // transformed exactly once inside the domain and untouched outside it.
 func (r *engineRig) check(t *testing.T, sh chainShape, got []core.StageResult) {
@@ -170,8 +253,8 @@ func (r *engineRig) check(t *testing.T, sh chainShape, got []core.StageResult) {
 		t.Fatalf("%d reduce results, want %d", len(got), len(want))
 	}
 	for i, w := range want {
-		if got[i].N != int64(engDom.Size()) || got[i].Acc[0] != w {
-			t.Errorf("reduce %d = %v over %d elements, want %v over %d", i, got[i].Acc, got[i].N, w, engDom.Size())
+		if got[i].N != int64(engDom.Size()) || !slices.Equal(got[i].Acc, w) {
+			t.Errorf("result %d = %v over %d elements, want %v over %d", i, got[i].Acc, got[i].N, w, engDom.Size())
 		}
 	}
 	full := core.Box(engN, engN, engN)
@@ -188,9 +271,9 @@ func (r *engineRig) check(t *testing.T, sh chainShape, got []core.StageResult) {
 	}
 }
 
-// fencedBatches reports how many applyPipelineK batches machine m has
+// fencedBatches reports how many array-device calls machine m has
 // refused at the migration fence, read off the debug plane.
-func fencedBatches(t *testing.T, cl *cluster.Cluster, m int) int64 {
+func fencedBatches(t *testing.T, cl *cluster.Cluster, m int) (n int64) {
 	t.Helper()
 	buf, err := cl.Client().Debug(bg, m)
 	if err != nil {
@@ -201,46 +284,60 @@ func fencedBatches(t *testing.T, cl *cluster.Cluster, m int) int64 {
 		t.Fatalf("snapshot: %v", err)
 	}
 	for _, ms := range snap.Methods {
-		if ms.Name == pagedev.ClassArrayPageDevice+".applyPipelineK" {
-			return ms.Fenced
+		if strings.HasPrefix(ms.Name, pagedev.ClassArrayPageDevice+".") {
+			n += ms.Fenced
 		}
 	}
-	return 0
+	return n
 }
 
 // TestChainShapesAcrossScenarios is the engine's one table: every stage
-// kind and a mixed chain, each through plain, replicated, fenced
-// mid-migration and machine-down operation — all of them the same
-// applyPipelineK batches through the same client loop.
+// kind, a mixed chain and the transfer ops (Read, Write over whole and
+// partial pages, CopyFrom), each through plain, replicated, fenced
+// mid-migration and machine-down operation, each under the default
+// window and both spellings of the sequential form — the chains all the
+// same applyPipelineK batches through the same client loop, the
+// transfers all the same split loop.
 func TestChainShapesAcrossScenarios(t *testing.T) {
+	// Every scenario returns the messages the operation sent.
 	scenarios := []struct {
 		name string
-		run  func(t *testing.T, sh chainShape)
+		// sameTraffic: nothing but the operation sends while it runs, and
+		// every call is answered, so its message count is a function of
+		// the window alone.
+		sameTraffic bool
+		run         func(t *testing.T, sh chainShape, mode engineMode) int64
 	}{
-		{"k=1", func(t *testing.T, sh chainShape) {
-			r := newEngineRig(t, 3, []int{0, 1, 2}, []int{0, 1, 2}, 1, 0)
-			got, err := sh.run(r.a, r.b, engDom)
+		{"k=1", true, func(t *testing.T, sh chainShape, mode engineMode) int64 {
+			r := newEngineRig(t, mode, 3, []int{0, 1, 2}, []int{0, 1, 2}, 1, 0)
+			got, msgs, err := r.run(sh)
 			if err != nil {
 				t.Fatal(err)
 			}
 			r.check(t, sh, got)
+			return msgs
 		}},
-		{"k=2 replicated", func(t *testing.T, sh chainShape) {
-			r := newEngineRig(t, 3, []int{0, 1, 2}, []int{0, 1, 2}, 2, 0)
-			got, err := sh.run(r.a, r.b, engDom)
+		{"k=2 replicated", true, func(t *testing.T, sh chainShape, mode engineMode) int64 {
+			r := newEngineRig(t, mode, 3, []int{0, 1, 2}, []int{0, 1, 2}, 2, 0)
+			got, msgs, err := r.run(sh)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if n := r.a.DegradedWrites(); n != 0 {
+				t.Errorf("%d degraded writes with every machine up", n)
+			}
 			r.check(t, sh, got)
+			return msgs
 		}},
-		// Every page of device 0 is fenced before the collective starts,
-		// so its batch there is refused whole; the collective parks, the
+		// Every page of device 0 is fenced before the operation starts,
+		// so its calls there are refused whole; the operation parks, the
 		// migration moves the pages to device 1 and flips the map, and
-		// the refused batch replays at the new addresses — each page
-		// copy sees each mutating stage exactly once. Read-only chains
-		// are never fenced and do not wait.
-		{"fenced mid-migration", func(t *testing.T, sh chainShape) {
-			r := newEngineRig(t, 2, []int{0, 1}, []int{0, 1}, 1, 4)
+		// the refused work replays at the new addresses — each page
+		// copy sees each mutating stage exactly once. Read-only
+		// operations are never fenced and do not wait; CopyFrom does not
+		// park and surfaces the typed refusal.
+		{"fenced mid-migration", false, func(t *testing.T, sh chainShape, mode engineMode) int64 {
+			r := newEngineRig(t, mode, 2, []int{0, 1}, []int{0, 1}, 1, 4)
 			var held []int
 			grid := engN / engn
 			for p := 0; p < grid*grid*grid; p++ {
@@ -257,14 +354,14 @@ func TestChainShapesAcrossScenarios(t *testing.T) {
 			}
 			done := make(chan outcome, 1)
 			go func() {
-				res, err := sh.run(r.a, r.b, engDom)
+				res, _, err := r.run(sh)
 				done <- outcome{res, err}
 			}()
 			if sh.mutates {
 				deadline := time.Now().Add(10 * time.Second)
 				for fencedBatches(t, r.cl, 0) == 0 {
 					if time.Now().After(deadline) {
-						t.Fatal("device 0 never refused the batch")
+						t.Fatal("device 0 never refused the operation")
 					}
 					time.Sleep(time.Millisecond)
 				}
@@ -274,38 +371,57 @@ func TestChainShapesAcrossScenarios(t *testing.T) {
 				t.Fatalf("migrate: %+v, %v", rep, err)
 			}
 			out := <-done
+			if sh.noPark {
+				if !errors.Is(out.err, rmi.ErrFenced) {
+					t.Fatalf("non-parking mutator against a fence: got %v, want ErrFenced", out.err)
+				}
+				return 0
+			}
 			if out.err != nil {
-				t.Fatalf("collective across the flip: %v", out.err)
+				t.Fatalf("operation across the flip: %v", out.err)
 			}
 			r.check(t, sh, out.res)
+			return 0
 		}},
 		// Machine 2 dies with no failure detector running, so the first
-		// fan-out finds out at call time. A mutate-only chain degrades
-		// (the surviving replica took the write), a reduce-only chain
-		// retries on the survivors, and a chain that does both returns
-		// the failure. The operand lives on machines that stay up.
-		{"one machine down", func(t *testing.T, sh chainShape) {
-			r := newEngineRig(t, 4, []int{0, 1, 2}, []int{0, 1, 3}, 2, 0)
+		// call finds out at call time. A mutate-only operation degrades
+		// (the surviving replica took the write, and every copy the dead
+		// device held counts once), a read-only one retries on the
+		// survivors, and a chain that does both returns the failure. The
+		// operand lives on machines that stay up.
+		{"one machine down", false, func(t *testing.T, sh chainShape, mode engineMode) int64 {
+			r := newEngineRig(t, mode, 4, []int{0, 1, 2}, []int{0, 1, 3}, 2, 0)
 			r.cl.Machine(2).Server().Close()
-			got, err := sh.run(r.a, r.b, engDom)
+			got, _, err := r.run(sh)
 			if sh.mutates && sh.reduces {
 				if !errors.Is(err, rmi.ErrMachineDown) {
 					t.Fatalf("mutate+reduce chain with a machine down: got %v, want ErrMachineDown", err)
 				}
-				return
+				return 0
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sh.mutates && r.a.DegradedWrites() == 0 {
-				t.Error("degraded replica writes not counted")
+			var want int64
+			if sh.mutates {
+				want = r.copiesOn(2)
+			}
+			if n := r.a.DegradedWrites(); n != want {
+				t.Errorf("%d degraded replica writes counted, want %d", n, want)
 			}
 			r.check(t, sh, got)
+			return 0
 		}},
 	}
 	for _, sh := range chainShapes {
 		for _, sc := range scenarios {
-			t.Run(sh.name+"/"+sc.name, func(t *testing.T) { sc.run(t, sh) })
+			msgs := make(map[string]int64)
+			for _, mode := range engineModes {
+				t.Run(sh.name+"/"+sc.name+"/"+mode.name, func(t *testing.T) { msgs[mode.name] = sc.run(t, sh, mode) })
+			}
+			if a, b := msgs["SetPipeline(false)"], msgs["SetWindow(1)"]; sc.sameTraffic && (a != b || a == 0) {
+				t.Errorf("%s/%s: SetPipeline(false) sent %d messages, SetWindow(1) %d", sh.name, sc.name, a, b)
+			}
 		}
 	}
 }

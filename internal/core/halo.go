@@ -5,16 +5,73 @@ package core
 // one device" to "pull any subdomain between two distributed arrays",
 // and HaloExchange builds the stencil client's ghost-shell transfer on
 // top of it. In both, element data moves directly between the device
-// processes that own it — the client only orchestrates region lists.
+// processes that own it — the client only orchestrates region lists:
+// the pull plan below, which Failover's re-seeding and MigratePages'
+// copy phase execute too.
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
 	"oopp/internal/pagedev"
 	"oopp/internal/rmi"
 )
+
+// pullPlan is the one device-to-device transfer plan: page regions
+// grouped into one pullSubBatch call per (destination, source) device
+// pair, pairs in first-seen order.
+type pullPlan struct {
+	batches []pullBatch
+	at      map[[2]int]int // (dst, src) device pair -> index in batches
+}
+
+// pullBatch is everything one device pair exchanges; regs[i] is the
+// operation's region that regions[i] serves (what an ackTally counts).
+type pullBatch struct {
+	dst, src int
+	regions  []pagedev.PullRegion
+	regs     []int
+}
+
+func newPullPlan() *pullPlan { return &pullPlan{at: make(map[[2]int]int)} }
+
+// add plans the pull of box from the page at src into the page at dst.
+func (p *pullPlan) add(dst, src PageAddress, box pagedev.SubBox, reg int) {
+	pair := [2]int{dst.Device, src.Device}
+	i, ok := p.at[pair]
+	if !ok {
+		i = len(p.batches)
+		p.at[pair] = i
+		p.batches = append(p.batches, pullBatch{dst: dst.Device, src: src.Device})
+	}
+	b := &p.batches[i]
+	b.regions = append(b.regions, pagedev.PullRegion{Index: dst.Index, Box: box, PeerIndex: src.Index})
+	b.regs = append(b.regs, reg)
+}
+
+// pull executes a plan: a's devices pull from from's, one call per
+// batch through the split loop, no element data through the client.
+// With a tally every batch's outcome is recorded against the regions it
+// served (primary-ack); without one the first failed batch stops the
+// transfer.
+func (a *Array) pull(ctx context.Context, from *Array, p *pullPlan, t *ackTally) error {
+	return rmi.SplitLoop(ctx, len(p.batches), a.inFlight(),
+		func(i int) *rmi.Future {
+			b := &p.batches[i]
+			return a.storage.Device(b.dst).PullSubBatchAsync(ctx, from.storage.Device(b.src).Ref(), b.regions)
+		},
+		func(i int, f *rmi.Future) error {
+			err := f.Err(ctx)
+			if t == nil {
+				return err
+			}
+			for _, ri := range p.batches[i].regs {
+				if stop := t.record(ri, err); stop != nil {
+					return stop
+				}
+			}
+			return nil
+		})
+}
 
 // CopyFrom copies the subdomain dom of the conformant array src into
 // the same subdomain of a, entirely device-to-device: each of a's
@@ -24,10 +81,10 @@ import (
 // degrade to shared-address-space copies.
 //
 // Under replicated maps every destination replica pulls its copy (the
-// write fan-out), each from the source page's first live replica; a
+// write fan-out), each from a live replica of the source page; a
 // destination replica failing with the typed machine-down error is
 // tolerated as long as every region landed on at least one live
-// destination replica (primary-ack, like Write).
+// destination replica (primary-ack, like Write — the same ackTally).
 func (a *Array) CopyFrom(ctx context.Context, src *Array, dom Domain) error {
 	if err := a.conformant(src); err != nil {
 		return err
@@ -36,87 +93,16 @@ func (a *Array) CopyFrom(ctx context.Context, src *Array, dom Domain) error {
 		return err
 	}
 	spm := src.Map()
-	// Group pulls by (destination device, source device): one pull call
-	// moves everything a device pair exchanges. regIdx remembers which
-	// region each pull serves, for the per-region ack classification.
-	type pair struct{ dst, src int }
-	regs := a.regions(dom)
-	groups := make(map[pair][]pagedev.PullRegion)
-	regIdx := make(map[pair][]int)
-	var order []pair
+	regs := a.regionsOf(a.Map(), dom)
+	plan := newPullPlan()
 	for i, r := range regs {
 		sChain := replicasOf(spm, r.box.Lo[0]/a.p[0], r.box.Lo[1]/a.p[1], r.box.Lo[2]/a.p[2])
-		sAddr, ok := src.pickLive(sChain, nil)
-		if !ok {
-			return fmt.Errorf("core: source page %v: no replica left: %w", sChain[0], rmi.ErrMachineDown)
-		}
-		for _, dAddr := range r.replicas() {
-			p := pair{dst: dAddr.Device, src: sAddr.Device}
-			if _, seen := groups[p]; !seen {
-				order = append(order, p)
-			}
-			groups[p] = append(groups[p], pagedev.PullRegion{
-				Index:     dAddr.Index,
-				Box:       subBoxFor(r),
-				PeerIndex: sAddr.Index,
-			})
-			regIdx[p] = append(regIdx[p], i)
+		sAddr, _ := src.pickLive(sChain, nil)
+		for _, dAddr := range r.chain {
+			plan.add(dAddr, sAddr, subBoxFor(r), i)
 		}
 	}
-	window := a.window
-	if !a.pipeline {
-		window = 1
-	}
-	acked := make([]int, len(regs))
-	missed := make([]int, len(regs))
-	var hard, down error
-	futs := make([]*rmi.Future, 0, window)
-	pairs := make([]pair, 0, window)
-	settle := func() {
-		for i, fut := range futs {
-			err := fut.Err(ctx)
-			for _, ri := range regIdx[pairs[i]] {
-				switch {
-				case err == nil:
-					acked[ri]++
-				case errors.Is(err, rmi.ErrMachineDown):
-					missed[ri]++
-					down = err
-				default:
-					if hard == nil {
-						hard = err
-					}
-				}
-			}
-		}
-		futs, pairs = futs[:0], pairs[:0]
-	}
-	for _, p := range order {
-		futs = append(futs, a.storage.Device(p.dst).PullSubBatchAsync(ctx, src.storage.Device(p.src).Ref(), groups[p]))
-		pairs = append(pairs, p)
-		if len(futs) >= window {
-			settle()
-			if hard != nil {
-				return hard
-			}
-		}
-	}
-	settle()
-	if hard != nil {
-		return hard
-	}
-	tolerated := 0
-	for i := range regs {
-		if acked[i] == 0 {
-			if down != nil {
-				return down
-			}
-			continue
-		}
-		tolerated += missed[i]
-	}
-	a.degraded.Add(int64(tolerated))
-	return nil
+	return a.pull(ctx, src, plan, a.newAckTally(regs))
 }
 
 // HaloExchange pulls the ghost shell of width w around slab from the

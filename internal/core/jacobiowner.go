@@ -50,10 +50,24 @@ func JacobiOwnerSync(ctx context.Context, a *Array, iters int) (float64, error) 
 	return jacobiOwner(ctx, a, iters, true)
 }
 
-func jacobiOwner(ctx context.Context, a *Array, iters int, syncHalo bool) (float64, error) {
+// planeSweep is the owner-computes decomposition of an array: which
+// device holds each page-plane, the plane's page indices in (p2, p3)
+// row-major order, and the halo schedule the devices are told to run.
+type planeSweep struct {
+	a        *Array
+	ppd      int // bank offset: the scratch bank starts here
+	dev      []int
+	pages    [][]int
+	syncHalo bool
+}
+
+// planSweep validates that a can be swept in place — unreplicated,
+// plane-aligned, every involved device carrying the second page bank —
+// and returns the decomposition.
+func planSweep(ctx context.Context, a *Array, syncHalo bool) (*planeSweep, error) {
 	N1, N2, N3 := a.Dims()
 	if N1 < 3 || N2 < 3 || N3 < 3 {
-		return 0, fmt.Errorf("core: Jacobi needs at least 3 points per axis, have %dx%dx%d", N1, N2, N3)
+		return nil, fmt.Errorf("core: Jacobi needs at least 3 points per axis, have %dx%dx%d", N1, N2, N3)
 	}
 	P1, P2, P3 := a.g[0], a.g[1], a.g[2]
 	pm := a.Map()
@@ -62,116 +76,108 @@ func jacobiOwner(ctx context.Context, a *Array, iters int, syncHalo bool) (float
 		// devices, bypassing the replica write fan-out — it would leave
 		// replicas stale. Run it on an unreplicated array (or after
 		// stripping replication) instead.
-		return 0, fmt.Errorf("core: JacobiOwner does not support replicated maps (%q) — sweep an unreplicated array", pm.Name())
+		return nil, fmt.Errorf("core: JacobiOwner does not support replicated maps (%q) — sweep an unreplicated array", pm.Name())
 	}
-	ppd := pm.PagesPerDevice()
+	s := &planeSweep{a: a, ppd: pm.PagesPerDevice(), dev: make([]int, P1), pages: make([][]int, P1), syncHalo: syncHalo}
 
 	// Plane ownership: every page of plane q must live on one device.
-	planeDev := make([]int, P1)
-	planePages := make([][]int, P1)
 	for q := 0; q < P1; q++ {
 		pages := make([]int, P2*P3)
-		dev := -1
+		dev := pm.Locate(q, 0, 0).Device
 		for p2 := 0; p2 < P2; p2++ {
 			for p3 := 0; p3 < P3; p3++ {
 				addr := pm.Locate(q, p2, p3)
-				if dev < 0 {
-					dev = addr.Device
-				} else if addr.Device != dev {
-					return 0, fmt.Errorf("core: JacobiOwner needs a plane-aligned layout (every page of page-plane %d on one device; %q splits it) — use the striped map", q, pm.Name())
+				if addr.Device != dev {
+					return nil, fmt.Errorf("core: JacobiOwner needs a plane-aligned layout (every page of page-plane %d on one device; %q splits it) — use the striped map", q, pm.Name())
 				}
 				pages[p2*P3+p3] = addr.Index
 			}
 		}
-		planeDev[q] = dev
-		planePages[q] = pages
+		s.dev[q] = dev
+		s.pages[q] = pages
 	}
 	// Capacity: every involved device carries the second page bank.
 	checked := make(map[int]bool)
-	for _, d := range planeDev {
+	for _, d := range s.dev {
 		if checked[d] {
 			continue
 		}
 		checked[d] = true
 		have, err := a.storage.Device(d).NumPages(ctx)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		if have < 2*ppd {
-			return 0, fmt.Errorf("core: JacobiOwner needs a scratch page bank: device %d holds %d pages, want 2x%d — create the storage with pagesPerDevice >= %d", d, have, ppd, 2*ppd)
+		if have < 2*s.ppd {
+			return nil, fmt.Errorf("core: JacobiOwner needs a scratch page bank: device %d holds %d pages, want 2x%d — create the storage with pagesPerDevice >= %d", d, have, s.ppd, 2*s.ppd)
 		}
 	}
+	return s, nil
+}
 
-	window := a.window
-	if !a.pipeline {
-		window = 1
+// args describes plane q's sweep from bank srcOff into bank dstOff.
+func (s *planeSweep) args(q, srcOff, dstOff int) pagedev.JacobiPlaneArgs {
+	a := s.a
+	args := pagedev.JacobiPlaneArgs{
+		SrcOff: srcOff, DstOff: dstOff,
+		QBase: q * a.p[0],
+		N1:    a.n[0], N2: a.n[1], N3: a.n[2],
+		P2: a.g[1], P3: a.g[2],
+		SyncHalo: s.syncHalo,
+		Pages:    s.pages[q],
 	}
-	srcOff, dstOff := 0, ppd
+	if q > 0 {
+		args.Lo = &pagedev.JacobiHalo{Ref: a.storage.Device(s.dev[q-1]).Ref(), Pages: s.pages[q-1]}
+	}
+	if q < len(s.dev)-1 {
+		args.Hi = &pagedev.JacobiHalo{Ref: a.storage.Device(s.dev[q+1]).Ref(), Pages: s.pages[q+1]}
+	}
+	return args
+}
+
+func jacobiOwner(ctx context.Context, a *Array, iters int, syncHalo bool) (float64, error) {
+	s, err := planSweep(ctx, a, syncHalo)
+	if err != nil {
+		return 0, err
+	}
+	srcOff, dstOff := 0, s.ppd
 	var residual float64
 	for it := 0; it < iters; it++ {
-		// One sweep: one jacobiPlane call per page-plane, windowed. All
-		// planes read bank srcOff (which nothing writes this sweep) and
-		// write disjoint pages of bank dstOff, so the fan-out is free of
-		// ordering constraints; halo pulls are served by the neighbours'
-		// concurrent readSubBatch even mid-sweep. Waiting out the whole
-		// fan-out before swapping banks is the inter-sweep barrier.
-		futs := make([]*rmi.Future, P1)
-		issue := func(q int) *rmi.Future {
-			args := pagedev.JacobiPlaneArgs{
-				SrcOff: srcOff, DstOff: dstOff,
-				QBase: q * a.p[0],
-				N1:    N1, N2: N2, N3: N3,
-				P2: P2, P3: P3,
-				Pages: planePages[q],
-			}
-			if q > 0 {
-				args.Lo = &pagedev.JacobiHalo{Ref: a.storage.Device(planeDev[q-1]).Ref(), Pages: planePages[q-1]}
-			}
-			if q < P1-1 {
-				args.Hi = &pagedev.JacobiHalo{Ref: a.storage.Device(planeDev[q+1]).Ref(), Pages: planePages[q+1]}
-			}
-			return a.storage.Device(planeDev[q]).JacobiPlaneAsync(ctx, args)
+		// One sweep: one jacobiPlane call per page-plane through the split
+		// loop. All planes read bank srcOff (which nothing writes this
+		// sweep) and write disjoint pages of bank dstOff, so the fan-out is
+		// free of ordering constraints; halo pulls are served by the
+		// neighbours' concurrent readSubBatch even mid-sweep. Settling the
+		// whole loop before swapping banks is the inter-sweep barrier.
+		residual = 0
+		err := rmi.SplitLoop(ctx, len(s.dev), a.inFlight(),
+			func(q int) *rmi.Future {
+				return a.storage.Device(s.dev[q]).JacobiPlaneAsync(ctx, s.args(q, srcOff, dstOff))
+			},
+			func(_ int, f *rmi.Future) error {
+				r, err := pagedev.DecodeSum(ctx, f)
+				residual = math.Max(residual, r)
+				return err
+			})
+		if err != nil {
+			return 0, err
 		}
-		var sweep float64
-		issued := 0
-		for done := 0; done < P1; done++ {
-			for issued < P1 && issued < done+window {
-				futs[issued] = issue(issued)
-				issued++
-			}
-			r, err := pagedev.DecodeSum(ctx, futs[done])
-			if err != nil {
-				for i := done + 1; i < issued; i++ {
-					_ = futs[i].Err(ctx)
-				}
-				return 0, err
-			}
-			sweep = math.Max(sweep, r)
-			futs[done] = nil
-		}
-		residual = sweep
 		srcOff, dstOff = dstOff, srcOff
 	}
 
 	// After an odd sweep count the iterate sits in the scratch bank:
 	// move it home with device-local page copies (no data on the wire).
 	if srcOff != 0 {
-		pairs := make(map[int][]pagedev.PageCopy)
-		var order []int
-		for q := 0; q < P1; q++ {
-			d := planeDev[q]
-			if _, ok := pairs[d]; !ok {
-				order = append(order, d)
-			}
-			for _, idx := range planePages[q] {
-				pairs[d] = append(pairs[d], pagedev.PageCopy{From: idx + ppd, To: idx})
+		copies := make([][]pagedev.PageCopy, a.storage.Len()) // per device
+		for q, d := range s.dev {
+			for _, idx := range s.pages[q] {
+				copies[d] = append(copies[d], pagedev.PageCopy{From: idx + s.ppd, To: idx})
 			}
 		}
-		futs := make([]*rmi.Future, 0, len(order))
-		for _, d := range order {
-			futs = append(futs, a.storage.Device(d).CopyPagesAsync(ctx, pairs[d]))
-		}
-		if err := rmi.WaitAllReleased(ctx, futs); err != nil {
+		devs := nonEmpty(copies)
+		err := rmi.SplitLoop(ctx, len(devs), a.inFlight(), func(i int) *rmi.Future {
+			return a.storage.Device(devs[i]).CopyPagesAsync(ctx, copies[devs[i]])
+		}, nil)
+		if err != nil {
 			return 0, err
 		}
 	}

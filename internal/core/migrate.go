@@ -2,17 +2,17 @@ package core
 
 // Live page migration — ROADMAP item "elastic cluster": page placement
 // becomes a mutable property of a running array. The engine relocates
-// page copies device-to-device over the same pullSubBatch lane failover
-// re-seeding uses, under a brief per-page write fence:
+// page copies device-to-device with the pull plan failover re-seeding
+// and CopyFrom use (halo.go), under a brief per-page write fence:
 //
 //	fence src pages  → every in-flight mutator drains (fencePages is a
 //	                   serial mailbox method), then writes to the pages
 //	                   are refused typed (rmi.ErrFenced); reads flow
 //	copy src → dst   → the fenced pages are an immutable snapshot, so
 //	                   the device-to-device pull needs no quiescing
-//	flip the map     → a re-minted table map (name suffix "+resharded")
-//	                   atomically replaces the layout; new operations
-//	                   address the destinations
+//	flip the map     → a re-minted table map (remint in replica.go, name
+//	                   marker "+resharded") atomically replaces the
+//	                   layout; new operations address the destinations
 //	adopt / retire   → destination accounting (adoptPages), then the
 //	                   sources release their held-pages gauge but KEEP
 //	                   their fence entries, so clients still holding the
@@ -36,9 +36,7 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"oopp/internal/elastic"
@@ -66,14 +64,6 @@ type MigrateReport struct {
 	Skipped int   // planned moves with no movable copy (replica-placement constraints)
 }
 
-// relocation is one page copy's journey: chain position pos of linear
-// page l moves from src to dst.
-type relocation struct {
-	l        int
-	pos      int
-	src, dst PageAddress
-}
-
 // pageTable snapshots pm's full replica-chain table, one mutable chain
 // per linear page.
 func (a *Array) pageTable(pm PageMap) [][]PageAddress {
@@ -89,16 +79,15 @@ func (a *Array) pageTable(pm PageMap) [][]PageAddress {
 	return table
 }
 
-// reshardName marks a layout as table-minted by migration. The marker is
-// idempotent — repeated rebalances don't grow the name — and NewPageMap
-// round-trips it (pagemap.go's mutation-suffix grammar), so a published
-// resharded array still reopens by name with its nominal layout.
-func reshardName(name string) string {
-	const suffix = "+resharded"
-	if len(name) >= len(suffix) && name[len(name)-len(suffix):] == suffix {
-		return name
+// nonEmpty lists, ascending, the devices whose per-device work list has
+// entries.
+func nonEmpty[T any](perDev [][]T) (devs []int) {
+	for d := range perDev {
+		if len(perDev[d]) > 0 {
+			devs = append(devs, d)
+		}
 	}
-	return name + suffix
+	return devs
 }
 
 // MigratePages executes a move plan: for each Move it picks movable
@@ -126,18 +115,13 @@ func (a *Array) MigratePages(ctx context.Context, plan []elastic.Move) (*Migrate
 	}
 	table := a.pageTable(pm)
 
-	// Occupancy per device from the table; everything else in
-	// [0, NumPages) is allocatable — including slots retired by earlier
-	// migrations (their stale fences are cleared before the copy).
-	used := make([]map[int]bool, D)
-	for d := range used {
-		used[d] = make(map[int]bool)
-	}
+	// Occupancy from the table; everything else in [0, NumPages) is
+	// allocatable — including slots retired by earlier migrations (their
+	// stale fences are cleared before the copy).
+	used := make(map[PageAddress]bool)
 	for _, chain := range table {
 		for _, addr := range chain {
-			if addr.Device >= 0 && addr.Device < D {
-				used[addr.Device][addr.Index] = true
-			}
+			used[addr] = true
 		}
 	}
 	caps := make([]int, D)
@@ -154,11 +138,11 @@ func (a *Array) MigratePages(ctx context.Context, plan []elastic.Move) (*Migrate
 	next := make([]int, D)
 	allocate := func(d int) (int, bool) {
 		for next[d] < caps[d] {
-			i := next[d]
+			slot := PageAddress{Device: d, Index: next[d]}
 			next[d]++
-			if !used[d][i] {
-				used[d][i] = true
-				return i, true
+			if !used[slot] {
+				used[slot] = true
+				return slot.Index, true
 			}
 		}
 		return 0, false
@@ -167,8 +151,15 @@ func (a *Array) MigratePages(ctx context.Context, plan []elastic.Move) (*Migrate
 	// Select victims. The table is updated eagerly as copies are
 	// assigned, so the no-two-copies-per-device invariant holds against
 	// pending relocations too, and `pinned` keeps a copy from being
-	// selected twice in one round (its data hasn't moved yet).
-	var relocs []relocation
+	// selected twice in one round (its data hasn't moved yet). Each
+	// relocation is recorded four ways: the source slot to fence and the
+	// destination slot to claim (per device), the pull that copies it,
+	// and its entry in the flipped map's moved index.
+	srcIdx := make([][]int, D)
+	dstIdx := make([][]int, D)
+	copies := newPullPlan()
+	moved := make(map[PageAddress]PageAddress)
+	full := pagedev.SubBox{Dim: a.p}
 	pinned := make(map[[2]int]bool)
 	for _, mv := range plan {
 		left := mv.Pages
@@ -190,47 +181,21 @@ func (a *Array) MigratePages(ctx context.Context, plan []elastic.Move) (*Migrate
 			if !ok {
 				break
 			}
-			dst := PageAddress{Device: mv.To, Index: idx}
-			relocs = append(relocs, relocation{l: l, pos: pos, src: chain[pos], dst: dst})
+			src, dst := chain[pos], PageAddress{Device: mv.To, Index: idx}
+			srcIdx[src.Device] = append(srcIdx[src.Device], src.Index)
+			dstIdx[dst.Device] = append(dstIdx[dst.Device], dst.Index)
+			copies.add(dst, src, full, l)
+			moved[src] = dst
 			chain[pos] = dst
 			pinned[[2]int{l, pos}] = true
 			left--
 		}
 		rep.Skipped += left
 	}
-	if len(relocs) == 0 {
+	if len(moved) == 0 {
 		return rep, nil
 	}
-
-	srcIdx := make(map[int][]int)
-	dstIdx := make(map[int][]int)
-	type pair struct{ dst, src int }
-	groups := make(map[pair][]pagedev.PullRegion)
-	var order []pair
-	full := pagedev.SubBox{Dim: [3]int{a.p[0], a.p[1], a.p[2]}}
-	for _, rl := range relocs {
-		srcIdx[rl.src.Device] = append(srcIdx[rl.src.Device], rl.src.Index)
-		dstIdx[rl.dst.Device] = append(dstIdx[rl.dst.Device], rl.dst.Index)
-		p := pair{dst: rl.dst.Device, src: rl.src.Device}
-		if _, ok := groups[p]; !ok {
-			order = append(order, p)
-		}
-		groups[p] = append(groups[p], pagedev.PullRegion{
-			Index:     rl.dst.Index,
-			Box:       full,
-			PeerIndex: rl.src.Index,
-		})
-	}
-	srcDevs := make([]int, 0, len(srcIdx))
-	for d := range srcIdx {
-		srcDevs = append(srcDevs, d)
-	}
-	sort.Ints(srcDevs)
-	dstDevs := make([]int, 0, len(dstIdx))
-	for d := range dstIdx {
-		dstDevs = append(dstDevs, d)
-	}
-	sort.Ints(dstDevs)
+	srcDevs, dstDevs := nonEmpty(srcIdx), nonEmpty(dstIdx)
 
 	// Fence the sources. fencePages is serial, so each return proves
 	// every earlier mutator on that device completed: from here the
@@ -261,57 +226,21 @@ func (a *Array) MigratePages(ctx context.Context, plan []elastic.Move) (*Migrate
 	}
 	fenceSp.End(false)
 
-	// Copy device-to-device, batched per (dst, src) pair and windowed —
-	// the failover re-seed lane, no element data through the client.
+	// Copy device-to-device — the pull plan Failover's re-seeding uses,
+	// no element data through the client.
 	copyCtx, copySp := trace.StartSpan(ctx, "migrate.copy")
-	var futs []*rmi.Future
-	flush := func() error {
-		err := rmi.WaitAllReleased(copyCtx, futs)
-		futs = futs[:0]
-		return err
-	}
-	for _, p := range order {
-		futs = append(futs, a.storage.Device(p.dst).PullSubBatchAsync(copyCtx,
-			a.storage.Device(p.src).Ref(), groups[p]))
-		if len(futs) >= a.window {
-			if err := flush(); err != nil {
-				copySp.End(true)
-				abort(len(srcDevs))
-				return rep, fmt.Errorf("core: migrate: copying pages: %w", err)
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		copySp.End(true)
+	err := a.pull(copyCtx, a, copies, nil)
+	copySp.End(err != nil)
+	if err != nil {
 		abort(len(srcDevs))
 		return rep, fmt.Errorf("core: migrate: copying pages: %w", err)
 	}
-	copySp.End(false)
 
 	// Flip: the re-minted table becomes the layout in one atomic swap.
 	// The moved index lets parked operations translate a refused copy's
 	// pre-flip address to its new home (relocatedAddr).
 	flipCtx, flipSp := trace.StartSpan(ctx, "migrate.flip")
-	moved := make(map[PageAddress]PageAddress, len(relocs))
-	for _, rl := range relocs {
-		moved[rl.src] = rl.dst
-	}
-	ppd := pm.PagesPerDevice()
-	for _, chain := range table {
-		for _, addr := range chain {
-			if addr.Index+1 > ppd {
-				ppd = addr.Index + 1
-			}
-		}
-	}
-	a.setMap(&remintedMap{
-		grid:  grid{a.g[0], a.g[1], a.g[2], D},
-		k:     replicaCount(pm),
-		ppd:   ppd,
-		name:  reshardName(pm.Name()),
-		table: table,
-		moved: moved,
-	})
+	a.setMap(a.remint(pm, table, moved, "+resharded"))
 
 	// Settle the gauges: destinations adopt, sources retire (the fence
 	// entries persist — see the package comment in pagedev/fence.go).
@@ -329,8 +258,8 @@ func (a *Array) MigratePages(ctx context.Context, plan []elastic.Move) (*Migrate
 		}
 	}
 	flipSp.End(false)
-	rep.Moved = len(relocs)
-	rep.Bytes = int64(len(relocs)) * pageBytes
+	rep.Moved = len(moved)
+	rep.Bytes = int64(len(moved)) * pageBytes
 	return rep, nil
 }
 
@@ -353,10 +282,9 @@ type RebalanceReport struct {
 // deviceLoads observes the planner's input: per-device page occupancy
 // from the current map and the served-I/O gauge from each device.
 func (a *Array) deviceLoads(ctx context.Context) ([]elastic.DeviceLoad, error) {
-	pm := a.Map()
 	D := a.storage.Len()
 	pages := make([]int, D)
-	for _, chain := range a.pageTable(pm) {
+	for _, chain := range a.pageTable(a.Map()) {
 		for _, addr := range chain {
 			if addr.Device >= 0 && addr.Device < D {
 				pages[addr.Device]++
@@ -420,15 +348,17 @@ func (a *Array) Rebalance(ctx context.Context, cfg RebalanceConfig) (*RebalanceR
 func (a *Array) DrainMachine(ctx context.Context, m int) (*MigrateReport, error) {
 	total := &MigrateReport{}
 	onM := make(map[int]bool)
+	var drain []int // m's devices in ascending order: the drain, and the table it leaves, repeat run to run
 	for d := 0; d < a.storage.Len(); d++ {
 		if a.storage.MachineOf(d) == m {
 			onM[d] = true
+			drain = append(drain, d)
 		}
 	}
-	if len(onM) == 0 {
+	if len(drain) == 0 {
 		return total, fmt.Errorf("core: drain: machine %d has no devices of this array", m)
 	}
-	for d := range onM {
+	for _, d := range drain {
 		loads, err := a.deviceLoads(ctx)
 		if err != nil {
 			return total, err
@@ -469,41 +399,31 @@ func (a *Array) DrainMachine(ctx context.Context, m int) (*MigrateReport, error)
 
 // --- the park-and-replay half: operations surviving a live flip ---
 
-// allFenced reports whether every leaf failure in err is the typed
-// mid-migration refusal — the only class the park-and-replay path may
-// absorb.
-func allFenced(err error) bool {
-	if err == nil {
-		return true
-	}
-	if u, ok := err.(interface{ Unwrap() []error }); ok {
-		for _, sub := range u.Unwrap() {
-			if !allFenced(sub) {
-				return false
-			}
-		}
-		return true
-	}
-	return errors.Is(err, rmi.ErrFenced)
-}
+// allFenced: every leaf is the mid-migration refusal, the class the
+// park-and-replay path may absorb.
+func allFenced(err error) bool { return allLeaves(err, rmi.ErrFenced) }
 
 // waitMapFlip parks until the array's map snapshot differs from old —
-// the migration that fenced our pages has flipped — or the bounded wait
-// expires (a foreign client's migration never flips our map; its fence
-// errors stay typed for the caller).
+// the migration that fenced our pages has flipped (setMap's signal) — or
+// the bounded wait expires (a foreign client's migration never flips our
+// map; its fence errors stay typed for the caller).
 func (a *Array) waitMapFlip(ctx context.Context, old PageMap) (PageMap, error) {
-	deadline := time.Now().Add(fenceFlipWait)
+	timeout := time.NewTimer(fenceFlipWait)
+	defer timeout.Stop()
 	for {
-		if pm := a.Map(); pm != old {
+		a.pmMu.RLock()
+		pm, flipped := a.pm, a.flipped
+		a.pmMu.RUnlock()
+		if pm != old {
 			return pm, nil
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if time.Now().After(deadline) {
+		select {
+		case <-flipped:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-timeout.C:
 			return nil, fmt.Errorf("core: %w: map did not flip within %v (foreign migration?)", rmi.ErrFenced, fenceFlipWait)
 		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

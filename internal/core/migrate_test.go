@@ -182,6 +182,49 @@ func TestDrainRefusedWithoutCapacity(t *testing.T) {
 	checkPattern(t, arr, want, "after refused drain")
 }
 
+// TestDrainMachineOrderIsDeterministic pins the table a drain of a
+// two-device machine leaves: its devices drain in ascending index order,
+// so the plan each one gets — and every slot it is given — repeats run
+// to run (a drain in map-iteration order produced either of two tables).
+func TestDrainMachineOrderIsDeterministic(t *testing.T) {
+	cl, err := cluster.NewLocal(2, 0)
+	if err != nil {
+		t.Fatalf("cluster: %v", err)
+	}
+	defer cl.Shutdown()
+	// 8 pages round-robin over 4 devices, two per machine, 4 spare slots each.
+	pm, err := core.NewPageMap("roundrobin", 2, 2, 2, 4)
+	if err != nil {
+		t.Fatalf("pagemap: %v", err)
+	}
+	storage, err := core.CreateBlockStorage(bg, cl.Client(), []int{0, 0, 1, 1}, "darr",
+		pm.PagesPerDevice()+4, 2, 2, 2, pagedev.DiskPrivate)
+	if err != nil {
+		t.Fatalf("storage: %v", err)
+	}
+	defer storage.Close(bg)
+	arr, err := core.NewArray(bg, storage, pm, 4, 4, 4, 2, 2, 2)
+	if err != nil {
+		t.Fatalf("array: %v", err)
+	}
+	want := fillPattern(t, arr, 900)
+	if rep, err := arr.DrainMachine(bg, 0); err != nil || rep.Moved != 4 {
+		t.Fatalf("DrainMachine: %+v, %v", rep, err)
+	}
+	checkPattern(t, arr, want, "after drain")
+	// Linear pages 0..7: pages 2,3,6,7 never moved; device 0's pages (0, 4)
+	// were placed before device 1's (1, 5).
+	table := []core.PageAddress{
+		{Device: 2, Index: 2}, {Device: 2, Index: 3}, {Device: 2, Index: 0}, {Device: 3, Index: 0},
+		{Device: 3, Index: 2}, {Device: 3, Index: 3}, {Device: 2, Index: 1}, {Device: 3, Index: 1},
+	}
+	for l, w := range table {
+		if got := arr.Map().Locate(l/4, l/2%2, l%2); got != w {
+			t.Errorf("page %d at %+v, want %+v", l, got, w)
+		}
+	}
+}
+
 // TestJoinDeviceAndRebalance is the elastic-growth contract: a device
 // joins a running storage (AddDevice on a machine that had none),
 // Rebalance flows its fair share of pages onto it with data intact,

@@ -207,7 +207,7 @@ func (m *hashMap) Name() string { return "hash" }
 // Maps that were mutated at runtime render trailing "+failover"
 // (Array.Failover re-mint) and/or "+resharded" (migration-engine
 // re-mint) markers, in mutation order — e.g. "striped+r2+failover" or
-// "roundrobin+resharded+resharded". Their per-page tables are not
+// "roundrobin+resharded+failover". Their per-page tables are not
 // name-encodable, so NewPageMap reconstructs the NOMINAL layout the
 // mutations started from and preserves the full name (an alias
 // wrapper), keeping Name() round-trippable and Locate total and in

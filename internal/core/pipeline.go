@@ -142,30 +142,24 @@ func (a *Array) plan(c *chain, operands []*Array, regs []region, exclude map[int
 			pr.Peers = make([]pagedev.PipePeer, len(operands))
 			for i, b := range operands {
 				bChain := replicasOf(b.Map(), r.box.Lo[0]/a.p[0], r.box.Lo[1]/a.p[1], r.box.Lo[2]/a.p[2])
-				bAddr, ok := b.pickLive(bChain, nil)
-				if !ok {
-					return nil, nil, fmt.Errorf("core: operand page %v: no replica left: %w", bChain[0], rmi.ErrMachineDown)
-				}
+				bAddr, _ := b.pickLive(bChain, nil)
 				pr.Peers[i] = pagedev.PipePeer{Ref: b.storage.Device(bAddr.Device).Ref(), Index: bAddr.Index}
 			}
 		}
 		if mutates {
 			var foldAddr PageAddress
 			if fold {
-				var ok bool
-				if foldAddr, ok = a.pickLive(r.replicas(), nil); !ok {
-					return nil, nil, fmt.Errorf("core: page %v: no replica left: %w", r.addr, rmi.ErrMachineDown)
-				}
+				foldAddr, _ = a.pickLive(r.chain, nil)
 			}
-			for _, addr := range r.replicas() {
+			for _, addr := range r.chain {
 				pr.Fold = fold && addr == foldAddr
 				add(addr, pr)
 			}
 			continue
 		}
-		addr, ok := a.pickLive(r.replicas(), exclude)
+		addr, ok := a.pickLive(r.chain, exclude)
 		if !ok {
-			return nil, nil, fmt.Errorf("core: page %v: no replica left outside failed machines: %w", r.addr, rmi.ErrMachineDown)
+			return nil, nil, fmt.Errorf("core: page %v: no replica left outside failed machines: %w", r.chain[0], rmi.ErrMachineDown)
 		}
 		pr.Fold = true
 		add(addr, pr)
@@ -197,16 +191,9 @@ func relocate(pm PageMap, failed []int, byDev map[int][]pagedev.PipeRegion) ([]i
 }
 
 // kernelView builds the collection view of exactly the listed devices,
-// honoring the array's pipelining configuration (window=1 recovers the
-// §2 sequential semantics).
+// fanning out with the array's transfer window.
 func (a *Array) kernelView(devs []int) *collection.Collection[*pagedev.ArrayDevice] {
-	view := a.storage.Collection().Select(devs...)
-	if a.pipeline {
-		view.SetWindow(a.window)
-	} else {
-		view.SetWindow(1)
-	}
-	return view
+	return a.storage.Collection().Select(devs...).SetWindow(a.inFlight())
 }
 
 // ApplyPipeline runs the registered pipeline name over dom as one fused

@@ -58,25 +58,9 @@ func checkpointArray(ctx context.Context, arr *Array, store *persist.Store, name
 		return fmt.Errorf("core: checkpointing descriptor: %w", err)
 	}
 	st := arr.Storage()
-	window := arr.window
-	if !arr.pipeline {
-		window = 1
-	}
-	futs := make([]*rmi.Future, 0, window)
-	flush := func() error {
-		err := rmi.WaitAllReleased(ctx, futs)
-		futs = futs[:0]
-		return err
-	}
-	for i := 0; i < st.Len(); i++ {
-		futs = append(futs, st.Device(i).CheckpointToAsync(ctx, store.Ref(), checkpointDevName(name, i)))
-		if len(futs) >= window {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	return flush()
+	return rmi.SplitLoop(ctx, st.Len(), arr.inFlight(), func(i int) *rmi.Future {
+		return st.Device(i).CheckpointToAsync(ctx, store.Ref(), checkpointDevName(name, i))
+	}, nil)
 }
 
 // RecoverArray rebuilds the array checkpointed under name from store,

@@ -12,11 +12,12 @@ package core
 // exactly k×), and replica sets never share a device when k ≤ D.
 //
 // Write semantics ("primary-ack"): mutating operations fan out to the
-// whole replica set through the same windowed pipelines the
-// non-replicated paths use; the operation succeeds iff at least one
-// replica of every touched page acknowledges, and replicas that fail
-// with the typed ErrMachineDown are tolerated (counted in
-// DegradedWrites) — any other error still fails the operation. Kernels
+// whole replica set through the split loop every transfer uses
+// (rmi.SplitLoop); the operation succeeds iff at least one replica of
+// every touched page acknowledges, and replicas that fail with the
+// typed ErrMachineDown are tolerated (counted in DegradedWrites) — any
+// other error still fails the operation. One tally (ackTally) makes
+// that call for Write, CopyFrom and the kernel fan-out alike. Kernels
 // are deterministic, so applying the same batch at every replica keeps
 // replica contents bitwise identical without a coordination round.
 //
@@ -28,19 +29,21 @@ package core
 // the same page spread across its whole replica set.
 //
 // Failover (Array.Failover) re-mints the page map after the heartbeat
-// declares machines down: dead devices are dropped from every chain
-// (the first survivor is promoted to acting primary), and lost
-// replicas are re-seeded onto spare page slots of surviving devices
-// via the device-to-device pullSubBatch lane — no element data passes
-// through the client. Pages whose whole chain died are reported as
-// Lost; for the k=1 case, recover.go's checkpoint/cold-recovery path
-// restores them from a persist store on a surviving machine.
+// declares machines down: starting from the chain table MigratePages
+// also edits (pageTable), dead devices are dropped from every chain
+// (the first survivor is promoted to acting primary), lost replicas
+// are re-seeded onto spare page slots of surviving devices with the
+// pull plan of halo.go — no element data passes through the client —
+// and remint, the one constructor of a table map, builds the result.
+// Pages whose whole chain died are reported as Lost; for the k=1 case,
+// recover.go's checkpoint/cold-recovery path restores them from a
+// persist store on a surviving machine.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -132,14 +135,15 @@ func parseReplicaSuffix(name string) (base string, k int, ok bool) {
 	return name[:i], n, true
 }
 
-// remintedMap is the explicit post-failover layout: a per-page table of
-// live replica chains (acting primary first). It is produced by
-// Array.Failover — dead devices dropped, re-seeded replicas appended —
-// and never constructed by name.
+// remintedMap is the explicit layout a mutation leaves behind: a
+// per-page table of replica chains (acting primary first). Failover
+// mints one with dead devices dropped and re-seeded replicas appended,
+// MigratePages one with relocated copies re-addressed; both go through
+// remint, and it is never constructed by name.
 type remintedMap struct {
 	grid
 	k    int // nominal replication factor
-	ppd  int // capacity requirement inherited from the pre-failover map
+	ppd  int // capacity requirement: the pre-mutation map's, or the highest slot in the table
 	name string
 	// table[l] is the live chain of linear page l. A page whose whole
 	// chain died keeps its pre-failover chain so operations against it
@@ -165,6 +169,33 @@ func (m *remintedMap) PagesPerDevice() int { return m.ppd }
 func (m *remintedMap) Replicas() int       { return m.k }
 func (m *remintedMap) Name() string        { return m.name }
 
+// remint is the one constructor of a table map: table (a mutated
+// pageTable snapshot of pm) becomes the layout, under pm's name with
+// marker — "+failover" or "+resharded" — appended unless the name already
+// ends in it, so repeating a mutation never grows the name. NewPageMap
+// round-trips the markers (pagemap.go's mutation-suffix grammar). The
+// capacity requirement grows to cover every slot the table addresses.
+func (a *Array) remint(pm PageMap, table [][]PageAddress, moved map[PageAddress]PageAddress, marker string) *remintedMap {
+	name := pm.Name()
+	if !strings.HasSuffix(name, marker) {
+		name += marker
+	}
+	ppd := pm.PagesPerDevice()
+	for _, chain := range table {
+		for _, addr := range chain {
+			ppd = max(ppd, addr.Index+1)
+		}
+	}
+	return &remintedMap{
+		grid:  grid{a.g[0], a.g[1], a.g[2], a.storage.Len()},
+		k:     replicaCount(pm),
+		ppd:   ppd,
+		name:  name,
+		table: table,
+		moved: moved,
+	}
+}
+
 // replicasOf returns pm's replica chain for a page — a single-element
 // chain for plain maps.
 func replicasOf(pm PageMap, p1, p2, p3 int) []PageAddress {
@@ -182,24 +213,24 @@ func replicaCount(pm PageMap) int {
 	return 1
 }
 
-// allMachineDown reports whether every leaf failure in err (an
-// errors.Join tree of MemberErrors, or a single wrapped error) is the
-// typed machine-down failure — the only class of error replica
-// tolerance may absorb.
-func allMachineDown(err error) bool {
-	if err == nil {
-		return true
-	}
+// allLeaves reports whether every leaf failure in err (an errors.Join
+// tree of MemberErrors, or a single wrapped error) is the typed failure
+// target — the only way a fan-out's error may be absorbed whole.
+func allLeaves(err, target error) bool {
 	if u, ok := err.(interface{ Unwrap() []error }); ok {
 		for _, sub := range u.Unwrap() {
-			if !allMachineDown(sub) {
+			if !allLeaves(sub, target) {
 				return false
 			}
 		}
 		return true
 	}
-	return errors.Is(err, rmi.ErrMachineDown)
+	return err == nil || errors.Is(err, target)
 }
+
+// allMachineDown: every leaf is the machine-down failure, the class
+// replica tolerance may absorb.
+func allMachineDown(err error) bool { return allLeaves(err, rmi.ErrMachineDown) }
 
 // machineUp reports whether the storage device's machine is not
 // currently marked down by the failure detector.
@@ -246,36 +277,72 @@ func (a *Array) pickLive(chain []PageAddress, exclude map[int]bool) (PageAddress
 	}
 }
 
-// coverDown classifies a replica fan-out failure: it returns nil —
-// absorbing the error as a degraded write — iff every leaf failure is
-// the typed machine-down error and every region in regs still has at
-// least one replica on a device outside the failed set. downDevs is
-// the set of failed device indices (collection member indices are
-// global device indices).
-func (a *Array) coverDown(err error, regs []region, downDevs map[int]bool) error {
-	if err == nil {
-		return nil
+// ackTally is the one primary-ack classifier: every replica write
+// outcome of a mutating operation — Write's page calls, CopyFrom's
+// pulls, a kernel fan-out's failed devices (coverDown) — is recorded
+// against the region it served. A region is acknowledged when at least
+// one replica of its chain took the write; its replicas that failed with
+// the typed machine-down error are then tolerated and counted in
+// DegradedWrites, and any other failure is hard.
+type ackTally struct {
+	a    *Array
+	regs []struct{ acked, missed, left int }
+}
+
+func (a *Array) newAckTally(regs []region) *ackTally {
+	t := &ackTally{a: a, regs: make([]struct{ acked, missed, left int }, len(regs))}
+	for i, r := range regs {
+		t.regs[i].left = len(r.chain)
 	}
+	return t
+}
+
+// record classifies one replica's outcome for region ri and returns the
+// error the operation must stop with, if any: a hard failure at once, the
+// machine-down error once the region's whole chain has reported without
+// a single acknowledgement.
+func (t *ackTally) record(ri int, err error) error {
+	r := &t.regs[ri]
+	r.left--
+	switch {
+	case err == nil:
+		r.acked++
+	case errors.Is(err, rmi.ErrMachineDown):
+		r.missed++
+	default:
+		return err
+	}
+	if r.left == 0 {
+		if r.acked == 0 {
+			return err // the chain's last report: a machine-down error
+		}
+		t.a.degraded.Add(int64(r.missed))
+	}
+	return nil
+}
+
+// coverDown classifies a kernel fan-out failure: it returns nil —
+// absorbing the error as degraded writes — iff every leaf failure is the
+// typed machine-down error and every region in regs still has at least
+// one replica on a device outside the failed set. downDevs is the set of
+// failed device indices (collection member indices are global device
+// indices).
+func (a *Array) coverDown(err error, regs []region, downDevs map[int]bool) error {
 	if !allMachineDown(err) {
 		return err
 	}
-	tolerated := 0
-	for _, r := range regs {
-		covered := false
-		n := 0
-		for _, addr := range r.replicas() {
+	t := a.newAckTally(regs)
+	for i, r := range regs {
+		for _, addr := range r.chain {
+			var outcome error
 			if downDevs[addr.Device] {
-				n++
-			} else {
-				covered = true
+				outcome = err
+			}
+			if stop := t.record(i, outcome); stop != nil {
+				return stop
 			}
 		}
-		if !covered {
-			return err
-		}
-		tolerated += n
 	}
-	a.degraded.Add(int64(tolerated))
 	return nil
 }
 
@@ -325,14 +392,10 @@ func (a *Array) Failover(ctx context.Context, deadMachines ...int) (*FailoverRep
 }
 
 func (a *Array) failover(ctx context.Context, deadMachines ...int) (*FailoverReport, error) {
-	dead := make(map[int]bool, len(deadMachines))
-	for _, m := range deadMachines {
-		dead[m] = true
-	}
 	deadDevs := make(map[int]bool)
 	var deadList []int
 	for d := 0; d < a.storage.Len(); d++ {
-		if dead[a.storage.MachineOf(d)] {
+		if slices.Contains(deadMachines, a.storage.MachineOf(d)) {
 			deadDevs[d] = true
 			deadList = append(deadList, d)
 		}
@@ -342,7 +405,6 @@ func (a *Array) failover(ctx context.Context, deadMachines ...int) (*FailoverRep
 	if len(deadDevs) == 0 {
 		return rep, nil
 	}
-	k := replicaCount(pm)
 	need := pm.PagesPerDevice()
 
 	// Spare capacity per surviving device: page slots past the map's
@@ -363,92 +425,44 @@ func (a *Array) failover(ctx context.Context, deadMachines ...int) (*FailoverRep
 		nextFree[d] = need
 	}
 
-	type seed struct {
-		dst, src PageAddress
-	}
-	var seeds []seed
-	table := make([][]PageAddress, a.g[0]*a.g[1]*a.g[2])
-	for p1 := 0; p1 < a.g[0]; p1++ {
-		for p2 := 0; p2 < a.g[1]; p2++ {
-			for p3 := 0; p3 < a.g[2]; p3++ {
-				l := (p1*a.g[1]+p2)*a.g[2] + p3
-				chain := replicasOf(pm, p1, p2, p3)
-				live := make([]PageAddress, 0, len(chain))
-				for _, addr := range chain {
-					if !deadDevs[addr.Device] {
-						live = append(live, addr)
-					}
-				}
-				if len(live) == 0 {
-					rep.Lost = append(rep.Lost, l)
-					table[l] = chain // keep failing typed, not by panic
-					continue
-				}
-				if live[0] != chain[0] {
-					rep.Promoted++
-				}
-				// Re-seed each lost replica onto the next device in the
-				// rotation order that is alive, holds no copy of this
-				// page, and has a spare slot.
-				lost := len(chain) - len(live)
-				for n := 0; n < lost; n++ {
-					dst, ok := a.spareSlot(live, chain, deadDevs, nextFree, capacity)
-					if !ok {
-						rep.Degraded++
-						break
-					}
-					seeds = append(seeds, seed{dst: dst, src: live[0]})
-					live = append(live, dst)
-					rep.Reseeded++
-				}
-				table[l] = live
+	// Drop the dead from every chain of the table; re-seeds pull whole
+	// pages from the acting primary.
+	table := a.pageTable(pm)
+	seeds := newPullPlan()
+	full := pagedev.SubBox{Dim: a.p}
+	for l, chain := range table {
+		live := make([]PageAddress, 0, len(chain))
+		for _, addr := range chain {
+			if !deadDevs[addr.Device] {
+				live = append(live, addr)
 			}
 		}
-	}
-
-	// Ship the re-seeds device-to-device: each destination pulls whole
-	// pages straight from the acting primary, batched per (dst, src)
-	// device pair — the same lane CopyFrom uses.
-	if len(seeds) > 0 {
-		type pair struct{ dst, src int }
-		groups := make(map[pair][]pagedev.PullRegion)
-		var order []pair
-		full := pagedev.SubBox{Dim: [3]int{a.p[0], a.p[1], a.p[2]}}
-		for _, s := range seeds {
-			p := pair{dst: s.dst.Device, src: s.src.Device}
-			if _, ok := groups[p]; !ok {
-				order = append(order, p)
+		if len(live) == 0 {
+			rep.Lost = append(rep.Lost, l) // the chain stays: fail typed, not by panic
+			continue
+		}
+		if live[0] != chain[0] {
+			rep.Promoted++
+		}
+		// Re-seed each lost replica onto the next device in the
+		// rotation order that is alive, holds no copy of this
+		// page, and has a spare slot.
+		for lost := len(chain) - len(live); lost > 0; lost-- {
+			dst, ok := a.spareSlot(live, chain, deadDevs, nextFree, capacity)
+			if !ok {
+				rep.Degraded++
+				break
 			}
-			groups[p] = append(groups[p], pagedev.PullRegion{
-				Index:     s.dst.Index,
-				Box:       full,
-				PeerIndex: s.src.Index,
-			})
+			seeds.add(dst, live[0], full, l)
+			live = append(live, dst)
+			rep.Reseeded++
 		}
-		var futs []*rmi.Future
-		for _, p := range order {
-			futs = append(futs, a.storage.Device(p.dst).PullSubBatchAsync(ctx,
-				a.storage.Device(p.src).Ref(), groups[p]))
-			if len(futs) >= a.window {
-				if err := rmi.WaitAllReleased(ctx, futs); err != nil {
-					return rep, fmt.Errorf("core: failover: re-seeding replicas: %w", err)
-				}
-				futs = futs[:0]
-			}
-		}
-		if err := rmi.WaitAllReleased(ctx, futs); err != nil {
-			return rep, fmt.Errorf("core: failover: re-seeding replicas: %w", err)
-		}
+		table[l] = live
 	}
-
-	sort.Ints(rep.Lost)
-	a.setMap(&remintedMap{
-		grid:  grid{a.g[0], a.g[1], a.g[2], a.storage.Len()},
-		k:     k,
-		ppd:   need,
-		name:  pm.Name() + "+failover",
-		table: table,
-	})
+	if err := a.pull(ctx, a, seeds, nil); err != nil {
+		return rep, fmt.Errorf("core: failover: re-seeding replicas: %w", err)
+	}
+	a.setMap(a.remint(pm, table, nil, "+failover"))
 	return rep, nil
 }
 
@@ -457,15 +471,12 @@ func (a *Array) failover(ctx context.Context, deadMachines ...int) (*FailoverRep
 // devices, devices already holding the page, and devices out of spare
 // slots.
 func (a *Array) spareSlot(live, chain []PageAddress, deadDevs map[int]bool, nextFree, capacity []int) (PageAddress, bool) {
-	holds := make(map[int]bool, len(live))
-	for _, addr := range live {
-		holds[addr.Device] = true
-	}
 	d0 := chain[0].Device
 	D := a.storage.Len()
 	for step := 1; step < D; step++ {
 		cand := (d0 + step) % D
-		if deadDevs[cand] || holds[cand] || nextFree[cand] >= capacity[cand] {
+		holds := slices.ContainsFunc(live, func(c PageAddress) bool { return c.Device == cand })
+		if deadDevs[cand] || holds || nextFree[cand] >= capacity[cand] {
 			continue
 		}
 		slot := PageAddress{Device: cand, Index: nextFree[cand]}

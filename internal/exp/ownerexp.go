@@ -375,6 +375,7 @@ func E13OwnerComputes(cfg Config) (*Table, error) {
 	}
 
 	t.Note("client jacobi includes its scratch seeding, amortized over the sweeps; all paths verified to agree (owner residuals bitwise, client to 1e-12, reductions to float tolerance; fused chain bitwise vs unfused)")
+	t.Note("owner-sync and owner-overlap time two device-side schedules: JacobiOwnerSync forwards the fetch-then-sweep flag, so its devices hold every halo before any arithmetic")
 	t.Note("expected shape: owner rows move several times fewer KB and finish sweeps faster at 8 devices; overlapped halos shave µs/iter off owner-sync at identical traffic; the fused chain runs one RMI per device per iteration — a third of the unfused messages and ≥2x the speed")
 	return t, nil
 }

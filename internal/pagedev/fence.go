@@ -149,15 +149,13 @@ func registerFenceMethods(c *rmi.Class[baser]) *rmi.Class[baser] {
 // once it returns, mutators targeting them are refused typed
 // (rmi.ErrFenced) until UnfencePages, while reads keep flowing.
 func (d *Device) FencePages(ctx context.Context, indices []int) error {
-	dec, err := d.client.Call(ctx, d.ref, "fencePages", func(e *wire.Encoder) error {
+	return voidReply(d.client.Call(ctx, d.ref, "fencePages", func(e *wire.Encoder) error {
 		e.PutInt(len(indices))
 		for _, idx := range indices {
 			e.PutInt(idx)
 		}
 		return nil
-	})
-	dec.Release()
-	return err
+	}))
 }
 
 // UnfencePages ends a migration on the given indices. release=false
@@ -167,38 +165,28 @@ func (d *Device) FencePages(ctx context.Context, indices []int) error {
 // stale writers get the typed refusal instead of losing data; the slots
 // become reusable when a later migration clears them (release=false).
 func (d *Device) UnfencePages(ctx context.Context, indices []int, release bool) error {
-	dec, err := d.client.Call(ctx, d.ref, "unfencePages", func(e *wire.Encoder) error {
+	return voidReply(d.client.Call(ctx, d.ref, "unfencePages", func(e *wire.Encoder) error {
 		e.PutBool(release)
 		e.PutInt(len(indices))
 		for _, idx := range indices {
 			e.PutInt(idx)
 		}
 		return nil
-	})
-	dec.Release()
-	return err
+	}))
 }
 
 // AdoptPages records that count migrated pages (bytes payload bytes)
 // now live on this device — the destination half of the migration
 // gauges.
 func (d *Device) AdoptPages(ctx context.Context, count int, bytes int64) error {
-	dec, err := d.client.Call(ctx, d.ref, "adoptPages", func(e *wire.Encoder) error {
+	return voidReply(d.client.Call(ctx, d.ref, "adoptPages", func(e *wire.Encoder) error {
 		e.PutInt(count)
 		e.PutVarint(bytes)
 		return nil
-	})
-	dec.Release()
-	return err
+	}))
 }
 
 // FencedPages returns how many pages are currently fenced on the device.
 func (d *Device) FencedPages(ctx context.Context) (int, error) {
-	dec, err := d.client.Call(ctx, d.ref, "fencedPages", nil)
-	if err != nil {
-		return 0, err
-	}
-	defer dec.Release()
-	n := dec.Int()
-	return n, dec.Err()
+	return intReply(d.client.Call(ctx, d.ref, "fencedPages", nil))
 }

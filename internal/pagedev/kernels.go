@@ -150,71 +150,50 @@ const (
 	minCopyElem = 2             // src, dst
 )
 
-// fetchSubBatch pulls the row-packed values of each request from a peer
-// device into the caller-owned dst slices (dst[i] must have size
-// reqs[i].size()). Co-located peers are read directly through their
-// thread-safe store; remote peers are served by their concurrent
-// readSubBatch method, so a peer that is itself mid-method still
-// answers — this is what lets two devices exchange halos while both
-// are inside a sweep.
-func (a *arrayPageDevice) fetchSubBatch(env *rmi.Env, peer rmi.Ref, reqs []subReq, dst [][]float64) error {
-	if len(reqs) == 0 {
+// serveSub gathers the row-packed values of one region of this
+// device's page rq.idx into dst, through buf (one page of bytes). It
+// reads the thread-safe store directly, so it runs outside the mailbox:
+// the body of the concurrent readSubBatch method and of a co-located
+// peer's fetch.
+func (a *arrayPageDevice) serveSub(rq subReq, buf []byte, dst []float64) error {
+	if rq.size() == 0 {
 		return nil
 	}
-	if local, ok := localArrayDevice(env, peer); ok {
-		buf := make([]byte, local.pageSize)
-		for i, rq := range reqs {
-			if rq.size() == 0 {
-				continue
-			}
-			if err := local.readInto(rq.idx, buf); err != nil {
-				return err
-			}
-			if err := gatherRowsFromBytes(buf, local.n2, local.n3, rq.lo, rq.dim, dst[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if env.Client == nil {
-		return fmt.Errorf("pagedev: machine %d has no outbound client", env.Machine)
-	}
-	d, err := env.Client.Call(env.Ctx(), peer, "readSubBatch", func(e *wire.Encoder) error {
-		e.PutInt(len(reqs))
-		for _, rq := range reqs {
-			putSubBox(e, rq.idx, SubBox{Lo: rq.lo, Dim: rq.dim})
-		}
-		return nil
-	})
-	if err != nil {
+	if err := a.readInto(rq.idx, buf); err != nil {
 		return err
 	}
-	defer d.Release()
-	for i := range reqs {
-		d.Float64sInto(dst[i])
-	}
-	return d.Err()
+	return gatherRowsFromBytes(buf, a.n2, a.n3, rq.lo, rq.dim, dst)
 }
 
-// fetchSub is fetchSubBatch for a single region.
-func (a *arrayPageDevice) fetchSub(env *rmi.Env, peer rmi.Ref, rq subReq, dst []float64) error {
-	return a.fetchSubBatch(env, peer, []subReq{rq}, [][]float64{dst})
+// fetchSubBatch pulls the row-packed values of each request from a peer
+// device into the caller-owned dst slices (dst[i] must have size
+// reqs[i].size()) and waits for them — see fetchSubBatchAsync.
+func (a *arrayPageDevice) fetchSubBatch(env *rmi.Env, peer rmi.Ref, reqs []subReq, dst [][]float64) error {
+	return a.fetchSubBatchAsync(env, peer, reqs, dst)()
 }
 
-// fetchSubBatchAsync begins a fetchSubBatch and returns a wait
-// function that fills dst and reports the outcome — the overlap half
-// of the halo lane: the caller posts its pulls, computes on data it
-// already holds while the peer's concurrent readSubBatch serves them,
-// and only joins when it needs the edges. Co-located peers have no
-// latency to hide, so their pull completes before returning and the
-// wait is a no-op.
+// fetchSubBatchAsync begins the pull and returns a wait function that
+// fills dst and reports the outcome. Remote peers are served by their
+// concurrent readSubBatch method, so a peer that is itself mid-method
+// still answers — this is what lets two devices exchange halos while
+// both are inside a sweep, and what lets the caller post its pulls,
+// compute on data it already holds, and only join when it needs the
+// edges. Co-located peers are read directly through their thread-safe
+// store: there is no latency to hide, so their pull completes before
+// returning and the wait is a no-op.
 func (a *arrayPageDevice) fetchSubBatchAsync(env *rmi.Env, peer rmi.Ref, reqs []subReq, dst [][]float64) (wait func() error) {
 	done := func(err error) func() error { return func() error { return err } }
 	if len(reqs) == 0 {
 		return done(nil)
 	}
-	if _, ok := localArrayDevice(env, peer); ok {
-		return done(a.fetchSubBatch(env, peer, reqs, dst))
+	if local, ok := localArrayDevice(env, peer); ok {
+		buf := make([]byte, local.pageSize)
+		for i, rq := range reqs {
+			if err := local.serveSub(rq, buf, dst[i]); err != nil {
+				return done(err)
+			}
+		}
+		return done(nil)
 	}
 	if env.Client == nil {
 		return done(fmt.Errorf("pagedev: machine %d has no outbound client", env.Machine))
@@ -261,17 +240,10 @@ func registerTransferMethods(c *rmi.Class[*arrayPageDevice]) {
 			}
 			rq := subReq{idx: idx, lo: lo, dim: dim}
 			size := rq.size()
-			if size == 0 {
-				reply.PutFloat64s(nil)
-				continue
-			}
-			if err := a.readInto(idx, buf); err != nil {
-				return err
-			}
 			if cap(out) < size {
 				out = make([]float64, size)
 			}
-			if err := gatherRowsFromBytes(buf, a.n2, a.n3, lo, dim, out[:size]); err != nil {
+			if err := a.serveSub(rq, buf, out[:size]); err != nil {
 				return err
 			}
 			reply.PutFloat64s(out[:size])

@@ -214,7 +214,7 @@ func (a *arrayPageDevice) operand(env *rmi.Env, pe PipePeer, box SubBox, buf *[]
 		*buf = make([]float64, size)
 	}
 	vals := (*buf)[:size]
-	return vals, a.fetchSub(env, pe.Ref, subReq{idx: pe.Index, lo: box.Lo, dim: box.Dim}, vals)
+	return vals, a.fetchSubBatch(env, pe.Ref, []subReq{{idx: pe.Index, lo: box.Lo, dim: box.Dim}}, [][]float64{vals})
 }
 
 // runKernelBatch walks a decoded batch: fence pre-scan, then per region

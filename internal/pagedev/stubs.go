@@ -50,79 +50,87 @@ func (d *Device) Ref() rmi.Ref { return d.ref }
 // Client returns the RMI client the stub issues its calls through.
 func (d *Device) Client() *rmi.Client { return d.client }
 
-// Write stores page data at the given page index.
-func (d *Device) Write(ctx context.Context, index int, data []byte) error {
-	dec, err := d.client.Call(ctx, d.ref, "write", func(e *wire.Encoder) error {
+// Each method's arguments are spelled once: the synchronous stub (on
+// Client.Call, whose pooled waiter allocates no Future) and its *Async
+// twin share one argument encoder and one reply decoder.
+
+// indexArgs encodes the lone page index read, sum and readArray take.
+func indexArgs(index int) rmi.ArgEncoder {
+	return func(e *wire.Encoder) error {
+		e.PutInt(index)
+		return nil
+	}
+}
+
+func writeArgs(index int, data []byte) rmi.ArgEncoder {
+	return func(e *wire.Encoder) error {
 		e.PutInt(index)
 		e.PutBytes(data)
 		return nil
-	})
+	}
+}
+
+// voidReply settles a call whose reply carries nothing.
+func voidReply(dec *wire.Decoder, err error) error {
 	dec.Release()
 	return err
 }
 
+// pageReply decodes read's reply: the page bytes, copied out of the
+// response frame.
+func pageReply(dec *wire.Decoder, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	defer dec.Release()
+	data := dec.BytesCopy()
+	return data, dec.Err()
+}
+
+// Write stores page data at the given page index.
+func (d *Device) Write(ctx context.Context, index int, data []byte) error {
+	return voidReply(d.client.Call(ctx, d.ref, "write", writeArgs(index, data)))
+}
+
 // WriteAsync begins a page write and returns its future.
 func (d *Device) WriteAsync(ctx context.Context, index int, data []byte) *rmi.Future {
-	return d.client.CallAsync(ctx, d.ref, "write", func(e *wire.Encoder) error {
-		e.PutInt(index)
-		e.PutBytes(data)
-		return nil
-	})
+	return d.client.CallAsync(ctx, d.ref, "write", writeArgs(index, data))
 }
 
 // Read fetches the page at the given index.
 func (d *Device) Read(ctx context.Context, index int) ([]byte, error) {
-	dec, err := d.client.Call(ctx, d.ref, "read", func(e *wire.Encoder) error {
-		e.PutInt(index)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer dec.Release()
-	data := dec.BytesCopy()
-	return data, dec.Err()
+	return pageReply(d.client.Call(ctx, d.ref, "read", indexArgs(index)))
 }
 
 // ReadAsync begins a page read; decode the result with DecodePage.
 func (d *Device) ReadAsync(ctx context.Context, index int) *rmi.Future {
-	return d.client.CallAsync(ctx, d.ref, "read", func(e *wire.Encoder) error {
-		e.PutInt(index)
-		return nil
-	})
+	return d.client.CallAsync(ctx, d.ref, "read", indexArgs(index))
 }
 
 // DecodePage extracts the page bytes from a completed ReadAsync future.
 func DecodePage(ctx context.Context, fut *rmi.Future) ([]byte, error) {
-	dec, err := fut.Wait(ctx)
+	return pageReply(fut.Wait(ctx))
+}
+
+// intReply decodes the lone integer numPages, pageSize and fencedPages
+// reply.
+func intReply(dec *wire.Decoder, err error) (int, error) {
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	defer dec.Release()
-	data := dec.BytesCopy()
-	return data, dec.Err()
+	n := dec.Int()
+	return n, dec.Err()
 }
 
 // NumPages returns the device capacity in pages.
 func (d *Device) NumPages(ctx context.Context) (int, error) {
-	dec, err := d.client.Call(ctx, d.ref, "numPages", nil)
-	if err != nil {
-		return 0, err
-	}
-	defer dec.Release()
-	n := dec.Int()
-	return n, dec.Err()
+	return intReply(d.client.Call(ctx, d.ref, "numPages", nil))
 }
 
 // PageSize returns the device page size in bytes.
 func (d *Device) PageSize(ctx context.Context) (int, error) {
-	dec, err := d.client.Call(ctx, d.ref, "pageSize", nil)
-	if err != nil {
-		return 0, err
-	}
-	defer dec.Release()
-	n := dec.Int()
-	return n, dec.Err()
+	return intReply(d.client.Call(ctx, d.ref, "pageSize", nil))
 }
 
 // Name returns the device label.
@@ -152,26 +160,18 @@ func (d *Device) Stats(ctx context.Context) (reads, writes int64, err error) {
 // the transfer happens directly between the two server processes; the
 // client only orchestrates (§5 copy-construction).
 func (d *Device) CopyFrom(ctx context.Context, src rmi.Ref, count int) error {
-	dec, err := d.client.Call(ctx, d.ref, "copyFrom", func(e *wire.Encoder) error {
+	return voidReply(d.client.Call(ctx, d.ref, "copyFrom", func(e *wire.Encoder) error {
 		e.PutRef(src)
 		e.PutInt(count)
 		return nil
-	})
-	dec.Release()
-	return err
+	}))
 }
 
-// CheckpointTo serializes the device's full representation inside its
-// serial mailbox and ships it to the persist store ref (usually on
-// another machine) under name — the checkpoint half of cold recovery.
-// The device stays live; the blob activates later like any passivated
-// process.
-func (d *Device) CheckpointTo(ctx context.Context, store rmi.Ref, name string) error {
-	return d.CheckpointToAsync(ctx, store, name).Err(ctx)
-}
-
-// CheckpointToAsync begins a device checkpoint (for windowed
-// whole-storage checkpoints).
+// CheckpointToAsync begins a device checkpoint: the device serializes
+// its full representation inside its serial mailbox and ships it to the
+// persist store ref (usually on another machine) under name — the
+// checkpoint half of cold recovery. The device stays live; the blob
+// activates later like any passivated process.
 func (d *Device) CheckpointToAsync(ctx context.Context, store rmi.Ref, name string) *rmi.Future {
 	return d.client.CallAsync(ctx, d.ref, "checkpointTo", func(e *wire.Encoder) error {
 		e.PutRef(store)
@@ -198,19 +198,13 @@ type ArrayDevice struct {
 //	    ArrayPageDevice("array_blocks", NumberOfPages, n1, n2, n3);
 func NewArrayDevice(ctx context.Context, client *rmi.Client, m int, name string, numPages, n1, n2, n3, diskIndex int) (*ArrayDevice, error) {
 	ref, err := ArrayPageDeviceClass.New(ctx, client, m, func(e *wire.Encoder) error {
-		e.PutInt(ctorFresh)
-		e.PutString(name)
-		e.PutInt(numPages)
-		e.PutInt(n1)
-		e.PutInt(n2)
-		e.PutInt(n3)
-		e.PutInt(diskIndex)
+		EncodeArrayDeviceCtor(e, name, numPages, n1, n2, n3, diskIndex)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &ArrayDevice{Device: Device{client: client, ref: ref}, n1: n1, n2: n2, n3: n3}, nil
+	return AttachArrayDevice(client, ref, n1, n2, n3), nil
 }
 
 // NewArrayDeviceFromProcess creates an ArrayPageDevice on machine m that
@@ -232,7 +226,7 @@ func NewArrayDeviceFromProcess(ctx context.Context, client *rmi.Client, m int, s
 	if err != nil {
 		return nil, err
 	}
-	return &ArrayDevice{Device: Device{client: client, ref: ref}, n1: n1, n2: n2, n3: n3}, nil
+	return AttachArrayDevice(client, ref, n1, n2, n3), nil
 }
 
 // EncodeArrayDeviceCtor appends the fresh-construction arguments of an
@@ -257,122 +251,111 @@ func AttachArrayDevice(client *rmi.Client, ref rmi.Ref, n1, n2, n3 int) *ArrayDe
 // Dims returns the locally known block dimensions.
 func (d *ArrayDevice) Dims() (n1, n2, n3 int) { return d.n1, d.n2, d.n3 }
 
-// Sum computes the page's element sum on the remote machine — "moving the
-// computation to the data" (§3): only the scalar crosses the network.
-func (d *ArrayDevice) Sum(ctx context.Context, index int) (float64, error) {
-	dec, err := d.client.Call(ctx, d.ref, "sum", func(e *wire.Encoder) error {
-		e.PutInt(index)
-		return nil
-	})
+// sumReply decodes the scalar sum (and jacobiPlane) reply.
+func sumReply(dec *wire.Decoder, err error) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
 	defer dec.Release()
 	v := dec.Float64()
 	return v, dec.Err()
+}
+
+// Sum computes the page's element sum on the remote machine — "moving the
+// computation to the data" (§3): only the scalar crosses the network.
+func (d *ArrayDevice) Sum(ctx context.Context, index int) (float64, error) {
+	return sumReply(d.client.Call(ctx, d.ref, "sum", indexArgs(index)))
 }
 
 // SumAsync begins a remote page sum.
 func (d *ArrayDevice) SumAsync(ctx context.Context, index int) *rmi.Future {
-	return d.client.CallAsync(ctx, d.ref, "sum", func(e *wire.Encoder) error {
-		e.PutInt(index)
-		return nil
-	})
+	return d.client.CallAsync(ctx, d.ref, "sum", indexArgs(index))
 }
 
 // DecodeSum extracts the scalar from a completed SumAsync future.
 func DecodeSum(ctx context.Context, fut *rmi.Future) (float64, error) {
-	dec, err := fut.Wait(ctx)
+	return sumReply(fut.Wait(ctx))
+}
+
+// checkDims refuses a page whose dimensions are not the device's.
+func (d *ArrayDevice) checkDims(p *ArrayPage) error {
+	if p.N1 != d.n1 || p.N2 != d.n2 || p.N3 != d.n3 {
+		return fmt.Errorf("pagedev: page dims %dx%dx%d, device dims %dx%dx%d",
+			p.N1, p.N2, p.N3, d.n1, d.n2, d.n3)
+	}
+	return nil
+}
+
+// arrayPageReply decodes readArray's reply into p.
+func arrayPageReply(dec *wire.Decoder, err error, p *ArrayPage) error {
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer dec.Release()
-	v := dec.Float64()
-	return v, dec.Err()
+	dec.Float64sInto(p.Data)
+	return dec.Err()
 }
 
 // ReadPage fetches page index into p — "moving the data to the
 // computation" (§3): the whole page crosses the network, then the caller
 // computes locally (e.g. p.Sum()).
 func (d *ArrayDevice) ReadPage(ctx context.Context, p *ArrayPage, index int) error {
-	if p.N1 != d.n1 || p.N2 != d.n2 || p.N3 != d.n3 {
-		return fmt.Errorf("pagedev: page dims %dx%dx%d, device dims %dx%dx%d",
-			p.N1, p.N2, p.N3, d.n1, d.n2, d.n3)
-	}
-	dec, err := d.client.Call(ctx, d.ref, "readArray", func(e *wire.Encoder) error {
-		e.PutInt(index)
-		return nil
-	})
-	if err != nil {
+	if err := d.checkDims(p); err != nil {
 		return err
 	}
-	defer dec.Release()
-	dec.Float64sInto(p.Data)
-	return dec.Err()
+	dec, err := d.client.Call(ctx, d.ref, "readArray", indexArgs(index))
+	return arrayPageReply(dec, err, p)
 }
 
 // ReadPageAsync begins an array page read; decode into a page with
 // DecodeArrayPage.
 func (d *ArrayDevice) ReadPageAsync(ctx context.Context, index int) *rmi.Future {
-	return d.client.CallAsync(ctx, d.ref, "readArray", func(e *wire.Encoder) error {
-		e.PutInt(index)
-		return nil
-	})
+	return d.client.CallAsync(ctx, d.ref, "readArray", indexArgs(index))
 }
 
 // DecodeArrayPage fills p from a completed ReadPageAsync future.
 func DecodeArrayPage(ctx context.Context, fut *rmi.Future, p *ArrayPage) error {
 	dec, err := fut.Wait(ctx)
-	if err != nil {
-		return err
+	return arrayPageReply(dec, err, p)
+}
+
+func writePageArgs(p *ArrayPage, index int) rmi.ArgEncoder {
+	return func(e *wire.Encoder) error {
+		e.PutInt(index)
+		e.PutFloat64s(p.Data)
+		return nil
 	}
-	defer dec.Release()
-	dec.Float64sInto(p.Data)
-	return dec.Err()
 }
 
 // WritePage stores p at page index.
 func (d *ArrayDevice) WritePage(ctx context.Context, p *ArrayPage, index int) error {
-	if p.N1 != d.n1 || p.N2 != d.n2 || p.N3 != d.n3 {
-		return fmt.Errorf("pagedev: page dims %dx%dx%d, device dims %dx%dx%d",
-			p.N1, p.N2, p.N3, d.n1, d.n2, d.n3)
+	if err := d.checkDims(p); err != nil {
+		return err
 	}
-	dec, err := d.client.Call(ctx, d.ref, "writeArray", func(e *wire.Encoder) error {
-		e.PutInt(index)
-		e.PutFloat64s(p.Data)
-		return nil
-	})
-	dec.Release()
-	return err
+	return voidReply(d.client.Call(ctx, d.ref, "writeArray", writePageArgs(p, index)))
 }
 
 // WritePageAsync begins an array page write.
 func (d *ArrayDevice) WritePageAsync(ctx context.Context, p *ArrayPage, index int) *rmi.Future {
-	return d.client.CallAsync(ctx, d.ref, "writeArray", func(e *wire.Encoder) error {
+	return d.client.CallAsync(ctx, d.ref, "writeArray", writePageArgs(p, index))
+}
+
+func fillPageArgs(index int, v float64) rmi.ArgEncoder {
+	return func(e *wire.Encoder) error {
 		e.PutInt(index)
-		e.PutFloat64s(p.Data)
+		e.PutFloat64(v)
 		return nil
-	})
+	}
 }
 
 // FillPage sets every element of page index to v, remotely.
 func (d *ArrayDevice) FillPage(ctx context.Context, index int, v float64) error {
-	dec, err := d.client.Call(ctx, d.ref, "fillPage", func(e *wire.Encoder) error {
-		e.PutInt(index)
-		e.PutFloat64(v)
-		return nil
-	})
-	dec.Release()
-	return err
+	return voidReply(d.client.Call(ctx, d.ref, "fillPage", fillPageArgs(index, v)))
 }
 
 // FillPageAsync begins a remote page fill.
 func (d *ArrayDevice) FillPageAsync(ctx context.Context, index int, v float64) *rmi.Future {
-	return d.client.CallAsync(ctx, d.ref, "fillPage", func(e *wire.Encoder) error {
-		e.PutInt(index)
-		e.PutFloat64(v)
-		return nil
-	})
+	return d.client.CallAsync(ctx, d.ref, "fillPage", fillPageArgs(index, v))
 }
 
 // SubBox identifies a region inside a page, in local page coordinates:
@@ -411,9 +394,4 @@ func (d *ArrayDevice) WriteSubAsync(ctx context.Context, index int, box SubBox, 
 		}
 		return nil
 	})
-}
-
-// WriteSub is the synchronous WriteSubAsync.
-func (d *ArrayDevice) WriteSub(ctx context.Context, index int, box SubBox, vals []float64) error {
-	return d.WriteSubAsync(ctx, index, box, vals).Err(ctx)
 }

@@ -631,39 +631,46 @@ func (c *Client) CallArgs(ctx context.Context, ref Ref, method string, args ...a
 	return d.Anys()
 }
 
-// Delete destroys a remote object: queued calls complete, the destructor
-// runs, the process terminates (§2).
-func (c *Client) Delete(ctx context.Context, ref Ref, opts ...CallOption) error {
-	o := resolveOptions(opts)
-	if ref.IsNil() {
-		return fmt.Errorf("rmi: delete of nil ref")
-	}
+// control begins a runtime operation — one addressed to a machine or, by
+// its id, to an object, not to a method — and returns fut, failed
+// already if the request could not be sent. Control operations ride
+// PrioHigh unless o says otherwise.
+func (c *Client) control(ctx context.Context, fut *Future, o *callOptions, op uint64, operands ...uint64) *Future {
 	e := wire.GetEncoder(16)
 	reqID := c.nextID.Add(1)
 	e.PutByte(byte(o.priority(PrioHigh)))
 	e.PutUvarint(reqID)
-	e.PutUvarint(opDelete)
-	e.PutUvarint(ref.Object)
-	fut := newFuture(ref.Machine, ref.Class, "~", o.label)
-	if err := c.send(ctx, ref.Machine, reqID, e, fut, &o); err != nil {
-		return err
+	e.PutUvarint(op)
+	for _, x := range operands {
+		e.PutUvarint(x)
 	}
-	return fut.Err(ctx)
+	if err := c.send(ctx, fut.machine, reqID, e, fut, o); err != nil {
+		fut.fail(err)
+	}
+	return fut
+}
+
+// Delete destroys a remote object: queued calls complete, the destructor
+// runs, the process terminates (§2).
+func (c *Client) Delete(ctx context.Context, ref Ref, opts ...CallOption) error {
+	return c.deleteAsync(ctx, ref, opts...).Err(ctx)
+}
+
+// deleteAsync begins a Delete (DeleteRefs pipelines them).
+func (c *Client) deleteAsync(ctx context.Context, ref Ref, opts ...CallOption) *Future {
+	o := resolveOptions(opts)
+	fut := newFuture(ref.Machine, ref.Class, "~", o.label)
+	if ref.IsNil() {
+		fut.fail(fmt.Errorf("rmi: delete of nil ref"))
+		return fut
+	}
+	return c.control(ctx, fut, &o, opDelete, ref.Object)
 }
 
 // Ping round-trips an empty frame to machine m.
 func (c *Client) Ping(ctx context.Context, m int, opts ...CallOption) error {
 	o := resolveOptions(opts)
-	e := wire.GetEncoder(16)
-	reqID := c.nextID.Add(1)
-	e.PutByte(byte(o.priority(PrioHigh)))
-	e.PutUvarint(reqID)
-	e.PutUvarint(opPing)
-	fut := newFuture(m, "", "", o.label)
-	if err := c.send(ctx, m, reqID, e, fut, &o); err != nil {
-		return err
-	}
-	return fut.Err(ctx)
+	return c.control(ctx, newFuture(m, "", "", o.label), &o, opPing).Err(ctx)
 }
 
 // PingObject sends the built-in no-op through an object's mailbox; its
@@ -676,16 +683,7 @@ func (c *Client) PingObject(ctx context.Context, ref Ref) error {
 
 // Stat returns (live, total) object counts for machine m.
 func (c *Client) Stat(ctx context.Context, m int) (live, total uint64, err error) {
-	var o callOptions
-	e := wire.GetEncoder(16)
-	reqID := c.nextID.Add(1)
-	e.PutByte(byte(PrioHigh))
-	e.PutUvarint(reqID)
-	e.PutUvarint(opStat)
-	fut := newFuture(m, "", "", "")
-	if err := c.send(ctx, m, reqID, e, fut, &o); err != nil {
-		return 0, 0, err
-	}
+	fut := c.control(ctx, newFuture(m, "", "", ""), &callOptions{}, opStat)
 	d, err := fut.Wait(ctx)
 	if err != nil {
 		return 0, 0, err
@@ -702,16 +700,7 @@ func (c *Client) Stat(ctx context.Context, m int) (live, total uint64, err error
 // bypasses admission control on the server — a debug plane that goes
 // dark under overload would be useless exactly when it matters.
 func (c *Client) Debug(ctx context.Context, m int) ([]byte, error) {
-	var o callOptions
-	e := wire.GetEncoder(16)
-	reqID := c.nextID.Add(1)
-	e.PutByte(byte(PrioHigh))
-	e.PutUvarint(reqID)
-	e.PutUvarint(opDebug)
-	fut := newFuture(m, "", "", "")
-	if err := c.send(ctx, m, reqID, e, fut, &o); err != nil {
-		return nil, err
-	}
+	fut := c.control(ctx, newFuture(m, "", "", ""), &callOptions{}, opDebug)
 	d, err := fut.Wait(ctx)
 	if err != nil {
 		return nil, err

@@ -98,6 +98,16 @@
 // member operations concurrently through the async lanes with a bounded
 // in-flight window (DefaultWindow) and report errors.Join of all member
 // failures, each wrapped in a MemberError carrying the member index.
+//
+// Under FanOut sits SplitLoop, the paper's §4 transformation as a
+// function: issue(i) runs in index order while fewer than window futures
+// are outstanding, settle(i, f) consumes them in index order, and a
+// settle error stops issuing and drains every outstanding future.
+// Window 1 is the sequential §2 loop. FanOut is SplitLoop with a settle
+// that records member failures and never stops; every element transfer
+// of core.Array is SplitLoop at the array's window. How a client bounds
+// and settles outstanding requests is decided there and nowhere else.
+//
 // Typed code should prefer internal/collection's Collection[T], built on
 // the same engine. The migration is mechanical:
 //

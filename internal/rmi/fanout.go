@@ -10,15 +10,15 @@ import (
 )
 
 // This file is the collective fan-out engine: one windowed, concurrent
-// issue/collect loop shared by every aggregate surface in the repo —
-// the untyped Group adapter in this package and the typed Collection[T]
-// in internal/collection are both thin skins over it.
+// issue/settle loop (SplitLoop) shared by every aggregate surface in the
+// repo — the untyped Group adapter in this package and the typed
+// Collection[T] in internal/collection are both thin skins over FanOut,
+// and core.Array's element transfers call SplitLoop directly.
 //
 // Two properties define a collective here:
 //
 //   - Concurrency with a bounded window. Member calls are issued through
-//     the async lanes with at most `window` requests in flight (the same
-//     pipelining discipline as core.Array's DefaultWindow), so a
+//     the async lanes with at most `window` requests in flight, so a
 //     broadcast over N members completes in ~max(member latency), not
 //     the sum, without unbounded client buffering.
 //   - Total error reporting. A collective attempts every member and
@@ -61,6 +61,40 @@ func normWindow(w int) int {
 	return w
 }
 
+// SplitLoop is the paper's §4 transformation as a function: a loop of n
+// remote calls split into a send loop and a receive loop. issue(i)
+// starts call i, in index order, while fewer than window futures are
+// outstanding; settle(i, f) consumes call i's future — wait, decode,
+// release — also in index order (nil: wait, release, return the call's
+// error). The first settle error stops issuing, drains every future
+// still outstanding (no pending call leaks) and is returned; a settle
+// that records failures and returns nil attempts all n calls.
+//
+// window = 1 is the sequential §2 form; window < 1 means DefaultWindow.
+// How a client bounds and settles outstanding requests is decided here
+// and nowhere else: FanOut and every core.Array transfer run on it.
+func SplitLoop(ctx context.Context, n, window int, issue func(i int) *Future, settle func(i int, f *Future) error) error {
+	window = min(normWindow(window), n)
+	if settle == nil {
+		settle = func(_ int, f *Future) error { return f.Err(ctx) }
+	}
+	futs := make([]*Future, window) // ring: call i lives in slot i%window
+	issued := 0
+	for done := 0; done < n; done++ {
+		for issued < n && issued < done+window {
+			futs[issued%window] = issue(issued)
+			issued++
+		}
+		if err := settle(done, futs[done%window]); err != nil {
+			for i := done + 1; i < issued; i++ {
+				_ = futs[i%window].Err(ctx)
+			}
+			return err
+		}
+	}
+	return nil
+}
+
 // FanOut invokes method on every ref concurrently with at most window
 // requests in flight, collecting responses in member order. args (may be
 // nil) encodes member i's arguments; collect (may be nil) decodes member
@@ -71,35 +105,31 @@ func normWindow(w int) int {
 // errors.Join of one MemberError per failed member (nil if all
 // succeeded).
 func FanOut(ctx context.Context, client *Client, refs []Ref, method string, args func(i int, e *wire.Encoder) error, collect func(i int, d *wire.Decoder) error, window int, opts ...CallOption) error {
-	window = normWindow(window)
-	n := len(refs)
-	futs := make([]*Future, n)
+	return joinLoop(ctx, refs, method, window, func(i int) *Future {
+		var enc ArgEncoder
+		if args != nil {
+			enc = func(e *wire.Encoder) error { return args(i, e) }
+		}
+		return client.CallAsync(ctx, refs[i], method, enc, opts...)
+	}, collect)
+}
+
+// joinLoop is SplitLoop for collectives: a member's failure (of its
+// call, or of collect on its reply) never stops the loop, and all of them
+// come back joined, each a MemberError naming op.
+func joinLoop(ctx context.Context, refs []Ref, op string, window int, issue func(i int) *Future, collect func(i int, d *wire.Decoder) error) error {
 	var errs []error
-	issued := 0
-	for done := 0; done < n; done++ {
-		for issued < n && issued < done+window {
-			i := issued
-			var enc ArgEncoder
-			if args != nil {
-				enc = func(e *wire.Encoder) error { return args(i, e) }
-			}
-			futs[i] = client.CallAsync(ctx, refs[i], method, enc, opts...)
-			issued++
+	_ = SplitLoop(ctx, len(refs), window, issue, func(i int, f *Future) error {
+		d, err := f.Wait(ctx)
+		if err == nil && collect != nil {
+			err = collect(i, d)
 		}
-		d, err := futs[done].Wait(ctx)
+		f.Release()
 		if err != nil {
-			errs = append(errs, memberErr(done, refs[done].Machine, method, err))
-			futs[done] = nil
-			continue
+			errs = append(errs, memberErr(i, refs[i].Machine, op, err))
 		}
-		if collect != nil {
-			if err := collect(done, d); err != nil {
-				errs = append(errs, memberErr(done, refs[done].Machine, method, err))
-			}
-		}
-		futs[done].Release()
-		futs[done] = nil
-	}
+		return nil
+	})
 	return errors.Join(errs...)
 }
 
@@ -222,26 +252,5 @@ func BarrierRefs(ctx context.Context, client *Client, refs []Ref, window int) er
 // DeleteRefs destroys every member concurrently (bounded by window) and
 // returns errors.Join of the per-member failures.
 func DeleteRefs(ctx context.Context, client *Client, refs []Ref, window int) error {
-	window = normWindow(window)
-	if window > len(refs) {
-		window = len(refs)
-	}
-	if window < 1 {
-		return nil
-	}
-	sem := make(chan struct{}, window)
-	errSlots := make([]error, len(refs))
-	for i, r := range refs {
-		sem <- struct{}{}
-		go func(i int, r Ref) {
-			defer func() { <-sem }()
-			if err := client.Delete(ctx, r); err != nil {
-				errSlots[i] = memberErr(i, r.Machine, "delete", err)
-			}
-		}(i, r)
-	}
-	for i := 0; i < cap(sem); i++ {
-		sem <- struct{}{}
-	}
-	return errors.Join(errSlots...)
+	return joinLoop(ctx, refs, "delete", window, func(i int) *Future { return client.deleteAsync(ctx, refs[i]) }, nil)
 }

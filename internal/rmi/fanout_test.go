@@ -200,3 +200,95 @@ func TestSpawnRefsWindowed(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitLoop pins the one windowed issue/settle loop every fan-out
+// and every core.Array transfer runs on. Call 0 of each row blocks its
+// object's serial mailbox until settle(0) releases it, so nothing
+// completes during the first burst: the in-flight count seen at each
+// issue is exact, not timing-dependent.
+func TestSplitLoop(t *testing.T) {
+	errAbort := errors.New("settle says stop")
+	for _, row := range []struct {
+		name            string
+		n, window, burn int // burn: the size of the first burst, min(n, effective window)
+		abortAt         int // settle(abortAt) fails; -1 never
+	}{
+		{"empty", 0, 4, 0, -1},
+		{"sequential", 5, 1, 1, -1},
+		{"windowed", 20, 4, 4, -1},
+		{"window wider than n", 3, 8, 3, -1},
+		{"window < 1 is DefaultWindow", DefaultWindow + 8, 0, DefaultWindow, -1},
+		{"abort drains", 20, 8, 8, 5},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			nodes, stop := startCluster(t, transport.NewInproc(transport.LinkModel{}), 2)
+			defer stop()
+			c := nodes[0].client
+			ref, err := c.New(bg, 1, "test.Slowpoke", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			issued, settled := 0, 0
+			err = SplitLoop(bg, row.n, row.window,
+				func(i int) *Future {
+					if i != issued {
+						t.Errorf("issue(%d) after %d issues", i, issued)
+					}
+					out := c.InFlight()
+					if out >= row.burn {
+						t.Errorf("issue(%d) with %d outstanding, window %d", i, out, row.burn)
+					}
+					if i < row.burn && out != i {
+						t.Errorf("first burst: issue(%d) saw %d outstanding", i, out)
+					}
+					issued++
+					if i == 0 {
+						return c.CallAsync(bg, ref, "block", nil)
+					}
+					return c.CallAsync(bg, ref, "sleep", func(e *wire.Encoder) error {
+						e.PutInt(2)
+						return nil
+					})
+				},
+				func(i int, f *Future) error {
+					if i != settled {
+						t.Errorf("settle(%d) after %d settles", i, settled)
+					}
+					settled++
+					if i == 0 {
+						if issued != row.burn {
+							t.Errorf("settle(0) after %d issues, want the whole first burst of %d", issued, row.burn)
+						}
+						if d, err := c.Call(bg, ref, "unblock", nil); err != nil {
+							t.Errorf("unblock: %v", err)
+						} else {
+							d.Release()
+						}
+					}
+					if err := f.Err(bg); err != nil {
+						t.Errorf("call %d: %v", i, err)
+					}
+					if i == row.abortAt {
+						return errAbort
+					}
+					return nil
+				})
+			wantIssued, wantSettled := row.n, row.n
+			var wantErr error
+			if row.abortAt >= 0 {
+				// Everything the window let out before the failing settle, and
+				// not one call more; nothing settled past the failure.
+				wantIssued, wantSettled, wantErr = row.abortAt+row.burn, row.abortAt+1, errAbort
+			}
+			if err != wantErr || issued != wantIssued || settled != wantSettled {
+				t.Errorf("err %v, %d issued, %d settled; want %v, %d, %d", err, issued, settled, wantErr, wantIssued, wantSettled)
+			}
+			// The calls behind an aborting settle are still queued on the
+			// object when it fails (2 ms each, one mailbox): only a drain
+			// leaves none pending.
+			if out := c.InFlight(); out != 0 {
+				t.Errorf("%d calls left pending", out)
+			}
+		})
+	}
+}
