@@ -416,11 +416,11 @@ func BenchmarkE9_Barrier(b *testing.B) {
 			for i := range ms {
 				ms[i] = i % hosts
 			}
-			g, err := rmi.SpawnGroup(bg, client, ms, exp.ClassEcho, nil)
+			g, err := collection.SpawnNamed[any](bg, client, collection.OnMachines(ms...), exp.ClassEcho, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer g.Delete(bg)
+			defer g.Destroy(bg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := g.Barrier(bg); err != nil {
@@ -673,7 +673,7 @@ func BenchmarkE14_ServingTier(b *testing.B) {
 }
 
 // BenchmarkE12_Collective — §4: collective broadcast/reduce over a typed
-// Collection vs the sequential member-by-member Group.Call baseline. The
+// Collection vs the sequential member-by-member baseline. The
 // broadcast should cost ~one round trip regardless of member count (up
 // to the window); sequential costs one per member.
 func BenchmarkE12_Collective(b *testing.B) {
@@ -685,11 +685,14 @@ func BenchmarkE12_Collective(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		g := rmi.NewGroup(client, coll.Refs())
 		b.Run(fmt.Sprintf("seq/members=%d", size), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := g.Call(bg, "noop", nil); err != nil {
+				if err := coll.ForEach(func(m collection.Member) error {
+					d, err := client.Call(bg, m.Ref, "noop", nil)
+					d.Release()
+					return err
+				}); err != nil {
 					b.Fatal(err)
 				}
 			}

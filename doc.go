@@ -78,9 +78,10 @@
 // Views (Slice, OnMachine) are sub-collections sharing the same remote
 // objects; MapIndexed runs per-member work concurrently with the
 // member's index and owning machine in hand (owner-computes iteration).
-// The untyped Group remains as a thin adapter over the same engine; see
-// the migration table in the rmi package doc. examples/collection runs
-// a distributed histogram end to end on this surface.
+// AttachCollection wraps remote pointers obtained elsewhere; the untyped
+// Group is gone (the rmi package doc keeps its migration table).
+// examples/collection runs a distributed histogram end to end on this
+// surface.
 //
 // # Owner-computes kernels
 //
@@ -95,6 +96,22 @@
 // for reductions only a fixed-width (count, accumulator) partial
 // returns, merged client-side in device order. Compute cost therefore
 // scales with aggregate device CPU, not with the client's link.
+//
+// Inside the device the kernel runs on the page itself. A device whose
+// pages sit in this process's memory (every DiskPrivate device, every
+// in-memory machine disk) hands each method a []float64 view of the
+// resident page: nothing is loaded, converted or stored back. A
+// per-device page lock stands where the copies used to: write-held for
+// one page's stage chain, read-held while a peer's pull copies a region
+// out, so a reader outside the device's mailbox sees each page wholly
+// before or wholly after a chain, never torn. The disk model is charged
+// per access exactly as for a copy (seek + bytes/bandwidth, operation
+// counts); only the memcpy is gone. A device on a file-backed disk, or
+// one delegating to another PageDevice process, runs the same methods on
+// a pooled copy of the page. Because mutation is in place, a method
+// gathers everything that can fail or wait — operand pulls, frame
+// decoding, the fence scan — before it enters a page: a call that fails
+// there has changed nothing on that page.
 //
 // There is ONE engine behind all of it. Every collective is a stage
 // chain — Fill, Scale, Sum, Dot, Axpy and the user-kernel entry points
@@ -159,15 +176,15 @@
 //
 // Each kernel collective costs one fan-out round and one page pass per
 // stage: chain Scale, then Axpy, then Sum and every device pays three
-// RMI round-trips and loads and stores every page three times. A
+// RMI round-trips and sweeps every page three times. A
 // Pipeline fuses the chain. Register an ordered stage list once — each
 // stage names an already-registered Map, Binary, Reduce or BinaryReduce
 // kernel; the name lives client-side, the chain itself travels inline
 // — and Array.ApplyPipeline ships the whole chain in ONE batched RMI per
-// involved device; the device loads each page region once, walks the
-// stages in order while the data sits in the page buffer, and stores
-// once. Stage parameters travel out, fixed-width reduce partials travel
-// back, element data never moves.
+// involved device; the device enters each page region once and walks
+// the stages in order over the page's own memory. Stage parameters
+// travel out, fixed-width reduce partials travel back, element data
+// never moves.
 //
 //	oopp.RegisterPipeline("app.scaled-dot-step", oopp.Pipeline{Stages: []oopp.PipelineStage{
 //	        oopp.MapStage(oopp.KernelScale),    // u *= p
@@ -183,13 +200,14 @@
 // chain order to each region, with the same row arithmetic the
 // standalone collectives use, so the outcome is bitwise-identical to
 // issuing the stages as separate Apply/ApplyBinary/Reduce calls — the
-// chain just stays resident between stages. The engine is
-// read-modify-write: pages load before the first stage touches them and
-// partial-page regions only write back the sub-box rows. The one
-// special case is a chain whose FIRST stage is an overwriting map
-// (Fill): whole-page regions then skip the load, exactly as Fill alone
-// does; an overwriting stage later in the chain gains nothing, since
-// the page is already resident. Under a replicated map, mutating stages
+// chain just stays on the page between stages. A two-operand stage's
+// operand is the peer's page as stored when the region's chain starts
+// (all of a region's operands are pulled before its page is entered),
+// also when the peer page is the target itself. A region is charged one
+// page read and, if the chain mutates, one page write; the one special
+// case is a chain whose FIRST stage is an overwriting map (Fill):
+// whole-page regions are then charged no read, exactly as Fill alone
+// is. Under a replicated map, mutating stages
 // fan to every replica (the deterministic chain keeps replica banks
 // bitwise identical), while each page's reduce stages fold on exactly
 // one live replica — so replication never double-counts a partial, and
@@ -235,7 +253,12 @@
 //	fut.Wait() / fut.Err()                    fut.Wait(ctx) / fut.Err(ctx)
 //	oopp.WaitAll(futs)                        oopp.WaitAll(ctx, futs)
 //	oopp.NewDevice(client, ...)               oopp.NewDevice(ctx, client, ...)
-//	oopp.SpawnGroup(client, ms, "cls", f)     oopp.SpawnClass(ctx, client, oopp.OnMachines(ms...), class, f)
+//	SpawnGroup(client, ms, "cls", f)          oopp.SpawnClass(ctx, client, oopp.OnMachines(ms...), class, f)
+//	NewGroup(client, refs)                    oopp.AttachCollection[T](client, refs)
+//	g.CallParallel(ctx, "m", enc)             coll.Broadcast(ctx, "m", enc)
+//	g.CallParallelResults(ctx, "m", enc, f)   coll.CallAll(ctx, "m", enc, f)
+//	g.Call(ctx, "m", enc)  // one at a time   coll.ForEach + client.Call, or coll.SetWindow(1)
+//	g.Barrier(ctx) / g.Delete(ctx)            coll.Barrier(ctx) / coll.Destroy(ctx)
 //	rmi.Register(name, ctor) + obj.(*T)       rmi.RegisterClass(name, typedCtor)  // no asserts
 //
 // # Performance & buffer ownership
@@ -516,9 +539,9 @@
 //
 //   - Cluster, Machine: the simulated multicomputer (in-process transport
 //     with an optional latency/bandwidth link model, or real TCP).
-//   - Client, Ref, Future, TypedFuture, Group, CallOption: the RMI
-//     runtime — remote new, remote method execution, typed futures,
-//     object groups with barriers, per-call policy.
+//   - Client, Ref, Future, TypedFuture, CallOption: the RMI runtime —
+//     remote new, remote method execution, typed futures, per-call
+//     policy.
 //   - Collection, Member, Distribution, Spawn/SpawnClass, Reduce,
 //     MapIndexed: typed distributed collections with concurrent
 //     collectives and combining reductions.

@@ -91,11 +91,11 @@ func main() {
 	for i := range machines {
 		machines[i] = i
 	}
-	group, err := mapperClass.SpawnGroup(ctx, client, machines, nil)
+	group, err := oopp.SpawnClass(ctx, client, oopp.OnMachines(machines...), mapperClass, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer group.Delete(ctx)
+	defer group.Destroy(ctx)
 
 	// Shard the corpus and scatter shards round-robin with async remote
 	// calls — the map phase.
@@ -106,7 +106,7 @@ func main() {
 		lo := i * shardSize
 		hi := min(len(words), lo+shardSize)
 		shard := strings.Join(words[lo:hi], " ")
-		futs = append(futs, client.CallAsync(ctx, group.Member(i), "mapShard", func(e *oopp.Encoder) error {
+		futs = append(futs, client.CallAsync(ctx, group.Ref(i), "mapShard", func(e *oopp.Encoder) error {
 			e.PutString(shard)
 			return nil
 		}))
@@ -118,7 +118,7 @@ func main() {
 	// Typed invocation: each mapper reports how many shards it processed,
 	// decoded straight into an int.
 	for i := 0; i < mappers; i++ {
-		n, err := oopp.Invoke[int](ctx, client, group.Member(i), "shards")
+		n, err := oopp.Invoke[int](ctx, client, group.Ref(i), "shards")
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func main() {
 
 	// Reduce: collect every mapper's table and merge.
 	total := make(map[string]int)
-	if err := group.CallParallelResults(ctx, "emit", nil, func(i int, d *oopp.Decoder) error {
+	if err := group.CallAll(ctx, "emit", nil, func(_ oopp.Member, d *oopp.Decoder) error {
 		n := d.Uvarint()
 		for j := uint64(0); j < n; j++ {
 			w := d.String()

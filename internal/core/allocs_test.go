@@ -1,0 +1,55 @@
+package core_test
+
+import (
+	"testing"
+
+	"oopp/internal/core"
+)
+
+// TestCollectiveAllocs pins the fixed cost of a small collective: a
+// 2-page Sum (one reduce stage) and a 2-page Axpy (one two-operand
+// stage, co-located operand) on one device, client and device side
+// together — AllocsPerRun counts the whole process. The ceilings are the
+// measured counts plus slack for the runtime's own occasional
+// allocations; per-batch garbage in the device engine (index slices,
+// request literals, a page of bytes per pull) shows up here first.
+func TestCollectiveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	a, b, done := buildPair(t, 1, 32, 16)
+	defer done()
+	vals := make([]float64, 32*32*32)
+	for i := range vals {
+		vals[i] = float64(i % 7)
+	}
+	for _, arr := range []*core.Array{a, b} {
+		if err := arr.Write(bg, vals, arr.Bounds()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dom := core.NewDomain(0, 16, 0, 16, 0, 32)
+	sum := testing.AllocsPerRun(200, func() {
+		if _, err := a.Sum(bg, dom); err != nil {
+			t.Fatal(err)
+		}
+	})
+	axpy := testing.AllocsPerRun(200, func() {
+		if err := a.Axpy(bg, 1, b, dom); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs per 2-page collective: Sum %.0f, Axpy %.0f", sum, axpy)
+	if sum > maxSumAllocs || axpy > maxAxpyAllocs {
+		t.Errorf("allocs per 2-page collective: Sum %.0f (max %d), Axpy %.0f (max %d)", sum, maxSumAllocs, axpy, maxAxpyAllocs)
+	}
+}
+
+// Measured 29 and 31 (before the device stopped allocating an index
+// slice per batch and request literals plus a page of bytes per operand
+// pull: 29 and 41). Of Sum's 29 the device's share is 5 — the decoded
+// batch and its partial; the rest is the client's plan and fan-out.
+const (
+	maxSumAllocs  = 32
+	maxAxpyAllocs = 34
+)

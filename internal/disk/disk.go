@@ -17,6 +17,15 @@
 //
 // Backing storage is either memory (default; keeps tests hermetic) or a
 // real file on the host filesystem.
+//
+// A memory-backed disk can also be used in place: Resident hands out its
+// live bytes, and ChargeRead/ChargeWrite hold the device and count the
+// operation exactly as ReadAt/WriteAt of the same range would — lock,
+// closed and bounds checks, modeled Seek + n/Bandwidth, Ops() and the
+// metrics Disk* counters — while moving no byte: only the memcpy is
+// gone. The disk does not guard the contents of Resident bytes; whoever
+// holds them synchronizes their readers and writers (pagedev keeps a
+// lock beside them). A file-backed disk has no resident bytes.
 package disk
 
 import (
@@ -24,6 +33,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"oopp/internal/metrics"
@@ -83,13 +93,7 @@ type Disk struct {
 	backing Backing
 	closed  bool
 
-	ops atomic64Pair // reads, writes (for per-disk contention accounting)
-}
-
-type atomic64Pair struct {
-	mu     sync.Mutex
-	reads  int64
-	writes int64
+	reads, writes atomic.Int64 // lifetime operations, for Ops
 }
 
 // ErrClosed is returned by operations on a closed disk.
@@ -164,60 +168,69 @@ func (d *Disk) Model() Model { return d.model }
 
 // ReadAt reads len(p) bytes at offset off, holding the device for the
 // modeled duration.
-func (d *Disk) ReadAt(p []byte, off int64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if off < 0 || off+int64(len(p)) > d.backing.Size() {
-		return fmt.Errorf("%w: read [%d,%d) of %d", ErrOutOfRange, off, off+int64(len(p)), d.backing.Size())
-	}
-	if !d.model.IsZero() {
-		simtime.Sleep(d.model.ReadTime(len(p)))
-	}
-	if err := d.backing.ReadAt(p, off); err != nil {
-		return err
-	}
-	d.ops.mu.Lock()
-	d.ops.reads++
-	d.ops.mu.Unlock()
-	d.counter.DiskReads.Add(1)
-	d.counter.DiskBytesRead.Add(int64(len(p)))
-	return nil
-}
+func (d *Disk) ReadAt(p []byte, off int64) error { return d.op(p, off, len(p), false) }
 
 // WriteAt writes len(p) bytes at offset off, holding the device for the
 // modeled duration.
-func (d *Disk) WriteAt(p []byte, off int64) error {
+func (d *Disk) WriteAt(p []byte, off int64) error { return d.op(p, off, len(p), true) }
+
+// ChargeRead holds the device and counts an n-byte read at off as ReadAt
+// would, moving nothing: the caller reads the Resident bytes itself.
+func (d *Disk) ChargeRead(off int64, n int) error { return d.op(nil, off, n, false) }
+
+// ChargeWrite holds the device and counts an n-byte write at off as
+// WriteAt would, moving nothing: the caller writes the Resident bytes
+// itself.
+func (d *Disk) ChargeWrite(off int64, n int) error { return d.op(nil, off, n, true) }
+
+// Resident returns the live bytes of a memory-backed disk — not a copy —
+// or nil for a file-backed or closed one. Nothing is charged; the bytes
+// stay valid (but detached) after Close.
+func (d *Disk) Resident() []byte {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if mem, ok := d.backing.(*memBacking); ok {
+		return mem.data
+	}
+	return nil
+}
+
+// op is every operation: n bytes at off, read or written, moved through
+// p unless p is nil (a charge for access in place).
+func (d *Disk) op(p []byte, off int64, n int, write bool) (err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return ErrClosed
 	}
-	if off < 0 || off+int64(len(p)) > d.backing.Size() {
-		return fmt.Errorf("%w: write [%d,%d) of %d", ErrOutOfRange, off, off+int64(len(p)), d.backing.Size())
+	if off < 0 || off+int64(n) > d.backing.Size() {
+		return fmt.Errorf("%w: [%d,%d) of %d", ErrOutOfRange, off, off+int64(n), d.backing.Size())
+	}
+	hold, ops, count, bytes := d.model.ReadTime(n), &d.reads, &d.counter.DiskReads, &d.counter.DiskBytesRead
+	if write {
+		hold, ops, count, bytes = d.model.WriteTime(n), &d.writes, &d.counter.DiskWrites, &d.counter.DiskBytesWrit
 	}
 	if !d.model.IsZero() {
-		simtime.Sleep(d.model.WriteTime(len(p)))
+		simtime.Sleep(hold)
 	}
-	if err := d.backing.WriteAt(p, off); err != nil {
+	switch {
+	case p == nil:
+	case write:
+		err = d.backing.WriteAt(p, off)
+	default:
+		err = d.backing.ReadAt(p, off)
+	}
+	if err != nil {
 		return err
 	}
-	d.ops.mu.Lock()
-	d.ops.writes++
-	d.ops.mu.Unlock()
-	d.counter.DiskWrites.Add(1)
-	d.counter.DiskBytesWrit.Add(int64(len(p)))
+	ops.Add(1)
+	count.Add(1)
+	bytes.Add(int64(n))
 	return nil
 }
 
 // Ops returns the lifetime (reads, writes) operation counts.
-func (d *Disk) Ops() (reads, writes int64) {
-	d.ops.mu.Lock()
-	defer d.ops.mu.Unlock()
-	return d.ops.reads, d.ops.writes
-}
+func (d *Disk) Ops() (reads, writes int64) { return d.reads.Load(), d.writes.Load() }
 
 // Close releases the backing store. Further operations fail.
 func (d *Disk) Close() error {

@@ -6,13 +6,12 @@ import (
 
 	"oopp/internal/cluster"
 	"oopp/internal/collection"
-	"oopp/internal/rmi"
 	"oopp/internal/transport"
 )
 
 // E12Collective — §4: a collection of N objects operated on collectively
 // should pay ~max(member latency) per collective, not the sum. The old
-// sequential Group.Call is the §2 baseline (one completed round trip per
+// sequential member-by-member loop is the §2 baseline (one completed round trip per
 // member before the next is issued); Collection.Broadcast issues the
 // member calls concurrently through the async lanes with a bounded
 // window, and Reduce adds client-side combining on top. Under the
@@ -41,8 +40,15 @@ func E12Collective(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The sequential baseline drives the very same member objects.
-		g := rmi.NewGroup(client, coll.Refs())
+		// The sequential baseline drives the very same member objects,
+		// one completed round trip after the other (§2 semantics).
+		seq := func() error {
+			return coll.ForEach(func(m collection.Member) error {
+				d, err := client.Call(bg, m.Ref, "noop", nil)
+				d.Release()
+				return err
+			})
+		}
 
 		measure := func(op func() error) (time.Duration, float64, error) {
 			for i := 0; i < 3; i++ {
@@ -61,7 +67,7 @@ func E12Collective(cfg Config) (*Table, error) {
 			return per, allocs, nil
 		}
 
-		seqPer, seqAllocs, err := measure(func() error { return g.Call(bg, "noop", nil) })
+		seqPer, seqAllocs, err := measure(seq)
 		if err != nil {
 			return nil, err
 		}

@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"oopp/internal/cluster"
+	"oopp/internal/collection"
 	"oopp/internal/mp"
 	"oopp/internal/rmem"
-	"oopp/internal/rmi"
 	"oopp/internal/transport"
 	"oopp/internal/wire"
 )
@@ -231,7 +231,7 @@ func E9Barrier(cfg Config) (*Table, error) {
 	iters := cfg.iters(50, 400)
 
 	for _, size := range []int{1, 2, 4, 8, 16, 32, 64} {
-		g, err := rmi.SpawnGroup(bg, client, machineList(size, machines), ClassEcho, nil)
+		g, err := collection.SpawnNamed[any](bg, client, collection.OnMachines(machineList(size, machines)...), ClassEcho, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -250,7 +250,7 @@ func E9Barrier(cfg Config) (*Table, error) {
 		per := time.Since(start) / time.Duration(iters)
 		t.AddRow(fmt.Sprintf("%d", size), usPrec(per),
 			fmt.Sprintf("%.2f", float64(per.Nanoseconds())/1e3/float64(size)))
-		if err := g.Delete(bg); err != nil {
+		if err := g.Destroy(bg); err != nil {
 			return nil, err
 		}
 	}

@@ -369,8 +369,11 @@ func E13OwnerComputes(cfg Config) (*Table, error) {
 	// And the point of the exercise: collapsing three latency-bound fan-
 	// out rounds into one must at least halve the per-iteration time at
 	// 8 devices (the modeled 20µs link makes the 3:1 round-trip ratio
-	// dominate the tiny per-stage math).
-	if fusTime*2 > unfTime {
+	// dominate the tiny per-stage math). Not under the race detector: its
+	// instrumentation makes the stage math — the same three passes in
+	// both schedules, now that neither pays page loads and stores — the
+	// larger share of an iteration, and the ratio measures the detector.
+	if !raceEnabled && fusTime*2 > unfTime {
 		return nil, fmt.Errorf("E13: fused chain %v/iter not ≥2x faster than unfused %v/iter", fusTime, unfTime)
 	}
 

@@ -43,11 +43,11 @@
 // Kernels never travel alone. The unit of execution is a [Pipeline]: an
 // ordered chain of [Stage] values, one [StageKind] per kernel shape
 // ([StageMap], [StageBinary], [StageReduce], [StageBinaryReduce]),
-// executed device-side as ONE page pass — each page region is loaded
-// once, every stage applied in order, and stored once, over one batched
+// executed device-side as ONE page pass — each page region is entered
+// once and every stage applied in order, in place, over one batched
 // RMI per device. Array.Apply/Reduce/ApplyBinary/ReduceBinary are
 // one-stage chains; a chain of k such calls costs k RMIs and k page
-// load+store cycles per device, where the fused chain costs one of each
+// passes per device, where the fused chain costs one of each
 // (operator-oriented composition; see the "Kernel pipeline" chapter in
 // the root package doc for client-side semantics).
 //

@@ -57,11 +57,11 @@ func BinaryReduceStage(name string) Stage { return Stage{Kind: StageBinaryReduce
 
 // Pipeline is the one shape every array collective travels in: an
 // ordered chain of stages executed device-side as ONE page pass — each
-// page region is loaded once, every stage applied to it in order, and
-// stored once — over one batched RMI per device. A one-stage chain is
+// page region is entered once and every stage applied to it in order,
+// in place — over one batched RMI per device. A one-stage chain is
 // Apply/Reduce/ApplyBinary/ReduceBinary; a longer one is a fused
 // pipeline, where the equivalent sequence of one-stage calls costs one
-// RMI and one page load+store per stage.
+// RMI and one page pass per stage.
 //
 // The chain crosses the wire inline (kind, kernel name, parameters per
 // stage) and the device resolves each stage in its kind's registry, so

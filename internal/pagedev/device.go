@@ -3,6 +3,7 @@ package pagedev
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"oopp/internal/disk"
@@ -24,28 +25,120 @@ const DiskPrivate = -1
 // (the §5 construct-from-process mode).
 const diskRemote = -2
 
-// backing abstracts where a device's pages physically live: a machine
-// disk, or another PageDevice process reached over RMI (the §5
-// construct-from-process use case).
+// access is what a method will do with a page it opens. It fixes what
+// the access is charged and which side of the page lock it takes.
+type access uint8
+
+const (
+	readOnly  access = iota // shared; one read charged, nothing stored
+	update                  // exclusive read-modify-write; one read and one write charged
+	overwrite               // exclusive, every element written before done; one write charged, contents on entry undefined
+)
+
+// backing is where a device's pages physically live: a machine disk, or
+// another PageDevice process reached over RMI (the §5 construct-from-
+// process use case). readPage/writePage copy a whole page out or in,
+// atomically with respect to each other. A store whose pages sit in this
+// process's memory additionally pins them for access in place; the two
+// kinds differ only here, behind the device's one accessor (withPage).
 type backing interface {
 	readPage(index int, dst []byte) error
 	writePage(index int, src []byte) error
+	// pin charges the access, locks page index for it and returns the
+	// page's own memory as float64s; unpin unlocks. A store without
+	// resident pages returns nil, nil and the caller copies instead.
+	pin(index int, how access) ([]float64, error)
+	unpin(how access)
 	close() error
 }
 
-// diskBacking stores pages on a disk.Disk from offset 0.
+// diskBacking stores pages on a disk.Disk from offset 0. Two devices
+// opened on one disk index therefore alias the same bytes; they never
+// were coherent with each other — no shared fence, counters or lock —
+// and the page lock below, one per device, does not make them so.
+//
+// On a memory-backed disk whose bytes can be viewed as float64s the
+// store is resident: methods compute on mem itself, and mu is what the
+// copies used to be — write-held for one page's mutation, read-held for
+// one page's read, so a reader outside the mailbox never sees a page
+// torn. mu is never held while another lock is taken or anything is
+// waited for: the disk is charged (its own lock, its modeled hold time)
+// before mu, and a holder only runs loops over memory.
 type diskBacking struct {
 	dsk      *disk.Disk
 	pageSize int
 	private  bool // device owns the disk and closes it on destroy
+
+	mu    sync.RWMutex
+	mem   []byte    // the device's pages, live; nil: not resident, every access copies
+	elems []float64 // mem as float64s
+}
+
+func newDiskBacking(dsk *disk.Disk, numPages, pageSize int, private bool) *diskBacking {
+	b := &diskBacking{dsk: dsk, pageSize: pageSize, private: private}
+	if mem := dsk.Resident(); mem != nil {
+		mem = mem[:numPages*pageSize]
+		if b.elems = f64view(mem); b.elems != nil {
+			b.mem = mem
+		}
+	}
+	return b
+}
+
+func (b *diskBacking) pin(index int, how access) ([]float64, error) {
+	if b.mem == nil {
+		return nil, nil
+	}
+	off := int64(index) * int64(b.pageSize)
+	if how != overwrite {
+		if err := b.dsk.ChargeRead(off, b.pageSize); err != nil {
+			return nil, err
+		}
+	}
+	if how == readOnly {
+		b.mu.RLock()
+	} else {
+		if err := b.dsk.ChargeWrite(off, b.pageSize); err != nil {
+			return nil, err
+		}
+		b.mu.Lock()
+	}
+	n := b.pageSize / 8
+	return b.elems[index*n : (index+1)*n : (index+1)*n], nil
+}
+
+func (b *diskBacking) unpin(how access) {
+	if how == readOnly {
+		b.mu.RUnlock()
+	} else {
+		b.mu.Unlock()
+	}
 }
 
 func (b *diskBacking) readPage(index int, dst []byte) error {
-	return b.dsk.ReadAt(dst, int64(index)*int64(b.pageSize))
+	off := int64(index) * int64(b.pageSize)
+	if b.mem == nil {
+		return b.dsk.ReadAt(dst, off)
+	}
+	if _, err := b.pin(index, readOnly); err != nil {
+		return err
+	}
+	copy(dst, b.mem[off:])
+	b.unpin(readOnly)
+	return nil
 }
 
 func (b *diskBacking) writePage(index int, src []byte) error {
-	return b.dsk.WriteAt(src, int64(index)*int64(b.pageSize))
+	off := int64(index) * int64(b.pageSize)
+	if b.mem == nil {
+		return b.dsk.WriteAt(src, off)
+	}
+	if _, err := b.pin(index, overwrite); err != nil {
+		return err
+	}
+	copy(b.mem[off:off+int64(b.pageSize)], src)
+	b.unpin(overwrite)
+	return nil
 }
 
 func (b *diskBacking) close() error {
@@ -95,13 +188,15 @@ func (b *remoteBacking) writePage(index int, src []byte) error {
 	return err
 }
 
-func (b *remoteBacking) close() error { return nil }
+func (b *remoteBacking) pin(int, access) ([]float64, error) { return nil, nil }
+func (b *remoteBacking) unpin(access)                       {}
+func (b *remoteBacking) close() error                       { return nil }
 
 // pageDevice is the server-side object: the storage process of §2. Its
-// methods run serially through the object mailbox, so the scratch buffer
-// needs no lock — the object is its process. The I/O counters are
-// atomic because the owner-computes halo-serving methods (readSubBatch)
-// run concurrently, outside the mailbox, with their own buffers.
+// methods run serially through the object mailbox — the object is its
+// process — except readSubBatch and co-located peers' pulls, which read
+// pages from outside it: hence the atomic I/O counters, the pooled copy
+// buffers, and a resident store's page lock (diskBacking).
 type pageDevice struct {
 	name      string
 	numPages  int
@@ -110,13 +205,27 @@ type pageDevice struct {
 	store     backing
 	reads     atomic.Int64
 	writes    atomic.Int64
-	scratch   []byte
+	bufs      sync.Pool // *pageBuf: what a store that is not resident copies pages through
 
 	// fence holds page indices mid-migration: mutators targeting a
 	// fenced page are refused typed (rmi.ErrFenced) so the caller can
 	// park and replay against the flipped map; reads are never fenced.
 	// Accessed only from serial mailbox methods — no lock (see fence.go).
 	fence map[int]struct{}
+}
+
+// pageBuf is one page outside its store: its bytes and, once an
+// ArrayPageDevice method has asked for them, its elements.
+type pageBuf struct {
+	bytes []byte
+	elems []float64
+}
+
+func (p *pageDevice) getBuf() *pageBuf {
+	if b, ok := p.bufs.Get().(*pageBuf); ok {
+		return b
+	}
+	return &pageBuf{bytes: make([]byte, p.pageSize)}
 }
 
 // base lets inherited method implementations reach the embedded
@@ -133,9 +242,9 @@ func (p *pageDevice) checkIndex(index int) error {
 	return nil
 }
 
-// readInto and write are safe for concurrent use (the backing store is
-// mutex-guarded, the counters atomic) provided dst/src are caller-owned
-// — the contract the concurrent halo-serving methods rely on.
+// readInto and write move one page of bytes out of or into the store:
+// the base class's protocol, copyFrom and persistence. Both are safe for
+// concurrent use provided dst/src are caller-owned.
 func (p *pageDevice) readInto(index int, dst []byte) error {
 	if err := p.checkIndex(index); err != nil {
 		return err
@@ -151,11 +260,9 @@ func (p *pageDevice) write(index int, src []byte) error {
 	if err := p.checkIndex(index); err != nil {
 		return err
 	}
-	// The single mutation choke point: every single-page mutator funnels
-	// through here, so the fence check is all-or-nothing for them (the
-	// method's element buffers may be dirty, but no page changed).
-	// Batched mutators additionally pre-scan (checkFenceBatch) before
-	// touching their first page.
+	// Every mutator checks the fence before its first store — here, or in
+	// withPage — so a refused single-page mutator has changed nothing;
+	// batched mutators pre-scan their whole region list besides.
 	if err := p.checkFence(index); err != nil {
 		return err
 	}
@@ -182,11 +289,7 @@ func newPageDevice(env *rmi.Env, name string, numPages, pageSize, diskIndex int)
 	need := int64(numPages) * int64(pageSize)
 	var store backing
 	if diskIndex == DiskPrivate {
-		store = &diskBacking{
-			dsk:      disk.NewMem(name, need, disk.Model{}),
-			pageSize: pageSize,
-			private:  true,
-		}
+		store = newDiskBacking(disk.NewMem(name, need, disk.Model{}), numPages, pageSize, true)
 	} else {
 		res, err := env.MustResource(fmt.Sprintf("disk/%d", diskIndex))
 		if err != nil {
@@ -199,7 +302,7 @@ func newPageDevice(env *rmi.Env, name string, numPages, pageSize, diskIndex int)
 		if dsk.Size() < need {
 			return nil, fmt.Errorf("pagedev: device %q needs %d bytes, disk/%d has %d", name, need, diskIndex, dsk.Size())
 		}
-		store = &diskBacking{dsk: dsk, pageSize: pageSize}
+		store = newDiskBacking(dsk, numPages, pageSize, false)
 	}
 	return &pageDevice{
 		name:      name,
@@ -207,7 +310,6 @@ func newPageDevice(env *rmi.Env, name string, numPages, pageSize, diskIndex int)
 		pageSize:  pageSize,
 		diskIndex: diskIndex,
 		store:     store,
-		scratch:   make([]byte, pageSize),
 	}, nil
 }
 
@@ -231,10 +333,12 @@ func registerBaseMethods(c *rmi.Class[baser]) *rmi.Class[baser] {
 			if err := args.Err(); err != nil {
 				return err
 			}
-			if err := p.readInto(index, p.scratch); err != nil {
+			buf := p.getBuf()
+			defer p.bufs.Put(buf)
+			if err := p.readInto(index, buf.bytes); err != nil {
 				return err
 			}
-			reply.PutBytes(p.scratch)
+			reply.PutBytes(buf.bytes)
 			return nil
 		}).
 		Method("numPages", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
@@ -271,11 +375,13 @@ func registerBaseMethods(c *rmi.Class[baser]) *rmi.Class[baser] {
 				return fmt.Errorf("pagedev: copyFrom %d pages into %d-page device", count, p.numPages)
 			}
 			rb := &remoteBacking{client: env.Client, ref: src}
+			buf := p.getBuf()
+			defer p.bufs.Put(buf)
 			for i := 0; i < count; i++ {
-				if err := rb.readPage(i, p.scratch); err != nil {
+				if err := rb.readPage(i, buf.bytes); err != nil {
 					return fmt.Errorf("pagedev: copyFrom page %d: %w", i, err)
 				}
-				if err := p.write(i, p.scratch); err != nil {
+				if err := p.write(i, buf.bytes); err != nil {
 					return err
 				}
 			}
@@ -337,7 +443,11 @@ var PageDeviceClass = registerFenceMethods(registerBaseMethods(rmi.RegisterClass
 type arrayPageDevice struct {
 	*pageDevice
 	n1, n2, n3 int
-	elems      []float64 // scratch decode buffer (serial methods, no lock)
+	// staged holds values a serial method has fetched or decoded but not
+	// yet stored: pulled operands and regions, a written page or box.
+	// They are gathered here first because gathering can fail and a page,
+	// once entered for writing, must not be left half-written.
+	staged []float64
 }
 
 // constructor modes for ArrayPageDevice (§3 fresh, §5 from-process).
@@ -372,11 +482,7 @@ func newArrayClass() *rmi.Class[*arrayPageDevice] {
 				if err != nil {
 					return nil, err
 				}
-				return &arrayPageDevice{
-					pageDevice: pd,
-					n1:         n1, n2: n2, n3: n3,
-					elems: make([]float64, n1*n2*n3),
-				}, nil
+				return &arrayPageDevice{pageDevice: pd, n1: n1, n2: n2, n3: n3}, nil
 			case ctorFromProcess:
 				// §5: ArrayPageDevice(PageDevice * page_device) — the new
 				// process co-exists with and delegates to the existing one.
@@ -399,13 +505,8 @@ func newArrayClass() *rmi.Class[*arrayPageDevice] {
 					pageSize:  pageSize,
 					diskIndex: diskRemote,
 					store:     &remoteBacking{client: env.Client, ref: src},
-					scratch:   make([]byte, pageSize),
 				}
-				return &arrayPageDevice{
-					pageDevice: pd,
-					n1:         n1, n2: n2, n3: n3,
-					elems: make([]float64, n1*n2*n3),
-				}, nil
+				return &arrayPageDevice{pageDevice: pd, n1: n1, n2: n2, n3: n3}, nil
 			default:
 				return nil, fmt.Errorf("pagedev: unknown constructor mode %d", mode)
 			}
@@ -418,34 +519,23 @@ func newArrayClass() *rmi.Class[*arrayPageDevice] {
 		if err := args.Err(); err != nil {
 			return err
 		}
-		if err := a.loadPage(index); err != nil {
-			return err
-		}
-		var s float64
-		for _, v := range a.elems {
-			s += v
-		}
-		reply.PutFloat64(s)
-		return nil
+		return a.withPage(index, readOnly, func(elems []float64) { reply.PutFloat64((&ArrayPage{Data: elems}).Sum()) })
 	})
 	c.Method("readArray", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		index := args.Int()
 		if err := args.Err(); err != nil {
 			return err
 		}
-		if err := a.loadPage(index); err != nil {
-			return err
-		}
-		reply.PutFloat64s(a.elems)
-		return nil
+		return a.withPage(index, readOnly, reply.PutFloat64s)
 	})
 	c.Method("writeArray", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		index := args.Int()
-		args.Float64sInto(a.elems)
+		vals := a.stage(a.n1 * a.n2 * a.n3)
+		args.Float64sInto(vals)
 		if err := args.Err(); err != nil {
 			return err
 		}
-		return a.storePage(index)
+		return a.withPage(index, overwrite, func(elems []float64) { copy(elems, vals) })
 	})
 	c.Method("fillPage", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		index := args.Int()
@@ -453,10 +543,7 @@ func newArrayClass() *rmi.Class[*arrayPageDevice] {
 		if err := args.Err(); err != nil {
 			return err
 		}
-		for i := range a.elems {
-			a.elems[i] = v
-		}
-		return a.storePage(index)
+		return a.withPage(index, overwrite, func(elems []float64) { (&ArrayPage{Data: elems}).Fill(v) })
 	})
 	// writeSub(index, lo3, dim3, rows...): overlay a sub-box with values
 	// that arrive row-packed, dim1*dim2 runs of dim3 float64s. A serial
@@ -464,21 +551,22 @@ func newArrayClass() *rmi.Class[*arrayPageDevice] {
 	// respect to every other method on the device — this is what lets
 	// multiple Array clients write disjoint regions of a shared page
 	// concurrently (§5) without lost updates, and it ships only the
-	// region instead of the whole page.
+	// region instead of the whole page. The rows are decoded before the
+	// page is opened: a truncated frame changes nothing.
 	c.Method("writeSub", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		index := args.Int()
 		lo, dim, err := a.decodeSubBox(args)
 		if err != nil {
 			return err
 		}
-		if err := a.loadPage(index); err != nil {
-			return err
+		rows := a.stage(dim[0] * dim[1] * dim[2])
+		for off := 0; off < len(rows); off += dim[2] {
+			args.Float64sInto(rows[off : off+dim[2]])
 		}
-		forEachRow(a.elems, a.n2, a.n3, lo, dim, func(row []float64) { args.Float64sInto(row) })
 		if err := args.Err(); err != nil {
 			return err
 		}
-		return a.storePage(index)
+		return a.withPage(index, update, func(elems []float64) { scatterRuns(elems, a.n2, a.n3, lo, dim, rows) })
 	})
 	registerTransferMethods(c)
 	registerPipelineMethod(c)
@@ -486,21 +574,72 @@ func newArrayClass() *rmi.Class[*arrayPageDevice] {
 	return c
 }
 
-// loadPage pulls page index into the scratch element buffer. Serial
-// methods only: it uses the object-owned buffers.
-func (a *arrayPageDevice) loadPage(index int) error {
-	if err := a.readInto(index, a.scratch); err != nil {
+// withPage is the device's one page accessor: every method that touches
+// an element does it inside fn, on page index as float64s — the store's
+// own memory under the page lock when the store is resident, a pooled
+// copy loaded before and stored after fn otherwise. fn may only read
+// (readOnly; safe outside the mailbox), may modify in place (update), or
+// must write every element (overwrite: not loaded, no read charged).
+//
+// Everything that can refuse the access — index and fence checks, the
+// disk's charges, a copy's load — happens before fn, and fn cannot fail:
+// what it stores in a resident page is stored for good. So a method
+// fetches operands, decodes frames and scans fences BEFORE withPage, and
+// fn must not wait or call withPage again.
+func (a *arrayPageDevice) withPage(index int, how access, fn func(elems []float64)) error {
+	if err := a.checkIndex(index); err != nil {
 		return err
 	}
-	return BytesToFloat64s(a.elems, a.scratch)
+	if how != readOnly {
+		if err := a.checkFence(index); err != nil {
+			return err
+		}
+	}
+	elems, err := a.store.pin(index, how)
+	if err != nil {
+		return err
+	}
+	if elems != nil {
+		if how != overwrite {
+			a.reads.Add(1)
+		}
+		if how != readOnly {
+			a.writes.Add(1)
+		}
+		defer a.store.unpin(how) // deferred: a kernel that panics (rmi recovers it) must not keep the page
+		fn(elems)
+		return nil
+	}
+	buf := a.getBuf()
+	defer a.bufs.Put(buf)
+	if buf.elems == nil {
+		buf.elems = make([]float64, a.n1*a.n2*a.n3)
+	}
+	if how != overwrite {
+		if err := a.readInto(index, buf.bytes); err != nil {
+			return err
+		}
+		if err := BytesToFloat64s(buf.elems, buf.bytes); err != nil {
+			return err
+		}
+	}
+	fn(buf.elems)
+	if how == readOnly {
+		return nil
+	}
+	if err := Float64sToBytes(buf.bytes, buf.elems); err != nil {
+		return err
+	}
+	return a.write(index, buf.bytes)
 }
 
-// storePage packs the scratch element buffer back into page index.
-func (a *arrayPageDevice) storePage(index int) error {
-	if err := Float64sToBytes(a.scratch, a.elems); err != nil {
-		return err
+// stage returns n elements of the device's staging buffer (see staged).
+// Serial methods only; one staging at a time.
+func (a *arrayPageDevice) stage(n int) []float64 {
+	if cap(a.staged) < n {
+		a.staged = make([]float64, n)
 	}
-	return a.write(index, a.scratch)
+	return a.staged[:n]
 }
 
 // decodeSubBox reads a sub-box header (origin + dims in local page
@@ -533,9 +672,8 @@ func decodeSubBox(args *wire.Decoder, page [3]int) (lo [3]int, dim [3]int, err e
 // localArrayDevice resolves a ref to a co-located ArrayPageDevice object
 // when the ref points into this machine's own server — the shared
 // address-space fast path of the device-to-device transfers. Callers
-// may only use the peer's thread-safe surface (readInto/write with
-// caller-owned buffers), never its scratch buffers: the peer's mailbox
-// may be running a method of its own.
+// may only read the peer's pages (serveSub): the peer's mailbox may be
+// running a method of its own.
 func localArrayDevice(env *rmi.Env, ref rmi.Ref) (*arrayPageDevice, bool) {
 	if ref.Machine != env.Machine {
 		return nil, false

@@ -13,11 +13,11 @@ package pagedev
 //     thread-safe read surface; reads are never fenced).
 //   - Mutators targeting a fenced page are refused with a typed
 //     rmi.ErrFenced before any page of the request is touched. Single-
-//     page mutators get this from the write choke point; batched kernel
-//     mutators pre-scan their whole region list (checkFenceBatch), so a
-//     batch either fully applies or applies nowhere — the caller can
-//     re-issue the identical batch after the flip without double-
-//     applying a non-idempotent kernel.
+//     page mutators get this where they obtain the page to write (open,
+//     or write for the byte protocol); batched mutators first walk their
+//     whole region list with checkFence, so a batch either fully applies
+//     or applies nowhere — the caller can re-issue the identical batch
+//     after the flip without double-applying a non-idempotent kernel.
 //   - The Array write path catches ErrFenced, parks until the map
 //     flips, re-locates the page, and replays — callers observe a brief
 //     latency bump, never an error.
@@ -50,20 +50,6 @@ func (p *pageDevice) checkFence(index int) error {
 	}
 	if _, bad := p.fence[index]; bad {
 		return fmt.Errorf("%w: page %d of %q", rmi.ErrFenced, index, p.name)
-	}
-	return nil
-}
-
-// checkFenceBatch refuses a batched mutation if ANY target page is
-// fenced — before the caller touches its first page (all-or-nothing).
-func (p *pageDevice) checkFenceBatch(indices []int) error {
-	if len(p.fence) == 0 {
-		return nil
-	}
-	for _, idx := range indices {
-		if _, bad := p.fence[idx]; bad {
-			return fmt.Errorf("%w: page %d of %q (batch refused whole)", rmi.ErrFenced, idx, p.name)
-		}
 	}
 	return nil
 }

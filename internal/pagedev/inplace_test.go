@@ -1,0 +1,398 @@
+package pagedev_test
+
+import (
+	"math"
+	"testing"
+	"time"
+
+	"oopp/internal/cluster"
+	"oopp/internal/disk"
+	"oopp/internal/kernel"
+	"oopp/internal/pagedev"
+	"oopp/internal/rmi"
+	"oopp/internal/wire"
+)
+
+// Device methods compute on the resident page itself. These tests pin
+// the three things the old load/compute/store copies gave for free:
+// readers outside the mailbox never see a page mid-mutation, a method
+// that fails has stored nothing, and every backing — resident, file,
+// another process — produces the same pages, partials and accounting.
+
+func box(d0, d1, d2 int) pagedev.SubBox { return pagedev.SubBox{Dim: [3]int{d0, d1, d2}} }
+
+// readSubs is the peer-pull lane as a raw call: the row-packed values of
+// one region per request, in request order.
+func readSubs(client *rmi.Client, ref rmi.Ref, idx []int, b pagedev.SubBox) ([][]float64, error) {
+	d, err := client.Call(bg, ref, "readSubBatch", func(e *wire.Encoder) error {
+		e.PutInt(len(idx))
+		for _, i := range idx {
+			e.PutInt(i)
+			for _, v := range append(b.Lo[:], b.Dim[:]...) {
+				e.PutInt(v)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer d.Release()
+	out := make([][]float64, len(idx))
+	for i := range out {
+		out[i] = d.Float64s()
+	}
+	return out, d.Err()
+}
+
+// TestServedPagesAreNeverTorn hammers the concurrent readSubBatch lane
+// from a second machine's client while the device runs two-stage chains
+// (+1, +1) over the same pages in place. Every page starts at 1, so a
+// page between rounds is all one odd value; a reader that got in between
+// the two stages would see an even one, and one that got in mid-stage a
+// mixed page. Run under -race this is also the data-race check of the
+// page lock.
+func TestServedPagesAreNeverTorn(t *testing.T) {
+	const pages, n, rounds = 4, 16, 300
+	c := startCluster(t, 2, 0)
+	dev, err := pagedev.NewArrayDevice(bg, c.Client(), 0, "hammer", pages, n, n, n, pagedev.DiskPrivate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Close(bg)
+	var idx []int
+	var regions []pagedev.PipeRegion
+	for i := 0; i < pages; i++ {
+		if err := dev.FillPage(bg, i, 1); err != nil {
+			t.Fatal(err)
+		}
+		idx = append(idx, i)
+		regions = append(regions, pagedev.PipeRegion{Index: i, Box: box(n, n, n)})
+	}
+	twice := kernel.Pipeline{Stages: []kernel.Stage{kernel.MapStage(kernel.AddC), kernel.MapStage(kernel.AddC)}}
+
+	swept := make(chan error, 1)
+	go func() {
+		for k := 0; k < rounds; k++ {
+			if _, _, err := dev.ApplyPipelineK(bg, twice, [][]float64{{1}, {1}}, regions); err != nil {
+				swept <- err
+				return
+			}
+		}
+		swept <- nil
+	}()
+	reader := c.Machine(1).Client()
+	for served, sweeping := 0, true; sweeping || served == 0; served++ {
+		select {
+		case err := <-swept:
+			if err != nil {
+				t.Fatalf("sweep: %v", err)
+			}
+			sweeping = false
+		default:
+		}
+		// Whole pages and, every other pull, an interior sub-box (rows
+		// gathered one by one under the same lock).
+		b := box(n, n, n)
+		if served%2 == 1 {
+			b = pagedev.SubBox{Lo: [3]int{1, 2, 3}, Dim: [3]int{n - 2, n - 3, n - 4}}
+		}
+		got, err := readSubs(reader, dev.Ref(), idx, b)
+		if err != nil {
+			t.Fatalf("readSubBatch: %v", err)
+		}
+		for p, vals := range got {
+			for i, v := range vals {
+				if v != vals[0] || math.Mod(v, 2) != 1 || v > 2*rounds+1 {
+					t.Fatalf("pull %d, page %d: element %d is %v, element 0 is %v: torn, or served between two stages", served, p, i, v, vals[0])
+				}
+			}
+		}
+	}
+	for i := 0; i < pages; i++ {
+		if sum, err := dev.Sum(bg, i); err != nil || sum != float64(n*n*n*(2*rounds+1)) {
+			t.Fatalf("page %d after %d rounds sums to %v, %v", i, rounds, sum, err)
+		}
+	}
+}
+
+// pageBits reads a page back as bit patterns.
+func pageBits(t *testing.T, dev *pagedev.ArrayDevice, index int) []uint64 {
+	t.Helper()
+	n1, n2, n3 := dev.Dims()
+	p := pagedev.NewArrayPage(n1, n2, n3)
+	if err := dev.ReadPage(bg, p, index); err != nil {
+		t.Fatalf("read page %d: %v", index, err)
+	}
+	bits := make([]uint64, len(p.Data))
+	for i, v := range p.Data {
+		bits[i] = math.Float64bits(v)
+	}
+	return bits
+}
+
+func sameBits(a, b []uint64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFailedMutatorStoresNothing: with mutation in place there is no
+// private copy to throw away, so whatever can fail must fail before the
+// first store. A writeSub frame that runs out of rows and a scale→axpy
+// chain whose operand's device is gone each leave the target page
+// bitwise as it was, and charge no write.
+func TestFailedMutatorStoresNothing(t *testing.T) {
+	c := startCluster(t, 2, 0)
+	client := c.Client()
+	dev, err := pagedev.NewArrayDevice(bg, client, 0, "target", 2, 4, 4, 4, pagedev.DiskPrivate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Close(bg)
+	page := pagedev.NewArrayPage(4, 4, 4)
+	for i := range page.Data {
+		page.Data[i] = float64(i) + 0.25
+	}
+	if err := dev.WritePage(bg, page, 0); err != nil {
+		t.Fatal(err)
+	}
+	before := pageBits(t, dev, 0)
+	_, writesBefore, err := dev.Stats(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unchanged := func(what string) {
+		t.Helper()
+		if !sameBits(pageBits(t, dev, 0), before) {
+			t.Errorf("%s: the page changed", what)
+		}
+		if _, writes, err := dev.Stats(bg); err != nil || writes != writesBefore {
+			t.Errorf("%s: device writes %d -> %d, %v", what, writesBefore, writes, err)
+		}
+	}
+
+	// writeSub of a 2x2x4 box carrying three of its four rows.
+	_, err = client.Call(bg, dev.Ref(), "writeSub", func(e *wire.Encoder) error {
+		e.PutInt(0)
+		for _, v := range []int{1, 1, 0, 2, 2, 4} {
+			e.PutInt(v)
+		}
+		for r := 0; r < 3; r++ {
+			e.PutFloat64s([]float64{-1, -1, -1, -1})
+		}
+		return nil
+	})
+	if err == nil {
+		t.Fatal("a writeSub frame one row short was accepted")
+	}
+	unchanged("truncated writeSub")
+	// A writeArray frame announcing the wrong page length.
+	_, err = client.Call(bg, dev.Ref(), "writeArray", func(e *wire.Encoder) error {
+		e.PutInt(0)
+		e.PutFloat64s(make([]float64, 63))
+		return nil
+	})
+	if err == nil {
+		t.Fatal("a writeArray frame one element short was accepted")
+	}
+	unchanged("short writeArray")
+
+	// scale→axpy whose operand lived on a device that has been deleted:
+	// the scale must not have landed when the pull fails.
+	gone, err := pagedev.NewArrayDevice(bg, client, 1, "gone", 1, 4, 4, 4, pagedev.DiskPrivate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gone.Close(bg); err != nil {
+		t.Fatal(err)
+	}
+	chain := kernel.Pipeline{Stages: []kernel.Stage{kernel.MapStage(kernel.Scale), kernel.BinaryStage(kernel.Axpy)}}
+	_, _, err = dev.ApplyPipelineK(bg, chain, [][]float64{{2}, {1}}, []pagedev.PipeRegion{
+		{Index: 0, Box: box(4, 4, 4), Peers: []pagedev.PipePeer{{Ref: gone.Ref(), Index: 0}}}})
+	if err == nil {
+		t.Fatal("a chain with a dead operand succeeded")
+	}
+	unchanged("scale→axpy with a dead operand")
+}
+
+// backingRow is one kind of store under an ArrayPageDevice, with the
+// disk whose operations its page traffic lands on.
+type backingRow struct {
+	name string
+	dev  *pagedev.ArrayDevice
+	dsk  *disk.Disk
+}
+
+// openBackings creates the same 4-page 4x4x4 device over a resident
+// memory disk, a file-backed disk, and a PageDevice process (itself on a
+// memory disk) reached through remoteBacking.
+func openBackings(t *testing.T, model disk.Model) []backingRow {
+	t.Helper()
+	boot := func(dataDir string) *cluster.Cluster {
+		c, err := cluster.New(cluster.Config{Machines: 1, DisksPerMachine: 1, DiskSize: 1 << 20, DiskModel: model, DataDir: dataDir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Shutdown() })
+		return c
+	}
+	const pages, n = 4, 4
+	var rows []backingRow
+	for _, mk := range []struct{ name, dir string }{{"memory", ""}, {"file", t.TempDir()}} {
+		c := boot(mk.dir)
+		dev, err := pagedev.NewArrayDevice(bg, c.Client(), 0, mk.name, pages, n, n, n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, backingRow{mk.name, dev, c.Machine(0).Disks()[0]})
+	}
+	c := boot("")
+	under, err := pagedev.NewDevice(bg, c.Client(), 0, "under", pages, 8*n*n*n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := pagedev.NewArrayDeviceFromProcess(bg, c.Client(), 0, under.Ref(), pages, n, n, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(rows, backingRow{"process", dev, c.Machine(0).Disks()[0]})
+}
+
+// outcome is everything observable about one run of the chain set.
+type outcome struct {
+	pages          [][]uint64
+	partials       [][]uint64 // per chain: N, then the accumulator's bits
+	reads, writes  int64      // device stats delta
+	dreads, dwrite int64      // disk.Ops delta
+}
+
+// runChainSet drives one chain of every shape — map, reduce, binary,
+// binary-reduce, mixed; whole pages and a sub-box; an overwriting fill —
+// through applyPipelineK, operands pulled from the device's own pages.
+func runChainSet(t *testing.T, row backingRow) outcome {
+	t.Helper()
+	dev := row.dev
+	const pages, n = 4, 4
+	page := pagedev.NewArrayPage(n, n, n)
+	for p := 0; p < pages; p++ {
+		for i := range page.Data {
+			page.Data[i] = float64((p+1)*(i%13)) / 8
+		}
+		if err := dev.WritePage(bg, page, p); err != nil {
+			t.Fatalf("%s: seed page %d: %v", row.name, p, err)
+		}
+	}
+	r0, w0, err := dev.Stats(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dr0, dw0 := row.dsk.Ops()
+
+	whole, inner := box(n, n, n), pagedev.SubBox{Lo: [3]int{1, 0, 1}, Dim: [3]int{2, 4, 2}}
+	self := func(i int) []pagedev.PipePeer { return []pagedev.PipePeer{{Ref: dev.Ref(), Index: i}} }
+	stages := func(s ...kernel.Stage) kernel.Pipeline { return kernel.Pipeline{Stages: s} }
+	var out outcome
+	for _, run := range []struct {
+		what    string
+		p       kernel.Pipeline
+		params  [][]float64
+		regions []pagedev.PipeRegion
+	}{
+		{"map", stages(kernel.MapStage(kernel.Scale)), [][]float64{{1.5}},
+			[]pagedev.PipeRegion{{Index: 0, Box: whole}, {Index: 1, Box: inner}}},
+		{"reduce", stages(kernel.ReduceStage(kernel.Sum)), [][]float64{nil},
+			[]pagedev.PipeRegion{{Index: 0, Box: whole, Fold: true}, {Index: 2, Box: inner, Fold: true}, {Index: 3, Box: whole}}},
+		{"binary", stages(kernel.BinaryStage(kernel.Axpy)), [][]float64{{-0.5}},
+			[]pagedev.PipeRegion{{Index: 1, Box: whole, Peers: self(2)}, {Index: 3, Box: inner, Peers: self(3)}}},
+		{"binary-reduce", stages(kernel.BinaryReduceStage(kernel.Dot)), [][]float64{nil},
+			[]pagedev.PipeRegion{{Index: 0, Box: whole, Fold: true, Peers: self(0)}, {Index: 1, Box: inner, Fold: true, Peers: self(3)}}},
+		{"mixed", stages(kernel.MapStage(kernel.Scale), kernel.BinaryStage(kernel.Axpy), kernel.ReduceStage(kernel.MinMax), kernel.BinaryReduceStage(kernel.Dot)),
+			[][]float64{{0.5}, {2}, nil, nil},
+			[]pagedev.PipeRegion{{Index: 2, Box: whole, Fold: true, Peers: append(self(0), self(2)...)}, {Index: 0, Box: inner, Fold: true, Peers: append(self(1), self(3)...)}}},
+		{"fill", stages(kernel.MapStage(kernel.Fill), kernel.ReduceStage(kernel.Sum)), [][]float64{{0.125}, nil},
+			[]pagedev.PipeRegion{{Index: 3, Box: whole, Fold: true}, {Index: 1, Box: inner, Fold: true}}},
+	} {
+		_, parts, err := dev.ApplyPipelineK(bg, run.p, run.params, run.regions)
+		if err != nil {
+			t.Fatalf("%s: %s chain: %v", row.name, run.what, err)
+		}
+		var bits []uint64
+		for _, p := range parts {
+			bits = append(bits, uint64(p.N))
+			for _, v := range p.Acc {
+				bits = append(bits, math.Float64bits(v))
+			}
+		}
+		out.partials = append(out.partials, bits)
+	}
+	r1, w1, err := dev.Stats(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dr1, dw1 := row.dsk.Ops()
+	out.reads, out.writes, out.dreads, out.dwrite = r1-r0, w1-w0, dr1-dr0, dw1-dw0
+	for p := 0; p < pages; p++ {
+		out.pages = append(out.pages, pageBits(t, dev, p))
+	}
+	return out
+}
+
+// TestBackingsAgree: the chain set gives bitwise-equal pages, equal
+// reduce partials and equal device and disk operation counts whether the
+// device computes on its resident page or copies through a file or
+// another process — and the counts are what the load/store engine
+// charged: a read per opened page that is not wholly overwritten, a
+// write per page of a chain that mutates, a read per pulled operand.
+func TestBackingsAgree(t *testing.T) {
+	rows := openBackings(t, disk.Model{})
+	want := runChainSet(t, rows[0])
+	// Reads+writes: map 2+2, reduce 3+0, binary (2 pages + 2 operands)+2,
+	// binary-reduce (2+2)+0, mixed (2+4)+2, fill 1+2 (the whole-page
+	// fill is not loaded).
+	if want.reads != 20 || want.writes != 8 {
+		t.Errorf("memory: %d reads, %d writes for the chain set, want 20 and 8", want.reads, want.writes)
+	}
+	for _, row := range rows[1:] {
+		got := runChainSet(t, row)
+		for p := range want.pages {
+			if !sameBits(got.pages[p], want.pages[p]) {
+				t.Errorf("%s: page %d differs from memory's", row.name, p)
+			}
+		}
+		for i := range want.partials {
+			if !sameBits(got.partials[i], want.partials[i]) {
+				t.Errorf("%s: chain %d partials %x, memory's %x", row.name, i, got.partials[i], want.partials[i])
+			}
+		}
+		if got.reads != want.reads || got.writes != want.writes || got.dreads != want.dreads || got.dwrite != want.dwrite {
+			t.Errorf("%s: device +%d/+%d disk +%d/+%d (reads/writes), memory's +%d/+%d and +%d/+%d", row.name,
+				got.reads, got.writes, got.dreads, got.dwrite, want.reads, want.writes, want.dreads, want.dwrite)
+		}
+	}
+}
+
+// TestResidentAccessIsCharged: computing in place is not free on the
+// model. On a memory disk with a seek time, the chain set holds the disk
+// for at least one seek per counted operation, as the copying engine did.
+func TestResidentAccessIsCharged(t *testing.T) {
+	const seek = 200 * time.Microsecond
+	row := openBackings(t, disk.Model{Seek: seek})[0]
+	t0 := time.Now()
+	got := runChainSet(t, row)
+	// The seeding writes and the read-back are charged too; bound from
+	// below by the chain set's own operations alone.
+	ops := got.dreads + got.dwrite
+	if ops != 28 {
+		t.Errorf("chain set made %d disk operations, want 28", ops)
+	}
+	if took := time.Since(t0); took < time.Duration(ops)*seek {
+		t.Errorf("%d modeled operations of %v took %v", ops, seek, took)
+	}
+}

@@ -8,16 +8,25 @@ package pagedev
 // Method concurrency classes (they matter — see the mailbox rules in
 // the rmi package doc):
 //
-//	applyPipelineK            serial (uses the object's page buffers);
-//	                          the ONE kernel executor — every array
-//	                          collective is a stage chain through it
+//	applyPipelineK            serial; the ONE kernel executor — every
+//	                          array collective is a stage chain through it
 //	pullSubBatch, copyPages   serial; pullSubBatch pulls peer regions
 //	                          device-to-device
 //	readSubBatch              CONCURRENT: serves peer pulls while this
 //	                          object's mailbox is busy (two devices
 //	                          mid-sweep can exchange halos and operands
-//	                          without deadlock); uses only caller-owned
-//	                          buffers
+//	                          without deadlock)
+//
+// Every one of them reaches elements through the device's page accessor
+// (withPage, device.go): on a resident store serial methods mutate the
+// page itself and the concurrent lane reads it, and the page lock keeps
+// the two apart. The lock covers ONE page for ONE access — a page's
+// stage chain, a page's copy-out — so a reader sees each page wholly
+// before or wholly after a chain, never between two of its stages or
+// torn; it does not make a batch atomic. Nothing is held across a pull:
+// a serial method fetches every peer value it needs (stage) before it
+// enters the page they go into, which is also what lets a device be its
+// own operand (self-dot) and two devices pull from each other at once.
 //
 // Batches are not transactional: a mid-batch failure leaves earlier
 // regions applied. The one all-or-nothing guarantee is the migration
@@ -42,42 +51,17 @@ import (
 // subReq addresses one sub-box of one page for a batched read.
 type subReq struct {
 	idx int
-	lo  [3]int
-	dim [3]int
+	SubBox
 }
 
-func (r subReq) size() int { return r.dim[0] * r.dim[1] * r.dim[2] }
-
-// reqIndices projects a region batch to its page indices, for the
-// migration-fence pre-scan.
-func reqIndices(reqs []subReq) []int {
-	idx := make([]int, len(reqs))
-	for i, rq := range reqs {
-		idx[i] = rq.idx
-	}
-	return idx
-}
-
-// forEachRow visits the contiguous axis-3 runs of a sub-box within an
-// n1×n2×n3 page buffer.
-func forEachRow(elems []float64, n2, n3 int, lo, dim [3]int, fn func(row []float64)) {
-	for i := 0; i < dim[0]; i++ {
-		for j := 0; j < dim[1]; j++ {
-			off := ((lo[0]+i)*n2+(lo[1]+j))*n3 + lo[2]
-			fn(elems[off : off+dim[2]])
-		}
-	}
-}
-
-// forEachRun is the stride-aware row engine: it visits the same
-// elements as forEachRow, in the same order, but coalesces rows that
-// are adjacent in memory into maximal contiguous runs — whole j-planes
-// when the box spans full axis-3 rows, the whole page as one flat
-// []float64 slab when it spans full planes. Kernels then run one long
-// sequential loop instead of dim[0]*dim[1] short ones: the per-call
-// overhead vanishes and the inner loops auto-vectorize. Element order
-// is preserved exactly, so sequential folds (sum, dot) stay bitwise
-// identical to the row-at-a-time schedule.
+// forEachRun is the stride-aware row engine: it visits the elements of
+// a sub-box of an n1×n2×n3 page buffer in row-major order, as maximal
+// contiguous runs — axis-3 rows in general, whole j-planes when the box
+// spans full rows, the whole page as one flat []float64 slab when it
+// spans full planes. Kernels then run one long sequential loop instead
+// of dim[0]*dim[1] short ones: the per-call overhead vanishes and the
+// inner loops auto-vectorize. Element order never changes, so sequential
+// folds (sum, dot) are bitwise independent of the coalescing.
 func forEachRun(elems []float64, n2, n3 int, lo, dim [3]int, fn func(run []float64)) {
 	if lo[2] == 0 && dim[2] == n3 {
 		if lo[1] == 0 && dim[1] == n2 {
@@ -91,39 +75,24 @@ func forEachRun(elems []float64, n2, n3 int, lo, dim [3]int, fn func(run []float
 		}
 		return
 	}
-	forEachRow(elems, n2, n3, lo, dim, fn)
-}
-
-// gatherRowsFromBytes unpacks just the rows of a sub-box straight from
-// little-endian page bytes into dst, row-major — the halo-serving hot
-// path converts O(box) elements, not O(page) (a halo plane is 1/n1 of
-// its page). Contiguous boxes (full axis-3 rows) convert as one run per
-// plane instead of one per row, same stride-aware coalescing as
-// forEachRun.
-func gatherRowsFromBytes(page []byte, n2, n3 int, lo, dim [3]int, dst []float64) error {
-	if lo[2] == 0 && dim[2] == n3 {
-		pos := 0
-		runLen := dim[1] * n3
-		for i := 0; i < dim[0]; i++ {
-			off := ((lo[0]+i)*n2 + lo[1]) * n3
-			if err := BytesToFloat64s(dst[pos:pos+runLen], page[8*off:8*(off+runLen)]); err != nil {
-				return err
-			}
-			pos += runLen
-		}
-		return nil
-	}
-	pos := 0
 	for i := 0; i < dim[0]; i++ {
 		for j := 0; j < dim[1]; j++ {
 			off := ((lo[0]+i)*n2+(lo[1]+j))*n3 + lo[2]
-			if err := BytesToFloat64s(dst[pos:pos+dim[2]], page[8*off:8*(off+dim[2])]); err != nil {
-				return err
-			}
-			pos += dim[2]
+			fn(elems[off : off+dim[2]])
 		}
 	}
-	return nil
+}
+
+// gatherRuns copies a sub-box of a page buffer into dst, row-packed;
+// scatterRuns is its inverse. Both move whole runs (forEachRun).
+func gatherRuns(dst, elems []float64, n2, n3 int, lo, dim [3]int) {
+	pos := 0
+	forEachRun(elems, n2, n3, lo, dim, func(run []float64) { pos += copy(dst[pos:], run) })
+}
+
+func scatterRuns(elems []float64, n2, n3 int, lo, dim [3]int, src []float64) {
+	pos := 0
+	forEachRun(elems, n2, n3, lo, dim, func(run []float64) { pos += copy(run, src[pos:]) })
 }
 
 // decodeCount reads a batch's element count and bounds it by the bytes
@@ -151,45 +120,42 @@ const (
 )
 
 // serveSub gathers the row-packed values of one region of this
-// device's page rq.idx into dst, through buf (one page of bytes). It
-// reads the thread-safe store directly, so it runs outside the mailbox:
-// the body of the concurrent readSubBatch method and of a co-located
-// peer's fetch.
-func (a *arrayPageDevice) serveSub(rq subReq, buf []byte, dst []float64) error {
-	if rq.size() == 0 {
+// device's page rq.idx into dst. It only reads the page, so it runs
+// outside the mailbox: the body of the concurrent readSubBatch method
+// and of a co-located peer's pull.
+func (a *arrayPageDevice) serveSub(rq subReq, dst []float64) error {
+	if rq.Size() == 0 {
 		return nil
 	}
-	if err := a.readInto(rq.idx, buf); err != nil {
-		return err
+	return a.withPage(rq.idx, readOnly, func(elems []float64) { gatherRuns(dst, elems, a.n2, a.n3, rq.Lo, rq.Dim) })
+}
+
+// pullSub pulls one region of a peer's page into dst and waits for it:
+// a co-located peer is read in place, with no request built at all.
+func (a *arrayPageDevice) pullSub(env *rmi.Env, peer rmi.Ref, rq subReq, dst []float64) error {
+	if local, ok := localArrayDevice(env, peer); ok {
+		return local.serveSub(rq, dst)
 	}
-	return gatherRowsFromBytes(buf, a.n2, a.n3, rq.lo, rq.dim, dst)
+	return a.fetchSubBatchAsync(env, peer, []subReq{rq}, [][]float64{dst})()
 }
 
-// fetchSubBatch pulls the row-packed values of each request from a peer
-// device into the caller-owned dst slices (dst[i] must have size
-// reqs[i].size()) and waits for them — see fetchSubBatchAsync.
-func (a *arrayPageDevice) fetchSubBatch(env *rmi.Env, peer rmi.Ref, reqs []subReq, dst [][]float64) error {
-	return a.fetchSubBatchAsync(env, peer, reqs, dst)()
-}
-
-// fetchSubBatchAsync begins the pull and returns a wait function that
-// fills dst and reports the outcome. Remote peers are served by their
-// concurrent readSubBatch method, so a peer that is itself mid-method
-// still answers — this is what lets two devices exchange halos while
-// both are inside a sweep, and what lets the caller post its pulls,
-// compute on data it already holds, and only join when it needs the
-// edges. Co-located peers are read directly through their thread-safe
-// store: there is no latency to hide, so their pull completes before
-// returning and the wait is a no-op.
+// fetchSubBatchAsync begins the pull of each request's row-packed
+// values from a peer device into the caller-owned dst slices (dst[i] has
+// size reqs[i].Size()) and returns a wait function that fills dst and
+// reports the outcome. Remote peers are served by their concurrent
+// readSubBatch method, so a peer that is itself mid-method still answers
+// — two devices can exchange halos while both are inside a sweep, and
+// the caller can post its pulls, compute on data it already holds, and
+// join only when it needs the edges. Co-located peers are read directly:
+// there is no latency to hide, so the wait is a no-op.
 func (a *arrayPageDevice) fetchSubBatchAsync(env *rmi.Env, peer rmi.Ref, reqs []subReq, dst [][]float64) (wait func() error) {
 	done := func(err error) func() error { return func() error { return err } }
 	if len(reqs) == 0 {
 		return done(nil)
 	}
 	if local, ok := localArrayDevice(env, peer); ok {
-		buf := make([]byte, local.pageSize)
 		for i, rq := range reqs {
-			if err := local.serveSub(rq, buf, dst[i]); err != nil {
+			if err := local.serveSub(rq, dst[i]); err != nil {
 				return done(err)
 			}
 		}
@@ -201,7 +167,7 @@ func (a *arrayPageDevice) fetchSubBatchAsync(env *rmi.Env, peer rmi.Ref, reqs []
 	fut := env.Client.CallAsync(env.Ctx(), peer, "readSubBatch", func(e *wire.Encoder) error {
 		e.PutInt(len(reqs))
 		for _, rq := range reqs {
-			putSubBox(e, rq.idx, SubBox{Lo: rq.lo, Dim: rq.dim})
+			putSubBox(e, rq.idx, rq.SubBox)
 		}
 		return nil
 	})
@@ -222,15 +188,15 @@ func (a *arrayPageDevice) fetchSubBatchAsync(env *rmi.Env, peer rmi.Ref, reqs []
 // primitives on the ArrayPageDevice class.
 func registerTransferMethods(c *rmi.Class[*arrayPageDevice]) {
 	// readSubBatch(count, count×(idx, box)): serve the row-packed values
-	// of each region. CONCURRENT — runs outside the mailbox with its own
-	// buffers, so this device can serve peer pulls (halo planes, binary
-	// operands) even while one of its own serial methods is running.
+	// of each region. CONCURRENT — runs outside the mailbox, reading each
+	// page under its lock, so this device can serve peer pulls (halo
+	// planes, binary operands) even while one of its own serial methods
+	// is running.
 	c.ConcurrentMethod("readSubBatch", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		count, err := decodeCount(args, minSubBox)
 		if err != nil {
 			return err
 		}
-		buf := make([]byte, a.pageSize)
 		var out []float64
 		for n := 0; n < count; n++ {
 			idx := args.Int()
@@ -238,12 +204,12 @@ func registerTransferMethods(c *rmi.Class[*arrayPageDevice]) {
 			if err != nil {
 				return err
 			}
-			rq := subReq{idx: idx, lo: lo, dim: dim}
-			size := rq.size()
+			rq := subReq{idx, SubBox{lo, dim}}
+			size := rq.Size()
 			if cap(out) < size {
 				out = make([]float64, size)
 			}
-			if err := a.serveSub(rq, buf, out[:size]); err != nil {
+			if err := a.serveSub(rq, out[:size]); err != nil {
 				return err
 			}
 			reply.PutFloat64s(out[:size])
@@ -265,6 +231,7 @@ func registerTransferMethods(c *rmi.Class[*arrayPageDevice]) {
 		}
 		reqs := make([]subReq, 0, count)
 		local := make([]subReq, 0, count)
+		total := 0
 		for n := 0; n < count; n++ {
 			idx := args.Int()
 			lo, dim, err := a.decodeSubBox(args)
@@ -275,39 +242,34 @@ func registerTransferMethods(c *rmi.Class[*arrayPageDevice]) {
 			if err := args.Err(); err != nil {
 				return err
 			}
-			local = append(local, subReq{idx: idx, lo: lo, dim: dim})
-			reqs = append(reqs, subReq{idx: peerIdx, lo: lo, dim: dim})
+			local = append(local, subReq{idx, SubBox{lo, dim}})
+			reqs = append(reqs, subReq{peerIdx, SubBox{lo, dim}})
+			total += reqs[n].Size()
 		}
-		if err := a.checkFenceBatch(reqIndices(local)); err != nil {
-			return err
+		for _, lr := range local {
+			if err := a.checkFence(lr.idx); err != nil {
+				return err
+			}
 		}
-		// One batched pull for the whole call, then scatter locally.
+		// One batched pull for the whole call, staged; then scatter locally.
 		vals := make([][]float64, len(reqs))
+		staged := a.stage(total)
 		for i, rq := range reqs {
-			vals[i] = make([]float64, rq.size())
+			vals[i], staged = staged[:rq.Size()], staged[rq.Size():]
 		}
-		if err := a.fetchSubBatch(env, peer, reqs, vals); err != nil {
+		if err := a.fetchSubBatchAsync(env, peer, reqs, vals)(); err != nil {
 			return err
 		}
-		touched := 0
 		for i, lr := range local {
-			if lr.size() == 0 {
+			if lr.Size() == 0 {
 				continue
 			}
-			if err := a.loadPage(lr.idx); err != nil {
+			put := func(elems []float64) { scatterRuns(elems, a.n2, a.n3, lr.Lo, lr.Dim, vals[i]) }
+			if err := a.withPage(lr.idx, update, put); err != nil {
 				return err
 			}
-			pos := 0
-			forEachRun(a.elems, a.n2, a.n3, lr.lo, lr.dim, func(run []float64) {
-				copy(run, vals[i][pos:pos+len(run)])
-				pos += len(run)
-			})
-			if err := a.storePage(lr.idx); err != nil {
-				return err
-			}
-			touched += lr.size()
 		}
-		reply.PutVarint(int64(touched))
+		reply.PutVarint(int64(total))
 		return nil
 	})
 
@@ -320,7 +282,6 @@ func registerTransferMethods(c *rmi.Class[*arrayPageDevice]) {
 			return err
 		}
 		pairs := make([][2]int, 0, count)
-		dsts := make([]int, 0, count)
 		for n := 0; n < count; n++ {
 			src := args.Int()
 			dst := args.Int()
@@ -328,16 +289,19 @@ func registerTransferMethods(c *rmi.Class[*arrayPageDevice]) {
 				return err
 			}
 			pairs = append(pairs, [2]int{src, dst})
-			dsts = append(dsts, dst)
-		}
-		if err := a.checkFenceBatch(dsts); err != nil {
-			return err
 		}
 		for _, p := range pairs {
-			if err := a.readInto(p[0], a.scratch); err != nil {
+			if err := a.checkFence(p[1]); err != nil {
 				return err
 			}
-			if err := a.write(p[1], a.scratch); err != nil {
+		}
+		// Through the staging buffer: one page entered at a time, as everywhere.
+		tmp := a.stage(a.n1 * a.n2 * a.n3)
+		for _, p := range pairs {
+			if err := a.withPage(p[0], readOnly, func(src []float64) { copy(tmp, src) }); err != nil {
+				return err
+			}
+			if err := a.withPage(p[1], overwrite, func(dst []float64) { copy(dst, tmp) }); err != nil {
 				return err
 			}
 		}

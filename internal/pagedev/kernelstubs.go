@@ -40,8 +40,8 @@ func EncodePullSubBatch(e *wire.Encoder, peer rmi.Ref, regions []PullRegion) {
 
 // ApplyPipelineK runs the stage chain p (params[i] belongs to
 // p.Stages[i]) over the listed regions with one remote call: each
-// region's page is loaded once, every stage applied in order, and
-// stored once. It returns the element count touched and one partial per
+// region's page is entered once and every stage applied in order, in
+// place. It returns the element count touched and one partial per
 // reduce stage.
 func (d *ArrayDevice) ApplyPipelineK(ctx context.Context, p kernel.Pipeline, params [][]float64, regions []PipeRegion) (int64, []ReducePartial, error) {
 	dec, err := d.client.Call(ctx, d.ref, "applyPipelineK", func(e *wire.Encoder) error {

@@ -100,11 +100,8 @@ func registerOwnerMethods(c *rmi.Class[*arrayPageDevice]) {
 			vals := make([][]float64, 0, P2*P3)
 			for p2 := 0; p2 < P2; p2++ {
 				for p3 := 0; p3 < P3; p3++ {
-					reqs = append(reqs, subReq{
-						idx: idxs[p2*P3+p3] + srcOff,
-						lo:  [3]int{peerPlane, 0, 0},
-						dim: [3]int{1, n2, n3},
-					})
+					plane := SubBox{Lo: [3]int{peerPlane, 0, 0}, Dim: [3]int{1, n2, n3}}
+					reqs = append(reqs, subReq{idxs[p2*P3+p3] + srcOff, plane})
 					vals = append(vals, make([]float64, n2*n3))
 				}
 			}
@@ -112,11 +109,7 @@ func registerOwnerMethods(c *rmi.Class[*arrayPageDevice]) {
 			scatter := func() {
 				for p2 := 0; p2 < P2; p2++ {
 					for p3 := 0; p3 < P3; p3++ {
-						v := vals[p2*P3+p3]
-						for j := 0; j < n2; j++ {
-							off := (slabRow*N2+p2*n2+j)*N3 + p3*n3
-							copy(slab[off:off+n3], v[j*n3:(j+1)*n3])
-						}
+						scatterRuns(slab, N2, N3, [3]int{slabRow, p2 * n2, p3 * n3}, [3]int{1, n2, n3}, vals[p2*P3+p3])
 					}
 				}
 			}
@@ -145,23 +138,15 @@ func registerOwnerMethods(c *rmi.Class[*arrayPageDevice]) {
 			}
 		}
 
-		// Assemble the local planes of the source slab.
-		pageBytes := make([]byte, a.pageSize)
-		pageElems := make([]float64, n1*n2*n3)
+		// Assemble the local planes of the source slab: page (p2,p3) tiles
+		// the box of slab rows [row0, row0+n1) at (p2*n2, p3*n3).
+		dim := [3]int{n1, n2, n3}
 		for p2 := 0; p2 < P2; p2++ {
 			for p3 := 0; p3 < P3; p3++ {
-				if err := a.readInto(pages[p2*P3+p3]+srcOff, pageBytes); err != nil {
+				lo := [3]int{row0, p2 * n2, p3 * n3}
+				get := func(elems []float64) { scatterRuns(slab, N2, N3, lo, dim, elems) }
+				if err := a.withPage(pages[p2*P3+p3]+srcOff, readOnly, get); err != nil {
 					return err
-				}
-				if err := BytesToFloat64s(pageElems, pageBytes); err != nil {
-					return err
-				}
-				for i := 0; i < n1; i++ {
-					for j := 0; j < n2; j++ {
-						src := pageElems[(i*n2+j)*n3 : (i*n2+j)*n3+n3]
-						off := ((row0+i)*N2+p2*n2+j)*N3 + p3*n3
-						copy(slab[off:off+n3], src)
-					}
 				}
 			}
 		}
@@ -223,19 +208,12 @@ func registerOwnerMethods(c *rmi.Class[*arrayPageDevice]) {
 			}
 		}
 
-		// Pack the output slab back into pages and write bank dstOff.
+		// Pack the output slab back into pages of bank dstOff.
 		for p2 := 0; p2 < P2; p2++ {
 			for p3 := 0; p3 < P3; p3++ {
-				for i := 0; i < n1; i++ {
-					for j := 0; j < n2; j++ {
-						off := (i*N2+p2*n2+j)*N3 + p3*n3
-						copy(pageElems[(i*n2+j)*n3:(i*n2+j)*n3+n3], out[off:off+n3])
-					}
-				}
-				if err := Float64sToBytes(pageBytes, pageElems); err != nil {
-					return err
-				}
-				if err := a.write(pages[p2*P3+p3]+dstOff, pageBytes); err != nil {
+				lo := [3]int{0, p2 * n2, p3 * n3}
+				put := func(elems []float64) { gatherRuns(elems, out, N2, N3, lo, dim) }
+				if err := a.withPage(pages[p2*P3+p3]+dstOff, overwrite, put); err != nil {
 					return err
 				}
 			}

@@ -70,7 +70,6 @@ func (p *pageDevice) LoadState(env *rmi.Env, d *wire.Decoder) error {
 			pageSize:  pageSize,
 			diskIndex: diskRemote,
 			store:     &remoteBacking{client: env.Client, ref: src},
-			scratch:   make([]byte, pageSize),
 		})
 		return nil
 	default:
@@ -106,7 +105,6 @@ func (p *pageDevice) restoreFrom(fresh *pageDevice) {
 	p.pageSize = fresh.pageSize
 	p.diskIndex = fresh.diskIndex
 	p.store = fresh.store
-	p.scratch = fresh.scratch
 	p.reads.Store(0)
 	p.writes.Store(0)
 }
@@ -130,11 +128,7 @@ func (a *arrayPageDevice) LoadState(env *rmi.Env, d *wire.Decoder) error {
 	if a.pageDevice == nil {
 		a.pageDevice = &pageDevice{}
 	}
-	if err := a.pageDevice.LoadState(env, d); err != nil {
-		return err
-	}
-	a.elems = make([]float64, a.n1*a.n2*a.n3)
-	return nil
+	return a.pageDevice.LoadState(env, d)
 }
 
 func init() {

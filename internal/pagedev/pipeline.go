@@ -2,8 +2,9 @@ package pagedev
 
 // The kernel engine: applyPipelineK is the ONE device method every
 // array collective executes through. A request carries a stage chain
-// inline plus the batch of page regions this device owns; each region
-// is loaded once, walked through every stage in order, and stored once.
+// inline plus the batch of page regions this device owns; each region's
+// page is entered once (withPage) and walked through every stage in
+// order — in place, when the store is resident.
 // A one-stage chain is Apply, Reduce, ApplyBinary or ReduceBinary; a
 // longer one is a fused pipeline.
 //
@@ -19,10 +20,10 @@ package pagedev
 // on this side of the wire too, so a chain can never run a kernel only
 // the client knows.
 //
-// applyPipelineK is a SERIAL method (it uses the object's page
-// buffers), but its two-operand stages pull peer operands through the
-// concurrent readSubBatch lane, so two devices mid-batch can still
-// exchange operands without deadlock.
+// applyPipelineK is a SERIAL method, but its two-operand stages pull
+// peer operands through the concurrent readSubBatch lane — all of a
+// region's operands before its page is entered — so two devices
+// mid-batch can still exchange operands without deadlock.
 
 import (
 	"fmt"
@@ -206,31 +207,19 @@ func registerPipelineMethod(c *rmi.Class[*arrayPageDevice]) {
 	})
 }
 
-// operand pulls the co-indexed box of a peer page into *buf (grown to
-// the largest region seen) and returns the filled prefix.
-func (a *arrayPageDevice) operand(env *rmi.Env, pe PipePeer, box SubBox, buf *[]float64) ([]float64, error) {
-	size := box.Size()
-	if cap(*buf) < size {
-		*buf = make([]float64, size)
-	}
-	vals := (*buf)[:size]
-	return vals, a.fetchSubBatch(env, pe.Ref, []subReq{{idx: pe.Index, lo: box.Lo, dim: box.Dim}}, [][]float64{vals})
-}
-
 // runKernelBatch walks a decoded batch: fence pre-scan, then per region
-// load once / every stage in order / store once, then the reply.
+// pull the operands / enter the page / every stage in order, then the
+// reply.
 func (a *arrayPageDevice) runKernelBatch(env *rmi.Env, b kernelBatch, reply *wire.Encoder) error {
 	// Fence-scan the whole batch before touching any page (mutating
 	// chains only; reads are never fenced): a batch refused by the
 	// migration fence applies nowhere, so the caller can replay it
 	// verbatim — fold flags included — without double-applying.
 	if b.mutates {
-		dst := make([]int, len(b.regions))
-		for i, r := range b.regions {
-			dst[i] = r.Index
-		}
-		if err := a.checkFenceBatch(dst); err != nil {
-			return err
+		for i := range b.regions {
+			if err := a.checkFence(b.regions[i].Index); err != nil {
+				return err
+			}
 		}
 	}
 	// One partial per reduce stage, alive across the whole batch; its
@@ -245,11 +234,7 @@ func (a *arrayPageDevice) runKernelBatch(env *rmi.Env, b kernelBatch, reply *wir
 			parts = append(parts, ReducePartial{Acc: st.BinRed.NewAcc(st.params)})
 		}
 	}
-	// A chain whose first stage overwrites every element may skip the
-	// load for whole-page regions; every later stage then reads what
-	// earlier stages wrote, never the stale page.
 	overwrites := b.stages[0].Kind == kernel.StageMap && b.stages[0].Map.Overwrites
-	var peerBuf []float64
 	touched := 0
 	for _, r := range b.regions {
 		size := r.Box.Size()
@@ -259,63 +244,78 @@ func (a *arrayPageDevice) runKernelBatch(env *rmi.Env, b kernelBatch, reply *wir
 			continue
 		}
 		lo, dim := r.Box.Lo, r.Box.Dim
-		if !(overwrites && size == len(a.elems)) { // load once
-			if err := a.loadPage(r.Index); err != nil {
-				return err
-			}
-		}
-		op, red := 0, 0
+		// Operands first, side by side in the staging buffer: a pull can
+		// fail or wait, and neither may happen inside a page. A pull
+		// reads the peer's STORED page, this device's own included
+		// (self-dot), so pulling before the chain reads what pulling
+		// mid-chain did. A non-folding replica skips a binary-reduce
+		// stage's pull: the stage writes nothing to keep in step.
+		operands := a.stage(b.operands * size)
+		op := 0
 		for si := range b.stages {
-			st := &b.stages[si]
-			sp := st.params
-			switch st.Kind {
-			case kernel.StageMap:
-				fn := st.Map.Fn
-				forEachRun(a.elems, a.n2, a.n3, lo, dim, func(run []float64) { fn(run, sp) })
-			case kernel.StageBinary:
-				vals, err := a.operand(env, r.Peers[op], r.Box, &peerBuf)
-				if err != nil {
-					return err
-				}
-				op++
-				fn := st.Bin.Fn
-				pos := 0
-				forEachRun(a.elems, a.n2, a.n3, lo, dim, func(run []float64) {
-					fn(run, vals[pos:pos+len(run)], sp)
-					pos += len(run)
-				})
-			case kernel.StageReduce:
-				if r.Fold {
-					row, acc := st.Red.Row, parts[red].Acc
-					forEachRun(a.elems, a.n2, a.n3, lo, dim, func(run []float64) { row(acc, run, sp) })
-					parts[red].N += int64(size)
-				}
-				red++
-			case kernel.StageBinaryReduce:
-				// A non-folding replica skips the operand pull too: the
-				// stage writes nothing, so there is nothing to keep in step.
-				if r.Fold {
-					vals, err := a.operand(env, r.Peers[op], r.Box, &peerBuf)
-					if err != nil {
+			switch k := b.stages[si].Kind; k {
+			case kernel.StageBinary, kernel.StageBinaryReduce:
+				if k == kernel.StageBinary || r.Fold {
+					rq := subReq{r.Peers[op].Index, r.Box}
+					if err := a.pullSub(env, r.Peers[op].Ref, rq, operands[op*size:(op+1)*size]); err != nil {
 						return err
 					}
-					row, acc := st.BinRed.Row, parts[red].Acc
-					pos := 0
-					forEachRun(a.elems, a.n2, a.n3, lo, dim, func(run []float64) {
-						row(acc, run, vals[pos:pos+len(run)], sp)
-						pos += len(run)
-					})
-					parts[red].N += int64(size)
 				}
 				op++
-				red++
 			}
 		}
-		// Store once — only chains that mutate write back.
-		if b.mutates {
-			if err := a.storePage(r.Index); err != nil {
-				return err
+		// A chain that never writes only reads its pages (no write
+		// charged); one whose first stage overwrites every element need
+		// not load a whole-page region (no read charged) — every later
+		// stage then reads what earlier stages wrote, never the stale page.
+		how := readOnly
+		switch {
+		case overwrites && size == a.n1*a.n2*a.n3:
+			how = overwrite
+		case b.mutates:
+			how = update
+		}
+		err := a.withPage(r.Index, how, func(elems []float64) {
+			op, red := 0, 0
+			for si := range b.stages {
+				st := &b.stages[si]
+				sp := st.params
+				switch st.Kind {
+				case kernel.StageMap:
+					fn := st.Map.Fn
+					forEachRun(elems, a.n2, a.n3, lo, dim, func(run []float64) { fn(run, sp) })
+				case kernel.StageBinary:
+					fn, vals := st.Bin.Fn, operands[op*size:(op+1)*size]
+					op++
+					pos := 0
+					forEachRun(elems, a.n2, a.n3, lo, dim, func(run []float64) {
+						fn(run, vals[pos:pos+len(run)], sp)
+						pos += len(run)
+					})
+				case kernel.StageReduce:
+					if r.Fold {
+						row, acc := st.Red.Row, parts[red].Acc
+						forEachRun(elems, a.n2, a.n3, lo, dim, func(run []float64) { row(acc, run, sp) })
+						parts[red].N += int64(size)
+					}
+					red++
+				case kernel.StageBinaryReduce:
+					if r.Fold {
+						row, acc, vals := st.BinRed.Row, parts[red].Acc, operands[op*size:(op+1)*size]
+						pos := 0
+						forEachRun(elems, a.n2, a.n3, lo, dim, func(run []float64) {
+							row(acc, run, vals[pos:pos+len(run)], sp)
+							pos += len(run)
+						})
+						parts[red].N += int64(size)
+					}
+					op++
+					red++
+				}
 			}
+		})
+		if err != nil {
+			return err
 		}
 		touched += size
 	}

@@ -1,0 +1,31 @@
+package pagedev
+
+import (
+	"encoding/binary"
+	"unsafe"
+)
+
+// The one place the module reinterprets memory. A stored page is packed
+// little-endian float64s; on a host that lays a float64 out the same way
+// the page's bytes ARE its elements. Callers ask f64view and take the
+// portable path when it answers nil.
+
+// hostLittleEndian reports whether a float64 in this process's memory
+// has the byte order of a stored page.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// f64view returns the memory of b as float64s, without copying, or nil
+// ("no view") unless the host is little-endian, b starts on an 8-byte
+// boundary (not a given: a []byte may start anywhere, and a 32-bit
+// allocator aligns to 4) and b holds a whole number of values. The
+// result aliases b: a store through one is a store through the other.
+func f64view(b []byte) []float64 {
+	if !hostLittleEndian || len(b) == 0 || len(b)%8 != 0 {
+		return nil
+	}
+	p := unsafe.Pointer(unsafe.SliceData(b))
+	if uintptr(p)%8 != 0 {
+		return nil
+	}
+	return unsafe.Slice((*float64)(p), len(b)/8)
+}

@@ -45,7 +45,7 @@ var Float64BlockClass = rmi.RegisterClass(ClassFloat64, func(env *rmi.Env, args 
 	if err := args.Err(); err != nil {
 		return nil, err
 	}
-	if n < 0 || n > (1<<31) {
+	if n < 0 || int64(n) > 1<<31 {
 		return nil, fmt.Errorf("rmem: invalid block size %d", n)
 	}
 	return &float64Block{data: make([]float64, n)}, nil
@@ -123,7 +123,7 @@ var ByteBlockClass = rmi.RegisterClass(ClassBytes, func(env *rmi.Env, args *wire
 	if err := args.Err(); err != nil {
 		return nil, err
 	}
-	if n < 0 || n > (1<<31) {
+	if n < 0 || int64(n) > 1<<31 {
 		return nil, fmt.Errorf("rmem: invalid block size %d", n)
 	}
 	return &byteBlock{data: make([]byte, n)}, nil

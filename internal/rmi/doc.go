@@ -85,19 +85,17 @@
 // data pushes from each other; with pure mailbox serialization such
 // exchanges deadlock.
 //
-// # Groups and collections
+// # Collectives
 //
-// Group models the paper's arrays of processes ("FFT * fft[N]") and
-// provides the compiler-supported barrier the paper proposes
-// ("fft->barrier()"): Barrier sends a no-op message through every member's
-// mailbox, so its completion proves every earlier message has been
-// processed.
-//
-// Group is now the thin untyped adapter over the collective fan-out
-// engine (fanout.go): FanOut/SpawnRefs/BarrierRefs/DeleteRefs issue
-// member operations concurrently through the async lanes with a bounded
-// in-flight window (DefaultWindow) and report errors.Join of all member
-// failures, each wrapped in a MemberError carrying the member index.
+// The paper's arrays of processes ("FFT * fft[N]") and the compiler-
+// supported barrier it proposes ("fft->barrier()") are the collective
+// fan-out engine (fanout.go): FanOut/SpawnRefs/BarrierRefs/DeleteRefs
+// issue member operations over a []Ref concurrently through the async
+// lanes with a bounded in-flight window (DefaultWindow) and report
+// errors.Join of all member failures, each wrapped in a MemberError
+// carrying the member index. BarrierRefs sends a no-op message through
+// every member's mailbox, so its completion proves every earlier
+// message has been processed.
 //
 // Under FanOut sits SplitLoop, the paper's §4 transformation as a
 // function: issue(i) runs in index order while fewer than window futures
@@ -108,22 +106,10 @@
 // of core.Array is SplitLoop at the array's window. How a client bounds
 // and settles outstanding requests is decided there and nowhere else.
 //
-// Typed code should prefer internal/collection's Collection[T], built on
-// the same engine. The migration is mechanical:
-//
-//	Group (untyped)                            Collection[T] (typed)
-//	-----------------------------------------  -------------------------------------------------
-//	SpawnGroup(ctx, c, machines, "cls", enc)   collection.SpawnClass(ctx, c, OnMachines(ms...), class, enc)
-//	                                           collection.Spawn[T](ctx, c, dist, args...)   // tagged ctor
-//	NewGroup(c, refs)                          collection.FromRefs[T](c, refs)
-//	g.Call(ctx, "m", enc)        // sequential  coll.Broadcast(ctx, "m", enc)     // concurrent
-//	g.CallParallel(ctx, "m", enc)              coll.Broadcast(ctx, "m", enc)
-//	g.CallParallelResults(ctx, "m", enc, col)  coll.CallAll(ctx, "m", enc, col)
-//	manual decode+combine loop                 collection.Reduce(ctx, coll, "m", enc, dec, combine)
-//	g.Barrier(ctx)                             coll.Barrier(ctx)
-//	g.Delete(ctx)                              coll.Destroy(ctx)
-//	g.Refs()[i], machine bookkeeping           coll.Member(i) (Index, Machine, Ref)
-//	index slicing by hand                      coll.Slice(lo, hi), coll.OnMachine(m)   // views
+// User code holds members as internal/collection's Collection[T], built
+// on this engine (collection.FromRefs wraps refs obtained elsewhere).
+// The untyped Group adapter that used to sit beside it is deleted; the
+// root package doc's migration table maps its surface over.
 //
 // Buffer ownership in collectives follows the rules below: the decoder a
 // CallAll collector or Reduce decoder receives owns a pooled response
@@ -151,11 +137,12 @@
 //	                                          the data" illustration
 //
 // The concurrency column is the point: readSubBatch executes outside
-// the object mailbox (with caller-owned buffers and atomic counters),
-// so a device that is itself inside a serial sweep still serves its
-// neighbours' halo and operand pulls — the same escape hatch the §4
-// FFT transpose needs, now load-bearing for every device-to-device
-// kernel pull. Serial kernel methods keep the mailbox atomicity
+// the object mailbox (reading each page under the device's page lock,
+// which a serial method holds only for one page's chain, never across
+// a pull), so a device that is itself inside a serial sweep still
+// serves its neighbours' halo and operand pulls — the same escape hatch
+// the §4 FFT transpose needs, now load-bearing for every device-to-
+// device kernel pull. Serial kernel methods keep the mailbox atomicity
 // guarantee: a batched read-modify-write of partial pages cannot lose
 // updates to concurrent clients.
 //

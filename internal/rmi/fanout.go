@@ -11,9 +11,9 @@ import (
 
 // This file is the collective fan-out engine: one windowed, concurrent
 // issue/settle loop (SplitLoop) shared by every aggregate surface in the
-// repo — the untyped Group adapter in this package and the typed
-// Collection[T] in internal/collection are both thin skins over FanOut,
-// and core.Array's element transfers call SplitLoop directly.
+// repo — the typed Collection[T] in internal/collection is a thin skin
+// over FanOut, and core.Array's element transfers call SplitLoop
+// directly.
 //
 // Two properties define a collective here:
 //

@@ -31,30 +31,30 @@ func init() {
 	})
 }
 
-// TestGroupCallJoinsAllErrors verifies the collective error contract:
+// TestFanOutJoinsAllErrors verifies the collective error contract:
 // every member is attempted and every failure is reported with its
 // member index — no silent first-error abort.
-func TestGroupCallJoinsAllErrors(t *testing.T) {
+func TestFanOutJoinsAllErrors(t *testing.T) {
 	nodes, stop := startCluster(t, transport.NewInproc(transport.LinkModel{}), 3)
 	defer stop()
 	c := nodes[0].client
-	g, err := SpawnGroup(bg, c, []int{0, 1, 2}, "test.Counter", func(i int, e *wire.Encoder) error {
+	refs, err := SpawnRefs(bg, c, []int{0, 1, 2}, "test.Counter", func(i int, e *wire.Encoder) error {
 		e.PutInt(0)
 		return nil
-	})
+	}, DefaultWindow)
 	if err != nil {
-		t.Fatalf("SpawnGroup: %v", err)
+		t.Fatalf("SpawnRefs: %v", err)
 	}
-	defer g.Delete(bg)
+	defer DeleteRefs(bg, c, refs, DefaultWindow)
 
 	for _, call := range []struct {
 		name string
 		run  func() error
 	}{
-		{"Call", func() error { return g.Call(bg, "fail", nil) }},
-		{"CallParallel", func() error { return g.CallParallel(bg, "fail", nil) }},
-		{"CallParallelResults", func() error {
-			return g.CallParallelResults(bg, "fail", nil, func(i int, d *wire.Decoder) error { return nil })
+		{"window 1", func() error { return FanOut(bg, c, refs, "fail", nil, nil, 1) }},
+		{"windowed", func() error { return FanOut(bg, c, refs, "fail", nil, nil, DefaultWindow) }},
+		{"with results", func() error {
+			return FanOut(bg, c, refs, "fail", nil, func(i int, d *wire.Decoder) error { return nil }, DefaultWindow)
 		}},
 	} {
 		err := call.run()
@@ -66,8 +66,8 @@ func TestGroupCallJoinsAllErrors(t *testing.T) {
 			t.Fatalf("%s: error is not a join: %v", call.name, err)
 		}
 		subs := joined.Unwrap()
-		if len(subs) != g.Len() {
-			t.Fatalf("%s: %d member errors, want %d: %v", call.name, len(subs), g.Len(), err)
+		if len(subs) != len(refs) {
+			t.Fatalf("%s: %d member errors, want %d: %v", call.name, len(subs), len(refs), err)
 		}
 		seen := map[int]bool{}
 		for _, sub := range subs {
@@ -77,7 +77,7 @@ func TestGroupCallJoinsAllErrors(t *testing.T) {
 			}
 			seen[me.Index] = true
 		}
-		for i := 0; i < g.Len(); i++ {
+		for i := 0; i < len(refs); i++ {
 			if !seen[i] {
 				t.Fatalf("%s: member %d missing from %v", call.name, i, err)
 			}
@@ -86,13 +86,13 @@ func TestGroupCallJoinsAllErrors(t *testing.T) {
 
 	// Counters on all members must still respond: the failed collective
 	// attempted every member rather than aborting.
-	if err := g.Barrier(bg); err != nil {
+	if err := BarrierRefs(bg, c, refs, DefaultWindow); err != nil {
 		t.Fatalf("barrier after failures: %v", err)
 	}
 }
 
 // TestSpawnRefsFailureWithPendingFutures covers the leak path the
-// historic SpawnGroup missed: a member fails while sibling construction
+// historic group spawn missed: a member fails while sibling construction
 // futures have not resolved yet. Cleanup must wait for them and delete
 // every constructed member.
 func TestSpawnRefsFailureWithPendingFutures(t *testing.T) {

@@ -141,6 +141,6 @@ func clampPriority(b byte) Priority {
 const (
 	// methodPing is a no-op serial method available on every object. A
 	// ping response proves every earlier mailbox message was processed —
-	// the primitive under Group.Barrier.
+	// the primitive under BarrierRefs.
 	methodPing = "_ping"
 )

@@ -469,46 +469,46 @@ func TestAsyncOverlap(t *testing.T) {
 	}
 }
 
-func TestGroupSpawnCallBarrierDelete(t *testing.T) {
+func TestSpawnFanOutBarrierDelete(t *testing.T) {
 	eachTransport(t, func(t *testing.T, tr transport.Transport) {
 		nodes, stop := startCluster(t, tr, 4)
 		defer stop()
 		c := nodes[0].client
 
 		machines := []int{0, 1, 2, 3}
-		g, err := SpawnGroup(bg, c, machines, "test.Counter", func(i int, e *wire.Encoder) error {
+		refs, err := SpawnRefs(bg, c, machines, "test.Counter", func(i int, e *wire.Encoder) error {
 			e.PutInt(i * 100)
 			return nil
-		})
+		}, DefaultWindow)
 		if err != nil {
-			t.Fatalf("SpawnGroup: %v", err)
+			t.Fatalf("SpawnRefs: %v", err)
 		}
-		if g.Len() != 4 {
-			t.Fatalf("group size %d", g.Len())
+		if len(refs) != 4 {
+			t.Fatalf("%d members", len(refs))
 		}
-		for i := 0; i < g.Len(); i++ {
-			if g.Member(i).Machine != i {
-				t.Fatalf("member %d on machine %d", i, g.Member(i).Machine)
+		for i, ref := range refs {
+			if ref.Machine != i {
+				t.Fatalf("member %d on machine %d", i, ref.Machine)
 			}
 		}
 
-		if err := g.CallParallel(bg, "add", func(i int, e *wire.Encoder) error {
+		if err := FanOut(bg, c, refs, "add", func(i int, e *wire.Encoder) error {
 			e.PutInt(i)
 			e.PutInt(0)
 			return nil
-		}); err != nil {
-			t.Fatalf("CallParallel: %v", err)
+		}, nil, DefaultWindow); err != nil {
+			t.Fatalf("FanOut: %v", err)
 		}
-		if err := g.Barrier(bg); err != nil {
+		if err := BarrierRefs(bg, c, refs, DefaultWindow); err != nil {
 			t.Fatalf("Barrier: %v", err)
 		}
 
-		sums := make([]int64, g.Len())
-		if err := g.CallParallelResults(bg, "get", nil, func(i int, d *wire.Decoder) error {
+		sums := make([]int64, len(refs))
+		if err := FanOut(bg, c, refs, "get", nil, func(i int, d *wire.Decoder) error {
 			sums[i] = d.Varint()
 			return d.Err()
-		}); err != nil {
-			t.Fatalf("CallParallelResults: %v", err)
+		}, DefaultWindow); err != nil {
+			t.Fatalf("FanOut with results: %v", err)
 		}
 		for i, s := range sums {
 			if want := int64(i*100 + i); s != want {
@@ -516,37 +516,39 @@ func TestGroupSpawnCallBarrierDelete(t *testing.T) {
 			}
 		}
 
-		if err := g.Delete(bg); err != nil {
-			t.Fatalf("group delete: %v", err)
+		if err := DeleteRefs(bg, c, refs, DefaultWindow); err != nil {
+			t.Fatalf("delete: %v", err)
 		}
-		for i := 0; i < g.Len(); i++ {
-			if _, err := c.Call(bg, g.Member(i), "get", nil); !errors.Is(err, ErrNoSuchObject) {
+		for i, ref := range refs {
+			if _, err := c.Call(bg, ref, "get", nil); !errors.Is(err, ErrNoSuchObject) {
 				t.Errorf("member %d alive after delete: %v", i, err)
 			}
 		}
 	})
 }
 
-func TestGroupSequentialCall(t *testing.T) {
+// TestFanOutWindowOne is the paper's plain member-by-member loop (§2
+// semantics): window 1 completes each call before issuing the next.
+func TestFanOutWindowOne(t *testing.T) {
 	nodes, stop := startCluster(t, transport.NewInproc(transport.LinkModel{}), 2)
 	defer stop()
 	c := nodes[0].client
-	g, err := SpawnGroup(bg, c, []int{0, 1}, "test.Counter", func(i int, e *wire.Encoder) error {
+	refs, err := SpawnRefs(bg, c, []int{0, 1}, "test.Counter", func(i int, e *wire.Encoder) error {
 		e.PutInt(0)
 		return nil
-	})
+	}, DefaultWindow)
 	if err != nil {
-		t.Fatalf("SpawnGroup: %v", err)
+		t.Fatalf("SpawnRefs: %v", err)
 	}
-	defer g.Delete(bg)
-	if err := g.Call(bg, "add", func(i int, e *wire.Encoder) error {
+	defer DeleteRefs(bg, c, refs, DefaultWindow)
+	if err := FanOut(bg, c, refs, "add", func(i int, e *wire.Encoder) error {
 		e.PutInt(i + 1)
 		e.PutInt(0)
 		return nil
-	}); err != nil {
-		t.Fatalf("Call: %v", err)
+	}, nil, 1); err != nil {
+		t.Fatalf("FanOut: %v", err)
 	}
-	d, err := c.Call(bg, g.Member(1), "get", nil)
+	d, err := c.Call(bg, refs[1], "get", nil)
 	if err != nil {
 		t.Fatalf("get: %v", err)
 	}
@@ -555,19 +557,19 @@ func TestGroupSequentialCall(t *testing.T) {
 	}
 }
 
-func TestSpawnGroupFailureCleansUp(t *testing.T) {
+func TestSpawnFailureCleansUp(t *testing.T) {
 	nodes, stop := startCluster(t, transport.NewInproc(transport.LinkModel{}), 2)
 	defer stop()
 	c := nodes[0].client
 	// Second member's constructor fails (negative start).
-	_, err := SpawnGroup(bg, c, []int{0, 1}, "test.Counter", func(i int, e *wire.Encoder) error {
+	_, err := SpawnRefs(bg, c, []int{0, 1}, "test.Counter", func(i int, e *wire.Encoder) error {
 		if i == 1 {
 			e.PutInt(-1)
 		} else {
 			e.PutInt(0)
 		}
 		return nil
-	})
+	}, DefaultWindow)
 	if err == nil {
 		t.Fatal("expected spawn failure")
 	}
@@ -589,31 +591,31 @@ func TestRefsTravel(t *testing.T) {
 		defer stop()
 		c := nodes[0].client
 
-		g, err := SpawnGroup(bg, c, []int{0, 1, 2}, "test.Peer", func(i int, e *wire.Encoder) error {
+		refs, err := SpawnRefs(bg, c, []int{0, 1, 2}, "test.Peer", func(i int, e *wire.Encoder) error {
 			e.PutInt(i)
 			return nil
-		})
+		}, DefaultWindow)
 		if err != nil {
-			t.Fatalf("SpawnGroup: %v", err)
+			t.Fatalf("SpawnRefs: %v", err)
 		}
-		defer g.Delete(bg)
+		defer DeleteRefs(bg, c, refs, DefaultWindow)
 
 		// Deep-copy distribution of the member table (§4 SetGroup).
-		if err := g.CallParallel(bg, "setGroup", func(i int, e *wire.Encoder) error {
-			e.PutRefs(g.Refs())
+		if err := FanOut(bg, c, refs, "setGroup", func(i int, e *wire.Encoder) error {
+			e.PutRefs(refs)
 			return nil
-		}); err != nil {
+		}, nil, DefaultWindow); err != nil {
 			t.Fatalf("setGroup: %v", err)
 		}
 
 		// Every member tells every other member its id, via peer RMI.
-		if err := g.CallParallel(bg, "tellPeers", nil); err != nil {
+		if err := FanOut(bg, c, refs, "tellPeers", nil, nil, DefaultWindow); err != nil {
 			t.Fatalf("tellPeers: %v", err)
 		}
 
 		// Each inbox must contain the other two ids.
 		for i := 0; i < 3; i++ {
-			d, err := c.Call(bg, g.Member(i), "inbox", nil)
+			d, err := c.Call(bg, refs[i], "inbox", nil)
 			if err != nil {
 				t.Fatalf("inbox %d: %v", i, err)
 			}

@@ -132,12 +132,6 @@ func (c *Class[T]) NewAsync(ctx context.Context, client *Client, m int, args Arg
 	return client.NewAsync(ctx, m, c.spec.Name(), args, opts...)
 }
 
-// SpawnGroup constructs one object of this class on each machine, in
-// parallel (the paper's "for id: fft[id] = new(machine id) FFT(id)").
-func (c *Class[T]) SpawnGroup(ctx context.Context, client *Client, machines []int, args func(i int, e *wire.Encoder) error, opts ...CallOption) (*Group, error) {
-	return SpawnGroup(ctx, client, machines, c.spec.Name(), args, opts...)
-}
-
 // classSpecFor resolves the ClassSpec registered for type T, accepting
 // either the exact registered type or T's pointer type (so value types
 // can be used as the type argument: NewOn[Counter] for a *Counter class).

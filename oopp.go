@@ -37,8 +37,6 @@ type (
 	Ref = rmi.Ref
 	// Future is the pending result of an asynchronous remote operation.
 	Future = rmi.Future
-	// Group is an array of remote processes operated on collectively.
-	Group = rmi.Group
 	// Env is the per-machine environment visible to server-side objects.
 	Env = rmi.Env
 	// CallOption tunes one remote operation (deadline, dial retry, trace
@@ -519,14 +517,6 @@ func DeactivateArray(ctx context.Context, mgr *Manager, base Address, devices in
 func DestroyArray(ctx context.Context, mgr *Manager, base Address, devices int) error {
 	return core.DestroyArray(ctx, mgr, base, devices)
 }
-
-// SpawnGroup constructs one object of class on each machine, in parallel.
-func SpawnGroup(ctx context.Context, client *Client, machines []int, class string, args func(i int, e *Encoder) error, opts ...CallOption) (*Group, error) {
-	return rmi.SpawnGroup(ctx, client, machines, class, args, opts...)
-}
-
-// NewGroup wraps refs into a group.
-func NewGroup(client *Client, refs []Ref) *Group { return rmi.NewGroup(client, refs) }
 
 // WaitAll waits for every future and returns the first error.
 func WaitAll(ctx context.Context, futs []*Future) error { return rmi.WaitAll(ctx, futs) }

@@ -242,7 +242,7 @@ func TestFacadeGroupsAndFutures(t *testing.T) {
 	stub := oopp.AttachDevice(other, arrays[0].Ref())
 	_ = stub // devices and arrays share the ref concept; just type-check
 
-	g := oopp.NewGroup(client, []oopp.Ref{arrays[0].Ref(), arrays[1].Ref()})
+	g := oopp.AttachCollection[any](client, []oopp.Ref{arrays[0].Ref(), arrays[1].Ref()})
 	if err := g.Barrier(bg); err != nil {
 		t.Fatalf("barrier: %v", err)
 	}
@@ -352,17 +352,19 @@ func TestFacadePublishedDataset(t *testing.T) {
 	if page.Elems() != 8 {
 		t.Fatal("array page geometry")
 	}
-	group, err := oopp.SpawnGroup(bg, client, []int{0, 1}, "rmem.Float64Block", func(i int, e *oopp.Encoder) error {
-		e.PutInt(4)
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("spawn group: %v", err)
+	var blocks []oopp.Ref
+	for m := 0; m < 2; m++ {
+		blk, err := oopp.NewFloat64Array(bg, client, m, 4)
+		if err != nil {
+			t.Fatalf("block on machine %d: %v", m, err)
+		}
+		blocks = append(blocks, blk.Ref())
 	}
+	group := oopp.AttachCollection[any](client, blocks)
 	if err := group.Barrier(bg); err != nil {
 		t.Fatal(err)
 	}
-	if err := group.Delete(bg); err != nil {
+	if err := group.Destroy(bg); err != nil {
 		t.Fatal(err)
 	}
 	wrapped, err := oopp.NewDevice(bg, client, 0, "w", 1, 64, oopp.DiskPrivate)
