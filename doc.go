@@ -100,18 +100,19 @@
 // Inside the device the kernel runs on the page itself. A device whose
 // pages sit in this process's memory (every DiskPrivate device, every
 // in-memory machine disk) hands each method a []float64 view of the
-// resident page: nothing is loaded, converted or stored back. A
-// per-device page lock stands where the copies used to: write-held for
-// one page's stage chain, read-held while a peer's pull copies a region
-// out, so a reader outside the device's mailbox sees each page wholly
-// before or wholly after a chain, never torn. The disk model is charged
-// per access exactly as for a copy (seek + bytes/bandwidth, operation
-// counts); only the memcpy is gone. A device on a file-backed disk, or
-// one delegating to another PageDevice process, runs the same methods on
-// a pooled copy of the page. Because mutation is in place, a method
-// gathers everything that can fail or wait — operand pulls, frame
+// resident page: nothing is loaded, converted or stored back. A lock
+// beside the disk's bytes stands where the copies used to: write-held
+// for one page's stage chain, read-held while a peer's pull copies a
+// region out, so a reader outside the device's mailbox sees each page
+// wholly before or wholly after a chain, never torn. The disk model is
+// charged per access exactly as for a copy (seek + bytes/bandwidth,
+// operation counts); only the memcpy is gone. A device on a file-backed
+// disk, or one delegating to another PageDevice process, runs the same
+// methods on a pooled copy of the page. Because mutation is in place, a
+// method gathers everything that can fail or wait — operand pulls, frame
 // decoding, the fence scan — before it enters a page: a call that fails
-// there has changed nothing on that page.
+// there has changed nothing on that page. (A kernel that panics is the
+// exception: its resident page keeps what the kernel had written.)
 //
 // There is ONE engine behind all of it. Every collective is a stage
 // chain — Fill, Scale, Sum, Dot, Axpy and the user-kernel entry points

@@ -19,13 +19,13 @@
 // real file on the host filesystem.
 //
 // A memory-backed disk can also be used in place: Resident hands out its
-// live bytes, and ChargeRead/ChargeWrite hold the device and count the
-// operation exactly as ReadAt/WriteAt of the same range would — lock,
-// closed and bounds checks, modeled Seek + n/Bandwidth, Ops() and the
-// metrics Disk* counters — while moving no byte: only the memcpy is
-// gone. The disk does not guard the contents of Resident bytes; whoever
-// holds them synchronizes their readers and writers (pagedev keeps a
-// lock beside them). A file-backed disk has no resident bytes.
+// live bytes, and Acquire holds the device and counts the access exactly
+// as ReadAt/WriteAt of the same range would — closed and bounds checks,
+// modeled Seek + n/Bandwidth, Ops() and the metrics Disk* counters —
+// while moving no byte. What the memcpy gave for free, that nobody sees a
+// range half-written, the contents lock gives instead: Acquire holds it
+// until Release and ReadAt/WriteAt take it around their own move, so
+// every user of one disk, in place or copying, sees each access whole.
 package disk
 
 import (
@@ -92,6 +92,10 @@ type Disk struct {
 	mu      sync.Mutex
 	backing Backing
 	closed  bool
+
+	// contents guards the stored bytes, shared for a read and exclusive
+	// for a write. Taken after mu or alone; a holder takes no other lock.
+	contents sync.RWMutex
 
 	reads, writes atomic.Int64 // lifetime operations, for Ops
 }
@@ -174,18 +178,38 @@ func (d *Disk) ReadAt(p []byte, off int64) error { return d.op(p, off, len(p), f
 // modeled duration.
 func (d *Disk) WriteAt(p []byte, off int64) error { return d.op(p, off, len(p), true) }
 
-// ChargeRead holds the device and counts an n-byte read at off as ReadAt
-// would, moving nothing: the caller reads the Resident bytes itself.
-func (d *Disk) ChargeRead(off int64, n int) error { return d.op(nil, off, n, false) }
+// Acquire is ReadAt (if read) and WriteAt (if write) of n bytes at off
+// for a caller that works on the Resident bytes themselves: it holds the
+// device and counts each exactly as they would, moves nothing, and
+// returns with the contents locked — shared, or exclusive for write —
+// until Release(write). The holder must not call the disk in between.
+func (d *Disk) Acquire(off int64, n int, read, write bool) (err error) {
+	if read {
+		err = d.op(nil, off, n, false)
+	}
+	if write && err == nil {
+		err = d.op(nil, off, n, true)
+	}
+	if err == nil {
+		d.side(write).Lock()
+	}
+	return err
+}
 
-// ChargeWrite holds the device and counts an n-byte write at off as
-// WriteAt would, moving nothing: the caller writes the Resident bytes
-// itself.
-func (d *Disk) ChargeWrite(off int64, n int) error { return d.op(nil, off, n, true) }
+// Release ends an Acquire.
+func (d *Disk) Release(write bool) { d.side(write).Unlock() }
+
+// side is the contents lock as a writer or a reader takes it.
+func (d *Disk) side(write bool) sync.Locker {
+	if write {
+		return &d.contents
+	}
+	return d.contents.RLocker()
+}
 
 // Resident returns the live bytes of a memory-backed disk — not a copy —
-// or nil for a file-backed or closed one. Nothing is charged; the bytes
-// stay valid (but detached) after Close.
+// or nil for a file-backed or closed one. Nothing is charged: access goes
+// between Acquire and Release. They stay valid (but detached) after Close.
 func (d *Disk) Resident() []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -196,7 +220,7 @@ func (d *Disk) Resident() []byte {
 }
 
 // op is every operation: n bytes at off, read or written, moved through
-// p unless p is nil (a charge for access in place).
+// p under the contents lock unless p is nil (Acquire: access in place).
 func (d *Disk) op(p []byte, off int64, n int, write bool) (err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -213,12 +237,14 @@ func (d *Disk) op(p []byte, off int64, n int, write bool) (err error) {
 	if !d.model.IsZero() {
 		simtime.Sleep(hold)
 	}
-	switch {
-	case p == nil:
-	case write:
-		err = d.backing.WriteAt(p, off)
-	default:
-		err = d.backing.ReadAt(p, off)
+	if p != nil {
+		move := d.backing.ReadAt
+		if write {
+			move = d.backing.WriteAt
+		}
+		d.side(write).Lock()
+		err = move(p, off)
+		d.Release(write)
 	}
 	if err != nil {
 		return err

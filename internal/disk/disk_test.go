@@ -244,3 +244,73 @@ func TestConcurrentMixedOps(t *testing.T) {
 		t.Errorf("ops = (%d,%d), want (800,800)", r, w)
 	}
 }
+
+// TestAcquireIsTheOperationInPlace: access to the resident bytes between
+// Acquire and Release is refused, counted and timed as ReadAt/WriteAt of
+// the range would be, and excludes them — and another Acquire — while a
+// writer holds the range.
+func TestAcquireIsTheOperationInPlace(t *testing.T) {
+	const seek = 2 * time.Millisecond
+	d := NewMem("d0", 64, Model{Seek: seek})
+	mem := d.Resident()
+	if len(mem) != 64 {
+		t.Fatalf("resident bytes: %d, want 64", len(mem))
+	}
+	if err := d.Acquire(60, 8, true, true); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("acquire past the end: %v", err)
+	}
+	t0 := time.Now()
+	if err := d.Acquire(8, 8, true, true); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(t0); took < 2*seek {
+		t.Errorf("a read and a write in place held the disk %v, want ≥ %v", took, 2*seek)
+	}
+	if r, w := d.Ops(); r != 1 || w != 1 {
+		t.Errorf("ops = (%d,%d), want (1,1)", r, w)
+	}
+	// A copying reader and an in-place reader both wait for the writer.
+	got := make([]byte, 8)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		if err := d.ReadAt(got, 8); err != nil {
+			t.Error(err)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		if err := d.Acquire(8, 8, true, false); err != nil {
+			t.Error(err)
+			return
+		}
+		defer d.Release(false)
+		if !bytes.Equal(mem[8:16], []byte("whole!!!")) {
+			t.Errorf("in-place reader saw %q", mem[8:16])
+		}
+	}()
+	copy(mem[8:], "whol")
+	time.Sleep(5 * seek)
+	copy(mem[12:], "e!!!")
+	d.Release(true)
+	wg.Wait()
+	if string(got) != "whole!!!" {
+		t.Errorf("copying reader saw %q", got)
+	}
+	if r, w := d.Ops(); r != 3 || w != 1 {
+		t.Errorf("ops = (%d,%d), want (3,1)", r, w)
+	}
+	d.Close()
+	if err := d.Acquire(0, 8, true, false); !errors.Is(err, ErrClosed) {
+		t.Errorf("acquire after close: %v", err)
+	}
+	f, err := NewFile("f0", filepath.Join(t.TempDir(), "f0.img"), 64, Model{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if f.Resident() != nil {
+		t.Error("a file-backed disk has resident bytes")
+	}
+}

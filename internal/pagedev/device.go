@@ -25,120 +25,124 @@ const DiskPrivate = -1
 // (the §5 construct-from-process mode).
 const diskRemote = -2
 
-// access is what a method will do with a page it opens. It fixes what
-// the access is charged and which side of the page lock it takes.
+// access is what a method will do with a page it opens (withPage). It
+// fixes what the access is charged and which side of the lock it takes.
 type access uint8
 
 const (
-	readOnly  access = iota // shared; one read charged, nothing stored
-	update                  // exclusive read-modify-write; one read and one write charged
-	overwrite               // exclusive, every element written before done; one write charged, contents on entry undefined
+	readOnly access = iota
+	update
+	overwrite
 )
 
 // backing is where a device's pages physically live: a machine disk, or
 // another PageDevice process reached over RMI (the §5 construct-from-
-// process use case). readPage/writePage copy a whole page out or in,
-// atomically with respect to each other. A store whose pages sit in this
-// process's memory additionally pins them for access in place; the two
-// kinds differ only here, behind the device's one accessor (withPage).
+// process use case). readPage/writePage copy a whole page of bytes out or
+// in, atomically with respect to each other and to a pinned page.
 type backing interface {
 	readPage(index int, dst []byte) error
 	writePage(index int, src []byte) error
-	// pin charges the access, locks page index for it and returns the
-	// page's own memory as float64s; unpin unlocks. A store without
-	// resident pages returns nil, nil and the caller copies instead.
-	pin(index int, how access) ([]float64, error)
-	unpin(how access)
+	// pin opens page index as float64s for withPage, unpin closes it. What
+	// the elements are is all that differs between stores: a resident one
+	// returns the page's own memory, locked, and a nil buf; the others a
+	// copy (copies), loaded unless how is overwrite, stored back if keep.
+	pin(index int, how access) (elems []float64, buf *pageBuf, err error)
+	unpin(index int, how access, buf *pageBuf, keep bool) error
 	close() error
+}
+
+// copies is pin/unpin for a store s whose pages are not float64s in this
+// process's memory: load into a pageBuf, pack and store from it. Pooled,
+// not one per device, because readOnly pins run concurrently.
+type copies struct {
+	pageSize int
+	pool     sync.Pool // *pageBuf
+}
+
+type pageBuf struct {
+	bytes []byte
+	elems []float64
+}
+
+func (c *copies) pin(s backing, index int, how access) ([]float64, *pageBuf, error) {
+	buf, _ := c.pool.Get().(*pageBuf)
+	if buf == nil {
+		buf = &pageBuf{bytes: make([]byte, c.pageSize), elems: make([]float64, c.pageSize/8)}
+	}
+	if how != overwrite {
+		err := s.readPage(index, buf.bytes)
+		if err == nil {
+			err = BytesToFloat64s(buf.elems, buf.bytes)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	return buf.elems, buf, nil
+}
+
+func (c *copies) unpin(s backing, index int, buf *pageBuf, keep bool) (err error) {
+	if keep {
+		if err = Float64sToBytes(buf.bytes, buf.elems); err == nil {
+			err = s.writePage(index, buf.bytes)
+		}
+	}
+	c.pool.Put(buf)
+	return err
 }
 
 // diskBacking stores pages on a disk.Disk from offset 0. Two devices
 // opened on one disk index therefore alias the same bytes; they never
-// were coherent with each other — no shared fence, counters or lock —
-// and the page lock below, one per device, does not make them so.
+// were coherent with each other — no shared fence or counters — beyond
+// what the disk itself gives every user: each page access whole.
 //
 // On a memory-backed disk whose bytes can be viewed as float64s the
-// store is resident: methods compute on mem itself, and mu is what the
-// copies used to be — write-held for one page's mutation, read-held for
-// one page's read, so a reader outside the mailbox never sees a page
-// torn. mu is never held while another lock is taken or anything is
-// waited for: the disk is charged (its own lock, its modeled hold time)
-// before mu, and a holder only runs loops over memory.
+// store is resident: a page is pinned by disk.Acquire — charged as the
+// copy would have been — and computed on where it is. The disk's contents
+// lock stands where the copies used to: write-held for one page's
+// mutation, read-held for one page's read, so a reader outside the
+// mailbox never sees a page torn; a holder only runs loops over memory.
 type diskBacking struct {
-	dsk      *disk.Disk
-	pageSize int
-	private  bool // device owns the disk and closes it on destroy
-
-	mu    sync.RWMutex
-	mem   []byte    // the device's pages, live; nil: not resident, every access copies
-	elems []float64 // mem as float64s
+	dsk     *disk.Disk
+	private bool      // device owns the disk and closes it on destroy
+	elems   []float64 // the disk's resident bytes; nil: none, every pin copies
+	cp      copies
 }
 
 func newDiskBacking(dsk *disk.Disk, numPages, pageSize int, private bool) *diskBacking {
-	b := &diskBacking{dsk: dsk, pageSize: pageSize, private: private}
+	b := &diskBacking{dsk: dsk, private: private, cp: copies{pageSize: pageSize}}
 	if mem := dsk.Resident(); mem != nil {
-		mem = mem[:numPages*pageSize]
-		if b.elems = f64view(mem); b.elems != nil {
-			b.mem = mem
-		}
+		b.elems = f64view(mem[:numPages*pageSize])
 	}
 	return b
 }
 
-func (b *diskBacking) pin(index int, how access) ([]float64, error) {
-	if b.mem == nil {
-		return nil, nil
+func (b *diskBacking) offset(index int) int64 { return int64(index) * int64(b.cp.pageSize) }
+
+func (b *diskBacking) pin(index int, how access) ([]float64, *pageBuf, error) {
+	if b.elems == nil {
+		return b.cp.pin(b, index, how)
 	}
-	off := int64(index) * int64(b.pageSize)
-	if how != overwrite {
-		if err := b.dsk.ChargeRead(off, b.pageSize); err != nil {
-			return nil, err
-		}
+	if err := b.dsk.Acquire(b.offset(index), b.cp.pageSize, how != overwrite, how != readOnly); err != nil {
+		return nil, nil, err
 	}
-	if how == readOnly {
-		b.mu.RLock()
-	} else {
-		if err := b.dsk.ChargeWrite(off, b.pageSize); err != nil {
-			return nil, err
-		}
-		b.mu.Lock()
-	}
-	n := b.pageSize / 8
-	return b.elems[index*n : (index+1)*n : (index+1)*n], nil
+	n := b.cp.pageSize / 8
+	return b.elems[index*n : (index+1)*n : (index+1)*n], nil, nil
 }
 
-func (b *diskBacking) unpin(how access) {
-	if how == readOnly {
-		b.mu.RUnlock()
-	} else {
-		b.mu.Unlock()
+func (b *diskBacking) unpin(index int, how access, buf *pageBuf, keep bool) error {
+	if buf != nil {
+		return b.cp.unpin(b, index, buf, keep)
 	}
+	b.dsk.Release(how != readOnly)
+	return nil
 }
 
 func (b *diskBacking) readPage(index int, dst []byte) error {
-	off := int64(index) * int64(b.pageSize)
-	if b.mem == nil {
-		return b.dsk.ReadAt(dst, off)
-	}
-	if _, err := b.pin(index, readOnly); err != nil {
-		return err
-	}
-	copy(dst, b.mem[off:])
-	b.unpin(readOnly)
-	return nil
+	return b.dsk.ReadAt(dst, b.offset(index))
 }
-
 func (b *diskBacking) writePage(index int, src []byte) error {
-	off := int64(index) * int64(b.pageSize)
-	if b.mem == nil {
-		return b.dsk.WriteAt(src, off)
-	}
-	if _, err := b.pin(index, overwrite); err != nil {
-		return err
-	}
-	copy(b.mem[off:off+int64(b.pageSize)], src)
-	b.unpin(overwrite)
-	return nil
+	return b.dsk.WriteAt(src, b.offset(index))
 }
 
 func (b *diskBacking) close() error {
@@ -154,6 +158,15 @@ func (b *diskBacking) close() error {
 type remoteBacking struct {
 	client *rmi.Client
 	ref    rmi.Ref
+	cp     copies
+}
+
+func (b *remoteBacking) pin(index int, how access) ([]float64, *pageBuf, error) {
+	return b.cp.pin(b, index, how)
+}
+
+func (b *remoteBacking) unpin(index int, how access, buf *pageBuf, keep bool) error {
+	return b.cp.unpin(b, index, buf, keep)
 }
 
 func (b *remoteBacking) readPage(index int, dst []byte) error {
@@ -188,15 +201,13 @@ func (b *remoteBacking) writePage(index int, src []byte) error {
 	return err
 }
 
-func (b *remoteBacking) pin(int, access) ([]float64, error) { return nil, nil }
-func (b *remoteBacking) unpin(access)                       {}
-func (b *remoteBacking) close() error                       { return nil }
+func (b *remoteBacking) close() error { return nil }
 
 // pageDevice is the server-side object: the storage process of §2. Its
 // methods run serially through the object mailbox — the object is its
 // process — except readSubBatch and co-located peers' pulls, which read
-// pages from outside it: hence the atomic I/O counters, the pooled copy
-// buffers, and a resident store's page lock (diskBacking).
+// pages from outside it: hence the atomic I/O counters, and stores that
+// can be pinned readOnly concurrently.
 type pageDevice struct {
 	name      string
 	numPages  int
@@ -205,7 +216,7 @@ type pageDevice struct {
 	store     backing
 	reads     atomic.Int64
 	writes    atomic.Int64
-	bufs      sync.Pool // *pageBuf: what a store that is not resident copies pages through
+	raw       []byte // one page in flight in a serial byte-protocol method (pageBytes)
 
 	// fence holds page indices mid-migration: mutators targeting a
 	// fenced page are refused typed (rmi.ErrFenced) so the caller can
@@ -214,18 +225,12 @@ type pageDevice struct {
 	fence map[int]struct{}
 }
 
-// pageBuf is one page outside its store: its bytes and, once an
-// ArrayPageDevice method has asked for them, its elements.
-type pageBuf struct {
-	bytes []byte
-	elems []float64
-}
-
-func (p *pageDevice) getBuf() *pageBuf {
-	if b, ok := p.bufs.Get().(*pageBuf); ok {
-		return b
+// pageBytes is the byte protocol's page buffer (read, copyFrom: serial).
+func (p *pageDevice) pageBytes() []byte {
+	if len(p.raw) != p.pageSize {
+		p.raw = make([]byte, p.pageSize)
 	}
-	return &pageBuf{bytes: make([]byte, p.pageSize)}
+	return p.raw
 }
 
 // base lets inherited method implementations reach the embedded
@@ -242,27 +247,13 @@ func (p *pageDevice) checkIndex(index int) error {
 	return nil
 }
 
-// readInto and write move one page of bytes out of or into the store:
-// the base class's protocol, copyFrom and persistence. Both are safe for
-// concurrent use provided dst/src are caller-owned.
-func (p *pageDevice) readInto(index int, dst []byte) error {
-	if err := p.checkIndex(index); err != nil {
-		return err
-	}
-	if err := p.store.readPage(index, dst); err != nil {
-		return err
-	}
-	p.reads.Add(1)
-	return nil
-}
-
+// write is the byte protocol's mutator. Every mutator checks the fence
+// before its first store — here, or in withPage — so a refused single-page
+// mutator has changed nothing; batched ones pre-scan their regions besides.
 func (p *pageDevice) write(index int, src []byte) error {
 	if err := p.checkIndex(index); err != nil {
 		return err
 	}
-	// Every mutator checks the fence before its first store — here, or in
-	// withPage — so a refused single-page mutator has changed nothing;
-	// batched mutators pre-scan their whole region list besides.
 	if err := p.checkFence(index); err != nil {
 		return err
 	}
@@ -333,12 +324,15 @@ func registerBaseMethods(c *rmi.Class[baser]) *rmi.Class[baser] {
 			if err := args.Err(); err != nil {
 				return err
 			}
-			buf := p.getBuf()
-			defer p.bufs.Put(buf)
-			if err := p.readInto(index, buf.bytes); err != nil {
+			if err := p.checkIndex(index); err != nil {
 				return err
 			}
-			reply.PutBytes(buf.bytes)
+			buf := p.pageBytes()
+			if err := p.store.readPage(index, buf); err != nil {
+				return err
+			}
+			p.reads.Add(1)
+			reply.PutBytes(buf)
 			return nil
 		}).
 		Method("numPages", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
@@ -375,13 +369,12 @@ func registerBaseMethods(c *rmi.Class[baser]) *rmi.Class[baser] {
 				return fmt.Errorf("pagedev: copyFrom %d pages into %d-page device", count, p.numPages)
 			}
 			rb := &remoteBacking{client: env.Client, ref: src}
-			buf := p.getBuf()
-			defer p.bufs.Put(buf)
+			buf := p.pageBytes()
 			for i := 0; i < count; i++ {
-				if err := rb.readPage(i, buf.bytes); err != nil {
+				if err := rb.readPage(i, buf); err != nil {
 					return fmt.Errorf("pagedev: copyFrom page %d: %w", i, err)
 				}
-				if err := p.write(i, buf.bytes); err != nil {
+				if err := p.write(i, buf); err != nil {
 					return err
 				}
 			}
@@ -444,9 +437,8 @@ type arrayPageDevice struct {
 	*pageDevice
 	n1, n2, n3 int
 	// staged holds values a serial method has fetched or decoded but not
-	// yet stored: pulled operands and regions, a written page or box.
-	// They are gathered here first because gathering can fail and a page,
-	// once entered for writing, must not be left half-written.
+	// yet stored — pulled operands and regions, a written page or box —
+	// since gathering can fail and a page entered for writing must not.
 	staged []float64
 }
 
@@ -504,7 +496,7 @@ func newArrayClass() *rmi.Class[*arrayPageDevice] {
 					numPages:  numPages,
 					pageSize:  pageSize,
 					diskIndex: diskRemote,
-					store:     &remoteBacking{client: env.Client, ref: src},
+					store:     &remoteBacking{client: env.Client, ref: src, cp: copies{pageSize: pageSize}},
 				}
 				return &arrayPageDevice{pageDevice: pd, n1: n1, n2: n2, n3: n3}, nil
 			default:
@@ -576,16 +568,20 @@ func newArrayClass() *rmi.Class[*arrayPageDevice] {
 
 // withPage is the device's one page accessor: every method that touches
 // an element does it inside fn, on page index as float64s — the store's
-// own memory under the page lock when the store is resident, a pooled
-// copy loaded before and stored after fn otherwise. fn may only read
-// (readOnly; safe outside the mailbox), may modify in place (update), or
-// must write every element (overwrite: not loaded, no read charged).
+// own memory under its contents lock when the store is resident, a copy
+// loaded before and stored after fn otherwise (backing.pin). fn may only
+// read (readOnly: one read charged; safe outside the mailbox), may modify
+// in place (update: a read and a write), or must write every element
+// (overwrite: one write; contents on entry undefined).
 //
 // Everything that can refuse the access — index and fence checks, the
 // disk's charges, a copy's load — happens before fn, and fn cannot fail:
 // what it stores in a resident page is stored for good. So a method
 // fetches operands, decodes frames and scans fences BEFORE withPage, and
-// fn must not wait or call withPage again.
+// fn must not wait or call withPage again. That covers errors, not
+// panics: a kernel that panics mid-page (rmi recovers it, the call fails)
+// gives the page up and a copy is dropped, but a resident page keeps what
+// the kernel had written.
 func (a *arrayPageDevice) withPage(index int, how access, fn func(elems []float64)) error {
 	if err := a.checkIndex(index); err != nil {
 		return err
@@ -595,42 +591,28 @@ func (a *arrayPageDevice) withPage(index int, how access, fn func(elems []float6
 			return err
 		}
 	}
-	elems, err := a.store.pin(index, how)
+	elems, buf, err := a.store.pin(index, how)
 	if err != nil {
 		return err
 	}
-	if elems != nil {
-		if how != overwrite {
-			a.reads.Add(1)
-		}
-		if how != readOnly {
-			a.writes.Add(1)
-		}
-		defer a.store.unpin(how) // deferred: a kernel that panics (rmi recovers it) must not keep the page
-		fn(elems)
-		return nil
-	}
-	buf := a.getBuf()
-	defer a.bufs.Put(buf)
-	if buf.elems == nil {
-		buf.elems = make([]float64, a.n1*a.n2*a.n3)
-	}
 	if how != overwrite {
-		if err := a.readInto(index, buf.bytes); err != nil {
-			return err
-		}
-		if err := BytesToFloat64s(buf.elems, buf.bytes); err != nil {
-			return err
-		}
+		a.reads.Add(1)
 	}
-	fn(buf.elems)
-	if how == readOnly {
-		return nil
-	}
-	if err := Float64sToBytes(buf.bytes, buf.elems); err != nil {
+	ran := false
+	defer func() {
+		if !ran {
+			a.store.unpin(index, how, buf, false)
+		}
+	}()
+	fn(elems)
+	ran = true
+	if err := a.store.unpin(index, how, buf, how != readOnly); err != nil {
 		return err
 	}
-	return a.write(index, buf.bytes)
+	if how != readOnly {
+		a.writes.Add(1)
+	}
+	return nil
 }
 
 // stage returns n elements of the device's staging buffer (see staged).

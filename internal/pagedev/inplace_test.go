@@ -51,15 +51,30 @@ func readSubs(client *rmi.Client, ref rmi.Ref, idx []int, b pagedev.SubBox) ([][
 // page between rounds is all one odd value; a reader that got in between
 // the two stages would see an even one, and one that got in mid-stage a
 // mixed page. Run under -race this is also the data-race check of the
-// page lock.
+// lock beside the disk's bytes — which is the disk's, not the device's:
+// the second case reads through another device opened on the same
+// machine disk, which aliases the same pages and shares nothing else
+// with the sweeping one.
 func TestServedPagesAreNeverTorn(t *testing.T) {
+	t.Run("one device", func(t *testing.T) { hammerPages(t, pagedev.DiskPrivate) })
+	t.Run("two devices on one disk", func(t *testing.T) { hammerPages(t, 0) })
+}
+
+func hammerPages(t *testing.T, diskIndex int) {
 	const pages, n, rounds = 4, 16, 300
-	c := startCluster(t, 2, 0)
-	dev, err := pagedev.NewArrayDevice(bg, c.Client(), 0, "hammer", pages, n, n, n, pagedev.DiskPrivate)
+	c := startCluster(t, 2, 1)
+	dev, err := pagedev.NewArrayDevice(bg, c.Client(), 0, "hammer", pages, n, n, n, diskIndex)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dev.Close(bg)
+	served := dev
+	if diskIndex != pagedev.DiskPrivate {
+		if served, err = pagedev.NewArrayDevice(bg, c.Client(), 0, "alias", pages, n, n, n, diskIndex); err != nil {
+			t.Fatal(err)
+		}
+		defer served.Close(bg)
+	}
 	var idx []int
 	var regions []pagedev.PipeRegion
 	for i := 0; i < pages; i++ {
@@ -82,7 +97,7 @@ func TestServedPagesAreNeverTorn(t *testing.T) {
 		swept <- nil
 	}()
 	reader := c.Machine(1).Client()
-	for served, sweeping := 0, true; sweeping || served == 0; served++ {
+	for pull, sweeping := 0, true; sweeping || pull == 0; pull++ {
 		select {
 		case err := <-swept:
 			if err != nil {
@@ -94,17 +109,28 @@ func TestServedPagesAreNeverTorn(t *testing.T) {
 		// Whole pages and, every other pull, an interior sub-box (rows
 		// gathered one by one under the same lock).
 		b := box(n, n, n)
-		if served%2 == 1 {
+		if pull%2 == 1 {
 			b = pagedev.SubBox{Lo: [3]int{1, 2, 3}, Dim: [3]int{n - 2, n - 3, n - 4}}
 		}
-		got, err := readSubs(reader, dev.Ref(), idx, b)
+		got, err := readSubs(reader, served.Ref(), idx, b)
 		if err != nil {
 			t.Fatalf("readSubBatch: %v", err)
 		}
+		// And a page through the byte protocol, which copies it off the
+		// disk instead of viewing it.
+		raw, err := served.Read(bg, pull%pages)
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		bytePage := make([]float64, n*n*n)
+		if err := pagedev.BytesToFloat64s(bytePage, raw); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, bytePage)
 		for p, vals := range got {
 			for i, v := range vals {
 				if v != vals[0] || math.Mod(v, 2) != 1 || v > 2*rounds+1 {
-					t.Fatalf("pull %d, page %d: element %d is %v, element 0 is %v: torn, or served between two stages", served, p, i, v, vals[0])
+					t.Fatalf("pull %d, page %d: element %d is %v, element 0 is %v: torn, or served between two stages", pull, p, i, v, vals[0])
 				}
 			}
 		}
@@ -374,6 +400,43 @@ func TestBackingsAgree(t *testing.T) {
 		if got.reads != want.reads || got.writes != want.writes || got.dreads != want.dreads || got.dwrite != want.dwrite {
 			t.Errorf("%s: device +%d/+%d disk +%d/+%d (reads/writes), memory's +%d/+%d and +%d/+%d", row.name,
 				got.reads, got.writes, got.dreads, got.dwrite, want.reads, want.writes, want.dreads, want.dwrite)
+		}
+	}
+}
+
+func init() {
+	kernel.RegisterMap("test.halfThenPanic", kernel.Map{Fn: func(row, _ []float64) {
+		for i := range row[:len(row)/2] {
+			row[i] = -1
+		}
+		panic("kernel bug")
+	}})
+}
+
+// TestPanickingKernelGivesThePageUp: all-or-nothing is about errors; a
+// kernel that panics mid-page is a bug the engine only contains. The
+// call fails, the page is given up — the device goes on serving it — and
+// a store that works on copies has stored nothing. (A resident page keeps
+// what the kernel wrote.)
+func TestPanickingKernelGivesThePageUp(t *testing.T) {
+	for _, row := range openBackings(t, disk.Model{}) {
+		page := pagedev.NewArrayPage(4, 4, 4)
+		page.Fill(3)
+		if err := row.dev.WritePage(bg, page, 0); err != nil {
+			t.Fatal(err)
+		}
+		before := pageBits(t, row.dev, 0)
+		_, _, err := row.dev.ApplyPipelineK(bg, kernel.Pipeline{Stages: []kernel.Stage{kernel.MapStage("test.halfThenPanic")}},
+			[][]float64{nil}, []pagedev.PipeRegion{{Index: 0, Box: box(4, 4, 4)}})
+		if err == nil {
+			t.Fatalf("%s: a panicking kernel reported success", row.name)
+		}
+		after := pageBits(t, row.dev, 0) // would hang if the page were still held
+		if row.name != "memory" && !sameBits(after, before) {
+			t.Errorf("%s: a chain that panicked stored its copy", row.name)
+		}
+		if err := row.dev.FillPage(bg, 0, 1); err != nil {
+			t.Errorf("%s: fill after the panic: %v", row.name, err)
 		}
 	}
 }

@@ -19,17 +19,18 @@ package pagedev
 //
 // Every one of them reaches elements through the device's page accessor
 // (withPage, device.go): on a resident store serial methods mutate the
-// page itself and the concurrent lane reads it, and the page lock keeps
-// the two apart. The lock covers ONE page for ONE access — a page's
-// stage chain, a page's copy-out — so a reader sees each page wholly
-// before or wholly after a chain, never between two of its stages or
-// torn; it does not make a batch atomic. Nothing is held across a pull:
-// a serial method fetches every peer value it needs (stage) before it
-// enters the page they go into, which is also what lets a device be its
-// own operand (self-dot) and two devices pull from each other at once.
+// page itself and the concurrent lane reads it, and the disk's contents
+// lock keeps the two apart. It is held for ONE access to ONE page — a
+// page's stage chain, a page's copy-out — so a reader sees each page
+// wholly before or wholly after a chain, never between two of its stages
+// or torn; it does not make a batch atomic. Nothing is held across a
+// pull: a serial method fetches every peer value it needs (stage) before
+// it enters the page they go into, which is also what lets a device be
+// its own operand (self-dot) and two devices pull from each other at once.
 //
 // Batches are not transactional: a mid-batch failure leaves earlier
-// regions applied. The one all-or-nothing guarantee is the migration
+// regions applied, and a kernel that panics leaves its own resident page
+// as far as it got. The one all-or-nothing guarantee is the migration
 // fence (fence.go): every mutating batch pre-scans its destination
 // pages and refuses the WHOLE batch typed (rmi.ErrFenced) if any is
 // mid-migration, so a caller can replay the identical batch after the
@@ -189,7 +190,7 @@ func (a *arrayPageDevice) fetchSubBatchAsync(env *rmi.Env, peer rmi.Ref, reqs []
 func registerTransferMethods(c *rmi.Class[*arrayPageDevice]) {
 	// readSubBatch(count, count×(idx, box)): serve the row-packed values
 	// of each region. CONCURRENT — runs outside the mailbox, reading each
-	// page under its lock, so this device can serve peer pulls (halo
+	// page under the store's lock, so this device can serve peer pulls (halo
 	// planes, binary operands) even while one of its own serial methods
 	// is running.
 	c.ConcurrentMethod("readSubBatch", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {

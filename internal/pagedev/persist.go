@@ -69,7 +69,7 @@ func (p *pageDevice) LoadState(env *rmi.Env, d *wire.Decoder) error {
 			numPages:  numPages,
 			pageSize:  pageSize,
 			diskIndex: diskRemote,
-			store:     &remoteBacking{client: env.Client, ref: src},
+			store:     &remoteBacking{client: env.Client, ref: src, cp: copies{pageSize: pageSize}},
 		})
 		return nil
 	default:

@@ -4,9 +4,8 @@ package pagedev
 // array collective executes through. A request carries a stage chain
 // inline plus the batch of page regions this device owns; each region's
 // page is entered once (withPage) and walked through every stage in
-// order — in place, when the store is resident.
-// A one-stage chain is Apply, Reduce, ApplyBinary or ReduceBinary; a
-// longer one is a fused pipeline.
+// order — in place, when the store is resident. A one-stage chain is
+// Apply, Reduce, ApplyBinary or ReduceBinary; a longer one is fused.
 //
 // Only this file knows the wire format — the encoder, the decoder and
 // the reply pair sit side by side:

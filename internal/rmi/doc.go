@@ -137,7 +137,7 @@
 //	                                          the data" illustration
 //
 // The concurrency column is the point: readSubBatch executes outside
-// the object mailbox (reading each page under the device's page lock,
+// the object mailbox (reading each page under its disk's contents lock,
 // which a serial method holds only for one page's chain, never across
 // a pull), so a device that is itself inside a serial sweep still
 // serves its neighbours' halo and operand pulls — the same escape hatch
