@@ -94,17 +94,21 @@
 // kernel name, a few float64 parameters, and the list of page regions
 // that device owns); the device runs the kernel where the data lives;
 // for reductions only a fixed-width (count, accumulator) partial
-// returns, merged client-side in device order. Compute cost therefore
-// scales with aggregate device CPU, not with the client's link.
+// returns — the device's merge, in region order, of one accumulator per
+// page region — merged client-side in device order. Compute cost
+// therefore scales with aggregate device CPU, not with the client's link.
 //
 // Inside the device the kernel runs on the page itself. A device whose
 // pages sit in this process's memory (every DiskPrivate device, every
 // in-memory machine disk) hands each method a []float64 view of the
 // resident page: nothing is loaded, converted or stored back. A lock
-// beside the disk's bytes stands where the copies used to: write-held
-// for one page's stage chain, read-held while a peer's pull copies a
-// region out, so a reader outside the device's mailbox sees each page
-// wholly before or wholly after a chain, never torn. The disk model is
+// on the page's byte range of the disk stands where the copies used to:
+// write-held for one page's stage chain, read-held while a peer's pull
+// copies a region out, so a reader outside the device's mailbox sees
+// each page wholly before or wholly after a chain, never torn. A device
+// is still one process with one mailbox, but a large batch's page
+// regions are shared among as many goroutines as the machine has cores,
+// and the method returns when all have finished. The disk model is
 // charged per access exactly as for a copy (seek + bytes/bandwidth,
 // operation counts); only the memcpy is gone. A device on a file-backed
 // disk, or one delegating to another PageDevice process, runs the same
@@ -212,8 +216,8 @@
 // fan to every replica (the deterministic chain keeps replica banks
 // bitwise identical), while each page's reduce stages fold on exactly
 // one live replica — so replication never double-counts a partial, and
-// reduce results merge in device order, deterministic for associative
-// kernels. Failure tolerance follows the chain's shape: pure-map
+// reduce results merge per device in region order, then in device
+// order, deterministic for associative kernels. Failure tolerance follows the chain's shape: pure-map
 // chains degrade like Apply, pure-reduce chains retry surviving
 // replicas like Reduce, and a chain that both mutates and reduces
 // returns the failure rather than risk re-applying its mutations.

@@ -50,10 +50,11 @@ func (a *Array) Apply(ctx context.Context, dom Domain, name string, params ...fl
 
 // Reduce folds the registered reduction kernel name over dom: each
 // involved device folds its pages locally and ships only a fixed-width
-// (count, accumulator) partial; the partials merge client-side in
-// device order (deterministic for any associative kernel). It returns
-// the combined accumulator and the number of elements folded; an empty
-// dom folds nothing and returns the kernel's identity with n == 0 —
+// (count, accumulator) partial, merged from one per page region in region
+// order; the partials merge client-side in device order (deterministic
+// for any associative kernel). It returns the combined accumulator and
+// the number of elements folded; an empty dom folds nothing and returns
+// the kernel's identity with n == 0 —
 // identity-only partials are never merged, so ±Inf-style identities
 // cannot poison the result. Under a replicated map each page is folded
 // on one *live* replica, and a machine-down failure retries on the

@@ -97,9 +97,9 @@ func (c *chain) fanOut(ctx context.Context, view *collection.Collection[*pagedev
 		})
 }
 
-// results materializes the per-stage outcomes; an untouched stage
-// (N == 0, or totals == nil for an empty domain) reports its identity
-// accumulator, never a merged one.
+// results materializes the per-stage outcomes: totals merges, in device order,
+// each device's merge, in region order, of one accumulator per page region. An untouched
+// stage (N == 0, or totals == nil: empty domain) reports its identity, never a merged one.
 func (c *chain) results(totals []pagedev.ReducePartial) []StageResult {
 	out := make([]StageResult, len(c.reds))
 	for i, r := range c.reds {
@@ -116,7 +116,8 @@ func (c *chain) results(totals []pagedev.ReducePartial) []StageResult {
 
 // plan is the one kernel planner: it groups the regions by owning
 // device, in first-seen device order (row-major page order, so a
-// round-robin map yields balanced batches). Mutating chains fan every
+// round-robin map yields balanced batches) — which, with the regions'
+// order within each, is the reduce stages' fold order. Mutating chains fan every
 // region to the page's whole replica chain (kernels are deterministic
 // and each device applies them inside its serial mailbox, so replicas
 // stay bitwise identical); when the chain also reduces, exactly ONE
@@ -202,8 +203,8 @@ func (a *Array) kernelView(devs []int) *collection.Collection[*pagedev.ArrayDevi
 // order, and stores once. operands supplies the second operand array of
 // each two-operand stage, in stage order (empty for pipelines without
 // one); params supplies one parameter vector per stage. It returns one
-// StageResult per reduce stage, in stage order, merged across devices
-// in device order (deterministic for associative kernels).
+// StageResult per reduce stage, in stage order, merged in region order
+// within a device and device order across (deterministic for associative kernels).
 //
 // Fusion changes the cost, not the semantics: the results are
 // bitwise-identical to issuing the stages as individual

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"oopp/internal/cluster"
@@ -147,8 +148,9 @@ func applyUnfused(t *testing.T, a *core.Array, dom core.Domain, stages []kernel.
 // plain slices (data is a's values, updated in place; operand the
 // second array's) with the kernels' own Fn/Row, in the order the engine
 // documents — pages row-major, every stage per page region row by row,
-// one accumulator per owning device in first-seen order, device
-// partials merged in that order — so the match is bitwise.
+// one accumulator per page region, merged in region order into the
+// owning device's partial, device partials merged in first-seen order
+// — so the match is bitwise.
 func applyOracle(t *testing.T, pm core.PageMap, N, n int, data, operand []float64, dom core.Domain, stages []kernel.Stage, params [][]float64) []core.StageResult {
 	t.Helper()
 	type partial struct {
@@ -173,11 +175,10 @@ func applyOracle(t *testing.T, pm core.PageMap, N, n int, data, operand []float6
 		for si, st := range stages {
 			sp := params[si]
 			var red kernel.Reduce
+			var region partial // this page region's own accumulator
 			if st.Kind == kernel.StageReduce {
 				red, _ = kernel.LookupReduce(st.Name, sp)
-				if ri == len(accs[dev]) {
-					accs[dev] = append(accs[dev], partial{acc: red.NewAcc(sp)})
-				}
+				region.acc = red.NewAcc(sp)
 			}
 			for i := is.Lo[0]; i < is.Hi[0]; i++ {
 				for j := is.Lo[1]; j < is.Hi[1]; j++ {
@@ -191,12 +192,19 @@ func applyOracle(t *testing.T, pm core.PageMap, N, n int, data, operand []float6
 						k, _ := kernel.LookupBinary(st.Name, sp)
 						k.Fn(row, operand[off:off+len(row)], sp)
 					case kernel.StageReduce:
-						red.Row(accs[dev][ri].acc, row, sp)
-						accs[dev][ri].n += int64(len(row))
+						red.Row(region.acc, row, sp)
+						region.n += int64(len(row))
 					}
 				}
 			}
 			if st.Kind == kernel.StageReduce {
+				// The device's first region is its partial; later ones merge in.
+				if ri == len(accs[dev]) {
+					accs[dev] = append(accs[dev], region)
+				} else {
+					red.Merge(accs[dev][ri].acc, region.acc)
+					accs[dev][ri].n += region.n
+				}
 				ri++
 			}
 		}
@@ -365,6 +373,49 @@ func TestPipelineRandomChainsMatchSequential(t *testing.T) {
 		want := applyUnfused(t, au, dom, ch.stages, ch.params, operands)
 		checkAgainst(t, ch.name, got, want, af, au, full)
 		checkOracle(t, ch.name, got, applyOracle(t, af.Map(), N, n, va, vb, dom, ch.stages, ch.params), af, va)
+	}
+}
+
+// The oracle again where a device shares its batch among workers: 64³ in
+// 16³ pages on two devices is 32 regions and some 127k elements a batch,
+// above the engine's threshold (every other test here stays below it). On
+// one processor — the sequential loop — and on eight the results and every
+// element match the oracle's fixed fold order bitwise, so they match each
+// other: neither the worker count nor who claimed which region shows.
+func TestPipelineOnWorkersMatchesOracle(t *testing.T) {
+	const N, n = 64, 16
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	af, _, b, done := buildTriple(t, 2, N, n)
+	defer done()
+	full := core.Box(N, N, N)
+	dom := core.NewDomain(0, N, 1, N, 0, N-1)
+	stages := []kernel.Stage{
+		kernel.MapStage(kernel.Scale),
+		kernel.BinaryStage(kernel.Axpy),
+		kernel.ReduceStage(kernel.Sum),
+		kernel.MapStage(kernel.AddC),
+		kernel.ReduceStage(kernel.MinMax),
+	}
+	params := [][]float64{{1.0 / 3}, {0.7}, nil, {-1.25}, nil}
+	va := make([]float64, full.Size())
+	vb := make([]float64, full.Size())
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		for i := range va {
+			va[i] = math.Sin(float64(i)) * 4
+			vb[i] = math.Cos(float64(i)) * 2
+		}
+		if err := af.Write(bg, va, full); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Write(bg, vb, full); err != nil {
+			t.Fatal(err)
+		}
+		got, err := af.ApplyPipeline(bg, dom, "test.pipe.saxpy", []*core.Array{b}, params...)
+		if err != nil {
+			t.Fatalf("%d processors: %v", procs, err)
+		}
+		checkOracle(t, fmt.Sprintf("saxpy on %d processors", procs), got, applyOracle(t, af.Map(), N, n, va, vb, dom, stages, params), af, va)
 	}
 }
 

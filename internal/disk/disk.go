@@ -26,6 +26,8 @@
 // range half-written, the contents lock gives instead: Acquire holds it
 // until Release and ReadAt/WriteAt take it around their own move, so
 // every user of one disk, in place or copying, sees each access whole.
+// The lock is on the access's byte range: overlapping ranges exclude (readers
+// share); disjoint ones — two workers of a device on two pages — need not wait.
 package disk
 
 import (
@@ -93,12 +95,17 @@ type Disk struct {
 	backing Backing
 	closed  bool
 
-	// contents guards the stored bytes, shared for a read and exclusive
-	// for a write. Taken after mu or alone; a holder takes no other lock.
-	contents sync.RWMutex
+	// contents guards the stored bytes by range, shared for a read and
+	// exclusive for a write: granule g is under stripe g % stripes, and a
+	// range takes its granules' stripes in ascending stripe order, so two
+	// acquirers cannot deadlock. Taken after mu or alone; a holder takes no other lock.
+	contents [stripes]sync.RWMutex
 
 	reads, writes atomic.Int64 // lifetime operations, for Ops
 }
+
+// The contents lock's geometry: 64 KiB granules, repeating every 4 MiB.
+const granule, stripes = 64 << 10, 64
 
 // ErrClosed is returned by operations on a closed disk.
 var ErrClosed = errors.New("disk: closed")
@@ -181,8 +188,8 @@ func (d *Disk) WriteAt(p []byte, off int64) error { return d.op(p, off, len(p), 
 // Acquire is ReadAt (if read) and WriteAt (if write) of n bytes at off
 // for a caller that works on the Resident bytes themselves: it holds the
 // device and counts each exactly as they would, moves nothing, and
-// returns with the contents locked — shared, or exclusive for write —
-// until Release(write). The holder must not call the disk in between.
+// returns with the range locked — shared, or exclusive for write — until
+// Release of the same range. The holder must not call the disk in between.
 func (d *Disk) Acquire(off int64, n int, read, write bool) (err error) {
 	if read {
 		err = d.op(nil, off, n, false)
@@ -191,20 +198,37 @@ func (d *Disk) Acquire(off int64, n int, read, write bool) (err error) {
 		err = d.op(nil, off, n, true)
 	}
 	if err == nil {
-		d.side(write).Lock()
+		d.lockRange(off, n, write, false)
 	}
 	return err
 }
 
-// Release ends an Acquire.
-func (d *Disk) Release(write bool) { d.side(write).Unlock() }
+// Release ends the Acquire of the same range and side.
+func (d *Disk) Release(off int64, n int, write bool) { d.lockRange(off, n, write, true) }
 
-// side is the contents lock as a writer or a reader takes it.
-func (d *Disk) side(write bool) sync.Locker {
-	if write {
-		return &d.contents
+// lockRange takes, or with unlock gives back, the contents lock of [off, off+n):
+// its granules' stripes in ascending order — those that wrapped around to 0 first.
+func (d *Disk) lockRange(off int64, n int, write, unlock bool) {
+	first := off / granule
+	count := int(min((off+int64(max(n, 1))-1)/granule-first+1, stripes))
+	from := int(first % stripes)
+	wrapped := max(from+count-stripes, 0)
+	for k := 0; k < count; k++ {
+		s := from + k - wrapped
+		if k < wrapped {
+			s = k
+		}
+		switch m := &d.contents[s]; {
+		case write && unlock:
+			m.Unlock()
+		case write:
+			m.Lock()
+		case unlock:
+			m.RUnlock()
+		default:
+			m.RLock()
+		}
 	}
-	return d.contents.RLocker()
 }
 
 // Resident returns the live bytes of a memory-backed disk — not a copy —
@@ -242,9 +266,9 @@ func (d *Disk) op(p []byte, off int64, n int, write bool) (err error) {
 		if write {
 			move = d.backing.WriteAt
 		}
-		d.side(write).Lock()
+		d.lockRange(off, n, write, false)
 		err = move(p, off)
-		d.Release(write)
+		d.lockRange(off, n, write, true)
 	}
 	if err != nil {
 		return err

@@ -3,6 +3,7 @@ package disk
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -248,7 +249,10 @@ func TestConcurrentMixedOps(t *testing.T) {
 // TestAcquireIsTheOperationInPlace: access to the resident bytes between
 // Acquire and Release is refused, counted and timed as ReadAt/WriteAt of
 // the range would be, and excludes them — and another Acquire — while a
-// writer holds the range.
+// writer holds the range. The exclusion is by byte range: disjoint ranges
+// are held exclusively at once, overlapping ones wait, a range is locked
+// whole however many granules it crosses, and acquirers of many stripes
+// cannot deadlock whatever their addresses.
 func TestAcquireIsTheOperationInPlace(t *testing.T) {
 	const seek = 2 * time.Millisecond
 	d := NewMem("d0", 64, Model{Seek: seek})
@@ -285,7 +289,7 @@ func TestAcquireIsTheOperationInPlace(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		defer d.Release(false)
+		defer d.Release(8, 8, false)
 		if !bytes.Equal(mem[8:16], []byte("whole!!!")) {
 			t.Errorf("in-place reader saw %q", mem[8:16])
 		}
@@ -293,7 +297,7 @@ func TestAcquireIsTheOperationInPlace(t *testing.T) {
 	copy(mem[8:], "whol")
 	time.Sleep(5 * seek)
 	copy(mem[12:], "e!!!")
-	d.Release(true)
+	d.Release(8, 8, true)
 	wg.Wait()
 	if string(got) != "whole!!!" {
 		t.Errorf("copying reader saw %q", got)
@@ -312,5 +316,93 @@ func TestAcquireIsTheOperationInPlace(t *testing.T) {
 	defer f.Close()
 	if f.Resident() != nil {
 		t.Error("a file-backed disk has resident bytes")
+	}
+
+	// Twice the lock table's period, so granules 64.. share stripes with 0...
+	const size = 2 * stripes * granule
+	big := NewMem("d1", size, Model{})
+	defer big.Close()
+	type held struct {
+		off   int64
+		n     int
+		write bool
+		got   chan struct{}
+	}
+	acquire := func(off int64, n int, write bool) held {
+		h := held{off, n, write, make(chan struct{})}
+		go func() {
+			if err := big.Acquire(off, n, !write, write); err != nil {
+				t.Error(err)
+			}
+			close(h.got)
+		}()
+		return h
+	}
+	holds := func(h held, within time.Duration) bool {
+		select {
+		case <-h.got:
+			return true
+		case <-time.After(within):
+			return false
+		}
+	}
+	release := func(what string, hs ...held) {
+		t.Helper()
+		for _, h := range hs {
+			if !holds(h, 10*time.Second) {
+				t.Fatalf("%s: [%d,%d) never acquired", what, h.off, h.off+int64(h.n))
+			}
+			big.Release(h.off, h.n, h.write)
+		}
+	}
+	// Disjoint ranges, each exclusive, all at once: neighbouring pages, and
+	// one a whole period away from the first but one granule on.
+	release("disjoint writers", acquire(0, granule, true), acquire(granule, granule, true), acquire(size/2+2*granule, granule, true))
+	// A writer of a range that starts and ends mid-granule excludes a
+	// reader of any byte of it, first and last included, until it lets go.
+	for _, w := range []held{
+		{off: granule - 4, n: 8},                      // across one boundary
+		{off: granule / 2, n: 3 * granule},            // across three
+		{off: size/2 - granule - 1, n: 2*granule + 2}, // across the table's wrap
+		{off: 0, n: size},                             // the whole disk
+	} {
+		what := fmt.Sprintf("writer of [%d,%d)", w.off, w.off+int64(w.n))
+		release(what, acquire(w.off, w.n, true))
+		w = acquire(w.off, w.n, true)
+		if !holds(w, 10*time.Second) {
+			t.Fatalf("%s never acquired", what)
+		}
+		readers := []held{acquire(w.off, 1, false), acquire(w.off+int64(w.n)/2, 1, false), acquire(w.off+int64(w.n)-1, 1, false)}
+		for _, r := range readers {
+			if holds(r, 10*time.Millisecond) {
+				t.Errorf("%s: a reader got byte %d of it", what, r.off)
+			}
+		}
+		big.Release(w.off, w.n, true)
+		release(what+", released: readers", readers...)
+	}
+	// Two acquirers of many stripes each, one of which meets the table's
+	// wrap: in address order it would take stripes 62, 63, 0, 1 while the
+	// other takes 0..63, and each would end up waiting for the other.
+	var both sync.WaitGroup
+	for _, r := range []held{{off: (stripes - 2) * granule, n: 4 * granule}, {off: 0, n: stripes * granule}} {
+		both.Add(1)
+		go func(r held) {
+			defer both.Done()
+			for i := 0; i < 2000; i++ {
+				if err := big.Acquire(r.off, r.n, false, true); err != nil {
+					t.Error(err)
+					return
+				}
+				big.Release(r.off, r.n, true)
+			}
+		}(r)
+	}
+	done := make(chan struct{})
+	go func() { both.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("two multi-stripe acquirers deadlocked")
 	}
 }

@@ -30,10 +30,13 @@
 //
 //   - [Map]: an in-place transform of a contiguous run of elements
 //     (fill, scale, user transforms via Array.Apply).
-//   - [Reduce]: a fixed-width accumulator folded over runs device-side,
-//     partials merged client-side (sum, minmax, Array.Reduce). Merge
-//     must be associative: partials combine in device order, so a
-//     merely-associative merge still reduces deterministically.
+//   - [Reduce]: a fixed-width accumulator folded over runs device-side
+//     (sum, minmax, Array.Reduce). Each page region folds into its own
+//     accumulator; Merge combines the regions' accumulators inside the
+//     device, in region order, and the devices' partials client-side, in
+//     device order. Merge must be associative, and need be nothing more:
+//     the order is fixed, so the reduction is deterministic — bitwise
+//     the same however many workers a device shares its regions among.
 //   - [Binary]: an in-place transform of a destination run given the
 //     co-indexed source run pulled from a peer device (axpy, copy).
 //   - [BinaryReduce]: a reduction over co-indexed run pairs (dot).

@@ -21,8 +21,13 @@ type Map struct {
 
 // Reduce folds rows into a fixed-width accumulator. Init seeds the
 // accumulator (it may consult params); Row folds one contiguous row in;
-// Merge combines another partial accumulator into acc — it is used
-// client-side to combine per-device partials and must be associative.
+// Merge combines another accumulator into acc and must be associative.
+// The fold order is fixed: every page region is folded into an
+// accumulator of its own (Init, then Row per run), a device merges its
+// regions' accumulators in region order — the first is taken as it is,
+// never merged into an identity — and the client merges the devices'
+// partials in device order. So a result does not depend on how many
+// workers a device shared its regions among.
 type Reduce struct {
 	Width     int
 	MinParams int
@@ -40,7 +45,8 @@ type Binary struct {
 }
 
 // BinaryReduce folds co-indexed row pairs into a fixed-width
-// accumulator — the two-operand reduction shape (dot products).
+// accumulator — the two-operand reduction shape (dot products). Init,
+// Row and Merge are used, and the fold ordered, exactly as Reduce's.
 type BinaryReduce struct {
 	Width     int
 	MinParams int

@@ -104,7 +104,7 @@ func FuzzKernelBatchDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(b.stages) == 0 || b.operands > len(b.stages) || b.reduces > len(b.stages) {
+		if len(b.stages) == 0 || b.operands > len(b.stages) {
 			t.Fatalf("accepted an inconsistent chain: %+v", b)
 		}
 		if len(b.regions) > len(frame)/minRegion {

@@ -98,9 +98,9 @@ func (c *copies) unpin(s backing, index int, buf *pageBuf, keep bool) (err error
 //
 // On a memory-backed disk whose bytes can be viewed as float64s the
 // store is resident: a page is pinned by disk.Acquire — charged as the
-// copy would have been — and computed on where it is. The disk's contents
-// lock stands where the copies used to: write-held for one page's
-// mutation, read-held for one page's read, so a reader outside the
+// copy would have been — and computed on where it is. The disk's lock on
+// the page's bytes stands where the copies used to: write-held for one
+// page's mutation, read-held for one page's read, so a reader outside the
 // mailbox never sees a page torn; a holder only runs loops over memory.
 type diskBacking struct {
 	dsk     *disk.Disk
@@ -134,7 +134,7 @@ func (b *diskBacking) unpin(index int, how access, buf *pageBuf, keep bool) erro
 	if buf != nil {
 		return b.cp.unpin(b, index, buf, keep)
 	}
-	b.dsk.Release(how != readOnly)
+	b.dsk.Release(b.offset(index), b.cp.pageSize, how != readOnly)
 	return nil
 }
 
@@ -339,10 +339,6 @@ func registerBaseMethods(c *rmi.Class[baser]) *rmi.Class[baser] {
 			reply.PutInt(obj.base().numPages)
 			return nil
 		}).
-		Method("pageSize", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			reply.PutInt(obj.base().pageSize)
-			return nil
-		}).
 		Method("name", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 			reply.PutString(obj.base().name)
 			return nil
@@ -438,8 +434,9 @@ type arrayPageDevice struct {
 	n1, n2, n3 int
 	// staged holds values a serial method has fetched or decoded but not
 	// yet stored — pulled operands and regions, a written page or box —
-	// since gathering can fail and a page entered for writing must not.
-	staged []float64
+	// since gathering can fail and a page entered for writing must not: one
+	// buffer per worker of a kernel batch, kept between batches; 0 is the method's.
+	staged [][]float64
 }
 
 // constructor modes for ArrayPageDevice (§3 fresh, §5 from-process).
@@ -522,7 +519,7 @@ func newArrayClass() *rmi.Class[*arrayPageDevice] {
 	})
 	c.Method("writeArray", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		index := args.Int()
-		vals := a.stage(a.n1 * a.n2 * a.n3)
+		vals := a.stage(0, a.n1*a.n2*a.n3)
 		args.Float64sInto(vals)
 		if err := args.Err(); err != nil {
 			return err
@@ -551,7 +548,7 @@ func newArrayClass() *rmi.Class[*arrayPageDevice] {
 		if err != nil {
 			return err
 		}
-		rows := a.stage(dim[0] * dim[1] * dim[2])
+		rows := a.stage(0, dim[0]*dim[1]*dim[2])
 		for off := 0; off < len(rows); off += dim[2] {
 			args.Float64sInto(rows[off : off+dim[2]])
 		}
@@ -582,6 +579,8 @@ func newArrayClass() *rmi.Class[*arrayPageDevice] {
 // panics: a kernel that panics mid-page (rmi recovers it, the call fails)
 // gives the page up and a copy is dropped, but a resident page keeps what
 // the kernel had written.
+// A kernel batch's helpers call it too: they read the fence map only
+// while the serial method that owns it is blocked in the join.
 func (a *arrayPageDevice) withPage(index int, how access, fn func(elems []float64)) error {
 	if err := a.checkIndex(index); err != nil {
 		return err
@@ -615,13 +614,16 @@ func (a *arrayPageDevice) withPage(index int, how access, fn func(elems []float6
 	return nil
 }
 
-// stage returns n elements of the device's staging buffer (see staged).
-// Serial methods only; one staging at a time.
-func (a *arrayPageDevice) stage(n int) []float64 {
-	if cap(a.staged) < n {
-		a.staged = make([]float64, n)
+// stage returns n elements of worker w's staging buffer (see staged), one
+// staging at a time. Only the method's goroutine may name a new worker.
+func (a *arrayPageDevice) stage(w, n int) []float64 {
+	for len(a.staged) <= w {
+		a.staged = append(a.staged, nil)
 	}
-	return a.staged[:n]
+	if cap(a.staged[w]) < n {
+		a.staged[w] = make([]float64, n)
+	}
+	return a.staged[w][:n]
 }
 
 // decodeSubBox reads a sub-box header (origin + dims in local page

@@ -31,8 +31,8 @@ package pagedev
 //     adoptPages is the destination-side accounting hook. Both feed the
 //     process-wide gauges (metrics.PagesHeld/PagesMigrated/BytesMigrated).
 //
-// The fence set lives on pageDevice and is touched only by serial
-// mailbox methods, so it needs no lock.
+// The fence set lives on pageDevice and is touched only by serial mailbox
+// methods, or read by helpers one of them is waiting for: no lock.
 
 import (
 	"context"
@@ -124,10 +124,6 @@ func registerFenceMethods(c *rmi.Class[baser]) *rmi.Class[baser] {
 			metrics.Default.PagesMigrated.Add(int64(count))
 			metrics.Default.BytesMigrated.Add(bytes)
 			return nil
-		}).
-		Method("fencedPages", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			reply.PutInt(len(obj.base().fence))
-			return nil
 		})
 }
 
@@ -170,9 +166,4 @@ func (d *Device) AdoptPages(ctx context.Context, count int, bytes int64) error {
 		e.PutVarint(bytes)
 		return nil
 	}))
-}
-
-// FencedPages returns how many pages are currently fenced on the device.
-func (d *Device) FencedPages(ctx context.Context) (int, error) {
-	return intReply(d.client.Call(ctx, d.ref, "fencedPages", nil))
 }

@@ -1,7 +1,11 @@
 package pagedev_test
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -54,14 +58,27 @@ func readSubs(client *rmi.Client, ref rmi.Ref, idx []int, b pagedev.SubBox) ([][
 // lock beside the disk's bytes — which is the disk's, not the device's:
 // the second case reads through another device opened on the same
 // machine disk, which aliases the same pages and shares nothing else
-// with the sweeping one.
+// with the sweeping one. The "workers" cases sweep pages large enough
+// that the batch is shared among helper goroutines, each holding its own
+// page's byte range of the disk; there the alias device cuts the same
+// bytes into pages half the size, so its ranges are not the sweeper's.
 func TestServedPagesAreNeverTorn(t *testing.T) {
-	t.Run("one device", func(t *testing.T) { hammerPages(t, pagedev.DiskPrivate) })
-	t.Run("two devices on one disk", func(t *testing.T) { hammerPages(t, 0) })
+	t.Run("one device", func(t *testing.T) { hammerPages(t, pagedev.DiskPrivate, 16, 16, 300) })
+	t.Run("two devices on one disk", func(t *testing.T) { hammerPages(t, 0, 16, 16, 300) })
+	t.Run("workers, one device", func(t *testing.T) { hammerPages(t, pagedev.DiskPrivate, bigN, bigN, 40) })
+	t.Run("workers, two devices on one disk, two page sizes", func(t *testing.T) { hammerPages(t, 0, bigN, bigN/2, 40) })
 }
 
-func hammerPages(t *testing.T, diskIndex int) {
-	const pages, n, rounds = 4, 16, 300
+// bigN is a page edge whose one whole-page region already exceeds the
+// engine's worker threshold (42³ = 74088 elements), and whose pages, 9.04
+// of the disk lock's granules each, start and end in the middle of one.
+const bigN = 42
+
+// hammerPages sweeps 4 pages of n³ on one device and reads through served:
+// the same device, or with a machine disk a second device on it whose
+// pages are sn×n×n — the sweeper's, or each the half of one.
+func hammerPages(t *testing.T, diskIndex, n, sn, rounds int) {
+	const pages = 4
 	c := startCluster(t, 2, 1)
 	dev, err := pagedev.NewArrayDevice(bg, c.Client(), 0, "hammer", pages, n, n, n, diskIndex)
 	if err != nil {
@@ -70,7 +87,7 @@ func hammerPages(t *testing.T, diskIndex int) {
 	defer dev.Close(bg)
 	served := dev
 	if diskIndex != pagedev.DiskPrivate {
-		if served, err = pagedev.NewArrayDevice(bg, c.Client(), 0, "alias", pages, n, n, n, diskIndex); err != nil {
+		if served, err = pagedev.NewArrayDevice(bg, c.Client(), 0, "alias", pages*n/sn, sn, n, n, diskIndex); err != nil {
 			t.Fatal(err)
 		}
 		defer served.Close(bg)
@@ -81,8 +98,10 @@ func hammerPages(t *testing.T, diskIndex int) {
 		if err := dev.FillPage(bg, i, 1); err != nil {
 			t.Fatal(err)
 		}
-		idx = append(idx, i)
 		regions = append(regions, pagedev.PipeRegion{Index: i, Box: box(n, n, n)})
+	}
+	for i := 0; i < pages*n/sn; i++ {
+		idx = append(idx, i)
 	}
 	twice := kernel.Pipeline{Stages: []kernel.Stage{kernel.MapStage(kernel.AddC), kernel.MapStage(kernel.AddC)}}
 
@@ -108,9 +127,9 @@ func hammerPages(t *testing.T, diskIndex int) {
 		}
 		// Whole pages and, every other pull, an interior sub-box (rows
 		// gathered one by one under the same lock).
-		b := box(n, n, n)
+		b := box(sn, n, n)
 		if pull%2 == 1 {
-			b = pagedev.SubBox{Lo: [3]int{1, 2, 3}, Dim: [3]int{n - 2, n - 3, n - 4}}
+			b = pagedev.SubBox{Lo: [3]int{1, 2, 3}, Dim: [3]int{sn - 2, n - 3, n - 4}}
 		}
 		got, err := readSubs(reader, served.Ref(), idx, b)
 		if err != nil {
@@ -118,18 +137,18 @@ func hammerPages(t *testing.T, diskIndex int) {
 		}
 		// And a page through the byte protocol, which copies it off the
 		// disk instead of viewing it.
-		raw, err := served.Read(bg, pull%pages)
+		raw, err := served.Read(bg, pull%len(idx))
 		if err != nil {
 			t.Fatalf("read: %v", err)
 		}
-		bytePage := make([]float64, n*n*n)
+		bytePage := make([]float64, sn*n*n)
 		if err := pagedev.BytesToFloat64s(bytePage, raw); err != nil {
 			t.Fatal(err)
 		}
 		got = append(got, bytePage)
 		for p, vals := range got {
 			for i, v := range vals {
-				if v != vals[0] || math.Mod(v, 2) != 1 || v > 2*rounds+1 {
+				if v != vals[0] || math.Mod(v, 2) != 1 || v > float64(2*rounds+1) {
 					t.Fatalf("pull %d, page %d: element %d is %v, element 0 is %v: torn, or served between two stages", pull, p, i, v, vals[0])
 				}
 			}
@@ -173,7 +192,10 @@ func sameBits(a, b []uint64) bool {
 // private copy to throw away, so whatever can fail must fail before the
 // first store. A writeSub frame that runs out of rows and a scale→axpy
 // chain whose operand's device is gone each leave the target page
-// bitwise as it was, and charge no write.
+// bitwise as it was, and charge no write. In a batch large enough to be
+// shared among workers the same holds per region: a page is either
+// untouched or has had the whole chain, no region is claimed after the
+// first failure, and the lowest failed region's error is the batch's.
 func TestFailedMutatorStoresNothing(t *testing.T) {
 	c := startCluster(t, 2, 0)
 	client := c.Client()
@@ -246,6 +268,73 @@ func TestFailedMutatorStoresNothing(t *testing.T) {
 		t.Fatal("a chain with a dead operand succeeded")
 	}
 	unchanged("scale→axpy with a dead operand")
+
+	// Six large pages; region 2's operand is on the dead device, region
+	// 4's is a page its live device does not have.
+	const pages = 6
+	big, err := pagedev.NewArrayDevice(bg, client, 0, "big", pages, bigN, bigN, bigN, pagedev.DiskPrivate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer big.Close(bg)
+	operand, err := pagedev.NewArrayDevice(bg, client, 1, "operand", 1, bigN, bigN, bigN, pagedev.DiskPrivate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer operand.Close(bg)
+	if err := operand.FillPage(bg, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	var regions []pagedev.PipeRegion
+	for p := 0; p < pages; p++ {
+		peer := pagedev.PipePeer{Ref: operand.Ref()}
+		switch p {
+		case 2:
+			peer.Ref = gone.Ref()
+		case 4:
+			peer.Index = 9
+		}
+		regions = append(regions, pagedev.PipeRegion{Index: p, Box: box(bigN, bigN, bigN), Peers: []pagedev.PipePeer{peer}})
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for p := 0; p < pages; p++ {
+			if err := big.FillPage(bg, p, float64(p)+0.5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, w0, err := big.Stats(bg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err = big.ApplyPipelineK(bg, chain, [][]float64{{2}, {1}}, regions); !errors.Is(err, rmi.ErrNoSuchObject) {
+			t.Fatalf("%d processors: the batch failed with %v, want region 2's %v", procs, err, rmi.ErrNoSuchObject)
+		}
+		applied := int64(0)
+		for p := 0; p < pages; p++ {
+			seed := float64(p) + 0.5
+			bits := pageBits(t, big, p)
+			for i, b := range bits {
+				if b != bits[0] || (b != math.Float64bits(seed) && b != math.Float64bits(2*seed+1)) {
+					t.Fatalf("%d processors: page %d element %d is %v, element 0 %v: neither untouched nor the whole chain",
+						procs, p, i, math.Float64frombits(b), math.Float64frombits(bits[0]))
+				}
+			}
+			done := bits[0] != math.Float64bits(seed)
+			if done {
+				applied++
+			}
+			// Regions 2 and 4 fail before their page is entered; one worker
+			// has applied exactly the regions in front of the first failure.
+			if done && (p == 2 || p == 4) || procs == 1 && done != (p < 2) {
+				t.Errorf("%d processors: page %d applied: %v", procs, p, done)
+			}
+		}
+		if _, w1, err := big.Stats(bg); err != nil || w1-w0 != applied {
+			t.Errorf("%d processors: %d pages applied, device writes +%d, %v", procs, applied, w1-w0, err)
+		}
+	}
 }
 
 // backingRow is one kind of store under an ArrayPageDevice, with the
@@ -256,20 +345,20 @@ type backingRow struct {
 	dsk  *disk.Disk
 }
 
-// openBackings creates the same 4-page 4x4x4 device over a resident
+// openBackings creates the same 4-page n×n×n device over a resident
 // memory disk, a file-backed disk, and a PageDevice process (itself on a
 // memory disk) reached through remoteBacking.
-func openBackings(t *testing.T, model disk.Model) []backingRow {
+func openBackings(t *testing.T, model disk.Model, n int) []backingRow {
 	t.Helper()
 	boot := func(dataDir string) *cluster.Cluster {
-		c, err := cluster.New(cluster.Config{Machines: 1, DisksPerMachine: 1, DiskSize: 1 << 20, DiskModel: model, DataDir: dataDir})
+		c, err := cluster.New(cluster.Config{Machines: 1, DisksPerMachine: 1, DiskSize: 4 << 20, DiskModel: model, DataDir: dataDir})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { c.Shutdown() })
 		return c
 	}
-	const pages, n = 4, 4
+	const pages = 4
 	var rows []backingRow
 	for _, mk := range []struct{ name, dir string }{{"memory", ""}, {"file", t.TempDir()}} {
 		c := boot(mk.dir)
@@ -301,11 +390,14 @@ type outcome struct {
 
 // runChainSet drives one chain of every shape — map, reduce, binary,
 // binary-reduce, mixed; whole pages and a sub-box; an overwriting fill —
-// through applyPipelineK, operands pulled from the device's own pages.
-func runChainSet(t *testing.T, row backingRow) outcome {
+// through applyPipelineK, operands pulled from the device's own pages. n
+// is the page edge openBackings was given: with bigN every batch exceeds
+// the engine's worker threshold ("mixed" reads pages its other region
+// writes, so it keeps region order; the rest are shared among workers).
+func runChainSet(t *testing.T, row backingRow, n int) outcome {
 	t.Helper()
 	dev := row.dev
-	const pages, n = 4, 4
+	const pages = 4
 	page := pagedev.NewArrayPage(n, n, n)
 	for p := 0; p < pages; p++ {
 		for i := range page.Data {
@@ -321,7 +413,7 @@ func runChainSet(t *testing.T, row backingRow) outcome {
 	}
 	dr0, dw0 := row.dsk.Ops()
 
-	whole, inner := box(n, n, n), pagedev.SubBox{Lo: [3]int{1, 0, 1}, Dim: [3]int{2, 4, 2}}
+	whole, inner := box(n, n, n), pagedev.SubBox{Lo: [3]int{1, 0, 1}, Dim: [3]int{n / 2, n, n / 2}}
 	self := func(i int) []pagedev.PipePeer { return []pagedev.PipePeer{{Ref: dev.Ref(), Index: i}} }
 	stages := func(s ...kernel.Stage) kernel.Pipeline { return kernel.Pipeline{Stages: s} }
 	var out outcome
@@ -377,8 +469,8 @@ func runChainSet(t *testing.T, row backingRow) outcome {
 // charged: a read per opened page that is not wholly overwritten, a
 // write per page of a chain that mutates, a read per pulled operand.
 func TestBackingsAgree(t *testing.T) {
-	rows := openBackings(t, disk.Model{})
-	want := runChainSet(t, rows[0])
+	rows := openBackings(t, disk.Model{}, 4)
+	want := runChainSet(t, rows[0], 4)
 	// Reads+writes: map 2+2, reduce 3+0, binary (2 pages + 2 operands)+2,
 	// binary-reduce (2+2)+0, mixed (2+4)+2, fill 1+2 (the whole-page
 	// fill is not loaded).
@@ -386,20 +478,66 @@ func TestBackingsAgree(t *testing.T) {
 		t.Errorf("memory: %d reads, %d writes for the chain set, want 20 and 8", want.reads, want.writes)
 	}
 	for _, row := range rows[1:] {
-		got := runChainSet(t, row)
-		for p := range want.pages {
-			if !sameBits(got.pages[p], want.pages[p]) {
-				t.Errorf("%s: page %d differs from memory's", row.name, p)
-			}
+		agree(t, row.name, runChainSet(t, row, 4), want)
+	}
+}
+
+// agree fails unless two runs of the chain set left the same pages,
+// returned the same partials and counted the same operations.
+func agree(t *testing.T, who string, got, want outcome) {
+	t.Helper()
+	for p := range want.pages {
+		if !sameBits(got.pages[p], want.pages[p]) {
+			t.Errorf("%s: page %d differs from memory's", who, p)
 		}
-		for i := range want.partials {
-			if !sameBits(got.partials[i], want.partials[i]) {
-				t.Errorf("%s: chain %d partials %x, memory's %x", row.name, i, got.partials[i], want.partials[i])
-			}
+	}
+	for i := range want.partials {
+		if !sameBits(got.partials[i], want.partials[i]) {
+			t.Errorf("%s: chain %d partials %x, memory's %x", who, i, got.partials[i], want.partials[i])
 		}
-		if got.reads != want.reads || got.writes != want.writes || got.dreads != want.dreads || got.dwrite != want.dwrite {
-			t.Errorf("%s: device +%d/+%d disk +%d/+%d (reads/writes), memory's +%d/+%d and +%d/+%d", row.name,
-				got.reads, got.writes, got.dreads, got.dwrite, want.reads, want.writes, want.dreads, want.dwrite)
+	}
+	if got.reads != want.reads || got.writes != want.writes || got.dreads != want.dreads || got.dwrite != want.dwrite {
+		t.Errorf("%s: device +%d/+%d disk +%d/+%d (reads/writes), memory's +%d/+%d and +%d/+%d", who,
+			got.reads, got.writes, got.dreads, got.dwrite, want.reads, want.writes, want.dreads, want.dwrite)
+	}
+}
+
+// TestWorkerCountDoesNotShow: the chain set on pages so large that every
+// batch is above the engine's worker threshold, and then a four-stage
+// chain over all four pages in one batch, on one, two and eight
+// processors. How many workers shared a batch, and which claimed what,
+// shows nowhere: pages, partials (each region folds into its own
+// accumulator, merged in region order) and device and disk operation
+// counts are equal bitwise across the three settings and the three
+// backings — and the one-processor run is the plain sequential loop.
+func TestWorkerCountDoesNotShow(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	all := kernel.Pipeline{Stages: []kernel.Stage{kernel.MapStage(kernel.Scale), kernel.BinaryStage(kernel.Axpy),
+		kernel.ReduceStage(kernel.SumSq), kernel.BinaryReduceStage(kernel.Dot)}}
+	var want *outcome
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, row := range openBackings(t, disk.Model{}, bigN) {
+			got := runChainSet(t, row, bigN)
+			var regions []pagedev.PipeRegion
+			for p := 0; p < 4; p++ {
+				self := pagedev.PipePeer{Ref: row.dev.Ref(), Index: p}
+				regions = append(regions, pagedev.PipeRegion{Index: p, Box: box(bigN, bigN, bigN), Fold: true, Peers: []pagedev.PipePeer{self, self}})
+			}
+			touched, parts, err := row.dev.ApplyPipelineK(bg, all, [][]float64{{1.0 / 3}, {0.7}, nil, nil}, regions)
+			if err != nil || touched != 4*bigN*bigN*bigN {
+				t.Fatalf("%s, %d processors: chain over every page touched %d, %v", row.name, procs, touched, err)
+			}
+			for _, part := range parts {
+				got.partials = append(got.partials, []uint64{uint64(part.N), math.Float64bits(part.Acc[0])})
+			}
+			for p := range regions {
+				got.pages = append(got.pages, pageBits(t, row.dev, p))
+			}
+			if want == nil {
+				want = &got
+			}
+			agree(t, fmt.Sprintf("%s, %d processors", row.name, procs), got, *want)
 		}
 	}
 }
@@ -417,9 +555,12 @@ func init() {
 // kernel that panics mid-page is a bug the engine only contains. The
 // call fails, the page is given up — the device goes on serving it — and
 // a store that works on copies has stored nothing. (A resident page keeps
-// what the kernel wrote.)
+// what the kernel wrote.) The same in a batch large enough to be shared
+// among helper goroutines, which have no rmi frame above them to recover
+// a panic: it must reach the caller as the same failed call, not kill the
+// process, and every helper must be gone when the call returns.
 func TestPanickingKernelGivesThePageUp(t *testing.T) {
-	for _, row := range openBackings(t, disk.Model{}) {
+	for _, row := range openBackings(t, disk.Model{}, 4) {
 		page := pagedev.NewArrayPage(4, 4, 4)
 		page.Fill(3)
 		if err := row.dev.WritePage(bg, page, 0); err != nil {
@@ -439,6 +580,40 @@ func TestPanickingKernelGivesThePageUp(t *testing.T) {
 			t.Errorf("%s: fill after the panic: %v", row.name, err)
 		}
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(4)
+	for _, row := range openBackings(t, disk.Model{}, bigN) {
+		var regions []pagedev.PipeRegion
+		var before [][]uint64
+		for p := 0; p < 4; p++ {
+			if err := row.dev.FillPage(bg, p, 3); err != nil {
+				t.Fatal(err)
+			}
+			before = append(before, pageBits(t, row.dev, p))
+			regions = append(regions, pagedev.PipeRegion{Index: p, Box: box(bigN, bigN, bigN)})
+		}
+		goroutines := runtime.NumGoroutine()
+		_, _, err := row.dev.ApplyPipelineK(bg, kernel.Pipeline{Stages: []kernel.Stage{kernel.MapStage("test.halfThenPanic")}}, [][]float64{nil}, regions)
+		if err == nil || !strings.Contains(err.Error(), "kernel bug") {
+			t.Fatalf("%s: a kernel panicking on helper goroutines: %v", row.name, err)
+		}
+		for p := range regions {
+			after := pageBits(t, row.dev, p) // would hang if a worker still held the page
+			if row.name != "memory" && !sameBits(after, before[p]) {
+				t.Errorf("%s: page %d: a chain that panicked stored its copy", row.name, p)
+			}
+			if err := row.dev.FillPage(bg, p, 1); err != nil {
+				t.Errorf("%s: fill of page %d after the panic: %v", row.name, p, err)
+			}
+		}
+		// The helpers were joined before the call failed; anything else the
+		// call started (a connection's reader) may take a moment to park.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines before the panicking batch, %d after", row.name, goroutines, runtime.NumGoroutine())
+			}
+		}
+	}
 }
 
 // TestResidentAccessIsCharged: computing in place is not free on the
@@ -446,9 +621,9 @@ func TestPanickingKernelGivesThePageUp(t *testing.T) {
 // for at least one seek per counted operation, as the copying engine did.
 func TestResidentAccessIsCharged(t *testing.T) {
 	const seek = 200 * time.Microsecond
-	row := openBackings(t, disk.Model{Seek: seek})[0]
+	row := openBackings(t, disk.Model{Seek: seek}, 4)[0]
 	t0 := time.Now()
-	got := runChainSet(t, row)
+	got := runChainSet(t, row, 4)
 	// The seeding writes and the read-back are charged too; bound from
 	// below by the chain set's own operations alone.
 	ops := got.dreads + got.dwrite

@@ -8,8 +8,9 @@ package pagedev
 // Method concurrency classes (they matter — see the mailbox rules in
 // the rmi package doc):
 //
-//	applyPipelineK            serial; the ONE kernel executor — every
-//	                          array collective is a stage chain through it
+//	applyPipelineK            serial AS A METHOD, parallel inside (workers
+//	                          share a large batch's regions); the ONE kernel
+//	                          executor: every collective is a chain through it
 //	pullSubBatch, copyPages   serial; pullSubBatch pulls peer regions
 //	                          device-to-device
 //	readSubBatch              CONCURRENT: serves peer pulls while this
@@ -20,17 +21,18 @@ package pagedev
 // Every one of them reaches elements through the device's page accessor
 // (withPage, device.go): on a resident store serial methods mutate the
 // page itself and the concurrent lane reads it, and the disk's contents
-// lock keeps the two apart. It is held for ONE access to ONE page — a
-// page's stage chain, a page's copy-out — so a reader sees each page
-// wholly before or wholly after a chain, never between two of its stages
-// or torn; it does not make a batch atomic. Nothing is held across a
-// pull: a serial method fetches every peer value it needs (stage) before
-// it enters the page they go into, which is also what lets a device be
-// its own operand (self-dot) and two devices pull from each other at once.
+// lock keeps the two apart. It is per byte range and held for ONE access
+// to ONE page — a page's stage chain, a page's copy-out — so a reader sees
+// each page wholly before or wholly after a chain, never between two of
+// its stages or torn, and two workers on two pages do not wait for each
+// other; it does not make a batch atomic. Nothing is held across a pull:
+// a method, or a worker of it, fetches every peer value it needs (stage)
+// before it enters the page they go into, which is also what lets a device
+// be its own operand (self-dot) and two devices pull from each other.
 //
-// Batches are not transactional: a mid-batch failure leaves earlier
-// regions applied, and a kernel that panics leaves its own resident page
-// as far as it got. The one all-or-nothing guarantee is the migration
+// Batches are not transactional: a mid-batch failure leaves an unspecified
+// subset of the other regions applied, and a kernel that panics leaves its
+// own resident page as far as it got. The one all-or-nothing guarantee is the migration
 // fence (fence.go): every mutating batch pre-scans its destination
 // pages and refuses the WHOLE batch typed (rmi.ErrFenced) if any is
 // mid-migration, so a caller can replay the identical batch after the
@@ -254,7 +256,7 @@ func registerTransferMethods(c *rmi.Class[*arrayPageDevice]) {
 		}
 		// One batched pull for the whole call, staged; then scatter locally.
 		vals := make([][]float64, len(reqs))
-		staged := a.stage(total)
+		staged := a.stage(0, total)
 		for i, rq := range reqs {
 			vals[i], staged = staged[:rq.Size()], staged[rq.Size():]
 		}
@@ -297,7 +299,7 @@ func registerTransferMethods(c *rmi.Class[*arrayPageDevice]) {
 			}
 		}
 		// Through the staging buffer: one page entered at a time, as everywhere.
-		tmp := a.stage(a.n1 * a.n2 * a.n3)
+		tmp := a.stage(0, a.n1*a.n2*a.n3)
 		for _, p := range pairs {
 			if err := a.withPage(p[0], readOnly, func(src []float64) { copy(tmp, src) }); err != nil {
 				return err

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -65,14 +67,13 @@ func TestPaperPageDeviceExample(t *testing.T) {
 	if !bytes.Equal(got, page.Data) {
 		t.Fatal("read back mismatch")
 	}
+	if err := pageStore.Write(bg, pageAddress, page.Data[1:]); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("device page size is %d", pageSize)) {
+		t.Fatalf("short write to a %d-byte page: %v", pageSize, err)
+	}
 
 	n, err := pageStore.NumPages(bg)
 	if err != nil || n != numberOfPages {
 		t.Fatalf("NumPages = %d, %v", n, err)
-	}
-	ps, err := pageStore.PageSize(bg)
-	if err != nil || ps != pageSize {
-		t.Fatalf("PageSize = %d, %v", ps, err)
 	}
 	name, err := pageStore.Name(bg)
 	if err != nil || name != "pagefile" {
@@ -276,13 +277,13 @@ func TestInheritedMethodsOnDerived(t *testing.T) {
 	if !bytes.Equal(got, raw) {
 		t.Fatal("base round trip mismatch")
 	}
+	// The derived constructor computed the page size: 2*2*2 doubles, no less.
+	if err := dev.Write(bg, 0, raw[:63]); err == nil || !strings.Contains(err.Error(), "device page size is 64") {
+		t.Fatalf("63-byte write to a 64-byte page: %v", err)
+	}
 	n, err := dev.NumPages(bg)
 	if err != nil || n != 2 {
 		t.Fatalf("NumPages = %d, %v", n, err)
-	}
-	ps, err := dev.PageSize(bg)
-	if err != nil || ps != 64 {
-		t.Fatalf("PageSize = %d, %v", ps, err)
 	}
 	// And base devices must NOT have derived methods.
 	base, err := pagedev.NewDevice(bg, c.Client(), 0, "base", 2, 64, pagedev.DiskPrivate)

@@ -19,13 +19,16 @@ package pagedev
 // on this side of the wire too, so a chain can never run a kernel only
 // the client knows.
 //
-// applyPipelineK is a SERIAL method, but its two-operand stages pull
-// peer operands through the concurrent readSubBatch lane — all of a
-// region's operands before its page is entered — so two devices
-// mid-batch can still exchange operands without deadlock.
+// applyPipelineK is a SERIAL method (parallel inside: runKernelBatch), but
+// its two-operand stages pull peer operands through the concurrent
+// readSubBatch lane — all of a region's operands before its page is entered
+// — so two devices mid-batch can still exchange operands without deadlock.
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"oopp/internal/kernel"
 	"oopp/internal/rmi"
@@ -100,14 +103,17 @@ type kernelBatch struct {
 	regions  []PipeRegion
 	mutates  bool // some stage writes: fence-scan first, store each page after
 	operands int  // two-operand stages: peers carried per region
-	reduces  int  // reduce stages: partials in the reply
+	width    int  // the reduce stages' accumulators side by side, in floats
 }
 
 // batchStage is one stage with its kernel resolved in this process's
-// registry, and its parameter vector.
+// registry, its parameter vector, and for a reduce stage of either kind
+// the accumulator's shape (width 0 otherwise).
 type batchStage struct {
 	kernel.ResolvedStage
-	params []float64
+	params      []float64
+	width       int
+	init, merge func(acc, other []float64)
 }
 
 // decodeKernelBatch is the pure decode step of applyPipelineK: bytes in,
@@ -143,17 +149,18 @@ func decodeKernelBatch(args *wire.Decoder, page [3]int) (b kernelBatch, err erro
 			b.operands++
 		case kernel.StageReduce:
 			st.Red, err = kernel.LookupReduce(st.Name, st.params)
-			b.reduces++
+			st.width, st.init, st.merge = st.Red.Width, st.Red.Init, st.Red.Merge
 		case kernel.StageBinaryReduce:
 			st.BinRed, err = kernel.LookupBinaryReduce(st.Name, st.params)
+			st.width, st.init, st.merge = st.BinRed.Width, st.BinRed.Init, st.BinRed.Merge
 			b.operands++
-			b.reduces++
 		default:
 			err = fmt.Errorf("pagedev: %w: unknown stage kind %d", wire.ErrCorrupt, int(st.Kind))
 		}
 		if err != nil {
 			return b, fmt.Errorf("pagedev: applyPipelineK stage %d: %w", i, err)
 		}
+		b.width += st.width
 	}
 	count, err := decodeCount(args, minRegion+b.operands*minOperand)
 	if err != nil {
@@ -206,122 +213,226 @@ func registerPipelineMethod(c *rmi.Class[*arrayPageDevice]) {
 	})
 }
 
-// runKernelBatch walks a decoded batch: fence pre-scan, then per region
-// pull the operands / enter the page / every stage in order, then the
-// reply.
+// sweepElems is the batch size, in elements, above which a batch's regions
+// are shared among workers; a smaller one is done before a helper starts.
+const sweepElems = 1 << 16
+
+// batchRun is one kernel batch in execution: what its workers share.
+type batchRun struct {
+	a        *arrayPageDevice
+	env      *rmi.Env
+	b        kernelBatch
+	accs     []float64    // one slab: a row of b.width floats per region, and a last row to merge into
+	next     atomic.Int64 // the next unclaimed region
+	wg       sync.WaitGroup
+	mu       sync.Mutex // guards the rest
+	failedAt int        // the lowest region index that failed, or -1: a kernel panicked
+	err      error      // region failedAt's error
+	panicked any        // what the kernel panicked with
+}
+
+// runKernelBatch executes a decoded batch: fence pre-scan, every region on
+// some worker, then the regions' accumulators merged into the reply.
+//
+// The workers are this goroutine and, for a batch above sweepElems, enough
+// helpers to fill the machine. They claim region indices from one counter
+// and the method returns only when all have finished, so it is as serial a
+// method as before. Which worker ran which region shows nowhere: a reduce
+// stage folds each region into that region's OWN accumulator (Init, then
+// Row per run), merged afterwards in region order with the kernel's Merge,
+// so the reply is bitwise the same for one worker or eight. After a failure
+// no further region is claimed; the lowest failed region's error is returned.
 func (a *arrayPageDevice) runKernelBatch(env *rmi.Env, b kernelBatch, reply *wire.Encoder) error {
 	// Fence-scan the whole batch before touching any page (mutating
 	// chains only; reads are never fenced): a batch refused by the
 	// migration fence applies nowhere, so the caller can replay it
 	// verbatim — fold flags included — without double-applying.
-	if b.mutates {
-		for i := range b.regions {
+	elems := 0
+	for i := range b.regions {
+		if b.mutates {
 			if err := a.checkFence(b.regions[i].Index); err != nil {
 				return err
 			}
 		}
+		elems += b.regions[i].Box.Size()
 	}
-	// One partial per reduce stage, alive across the whole batch; its
-	// count lets an untouched stage (every region empty or fold=false)
-	// report N == 0 so its identity is never merged.
-	parts := make([]ReducePartial, 0, b.reduces)
-	for _, st := range b.stages {
-		switch st.Kind {
-		case kernel.StageReduce:
-			parts = append(parts, ReducePartial{Acc: st.Red.NewAcc(st.params)})
-		case kernel.StageBinaryReduce:
-			parts = append(parts, ReducePartial{Acc: st.BinRed.NewAcc(st.params)})
-		}
+	run := &batchRun{a: a, env: env, b: b, failedAt: len(b.regions), accs: make([]float64, (len(b.regions)+1)*b.width)}
+	workers := 1
+	if elems > sweepElems && b.orderFree(a, env) {
+		workers = min(runtime.GOMAXPROCS(0), len(b.regions))
 	}
-	overwrites := b.stages[0].Kind == kernel.StageMap && b.stages[0].Map.Overwrites
-	touched := 0
-	for _, r := range b.regions {
-		size := r.Box.Size()
-		if size == 0 {
-			// An empty sub-box reaches no stage at all: map stages have
-			// nothing to write and reduce stages must skip, not fold.
+	a.stage(workers-1, 0) // every worker's staging slot exists before a helper looks for its own
+	run.wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go run.sweep(w)
+	}
+	run.sweep(0)
+	run.wg.Wait()
+	if run.panicked != nil {
+		panic(run.panicked)
+	}
+	if run.err != nil {
+		return run.err
+	}
+	// The first folded region's accumulator is copied over the identity, not
+	// merged into it; a stage no region folded (all empty or fold=false)
+	// reports N == 0 beside the identity, which the client never merges.
+	reply.PutVarint(int64(elems))
+	total, off := run.accs[len(b.regions)*b.width:], 0
+	for si := range b.stages {
+		st := &b.stages[si]
+		if st.width == 0 {
 			continue
 		}
-		lo, dim := r.Box.Lo, r.Box.Dim
-		// Operands first, side by side in the staging buffer: a pull can
-		// fail or wait, and neither may happen inside a page. A pull
-		// reads the peer's STORED page, this device's own included
-		// (self-dot), so pulling before the chain reads what pulling
-		// mid-chain did. A non-folding replica skips a binary-reduce
-		// stage's pull: the stage writes nothing to keep in step.
-		operands := a.stage(b.operands * size)
-		op := 0
-		for si := range b.stages {
-			switch k := b.stages[si].Kind; k {
-			case kernel.StageBinary, kernel.StageBinaryReduce:
-				if k == kernel.StageBinary || r.Fold {
-					rq := subReq{r.Peers[op].Index, r.Box}
-					if err := a.pullSub(env, r.Peers[op].Ref, rq, operands[op*size:(op+1)*size]); err != nil {
-						return err
-					}
-				}
-				op++
+		sum, n := total[off:off+st.width], 0
+		st.init(sum, st.params)
+		for i, r := range b.regions {
+			if !r.Fold || r.Box.Size() == 0 {
+				continue
 			}
-		}
-		// A chain that never writes only reads its pages (no write
-		// charged); one whose first stage overwrites every element need
-		// not load a whole-page region (no read charged) — every later
-		// stage then reads what earlier stages wrote, never the stale page.
-		how := readOnly
-		switch {
-		case overwrites && size == a.n1*a.n2*a.n3:
-			how = overwrite
-		case b.mutates:
-			how = update
-		}
-		err := a.withPage(r.Index, how, func(elems []float64) {
-			op, red := 0, 0
-			for si := range b.stages {
-				st := &b.stages[si]
-				sp := st.params
-				switch st.Kind {
-				case kernel.StageMap:
-					fn := st.Map.Fn
-					forEachRun(elems, a.n2, a.n3, lo, dim, func(run []float64) { fn(run, sp) })
-				case kernel.StageBinary:
-					fn, vals := st.Bin.Fn, operands[op*size:(op+1)*size]
-					op++
-					pos := 0
-					forEachRun(elems, a.n2, a.n3, lo, dim, func(run []float64) {
-						fn(run, vals[pos:pos+len(run)], sp)
-						pos += len(run)
-					})
-				case kernel.StageReduce:
-					if r.Fold {
-						row, acc := st.Red.Row, parts[red].Acc
-						forEachRun(elems, a.n2, a.n3, lo, dim, func(run []float64) { row(acc, run, sp) })
-						parts[red].N += int64(size)
-					}
-					red++
-				case kernel.StageBinaryReduce:
-					if r.Fold {
-						row, acc, vals := st.BinRed.Row, parts[red].Acc, operands[op*size:(op+1)*size]
-						pos := 0
-						forEachRun(elems, a.n2, a.n3, lo, dim, func(run []float64) {
-							row(acc, run, vals[pos:pos+len(run)], sp)
-							pos += len(run)
-						})
-						parts[red].N += int64(size)
-					}
-					op++
-					red++
-				}
+			if acc := run.accs[i*b.width+off:][:st.width]; n == 0 {
+				copy(sum, acc)
+			} else {
+				st.merge(sum, acc)
 			}
-		})
-		if err != nil {
-			return err
+			n += r.Box.Size()
 		}
-		touched += size
-	}
-	reply.PutVarint(int64(touched))
-	for _, p := range parts {
-		reply.PutVarint(p.N)
-		reply.PutFloat64s(p.Acc)
+		reply.PutVarint(int64(n))
+		reply.PutFloat64s(sum)
+		off += st.width
 	}
 	return nil
+}
+
+// orderFree reports whether the batch's regions may run in any order: not
+// when the chain writes and two regions share a page, or one's operand is
+// a page of this very device that ANOTHER region writes. Such a batch —
+// the array layer plans none — keeps region order, on one worker.
+func (b *kernelBatch) orderFree(a *arrayPageDevice, env *rmi.Env) bool {
+	if !b.mutates {
+		return true
+	}
+	written := make(map[int]bool, len(b.regions))
+	for _, r := range b.regions {
+		if written[r.Index] {
+			return false
+		}
+		written[r.Index] = true
+	}
+	self := func(ref rmi.Ref) bool { peer, ok := localArrayDevice(env, ref); return ok && peer == a }
+	for _, r := range b.regions {
+		for _, pe := range r.Peers {
+			if pe.Index != r.Index && written[pe.Index] && self(pe.Ref) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// sweep is one worker: it claims regions until none is left or one has
+// failed. A kernel's panic (its page given up: withPage) is kept for the
+// method's goroutine to raise after the join, where rmi fails the call.
+func (br *batchRun) sweep(w int) {
+	defer br.wg.Done()
+	defer func() {
+		if p := recover(); p != nil {
+			br.fail(-1, nil, p)
+		}
+	}()
+	for i := int(br.next.Add(1)) - 1; i < len(br.b.regions); i = int(br.next.Add(1)) - 1 {
+		if err := br.region(w, i); err != nil {
+			br.fail(i, err, nil)
+		}
+	}
+}
+
+// fail stops the claiming and records region i's error, or as region -1 a panic.
+func (br *batchRun) fail(i int, err error, panicked any) {
+	br.next.Store(int64(len(br.b.regions)))
+	br.mu.Lock()
+	defer br.mu.Unlock()
+	if i < br.failedAt {
+		br.failedAt, br.err, br.panicked = i, err, panicked
+	}
+}
+
+// region walks region i on worker w: operand pulls, then its page through every stage.
+func (br *batchRun) region(w, i int) error {
+	a, b, r := br.a, &br.b, &br.b.regions[i]
+	size := r.Box.Size()
+	if size == 0 {
+		// An empty sub-box reaches no stage at all: map stages have
+		// nothing to write and reduce stages must skip, not fold.
+		return nil
+	}
+	// Operands first, side by side in the worker's staging buffer: a pull
+	// can fail or wait, and neither may happen inside a page. A pull
+	// reads the peer's STORED page, this device's own included (self-dot),
+	// so pulling before the chain reads what pulling mid-chain did. A
+	// non-folding replica skips a binary-reduce stage's pull: the stage
+	// writes nothing to keep in step.
+	operands := a.stage(w, b.operands*size)
+	op := 0
+	for si := range b.stages {
+		switch k := b.stages[si].Kind; k {
+		case kernel.StageBinary, kernel.StageBinaryReduce:
+			if k == kernel.StageBinary || r.Fold {
+				rq := subReq{r.Peers[op].Index, r.Box}
+				if err := a.pullSub(br.env, r.Peers[op].Ref, rq, operands[op*size:(op+1)*size]); err != nil {
+					return err
+				}
+			}
+			op++
+		}
+	}
+	// A chain that never writes only reads its pages (no write charged);
+	// one whose first stage overwrites every element need not load a
+	// whole-page region (no read charged) — every later stage then reads
+	// what earlier stages wrote, never the stale page.
+	how := readOnly
+	switch {
+	case b.stages[0].Kind == kernel.StageMap && b.stages[0].Map.Overwrites && size == a.n1*a.n2*a.n3:
+		how = overwrite
+	case b.mutates:
+		how = update
+	}
+	accs := br.accs[i*b.width:]
+	return a.withPage(r.Index, how, func(elems []float64) {
+		op := 0
+		for si := range b.stages {
+			st := &b.stages[si]
+			sp, acc := st.params, accs[:st.width]
+			accs = accs[st.width:]
+			if st.width > 0 && r.Fold {
+				st.init(acc, sp)
+			}
+			switch st.Kind {
+			case kernel.StageMap:
+				fn := st.Map.Fn
+				forEachRun(elems, a.n2, a.n3, r.Box.Lo, r.Box.Dim, func(run []float64) { fn(run, sp) })
+			case kernel.StageBinary:
+				fn, vals := st.Bin.Fn, operands[op*size:(op+1)*size]
+				op++
+				pos := 0
+				forEachRun(elems, a.n2, a.n3, r.Box.Lo, r.Box.Dim, func(run []float64) {
+					fn(run, vals[pos:pos+len(run)], sp)
+					pos += len(run)
+				})
+			case kernel.StageReduce:
+				if r.Fold {
+					forEachRun(elems, a.n2, a.n3, r.Box.Lo, r.Box.Dim, func(run []float64) { st.Red.Row(acc, run, sp) })
+				}
+			case kernel.StageBinaryReduce:
+				vals, pos := operands[op*size:(op+1)*size], 0
+				op++
+				if r.Fold {
+					forEachRun(elems, a.n2, a.n3, r.Box.Lo, r.Box.Dim, func(run []float64) {
+						st.BinRed.Row(acc, run, vals[pos:pos+len(run)], sp)
+						pos += len(run)
+					})
+				}
+			}
+		}
+	})
 }

@@ -62,14 +62,6 @@ func indexArgs(index int) rmi.ArgEncoder {
 	}
 }
 
-func writeArgs(index int, data []byte) rmi.ArgEncoder {
-	return func(e *wire.Encoder) error {
-		e.PutInt(index)
-		e.PutBytes(data)
-		return nil
-	}
-}
-
 // voidReply settles a call whose reply carries nothing.
 func voidReply(dec *wire.Decoder, err error) error {
 	dec.Release()
@@ -89,12 +81,11 @@ func pageReply(dec *wire.Decoder, err error) ([]byte, error) {
 
 // Write stores page data at the given page index.
 func (d *Device) Write(ctx context.Context, index int, data []byte) error {
-	return voidReply(d.client.Call(ctx, d.ref, "write", writeArgs(index, data)))
-}
-
-// WriteAsync begins a page write and returns its future.
-func (d *Device) WriteAsync(ctx context.Context, index int, data []byte) *rmi.Future {
-	return d.client.CallAsync(ctx, d.ref, "write", writeArgs(index, data))
+	return voidReply(d.client.Call(ctx, d.ref, "write", func(e *wire.Encoder) error {
+		e.PutInt(index)
+		e.PutBytes(data)
+		return nil
+	}))
 }
 
 // Read fetches the page at the given index.
@@ -112,25 +103,15 @@ func DecodePage(ctx context.Context, fut *rmi.Future) ([]byte, error) {
 	return pageReply(fut.Wait(ctx))
 }
 
-// intReply decodes the lone integer numPages, pageSize and fencedPages
-// reply.
-func intReply(dec *wire.Decoder, err error) (int, error) {
+// NumPages returns the device capacity in pages.
+func (d *Device) NumPages(ctx context.Context) (int, error) {
+	dec, err := d.client.Call(ctx, d.ref, "numPages", nil)
 	if err != nil {
 		return 0, err
 	}
 	defer dec.Release()
 	n := dec.Int()
 	return n, dec.Err()
-}
-
-// NumPages returns the device capacity in pages.
-func (d *Device) NumPages(ctx context.Context) (int, error) {
-	return intReply(d.client.Call(ctx, d.ref, "numPages", nil))
-}
-
-// PageSize returns the device page size in bytes.
-func (d *Device) PageSize(ctx context.Context) (int, error) {
-	return intReply(d.client.Call(ctx, d.ref, "pageSize", nil))
 }
 
 // Name returns the device label.
@@ -267,12 +248,7 @@ func (d *ArrayDevice) Sum(ctx context.Context, index int) (float64, error) {
 	return sumReply(d.client.Call(ctx, d.ref, "sum", indexArgs(index)))
 }
 
-// SumAsync begins a remote page sum.
-func (d *ArrayDevice) SumAsync(ctx context.Context, index int) *rmi.Future {
-	return d.client.CallAsync(ctx, d.ref, "sum", indexArgs(index))
-}
-
-// DecodeSum extracts the scalar from a completed SumAsync future.
+// DecodeSum extracts the scalar from a completed JacobiPlaneAsync future.
 func DecodeSum(ctx context.Context, fut *rmi.Future) (float64, error) {
 	return sumReply(fut.Wait(ctx))
 }
@@ -340,22 +316,13 @@ func (d *ArrayDevice) WritePageAsync(ctx context.Context, p *ArrayPage, index in
 	return d.client.CallAsync(ctx, d.ref, "writeArray", writePageArgs(p, index))
 }
 
-func fillPageArgs(index int, v float64) rmi.ArgEncoder {
-	return func(e *wire.Encoder) error {
+// FillPage sets every element of page index to v, remotely.
+func (d *ArrayDevice) FillPage(ctx context.Context, index int, v float64) error {
+	return voidReply(d.client.Call(ctx, d.ref, "fillPage", func(e *wire.Encoder) error {
 		e.PutInt(index)
 		e.PutFloat64(v)
 		return nil
-	}
-}
-
-// FillPage sets every element of page index to v, remotely.
-func (d *ArrayDevice) FillPage(ctx context.Context, index int, v float64) error {
-	return voidReply(d.client.Call(ctx, d.ref, "fillPage", fillPageArgs(index, v)))
-}
-
-// FillPageAsync begins a remote page fill.
-func (d *ArrayDevice) FillPageAsync(ctx context.Context, index int, v float64) *rmi.Future {
-	return d.client.CallAsync(ctx, d.ref, "fillPage", fillPageArgs(index, v))
+	}))
 }
 
 // SubBox identifies a region inside a page, in local page coordinates:

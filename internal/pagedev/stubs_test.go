@@ -19,10 +19,10 @@ func TestAsyncStubVariants(t *testing.T) {
 	}
 	defer dev.Close(bg)
 
-	// WriteAsync on the raw byte protocol.
+	// The raw byte protocol: written synchronously, read back split.
 	raw := bytes.Repeat([]byte{0x11}, 64)
-	if err := dev.WriteAsync(bg, 0, raw).Err(bg); err != nil {
-		t.Fatalf("WriteAsync: %v", err)
+	if err := dev.Write(bg, 0, raw); err != nil {
+		t.Fatalf("Write: %v", err)
 	}
 	got, err := pagedev.DecodePage(bg, dev.ReadAsync(bg, 0))
 	if err != nil || !bytes.Equal(got, raw) {
@@ -44,12 +44,14 @@ func TestAsyncStubVariants(t *testing.T) {
 			t.Fatalf("element %d = %v", i, v)
 		}
 	}
-	s, err := pagedev.DecodeSum(bg, dev.SumAsync(bg, 1))
-	if err != nil || s != 2.5*8 {
-		t.Fatalf("SumAsync = %v, %v", s, err)
+	if s, err := dev.Sum(bg, 1); err != nil || s != 2.5*8 {
+		t.Fatalf("Sum = %v, %v", s, err)
 	}
-	if err := dev.FillPageAsync(bg, 2, -1).Err(bg); err != nil {
-		t.Fatalf("FillPageAsync: %v", err)
+	if err := dev.FillPage(bg, 2, -1); err != nil {
+		t.Fatalf("FillPage: %v", err)
+	}
+	if s, err := dev.Sum(bg, 2); err != nil || s != -8 {
+		t.Fatalf("Sum of the filled page = %v, %v", s, err)
 	}
 
 	// AttachDevice round trip.

@@ -64,7 +64,10 @@ func TestWorkEcho(t *testing.T) {
 
 // TestPoolSpreadsLoad pins the in-flight-aware pick: with the mailbox
 // gated, a burst of calls through one machine must land on every pooled
-// connection rather than herding onto one socket.
+// connection rather than herding onto one socket. The burst is issued
+// only once the gating wait is seen EXECUTING: admitted is not enough, a
+// sleep(0) on another connection can overtake it into the mailbox, finish,
+// and leave the pool one call short of the count asserted below.
 func TestPoolSpreadsLoad(t *testing.T) {
 	const conns, calls = 4, 64
 	tr, srv := newCluster(t, rmi.AdmissionConfig{})
@@ -76,6 +79,15 @@ func TestPoolSpreadsLoad(t *testing.T) {
 	}
 	var futs []*rmi.Future
 	futs = append(futs, sess.CallAsync(bg, ref, "wait", nil))
+	obj, ok := srv.Object(ref.Object)
+	if !ok {
+		t.Fatalf("no object behind %v", ref)
+	}
+	select {
+	case <-obj.(*Work).parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the gating wait call never started executing")
+	}
 	for i := 1; i < calls; i++ {
 		futs = append(futs, sess.CallAsync(bg, ref, "sleep", SleepArgs(0)))
 	}

@@ -41,6 +41,8 @@ const ClassWork = "serve.Work"
 type Work struct {
 	gate     chan struct{}
 	openOnce sync.Once
+	parked   chan struct{} // closed when the first wait holds the mailbox
+	parkOnce sync.Once
 	peer     rmi.Ref // relay target; set by bind (serial, like relay)
 }
 
@@ -49,7 +51,7 @@ func (w *Work) Open() { w.openOnce.Do(func() { close(w.gate) }) }
 
 func init() {
 	rmi.Register(ClassWork, func(env *rmi.Env, args *wire.Decoder) (any, error) {
-		return &Work{gate: make(chan struct{})}, nil
+		return &Work{gate: make(chan struct{}), parked: make(chan struct{})}, nil
 	}).
 		Method("echo", func(obj any, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 			reply.PutBytes(args.BytesView())
@@ -66,7 +68,9 @@ func init() {
 			return nil
 		}).
 		Method("wait", func(obj any, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			<-obj.(*Work).gate
+			w := obj.(*Work)
+			w.parkOnce.Do(func() { close(w.parked) })
+			<-w.gate
 			return nil
 		}).
 		Method("bind", func(obj any, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
