@@ -3,57 +3,86 @@
 // encoders grow through it, transports acquire and release frames from it,
 // and the RMI runtime returns response frames to it once decoding is done.
 //
-// Buffers are recycled in capacity classes (powers of four from 64 B to
-// 4 MiB). Get returns a buffer drawn from the smallest class that fits;
-// Put files a buffer under the largest class it can serve. Because classes
-// are shared process-wide, a 1 MiB response frame released by a client
-// decode is the very buffer the next server reply grows into —
-// steady-state bulk traffic recycles a handful of buffers instead of
-// allocating per message.
+// Buffers are recycled in capacity classes, one per power of two:
+//
+//	class  0 .. 12   64 B .. 256 KiB   retains 64 buffers each
+//	class 13        512 KiB            retains 32 (16 MiB)
+//	class 14          1 MiB            retains 16 (16 MiB)
+//	class 15          2 MiB            retains  8 (16 MiB)
+//	class 16          4 MiB            retains  4 (16 MiB)
+//
+// Get returns a buffer drawn from the smallest class that fits, so a
+// buffer is less than twice the request it serves; Put files a buffer under
+// the largest class its capacity can serve. Both find the class with one
+// bit scan. Because classes are shared process-wide, a page frame released
+// by a client decode is the very buffer the next server reply grows into —
+// steady-state bulk traffic recycles buffers instead of allocating, and
+// zeroing, one per message.
+//
+// Retention is bounded per class in bytes (classBytes) and in buffers
+// (classBuffers), whichever is fewer. The byte bound is what a page
+// transfer needs: a 32^3 float64 page is 256 KiB of payload plus a few
+// dozen bytes of call header, so its frame lives in the 512 KiB class, and
+// a split loop keeps rmi.DefaultWindow = 32 of them in flight at once —
+// taken together, returned together. 32 x 512 KiB is the 16 MiB a class
+// may keep; a class that kept fewer would allocate and zero a fresh span
+// for the rest of every window. A full idle pool therefore holds at most
+// 4 x 16 MiB in the classes above 256 KiB plus 64 x (64 B + ... + 256 KiB)
+// < 32 MiB below: under 96 MiB, reached only by a process that has had
+// that much in flight in every class at once. Overflow is dropped to the
+// garbage collector.
 //
 // Each class is a bounded free list built on a buffered channel rather
 // than a sync.Pool: storing a []byte in a sync.Pool boxes the slice header
 // into an interface, which itself allocates — one hidden allocation per
 // recycle is exactly what this package exists to remove. Channel send and
 // receive copy the header without boxing, so Get and Put are
-// allocation-free. The bound keeps worst-case retention small (a full
-// idle pool holds ~25 MiB); overflow buffers are simply dropped to the GC.
+// allocation-free.
 //
 // Requests larger than the top class fall through to plain make and are
 // dropped on Put: pathological messages must not pin pathological memory.
 package bufpool
 
-// classSizes are the pool capacity classes. Spacing by 4x keeps the class
-// count small while bounding internal fragmentation (a buffer is at most
-// 4x larger than the request it serves).
-var classSizes = [...]int{64, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20}
+import "math/bits"
 
-// classCaps bound how many idle buffers each class retains. Small frames
-// (request/response headers) are plentiful and cheap; bulk classes are
-// capped harder so an idle pool cannot pin tens of megabytes.
-var classCaps = [...]int{64, 64, 64, 32, 32, 16, 8, 4, 2}
+const (
+	minShift = 6  // the smallest class holds 64 B buffers
+	maxShift = 22 // the largest 4 MiB
 
-// MaxPooled is the largest capacity the pool recycles. Larger buffers are
-// allocated directly and garbage collected.
-const MaxPooled = 4 << 20
+	// MaxPooled is the largest capacity the pool recycles. Larger buffers
+	// are allocated directly and garbage collected.
+	MaxPooled = 1 << maxShift
 
-var classes [len(classSizes)]chan []byte
+	// classBuffers and classBytes bound what one class retains while idle:
+	// that many buffers, and no more than that many bytes of them.
+	classBuffers = 64
+	classBytes   = 16 << 20
+)
+
+var classes [maxShift - minShift + 1]chan []byte
 
 func init() {
 	for i := range classes {
-		classes[i] = make(chan []byte, classCaps[i])
+		classes[i] = make(chan []byte, retained(i))
 	}
 }
+
+// classSize is the capacity of the buffers class ci hands out.
+func classSize(ci int) int { return 1 << (ci + minShift) }
+
+// retained is how many idle buffers class ci keeps.
+func retained(ci int) int { return min(classBuffers, classBytes/classSize(ci)) }
 
 // classFor returns the index of the smallest class with size >= n, or -1
 // if n exceeds the largest class.
 func classFor(n int) int {
-	for i, s := range classSizes {
-		if n <= s {
-			return i
-		}
+	if n > MaxPooled {
+		return -1
 	}
-	return -1
+	if n <= 1<<minShift {
+		return 0
+	}
+	return bits.Len(uint(n-1)) - minShift
 }
 
 // Get returns a zero-length buffer with capacity at least n, recycled if
@@ -68,7 +97,7 @@ func Get(n int) []byte {
 	case b := <-classes[ci]:
 		return b
 	default:
-		return make([]byte, 0, classSizes[ci])
+		return make([]byte, 0, classSize(ci))
 	}
 }
 
@@ -87,15 +116,10 @@ func GetLen(n int) []byte {
 // class's retention bound.
 func Put(b []byte) {
 	c := cap(b)
-	if c < classSizes[0] || c > 2*MaxPooled {
+	if c < 1<<minShift || c > 2*MaxPooled {
 		return
 	}
-	ci := 0
-	for i, s := range classSizes {
-		if c >= s {
-			ci = i
-		}
-	}
+	ci := min(bits.Len(uint(c))-1-minShift, len(classes)-1)
 	select {
 	case classes[ci] <- b[:0]:
 	default:

@@ -70,7 +70,7 @@ func TestPutDropsJunk(t *testing.T) {
 	Put(nil)
 	Put(make([]byte, 0, 8))           // under smallest class
 	Put(make([]byte, 0, 3*MaxPooled)) // over the retention ceiling
-	if b := Get(64); cap(b) != classSizes[0] {
+	if b := Get(64); cap(b) != classSize(0) {
 		t.Fatalf("junk entered the pool: cap %d", cap(b))
 	}
 }
@@ -82,14 +82,99 @@ func TestGetLen(t *testing.T) {
 	}
 }
 
+// TestClassArithmetic: the bit-scan class lookup agrees with a search of
+// the class sizes at every boundary, for requests (smallest class that
+// fits) and for returned capacities (largest class the buffer can serve).
+func TestClassArithmetic(t *testing.T) {
+	for ci := range classes {
+		size := classSize(ci)
+		for _, n := range []int{size - 1, size, size + 1} {
+			want := -1
+			for i := range classes {
+				if n <= classSize(i) {
+					want = i
+					break
+				}
+			}
+			if got := classFor(n); got != want {
+				t.Errorf("classFor(%d) = %d, want %d", n, got, want)
+			}
+		}
+	}
+	if got := classFor(0); got != 0 {
+		t.Errorf("classFor(0) = %d, want 0", got)
+	}
+	drain()
+	for ci := range classes {
+		for _, c := range []int{classSize(ci), 2*classSize(ci) - 1} {
+			Put(make([]byte, 0, c))
+			if len(classes[ci]) != 1 {
+				t.Fatalf("a buffer of capacity %d was not filed under class %d (%d B)", c, ci, classSize(ci))
+			}
+			<-classes[ci]
+		}
+	}
+}
+
+// pageFrame is the frame of one 32^3 float64 page: 256 KiB of payload
+// behind a call header. window is rmi.DefaultWindow, which this package
+// cannot import.
+const (
+	pageFrame = 32*32*32*8 + 40
+	window    = 32
+)
+
+// TestPageFrameWindowRecycles: a split loop's window of page frames, taken
+// together and returned together, is served from the pool the second time
+// round — nothing allocated, nothing dropped.
+func TestPageFrameWindowRecycles(t *testing.T) {
+	drain()
+	ci := classFor(pageFrame)
+	var held [window][]byte
+	cycle := func() {
+		for i := range held {
+			held[i] = GetLen(pageFrame)
+		}
+		for i := range held {
+			Put(held[i])
+		}
+	}
+	cycle()
+	if got := len(classes[ci]); got != window {
+		t.Fatalf("%d of %d returned page frames retained", got, window)
+	}
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Fatalf("a recycled window of page frames allocates %.1f times", allocs)
+	}
+	if got := len(classes[ci]); got != window {
+		t.Fatalf("%d of %d page frames retained after recycling", got, window)
+	}
+}
+
+// TestRetentionBounded: a class keeps no more than its bound however many
+// buffers come back, and the bounds add up to less than the idle worst
+// case the package doc states.
 func TestRetentionBounded(t *testing.T) {
 	drain()
-	ci := classFor(64 << 10)
-	for i := 0; i < classCaps[ci]+10; i++ {
-		Put(make([]byte, 0, 64<<10))
+	ci := classFor(pageFrame)
+	for i := 0; i < retained(ci)+10; i++ {
+		Put(make([]byte, 0, classSize(ci)))
 	}
-	if got := len(classes[ci]); got > classCaps[ci] {
-		t.Fatalf("class retains %d buffers, bound is %d", got, classCaps[ci])
+	if got := len(classes[ci]); got != retained(ci) {
+		t.Fatalf("class retains %d buffers, bound is %d", got, retained(ci))
+	}
+	drain()
+	const documented = 96 << 20
+	total := 0
+	for i := range classes {
+		if b := cap(classes[i]) * classSize(i); b > classBytes {
+			t.Errorf("class %d may retain %d bytes, over the per-class bound %d", i, b, classBytes)
+		} else {
+			total += b
+		}
+	}
+	if total >= documented {
+		t.Fatalf("a full idle pool holds %d bytes, documented as under %d", total, documented)
 	}
 }
 

@@ -43,6 +43,26 @@ func TestCollectiveAllocs(t *testing.T) {
 	if sum > maxSumAllocs || axpy > maxAxpyAllocs {
 		t.Errorf("allocs per 2-page collective: Sum %.0f (max %d), Axpy %.0f (max %d)", sum, maxSumAllocs, axpy, maxAxpyAllocs)
 	}
+
+	// The whole array, 8 full pages, written and read back: every page's
+	// rows move between vals and its frame, so a call allocates its plan
+	// and, per page, a Future and the argument closure — no page-sized
+	// buffer, per call or per page.
+	out := make([]float64, len(vals))
+	write := testing.AllocsPerRun(100, func() {
+		if err := a.Write(bg, vals, a.Bounds()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	read := testing.AllocsPerRun(100, func() {
+		if err := a.Read(bg, out, a.Bounds()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs per 8-page transfer: Write %.0f, Read %.0f", write, read)
+	if write > maxWriteAllocs || read > maxReadAllocs {
+		t.Errorf("allocs per 8-page transfer: Write %.0f (max %d), Read %.0f (max %d)", write, maxWriteAllocs, read, maxReadAllocs)
+	}
 }
 
 // Measured 29 and 32 (before the device stopped allocating an index
@@ -55,4 +75,12 @@ func TestCollectiveAllocs(t *testing.T) {
 const (
 	maxSumAllocs  = 32
 	maxAxpyAllocs = 34
+)
+
+// Measured 28 and 35 for 8 pages (with a scratch page per call: 29 and
+// 36, the 32 KiB page among them). The slack is well under one allocation
+// per page, so a buffer that comes back per page trips the ceiling.
+const (
+	maxWriteAllocs = 31
+	maxReadAllocs  = 38
 )

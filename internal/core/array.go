@@ -216,23 +216,21 @@ func (a *Array) checkDomain(dom Domain) error {
 	return nil
 }
 
-// copyBlock moves the block isect between buf — row-major over box, a
-// whole page or the block itself — and a dom-shaped subarray.
-func copyBlock(sub []float64, dom Domain, buf []float64, box, isect Domain, toSub bool) {
-	b2, b3 := box.Hi[1]-box.Lo[1], box.Hi[2]-box.Lo[2]
-	d2, d3 := dom.Hi[1]-dom.Lo[1], dom.Hi[2]-dom.Lo[2]
-	runLen := isect.Hi[2] - isect.Lo[2]
-	for i := isect.Lo[0]; i < isect.Hi[0]; i++ {
-		for j := isect.Lo[1]; j < isect.Hi[1]; j++ {
-			bOff := ((i-box.Lo[0])*b2+(j-box.Lo[1]))*b3 + (isect.Lo[2] - box.Lo[2])
-			sOff := ((i-dom.Lo[0])*d2+(j-dom.Lo[1]))*d3 + (isect.Lo[2] - dom.Lo[2])
-			if toSub {
-				copy(sub[sOff:sOff+runLen], buf[bOff:bOff+runLen])
-			} else {
-				copy(buf[bOff:bOff+runLen], sub[sOff:sOff+runLen])
-			}
-		}
+// blockOf names, for the device stubs, the part isect of a dom-shaped
+// row-major subarray: a transfer gathers a page's rows from there, or
+// scatters them there, with no page-sized buffer in between.
+func blockOf(subarray []float64, dom, isect Domain) pagedev.Block {
+	return pagedev.Block{Data: subarray, N2: dom.Hi[1] - dom.Lo[1], N3: dom.Hi[2] - dom.Lo[2], Box: subBoxIn(isect, dom)}
+}
+
+// subBoxIn gives the box isect in coordinates local to outer.
+func subBoxIn(isect, outer Domain) pagedev.SubBox {
+	var b pagedev.SubBox
+	for x := 0; x < 3; x++ {
+		b.Lo[x] = isect.Lo[x] - outer.Lo[x]
+		b.Dim[x] = isect.Hi[x] - isect.Lo[x]
 	}
+	return b
 }
 
 // Read gathers the subdomain dom into subarray (row-major, dom.Dims()
@@ -241,7 +239,8 @@ func copyBlock(sub []float64, dom Domain, buf []float64, box, isect Domain, toSu
 // that engages (§5). Under a replicated map each page is read from a
 // *live* replica (the failure detector's verdicts route around
 // down machines; a call-time machine-down failure falls back to the
-// next replica), so replication doubles as read scaling.
+// next replica), so replication doubles as read scaling. Each page's
+// rows go from its reply frame to their place in subarray in one copy.
 func (a *Array) Read(ctx context.Context, subarray []float64, dom Domain) error {
 	if err := a.checkDomain(dom); err != nil {
 		return err
@@ -250,7 +249,6 @@ func (a *Array) Read(ctx context.Context, subarray []float64, dom Domain) error 
 		return fmt.Errorf("core: subarray has %d elements, domain %v has %d", len(subarray), dom, dom.Size())
 	}
 	regs := a.regionsOf(a.Map(), dom)
-	scratch := pagedev.NewArrayPage(a.p[0], a.p[1], a.p[2])
 	picked := make([]PageAddress, len(regs))
 	return rmi.SplitLoop(ctx, len(regs), a.inFlight(),
 		func(i int) *rmi.Future {
@@ -258,15 +256,15 @@ func (a *Array) Read(ctx context.Context, subarray []float64, dom Domain) error 
 			return a.storage.Device(picked[i].Device).ReadPageAsync(ctx, picked[i].Index)
 		},
 		func(i int, f *rmi.Future) error {
-			if err := pagedev.DecodeArrayPage(ctx, f, scratch); err != nil {
+			r := regs[i]
+			box, dst := subBoxFor(r), blockOf(subarray, dom, r.isect)
+			err := a.storage.Device(picked[i].Device).ScatterPage(ctx, f, box, dst)
+			if err != nil {
 				// A replica dying between issue and decode: retry the page
 				// synchronously on its remaining replicas before giving up.
-				if err = a.retryRead(ctx, regs[i], picked[i], scratch, err); err != nil {
-					return err
-				}
+				err = a.retryRead(ctx, r, picked[i], box, dst, err)
 			}
-			copyBlock(subarray, dom, scratch.Data, regs[i].box, regs[i].isect, true)
-			return nil
+			return err
 		})
 }
 
@@ -274,7 +272,7 @@ func (a *Array) Read(ctx context.Context, subarray []float64, dom Domain) error 
 // failed address errored: only typed machine-down failures are
 // retried; any other error (or running out of replicas) returns the
 // original error.
-func (a *Array) retryRead(ctx context.Context, r region, failed PageAddress, page *pagedev.ArrayPage, err error) error {
+func (a *Array) retryRead(ctx context.Context, r region, failed PageAddress, box pagedev.SubBox, dst pagedev.Block, err error) error {
 	if !errors.Is(err, rmi.ErrMachineDown) {
 		return err
 	}
@@ -282,7 +280,8 @@ func (a *Array) retryRead(ctx context.Context, r region, failed PageAddress, pag
 		if addr == failed || !a.machineUp(addr.Device) {
 			continue
 		}
-		if rerr := a.storage.Device(addr.Device).ReadPage(ctx, page, addr.Index); rerr == nil {
+		dev := a.storage.Device(addr.Device)
+		if rerr := dev.ScatterPage(ctx, dev.ReadPageAsync(ctx, addr.Index), box, dst); rerr == nil {
 			return nil
 		} else if !errors.Is(rerr, rmi.ErrMachineDown) {
 			return rerr
@@ -293,14 +292,7 @@ func (a *Array) retryRead(ctx context.Context, r region, failed PageAddress, pag
 
 // subBoxFor converts a region's intersection into the device-local
 // sub-box coordinates used by the sub-page methods.
-func subBoxFor(r region) pagedev.SubBox {
-	var b pagedev.SubBox
-	for x := 0; x < 3; x++ {
-		b.Lo[x] = r.isect.Lo[x] - r.box.Lo[x]
-		b.Dim[x] = r.isect.Hi[x] - r.isect.Lo[x]
-	}
-	return b
-}
+func subBoxFor(r region) pagedev.SubBox { return subBoxIn(r.isect, r.box) }
 
 // Write scatters subarray into the subdomain dom — the paper's
 // Array::write. Fully covered pages are written whole; partially covered
@@ -342,7 +334,9 @@ func (a *Array) Write(ctx context.Context, subarray []float64, dom Domain) error
 
 // writeWith is one Write attempt against an explicit map snapshot: one
 // call per (region, replica) pair, in region order, settled into the
-// primary-ack tally.
+// primary-ack tally. Each call gathers its region's rows from subarray
+// straight into its own request frame — one pass over the values per
+// replica, and nothing held between calls.
 func (a *Array) writeWith(ctx context.Context, pm PageMap, subarray []float64, dom Domain) error {
 	regs := a.regionsOf(pm, dom)
 	type replicaWrite struct{ reg, pos int }
@@ -352,30 +346,18 @@ func (a *Array) writeWith(ctx context.Context, pm PageMap, subarray []float64, d
 			calls = append(calls, replicaWrite{ri, pos})
 		}
 	}
-	// The payload of a region is gathered when its first replica is
-	// issued and reused for the rest of its chain (SplitLoop issues in
-	// index order, and a call's arguments are encoded when it is issued).
-	scratch := pagedev.NewArrayPage(a.p[0], a.p[1], a.p[2])
-	var vals []float64
 	t := a.newAckTally(regs)
 	return rmi.SplitLoop(ctx, len(calls), a.inFlight(),
 		func(i int) *rmi.Future {
-			r, first := regs[calls[i].reg], calls[i].pos == 0
+			r := regs[calls[i].reg]
 			addr := r.chain[calls[i].pos]
-			dev := a.storage.Device(addr.Device)
+			dev, src := a.storage.Device(addr.Device), blockOf(subarray, dom, r.isect)
 			if r.full {
-				if first {
-					copyBlock(subarray, dom, scratch.Data, r.box, r.isect, false)
-				}
-				return dev.WritePageAsync(ctx, scratch, addr.Index)
+				return dev.WritePageAsync(ctx, addr.Index, src)
 			}
 			// Partial page: atomic sub-page write on the device (only the
 			// region travels, and concurrent clients can share the page).
-			if first { // row-packed, the writeSub wire layout
-				vals = make([]float64, r.isect.Size())
-				copyBlock(subarray, dom, vals, r.isect, r.isect, false)
-			}
-			return dev.WriteSubAsync(ctx, addr.Index, subBoxFor(r), vals)
+			return dev.WriteSubAsync(ctx, addr.Index, subBoxFor(r), src)
 		},
 		func(i int, f *rmi.Future) error { return t.record(calls[i].reg, f.Err(ctx)) })
 }

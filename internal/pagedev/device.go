@@ -433,8 +433,8 @@ type arrayPageDevice struct {
 	*pageDevice
 	n1, n2, n3 int
 	// staged holds values a serial method has fetched or decoded but not
-	// yet stored — pulled operands and regions, a written page or box —
-	// since gathering can fail and a page entered for writing must not: one
+	// yet stored — pulled operands and regions, a written box — since
+	// gathering can fail and a page entered for writing must not: one
 	// buffer per worker of a kernel batch, kept between batches; 0 is the method's.
 	staged [][]float64
 }
@@ -518,13 +518,19 @@ func newArrayClass() *rmi.Class[*arrayPageDevice] {
 		return a.withPage(index, readOnly, reply.PutFloat64s)
 	})
 	c.Method("writeArray", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		// The frame is validated before the page is entered — a page's worth
+		// of values announced, every byte of them present — and only then
+		// copied, once, from the frame to the page: a short or wrong-length
+		// frame changes nothing, and the copy cannot fail.
 		index := args.Int()
-		vals := a.stage(0, a.n1*a.n2*a.n3)
-		args.Float64sInto(vals)
+		n := args.Float64sLen()
 		if err := args.Err(); err != nil {
 			return err
 		}
-		return a.withPage(index, overwrite, func(elems []float64) { copy(elems, vals) })
+		if n != a.n1*a.n2*a.n3 {
+			return fmt.Errorf("pagedev: %w: writeArray carries %d values, a page has %d", wire.ErrCorrupt, n, a.n1*a.n2*a.n3)
+		}
+		return a.withPage(index, overwrite, args.CopyFloat64s)
 	})
 	c.Method("fillPage", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		index := args.Int()
@@ -643,12 +649,8 @@ func decodeSubBox(args *wire.Decoder, page [3]int) (lo [3]int, dim [3]int, err e
 	if err := args.Err(); err != nil {
 		return lo, dim, err
 	}
-	for x := 0; x < 3; x++ {
-		// dim is compared against the room left, not added to lo: the sum
-		// of two huge wire values would wrap past the check.
-		if lo[x] < 0 || dim[x] < 0 || lo[x] > page[x] || dim[x] > page[x]-lo[x] {
-			return lo, dim, fmt.Errorf("pagedev: sub-box axis %d [%d,%d) outside page [0,%d)", x, lo[x], lo[x]+dim[x], page[x])
-		}
+	if box := (SubBox{Lo: lo, Dim: dim}); !box.within(page) {
+		return lo, dim, fmt.Errorf("pagedev: sub-box %+v outside page %v", box, page)
 	}
 	return lo, dim, nil
 }

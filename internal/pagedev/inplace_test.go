@@ -251,6 +251,32 @@ func TestFailedMutatorStoresNothing(t *testing.T) {
 		t.Fatal("a writeArray frame one element short was accepted")
 	}
 	unchanged("short writeArray")
+	// writeArray copies from the frame into the page it has entered, so
+	// everything is checked first: a prefix announcing the full page over
+	// a body one value short, and a whole page (and garbage behind it) for
+	// an index the device does not have.
+	_, err = client.Call(bg, dev.Ref(), "writeArray", func(e *wire.Encoder) error {
+		e.PutInt(0)
+		e.PutFloat64sLen(64)
+		e.AppendFloat64s(make([]float64, 63))
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), wire.ErrTruncated.Error()) {
+		t.Fatalf("a writeArray frame announcing 64 values and carrying 63: %v, want truncated", err)
+	}
+	unchanged("writeArray with a body one value short")
+	for _, index := range []int{2, -1, 1 << 40} {
+		_, err = client.Call(bg, dev.Ref(), "writeArray", func(e *wire.Encoder) error {
+			e.PutInt(index)
+			e.PutFloat64s(make([]float64, 64))
+			e.AppendRaw([]byte{0xFF, 0xFF, 0xFF, 0x01, 0x02})
+			return nil
+		})
+		if err == nil {
+			t.Fatalf("writeArray to page %d of a 2-page device was accepted", index)
+		}
+		unchanged("writeArray out of range")
+	}
 
 	// scale→axpy whose operand lived on a device that has been deleted:
 	// the scale must not have landed when the pull fails.

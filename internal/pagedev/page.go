@@ -16,9 +16,10 @@
 package pagedev
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
+
+	"oopp/internal/wire"
 )
 
 // Page is a block of unstructured data, the unit a PageDevice stores.
@@ -103,35 +104,22 @@ func (p *ArrayPage) Elems() int { return p.N1 * p.N2 * p.N3 }
 func (p *ArrayPage) SizeBytes() int { return 8 * p.Elems() }
 
 // Float64sToBytes packs vals into little-endian bytes (the on-device page
-// representation). dst must be 8*len(vals) bytes. One copy where dst can
-// be viewed as float64s in place (f64view); the byte-order loop is the
-// fallback and gives the same bytes, NaN payloads included.
+// representation, which is the wire's: wire.PackFloat64s). dst must be
+// 8*len(vals) bytes.
 func Float64sToBytes(dst []byte, vals []float64) error {
 	if len(dst) != 8*len(vals) {
 		return fmt.Errorf("pagedev: pack buffer %d bytes for %d floats", len(dst), len(vals))
 	}
-	if v := f64view(dst); v != nil {
-		copy(v, vals)
-		return nil
-	}
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
-	}
+	wire.PackFloat64s(dst, vals)
 	return nil
 }
 
 // BytesToFloat64s unpacks little-endian bytes into vals (8*len(vals) of
-// them): one copy where src can be viewed in place, else the loop.
+// them).
 func BytesToFloat64s(vals []float64, src []byte) error {
 	if len(src) != 8*len(vals) {
 		return fmt.Errorf("pagedev: unpack %d bytes into %d floats", len(src), len(vals))
 	}
-	if v := f64view(src); v != nil {
-		copy(vals, v)
-		return nil
-	}
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-	}
+	wire.UnpackFloat64s(vals, src)
 	return nil
 }

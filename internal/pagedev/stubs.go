@@ -262,13 +262,87 @@ func (d *ArrayDevice) checkDims(p *ArrayPage) error {
 	return nil
 }
 
-// arrayPageReply decodes readArray's reply into p.
-func arrayPageReply(dec *wire.Decoder, err error, p *ArrayPage) error {
+// Block names the elements a transfer gathers from or scatters to where
+// they are, in the caller's memory: the sub-box Box of a row-major array
+// Data whose second and third extents are N2 and N3. The stubs move a
+// block's runs between Data and the frame directly, so a page that is a
+// piece of a larger array is never assembled in a buffer of its own.
+type Block struct {
+	Data   []float64
+	N2, N3 int
+	Box    SubBox
+}
+
+// Whole is the block that is all of page p.
+func (p *ArrayPage) Whole() Block {
+	return Block{Data: p.Data, N2: p.N2, N3: p.N3, Box: SubBox{Dim: [3]int{p.N1, p.N2, p.N3}}}
+}
+
+// check refuses a block that is not dim-shaped or not inside its Data.
+func (b Block) check(dim [3]int) error {
+	if b.Box.Dim != dim {
+		return fmt.Errorf("pagedev: block of %v elements where %v are wanted", b.Box.Dim, dim)
+	}
+	if b.N2 <= 0 || b.N3 <= 0 || !b.Box.within([3]int{len(b.Data) / (b.N2 * b.N3), b.N2, b.N3}) {
+		return fmt.Errorf("pagedev: block %+v outside its %d-element ?x%dx%d array", b.Box, len(b.Data), b.N2, b.N3)
+	}
+	return nil
+}
+
+// contiguous reports whether the block's elements are one run of Data.
+func (b Block) contiguous() bool {
+	return b.Box.Lo[1] == 0 && b.Box.Lo[2] == 0 && b.Box.Dim[1] == b.N2 && b.Box.Dim[2] == b.N3
+}
+
+// origin is the index in Data of the block's first element; its row (i, j)
+// starts (i*N2+j)*N3 after that.
+func (b *Block) origin() int {
+	return (b.Box.Lo[0]*b.N2+b.Box.Lo[1])*b.N3 + b.Box.Lo[2]
+}
+
+func (d *ArrayDevice) dims() [3]int { return [3]int{d.n1, d.n2, d.n3} }
+
+// scatterReply settles readArray: the sub-box box of the page in the reply
+// goes to dst, each run copied once, from the frame to where it belongs.
+// The reply is validated whole — a page's worth of values, all present —
+// before the first element is stored, so a failed read leaves dst as it
+// was.
+func (d *ArrayDevice) scatterReply(dec *wire.Decoder, err error, box SubBox, dst Block) error {
 	if err != nil {
 		return err
 	}
 	defer dec.Release()
-	dec.Float64sInto(p.Data)
+	if !box.within(d.dims()) {
+		return fmt.Errorf("pagedev: sub-box %+v outside page %v", box, d.dims())
+	}
+	if err := dst.check(box.Dim); err != nil {
+		return err
+	}
+	n := dec.Float64sLen()
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	if n != d.n1*d.n2*d.n3 {
+		return fmt.Errorf("pagedev: %w: page reply carries %d values, a page has %d", wire.ErrCorrupt, n, d.n1*d.n2*d.n3)
+	}
+	// Both sides walk their rows from the box's first element: row (i, j)
+	// starts (i*N2+j)*N3 after it.
+	page := Block{N2: d.n2, N3: d.n3, Box: box}
+	from0, at0 := page.origin(), dst.origin()
+	if page.contiguous() && dst.contiguous() {
+		dec.SkipFloat64s(from0)
+		dec.CopyFloat64s(dst.Data[at0 : at0+box.Size()])
+		return dec.Err()
+	}
+	pos, run := 0, box.Dim[2]
+	for i := 0; i < box.Dim[0]; i++ {
+		for j := 0; j < box.Dim[1]; j++ {
+			from, at := from0+(i*d.n2+j)*d.n3, at0+(i*dst.N2+j)*dst.N3
+			dec.SkipFloat64s(from - pos)
+			dec.CopyFloat64s(dst.Data[at : at+run])
+			pos = from + run
+		}
+	}
 	return dec.Err()
 }
 
@@ -280,25 +354,31 @@ func (d *ArrayDevice) ReadPage(ctx context.Context, p *ArrayPage, index int) err
 		return err
 	}
 	dec, err := d.client.Call(ctx, d.ref, "readArray", indexArgs(index))
-	return arrayPageReply(dec, err, p)
+	return d.scatterReply(dec, err, p.Whole().Box, p.Whole())
 }
 
-// ReadPageAsync begins an array page read; decode into a page with
-// DecodeArrayPage.
+// ReadPageAsync begins an array page read; settle it with ScatterPage.
 func (d *ArrayDevice) ReadPageAsync(ctx context.Context, index int) *rmi.Future {
 	return d.client.CallAsync(ctx, d.ref, "readArray", indexArgs(index))
 }
 
-// DecodeArrayPage fills p from a completed ReadPageAsync future.
-func DecodeArrayPage(ctx context.Context, fut *rmi.Future, p *ArrayPage) error {
+// ScatterPage settles a ReadPageAsync future: the sub-box box of the page
+// read goes to the equally shaped block dst, straight from the reply.
+func (d *ArrayDevice) ScatterPage(ctx context.Context, fut *rmi.Future, box SubBox, dst Block) error {
 	dec, err := fut.Wait(ctx)
-	return arrayPageReply(dec, err, p)
+	return d.scatterReply(dec, err, box, dst)
 }
 
-func writePageArgs(p *ArrayPage, index int) rmi.ArgEncoder {
+// writePageArgs encodes writeArray(index, page) with the page's values
+// gathered from src straight into the frame.
+func (d *ArrayDevice) writePageArgs(index int, src Block) rmi.ArgEncoder {
 	return func(e *wire.Encoder) error {
+		if err := src.check(d.dims()); err != nil {
+			return err
+		}
 		e.PutInt(index)
-		e.PutFloat64s(p.Data)
+		e.PutFloat64sLen(src.Box.Size())
+		forEachRun(src.Data, src.N2, src.N3, src.Box.Lo, src.Box.Dim, e.AppendFloat64s)
 		return nil
 	}
 }
@@ -308,12 +388,13 @@ func (d *ArrayDevice) WritePage(ctx context.Context, p *ArrayPage, index int) er
 	if err := d.checkDims(p); err != nil {
 		return err
 	}
-	return voidReply(d.client.Call(ctx, d.ref, "writeArray", writePageArgs(p, index)))
+	return voidReply(d.client.Call(ctx, d.ref, "writeArray", d.writePageArgs(index, p.Whole())))
 }
 
-// WritePageAsync begins an array page write.
-func (d *ArrayDevice) WritePageAsync(ctx context.Context, p *ArrayPage, index int) *rmi.Future {
-	return d.client.CallAsync(ctx, d.ref, "writeArray", writePageArgs(p, index))
+// WritePageAsync begins the write of page index from src, a block of the
+// page's extents.
+func (d *ArrayDevice) WritePageAsync(ctx context.Context, index int, src Block) *rmi.Future {
+	return d.client.CallAsync(ctx, d.ref, "writeArray", d.writePageArgs(index, src))
 }
 
 // FillPage sets every element of page index to v, remotely.
@@ -335,6 +416,18 @@ type SubBox struct {
 // Size returns the region's element count.
 func (b SubBox) Size() int { return b.Dim[0] * b.Dim[1] * b.Dim[2] }
 
+// within reports whether b lies inside an array of extents n. A dim is
+// compared against the room left, not added to lo: the sum of two huge
+// wire values would wrap past the check.
+func (b SubBox) within(n [3]int) bool {
+	for x := 0; x < 3; x++ {
+		if b.Lo[x] < 0 || b.Dim[x] < 0 || b.Lo[x] > n[x] || b.Dim[x] > n[x]-b.Lo[x] {
+			return false
+		}
+	}
+	return true
+}
+
 func putSubBox(e *wire.Encoder, index int, box SubBox) {
 	e.PutInt(index)
 	for x := 0; x < 3; x++ {
@@ -345,19 +438,23 @@ func putSubBox(e *wire.Encoder, index int, box SubBox) {
 	}
 }
 
-// WriteSubAsync overlays the region box of page index with vals
-// (row-packed: Dim[0]*Dim[1] runs of Dim[2] values). The read-modify-
-// write happens inside the device process's serial method, so concurrent
-// clients updating disjoint regions of one page cannot lose updates.
-func (d *ArrayDevice) WriteSubAsync(ctx context.Context, index int, box SubBox, vals []float64) *rmi.Future {
+// WriteSubAsync overlays the region box of page index with the equally
+// shaped block src, sent row-packed: Dim[0]*Dim[1] runs of Dim[2] values,
+// gathered straight into the frame. The read-modify-write happens inside
+// the device process's serial method, so concurrent clients updating
+// disjoint regions of one page cannot lose updates.
+func (d *ArrayDevice) WriteSubAsync(ctx context.Context, index int, box SubBox, src Block) *rmi.Future {
 	return d.client.CallAsync(ctx, d.ref, "writeSub", func(e *wire.Encoder) error {
-		if len(vals) != box.Size() {
-			return fmt.Errorf("pagedev: sub-box %v wants %d values, got %d", box, box.Size(), len(vals))
+		if err := src.check(box.Dim); err != nil {
+			return err
 		}
 		putSubBox(e, index, box)
-		run := box.Dim[2]
-		for off := 0; off < len(vals); off += run {
-			e.PutFloat64s(vals[off : off+run])
+		at0, run := src.origin(), box.Dim[2]
+		for i := 0; i < box.Dim[0]; i++ {
+			for j := 0; j < box.Dim[1]; j++ {
+				at := at0 + (i*src.N2+j)*src.N3
+				e.PutFloat64s(src.Data[at : at+run])
+			}
 		}
 		return nil
 	})

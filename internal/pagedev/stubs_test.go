@@ -32,11 +32,11 @@ func TestAsyncStubVariants(t *testing.T) {
 	// Array-typed async path.
 	page := pagedev.NewArrayPage(2, 2, 2)
 	page.Fill(2.5)
-	if err := dev.WritePageAsync(bg, page, 1).Err(bg); err != nil {
+	if err := dev.WritePageAsync(bg, 1, page.Whole()).Err(bg); err != nil {
 		t.Fatalf("WritePageAsync: %v", err)
 	}
 	back := pagedev.NewArrayPage(2, 2, 2)
-	if err := pagedev.DecodeArrayPage(bg, dev.ReadPageAsync(bg, 1), back); err != nil {
+	if err := dev.ScatterPage(bg, dev.ReadPageAsync(bg, 1), back.Whole().Box, back.Whole()); err != nil {
 		t.Fatalf("ReadPageAsync: %v", err)
 	}
 	for i, v := range back.Data {
@@ -59,6 +59,106 @@ func TestAsyncStubVariants(t *testing.T) {
 	n, err := attached.NumPages(bg)
 	if err != nil || n != 3 {
 		t.Fatalf("attached NumPages = %d, %v", n, err)
+	}
+}
+
+// TestBlockTransfers: a page written from, and read into, a piece of a
+// larger row-major array — the form core.Array uses — moves exactly the
+// block's elements and nothing around them; a sub-box of the page lands
+// the same way; and a block of the wrong shape, or one that runs off its
+// array, is refused before anything is sent or stored.
+func TestBlockTransfers(t *testing.T) {
+	c := startCluster(t, 2, 0)
+	dev, err := pagedev.NewArrayDevice(bg, c.Client(), 1, "blocks", 2, 2, 3, 4, pagedev.DiskPrivate)
+	if err != nil {
+		t.Fatalf("device: %v", err)
+	}
+	defer dev.Close(bg)
+
+	// A 3x5x6 array holding the page at (1,1,2).
+	const N2, N3 = 5, 6
+	big := make([]float64, 3*N2*N3)
+	for i := range big {
+		big[i] = float64(i) + 0.5
+	}
+	at := pagedev.SubBox{Lo: [3]int{1, 1, 2}, Dim: [3]int{2, 3, 4}}
+	if err := dev.WritePageAsync(bg, 0, pagedev.Block{Data: big, N2: N2, N3: N3, Box: at}).Err(bg); err != nil {
+		t.Fatalf("WritePageAsync from a block: %v", err)
+	}
+	page := pagedev.NewArrayPage(2, 3, 4)
+	if err := dev.ReadPage(bg, page, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 3; j++ {
+			for k := 0; k < 4; k++ {
+				if got, want := page.At(i, j, k), big[((1+i)*N2+1+j)*N3+2+k]; got != want {
+					t.Fatalf("page(%d,%d,%d) = %v, want %v", i, j, k, got, want)
+				}
+			}
+		}
+	}
+
+	// Back into a cleared array: only the block's elements are stored.
+	out := make([]float64, len(big))
+	if err := dev.ScatterPage(bg, dev.ReadPageAsync(bg, 0), page.Whole().Box, pagedev.Block{Data: out, N2: N2, N3: N3, Box: at}); err != nil {
+		t.Fatalf("ScatterPage into a block: %v", err)
+	}
+	inside := func(x int) bool {
+		i, j, k := x/(N2*N3), x/N3%N2, x%N3
+		return i >= 1 && i < 3 && j >= 1 && j < 4 && k >= 2 && k < 6
+	}
+	for x := range out {
+		if want := map[bool]float64{true: big[x], false: 0}[inside(x)]; out[x] != want {
+			t.Fatalf("element %d = %v, want %v", x, out[x], want)
+		}
+	}
+
+	// The page's sub-box (1,1,1)+(1,2,2) into the corner of a 1x2x2 array.
+	corner := make([]float64, 4)
+	sub := pagedev.SubBox{Lo: [3]int{1, 1, 1}, Dim: [3]int{1, 2, 2}}
+	if err := dev.ScatterPage(bg, dev.ReadPageAsync(bg, 0), sub, pagedev.Block{Data: corner, N2: 2, N3: 2, Box: pagedev.SubBox{Dim: sub.Dim}}); err != nil {
+		t.Fatalf("ScatterPage of a sub-box: %v", err)
+	}
+	for j := 0; j < 2; j++ {
+		for k := 0; k < 2; k++ {
+			if got, want := corner[2*j+k], page.At(1, 1+j, 1+k); got != want {
+				t.Fatalf("sub-box (%d,%d) = %v, want %v", j, k, got, want)
+			}
+		}
+	}
+	// The same sub-box overwritten through writeSub from a block of big.
+	from := pagedev.SubBox{Lo: [3]int{0, 0, 0}, Dim: sub.Dim}
+	if err := dev.WriteSubAsync(bg, 0, sub, pagedev.Block{Data: big, N2: N2, N3: N3, Box: from}).Err(bg); err != nil {
+		t.Fatalf("WriteSubAsync from a block: %v", err)
+	}
+	if err := dev.ReadPage(bg, page, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := page.At(1, 2, 2), big[1*N3+1]; got != want {
+		t.Fatalf("after writeSub page(1,2,2) = %v, want %v", got, want)
+	}
+
+	_, writes, _ := dev.Stats(bg)
+	bad := []pagedev.Block{
+		{Data: big, N2: N2, N3: N3, Box: pagedev.SubBox{Lo: at.Lo, Dim: [3]int{2, 3, 3}}},            // not page-shaped
+		{Data: big, N2: N2, N3: N3, Box: pagedev.SubBox{Lo: [3]int{2, 1, 2}, Dim: at.Dim}},           // off the end of its array
+		{Data: big, N2: N2, N3: N3, Box: pagedev.SubBox{Lo: [3]int{1, 1, 3}, Dim: at.Dim}},           // rows wrap
+		{Data: big, N2: 0, N3: N3, Box: at},                                                          // no array at all
+		{Data: big[:10], N2: N2, N3: N3, Box: pagedev.SubBox{Lo: [3]int{0, 1, 2}, Dim: at.Dim}},      // shorter than its box
+		{Data: big, N2: N2, N3: N3, Box: pagedev.SubBox{Lo: [3]int{-1, 1, 2}, Dim: at.Dim}},          // negative origin
+		{Data: big, N2: N2, N3: N3, Box: pagedev.SubBox{Lo: [3]int{1, 1, 2}, Dim: [3]int{2, 3, -4}}}, // negative extent
+	}
+	for i, blk := range bad {
+		if err := dev.WritePageAsync(bg, 0, blk).Err(bg); err == nil {
+			t.Errorf("bad block %d: write accepted", i)
+		}
+		if err := dev.ScatterPage(bg, dev.ReadPageAsync(bg, 0), page.Whole().Box, blk); err == nil {
+			t.Errorf("bad block %d: read accepted", i)
+		}
+	}
+	if _, after, _ := dev.Stats(bg); after != writes {
+		t.Errorf("refused blocks reached the device: writes %d -> %d", writes, after)
 	}
 }
 

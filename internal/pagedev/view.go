@@ -5,10 +5,11 @@ import (
 	"unsafe"
 )
 
-// The one place the module reinterprets memory. A stored page is packed
-// little-endian float64s; on a host that lays a float64 out the same way
-// the page's bytes ARE its elements. Callers ask f64view and take the
-// portable path when it answers nil.
+// The one place the module views bytes as float64s (wire/bulk.go views
+// float64s as bytes, which needs no alignment, to copy them). A stored
+// page is packed little-endian float64s; on a host that lays a float64 out
+// the same way the page's bytes ARE its elements. Callers ask f64view and
+// take the copying path when it answers nil.
 
 // hostLittleEndian reports whether a float64 in this process's memory
 // has the byte order of a stored page.

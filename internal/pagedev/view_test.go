@@ -21,9 +21,8 @@ var packSpecials = []uint64{
 
 // aligned and misaligned return n bytes that do and do not start on an
 // 8-byte boundary: f64view accepts the first on a little-endian host and
-// must refuse the second, so the byte-order loop runs. A plain make
-// promises neither — a small []byte that does not escape sits on the
-// stack at any address.
+// must refuse the second. A plain make promises neither — a small []byte
+// that does not escape sits on the stack at any address.
 func aligned(n int) []byte    { return skewed(n, true) }
 func misaligned(n int) []byte { return skewed(n, false) }
 
@@ -37,11 +36,11 @@ func skewed(n int, viewable bool) []byte {
 	return buf[:n:n] // no offset is viewable: big-endian host, or n not a multiple of 8
 }
 
-// checkPackUnpack pins the bulk path and the byte-order fallback of
-// Float64sToBytes/BytesToFloat64s to each other and to the format: for
-// these bit patterns, an aligned buffer (one copy, on a little-endian
-// host) and a deliberately misaligned one (always the loop) hold the
-// same little-endian bytes, and both unpack to the same bits.
+// checkPackUnpack pins Float64sToBytes/BytesToFloat64s (the wire's pack
+// primitive; its byte-order fallback is held equal to the copy in
+// internal/wire) to the format: for these bit patterns, an aligned buffer
+// and a deliberately misaligned one hold the same little-endian bytes,
+// and both unpack to the same bits.
 func checkPackUnpack(t *testing.T, bits []uint64) {
 	t.Helper()
 	vals := make([]float64, len(bits))

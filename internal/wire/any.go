@@ -54,12 +54,8 @@ func (e *Encoder) PutRefs(rs []Ref) {
 
 // Refs reads a length-prefixed slice of remote pointers.
 func (d *Decoder) Refs() []Ref {
-	n := d.Uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if uint64(d.Remaining()) < 3*n { // each ref takes >= 3 bytes
-		d.fail(ErrTruncated)
+	n, ok := d.bulkLen(3) // each ref takes >= 3 bytes
+	if !ok {
 		return nil
 	}
 	out := make([]Ref, n)
@@ -203,12 +199,8 @@ func (e *Encoder) PutAnys(vs []any) error {
 
 // Anys reads a length-prefixed sequence of tagged values.
 func (d *Decoder) Anys() ([]any, error) {
-	n := d.Uvarint()
-	if d.err != nil {
-		return nil, d.err
-	}
-	if uint64(d.Remaining()) < n {
-		d.fail(ErrTruncated)
+	n, ok := d.bulkLen(1) // a tagged value takes >= 1 byte
+	if !ok {
 		return nil, d.err
 	}
 	out := make([]any, n)

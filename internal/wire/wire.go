@@ -41,6 +41,27 @@
 //   - Views returned by BytesView/Bytes/StringBytes alias the frame: they
 //     are valid only until Release. Copy (BytesCopy) anything that must
 //     outlive the decode.
+//
+// # Bulk values
+//
+// A []float64 or []complex128 crosses in one pass per side: PackFloat64s
+// and UnpackFloat64s (bulk.go) are a memory copy on a little-endian host
+// and the byte-order loop elsewhere, the same bytes either way, and every
+// bulk encoder and decoder here is built on that pair. The copy views the
+// *typed* slice as bytes — always aligned, any byte of it addressable —
+// and never a frame's bytes as floats: a block starts wherever the fields
+// before it end. Code outside this package does not cast either; it calls
+// the pair (pagedev's stored pages have the same format).
+//
+// A block is a count and then the packed values. A writer whose values are
+// not in one slice opens the block with PutFloat64sLen and appends runs
+// with AppendFloat64s (core.Array gathers a page's rows out of a larger
+// array this way); a reader that must not half-store a block, or wants its
+// runs somewhere other than one slice, reads the count with Float64sLen —
+// which checks that every byte announced is in the frame before any is
+// consumed — and takes runs with CopyFloat64s and SkipFloat64s. Counts off
+// a socket are compared against the values that fit in what remains of the
+// frame, never multiplied by the value size first.
 package wire
 
 import (
@@ -198,32 +219,36 @@ func (e *Encoder) PutBytes(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
-// PutFloat64s appends a length-prefixed packed []float64: one ensure for
-// the whole block, then straight little-endian stores — no per-element
-// growth checks and no intermediate copy.
+// PutFloat64s appends a length-prefixed packed []float64: the prefix, one
+// grow for the whole block, one pack (PackFloat64s).
 func (e *Encoder) PutFloat64s(v []float64) {
-	e.PutUvarint(uint64(len(v)))
-	e.ensure(8 * len(v))
-	off := len(e.buf)
-	e.buf = e.buf[:off+8*len(v)]
-	dst := e.buf[off:]
-	for i, f := range v {
-		binary.LittleEndian.PutUint64(dst[8*i:8*i+8:8*i+8], math.Float64bits(f))
-	}
+	e.PutFloat64sLen(len(v))
+	e.AppendFloat64s(v)
 }
 
-// PutComplex128s appends a length-prefixed packed []complex128 with a
-// single buffer grow, like PutFloat64s.
+// PutFloat64sLen opens a packed []float64 of n values for a caller whose
+// values are not in one slice: it appends the prefix and makes room for
+// the block; the caller then appends exactly n values, in runs, with
+// AppendFloat64s. The bytes are those of PutFloat64s on the joined runs.
+func (e *Encoder) PutFloat64sLen(n int) {
+	e.PutUvarint(uint64(n))
+	e.ensure(8 * n)
+}
+
+// AppendFloat64s appends a run of packed values with no prefix — part of a
+// block opened with PutFloat64sLen.
+func (e *Encoder) AppendFloat64s(run []float64) {
+	e.ensure(8 * len(run))
+	off := len(e.buf)
+	e.buf = e.buf[:off+8*len(run)]
+	PackFloat64s(e.buf[off:], run)
+}
+
+// PutComplex128s appends a length-prefixed packed []complex128, like
+// PutFloat64s: each value is its real part, then its imaginary part.
 func (e *Encoder) PutComplex128s(v []complex128) {
 	e.PutUvarint(uint64(len(v)))
-	e.ensure(16 * len(v))
-	off := len(e.buf)
-	e.buf = e.buf[:off+16*len(v)]
-	dst := e.buf[off:]
-	for i, c := range v {
-		binary.LittleEndian.PutUint64(dst[16*i:16*i+8:16*i+8], math.Float64bits(real(c)))
-		binary.LittleEndian.PutUint64(dst[16*i+8:16*i+16:16*i+16], math.Float64bits(imag(c)))
-	}
+	e.AppendFloat64s(complexFloats(v))
 }
 
 // PutInts appends a length-prefixed []int as signed varints.
@@ -431,103 +456,117 @@ func (d *Decoder) BytesInto(dst []byte) {
 	copy(dst, b)
 }
 
+// bulkLen reads the count n of a run of values of at least size bytes each
+// and checks that the frame can hold them — for a packed block, that all
+// of them are there — before any is consumed and before anything is sized
+// by n. n is compared against the values that fit, not multiplied: size*n
+// wraps for a hostile n.
+func (d *Decoder) bulkLen(size int) (n int, ok bool) {
+	v := d.Uvarint()
+	if d.err != nil {
+		return 0, false
+	}
+	if v > uint64(d.Remaining()/size) {
+		d.fail(ErrTruncated)
+		return 0, false
+	}
+	return int(v), true
+}
+
 // Float64s reads a length-prefixed packed []float64 into a freshly
 // allocated, caller-owned slice filled in a single pass.
 func (d *Decoder) Float64s() []float64 {
-	n := d.Uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if uint64(d.Remaining()) < 8*n {
-		d.fail(ErrTruncated)
+	n, ok := d.bulkLen(8)
+	if !ok {
 		return nil
 	}
 	out := make([]float64, n)
-	d.unpackFloat64s(out)
+	d.CopyFloat64s(out)
 	return out
 }
 
 // Float64sInto reads a packed []float64 into dst, which must have exactly
 // the encoded length. It avoids allocating for hot bulk-transfer paths.
 func (d *Decoder) Float64sInto(dst []float64) {
-	n := d.Uvarint()
-	if d.err != nil {
+	n, ok := d.bulkLen(8)
+	if !ok {
 		return
 	}
-	if int(n) != len(dst) {
+	if n != len(dst) {
 		d.fail(fmt.Errorf("%w: Float64sInto length %d, want %d", ErrCorrupt, n, len(dst)))
 		return
 	}
-	if uint64(d.Remaining()) < 8*n {
+	d.CopyFloat64s(dst)
+}
+
+// Float64sLen reads the prefix of a packed []float64 and returns its count
+// n, having checked that all 8n bytes are present (0 and a sticky error
+// otherwise). The values follow; the caller takes exactly n of them, in
+// runs, with CopyFloat64s and SkipFloat64s — none of which can then fail.
+// This is how a reader validates a block before it commits to storing it,
+// and scatters one without a copy in between.
+func (d *Decoder) Float64sLen() int {
+	n, _ := d.bulkLen(8)
+	return n
+}
+
+// CopyFloat64s fills dst with the next len(dst) packed values — a run of a
+// block opened with Float64sLen, no prefix.
+func (d *Decoder) CopyFloat64s(dst []float64) {
+	if d.err != nil {
+		return
+	}
+	if len(dst) > d.Remaining()/8 {
 		d.fail(ErrTruncated)
 		return
 	}
-	d.unpackFloat64s(dst)
+	UnpackFloat64s(dst, d.buf[d.off:])
+	d.off += 8 * len(dst)
 }
 
-// unpackFloat64s block-copies len(dst) packed values from the current
-// offset; bounds were checked by the caller.
-func (d *Decoder) unpackFloat64s(dst []float64) {
-	src := d.buf[d.off : d.off+8*len(dst)]
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i : 8*i+8 : 8*i+8]))
+// SkipFloat64s passes over the next n packed values.
+func (d *Decoder) SkipFloat64s(n int) {
+	if d.err != nil {
+		return
 	}
-	d.off += 8 * len(dst)
+	if n < 0 || n > d.Remaining()/8 {
+		d.fail(ErrTruncated)
+		return
+	}
+	d.off += 8 * n
 }
 
 // Complex128s reads a length-prefixed packed []complex128.
 func (d *Decoder) Complex128s() []complex128 {
-	n := d.Uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if uint64(d.Remaining()) < 16*n {
-		d.fail(ErrTruncated)
+	n, ok := d.bulkLen(16)
+	if !ok {
 		return nil
 	}
 	out := make([]complex128, n)
-	d.unpackComplex128s(out)
+	d.CopyFloat64s(complexFloats(out))
 	return out
 }
 
 // Complex128sInto reads a packed []complex128 into dst, which must have
 // exactly the encoded length (the complex bulk fast lane).
 func (d *Decoder) Complex128sInto(dst []complex128) {
-	n := d.Uvarint()
-	if d.err != nil {
+	n, ok := d.bulkLen(16)
+	if !ok {
 		return
 	}
-	if int(n) != len(dst) {
+	if n != len(dst) {
 		d.fail(fmt.Errorf("%w: Complex128sInto length %d, want %d", ErrCorrupt, n, len(dst)))
 		return
 	}
-	if uint64(d.Remaining()) < 16*n {
-		d.fail(ErrTruncated)
-		return
-	}
-	d.unpackComplex128s(dst)
-}
-
-func (d *Decoder) unpackComplex128s(dst []complex128) {
-	src := d.buf[d.off : d.off+16*len(dst)]
-	for i := range dst {
-		re := math.Float64frombits(binary.LittleEndian.Uint64(src[16*i : 16*i+8 : 16*i+8]))
-		im := math.Float64frombits(binary.LittleEndian.Uint64(src[16*i+8 : 16*i+16 : 16*i+16]))
-		dst[i] = complex(re, im)
-	}
-	d.off += 16 * len(dst)
+	d.CopyFloat64s(complexFloats(dst))
 }
 
 // Ints reads a length-prefixed []int.
 func (d *Decoder) Ints() []int {
-	n := d.Uvarint()
-	if d.err != nil {
-		return nil
-	}
 	// Each int takes at least one byte; reject impossible lengths early so
 	// corrupt input cannot trigger huge allocations.
-	if uint64(d.Remaining()) < n {
-		d.fail(ErrTruncated)
+	n, ok := d.bulkLen(1)
+	if !ok {
 		return nil
 	}
 	out := make([]int, n)

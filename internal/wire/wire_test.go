@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -64,7 +65,7 @@ func TestSliceRoundTrip(t *testing.T) {
 	bs := []byte{0, 1, 2, 255}
 	fs := []float64{0, -1.5, math.Pi, math.MaxFloat64}
 	cs := []complex128{complex(1, 2), complex(-3, 4)}
-	is := []int{0, -7, 1 << 40, math.MinInt}
+	is := []int{0, -7, math.MaxInt / 3, math.MinInt} // wide, and an int on a 32-bit host too
 	e.PutBytes(bs)
 	e.PutFloat64s(fs)
 	e.PutComplex128s(cs)
@@ -208,20 +209,27 @@ func TestCorruptBool(t *testing.T) {
 }
 
 func TestHugeLengthRejected(t *testing.T) {
-	// A corrupt length prefix must not cause a giant allocation.
-	e := NewEncoder(0)
-	e.PutUvarint(math.MaxUint64 / 2)
-	d := NewDecoder(e.Bytes())
-	if out := d.Float64s(); out != nil || d.Err() == nil {
-		t.Fatal("expected truncation error for absurd length")
-	}
-	d = NewDecoder(e.Bytes())
-	if out := d.Ints(); out != nil || d.Err() == nil {
-		t.Fatal("expected truncation error for absurd int slice")
-	}
-	d = NewDecoder(e.Bytes())
-	if out := d.Refs(); out != nil || d.Err() == nil {
-		t.Fatal("expected truncation error for absurd ref slice")
+	// A corrupt length prefix must not cause a giant allocation — nor wrap
+	// the bytes-needed product past the check: 8<<61, 16<<60, 3*(1<<63+...)
+	// are all 0 or small mod 2^64, and make would panic on the count.
+	for _, n := range []uint64{math.MaxUint64 / 2, 1 << 60, 1 << 61, 1 << 63, math.MaxUint64/3 + 1, math.MaxUint64} {
+		e := NewEncoder(0)
+		e.PutUvarint(n)
+		e.PutBytes(make([]byte, 64)) // something behind the prefix, as in a real frame
+		for name, read := range map[string]func(d *Decoder) bool{
+			"Float64s":        func(d *Decoder) bool { return d.Float64s() == nil },
+			"Complex128s":     func(d *Decoder) bool { return d.Complex128s() == nil },
+			"Ints":            func(d *Decoder) bool { return d.Ints() == nil },
+			"Refs":            func(d *Decoder) bool { return d.Refs() == nil },
+			"Float64sLen":     func(d *Decoder) bool { return d.Float64sLen() == 0 },
+			"Float64sInto":    func(d *Decoder) bool { d.Float64sInto(make([]float64, 4)); return true },
+			"Complex128sInto": func(d *Decoder) bool { d.Complex128sInto(make([]complex128, 4)); return true },
+		} {
+			d := NewDecoder(e.Bytes())
+			if !read(d) || !errors.Is(d.Err(), ErrTruncated) {
+				t.Errorf("%s with length prefix %#x: err %v, want ErrTruncated and no value", name, n, d.Err())
+			}
+		}
 	}
 }
 
