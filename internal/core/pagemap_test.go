@@ -299,3 +299,35 @@ func TestPageMapNamesComplete(t *testing.T) {
 		}
 	}
 }
+
+// FuzzPageMapName gives NewPageMap arbitrary names, as a checkpoint
+// header or a command-line flag can: it returns an error, or a map whose
+// Name() builds the same map again — same Name(), same PagesPerDevice().
+func FuzzPageMapName(f *testing.F) {
+	for _, layout := range PageMapNames() {
+		for _, r := range []string{"", "+r2", "+r3"} {
+			for _, mut := range []string{"", "+failover", "+resharded", "+resharded+failover"} {
+				f.Add(layout + r + mut)
+			}
+		}
+	}
+	// "+resharded" contains "+r": the replica parser must not see it.
+	f.Add("striped+resharded+r2")
+	f.Add("hash+r02")
+	f.Add("blocked+r9")
+	f.Fuzz(func(t *testing.T, name string) {
+		const p, devices = 3, 4
+		m, err := NewPageMap(name, p, p, p, devices)
+		if err != nil {
+			return
+		}
+		again, err := NewPageMap(m.Name(), p, p, p, devices)
+		if err != nil {
+			t.Fatalf("NewPageMap(%q).Name() = %q does not parse: %v", name, m.Name(), err)
+		}
+		if again.Name() != m.Name() || again.PagesPerDevice() != m.PagesPerDevice() {
+			t.Fatalf("NewPageMap(%q): %q with %d pages per device reopened as %q with %d",
+				name, m.Name(), m.PagesPerDevice(), again.Name(), again.PagesPerDevice())
+		}
+	})
+}

@@ -3,11 +3,9 @@ package exp
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"oopp/internal/core"
 	"oopp/internal/elastic"
-	"oopp/internal/metrics"
 )
 
 // maxMigrationOverhead is the acceptance bound on elastic migration's
@@ -33,6 +31,7 @@ func E16Elasticity(cfg Config) (*Table, error) {
 			fmt.Sprintf("moved pages (gated at %.1fx their raw payload, vs a naive full rebuild), ", maxMigrationOverhead) +
 			"and drains a machine to zero pages with contents intact",
 		Columns: []string{"op", "config", "pages moved", "KB moved", "µs/op", "vs full rebuild"},
+		pinned:  map[string]rule{"op": label, "config": label, "pages moved": exact, "KB moved": kbytes},
 	}
 	const devices = 4
 	const N, n = 32, 8 // 4³ pages of 8³ elements: 4 KiB payload per page
@@ -40,12 +39,11 @@ func E16Elasticity(cfg Config) (*Table, error) {
 	totalPages := grid * grid * grid
 	pageBytes := n * n * n * 8
 
-	cl, arr, cleanup, err := replicatedArray(devices, 1, N, n, totalPages)
+	_, arr, cleanup, err := replicatedArray(devices, 1, N, n, totalPages)
 	if err != nil {
 		return nil, err
 	}
 	defer cleanup()
-	_ = cl
 	full := core.Box(N, N, N)
 	if err := arr.Fill(bg, full, 1); err != nil {
 		return nil, err
@@ -59,14 +57,14 @@ func E16Elasticity(cfg Config) (*Table, error) {
 		return nil, fmt.Errorf("E16: skewing layout: %w", err)
 	}
 
-	before := metrics.Default.Snapshot()
-	start := time.Now()
-	rep, err := arr.Rebalance(bg, core.RebalanceConfig{})
+	var rep *core.RebalanceReport
+	s, err := measure(0, 1, func() (err error) {
+		rep, err = arr.Rebalance(bg, core.RebalanceConfig{})
+		return err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("E16: rebalance: %w", err)
 	}
-	wall := time.Since(start)
-	d := metrics.Default.Snapshot().Sub(before)
 	if rep.Skipped != 0 || rep.Moved == 0 || rep.Moved != elastic.MovedPages(rep.Plan) {
 		return nil, fmt.Errorf("E16: rebalance executed %d of planned %d (skipped %d)",
 			rep.Moved, elastic.MovedPages(rep.Plan), rep.Skipped)
@@ -75,29 +73,28 @@ func E16Elasticity(cfg Config) (*Table, error) {
 	// control messages included, against the moved payload — and against
 	// the full rebuild a system without live migration would need.
 	naiveKB := float64(totalPages*pageBytes) / 1024
-	movedKB := float64(d.BytesSent) / 1024
 	budgetKB := maxMigrationOverhead * float64(rep.Moved*pageBytes) / 1024
-	if movedKB > budgetKB {
+	if s.kb > budgetKB {
 		return nil, fmt.Errorf("E16: rebalance shipped %.1f KB for %d pages, above the %.1f KB budget (%.1fx payload)",
-			movedKB, rep.Moved, budgetKB, maxMigrationOverhead)
+			s.kb, rep.Moved, budgetKB, maxMigrationOverhead)
 	}
 	t.AddRow("rebalance", fmt.Sprintf("%d pages, newcomer empty", totalPages),
-		fmt.Sprintf("%d", rep.Moved), fmt.Sprintf("%.1f", movedKB), usPrec(wall),
-		fmt.Sprintf("%.2fx (gate %.2fx)", movedKB/naiveKB,
+		fmt.Sprintf("%d", rep.Moved), fmt.Sprintf("%.1f", s.kb), usPrec(s.per),
+		fmt.Sprintf("%.2fx (gate %.2fx)", s.kb/naiveKB,
 			maxMigrationOverhead*float64(rep.Moved)/float64(totalPages)))
 	if sum, err := arr.Sum(bg, full); err != nil || math.Abs(sum-want) > 1e-9*want {
 		return nil, fmt.Errorf("E16: post-rebalance sum %v, %v; want %v", sum, err, want)
 	}
 
 	// Drain: every page off machine 2, complete-or-fail, data intact.
-	before = metrics.Default.Snapshot()
-	start = time.Now()
-	drep, err := arr.DrainMachine(bg, 2)
+	var drep *core.MigrateReport
+	s, err = measure(0, 1, func() (err error) {
+		drep, err = arr.DrainMachine(bg, 2)
+		return err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("E16: drain: %w", err)
 	}
-	wall = time.Since(start)
-	d = metrics.Default.Snapshot().Sub(before)
 	if left := copiesOnDevice(arr, 2); left != 0 {
 		return nil, fmt.Errorf("E16: drained device still maps %d pages", left)
 	}
@@ -105,7 +102,7 @@ func E16Elasticity(cfg Config) (*Table, error) {
 		return nil, fmt.Errorf("E16: post-drain sum %v, %v; want %v", sum, err, want)
 	}
 	t.AddRow("drain machine", fmt.Sprintf("%d pages held", drep.Moved),
-		fmt.Sprintf("%d", drep.Moved), fmt.Sprintf("%.1f", float64(d.BytesSent)/1024), usPrec(wall),
+		fmt.Sprintf("%d", drep.Moved), fmt.Sprintf("%.1f", s.kb), usPrec(s.per),
 		"0 pages left, sum exact")
 
 	t.Note("rebalance row: the planner moves only each device's surplus — KB moved is gated at %.1fx the moved pages' payload, a %d-page full rebuild would ship %.0f KB", maxMigrationOverhead, totalPages, naiveKB)

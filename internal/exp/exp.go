@@ -2,8 +2,10 @@
 // experiment per claim of the paper, each producing a table. The paper
 // itself contains no tables or figures (it is an ideas paper), so these
 // experiments are the quantitative reproduction of its qualitative
-// claims; cmd/oppbench prints them, and the root bench_test.go exposes
-// each as a Go benchmark.
+// claims; cmd/oppbench prints them. Times, rates and speed-ups in a
+// table are facts about the host and are only printed; the columns a
+// table marks with a rule are properties of the code, and
+// TestAllExperimentsRun holds them to testdata/pin.txt.
 package exp
 
 import (
@@ -15,6 +17,7 @@ import (
 	"time"
 	"unicode/utf8"
 
+	"oopp/internal/metrics"
 	"oopp/internal/rmi"
 	"oopp/internal/wire"
 )
@@ -41,7 +44,31 @@ type Table struct {
 	Columns []string
 	Rows    [][]string
 	Notes   []string
+
+	// pinned names the columns whose cells the code determines, and the
+	// rule each is held to against testdata/pin.txt. A column not named
+	// here is measured on the host and never compared.
+	pinned map[string]rule
 }
+
+// rule is how a pinned column's cells compare with the pin.
+type rule int
+
+const (
+	// label names the row.
+	label rule = iota + 1
+	// exact is a count — msgs, pages, sheds, disks hit — equal to the
+	// printed digit.
+	exact
+	// kbytes is KB handed to the transport: within 0.1, because frame
+	// headers carry request ids as varints, which grow a byte when an
+	// experiment measures a loop again (E13's chain does, up to twice).
+	kbytes
+	// ceiling is allocs/op: no whole allocation more than pinned. The
+	// fraction is warm-up and pool refills after a GC, spread over the
+	// loop. Not compared under -race, whose instrumentation allocates.
+	ceiling
+)
 
 // AddRow appends a formatted row.
 func (t *Table) AddRow(cells ...string) {
@@ -141,9 +168,9 @@ func Find(id string) (Experiment, bool) {
 
 // ---- shared helpers -------------------------------------------------------
 
-// ClassEcho is a minimal server class used by the latency and barrier
+// classEcho is a minimal server class used by the latency and barrier
 // experiments: it returns its payload.
-const ClassEcho = "exp.Echo"
+const classEcho = "exp.Echo"
 
 type echoObj struct{}
 
@@ -152,7 +179,7 @@ type echoObj struct{}
 var bg = context.Background()
 
 func init() {
-	rmi.RegisterClass(ClassEcho, func(env *rmi.Env, args *wire.Decoder) (*echoObj, error) {
+	rmi.RegisterClass(classEcho, func(env *rmi.Env, args *wire.Decoder) (*echoObj, error) {
 		return &echoObj{}, nil
 	}).
 		Method("echo", func(obj *echoObj, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
@@ -170,35 +197,45 @@ func init() {
 		})
 }
 
-// AllocTimer measures a benchmark loop's wall time and heap allocations,
-// so experiment tables can report allocs/op next to ns/op — the metric
-// the zero-allocation RMI hot path is judged by.
-type AllocTimer struct {
-	start   time.Time
-	mallocs uint64
+// sample is what one operation of a measured loop cost: wall time, heap
+// allocations, and the payload KB and frames handed to the transport
+// anywhere in the process — client-server and server-server alike, so
+// an owner-computes path gets no credit for traffic between devices.
+type sample struct {
+	per      time.Duration
+	allocs   float64
+	kb, msgs float64
 }
 
-// Start snapshots the clock and the allocation counter.
-func (t *AllocTimer) Start() {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	t.mallocs = ms.Mallocs
-	t.start = time.Now()
+// over spreads a sample taken around one call that ran n operations.
+func (s sample) over(n int) sample {
+	f := float64(n)
+	return sample{s.per / time.Duration(n), s.allocs / f, s.kb / f, s.msgs / f}
 }
 
-// Stop returns per-op wall time and per-op allocation count for a loop of
-// iters operations. The timer is read before the (stop-the-world) memory
-// stats so the timing is not polluted by the measurement itself.
-func (t *AllocTimer) Stop(iters int) (perOp time.Duration, allocsPerOp float64) {
-	elapsed := time.Since(t.start)
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	if iters <= 0 {
-		return 0, 0
+// measure runs op warm times unmeasured, then iters times, and returns
+// the cost of one of those. The clock is the innermost reading: the
+// memory statistics stop the world, so they are taken outside it.
+func measure(warm, iters int, op func() error) (sample, error) {
+	for i := 0; i < warm; i++ {
+		if err := op(); err != nil {
+			return sample{}, err
+		}
 	}
-	perOp = elapsed / time.Duration(iters)
-	allocsPerOp = float64(ms.Mallocs-t.mallocs) / float64(iters)
-	return perOp, allocsPerOp
+	var m0, m1 runtime.MemStats
+	sent := metrics.Default.Snapshot()
+	runtime.ReadMemStats(&m0)
+	start := time.Now()
+	for i := 0; i < iters; i++ {
+		if err := op(); err != nil {
+			return sample{}, err
+		}
+	}
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&m1)
+	sent = metrics.Default.Snapshot().Sub(sent)
+	return sample{elapsed, float64(m1.Mallocs - m0.Mallocs), float64(sent.BytesSent) / 1024,
+		float64(sent.MessagesSent)}.over(iters), nil
 }
 
 // msPrec formats a duration in milliseconds with 3 decimals.

@@ -2,20 +2,29 @@ package exp
 
 import (
 	"bytes"
+	"math"
+	"os"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 )
 
 // TestAllExperimentsRun executes the whole suite in quick mode: every
-// experiment must produce a non-empty, well-formed table. This is the
-// integration test for the entire stack — cluster, RMI, devices, array,
-// FFT, persistence — under realistic (modeled) network and disk costs.
+// experiment must produce a non-empty, well-formed table whose pinned
+// columns agree with testdata/pin.txt. This is the integration test for
+// the entire stack — cluster, RMI, devices, array, FFT, persistence —
+// under realistic (modeled) network and disk costs.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite is seconds-long; skipped with -short")
 	}
 	cfg := Config{Quick: true}
+	raw, err := os.ReadFile("testdata/pin.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin := parsePin(string(raw))
 	for _, e := range Experiments {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -42,8 +51,109 @@ func TestAllExperimentsRun(t *testing.T) {
 			if !strings.Contains(buf.String(), e.ID) {
 				t.Error("render missing id")
 			}
+			checkPin(t, table, pin[e.ID])
 		})
 	}
+	for id := range pin {
+		if _, ok := Find(id); !ok {
+			t.Errorf("testdata/pin.txt has a block for %q, which is not an experiment", id)
+		}
+	}
+}
+
+// parsePin reads blocks in Table.Render's layout, at any indentation (a
+// block pasted from a test log is indented), into each experiment's
+// lines of cells, header line first. Both the committed pin and the
+// table a run produced go through it, so they compare cell for cell.
+func parsePin(text string) map[string][][]string {
+	gap := regexp.MustCompile(`  +`) // Render parts columns by two spaces or more
+	pin, id := map[string][][]string{}, ""
+	for _, line := range strings.Split(text, "\n") {
+		line = strings.TrimSpace(line)
+		title, _, isTitle := strings.Cut(line, " — ")
+		switch {
+		case strings.Trim(line, " -") == "": // blank, or the rule under the header
+		case line[0] == '#' || strings.HasPrefix(line, "claim:"):
+		case isTitle && !strings.Contains(title, " "):
+			id = title
+		default:
+			pin[id] = append(pin[id], gap.Split(line, -1))
+		}
+	}
+	return pin
+}
+
+// checkPin holds the columns tb marks as pinned to want, each cell by its
+// column's rule, and on a mismatch prints the block to paste over the old.
+func checkPin(t *testing.T, tb *Table, want [][]string) {
+	how := map[rule]string{exact: "exact", kbytes: "within 0.1", ceiling: "no whole allocation above the pin (not under -race)"}
+	sub := &Table{ID: tb.ID, Title: tb.Title, Rows: make([][]string, len(tb.Rows))}
+	var rules []rule
+	var claim []string
+	for c, name := range tb.Columns {
+		r, ok := tb.pinned[name]
+		if !ok {
+			continue
+		}
+		if r != label {
+			claim = append(claim, name+" "+how[r])
+		}
+		sub.Columns, rules = append(sub.Columns, name), append(rules, r)
+		for i, row := range tb.Rows {
+			sub.Rows[i] = append(sub.Rows[i], row[c])
+		}
+	}
+	if len(rules) != len(tb.pinned) {
+		t.Fatalf("pinned %v names a column that is not in %q", tb.pinned, tb.Columns)
+	}
+	if len(rules) == 0 && want == nil {
+		return
+	}
+	sub.Claim = strings.Join(claim, "; ")
+	var fresh bytes.Buffer
+	sub.Render(&fresh)
+	got := parsePin(fresh.String())[tb.ID]
+	shaped := len(got) == len(want)
+	for i := 0; shaped && i < len(got); i++ {
+		shaped = len(got[i]) == len(want[i])
+	}
+	if !shaped {
+		t.Errorf("%s: the pin's block is not the shape of the table's pinned columns", tb.ID)
+	}
+	differ := !shaped
+	for i := 0; shaped && i < len(got); i++ {
+		row := ""
+		for c, cell := range got[i] {
+			r := rules[c]
+			if i == 0 {
+				r = label // the header line
+			}
+			if r == label {
+				row = strings.TrimSpace(row + " " + cell)
+			}
+			if !holds(r, want[i][c], cell) {
+				t.Errorf("%s / %s / %s: pinned %s, got %s", tb.ID, row, sub.Columns[c], want[i][c], cell)
+				differ = true
+			}
+		}
+	}
+	if differ {
+		t.Logf("this run's block, to paste into testdata/pin.txt if the change is meant:\n%s", &fresh)
+	}
+}
+
+// holds reports whether a cell agrees with its pin under rule r. Cells
+// that are not numbers ("8/8", "-") agree when they are equal.
+func holds(r rule, pinned, got string) bool {
+	p, err1 := strconv.ParseFloat(pinned, 64)
+	g, err2 := strconv.ParseFloat(got, 64)
+	switch {
+	case r == kbytes && err1 == nil && err2 == nil:
+		return math.Abs(g-p) < 0.1001
+	case r == ceiling && err1 == nil && err2 == nil:
+		return raceEnabled || math.Floor(g) <= math.Floor(p)
+	}
+	return got == pinned
 }
 
 // TestE3ShapeSpeedup asserts the E3 claim quantitatively: with 8 devices
@@ -105,30 +215,6 @@ func TestE11ShapeMessages(t *testing.T) {
 			t.Errorf("group %s: message ratio %.1f shrank from %.1f — O(N²) vs O(N) not visible", row[0], ratio, prevRatio)
 		}
 		prevRatio = ratio
-	}
-}
-
-// TestE7ShapeDiskEngagement asserts the E7 claim: the slab sum engages
-// all disks under roundrobin/hash and at most two under blocked, one
-// under striped.
-func TestE7ShapeDiskEngagement(t *testing.T) {
-	if testing.Short() {
-		t.Skip("suite test; skipped with -short")
-	}
-	table, err := E7PageMapLayouts(Config{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]string{
-		"roundrobin": "8/8",
-		"blocked":    "2/8",
-		"striped":    "1/8",
-		"hash":       "8/8",
-	}
-	for _, row := range table.Rows {
-		if w, ok := want[row[0]]; ok && row[3] != w {
-			t.Errorf("layout %s engaged %s disks, want %s", row[0], row[3], w)
-		}
 	}
 }
 

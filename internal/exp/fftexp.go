@@ -7,7 +7,6 @@ import (
 
 	"oopp/internal/cluster"
 	"oopp/internal/fft"
-	"oopp/internal/metrics"
 	"oopp/internal/mp"
 	"oopp/internal/pfft"
 	"oopp/internal/transport"
@@ -208,6 +207,7 @@ func E11DeepCopy(cfg Config) (*Table, error) {
 		Claim: "§4: deep-copying the remote pointer array into each member beats leaving" +
 			" a remote pointer to the array, which costs a round trip per member access",
 		Columns: []string{"group", "deep ms", "deep msgs", "shallow ms", "shallow msgs", "msg ratio"},
+		pinned:  map[string]rule{"group": label, "deep msgs": exact, "shallow msgs": exact},
 	}
 	const machines = 8
 	cl, err := cluster.New(cluster.Config{
@@ -226,33 +226,31 @@ func E11DeepCopy(cfg Config) (*Table, error) {
 	}
 	for _, p := range sizes {
 		// Worker dims: tiny slabs (p×p×1) — we only measure group setup.
-		before := metrics.Default.Snapshot()
-		start := time.Now()
-		fDeep, err := pfft.New(bg, client, machineList(p, machines), p, p, 1)
+		var f *pfft.PFFT
+		deep, err := measure(0, 1, func() (err error) {
+			f, err = pfft.New(bg, client, machineList(p, machines), p, p, 1)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
-		deepTime := time.Since(start)
-		deepMsgs := metrics.Default.Snapshot().Sub(before).MessagesSent
-		if err := fDeep.Close(bg); err != nil {
+		if err := f.Close(bg); err != nil {
 			return nil, err
 		}
-
-		before = metrics.Default.Snapshot()
-		start = time.Now()
-		fShallow, err := pfft.NewShallow(bg, client, machineList(p, machines), p, p, 1)
+		shallow, err := measure(0, 1, func() (err error) {
+			f, err = pfft.NewShallow(bg, client, machineList(p, machines), p, p, 1)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
-		shallowTime := time.Since(start)
-		shallowMsgs := metrics.Default.Snapshot().Sub(before).MessagesSent
-		if err := fShallow.Close(bg); err != nil {
+		if err := f.Close(bg); err != nil {
 			return nil, err
 		}
 
-		t.AddRow(fmt.Sprintf("%d", p), msPrec(deepTime), fmt.Sprintf("%d", deepMsgs),
-			msPrec(shallowTime), fmt.Sprintf("%d", shallowMsgs),
-			fmt.Sprintf("%.1fx", float64(shallowMsgs)/float64(deepMsgs)))
+		t.AddRow(fmt.Sprintf("%d", p), msPrec(deep.per), fmt.Sprintf("%.0f", deep.msgs),
+			msPrec(shallow.per), fmt.Sprintf("%.0f", shallow.msgs),
+			fmt.Sprintf("%.1fx", shallow.msgs/deep.msgs))
 	}
 	t.Note("deep copy sends the member table once per worker (O(N) messages); shallow costs O(N) round trips per worker (O(N²) total)")
 	return t, nil

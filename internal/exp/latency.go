@@ -31,6 +31,7 @@ func E1RMILatency(cfg Config) (*Table, error) {
 		Claim: "§2: method execution through remote pointers costs one client-server" +
 			" round trip; the generated protocol is competitive with hand-written messaging",
 		Columns: []string{"transport", "payload", "rmi µs/op", "mp µs/op", "rmi/mp", "rmi allocs/op", "mp allocs/op"},
+		pinned:  map[string]rule{"transport": label, "payload": label, "rmi allocs/op": ceiling, "mp allocs/op": ceiling},
 	}
 	iters := cfg.iters(300, 3000)
 	payloads := []int{0, 1 << 10, 64 << 10}
@@ -49,7 +50,7 @@ func E1RMILatency(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		client := cl.Client()
-		ref, err := client.New(bg, 1, ClassEcho, nil)
+		ref, err := client.New(bg, 1, classEcho, nil)
 		if err != nil {
 			cl.Shutdown()
 			return nil, err
@@ -80,68 +81,37 @@ func E1RMILatency(cfg Config) (*Table, error) {
 		for _, size := range payloads {
 			payload := make([]byte, size)
 
-			// Warm up then measure RMI. The echo closure is hoisted and the
-			// response decoders released, matching how a steady-state caller
-			// uses the pooled hot path.
+			// The echo closure is hoisted and the response decoders released,
+			// matching how a steady-state caller uses the pooled hot path.
 			echoArgs := func(e *wire.Encoder) error {
 				e.PutBytes(payload)
 				return nil
 			}
-			for i := 0; i < 10; i++ {
+			rmiS, err := measure(10, iters, func() error {
 				d, err := client.Call(bg, ref, "echo", echoArgs)
 				d.Release()
-				if err != nil {
-					cl.Shutdown()
-					world.Close()
-					return nil, err
-				}
+				return err
+			})
+			var mpS sample
+			if err == nil {
+				c0 := world.Comm(0)
+				mpS, err = measure(10, iters, func() error {
+					if err := c0.Send(1, 1, payload); err != nil {
+						return err
+					}
+					_, err := c0.Recv(1, 1)
+					return err
+				})
 			}
-			var rmiStats AllocTimer
-			rmiStats.Start()
-			for i := 0; i < iters; i++ {
-				d, err := client.Call(bg, ref, "echo", echoArgs)
-				d.Release()
-				if err != nil {
-					cl.Shutdown()
-					world.Close()
-					return nil, err
-				}
+			if err != nil {
+				cl.Shutdown()
+				world.Close()
+				return nil, err
 			}
-			rmiPer, rmiAllocs := rmiStats.Stop(iters)
 
-			// Measure MP.
-			c0 := world.Comm(0)
-			for i := 0; i < 10; i++ {
-				if err := c0.Send(1, 1, payload); err != nil {
-					cl.Shutdown()
-					world.Close()
-					return nil, err
-				}
-				if _, err := c0.Recv(1, 1); err != nil {
-					cl.Shutdown()
-					world.Close()
-					return nil, err
-				}
-			}
-			var mpStats AllocTimer
-			mpStats.Start()
-			for i := 0; i < iters; i++ {
-				if err := c0.Send(1, 1, payload); err != nil {
-					cl.Shutdown()
-					world.Close()
-					return nil, err
-				}
-				if _, err := c0.Recv(1, 1); err != nil {
-					cl.Shutdown()
-					world.Close()
-					return nil, err
-				}
-			}
-			mpPer, mpAllocs := mpStats.Stop(iters)
-
-			t.AddRow(tpc.name, fmt.Sprintf("%dB", size), usPrec(rmiPer), usPrec(mpPer),
-				fmt.Sprintf("%.2f", float64(rmiPer)/float64(mpPer)),
-				fmt.Sprintf("%.1f", rmiAllocs), fmt.Sprintf("%.1f", mpAllocs))
+			t.AddRow(tpc.name, fmt.Sprintf("%dB", size), usPrec(rmiS.per), usPrec(mpS.per),
+				fmt.Sprintf("%.2f", float64(rmiS.per)/float64(mpS.per)),
+				fmt.Sprintf("%.1f", rmiS.allocs), fmt.Sprintf("%.1f", mpS.allocs))
 		}
 		world.Close()
 		<-serverDone
@@ -161,6 +131,7 @@ func E2ElementVsBulk(cfg Config) (*Table, error) {
 		Claim: "§2: each element access on remote memory is one sequential round trip;" +
 			" bulk range operations amortize it by orders of magnitude",
 		Columns: []string{"block (f64s)", "ops", "µs/element", "MB/s", "allocs/op"},
+		pinned:  map[string]rule{"block (f64s)": label, "allocs/op": ceiling},
 	}
 	cl, err := cluster.New(cluster.Config{Machines: 2, Transport: transport.NewInproc(modeledLink())})
 	if err != nil {
@@ -184,27 +155,24 @@ func E2ElementVsBulk(cfg Config) (*Table, error) {
 		// Bulk reads land in a reused buffer (GetRangeInto): the only copy
 		// is wire -> dst, and the steady state allocates nothing.
 		dst := make([]float64, bs)
-		var stats AllocTimer
-		stats.Start()
-		if bs == 1 {
-			for i := 0; i < ops; i++ {
-				if _, err := arr.Get(bg, i%n); err != nil {
-					return nil, err
-				}
+		at := 0 // element offset of the next read
+		s, err := measure(0, ops, func() error {
+			off := at % (n - bs + 1)
+			at += bs
+			if bs == 1 {
+				_, err := arr.Get(bg, off)
+				return err
 			}
-		} else {
-			for i := 0; i < ops; i++ {
-				if err := arr.GetRangeInto(bg, (i*bs)%(n-bs+1), dst); err != nil {
-					return nil, err
-				}
-			}
+			return arr.GetRangeInto(bg, off, dst)
+		})
+		if err != nil {
+			return nil, err
 		}
-		perOp, allocs := stats.Stop(ops)
-		perElem := float64(perOp.Nanoseconds()) / 1e3 / float64(bs)
-		mbps := float64(bs*8) / perOp.Seconds() / 1e6
+		perElem := float64(s.per.Nanoseconds()) / 1e3 / float64(bs)
+		mbps := float64(bs*8) / s.per.Seconds() / 1e6
 		t.AddRow(fmt.Sprintf("%d", bs), fmt.Sprintf("%d", ops),
 			fmt.Sprintf("%.3f", perElem), fmt.Sprintf("%.1f", mbps),
-			fmt.Sprintf("%.1f", allocs))
+			fmt.Sprintf("%.1f", s.allocs))
 	}
 	t.Note("expected shape: flat ~RTT cost per element at block=1, dropping toward the link bandwidth limit as blocks grow")
 	return t, nil
@@ -231,25 +199,16 @@ func E9Barrier(cfg Config) (*Table, error) {
 	iters := cfg.iters(50, 400)
 
 	for _, size := range []int{1, 2, 4, 8, 16, 32, 64} {
-		g, err := collection.SpawnNamed[any](bg, client, collection.OnMachines(machineList(size, machines)...), ClassEcho, nil)
+		g, err := collection.SpawnNamed[any](bg, client, collection.OnMachines(machineList(size, machines)...), classEcho, nil)
 		if err != nil {
 			return nil, err
 		}
-		// Warm-up.
-		for i := 0; i < 5; i++ {
-			if err := g.Barrier(bg); err != nil {
-				return nil, err
-			}
+		s, err := measure(5, iters, func() error { return g.Barrier(bg) })
+		if err != nil {
+			return nil, err
 		}
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := g.Barrier(bg); err != nil {
-				return nil, err
-			}
-		}
-		per := time.Since(start) / time.Duration(iters)
-		t.AddRow(fmt.Sprintf("%d", size), usPrec(per),
-			fmt.Sprintf("%.2f", float64(per.Nanoseconds())/1e3/float64(size)))
+		t.AddRow(fmt.Sprintf("%d", size), usPrec(s.per),
+			fmt.Sprintf("%.2f", float64(s.per.Nanoseconds())/1e3/float64(size)))
 		if err := g.Destroy(bg); err != nil {
 			return nil, err
 		}

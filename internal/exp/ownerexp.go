@@ -8,7 +8,6 @@ import (
 	"oopp/internal/cluster"
 	"oopp/internal/core"
 	"oopp/internal/kernel"
-	"oopp/internal/metrics"
 	"oopp/internal/pagedev"
 	"oopp/internal/transport"
 )
@@ -28,10 +27,7 @@ func init() {
 // client-side path, on the workloads the redesign targets: Jacobi
 // relaxation (sweeps inside the devices, halo planes device-to-device)
 // and the array reductions (device-side kernels vs read-everything-and-
-// compute-at-the-client). "KB moved" counts every payload byte handed
-// to the transport anywhere in the cluster — client-server and
-// server-server alike — so the owner path gets no credit for hiding
-// traffic between devices.
+// compute-at-the-client).
 func E13OwnerComputes(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:    "E13",
@@ -40,6 +36,7 @@ func E13OwnerComputes(cfg Config) (*Table, error) {
 			" kernels and halo exchange cut per-sweep traffic from O(N³) moved elements to" +
 			" O(N²) halo planes + O(devices) scalars",
 		Columns: []string{"op", "path", "KB moved/iter", "msgs/iter", "µs/iter", "rows/s", "vs base"},
+		pinned:  map[string]rule{"op": label, "path": label, "KB moved/iter": kbytes, "msgs/iter": exact},
 	}
 	const devices = 8
 	const N, n = 32, 4 // 8 page-planes over 8 devices: one plane per device
@@ -100,33 +97,19 @@ func E13OwnerComputes(cfg Config) (*Table, error) {
 		return arr.Write(bg, face, hot)
 	}
 
-	// measure runs f and charges its global transport traffic and wall
-	// time to `iters` iterations.
-	measure := func(iters int, f func() error) (kbPerIter, msgsPerIter float64, perIter time.Duration, err error) {
-		before := metrics.Default.Snapshot()
-		start := time.Now()
-		if err := f(); err != nil {
-			return 0, 0, 0, err
-		}
-		elapsed := time.Since(start)
-		d := metrics.Default.Snapshot().Sub(before)
-		return float64(d.BytesSent) / 1024 / float64(iters),
-			float64(d.MessagesSent) / float64(iters),
-			elapsed / time.Duration(iters), nil
-	}
 	// rows is the count of axis-3 rows the op streams per iteration —
 	// the unit the stride-aware row engine works in — so rows/s compares
 	// engine throughput across ops with different traffic shapes.
-	row := func(op, path string, kb, msgs float64, perIter time.Duration, rows, baseKB float64) {
+	row := func(op, path string, s sample, rows, baseKB float64) {
 		vs := "1.00x"
 		if baseKB > 0 {
-			vs = fmt.Sprintf("%.1fx less", baseKB/kb)
+			vs = fmt.Sprintf("%.1fx less", baseKB/s.kb)
 		}
 		rps := "-"
-		if perIter > 0 {
-			rps = fmt.Sprintf("%.3g", rows/perIter.Seconds())
+		if s.per > 0 {
+			rps = fmt.Sprintf("%.3g", rows/s.per.Seconds())
 		}
-		t.AddRow(op, path, fmt.Sprintf("%.1f", kb), fmt.Sprintf("%.1f", msgs), usPrec(perIter), rps, vs)
+		t.AddRow(op, path, fmt.Sprintf("%.1f", s.kb), fmt.Sprintf("%.1f", s.msgs), usPrec(s.per), rps, vs)
 	}
 
 	iters := cfg.iters(4, 10)
@@ -140,44 +123,43 @@ func E13OwnerComputes(cfg Config) (*Table, error) {
 	if err := seed(ca); err != nil {
 		return nil, err
 	}
-	var cliRes float64
-	cliKB, cliMsgs, cliTime, err := measure(iters, func() error {
-		r, err := core.Jacobi(bg, ca, cb, iters, 4)
-		cliRes = r
+	// One call runs all the sweeps, so each sample is spread over iters.
+	var cliRes, syncRes, ownRes float64
+	cli, err := measure(0, 1, func() (err error) {
+		cliRes, err = core.Jacobi(bg, ca, cb, iters, 4)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	row("jacobi", "client", cliKB, cliMsgs, cliTime, jrows, 0)
+	cli = cli.over(iters)
+	row("jacobi", "client", cli, jrows, 0)
 
 	if err := seed(own); err != nil {
 		return nil, err
 	}
-	var syncRes float64
-	syncKB, syncMsgs, syncTime, err := measure(iters, func() error {
-		r, err := core.JacobiOwnerSync(bg, own, iters)
-		syncRes = r
+	syn, err := measure(0, 1, func() (err error) {
+		syncRes, err = core.JacobiOwnerSync(bg, own, iters)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	row("jacobi", "owner-sync", syncKB, syncMsgs, syncTime, jrows, cliKB)
+	syn = syn.over(iters)
+	row("jacobi", "owner-sync", syn, jrows, cli.kb)
 
 	if err := seed(own); err != nil {
 		return nil, err
 	}
-	var ownRes float64
-	ownKB, ownMsgs, ownTime, err := measure(iters, func() error {
-		r, err := core.JacobiOwner(bg, own, iters)
-		ownRes = r
+	ovl, err := measure(0, 1, func() (err error) {
+		ownRes, err = core.JacobiOwner(bg, own, iters)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	row("jacobi", "owner-overlap", ownKB, ownMsgs, ownTime, jrows, cliKB)
+	ovl = ovl.over(iters)
+	row("jacobi", "owner-overlap", ovl, jrows, cli.kb)
 	if math.Abs(cliRes-ownRes) > 1e-12 {
 		return nil, fmt.Errorf("E13: owner residual %v != client residual %v", ownRes, cliRes)
 	}
@@ -186,9 +168,9 @@ func E13OwnerComputes(cfg Config) (*Table, error) {
 	if math.Float64bits(syncRes) != math.Float64bits(ownRes) {
 		return nil, fmt.Errorf("E13: overlapped residual %v != synchronous residual %v", ownRes, syncRes)
 	}
-	if syncMsgs != ownMsgs || syncKB != ownKB {
+	if syn.msgs != ovl.msgs || syn.kb != ovl.kb {
 		return nil, fmt.Errorf("E13: overlap changed traffic: %v KB %v msgs vs sync %v KB %v msgs",
-			ownKB, ownMsgs, syncKB, syncMsgs)
+			ovl.kb, ovl.msgs, syn.kb, syn.msgs)
 	}
 
 	// Reductions: read-to-client-and-compute vs device-side kernels.
@@ -196,76 +178,58 @@ func E13OwnerComputes(cfg Config) (*Table, error) {
 	buf := make([]float64, full.Size())
 	buf2 := make([]float64, full.Size())
 	var sumClient, sumOwner float64
-	kb, msgs, per, err := measure(reps, func() error {
-		for r := 0; r < reps; r++ {
-			if err := ca.Read(bg, buf, full); err != nil {
-				return err
-			}
-			sumClient = 0
-			for _, v := range buf {
-				sumClient += v
-			}
+	base, err := measure(0, reps, func() error {
+		if err := ca.Read(bg, buf, full); err != nil {
+			return err
+		}
+		sumClient = 0
+		for _, v := range buf {
+			sumClient += v
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	row("sum", "client", kb, msgs, per, jrows, 0)
-	baseKB := kb
-	kb, msgs, per, err = measure(reps, func() error {
-		for r := 0; r < reps; r++ {
-			s, err := ca.Sum(bg, full)
-			if err != nil {
-				return err
-			}
-			sumOwner = s
-		}
-		return nil
+	row("sum", "client", base, jrows, 0)
+	s, err := measure(0, reps, func() (err error) {
+		sumOwner, err = ca.Sum(bg, full)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	row("sum", "owner", kb, msgs, per, jrows, baseKB)
+	row("sum", "owner", s, jrows, base.kb)
 	if math.Abs(sumClient-sumOwner) > 1e-6*(1+math.Abs(sumClient)) {
 		return nil, fmt.Errorf("E13: owner sum %v != client sum %v", sumOwner, sumClient)
 	}
 
 	var dotClient, dotOwner float64
-	kb, msgs, per, err = measure(reps, func() error {
-		for r := 0; r < reps; r++ {
-			if err := ca.Read(bg, buf, full); err != nil {
-				return err
-			}
-			if err := cb.Read(bg, buf2, full); err != nil {
-				return err
-			}
-			dotClient = 0
-			for i, v := range buf {
-				dotClient += v * buf2[i]
-			}
+	base, err = measure(0, reps, func() error {
+		if err := ca.Read(bg, buf, full); err != nil {
+			return err
+		}
+		if err := cb.Read(bg, buf2, full); err != nil {
+			return err
+		}
+		dotClient = 0
+		for i, v := range buf {
+			dotClient += v * buf2[i]
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	row("dot", "client", kb, msgs, per, 2*jrows, 0)
-	baseKB = kb
-	kb, msgs, per, err = measure(reps, func() error {
-		for r := 0; r < reps; r++ {
-			d, err := ca.Dot(bg, cb, full)
-			if err != nil {
-				return err
-			}
-			dotOwner = d
-		}
-		return nil
+	row("dot", "client", base, 2*jrows, 0)
+	s, err = measure(0, reps, func() (err error) {
+		dotOwner, err = ca.Dot(bg, cb, full)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	row("dot", "owner", kb, msgs, per, 2*jrows, baseKB)
+	row("dot", "owner", s, 2*jrows, base.kb)
 	if math.Abs(dotClient-dotOwner) > 1e-6*(1+math.Abs(dotClient)) {
 		return nil, fmt.Errorf("E13: owner dot %v != client dot %v", dotOwner, dotClient)
 	}
@@ -312,26 +276,23 @@ func E13OwnerComputes(cfg Config) (*Table, error) {
 		faster = 1.5
 	}
 	var unfusedSum, fusedSum float64
-	var unfKB, unfMsgs, fusKB, fusMsgs float64
-	var unfTime, fusTime time.Duration
+	var unf, fus sample
 	for try := 1; try <= 3; try++ {
 		if err := seed(ch); err != nil {
 			return nil, err
 		}
-		unfKB, unfMsgs, unfTime, err = measure(chIters, func() error {
-			for r := 0; r < chIters; r++ {
-				if err := ch.Apply(bg, full, kernel.Scale, chParams[0]...); err != nil {
-					return err
-				}
-				if err := ch.ApplyBinary(bg, full, kernel.Axpy, chb, chParams[1]...); err != nil {
-					return err
-				}
-				acc, _, err := ch.Reduce(bg, full, kernel.Sum)
-				if err != nil {
-					return err
-				}
-				unfusedSum = acc[0]
+		unf, err = measure(0, chIters, func() error {
+			if err := ch.Apply(bg, full, kernel.Scale, chParams[0]...); err != nil {
+				return err
 			}
+			if err := ch.ApplyBinary(bg, full, kernel.Axpy, chb, chParams[1]...); err != nil {
+				return err
+			}
+			acc, _, err := ch.Reduce(bg, full, kernel.Sum)
+			if err != nil {
+				return err
+			}
+			unfusedSum = acc[0]
 			return nil
 		})
 		if err != nil {
@@ -340,26 +301,23 @@ func E13OwnerComputes(cfg Config) (*Table, error) {
 		if err := seed(ch); err != nil {
 			return nil, err
 		}
-		fusKB, fusMsgs, fusTime, err = measure(chIters, func() error {
-			for r := 0; r < chIters; r++ {
-				res, err := ch.ApplyPipeline(bg, full, "e13.chain", []*core.Array{chb},
-					chParams...)
-				if err != nil {
-					return err
-				}
-				fusedSum = res[0].Acc[0]
+		fus, err = measure(0, chIters, func() error {
+			res, err := ch.ApplyPipeline(bg, full, "e13.chain", []*core.Array{chb}, chParams...)
+			if err != nil {
+				return err
 			}
+			fusedSum = res[0].Acc[0]
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		if float64(unfTime) >= faster*float64(fusTime) {
+		if float64(unf.per) >= faster*float64(fus.per) {
 			break
 		}
 	}
-	row("chain", "unfused", unfKB, unfMsgs, unfTime, chRows, 0)
-	row("chain", "fused", fusKB, fusMsgs, fusTime, chRows, unfKB)
+	row("chain", "unfused", unf, chRows, 0)
+	row("chain", "fused", fus, chRows, unf.kb)
 
 	// Fusion gates. The semantics gate is bitwise: both schedules start
 	// from the same seed and apply the same stage arithmetic to the same
@@ -373,11 +331,11 @@ func E13OwnerComputes(cfg Config) (*Table, error) {
 	// pulls are shared-address-space reads) — and unfused is one RMI per
 	// device per STAGE, exactly a 3:1 message ratio for the three-stage
 	// chain.
-	if fusMsgs != float64(2*devices) {
-		return nil, fmt.Errorf("E13: fused chain msgs/iter %v, want exactly %d (one RMI per device)", fusMsgs, 2*devices)
+	if fus.msgs != float64(2*devices) {
+		return nil, fmt.Errorf("E13: fused chain msgs/iter %v, want exactly %d (one RMI per device)", fus.msgs, 2*devices)
 	}
-	if unfMsgs != 3*fusMsgs {
-		return nil, fmt.Errorf("E13: unfused chain msgs/iter %v, want exactly 3x fused %v", unfMsgs, fusMsgs)
+	if unf.msgs != 3*fus.msgs {
+		return nil, fmt.Errorf("E13: unfused chain msgs/iter %v, want exactly 3x fused %v", unf.msgs, fus.msgs)
 	}
 	// And the point of the exercise: collapsing three latency-bound fan-
 	// out rounds into one must at least halve the per-iteration time at
@@ -386,8 +344,8 @@ func E13OwnerComputes(cfg Config) (*Table, error) {
 	// stage math — the same three passes in both schedules — is
 	// instrumented into a share of the iteration that pulls the ratio to
 	// about 2 (1.7–2.2 measured), so the gate there is 1.5x.
-	if float64(unfTime) < faster*float64(fusTime) {
-		return nil, fmt.Errorf("E13: fused chain %v/iter not ≥%.1fx faster than unfused %v/iter", fusTime, faster, unfTime)
+	if float64(unf.per) < faster*float64(fus.per) {
+		return nil, fmt.Errorf("E13: fused chain %v/iter not ≥%.1fx faster than unfused %v/iter", fus.per, faster, unf.per)
 	}
 
 	t.Note("client jacobi includes its scratch seeding, amortized over the sweeps; all paths verified to agree (owner residuals bitwise, client to 1e-12, reductions to float tolerance; fused chain bitwise vs unfused)")

@@ -7,7 +7,6 @@ import (
 
 	"oopp/internal/cluster"
 	"oopp/internal/core"
-	"oopp/internal/metrics"
 	"oopp/internal/pagedev"
 	"oopp/internal/rmi"
 	"oopp/internal/transport"
@@ -34,31 +33,17 @@ func E15Replication(cfg Config) (*Table, error) {
 			fmt.Sprintf("%.1fx", maxWriteOverhead) + " for k=2), leaves reads at one-replica cost," +
 			" and recovers from a machine kill by re-seeding the dead machine's pages onto survivors",
 		Columns: []string{"op", "config", "KB moved/op", "msgs/op", "µs/op", "vs k=1"},
+		pinned:  map[string]rule{"op": label, "config": label, "KB moved/op": kbytes, "msgs/op": exact},
 	}
 	const devices = 4
 	const N, n = 16, 4
 
-	// measure charges the global transport traffic and wall time of f to
-	// `iters` operations, exactly as E13 does: every payload byte handed
-	// to the transport anywhere in the cluster counts.
-	measure := func(iters int, f func() error) (kbPerOp, msgsPerOp float64, perOp time.Duration, err error) {
-		before := metrics.Default.Snapshot()
-		start := time.Now()
-		if err := f(); err != nil {
-			return 0, 0, 0, err
-		}
-		elapsed := time.Since(start)
-		d := metrics.Default.Snapshot().Sub(before)
-		return float64(d.BytesSent) / 1024 / float64(iters),
-			float64(d.MessagesSent) / float64(iters),
-			elapsed / time.Duration(iters), nil
-	}
-	row := func(op, config string, kb, msgs float64, perOp time.Duration, baseKB float64) {
+	row := func(op, config string, s sample, baseKB float64) {
 		vs := "—"
 		if baseKB > 0 {
-			vs = fmt.Sprintf("%.2fx", kb/baseKB)
+			vs = fmt.Sprintf("%.2fx", s.kb/baseKB)
 		}
-		t.AddRow(op, config, fmt.Sprintf("%.1f", kb), fmt.Sprintf("%.1f", msgs), usPrec(perOp), vs)
+		t.AddRow(op, config, fmt.Sprintf("%.1f", s.kb), fmt.Sprintf("%.1f", s.msgs), usPrec(s.per), vs)
 	}
 
 	iters := cfg.iters(3, 8)
@@ -72,47 +57,32 @@ func E15Replication(cfg Config) (*Table, error) {
 	// Steady-state cost per k: full-array write and full-array read.
 	var baseWriteKB, baseReadKB, k2WriteKB float64
 	for _, k := range []int{1, 2} {
-		cl, arr, cleanup, err := replicatedArray(devices, k, N, n, 0)
+		_, arr, cleanup, err := replicatedArray(devices, k, N, n, 0)
 		if err != nil {
 			return nil, err
 		}
-		_ = cl
 		cfgLabel := fmt.Sprintf("k=%d", k)
 
-		kb, msgs, per, err := measure(iters, func() error {
-			for r := 0; r < iters; r++ {
-				if err := arr.Write(bg, buf, full); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+		w, err := measure(0, iters, func() error { return arr.Write(bg, buf, full) })
 		if err != nil {
 			cleanup()
 			return nil, err
 		}
-		row("write", cfgLabel, kb, msgs, per, baseWriteKB)
+		row("write", cfgLabel, w, baseWriteKB)
 		if k == 1 {
-			baseWriteKB = kb
+			baseWriteKB = w.kb
 		} else {
-			k2WriteKB = kb
+			k2WriteKB = w.kb
 		}
 
-		kb, msgs, per, err = measure(iters, func() error {
-			for r := 0; r < iters; r++ {
-				if err := arr.Read(bg, out, full); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+		r, err := measure(0, iters, func() error { return arr.Read(bg, out, full) })
 		if err != nil {
 			cleanup()
 			return nil, err
 		}
-		row("read", cfgLabel, kb, msgs, per, baseReadKB)
+		row("read", cfgLabel, r, baseReadKB)
 		if k == 1 {
-			baseReadKB = kb
+			baseReadKB = r.kb
 		}
 		for i, v := range out {
 			if v != buf[i] {
@@ -131,12 +101,12 @@ func E15Replication(cfg Config) (*Table, error) {
 	// the promotion + re-seed. Recovery traffic and time scale with the
 	// pages the dead machine held, so two array sizes show the slope.
 	for _, fn := range []int{8, 16} {
-		wall, kb, msgs, reseeded, err := failoverOnce(devices, fn, n)
+		s, reseeded, err := failoverOnce(devices, fn, n)
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow("failover", fmt.Sprintf("N=%d k=2", fn),
-			fmt.Sprintf("%.1f", kb), fmt.Sprintf("%.0f", msgs), usPrec(wall),
+			fmt.Sprintf("%.1f", s.kb), fmt.Sprintf("%.0f", s.msgs), usPrec(s.per),
 			fmt.Sprintf("%d pages re-seeded", reseeded))
 	}
 
@@ -183,21 +153,21 @@ func replicatedArray(devices, k, N, n, sparePages int) (*cluster.Cluster, *core.
 }
 
 // failoverOnce builds a 2-way replicated N³ array, kills machine 1, and
-// times the Failover call once the detector has declared the machine
+// measures the Failover call once the detector has declared the machine
 // down. It verifies zero data loss (the post-failover sum matches) and
-// returns the wall time, traffic, and re-seeded page count.
-func failoverOnce(devices, N, n int) (wall time.Duration, kb, msgs float64, reseeded int, err error) {
+// returns the call's cost and the re-seeded page count.
+func failoverOnce(devices, N, n int) (s sample, reseeded int, err error) {
 	grid := N / n
 	basePPD := 2 * (grid*grid*grid + devices - 1) / devices // k × ceil(pages/devices)
 	cl, arr, cleanup, err := replicatedArray(devices, 2, N, n, basePPD)
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return s, 0, err
 	}
 	defer cleanup()
 
 	full := core.Box(N, N, N)
 	if err := arr.Fill(bg, full, 1); err != nil {
-		return 0, 0, 0, 0, err
+		return s, 0, err
 	}
 	want := float64(full.Size())
 
@@ -208,28 +178,31 @@ func failoverOnce(devices, N, n int) (wall time.Duration, kb, msgs float64, rese
 	deadline := time.Now().Add(10 * time.Second)
 	for cl.Client().MachineDown(dead) == nil {
 		if time.Now().After(deadline) {
-			return 0, 0, 0, 0, fmt.Errorf("E15: machine %d never declared down", dead)
+			return s, 0, fmt.Errorf("E15: machine %d never declared down", dead)
 		}
 		time.Sleep(time.Millisecond)
 	}
+	// The detector has done its part; a probe round landing inside the
+	// measured call would add its pings to the call's message count.
+	hb.Stop()
 
-	before := metrics.Default.Snapshot()
-	start := time.Now()
-	rep, err := arr.Failover(bg, dead)
+	var rep *core.FailoverReport
+	s, err = measure(0, 1, func() (err error) {
+		rep, err = arr.Failover(bg, dead)
+		return err
+	})
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return s, 0, err
 	}
-	wall = time.Since(start)
-	d := metrics.Default.Snapshot().Sub(before)
 	if len(rep.Lost) > 0 {
-		return 0, 0, 0, 0, fmt.Errorf("E15: failover lost %d pages", len(rep.Lost))
+		return s, 0, fmt.Errorf("E15: failover lost %d pages", len(rep.Lost))
 	}
 	got, err := arr.Sum(bg, full)
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return s, 0, err
 	}
 	if math.Abs(got-want) > 1e-9*want {
-		return 0, 0, 0, 0, fmt.Errorf("E15: post-failover sum %v, want %v", got, want)
+		return s, 0, fmt.Errorf("E15: post-failover sum %v, want %v", got, want)
 	}
-	return wall, float64(d.BytesSent) / 1024, float64(d.MessagesSent), rep.Reseeded, nil
+	return s, rep.Reseeded, nil
 }

@@ -32,8 +32,8 @@ import (
 //     capacity. Admission keeps goodput at 2x within 20% of peak and
 //     rejects fail in well under one service time.
 //
-// The deterministic columns (shed msgs, allocs/op) are CI-gated; the
-// timing columns are machine facts reported for the record.
+// Shed msgs and allocs/op are pinned; the timing columns are facts about
+// the host, printed for the record.
 func E14ServingTier(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:    "E14",
@@ -42,6 +42,7 @@ func E14ServingTier(cfg Config) (*Table, error) {
 			"sheds typed overloads in O(µs), and keeps goodput at 2x saturation",
 		Columns: []string{"phase", "load", "offered", "ok", "rejected", "shed msgs",
 			"p50 µs", "p99 µs", "p999 µs", "goodput ops/s", "allocs/op"},
+		pinned: map[string]rule{"phase": label, "load": label, "shed msgs": exact, "allocs/op": ceiling},
 	}
 
 	tr := transport.NewInproc(transport.LinkModel{})
@@ -265,28 +266,25 @@ func e14HotPath(cfg Config, t *Table, front *e14Front, srv *rmi.Server) error {
 		d.Release()
 		return nil
 	}
-	for i := 0; i < 200; i++ { // warm the pools off the clock
-		if err := call(); err != nil {
-			return err
-		}
+	if _, err := measure(0, 200, call); err != nil { // discarded: warms the pools, stays out of hist
+		return err
 	}
 	var hist metrics.Hist
-	var timer AllocTimer
-	timer.Start()
-	for i := 0; i < iters; i++ {
+	s, err := measure(0, iters, func() error {
 		t0 := time.Now()
-		if err := call(); err != nil {
-			return err
-		}
+		err := call()
 		hist.Observe(time.Since(t0))
+		return err
+	})
+	if err != nil {
+		return err
 	}
-	perOp, allocs := timer.Stop(iters)
-	if allocs > 0.5 && !raceEnabled {
-		return fmt.Errorf("echo hot path allocates: %.2f allocs/op", allocs)
+	if s.allocs > 0.5 && !raceEnabled {
+		return fmt.Errorf("echo hot path allocates: %.2f allocs/op", s.allocs)
 	}
 	t.AddRow("hotpath", "echo 64B", fmt.Sprint(iters), fmt.Sprint(iters), "0", "0",
 		fmt.Sprint(hist.QuantileUs(0.50)), fmt.Sprint(hist.QuantileUs(0.99)), fmt.Sprint(hist.QuantileUs(0.999)),
-		fmt.Sprintf("%.0f", float64(time.Second)/float64(perOp)), fmt.Sprintf("%.2f", allocs))
+		fmt.Sprintf("%.0f", float64(time.Second)/float64(s.per)), fmt.Sprintf("%.2f", s.allocs))
 	return nil
 }
 

@@ -107,3 +107,44 @@ func TestClampPriorityMasksTraceFlag(t *testing.T) {
 		t.Fatalf("unknown flagged class: got %v, want PrioNormal", got)
 	}
 }
+
+// FuzzTraceHeader feeds decodeTraceHeader an arbitrary lead byte and
+// frame tail, as a socket can: it never panics, a lead byte without the
+// flag consumes nothing, a truncated header is the untraced context, and
+// whatever context does come out is one putTraceHeader writes back
+// readably — as is any context at all, here one built from the input.
+func FuzzTraceHeader(f *testing.F) {
+	e := wire.NewEncoder(32)
+	putTraceHeader(e, trace.SpanContext{TraceID: 1 << 40, SpanID: 1 << 33, Sampled: true})
+	for n := 0; n <= len(e.Bytes()); n++ { // TestTraceHeaderTruncated's prefixes, and the whole
+		f.Add(byte(PrioBulk)|leadTraceFlag, append([]byte(nil), e.Bytes()[:n]...))
+	}
+	for _, b := range [][]byte{{}, {0x80}, {0x01, 0x01, 0x00}, {0x00, 0x00, 0x00}, {0x01, 0x01, 0xff},
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}} { // TestTraceHeaderGarbage's
+		f.Add(byte(leadTraceFlag), b)
+		f.Add(byte(PrioNormal), b) // an old-format frame
+	}
+	f.Fuzz(func(t *testing.T, lead byte, tail []byte) {
+		d := wire.NewDecoder(tail)
+		sc := decodeTraceHeader(lead, d)
+		if lead&leadTraceFlag == 0 && (sc != trace.SpanContext{} || d.Remaining() != len(tail) || d.Err() != nil) {
+			t.Fatalf("unflagged lead %#x read a header: %+v, %d of %d bytes left, err %v", lead, sc, d.Remaining(), len(tail), d.Err())
+		}
+		if d.Err() != nil && sc != (trace.SpanContext{}) {
+			t.Fatalf("truncated header % x decoded as traced: %+v", tail, sc)
+		}
+		built := trace.SpanContext{Sampled: len(tail)%2 == 1}
+		for i, b := range tail {
+			built.TraceID = built.TraceID<<8 | uint64(b)
+			built.SpanID ^= uint64(b) << (8 * (i % 8))
+		}
+		for _, want := range []trace.SpanContext{sc, built} {
+			e := wire.NewEncoder(32)
+			putTraceHeader(e, want)
+			back := wire.NewDecoder(e.Bytes())
+			if got := decodeTraceHeader(leadTraceFlag, back); got != want || back.Err() != nil || back.Remaining() != 0 {
+				t.Fatalf("round trip of %+v: got %+v, err %v, %d bytes left", want, got, back.Err(), back.Remaining())
+			}
+		}
+	})
+}
