@@ -283,8 +283,8 @@
 //     owns its response frame; call Release once decoding is done to
 //     return the frame to the shared pool. Forgetting Release is safe —
 //     the garbage collector takes over — it just stops the recycling.
-//     Err, Ref, WaitAllReleased and the typed Invoke surface release for
-//     you; the bulk stubs (GetRangeInto, ReadPage, ...) do too.
+//     Err, Ref and the typed Invoke surface release for you; the bulk
+//     stubs (GetRangeInto, ReadPage, ...) do too.
 //   - Views die with their frame. BytesView/Bytes/StringBytes return
 //     slices aliasing the response frame, valid only until Release; copy
 //     (BytesCopy) anything that must outlive the decode. Encoders

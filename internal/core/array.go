@@ -60,8 +60,7 @@ type Array struct {
 	// over its whole chain instead of hammering the chain primary.
 	rr atomic.Uint64
 
-	pipeline bool
-	window   int
+	window int
 }
 
 // DefaultWindow is the default bound on outstanding pipelined requests —
@@ -97,14 +96,13 @@ func NewArray(ctx context.Context, storage *BlockStorage, pm PageMap, N1, N2, N3
 		}
 	}
 	return &Array{
-		n:        [3]int{N1, N2, N3},
-		p:        [3]int{n1, n2, n3},
-		g:        [3]int{N1 / n1, N2 / n2, N3 / n3},
-		storage:  storage,
-		pm:       pm,
-		flipped:  make(chan struct{}),
-		pipeline: true,
-		window:   DefaultWindow,
+		n:       [3]int{N1, N2, N3},
+		p:       [3]int{n1, n2, n3},
+		g:       [3]int{N1 / n1, N2 / n2, N3 / n3},
+		storage: storage,
+		pm:      pm,
+		flipped: make(chan struct{}),
+		window:  DefaultWindow,
 	}, nil
 }
 
@@ -140,26 +138,17 @@ func (a *Array) setMap(pm PageMap) {
 	a.pmMu.Unlock()
 }
 
-// SetPipeline toggles the §4 split-loop pipelining. With it off every
-// page operation is a synchronous §2 round trip (the split loop at
-// window 1) — the configuration the experiments use as the sequential
-// baseline.
-func (a *Array) SetPipeline(on bool) { a.pipeline = on }
-
 // SetWindow bounds the number of outstanding pipelined requests
 // (and therefore client buffering). Values < 1 mean DefaultWindow (the
-// split loop's rule).
+// split loop's rule). Window 1 turns the §4 split loop off: every page
+// operation is a synchronous §2 round trip — the configuration the
+// experiments use as the sequential baseline.
 func (a *Array) SetWindow(w int) { a.window = w }
 
 // inFlight is the window every transfer and kernel fan-out of this
 // client hands to rmi.SplitLoop — the one place the pipelining
-// configuration is read. The sequential §2 form is window 1.
-func (a *Array) inFlight() int {
-	if !a.pipeline {
-		return 1
-	}
-	return a.window
-}
+// configuration is read.
+func (a *Array) inFlight() int { return a.window }
 
 // region is one page overlapped by a domain operation.
 type region struct {

@@ -279,7 +279,7 @@ func TestPipelineParity(t *testing.T) {
 		t.Fatalf("pipelined sum: %v", err)
 	}
 
-	arr.SetPipeline(false)
+	arr.SetWindow(1)
 	sequential := make([]float64, dom.Size())
 	if err := arr.Read(bg, sequential, dom); err != nil {
 		t.Fatalf("sequential read: %v", err)
@@ -299,15 +299,14 @@ func TestPipelineParity(t *testing.T) {
 	}
 
 	// Tiny window still correct.
-	arr.SetPipeline(true)
-	arr.SetWindow(1)
+	arr.SetWindow(2)
 	tiny := make([]float64, dom.Size())
 	if err := arr.Read(bg, tiny, dom); err != nil {
-		t.Fatalf("window-1 read: %v", err)
+		t.Fatalf("window-2 read: %v", err)
 	}
 	for i := range tiny {
 		if tiny[i] != sequential[i] {
-			t.Fatalf("window-1 element %d differs", i)
+			t.Fatalf("window-2 element %d differs", i)
 		}
 	}
 	arr.SetWindow(0) // resets to default

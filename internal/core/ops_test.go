@@ -211,7 +211,7 @@ func TestOpsSequentialModeParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.SetPipeline(false)
+	a.SetWindow(1)
 	sequential, err := a.Dot(bg, b, full)
 	if err != nil {
 		t.Fatal(err)

@@ -87,9 +87,8 @@ type Backing interface {
 // Disk is one simulated storage device. All operations serialize on the
 // device mutex — this is the point of the simulation, not a shortcut.
 type Disk struct {
-	name    string
-	model   Model
-	counter *metrics.Counters
+	name  string
+	model Model
 
 	mu      sync.Mutex
 	backing Backing
@@ -118,7 +117,6 @@ func NewMem(name string, size int64, model Model) *Disk {
 	return &Disk{
 		name:    name,
 		model:   model,
-		counter: metrics.Default,
 		backing: &memBacking{data: make([]byte, size)},
 	}
 }
@@ -136,7 +134,6 @@ func NewFile(name, path string, size int64, model Model) (*Disk, error) {
 	return &Disk{
 		name:    name,
 		model:   model,
-		counter: metrics.Default,
 		backing: &fileBacking{f: f, size: size},
 	}, nil
 }
@@ -156,7 +153,6 @@ func OpenFile(name, path string, model Model) (*Disk, error) {
 	return &Disk{
 		name:    name,
 		model:   model,
-		counter: metrics.Default,
 		backing: &fileBacking{f: f, size: info.Size()},
 	}, nil
 }
@@ -254,9 +250,9 @@ func (d *Disk) op(p []byte, off int64, n int, write bool) (err error) {
 	if off < 0 || off+int64(n) > d.backing.Size() {
 		return fmt.Errorf("%w: [%d,%d) of %d", ErrOutOfRange, off, off+int64(n), d.backing.Size())
 	}
-	hold, ops, count, bytes := d.model.ReadTime(n), &d.reads, &d.counter.DiskReads, &d.counter.DiskBytesRead
+	hold, ops, count, bytes := d.model.ReadTime(n), &d.reads, &metrics.Default.DiskReads, &metrics.Default.DiskBytesRead
 	if write {
-		hold, ops, count, bytes = d.model.WriteTime(n), &d.writes, &d.counter.DiskWrites, &d.counter.DiskBytesWrit
+		hold, ops, count, bytes = d.model.WriteTime(n), &d.writes, &metrics.Default.DiskWrites, &metrics.Default.DiskBytesWrit
 	}
 	if !d.model.IsZero() {
 		simtime.Sleep(hold)

@@ -76,11 +76,8 @@ func E3SplitLoop(cfg Config) (*Table, error) {
 			seq += time.Since(start)
 
 			start = time.Now()
-			futs := make([]*rmi.Future, n)
-			for i, d := range devs {
-				futs[i] = d.ReadAsync(bg, 0)
-			}
-			if err := rmi.WaitAllReleased(bg, futs); err != nil {
+			issue := func(i int) *rmi.Future { return devs[i].ReadAsync(bg, 0) }
+			if err := rmi.SplitLoop(bg, n, n, issue, nil); err != nil {
 				cl.Shutdown()
 				return nil, err
 			}
@@ -295,7 +292,7 @@ func E8MultiClient(cfg Config) (*Table, error) {
 	}
 	// Sequential §2 semantics inside each client; parallelism comes only
 	// from deploying more clients.
-	arr.SetPipeline(false)
+	arr.SetWindow(1)
 
 	var base time.Duration
 	for _, clients := range []int{1, 2, 4, 8} {

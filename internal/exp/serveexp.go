@@ -191,7 +191,7 @@ func e14Burst(cfg Config, t *Table, front *e14Front, srv *rmi.Server) error {
 		return err
 	}
 	bulk := p.Session(rmi.WithPriority(rmi.PrioBulk))
-	shedBefore := srv.Counters().ReqShed.Load()
+	shedBefore := metrics.Default.ReqShed.Load()
 	var bulkFuts []*rmi.Future
 	for i := 0; i < bulkCap+overflow; i++ {
 		bulkFuts = append(bulkFuts, bulk.CallAsync(bg, ref, "sleep", serve.SleepArgs(0)))
@@ -203,7 +203,7 @@ func e14Burst(cfg Config, t *Table, front *e14Front, srv *rmi.Server) error {
 	// so wait for the sheds as well as the depth.
 	shed := 0
 	if err := e14WaitDepth(srv, func(d [rmi.NumPriorities]int) bool {
-		return d[rmi.PrioBulk] >= bulkCap && srv.Counters().ReqShed.Load()-shedBefore >= overflow
+		return d[rmi.PrioBulk] >= bulkCap && metrics.Default.ReqShed.Load()-shedBefore >= overflow
 	}); err != nil {
 		return err
 	}

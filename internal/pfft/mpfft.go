@@ -1,160 +1,63 @@
 package pfft
 
 import (
+	"encoding/binary"
 	"fmt"
 
-	"oopp/internal/fft"
 	"oopp/internal/mp"
 	"oopp/internal/wire"
 )
 
 // MPTransform3D is the hand-written message-passing baseline for the same
-// distributed FFT (experiment E6): identical slab decomposition and
-// local kernels, but the transpose runs over mp.Alltoall instead of
-// remote method execution. x is transformed in place; world supplies the
-// ranks.
+// distributed FFT (experiment E6): identical slab decomposition, local
+// kernels and block payloads (geom), but the transpose runs over
+// mp.Alltoall instead of remote method execution. x is transformed in
+// place — rank r works on its slab of x directly — and is undefined after
+// an error; world supplies the ranks.
 func MPTransform3D(world *mp.World, x []complex128, n1, n2, n3, sign int) error {
-	p := world.Size()
-	if n1%p != 0 || n2%p != 0 {
-		return fmt.Errorf("pfft: dims %dx%dx%d not divisible by %d ranks", n1, n2, n3, p)
+	g, err := newGeom(world.Size(), n1, n2, n3)
+	if err != nil {
+		return err
 	}
 	if len(x) != n1*n2*n3 {
 		return fmt.Errorf("pfft: array has %d elements, want %d", len(x), n1*n2*n3)
 	}
-	h1 := n1 / p
-	h2 := n2 / p
-	slabLen := h1 * n2 * n3
-
-	slabs := make([][]complex128, p)
-	for r := 0; r < p; r++ {
-		slabs[r] = append([]complex128(nil), x[r*slabLen:(r+1)*slabLen]...)
-	}
-
-	err := world.Run(func(c *mp.Comm) error {
-		r := c.Rank()
-		slab := slabs[r]
-		// Phase 1: local 2D FFTs.
-		if err := fft.TransformAxis23(slab, h1, n2, n3, sign); err != nil {
+	return world.Run(func(c *mp.Comm) error {
+		slab := x[c.Rank()*g.slabLen() : (c.Rank()+1)*g.slabLen()]
+		tr := make([]complex128, g.trLen())
+		if err := g.axis23(slab, sign); err != nil {
 			return err
 		}
-		// Phase 2: forward all-to-all.
-		send := make([][]byte, p)
-		for v := 0; v < p; v++ {
-			block := packForwardBlock(slab, r, v, h1, h2, n2, n3)
-			e := wire.NewEncoder(16 * len(block))
-			e.PutComplex128s(block)
-			send[v] = e.Bytes()
-		}
-		recv, err := c.Alltoall(send)
-		if err != nil {
+		if err := g.alltoall(c, phaseForward, slab, tr); err != nil {
 			return err
 		}
-		tr := make([]complex128, h2*n1*n3)
-		for u := 0; u < p; u++ {
-			d := wire.NewDecoder(recv[u])
-			block := d.Complex128s()
-			if err := d.Err(); err != nil {
-				return err
-			}
-			if err := placeForwardBlock(tr, block, u, h1, h2, n1, n3); err != nil {
-				return err
-			}
-		}
-		// Phase 3: axis-1 FFTs.
-		for i2loc := 0; i2loc < h2; i2loc++ {
-			blk := tr[i2loc*n1*n3 : (i2loc+1)*n1*n3]
-			if err := fft.TransformAxis1(blk, n1, 1, n3, sign); err != nil {
-				return err
-			}
-		}
-		// Phase 4: all-to-all back.
-		for u := 0; u < p; u++ {
-			block := packBackBlock(tr, r, u, h1, h2, n1, n3)
-			e := wire.NewEncoder(16 * len(block))
-			e.PutComplex128s(block)
-			send[u] = e.Bytes()
-		}
-		recv, err = c.Alltoall(send)
-		if err != nil {
+		if err := g.axis1(tr, sign); err != nil {
 			return err
 		}
-		for v := 0; v < p; v++ {
-			d := wire.NewDecoder(recv[v])
-			block := d.Complex128s()
-			if err := d.Err(); err != nil {
-				return err
-			}
-			if err := placeBackBlock(slab, block, v, h1, h2, n2, n3); err != nil {
-				return err
-			}
-		}
-		return nil
+		return g.alltoall(c, phaseBack, tr, slab)
 	})
+}
+
+// alltoall is one transpose of the baseline: the payload for every rank,
+// this one included, gathered from src; the exchange; every payload
+// received scattered into dst.
+func (g geom) alltoall(c *mp.Comm, phase int, src, dst []complex128) error {
+	send := make([][]byte, g.p)
+	for v := range send {
+		e := wire.NewEncoder(binary.MaxVarintLen64 + 16*g.blockLen())
+		g.gather(e, phase, c.Rank(), v, src)
+		send[v] = e.Bytes()
+	}
+	recv, err := c.Alltoall(send)
 	if err != nil {
 		return err
 	}
-	for r := 0; r < p; r++ {
-		copy(x[r*slabLen:], slabs[r])
-	}
-	return nil
-}
-
-// The four block helpers are the free-function duals of the worker
-// methods, shared by the MP baseline. Shapes as in the worker: forward
-// blocks are [h2][h1][n3], back blocks are [h1][h2][n3].
-
-func packForwardBlock(slab []complex128, self, v, h1, h2, n2, n3 int) []complex128 {
-	out := make([]complex128, h2*h1*n3)
-	for i2loc := 0; i2loc < h2; i2loc++ {
-		i2 := v*h2 + i2loc
-		for i1 := 0; i1 < h1; i1++ {
-			src := (i1*n2 + i2) * n3
-			dst := (i2loc*h1 + i1) * n3
-			copy(out[dst:dst+n3], slab[src:src+n3])
+	for u, payload := range recv {
+		d := wire.NewDecoder(payload)
+		if n := d.Complex128sLen(); d.Err() != nil || n != g.blockLen() {
+			return fmt.Errorf("pfft: rank %d: phase %d block from %d has %d elements (%v), want %d", c.Rank(), phase, u, n, d.Err(), g.blockLen())
 		}
-	}
-	return out
-}
-
-func placeForwardBlock(tr, block []complex128, u, h1, h2, n1, n3 int) error {
-	if len(block) != h2*h1*n3 {
-		return fmt.Errorf("pfft: forward block from %d has %d elements, want %d", u, len(block), h2*h1*n3)
-	}
-	for i2loc := 0; i2loc < h2; i2loc++ {
-		for i1loc := 0; i1loc < h1; i1loc++ {
-			i1 := u*h1 + i1loc
-			src := (i2loc*h1 + i1loc) * n3
-			dst := (i2loc*n1 + i1) * n3
-			copy(tr[dst:dst+n3], block[src:src+n3])
-		}
-	}
-	return nil
-}
-
-func packBackBlock(tr []complex128, self, u, h1, h2, n1, n3 int) []complex128 {
-	out := make([]complex128, h1*h2*n3)
-	for i1loc := 0; i1loc < h1; i1loc++ {
-		i1 := u*h1 + i1loc
-		for i2loc := 0; i2loc < h2; i2loc++ {
-			src := (i2loc*n1 + i1) * n3
-			dst := (i1loc*h2 + i2loc) * n3
-			copy(out[dst:dst+n3], tr[src:src+n3])
-		}
-	}
-	return out
-}
-
-func placeBackBlock(slab, block []complex128, v, h1, h2, n2, n3 int) error {
-	if len(block) != h1*h2*n3 {
-		return fmt.Errorf("pfft: back block from %d has %d elements, want %d", v, len(block), h1*h2*n3)
-	}
-	for i1loc := 0; i1loc < h1; i1loc++ {
-		for i2loc := 0; i2loc < h2; i2loc++ {
-			i2 := v*h2 + i2loc
-			src := (i1loc*h2 + i2loc) * n3
-			dst := (i1loc*n2 + i2) * n3
-			copy(slab[dst:dst+n3], block[src:src+n3])
-		}
+		g.scatter(d, phase, u, c.Rank(), dst)
 	}
 	return nil
 }

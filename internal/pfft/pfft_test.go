@@ -2,12 +2,15 @@ package pfft_test
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"math/cmplx"
+	"runtime"
 	"testing"
 
 	"oopp/internal/cluster"
 	"oopp/internal/fft"
+	"oopp/internal/metrics"
 	"oopp/internal/mp"
 	"oopp/internal/pfft"
 	"oopp/internal/rmi"
@@ -118,39 +121,125 @@ func TestDistributedMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestDistributedOverTCP runs the joint transform over real sockets.
+// TestDistributedOverTCP runs the joint transform over real sockets, where
+// nothing but the arrival table orders a block's placement against the
+// transform it lands in: two workers and four, three forward/inverse rounds
+// on one group so every slot is opened, filled and reopened.
 func TestDistributedOverTCP(t *testing.T) {
 	const n1, n2, n3 = 4, 4, 4
-	const p = 2
-	cl, err := cluster.New(cluster.Config{Machines: p, Transport: transport.TCP{}})
-	if err != nil {
-		t.Fatalf("cluster: %v", err)
-	}
-	defer cl.Shutdown()
-
 	x := testData(n1*n2*n3, 7)
 	want := append([]complex128(nil), x...)
 	if err := fft.FFT3D(want, n1, n2, n3, -1); err != nil {
 		t.Fatal(err)
 	}
+	for _, p := range []int{2, 4} {
+		cl, err := cluster.New(cluster.Config{Machines: p, Transport: transport.TCP{}})
+		if err != nil {
+			t.Fatalf("cluster: %v", err)
+		}
+		defer cl.Shutdown()
+		f, err := pfft.New(bg, cl.Client(), machineList(p), n1, n2, n3)
+		if err != nil {
+			t.Fatalf("pfft.New: %v", err)
+		}
+		defer f.Close(bg)
+		if err := f.Load(bg, x); err != nil {
+			t.Fatalf("load: %v", err)
+		}
+		got := make([]complex128, len(x))
+		for round := 0; round < 3; round++ {
+			for _, leg := range []struct {
+				sign int
+				want []complex128
+			}{{-1, want}, {+1, x}} {
+				if err := f.Transform(bg, leg.sign); err != nil {
+					t.Fatalf("P=%d round %d sign %+d: %v", p, round, leg.sign, err)
+				}
+				if err := f.Gather(bg, got); err != nil {
+					t.Fatalf("gather: %v", err)
+				}
+				if !approxEqual(got, leg.want, 1e-9) {
+					t.Fatalf("P=%d round %d sign %+d: TCP distributed FFT != local FFT", p, round, leg.sign)
+				}
+			}
+		}
+	}
+}
 
-	f, err := pfft.New(bg, cl.Client(), machineList(p), n1, n2, n3)
+// TestTransformTraffic holds the exchange to the traffic it has always had:
+// per transform one call per worker plus 2·P·(P−1) storeBlock calls, each
+// a request and a reply, and on the wire the blocks' packed bytes — a count
+// and 16 bytes a value — plus a few dozen bytes of header a message.
+func TestTransformTraffic(t *testing.T) {
+	const n1, n2, n3 = 8, 8, 4
+	for _, p := range []int{2, 4} {
+		cl, err := cluster.NewLocal(p, 0)
+		if err != nil {
+			t.Fatalf("cluster: %v", err)
+		}
+		defer cl.Shutdown()
+		f, err := pfft.New(bg, cl.Client(), machineList(p), n1, n2, n3)
+		if err != nil {
+			t.Fatalf("pfft.New: %v", err)
+		}
+		defer f.Close(bg)
+		before := metrics.Default.Snapshot()
+		if err := f.Transform(bg, -1); err != nil {
+			t.Fatal(err)
+		}
+		d := metrics.Default.Snapshot().Sub(before)
+		blocks := int64(2 * p * (p - 1))
+		blockElems := int64((n1 / p) * (n2 / p) * n3)
+		payload := blocks * (int64(len(binary.AppendUvarint(nil, uint64(blockElems)))) + 16*blockElems)
+		if wantMsgs := 2 * (int64(p) + blocks); d.MessagesSent != wantMsgs {
+			t.Errorf("P=%d: %d messages per transform, want %d", p, d.MessagesSent, wantMsgs)
+		}
+		if over := d.BytesSent - payload; over < 0 || over > 48*d.MessagesSent {
+			t.Errorf("P=%d: %d bytes per transform for %d of blocks: %d of headers over %d messages", p, d.BytesSent, payload, over, d.MessagesSent)
+		}
+	}
+}
+
+// TestTransformAllocatesNoBlocks: in steady state a transform allocates,
+// per worker, less than one block's bytes — no packed copy of a block on
+// either side, frames recycled — where the staged exchange took six.
+func TestTransformAllocatesNoBlocks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation ceilings do not hold under the race detector")
+	}
+	const n, p, rounds = 32, 2, 8
+	const blockBytes = 16 * (n / p) * (n / p) * n
+	cl, err := cluster.NewLocal(p, 0)
+	if err != nil {
+		t.Fatalf("cluster: %v", err)
+	}
+	defer cl.Shutdown()
+	f, err := pfft.New(bg, cl.Client(), machineList(p), n, n, n)
 	if err != nil {
 		t.Fatalf("pfft.New: %v", err)
 	}
 	defer f.Close(bg)
-	if err := f.Load(bg, x); err != nil {
-		t.Fatalf("load: %v", err)
+	if err := f.Load(bg, testData(n*n*n, 3)); err != nil {
+		t.Fatal(err)
 	}
-	if err := f.Transform(bg, -1); err != nil {
-		t.Fatalf("transform: %v", err)
+	transform := func() {
+		for _, sign := range []int{-1, +1} {
+			if err := f.Transform(bg, sign); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	got := make([]complex128, len(x))
-	if err := f.Gather(bg, got); err != nil {
-		t.Fatalf("gather: %v", err)
+	transform() // warm the frame pool
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < rounds; i++ {
+		transform()
 	}
-	if !approxEqual(got, want, 1e-9) {
-		t.Fatal("TCP distributed FFT != local FFT")
+	runtime.ReadMemStats(&m1)
+	perWorker := float64(m1.TotalAlloc-m0.TotalAlloc) / (2 * rounds * p)
+	t.Logf("%.0f bytes allocated per worker per transform; a block is %d", perWorker, blockBytes)
+	if perWorker >= blockBytes {
+		t.Errorf("%.0f bytes allocated per worker per transform, want less than one block (%d)", perWorker, blockBytes)
 	}
 }
 

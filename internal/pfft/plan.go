@@ -13,11 +13,9 @@ import (
 // processes — the paper's "FFT * fft[N]" array plus the orchestration
 // loops of §4, expressed as collectives over a typed Collection.
 type PFFT struct {
-	client     *rmi.Client
-	workers    *collection.Collection[*worker]
-	n1, n2, n3 int
-	p          int
-	h1         int
+	client  *rmi.Client
+	workers *collection.Collection[*worker]
+	geom
 }
 
 // New spawns one FFT worker process on each machine of machines and wires
@@ -35,12 +33,9 @@ func NewShallow(ctx context.Context, client *rmi.Client, machines []int, n1, n2,
 }
 
 func newPFFT(ctx context.Context, client *rmi.Client, machines []int, n1, n2, n3 int, shallow bool) (*PFFT, error) {
-	p := len(machines)
-	if p == 0 {
-		return nil, fmt.Errorf("pfft: no machines")
-	}
-	if n1%p != 0 || n2%p != 0 {
-		return nil, fmt.Errorf("pfft: dims %dx%dx%d not divisible by %d workers", n1, n2, n3, p)
+	g, err := newGeom(len(machines), n1, n2, n3)
+	if err != nil {
+		return nil, err
 	}
 	// The master process creates N parallel processes, assigning ids (§4):
 	// a typed collection spawn, placed by the explicit machine list.
@@ -55,7 +50,7 @@ func newPFFT(ctx context.Context, client *rmi.Client, machines []int, n1, n2, n3
 	if err != nil {
 		return nil, err
 	}
-	f := &PFFT{client: client, workers: workers, n1: n1, n2: n2, n3: n3, p: p, h1: n1 / p}
+	f := &PFFT{client: client, workers: workers, geom: g}
 
 	if shallow {
 		// Create the RefTable process next to worker 0 and hand every
@@ -86,7 +81,7 @@ func newPFFT(ctx context.Context, client *rmi.Client, machines []int, n1, n2, n3
 	// of N concurrent processes" — deep copy of the remote pointer array.
 	refs := workers.Refs()
 	if err := workers.Broadcast(ctx, "setGroup", func(m collection.Member, e *wire.Encoder) error {
-		e.PutInt(p)
+		e.PutInt(g.p)
 		e.PutRefs(refs)
 		return nil
 	}); err != nil {
@@ -108,7 +103,7 @@ func (f *PFFT) Load(ctx context.Context, x []complex128) error {
 	if len(x) != f.n1*f.n2*f.n3 {
 		return fmt.Errorf("pfft: array has %d elements, want %d", len(x), f.n1*f.n2*f.n3)
 	}
-	slabLen := f.h1 * f.n2 * f.n3
+	slabLen := f.slabLen()
 	return f.workers.Broadcast(ctx, "loadSlab", func(m collection.Member, e *wire.Encoder) error {
 		e.PutComplex128s(x[m.Index*slabLen : (m.Index+1)*slabLen])
 		return nil
@@ -120,7 +115,7 @@ func (f *PFFT) Gather(ctx context.Context, x []complex128) error {
 	if len(x) != f.n1*f.n2*f.n3 {
 		return fmt.Errorf("pfft: array has %d elements, want %d", len(x), f.n1*f.n2*f.n3)
 	}
-	slabLen := f.h1 * f.n2 * f.n3
+	slabLen := f.slabLen()
 	return f.workers.CallAll(ctx, "readSlab", nil, func(m collection.Member, d *wire.Decoder) error {
 		// One-pass decode straight into the caller's slab slot; the
 		// response frame recycles when this returns.

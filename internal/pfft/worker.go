@@ -9,7 +9,7 @@
 // executing methods on each other — inter-process communication as remote
 // method execution, no explicit messages.
 //
-// Algorithm: slab decomposition of an N1×N2×N3 array along axis 1.
+// Algorithm: slab decomposition of an N1×N2×N3 array along axis 1 (geom).
 //
 //	phase 1  local 2D FFTs over axes (2,3) of each worker's slab
 //	phase 2  all-to-all transpose: worker w pushes the (S1w × S2v × N3)
@@ -17,9 +17,42 @@
 //	phase 3  local 1D FFTs along the now-local axis 1
 //	phase 4  all-to-all transpose back to the original slab layout
 //
+// # The exchange
+//
+// A block is h1×h2 rows of N3 values, and geom.rows is the only code that
+// knows where they lie. It crosses with one pass per side and no buffer of
+// its own: the sender gathers the rows out of its slab straight into the
+// request frame, the receiver's storeBlock scatters them out of the frame
+// straight into its transposed buffer (and the other way round on the way
+// back); a worker's own block is one strided copy. The sends are a
+// rmi.SplitLoop over the peers, the §4 split loop like every other
+// transfer in the repo.
+//
 // storeBlock is a concurrent method (see rmi package doc): every worker
 // is inside its serial transform method during the exchange, so the data
-// pushes must bypass the mailbox or the group would deadlock.
+// pushes must bypass the mailbox or the group would deadlock. It therefore
+// writes into slab and tr while transform is running, and what keeps the
+// two apart is an arrival table under mu: open[phase][v] says that the rows
+// this worker shares with v are v's to fill with its block of that phase.
+// The transform method opens a slot when it has finished with those rows —
+// having gathered them for v in the phase before (the rows it reads for
+// v's forward block are the ones v's back block lands in, and the reverse;
+// setGroup opens the forward slots, tr being idle) — and storeBlock closes
+// it before it writes a byte, then counts the block as landed when the
+// last row is in; an exchange ends by waiting for the count. So every
+// access of the transform method to rows a peer may write is separated
+// from that write by mu, on both sides. Between honest workers the table
+// never refuses: v cannot answer a block before it was sent. But that
+// order is carried by the socket, where neither the memory model nor the
+// race detector can see it; the table states it where both can.
+//
+// A block is accepted whole or refused whole. Phase, sender, count, the
+// presence of every announced byte and the slot are all checked before
+// anything is written, and a refusal leaves slab and tr bitwise as they
+// were. A block for a closed slot — a second one from the same sender, or
+// one for rows not yet given up — is refused rather than kept for later:
+// there is no staging area to keep it in, and placing it would overwrite
+// rows the transform is still reading.
 package pfft
 
 import (
@@ -27,7 +60,6 @@ import (
 	"fmt"
 	"sync"
 
-	"oopp/internal/fft"
 	"oopp/internal/rmi"
 	"oopp/internal/wire"
 )
@@ -40,34 +72,29 @@ const ClassWorker = "pfft.Worker"
 // workers fetch members one remote call at a time — the §4 anti-pattern.
 const ClassRefTable = "pfft.RefTable"
 
-// transpose phases used as staging keys.
-const (
-	phaseForward = 0
-	phaseBack    = 1
-)
-
 // worker is the server-side FFT process.
 type worker struct {
-	id         int
-	groupSize  int
-	n1, n2, n3 int // global dims
-	h1, h2     int // slab heights: n1/P (axis-1 slabs), n2/P (axis-2 slabs)
+	id int
 
-	slab []complex128 // layout A: [h1][n2][n3]
-	tr   []complex128 // layout B: [h2][n1][n3]
+	// mu guards what setGroup installs and the arrival state below; see
+	// the package doc for how it orders storeBlock against transform.
+	mu   sync.Mutex
+	cond *sync.Cond
 
+	geom  // the dims from birth; p, h1, h2 are 0 until setGroup
 	peers []rmi.Ref
+	slab  []complex128 // layout A: [h1][n2][n3]
+	tr    []complex128 // layout B: [h2][n1][n3]
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	staged map[int]map[int][]complex128 // phase -> sender -> block
+	open   [2][]bool // phase -> sender -> its block may be placed
+	landed [2]int    // phase -> blocks placed since the last exchange ended
 }
 
 func newWorker(id, n1, n2, n3 int) (*worker, error) {
 	if n1 <= 0 || n2 <= 0 || n3 <= 0 {
 		return nil, fmt.Errorf("pfft: invalid dims %dx%dx%d", n1, n2, n3)
 	}
-	w := &worker{id: id, n1: n1, n2: n2, n3: n3, staged: make(map[int]map[int][]complex128)}
+	w := &worker{id: id, geom: geom{n1: n1, n2: n2, n3: n3}}
 	w.cond = sync.NewCond(&w.mu)
 	return w, nil
 }
@@ -82,166 +109,125 @@ func (w *worker) setGroup(n int, refs []rmi.Ref) error {
 	if w.id < 0 || w.id >= n {
 		return fmt.Errorf("pfft: worker id %d outside group of %d", w.id, n)
 	}
-	if w.n1%n != 0 || w.n2%n != 0 {
-		return fmt.Errorf("pfft: dims %dx%d not divisible by group size %d", w.n1, w.n2, n)
+	g, err := newGeom(n, w.n1, w.n2, w.n3)
+	if err != nil {
+		return err
 	}
-	w.groupSize = n
-	w.peers = refs
-	w.h1 = w.n1 / n
-	w.h2 = w.n2 / n
-	w.slab = make([]complex128, w.h1*w.n2*w.n3)
-	w.tr = make([]complex128, w.h2*w.n1*w.n3)
-	return nil
-}
-
-// storeBlock accepts a transpose block pushed by a peer. Runs as a
-// concurrent method; the mutex-guarded staging area and condition
-// variable synchronize with the serial transform method.
-func (w *worker) storeBlock(phase, from int, block []complex128) {
-	w.mu.Lock()
-	if w.staged[phase] == nil {
-		w.staged[phase] = make(map[int][]complex128)
-	}
-	w.staged[phase][from] = block
-	w.cond.Broadcast()
-	w.mu.Unlock()
-}
-
-// waitBlocks blocks until every peer's block for phase has arrived, then
-// consumes and returns them.
-func (w *worker) waitBlocks(phase int) map[int][]complex128 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for len(w.staged[phase]) < w.groupSize-1 {
-		w.cond.Wait()
+	w.geom = g
+	w.peers = refs
+	w.slab = make([]complex128, g.slabLen())
+	w.tr = make([]complex128, g.trLen())
+	w.open = [2][]bool{make([]bool, n), make([]bool, n)}
+	for v := range w.open[phaseForward] {
+		w.open[phaseForward][v] = v != w.id // tr is idle: forward blocks may land
 	}
-	blocks := w.staged[phase]
-	delete(w.staged, phase)
-	return blocks
-}
-
-// packForward extracts the block destined for peer v from the slab:
-// shape [h2][h1][n3], covering i2 in v's stripe.
-func (w *worker) packForward(v int) []complex128 {
-	out := make([]complex128, w.h2*w.h1*w.n3)
-	for i2loc := 0; i2loc < w.h2; i2loc++ {
-		i2 := v*w.h2 + i2loc
-		for i1 := 0; i1 < w.h1; i1++ {
-			src := (i1*w.n2 + i2) * w.n3
-			dst := (i2loc*w.h1 + i1) * w.n3
-			copy(out[dst:dst+w.n3], w.slab[src:src+w.n3])
-		}
-	}
-	return out
-}
-
-// placeForward installs a forward block from sender u into the transposed
-// buffer tr at rows S1u.
-func (w *worker) placeForward(u int, block []complex128) error {
-	if len(block) != w.h2*w.h1*w.n3 {
-		return fmt.Errorf("pfft: forward block from %d has %d elements, want %d", u, len(block), w.h2*w.h1*w.n3)
-	}
-	for i2loc := 0; i2loc < w.h2; i2loc++ {
-		for i1loc := 0; i1loc < w.h1; i1loc++ {
-			i1 := u*w.h1 + i1loc
-			src := (i2loc*w.h1 + i1loc) * w.n3
-			dst := (i2loc*w.n1 + i1) * w.n3
-			copy(w.tr[dst:dst+w.n3], block[src:src+w.n3])
-		}
-	}
+	w.landed = [2]int{}
 	return nil
 }
 
-// packBack extracts the block destined for peer u from tr: shape
-// [h1][h2][n3], covering i1 in u's stripe.
-func (w *worker) packBack(u int) []complex128 {
-	out := make([]complex128, w.h1*w.h2*w.n3)
-	for i1loc := 0; i1loc < w.h1; i1loc++ {
-		i1 := u*w.h1 + i1loc
-		for i2loc := 0; i2loc < w.h2; i2loc++ {
-			src := (i2loc*w.n1 + i1) * w.n3
-			dst := (i1loc*w.h2 + i2loc) * w.n3
-			copy(out[dst:dst+w.n3], w.tr[src:src+w.n3])
-		}
+// bufs returns the buffer a phase's blocks are gathered from and the one
+// they are scattered into.
+func (w *worker) bufs(phase int) (src, dst []complex128) {
+	if phase == phaseForward {
+		return w.slab, w.tr
 	}
-	return out
+	return w.tr, w.slab
 }
 
-// placeBack installs a back block from sender v into the slab at columns
-// S2v.
-func (w *worker) placeBack(v int, block []complex128) error {
-	if len(block) != w.h1*w.h2*w.n3 {
-		return fmt.Errorf("pfft: back block from %d has %d elements, want %d", v, len(block), w.h1*w.h2*w.n3)
+// storeBlock places the transpose block in args — phase, sender, packed
+// block — that a peer pushed: frame -> rows, after every check and not at
+// all if one fails (package doc). It runs as a concurrent method.
+func (w *worker) storeBlock(args *wire.Decoder) error {
+	phase, from := args.Int(), args.Int()
+	n := args.Complex128sLen() // 0 and an error unless every byte is there
+	if err := args.Err(); err != nil {
+		return err
 	}
-	for i1loc := 0; i1loc < w.h1; i1loc++ {
-		for i2loc := 0; i2loc < w.h2; i2loc++ {
-			i2 := v*w.h2 + i2loc
-			src := (i1loc*w.h2 + i2loc) * w.n3
-			dst := (i1loc*w.n2 + i2) * w.n3
-			copy(w.slab[dst:dst+w.n3], block[src:src+w.n3])
-		}
+	w.mu.Lock()
+	var err error
+	switch {
+	case phase != phaseForward && phase != phaseBack:
+		err = fmt.Errorf("pfft: block for phase %d", phase)
+	case from < 0 || from >= len(w.open[phase]) || from == w.id:
+		err = fmt.Errorf("pfft: worker %d: block from worker %d of %d", w.id, from, len(w.open[phase]))
+	case n != w.blockLen():
+		err = fmt.Errorf("pfft: phase %d block from %d has %d elements, want %d", phase, from, n, w.blockLen())
+	case !w.open[phase][from]:
+		err = fmt.Errorf("pfft: worker %d: phase %d block from %d refused: a second one, or its rows are still in use", w.id, phase, from)
+	default:
+		w.open[phase][from] = false
 	}
+	w.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	_, dst := w.bufs(phase)
+	w.scatter(args, phase, from, w.id, dst)
+	w.mu.Lock()
+	w.landed[phase]++
+	w.cond.Broadcast()
+	w.mu.Unlock()
 	return nil
 }
 
-// exchange pushes phase blocks to all peers (pipelined), places the local
-// block directly, then waits for and places all inbound blocks.
-func (w *worker) exchange(env *rmi.Env, phase int, pack func(int) []complex128, place func(int, []complex128) error) error {
-	if w.groupSize == 1 {
-		return place(0, pack(0))
-	}
-	if env.Client == nil {
+// exchange is one transpose: this worker's own block copied across, its
+// block for each peer gathered into a storeBlock call (all in flight at
+// once, settled by the split loop), and a wait until every peer's block
+// has landed here.
+func (w *worker) exchange(env *rmi.Env, phase int) error {
+	src, dst := w.bufs(phase)
+	w.rows(phase, w.id, w.id, func(s, d int) { copy(dst[d:d+w.n3], src[s:s+w.n3]) })
+	peers := w.p - 1
+	if peers > 0 && env.Client == nil {
 		return fmt.Errorf("pfft: machine %d has no outbound client", env.Machine)
 	}
-	futs := make([]*rmi.Future, 0, w.groupSize-1)
-	for v := 0; v < w.groupSize; v++ {
-		if v == w.id {
-			continue
+	err := rmi.SplitLoop(env.Ctx(), peers, peers, func(i int) *rmi.Future {
+		v := i
+		if v >= w.id {
+			v++
 		}
-		block := pack(v)
-		futs = append(futs, env.Client.CallAsync(context.Background(), w.peers[v], "storeBlock", func(e *wire.Encoder) error {
+		return env.Client.CallAsync(env.Ctx(), w.peers[v], "storeBlock", func(e *wire.Encoder) error {
 			e.PutInt(phase)
 			e.PutInt(w.id)
-			e.PutComplex128s(block)
+			w.gather(e, phase, w.id, v, src)
+			// The rows just read are the ones v's block of the other
+			// phase lands in: they are v's from here, and the request
+			// has not left yet.
+			w.mu.Lock()
+			w.open[1-phase][v] = true
+			w.mu.Unlock()
 			return nil
-		}))
-	}
-	if err := place(w.id, pack(w.id)); err != nil {
+		})
+	}, nil)
+	if err != nil {
 		return err
 	}
-	if err := rmi.WaitAllReleased(context.Background(), futs); err != nil {
-		return err
+	w.mu.Lock()
+	for w.landed[phase] < peers {
+		w.cond.Wait()
 	}
-	for from, block := range w.waitBlocks(phase) {
-		if err := place(from, block); err != nil {
-			return err
-		}
-	}
+	w.landed[phase] = 0
+	w.mu.Unlock()
 	return nil
 }
 
 // transform runs the joint FFT protocol from this worker's perspective.
 func (w *worker) transform(env *rmi.Env, sign int) error {
-	if w.groupSize == 0 {
+	if w.p == 0 {
 		return fmt.Errorf("pfft: transform before setGroup")
 	}
-	// Phase 1: local FFTs over axes 2,3 of the slab.
-	if err := fft.TransformAxis23(w.slab, w.h1, w.n2, w.n3, sign); err != nil {
+	if err := w.axis23(w.slab, sign); err != nil {
 		return err
 	}
-	// Phase 2: forward transpose.
-	if err := w.exchange(env, phaseForward, w.packForward, w.placeForward); err != nil {
+	if err := w.exchange(env, phaseForward); err != nil {
 		return err
 	}
-	// Phase 3: axis-1 FFTs, now node-local: tr is [h2][n1][n3].
-	for i2loc := 0; i2loc < w.h2; i2loc++ {
-		blk := w.tr[i2loc*w.n1*w.n3 : (i2loc+1)*w.n1*w.n3]
-		if err := fft.TransformAxis1(blk, w.n1, 1, w.n3, sign); err != nil {
-			return err
-		}
+	if err := w.axis1(w.tr, sign); err != nil {
+		return err
 	}
-	// Phase 4: transpose back to the original slab layout.
-	return w.exchange(env, phaseBack, w.packBack, w.placeBack)
+	return w.exchange(env, phaseBack)
 }
 
 // refTable is the holder process for the shallow SetGroup experiment.
@@ -310,15 +296,8 @@ func registerWorkerClass() *rmi.Class[*worker] {
 			return w.setGroup(n, refs)
 		}).
 		Method("loadSlab", func(w *worker, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			data := args.Complex128s()
-			if err := args.Err(); err != nil {
-				return err
-			}
-			if len(data) != len(w.slab) {
-				return fmt.Errorf("pfft: slab is %d elements, got %d", len(w.slab), len(data))
-			}
-			copy(w.slab, data)
-			return nil
+			args.Complex128sInto(w.slab)
+			return args.Err()
 		}).
 		Method("readSlab", func(w *worker, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 			reply.PutComplex128s(w.slab)
@@ -332,14 +311,7 @@ func registerWorkerClass() *rmi.Class[*worker] {
 			return w.transform(env, sign)
 		}).
 		ConcurrentMethod("storeBlock", func(w *worker, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			phase := args.Int()
-			from := args.Int()
-			block := args.Complex128s()
-			if err := args.Err(); err != nil {
-				return err
-			}
-			w.storeBlock(phase, from, block)
-			return nil
+			return w.storeBlock(args)
 		})
 }
 

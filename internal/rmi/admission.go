@@ -87,7 +87,7 @@ func (s *Server) admit(prio Priority) error {
 	if c := s.admitCap[prio]; c >= 0 && s.admitDepth[prio] >= c {
 		depth := s.admitDepth[prio]
 		s.mu.Unlock()
-		s.counters.ReqShed.Add(1)
+		metrics.Default.ReqShed.Add(1)
 		return &OverloadedError{
 			Machine:    s.machine,
 			Priority:   prio,
@@ -98,8 +98,8 @@ func (s *Server) admit(prio Priority) error {
 	s.admitDepth[prio]++
 	s.calls.Add(1)
 	s.mu.Unlock()
-	s.counters.ReqAdmitted.Add(1)
-	queueGauge(s.counters, prio).Add(1)
+	metrics.Default.ReqAdmitted.Add(1)
+	queueGauge(prio).Add(1)
 	return nil
 }
 
@@ -122,18 +122,18 @@ func (s *Server) freeSlot(prio Priority, start time.Time) {
 	s.mu.Lock()
 	s.admitDepth[prio]--
 	s.mu.Unlock()
-	queueGauge(s.counters, prio).Add(-1)
+	queueGauge(prio).Add(-1)
 }
 
 // queueGauge maps a class to its live-depth gauge.
-func queueGauge(c *metrics.Counters, prio Priority) *atomic.Int64 {
+func queueGauge(prio Priority) *atomic.Int64 {
 	switch prio {
 	case PrioHigh:
-		return &c.QueueHigh
+		return &metrics.Default.QueueHigh
 	case PrioBulk:
-		return &c.QueueBulk
+		return &metrics.Default.QueueBulk
 	default:
-		return &c.QueueNormal
+		return &metrics.Default.QueueNormal
 	}
 }
 

@@ -142,9 +142,8 @@ func backoffDelay(failures int) time.Duration {
 // wire.Decoder.Release. Callers that drop the decoder instead merely fall
 // back to the garbage collector.
 type Client struct {
-	tr       transport.Transport
-	dir      Directory
-	counters *metrics.Counters
+	tr  transport.Transport
+	dir Directory
 
 	nextID atomic.Uint64
 
@@ -158,21 +157,16 @@ type Client struct {
 // NewClient returns a client over tr, resolving machines through dir.
 func NewClient(tr transport.Transport, dir Directory) *Client {
 	return &Client{
-		tr:       tr,
-		dir:      dir,
-		counters: metrics.Default,
-		conns:    make(map[int]*clientConn),
-		down:     make(map[int]error),
-		streak:   make(map[int]int),
+		tr:     tr,
+		dir:    dir,
+		conns:  make(map[int]*clientConn),
+		down:   make(map[int]error),
+		streak: make(map[int]int),
 	}
 }
 
 // Directory returns the client's machine directory.
 func (c *Client) Directory() Directory { return c.dir }
-
-// Counters returns the client's metrics, including the dropped-response
-// accounting (RespDropped, RespOrphaned) fed by the receive loops.
-func (c *Client) Counters() *metrics.Counters { return c.counters }
 
 // Close shuts down all connections. In-flight calls fail with ErrClosed.
 func (c *Client) Close() error {
@@ -239,7 +233,7 @@ func (c *Client) conn(ctx context.Context, m int, o *callOptions) (*clientConn, 
 			c.mu.Unlock()
 			return nil, &MachineDownError{Machine: m, Cause: fmt.Errorf("rmi: dial machine %d: %w", m, err)}
 		}
-		c.counters.DialRetries.Add(1)
+		metrics.Default.DialRetries.Add(1)
 		select {
 		case <-ctx.Done():
 			return nil, fmt.Errorf("rmi: dial machine %d: %w", m, ctx.Err())
@@ -436,7 +430,7 @@ func (c *Client) Call(ctx context.Context, ref Ref, method string, args ArgEncod
 		if err == nil || attempt >= o.retryOverload || !errors.Is(err, ErrOverloaded) {
 			return d, err
 		}
-		c.counters.OverloadRetries.Add(1)
+		metrics.Default.OverloadRetries.Add(1)
 		wait := overloadBackoff(err, attempt, o.retryMaxWait)
 		select {
 		case <-time.After(wait):
@@ -527,15 +521,15 @@ func (c *Client) callOnce(ctx context.Context, ref Ref, method string, args ArgE
 	cc.register(reqID, w)
 	frame := e.Detach()
 	wire.PutEncoder(e)
-	c.counters.CallsIssued.Add(1)
-	c.counters.MessagesSent.Add(1)
-	c.counters.BytesSent.Add(int64(len(frame)))
+	metrics.Default.CallsIssued.Add(1)
+	metrics.Default.MessagesSent.Add(1)
+	metrics.Default.BytesSent.Add(int64(len(frame)))
 	if err := cc.conn.Send(frame); err != nil {
 		cc.unregister(reqID)
 		span.End(true)
 		// The waiter is not pooled here: a connection-death failure may
 		// race in behind the unregister and deliver into its channel.
-		return nil, fmt.Errorf("rmi: send to machine %d: %w", ref.Machine, err)
+		return nil, cc.sendFailed(err)
 	}
 
 	select {
@@ -609,7 +603,7 @@ func (c *Client) CallAsync(ctx context.Context, ref Ref, method string, args Arg
 			return fut
 		}
 	}
-	c.counters.CallsIssued.Add(1)
+	metrics.Default.CallsIssued.Add(1)
 	if err := c.send(ctx, ref.Machine, reqID, e, fut, &o); err != nil {
 		fut.fail(err)
 	}
@@ -754,11 +748,11 @@ func (c *Client) send(ctx context.Context, m int, reqID uint64, e *wire.Encoder,
 	}
 	frame := e.Detach()
 	wire.PutEncoder(e)
-	c.counters.MessagesSent.Add(1)
-	c.counters.BytesSent.Add(int64(len(frame)))
+	metrics.Default.MessagesSent.Add(1)
+	metrics.Default.BytesSent.Add(int64(len(frame)))
 	if err := cc.conn.Send(frame); err != nil {
 		cc.unregister(reqID)
-		return fmt.Errorf("rmi: send to machine %d: %w", m, err)
+		return cc.sendFailed(err)
 	}
 	return nil
 }
@@ -833,10 +827,9 @@ func (w *callWaiter) describe() string {
 // it from the owner's cache — the eviction is what makes reconnection
 // automatic.
 type clientConn struct {
-	conn     transport.Conn
-	counters *metrics.Counters
-	owner    *Client
-	machine  int
+	conn    transport.Conn
+	owner   *Client
+	machine int
 
 	// inflight mirrors len(pending) behind an atomic so load-aware
 	// connection pickers (internal/serve) can read a connection's
@@ -849,7 +842,7 @@ type clientConn struct {
 }
 
 func newClientConn(conn transport.Conn, owner *Client, machine int) *clientConn {
-	cc := &clientConn{conn: conn, counters: owner.counters, owner: owner, machine: machine, pending: make(map[uint64]pendingCall)}
+	cc := &clientConn{conn: conn, owner: owner, machine: machine, pending: make(map[uint64]pendingCall)}
 	go cc.recvLoop()
 	return cc
 }
@@ -885,8 +878,8 @@ func (cc *clientConn) recvLoop() {
 			cc.close(&MachineDownError{Machine: cc.machine, Cause: fmt.Errorf("rmi: connection lost: %w", err)})
 			return
 		}
-		cc.counters.MessagesRecv.Add(1)
-		cc.counters.BytesRecv.Add(int64(len(frame)))
+		metrics.Default.MessagesRecv.Add(1)
+		metrics.Default.BytesRecv.Add(int64(len(frame)))
 		// The decoder takes ownership of the pooled frame; it travels to
 		// the caller on success and is released here on every other path.
 		d := wire.GetFrameDecoder(frame)
@@ -895,7 +888,7 @@ func (cc *clientConn) recvLoop() {
 		if d.Err() != nil {
 			// Unparseable response header: nothing to match it to. Count it
 			// — a nonzero RespDropped means a peer is speaking garbage.
-			cc.counters.RespDropped.Add(1)
+			metrics.Default.RespDropped.Add(1)
 			d.Release()
 			continue
 		}
@@ -908,7 +901,7 @@ func (cc *clientConn) recvLoop() {
 			// Response to an abandoned request (canceled, timed out, or
 			// never registered). Expected under cancellation, but counted
 			// so operators can see the orphan rate.
-			cc.counters.RespOrphaned.Add(1)
+			metrics.Default.RespOrphaned.Add(1)
 			d.Release()
 			continue
 		}
@@ -919,6 +912,22 @@ func (cc *clientConn) recvLoop() {
 			d.Release()
 		}
 	}
+}
+
+// sendFailed types the failure of a Send on this established connection.
+// If the connection was closed from this side — the client closed, the
+// failure detector's verdict — the cause it was closed with is the answer.
+// Otherwise the peer is gone and the receive loop has not noticed yet: that
+// is the machine down, as the receive loop will say in a moment, not an
+// untyped transport error for whoever asked first.
+func (cc *clientConn) sendFailed(err error) error {
+	cc.mu.Lock()
+	dead := cc.dead
+	cc.mu.Unlock()
+	if dead != nil {
+		return dead
+	}
+	return &MachineDownError{Machine: cc.machine, Cause: fmt.Errorf("rmi: send to machine %d: %w", cc.machine, err)}
 }
 
 // close fails every pending future and closes the socket.

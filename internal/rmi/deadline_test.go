@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"oopp/internal/metrics"
 	"oopp/internal/wire"
 )
 
@@ -53,13 +54,13 @@ func (g *tallyObj) release() { g.once.Do(func() { close(g.gate) }) }
 // ReqExpired, and the method body never runs.
 func TestDeadlineShedBeforeExecution(t *testing.T) {
 	registerTally()
-	srv, c, _ := newGateServer(t, Unbounded())
+	_, c, _ := newGateServer(t, Unbounded())
 	ref, err := c.New(bg, 0, "test.Tally", nil)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 
-	before := srv.Counters().Snapshot()
+	before := metrics.Default.Snapshot()
 
 	// Park the mailbox, then queue a mutation with a deadline far shorter
 	// than the park.
@@ -82,7 +83,7 @@ func TestDeadlineShedBeforeExecution(t *testing.T) {
 	// The server noticed the expiry itself (the client timer firing is
 	// not enough — the shed must happen server-side, before execution).
 	waitUntil(t, func() bool {
-		return srv.Counters().Snapshot().Sub(before).ReqExpired >= 1
+		return metrics.Default.Snapshot().Sub(before).ReqExpired >= 1
 	})
 
 	// The method body never ran: a fresh in-deadline call sees count 0,
@@ -99,7 +100,7 @@ func TestDeadlineShedBeforeExecution(t *testing.T) {
 	if _, err := c.Call(bg, ref, "bump", nil, WithTimeout(5*time.Second)); err != nil {
 		t.Fatalf("in-deadline bump: %v", err)
 	}
-	if delta := srv.Counters().Snapshot().Sub(before); delta.ReqExpired != 1 {
+	if delta := metrics.Default.Snapshot().Sub(before); delta.ReqExpired != 1 {
 		t.Fatalf("ReqExpired = %d, want exactly 1", delta.ReqExpired)
 	}
 }

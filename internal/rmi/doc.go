@@ -265,8 +265,8 @@
 // delay high-priority traffic, so heartbeats never declare a merely
 // busy machine down; and admission is checked only after the
 // draining/closed states, so ErrOverloaded never masks ErrDraining.
-// Counters (ReqAdmitted, ReqShed, per-class QueueDepths) live on
-// Server.Counters. The serve package builds the client half — session
+// Counters (ReqAdmitted, ReqShed, the per-class queue gauges) live in
+// metrics.Default. The serve package builds the client half — session
 // multiplexing over bounded connection pools and the open-loop load
 // harness — on this contract.
 //
@@ -288,5 +288,5 @@
 // Decoder.BytesView/Bytes/StringBytes alias that frame and die with it —
 // copy anything that outlives the decode. Dropping a decoder without
 // Release is always safe; it merely falls back to the garbage collector.
-// WaitAllReleased, Future.Err, and Future.Ref release for you.
+// Future.Err, Future.Ref and SplitLoop with a nil settle release for you.
 package rmi

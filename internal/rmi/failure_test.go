@@ -3,6 +3,7 @@ package rmi
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -341,5 +342,69 @@ func TestTCPConnectionDropMidCall(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("future hung after connection drop")
+	}
+}
+
+// halfDeadTransport dials connections whose Send starts failing the moment
+// dead is set while their Recv keeps blocking — a peer that has died and
+// whose death the reader has not seen yet, held still.
+type halfDeadTransport struct {
+	transport.Transport
+	dead atomic.Bool
+}
+
+type halfDeadConn struct {
+	transport.Conn
+	dead *atomic.Bool
+}
+
+func (tr *halfDeadTransport) Dial(addr string) (transport.Conn, error) {
+	conn, err := tr.Transport.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &halfDeadConn{Conn: conn, dead: &tr.dead}, nil
+}
+
+func (c *halfDeadConn) Send(msg []byte) error {
+	if c.dead.Load() {
+		return transport.ErrClosed
+	}
+	return c.Conn.Send(msg)
+}
+
+// TestSendToDeadPeerIsTypedMachineDown: a call that reaches a connection
+// whose peer is gone before the receive loop has evicted it fails with the
+// typed machine-down error on both call paths — not with whatever the
+// transport said — and a closed client still says it is closed.
+func TestSendToDeadPeerIsTypedMachineDown(t *testing.T) {
+	tr := &halfDeadTransport{Transport: transport.NewInproc(transport.LinkModel{})}
+	srv, err := NewServer(0, tr, "", nil)
+	if err != nil {
+		t.Fatalf("server: %v", err)
+	}
+	defer srv.Close()
+	c := NewClient(tr, StaticDirectory{srv.Addr()})
+	ref, err := c.New(bg, 0, "test.Slowpoke", nil)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+
+	tr.dead.Store(true)
+	_, syncErr := c.Call(bg, ref, "nop", nil)
+	asyncErr := c.CallAsync(bg, ref, "nop", nil).Err(bg)
+	for path, err := range map[string]error{"Call": syncErr, "CallAsync": asyncErr} {
+		var down *MachineDownError
+		if !errors.Is(err, ErrMachineDown) || !errors.As(err, &down) || down.Machine != 0 {
+			t.Errorf("%s on a dead peer's connection: %v, want a *MachineDownError for machine 0", path, err)
+		}
+		if !errors.Is(err, transport.ErrClosed) {
+			t.Errorf("%s: %v does not carry the transport's cause", path, err)
+		}
+	}
+
+	c.Close()
+	if _, err := c.Call(bg, ref, "nop", nil); !errors.Is(err, ErrClientClosed) {
+		t.Errorf("call on a closed client: %v, want ErrClientClosed", err)
 	}
 }

@@ -221,19 +221,6 @@ func WaitAll(ctx context.Context, futs []*Future) error {
 	return first
 }
 
-// WaitAllReleased is WaitAll for fan-outs whose responses nobody decodes
-// (void methods, discarded reads): after waiting it recycles every
-// future's response frame, keeping pipelined §4 loops allocation-free.
-func WaitAllReleased(ctx context.Context, futs []*Future) error {
-	err := WaitAll(ctx, futs)
-	for _, f := range futs {
-		if f != nil {
-			f.Release()
-		}
-	}
-	return err
-}
-
 // TypedFuture is the generic, decoded view of a Future: Wait returns the
 // call's single tagged result as R instead of a raw decoder. It is
 // produced by InvokeAsync and by Class[T] construction helpers.

@@ -29,7 +29,6 @@ type Server struct {
 	machine  int
 	env      *Env
 	listener transport.Listener
-	counters *metrics.Counters
 
 	// methods is the always-on per-method telemetry registry: one latency
 	// histogram plus outcome counters per class.method, served raw by the
@@ -93,7 +92,6 @@ func NewServer(machine int, tr transport.Transport, addr string, env *Env) (*Ser
 		machine:  machine,
 		env:      env,
 		listener: l,
-		counters: metrics.Default,
 		objects:  make(map[uint64]*objEntry),
 		conns:    make(map[transport.Conn]struct{}),
 		admitCap: AdmissionConfig{}.resolve(),
@@ -111,11 +109,6 @@ func (s *Server) Machine() int { return s.machine }
 
 // Env returns the server's environment (for installing resources).
 func (s *Server) Env() *Env { return s.env }
-
-// Counters returns the server's metrics, including the admission
-// statistics (ReqAdmitted, ReqShed) and the per-class queue-depth gauges
-// maintained by admit/release.
-func (s *Server) Counters() *metrics.Counters { return s.counters }
 
 // NumObjects returns the number of live objects.
 func (s *Server) NumObjects() int {
@@ -241,8 +234,8 @@ func (s *Server) serveConn(conn transport.Conn) {
 		if err != nil {
 			return
 		}
-		s.counters.MessagesRecv.Add(1)
-		s.counters.BytesRecv.Add(int64(len(frame)))
+		metrics.Default.MessagesRecv.Add(1)
+		metrics.Default.BytesRecv.Add(int64(len(frame)))
 		s.dispatch(conn, frame)
 	}
 }
@@ -429,8 +422,8 @@ func (s *Server) adopt(cl *ClassSpec, obj any) (uint64, error) {
 	s.objects[entry.id] = entry
 	s.mu.Unlock()
 
-	s.counters.ObjectsLive.Add(1)
-	s.counters.ObjectsTotal.Add(1)
+	metrics.Default.ObjectsLive.Add(1)
+	metrics.Default.ObjectsTotal.Add(1)
 
 	// The object's process: a goroutine draining its mailbox.
 	s.objWG.Add(1)
@@ -475,7 +468,7 @@ func (s *Server) TakeObject(id uint64) (any, error) {
 		<-done
 	}
 	entry.mb.close()
-	s.counters.ObjectsLive.Add(-1)
+	metrics.Default.ObjectsLive.Add(-1)
 	return entry.obj, nil
 }
 
@@ -499,7 +492,7 @@ func (s *Server) PutBack(id uint64, class string, obj any) error {
 	}
 	s.objects[id] = entry
 	s.mu.Unlock()
-	s.counters.ObjectsLive.Add(1)
+	metrics.Default.ObjectsLive.Add(1)
 	s.objWG.Add(1)
 	go func() {
 		defer s.objWG.Done()
@@ -560,11 +553,11 @@ func (t *callTask) run() {
 			// would be pure waste. Shed with the same typed error the
 			// client's own timer reports (errors.Is matches
 			// context.DeadlineExceeded across the wire).
-			s.counters.ReqExpired.Add(1)
+			metrics.Default.ReqExpired.Add(1)
 			expired = true
 			err = fmt.Errorf("expired before execution: %v", context.DeadlineExceeded)
 		} else {
-			s.counters.CallsServed.Add(1)
+			metrics.Default.CallsServed.Add(1)
 			err = s.invoke(t.me.fn, t.env, t.entry, t.args, reply)
 		}
 	}
@@ -600,8 +593,8 @@ func (t *callTask) run() {
 	}
 	t.span.End(err != nil)
 	s.freeSlot(t.prio, t.start)
-	s.counters.MessagesSent.Add(1)
-	s.counters.BytesSent.Add(int64(len(frame)))
+	metrics.Default.MessagesSent.Add(1)
+	metrics.Default.BytesSent.Add(int64(len(frame)))
 	// Best effort: if the connection died the client sees ErrClosed.
 	_ = t.conn.Send(frame)
 	*t = callTask{}
@@ -731,7 +724,7 @@ func (s *Server) destroyObject(entry *objEntry) (err error) {
 			err = fmt.Errorf("destructor panic: %v", r)
 		}
 	}()
-	s.counters.ObjectsLive.Add(-1)
+	metrics.Default.ObjectsLive.Add(-1)
 	if d, ok := entry.obj.(Destroyer); ok {
 		return d.OnDestroy(s.env)
 	}
@@ -759,8 +752,8 @@ func (s *Server) reply(conn transport.Conn, reqID uint64, result *wire.Encoder, 
 	}
 	frame := e.Detach()
 	wire.PutEncoder(e)
-	s.counters.MessagesSent.Add(1)
-	s.counters.BytesSent.Add(int64(len(frame)))
+	metrics.Default.MessagesSent.Add(1)
+	metrics.Default.BytesSent.Add(int64(len(frame)))
 	// Best effort: if the connection died the client sees ErrClosed.
 	_ = conn.Send(frame)
 }
@@ -773,7 +766,7 @@ func (s *Server) reply(conn transport.Conn, reqID uint64, result *wire.Encoder, 
 func (s *Server) replyDebug(conn transport.Conn, reqID uint64) {
 	snap := trace.Snapshot{
 		Machine: s.machine,
-		Shed:    s.counters.ReqShed.Load(),
+		Shed:    metrics.Default.ReqShed.Load(),
 		Methods: s.methods.Snapshot(),
 		Spans:   trace.Spans(),
 	}

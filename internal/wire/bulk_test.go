@@ -117,11 +117,16 @@ func FuzzBulkFloat64sEqualPortable(f *testing.F) {
 		for i := range cs {
 			cs[i] = complex(want[2*i], want[2*i+1])
 		}
-		ce := NewEncoder(0)
+		ce, cruns := NewEncoder(0), NewEncoder(0)
 		ce.PutComplex128s(cs)
+		ccut := len(cs) / 3
+		cruns.PutComplex128sLen(len(cs))
+		cruns.AppendComplex128s(cs[:ccut])
+		cruns.AppendComplex128s(nil)
+		cruns.AppendComplex128s(cs[ccut:])
 		cref := append(binary.AppendUvarint(nil, uint64(len(cs))), packed[:16*len(cs)]...)
-		if !bytes.Equal(ce.Bytes(), cref) {
-			t.Fatalf("PutComplex128s differs from the portable bytes")
+		if !bytes.Equal(ce.Bytes(), cref) || !bytes.Equal(cruns.Bytes(), cref) {
+			t.Fatalf("PutComplex128s, whole or in runs, differs from the portable bytes")
 		}
 		back := NewDecoder(cref).Complex128s()
 		into := make([]complex128, len(cs))
@@ -130,8 +135,18 @@ func FuzzBulkFloat64sEqualPortable(f *testing.F) {
 		if cd.Err() != nil || len(back) != len(cs) {
 			t.Fatalf("complex decode: %v, %d values", cd.Err(), len(back))
 		}
+		inRuns := make([]complex128, len(cs))
+		cd = NewDecoder(cref)
+		if m := cd.Complex128sLen(); m != len(cs) || cd.Err() != nil {
+			t.Fatalf("Complex128sLen = %d, %v, want %d", m, cd.Err(), len(cs))
+		}
+		cd.CopyComplex128s(inRuns[:ccut])
+		cd.CopyComplex128s(inRuns[ccut:])
+		if cd.Err() != nil || cd.Remaining() != 0 {
+			t.Fatalf("run-wise complex decode: %v, %d bytes left", cd.Err(), cd.Remaining())
+		}
 		for i := range cs {
-			for _, c := range []complex128{back[i], into[i]} {
+			for _, c := range []complex128{back[i], into[i], inRuns[i]} {
 				if math.Float64bits(real(c)) != math.Float64bits(want[2*i]) || math.Float64bits(imag(c)) != math.Float64bits(want[2*i+1]) {
 					t.Fatalf("complex value %d decoded with other bits", i)
 				}
@@ -161,6 +176,7 @@ func FuzzFloat64sDecodeNoPanic(f *testing.F) {
 			func(d *Decoder) { d.Refs() },
 			func(d *Decoder) { d.Ints() },
 			func(d *Decoder) { d.CopyFloat64s(make([]float64, want)) },
+			func(d *Decoder) { d.CopyComplex128s(make([]complex128, want)) },
 			func(d *Decoder) { d.SkipFloat64s(int(want)); d.SkipFloat64s(-int(want) - 1) },
 		} {
 			d := NewDecoder(data)
@@ -189,6 +205,26 @@ func FuzzFloat64sDecodeNoPanic(f *testing.F) {
 		d.CopyFloat64s(make([]float64, d.Remaining()/8+1))
 		if d.Err() == nil {
 			t.Fatal("a run past the end of the frame was accepted")
+		}
+
+		// The complex count is held to the same: accepted means every value
+		// can be taken.
+		d = NewDecoder(data)
+		n = d.Complex128sLen()
+		if d.Err() != nil {
+			if n != 0 {
+				t.Fatalf("Complex128sLen failed (%v) yet returned %d", d.Err(), n)
+			}
+			return
+		}
+		if n < 0 || n > d.Remaining()/16 {
+			t.Fatalf("Complex128sLen accepted %d values with %d bytes left", n, d.Remaining())
+		}
+		part = min(n, int(want))
+		d.CopyComplex128s(make([]complex128, part))
+		d.CopyComplex128s(make([]complex128, n-part))
+		if d.Err() != nil {
+			t.Fatalf("complex runs within an accepted length failed: %v", d.Err())
 		}
 	})
 }

@@ -59,9 +59,12 @@
 // array this way); a reader that must not half-store a block, or wants its
 // runs somewhere other than one slice, reads the count with Float64sLen —
 // which checks that every byte announced is in the frame before any is
-// consumed — and takes runs with CopyFloat64s and SkipFloat64s. Counts off
-// a socket are compared against the values that fit in what remains of the
-// frame, never multiplied by the value size first.
+// consumed — and takes runs with CopyFloat64s and SkipFloat64s. The complex
+// forms (PutComplex128sLen, AppendComplex128s, Complex128sLen,
+// CopyComplex128s) are the same four over a complex128's two parts; pfft's
+// transpose blocks cross that way. Counts off a socket are compared against
+// the values that fit in what remains of the frame, never multiplied by the
+// value size first.
 package wire
 
 import (
@@ -247,8 +250,21 @@ func (e *Encoder) AppendFloat64s(run []float64) {
 // PutComplex128s appends a length-prefixed packed []complex128, like
 // PutFloat64s: each value is its real part, then its imaginary part.
 func (e *Encoder) PutComplex128s(v []complex128) {
-	e.PutUvarint(uint64(len(v)))
-	e.AppendFloat64s(complexFloats(v))
+	e.PutComplex128sLen(len(v))
+	e.AppendComplex128s(v)
+}
+
+// PutComplex128sLen and AppendComplex128s are PutFloat64sLen and
+// AppendFloat64s for complex values: a block of n, then exactly n values in
+// runs. The bytes are those of PutComplex128s on the joined runs.
+func (e *Encoder) PutComplex128sLen(n int) {
+	e.PutUvarint(uint64(n))
+	e.ensure(16 * n)
+}
+
+// AppendComplex128s appends a run of a block opened with PutComplex128sLen.
+func (e *Encoder) AppendComplex128s(run []complex128) {
+	e.AppendFloat64s(complexFloats(run))
 }
 
 // PutInts appends a length-prefixed []int as signed varints.
@@ -543,7 +559,7 @@ func (d *Decoder) Complex128s() []complex128 {
 		return nil
 	}
 	out := make([]complex128, n)
-	d.CopyFloat64s(complexFloats(out))
+	d.CopyComplex128s(out)
 	return out
 }
 
@@ -558,6 +574,21 @@ func (d *Decoder) Complex128sInto(dst []complex128) {
 		d.fail(fmt.Errorf("%w: Complex128sInto length %d, want %d", ErrCorrupt, n, len(dst)))
 		return
 	}
+	d.CopyComplex128s(dst)
+}
+
+// Complex128sLen and CopyComplex128s are Float64sLen and CopyFloat64s for
+// complex values: the count n of a packed []complex128, all 16n bytes
+// checked present (0 and a sticky error otherwise), then exactly n values
+// taken in runs that cannot fail.
+func (d *Decoder) Complex128sLen() int {
+	n, _ := d.bulkLen(16)
+	return n
+}
+
+// CopyComplex128s fills dst with the next len(dst) packed values — a run of
+// a block opened with Complex128sLen.
+func (d *Decoder) CopyComplex128s(dst []complex128) {
 	d.CopyFloat64s(complexFloats(dst))
 }
 

@@ -222,6 +222,7 @@ func TestHugeLengthRejected(t *testing.T) {
 			"Ints":            func(d *Decoder) bool { return d.Ints() == nil },
 			"Refs":            func(d *Decoder) bool { return d.Refs() == nil },
 			"Float64sLen":     func(d *Decoder) bool { return d.Float64sLen() == 0 },
+			"Complex128sLen":  func(d *Decoder) bool { return d.Complex128sLen() == 0 },
 			"Float64sInto":    func(d *Decoder) bool { d.Float64sInto(make([]float64, 4)); return true },
 			"Complex128sInto": func(d *Decoder) bool { d.Complex128sInto(make([]complex128, 4)); return true },
 		} {
