@@ -23,8 +23,9 @@ func E5ParallelFFT(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:    "E5",
 		Title: "Parallel FFT scaling with worker processes",
-		Claim: "§4: a group of FFT processes jointly computes the transform, exchanging" +
-			" transpose blocks by remote method execution; time falls with worker count",
+		Claim: "§4: a group of FFT processes jointly computes the transform, each sending" +
+			" its transpose blocks a few planes at a time by remote method execution while" +
+			" it transforms the next planes; time falls with worker count",
 		Columns: []string{"workers", "transform ms", "speedup", "efficiency"},
 	}
 	x := make([]complex128, n*n*n)
@@ -88,6 +89,7 @@ func E5ParallelFFT(cfg Config) (*Table, error) {
 		f.Close(bg)
 		cl.Shutdown()
 	}
+	t.Note("a worker transforms its planes on one goroutine, so the speedup column is processes against one process, never cores inside a process")
 	t.Note("expected shape: near-linear speedup while local FFT dominates, flattening as the transpose becomes the bottleneck")
 	return t, nil
 }

@@ -8,6 +8,20 @@
 // performs. The distributed organisation (worker processes, SetGroup,
 // transpose exchanges) lives in internal/pfft.
 //
+// A line along the last axis of a row-major array is contiguous and goes
+// through Plan.Transform where it lies. A line along any other axis is a
+// column of an n×m block — n the axis, m the product of the extents after
+// it — and is never copied out: Plan.columns runs the radix-2 butterflies
+// on runs of adjacent columns, row segment against row segment, in tiles
+// narrow enough to stay in cache. Each element sees the operations
+// Transform would apply to its column, in the same order, so the results
+// are the gathered form's bit for bit. FFT2D (m = n2), FFT3D (m = n3 within
+// each i1-plane, then m = n2·n3) and TransformAxis1 (m = n2·n3) are the
+// callers; pfft's workers reach it one plane at a time, through FFT2D on
+// an i1-plane (m = n3) and TransformAxis1 on an i2-plane (n2 = 1, m = n3).
+// Lengths that are not powers of two take Bluestein's algorithm line by
+// line, with the scratch of both forms recycled by the plan.
+//
 // Conventions: sign=-1 is the forward transform, sign=+1 the inverse;
 // the inverse is normalized by 1/N, so Inverse(Forward(x)) == x.
 package fft
@@ -67,6 +81,9 @@ type Plan struct {
 	tw  []complex128 // twiddles e^{-2πi k / n}, k < n/2
 	// Bluestein tables (nil for powers of two)
 	bs *bluestein
+	// line recycles the length-n column buffer of columns' gathered form,
+	// which only a non-power-of-two plan takes.
+	line sync.Pool // *[]complex128
 }
 
 // NewPlan builds a plan for length n (n >= 1).
@@ -142,6 +159,101 @@ func (p *Plan) radix2(x []complex128, sign int) {
 	}
 }
 
+// colTile is how many adjacent columns columns carries through the
+// butterflies together: 32 values are 512 B of every row, so the n×32 tile
+// of a length-128 axis is 64 KiB and stays in cache from the first stage to
+// the last however long the rows are, while a run is long enough to
+// amortise the twiddle load and the loop set-up of a butterfly.
+const colTile = 32
+
+// columns transforms every column of the row-major n×m block x (n = Len)
+// along its first axis, in place: the strided-axis kernel of the multi-axis
+// transforms. It is radix2 with a run of adjacent columns where radix2 has
+// one value — bit reversal swaps row segments, a butterfly is
+// a[c], b[c] = a[c]+b[c]*w, a[c]-b[c]*w over two row segments with one
+// twiddle — so no column is ever gathered into a line of its own, and each
+// element sees the operations of Transform on its column in the same
+// order. A plan that is not a power of two has no butterflies to run
+// side by side: it gathers each column into pooled scratch and calls
+// Transform.
+func (p *Plan) columns(x []complex128, m, sign int) {
+	n := p.n
+	if len(x) != n*m {
+		panic(fmt.Sprintf("fft: plan length %d, block of %d is not %d columns", n, len(x), m))
+	}
+	if n == 1 {
+		return
+	}
+	if !p.pow2 {
+		col := scratch(&p.line, n)
+		for c := 0; c < m; c++ {
+			for i := range *col {
+				(*col)[i] = x[i*m+c]
+			}
+			p.Transform(*col, sign)
+			for i, v := range *col {
+				x[i*m+c] = v
+			}
+		}
+		p.line.Put(col)
+		return
+	}
+	scale := 1 / float64(n)
+	for c0 := 0; c0 < m; c0 += colTile {
+		run := min(colTile, m-c0)
+		row := func(i int) []complex128 { return x[i*m+c0 : i*m+c0+run] }
+		for i, j := range p.rev {
+			if j > i {
+				a, b := row(i), row(j)
+				b = b[:len(a)]
+				for c := range a {
+					a[c], b[c] = b[c], a[c]
+				}
+			}
+		}
+		for size := 2; size <= n; size <<= 1 {
+			half := size >> 1
+			step := n / size
+			for start := 0; start < n; start += size {
+				tIdx := 0
+				for k := start; k < start+half; k++ {
+					w := p.tw[tIdx]
+					if sign > 0 {
+						w = complex(real(w), -imag(w))
+					}
+					a, b := row(k), row(k+half)
+					b = b[:len(a)]
+					for c := range a {
+						u := a[c]
+						v := b[c] * w
+						a[c] = u + v
+						b[c] = u - v
+					}
+					tIdx += step
+				}
+			}
+		}
+		if sign > 0 {
+			for i := 0; i < n; i++ {
+				a := row(i)
+				for c, v := range a {
+					a[c] = complex(real(v)*scale, imag(v)*scale)
+				}
+			}
+		}
+	}
+}
+
+// scratch takes a buffer of n values from pool, which holds only buffers
+// of that length; the caller Puts it back.
+func scratch(pool *sync.Pool, n int) *[]complex128 {
+	if b, ok := pool.Get().(*[]complex128); ok {
+		return b
+	}
+	b := make([]complex128, n)
+	return &b
+}
+
 func bitRevTable(n int) []int {
 	shift := 64 - uint(bits.TrailingZeros(uint(n)))
 	rev := make([]int, n)
@@ -168,6 +280,7 @@ type bluestein struct {
 	inner *Plan
 	chirp []complex128 // a_k = e^{-iπ k² / n}, k < n (forward sign)
 	bfft  []complex128 // FFT of the filter b (forward chirp conjugate, wrapped)
+	conv  sync.Pool    // *[]complex128 of length m: forward's convolution buffer
 }
 
 func newBluestein(n int) (*bluestein, error) {
@@ -223,10 +336,13 @@ func (bs *bluestein) transform(x []complex128, sign int) {
 // the chirp, convolve with the chirp filter (one forward + one inverse
 // power-of-two FFT), multiply by the chirp again.
 func (bs *bluestein) forward(x []complex128) {
-	a := make([]complex128, bs.m)
+	buf := scratch(&bs.conv, bs.m)
+	defer bs.conv.Put(buf)
+	a := *buf
 	for k := 0; k < bs.n; k++ {
 		a[k] = x[k] * bs.chirp[k]
 	}
+	clear(a[bs.n:])
 	bs.inner.Transform(a, -1)
 	for i := range a {
 		a[i] *= bs.bfft[i]

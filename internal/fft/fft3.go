@@ -2,6 +2,14 @@ package fft
 
 import "fmt"
 
+// lines transforms the len(x)/Len contiguous lines of x, the last axis of
+// a row-major array.
+func (p *Plan) lines(x []complex128, sign int) {
+	for i := 0; i < len(x); i += p.n {
+		p.Transform(x[i:i+p.n], sign)
+	}
+}
+
 // FFT2D transforms a flat row-major n1×n2 array in place along both axes.
 func FFT2D(x []complex128, n1, n2 int, sign int) error {
 	if len(x) != n1*n2 {
@@ -15,21 +23,8 @@ func FFT2D(x []complex128, n1, n2 int, sign int) error {
 	if err != nil {
 		return err
 	}
-	// Axis 2: contiguous rows.
-	for i := 0; i < n1; i++ {
-		p2.Transform(x[i*n2:(i+1)*n2], sign)
-	}
-	// Axis 1: strided columns via gather/scatter.
-	col := make([]complex128, n1)
-	for j := 0; j < n2; j++ {
-		for i := 0; i < n1; i++ {
-			col[i] = x[i*n2+j]
-		}
-		p1.Transform(col, sign)
-		for i := 0; i < n1; i++ {
-			x[i*n2+j] = col[i]
-		}
-	}
+	p2.lines(x, sign)
+	p1.columns(x, n2, sign)
 	return nil
 }
 
@@ -52,43 +47,18 @@ func FFT3D(x []complex128, n1, n2, n3 int, sign int) error {
 	if err != nil {
 		return err
 	}
-
-	// Axis 3: contiguous runs.
-	for i := 0; i < n1*n2; i++ {
-		p3.Transform(x[i*n3:(i+1)*n3], sign)
+	p3.lines(x, sign)
+	for i := 0; i < n1; i++ { // axis 2: the columns of each i1-plane
+		p2.columns(x[i*n2*n3:(i+1)*n2*n3], n3, sign)
 	}
-	// Axis 2: stride n3 within each i1-plane.
-	col2 := make([]complex128, n2)
-	for i := 0; i < n1; i++ {
-		plane := x[i*n2*n3 : (i+1)*n2*n3]
-		for k := 0; k < n3; k++ {
-			for j := 0; j < n2; j++ {
-				col2[j] = plane[j*n3+k]
-			}
-			p2.Transform(col2, sign)
-			for j := 0; j < n2; j++ {
-				plane[j*n3+k] = col2[j]
-			}
-		}
-	}
-	// Axis 1: stride n2*n3.
-	col1 := make([]complex128, n1)
-	stride := n2 * n3
-	for jk := 0; jk < stride; jk++ {
-		for i := 0; i < n1; i++ {
-			col1[i] = x[i*stride+jk]
-		}
-		p1.Transform(col1, sign)
-		for i := 0; i < n1; i++ {
-			x[i*stride+jk] = col1[i]
-		}
-	}
+	p1.columns(x, n2*n3, sign)
 	return nil
 }
 
 // TransformAxis23 applies the 2D transform over axes 2 and 3 to every
 // i1-plane of a flat n1×n2×n3 slab. It is phase 1 of the distributed
-// algorithm: each FFT worker process runs it on its local slab.
+// algorithm: each FFT worker process runs it on its local slab, or on a
+// run of the slab's planes.
 func TransformAxis23(x []complex128, n1, n2, n3 int, sign int) error {
 	if len(x) != n1*n2*n3 {
 		return fmt.Errorf("fft: slab has %d elements, want %dx%dx%d", len(x), n1, n2, n3)
@@ -112,16 +82,6 @@ func TransformAxis1(x []complex128, n1, n2, n3 int, sign int) error {
 	if err != nil {
 		return err
 	}
-	col := make([]complex128, n1)
-	stride := n2 * n3
-	for jk := 0; jk < stride; jk++ {
-		for i := 0; i < n1; i++ {
-			col[i] = x[i*stride+jk]
-		}
-		p1.Transform(col, sign)
-		for i := 0; i < n1; i++ {
-			x[i*stride+jk] = col[i]
-		}
-	}
+	p1.columns(x, n2*n3, sign)
 	return nil
 }

@@ -1,8 +1,11 @@
 package fft
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -397,5 +400,160 @@ func BenchmarkFFT3D32(b *testing.B) {
 		if err := FFT3D(x, n, n, n, -1); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// alongAxis copies every line of the row-major array of extents dims along
+// axis out, hands it to fn to transform in place, and copies it back: the
+// gathered form the strided-axis kernel replaced, kept as the tests'
+// reference.
+func alongAxis(x []complex128, dims [3]int, axis int, fn func(line []complex128)) {
+	strides := [3]int{dims[1] * dims[2], dims[2], 1}
+	line := make([]complex128, dims[axis])
+	for base := range x {
+		if base/strides[axis]%dims[axis] != 0 {
+			continue // not the first element of a line
+		}
+		for i := range line {
+			line[i] = x[base+i*strides[axis]]
+		}
+		fn(line)
+		for i, v := range line {
+			x[base+i*strides[axis]] = v
+		}
+	}
+}
+
+// gatherAxis is alongAxis with Plan.Transform.
+func gatherAxis(t testing.TB, x []complex128, dims [3]int, axis, sign int) {
+	p, err := PlanFor(dims[axis])
+	if err != nil {
+		t.Fatal(err)
+	}
+	alongAxis(x, dims, axis, func(line []complex128) { p.Transform(line, sign) })
+}
+
+// sameValues holds got to want bit for bit on amd64, where the compiler
+// fuses no multiply-add and both forms run the same instructions on each
+// element, and to 1e-12 elsewhere.
+func sameValues(got, want []complex128) bool {
+	if runtime.GOARCH != "amd64" {
+		return approxEqual(got, want, 1e-12)
+	}
+	for i := range got {
+		if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+			math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+			return false
+		}
+	}
+	return len(got) == len(want)
+}
+
+// TestColumnsEqualGatheredLines: the strided-axis kernel gives every
+// column what Plan.Transform gives it as a line of its own — one row and
+// one column, widths on both sides of a tile edge, a length that takes the
+// Bluestein path, both signs.
+func TestColumnsEqualGatheredLines(t *testing.T) {
+	for _, n := range []int{1, 2, 8, 128, 12} {
+		p, err := PlanFor(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []int{1, colTile - 1, colTile, colTile + 1, 128 * 3} {
+			for _, sign := range []int{-1, +1} {
+				x := testData(n*m, uint64(n*1000+m))
+				want := slices.Clone(x)
+				gatherAxis(t, want, [3]int{1, n, m}, 1, sign)
+				p.columns(x, m, sign)
+				if !sameValues(x, want) {
+					t.Errorf("n=%d m=%d sign=%+d: columns differs from the gathered lines", n, m, sign)
+				}
+			}
+		}
+	}
+}
+
+// TestMultiAxisEqualGathered: FFT2D, FFT3D, TransformAxis23 and
+// TransformAxis1 are the gathered transforms of their axes, innermost axis
+// first — bitwise on amd64, so results did not move when the gathers went —
+// and FFT3D of an odd shape is the naive DFT along each axis.
+func TestMultiAxisEqualGathered(t *testing.T) {
+	for _, d := range [][3]int{{8, 4, 16}, {2, 64, 2}, {12, 12, 10}, {3, 8, 5}} {
+		n1, n2, n3 := d[0], d[1], d[2]
+		for _, sign := range []int{-1, +1} {
+			x := testData(n1*n2*n3, uint64(n1+n2+n3))
+			run := func(name string, axes []int, fn func(x []complex128) error) {
+				t.Helper()
+				got, want := slices.Clone(x), slices.Clone(x)
+				if err := fn(got); err != nil {
+					t.Fatal(err)
+				}
+				for _, axis := range axes {
+					gatherAxis(t, want, d, axis, sign)
+				}
+				if !sameValues(got, want) {
+					t.Errorf("%s %v sign=%+d differs from the gathered form", name, d, sign)
+				}
+			}
+			run("FFT3D", []int{2, 1, 0}, func(x []complex128) error { return FFT3D(x, n1, n2, n3, sign) })
+			run("TransformAxis23", []int{2, 1}, func(x []complex128) error { return TransformAxis23(x, n1, n2, n3, sign) })
+			run("TransformAxis1", []int{0}, func(x []complex128) error { return TransformAxis1(x, n1, n2, n3, sign) })
+			run("FFT2D", []int{2, 1}, func(x []complex128) error {
+				for i := 0; i < n1; i++ {
+					if err := FFT2D(x[i*n2*n3:(i+1)*n2*n3], n2, n3, sign); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		}
+	}
+
+	const n1, n2, n3 = 3, 5, 6
+	x := testData(n1*n2*n3, 5)
+	want := slices.Clone(x)
+	for axis := range 3 {
+		alongAxis(want, [3]int{n1, n2, n3}, axis, func(line []complex128) { copy(line, DFTNaive(line, -1)) })
+	}
+	if err := FFT3D(x, n1, n2, n3, -1); err != nil {
+		t.Fatal(err)
+	}
+	if !approxEqual(x, want, tol) {
+		t.Error("FFT3D of a 3x5x6 array is not the naive DFT along each axis")
+	}
+}
+
+// TestMultiAxisAllocatesNothing: power-of-two transforms take no scratch,
+// and the Bluestein and gathered-column buffers of the others are recycled
+// by their plans.
+func TestMultiAxisAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	for _, d := range [][3]int{{8, 16, 8}, {12, 12, 10}} {
+		n1, n2, n3 := d[0], d[1], d[2]
+		x := testData(n1*n2*n3, 9)
+		allocs := testing.AllocsPerRun(10, func() {
+			_ = FFT3D(x, n1, n2, n3, -1)
+			_ = TransformAxis23(x, n1, n2, n3, +1)
+			_ = TransformAxis1(x, n1, n2, n3, +1)
+		})
+		if allocs != 0 {
+			t.Errorf("%v: %v allocations per FFT3D + TransformAxis23 + TransformAxis1, want 0", d, allocs)
+		}
+	}
+}
+
+func BenchmarkColumns(b *testing.B) {
+	for _, m := range []int{128, 128 * 128} {
+		b.Run(fmt.Sprint("128x", m), func(b *testing.B) {
+			x := testData(128*m, 1)
+			p, _ := PlanFor(128)
+			b.SetBytes(int64(16 * len(x)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.columns(x, m, -1)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -154,9 +155,10 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 	RegisterMap(Fill, Map{Fn: func(row, p []float64) {}})
 }
 
-// Namespaces are independent: the same name may identify one kernel of
-// each shape.
-func TestNamespacesIndependent(t *testing.T) {
+// registerShared registers "test.shared" as a map and as a reduce kernel,
+// once a process: the registry refuses a second time, and -count=2 runs
+// the test twice.
+var registerShared = sync.OnceFunc(func() {
 	RegisterMap("test.shared", Map{Fn: func(row, p []float64) {}})
 	RegisterReduce("test.shared", Reduce{
 		Width: 1,
@@ -164,6 +166,12 @@ func TestNamespacesIndependent(t *testing.T) {
 		Row:   func(acc, row, _ []float64) {},
 		Merge: func(acc, other []float64) {},
 	})
+})
+
+// Namespaces are independent: the same name may identify one kernel of
+// each shape.
+func TestNamespacesIndependent(t *testing.T) {
+	registerShared()
 	if _, err := LookupMap("test.shared", nil); err != nil {
 		t.Error(err)
 	}

@@ -3,6 +3,7 @@ package pfft
 import (
 	"fmt"
 
+	"oopp/internal/bufpool"
 	"oopp/internal/fft"
 	"oopp/internal/wire"
 )
@@ -39,55 +40,95 @@ func (g geom) trLen() int   { return g.h2 * g.n1 * g.n3 }
 // of n3 that one axis-1 slab and one axis-2 slab have in common.
 func (g geom) blockLen() int { return g.h1 * g.h2 * g.n3 }
 
-// rows is the one place that knows the block geometry. For each n3-row of
-// the block worker from sends worker to in phase, it calls fn with the
-// row's offset in the sender's buffer and in the receiver's. The rows are
-// those that the axis-1 slab of worker s1 and the axis-2 slab of worker s2
-// share — s1 sends in the forward phase, s2 in the back phase — always in
-// the same order, so a gather on one side and a scatter on the other, a
-// worker's own block (from == to) and the baseline's Alltoall payloads are
-// all this sequence, and the back transpose is the forward one with source
-// and destination swapped.
-func (g geom) rows(phase, from, to int, fn func(src, dst int)) {
-	s1, s2 := from, to
+// planes returns, for the blocks of phase, how many planes of its buffer a
+// sender holds and how many values of each go into one block: a worker
+// sends its h1 i1-planes forward, h2 rows of n3 from each to every peer,
+// and its h2 i2-planes back, h1 rows from each.
+func (g geom) planes(phase int) (count, blockPlane int) {
 	if phase == phaseBack {
-		s1, s2 = to, from
+		return g.h2, g.h1 * g.n3
 	}
-	for i1 := 0; i1 < g.h1; i1++ {
-		for i2 := 0; i2 < g.h2; i2++ {
-			a := (i1*g.n2 + s2*g.h2 + i2) * g.n3 // in s1's layout A
-			b := (i2*g.n1 + s1*g.h1 + i1) * g.n3 // in s2's layout B
-			if phase == phaseBack {
-				a, b = b, a
-			}
-			fn(a, b)
+	return g.h1, g.h2 * g.n3
+}
+
+// pieceBytes bounds the values of one message that carries part of a
+// buffer. A quarter of the largest pooled frame: payload and call header
+// together then round up to the bufpool class of MaxPooled/2, which keeps
+// eight idle buffers — a piece going out to and one coming in from each of
+// a few peers at once — so no frame on any pfft path is a fresh zeroed
+// allocation, and a piece is small enough beside a buffer (1/8 of a block
+// at 128³ on two workers) that sending it overlaps most of the arithmetic.
+const pieceBytes = bufpool.MaxPooled / 4
+
+// cut is planes [0, count) of a buffer in consecutive pieces of per planes,
+// the last one shorter if per does not divide count.
+type cut struct{ count, per int }
+
+// cutPlanes cuts count planes of planeLen values each into pieces of as
+// many whole planes as fit pieceBytes, and of one if none does. A buffer of
+// few planes is one piece; there is no other form.
+func cutPlanes(count, planeLen int) cut {
+	return cut{count: count, per: max(1, pieceBytes/(16*planeLen))}
+}
+
+func (c cut) pieces() int { return (c.count + c.per - 1) / c.per }
+
+// piece returns the planes [lo, hi) of piece k.
+func (c cut) piece(k int) (lo, hi int) { return k * c.per, min((k+1)*c.per, c.count) }
+
+// rows is the one place that knows the block geometry. For each n3-row
+// that planes [lo, hi) of worker from's buffer contribute to the block it
+// sends worker to in phase, it calls fn with the row's offset in the
+// sender's buffer and in the receiver's — the sender's plane index
+// outermost, so a range of planes is a contiguous run of the block. The
+// rows are those that the axis-1 slab of one worker and the axis-2 slab of
+// the other share: layout A keeps row (i1, i2) of worker s1 at
+// (i1*n2 + s2*h2 + i2)*n3, layout B of worker s2 at (i2*n1 + s1*h1 + i1)*n3;
+// forward the sender holds A and counts its planes by i1, back it holds B
+// and counts them by i2. A gather on one side and a scatter on the other,
+// a worker's own block (from == to) and the baseline's Alltoall payloads
+// are all this sequence, and the back transpose is the forward one with
+// the two layouts swapped.
+func (g geom) rows(phase, from, to, lo, hi int, fn func(src, dst int)) {
+	mine, theirs, srcRows, dstRows := g.h1, g.h2, g.n2, g.n1
+	if phase == phaseBack {
+		mine, theirs, srcRows, dstRows = g.h2, g.h1, g.n1, g.n2
+	}
+	for i := lo; i < hi; i++ {
+		for j := 0; j < theirs; j++ {
+			fn((i*srcRows+to*theirs+j)*g.n3, (j*dstRows+from*mine+i)*g.n3)
 		}
 	}
 }
 
-// gather appends the block from sends to in phase to e, straight out of
-// the sender's buffer: the bytes of PutComplex128s on the packed block.
-func (g geom) gather(e *wire.Encoder, phase, from, to int, src []complex128) {
-	e.PutComplex128sLen(g.blockLen())
-	g.rows(phase, from, to, func(s, _ int) { e.AppendComplex128s(src[s : s+g.n3]) })
+// gather appends planes [lo, hi) of the block from sends to in phase to e,
+// straight out of the sender's buffer: the bytes of PutComplex128s on the
+// packed piece.
+func (g geom) gather(e *wire.Encoder, phase, from, to, lo, hi int, src []complex128) {
+	_, blockPlane := g.planes(phase)
+	e.PutComplex128sLen((hi - lo) * blockPlane)
+	g.rows(phase, from, to, lo, hi, func(s, _ int) { e.AppendComplex128s(src[s : s+g.n3]) })
 }
 
-// scatter takes the block from sent to in phase out of d, whose
-// Complex128sLen has returned blockLen, straight into the receiver's
-// buffer.
-func (g geom) scatter(d *wire.Decoder, phase, from, to int, dst []complex128) {
-	g.rows(phase, from, to, func(_, at int) { d.CopyComplex128s(dst[at : at+g.n3]) })
+// scatter takes planes [lo, hi) of the block from sent to in phase out of
+// d, whose Complex128sLen has returned their count, straight into the
+// receiver's buffer.
+func (g geom) scatter(d *wire.Decoder, phase, from, to, lo, hi int, dst []complex128) {
+	g.rows(phase, from, to, lo, hi, func(_, at int) { d.CopyComplex128s(dst[at : at+g.n3]) })
 }
 
-// axis23 is phase 1: the 2D FFTs over axes (2,3) of a slab in layout A.
-func (g geom) axis23(slab []complex128, sign int) error {
-	return fft.TransformAxis23(slab, g.h1, g.n2, g.n3, sign)
+// axis23 is phase 1 on i1-planes [lo, hi) of a slab in layout A: their 2D
+// FFTs over axes (2,3).
+func (g geom) axis23(slab []complex128, lo, hi, sign int) error {
+	plane := g.n2 * g.n3
+	return fft.TransformAxis23(slab[lo*plane:hi*plane], hi-lo, g.n2, g.n3, sign)
 }
 
-// axis1 is phase 3: the FFTs along axis 1, local in layout B.
-func (g geom) axis1(tr []complex128, sign int) error {
+// axis1 is phase 3 on i2-planes [lo, hi) of a buffer in layout B: the FFTs
+// along axis 1, which is the first axis of each n1×n3 plane.
+func (g geom) axis1(tr []complex128, lo, hi, sign int) error {
 	plane := g.n1 * g.n3
-	for i2 := 0; i2 < g.h2; i2++ {
+	for i2 := lo; i2 < hi; i2++ {
 		if err := fft.TransformAxis1(tr[i2*plane:(i2+1)*plane], g.n1, 1, g.n3, sign); err != nil {
 			return err
 		}

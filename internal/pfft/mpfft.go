@@ -25,13 +25,13 @@ func MPTransform3D(world *mp.World, x []complex128, n1, n2, n3, sign int) error 
 	return world.Run(func(c *mp.Comm) error {
 		slab := x[c.Rank()*g.slabLen() : (c.Rank()+1)*g.slabLen()]
 		tr := make([]complex128, g.trLen())
-		if err := g.axis23(slab, sign); err != nil {
+		if err := g.axis23(slab, 0, g.h1, sign); err != nil {
 			return err
 		}
 		if err := g.alltoall(c, phaseForward, slab, tr); err != nil {
 			return err
 		}
-		if err := g.axis1(tr, sign); err != nil {
+		if err := g.axis1(tr, 0, g.h2, sign); err != nil {
 			return err
 		}
 		return g.alltoall(c, phaseBack, tr, slab)
@@ -42,10 +42,11 @@ func MPTransform3D(world *mp.World, x []complex128, n1, n2, n3, sign int) error 
 // this one included, gathered from src; the exchange; every payload
 // received scattered into dst.
 func (g geom) alltoall(c *mp.Comm, phase int, src, dst []complex128) error {
+	planes, _ := g.planes(phase)
 	send := make([][]byte, g.p)
 	for v := range send {
 		e := wire.NewEncoder(binary.MaxVarintLen64 + 16*g.blockLen())
-		g.gather(e, phase, c.Rank(), v, src)
+		g.gather(e, phase, c.Rank(), v, 0, planes, src)
 		send[v] = e.Bytes()
 	}
 	recv, err := c.Alltoall(send)
@@ -57,7 +58,7 @@ func (g geom) alltoall(c *mp.Comm, phase int, src, dst []complex128) error {
 		if n := d.Complex128sLen(); d.Err() != nil || n != g.blockLen() {
 			return fmt.Errorf("pfft: rank %d: phase %d block from %d has %d elements (%v), want %d", c.Rank(), phase, u, n, d.Err(), g.blockLen())
 		}
-		g.scatter(d, phase, u, c.Rank(), dst)
+		g.scatter(d, phase, u, c.Rank(), 0, planes, dst)
 	}
 	return nil
 }

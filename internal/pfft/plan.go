@@ -97,30 +97,61 @@ func (f *PFFT) Workers() int { return f.p }
 // Refs exposes the worker remote pointers, in id order.
 func (f *PFFT) Refs() []rmi.Ref { return f.workers.Refs() }
 
-// Load scatters a full n1×n2×n3 row-major array to the workers' slabs
-// (concurrent, windowed).
+// Load scatters a full n1×n2×n3 row-major array to the workers' slabs, in
+// pieces of whole planes (cutPlanes), a split loop over every worker's.
 func (f *PFFT) Load(ctx context.Context, x []complex128) error {
-	if len(x) != f.n1*f.n2*f.n3 {
-		return fmt.Errorf("pfft: array has %d elements, want %d", len(x), f.n1*f.n2*f.n3)
-	}
-	slabLen := f.slabLen()
-	return f.workers.Broadcast(ctx, "loadSlab", func(m collection.Member, e *wire.Encoder) error {
-		e.PutComplex128s(x[m.Index*slabLen : (m.Index+1)*slabLen])
-		return nil
+	return f.slabPieces(ctx, x, "loadSlab", func(e *wire.Encoder, lo, _ int, part []complex128) {
+		e.PutInt(lo)
+		e.PutComplex128s(part)
+	}, nil)
+}
+
+// Gather collects the workers' slabs into x, in the same pieces.
+func (f *PFFT) Gather(ctx context.Context, x []complex128) error {
+	return f.slabPieces(ctx, x, "readSlab", func(e *wire.Encoder, lo, hi int, _ []complex128) {
+		e.PutInt(lo)
+		e.PutInt(hi)
+	}, func(d *wire.Decoder, part []complex128) {
+		// One-pass decode straight into the caller's array; the response
+		// frame recycles when the piece is settled.
+		d.Complex128sInto(part)
 	})
 }
 
-// Gather collects the workers' slabs into x (concurrent, windowed).
-func (f *PFFT) Gather(ctx context.Context, x []complex128) error {
+// slabPieces is the split loop under Load and Gather: one call of method
+// per piece of every worker's slab, the workers taking turns so that all
+// are busy, the default window of them outstanding — a worker faults its
+// fresh slab in as it stores, and the master runs ahead of that rather than
+// wait for each answer. args encodes the request for planes [lo, hi) of a
+// worker's slab, which are part of x; reply (nil: the method returns
+// nothing) decodes its answer.
+func (f *PFFT) slabPieces(ctx context.Context, x []complex128, method string, args func(e *wire.Encoder, lo, hi int, part []complex128), reply func(d *wire.Decoder, part []complex128)) error {
 	if len(x) != f.n1*f.n2*f.n3 {
 		return fmt.Errorf("pfft: array has %d elements, want %d", len(x), f.n1*f.n2*f.n3)
 	}
-	slabLen := f.slabLen()
-	return f.workers.CallAll(ctx, "readSlab", nil, func(m collection.Member, d *wire.Decoder) error {
-		// One-pass decode straight into the caller's slab slot; the
-		// response frame recycles when this returns.
-		d.Complex128sInto(x[m.Index*slabLen : (m.Index+1)*slabLen])
-		return d.Err()
+	refs := f.workers.Refs()
+	plane := f.n2 * f.n3
+	parts := cutPlanes(f.h1, plane)
+	piece := func(i int) (m, lo, hi int, part []complex128) {
+		m = i % f.p
+		lo, hi = parts.piece(i / f.p)
+		return m, lo, hi, x[(m*f.h1+lo)*plane : (m*f.h1+hi)*plane]
+	}
+	return rmi.SplitLoop(ctx, parts.pieces()*f.p, rmi.DefaultWindow, func(i int) *rmi.Future {
+		m, lo, hi, part := piece(i)
+		return f.client.CallAsync(ctx, refs[m], method, func(e *wire.Encoder) error {
+			args(e, lo, hi, part)
+			return nil
+		})
+	}, func(i int, fut *rmi.Future) error {
+		d, err := fut.Wait(ctx)
+		if err == nil && reply != nil {
+			_, _, _, part := piece(i)
+			reply(d, part)
+			err = d.Err()
+		}
+		fut.Release()
+		return err
 	})
 }
 

@@ -17,47 +17,73 @@
 //	phase 3  local 1D FFTs along the now-local axis 1
 //	phase 4  all-to-all transpose back to the original slab layout
 //
+// A worker does not run the phases one after the other over its whole
+// buffer. Its unit of work is the plane: an i1-plane of the slab for phases
+// 1 and 2, an i2-plane of the transposed buffer for phases 3 and 4. A few
+// planes are transformed, and what they contribute to every block is sent
+// while the next few are transformed — one loop, exchange, run twice.
+//
 // # The exchange
 //
 // A block is h1×h2 rows of N3 values, and geom.rows is the only code that
-// knows where they lie. It crosses with one pass per side and no buffer of
-// its own: the sender gathers the rows out of its slab straight into the
-// request frame, the receiver's storeBlock scatters them out of the frame
-// straight into its transposed buffer (and the other way round on the way
-// back); a worker's own block is one strided copy. The sends are a
-// rmi.SplitLoop over the peers, the §4 split loop like every other
-// transfer in the repo.
+// knows where they lie. The sender's planes cut it into contiguous runs
+// (forward, plane i1 of the slab holds the block's h2 rows (i1, ·); back,
+// plane i2 of the transposed buffer its h1 rows (·, i2)), and it crosses as
+// pieces: as many whole planes as fit pieceBytes, so that every frame on
+// the path is one the buffer pool recycles. A block smaller than that is
+// one piece; there is no whole-block form beside the pieces. A piece
+// crosses with one pass per side and no buffer of its own: the sender
+// gathers its rows out of the planes it has just transformed — they are
+// still in cache — straight into the request frame, the receiver's
+// storeBlock scatters them out of the frame straight into its other
+// buffer; a worker's own rows are one strided copy per piece. The sends are
+// a rmi.SplitLoop over pieces × peers, the §4 split loop like every other
+// transfer in the repo, whose issue step is where a piece's planes are
+// transformed: a call is on the wire, and being placed by the peer, while
+// the planes of the next are computed. Load and Gather move the slabs in
+// the same pieces.
 //
 // storeBlock is a concurrent method (see rmi package doc): every worker
 // is inside its serial transform method during the exchange, so the data
 // pushes must bypass the mailbox or the group would deadlock. It therefore
-// writes into slab and tr while transform is running, and what keeps the
-// two apart is an arrival table under mu: open[phase][v] says that the rows
-// this worker shares with v are v's to fill with its block of that phase.
-// The transform method opens a slot when it has finished with those rows —
-// having gathered them for v in the phase before (the rows it reads for
-// v's forward block are the ones v's back block lands in, and the reverse;
-// setGroup opens the forward slots, tr being idle) — and storeBlock closes
-// it before it writes a byte, then counts the block as landed when the
-// last row is in; an exchange ends by waiting for the count. So every
-// access of the transform method to rows a peer may write is separated
-// from that write by mu, on both sides. Between honest workers the table
-// never refuses: v cannot answer a block before it was sent. But that
-// order is carried by the socket, where neither the memory model nor the
-// race detector can see it; the table states it where both can.
+// writes into slab and tr while transform is running — computing planes,
+// not only gathering them — and what keeps the two apart is an arrival
+// table under mu. It is a table of permissions:
+// open[phase][v] says that the rows this worker shares with v are v's to
+// fill with the pieces of its block of that phase. A piece of v's back
+// block lands across every i1-plane of the slab, and one of its forward
+// block across every i2-plane of tr, so the rows are given up together and
+// late: the transform method opens the slot when it has gathered the last
+// piece of the other phase for v — by then every plane has been
+// transformed, and the rows it read for v are exactly the ones v's answer
+// lands in (setGroup opens the forward slots, tr being idle). Until then a
+// piece from v is refused, so one that arrives while the receiver is still
+// transforming cannot touch a row in use: the planes still to be
+// transformed belong to a slot that is closed. storeBlock marks the planes
+// of a piece under mu before it writes a byte (got), refuses a plane that
+// is marked, closes the slot with the block's last plane, and counts the
+// planes as landed when their rows are in; an exchange ends by waiting for
+// peers × planes. So every access of the transform method to rows a peer
+// may write is separated from that write by mu, on both sides. Between
+// honest workers the table never refuses: v cannot answer a block before
+// all of it was sent. But that order is carried by the socket, where
+// neither the memory model nor the race detector can see it; the table
+// states it where both can.
 //
-// A block is accepted whole or refused whole. Phase, sender, count, the
-// presence of every announced byte and the slot are all checked before
-// anything is written, and a refusal leaves slab and tr bitwise as they
-// were. A block for a closed slot — a second one from the same sender, or
-// one for rows not yet given up — is refused rather than kept for later:
-// there is no staging area to keep it in, and placing it would overwrite
-// rows the transform is still reading.
+// A piece is accepted whole or refused whole. Phase, sender, the presence
+// of every announced byte, the count (whole planes, at least one), the
+// plane range (inside the block), the slot and the planes' marks are all
+// checked before anything is written, and a refusal leaves slab and tr
+// bitwise as they were. A piece for a closed slot — of a block that is
+// complete, or for rows not yet given up — is refused rather than kept for
+// later: there is no staging area to keep it in, and placing it would
+// overwrite rows the transform is still reading.
 package pfft
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"oopp/internal/rmi"
@@ -86,8 +112,9 @@ type worker struct {
 	slab  []complex128 // layout A: [h1][n2][n3]
 	tr    []complex128 // layout B: [h2][n1][n3]
 
-	open   [2][]bool // phase -> sender -> its block may be placed
-	landed [2]int    // phase -> blocks placed since the last exchange ended
+	open   [2][]bool   // phase -> sender -> pieces of its block may be placed
+	got    [2][][]bool // phase -> sender -> plane of its block -> placed, or being placed, since the slot opened
+	landed [2]int      // phase -> planes placed since the last exchange ended
 }
 
 func newWorker(id, n1, n2, n3 int) (*worker, error) {
@@ -119,9 +146,16 @@ func (w *worker) setGroup(n int, refs []rmi.Ref) error {
 	w.peers = refs
 	w.slab = make([]complex128, g.slabLen())
 	w.tr = make([]complex128, g.trLen())
-	w.open = [2][]bool{make([]bool, n), make([]bool, n)}
+	for phase := range w.open {
+		count, _ := g.planes(phase)
+		w.open[phase] = make([]bool, n)
+		w.got[phase] = make([][]bool, n)
+		for v := range w.got[phase] {
+			w.got[phase][v] = make([]bool, count)
+		}
+	}
 	for v := range w.open[phaseForward] {
-		w.open[phaseForward][v] = v != w.id // tr is idle: forward blocks may land
+		w.open[phaseForward][v] = v != w.id // tr is idle: forward pieces may land
 	}
 	w.landed = [2]int{}
 	return nil
@@ -136,76 +170,128 @@ func (w *worker) bufs(phase int) (src, dst []complex128) {
 	return w.tr, w.slab
 }
 
-// storeBlock places the transpose block in args — phase, sender, packed
-// block — that a peer pushed: frame -> rows, after every check and not at
-// all if one fails (package doc). It runs as a concurrent method.
+// admit decides, with mu held, whether the piece a storeBlock request
+// announces — n values, planes lo and up of the block from sends in phase —
+// may be placed, and if so marks its planes [lo, hi) as taken.
+func (w *worker) admit(phase, from, lo, n int) (hi int, err error) {
+	if phase != phaseForward && phase != phaseBack {
+		return 0, fmt.Errorf("pfft: piece for phase %d", phase)
+	}
+	if from < 0 || from >= len(w.open[phase]) || from == w.id {
+		return 0, fmt.Errorf("pfft: worker %d: piece from worker %d of %d", w.id, from, len(w.open[phase]))
+	}
+	count, blockPlane := w.planes(phase)
+	if n <= 0 || n%blockPlane != 0 {
+		return 0, fmt.Errorf("pfft: phase %d piece from %d has %d elements, not whole planes of %d", phase, from, n, blockPlane)
+	}
+	if lo < 0 || lo > count-n/blockPlane {
+		return 0, fmt.Errorf("pfft: phase %d piece from %d is planes %d+%d of %d", phase, from, lo, n/blockPlane, count)
+	}
+	hi = lo + n/blockPlane
+	got := w.got[phase][from]
+	switch {
+	case !w.open[phase][from]:
+		return 0, fmt.Errorf("pfft: worker %d: phase %d piece from %d refused: its block is complete, or its rows are still in use", w.id, phase, from)
+	case slices.Contains(got[lo:hi], true):
+		return 0, fmt.Errorf("pfft: worker %d: phase %d piece from %d refused: a plane of [%d, %d) a second time", w.id, phase, from, lo, hi)
+	}
+	for i := lo; i < hi; i++ {
+		got[i] = true
+	}
+	if !slices.Contains(got, false) { // the block's last planes: nothing more may come
+		w.open[phase][from] = false
+		clear(got)
+	}
+	return hi, nil
+}
+
+// storeBlock places the piece of a transpose block in args — phase,
+// sender, first plane, packed values — that a peer pushed: frame -> rows,
+// after every check and not at all if one fails (package doc). It runs as
+// a concurrent method.
 func (w *worker) storeBlock(args *wire.Decoder) error {
-	phase, from := args.Int(), args.Int()
+	phase, from, lo := args.Int(), args.Int(), args.Int()
 	n := args.Complex128sLen() // 0 and an error unless every byte is there
 	if err := args.Err(); err != nil {
 		return err
 	}
 	w.mu.Lock()
-	var err error
-	switch {
-	case phase != phaseForward && phase != phaseBack:
-		err = fmt.Errorf("pfft: block for phase %d", phase)
-	case from < 0 || from >= len(w.open[phase]) || from == w.id:
-		err = fmt.Errorf("pfft: worker %d: block from worker %d of %d", w.id, from, len(w.open[phase]))
-	case n != w.blockLen():
-		err = fmt.Errorf("pfft: phase %d block from %d has %d elements, want %d", phase, from, n, w.blockLen())
-	case !w.open[phase][from]:
-		err = fmt.Errorf("pfft: worker %d: phase %d block from %d refused: a second one, or its rows are still in use", w.id, phase, from)
-	default:
-		w.open[phase][from] = false
-	}
+	hi, err := w.admit(phase, from, lo, n)
 	w.mu.Unlock()
 	if err != nil {
 		return err
 	}
 	_, dst := w.bufs(phase)
-	w.scatter(args, phase, from, w.id, dst)
+	w.scatter(args, phase, from, w.id, lo, hi, dst)
 	w.mu.Lock()
-	w.landed[phase]++
+	w.landed[phase] += hi - lo
 	w.cond.Broadcast()
 	w.mu.Unlock()
 	return nil
 }
 
-// exchange is one transpose: this worker's own block copied across, its
-// block for each peer gathered into a storeBlock call (all in flight at
-// once, settled by the split loop), and a wait until every peer's block
-// has landed here.
-func (w *worker) exchange(env *rmi.Env, phase int) error {
+// exchange is one transpose, worked piece by piece with the arithmetic
+// that precedes it: compute transforms planes [lo, hi) of the source
+// buffer, this worker's own rows of them are copied across, and they are
+// gathered into a storeBlock call to each peer, which is on its way while
+// the next piece is transformed; the split loop settles the calls, two
+// pieces to every peer outstanding at most, so a receiver never holds more
+// frames than the pool keeps. Then a wait until every plane of every
+// peer's block has landed here.
+func (w *worker) exchange(env *rmi.Env, phase int, compute func(lo, hi int) error) error {
 	src, dst := w.bufs(phase)
-	w.rows(phase, w.id, w.id, func(s, d int) { copy(dst[d:d+w.n3], src[s:s+w.n3]) })
+	count, blockPlane := w.planes(phase)
+	parts := cutPlanes(count, blockPlane)
 	peers := w.p - 1
 	if peers > 0 && env.Client == nil {
 		return fmt.Errorf("pfft: machine %d has no outbound client", env.Machine)
 	}
-	err := rmi.SplitLoop(env.Ctx(), peers, peers, func(i int) *rmi.Future {
-		v := i
+	ready := 0 // pieces transformed, own rows copied
+	var failed error
+	readyThrough := func(k int) {
+		for ; ready <= k && failed == nil; ready++ {
+			lo, hi := parts.piece(ready)
+			if failed = compute(lo, hi); failed == nil {
+				w.rows(phase, w.id, w.id, lo, hi, func(s, d int) { copy(dst[d:d+w.n3], src[s:s+w.n3]) })
+			}
+		}
+	}
+	err := rmi.SplitLoop(env.Ctx(), parts.pieces()*peers, 2*peers, func(i int) *rmi.Future {
+		k, v := i/peers, i%peers
 		if v >= w.id {
 			v++
 		}
+		readyThrough(k)
+		lo, hi := parts.piece(k)
 		return env.Client.CallAsync(env.Ctx(), w.peers[v], "storeBlock", func(e *wire.Encoder) error {
+			if failed != nil {
+				return failed
+			}
 			e.PutInt(phase)
 			e.PutInt(w.id)
-			w.gather(e, phase, w.id, v, src)
-			// The rows just read are the ones v's block of the other
-			// phase lands in: they are v's from here, and the request
-			// has not left yet.
-			w.mu.Lock()
-			w.open[1-phase][v] = true
-			w.mu.Unlock()
+			e.PutInt(lo)
+			w.gather(e, phase, w.id, v, lo, hi, src)
+			if hi == count {
+				// Every row this worker shares with v has now been
+				// read, and those are the rows v's block of the other
+				// phase lands in: they are v's from here, and the
+				// request has not left yet.
+				w.mu.Lock()
+				w.open[1-phase][v] = true
+				w.mu.Unlock()
+			}
 			return nil
 		})
 	}, nil)
 	if err != nil {
 		return err
 	}
+	readyThrough(parts.pieces() - 1) // a worker alone made no call: its pieces are all still to do
+	if failed != nil {
+		return failed
+	}
 	w.mu.Lock()
-	for w.landed[phase] < peers {
+	for w.landed[phase] < peers*count {
 		w.cond.Wait()
 	}
 	w.landed[phase] = 0
@@ -213,21 +299,27 @@ func (w *worker) exchange(env *rmi.Env, phase int) error {
 	return nil
 }
 
-// transform runs the joint FFT protocol from this worker's perspective.
+// transform runs the joint FFT protocol from this worker's perspective:
+// each local phase feeds, plane by plane, the transpose that follows it.
 func (w *worker) transform(env *rmi.Env, sign int) error {
 	if w.p == 0 {
 		return fmt.Errorf("pfft: transform before setGroup")
 	}
-	if err := w.axis23(w.slab, sign); err != nil {
+	err := w.exchange(env, phaseForward, func(lo, hi int) error { return w.axis23(w.slab, lo, hi, sign) })
+	if err != nil {
 		return err
 	}
-	if err := w.exchange(env, phaseForward); err != nil {
-		return err
+	return w.exchange(env, phaseBack, func(lo, hi int) error { return w.axis1(w.tr, lo, hi, sign) })
+}
+
+// slabPlanes checks that [lo, hi) is a non-empty run of this worker's
+// slab planes — what loadSlab and readSlab move — and returns its values.
+func (w *worker) slabPlanes(lo, hi int) ([]complex128, error) {
+	if lo < 0 || hi <= lo || hi > w.h1 {
+		return nil, fmt.Errorf("pfft: worker %d: slab planes [%d, %d) of %d", w.id, lo, hi, w.h1)
 	}
-	if err := w.axis1(w.tr, sign); err != nil {
-		return err
-	}
-	return w.exchange(env, phaseBack)
+	plane := w.n2 * w.n3
+	return w.slab[lo*plane : hi*plane], nil
 }
 
 // refTable is the holder process for the shallow SetGroup experiment.
@@ -296,11 +388,34 @@ func registerWorkerClass() *rmi.Class[*worker] {
 			return w.setGroup(n, refs)
 		}).
 		Method("loadSlab", func(w *worker, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			args.Complex128sInto(w.slab)
-			return args.Err()
+			// First plane, then whole planes of values: range and count
+			// are checked before one value is stored.
+			lo := args.Int()
+			n := args.Complex128sLen()
+			if err := args.Err(); err != nil {
+				return err
+			}
+			plane := w.n2 * w.n3
+			if n == 0 || n%plane != 0 {
+				return fmt.Errorf("pfft: worker %d: loadSlab of %d elements, not whole planes of %d", w.id, n, plane)
+			}
+			dst, err := w.slabPlanes(lo, lo+n/plane)
+			if err != nil {
+				return err
+			}
+			args.CopyComplex128s(dst)
+			return nil
 		}).
 		Method("readSlab", func(w *worker, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			reply.PutComplex128s(w.slab)
+			lo, hi := args.Int(), args.Int()
+			if err := args.Err(); err != nil {
+				return err
+			}
+			src, err := w.slabPlanes(lo, hi)
+			if err != nil {
+				return err
+			}
+			reply.PutComplex128s(src)
 			return nil
 		}).
 		Method("transform", func(w *worker, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {

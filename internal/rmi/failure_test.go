@@ -209,9 +209,7 @@ func TestDeleteCallRace(t *testing.T) {
 // TestDestructorErrorPropagates delivers a destructor failure to the
 // deleting client.
 func TestDestructorErrorPropagates(t *testing.T) {
-	Register("test.BadDestructor", func(env *Env, args *wire.Decoder) (any, error) {
-		return &badDestructor{}, nil
-	})
+	registerBadDestructor()
 	tr := transport.NewInproc(transport.LinkModel{})
 	srv, err := NewServer(0, tr, "", nil)
 	if err != nil {
@@ -231,6 +229,14 @@ func TestDestructorErrorPropagates(t *testing.T) {
 }
 
 type badDestructor struct{}
+
+// Classes a test body used to register are registered once a process: the
+// registry refuses a second time, and -count=2 runs the test twice.
+var registerBadDestructor = sync.OnceFunc(func() {
+	Register("test.BadDestructor", func(env *Env, args *wire.Decoder) (any, error) {
+		return &badDestructor{}, nil
+	})
+})
 
 func (b *badDestructor) OnDestroy(env *Env) error {
 	return errors.New("refusing to die")

@@ -1,0 +1,210 @@
+package rmi
+
+import (
+	"errors"
+	"net"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"oopp/internal/transport"
+	"oopp/internal/wire"
+)
+
+// tapConn is a transport.Conn under a test's hand: what is sent on it
+// comes out of sent, and Recv announces itself on asked, hands out the next
+// frame put in feed, and fails once the connection is closed.
+type tapConn struct {
+	sent   chan []byte
+	feed   chan []byte
+	asked  chan struct{}
+	closed chan struct{}
+	once   sync.Once
+}
+
+func newTapConn() *tapConn {
+	return &tapConn{
+		sent:   make(chan []byte, 64), // more than any test here sends unread
+		feed:   make(chan []byte),
+		asked:  make(chan struct{}),
+		closed: make(chan struct{}),
+	}
+}
+
+func (c *tapConn) Send(msg []byte) error {
+	select {
+	case c.sent <- msg:
+		return nil
+	case <-c.closed:
+		return transport.ErrClosed
+	}
+}
+
+func (c *tapConn) SendBuffers(bufs net.Buffers) error { return c.Send(slices.Concat(bufs...)) }
+
+func (c *tapConn) Recv() ([]byte, error) {
+	select {
+	case c.asked <- struct{}{}:
+	case <-c.closed:
+		return nil, transport.ErrClosed
+	}
+	select {
+	case frame := <-c.feed:
+		return frame, nil
+	case <-c.closed:
+		return nil, transport.ErrClosed
+	}
+}
+
+func (c *tapConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return nil
+}
+
+// tappedClient is a client whose connection to machine 0 is a tapConn.
+func tappedClient() (*Client, *tapConn) {
+	c := NewClient(transport.NewInproc(transport.LinkModel{}), StaticDirectory{""})
+	tap := newTapConn()
+	cc := newClientConn(tap, c, 0)
+	c.mu.Lock()
+	c.conns[0] = cc
+	c.mu.Unlock()
+	return c, tap
+}
+
+// fuzzServer is a server that holds one test.Echo object, id 1, and no
+// connection but the tap its replies go to.
+func fuzzServer(t testing.TB, newEcho []byte) (*Server, *tapConn) {
+	srv, err := NewServer(0, transport.NewInproc(transport.LinkModel{}), "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := newTapConn()
+	srv.dispatch(tap, slices.Clone(newEcho))
+	reply := wire.NewDecoder(awaitReply(t, tap))
+	if reply.Uvarint(); reply.Uvarint() != statusOK || reply.Uvarint() != 1 {
+		t.Fatalf("test.Echo not constructed as object 1")
+	}
+	return srv, tap
+}
+
+func awaitReply(t testing.TB, tap *tapConn) []byte {
+	t.Helper()
+	select {
+	case frame := <-tap.sent:
+		return frame
+	case <-time.After(10 * time.Second):
+		t.Fatal("no reply")
+		return nil
+	}
+}
+
+// FuzzFrameHeader is the fuzz target of the two decoders that read rmi
+// frame headers off a socket. The bytes go to the server's dispatch as a
+// request frame: it does not panic, a frame whose lead byte, request id or
+// opcode cannot be read is dropped unanswered, and any other — whatever is
+// wrong with the rest of it — is answered exactly once, under its own
+// request id. And they go to a client connection's receive loop as a
+// response frame while one call is pending: it does not panic, a frame
+// whose request id or status cannot be read (truncated, or a varint longer
+// than ten bytes) or names another request consumes no waiter, and one for
+// the pending request settles it with what follows the header. The seeds
+// are frames a client and a server really sent.
+func FuzzFrameHeader(f *testing.F) {
+	// Real request frames: every operation, with and without a trace
+	// header, a deadline, a priority. The first one constructs the
+	// test.Echo object the others address.
+	c, tap := tappedClient()
+	echo := Ref{Machine: 0, Object: 1, Class: "test.Echo"}
+	c.NewAsync(bg, 0, "test.Echo", nil)
+	c.CallAsync(bg, echo, "echo", func(e *wire.Encoder) error { e.PutBytes([]byte("payload")); return nil })
+	c.CallAsync(bg, echo, "machine", nil, WithSampled(), WithTimeout(time.Minute), WithPriority(PrioBulk))
+	c.CallAsync(bg, echo, "nope", nil)
+	c.CallAsync(bg, Ref{Machine: 0, Object: 99, Class: "test.Echo"}, methodPing, nil)
+	c.NewAsync(bg, 0, "test.Echo", nil, WithSampled())
+	for _, op := range []uint64{opPing, opStat, opDebug, 77} {
+		c.control(bg, newFuture(0, "", "", ""), &callOptions{}, op)
+	}
+	c.deleteAsync(bg, echo)
+	var requests [][]byte
+	for len(tap.sent) > 0 {
+		requests = append(requests, <-tap.sent)
+	}
+	c.Close()
+	newEcho := requests[0]
+	// Real response frames: what a server answers each of them.
+	srv, replies := fuzzServer(f, newEcho)
+	for _, req := range requests[1:] {
+		srv.dispatch(replies, slices.Clone(req))
+		f.Add(req)
+		f.Add(awaitReply(f, replies))
+	}
+	srv.Close()
+	// Headers that end early, and a request id of eleven bytes — as a
+	// request, then as a response.
+	f.Add(newEcho[:2])
+	f.Add([]byte{0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x04})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x00})
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		// As a request.
+		hdr := wire.NewDecoder(frame)
+		lead, reqID, op := hdr.Byte(), hdr.Uvarint(), hdr.Uvarint()
+		readable := hdr.Err() == nil
+		if readable && op == opNew {
+			// A constructor is user code and may block for as long as its
+			// arguments say; only test.Echo's is known not to.
+			decodeTraceHeader(lead, hdr)
+			if class := hdr.String(); hdr.Err() == nil && class != "test.Echo" {
+				t.Skip("constructs a", class)
+			}
+		}
+		srv, replies := fuzzServer(t, newEcho)
+		srv.dispatch(replies, slices.Clone(frame))
+		if readable {
+			reply := wire.NewDecoder(awaitReply(t, replies))
+			if got := reply.Uvarint(); got != reqID || reply.Err() != nil {
+				t.Fatalf("request %d answered as %d (%v)", reqID, got, reply.Err())
+			}
+		}
+		srv.Close()
+		if len(replies.sent) != 0 {
+			t.Fatalf("a request frame (header readable: %v) drew %d replies too many", readable, len(replies.sent))
+		}
+
+		// As a response, with call number 1 pending.
+		c, tap := tappedClient()
+		defer c.Close()
+		fut := c.CallAsync(bg, echo, "echo", nil)
+		<-tap.asked
+		tap.feed <- slices.Clone(frame)
+		<-tap.asked // the loop is back for more: the frame has been dealt with
+		hdr = wire.NewDecoder(frame)
+		reqID, status := hdr.Uvarint(), hdr.Uvarint()
+		settled := false
+		select {
+		case <-fut.Done():
+			settled = true
+		default:
+		}
+		if want := hdr.Err() == nil && reqID == 1; settled != want {
+			t.Fatalf("response header (id %d, status %d, err %v): waiter consumed %v, want %v", reqID, status, hdr.Err(), settled, want)
+		}
+		if !settled {
+			return
+		}
+		d, err := fut.Wait(bg)
+		defer fut.Release()
+		var remote *RemoteError
+		switch {
+		case status != statusOK && !errors.As(err, &remote):
+			t.Fatalf("response of status %d settled the call with %v, want a RemoteError", status, err)
+		case status == statusOK && err != nil:
+			t.Fatalf("ok response settled the call with %v", err)
+		case status == statusOK && d.Remaining() != hdr.Remaining():
+			t.Fatalf("ok response: %d bytes of result, want %d", d.Remaining(), hdr.Remaining())
+		}
+	})
+}

@@ -3,6 +3,7 @@ package rmi
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -72,10 +73,20 @@ func TestDialFailureIsTypedMachineDown(t *testing.T) {
 	}
 }
 
-// TestDrainFinishesInFlightAndRejectsNew exercises graceful drain: a
-// call already executing completes and delivers its reply, while work
-// arriving after Drain is refused with the typed ErrDraining.
-func TestDrainFinishesInFlightAndRejectsNew(t *testing.T) {
+// blocker is the object of test.DrainWedge and test.DrainSlow2: its method
+// waits on the channel that the test about to construct it put in
+// nextBlock. The classes are registered once a process — the registry
+// refuses a second time, and -count=2 runs a test twice — the channel is
+// each run's own.
+type blocker struct{ block chan struct{} }
+
+var nextBlock = make(chan chan struct{}, 1) // one hand-off, test to constructor
+
+func newBlocker(env *Env, args *wire.Decoder) (any, error) {
+	return &blocker{block: <-nextBlock}, nil
+}
+
+var registerDrainClasses = sync.OnceFunc(func() {
 	Register("test.DrainSlow", func(env *Env, args *wire.Decoder) (any, error) {
 		return &struct{}{}, nil
 	}).Method("slow", func(obj any, env *Env, args *wire.Decoder, reply *wire.Encoder) error {
@@ -83,6 +94,22 @@ func TestDrainFinishesInFlightAndRejectsNew(t *testing.T) {
 		reply.PutUvarint(42)
 		return nil
 	})
+	Register("test.DrainWedge", newBlocker).Method("wedge", func(obj any, env *Env, args *wire.Decoder, reply *wire.Encoder) error {
+		<-obj.(*blocker).block
+		return nil
+	})
+	Register("test.DrainSlow2", newBlocker).Method("slow", func(obj any, env *Env, args *wire.Decoder, reply *wire.Encoder) error {
+		<-obj.(*blocker).block
+		reply.PutUvarint(7)
+		return nil
+	})
+})
+
+// TestDrainFinishesInFlightAndRejectsNew exercises graceful drain: a
+// call already executing completes and delivers its reply, while work
+// arriving after Drain is refused with the typed ErrDraining.
+func TestDrainFinishesInFlightAndRejectsNew(t *testing.T) {
+	registerDrainClasses()
 
 	nodes, stop := startCluster(t, transport.NewInproc(transport.LinkModel{}), 1)
 	defer stop()
@@ -140,13 +167,9 @@ func TestDrainFinishesInFlightAndRejectsNew(t *testing.T) {
 // TestDrainBoundedByContext: a method wedged forever must not wedge
 // Drain past its context.
 func TestDrainBoundedByContext(t *testing.T) {
+	registerDrainClasses()
 	block := make(chan struct{})
-	Register("test.DrainWedge", func(env *Env, args *wire.Decoder) (any, error) {
-		return &struct{}{}, nil
-	}).Method("wedge", func(obj any, env *Env, args *wire.Decoder, reply *wire.Encoder) error {
-		<-block
-		return nil
-	})
+	nextBlock <- block
 
 	nodes, stop := startCluster(t, transport.NewInproc(transport.LinkModel{}), 1)
 	defer stop()
@@ -230,14 +253,9 @@ func TestHeartbeatDetectsFailureAndRecovery(t *testing.T) {
 // work is diverted — but the connection stays open, so a call the server
 // accepted before the drain still delivers its result after the verdict.
 func TestHeartbeatSeesDrainingMachine(t *testing.T) {
+	registerDrainClasses()
 	block := make(chan struct{})
-	Register("test.DrainSlow2", func(env *Env, args *wire.Decoder) (any, error) {
-		return &struct{}{}, nil
-	}).Method("slow", func(obj any, env *Env, args *wire.Decoder, reply *wire.Encoder) error {
-		<-block
-		reply.PutUvarint(7)
-		return nil
-	})
+	nextBlock <- block
 	nodes, stop := startCluster(t, transport.NewInproc(transport.LinkModel{}), 1)
 	defer stop()
 	c, srv := nodes[0].client, nodes[0].server

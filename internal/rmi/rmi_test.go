@@ -844,7 +844,10 @@ func TestDialFailure(t *testing.T) {
 	}
 }
 
-func TestInheritanceExtendOverride(t *testing.T) {
+// registerBaseAndDerived registers test.Base and test.Derived once a
+// process (the registry refuses a second time, and -count=2 runs the test
+// twice) and returns the derived class.
+var registerBaseAndDerived = sync.OnceValue(func() *ClassSpec {
 	base := Register("test.Base", func(env *Env, args *wire.Decoder) (any, error) {
 		return &counter{}, nil
 	}).
@@ -868,6 +871,11 @@ func TestInheritanceExtendOverride(t *testing.T) {
 		reply.PutString("extra")
 		return nil
 	})
+	return derived
+})
+
+func TestInheritanceExtendOverride(t *testing.T) {
+	derived := registerBaseAndDerived()
 
 	nodes, stop := startCluster(t, transport.NewInproc(transport.LinkModel{}), 1)
 	defer stop()
