@@ -3,7 +3,9 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"os"
 	"runtime"
+	"runtime/pprof"
 	"testing"
 	"time"
 
@@ -13,6 +15,24 @@ import (
 
 // bg is the neutral context for call sites with no deadline.
 var bg = context.Background()
+
+func TestMain(m *testing.M) { os.Exit(leakChecked(m)) }
+
+// leakChecked runs the package's tests and then requires the goroutines
+// they started to be gone: runtime.NumGoroutine gets 5 s to fall back to
+// its count before the run, else the stacks are dumped and the run fails.
+func leakChecked(m *testing.M) int {
+	before := runtime.NumGoroutine()
+	code := m.Run()
+	for deadline := time.Now().Add(5 * time.Second); code == 0 && runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			fmt.Fprintf(os.Stderr, "goroutine leak: %d goroutines after the tests, %d before them\n", runtime.NumGoroutine(), before)
+			pprof.Lookup("goroutine").WriteTo(os.Stderr, 2)
+			return 1
+		}
+	}
+	return code
+}
 
 func TestNewLocalDefaults(t *testing.T) {
 	c, err := NewLocal(3, 2)

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
+	"runtime/pprof"
 	"testing"
 	"time"
 
@@ -17,12 +19,29 @@ import (
 )
 
 // TestMain dispatches on the process role: the harness re-execs this
-// very binary as the cluster's server processes.
+// very binary as the cluster's server processes. The parent role is the
+// one that runs tests, and the one checked for goroutines left behind.
 func TestMain(m *testing.M) {
 	if os.Getenv(RoleEnv) == RoleServer {
 		os.Exit(ServerMain())
 	}
-	os.Exit(m.Run())
+	os.Exit(leakChecked(m))
+}
+
+// leakChecked runs the package's tests and then requires the goroutines
+// they started to be gone: runtime.NumGoroutine gets 5 s to fall back to
+// its count before the run, else the stacks are dumped and the run fails.
+func leakChecked(m *testing.M) int {
+	before := runtime.NumGoroutine()
+	code := m.Run()
+	for deadline := time.Now().Add(5 * time.Second); code == 0 && runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			fmt.Fprintf(os.Stderr, "goroutine leak: %d goroutines after the tests, %d before them\n", runtime.NumGoroutine(), before)
+			pprof.Lookup("goroutine").WriteTo(os.Stderr, 2)
+			return 1
+		}
+	}
+	return code
 }
 
 var bg = context.Background()

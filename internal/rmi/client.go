@@ -21,9 +21,7 @@ import (
 // trace header should ride the wire at all — false keeps the frame
 // byte-identical to the pre-trace format.
 func traceContext(ctx context.Context, o *callOptions) (sc trace.SpanContext, ok bool) {
-	if ctx != nil {
-		sc, ok = trace.FromContext(ctx)
-	}
+	sc, ok = trace.FromContext(ctx)
 	if o.sampled {
 		if !ok {
 			sc, ok = trace.NewRoot(true), true
@@ -130,12 +128,17 @@ func backoffDelay(failures int) time.Duration {
 // machine; responses are matched to callers by request id, which is what
 // makes the §4 send-loop/receive-loop split effective.
 //
-// Every operation takes a context.Context and optional CallOptions. The
-// context governs dialing and sending and — for the synchronous forms —
-// waiting; cancellation aborts the in-flight call promptly and the late
-// response, if any, is dropped and counted (see metrics.Counters).
+// Every operation takes a context.Context (nil means
+// context.Background()) and optional CallOptions. The context governs
+// dialing and sending and — for the synchronous forms — waiting;
+// cancellation aborts the in-flight call promptly and the late response,
+// if any, is dropped and counted (see metrics.Counters).
 //
-// The synchronous Call path is allocation-free in steady state: request
+// A request leaves a client one way: every operation is a request that
+// encode writes and send sends, and the operations differ only in how
+// they wait for the response — on a Future (CallAsync, NewAsync and what
+// is built on them), or, for Call, on a pooled waiter, which is what
+// keeps the synchronous path allocation-free in steady state: request
 // frames come from pooled encoders, the transport takes ownership of them
 // (no copy on inproc), responses arrive in pooled frames, and the decoder
 // handed back to the caller returns everything to the pools via
@@ -352,50 +355,16 @@ func (c *Client) InFlightTo(m int) int {
 // paper's "new(machine m) Class(args)". It blocks until the remote
 // constructor finishes and returns the remote pointer.
 func (c *Client) New(ctx context.Context, m int, class string, args ArgEncoder, opts ...CallOption) (Ref, error) {
-	fut, err := c.NewAsync(ctx, m, class, args, opts...)
-	if err != nil {
-		return Ref{}, err
-	}
-	return fut.Ref(ctx)
+	return c.NewAsync(ctx, m, class, args, opts...).Ref(ctx)
 }
 
-// NewAsync begins a remote construction and returns immediately. The
-// context governs dialing/sending now and, if cancelable, aborts the
-// pending future later; per-call deadlines travel via WithTimeout.
-func (c *Client) NewAsync(ctx context.Context, m int, class string, args ArgEncoder, opts ...CallOption) (*Future, error) {
-	o := resolveOptions(opts)
-	sc, traced := traceContext(ctx, &o)
-	var span *trace.Span
-	if traced {
-		span = clientSpan(&sc, "new "+class)
-	}
-	e := wire.GetEncoder(64)
-	reqID := c.nextID.Add(1)
-	lead := byte(o.priority(PrioNormal))
-	if traced {
-		lead |= leadTraceFlag
-	}
-	e.PutByte(lead)
-	e.PutUvarint(reqID)
-	e.PutUvarint(opNew)
-	if traced {
-		putTraceHeader(e, sc)
-	}
-	e.PutString(class)
-	if args != nil {
-		if err := args(e); err != nil {
-			wire.PutEncoder(e)
-			span.End(true)
-			return nil, err
-		}
-	}
-	fut := newFuture(m, class, "", o.label)
-	fut.span = span
-	if err := c.send(ctx, m, reqID, e, fut, &o); err != nil {
-		fut.fail(err) // ends the span exactly once even if send already failed it
-		return nil, err
-	}
-	return fut, nil
+// NewAsync begins a remote construction and returns its Future
+// immediately — failed already if the request could not leave, like
+// CallAsync. The context governs dialing/sending now and, if cancelable,
+// aborts the pending future later; per-call deadlines travel via
+// WithTimeout.
+func (c *Client) NewAsync(ctx context.Context, m int, class string, args ArgEncoder, opts ...CallOption) *Future {
+	return c.start(ctx, callSite{machine: m, class: class}, request{op: opNew, prio: PrioNormal, args: args}, opts)
 }
 
 // NewArgs is New with the tagged generic argument encoding. Prefer the
@@ -460,92 +429,47 @@ func overloadBackoff(err error, attempt int, maxWait time.Duration) time.Duratio
 	return wait
 }
 
-// callOnce is one attempt of Call: encode, send, wait.
+// callOnce is one attempt of Call: the synchronous way to wait for the
+// request encode writes and send sends. It is not start + Future.Wait
+// because of what that costs: a Future and its channel are 2 allocations
+// a call — measured at PR 22 on 17 pinned allocs/op cells of E1, E2 and
+// E12, on the hard 0-allocation gates of E14 and E17, and as ≈ +0.06 on
+// small_calls op_x_bare — where a pooled waiter, a reusable one-slot
+// channel nobody else can be waiting on, costs none.
 func (c *Client) callOnce(ctx context.Context, ref Ref, method string, args ArgEncoder, o *callOptions) (*wire.Decoder, error) {
-	if ref.IsNil() {
-		return nil, fmt.Errorf("rmi: call %s on nil ref", method)
+	w := waiterPool.Get().(*callWaiter)
+	w.callSite = callSite{machine: ref.Machine, class: ref.Class, method: method, label: o.label}
+	reqID, e, err := c.encode(ctx, request{op: opCall, prio: PrioNormal, object: ref.Object, args: args}, &w.callSite, o)
+	var timeout <-chan time.Time
+	if err == nil {
+		if o.timeout > 0 {
+			// One budget for the dial inside send and the wait below, as
+			// Future.arm's timer is for the other way to wait.
+			timer := time.NewTimer(o.timeout)
+			defer timer.Stop()
+			timeout = timer.C
+		}
+		err = c.send(ctx, reqID, e, w, o)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("rmi: send to machine %d: %w", ref.Machine, err)
-	}
-	// Bound the whole operation — dialing included — by the per-call
-	// timeout, mirroring the future path: the timer starts before the
-	// dial, so dial time and response wait share one budget.
-	var timeoutCh <-chan time.Time
-	dialCtx := ctx
-	if o.timeout > 0 {
-		timer := time.NewTimer(o.timeout)
-		defer timer.Stop()
-		timeoutCh = timer.C
-		var cancel context.CancelFunc
-		dialCtx, cancel = context.WithTimeout(ctx, o.timeout)
-		defer cancel()
-	}
-	cc, err := c.conn(dialCtx, ref.Machine, o)
 	if err != nil {
+		w.span.End(true)
 		return nil, err
 	}
-
-	sc, traced := traceContext(ctx, o)
-	var span *trace.Span
-	if traced {
-		span = clientSpan(&sc, "call "+ref.Class+"."+method)
-	}
-	e := wire.GetEncoder(64)
-	reqID := c.nextID.Add(1)
-	lead := byte(o.priority(PrioNormal))
-	if traced {
-		lead |= leadTraceFlag
-	}
-	e.PutByte(lead)
-	e.PutUvarint(reqID)
-	e.PutUvarint(opCall)
-	if traced {
-		putTraceHeader(e, sc)
-	}
-	e.PutUvarint(ref.Object)
-	e.PutString(method)
-	e.PutVarint(callDeadline(ctx, o))
-	if args != nil {
-		if err := args(e); err != nil {
-			wire.PutEncoder(e)
-			span.End(true)
-			return nil, err
-		}
-	}
-
-	// The pooled waiter stands in for a Future on this synchronous path:
-	// a reusable one-slot channel instead of a once-closed one, so the
-	// steady state allocates nothing.
-	w := getWaiter(ref.Machine, ref.Class, method, o.label)
-	cc.register(reqID, w)
-	frame := e.Detach()
-	wire.PutEncoder(e)
-	metrics.Default.CallsIssued.Add(1)
-	metrics.Default.MessagesSent.Add(1)
-	metrics.Default.BytesSent.Add(int64(len(frame)))
-	if err := cc.conn.Send(frame); err != nil {
-		cc.unregister(reqID)
-		span.End(true)
-		// The waiter is not pooled here: a connection-death failure may
-		// race in behind the unregister and deliver into its channel.
-		return nil, cc.sendFailed(err)
-	}
-
 	select {
 	case r := <-w.ch:
-		putWaiter(w)
-		span.End(r.err != nil)
+		w.span.End(r.err != nil)
+		waiterPool.Put(w)
 		return r.d, r.err
 	case <-ctx.Done():
-		cc.unregister(reqID)
-		span.End(true)
-		return nil, fmt.Errorf("rmi: %s aborted: %w", w.describe(), ctx.Err())
-	case <-timeoutCh:
-		cc.unregister(reqID)
-		span.End(true)
-		return nil, fmt.Errorf("rmi: %s aborted: %w", w.describe(), context.DeadlineExceeded)
+		err = ctx.Err()
+	case <-timeout:
+		err = context.DeadlineExceeded
 	}
+	// Only a waiter whose result was consumed goes back to the pool: a
+	// dying connection may still deliver into this one behind the abandon.
+	w.abandon()
+	w.span.End(true)
+	return nil, w.aborted(err)
 }
 
 // callDeadline computes the absolute deadline stamped into the opCall
@@ -571,43 +495,7 @@ func callDeadline(ctx context.Context, o *callOptions) int64 {
 // CallAsync begins a method invocation and returns a Future immediately.
 // This is the primitive under the paper's §4 loop-splitting transformation.
 func (c *Client) CallAsync(ctx context.Context, ref Ref, method string, args ArgEncoder, opts ...CallOption) *Future {
-	o := resolveOptions(opts)
-	fut := newFuture(ref.Machine, ref.Class, method, o.label)
-	if ref.IsNil() {
-		fut.fail(fmt.Errorf("rmi: call %s on nil ref", method))
-		return fut
-	}
-	sc, traced := traceContext(ctx, &o)
-	if traced {
-		fut.span = clientSpan(&sc, "call "+ref.Class+"."+method)
-	}
-	e := wire.GetEncoder(64)
-	reqID := c.nextID.Add(1)
-	lead := byte(o.priority(PrioNormal))
-	if traced {
-		lead |= leadTraceFlag
-	}
-	e.PutByte(lead)
-	e.PutUvarint(reqID)
-	e.PutUvarint(opCall)
-	if traced {
-		putTraceHeader(e, sc)
-	}
-	e.PutUvarint(ref.Object)
-	e.PutString(method)
-	e.PutVarint(callDeadline(ctx, &o))
-	if args != nil {
-		if err := args(e); err != nil {
-			wire.PutEncoder(e)
-			fut.fail(err)
-			return fut
-		}
-	}
-	metrics.Default.CallsIssued.Add(1)
-	if err := c.send(ctx, ref.Machine, reqID, e, fut, &o); err != nil {
-		fut.fail(err)
-	}
-	return fut
+	return c.start(ctx, callSite{machine: ref.Machine, class: ref.Class, method: method}, request{op: opCall, prio: PrioNormal, object: ref.Object, args: args}, opts)
 }
 
 // CallArgs invokes a method using the tagged generic encoding for both
@@ -625,25 +513,6 @@ func (c *Client) CallArgs(ctx context.Context, ref Ref, method string, args ...a
 	return d.Anys()
 }
 
-// control begins a runtime operation — one addressed to a machine or, by
-// its id, to an object, not to a method — and returns fut, failed
-// already if the request could not be sent. Control operations ride
-// PrioHigh unless o says otherwise.
-func (c *Client) control(ctx context.Context, fut *Future, o *callOptions, op uint64, operands ...uint64) *Future {
-	e := wire.GetEncoder(16)
-	reqID := c.nextID.Add(1)
-	e.PutByte(byte(o.priority(PrioHigh)))
-	e.PutUvarint(reqID)
-	e.PutUvarint(op)
-	for _, x := range operands {
-		e.PutUvarint(x)
-	}
-	if err := c.send(ctx, fut.machine, reqID, e, fut, o); err != nil {
-		fut.fail(err)
-	}
-	return fut
-}
-
 // Delete destroys a remote object: queued calls complete, the destructor
 // runs, the process terminates (§2).
 func (c *Client) Delete(ctx context.Context, ref Ref, opts ...CallOption) error {
@@ -652,19 +521,18 @@ func (c *Client) Delete(ctx context.Context, ref Ref, opts ...CallOption) error 
 
 // deleteAsync begins a Delete (DeleteRefs pipelines them).
 func (c *Client) deleteAsync(ctx context.Context, ref Ref, opts ...CallOption) *Future {
-	o := resolveOptions(opts)
-	fut := newFuture(ref.Machine, ref.Class, "~", o.label)
-	if ref.IsNil() {
-		fut.fail(fmt.Errorf("rmi: delete of nil ref"))
-		return fut
-	}
-	return c.control(ctx, fut, &o, opDelete, ref.Object)
+	return c.start(ctx, callSite{machine: ref.Machine, class: ref.Class, method: "~"}, request{op: opDelete, prio: PrioHigh, object: ref.Object}, opts)
+}
+
+// control begins a runtime operation addressed to machine m itself —
+// ping, stat, debug.
+func (c *Client) control(ctx context.Context, m int, op uint64, opts []CallOption) *Future {
+	return c.start(ctx, callSite{machine: m}, request{op: op, prio: PrioHigh}, opts)
 }
 
 // Ping round-trips an empty frame to machine m.
 func (c *Client) Ping(ctx context.Context, m int, opts ...CallOption) error {
-	o := resolveOptions(opts)
-	return c.control(ctx, newFuture(m, "", "", o.label), &o, opPing).Err(ctx)
+	return c.control(ctx, m, opPing, opts).Err(ctx)
 }
 
 // PingObject sends the built-in no-op through an object's mailbox; its
@@ -677,7 +545,7 @@ func (c *Client) PingObject(ctx context.Context, ref Ref) error {
 
 // Stat returns (live, total) object counts for machine m.
 func (c *Client) Stat(ctx context.Context, m int) (live, total uint64, err error) {
-	fut := c.control(ctx, newFuture(m, "", "", ""), &callOptions{}, opStat)
+	fut := c.control(ctx, m, opStat, nil)
 	d, err := fut.Wait(ctx)
 	if err != nil {
 		return 0, 0, err
@@ -694,7 +562,7 @@ func (c *Client) Stat(ctx context.Context, m int) (live, total uint64, err error
 // bypasses admission control on the server — a debug plane that goes
 // dark under overload would be useless exactly when it matters.
 func (c *Client) Debug(ctx context.Context, m int) ([]byte, error) {
-	fut := c.control(ctx, newFuture(m, "", "", ""), &callOptions{}, opDebug)
+	fut := c.control(ctx, m, opDebug, nil)
 	d, err := fut.Wait(ctx)
 	if err != nil {
 		return nil, err
@@ -704,21 +572,126 @@ func (c *Client) Debug(ctx context.Context, m int) ([]byte, error) {
 	return buf, d.Err()
 }
 
-// send transmits the request in e — whose ownership it takes — and wires
-// fut for the response.
-func (c *Client) send(ctx context.Context, m int, reqID uint64, e *wire.Encoder, fut *Future, o *callOptions) error {
+// request is one outbound operation as encode writes it; where it goes
+// and what it is called — machine, class, method — is the waiter's
+// callSite. Every operation of a client is such a pair, written by encode
+// and sent by send: New, Call, Delete, Ping and the rest differ in the
+// fields they set and in how they wait. (The names are not in here
+// because a callSite keeps them: a request that is only read lets the
+// caller's args closure stay on its stack.)
+type request struct {
+	op     uint64
+	prio   Priority   // admission class unless WithPriority names one
+	object uint64     // opCall, opDelete: the object addressed
+	args   ArgEncoder // opNew, opCall: appends the arguments (nil: none)
+}
+
+// start issues rq at site the asynchronous way: the Future it returns is
+// completed by the response, by its contexts or by the per-call timer —
+// and has failed already if the request could not leave.
+func (c *Client) start(ctx context.Context, site callSite, rq request, opts []CallOption) *Future {
+	o := resolveOptions(opts)
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	site.label = o.label
+	fut := &Future{callSite: site, done: make(chan struct{})}
+	if ctx.Done() != nil {
+		fut.sendCtx = ctx
+	}
+	reqID, e, err := c.encode(ctx, rq, &fut.callSite, &o)
+	if err == nil {
+		fut.arm(o.timeout)
+		err = c.send(ctx, reqID, e, fut, &o)
+	}
+	if err != nil {
+		fut.complete(nil, err)
+	}
+	return fut
+}
+
+// encode writes the request frame of rq at s — the only place in the
+// client that does:
+//
+//	lead byte | reqID | op | [trace header] | op header | args
+//
+// A traced operation's client span is opened here, first, so that it
+// covers the dial and is in s — the call site of the waiter the response
+// is for — before anything that could complete that waiter, a timer or a
+// connection, knows of it; the waiter ends it. Only New and Call are
+// traced: the runtime's own operations carry no trace header.
+func (c *Client) encode(ctx context.Context, rq request, s *callSite, o *callOptions) (uint64, *wire.Encoder, error) {
+	nilRef := rq.object == 0 && s.class == ""
+	var sc trace.SpanContext
+	traced := false
+	switch rq.op {
+	case opNew:
+		if sc, traced = traceContext(ctx, o); traced {
+			s.span = clientSpan(&sc, "new "+s.class)
+		}
+	case opCall:
+		if nilRef {
+			return 0, nil, fmt.Errorf("rmi: call %s on nil ref", s.method)
+		}
+		if sc, traced = traceContext(ctx, o); traced {
+			s.span = clientSpan(&sc, "call "+s.class+"."+s.method)
+		}
+		metrics.Default.CallsIssued.Add(1)
+	case opDelete:
+		if nilRef {
+			return 0, nil, fmt.Errorf("rmi: delete of nil ref")
+		}
+	}
+	e := wire.GetEncoder(64)
+	reqID := c.nextID.Add(1)
+	lead := byte(o.priority(rq.prio))
+	if traced {
+		lead |= leadTraceFlag
+	}
+	e.PutByte(lead)
+	e.PutUvarint(reqID)
+	e.PutUvarint(rq.op)
+	if traced {
+		putTraceHeader(e, sc)
+	}
+	switch rq.op {
+	case opNew:
+		e.PutString(s.class)
+	case opCall:
+		e.PutUvarint(rq.object)
+		e.PutString(s.method)
+		e.PutVarint(callDeadline(ctx, o))
+	case opDelete:
+		e.PutUvarint(rq.object)
+	}
+	if rq.args != nil {
+		if err := rq.args(e); err != nil {
+			wire.PutEncoder(e)
+			return 0, nil, err
+		}
+	}
+	return reqID, e, nil
+}
+
+// send puts the request in e — which it owns — on the wire to pc's
+// machine and leaves pc registered for the response. Every operation
+// comes through here, and so in one order: encode, then the caller arms
+// the per-call timer, then here context check → dial → register → bind →
+// Send. So an argument encoder that fails never dials, the client span
+// covers the dial, and WithTimeout bounds the whole operation: the dial
+// loop runs under a context with the timer's budget (derived here; the
+// waiter keeps the caller's, a derived one is canceled when send
+// returns).
+//
+// A nil return means pc is — or, where bind said so, already was —
+// completed by someone else; an error means nobody will, and the caller
+// reports it.
+func (c *Client) send(ctx context.Context, reqID uint64, e *wire.Encoder, pc pendingCall, o *callOptions) error {
+	defer wire.PutEncoder(e)
+	m := pc.site().machine
 	if err := ctx.Err(); err != nil {
-		wire.PutEncoder(e)
 		return fmt.Errorf("rmi: send to machine %d: %w", m, err)
 	}
-	// Arm the per-call deadline before dialing so WithTimeout bounds the
-	// whole operation — including the dial/retry phase. The dial loop gets
-	// a derived context with the same deadline; the future keeps the
-	// caller's context (a derived one would be canceled when send returns).
-	fut.arm(o.timeout)
 	dialCtx := ctx
 	if o.timeout > 0 {
 		var cancel context.CancelFunc
@@ -727,27 +700,18 @@ func (c *Client) send(ctx context.Context, m int, reqID uint64, e *wire.Encoder,
 	}
 	cc, err := c.conn(dialCtx, m, o)
 	if err != nil {
-		wire.PutEncoder(e)
 		return err
 	}
-	// Wire the future for cancellation before it can complete: the issue
-	// context aborts it from Wait, the per-call timer aborts it anywhere.
-	fut.bind(cc, reqID)
-	if ctx.Done() != nil {
-		fut.sendCtx = ctx
-	}
-	cc.register(reqID, fut)
-	select {
-	case <-fut.done:
-		// The per-call timer fired while we were dialing: the future
-		// already failed; don't leave a registration or send the frame.
+	// Register, then bind: a timer that fires in between finds nothing to
+	// abandon and bind reports it; one that fires after bind abandons the
+	// registration itself. The other order would leave a registration
+	// behind a timer that fired between the two.
+	cc.register(reqID, pc)
+	if !pc.bind(cc, reqID) {
 		cc.unregister(reqID)
-		wire.PutEncoder(e)
 		return nil
-	default:
 	}
 	frame := e.Detach()
-	wire.PutEncoder(e)
 	metrics.Default.MessagesSent.Add(1)
 	metrics.Default.BytesSent.Add(int64(len(frame)))
 	if err := cc.conn.Send(frame); err != nil {
@@ -757,15 +721,72 @@ func (c *Client) send(ctx context.Context, m int, reqID uint64, e *wire.Encoder,
 	return nil
 }
 
-// pendingCall is a registered response consumer: a *Future (asynchronous
-// path) or a pooled *callWaiter (synchronous Call path). Exactly one of
-// its completion methods is invoked per registration.
+// pendingCall is what a connection needs of a registered response
+// consumer: a *Future (asynchronous) or a pooled *callWaiter (Call).
+// complete is invoked at most once per registration.
 type pendingCall interface {
-	succeed(d *wire.Decoder)
-	fail(err error)
-	// remoteFail reports a statusErr response; implementations wrap msg in
-	// a RemoteError carrying their call-site metadata.
-	remoteFail(msg string)
+	// site is the operation's call site: the machine send dials, the
+	// metadata of a RemoteError.
+	site() *callSite
+	// bind tells the consumer where it is registered, so that abandoning
+	// the operation can unregister it. False: the consumer has completed
+	// already (its per-call timer fired during the dial) — don't send.
+	bind(cc *clientConn, reqID uint64) bool
+	complete(d *wire.Decoder, err error)
+}
+
+// callSite is what a waiter knows of the operation it waits for: where it
+// went and what to call it, its client span, and — once send has bound
+// it — where it is registered. Future and callWaiter embed it, so the two
+// ways to wait cannot differ in error text or in the RemoteError they
+// build.
+type callSite struct {
+	machine int
+	class   string
+	method  string
+	label   string
+
+	// span is the client-side span of a sampled operation, nil otherwise;
+	// the waiter ends it exactly once.
+	span *trace.Span
+
+	cc    *clientConn
+	reqID uint64
+}
+
+func (s *callSite) site() *callSite { return s }
+
+// describe renders the call site for error messages.
+func (s *callSite) describe() string {
+	name := s.class
+	if s.method != "" {
+		name += "." + s.method
+	}
+	if name == "" {
+		name = "operation"
+	}
+	if s.label != "" {
+		return fmt.Sprintf("%s [%s] on machine %d", name, s.label, s.machine)
+	}
+	return fmt.Sprintf("%s on machine %d", name, s.machine)
+}
+
+// remoteError is the error of a statusErr response carrying msg.
+func (s *callSite) remoteError(msg string) error {
+	return &RemoteError{Machine: s.machine, Class: s.class, Method: s.method, Msg: msg}
+}
+
+// aborted is the error of an operation given up on because of cause.
+func (s *callSite) aborted(cause error) error {
+	return fmt.Errorf("rmi: %s aborted: %w", s.describe(), cause)
+}
+
+// abandon unregisters the request from the connection it was bound to, if
+// any: a response that still arrives is dropped and counted as an orphan.
+func (s *callSite) abandon() {
+	if s.cc != nil {
+		s.cc.unregister(s.reqID)
+	}
 }
 
 // waitResult is the outcome delivered to a synchronous caller.
@@ -775,51 +796,26 @@ type waitResult struct {
 }
 
 // callWaiter is the synchronous counterpart of a Future: a reusable
-// one-slot channel plus call-site metadata for error text. Waiters
-// recycle through a pool — but only when their result was consumed on the
-// normal path; abandoned waiters (cancellation, send failure) are left to
-// the garbage collector because a late delivery may still land in them.
+// one-slot channel under the same call site. Waiters recycle through a
+// pool — but only when their result was consumed on the normal path;
+// abandoned waiters (cancellation, send failure) are left to the garbage
+// collector because a late delivery may still land in them.
 type callWaiter struct {
-	ch      chan waitResult
-	machine int
-	class   string
-	method  string
-	label   string
+	callSite
+	ch chan waitResult
 }
 
 var waiterPool = sync.Pool{
 	New: func() any { return &callWaiter{ch: make(chan waitResult, 1)} },
 }
 
-func getWaiter(machine int, class, method, label string) *callWaiter {
-	w := waiterPool.Get().(*callWaiter)
-	w.machine, w.class, w.method, w.label = machine, class, method, label
-	return w
+// bind needs no lock: only the goroutine inside callOnce abandons.
+func (w *callWaiter) bind(cc *clientConn, reqID uint64) bool {
+	w.cc, w.reqID = cc, reqID
+	return true
 }
 
-func putWaiter(w *callWaiter) { waiterPool.Put(w) }
-
-func (w *callWaiter) succeed(d *wire.Decoder) { w.ch <- waitResult{d: d} }
-
-func (w *callWaiter) fail(err error) { w.ch <- waitResult{err: err} }
-
-func (w *callWaiter) remoteFail(msg string) {
-	w.ch <- waitResult{err: &RemoteError{Machine: w.machine, Class: w.class, Method: w.method, Msg: msg}}
-}
-
-func (w *callWaiter) describe() string {
-	name := w.class
-	if w.method != "" {
-		name += "." + w.method
-	}
-	if name == "" {
-		name = "operation"
-	}
-	if w.label != "" {
-		return fmt.Sprintf("%s [%s] on machine %d", name, w.label, w.machine)
-	}
-	return fmt.Sprintf("%s on machine %d", name, w.machine)
-}
+func (w *callWaiter) complete(d *wire.Decoder, err error) { w.ch <- waitResult{d: d, err: err} }
 
 // clientConn is one multiplexed connection: a send side shared by callers
 // and a single receive loop matching responses to pending futures and
@@ -852,7 +848,7 @@ func (cc *clientConn) register(reqID uint64, pc pendingCall) {
 	if cc.dead != nil {
 		err := cc.dead
 		cc.mu.Unlock()
-		pc.fail(err)
+		pc.complete(nil, err)
 		return
 	}
 	cc.pending[reqID] = pc
@@ -906,9 +902,9 @@ func (cc *clientConn) recvLoop() {
 			continue
 		}
 		if status == statusOK {
-			pc.succeed(d)
+			pc.complete(d, nil)
 		} else {
-			pc.remoteFail(d.String())
+			pc.complete(nil, pc.site().remoteError(d.String()))
 			d.Release()
 		}
 	}
@@ -944,6 +940,6 @@ func (cc *clientConn) close(cause error) {
 	cc.mu.Unlock()
 	cc.conn.Close()
 	for _, pc := range pending {
-		pc.fail(cause)
+		pc.complete(nil, cause)
 	}
 }

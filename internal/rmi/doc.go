@@ -69,6 +69,23 @@
 //	for i := range devs { futs[i] = client.CallAsync(ctx, devs[i], "read", ...) } // send loop
 //	for i := range futs { futs[i].Wait(ctx) }                                     // receive loop
 //
+// The two are one request with the wait moved, and the client has one
+// path for it (client.go): every operation — New, Call, CallAsync,
+// Delete, Ping, Stat, Debug — is a request value that encode writes (the
+// only writer of a request frame: lead byte, request id, opcode, trace
+// header, op header, arguments) and send puts on the wire, in one order:
+// encode → arm the per-call timer → context check → dial → register →
+// bind → Send. An argument encoder that fails therefore never dials; the
+// client span of a traced operation covers the dial; WithTimeout bounds
+// the dial and the wait with one budget. What differs is only how the
+// response is waited for, and there are two ways. The asynchronous forms
+// (CallAsync, NewAsync — both return a Future that has failed already if
+// the request could not leave — and everything built on them) complete a
+// Future; Call completes a pooled waiter, because a Future and its
+// channel are two allocations a call and the pooled waiter is none. Both
+// embed one call site (machine, class, method, label, span), so error
+// text and RemoteError metadata cannot differ between them.
+//
 // # Classes and the "compiler-generated" protocol
 //
 // A class registers, once, a constructor and a method table (RegisterClass
@@ -102,9 +119,12 @@
 // are outstanding, settle(i, f) consumes them in index order, and a
 // settle error stops issuing and drains every outstanding future.
 // Window 1 is the sequential §2 loop. FanOut is SplitLoop with a settle
-// that records member failures and never stops; every element transfer
-// of core.Array is SplitLoop at the array's window. How a client bounds
-// and settles outstanding requests is decided there and nowhere else.
+// that records member failures and never stops; SpawnRefs is SplitLoop
+// with an issue that stops constructing once a member has failed or the
+// caller has given up, and a settle that drains what was issued so that
+// every constructed member can be deleted; every element transfer of
+// core.Array is SplitLoop at the array's window. How a client bounds and
+// settles outstanding requests is decided there and nowhere else.
 //
 // User code holds members as internal/collection's Collection[T], built
 // on this engine (collection.FromRefs wraps refs obtained elsewhere).
@@ -273,14 +293,18 @@
 // # Performance and buffer ownership
 //
 // The request/response round trip is allocation-free in steady state.
-// Request frames are built in pooled encoders (wire.GetEncoder) and
-// handed to the transport, which takes ownership (inproc forwards the
-// very slice; tcp writes it vectored and recycles it). Responses arrive
-// in pooled frames wrapped by pooled decoders; synchronous Calls complete
-// through reusable waiters, asynchronous ones through Futures. Server
-// side, method invocations travel as pooled mailbox tasks and reply
-// straight out of a pooled encoder whose header is written before the
-// method appends its results.
+// Request frames are built in pooled encoders (wire.GetEncoder) by the
+// one encode and handed by the one send to the transport, which takes
+// ownership (inproc forwards the very slice; tcp writes it vectored and
+// recycles it). Responses arrive in pooled frames wrapped by pooled
+// decoders. The two ways to wait are where the cost differs: a
+// synchronous Call completes through a pooled, reusable waiter and
+// allocates nothing; an asynchronous operation completes a Future, which
+// is two allocations (the Future and its channel; an args closure that
+// captures is a third) — TestSyncCallSteadyStateAllocs holds both
+// numbers. Server side, method invocations travel as pooled mailbox
+// tasks and reply straight out of a pooled encoder whose header is
+// written before the method appends its results.
 //
 // The caller's half of the bargain is Release: the decoder returned by
 // Call (or Future.Wait) owns its response frame, and releasing it after

@@ -29,6 +29,7 @@ func TestServerCloseFailsInflightCalls(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	defer releaseSlowpoke(t, srv, ref)()
 	// A call that blocks inside the object...
 	fut := c.CallAsync(bg, ref, "block", nil)
 	time.Sleep(20 * time.Millisecond)
@@ -256,6 +257,7 @@ func TestManyPendingFuturesOnClose(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	defer releaseSlowpoke(t, srv, ref)()
 	// One call occupies the object; the rest queue in its mailbox.
 	futs := make([]*Future, 16)
 	futs[0] = c.CallAsync(bg, ref, "block", nil)
@@ -338,6 +340,7 @@ func TestTCPConnectionDropMidCall(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	defer releaseSlowpoke(t, srv, ref)()
 	fut := c.CallAsync(bg, ref, "block", nil)
 	time.Sleep(20 * time.Millisecond)
 	srv.Close() // tears down the TCP connection server-side
@@ -397,9 +400,7 @@ func TestSendToDeadPeerIsTypedMachineDown(t *testing.T) {
 	}
 
 	tr.dead.Store(true)
-	_, syncErr := c.Call(bg, ref, "nop", nil)
-	asyncErr := c.CallAsync(bg, ref, "nop", nil).Err(bg)
-	for path, err := range map[string]error{"Call": syncErr, "CallAsync": asyncErr} {
+	eachForm(t, bg, c, ref, "nop", nil, nil, func(path string, err error) {
 		var down *MachineDownError
 		if !errors.Is(err, ErrMachineDown) || !errors.As(err, &down) || down.Machine != 0 {
 			t.Errorf("%s on a dead peer's connection: %v, want a *MachineDownError for machine 0", path, err)
@@ -407,10 +408,54 @@ func TestSendToDeadPeerIsTypedMachineDown(t *testing.T) {
 		if !errors.Is(err, transport.ErrClosed) {
 			t.Errorf("%s: %v does not carry the transport's cause", path, err)
 		}
-	}
+	})
 
 	c.Close()
 	if _, err := c.Call(bg, ref, "nop", nil); !errors.Is(err, ErrClientClosed) {
 		t.Errorf("call on a closed client: %v, want ErrClientClosed", err)
+	}
+}
+
+// countingTransport counts the dials made through it.
+type countingTransport struct {
+	transport.Transport
+	dials atomic.Int64
+}
+
+func (tr *countingTransport) Dial(addr string) (transport.Conn, error) {
+	tr.dials.Add(1)
+	return tr.Transport.Dial(addr)
+}
+
+// TestFailingEncoderNeverDials pins the order of the one request path —
+// encode, then dial — where it shows: an argument encoder that fails
+// reports its own error, from New and from both forms of a call, and the
+// machine, which is not there, is never dialed.
+func TestFailingEncoderNeverDials(t *testing.T) {
+	tr := &countingTransport{Transport: transport.NewInproc(transport.LinkModel{})}
+	c := NewClient(tr, StaticDirectory{"nowhere"})
+	defer c.Close()
+	errEncode := errors.New("cannot encode this")
+	bad := func(*wire.Encoder) error { return errEncode }
+
+	if _, err := c.New(bg, 0, "test.Counter", bad); !errors.Is(err, errEncode) {
+		t.Errorf("New: %v, want the encoder's error", err)
+	}
+	eachForm(t, bg, c, Ref{Machine: 0, Object: 1, Class: "test.Counter"}, "add", bad, nil, func(form string, err error) {
+		if !errors.Is(err, errEncode) {
+			t.Errorf("%s: %v, want the encoder's error", form, err)
+		}
+	})
+	if n := tr.dials.Load(); n != 0 {
+		t.Errorf("%d dials for requests that were never encoded", n)
+	}
+	// The same calls with arguments that encode do dial, and say so.
+	eachForm(t, bg, c, Ref{Machine: 0, Object: 1, Class: "test.Counter"}, "get", nil, nil, func(form string, err error) {
+		if !errors.Is(err, ErrMachineDown) {
+			t.Errorf("%s to an unreachable machine: %v, want ErrMachineDown", form, err)
+		}
+	})
+	if n := tr.dials.Load(); n != 2 {
+		t.Errorf("%d dials for two calls that were encoded, want 2", n)
 	}
 }

@@ -68,11 +68,13 @@ func normWindow(w int) int {
 // release — also in index order (nil: wait, release, return the call's
 // error). The first settle error stops issuing, drains every future
 // still outstanding (no pending call leaks) and is returned; a settle
-// that records failures and returns nil attempts all n calls.
+// that records failures and returns nil attempts all n calls. An issue
+// that has stopped starting calls returns nil, and settle is handed that.
 //
 // window = 1 is the sequential §2 form; window < 1 means DefaultWindow.
 // How a client bounds and settles outstanding requests is decided here
-// and nowhere else: FanOut and every core.Array transfer run on it.
+// and nowhere else: FanOut, SpawnRefs and every core.Array transfer run
+// on it.
 func SplitLoop(ctx context.Context, n, window int, issue func(i int) *Future, settle func(i int, f *Future) error) error {
 	window = min(normWindow(window), n)
 	if settle == nil {
@@ -87,7 +89,9 @@ func SplitLoop(ctx context.Context, n, window int, issue func(i int) *Future, se
 		}
 		if err := settle(done, futs[done%window]); err != nil {
 			for i := done + 1; i < issued; i++ {
-				_ = futs[i%window].Err(ctx)
+				if f := futs[i%window]; f != nil {
+					_ = f.Err(ctx)
+				}
 			}
 			return err
 		}
@@ -155,77 +159,52 @@ const spawnDrainGrace = 10 * time.Second
 // spawnDrainGrace. The returned error is errors.Join of one MemberError
 // per failed member.
 func SpawnRefs(ctx context.Context, client *Client, machines []int, class string, args func(i int, e *wire.Encoder) error, window int, opts ...CallOption) ([]Ref, error) {
-	window = normWindow(window)
-	n := len(machines)
-	refs := make([]Ref, n)
-	futs := make([]*Future, n)
+	refs := make([]Ref, len(machines))
 	var errs []error
 	issueCtx := context.WithoutCancel(ctx)
-	var graceDeadline time.Time
-	canceled := false
-	abort := func() {
-		canceled = true
-		errs = append(errs, fmt.Errorf("rmi: spawning %s aborted: %w", class, ctx.Err()))
-	}
-	issued, done := 0, 0
-	for done < issued || (issued < n && len(errs) == 0) {
-		if !canceled && ctx.Err() != nil {
-			abort()
+	var graceEnd time.Time // of the drain, set when the caller first gives up
+	_ = SplitLoop(issueCtx, len(machines), window, func(i int) *Future {
+		if len(errs) > 0 || ctx.Err() != nil {
+			return nil // no new work, only the drain
 		}
-		for issued < n && issued < done+window && len(errs) == 0 {
-			i := issued
-			var enc ArgEncoder
-			if args != nil {
-				enc = func(e *wire.Encoder) error { return args(i, e) }
-			}
-			fut, err := client.NewAsync(issueCtx, machines[i], class, enc, opts...)
-			if err != nil {
-				errs = append(errs, memberErr(i, machines[i], "spawn "+class, err))
-				break
-			}
-			futs[i] = fut
-			issued++
+		var enc ArgEncoder
+		if args != nil {
+			enc = func(e *wire.Encoder) error { return args(i, e) }
 		}
-		if done < issued {
-			fut := futs[done]
-			resolved := false
-			if !canceled {
-				// Stay responsive to the caller without aborting the
-				// future itself (a Wait(ctx) abort would unregister the
-				// request and lose the constructed object's ref).
-				select {
-				case <-fut.Done():
-					resolved = true
-				case <-ctx.Done():
-					abort()
-				}
-			}
-			if !resolved {
-				// Aborted: wait out the (shared) grace for the in-flight
-				// construction so its object can still be deleted.
-				if graceDeadline.IsZero() {
-					graceDeadline = time.Now().Add(spawnDrainGrace)
-				}
-				timer := time.NewTimer(time.Until(graceDeadline))
-				select {
-				case <-fut.Done():
-					resolved = true
-				case <-timer.C:
-					// Hung past the grace: abandoned.
-				}
-				timer.Stop()
-			}
-			if resolved {
-				r, err := fut.Ref(issueCtx)
-				switch {
-				case err == nil:
-					refs[done] = r
-				case !canceled:
-					errs = append(errs, memberErr(done, machines[done], "spawn "+class, err))
-				}
-			}
-			done++
+		return client.NewAsync(issueCtx, machines[i], class, enc, opts...)
+	}, func(i int, fut *Future) error {
+		if fut == nil {
+			return nil
 		}
+		// Stay responsive to the caller without aborting the future itself
+		// (a Wait(ctx) abort would unregister the request and lose the
+		// constructed object's ref).
+		select {
+		case <-fut.Done():
+		case <-ctx.Done():
+			// Wait out the (shared) grace for the in-flight construction
+			// so its object can still be deleted.
+			if graceEnd.IsZero() {
+				graceEnd = time.Now().Add(spawnDrainGrace)
+			}
+			grace := time.NewTimer(time.Until(graceEnd))
+			defer grace.Stop()
+			select {
+			case <-fut.Done():
+			case <-grace.C:
+				return nil // hung past the grace: abandoned
+			}
+		}
+		r, err := fut.Ref(issueCtx)
+		if err == nil {
+			refs[i] = r
+		} else if ctx.Err() == nil {
+			errs = append(errs, memberErr(i, machines[i], "spawn "+class, err))
+		}
+		return nil
+	})
+	if err := ctx.Err(); err != nil {
+		errs = append(errs, fmt.Errorf("rmi: spawning %s aborted: %w", class, err))
 	}
 	if len(errs) > 0 {
 		// Best-effort teardown of the members that did construct. The

@@ -1,6 +1,8 @@
 package rmi
 
 import (
+	"context"
+	"encoding/hex"
 	"errors"
 	"net"
 	"slices"
@@ -100,6 +102,22 @@ func awaitReply(t testing.TB, tap *tapConn) []byte {
 	}
 }
 
+// maskTraceIDs returns frame with the trace and span id of its trace
+// header, if it has one, replaced by a zero byte each.
+func maskTraceIDs(frame []byte) []byte {
+	d := wire.NewDecoder(frame)
+	lead := d.Byte()
+	d.Uvarint() // request id
+	d.Uvarint() // opcode
+	if lead&leadTraceFlag == 0 {
+		return frame
+	}
+	head := len(frame) - d.Remaining()
+	d.Uvarint()
+	d.Uvarint()
+	return slices.Concat(frame[:head], []byte{0, 0}, frame[len(frame)-d.Remaining():])
+}
+
 // FuzzFrameHeader is the fuzz target of the two decoders that read rmi
 // frame headers off a socket. The bytes go to the server's dispatch as a
 // request frame: it does not panic, a frame whose lead byte, request id or
@@ -117,21 +135,50 @@ func FuzzFrameHeader(f *testing.F) {
 	// test.Echo object the others address.
 	c, tap := tappedClient()
 	echo := Ref{Machine: 0, Object: 1, Class: "test.Echo"}
+	payload := func(e *wire.Encoder) error { e.PutBytes([]byte("payload")); return nil }
+	// A deadline whose bytes on the wire do not depend on the clock.
+	by2096, cancel := context.WithDeadline(bg, time.Unix(4_000_000_000, 0))
+	defer cancel()
 	c.NewAsync(bg, 0, "test.Echo", nil)
-	c.CallAsync(bg, echo, "echo", func(e *wire.Encoder) error { e.PutBytes([]byte("payload")); return nil })
-	c.CallAsync(bg, echo, "machine", nil, WithSampled(), WithTimeout(time.Minute), WithPriority(PrioBulk))
+	c.CallAsync(bg, echo, "echo", payload)
+	c.CallAsync(by2096, echo, "machine", nil, WithSampled(), WithPriority(PrioBulk))
 	c.CallAsync(bg, echo, "nope", nil)
 	c.CallAsync(bg, Ref{Machine: 0, Object: 99, Class: "test.Echo"}, methodPing, nil)
 	c.NewAsync(bg, 0, "test.Echo", nil, WithSampled())
 	for _, op := range []uint64{opPing, opStat, opDebug, 77} {
-		c.control(bg, newFuture(0, "", "", ""), &callOptions{}, op)
+		c.control(bg, 0, op, nil)
 	}
 	c.deleteAsync(bg, echo)
 	var requests [][]byte
 	for len(tap.sent) > 0 {
 		requests = append(requests, <-tap.sent)
 	}
+	called := make(chan struct{})
+	go func() {
+		defer close(called)
+		d, _ := c.Call(bg, echo, "echo", payload) // fails when the client closes
+		d.Release()
+	}()
+	requests = append(requests, awaitReply(f, tap))
 	c.Close()
+	<-called
+	// The wire format is these bytes: what the client of PR 21 wrote for
+	// the same operations, trace and span id masked to one zero byte each.
+	for i, want := range []string{
+		"01010109746573742e4563686f",                       // new
+		"01020201046563686f00077061796c6f6164",             // call with arguments
+		"82030200000101076d616368696e65808080d9d3b3ed826f", // call: bulk, sampled, deadline
+		"01040201046e6f706500",                             // call, no arguments
+		"01050263055f70696e6700",                           // call _ping of object 99
+		"81060100000109746573742e4563686f",                 // new, sampled
+		"000704", "000805", "000906", "000a4d",             // ping, stat, debug, opcode 77
+		"000b0301",                             // delete
+		"010c0201046563686f00077061796c6f6164", // Call: the frame of CallAsync
+	} {
+		if got := hex.EncodeToString(maskTraceIDs(requests[i])); got != want {
+			f.Fatalf("request %d on the wire is %s, want %s", i, got, want)
+		}
+	}
 	newEcho := requests[0]
 	// Real response frames: what a server answers each of them.
 	srv, replies := fuzzServer(f, newEcho)

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"oopp/internal/trace"
 	"oopp/internal/wire"
 )
 
@@ -21,39 +20,26 @@ import (
 // promptly. Aborting unregisters the pending request, so a late response
 // is dropped (and counted as orphaned) instead of resurrecting the call.
 type Future struct {
+	callSite
 	done chan struct{}
 
-	// call site metadata for error reporting
-	machine int
-	class   string
-	method  string
-	label   string
-
-	// cancellation plumbing. cc/reqID are bound only after dialing
-	// succeeds, which can race with an already-armed per-call timer, so
-	// they are guarded by regMu; the rest is written before sharing.
+	// cancellation plumbing. callSite's cc and reqID are bound only after
+	// dialing succeeds, which can race with an already-armed per-call
+	// timer, so they are guarded by regMu, as is timer; the rest is
+	// written before sharing.
 	regMu   sync.Mutex
-	cc      *clientConn
-	reqID   uint64
 	sendCtx context.Context
 	timer   *time.Timer
 
+	// complete runs once: it ends callSite's span there.
 	once   sync.Once
 	result *wire.Decoder
 	err    error
-
-	// span is the client-side span of a sampled operation; complete ends
-	// it exactly once (behind f.once). Nil for untraced/unsampled calls.
-	span *trace.Span
 
 	// released latches the one Release of the response frame. It cannot be
 	// inferred from the decoder itself: once released, the pooled decoder
 	// struct may already belong to another in-flight call.
 	released atomic.Bool
-}
-
-func newFuture(machine int, class, method, label string) *Future {
-	return &Future{done: make(chan struct{}), machine: machine, class: class, method: method, label: label}
 }
 
 // Wait blocks until the operation completes, the context is canceled, or
@@ -80,13 +66,19 @@ func (f *Future) Wait(ctx context.Context) (*wire.Decoder, error) {
 	return f.result, f.err
 }
 
-// bind records the connection and request id once dialing succeeds, so
-// cancel can unregister the pending request.
-func (f *Future) bind(cc *clientConn, reqID uint64) {
+// bind implements pendingCall: it records where the request is
+// registered, so cancel can unregister it, and reports whether the future
+// is still pending.
+func (f *Future) bind(cc *clientConn, reqID uint64) bool {
 	f.regMu.Lock()
-	f.cc = cc
-	f.reqID = reqID
+	f.cc, f.reqID = cc, reqID
 	f.regMu.Unlock()
+	select {
+	case <-f.done:
+		return false
+	default:
+		return true
+	}
 }
 
 // cancel aborts a pending operation: the request is unregistered from its
@@ -94,27 +86,9 @@ func (f *Future) bind(cc *clientConn, reqID uint64) {
 // the response already arrived, cancel is a no-op.
 func (f *Future) cancel(cause error) {
 	f.regMu.Lock()
-	cc, reqID := f.cc, f.reqID
+	f.abandon()
 	f.regMu.Unlock()
-	if cc != nil {
-		cc.unregister(reqID)
-	}
-	f.fail(fmt.Errorf("rmi: %s aborted: %w", f.describe(), cause))
-}
-
-// describe renders the call site for error messages.
-func (f *Future) describe() string {
-	name := f.class
-	if f.method != "" {
-		name += "." + f.method
-	}
-	if name == "" {
-		name = "operation"
-	}
-	if f.label != "" {
-		return fmt.Sprintf("%s [%s] on machine %d", name, f.label, f.machine)
-	}
-	return fmt.Sprintf("%s on machine %d", name, f.machine)
+	f.complete(nil, f.aborted(cause))
 }
 
 // Done returns a channel closed when the result is available, for use in
@@ -176,15 +150,6 @@ func (f *Future) complete(d *wire.Decoder, err error) {
 		f.span.End(err != nil)
 		close(f.done)
 	})
-}
-
-func (f *Future) succeed(d *wire.Decoder) { f.complete(d, nil) }
-
-func (f *Future) fail(err error) { f.complete(nil, err) }
-
-// remoteFail implements pendingCall for statusErr responses.
-func (f *Future) remoteFail(msg string) {
-	f.fail(&RemoteError{Machine: f.machine, Class: f.class, Method: f.method, Msg: msg})
 }
 
 // Release recycles the response frame held by a completed future. Call it

@@ -71,6 +71,12 @@ func TestDialFailureIsTypedMachineDown(t *testing.T) {
 	if !errors.As(err, &down) || down.Machine != 0 {
 		t.Fatalf("dial failure carries %+v, want MachineDownError{Machine: 0}", err)
 	}
+	eachForm(t, bg, c, Ref{Machine: 0, Object: 1, Class: "test.Counter"}, "get", nil, nil, func(form string, err error) {
+		var down *MachineDownError
+		if !errors.Is(err, ErrMachineDown) || !errors.As(err, &down) || down.Machine != 0 {
+			t.Fatalf("%s: dial failure %v, want a *MachineDownError for machine 0", form, err)
+		}
+	})
 }
 
 // blocker is the object of test.DrainWedge and test.DrainSlow2: its method
@@ -230,8 +236,13 @@ func TestHeartbeatDetectsFailureAndRecovery(t *testing.T) {
 	if err := c.Ping(bg, 0); !errors.Is(err, ErrMachineDown) {
 		t.Fatalf("ping of down machine: %v, want ErrMachineDown", err)
 	}
+	eachForm(t, bg, c, Ref{Machine: 0, Object: 1, Class: "test.Counter"}, "get", nil, nil, func(form string, err error) {
+		if !errors.Is(err, ErrMachineDown) {
+			t.Fatalf("%s to a down machine: %v, want ErrMachineDown", form, err)
+		}
+	})
 	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("down-machine ping took %v, want fast fail", elapsed)
+		t.Fatalf("down-machine ping and calls took %v, want fast fail", elapsed)
 	}
 
 	srv2, err := NewServer(0, tr, addr, nil)

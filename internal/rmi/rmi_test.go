@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"runtime"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,6 +38,18 @@ type slowpoke struct {
 	release chan struct{}
 	entered chan struct{}
 	once    sync.Once
+}
+
+// releaseSlowpoke returns the release of the test.Slowpoke at ref, for a
+// test that parks it in "block" and lets a server close around it: the
+// object's process, and the Close that gave up waiting for it, then end
+// with the test.
+func releaseSlowpoke(t *testing.T, srv *Server, ref Ref) func() {
+	obj, ok := srv.Object(ref.Object)
+	if !ok {
+		t.Fatalf("no object %d on the server", ref.Object)
+	}
+	return func() { close(obj.(*slowpoke).release) }
 }
 
 // echo returns its arguments.
@@ -195,6 +210,24 @@ func init() {
 
 // ---- harness ------------------------------------------------------------
 
+func TestMain(m *testing.M) { os.Exit(leakChecked(m)) }
+
+// leakChecked runs the package's tests and then requires the goroutines
+// they started to be gone: runtime.NumGoroutine gets 5 s to fall back to
+// its count before the run, else the stacks are dumped and the run fails.
+func leakChecked(m *testing.M) int {
+	before := runtime.NumGoroutine()
+	code := m.Run()
+	for deadline := time.Now().Add(5 * time.Second); code == 0 && runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			fmt.Fprintf(os.Stderr, "goroutine leak: %d goroutines after the tests, %d before them\n", runtime.NumGoroutine(), before)
+			pprof.Lookup("goroutine").WriteTo(os.Stderr, 2)
+			return 1
+		}
+	}
+	return code
+}
+
 // testNode is one machine: a server plus its outbound client.
 type testNode struct {
 	server *Server
@@ -228,6 +261,27 @@ func startCluster(t testing.TB, tr transport.Transport, n int) ([]*testNode, fun
 			node.server.Close()
 		}
 	}
+}
+
+// callForms issues one call the synchronous way (Call) and the
+// asynchronous way (CallAsync, then Err).
+func callForms(ctx context.Context, c *Client, ref Ref, method string, args ArgEncoder, opts ...CallOption) (syncErr, asyncErr error) {
+	d, syncErr := c.Call(ctx, ref, method, args, opts...)
+	d.Release()
+	return syncErr, c.CallAsync(ctx, ref, method, args, opts...).Err(ctx)
+}
+
+// eachForm is callForms for an outcome that does not depend on timing: the
+// two must read the same — one request path, two ways to wait — and each
+// is handed to check.
+func eachForm(t *testing.T, ctx context.Context, c *Client, ref Ref, method string, args ArgEncoder, opts []CallOption, check func(form string, err error)) {
+	t.Helper()
+	syncErr, asyncErr := callForms(ctx, c, ref, method, args, opts...)
+	if fmt.Sprint(syncErr) != fmt.Sprint(asyncErr) {
+		t.Errorf("%s: the two forms disagree:\n  Call:      %v\n  CallAsync: %v", method, syncErr, asyncErr)
+	}
+	check("Call", syncErr)
+	check("CallAsync", asyncErr)
 }
 
 func eachTransport(t *testing.T, f func(t *testing.T, tr transport.Transport)) {
@@ -310,19 +364,19 @@ func TestRemoteErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if _, err := c.Call(bg, ref, "nonexistent", nil); !errors.Is(err, ErrNoSuchMethod) {
-		t.Errorf("unknown method: %v", err)
-	}
-	if _, err := c.Call(bg, ref, "fail", nil); err == nil {
-		t.Error("expected method error")
-	} else {
+	eachForm(t, bg, c, ref, "nonexistent", nil, nil, func(form string, err error) {
+		if !errors.Is(err, ErrNoSuchMethod) {
+			t.Errorf("%s of an unknown method: %v", form, err)
+		}
+	})
+	eachForm(t, bg, c, ref, "fail", nil, nil, func(form string, err error) {
 		var re *RemoteError
 		if !errors.As(err, &re) {
-			t.Errorf("error not a RemoteError: %T %v", err, err)
-		} else if re.Class != "test.Counter" || re.Method != "fail" {
-			t.Errorf("RemoteError metadata: %+v", re)
+			t.Errorf("%s: error not a RemoteError: %T %v", form, err, err)
+		} else if re.Machine != 1 || re.Class != "test.Counter" || re.Method != "fail" {
+			t.Errorf("%s: RemoteError metadata: %+v", form, re)
 		}
-	}
+	})
 	// Panicking method becomes an error, object survives.
 	if _, err := c.Call(bg, ref, "explode", nil); err == nil {
 		t.Error("expected panic -> error")
@@ -331,9 +385,11 @@ func TestRemoteErrors(t *testing.T) {
 		t.Errorf("object dead after method panic: %v", err)
 	}
 	// Call on nil ref.
-	if _, err := c.Call(bg, Ref{}, "get", nil); err == nil {
-		t.Error("expected error calling nil ref")
-	}
+	eachForm(t, bg, c, Ref{}, "get", nil, nil, func(form string, err error) {
+		if err == nil {
+			t.Errorf("%s on a nil ref: expected an error", form)
+		}
+	})
 	if err := c.Delete(bg, Ref{}); err == nil {
 		t.Error("expected error deleting nil ref")
 	}
@@ -826,6 +882,11 @@ func TestClientCloseFailsInflight(t *testing.T) {
 	if _, err := c.New(bg, 0, "test.Counter", nil); !errors.Is(err, ErrClientClosed) {
 		t.Errorf("New on closed client: %v", err)
 	}
+	eachForm(t, bg, c, Ref{Machine: 0, Object: 1, Class: "test.Counter"}, "get", nil, nil, func(form string, err error) {
+		if !errors.Is(err, ErrClientClosed) {
+			t.Errorf("%s on closed client: %v", form, err)
+		}
+	})
 	// Close is idempotent.
 	if err := c.Close(); err != nil {
 		t.Errorf("double close: %v", err)

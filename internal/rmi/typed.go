@@ -127,8 +127,8 @@ func (c *Class[T]) New(ctx context.Context, client *Client, m int, args ArgEncod
 }
 
 // NewAsync begins a remote construction of this class and returns its
-// future immediately.
-func (c *Class[T]) NewAsync(ctx context.Context, client *Client, m int, args ArgEncoder, opts ...CallOption) (*Future, error) {
+// future immediately, failed already if the request could not leave.
+func (c *Class[T]) NewAsync(ctx context.Context, client *Client, m int, args ArgEncoder, opts ...CallOption) *Future {
 	return client.NewAsync(ctx, m, c.spec.Name(), args, opts...)
 }
 
@@ -161,19 +161,18 @@ func SpecFor[T any]() (*ClassSpec, error) { return classSpecFor[T]() }
 // args.Any); classes with packed constructor encodings construct through
 // their Class[T].New handle instead.
 func NewOn[T any](ctx context.Context, client *Client, m int, args ...any) (Ref, error) {
-	fut, err := NewOnAsync[T](ctx, client, m, args...)
-	if err != nil {
-		return Ref{}, err
-	}
-	return fut.Ref(ctx)
+	return NewOnAsync[T](ctx, client, m, args...).Ref(ctx)
 }
 
 // NewOnAsync is NewOn split §4-style: it returns the construction future
-// immediately.
-func NewOnAsync[T any](ctx context.Context, client *Client, m int, args ...any) (*Future, error) {
+// immediately — failed already if no class is registered for T or the
+// request could not leave.
+func NewOnAsync[T any](ctx context.Context, client *Client, m int, args ...any) *Future {
 	spec, err := classSpecFor[T]()
 	if err != nil {
-		return nil, err
+		fut := &Future{done: make(chan struct{})}
+		fut.complete(nil, err)
+		return fut
 	}
 	return client.NewAsync(ctx, m, spec.Name(), AnyArgs(args...))
 }

@@ -256,6 +256,15 @@ func TestWithTimeoutArmsAsyncFutures(t *testing.T) {
 	if !contains(err.Error(), "slow-op") {
 		t.Fatalf("error %q does not carry the trace label", err)
 	}
+	// Both ways to wait name the call site in the same words.
+	eachForm(t, bg, c, ref, "sleep", func(e *wire.Encoder) error {
+		e.PutInt(500)
+		return nil
+	}, []CallOption{WithTimeout(25 * time.Millisecond), WithLabel("slow-op")}, func(form string, err error) {
+		if !errors.Is(err, context.DeadlineExceeded) || !contains(err.Error(), "test.Slowpoke.sleep [slow-op] on machine 0") {
+			t.Fatalf("%s: err = %v, want DeadlineExceeded naming the call site", form, err)
+		}
+	})
 }
 
 // TestWaitAllMixed exercises WaitAll over nil entries, failed futures,
@@ -303,6 +312,11 @@ func TestCanceledContextFailsSendFast(t *testing.T) {
 	if _, err := c.New(ctx, 0, "test.TypedCounter", AnyArgs(1)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("New on canceled ctx: %v", err)
 	}
+	eachForm(t, ctx, c, Ref{Machine: 0, Object: 1, Class: "test.TypedCounter"}, "get", nil, nil, func(form string, err error) {
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s on canceled ctx: %v", form, err)
+		}
+	})
 	if d := metrics.Default.Snapshot().Sub(before); d.MessagesSent != 0 {
 		t.Fatalf("canceled send still wrote %d frames", d.MessagesSent)
 	}
@@ -368,6 +382,17 @@ func TestTimeoutBoundsDialPhase(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded through the dial phase", err)
 	}
+	// Both ways to wait; which of timer and dial loop reports the timeout
+	// first is a race, so the texts may differ.
+	start = time.Now()
+	syncErr, asyncErr := callForms(bg, c, Ref{Machine: 0, Object: 1, Class: "test.Counter"}, "get", nil,
+		WithTimeout(100*time.Millisecond), WithRetryDial(1000))
+	if !errors.Is(syncErr, context.DeadlineExceeded) || !errors.Is(asyncErr, context.DeadlineExceeded) {
+		t.Fatalf("Call: %v, CallAsync: %v, want DeadlineExceeded through the dial phase from both", syncErr, asyncErr)
+	}
+	if elapsed := time.Since(start); elapsed > 4*time.Second {
+		t.Fatalf("dial retries of two calls ran %v, want each bounded by its 100ms timeout", elapsed)
+	}
 }
 
 // TestExpiredDeadlineFailsFast pins the fix for WithDeadline in the
@@ -377,8 +402,70 @@ func TestExpiredDeadlineFailsFast(t *testing.T) {
 	defer stop()
 	c := nodes[0].client
 
-	err := c.Ping(bg, 0, WithDeadline(time.Now().Add(-time.Second)))
+	past := WithDeadline(time.Now().Add(-time.Second))
+	err := c.Ping(bg, 0, past)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired deadline: err = %v, want DeadlineExceeded", err)
+	}
+	ref, err := c.New(bg, 0, "test.Echo", nil)
+	if err != nil {
+		t.Fatalf("new: %v", err)
+	}
+	// Both ways to wait. The deadline goes out on the wire too, so the
+	// server's refusal may beat the client's own timer: either way the
+	// error is DeadlineExceeded, in whose words is a race.
+	syncErr, asyncErr := callForms(bg, c, ref, "machine", nil, past)
+	if !errors.Is(syncErr, context.DeadlineExceeded) || !errors.Is(asyncErr, context.DeadlineExceeded) {
+		t.Fatalf("past its deadline: Call: %v, CallAsync: %v, want DeadlineExceeded from both", syncErr, asyncErr)
+	}
+}
+
+// TestNilContextIsBackground: every operation and every way to wait
+// accepts a nil context and answers as under context.Background().
+func TestNilContextIsBackground(t *testing.T) {
+	nodes, stop := startCluster(t, transport.NewInproc(transport.LinkModel{}), 1)
+	defer stop()
+	c := nodes[0].client
+
+	start := func(e *wire.Encoder) error { e.PutInt(41); return nil }
+	add := func(e *wire.Encoder) error { e.PutInt(1); e.PutInt(0); return nil }
+	run := func(ctx context.Context) (out []string) {
+		var ref, ref2 Ref
+		for _, step := range []struct {
+			name string
+			do   func() (any, error)
+		}{
+			{"New", func() (r any, err error) { ref, err = c.New(ctx, 0, "test.Counter", start); return ref.Class, err }},
+			{"NewAsync, Ref", func() (r any, err error) {
+				ref2, err = c.NewAsync(ctx, 0, "test.Counter", start).Ref(ctx)
+				return ref2.Class, err
+			}},
+			{"Call", func() (any, error) {
+				d, err := c.Call(ctx, ref, "add", add)
+				defer d.Release()
+				return d.Varint(), err
+			}},
+			{"CallAsync, Wait", func() (any, error) {
+				fut := c.CallAsync(ctx, ref, "add", add)
+				defer fut.Release()
+				d, err := fut.Wait(ctx)
+				return d.Varint(), err
+			}},
+			{"CallAsync, Err", func() (any, error) { return nil, c.CallAsync(ctx, ref, "fail", nil).Err(ctx) }},
+			{"Ping", func() (any, error) { return nil, c.Ping(ctx, 0) }},
+			{"Stat", func() (any, error) { live, _, err := c.Stat(ctx, 0); return live, err }},
+			{"Delete", func() (any, error) { return nil, errors.Join(c.Delete(ctx, ref), c.Delete(ctx, ref2)) }},
+		} {
+			got, err := step.do()
+			out = append(out, fmt.Sprintf("%s: %v, %v", step.name, got, err))
+		}
+		return out
+	}
+	var none context.Context
+	want, got := run(bg), run(none)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("with a nil context %s\nwith context.Background() %s", got[i], want[i])
+		}
 	}
 }

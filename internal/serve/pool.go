@@ -165,8 +165,9 @@ func (s *Session) New(ctx context.Context, m int, class string, args rmi.ArgEnco
 	return s.pool.ClientFor(m).New(ctx, m, class, args, s.merge(opts)...)
 }
 
-// NewAsync begins a construction on machine m through the pool.
-func (s *Session) NewAsync(ctx context.Context, m int, class string, args rmi.ArgEncoder, opts ...rmi.CallOption) (*rmi.Future, error) {
+// NewAsync begins a construction on machine m through the pool; the
+// future has failed already if the request could not leave.
+func (s *Session) NewAsync(ctx context.Context, m int, class string, args rmi.ArgEncoder, opts ...rmi.CallOption) *rmi.Future {
 	return s.pool.ClientFor(m).NewAsync(ctx, m, class, args, s.merge(opts)...)
 }
 
