@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"regexp"
@@ -51,7 +52,26 @@ func TestAllExperimentsRun(t *testing.T) {
 			if !strings.Contains(buf.String(), e.ID) {
 				t.Error("render missing id")
 			}
-			checkPin(t, table, pin[e.ID])
+			// An allocs/op cell is the process's malloc count over a
+			// loop, so a GC that empties the sync.Pools in the middle of
+			// one shows as allocations of the call: a table with only
+			// such cells above their pins is measured again, and each
+			// keeps its best of three. Exact cells are the first run's.
+			misses, fresh := checkPin(table, pin[e.ID])
+			for try := 2; try <= 3 && onlyCeilingsMiss(misses); try++ {
+				again, err := e.Run(cfg)
+				if err != nil {
+					t.Fatalf("%s failed: %v", e.ID, err)
+				}
+				keepLowerCeilings(table, again)
+				misses, fresh = checkPin(table, pin[e.ID])
+			}
+			for _, m := range misses {
+				t.Error(m.what)
+			}
+			if len(misses) > 0 {
+				t.Logf("this run's block, to paste into testdata/pin.txt if the change is meant:\n%s", fresh)
+			}
 		})
 	}
 	for id := range pin {
@@ -83,9 +103,44 @@ func parsePin(text string) map[string][][]string {
 	return pin
 }
 
+// miss is one disagreement between a table and its pin.
+type miss struct {
+	rule rule // of the column; 0 when the block has the wrong shape
+	what string
+}
+
+// onlyCeilingsMiss reports whether there are misses and every one is a
+// cell under the ceiling rule.
+func onlyCeilingsMiss(misses []miss) bool {
+	for _, m := range misses {
+		if m.rule != ceiling {
+			return false
+		}
+	}
+	return len(misses) > 0
+}
+
+// keepLowerCeilings replaces each cell of tb under the ceiling rule by the
+// same cell of again where that one is lower.
+func keepLowerCeilings(tb, again *Table) {
+	for c, name := range tb.Columns {
+		if tb.pinned[name] != ceiling {
+			continue
+		}
+		for i, row := range tb.Rows {
+			was, err1 := strconv.ParseFloat(row[c], 64)
+			now, err2 := strconv.ParseFloat(again.Rows[i][c], 64)
+			if err1 == nil && err2 == nil && now < was {
+				row[c] = again.Rows[i][c]
+			}
+		}
+	}
+}
+
 // checkPin holds the columns tb marks as pinned to want, each cell by its
-// column's rule, and on a mismatch prints the block to paste over the old.
-func checkPin(t *testing.T, tb *Table, want [][]string) {
+// column's rule, and returns the misses with the block to paste over the
+// old one.
+func checkPin(tb *Table, want [][]string) (misses []miss, block string) {
 	how := map[rule]string{exact: "exact", kbytes: "within 0.1", ceiling: "no whole allocation above the pin (not under -race)"}
 	sub := &Table{ID: tb.ID, Title: tb.Title, Rows: make([][]string, len(tb.Rows))}
 	var rules []rule
@@ -104,10 +159,10 @@ func checkPin(t *testing.T, tb *Table, want [][]string) {
 		}
 	}
 	if len(rules) != len(tb.pinned) {
-		t.Fatalf("pinned %v names a column that is not in %q", tb.pinned, tb.Columns)
+		return []miss{{what: fmt.Sprintf("pinned %v names a column that is not in %q", tb.pinned, tb.Columns)}}, ""
 	}
 	if len(rules) == 0 && want == nil {
-		return
+		return nil, ""
 	}
 	sub.Claim = strings.Join(claim, "; ")
 	var fresh bytes.Buffer
@@ -118,10 +173,9 @@ func checkPin(t *testing.T, tb *Table, want [][]string) {
 		shaped = len(got[i]) == len(want[i])
 	}
 	if !shaped {
-		t.Errorf("%s: the pin's block is not the shape of the table's pinned columns", tb.ID)
+		return []miss{{what: fmt.Sprintf("%s: the pin's block is not the shape of the table's pinned columns", tb.ID)}}, fresh.String()
 	}
-	differ := !shaped
-	for i := 0; shaped && i < len(got); i++ {
+	for i := range got {
 		row := ""
 		for c, cell := range got[i] {
 			r := rules[c]
@@ -132,14 +186,11 @@ func checkPin(t *testing.T, tb *Table, want [][]string) {
 				row = strings.TrimSpace(row + " " + cell)
 			}
 			if !holds(r, want[i][c], cell) {
-				t.Errorf("%s / %s / %s: pinned %s, got %s", tb.ID, row, sub.Columns[c], want[i][c], cell)
-				differ = true
+				misses = append(misses, miss{r, fmt.Sprintf("%s / %s / %s: pinned %s, got %s", tb.ID, row, sub.Columns[c], want[i][c], cell)})
 			}
 		}
 	}
-	if differ {
-		t.Logf("this run's block, to paste into testdata/pin.txt if the change is meant:\n%s", &fresh)
-	}
+	return misses, fresh.String()
 }
 
 // holds reports whether a cell agrees with its pin under rule r. Cells

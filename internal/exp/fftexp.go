@@ -38,7 +38,7 @@ func E5ParallelFFT(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	localTime := time.Since(start)
-	t.Note("local single-core 3D FFT (%d^3): %s ms", n, msPrec(localTime))
+	t.Note("local single-core 3D FFT (%d^3): %s ms — a worker's two phases with no exchange between them: both axes of a plane while it is in cache, then the first axis, whose rows a tile reads and writes once each", n, msPrec(localTime))
 	t.Note("host has %d hardware threads (GOMAXPROCS): speedup saturates there — workers beyond it only add transpose traffic", runtime.GOMAXPROCS(0))
 
 	reps := cfg.iters(2, 4)

@@ -8,19 +8,48 @@
 // performs. The distributed organisation (worker processes, SetGroup,
 // transpose exchanges) lives in internal/pfft.
 //
+// A power-of-two transform is one radix-4 decimation-in-time kernel in two
+// forms, Plan.radix4 on a contiguous line and Plan.radix4Rows on a run of
+// adjacent columns, that goes two radix-2 stages to a sweep of the data.
+// The first sweep reads its input through the bit reversal and writes a
+// working line — the size-2 stage when log2 n is odd, a radix-4 pass over
+// groups of four when it is even; no twiddle is multiplied in either, and
+// the inverse's 1/n, a power of two and so exact, rides on what it writes.
+// Every later sweep is a radix-4 pass over groups of 4h values (h the group
+// of the sweep before), in place in the working line until the last one,
+// which writes the result back over the input. Butterfly k of a group
+// multiplies three of its four values by twiddles the plan holds in the
+// order the pass reads them, one table per sign, and butterfly 0 of every
+// group, whose twiddles are 1, multiplies nothing; the −i between the two
+// fused stages is a swap of real and imaginary parts, not a multiplication.
+// So a length-128 line is swept four times where a radix-2 loop, its bit
+// reversal counted, sweeps it eight, and a pass spends three complex
+// multiplications where two radix-2 stages spend four.
+// Results differ from a radix-2 loop's in the last few bits — that loop
+// multiplied by tw[n/4] = (6e-17, −1) where this one swaps, and by two
+// twiddles in turn where this one has their product as one rounded table
+// entry; TestRadix4WithinUlpsOfRadix2 holds the two to 1e-12.
+//
 // A line along the last axis of a row-major array is contiguous and goes
 // through Plan.Transform where it lies. A line along any other axis is a
 // column of an n×m block — n the axis, m the product of the extents after
-// it — and is never copied out: Plan.columns runs the radix-2 butterflies
-// on runs of adjacent columns, row segment against row segment, in tiles
-// narrow enough to stay in cache. Each element sees the operations
-// Transform would apply to its column, in the same order, so the results
-// are the gathered form's bit for bit. FFT2D (m = n2), FFT3D (m = n3 within
-// each i1-plane, then m = n2·n3) and TransformAxis1 (m = n2·n3) are the
-// callers; pfft's workers reach it one plane at a time, through FFT2D on
-// an i1-plane (m = n3) and TransformAxis1 on an i2-plane (n2 = 1, m = n3).
-// Lengths that are not powers of two take Bluestein's algorithm line by
-// line, with the scratch of both forms recycled by the plan.
+// it — and is never gathered into a line of its own: Plan.columns takes
+// runs of colTile adjacent columns through the kernel together, row
+// segment against row segment, with an n×colTile tile pooled by the plan
+// as the working line. The rows of the block are read once, by the first
+// sweep, and written once, by the last, however far apart they lie — 256
+// KiB along the first axis of a 128³ array, every row of a tile in the
+// same cache sets — and everything between happens in the tile. Each
+// element sees the operations Transform would apply to its column, in the
+// same order, so the results are the gathered form's bit for bit (on
+// arm64 and other targets where the compiler may fuse a multiply and an
+// add differently in the two loops, to 1e-12). FFT2D (m = n2), FFT3D
+// (m = n3 within each i1-plane, then m = n2·n3) and TransformAxis1
+// (m = n2·n3) are the callers; pfft's workers reach it one plane at a
+// time, through FFT2D on an i1-plane (m = n3) and TransformAxis1 on an
+// i2-plane (n2 = 1, m = n3). Lengths that are not powers of two take
+// Bluestein's algorithm line by line, over an inner power-of-two plan,
+// with the scratch of both forms recycled by the plan.
 //
 // Conventions: sign=-1 is the forward transform, sign=+1 the inverse;
 // the inverse is normalized by 1/N, so Inverse(Forward(x)) == x.
@@ -39,8 +68,11 @@ func Forward(x []complex128) error { return Transform(x, -1) }
 // Inverse transforms x in place with sign +1 and 1/N normalization.
 func Inverse(x []complex128) error { return Transform(x, +1) }
 
-// Transform runs an in-place 1D FFT of any length (radix-2 for powers of
-// two, Bluestein otherwise).
+// Transform runs an in-place 1D FFT of any length: the radix-4 kernel of
+// the package comment for powers of two — two radix-2 stages to a sweep,
+// no multiplication by a twiddle that is 1 nor by the −i between the two
+// stages, the inverse's 1/n folded into the first sweep — and Bluestein's
+// algorithm over that kernel otherwise.
 func Transform(x []complex128, sign int) error {
 	p, err := PlanFor(len(x))
 	if err != nil {
@@ -76,14 +108,15 @@ func PlanFor(n int) (*Plan, error) {
 type Plan struct {
 	n    int
 	pow2 bool
-	// radix-2 tables
-	rev []int        // bit-reversal permutation
-	tw  []complex128 // twiddles e^{-2πi k / n}, k < n/2
+	// power-of-two tables
+	rev    []int              // bit-reversal permutation
+	passes [2][][3]complex128 // twiddles of the forward and of the inverse transform, see newPasses
 	// Bluestein tables (nil for powers of two)
 	bs *bluestein
-	// line recycles the length-n column buffer of columns' gathered form,
-	// which only a non-power-of-two plan takes.
-	line sync.Pool // *[]complex128
+	// line recycles a length-n buffer: the working line of a power-of-two
+	// transform, the gathered column of columns for any other plan. tile
+	// recycles the n×colTile working block of a power-of-two columns.
+	line, tile sync.Pool // *[]complex128
 }
 
 // NewPlan builds a plan for length n (n >= 1).
@@ -95,7 +128,7 @@ func NewPlan(n int) (*Plan, error) {
 	if n&(n-1) == 0 {
 		p.pow2 = true
 		p.rev = bitRevTable(n)
-		p.tw = twiddles(n)
+		p.passes = [2][][3]complex128{newPasses(n, -1), newPasses(n, +1)}
 		return p, nil
 	}
 	bs, err := newBluestein(n)
@@ -115,47 +148,139 @@ func (p *Plan) Transform(x []complex128, sign int) {
 	if len(x) != p.n {
 		panic(fmt.Sprintf("fft: plan length %d, input %d", p.n, len(x)))
 	}
-	if p.n == 1 {
+	p.lines(x, sign)
+}
+
+// lines transforms the len(x)/Len contiguous lines of x, the last axis of
+// a row-major array.
+func (p *Plan) lines(x []complex128, sign int) {
+	n := p.n
+	if n == 1 {
 		return
 	}
 	if p.pow2 {
-		p.radix2(x, sign)
-	} else {
-		p.bs.transform(x, sign)
+		t := scratch(&p.line, n)
+		for i := 0; i < len(x); i += n {
+			p.radix4(x[i:i+n], *t, sign)
+		}
+		p.line.Put(t)
+		return
 	}
-	if sign > 0 {
-		scale := 1 / float64(p.n)
-		for i := range x {
-			x[i] = complex(real(x[i])*scale, imag(x[i])*scale)
+	scale := 1 / float64(n)
+	for i := 0; i < len(x); i += n {
+		line := x[i : i+n]
+		p.bs.transform(line, sign)
+		if sign > 0 {
+			for k, v := range line {
+				line[k] = scaled(v, scale)
+			}
 		}
 	}
 }
 
-// radix2 is the iterative Cooley-Tukey kernel.
-func (p *Plan) radix2(x []complex128, sign int) {
-	n := p.n
-	for i, j := range p.rev {
-		if j > i {
-			x[i], x[j] = x[j], x[i]
+// firstQuarter is h of the first radix-4 pass of a length-n transform that
+// has twiddles: 2 after the size-2 stage that opens the transform when
+// log2 n is odd, 4 after the twiddle-free radix-4 pass that opens it when
+// log2 n is even.
+func firstQuarter(n int) int { return 4 >> (bits.TrailingZeros(uint(n)) & 1) }
+
+// newPasses lays out the twiddles of every radix-4 pass of a length-n
+// transform in the order the pass reads them: for h = firstQuarter(n), 4h,
+// 16h, … while 4h <= n, and k < h, the three factors of butterfly k,
+// e^{s·2πik/2h}, e^{s·2πik/4h}, e^{s·2πi·3k/4h} with s the sign. The k = 0
+// triple is (1, 1, 1) and is never read.
+func newPasses(n, sign int) [][3]complex128 {
+	var tw [][3]complex128
+	for h := firstQuarter(n); 4*h <= n; h *= 4 {
+		for k := 0; k < h; k++ {
+			var w [3]complex128
+			for i, j := range [3]int{2 * k, k, 3 * k} {
+				s, c := math.Sincos(float64(sign) * 2 * math.Pi * float64(j) / float64(4*h))
+				w[i] = complex(c, s)
+			}
+			tw = append(tw, w)
 		}
 	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := n / size
-		for start := 0; start < n; start += size {
-			tIdx := 0
-			for k := start; k < start+half; k++ {
-				w := p.tw[tIdx]
-				if sign > 0 {
-					w = complex(real(w), -imag(w))
-				}
-				u := x[k]
-				v := x[k+half] * w
-				x[k] = u + v
-				x[k+half] = u - v
-				tIdx += step
+	return tw
+}
+
+// butterfly4 is two radix-2 stages on four values, the last three already
+// multiplied by their twiddles: y0, y2 = (x0+t1) ± (t2+t3) and y1, y3 =
+// (x0−t1) ∓ i·(t2−t3). It is written for the forward transform; the
+// inverse's +i is the same butterfly with y1 and y3 stored the other way
+// round, so neither a sign test nor a conjugation is left inside a loop.
+func butterfly4(x0, t1, t2, t3 complex128) (y0, y1, y2, y3 complex128) {
+	b0, b1 := x0+t1, x0-t1
+	s, u := t2+t3, t2-t3
+	// b1 ∓ i·u, written out so that no value is negated on the way.
+	y1 = complex(real(b1)+imag(u), imag(b1)-real(u))
+	y3 = complex(real(b1)-imag(u), imag(b1)+real(u))
+	return b0 + s, y1, b0 - s, y3
+}
+
+func scaled(v complex128, by float64) complex128 { return complex(real(v)*by, imag(v)*by) }
+
+// signed is all that tells the inverse kernel from the forward one: the
+// conjugate twiddles, the quarters o1 and o3 of a group that a butterfly's
+// y1 and y3 go to — 1 and 3, the other way round for the inverse — and
+// the scale of the first sweep's output.
+func (p *Plan) signed(sign int) (tw [][3]complex128, o1, o3 int, scale float64) {
+	if sign > 0 {
+		return p.passes[1], 3, 1, 1 / float64(p.n)
+	}
+	return p.passes[0], 1, 3, 1
+}
+
+// radix4 is the power-of-two kernel, decimation in time, on one line x
+// with t as its working line. The first sweep reads x through the bit
+// reversal and writes t — the size-2 stage when log2 n is odd, a radix-4
+// pass of groups of four when it is even, neither with a twiddle, and
+// with the inverse's 1/n on what it writes. Every later sweep is a
+// radix-4 pass that fuses two radix-2 stages over groups of 4h values,
+// in place in t until the last, which writes x.
+func (p *Plan) radix4(x, t []complex128, sign int) {
+	n, rev := p.n, p.rev
+	x, t = x[:n], t[:n]
+	tw, o1, o3, scale := p.signed(sign)
+	h := firstQuarter(n)
+	dst := t
+	if 4*h > n {
+		dst = x // no pass follows: the first sweep is the last
+	}
+	if h == 2 {
+		for i := 0; i+1 < n; i += 2 {
+			a, b := x[rev[i]], x[rev[i+1]]
+			if sign < 0 {
+				dst[i], dst[i+1] = a+b, a-b
+				continue
+			}
+			dst[i], dst[i+1] = scaled(a+b, scale), scaled(a-b, scale)
+		}
+	} else {
+		for i := 0; i+3 < n; i += 4 {
+			y0, y1, y2, y3 := butterfly4(x[rev[i]], x[rev[i+1]], x[rev[i+2]], x[rev[i+3]])
+			if sign < 0 {
+				dst[i], dst[i+o1], dst[i+2], dst[i+o3] = y0, y1, y2, y3
+				continue
+			}
+			dst[i], dst[i+o1], dst[i+2], dst[i+o3] = scaled(y0, scale), scaled(y1, scale), scaled(y2, scale), scaled(y3, scale)
+		}
+	}
+	for ; 4*h <= n; h *= 4 {
+		if 4*h == n {
+			dst = x
+		}
+		for s := 0; s < n; s += 4 * h {
+			x0, x1, x2, x3 := t[s:s+h], t[s+h:s+2*h], t[s+2*h:s+3*h], t[s+3*h:s+4*h]
+			y0, y1, y2, y3 := dst[s:s+h], dst[s+o1*h:s+o1*h+h], dst[s+2*h:s+3*h], dst[s+o3*h:s+o3*h+h]
+			y0[0], y1[0], y2[0], y3[0] = butterfly4(x0[0], x1[0], x2[0], x3[0])
+			w := tw[:len(x0)]
+			x1, x2, x3, y0, y1, y2, y3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)], y0[:len(x0)], y1[:len(x0)], y2[:len(x0)], y3[:len(x0)]
+			for k := 1; k < len(x0); k++ {
+				y0[k], y1[k], y2[k], y3[k] = butterfly4(x0[k], x1[k]*w[k][0], x2[k]*w[k][1], x3[k]*w[k][2])
 			}
 		}
+		tw = tw[h:]
 	}
 }
 
@@ -168,14 +293,13 @@ const colTile = 32
 
 // columns transforms every column of the row-major n×m block x (n = Len)
 // along its first axis, in place: the strided-axis kernel of the multi-axis
-// transforms. It is radix2 with a run of adjacent columns where radix2 has
-// one value — bit reversal swaps row segments, a butterfly is
-// a[c], b[c] = a[c]+b[c]*w, a[c]-b[c]*w over two row segments with one
-// twiddle — so no column is ever gathered into a line of its own, and each
-// element sees the operations of Transform on its column in the same
-// order. A plan that is not a power of two has no butterflies to run
-// side by side: it gathers each column into pooled scratch and calls
-// Transform.
+// transforms. It is radix4 with a run of adjacent columns where radix4 has
+// one value — a butterfly works on four row segments with one triple of
+// twiddles, the working line is a tile of n row segments — so no column is
+// ever gathered into a line of its own, and each element sees the
+// operations of Transform on its column in the same order. A plan that is
+// not a power of two has no butterflies to run side by side: it gathers
+// each column into pooled scratch and calls Transform.
 func (p *Plan) columns(x []complex128, m, sign int) {
 	n := p.n
 	if len(x) != n*m {
@@ -198,49 +322,91 @@ func (p *Plan) columns(x []complex128, m, sign int) {
 		p.line.Put(col)
 		return
 	}
-	scale := 1 / float64(n)
+	tile := scratch(&p.tile, n*colTile)
 	for c0 := 0; c0 < m; c0 += colTile {
 		run := min(colTile, m-c0)
-		row := func(i int) []complex128 { return x[i*m+c0 : i*m+c0+run] }
-		for i, j := range p.rev {
-			if j > i {
-				a, b := row(i), row(j)
-				b = b[:len(a)]
+		p.radix4Rows(rows{x[c0:], m, run}, rows{*tile, run, run}, sign)
+	}
+	p.tile.Put(tile)
+}
+
+// rows is a run of adjacent columns of a row-major block: row i is the
+// segment v[i*stride:][:run].
+type rows struct {
+	v           []complex128
+	stride, run int
+}
+
+func (r rows) at(i int) []complex128 { return r.v[i*r.stride : i*r.stride+r.run] }
+
+// radix4Rows is radix4 with the row segments of x and of the tile t where
+// radix4 has the values of x and of t: the same sweeps, the same
+// operations on each element in the same order. On amd64 that makes the
+// two bit for bit equal; a compiler that fuses a multiplication and an
+// addition (arm64, s390x) may fuse differently in the two loops, and the
+// tests allow those targets 1e-12.
+func (p *Plan) radix4Rows(x, t rows, sign int) {
+	n, rev := p.n, p.rev
+	tw, o1, o3, scale := p.signed(sign)
+	h := firstQuarter(n)
+	dst := t
+	if 4*h > n {
+		dst = x
+	}
+	if h == 2 {
+		for i := 0; i+1 < n; i += 2 {
+			a, b := x.at(rev[i]), x.at(rev[i+1])
+			y0, y1 := dst.at(i), dst.at(i+1)
+			b, y0, y1 = b[:len(a)], y0[:len(a)], y1[:len(a)]
+			if sign < 0 {
 				for c := range a {
-					a[c], b[c] = b[c], a[c]
+					y0[c], y1[c] = a[c]+b[c], a[c]-b[c]
 				}
+				continue
+			}
+			for c := range a {
+				y0[c], y1[c] = scaled(a[c]+b[c], scale), scaled(a[c]-b[c], scale)
 			}
 		}
-		for size := 2; size <= n; size <<= 1 {
-			half := size >> 1
-			step := n / size
-			for start := 0; start < n; start += size {
-				tIdx := 0
-				for k := start; k < start+half; k++ {
-					w := p.tw[tIdx]
-					if sign > 0 {
-						w = complex(real(w), -imag(w))
+	} else {
+		for i := 0; i+3 < n; i += 4 {
+			x0, x1, x2, x3 := x.at(rev[i]), x.at(rev[i+1]), x.at(rev[i+2]), x.at(rev[i+3])
+			y0, y1, y2, y3 := dst.at(i), dst.at(i+o1), dst.at(i+2), dst.at(i+o3)
+			x1, x2, x3, y0, y1, y2, y3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)], y0[:len(x0)], y1[:len(x0)], y2[:len(x0)], y3[:len(x0)]
+			if sign < 0 {
+				for c := range x0 {
+					y0[c], y1[c], y2[c], y3[c] = butterfly4(x0[c], x1[c], x2[c], x3[c])
+				}
+				continue
+			}
+			for c := range x0 {
+				v0, v1, v2, v3 := butterfly4(x0[c], x1[c], x2[c], x3[c])
+				y0[c], y1[c], y2[c], y3[c] = scaled(v0, scale), scaled(v1, scale), scaled(v2, scale), scaled(v3, scale)
+			}
+		}
+	}
+	for ; 4*h <= n; h *= 4 {
+		if 4*h == n {
+			dst = x
+		}
+		for s := 0; s < n; s += 4 * h {
+			for k := 0; k < h; k++ {
+				x0, x1, x2, x3 := t.at(s+k), t.at(s+k+h), t.at(s+k+2*h), t.at(s+k+3*h)
+				y0, y1, y2, y3 := dst.at(s+k), dst.at(s+k+o1*h), dst.at(s+k+2*h), dst.at(s+k+o3*h)
+				x1, x2, x3, y0, y1, y2, y3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)], y0[:len(x0)], y1[:len(x0)], y2[:len(x0)], y3[:len(x0)]
+				if k == 0 {
+					for c := range x0 {
+						y0[c], y1[c], y2[c], y3[c] = butterfly4(x0[c], x1[c], x2[c], x3[c])
 					}
-					a, b := row(k), row(k+half)
-					b = b[:len(a)]
-					for c := range a {
-						u := a[c]
-						v := b[c] * w
-						a[c] = u + v
-						b[c] = u - v
-					}
-					tIdx += step
+					continue
+				}
+				w1, w2, w3 := tw[k][0], tw[k][1], tw[k][2]
+				for c := range x0 {
+					y0[c], y1[c], y2[c], y3[c] = butterfly4(x0[c], x1[c]*w1, x2[c]*w2, x3[c]*w3)
 				}
 			}
 		}
-		if sign > 0 {
-			for i := 0; i < n; i++ {
-				a := row(i)
-				for c, v := range a {
-					a[c] = complex(real(v)*scale, imag(v)*scale)
-				}
-			}
-		}
+		tw = tw[h:]
 	}
 }
 
@@ -261,15 +427,6 @@ func bitRevTable(n int) []int {
 		rev[i] = int(bits.Reverse64(uint64(i)) >> shift)
 	}
 	return rev
-}
-
-func twiddles(n int) []complex128 {
-	tw := make([]complex128, n/2)
-	for k := range tw {
-		angle := -2 * math.Pi * float64(k) / float64(n)
-		tw[k] = complex(math.Cos(angle), math.Sin(angle))
-	}
-	return tw
 }
 
 // bluestein implements the chirp-z transform for arbitrary lengths via a
@@ -357,12 +514,16 @@ func (bs *bluestein) forward(x []complex128) {
 // forward (unnormalized), sign=+1 inverse (normalized by 1/n).
 func DFTNaive(x []complex128, sign int) []complex128 {
 	n := len(x)
+	roots := make([]complex128, n) // e^{sign·2πi·j/n}
+	for j := range roots {
+		s, c := math.Sincos(float64(sign) * 2 * math.Pi * float64(j) / float64(n))
+		roots[j] = complex(c, s)
+	}
 	out := make([]complex128, n)
 	for k := 0; k < n; k++ {
 		var s complex128
 		for j := 0; j < n; j++ {
-			angle := float64(sign) * 2 * math.Pi * float64(k) * float64(j) / float64(n)
-			s += x[j] * complex(math.Cos(angle), math.Sin(angle))
+			s += x[j] * roots[k*j%n]
 		}
 		out[k] = s
 	}

@@ -2,14 +2,6 @@ package fft
 
 import "fmt"
 
-// lines transforms the len(x)/Len contiguous lines of x, the last axis of
-// a row-major array.
-func (p *Plan) lines(x []complex128, sign int) {
-	for i := 0; i < len(x); i += p.n {
-		p.Transform(x[i:i+p.n], sign)
-	}
-}
-
 // FFT2D transforms a flat row-major n1×n2 array in place along both axes.
 func FFT2D(x []complex128, n1, n2 int, sign int) error {
 	if len(x) != n1*n2 {
@@ -30,29 +22,17 @@ func FFT2D(x []complex128, n1, n2 int, sign int) error {
 
 // FFT3D transforms a flat row-major n1×n2×n3 array in place along all
 // three axes — the reference local implementation the distributed pfft
-// result is checked against.
+// result is checked against. It is the two phases of the distributed
+// algorithm one after the other: both axes of an i1-plane while the plane
+// is in cache, then the first axis.
 func FFT3D(x []complex128, n1, n2, n3 int, sign int) error {
 	if len(x) != n1*n2*n3 {
 		return fmt.Errorf("fft: 3D buffer has %d elements, want %dx%dx%d", len(x), n1, n2, n3)
 	}
-	p3, err := PlanFor(n3)
-	if err != nil {
+	if err := TransformAxis23(x, n1, n2, n3, sign); err != nil {
 		return err
 	}
-	p2, err := PlanFor(n2)
-	if err != nil {
-		return err
-	}
-	p1, err := PlanFor(n1)
-	if err != nil {
-		return err
-	}
-	p3.lines(x, sign)
-	for i := 0; i < n1; i++ { // axis 2: the columns of each i1-plane
-		p2.columns(x[i*n2*n3:(i+1)*n2*n3], n3, sign)
-	}
-	p1.columns(x, n2*n3, sign)
-	return nil
+	return TransformAxis1(x, n1, n2, n3, sign)
 }
 
 // TransformAxis23 applies the 2D transform over axes 2 and 3 to every

@@ -46,8 +46,18 @@ func testData(n int, seed uint64) []complex128 {
 	return out
 }
 
+// pow2s is every power of two from 2 to max: log2 n odd and even, which
+// open with different first sweeps, and from one pass to many.
+func pow2s(max int) []int {
+	var ns []int
+	for n := 2; n <= max; n *= 2 {
+		ns = append(ns, n)
+	}
+	return ns
+}
+
 func TestMatchesNaiveDFT(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 17, 32, 100, 128} {
+	for _, n := range append([]int{1, 3, 5, 7, 12, 17, 100}, pow2s(4096)...) {
 		x := testData(n, uint64(n))
 		want := DFTNaive(x, -1)
 		got := append([]complex128(nil), x...)
@@ -70,7 +80,11 @@ func TestMatchesNaiveDFT(t *testing.T) {
 }
 
 func TestRoundTripAllSizes(t *testing.T) {
+	sizes := pow2s(4096)
 	for n := 1; n <= 64; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
 		x := testData(n, uint64(2*n+1))
 		y := append([]complex128(nil), x...)
 		if err := Forward(y); err != nil {
@@ -81,6 +95,68 @@ func TestRoundTripAllSizes(t *testing.T) {
 		}
 		if !approxEqual(y, x, tol) {
 			t.Errorf("n=%d: inverse(forward(x)) != x", n)
+		}
+		if err := Inverse(y); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if err := Forward(y); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if !approxEqual(y, x, tol) {
+			t.Errorf("n=%d: forward(inverse(x)) != x", n)
+		}
+	}
+}
+
+// radix2 is the textbook iterative Cooley-Tukey loop the package ran
+// before its radix-4 kernel — bit reversal, log2 n stages of n/2
+// butterflies with a full complex multiplication each, a sweep for the
+// inverse's 1/n — kept as the reference the kernel is held to.
+func radix2(x []complex128, sign int) {
+	n := len(x)
+	for i, j := range bitRevTable(n) {
+		if j > i {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	tw := make([]complex128, n/2)
+	for k := range tw {
+		angle := float64(sign) * 2 * math.Pi * float64(k) / float64(n)
+		tw[k] = complex(math.Cos(angle), math.Sin(angle))
+	}
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		step := n / size
+		for start := 0; start < n; start += size {
+			for k := 0; k < half; k++ {
+				u, v := x[start+k], x[start+k+half]*tw[k*step]
+				x[start+k], x[start+k+half] = u+v, u-v
+			}
+		}
+	}
+	if sign > 0 {
+		for i := range x {
+			x[i] /= complex(float64(n), 0)
+		}
+	}
+}
+
+// TestRadix4WithinUlpsOfRadix2: the kernel computes what the radix-2 loop
+// computed, to rounding — it swaps where that multiplied by (6e-17, −1)
+// and has one rounded twiddle where that multiplied by two in turn. This
+// is where "results did not move" is stated, as a tolerance.
+func TestRadix4WithinUlpsOfRadix2(t *testing.T) {
+	for _, n := range pow2s(1 << 16) {
+		for _, sign := range []int{-1, +1} {
+			x := testData(n, uint64(3*n))
+			want := slices.Clone(x)
+			radix2(want, sign)
+			if err := Transform(x, sign); err != nil {
+				t.Fatal(err)
+			}
+			if !approxEqual(x, want, 1e-12) {
+				t.Errorf("n=%d sign=%+d: radix-4 kernel differs from the radix-2 loop by more than 1e-12", n, sign)
+			}
 		}
 	}
 }
@@ -454,7 +530,7 @@ func sameValues(got, want []complex128) bool {
 // one column, widths on both sides of a tile edge, a length that takes the
 // Bluestein path, both signs.
 func TestColumnsEqualGatheredLines(t *testing.T) {
-	for _, n := range []int{1, 2, 8, 128, 12} {
+	for _, n := range []int{1, 2, 4, 8, 16, 64, 128, 12} {
 		p, err := PlanFor(n)
 		if err != nil {
 			t.Fatal(err)
@@ -555,5 +631,17 @@ func BenchmarkColumns(b *testing.B) {
 				p.columns(x, m, -1)
 			}
 		})
+	}
+}
+
+// BenchmarkLines is BenchmarkColumns' 128×128 plane along its contiguous
+// axis, so the costs of the two axes of a plane can be read side by side.
+func BenchmarkLines(b *testing.B) {
+	x := testData(128*128, 1)
+	p, _ := PlanFor(128)
+	b.SetBytes(int64(16 * len(x)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.lines(x, -1)
 	}
 }
