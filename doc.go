@@ -440,7 +440,8 @@
 // re-seed lane, not a rejoin.
 //
 // For k=1 arrays the story is a checkpoint, not a failover:
-// CheckpointArray streams the geometry and every device's pages into a
+// CheckpointArray streams the geometry, the page map as it stands (a
+// re-minted one as its table) and every device's pages into a
 // persistence Store, and after any number of machine deaths
 // RecoverArray reconstructs the array from the store — cold state,
 // full data, on the store's machine. The kill-one-server e2e suite
@@ -460,9 +461,10 @@
 // client parks on and replays after the map flip, reads never block,
 // and the whole array keeps serving throughout. When the copies land,
 // the engine atomically re-mints the page map — through the same one
-// constructor failover uses; its name gains a "+resharded" marker, and
-// both markers round-trip through NewPageMap and never repeat back to
-// back — and retires
+// constructor failover uses; its name gains a "+resharded" marker (the
+// markers are for people and never repeat back to back: a re-minted map
+// is a table, which PublishArray and CheckpointArray store in the
+// array's descriptor and no name rebuilds) — and retires
 // the source slots — a client still holding the pre-flip map gets the
 // typed fence error and re-resolves, never a silent write into a dead
 // slot.
@@ -543,7 +545,8 @@
 // The public surface re-exports the layered implementation:
 //
 //   - Cluster, Machine: the simulated multicomputer (in-process transport
-//     with an optional latency/bandwidth link model, or real TCP).
+//     with an optional latency/bandwidth link model, or real TCP). A
+//     Machine is a Node — what StartNode runs one of per process.
 //   - Client, Ref, Future, TypedFuture, CallOption: the RMI runtime —
 //     remote new, remote method execution, typed futures, per-call
 //     policy.

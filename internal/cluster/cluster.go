@@ -13,7 +13,6 @@ package cluster
 
 import (
 	"fmt"
-	"path/filepath"
 
 	"oopp/internal/disk"
 	"oopp/internal/rmi"
@@ -46,103 +45,50 @@ type Config struct {
 	Admission rmi.AdmissionConfig
 }
 
-func (c Config) withDefaults() Config {
-	if c.Machines == 0 {
-		c.Machines = 1
-	}
-	if c.Transport == nil {
-		c.Transport = transport.NewInproc(transport.LinkModel{})
-	}
-	if c.DisksPerMachine > 0 && c.DiskSize == 0 {
-		c.DiskSize = 64 << 20 // 64 MiB default device
-	}
-	return c
-}
-
-// Machine is one node: object server, outbound client, local disks.
-type Machine struct {
-	id     int
-	server *rmi.Server
-	client *rmi.Client
-	disks  []*disk.Disk
-}
-
-// ID returns the machine index.
-func (m *Machine) ID() int { return m.id }
-
-// Server returns the machine's object server.
-func (m *Machine) Server() *rmi.Server { return m.server }
-
-// Client returns the machine's outbound RMI client. User programs "running
-// on machine i" issue their remote news and calls through this.
-func (m *Machine) Client() *rmi.Client { return m.client }
-
-// Env returns the machine's environment.
-func (m *Machine) Env() *rmi.Env { return m.server.Env() }
-
-// Disks returns the machine's simulated disks.
-func (m *Machine) Disks() []*disk.Disk { return m.disks }
+// Machine is one node of an in-process cluster — the same thing StartNode
+// runs one of per process.
+type Machine = Node
 
 // Cluster is a set of machines sharing a transport and address directory.
 type Cluster struct {
-	cfg      Config
 	machines []*Machine
 	dir      rmi.StaticDirectory
 }
 
-// New brings up a cluster per cfg: every machine gets a listening server,
-// its disks, and an outbound client over the shared directory.
+// New brings up a cluster per cfg: every machine gets its disks and a
+// listening server, then an outbound client over the shared directory.
 func New(cfg Config) (*Cluster, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Machines == 0 {
+		cfg.Machines = 1
+	}
 	if cfg.Machines < 1 {
 		return nil, fmt.Errorf("cluster: need at least 1 machine, got %d", cfg.Machines)
 	}
-	c := &Cluster{cfg: cfg}
-
+	if cfg.Transport == nil {
+		cfg.Transport = transport.NewInproc(transport.LinkModel{})
+	}
+	c := &Cluster{}
 	for i := 0; i < cfg.Machines; i++ {
-		env := rmi.NewEnv(i)
-		env.Machines = cfg.Machines
-		srv, err := rmi.NewServer(i, cfg.Transport, "", env)
+		m, err := bringUp(NodeConfig{
+			Machine:   i,
+			Transport: cfg.Transport,
+			Machines:  cfg.Machines,
+			Disks:     cfg.DisksPerMachine,
+			DiskSize:  cfg.DiskSize,
+			DiskModel: cfg.DiskModel,
+			DataDir:   cfg.DataDir,
+			Admission: cfg.Admission,
+		})
 		if err != nil {
 			c.Shutdown()
 			return nil, err
 		}
-		srv.SetAdmission(cfg.Admission)
-		m := &Machine{id: i, server: srv}
-		env.PutResource(rmi.ResourceServer, srv)
-
-		for j := 0; j < cfg.DisksPerMachine; j++ {
-			var d *disk.Disk
-			name := fmt.Sprintf("m%d/disk%d", i, j)
-			if cfg.DataDir != "" {
-				path := filepath.Join(cfg.DataDir, fmt.Sprintf("machine%d", i))
-				if err := mkdirAll(path); err != nil {
-					srv.Close()
-					c.Shutdown()
-					return nil, err
-				}
-				d, err = disk.NewFile(name, filepath.Join(path, fmt.Sprintf("disk%d.img", j)), cfg.DiskSize, cfg.DiskModel)
-				if err != nil {
-					srv.Close()
-					c.Shutdown()
-					return nil, err
-				}
-				env.DataDir = path
-			} else {
-				d = disk.NewMem(name, cfg.DiskSize, cfg.DiskModel)
-			}
-			env.PutResource(fmt.Sprintf("disk/%d", j), d)
-			m.disks = append(m.disks, d)
-		}
-
 		c.machines = append(c.machines, m)
-		c.dir = append(c.dir, srv.Addr())
+		c.dir = append(c.dir, m.Addr())
 	}
-
 	// Outbound clients share the final directory.
 	for _, m := range c.machines {
-		m.client = rmi.NewClient(cfg.Transport, c.dir)
-		m.server.Env().Client = m.client
+		m.attach(cfg.Transport, c.dir)
 	}
 	return c, nil
 }
@@ -169,31 +115,19 @@ func (c *Cluster) Directory() rmi.Directory { return c.dir }
 // Addrs returns the listen addresses of all machines.
 func (c *Cluster) Addrs() []string { return append([]string(nil), c.dir...) }
 
-// Shutdown stops every machine: clients close, servers terminate their
-// object processes (running destructors), disks close.
+// Shutdown stops every machine: clients close — all of them first, so no
+// object calls out into a cluster that is going away — then servers
+// terminate their object processes (running destructors) and disks close.
 func (c *Cluster) Shutdown() error {
-	var firstErr error
 	for _, m := range c.machines {
-		if m == nil {
-			continue
-		}
 		if m.client != nil {
-			if err := m.client.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
+			m.client.Close()
 		}
 	}
+	var firstErr error
 	for _, m := range c.machines {
-		if m == nil {
-			continue
-		}
-		if err := m.server.Close(); err != nil && firstErr == nil {
+		if err := m.Close(); err != nil && firstErr == nil {
 			firstErr = err
-		}
-		for _, d := range m.disks {
-			if err := d.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
 		}
 	}
 	return firstErr

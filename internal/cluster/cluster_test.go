@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,8 +51,8 @@ func TestNewLocalDefaults(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		m := c.Machine(i)
-		if m.ID() != i {
-			t.Errorf("machine %d has id %d", i, m.ID())
+		if m.Machine() != i {
+			t.Errorf("machine %d has id %d", i, m.Machine())
 		}
 		if len(m.Disks()) != 2 {
 			t.Errorf("machine %d has %d disks", i, len(m.Disks()))
@@ -137,16 +139,19 @@ func TestInvalidConfig(t *testing.T) {
 }
 
 func TestDefaultsApplied(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	if cfg.Machines != 1 {
-		t.Errorf("default machines = %d", cfg.Machines)
+	c, err := New(Config{DisksPerMachine: 2})
+	if err != nil {
+		t.Fatalf("New: %v", err)
 	}
-	if cfg.Transport == nil {
-		t.Error("default transport nil")
+	defer c.Shutdown()
+	if c.Size() != 1 {
+		t.Errorf("default machines = %d", c.Size())
 	}
-	cfg = Config{DisksPerMachine: 2}.withDefaults()
-	if cfg.DiskSize == 0 {
-		t.Error("default disk size not applied")
+	if err := c.Client().Ping(bg, 0); err != nil {
+		t.Errorf("default transport: %v", err)
+	}
+	if got := c.Machine(0).Disks()[1].Size(); got != 64<<20 {
+		t.Errorf("default disk size = %d", got)
 	}
 }
 
@@ -212,5 +217,32 @@ func TestDirectory(t *testing.T) {
 	}
 	if _, err := dir.Addr(7); err == nil {
 		t.Fatal("expected error for unknown machine")
+	}
+}
+
+// TestFailedBringUpLeavesNoDiskOpen: a machine whose second disk cannot be
+// opened closes the first, and the machines before it are shut down, so
+// no descriptor of this process still points into the data directory.
+func TestFailedBringUpLeavesNoDiskOpen(t *testing.T) {
+	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd:", err)
+	}
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "machine1", "disk1.img"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Config{Machines: 2, DisksPerMachine: 2, DiskSize: 4096, DataDir: dir})
+	if err == nil {
+		c.Shutdown()
+		t.Fatal("New opened a directory as a disk image")
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, dir) {
+			t.Errorf("descriptor %s still open on %s", fd.Name(), target)
+		}
 	}
 }

@@ -46,9 +46,9 @@ type NodeConfig struct {
 	Admission rmi.AdmissionConfig
 }
 
-// Node is one running machine of a multi-process cluster: its object
-// server, outbound client, and local disks. It is what cmd/oppcluster
-// runs one-of-per-process, and what the e2e harness boots N of.
+// Node is one running machine: its object server, outbound client, and
+// local disks. cmd/oppcluster runs one per process and the e2e harness
+// boots N of them (StartNode); New brings N up inside one process.
 type Node struct {
 	machine int
 	server  *rmi.Server
@@ -56,57 +56,75 @@ type Node struct {
 	disks   []*disk.Disk
 }
 
-// StartNode brings one machine up: listen, install disks, create the
+// StartNode brings one machine up: install disks, listen, create the
 // outbound client, and publish the listen address to the registry (if
 // any) so peers and clients can find it.
 func StartNode(cfg NodeConfig) (*Node, error) {
-	tr := cfg.Transport
-	if tr == nil {
-		tr = transport.TCP{}
+	if cfg.Transport == nil {
+		cfg.Transport = transport.TCP{}
 	}
 	dir := cfg.Directory
 	if dir == nil && cfg.Registry != nil {
 		dir = cfg.Registry
 	}
-	machines := cfg.Machines
-	if machines == 0 && dir != nil {
-		machines = dir.Size()
+	if cfg.Machines == 0 && dir != nil {
+		cfg.Machines = dir.Size()
 	}
-	if cfg.Disks > 0 && cfg.DiskSize == 0 {
-		cfg.DiskSize = 64 << 20
-	}
-
-	env := rmi.NewEnv(cfg.Machine)
-	env.Machines = machines
 	// One machine per process here, so the process-default span machine
 	// stamp is simply this node's index (server spans stamp their own).
 	trace.SetMachine(cfg.Machine)
-	n := &Node{machine: cfg.Machine}
+	n, err := bringUp(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if dir != nil {
+		n.attach(cfg.Transport, dir)
+	}
+	if cfg.Registry != nil {
+		if err := cfg.Registry.Publish(cfg.Machine, n.Addr()); err != nil {
+			n.Close()
+			return nil, err
+		}
+	}
+	return n, nil
+}
 
+// bringUp is how every machine comes up, whichever process it shares:
+// disks installed in its Env as "disk/0", "disk/1", ... (file-backed under
+// DataDir/machine<i>/disk<j>.img when DataDir is set), then the listening
+// server. cfg.Transport and cfg.Machines are already resolved; the
+// outbound client is attached by the caller once it has a directory. A
+// machine that fails to come up leaves nothing open.
+func bringUp(cfg NodeConfig) (*Node, error) {
+	if cfg.DiskSize == 0 {
+		cfg.DiskSize = 64 << 20 // 64 MiB default device
+	}
+	env := rmi.NewEnv(cfg.Machine)
+	env.Machines = cfg.Machines
+	n := &Node{machine: cfg.Machine}
+	if cfg.DataDir != "" && cfg.Disks > 0 {
+		env.DataDir = filepath.Join(cfg.DataDir, fmt.Sprintf("machine%d", cfg.Machine))
+		if err := mkdirAll(env.DataDir); err != nil {
+			return nil, err
+		}
+	}
 	for j := 0; j < cfg.Disks; j++ {
-		var d *disk.Disk
 		name := fmt.Sprintf("m%d/disk%d", cfg.Machine, j)
-		if cfg.DataDir != "" {
-			path := filepath.Join(cfg.DataDir, fmt.Sprintf("machine%d", cfg.Machine))
-			if err := mkdirAll(path); err != nil {
-				n.Close()
-				return nil, err
-			}
+		var d *disk.Disk
+		if env.DataDir == "" {
+			d = disk.NewMem(name, cfg.DiskSize, cfg.DiskModel)
+		} else {
 			var err error
-			d, err = disk.NewFile(name, filepath.Join(path, fmt.Sprintf("disk%d.img", j)), cfg.DiskSize, cfg.DiskModel)
+			d, err = disk.NewFile(name, filepath.Join(env.DataDir, fmt.Sprintf("disk%d.img", j)), cfg.DiskSize, cfg.DiskModel)
 			if err != nil {
 				n.Close()
 				return nil, err
 			}
-			env.DataDir = path
-		} else {
-			d = disk.NewMem(name, cfg.DiskSize, cfg.DiskModel)
 		}
 		env.PutResource(fmt.Sprintf("disk/%d", j), d)
 		n.disks = append(n.disks, d)
 	}
-
-	srv, err := rmi.NewServer(cfg.Machine, tr, cfg.Addr, env)
+	srv, err := rmi.NewServer(cfg.Machine, cfg.Transport, cfg.Addr, env)
 	if err != nil {
 		n.Close()
 		return nil, err
@@ -114,18 +132,13 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	srv.SetAdmission(cfg.Admission)
 	n.server = srv
 	env.PutResource(rmi.ResourceServer, srv)
-
-	if dir != nil {
-		n.client = rmi.NewClient(tr, dir)
-		env.Client = n.client
-	}
-	if cfg.Registry != nil {
-		if err := cfg.Registry.Publish(cfg.Machine, srv.Addr()); err != nil {
-			n.Close()
-			return nil, err
-		}
-	}
 	return n, nil
+}
+
+// attach gives the machine its outbound client over dir.
+func (n *Node) attach(tr transport.Transport, dir rmi.Directory) {
+	n.client = rmi.NewClient(tr, dir)
+	n.server.Env().Client = n.client
 }
 
 // JoinNode starts a node on the next free machine index claimed from
@@ -160,6 +173,9 @@ func (n *Node) Client() *rmi.Client { return n.client }
 
 // Env returns the node's environment.
 func (n *Node) Env() *rmi.Env { return n.server.Env() }
+
+// Disks returns the node's simulated disks.
+func (n *Node) Disks() []*disk.Disk { return n.disks }
 
 // Drain gracefully refuses new work and waits (bounded by ctx) for
 // in-flight calls to finish — the first half of a SIGTERM shutdown.

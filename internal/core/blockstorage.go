@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -47,10 +48,12 @@ type storageState struct {
 func (b *BlockStorage) snap() *storageState { return b.state.Load() }
 
 // swap installs a new membership snapshot built from the device list.
-func (b *BlockStorage) swap(devices []*pagedev.ArrayDevice, machines []int) {
+func (b *BlockStorage) swap(devices []*pagedev.ArrayDevice) {
 	refs := make([]rmi.Ref, len(devices))
+	machines := make([]int, len(devices))
 	for i, d := range devices {
 		refs[i] = d.Ref()
+		machines[i] = refs[i].Machine
 	}
 	var client *rmi.Client
 	if len(devices) > 0 {
@@ -65,12 +68,8 @@ func (b *BlockStorage) swap(devices []*pagedev.ArrayDevice, machines []int) {
 
 // NewBlockStorage wraps existing device stubs. The slice is not copied.
 func NewBlockStorage(devices []*pagedev.ArrayDevice) *BlockStorage {
-	machines := make([]int, len(devices))
-	for i, d := range devices {
-		machines[i] = d.Ref().Machine
-	}
 	b := &BlockStorage{}
-	b.swap(devices, machines)
+	b.swap(devices)
 	return b
 }
 
@@ -96,13 +95,11 @@ func CreateBlockStorage(ctx context.Context, client *rmi.Client, machines []int,
 		return nil, fmt.Errorf("core: creating block storage %q: %w", name, err)
 	}
 	devices := make([]*pagedev.ArrayDevice, coll.Len())
-	devMachines := make([]int, coll.Len())
 	for i := range devices {
 		devices[i] = pagedev.AttachArrayDevice(client, coll.Ref(i), n1, n2, n3)
-		devMachines[i] = coll.Ref(i).Machine
 	}
 	b := &BlockStorage{name: name}
-	b.state.Store(&storageState{devices: devices, machines: devMachines, coll: coll})
+	b.swap(devices)
 	return b, nil
 }
 
@@ -118,24 +115,13 @@ func CreateBlockStorage(ctx context.Context, client *rmi.Client, machines []int,
 func (b *BlockStorage) AddDevice(ctx context.Context, machine, pages, diskIndex int) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s := b.snap()
-	if len(s.devices) == 0 {
+	idx := b.Len()
+	if idx == 0 {
 		return 0, fmt.Errorf("core: cannot join a device to an empty storage")
 	}
-	n1, n2, n3 := s.devices[0].Dims()
-	idx := len(s.devices)
-	name := b.name
-	if name == "" {
-		name = "storage"
-	}
-	dev, err := pagedev.NewArrayDevice(ctx, s.coll.Client(), machine,
-		fmt.Sprintf("%s/%d", name, idx), pages, n1, n2, n3, diskIndex)
-	if err != nil {
+	if err := b.spawn(ctx, idx, machine, pages, diskIndex); err != nil {
 		return 0, fmt.Errorf("core: joining device on machine %d: %w", machine, err)
 	}
-	devices := append(append([]*pagedev.ArrayDevice(nil), s.devices...), dev)
-	machines := append(append([]int(nil), s.machines...), machine)
-	b.swap(devices, machines)
 	return idx, nil
 }
 
@@ -147,11 +133,22 @@ func (b *BlockStorage) AddDevice(ctx context.Context, machine, pages, diskIndex 
 func (b *BlockStorage) ReviveDevice(ctx context.Context, i, machine, pages, diskIndex int) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s := b.snap()
-	if i < 0 || i >= len(s.devices) {
-		return fmt.Errorf("core: revive: no device %d in storage of %d", i, len(s.devices))
+	if i < 0 || i >= b.Len() {
+		return fmt.Errorf("core: revive: no device %d in storage of %d", i, b.Len())
 	}
-	n1, n2, n3 := s.devices[i].Dims()
+	if err := b.spawn(ctx, i, machine, pages, diskIndex); err != nil {
+		return fmt.Errorf("core: reviving device %d on machine %d: %w", i, machine, err)
+	}
+	return nil
+}
+
+// spawn starts a fresh, empty device process on machine for slot i — an
+// existing slot, or the one past the last — and swaps in a membership
+// snapshot that has it there. The caller holds b.mu; the storage is not
+// empty (the new device takes its page dimensions from device 0).
+func (b *BlockStorage) spawn(ctx context.Context, i, machine, pages, diskIndex int) error {
+	s := b.snap()
+	n1, n2, n3 := s.devices[0].Dims()
 	name := b.name
 	if name == "" {
 		name = "storage"
@@ -159,13 +156,14 @@ func (b *BlockStorage) ReviveDevice(ctx context.Context, i, machine, pages, disk
 	dev, err := pagedev.NewArrayDevice(ctx, s.coll.Client(), machine,
 		fmt.Sprintf("%s/%d", name, i), pages, n1, n2, n3, diskIndex)
 	if err != nil {
-		return fmt.Errorf("core: reviving device %d on machine %d: %w", i, machine, err)
+		return err
 	}
-	devices := append([]*pagedev.ArrayDevice(nil), s.devices...)
-	machines := append([]int(nil), s.machines...)
+	devices := slices.Clone(s.devices)
+	if i == len(devices) {
+		devices = append(devices, nil)
+	}
 	devices[i] = dev
-	machines[i] = machine
-	b.swap(devices, machines)
+	b.swap(devices)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"oopp/internal/collection"
@@ -29,29 +30,125 @@ const ClassArrayMeta = "core.ArrayMeta"
 // arrayMeta is the server-side descriptor object. It is Persistable, so a
 // published array can be fully passivated, descriptor included.
 type arrayMeta struct {
-	n1, n2, n3 int // array dims
-	p1, p2, p3 int // page dims
-	layout     string
-	devices    int
+	n, p    [3]int // array dims, page dims
+	layout  string
+	devices int
+	// A map re-minted by Failover or MigratePages is its table, which no
+	// name can carry: the descriptor stores what the remintedMap holds
+	// (moved is in-flight state and is not stored). Nil for a layout
+	// NewPageMap builds from its name.
+	table *remintedMap
 }
 
+// describe is the descriptor of arr as it stands: geometry, device count
+// and the current page map — by name, or by table once it was re-minted.
+func describe(arr *Array) *arrayMeta {
+	pm := arr.Map()
+	m := &arrayMeta{n: arr.n, p: arr.p, layout: pm.Name(), devices: arr.Storage().Len()}
+	m.table, _ = pm.(*remintedMap)
+	return m
+}
+
+// encode writes the descriptor: geometry, layout name, device count, then
+// the page count of the table (0, one byte, for a named layout) and, for
+// a table, k, ppd and each page's chain.
 func (m *arrayMeta) encode(e *wire.Encoder) {
-	e.PutInt(m.n1)
-	e.PutInt(m.n2)
-	e.PutInt(m.n3)
-	e.PutInt(m.p1)
-	e.PutInt(m.p2)
-	e.PutInt(m.p3)
+	for _, v := range [...]int{m.n[0], m.n[1], m.n[2], m.p[0], m.p[1], m.p[2]} {
+		e.PutInt(v)
+	}
 	e.PutString(m.layout)
 	e.PutInt(m.devices)
+	if m.table == nil {
+		e.PutUvarint(0)
+		return
+	}
+	e.PutUvarint(uint64(len(m.table.table)))
+	e.PutInt(m.table.k)
+	e.PutInt(m.table.ppd)
+	for _, chain := range m.table.table {
+		e.PutUvarint(uint64(len(chain)))
+		for _, addr := range chain {
+			e.PutInt(addr.Device)
+			e.PutInt(addr.Index)
+		}
+	}
 }
 
+// decode reads a descriptor and refuses it whole unless an array can be
+// assembled from it: a page grid that exists, and — when a table follows —
+// exactly one non-empty chain per page of that grid, every address inside
+// devices × ppd and none used twice.
 func (m *arrayMeta) decode(d *wire.Decoder) error {
-	m.n1, m.n2, m.n3 = d.Int(), d.Int(), d.Int()
-	m.p1, m.p2, m.p3 = d.Int(), d.Int(), d.Int()
+	*m = arrayMeta{}
+	m.n = [3]int{d.Int(), d.Int(), d.Int()}
+	m.p = [3]int{d.Int(), d.Int(), d.Int()}
 	m.layout = d.String()
 	m.devices = d.Int()
-	return d.Err()
+	pages := d.Uvarint()
+	if d.Err() != nil {
+		return d.Err()
+	}
+	for i := range m.n {
+		if m.n[i] <= 0 || m.p[i] <= 0 || m.n[i]%m.p[i] != 0 {
+			return fmt.Errorf("core: array descriptor: dims %v in pages of %v", m.n, m.p)
+		}
+	}
+	if m.devices <= 0 {
+		return fmt.Errorf("core: array descriptor: %d devices", m.devices)
+	}
+	if pages == 0 {
+		return nil
+	}
+	k, ppd := d.Int(), d.Int()
+	// A page costs at least three bytes, which bounds the table by the
+	// bytes at hand before anything is allocated for it; the grid's
+	// extents multiply without overflow once each is known to be within
+	// that bound.
+	g := m.grid()
+	if pages > uint64(d.Remaining())/3 || uint64(g.p1) > pages || uint64(g.p2) > pages || uint64(g.p3) > pages ||
+		uint64(g.p1)*uint64(g.p2) > pages || uint64(g.total()) != pages {
+		return fmt.Errorf("core: array descriptor: table of %d pages for a %dx%dx%d grid in %d bytes", pages, g.p1, g.p2, g.p3, d.Remaining())
+	}
+	if k < 1 || k > m.devices || ppd < 1 {
+		return fmt.Errorf("core: array descriptor: table with k=%d, %d pages per device, %d devices", k, ppd, m.devices)
+	}
+	table := make([][]PageAddress, pages)
+	used := make(map[PageAddress]struct{}, pages)
+	for l := range table {
+		n := d.Uvarint()
+		if n == 0 || n > uint64(d.Remaining())/2 {
+			return fmt.Errorf("core: array descriptor: page %d has a chain of %d (%d bytes left)", l, n, d.Remaining())
+		}
+		table[l] = make([]PageAddress, n)
+		for r := range table[l] {
+			addr := PageAddress{Device: d.Int(), Index: d.Int()}
+			if d.Err() != nil {
+				return d.Err()
+			}
+			if _, twice := used[addr]; twice || addr.Device < 0 || addr.Device >= m.devices || addr.Index < 0 || addr.Index >= ppd {
+				return fmt.Errorf("core: array descriptor: page %d replica %d at %+v (twice: %v) with %d devices of %d pages", l, r, addr, twice, m.devices, ppd)
+			}
+			used[addr] = struct{}{}
+			table[l][r] = addr
+		}
+	}
+	m.table = newRemintedMap(g, k, ppd, m.layout, table, nil)
+	return nil
+}
+
+// grid is the page grid of the described array.
+func (m *arrayMeta) grid() grid {
+	return grid{m.n[0] / m.p[0], m.n[1] / m.p[1], m.n[2] / m.p[2], m.devices}
+}
+
+// pageMap is the described layout: the stored table, or the one NewPageMap
+// builds from the name.
+func (m *arrayMeta) pageMap() (PageMap, error) {
+	if m.table != nil {
+		return m.table, nil
+	}
+	g := m.grid()
+	return NewPageMap(m.layout, g.p1, g.p2, g.p3, g.devices)
 }
 
 // SaveState implements persist.Persistable.
@@ -80,27 +177,67 @@ func init() {
 	persist.RegisterRestorable(ClassArrayMeta, func() persist.Persistable { return &arrayMeta{} })
 }
 
-// metaAddr and deviceAddr derive the collection's member addresses.
-func metaAddr(base persist.Address) persist.Address {
-	return persist.Address{Namespace: base.Namespace, Path: base.Path + "/meta"}
+// memberName names one member of a described collection under base:
+// device i, or the descriptor for i < 0. Symbolic addresses (PublishArray)
+// and checkpoint blobs (CheckpointArray) share the scheme.
+func memberName(base string, i int) string {
+	if i < 0 {
+		return base + "/meta"
+	}
+	return fmt.Sprintf("%s/dev/%d", base, i)
 }
 
-func deviceAddr(base persist.Address, i int) persist.Address {
-	return persist.Address{Namespace: base.Namespace, Path: fmt.Sprintf("%s/dev/%d", base.Path, i)}
+func memberAddr(base persist.Address, i int) persist.Address {
+	return persist.Address{Namespace: base.Namespace, Path: memberName(base.Path, i)}
+}
+
+// eachMember visits a described collection the way every teardown does:
+// the devices, then the descriptor — the member that says what the
+// others are goes last, so a walk that failed halfway can be repeated.
+// It goes on past a failure and returns every one.
+func eachMember(devices int, visit func(i int) error) error {
+	var errs []error
+	for i := 0; i < devices; i++ {
+		errs = append(errs, visit(i))
+	}
+	return errors.Join(append(errs, visit(-1))...)
+}
+
+// fetchMeta asks a live descriptor process for its descriptor.
+func fetchMeta(ctx context.Context, client *rmi.Client, metaRef rmi.Ref) (*arrayMeta, error) {
+	d, err := client.Call(ctx, metaRef, "describe", nil)
+	if err != nil {
+		return nil, err
+	}
+	defer d.Release()
+	meta := &arrayMeta{}
+	return meta, meta.decode(d)
+}
+
+// assemble is the one way a described array comes back: its page map
+// from the descriptor, each device's ref from refOf, an Array client
+// validated against both.
+func assemble(ctx context.Context, client *rmi.Client, meta *arrayMeta, refOf func(i int) (rmi.Ref, error)) (*Array, error) {
+	pm, err := meta.pageMap()
+	if err != nil {
+		return nil, err
+	}
+	devices := make([]*pagedev.ArrayDevice, meta.devices)
+	for i := range devices {
+		ref, err := refOf(i)
+		if err != nil {
+			return nil, fmt.Errorf("core: device %d: %w", i, err)
+		}
+		devices[i] = pagedev.AttachArrayDevice(client, ref, meta.p[0], meta.p[1], meta.p[2])
+	}
+	return NewArray(ctx, NewBlockStorage(devices), pm, meta.n[0], meta.n[1], meta.n[2], meta.p[0], meta.p[1], meta.p[2])
 }
 
 // PublishArray registers arr as a persistent collection under base: a
 // descriptor process (created on metaMachine) at base/meta and each
 // storage device at base/dev/<i>.
 func PublishArray(ctx context.Context, mgr *persist.Manager, client *rmi.Client, metaMachine int, base persist.Address, arr *Array) error {
-	N1, N2, N3 := arr.Dims()
-	n1, n2, n3 := arr.PageDims()
-	meta := &arrayMeta{
-		n1: N1, n2: N2, n3: N3,
-		p1: n1, p2: n2, p3: n3,
-		layout:  arr.Map().Name(),
-		devices: arr.Storage().Len(),
-	}
+	meta := describe(arr)
 	metaRef, err := client.New(ctx, metaMachine, ClassArrayMeta, func(e *wire.Encoder) error {
 		meta.encode(e)
 		return nil
@@ -108,7 +245,7 @@ func PublishArray(ctx context.Context, mgr *persist.Manager, client *rmi.Client,
 	if err != nil {
 		return fmt.Errorf("core: creating array descriptor: %w", err)
 	}
-	if err := mgr.Bind(ctx, metaAddr(base), metaRef); err != nil {
+	if err := mgr.Bind(ctx, memberAddr(base, -1), metaRef); err != nil {
 		return err
 	}
 	// Bind the member devices concurrently: an owner-computes iteration
@@ -116,7 +253,7 @@ func PublishArray(ctx context.Context, mgr *persist.Manager, client *rmi.Client,
 	// service bind for its own ref.
 	_, err = collection.MapIndexed(ctx, arr.Storage().Collection(),
 		func(ctx context.Context, m collection.Member) (struct{}, error) {
-			return struct{}{}, mgr.Bind(ctx, deviceAddr(base, m.Index), m.Ref)
+			return struct{}{}, mgr.Bind(ctx, memberAddr(base, m.Index), m.Ref)
 		})
 	return err
 }
@@ -124,57 +261,26 @@ func PublishArray(ctx context.Context, mgr *persist.Manager, client *rmi.Client,
 // OpenArray reassembles a published array from its symbolic address,
 // transparently reactivating any passivated member processes.
 func OpenArray(ctx context.Context, mgr *persist.Manager, client *rmi.Client, base persist.Address) (*Array, error) {
-	metaRef, err := mgr.Resolve(ctx, metaAddr(base))
+	metaRef, err := mgr.Resolve(ctx, memberAddr(base, -1))
 	if err != nil {
 		return nil, fmt.Errorf("core: resolving array descriptor: %w", err)
 	}
-	d, err := client.Call(ctx, metaRef, "describe", nil)
+	meta, err := fetchMeta(ctx, client, metaRef)
 	if err != nil {
 		return nil, err
 	}
-	defer d.Release()
-	meta := &arrayMeta{}
-	if err := meta.decode(d); err != nil {
-		return nil, err
-	}
-	pm, err := NewPageMap(meta.layout, meta.n1/meta.p1, meta.n2/meta.p2, meta.n3/meta.p3, meta.devices)
-	if err != nil {
-		return nil, err
-	}
-	devices := make([]*pagedev.ArrayDevice, meta.devices)
-	for i := range devices {
-		ref, err := mgr.Resolve(ctx, deviceAddr(base, i))
-		if err != nil {
-			return nil, fmt.Errorf("core: resolving device %d: %w", i, err)
-		}
-		devices[i] = pagedev.AttachArrayDevice(client, ref, meta.p1, meta.p2, meta.p3)
-	}
-	return NewArray(ctx, NewBlockStorage(devices), pm, meta.n1, meta.n2, meta.n3, meta.p1, meta.p2, meta.p3)
+	return assemble(ctx, client, meta, func(i int) (rmi.Ref, error) { return mgr.Resolve(ctx, memberAddr(base, i)) })
 }
 
 // DeactivateArray passivates every member process of a published array
 // (devices and descriptor). The storage devices must be persistable
 // (they are, for all pagedev backings).
 func DeactivateArray(ctx context.Context, mgr *persist.Manager, base persist.Address, devices int) error {
-	for i := 0; i < devices; i++ {
-		if err := mgr.Deactivate(ctx, deviceAddr(base, i)); err != nil {
-			return fmt.Errorf("core: deactivating device %d: %w", i, err)
-		}
-	}
-	return mgr.Deactivate(ctx, metaAddr(base))
+	return eachMember(devices, func(i int) error { return mgr.Deactivate(ctx, memberAddr(base, i)) })
 }
 
 // DestroyArray removes the published collection entirely: processes,
 // stored state, and bindings.
 func DestroyArray(ctx context.Context, mgr *persist.Manager, base persist.Address, devices int) error {
-	var firstErr error
-	for i := 0; i < devices; i++ {
-		if err := mgr.Destroy(ctx, deviceAddr(base, i)); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if err := mgr.Destroy(ctx, metaAddr(base)); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	return eachMember(devices, func(i int) error { return mgr.Destroy(ctx, memberAddr(base, i)) })
 }

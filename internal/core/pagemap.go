@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // PageAddress is the physical location of a logical array page: which
 // storage device process holds it, and at which page index — the paper's
@@ -204,21 +201,12 @@ func (m *hashMap) Name() string { return "hash" }
 // replicated arrays reopen with their replication factor intact). Used
 // by the experiment harness, checkpoint reopen, and cmd flags.
 //
-// Maps that were mutated at runtime render trailing "+failover"
-// (Array.Failover re-mint) and/or "+resharded" (migration-engine
-// re-mint) markers, in mutation order — e.g. "striped+r2+failover" or
-// "roundrobin+resharded+failover". Their per-page tables are not
-// name-encodable, so NewPageMap reconstructs the NOMINAL layout the
-// mutations started from and preserves the full name (an alias
-// wrapper), keeping Name() round-trippable and Locate total and in
-// bounds: a checkpoint taken after a failover or reshard reopens with
-// data addressed by the nominal layout, which is exactly what the
-// checkpoint writer stored it under.
+// A map re-minted at runtime (Array.Failover, MigratePages) renders
+// "+failover" / "+resharded" markers in its Name, but it is a per-page
+// table and no name builds it: such names are unknown here, and a
+// descriptor carries the table itself (arrayMeta).
 func NewPageMap(name string, p1, p2, p3, devices int) (PageMap, error) {
-	// Mutation suffixes strip first: "+resharded" itself contains "+r",
-	// which the replica-suffix parser must never see.
-	nominal, mutated := splitMutationSuffix(name)
-	base, k, replicated := parseReplicaSuffix(nominal)
+	base, k, replicated := parseReplicaSuffix(name)
 	var (
 		pm  PageMap
 		err error
@@ -238,45 +226,7 @@ func NewPageMap(name string, p1, p2, p3, devices int) (PageMap, error) {
 	if err == nil && replicated {
 		pm, err = NewReplicatedMap(pm, k)
 	}
-	if err != nil || !mutated {
-		return pm, err
-	}
-	return &aliasMap{PageMap: pm, alias: name}, nil
-}
-
-// splitMutationSuffix strips any run of trailing "+failover" /
-// "+resharded" markers, returning the nominal layout name and whether
-// anything was stripped.
-func splitMutationSuffix(name string) (nominal string, mutated bool) {
-	nominal = name
-	for {
-		switch {
-		case strings.HasSuffix(nominal, "+failover"):
-			nominal = strings.TrimSuffix(nominal, "+failover")
-		case strings.HasSuffix(nominal, "+resharded"):
-			nominal = strings.TrimSuffix(nominal, "+resharded")
-		default:
-			return nominal, nominal != name
-		}
-	}
-}
-
-// aliasMap serves a reconstructed nominal layout under the mutated
-// map's full name, so Name() round-trips through NewPageMap even for
-// maps whose runtime tables cannot be encoded in a name.
-type aliasMap struct {
-	PageMap
-	alias string
-}
-
-func (m *aliasMap) Name() string { return m.alias }
-
-// Replicas and LocateAll delegate so a replicated nominal layout keeps
-// its ReplicaMap surface through the alias.
-func (m *aliasMap) Replicas() int { return replicaCount(m.PageMap) }
-
-func (m *aliasMap) LocateAll(p1, p2, p3 int) []PageAddress {
-	return replicasOf(m.PageMap, p1, p2, p3)
+	return pm, err
 }
 
 // PageMapNames lists the available layouts.

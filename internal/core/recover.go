@@ -15,18 +15,11 @@ import (
 	"context"
 	"fmt"
 
-	"oopp/internal/pagedev"
 	"oopp/internal/persist"
 	"oopp/internal/rmi"
 	"oopp/internal/trace"
 	"oopp/internal/wire"
 )
-
-// checkpointMetaName and checkpointDevName derive the store blob names of
-// a checkpoint, mirroring the symbolic-address scheme of PublishArray.
-func checkpointMetaName(name string) string { return name + "/meta" }
-
-func checkpointDevName(name string, i int) string { return fmt.Sprintf("%s/dev/%d", name, i) }
 
 // CheckpointArray saves a consistent snapshot of arr under name in store
 // — a descriptor blob (geometry + layout) plus one blob per storage
@@ -36,30 +29,17 @@ func checkpointDevName(name string, i int) string { return fmt.Sprintf("%s/dev/%
 // point (after Barrier) if the snapshot must be consistent *across*
 // devices. The store should live on a machine the array does not — a
 // checkpoint on the array's own machine dies with it.
-func CheckpointArray(ctx context.Context, arr *Array, store *persist.Store, name string) error {
+func CheckpointArray(ctx context.Context, arr *Array, store *persist.Store, name string) (err error) {
 	ctx, sp := trace.StartSpan(ctx, "checkpoint")
-	err := checkpointArray(ctx, arr, store, name)
-	sp.End(err != nil)
-	return err
-}
-
-func checkpointArray(ctx context.Context, arr *Array, store *persist.Store, name string) error {
-	N1, N2, N3 := arr.Dims()
-	p1, p2, p3 := arr.PageDims()
-	meta := &arrayMeta{
-		n1: N1, n2: N2, n3: N3,
-		p1: p1, p2: p2, p3: p3,
-		layout:  arr.Map().Name(),
-		devices: arr.Storage().Len(),
-	}
+	defer func() { sp.End(err != nil) }()
 	e := wire.NewEncoder(64)
-	meta.encode(e)
-	if err := store.Put(ctx, checkpointMetaName(name), ClassArrayMeta, e.Bytes()); err != nil {
+	describe(arr).encode(e)
+	if err := store.Put(ctx, memberName(name, -1), ClassArrayMeta, e.Bytes()); err != nil {
 		return fmt.Errorf("core: checkpointing descriptor: %w", err)
 	}
 	st := arr.Storage()
 	return rmi.SplitLoop(ctx, st.Len(), arr.inFlight(), func(i int) *rmi.Future {
-		return st.Device(i).CheckpointToAsync(ctx, store.Ref(), checkpointDevName(name, i))
+		return st.Device(i).CheckpointToAsync(ctx, store.Ref(), memberName(name, i))
 	}, nil)
 }
 
@@ -68,55 +48,23 @@ func checkpointArray(ctx context.Context, arr *Array, store *persist.Store, name
 // original machines are presumed gone, so the whole array lands on the
 // survivor — degraded locality, full data). The blobs stay in the store,
 // so recovery is repeatable.
-func RecoverArray(ctx context.Context, client *rmi.Client, store *persist.Store, name string) (*Array, error) {
+func RecoverArray(ctx context.Context, client *rmi.Client, store *persist.Store, name string) (arr *Array, err error) {
 	ctx, sp := trace.StartSpan(ctx, "recover")
-	arr, err := recoverArray(ctx, client, store, name)
-	sp.End(err != nil)
-	return arr, err
-}
-
-func recoverArray(ctx context.Context, client *rmi.Client, store *persist.Store, name string) (*Array, error) {
-	metaRef, err := store.Activate(ctx, checkpointMetaName(name))
+	defer func() { sp.End(err != nil) }()
+	metaRef, err := store.Activate(ctx, memberName(name, -1))
 	if err != nil {
 		return nil, fmt.Errorf("core: recovering descriptor: %w", err)
 	}
-	d, err := client.Call(ctx, metaRef, "describe", nil)
-	if err != nil {
-		return nil, err
-	}
-	meta := &arrayMeta{}
-	derr := meta.decode(d)
-	d.Release()
+	meta, err := fetchMeta(ctx, client, metaRef)
 	_ = client.Delete(ctx, metaRef) // transient: only needed for describe
-	if derr != nil {
-		return nil, derr
-	}
-	pm, err := NewPageMap(meta.layout, meta.n1/meta.p1, meta.n2/meta.p2, meta.n3/meta.p3, meta.devices)
 	if err != nil {
 		return nil, err
 	}
-	devices := make([]*pagedev.ArrayDevice, meta.devices)
-	for i := range devices {
-		ref, err := store.Activate(ctx, checkpointDevName(name, i))
-		if err != nil {
-			return nil, fmt.Errorf("core: recovering device %d: %w", i, err)
-		}
-		devices[i] = pagedev.AttachArrayDevice(client, ref, meta.p1, meta.p2, meta.p3)
-	}
-	return NewArray(ctx, NewBlockStorage(devices), pm, meta.n1, meta.n2, meta.n3, meta.p1, meta.p2, meta.p3)
+	return assemble(ctx, client, meta, func(i int) (rmi.Ref, error) { return store.Activate(ctx, memberName(name, i)) })
 }
 
 // RemoveCheckpoint discards the blobs of a checkpoint (descriptor and
 // devices devices).
 func RemoveCheckpoint(ctx context.Context, store *persist.Store, name string, devices int) error {
-	var firstErr error
-	for i := 0; i < devices; i++ {
-		if err := store.Remove(ctx, checkpointDevName(name, i)); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if err := store.Remove(ctx, checkpointMetaName(name)); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	return eachMember(devices, func(i int) error { return store.Remove(ctx, memberName(name, i)) })
 }

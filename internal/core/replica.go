@@ -139,7 +139,8 @@ func parseReplicaSuffix(name string) (base string, k int, ok bool) {
 // per-page table of replica chains (acting primary first). Failover
 // mints one with dead devices dropped and re-seeded replicas appended,
 // MigratePages one with relocated copies re-addressed; both go through
-// remint, and it is never constructed by name.
+// remint, and a stored one comes back through the same constructor —
+// never by name.
 type remintedMap struct {
 	grid
 	k    int // nominal replication factor
@@ -169,31 +170,32 @@ func (m *remintedMap) PagesPerDevice() int { return m.ppd }
 func (m *remintedMap) Replicas() int       { return m.k }
 func (m *remintedMap) Name() string        { return m.name }
 
-// remint is the one constructor of a table map: table (a mutated
-// pageTable snapshot of pm) becomes the layout, under pm's name with
-// marker — "+failover" or "+resharded" — appended unless the name already
-// ends in it, so repeating a mutation never grows the name. NewPageMap
-// round-trips the markers (pagemap.go's mutation-suffix grammar). The
-// capacity requirement grows to cover every slot the table addresses.
+// remint builds the layout a mutation of pm leaves behind: table (a
+// mutated pageTable snapshot of pm) under pm's name with marker —
+// "+failover" or "+resharded" — appended unless the name already ends in
+// it, so repeating a mutation never grows the name. The markers are for
+// people: no name rebuilds a table (NewPageMap rejects them), a
+// descriptor carries it (checkpoint.go).
 func (a *Array) remint(pm PageMap, table [][]PageAddress, moved map[PageAddress]PageAddress, marker string) *remintedMap {
 	name := pm.Name()
 	if !strings.HasSuffix(name, marker) {
 		name += marker
 	}
-	ppd := pm.PagesPerDevice()
+	g := grid{a.g[0], a.g[1], a.g[2], a.storage.Len()}
+	return newRemintedMap(g, replicaCount(pm), pm.PagesPerDevice(), name, table, moved)
+}
+
+// newRemintedMap is the one constructor of a table map, for a mutation
+// (remint) and for a descriptor that stored one (arrayMeta.pageMap). The
+// capacity requirement grows from ppd to cover every slot the table
+// addresses.
+func newRemintedMap(g grid, k, ppd int, name string, table [][]PageAddress, moved map[PageAddress]PageAddress) *remintedMap {
 	for _, chain := range table {
 		for _, addr := range chain {
 			ppd = max(ppd, addr.Index+1)
 		}
 	}
-	return &remintedMap{
-		grid:  grid{a.g[0], a.g[1], a.g[2], a.storage.Len()},
-		k:     replicaCount(pm),
-		ppd:   ppd,
-		name:  name,
-		table: table,
-		moved: moved,
-	}
+	return &remintedMap{grid: g, k: k, ppd: ppd, name: name, table: table, moved: moved}
 }
 
 // replicasOf returns pm's replica chain for a page — a single-element

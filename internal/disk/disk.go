@@ -250,9 +250,9 @@ func (d *Disk) op(p []byte, off int64, n int, write bool) (err error) {
 	if off < 0 || off+int64(n) > d.backing.Size() {
 		return fmt.Errorf("%w: [%d,%d) of %d", ErrOutOfRange, off, off+int64(n), d.backing.Size())
 	}
-	hold, ops, count, bytes := d.model.ReadTime(n), &d.reads, &metrics.Default.DiskReads, &metrics.Default.DiskBytesRead
+	hold, ops, count := d.model.ReadTime(n), &d.reads, &metrics.Default.DiskReads
 	if write {
-		hold, ops, count, bytes = d.model.WriteTime(n), &d.writes, &metrics.Default.DiskWrites, &metrics.Default.DiskBytesWrit
+		hold, ops, count = d.model.WriteTime(n), &d.writes, &metrics.Default.DiskWrites
 	}
 	if !d.model.IsZero() {
 		simtime.Sleep(hold)
@@ -271,7 +271,6 @@ func (d *Disk) op(p []byte, off int64, n int, write bool) (err error) {
 	}
 	ops.Add(1)
 	count.Add(1)
-	bytes.Add(int64(n))
 	return nil
 }
 

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
@@ -13,7 +12,7 @@ func TestSnapshotAndSub(t *testing.T) {
 	before := c.Snapshot()
 	c.MessagesSent.Add(5)
 	c.BytesSent.Add(50)
-	c.CallsIssued.Add(2)
+	c.ReqShed.Add(2)
 	delta := c.Snapshot().Sub(before)
 	if delta.MessagesSent != 5 {
 		t.Errorf("MessagesSent delta = %d, want 5", delta.MessagesSent)
@@ -21,23 +20,11 @@ func TestSnapshotAndSub(t *testing.T) {
 	if delta.BytesSent != 50 {
 		t.Errorf("BytesSent delta = %d, want 50", delta.BytesSent)
 	}
-	if delta.CallsIssued != 2 {
-		t.Errorf("CallsIssued delta = %d, want 2", delta.CallsIssued)
+	if delta.ReqShed != 2 {
+		t.Errorf("ReqShed delta = %d, want 2", delta.ReqShed)
 	}
-	if delta.MessagesRecv != 0 {
-		t.Errorf("MessagesRecv delta = %d, want 0", delta.MessagesRecv)
-	}
-}
-
-func TestReset(t *testing.T) {
-	var c Counters
-	c.MessagesSent.Add(1)
-	c.DiskReads.Add(3)
-	c.ObjectsTotal.Add(2)
-	c.Reset()
-	s := c.Snapshot()
-	if s != (Snapshot{}) {
-		t.Errorf("after reset: %+v", s)
+	if delta.DiskReads != 0 {
+		t.Errorf("DiskReads delta = %d, want 0", delta.DiskReads)
 	}
 }
 
@@ -51,28 +38,12 @@ func TestConcurrentCounting(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < perWorker; j++ {
-				c.CallsIssued.Add(1)
+				c.MessagesSent.Add(1)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := c.CallsIssued.Load(); got != workers*perWorker {
-		t.Errorf("CallsIssued = %d, want %d", got, workers*perWorker)
-	}
-}
-
-func TestSnapshotString(t *testing.T) {
-	s := Snapshot{}
-	if s.String() != "{}" {
-		t.Errorf("empty snapshot string: %q", s.String())
-	}
-	s.MessagesSent = 3
-	s.DiskReads = 1
-	str := s.String()
-	if !strings.Contains(str, "msgsSent=3") || !strings.Contains(str, "diskR=1") {
-		t.Errorf("snapshot string missing fields: %q", str)
-	}
-	if strings.Contains(str, "bytesSent") {
-		t.Errorf("snapshot string shows zero field: %q", str)
+	if got := c.MessagesSent.Load(); got != workers*perWorker {
+		t.Errorf("MessagesSent = %d, want %d", got, workers*perWorker)
 	}
 }

@@ -221,8 +221,6 @@ func (c *Comm) recvLoop(from int, conn transport.Conn) {
 			c.fail(err)
 			return
 		}
-		metrics.Default.MessagesRecv.Add(1)
-		metrics.Default.BytesRecv.Add(int64(len(frame)))
 		d := wire.NewDecoder(frame)
 		tag := d.Int()
 		payload := d.BytesCopy()

@@ -1,7 +1,6 @@
 package rmi
 
 import (
-	"sync/atomic"
 	"time"
 
 	"oopp/internal/metrics"
@@ -66,7 +65,7 @@ func (s *Server) SetAdmission(cfg AdmissionConfig) {
 }
 
 // QueueDepths returns the current in-flight request count per priority
-// class — the live view behind the metrics gauges, for tests and stats.
+// class, for tests and stats.
 func (s *Server) QueueDepths() [NumPriorities]int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -76,8 +75,9 @@ func (s *Server) QueueDepths() [NumPriorities]int {
 // admit accepts one unit of in-flight work in class prio, or explains
 // why not: ErrDraining when the server is going away (always checked
 // first, so drain and overload never mask each other), an
-// *OverloadedError when the class budget is spent. Every nil return must
-// be paired with exactly one release.
+// *OverloadedError when the class budget is spent. A nil return hands
+// the caller a slot of the class and a drain token, which the request's
+// finish gives back.
 func (s *Server) admit(prio Priority) error {
 	s.mu.Lock()
 	if s.draining || s.closed {
@@ -98,43 +98,23 @@ func (s *Server) admit(prio Priority) error {
 	s.admitDepth[prio]++
 	s.calls.Add(1)
 	s.mu.Unlock()
-	metrics.Default.ReqAdmitted.Add(1)
-	queueGauge(prio).Add(1)
 	return nil
-}
-
-// release returns the work token taken by admit on the paths that have
-// already replied (sheds, decode errors): slot and drain token at once.
-func (s *Server) release(prio Priority, start time.Time) {
-	s.freeSlot(prio, start)
-	s.calls.Done()
 }
 
 // freeSlot gives the class its in-flight slot back, folding the
 // request's service time (acceptance to reply) into the class's EWMA so
-// future rejections carry a current retry hint. The paths that answer a
-// client's request call it BEFORE sending the reply and s.calls.Done()
-// after: a client holding a reply must find the slot it occupied free
-// (its next request is not shed by its own last one), while Drain
-// returning still means every accepted request's reply is on the wire.
+// future rejections carry a current retry hint. Its one caller is
+// callTask.finish, BEFORE the reply is sent and s.calls.Done() after: a
+// client holding a reply — an error reply included — must find the slot
+// it occupied free (its next request is not shed by its own last one,
+// and QueueDepths read over a second connection does not count it),
+// while Drain returning still means every accepted request's reply is on
+// the wire.
 func (s *Server) freeSlot(prio Priority, start time.Time) {
 	s.observeService(prio, time.Since(start))
 	s.mu.Lock()
 	s.admitDepth[prio]--
 	s.mu.Unlock()
-	queueGauge(prio).Add(-1)
-}
-
-// queueGauge maps a class to its live-depth gauge.
-func queueGauge(prio Priority) *atomic.Int64 {
-	switch prio {
-	case PrioHigh:
-		return &metrics.Default.QueueHigh
-	case PrioBulk:
-		return &metrics.Default.QueueBulk
-	default:
-		return &metrics.Default.QueueNormal
-	}
 }
 
 // serviceEWMA tuning: new samples get 1/ewmaDiv weight, and hints are

@@ -636,7 +636,6 @@ func (c *Client) encode(ctx context.Context, rq request, s *callSite, o *callOpt
 		if sc, traced = traceContext(ctx, o); traced {
 			s.span = clientSpan(&sc, "call "+s.class+"."+s.method)
 		}
-		metrics.Default.CallsIssued.Add(1)
 	case opDelete:
 		if nilRef {
 			return 0, nil, fmt.Errorf("rmi: delete of nil ref")
@@ -874,8 +873,6 @@ func (cc *clientConn) recvLoop() {
 			cc.close(&MachineDownError{Machine: cc.machine, Cause: fmt.Errorf("rmi: connection lost: %w", err)})
 			return
 		}
-		metrics.Default.MessagesRecv.Add(1)
-		metrics.Default.BytesRecv.Add(int64(len(frame)))
 		// The decoder takes ownership of the pooled frame; it travels to
 		// the caller on success and is released here on every other path.
 		d := wire.GetFrameDecoder(frame)

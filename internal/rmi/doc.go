@@ -254,12 +254,25 @@
 // chapter): the server restores it into the handler's Env.Ctx(), so
 // peer calls made through Env.Client extend the same trace, and the
 // sampled bit decides whether spans are captured — an unsampled header
-// propagates ids and records nothing. The server finishes a request's
-// bookkeeping BEFORE it sends the reply — span, per-method stats, and
-// the admission slot the request held — so a client holding a reply
-// can pull the debug snapshot (which bypasses the mailbox) and is
-// guaranteed to find its own call there, and its next request is never
-// shed by its own last one.
+// propagates ids and records nothing.
+//
+// On the server every decoded frame is one pooled record (callTask) from
+// dispatch to its answer, whatever the operation: New, Call, the object
+// ping, Delete, and the control operations Ping, Stat and Debug differ
+// only in what runs in between (a constructor on its own goroutine, a
+// method through the object's mailbox or beside it when concurrent, a
+// destructor as the mailbox's last task, the control operations inline).
+// The record ends in exactly one finish(err), the only place a reply
+// frame is completed, counted and sent, and it gives things back in one
+// order: the request frame; then the bookkeeping — per-method stats,
+// span, and the admission slot the request held — BEFORE the reply is
+// sent, so a client holding a reply (an error reply included) can pull
+// the debug snapshot, which bypasses the mailbox, and is guaranteed to
+// find its own call there, and neither its next request nor
+// QueueDepths, on this connection or another, meets the slot of a
+// request already answered; then the send; then the record to its pool;
+// and the drain token last, AFTER the send, so Drain returning means
+// every accepted request's reply is on the wire.
 // Three classes exist: PrioHigh (control traffic; Ping, Stat, and
 // Delete default here), PrioNormal (Call and New), and PrioBulk
 // (background work; opt in with WithPriority, per call or baked into a
@@ -285,8 +298,8 @@
 // delay high-priority traffic, so heartbeats never declare a merely
 // busy machine down; and admission is checked only after the
 // draining/closed states, so ErrOverloaded never masks ErrDraining.
-// Counters (ReqAdmitted, ReqShed, the per-class queue gauges) live in
-// metrics.Default. The serve package builds the client half — session
+// Sheds count in metrics.Default.ReqShed; the per-class depths are
+// Server.QueueDepths. The serve package builds the client half — session
 // multiplexing over bounded connection pools and the open-loop load
 // harness — on this contract.
 //
@@ -302,9 +315,10 @@
 // allocates nothing; an asynchronous operation completes a Future, which
 // is two allocations (the Future and its channel; an args closure that
 // captures is a third) — TestSyncCallSteadyStateAllocs holds both
-// numbers. Server side, method invocations travel as pooled mailbox
-// tasks and reply straight out of a pooled encoder whose header is
-// written before the method appends its results.
+// numbers. Server side, a request's record is the mailbox task, and the
+// reply encoder is taken when the answer is written — header first, so
+// results are appended once, to the frame that leaves; a request waiting
+// in a mailbox holds no buffer.
 //
 // The caller's half of the bargain is Release: the decoder returned by
 // Call (or Future.Wait) owns its response frame, and releasing it after

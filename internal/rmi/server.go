@@ -131,13 +131,8 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		s.calls.Wait()
-		close(done)
-	}()
 	select {
-	case <-done:
+	case <-waited(&s.calls):
 		return nil
 	case <-ctx.Done():
 		return fmt.Errorf("rmi: machine %d drain: %w", s.machine, ctx.Err())
@@ -182,18 +177,23 @@ func (s *Server) Close() error {
 		e.mb.close()
 	}
 	s.connWG.Wait()
-	objDone := make(chan struct{})
-	go func() {
-		s.objWG.Wait()
-		close(objDone)
-	}()
 	select {
-	case <-objDone:
+	case <-waited(&s.objWG):
 	case <-time.After(closeGrace):
 		// One or more object methods are blocked indefinitely; their
 		// goroutines are abandoned (they exit if the method ever returns).
 	}
 	return nil
+}
+
+// waited returns a channel that closes once wg's count is zero.
+func waited(wg *sync.WaitGroup) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	return done
 }
 
 func (s *Server) acceptLoop() {
@@ -234,26 +234,57 @@ func (s *Server) serveConn(conn transport.Conn) {
 		if err != nil {
 			return
 		}
-		metrics.Default.MessagesRecv.Add(1)
-		metrics.Default.BytesRecv.Add(int64(len(frame)))
 		s.dispatch(conn, frame)
 	}
 }
 
-// dispatch decodes one request frame and routes it. The pooled decoder
-// owns the frame; whichever handler path consumes the arguments is
-// responsible for releasing it once the handler is done.
+// callTask is one request, from the frame that carried it to the frame
+// that answers it: what dispatch decoded, the admission token it holds,
+// and — for a method call — the mailbox task the object's process runs.
+// Records recycle through a pool, so a steady request stream enqueues,
+// runs, and replies without allocating. Whatever the operation, a record
+// ends in exactly one finish.
+type callTask struct {
+	s     *Server
+	conn  transport.Conn
+	reqID uint64
+	args  *wire.Decoder // owns the request frame, op header consumed
+	reply *wire.Encoder // the answer, header written; nil until answer()
+
+	admitted bool      // an admission token is held (opNew, opCall)
+	prio     Priority  // its class
+	start    time.Time // admission instant: service-time EWMA, latency histogram
+
+	entry    *objEntry
+	me       methodEntry // zero me.fn marks the built-in ping (nothing to run)
+	deadline int64       // client deadline, unix nanos (0 = none)
+
+	env   *Env               // handler environment (per-call view when traced)
+	span  *trace.Span        // server span of a sampled request; nil otherwise
+	stats *trace.MethodStats // telemetry slot of a method that reached run
+}
+
+var callTaskPool = sync.Pool{New: func() any { return new(callTask) }}
+
+// errExpired answers a call whose client deadline passed while it sat in
+// the mailbox: nobody is waiting for the result, so executing it would
+// be pure waste. The text carries the error the client's own timer
+// reports (errors.Is matches context.DeadlineExceeded across the wire).
+var errExpired = fmt.Errorf("expired before execution: %v", context.DeadlineExceeded)
+
+// dispatch decodes one request frame into a record and routes it. The
+// record owns the pooled decoder and the frame under it until finish.
 //
 // Admission runs before the op-specific header is decoded: for calls and
 // constructions only the fixed-offset priority byte and the two leading
 // varints have been read when a shed decision is made, so a saturated
 // server spends near-zero work per rejected request. Pings, stats and
 // deletes are control plane and bypass admission entirely (pings still
-// observe draining, as before).
+// observe draining); so does the debug plane — introspection that goes
+// dark under overload is useless exactly when needed.
 func (s *Server) dispatch(conn transport.Conn, frame []byte) {
 	d := wire.GetFrameDecoder(frame)
 	lead := d.Byte()
-	prio := clampPriority(lead)
 	reqID := d.Uvarint()
 	op := d.Uvarint()
 	if d.Err() != nil {
@@ -261,47 +292,47 @@ func (s *Server) dispatch(conn transport.Conn, frame []byte) {
 		d.Release()
 		return
 	}
+	t := callTaskPool.Get().(*callTask)
+	t.s, t.conn, t.reqID, t.args = s, conn, reqID, d
 	// The optional trace header sits between the op and the op-specific
 	// header; decoding it is three fields, and only when the lead byte
 	// announces one — untraced frames pay nothing here.
 	tc := decodeTraceHeader(lead, d)
+	if op == opNew || op == opCall {
+		prio := clampPriority(lead)
+		if err := s.admit(prio); err != nil {
+			if tc.Sampled {
+				trace.Emit(tc, s.machine, shedNote[op])
+			}
+			t.finish(err)
+			return
+		}
+		t.admitted, t.prio, t.start = true, prio, time.Now()
+	}
 	switch op {
 	case opPing:
-		d.Release()
 		if s.Draining() {
-			s.reply(conn, reqID, nil, ErrDraining)
+			t.finish(ErrDraining)
 			return
 		}
-		s.reply(conn, reqID, nil, nil)
+		t.finish(nil)
 	case opStat:
-		d.Release()
-		e := wire.NewEncoder(16)
+		reply := t.answer()
 		s.mu.Lock()
-		e.PutUvarint(uint64(len(s.objects)))
-		e.PutUvarint(s.total)
+		reply.PutUvarint(uint64(len(s.objects)))
+		reply.PutUvarint(s.total)
 		s.mu.Unlock()
-		s.reply(conn, reqID, e, nil)
+		t.finish(nil)
 	case opDebug:
-		// The debug plane bypasses admission like opStat: introspection
-		// that goes dark under overload is useless exactly when needed.
-		d.Release()
-		s.replyDebug(conn, reqID)
-	case opNew:
-		if err := s.admit(prio); err != nil {
-			d.Release()
-			if tc.Sampled {
-				trace.Emit(tc, s.machine, "shed new")
-			}
-			s.reply(conn, reqID, nil, err)
-			return
+		snap, err := s.debugSnapshot()
+		if err == nil {
+			t.answer().PutBytes(snap)
 		}
-		start := time.Now()
+		t.finish(err)
+	case opNew:
 		class := d.String()
 		if d.Err() != nil {
-			err := d.Err()
-			d.Release()
-			s.reply(conn, reqID, nil, err)
-			s.release(prio, start)
+			t.finish(d.Err())
 			return
 		}
 		// Constructors may do arbitrary work (open devices, call other
@@ -310,45 +341,97 @@ func (s *Server) dispatch(conn transport.Conn, frame []byte) {
 		s.objWG.Add(1)
 		go func() {
 			defer s.objWG.Done()
-			defer s.calls.Done()
-			result, err := s.handleNew(class, d, tc)
-			d.Release()
-			s.freeSlot(prio, start)
-			s.reply(conn, reqID, result, err)
+			t.finish(s.handleNew(t, class, tc))
 		}()
 	case opCall:
-		if err := s.admit(prio); err != nil {
-			d.Release()
-			if tc.Sampled {
-				trace.Emit(tc, s.machine, "shed call")
-			}
-			s.reply(conn, reqID, nil, err)
-			return
-		}
-		start := time.Now()
 		objID := d.Uvarint()
-		method := d.StringBytes() // view: valid until d.Release
-		deadline := d.Varint()    // absolute unix nanos; 0 = none
+		method := d.StringBytes() // view: valid until finish releases the frame
+		t.deadline = d.Varint()   // absolute unix nanos; 0 = none
 		if d.Err() != nil {
-			err := d.Err()
-			d.Release()
-			s.reply(conn, reqID, nil, err)
-			s.release(prio, start)
+			t.finish(d.Err())
 			return
 		}
-		s.handleCall(conn, reqID, objID, method, d, prio, start, deadline, tc)
+		s.handleCall(t, objID, method, tc)
 	case opDelete:
 		objID := d.Uvarint()
-		err := d.Err()
-		d.Release()
-		if err != nil {
-			s.reply(conn, reqID, nil, err)
+		if d.Err() != nil {
+			t.finish(d.Err())
 			return
 		}
-		s.handleDelete(conn, reqID, objID)
+		s.handleDelete(t, objID)
 	default:
-		d.Release()
-		s.reply(conn, reqID, nil, fmt.Errorf("rmi: unknown opcode %d", op))
+		t.finish(fmt.Errorf("rmi: unknown opcode %d", op))
+	}
+}
+
+// shedNote is what a sampled request's trace shows when admission
+// refuses it.
+var shedNote = [...]string{opNew: "shed new", opCall: "shed call"}
+
+// answer takes the reply encoder with the response header (reqID,
+// statusOK) already in it, so whatever the operation appends — a
+// method's results, a new object's id, the stat counters, the debug
+// snapshot — is written once, into the frame that leaves. It is taken
+// when the answer is written, not before: a request waiting in a mailbox
+// holds no buffer.
+func (t *callTask) answer() *wire.Encoder {
+	t.reply = wire.GetEncoder(96)
+	t.reply.PutUvarint(t.reqID)
+	t.reply.PutUvarint(statusOK)
+	return t.reply
+}
+
+// finish answers the request and gives back everything it held, in the
+// one order every operation shares. A non-nil err replaces whatever the
+// reply holds with an error frame carrying its text. The server's
+// bookkeeping is finished BEFORE the reply goes on the wire: a client
+// holding its reply may pull the debug snapshot (which bypasses the
+// mailbox) and must find its own call's span and stats there, and its
+// next request — on this connection or another — must find the admission
+// slot this one held free. Latency runs from admission to the reply
+// hand-off (queueing included — that is what the caller experienced).
+// The drain token is retired only AFTER the reply is on the wire: Drain
+// returning means every accepted request has answered.
+func (t *callTask) finish(err error) {
+	s, reply := t.s, t.reply
+	t.args.Release() // handler done: recycle the request frame
+	if reply == nil {
+		reply = t.answer()
+	}
+	if err != nil {
+		reply.Reset()
+		reply.PutUvarint(t.reqID)
+		reply.PutUvarint(statusErr)
+		reply.PutString(err.Error())
+	}
+	frame := reply.Detach()
+	wire.PutEncoder(reply)
+	if t.stats != nil {
+		t.stats.Hist.Observe(time.Since(t.start))
+		switch {
+		case err == nil:
+			t.stats.OK.Add(1)
+		case errors.Is(err, errExpired):
+			t.stats.Expired.Add(1)
+		case errors.Is(err, ErrFenced):
+			t.stats.Fenced.Add(1)
+		default:
+			t.stats.Errs.Add(1)
+		}
+	}
+	t.span.End(err != nil)
+	admitted := t.admitted
+	if admitted {
+		s.freeSlot(t.prio, t.start)
+	}
+	metrics.Default.MessagesSent.Add(1)
+	metrics.Default.BytesSent.Add(int64(len(frame)))
+	// Best effort: if the connection died the client sees ErrClosed.
+	_ = t.conn.Send(frame)
+	*t = callTask{}
+	callTaskPool.Put(t)
+	if admitted {
+		s.calls.Done()
 	}
 }
 
@@ -372,58 +455,63 @@ func (s *Server) callEnv(tc trace.SpanContext, nameIfSampled func() string) (*En
 	return s.env.withCtx(trace.ContextWith(context.Background(), sp.Context())), sp
 }
 
-// handleNew constructs and adopts an object of class, returning the
-// reply payload (the new object id) or the error to send back.
-func (s *Server) handleNew(class string, args *wire.Decoder, tc trace.SpanContext) (*wire.Encoder, error) {
+// handleNew constructs and adopts an object of class and writes its id
+// as t's answer, or returns the error to send back.
+func (s *Server) handleNew(t *callTask, class string, tc trace.SpanContext) error {
 	cl, ok := LookupClass(class)
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchClass, class)
+		return fmt.Errorf("%w: %q", ErrNoSuchClass, class)
 	}
-	env, span := s.callEnv(tc, func() string { return "serve new " + class })
-	obj, err := s.construct(cl, env, args)
+	var env *Env
+	env, t.span = s.callEnv(tc, func() string { return "serve new " + class })
+	obj, err := s.construct(cl, env, t.args)
 	if err != nil {
-		span.End(true)
-		return nil, fmt.Errorf("constructing %s: %w", class, err)
+		return fmt.Errorf("constructing %s: %w", class, err)
 	}
-	id, err := s.adopt(cl, obj)
-	span.End(err != nil)
+	id, err := s.adopt(cl, obj, 0)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	e := wire.NewEncoder(16)
-	e.PutUvarint(id)
-	return e, nil
+	t.answer().PutUvarint(id)
+	return nil
 }
 
 // construct runs a constructor, converting panics into errors: a buggy
 // remote constructor must not take down the machine.
 func (s *Server) construct(cl *ClassSpec, env *Env, args *wire.Decoder) (obj any, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("constructor panic: %v", r)
-		}
-	}()
+	defer catch("constructor", &err)
 	return cl.ctor(env, args)
 }
 
-// adopt registers an already-built object and starts its process
-// goroutine. It is also used directly (via Server.AddObject) for objects
-// created server-side, e.g. reactivated persistent processes.
-func (s *Server) adopt(cl *ClassSpec, obj any) (uint64, error) {
-	entry := &objEntry{class: cl, obj: obj, mb: newMailbox()}
+// catch, deferred, turns a panic of user code into the error its caller
+// returns: "<what> panic: <value>".
+func catch(what string, err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("%s panic: %v", what, r)
+	}
+}
+
+// adopt registers an already-built object — under a fresh id when id is
+// 0, under the given one otherwise — and starts its process goroutine.
+// It is the only place an object enters the table: constructions, objects
+// created server-side (AddObject) and ones put back after TakeObject.
+func (s *Server) adopt(cl *ClassSpec, obj any, id uint64) (uint64, error) {
+	entry := &objEntry{id: id, class: cl, obj: obj, mb: newMailbox()}
 	s.mu.Lock()
-	if s.closed {
+	switch {
+	case s.closed:
 		s.mu.Unlock()
 		return 0, fmt.Errorf("rmi: machine %d is shut down", s.machine)
+	case id == 0:
+		s.nextID++
+		s.total++
+		entry.id = s.nextID
+	case s.objects[id] != nil:
+		s.mu.Unlock()
+		return 0, fmt.Errorf("rmi: object %d already live on machine %d", id, s.machine)
 	}
-	s.nextID++
-	s.total++
-	entry.id = s.nextID
 	s.objects[entry.id] = entry
 	s.mu.Unlock()
-
-	metrics.Default.ObjectsLive.Add(1)
-	metrics.Default.ObjectsTotal.Add(1)
 
 	// The object's process: a goroutine draining its mailbox.
 	s.objWG.Add(1)
@@ -434,6 +522,21 @@ func (s *Server) adopt(cl *ClassSpec, obj any) (uint64, error) {
 	return entry.id, nil
 }
 
+// lookup finds a live object, removing it from the table when take is
+// set (its mailbox is then the caller's to close).
+func (s *Server) lookup(id uint64, take bool) (*objEntry, error) {
+	s.mu.Lock()
+	entry, ok := s.objects[id]
+	if ok && take {
+		delete(s.objects, id)
+	}
+	s.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: machine %d object %d", ErrNoSuchObject, s.machine, id)
+	}
+	return entry, nil
+}
+
 // AddObject installs a locally-constructed object of the named class and
 // returns its Ref. Used by persistence (process activation) and by tests.
 func (s *Server) AddObject(class string, obj any) (Ref, error) {
@@ -441,35 +544,11 @@ func (s *Server) AddObject(class string, obj any) (Ref, error) {
 	if !ok {
 		return Ref{}, fmt.Errorf("%w: %q", ErrNoSuchClass, class)
 	}
-	id, err := s.adopt(cl, obj)
+	id, err := s.adopt(cl, obj, 0)
 	if err != nil {
 		return Ref{}, err
 	}
 	return Ref{Machine: s.machine, Object: id, Class: class}, nil
-}
-
-// TakeObject removes an object from the server *without* running its
-// destructor and returns the instance. Used by persistence to passivate a
-// process: the object leaves the live table, its goroutine stops, and its
-// state is serialized by the caller.
-func (s *Server) TakeObject(id uint64) (any, error) {
-	s.mu.Lock()
-	entry, ok := s.objects[id]
-	if ok {
-		delete(s.objects, id)
-	}
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: machine %d object %d", ErrNoSuchObject, s.machine, id)
-	}
-	// Let queued work finish, then stop the process goroutine.
-	done := make(chan struct{})
-	if entry.mb.push(funcTask(func() { close(done) })) {
-		<-done
-	}
-	entry.mb.close()
-	metrics.Default.ObjectsLive.Add(-1)
-	return entry.obj, nil
 }
 
 // PutBack reinstalls an object previously removed with TakeObject under
@@ -480,211 +559,99 @@ func (s *Server) PutBack(id uint64, class string, obj any) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchClass, class)
 	}
-	entry := &objEntry{id: id, class: cl, obj: obj, mb: newMailbox()}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return fmt.Errorf("rmi: machine %d is shut down", s.machine)
+	_, err := s.adopt(cl, obj, id)
+	return err
+}
+
+// TakeObject removes an object from the server *without* running its
+// destructor and returns the instance. Used by persistence to passivate a
+// process: the object leaves the live table, its goroutine stops, and its
+// state is serialized by the caller.
+func (s *Server) TakeObject(id uint64) (any, error) {
+	entry, err := s.lookup(id, true)
+	if err != nil {
+		return nil, err
 	}
-	if _, exists := s.objects[id]; exists {
-		s.mu.Unlock()
-		return fmt.Errorf("rmi: object %d already live on machine %d", id, s.machine)
+	// Let queued work finish, then stop the process goroutine.
+	done := make(chan struct{})
+	if entry.mb.push(funcTask(func() { close(done) })) {
+		<-done
 	}
-	s.objects[id] = entry
-	s.mu.Unlock()
-	metrics.Default.ObjectsLive.Add(1)
-	s.objWG.Add(1)
-	go func() {
-		defer s.objWG.Done()
-		entry.mb.run()
-	}()
-	return nil
+	entry.mb.close()
+	return entry.obj, nil
 }
 
 // Object returns the live instance with the given id (used by tests and
 // same-machine fast paths).
 func (s *Server) Object(id uint64) (any, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.objects[id]
-	if !ok {
+	entry, err := s.lookup(id, false)
+	if err != nil {
 		return nil, false
 	}
-	return e.obj, true
+	return entry.obj, true
 }
 
-// callTask is one method invocation queued for an object's process
-// goroutine — the hot-path task shape. Tasks recycle through a pool, so a
-// steady request stream enqueues, runs, and replies without allocating.
-// A zero me.fn marks the built-in ping (reply OK, nothing to run).
-type callTask struct {
-	s        *Server
-	conn     transport.Conn
-	entry    *objEntry
-	me       methodEntry
-	args     *wire.Decoder // owns the request frame; nil for ping
-	reqID    uint64
-	prio     Priority  // admission class of the work token held
-	start    time.Time // admission instant, for the service-time EWMA
-	deadline int64     // client deadline, unix nanos (0 = none)
-
-	env   *Env               // handler environment (per-call view when traced)
-	span  *trace.Span        // server span of a sampled request; nil otherwise
-	stats *trace.MethodStats // telemetry slot for me.full; nil for ping
-}
-
-var callTaskPool = sync.Pool{New: func() any { return new(callTask) }}
-
-// run executes the method and sends the response as one pooled frame.
-// The response header (reqID, statusOK) is encoded optimistically so
-// method results append directly to the outgoing frame — no second
-// assembly copy; on error the frame is rewritten as a statusErr reply.
-func (t *callTask) run() {
-	s := t.s
-	reply := wire.GetEncoder(96)
-	reply.PutUvarint(t.reqID)
-	reply.PutUvarint(statusOK)
-	var err error
-	var expired bool
-	if t.me.fn != nil {
-		if t.deadline != 0 && time.Now().UnixNano() > t.deadline {
-			// The client's deadline passed while the request sat in the
-			// mailbox: nobody is waiting for the result, so executing it
-			// would be pure waste. Shed with the same typed error the
-			// client's own timer reports (errors.Is matches
-			// context.DeadlineExceeded across the wire).
-			metrics.Default.ReqExpired.Add(1)
-			expired = true
-			err = fmt.Errorf("expired before execution: %v", context.DeadlineExceeded)
-		} else {
-			metrics.Default.CallsServed.Add(1)
-			err = s.invoke(t.me.fn, t.env, t.entry, t.args, reply)
-		}
-	}
-	t.args.Release() // handler done: recycle the request frame
+// handleCall routes one method invocation: a serial method (and the
+// built-in ping, whose completion through the mailbox is the point) is
+// queued for the object's process, a concurrent one gets its own
+// goroutine so the object can accept peer pushes while busy in a long
+// serial method. Decoder views (method, and the arguments a handler
+// reads) stay valid until finish.
+func (s *Server) handleCall(t *callTask, objID uint64, method []byte, tc trace.SpanContext) {
+	entry, err := s.lookup(objID, false)
 	if err != nil {
-		reply.Reset()
-		reply.PutUvarint(t.reqID)
-		reply.PutUvarint(statusErr)
-		reply.PutString(fmt.Sprintf("%s.%s: %v", t.entry.class.name, t.me.name, err))
+		t.finish(err)
+		return
 	}
-	frame := reply.Detach()
-	wire.PutEncoder(reply)
-	// The server's bookkeeping for this call is finished BEFORE the reply
-	// goes on the wire, as for constructors: a client holding its reply
-	// may pull the debug snapshot (which bypasses the mailbox) and must
-	// find its own call's span and stats there, and its next request
-	// must find the admission slot this one held free. Latency runs from
-	// admission to the reply hand-off (queueing included — that is what
-	// the caller experienced); the outcome is classified the same way the
-	// local branch above decided.
-	if t.stats != nil {
-		t.stats.Hist.Observe(time.Since(t.start))
-		switch {
-		case expired:
-			t.stats.Expired.Add(1)
-		case err == nil:
-			t.stats.OK.Add(1)
-		case errors.Is(err, ErrFenced):
-			t.stats.Fenced.Add(1)
-		default:
-			t.stats.Errs.Add(1)
+	t.entry = entry
+	if string(method) != methodPing {
+		me, ok := entry.class.lookupBytes(method)
+		if !ok {
+			t.finish(fmt.Errorf("%w: %s.%s", ErrNoSuchMethod, entry.class.name, method))
+			return
 		}
-	}
-	t.span.End(err != nil)
-	s.freeSlot(t.prio, t.start)
-	metrics.Default.MessagesSent.Add(1)
-	metrics.Default.BytesSent.Add(int64(len(frame)))
-	// Best effort: if the connection died the client sees ErrClosed.
-	_ = t.conn.Send(frame)
-	*t = callTask{}
-	callTaskPool.Put(t)
-	// The drain token taken at acceptance (admit) is retired only after
-	// the reply is on the wire: Drain returning means every accepted call
-	// has answered.
-	s.calls.Done()
-}
-
-// handleCall routes one method invocation. It takes ownership of args
-// (and the frame under it); every path releases it exactly once — for
-// dispatched calls, inside callTask.run after the method returns, which
-// is what makes passing decoder views into handlers safe. It also owns
-// the admission work token taken in dispatch: tasks that reach run()
-// release it there, every early-exit path releases it here.
-func (s *Server) handleCall(conn transport.Conn, reqID uint64, objID uint64, method []byte, args *wire.Decoder, prio Priority, start time.Time, deadline int64, tc trace.SpanContext) {
-	s.mu.Lock()
-	entry, ok := s.objects[objID]
-	s.mu.Unlock()
-	if !ok {
-		args.Release()
-		s.reply(conn, reqID, nil, fmt.Errorf("%w: machine %d object %d", ErrNoSuchObject, s.machine, objID))
-		s.release(prio, start)
-		return
-	}
-
-	t := callTaskPool.Get().(*callTask)
-	t.s, t.conn, t.entry, t.reqID, t.prio, t.start = s, conn, entry, reqID, prio, start
-	t.deadline = deadline
-
-	// Built-in methods first: the ping task carries no method and no
-	// arguments, its completion through the mailbox is the point.
-	if string(method) == methodPing {
-		args.Release()
-		t.me, t.args, t.env = methodEntry{}, nil, s.env
-		if !entry.mb.push(t) {
-			*t = callTask{}
-			callTaskPool.Put(t)
-			s.reply(conn, reqID, nil, fmt.Errorf("%w: machine %d object %d (terminated)", ErrNoSuchObject, s.machine, objID))
-			s.release(prio, start)
+		t.me = me
+		t.env, t.span = s.callEnv(tc, func() string { return "serve " + me.full })
+		if me.concurrent {
+			s.objWG.Add(1)
+			go func() {
+				defer s.objWG.Done()
+				t.run()
+			}()
+			return
 		}
-		return
-	}
-
-	me, ok := entry.class.lookupBytes(method)
-	if !ok {
-		// Format the error while `method` (a view of the request frame) is
-		// still valid, then release the frame.
-		err := fmt.Errorf("%w: %s.%s", ErrNoSuchMethod, entry.class.name, method)
-		args.Release()
-		*t = callTask{}
-		callTaskPool.Put(t)
-		s.reply(conn, reqID, nil, err)
-		s.release(prio, start)
-		return
-	}
-	t.me, t.args = me, args
-	t.stats = s.methods.Get(me.full)
-	t.env, t.span = s.callEnv(tc, func() string { return "serve " + me.full })
-
-	if me.concurrent {
-		// Concurrent method: runs outside the mailbox so the object can
-		// accept peer pushes while busy in a long serial method.
-		s.objWG.Add(1)
-		go func() {
-			defer s.objWG.Done()
-			t.run()
-		}()
-		return
 	}
 	if !entry.mb.push(t) {
-		args.Release()
-		t.span.End(true)
-		*t = callTask{}
-		callTaskPool.Put(t)
-		s.reply(conn, reqID, nil, fmt.Errorf("%w: machine %d object %d (terminated)", ErrNoSuchObject, s.machine, objID))
-		s.release(prio, start)
+		t.finish(fmt.Errorf("%w: machine %d object %d (terminated)", ErrNoSuchObject, s.machine, objID))
 	}
+}
+
+// run is the record as a mailbox task: execute the method, its results
+// appended straight to the outgoing frame, and finish.
+func (t *callTask) run() {
+	if t.me.fn == nil { // ping
+		t.finish(nil)
+		return
+	}
+	var err error
+	t.stats = t.s.methods.Get(t.me.full)
+	if t.deadline != 0 && time.Now().UnixNano() > t.deadline {
+		metrics.Default.ReqExpired.Add(1)
+		err = errExpired
+	} else {
+		err = t.s.invoke(t.me.fn, t.env, t.entry, t.args, t.answer())
+	}
+	if err != nil {
+		err = fmt.Errorf("%s.%s: %w", t.entry.class.name, t.me.name, err)
+	}
+	t.finish(err)
 }
 
 // invoke runs a method, converting panics into errors. env is the
 // handler's environment — the per-call traced view when the request
 // carried trace context, the machine's base environment otherwise.
 func (s *Server) invoke(fn MethodFunc, env *Env, entry *objEntry, args *wire.Decoder, reply *wire.Encoder) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("method panic: %v", r)
-		}
-	}()
+	defer catch("method", &err)
 	if err := fn(entry.obj, env, args, reply); err != nil {
 		return err
 	}
@@ -694,88 +661,41 @@ func (s *Server) invoke(fn MethodFunc, env *Env, entry *objEntry, args *wire.Dec
 	return nil
 }
 
-func (s *Server) handleDelete(conn transport.Conn, reqID uint64, objID uint64) {
-	s.mu.Lock()
-	entry, ok := s.objects[objID]
-	if ok {
-		delete(s.objects, objID)
-	}
-	s.mu.Unlock()
-	if !ok {
-		s.reply(conn, reqID, nil, fmt.Errorf("%w: machine %d object %d", ErrNoSuchObject, s.machine, objID))
+// handleDelete takes the object out of the table and queues its
+// destructor. Destructor semantics (§2): pending communications complete
+// (they are ahead of us in the mailbox), the destructor runs, the process
+// terminates.
+func (s *Server) handleDelete(t *callTask, objID uint64) {
+	entry, err := s.lookup(objID, true)
+	if err != nil {
+		t.finish(err)
 		return
 	}
-	// Destructor semantics (§2): pending communications complete (they are
-	// ahead of us in the mailbox), the destructor runs, the process
-	// terminates.
-	pushed := entry.mb.push(funcTask(func() {
-		err := s.destroyObject(entry)
-		s.reply(conn, reqID, nil, err)
-	}))
+	pushed := entry.mb.push(funcTask(func() { t.finish(s.destroyObject(entry)) }))
 	entry.mb.close()
 	if !pushed {
-		s.reply(conn, reqID, nil, fmt.Errorf("%w: machine %d object %d (already terminating)", ErrNoSuchObject, s.machine, objID))
+		t.finish(fmt.Errorf("%w: machine %d object %d (already terminating)", ErrNoSuchObject, s.machine, objID))
 	}
 }
 
 func (s *Server) destroyObject(entry *objEntry) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("destructor panic: %v", r)
-		}
-	}()
-	metrics.Default.ObjectsLive.Add(-1)
+	defer catch("destructor", &err)
 	if d, ok := entry.obj.(Destroyer); ok {
 		return d.OnDestroy(s.env)
 	}
 	return nil
 }
 
-// reply sends a response frame on the cold paths (constructions, errors,
-// server pings); method calls reply inside callTask.run. result may be
-// nil (empty payload).
-func (s *Server) reply(conn transport.Conn, reqID uint64, result *wire.Encoder, err error) {
-	size := 32
-	if result != nil {
-		size += result.Len()
-	}
-	e := wire.GetEncoder(size)
-	e.PutUvarint(reqID)
-	if err != nil {
-		e.PutUvarint(statusErr)
-		e.PutString(err.Error())
-	} else {
-		e.PutUvarint(statusOK)
-		if result != nil {
-			e.AppendRaw(result.Bytes())
-		}
-	}
-	frame := e.Detach()
-	wire.PutEncoder(e)
-	metrics.Default.MessagesSent.Add(1)
-	metrics.Default.BytesSent.Add(int64(len(frame)))
-	// Best effort: if the connection died the client sees ErrClosed.
-	_ = conn.Send(frame)
-}
-
-// replyDebug answers an opDebug request with the machine's introspection
-// snapshot: the per-method telemetry registry, the admission shed count,
-// and the process span ring, JSON-encoded. The snapshot is
-// self-describing (field names, sparse histogram buckets), so the debug
-// plane never needs a protocol revision to grow a field.
-func (s *Server) replyDebug(conn transport.Conn, reqID uint64) {
-	snap := trace.Snapshot{
+// debugSnapshot is the machine's introspection snapshot: the per-method
+// telemetry registry, the admission shed count, and the process span
+// ring, JSON-encoded. The snapshot is self-describing (field names,
+// sparse histogram buckets), so the debug plane never needs a protocol
+// revision to grow a field.
+func (s *Server) debugSnapshot() ([]byte, error) {
+	return json.Marshal(trace.Snapshot{
 		Machine: s.machine,
 		Shed:    metrics.Default.ReqShed.Load(),
 		Methods: s.methods.Snapshot(),
 		Spans:   trace.Spans(),
-	}
-	buf, err := json.Marshal(snap)
-	if err != nil {
-		s.reply(conn, reqID, nil, err)
-		return
-	}
-	e := wire.NewEncoder(len(buf) + 8)
-	e.PutBytes(buf)
-	s.reply(conn, reqID, e, nil)
+	})
 }
