@@ -244,28 +244,6 @@
 // messages, ≥2× faster on a latency-dominated link) and overlapped
 // sweeps shave µs/iter at identical traffic.
 //
-// # Migrating from the pre-context API
-//
-// The old stringly surface maps onto the typed one mechanically:
-//
-//	old (removed)                             new
-//	----------------------------------------  ----------------------------------------------
-//	client.New(m, "pkg.Class", enc)           class.New(ctx, client, m, enc)  // typed handle
-//	client.NewArgs(m, "pkg.Class", a, b)      oopp.NewOn[T](ctx, client, m, a, b)
-//	client.Call(ref, "m", enc)                client.Call(ctx, ref, "m", enc, opts...)
-//	client.CallArgs(ref, "m", a)              oopp.Invoke[R](ctx, client, ref, "m", a)
-//	client.CallAsync(ref, "m", enc)           client.CallAsync(ctx, ref, "m", enc, opts...)
-//	fut.Wait() / fut.Err()                    fut.Wait(ctx) / fut.Err(ctx)
-//	oopp.WaitAll(futs)                        oopp.WaitAll(ctx, futs)
-//	oopp.NewDevice(client, ...)               oopp.NewDevice(ctx, client, ...)
-//	SpawnGroup(client, ms, "cls", f)          oopp.SpawnClass(ctx, client, oopp.OnMachines(ms...), class, f)
-//	NewGroup(client, refs)                    oopp.AttachCollection[T](client, refs)
-//	g.CallParallel(ctx, "m", enc)             coll.Broadcast(ctx, "m", enc)
-//	g.CallParallelResults(ctx, "m", enc, f)   coll.CallAll(ctx, "m", enc, f)
-//	g.Call(ctx, "m", enc)  // one at a time   coll.ForEach + client.Call, or coll.SetWindow(1)
-//	g.Barrier(ctx) / g.Delete(ctx)            coll.Barrier(ctx) / coll.Destroy(ctx)
-//	rmi.Register(name, ctor) + obj.(*T)       rmi.RegisterClass(name, typedCtor)  // no asserts
-//
 // # Performance & buffer ownership
 //
 // The paper's cost model requires remote invocation overhead to be

@@ -37,8 +37,8 @@ func FFT3D(x []complex128, n1, n2, n3 int, sign int) error {
 
 // TransformAxis23 applies the 2D transform over axes 2 and 3 to every
 // i1-plane of a flat n1×n2×n3 slab. It is phase 1 of the distributed
-// algorithm: each FFT worker process runs it on its local slab, or on a
-// run of the slab's planes.
+// algorithm, which an FFT worker process runs plane by plane: FFT2D on
+// each i1-plane of its local slab.
 func TransformAxis23(x []complex128, n1, n2, n3 int, sign int) error {
 	if len(x) != n1*n2*n3 {
 		return fmt.Errorf("fft: slab has %d elements, want %dx%dx%d", len(x), n1, n2, n3)

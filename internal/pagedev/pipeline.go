@@ -26,9 +26,6 @@ package pagedev
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"oopp/internal/kernel"
 	"oopp/internal/rmi"
@@ -213,35 +210,14 @@ func registerPipelineMethod(c *rmi.Class[*arrayPageDevice]) {
 	})
 }
 
-// sweepElems is the batch size, in elements, above which a batch's regions
-// are shared among workers; a smaller one is done before a helper starts.
-const sweepElems = 1 << 16
-
-// batchRun is one kernel batch in execution: what its workers share.
-type batchRun struct {
-	a        *arrayPageDevice
-	env      *rmi.Env
-	b        kernelBatch
-	accs     []float64    // one slab: a row of b.width floats per region, and a last row to merge into
-	next     atomic.Int64 // the next unclaimed region
-	wg       sync.WaitGroup
-	mu       sync.Mutex // guards the rest
-	failedAt int        // the lowest region index that failed, or -1: a kernel panicked
-	err      error      // region failedAt's error
-	panicked any        // what the kernel panicked with
-}
-
-// runKernelBatch executes a decoded batch: fence pre-scan, every region on
-// some worker, then the regions' accumulators merged into the reply.
-//
-// The workers are this goroutine and, for a batch above sweepElems, enough
-// helpers to fill the machine. They claim region indices from one counter
-// and the method returns only when all have finished, so it is as serial a
-// method as before. Which worker ran which region shows nowhere: a reduce
-// stage folds each region into that region's OWN accumulator (Init, then
-// Row per run), merged afterwards in region order with the kernel's Merge,
-// so the reply is bitwise the same for one worker or eight. After a failure
-// no further region is claimed; the lowest failed region's error is returned.
+// runKernelBatch executes a decoded batch: fence pre-scan, the regions
+// shared among the machine's processors by rmi.Share — which says who runs
+// them, when a batch is too small to share and what becomes of an error or a
+// panic — then the regions' accumulators merged into the reply. Which
+// goroutine ran which region shows nowhere: a reduce stage folds each region
+// into that region's OWN accumulator (Init, then Row per run), merged
+// afterwards in region order with the kernel's Merge, so the reply is bitwise
+// the same for one goroutine or eight.
 func (a *arrayPageDevice) runKernelBatch(env *rmi.Env, b kernelBatch, reply *wire.Encoder) error {
 	// Fence-scan the whole batch before touching any page (mutating
 	// chains only; reads are never fenced): a batch refused by the
@@ -256,29 +232,22 @@ func (a *arrayPageDevice) runKernelBatch(env *rmi.Env, b kernelBatch, reply *wir
 		}
 		elems += b.regions[i].Box.Size()
 	}
-	run := &batchRun{a: a, env: env, b: b, failedAt: len(b.regions), accs: make([]float64, (len(b.regions)+1)*b.width)}
-	workers := 1
-	if elems > sweepElems && b.orderFree(a, env) {
-		workers = min(runtime.GOMAXPROCS(0), len(b.regions))
+	// One slab: a row of b.width floats per region, and a last row to merge into.
+	accs := make([]float64, (len(b.regions)+1)*b.width)
+	workers, shared := rmi.Sharers(len(b.regions), elems), elems
+	if workers > 1 && !b.orderFree(a, env) {
+		workers, shared = 1, 0
 	}
-	a.stage(workers-1, 0) // every worker's staging slot exists before a helper looks for its own
-	run.wg.Add(workers)
-	for w := 1; w < workers; w++ {
-		go run.sweep(w)
-	}
-	run.sweep(0)
-	run.wg.Wait()
-	if run.panicked != nil {
-		panic(run.panicked)
-	}
-	if run.err != nil {
-		return run.err
+	a.stage(workers-1, 0) // every goroutine's staging slot exists before a helper looks for its own
+	err := rmi.Share(len(b.regions), shared, func(w, i int) error { return a.region(env, b, accs, w, i) })
+	if err != nil {
+		return err
 	}
 	// The first folded region's accumulator is copied over the identity, not
 	// merged into it; a stage no region folded (all empty or fold=false)
 	// reports N == 0 beside the identity, which the client never merges.
 	reply.PutVarint(int64(elems))
-	total, off := run.accs[len(b.regions)*b.width:], 0
+	total, off := accs[len(b.regions)*b.width:], 0
 	for si := range b.stages {
 		st := &b.stages[si]
 		if st.width == 0 {
@@ -290,7 +259,7 @@ func (a *arrayPageDevice) runKernelBatch(env *rmi.Env, b kernelBatch, reply *wir
 			if !r.Fold || r.Box.Size() == 0 {
 				continue
 			}
-			if acc := run.accs[i*b.width+off:][:st.width]; n == 0 {
+			if acc := accs[i*b.width+off:][:st.width]; n == 0 {
 				copy(sum, acc)
 			} else {
 				st.merge(sum, acc)
@@ -308,7 +277,7 @@ func (a *arrayPageDevice) runKernelBatch(env *rmi.Env, b kernelBatch, reply *wir
 // when the chain writes and two regions share a page, or one's operand is
 // a page of this very device that ANOTHER region writes. Such a batch —
 // the array layer plans none — keeps region order, on one worker.
-func (b *kernelBatch) orderFree(a *arrayPageDevice, env *rmi.Env) bool {
+func (b kernelBatch) orderFree(a *arrayPageDevice, env *rmi.Env) bool {
 	if !b.mutates {
 		return true
 	}
@@ -330,36 +299,9 @@ func (b *kernelBatch) orderFree(a *arrayPageDevice, env *rmi.Env) bool {
 	return true
 }
 
-// sweep is one worker: it claims regions until none is left or one has
-// failed. A kernel's panic (its page given up: withPage) is kept for the
-// method's goroutine to raise after the join, where rmi fails the call.
-func (br *batchRun) sweep(w int) {
-	defer br.wg.Done()
-	defer func() {
-		if p := recover(); p != nil {
-			br.fail(-1, nil, p)
-		}
-	}()
-	for i := int(br.next.Add(1)) - 1; i < len(br.b.regions); i = int(br.next.Add(1)) - 1 {
-		if err := br.region(w, i); err != nil {
-			br.fail(i, err, nil)
-		}
-	}
-}
-
-// fail stops the claiming and records region i's error, or as region -1 a panic.
-func (br *batchRun) fail(i int, err error, panicked any) {
-	br.next.Store(int64(len(br.b.regions)))
-	br.mu.Lock()
-	defer br.mu.Unlock()
-	if i < br.failedAt {
-		br.failedAt, br.err, br.panicked = i, err, panicked
-	}
-}
-
 // region walks region i on worker w: operand pulls, then its page through every stage.
-func (br *batchRun) region(w, i int) error {
-	a, b, r := br.a, &br.b, &br.b.regions[i]
+func (a *arrayPageDevice) region(env *rmi.Env, b kernelBatch, accs []float64, w, i int) error {
+	r := &b.regions[i]
 	size := r.Box.Size()
 	if size == 0 {
 		// An empty sub-box reaches no stage at all: map stages have
@@ -379,7 +321,7 @@ func (br *batchRun) region(w, i int) error {
 		case kernel.StageBinary, kernel.StageBinaryReduce:
 			if k == kernel.StageBinary || r.Fold {
 				rq := subReq{r.Peers[op].Index, r.Box}
-				if err := a.pullSub(br.env, r.Peers[op].Ref, rq, operands[op*size:(op+1)*size]); err != nil {
+				if err := a.pullSub(env, r.Peers[op].Ref, rq, operands[op*size:(op+1)*size]); err != nil {
 					return err
 				}
 			}
@@ -397,7 +339,7 @@ func (br *batchRun) region(w, i int) error {
 	case b.mutates:
 		how = update
 	}
-	accs := br.accs[i*b.width:]
+	accs = accs[i*b.width:]
 	return a.withPage(r.Index, how, func(elems []float64) {
 		op := 0
 		for si := range b.stages {

@@ -117,21 +117,16 @@ func (g geom) scatter(d *wire.Decoder, phase, from, to, lo, hi int, dst []comple
 	g.rows(phase, from, to, lo, hi, func(_, at int) { d.CopyComplex128s(dst[at : at+g.n3]) })
 }
 
-// axis23 is phase 1 on i1-planes [lo, hi) of a slab in layout A: their 2D
-// FFTs over axes (2,3).
-func (g geom) axis23(slab []complex128, lo, hi, sign int) error {
+// axis23 is phase 1 on i1-plane i1 of a slab in layout A: its 2D FFT over
+// axes (2,3).
+func (g geom) axis23(slab []complex128, i1, sign int) error {
 	plane := g.n2 * g.n3
-	return fft.TransformAxis23(slab[lo*plane:hi*plane], hi-lo, g.n2, g.n3, sign)
+	return fft.FFT2D(slab[i1*plane:(i1+1)*plane], g.n2, g.n3, sign)
 }
 
-// axis1 is phase 3 on i2-planes [lo, hi) of a buffer in layout B: the FFTs
-// along axis 1, which is the first axis of each n1×n3 plane.
-func (g geom) axis1(tr []complex128, lo, hi, sign int) error {
+// axis1 is phase 3 on i2-plane i2 of a buffer in layout B: the FFTs along
+// axis 1, which is the first axis of the n1×n3 plane.
+func (g geom) axis1(tr []complex128, i2, sign int) error {
 	plane := g.n1 * g.n3
-	for i2 := lo; i2 < hi; i2++ {
-		if err := fft.TransformAxis1(tr[i2*plane:(i2+1)*plane], g.n1, 1, g.n3, sign); err != nil {
-			return err
-		}
-	}
-	return nil
+	return fft.TransformAxis1(tr[i2*plane:(i2+1)*plane], g.n1, 1, g.n3, sign)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"oopp/internal/mp"
+	"oopp/internal/rmi"
 	"oopp/internal/wire"
 )
 
@@ -25,13 +26,13 @@ func MPTransform3D(world *mp.World, x []complex128, n1, n2, n3, sign int) error 
 	return world.Run(func(c *mp.Comm) error {
 		slab := x[c.Rank()*g.slabLen() : (c.Rank()+1)*g.slabLen()]
 		tr := make([]complex128, g.trLen())
-		if err := g.axis23(slab, 0, g.h1, sign); err != nil {
+		if err := rmi.Share(g.h1, 2*len(slab), func(_, i1 int) error { return g.axis23(slab, i1, sign) }); err != nil {
 			return err
 		}
 		if err := g.alltoall(c, phaseForward, slab, tr); err != nil {
 			return err
 		}
-		if err := g.axis1(tr, 0, g.h2, sign); err != nil {
+		if err := rmi.Share(g.h2, 2*len(tr), func(_, i2 int) error { return g.axis1(tr, i2, sign) }); err != nil {
 			return err
 		}
 		return g.alltoall(c, phaseBack, tr, slab)

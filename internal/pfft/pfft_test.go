@@ -596,3 +596,137 @@ func TestRefTableBounds(t *testing.T) {
 		t.Error("out-of-range getRef accepted")
 	}
 }
+
+// TestProcessorCountDoesNotShow: at 32×64×64 every piece of every phase, for
+// one worker and for two, is above the size at which a worker shares its
+// planes among its machine's processors. How many goroutines shared a piece,
+// and which claimed what plane, shows nowhere: forward and inverse are equal
+// bitwise on one, two and eight processors — one being the plain loop over
+// the planes — and the forward one is the local FFT.
+func TestProcessorCountDoesNotShow(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const n1, n2, n3 = 32, 64, 64
+	x := testData(n1*n2*n3, 26)
+	local := append([]complex128(nil), x...)
+	if err := fft.FFT3D(local, n1, n2, n3, -1); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 2} {
+		var want [2][]complex128 // after the forward transform, after the inverse
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			cl, err := cluster.NewLocal(p, 0)
+			if err != nil {
+				t.Fatalf("cluster: %v", err)
+			}
+			f, err := pfft.New(bg, cl.Client(), machineList(p), n1, n2, n3)
+			if err != nil {
+				t.Fatalf("pfft.New: %v", err)
+			}
+			if err := f.Load(bg, x); err != nil {
+				t.Fatal(err)
+			}
+			for k, sign := range []int{-1, +1} {
+				got := make([]complex128, len(x))
+				if err := f.Transform(bg, sign); err != nil {
+					t.Fatalf("%d workers, %d processors, sign %d: %v", p, procs, sign, err)
+				}
+				if err := f.Gather(bg, got); err != nil {
+					t.Fatal(err)
+				}
+				if want[k] == nil {
+					want[k] = got
+				}
+				for i := range got {
+					if got[i] != want[k][i] {
+						t.Fatalf("%d workers, sign %d: element %d is %v on %d processors, %v on one", p, sign, i, got[i], procs, want[k][i])
+					}
+				}
+			}
+			f.Close(bg)
+			cl.Shutdown()
+		}
+		if !approxEqual(want[0], local, 1e-9) || !approxEqual(want[1], x, 1e-9) {
+			t.Errorf("%d workers: the shared transform is not the local FFT, or its inverse not the input", p)
+		}
+	}
+}
+
+// TestTransformRefusesOtherSigns: the kernels read any sign <= 0 as forward
+// and any above as inverse, so a transform asked for with 0 or 7 would run a
+// whole exchange. Every worker refuses it before it touches a plane: the
+// slabs are bitwise what was loaded, and the group transforms as before.
+func TestTransformRefusesOtherSigns(t *testing.T) {
+	const n1, n2, n3 = 8, 8, 4
+	const p = 2
+	cl, err := cluster.NewLocal(p, 0)
+	if err != nil {
+		t.Fatalf("cluster: %v", err)
+	}
+	defer cl.Shutdown()
+	f, err := pfft.New(bg, cl.Client(), machineList(p), n1, n2, n3)
+	if err != nil {
+		t.Fatalf("pfft.New: %v", err)
+	}
+	defer f.Close(bg)
+	x := testData(n1*n2*n3, 5)
+	if err := f.Load(bg, x); err != nil {
+		t.Fatal(err)
+	}
+	for _, sign := range []int{0, 7, -2, 2} {
+		if err := f.Transform(bg, sign); err == nil {
+			t.Errorf("Transform with sign %d succeeded", sign)
+		}
+		for id, ref := range f.Refs() {
+			_, err := cl.Client().Call(bg, ref, "transform", func(e *wire.Encoder) error {
+				e.PutInt(sign)
+				return nil
+			})
+			if err == nil {
+				t.Errorf("worker %d transformed with sign %d", id, sign)
+			}
+		}
+	}
+	got := make([]complex128, len(x))
+	if err := f.Gather(bg, got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if got[i] != x[i] {
+			t.Fatalf("element %d is %v after the refused transforms, loaded %v", i, got[i], x[i])
+		}
+	}
+	if err := f.Transform(bg, -1); err != nil {
+		t.Fatalf("a forward transform after the refusals: %v", err)
+	}
+}
+
+// BenchmarkTransformOneWorker is the flagship's alt measurement while
+// working: 128³ on one worker over the in-process transport, a forward and
+// an inverse transform an iteration. Run it with -cpu 1,2 to see what the
+// worker's second processor gives; nothing compares the numbers.
+func BenchmarkTransformOneWorker(b *testing.B) {
+	const n = 128
+	cl, err := cluster.NewLocal(1, 0)
+	if err != nil {
+		b.Fatalf("cluster: %v", err)
+	}
+	defer cl.Shutdown()
+	f, err := pfft.New(bg, cl.Client(), machineList(1), n, n, n)
+	if err != nil {
+		b.Fatalf("pfft.New: %v", err)
+	}
+	defer f.Close(bg)
+	if err := f.Load(bg, testData(n*n*n, 1)); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(2 * 16 * n * n * n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sign := range []int{-1, +1} {
+			if err := f.Transform(bg, sign); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -40,8 +40,12 @@
 // a rmi.SplitLoop over pieces × peers, the §4 split loop like every other
 // transfer in the repo, whose issue step is where a piece's planes are
 // transformed: a call is on the wire, and being placed by the peer, while
-// the planes of the next are computed. Load and Gather move the slabs in
-// the same pieces.
+// the planes of the next are computed — by the method's goroutine and, the
+// worker being a process with a machine to itself, by helpers on the
+// machine's other processors (rmi.Share, the fork-join a page device's
+// kernel batch uses), each claiming one plane at a time: its transform, then
+// the copy of the worker's own rows of it. The helpers are joined before
+// the piece is gathered. Load and Gather move the slabs in the same pieces.
 //
 // storeBlock is a concurrent method (see rmi package doc): every worker
 // is inside its serial transform method during the exchange, so the data
@@ -64,11 +68,13 @@
 // is marked, closes the slot with the block's last plane, and counts the
 // planes as landed when their rows are in; an exchange ends by waiting for
 // peers × planes. So every access of the transform method to rows a peer
-// may write is separated from that write by mu, on both sides. Between
-// honest workers the table never refuses: v cannot answer a block before
-// all of it was sent. But that order is carried by the socket, where
-// neither the memory model nor the race detector can see it; the table
-// states it where both can.
+// may write is separated from that write by mu, on both sides — and every
+// access of a helper, which takes no lock: it lives between a fork and a
+// join on the method's goroutine, inside planes whose slot is closed, and
+// only that goroutine opens a slot, after the join. Between honest workers
+// the table never refuses: v cannot answer a block before all of it was
+// sent. But that order is carried by the socket, where neither the memory
+// model nor the race detector can see it; the table states it where both can.
 //
 // A piece is accepted whole or refused whole. Phase, sender, the presence
 // of every announced byte, the count (whole planes, at least one), the
@@ -231,14 +237,14 @@ func (w *worker) storeBlock(args *wire.Decoder) error {
 }
 
 // exchange is one transpose, worked piece by piece with the arithmetic
-// that precedes it: compute transforms planes [lo, hi) of the source
-// buffer, this worker's own rows of them are copied across, and they are
-// gathered into a storeBlock call to each peer, which is on its way while
-// the next piece is transformed; the split loop settles the calls, two
-// pieces to every peer outstanding at most, so a receiver never holds more
-// frames than the pool keeps. Then a wait until every plane of every
-// peer's block has landed here.
-func (w *worker) exchange(env *rmi.Env, phase int, compute func(lo, hi int) error) error {
+// that precedes it: compute transforms a plane of the source buffer and
+// this worker's own rows of it are copied across, the planes [lo, hi) of a
+// piece shared among the machine's processors; then they are gathered into
+// a storeBlock call to each peer, which is on its way while the next piece
+// is transformed; the split loop settles the calls, two pieces to every peer
+// outstanding at most, so a receiver never holds more frames than the pool
+// keeps. Then a wait until every plane of every peer's block has landed here.
+func (w *worker) exchange(env *rmi.Env, phase int, compute func(plane int) error) error {
 	src, dst := w.bufs(phase)
 	count, blockPlane := w.planes(phase)
 	parts := cutPlanes(count, blockPlane)
@@ -251,9 +257,13 @@ func (w *worker) exchange(env *rmi.Env, phase int, compute func(lo, hi int) erro
 	readyThrough := func(k int) {
 		for ; ready <= k && failed == nil; ready++ {
 			lo, hi := parts.piece(ready)
-			if failed = compute(lo, hi); failed == nil {
-				w.rows(phase, w.id, w.id, lo, hi, func(s, d int) { copy(dst[d:d+w.n3], src[s:s+w.n3]) })
-			}
+			failed = rmi.Share(hi-lo, 2*(hi-lo)*(len(src)/count), func(_, i int) error {
+				if err := compute(lo + i); err != nil {
+					return err
+				}
+				w.rows(phase, w.id, w.id, lo+i, lo+i+1, func(s, d int) { copy(dst[d:d+w.n3], src[s:s+w.n3]) })
+				return nil
+			})
 		}
 	}
 	err := rmi.SplitLoop(env.Ctx(), parts.pieces()*peers, 2*peers, func(i int) *rmi.Future {
@@ -305,11 +315,14 @@ func (w *worker) transform(env *rmi.Env, sign int) error {
 	if w.p == 0 {
 		return fmt.Errorf("pfft: transform before setGroup")
 	}
-	err := w.exchange(env, phaseForward, func(lo, hi int) error { return w.axis23(w.slab, lo, hi, sign) })
+	if sign != -1 && sign != +1 {
+		return fmt.Errorf("pfft: transform sign %d, want -1 or +1", sign)
+	}
+	err := w.exchange(env, phaseForward, func(i1 int) error { return w.axis23(w.slab, i1, sign) })
 	if err != nil {
 		return err
 	}
-	return w.exchange(env, phaseBack, func(lo, hi int) error { return w.axis1(w.tr, lo, hi, sign) })
+	return w.exchange(env, phaseBack, func(i2 int) error { return w.axis1(w.tr, i2, sign) })
 }
 
 // slabPlanes checks that [lo, hi) is a non-empty run of this worker's
