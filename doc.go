@@ -252,11 +252,12 @@
 // and a bulk read copies its payload exactly once (wire to user buffer).
 // Three rules make that safe:
 //
-//   - Send transfers ownership. A frame handed to a transport Send (or
-//     SendBuffers) belongs to the transport afterwards: the in-process
-//     transport forwards the very slice to the peer, the TCP transport
-//     writes it vectored (header + payload, no join) and recycles it.
-//     Never touch a buffer you have sent.
+//   - Send transfers ownership. A frame handed to a transport Send (or,
+//     with others, to SendBurst) belongs to the transport afterwards: the
+//     in-process transport forwards the very slice to the peer, the TCP
+//     transport joins small frames in one write, writes a long one
+//     vectored (header + payload, no join), and recycles it. Never touch
+//     a buffer you have sent.
 //   - Receive then Release. The decoder returned by Call / Future.Wait
 //     owns its response frame; call Release once decoding is done to
 //     return the frame to the shared pool. Forgetting Release is safe —

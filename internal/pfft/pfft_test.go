@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/cmplx"
-	"net"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -279,13 +278,11 @@ func (c sizedConn) Send(msg []byte) error {
 	return c.Conn.Send(msg)
 }
 
-func (c sizedConn) SendBuffers(bufs net.Buffers) error {
-	n := 0
-	for _, b := range bufs {
-		n += len(b)
+func (c sizedConn) SendBurst(msgs [][]byte) error {
+	for _, m := range msgs {
+		c.t.note(len(m))
 	}
-	c.t.note(n)
-	return c.Conn.SendBuffers(bufs)
+	return c.Conn.SendBurst(msgs)
 }
 
 func (c sizedConn) Recv() ([]byte, error) {

@@ -135,9 +135,11 @@ func backoffDelay(failures int) time.Duration {
 // if any, is dropped and counted (see metrics.Counters).
 //
 // A request leaves a client one way: every operation is a request that
-// encode writes and send sends, and the operations differ only in how
-// they wait for the response — on a Future (CallAsync, NewAsync and what
-// is built on them), or, for Call, on a pooled waiter, which is what
+// encode writes and send sends — at once, or, for a collective's burst, in
+// one write per machine when the collective flushes (clientConn.write) —
+// and the operations differ only in how they wait for the response: on a
+// Future (CallAsync, NewAsync and what is built on them), or, for Call,
+// on a pooled waiter, which is what
 // keeps the synchronous path allocation-free in steady state: request
 // frames come from pooled encoders, the transport takes ownership of them
 // (no copy on inproc), responses arrive in pooled frames, and the decoder
@@ -364,7 +366,13 @@ func (c *Client) New(ctx context.Context, m int, class string, args ArgEncoder, 
 // aborts the pending future later; per-call deadlines travel via
 // WithTimeout.
 func (c *Client) NewAsync(ctx context.Context, m int, class string, args ArgEncoder, opts ...CallOption) *Future {
-	return c.start(ctx, callSite{machine: m, class: class}, request{op: opNew, prio: PrioNormal, args: args}, opts)
+	return c.newAsync(ctx, m, class, args, resolveOptions(opts))
+}
+
+// newAsync is NewAsync under options already resolved (SpawnRefs resolves
+// them once for all its members).
+func (c *Client) newAsync(ctx context.Context, m int, class string, args ArgEncoder, o callOptions) *Future {
+	return c.start(ctx, callSite{machine: m, class: class}, request{op: opNew, prio: PrioNormal, args: args}, o)
 }
 
 // NewArgs is New with the tagged generic argument encoding. Prefer the
@@ -495,7 +503,13 @@ func callDeadline(ctx context.Context, o *callOptions) int64 {
 // CallAsync begins a method invocation and returns a Future immediately.
 // This is the primitive under the paper's §4 loop-splitting transformation.
 func (c *Client) CallAsync(ctx context.Context, ref Ref, method string, args ArgEncoder, opts ...CallOption) *Future {
-	return c.start(ctx, callSite{machine: ref.Machine, class: ref.Class, method: method}, request{op: opCall, prio: PrioNormal, object: ref.Object, args: args}, opts)
+	return c.callAsync(ctx, ref, method, args, resolveOptions(opts))
+}
+
+// callAsync is CallAsync under options already resolved (FanOut resolves
+// them once for all its members).
+func (c *Client) callAsync(ctx context.Context, ref Ref, method string, args ArgEncoder, o callOptions) *Future {
+	return c.start(ctx, callSite{machine: ref.Machine, class: ref.Class, method: method}, request{op: opCall, prio: PrioNormal, object: ref.Object, args: args}, o)
 }
 
 // CallArgs invokes a method using the tagged generic encoding for both
@@ -521,13 +535,13 @@ func (c *Client) Delete(ctx context.Context, ref Ref, opts ...CallOption) error 
 
 // deleteAsync begins a Delete (DeleteRefs pipelines them).
 func (c *Client) deleteAsync(ctx context.Context, ref Ref, opts ...CallOption) *Future {
-	return c.start(ctx, callSite{machine: ref.Machine, class: ref.Class, method: "~"}, request{op: opDelete, prio: PrioHigh, object: ref.Object}, opts)
+	return c.start(ctx, callSite{machine: ref.Machine, class: ref.Class, method: "~"}, request{op: opDelete, prio: PrioHigh, object: ref.Object}, resolveOptions(opts))
 }
 
 // control begins a runtime operation addressed to machine m itself —
 // ping, stat, debug.
 func (c *Client) control(ctx context.Context, m int, op uint64, opts []CallOption) *Future {
-	return c.start(ctx, callSite{machine: m}, request{op: op, prio: PrioHigh}, opts)
+	return c.start(ctx, callSite{machine: m}, request{op: op, prio: PrioHigh}, resolveOptions(opts))
 }
 
 // Ping round-trips an empty frame to machine m.
@@ -589,8 +603,7 @@ type request struct {
 // start issues rq at site the asynchronous way: the Future it returns is
 // completed by the response, by its contexts or by the per-call timer —
 // and has failed already if the request could not leave.
-func (c *Client) start(ctx context.Context, site callSite, rq request, opts []CallOption) *Future {
-	o := resolveOptions(opts)
+func (c *Client) start(ctx context.Context, site callSite, rq request, o callOptions) *Future {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -676,11 +689,18 @@ func (c *Client) encode(ctx context.Context, rq request, s *callSite, o *callOpt
 // machine and leaves pc registered for the response. Every operation
 // comes through here, and so in one order: encode, then the caller arms
 // the per-call timer, then here context check → dial → register → bind →
-// Send. So an argument encoder that fails never dials, the client span
+// write. So an argument encoder that fails never dials, the client span
 // covers the dial, and WithTimeout bounds the whole operation: the dial
 // loop runs under a context with the timer's budget (derived here; the
 // waiter keeps the caller's, a derived one is canceled when send
 // returns).
+//
+// A request leaves one way, and that way ends in clientConn.write: at
+// once — or, for a request of a collective's burst (inBurst), in one write
+// per machine with the rest of the burst, when the collective flushes. A
+// held request is registered, bound and counted like a sent one; its
+// timer or context firing abandons it the same way, and the reply that
+// comes all the same is an orphan.
 //
 // A nil return means pc is — or, where bind said so, already was —
 // completed by someone else; an error means nobody will, and the caller
@@ -713,9 +733,13 @@ func (c *Client) send(ctx context.Context, reqID uint64, e *wire.Encoder, pc pen
 	frame := e.Detach()
 	metrics.Default.MessagesSent.Add(1)
 	metrics.Default.BytesSent.Add(int64(len(frame)))
-	if err := cc.conn.Send(frame); err != nil {
+	held, err := cc.write(reqID, frame, o.burst)
+	if err != nil {
 		cc.unregister(reqID)
-		return cc.sendFailed(err)
+		return err
+	}
+	if held {
+		pc.site().held = true
 	}
 	return nil
 }
@@ -751,6 +775,9 @@ type callSite struct {
 
 	cc    *clientConn
 	reqID uint64
+	// held: the request's frame waits on cc for the burst it was issued
+	// in. Only the issuing goroutine reads or writes it.
+	held bool
 }
 
 func (s *callSite) site() *callSite { return s }
@@ -778,6 +805,15 @@ func (s *callSite) remoteError(msg string) error {
 // aborted is the error of an operation given up on because of cause.
 func (s *callSite) aborted(cause error) error {
 	return fmt.Errorf("rmi: %s aborted: %w", s.describe(), cause)
+}
+
+// flush ends the burst the request was held for, on its connection:
+// everything held there leaves, in issue order, in one write.
+func (s *callSite) flush() {
+	if s.held {
+		s.held = false
+		_, _ = s.cc.write(0, nil, false)
+	}
 }
 
 // abandon unregisters the request from the connection it was bound to, if
@@ -834,6 +870,15 @@ type clientConn struct {
 	mu      sync.Mutex
 	pending map[uint64]pendingCall
 	dead    error
+
+	// wmu orders what leaves on conn. held are the request frames of a
+	// collective's burst that wait for its flush, in issue order, heldIDs
+	// their request ids and heldBytes their lengths' sum; the storage is
+	// reused from burst to burst.
+	wmu       sync.Mutex
+	held      [][]byte
+	heldIDs   []uint64
+	heldBytes int
 }
 
 func newClientConn(conn transport.Conn, owner *Client, machine int) *clientConn {
@@ -855,11 +900,59 @@ func (cc *clientConn) register(reqID uint64, pc pendingCall) {
 	cc.mu.Unlock()
 }
 
-func (cc *clientConn) unregister(reqID uint64) {
+// take removes reqID's registration and returns it: whoever takes a
+// registration is the one to complete it.
+func (cc *clientConn) take(reqID uint64) (pendingCall, bool) {
 	cc.mu.Lock()
+	pc, ok := cc.pending[reqID]
 	delete(cc.pending, reqID)
 	cc.inflight.Store(int64(len(cc.pending)))
 	cc.mu.Unlock()
+	return pc, ok
+}
+
+func (cc *clientConn) unregister(reqID uint64) { cc.take(reqID) }
+
+// write is the one place a request leaves the client, and it always
+// writes what is held, then frame — so nothing sent on a connection can
+// overtake what was issued on it before: issue order per (connection,
+// object) holds whoever writes next, a collective's flush (frame nil), a
+// later member too long to hold, or somebody's synchronous Call.
+//
+// With hold, frame — registered as reqID — joins the held ones instead,
+// if with them it still fits what the far side reads at once
+// (transport.FitsBurst: a page-sized frame never waits, and sends off what
+// did); held reports that. Every frame is the connection's from here on.
+//
+// If the write fails, each held request still registered is completed
+// with the error a failed send has always had, and the same error is
+// returned for frame's; the transport has given the frames back.
+func (cc *clientConn) write(reqID uint64, frame []byte, hold bool) (held bool, err error) {
+	cc.wmu.Lock()
+	defer cc.wmu.Unlock()
+	if hold && transport.FitsBurst(len(cc.held), cc.heldBytes, len(frame)) {
+		cc.held = append(cc.held, frame)
+		cc.heldIDs = append(cc.heldIDs, reqID)
+		cc.heldBytes += len(frame)
+		return true, nil
+	}
+	if frame != nil {
+		cc.held = append(cc.held, frame)
+	}
+	if len(cc.held) == 0 {
+		return false, nil
+	}
+	if err = cc.conn.SendBurst(cc.held); err != nil {
+		err = cc.sendFailed(err)
+		for _, id := range cc.heldIDs {
+			if pc, ok := cc.take(id); ok {
+				pc.complete(nil, err)
+			}
+		}
+	}
+	clear(cc.held) // the transport's by now, sent or not
+	cc.held, cc.heldIDs, cc.heldBytes = cc.held[:0], cc.heldIDs[:0], 0
+	return false, err
 }
 
 func (cc *clientConn) recvLoop() {
@@ -885,11 +978,7 @@ func (cc *clientConn) recvLoop() {
 			d.Release()
 			continue
 		}
-		cc.mu.Lock()
-		pc, ok := cc.pending[reqID]
-		delete(cc.pending, reqID)
-		cc.inflight.Store(int64(len(cc.pending)))
-		cc.mu.Unlock()
+		pc, ok := cc.take(reqID)
 		if !ok {
 			// Response to an abandoned request (canceled, timed out, or
 			// never registered). Expected under cancellation, but counted
@@ -923,7 +1012,11 @@ func (cc *clientConn) sendFailed(err error) error {
 	return &MachineDownError{Machine: cc.machine, Cause: fmt.Errorf("rmi: send to machine %d: %w", cc.machine, err)}
 }
 
-// close fails every pending future and closes the socket.
+// close fails every pending future and closes the socket. A request whose
+// frame is still held is among them, once: what is completed is the
+// registration, held or sent. The held frames themselves go back to the
+// pool by the way they always leave — the flush of the burst that held
+// them, which finds the connection closed.
 func (cc *clientConn) close(cause error) {
 	cc.mu.Lock()
 	if cc.dead != nil {

@@ -75,9 +75,30 @@
 // only writer of a request frame: lead byte, request id, opcode, trace
 // header, op header, arguments) and send puts on the wire, in one order:
 // encode → arm the per-call timer → context check → dial → register →
-// bind → Send. An argument encoder that fails therefore never dials; the
+// bind → write. An argument encoder that fails therefore never dials; the
 // client span of a traced operation covers the dial; WithTimeout bounds
-// the dial and the wait with one budget. What differs is only how the
+// the dial and the wait with one budget. A request leaves one way, and
+// that way ends in the one place that writes to a connection
+// (clientConn.write): at once — or, if it is one of a collective's issue
+// burst, in one write per machine with the rest of the burst. A
+// collective (everything on SplitLoop through FanOut, SpawnRefs,
+// BarrierRefs, DeleteRefs) holds each small request frame on its
+// connection, registered and bound like a sent one, and its send loop
+// flushes every connection it held a frame on before its first wait; the
+// transport joins them in one write (transport.Conn.SendBurst) and the
+// far side cuts them out of one read. Whoever writes to a connection
+// writes what is held on it first, so a synchronous Call from inside an
+// issue step cannot overtake the members issued before it: issue order
+// per (connection, object) holds. Only a frame that, with what is held,
+// fits what the far side reads at once is held (transport.FitsBurst): a
+// page goes out at once and takes what was held with it. A failed flush
+// answers every held request with the *MachineDownError a failed send
+// has always had; a timer or context that fires on a held request
+// abandons it like a sent one, and the reply is an orphan. Nothing is
+// held outside a collective: CallAsync by itself sends before it
+// returns, because issue, compute, then wait — the overlap the paper's
+// transformation is for — depends on it. The server writes its replies
+// one by one, as before. What differs is only how the
 // response is waited for, and there are two ways. The asynchronous forms
 // (CallAsync, NewAsync — both return a Future that has failed already if
 // the request could not leave — and everything built on them) complete a
@@ -118,6 +139,10 @@
 // function: issue(i) runs in index order while fewer than window futures
 // are outstanding, settle(i, f) consumes them in index order, and a
 // settle error stops issuing and drains every outstanding future.
+// A burst — the futures one pass of the issue loop started — ends where
+// that pass ends: what it held on its connections is flushed there,
+// before the settle that follows, so at window w a collective of n
+// members is a burst of w and then n−w bursts of one.
 // Window 1 is the sequential §2 loop. FanOut is SplitLoop with a settle
 // that records member failures and never stops; SpawnRefs is SplitLoop
 // with an issue that stops constructing once a member has failed or the
@@ -308,8 +333,9 @@
 // The request/response round trip is allocation-free in steady state.
 // Request frames are built in pooled encoders (wire.GetEncoder) by the
 // one encode and handed by the one send to the transport, which takes
-// ownership (inproc forwards the very slice; tcp writes it vectored and
-// recycles it). Responses arrive in pooled frames wrapped by pooled
+// ownership (inproc forwards the very slice; tcp joins it with the rest of
+// its burst, or writes a long one vectored, and recycles it). The frames a
+// collective holds for its burst wait in storage the connection keeps. Responses arrive in pooled frames wrapped by pooled
 // decoders. The two ways to wait are where the cost differs: a
 // synchronous Call completes through a pooled, reusable waiter and
 // allocates nothing; an asynchronous operation completes a Future, which

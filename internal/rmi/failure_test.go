@@ -382,6 +382,16 @@ func (c *halfDeadConn) Send(msg []byte) error {
 	return c.Conn.Send(msg)
 }
 
+func (c *halfDeadConn) SendBurst(msgs [][]byte) error {
+	if c.dead.Load() {
+		for _, m := range msgs {
+			transport.ReleaseFrame(m)
+		}
+		return transport.ErrClosed
+	}
+	return c.Conn.SendBurst(msgs)
+}
+
 // TestSendToDeadPeerIsTypedMachineDown: a call that reaches a connection
 // whose peer is gone before the receive loop has evicted it fails with the
 // typed machine-down error on both call paths — not with whatever the

@@ -71,6 +71,12 @@ func normWindow(w int) int {
 // that records failures and returns nil attempts all n calls. An issue
 // that has stopped starting calls returns nil, and settle is handed that.
 //
+// The futures one pass of the issue loop starts are a burst, and the burst
+// ends where the pass does: requests a collective held on their
+// connections (inBurst) are flushed there, one write a machine, before the
+// settle that follows. Issue steps that send at once — every one outside
+// this file — have nothing to flush.
+//
 // window = 1 is the sequential §2 form; window < 1 means DefaultWindow.
 // How a client bounds and settles outstanding requests is decided here
 // and nowhere else: FanOut, SpawnRefs and every core.Array transfer run
@@ -83,9 +89,17 @@ func SplitLoop(ctx context.Context, n, window int, issue func(i int) *Future, se
 	futs := make([]*Future, window) // ring: call i lives in slot i%window
 	issued := 0
 	for done := 0; done < n; done++ {
+		burst := issued
 		for issued < n && issued < done+window {
 			futs[issued%window] = issue(issued)
 			issued++
+		}
+		// The burst ends here, before the wait: what a collective's issue
+		// steps held on their connections leaves now, one write a machine.
+		for ; burst < issued; burst++ {
+			if f := futs[burst%window]; f != nil {
+				f.flush()
+			}
 		}
 		if err := settle(done, futs[done%window]); err != nil {
 			for i := done + 1; i < issued; i++ {
@@ -109,18 +123,21 @@ func SplitLoop(ctx context.Context, n, window int, issue func(i int) *Future, se
 // errors.Join of one MemberError per failed member (nil if all
 // succeeded).
 func FanOut(ctx context.Context, client *Client, refs []Ref, method string, args func(i int, e *wire.Encoder) error, collect func(i int, d *wire.Decoder) error, window int, opts ...CallOption) error {
+	o := inBurst(resolveOptions(opts))
 	return joinLoop(ctx, refs, method, window, func(i int) *Future {
 		var enc ArgEncoder
 		if args != nil {
 			enc = func(e *wire.Encoder) error { return args(i, e) }
 		}
-		return client.CallAsync(ctx, refs[i], method, enc, opts...)
+		return client.callAsync(ctx, refs[i], method, enc, o)
 	}, collect)
 }
 
 // joinLoop is SplitLoop for collectives: a member's failure (of its
 // call, or of collect on its reply) never stops the loop, and all of them
-// come back joined, each a MemberError naming op.
+// come back joined, each a MemberError naming op. The issue steps handed
+// to it, like SpawnRefs', start their requests inBurst, so at the default
+// window a collective's requests are one write per machine.
 func joinLoop(ctx context.Context, refs []Ref, op string, window int, issue func(i int) *Future, collect func(i int, d *wire.Decoder) error) error {
 	var errs []error
 	_ = SplitLoop(ctx, len(refs), window, issue, func(i int, f *Future) error {
@@ -162,6 +179,7 @@ func SpawnRefs(ctx context.Context, client *Client, machines []int, class string
 	refs := make([]Ref, len(machines))
 	var errs []error
 	issueCtx := context.WithoutCancel(ctx)
+	o := inBurst(resolveOptions(opts))
 	var graceEnd time.Time // of the drain, set when the caller first gives up
 	_ = SplitLoop(issueCtx, len(machines), window, func(i int) *Future {
 		if len(errs) > 0 || ctx.Err() != nil {
@@ -171,7 +189,7 @@ func SpawnRefs(ctx context.Context, client *Client, machines []int, class string
 		if args != nil {
 			enc = func(e *wire.Encoder) error { return args(i, e) }
 		}
-		return client.NewAsync(issueCtx, machines[i], class, enc, opts...)
+		return client.newAsync(issueCtx, machines[i], class, enc, o)
 	}, func(i int, fut *Future) error {
 		if fut == nil {
 			return nil
@@ -231,5 +249,5 @@ func BarrierRefs(ctx context.Context, client *Client, refs []Ref, window int) er
 // DeleteRefs destroys every member concurrently (bounded by window) and
 // returns errors.Join of the per-member failures.
 func DeleteRefs(ctx context.Context, client *Client, refs []Ref, window int) error {
-	return joinLoop(ctx, refs, "delete", window, func(i int) *Future { return client.deleteAsync(ctx, refs[i]) }, nil)
+	return joinLoop(ctx, refs, "delete", window, func(i int) *Future { return client.deleteAsync(ctx, refs[i], inBurst) }, nil)
 }

@@ -292,3 +292,30 @@ func TestSplitLoop(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkFanOutTCP is one collective over real sockets: a 64 B echo
+// fanned over 16 objects, 8 a machine, on two machines — 16 requests that
+// leave in one write per machine and 16 replies.
+func BenchmarkFanOutTCP(b *testing.B) {
+	const members = 16
+	nodes, stop := startCluster(b, transport.TCP{}, 3)
+	defer stop()
+	c := nodes[0].client
+	refs := make([]Ref, members)
+	for i := range refs {
+		var err error
+		if refs[i], err = c.New(bg, 1+i%2, "test.Echo", nil); err != nil {
+			b.Fatalf("new %d: %v", i, err)
+		}
+	}
+	payload := make([]byte, 64)
+	args := func(_ int, e *wire.Encoder) error { e.PutBytes(payload); return nil }
+	collect := func(_ int, d *wire.Decoder) error { d.BytesView(); return d.Err() }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := FanOut(bg, c, refs, "echo", args, collect, DefaultWindow); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/hex"
 	"errors"
-	"net"
 	"slices"
 	"sync"
 	"testing"
@@ -43,7 +42,14 @@ func (c *tapConn) Send(msg []byte) error {
 	}
 }
 
-func (c *tapConn) SendBuffers(bufs net.Buffers) error { return c.Send(slices.Concat(bufs...)) }
+func (c *tapConn) SendBurst(msgs [][]byte) error {
+	for _, m := range msgs {
+		if err := c.Send(m); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 func (c *tapConn) Recv() ([]byte, error) {
 	select {

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -155,21 +154,20 @@ func (c *inprocConn) Send(msg []byte) error {
 	}
 }
 
-func (c *inprocConn) SendBuffers(bufs net.Buffers) error {
-	// A channel message is one slice, so scatter-gather joins here — the
-	// single copy a real NIC's gather DMA would absorb. The joined frame
-	// comes from the pool and the input buffers go back to it.
-	n := 0
-	for _, b := range bufs {
-		n += len(b)
+func (c *inprocConn) SendBurst(msgs [][]byte) error {
+	// A channel carries one message at a time, so a burst is handed over
+	// message by message, each charged to the link as Send charges it:
+	// counts and modeled costs are those of as many Sends. After a failure
+	// the rest are recycled — the burst owns them all.
+	var err error
+	for _, m := range msgs {
+		if err != nil {
+			bufpool.Put(m)
+			continue
+		}
+		err = c.Send(m)
 	}
-	out := bufpool.GetLen(n)
-	off := 0
-	for _, b := range bufs {
-		off += copy(out[off:], b)
-		bufpool.Put(b)
-	}
-	return c.Send(out)
+	return err
 }
 
 func (c *inprocConn) Recv() ([]byte, error) {

@@ -73,20 +73,49 @@ func (l *tcpListener) Close() error { return l.nl.Close() }
 
 func (l *tcpListener) Addr() string { return l.nl.Addr().String() }
 
+// frameHeader is the length prefix of a frame on the wire.
+const frameHeader = 4
+
+// readAhead is how many bytes of a socket's stream one connection keeps
+// in user space on each side: Recv reads the socket into a buffer of this
+// size and cuts frames out of it, and SendBurst joins headers and short
+// messages in one of the same size, so a burst that fits crosses the kernel
+// once each way. FitsBurst is the same number seen by a sender that holds
+// messages back for such a burst.
+const readAhead = 16 << 10
+
+// FitsBurst reports whether a message of n bytes, sent by one SendBurst
+// behind msgs messages of bytes bytes in all that already wait for it,
+// still leaves room for another in the receiver's read-ahead buffer —
+// whether holding it back can save the far side a read. A page-sized
+// message never does.
+func FitsBurst(msgs, bytes, n int) bool {
+	return bytes+n+frameHeader*(msgs+1) < readAhead
+}
+
 type tcpConn struct {
-	nc      net.Conn
-	sendMu  sync.Mutex
-	recvMu  sync.Mutex
-	sendLen [4]byte // header scratch, guarded by sendMu
-	recvLen [4]byte // header scratch, guarded by recvMu
-	// iov/iovArr are the reusable scatter-gather list: length header plus
-	// payload segments go to the kernel in one vectored write, so frames
-	// are never joined in user space. iov is rebuilt from iovArr each send
-	// (WriteTo consumes the slice); both guarded by sendMu. iov is a field
-	// rather than a local so &iov escaping into the netpoll internals does
-	// not allocate per send.
+	nc     net.Conn
+	sendMu sync.Mutex
+	recvMu sync.Mutex
+
+	// Send side, guarded by sendMu. wbuf is where a burst's length headers
+	// and its short messages are joined for one write; a message longer
+	// than the room left goes to the kernel from where it lies, behind
+	// what is joined, in one vectored write (iov, rebuilt from iovArr each
+	// time — WriteTo consumes the slice; a field rather than a local so
+	// &iov escaping into the netpoll internals does not allocate per
+	// send).
+	wbuf   [readAhead]byte
 	iov    net.Buffers
-	iovArr [8][]byte
+	iovArr [2][]byte
+
+	// Receive side, guarded by recvMu. rbuf[rpos:rend] is what has been
+	// read off the socket and not yet delivered. recvErr is the first
+	// error Recv returned: the stream may stand anywhere inside a frame
+	// then, so it is the answer from there on.
+	rbuf       [readAhead]byte
+	rpos, rend int
+	recvErr    error
 }
 
 func newTCPConn(nc net.Conn) *tcpConn {
@@ -94,74 +123,113 @@ func newTCPConn(nc net.Conn) *tcpConn {
 }
 
 func (c *tcpConn) Send(msg []byte) error {
-	err := c.writeFrame(msg, nil)
+	one := [1][]byte{msg}
+	c.sendMu.Lock()
+	err := c.writeBurst(one[:])
+	c.sendMu.Unlock()
 	// Send owns msg either way; recycle it once the write is done.
 	bufpool.Put(msg)
 	return err
 }
 
-func (c *tcpConn) SendBuffers(bufs net.Buffers) error {
-	var err error
-	if len(bufs) == 0 {
-		err = c.writeFrame(nil, nil)
-	} else {
-		err = c.writeFrame(bufs[0], bufs[1:])
-	}
-	for _, b := range bufs {
-		bufpool.Put(b)
+func (c *tcpConn) SendBurst(msgs [][]byte) error {
+	c.sendMu.Lock()
+	err := c.writeBurst(msgs)
+	c.sendMu.Unlock()
+	// The burst owns its messages either way; recycle them once the write
+	// is done.
+	for _, m := range msgs {
+		bufpool.Put(m)
 	}
 	return err
 }
 
-// writeFrame sends one length-prefixed frame consisting of head followed
-// by the rest segments, as a single vectored write: the 4-byte header
-// lives in per-connection scratch, so no assembly buffer and no payload
-// copy are needed. It does not release the payload buffers.
-func (c *tcpConn) writeFrame(head []byte, rest net.Buffers) error {
-	n := len(head)
-	for _, b := range rest {
-		n += len(b)
-	}
-	if n > maxFrame {
-		return fmt.Errorf("transport: frame too large (%d bytes)", n)
-	}
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	// One vectored write per frame: the header cannot interleave with
-	// another sender's, and small frames still reach the kernel in a
-	// single syscall.
-	binary.BigEndian.PutUint32(c.sendLen[:], uint32(n))
-	c.iov = append(net.Buffers(c.iovArr[:0]), c.sendLen[:])
-	if len(head) > 0 {
-		c.iov = append(c.iov, head)
-	}
-	for _, b := range rest {
-		if len(b) > 0 {
-			c.iov = append(c.iov, b)
+// writeBurst writes msgs as length-prefixed frames, in order, under
+// sendMu: no other sender's bytes come between them. Headers and the
+// messages that fit are joined in wbuf and leave in one write — a burst
+// of small frames is one syscall and, TCP_NODELAY or not, one segment; a
+// message that does not fit is never copied. It does not release the
+// messages. Nothing is written if any of them is too large.
+func (c *tcpConn) writeBurst(msgs [][]byte) error {
+	for _, m := range msgs {
+		if len(m) > maxFrame {
+			return fmt.Errorf("transport: frame too large (%d bytes)", len(m))
 		}
 	}
-	if _, err := c.iov.WriteTo(c.nc); err != nil {
-		return translateNetErr(err)
+	w := c.wbuf[:0]
+	for _, m := range msgs {
+		if room := cap(w) - len(w) - frameHeader; room < 0 || (len(m) > room && frameHeader+len(m) <= cap(w)) {
+			// No room for its header, or none for it where an empty buffer
+			// would have some: what is joined goes first.
+			if _, err := c.nc.Write(w); err != nil {
+				return translateNetErr(err)
+			}
+			w = w[:0]
+		}
+		w = binary.BigEndian.AppendUint32(w, uint32(len(m)))
+		if len(m) <= cap(w)-len(w) {
+			w = append(w, m...)
+			continue
+		}
+		c.iov = append(net.Buffers(c.iovArr[:0]), w, m)
+		if _, err := c.iov.WriteTo(c.nc); err != nil {
+			return translateNetErr(err)
+		}
+		w = w[:0]
 	}
-	return nil
+	if len(w) == 0 {
+		return nil
+	}
+	_, err := c.nc.Write(w)
+	return translateNetErr(err)
 }
 
 func (c *tcpConn) Recv() ([]byte, error) {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
-	if _, err := io.ReadFull(c.nc, c.recvLen[:]); err != nil {
-		return nil, translateNetErr(err)
+	if c.recvErr != nil {
+		return nil, c.recvErr
 	}
-	n := binary.BigEndian.Uint32(c.recvLen[:])
+	msg, err := c.readFrame()
+	c.recvErr = err
+	return msg, err
+}
+
+// readFrame cuts the next frame out of the read-ahead buffer, reading the
+// socket only when the buffer holds less than the frame: a frame wholly
+// buffered costs no syscall, and since the socket is asked only for what
+// the buffer lacks, every whole frame already read is delivered before a
+// close is reported.
+func (c *tcpConn) readFrame() ([]byte, error) {
+	for c.rend-c.rpos < frameHeader {
+		// Fewer than four bytes are left, so moving them to the front is
+		// cheap and the read that follows has the whole buffer to fill.
+		c.rend = copy(c.rbuf[:], c.rbuf[c.rpos:c.rend])
+		c.rpos = 0
+		n, err := c.nc.Read(c.rbuf[c.rend:])
+		c.rend += n
+		if err != nil && c.rend < frameHeader {
+			return nil, translateNetErr(err)
+		}
+	}
+	n := binary.BigEndian.Uint32(c.rbuf[c.rpos:])
+	c.rpos += frameHeader
 	if n > maxFrame {
 		return nil, fmt.Errorf("transport: oversized frame (%d bytes)", n)
 	}
 	// Frames come from the shared pool; the caller owns the result and
 	// recycles it with ReleaseFrame after decoding.
 	msg := bufpool.GetLen(int(n))
-	if _, err := io.ReadFull(c.nc, msg); err != nil {
-		bufpool.Put(msg)
-		return nil, translateNetErr(err)
+	have := copy(msg, c.rbuf[c.rpos:c.rend])
+	c.rpos += have
+	if have < len(msg) {
+		// Longer than what is buffered: the rest goes from the socket
+		// straight into the frame, so a page is copied twice only for the
+		// prefix that came with its header.
+		if _, err := io.ReadFull(c.nc, msg[have:]); err != nil {
+			bufpool.Put(msg)
+			return nil, translateNetErr(err)
+		}
 	}
 	return msg, nil
 }

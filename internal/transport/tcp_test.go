@@ -1,10 +1,12 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -220,7 +222,7 @@ func TestTCPConcurrentCloseVsSend(t *testing.T) {
 					}
 				} else {
 					second := GetFrame(64)
-					if err := c.SendBuffers(net.Buffers{frame, second}); err != nil {
+					if err := c.SendBurst([][]byte{frame, second}); err != nil {
 						return
 					}
 				}
@@ -242,37 +244,173 @@ func TestTCPConcurrentCloseVsSend(t *testing.T) {
 	}
 }
 
-// TestTCPSendBuffersScatterGather: a frame assembled from several
-// segments arrives as one contiguous message, byte-identical.
-func TestTCPSendBuffersScatterGather(t *testing.T) {
-	tr := TCP{}
-	addr, stop := startEcho(t, tr)
-	defer stop()
-	c, err := tr.Dial(addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
+// TestTCPRecvErrorIsFinal: a refused header leaves the stream standing
+// inside a frame, so the valid frame behind it must not be parsed from
+// wherever that is — every later Recv returns the first one's error.
+func TestTCPRecvErrorIsFinal(t *testing.T) {
+	c := rawPeer(t, func(nc net.Conn) {
+		var hdr [4]byte
+		binary.BigEndian.PutUint32(hdr[:], maxFrame+1)
+		nc.Write(hdr[:])
+		nc.Write([]byte{0, 0, 0, 2, 'o', 'k'})
+	})
+	_, first := c.Recv()
+	if first == nil || errors.Is(first, ErrClosed) {
+		t.Fatalf("recv of oversized header: %v, want a protocol error", first)
 	}
+	for i := 0; i < 3; i++ {
+		if msg, err := c.Recv(); err != first {
+			t.Fatalf("recv %d after the refusal: %q, %v; want the same error again", i, msg, err)
+		}
+	}
+}
+
+// countingConn counts the calls that reach the socket.
+type countingConn struct {
+	net.Conn
+	reads, writes atomic.Int64
+}
+
+func (c *countingConn) Read(b []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(b)
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
+// TestTCPBurstCrossesTheKernelOnce holds the two counts the read-ahead
+// buffer and the burst send exist for: small frames that arrived together
+// are cut out of one read, and a burst of small frames is one write. Over
+// a pipe, where a Read takes what one Write brought and nothing else.
+func TestTCPBurstCrossesTheKernelOnce(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	recv, send := &countingConn{Conn: b}, &countingConn{Conn: a}
+	c, s := newTCPConn(recv), newTCPConn(send)
 	defer c.Close()
 
-	segs := net.Buffers{}
-	var want []byte
-	for i, n := range []int{1, 7, 0, 4096, 3} {
-		b := GetFrame(n)
-		for j := range b {
-			b[j] = byte(i*31 + j)
+	const n = 64
+	var wire []byte
+	for i := 0; i < n; i++ {
+		wire = binary.BigEndian.AppendUint32(wire, 64)
+		wire = append(wire, bytes.Repeat([]byte{byte(i)}, 64)...)
+	}
+	go a.Write(wire)
+	for i := 0; i < n; i++ {
+		msg, err := c.Recv()
+		if err != nil || len(msg) != 64 || msg[0] != byte(i) || msg[63] != byte(i) {
+			t.Fatalf("frame %d: %d bytes, %v", i, len(msg), err)
 		}
-		want = append(want, b...)
-		segs = append(segs, b)
+		ReleaseFrame(msg)
 	}
-	if err := c.SendBuffers(segs); err != nil {
-		t.Fatalf("sendbuffers: %v", err)
+	if got := recv.reads.Load(); got > 2 {
+		t.Errorf("%d frames written in one piece took %d reads, want at most 2", n, got)
 	}
-	got, err := c.Recv()
-	if err != nil {
-		t.Fatalf("recv: %v", err)
+
+	burst := make([][]byte, 8)
+	for i := range burst {
+		burst[i] = GetFrame(64)
+		for j := range burst[i] {
+			burst[i][j] = byte(i)
+		}
 	}
-	if string(got) != string(want) {
-		t.Fatalf("scatter-gather frame corrupted: %d bytes vs %d", len(got), len(want))
+	sent := make(chan error, 1)
+	go func() { sent <- s.SendBurst(burst) }()
+	for i := range burst {
+		msg, err := c.Recv()
+		if err != nil || len(msg) != 64 || msg[0] != byte(i) {
+			t.Fatalf("burst frame %d: %d bytes, %v", i, len(msg), err)
+		}
+		ReleaseFrame(msg)
 	}
-	ReleaseFrame(got)
+	if err := <-sent; err != nil {
+		t.Fatalf("burst: %v", err)
+	}
+	if got := send.writes.Load(); got != 1 {
+		t.Errorf("a burst of %d small frames took %d writes, want 1", len(burst), got)
+	}
+}
+
+// FuzzTCPRecvChunking: however the stream is cut into reads — inside a
+// header, one byte at a time, across the end of the read-ahead buffer —
+// Recv yields the frames that were written, bitwise, and then ErrClosed.
+// cuts is read as a sequence of chunk lengths (a zero byte means 256);
+// when it runs out the rest is written in one piece. To fuzz, pass
+// -fuzzminimizetime 1s: the writing goroutine makes coverage vary from run
+// to run, and the minimizer spends its default minute on each such input.
+func FuzzTCPRecvChunking(f *testing.F) {
+	f.Add([]byte{})                              // one write
+	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1})  // the first headers byte by byte
+	f.Add([]byte{2, 2, 3, 70, 0, 0, 0, 0})       // inside a header, then in 256s
+	f.Add(bytes.Repeat([]byte{1}, 300))          // one byte at a time, far in
+	f.Add([]byte{4, 0, 0, 0, 0, 0, 0, 0, 0, 77}) // on the boundaries
+	f.Add(bytes.Repeat([]byte{0}, 200))          // 256s through the long frames
+	f.Add(bytes.Repeat([]byte{255, 3}, 100))     // uneven, always inside something
+	f.Fuzz(func(t *testing.T, cuts []byte) {
+		// Empty, 1 B, 64 B, one longer than the read-ahead buffer, and one
+		// that ends exactly on the buffer's boundary as seen from the start
+		// of the stream it opens; small ones behind each.
+		sizes := []int{0, 1, 64, readAhead + 100, 64, 1, 0}
+		var wire []byte
+		var frames [][]byte
+		add := func(n int) {
+			m := make([]byte, n)
+			for j := range m {
+				m[j] = byte(len(frames)*131 + j)
+			}
+			frames = append(frames, m)
+			wire = binary.BigEndian.AppendUint32(wire, uint32(n))
+			wire = append(wire, m...)
+		}
+		for _, n := range sizes {
+			add(n)
+		}
+		add(2*readAhead - len(wire)%readAhead - frameHeader) // ends where a buffer-length does
+		add(64)
+		add(readAhead - frameHeader) // header and body fill the buffer exactly
+		add(3)
+
+		// A pipe, not a socket: a Read takes from one Write only, so the
+		// reads are cut exactly where the writes are, and fuzzing does not
+		// wear out the loopback's ports.
+		peer, nc := net.Pipe()
+		c := newTCPConn(nc)
+		defer c.Close()
+		go func() {
+			defer peer.Close()
+			rest := wire
+			for _, k := range cuts {
+				n := int(k)
+				if n == 0 {
+					n = 256
+				}
+				if n >= len(rest) {
+					break
+				}
+				if _, err := peer.Write(rest[:n]); err != nil {
+					return
+				}
+				rest = rest[n:]
+			}
+			peer.Write(rest)
+		}()
+		for i, want := range frames {
+			got, err := c.Recv()
+			if err != nil {
+				t.Fatalf("frame %d of %d: %v", i, len(frames), err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("frame %d: got %d bytes, want %d; differ", i, len(got), len(want))
+			}
+			ReleaseFrame(got)
+		}
+		for i := 0; i < 2; i++ {
+			if msg, err := c.Recv(); !errors.Is(err, ErrClosed) {
+				t.Fatalf("after the last frame: %d bytes, %v; want ErrClosed", len(msg), err)
+			}
+		}
+	})
 }

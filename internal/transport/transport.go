@@ -16,17 +16,43 @@
 // Both satisfy the same interfaces, so every layer above — RMI runtime,
 // page devices, distributed arrays, parallel FFT — is transport-agnostic.
 //
+// # Bursts
+//
+// A program of objects that call each other sends its small messages in
+// bursts — a collective's issue loop, the replies to one — and both ends
+// of a connection are built so that a burst crosses the kernel once each
+// way, not once a message:
+//
+//   - SendBurst transmits many whole messages, in order, with no other
+//     sender's message between them. On tcp their headers and bodies are
+//     joined in a per-connection buffer and leave in one write (a message
+//     longer than the buffer is never copied: it follows what is joined in
+//     the same vectored write). On inproc each message is handed over and
+//     charged to the LinkModel as by a Send of its own, so message counts
+//     and modeled costs are those of as many Sends.
+//   - Recv on tcp reads the socket into a per-connection read-ahead buffer
+//     and cuts frames out of it: a frame wholly buffered costs no syscall,
+//     a longer one takes what is buffered by one copy and the rest from the
+//     socket straight into its frame. Whole frames already read are
+//     delivered before a close is reported. An error from Recv is final:
+//     the stream may stand anywhere inside a frame then, so every later
+//     Recv on the connection returns the same error.
+//   - FitsBurst tells a sender that holds messages back for a burst
+//     whether one more still fits what the receiver reads at once; both
+//     buffers and that bound are one size.
+//
 // # Buffer ownership
 //
 // Frames are owned by exactly one party at a time, which is what lets the
 // hot path run without copies or steady-state allocation:
 //
-//   - Send and SendBuffers take ownership of the buffers passed to them.
-//     The caller must not read, write, or resend a buffer after handing it
-//     over — the transport forwards it (inproc passes the very slice to
-//     the peer) or recycles it into the shared frame pool (tcp, after the
-//     socket write). Callers that need a sent payload again must keep
-//     their own copy before sending.
+//   - Send and SendBurst take ownership of every message passed to them,
+//     whether they succeed or fail. The caller must not read, write, or
+//     resend a buffer after handing it over — the transport forwards it
+//     (inproc passes the very slice to the peer) or recycles it into the
+//     shared frame pool (tcp, after the socket write). Callers that need a
+//     sent payload again must keep their own copy before sending. The
+//     slice of messages given to SendBurst stays the caller's, to reuse.
 //   - Recv transfers ownership of the returned frame to the caller. When
 //     the caller is done decoding it should hand the frame back with
 //     ReleaseFrame (directly or via wire.Decoder.Release) so the storage
@@ -40,7 +66,6 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"net"
 
 	"oopp/internal/bufpool"
 )
@@ -56,11 +81,12 @@ type Conn interface {
 	// must not touch the buffer afterwards (see the package comment). The
 	// transport releases it to the shared frame pool once transmitted.
 	Send(msg []byte) error
-	// SendBuffers transmits the concatenation of bufs as one message —
-	// scatter-gather, so a header and a bulk payload need never be joined
-	// by the caller. Ownership of every buffer in bufs transfers to the
-	// transport, exactly as with Send.
-	SendBuffers(bufs net.Buffers) error
+	// SendBurst transmits every message of msgs, in order and with nothing
+	// between them, as Send would one by one — but in as few writes as the
+	// transport can (see the package comment). Ownership of every message
+	// transfers to the transport, exactly as with Send; on an error some of
+	// them may have been transmitted.
+	SendBurst(msgs [][]byte) error
 	// Recv blocks until the next message arrives. The returned slice is
 	// owned by the caller; pass it to ReleaseFrame when done to recycle.
 	Recv() ([]byte, error)

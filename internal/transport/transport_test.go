@@ -15,7 +15,7 @@ func forEachTransport(t *testing.T, f func(t *testing.T, tr Transport)) {
 	t.Run("tcp", func(t *testing.T) { f(t, TCP{}) })
 }
 
-func startEcho(t *testing.T, tr Transport) (addr string, stop func()) {
+func startEcho(t testing.TB, tr Transport) (addr string, stop func()) {
 	t.Helper()
 	l, err := tr.Listen("")
 	if err != nil {
@@ -181,10 +181,11 @@ func TestInprocSendIsZeroCopy(t *testing.T) {
 	}
 }
 
-func TestSendBuffersFramingEquivalence(t *testing.T) {
-	// A message sent as scattered segments must be indistinguishable on
-	// the wire from the same bytes sent joined — same framing, same
-	// boundaries, same order — on both transports.
+func TestSendBurstFramingEquivalence(t *testing.T) {
+	// n messages sent as one burst must be indistinguishable on the far
+	// side from the same n sent one by one — same boundaries, same order,
+	// every message passed on — on both transports. The echo sends each
+	// back as it got it.
 	forEachTransport(t, func(t *testing.T, tr Transport) {
 		addr, stop := startEcho(t, tr)
 		defer stop()
@@ -194,42 +195,40 @@ func TestSendBuffersFramingEquivalence(t *testing.T) {
 		}
 		defer c.Close()
 
+		long := bytes.Repeat([]byte("z"), 5*readAhead/2)
 		cases := [][][]byte{
 			{[]byte("hdr"), []byte("payload")},
-			{{}, []byte("only-second")},
-			{[]byte("a"), []byte("b"), []byte("c"), bytes.Repeat([]byte("z"), 5000)},
+			{{}, []byte("behind-an-empty-one"), {}},
+			{[]byte("a"), []byte("b"), []byte("c"), long, []byte("d")},
 			{},
 			{[]byte("solo")},
+			{long, long[:readAhead-4], long[:readAhead-3], []byte("e")},
 		}
-		for i, segs := range cases {
-			var want []byte
-			bufs := make([][]byte, len(segs))
-			for j, s := range segs {
-				want = append(want, s...)
-				bufs[j] = append([]byte(nil), s...) // SendBuffers takes ownership
+		for i, msgs := range cases {
+			burst := make([][]byte, len(msgs))
+			for j, m := range msgs {
+				burst[j] = append(GetFrame(0), m...) // SendBurst takes ownership
 			}
-			if err := c.SendBuffers(bufs); err != nil {
-				t.Fatalf("case %d: SendBuffers: %v", i, err)
+			if err := c.SendBurst(burst); err != nil {
+				t.Fatalf("case %d: SendBurst: %v", i, err)
 			}
-			if err := c.Send(append([]byte(nil), want...)); err != nil {
-				t.Fatalf("case %d: Send: %v", i, err)
+			for j, m := range msgs {
+				if err := c.Send(append(GetFrame(0), m...)); err != nil {
+					t.Fatalf("case %d: Send %d: %v", i, j, err)
+				}
 			}
-			gotScattered, err := c.Recv()
-			if err != nil {
-				t.Fatalf("case %d: recv scattered: %v", i, err)
+			for pass, how := range []string{"burst", "one by one"} {
+				for j, want := range msgs {
+					got, err := c.Recv()
+					if err != nil {
+						t.Fatalf("case %d, %s: recv %d: %v", i, how, j, err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("case %d, %s (pass %d): message %d is %d bytes, want %d; differ", i, how, pass, j, len(got), len(want))
+					}
+					ReleaseFrame(got)
+				}
 			}
-			gotJoined, err := c.Recv()
-			if err != nil {
-				t.Fatalf("case %d: recv joined: %v", i, err)
-			}
-			if !bytes.Equal(gotScattered, want) {
-				t.Fatalf("case %d: scattered framing mismatch: got %q want %q", i, gotScattered, want)
-			}
-			if !bytes.Equal(gotJoined, gotScattered) {
-				t.Fatalf("case %d: SendBuffers and Send framed differently", i)
-			}
-			ReleaseFrame(gotScattered)
-			ReleaseFrame(gotJoined)
 		}
 	})
 }
@@ -483,6 +482,38 @@ func BenchmarkInprocRoundTrip(b *testing.B) {
 
 func BenchmarkTCPRoundTrip(b *testing.B) {
 	benchRoundTrip(b, TCP{})
+}
+
+// BenchmarkTCPBurst is a collective's issue burst and its replies at the
+// transport: 16 frames of 64 B sent in one SendBurst, echoed one by one,
+// received. One iteration is one burst each way.
+func BenchmarkTCPBurst(b *testing.B) {
+	const burst, size = 16, 64
+	tr := TCP{}
+	addr, stop := startEcho(b, tr)
+	defer stop()
+	c, err := tr.Dial(addr)
+	if err != nil {
+		b.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	msgs := make([][]byte, burst)
+	for i := range msgs {
+		msgs[i] = GetFrame(size)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// The echoed frames are the next burst's buffers.
+		if err := c.SendBurst(msgs); err != nil {
+			b.Fatal(err)
+		}
+		for j := range msgs {
+			if msgs[j], err = c.Recv(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 func benchRoundTrip(b *testing.B, tr Transport) {
