@@ -65,13 +65,13 @@ func TestCollectiveAllocs(t *testing.T) {
 	}
 }
 
-// Measured 29 and 32 (before the device stopped allocating an index
+// Measured 30 and 33 (before the device stopped allocating an index
 // slice per batch and request literals plus a page of bytes per operand
-// pull: 29 and 41). Of Sum's 29 the device's share is 5 — the decoded
-// batch, the state its workers share and ONE slab holding every region's
-// accumulator; Axpy has no slab, and paid for no partial before either,
-// hence its one more than the 31 of the carried-accumulator engine. The
-// rest is the client's plan and fan-out.
+// pull: 29 and 41). Of Sum's 30 the device's share is 6 — the decoded
+// batch, the state its workers share, ONE slab holding every region's
+// accumulator and one naming every region's pages (its own and, in place,
+// its co-located operands'); Axpy has no accumulator slab, and paid for no
+// partial before either. The rest is the client's plan and fan-out.
 const (
 	maxSumAllocs  = 32
 	maxAxpyAllocs = 34

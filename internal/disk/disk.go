@@ -28,6 +28,12 @@
 // every user of one disk, in place or copying, sees each access whole.
 // The lock is on the access's byte range: overlapping ranges exclude (readers
 // share); disjoint ones — two workers of a device on two pages — need not wait.
+//
+// Acquire is two halves, and a caller with several ranges in hand, of one disk
+// or of many, uses them apart: Charge each first, holding nothing — a charge
+// waits for the device and can refuse — then Lock ONE and only try the rest. A
+// holder waits for nothing: on a miss it gives back what it has and takes the
+// ranges one at a time, so no order among them is needed.
 package disk
 
 import (
@@ -97,7 +103,8 @@ type Disk struct {
 	// contents guards the stored bytes by range, shared for a read and
 	// exclusive for a write: granule g is under stripe g % stripes, and a
 	// range takes its granules' stripes in ascending stripe order, so two
-	// acquirers cannot deadlock. Taken after mu or alone; a holder takes no other lock.
+	// acquirers cannot deadlock. Taken after mu or alone; a holder waits for
+	// nothing: a second range is only ever tried.
 	contents [stripes]sync.RWMutex
 
 	reads, writes atomic.Int64 // lifetime operations, for Ops
@@ -181,50 +188,71 @@ func (d *Disk) ReadAt(p []byte, off int64) error { return d.op(p, off, len(p), f
 // modeled duration.
 func (d *Disk) WriteAt(p []byte, off int64) error { return d.op(p, off, len(p), true) }
 
-// Acquire is ReadAt (if read) and WriteAt (if write) of n bytes at off
-// for a caller that works on the Resident bytes themselves: it holds the
-// device and counts each exactly as they would, moves nothing, and
-// returns with the range locked — shared, or exclusive for write — until
-// Release of the same range. The holder must not call the disk in between.
-func (d *Disk) Acquire(off int64, n int, read, write bool) (err error) {
+// Acquire is ReadAt (if read) and WriteAt (if write) of n bytes at off for
+// a caller that works on the Resident bytes themselves: Charge, which moves
+// nothing, then Lock — the range is held, shared or exclusive for write,
+// until Release of the same range.
+func (d *Disk) Acquire(off int64, n int, read, write bool) error {
+	err := d.Charge(off, n, read, write)
+	if err == nil {
+		d.Lock(off, n, write, false)
+	}
+	return err
+}
+
+// Charge is the half that can wait or refuse: it holds the device and counts
+// each access exactly as ReadAt/WriteAt would. It takes no contents lock.
+func (d *Disk) Charge(off int64, n int, read, write bool) (err error) {
 	if read {
 		err = d.op(nil, off, n, false)
 	}
 	if write && err == nil {
 		err = d.op(nil, off, n, true)
 	}
-	if err == nil {
-		d.lockRange(off, n, write, false)
-	}
 	return err
 }
 
-// Release ends the Acquire of the same range and side.
-func (d *Disk) Release(off int64, n int, write bool) { d.lockRange(off, n, write, true) }
+// Lock waits for the contents lock of [off, off+n), so its caller holds no
+// other; with try it takes it only if all of it is free now — how a holder goes
+// for a second range. Release ends the Acquire or Lock of the same range and
+// side; the holder must not call the disk before it.
+func (d *Disk) Lock(off int64, n int, write, try bool) bool {
+	return d.lockRange(off, n, stripes, write, try, false)
+}
+
+func (d *Disk) Release(off int64, n int, write bool) {
+	d.lockRange(off, n, stripes, write, false, true)
+}
 
 // lockRange takes, or with unlock gives back, the contents lock of [off, off+n):
-// its granules' stripes in ascending order — those that wrapped around to 0 first.
-func (d *Disk) lockRange(off int64, n int, write, unlock bool) {
+// its granules' stripes in ascending order — those that wrapped around to 0
+// first — and no more than limit of them. With try it is all or nothing: at a
+// stripe held against it, it gives back those it has and reports false.
+func (d *Disk) lockRange(off int64, n, limit int, write, try, unlock bool) bool {
 	first := off / granule
 	count := int(min((off+int64(max(n, 1))-1)/granule-first+1, stripes))
 	from := int(first % stripes)
 	wrapped := max(from+count-stripes, 0)
-	for k := 0; k < count; k++ {
+	for k := range min(count, limit) {
 		s := from + k - wrapped
 		if k < wrapped {
 			s = k
 		}
 		switch m := &d.contents[s]; {
-		case write && unlock:
+		case unlock && write:
 			m.Unlock()
-		case write:
-			m.Lock()
 		case unlock:
 			m.RUnlock()
-		default:
+		case try && (write && !m.TryLock() || !write && !m.TryRLock()):
+			d.lockRange(off, n, k, write, false, true)
+			return false
+		case !try && write:
+			m.Lock()
+		case !try:
 			m.RLock()
 		}
 	}
+	return true
 }
 
 // Resident returns the live bytes of a memory-backed disk — not a copy —
@@ -262,9 +290,9 @@ func (d *Disk) op(p []byte, off int64, n int, write bool) (err error) {
 		if write {
 			move = d.backing.WriteAt
 		}
-		d.lockRange(off, n, write, false)
+		d.Lock(off, n, write, false)
 		err = move(p, off)
-		d.lockRange(off, n, write, true)
+		d.Release(off, n, write)
 	}
 	if err != nil {
 		return err

@@ -406,3 +406,76 @@ func TestAcquireIsTheOperationInPlace(t *testing.T) {
 		t.Fatal("two multi-stripe acquirers deadlocked")
 	}
 }
+
+// TestTryLockIsAllOrNothing: a caller that holds one range may only try a
+// second, and a try that misses must leave nothing behind. A range of five
+// granules whose third stripe is write-held is refused with its first two
+// stripes free again — a writer gets each of them at once — and is had
+// whole once the holder lets go; the same for a range that crosses the
+// lock table's wrap (stripes 62, 63, 0, 1, 2, taken 0, 1, 2, 62, 63), and
+// for a reader against a reader, which share. The charge is the half that
+// can refuse, and it refuses before any lock: a range past the end, or a
+// closed disk, leaves every stripe free.
+func TestTryLockIsAllOrNothing(t *testing.T) {
+	const size = 2 * stripes * granule
+	d := NewMem("d0", size, Model{})
+	free := func(what string, off int64) {
+		t.Helper()
+		if !d.Lock(off, 1, true, true) {
+			t.Fatalf("%s: the stripe of byte %d is still held", what, off)
+		}
+		d.Release(off, 1, true)
+	}
+	for _, first := range []int64{4, stripes - 2, stripes + 7} {
+		off, n := first*granule+100, 4*granule // five granules: it starts and ends mid-granule
+		third := (first + 2) * granule
+		what := fmt.Sprintf("granules %d..%d", first, first+4)
+		for _, write := range []bool{true, false} {
+			d.Lock(third, 1, true, false)
+			if d.Lock(off, n, write, true) {
+				t.Fatalf("%s, write=%v: had with its third stripe write-held", what, write)
+			}
+			for g := first; g < first+5; g++ {
+				if g != first+2 {
+					free(what+" after a miss", g*granule)
+				}
+			}
+			d.Release(third, 1, true)
+			if !d.Lock(off, n, write, true) {
+				t.Fatalf("%s, write=%v: refused with every stripe free", what, write)
+			}
+			// Held whole: no byte of it can be written, first and last included.
+			for _, at := range []int64{off, third, off + int64(n) - 1} {
+				if d.Lock(at, 1, true, true) {
+					t.Errorf("%s, write=%v: byte %d was not held", what, write, at)
+				}
+				if d.Lock(at, 1, false, true) == write {
+					t.Errorf("%s, write=%v: a reader of byte %d got %v", what, write, at, !write)
+				}
+				if !write {
+					d.Release(at, 1, false)
+				}
+			}
+			d.Release(off, n, write)
+			for g := first; g < first+5; g++ {
+				free(what+" after release", g*granule)
+			}
+		}
+	}
+	if err := d.Charge(size-8, 16, true, true); !errors.Is(err, ErrOutOfRange) {
+		t.Errorf("charge past the end: %v", err)
+	}
+	d.Close()
+	if err := d.Charge(0, 8, true, false); !errors.Is(err, ErrClosed) {
+		t.Errorf("charge after close: %v", err)
+	}
+	if err := d.Acquire(0, 8, true, true); !errors.Is(err, ErrClosed) {
+		t.Errorf("acquire after close: %v", err)
+	}
+	if r, w := d.Ops(); r != 0 || w != 0 {
+		t.Errorf("refused charges counted: ops = (%d,%d)", r, w)
+	}
+	for g := int64(0); g < stripes; g++ {
+		free("after refused charges", g*granule)
+	}
+}

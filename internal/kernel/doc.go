@@ -38,7 +38,8 @@
 //     the order is fixed, so the reduction is deterministic — bitwise
 //     the same however many workers a device shares its regions among.
 //   - [Binary]: an in-place transform of a destination run given the
-//     co-indexed source run pulled from a peer device (axpy, copy).
+//     co-indexed source run of a peer device — pulled from it, or, when
+//     the peer is on the same machine, read where it lies (axpy, copy).
 //   - [BinaryReduce]: a reduction over co-indexed run pairs (dot).
 //
 // # One engine: the stage chain

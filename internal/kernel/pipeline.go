@@ -12,7 +12,7 @@ const (
 	// StageMap applies a registered map kernel in place.
 	StageMap StageKind = iota
 	// StageBinary applies a registered two-operand kernel; the second
-	// operand row is pulled from a peer device per region.
+	// operand row is a peer device's, pulled or read in place, per region.
 	StageBinary
 	// StageReduce folds a registered reduction kernel over the region's
 	// values *as they stand at this point of the chain* and reports a

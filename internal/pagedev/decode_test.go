@@ -1,7 +1,9 @@
 package pagedev
 
 import (
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -121,4 +123,48 @@ func FuzzKernelBatchDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReadSubBatchReplyFrame: the peer-pull lane gathers each region from
+// the page straight into its reply; the bytes are what they were when a
+// region was gathered into a slice and the slice put — per region a count,
+// then its values packed row by row — held here against the literal frame: a
+// whole 2×2×2 page, a box of two half-rows, an empty box (a count and no
+// page entered: its index is not even checked), and the last plane.
+func TestReadSubBatchReplyFrame(t *testing.T) {
+	pd, err := newPageDevice(nil, "golden", 2, 2*2*2*8, DiskPrivate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &arrayPageDevice{pageDevice: pd, n1: 2, n2: 2, n3: 2}
+	if err := a.withPage(1, overwrite, func(elems []float64) {
+		for i := range elems {
+			elems[i] = float64(i + 1)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	args := wire.NewEncoder(64)
+	args.PutInt(4)
+	putSubBox(args, 1, SubBox{Dim: [3]int{2, 2, 2}})
+	putSubBox(args, 1, SubBox{Lo: [3]int{0, 1, 1}, Dim: [3]int{2, 1, 1}})
+	putSubBox(args, 7, SubBox{Lo: [3]int{1, 1, 1}, Dim: [3]int{1, 0, 1}})
+	putSubBox(args, 1, SubBox{Lo: [3]int{1, 0, 0}, Dim: [3]int{1, 2, 2}})
+	reply := wire.NewEncoder(16)
+	if err := a.readSubBatch(nil, wire.NewDecoder(args.Bytes()), reply); err != nil {
+		t.Fatal(err)
+	}
+	f := func(v byte, exp byte) string { return fmt.Sprintf("000000000000%02x%02x", v, exp) } // little-endian float64 bits
+	one, two, three, four := f(0xf0, 0x3f), f(0x00, 0x40), f(0x08, 0x40), f(0x10, 0x40)
+	five, six, seven, eight := f(0x14, 0x40), f(0x18, 0x40), f(0x1c, 0x40), f(0x20, 0x40)
+	want := "08" + one + two + three + four + five + six + seven + eight +
+		"02" + four + eight +
+		"00" +
+		"04" + five + six + seven + eight
+	if got := hex.EncodeToString(reply.Bytes()); got != want {
+		t.Errorf("readSubBatch reply\n got %s\nwant %s", got, want)
+	}
+	if reads := a.reads.Load(); reads != 3 {
+		t.Errorf("three regions served, %d page reads counted", reads)
+	}
 }

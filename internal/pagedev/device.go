@@ -42,12 +42,16 @@ const (
 type backing interface {
 	readPage(index int, dst []byte) error
 	writePage(index int, src []byte) error
-	// pin opens page index as float64s for withPage, unpin closes it. What
-	// the elements are is all that differs between stores: a resident one
-	// returns the page's own memory, locked, and a nil buf; the others a
-	// copy (copies), loaded unless how is overwrite, stored back if keep.
+	// pin opens page index as float64s for withPages — everything that can
+	// wait or refuse, and no lock — and unpin closes it. A resident store
+	// charges the access and returns the page's own memory, to be touched only
+	// between lock (waiting, or with try only if it is free) and unlock, and a
+	// nil buf; the others a private copy (copies), loaded unless how is
+	// overwrite, stored back if keep, with nothing to lock.
 	pin(index int, how access) (elems []float64, buf *pageBuf, err error)
-	unpin(index int, how access, buf *pageBuf, keep bool) error
+	unpin(index int, buf *pageBuf, keep bool) error
+	lock(index int, write, try bool) bool
+	unlock(index int, write bool)
 	close() error
 }
 
@@ -97,7 +101,7 @@ func (c *copies) unpin(s backing, index int, buf *pageBuf, keep bool) (err error
 // what the disk itself gives every user: each page access whole.
 //
 // On a memory-backed disk whose bytes can be viewed as float64s the
-// store is resident: a page is pinned by disk.Acquire — charged as the
+// store is resident: a page is pinned by disk.Charge — charged as the
 // copy would have been — and computed on where it is. The disk's lock on
 // the page's bytes stands where the copies used to: write-held for one
 // page's mutation, read-held for one page's read, so a reader outside the
@@ -123,19 +127,28 @@ func (b *diskBacking) pin(index int, how access) ([]float64, *pageBuf, error) {
 	if b.elems == nil {
 		return b.cp.pin(b, index, how)
 	}
-	if err := b.dsk.Acquire(b.offset(index), b.cp.pageSize, how != overwrite, how != readOnly); err != nil {
+	if err := b.dsk.Charge(b.offset(index), b.cp.pageSize, how != overwrite, how != readOnly); err != nil {
 		return nil, nil, err
 	}
 	n := b.cp.pageSize / 8
 	return b.elems[index*n : (index+1)*n : (index+1)*n], nil, nil
 }
 
-func (b *diskBacking) unpin(index int, how access, buf *pageBuf, keep bool) error {
-	if buf != nil {
-		return b.cp.unpin(b, index, buf, keep)
+func (b *diskBacking) unpin(index int, buf *pageBuf, keep bool) error {
+	if buf == nil {
+		return nil
 	}
-	b.dsk.Release(b.offset(index), b.cp.pageSize, how != readOnly)
-	return nil
+	return b.cp.unpin(b, index, buf, keep)
+}
+
+func (b *diskBacking) lock(index int, write, try bool) bool {
+	return b.elems == nil || b.dsk.Lock(b.offset(index), b.cp.pageSize, write, try)
+}
+
+func (b *diskBacking) unlock(index int, write bool) {
+	if b.elems != nil {
+		b.dsk.Release(b.offset(index), b.cp.pageSize, write)
+	}
 }
 
 func (b *diskBacking) readPage(index int, dst []byte) error {
@@ -165,9 +178,12 @@ func (b *remoteBacking) pin(index int, how access) ([]float64, *pageBuf, error) 
 	return b.cp.pin(b, index, how)
 }
 
-func (b *remoteBacking) unpin(index int, how access, buf *pageBuf, keep bool) error {
+func (b *remoteBacking) unpin(index int, buf *pageBuf, keep bool) error {
 	return b.cp.unpin(b, index, buf, keep)
 }
+
+func (b *remoteBacking) lock(index int, write, try bool) bool { return true }
+func (b *remoteBacking) unlock(index int, write bool)         {}
 
 func (b *remoteBacking) readPage(index int, dst []byte) error {
 	d, err := b.client.Call(context.Background(), b.ref, "read", func(e *wire.Encoder) error {
@@ -550,7 +566,7 @@ func newArrayClass() *rmi.Class[*arrayPageDevice] {
 	// page is opened: a truncated frame changes nothing.
 	c.Method("writeSub", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		index := args.Int()
-		lo, dim, err := a.decodeSubBox(args)
+		lo, dim, err := decodeSubBox(args, a.page())
 		if err != nil {
 			return err
 		}
@@ -575,47 +591,101 @@ func newArrayClass() *rmi.Class[*arrayPageDevice] {
 // loaded before and stored after fn otherwise (backing.pin). fn may only
 // read (readOnly: one read charged; safe outside the mailbox), may modify
 // in place (update: a read and a write), or must write every element
-// (overwrite: one write; contents on entry undefined).
-//
-// Everything that can refuse the access — index and fence checks, the
-// disk's charges, a copy's load — happens before fn, and fn cannot fail:
-// what it stores in a resident page is stored for good. So a method
-// fetches operands, decodes frames and scans fences BEFORE withPage, and
-// fn must not wait or call withPage again. That covers errors, not
-// panics: a kernel that panics mid-page (rmi recovers it, the call fails)
-// gives the page up and a copy is dropped, but a resident page keeps what
-// the kernel had written.
-// A kernel batch's helpers call it too: they read the fence map only
-// while the serial method that owns it is blocked in the join.
+// (overwrite: one write; contents on entry undefined). One page of withPages.
 func (a *arrayPageDevice) withPage(index int, how access, fn func(elems []float64)) error {
-	if err := a.checkIndex(index); err != nil {
-		return err
+	return withPages([]pageRef{{dev: a, index: index, how: how}}, nil, fn)
+}
+
+// pageRef is one page of an access (withPages): page index of dev, entered
+// as how says. One read beside the entered page — of a co-located device cut
+// into pages alike, or the same device — names the box read: inside fn vals is
+// that page, read-held, or — dev nil — the box row-packed: copied out by
+// withPages, or fetched by the caller beforehand.
+type pageRef struct {
+	dev   *arrayPageDevice
+	index int
+	how   access
+	box   SubBox
+	vals  []float64
+	buf   *pageBuf
+}
+
+// run is the peer's values beside elements [off, off+n) of the entered page, the box's pos-th on.
+func (p *pageRef) run(off, pos, n int) []float64 {
+	if p.dev == nil {
+		off = pos
 	}
-	if how != readOnly {
-		if err := a.checkFence(index); err != nil {
+	return p.vals[off : off+n]
+}
+
+// withPages enters pages[0] — fn gets its elements — with pages[1:] beside it.
+// What can wait or refuse comes first, holding nothing, page by page: index
+// and fence checks, then the pin (the disk's charge, a copy's load). fn cannot
+// fail, and what it stores in a resident page is stored for good; so a method
+// fetches remote operands, decodes frames and scans fences BEFORE it, and fn
+// must not wait or enter a page. Then the locks: the first is waited for, the
+// others only tried — a holder of a contents lock waits for nothing: a peer
+// may be the entered page, lie under its stripes, or be what a co-located
+// device writes while it tries for ours. On a miss all is given back, the
+// missed box copied out to slot(i) under its own lock alone, charged already.
+//
+// That covers errors, not panics: a kernel that panics mid-page (rmi
+// recovers it, the call fails) gives every page up and a copy is dropped,
+// but a resident page keeps what the kernel had written.
+// A kernel batch's helpers call it too: the fence map is read only while
+// the serial method that owns it is blocked in the join.
+func withPages(pages []pageRef, slot func(i int) []float64, fn func(elems []float64)) error {
+	for i := range pages {
+		p := &pages[i]
+		if p.dev == nil {
+			continue
+		}
+		err := p.dev.checkIndex(p.index)
+		if err == nil && p.how != readOnly {
+			err = p.dev.checkFence(p.index)
+		}
+		if err == nil {
+			p.vals, p.buf, err = p.dev.store.pin(p.index, p.how)
+		}
+		if err != nil {
 			return err
 		}
-	}
-	elems, buf, err := a.store.pin(index, how)
-	if err != nil {
-		return err
-	}
-	if how != overwrite {
-		a.reads.Add(1)
-	}
-	ran := false
-	defer func() {
-		if !ran {
-			a.store.unpin(index, how, buf, false)
+		if p.how != overwrite {
+			p.dev.reads.Add(1)
 		}
-	}()
-	fn(elems)
-	ran = true
-	if err := a.store.unpin(index, how, buf, how != readOnly); err != nil {
-		return err
 	}
-	if how != readOnly {
-		a.writes.Add(1)
+	unlock := func(n int) {
+		for i := range pages[:n] {
+			if p := &pages[i]; p.dev != nil {
+				p.dev.store.unlock(p.index, p.how != readOnly)
+			}
+		}
+	}
+	for i := 0; i < len(pages); i++ {
+		p := &pages[i]
+		if p.dev == nil || p.dev.store.lock(p.index, p.how != readOnly, i > 0) {
+			continue
+		}
+		unlock(i)
+		dst := slot(i)
+		p.dev.store.lock(p.index, false, false)
+		gatherRuns(dst, p.vals, p.dev.n2, p.dev.n3, p.box.Lo, p.box.Dim)
+		p.dev.store.unlock(p.index, false)
+		p.vals, p.dev, i = dst, nil, -1 // from the entered page again
+	}
+	func() {
+		defer unlock(len(pages))
+		fn(pages[0].vals)
+	}()
+	for i := range pages {
+		if p := &pages[i]; p.dev != nil {
+			if err := p.dev.store.unpin(p.index, p.buf, p.how != readOnly); err != nil {
+				return err
+			}
+			if p.how != readOnly {
+				p.dev.writes.Add(1)
+			}
+		}
 	}
 	return nil
 }
@@ -632,13 +702,11 @@ func (a *arrayPageDevice) stage(w, n int) []float64 {
 	return a.staged[w][:n]
 }
 
-// decodeSubBox reads a sub-box header (origin + dims in local page
-// coordinates) and validates it against this device's page geometry.
-func (a *arrayPageDevice) decodeSubBox(args *wire.Decoder) (lo [3]int, dim [3]int, err error) {
-	return decodeSubBox(args, [3]int{a.n1, a.n2, a.n3})
-}
+// page is the device's page geometry.
+func (a *arrayPageDevice) page() [3]int { return [3]int{a.n1, a.n2, a.n3} }
 
-// decodeSubBox is the pure form: page is the n1×n2×n3 page geometry.
+// decodeSubBox reads a sub-box header (origin + dims in local page
+// coordinates) and validates it against the n1×n2×n3 page geometry.
 func decodeSubBox(args *wire.Decoder, page [3]int) (lo [3]int, dim [3]int, err error) {
 	for x := 0; x < 3; x++ {
 		lo[x] = args.Int()
@@ -658,8 +726,9 @@ func decodeSubBox(args *wire.Decoder, page [3]int) (lo [3]int, dim [3]int, err e
 // localArrayDevice resolves a ref to a co-located ArrayPageDevice object
 // when the ref points into this machine's own server — the shared
 // address-space fast path of the device-to-device transfers. Callers
-// may only read the peer's pages (serveSub): the peer's mailbox may be
-// running a method of its own.
+// may only read the peer's pages — in place under the page's read lock
+// (withPages), or copied out under it (serveSub): the peer's mailbox may
+// be running a method of its own.
 func localArrayDevice(env *rmi.Env, ref rmi.Ref) (*arrayPageDevice, bool) {
 	if ref.Machine != env.Machine {
 		return nil, false

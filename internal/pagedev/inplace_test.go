@@ -161,6 +161,168 @@ func hammerPages(t *testing.T, diskIndex, n, sn, rounds int) {
 	}
 }
 
+// TestOpposingCollectivesDoNotDeadlock: two co-located devices, x on one
+// machine disk and y on the other, and two clients that issue x.Axpy(1, y)
+// and y.Axpy(-1, x) over every page at the same moment, round after round.
+// Each chain holds its own page for writing and wants the other's for
+// reading — the pair of locks that, taken blocking in either order, is a
+// deadlock; a holder only ever TRIES the second, and the one that misses
+// gives its page back and copies the operand out first. Beside them a reader
+// on the concurrent lane, and on both disks raw reads of a page and raw
+// writes beyond the devices' pages but under the stripes that guard them:
+// ReadAt and WriteAt wait for the range while holding the device mutex every
+// charge needs, so a chain that charged while holding a page would deadlock
+// with them too. A 10 s watchdog stands for "finishes". Pages start uniform,
+// so every page anyone sees is all one value, and after a round page p of
+// (x, y) is one of the three things two chains that each read the other's
+// page whole, before or after its update, can leave: (x+y, y-(x+y)),
+// (x+(y-x), y-x) or, both having copied the old page out, (x+y, y-x).
+func TestOpposingCollectivesDoNotDeadlock(t *testing.T) {
+	t.Run("small pages", func(t *testing.T) { opposingCollectives(t, 16, 200) })
+	t.Run("workers", func(t *testing.T) { opposingCollectives(t, bigN, 10) })
+}
+
+func opposingCollectives(t *testing.T, n, rounds int) {
+	const pages = 4
+	c, err := cluster.New(cluster.Config{Machines: 2, DisksPerMachine: 2, DiskSize: 8 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	watchdog := time.AfterFunc(10*time.Second, func() {
+		buf := make([]byte, 1<<20)
+		panic(fmt.Sprintf("opposing collectives did not finish in 10 s:\n%s", buf[:runtime.Stack(buf, true)]))
+	})
+	defer c.Shutdown()
+	defer watchdog.Stop()
+	devs := make([]*pagedev.ArrayDevice, 2)
+	state := make([][pages]float64, 2) // what page p of x and of y holds, every element of it
+	regions := make([][]pagedev.PipeRegion, 2)
+	var idx []int
+	for d := range devs {
+		if devs[d], err = pagedev.NewArrayDevice(bg, c.Client(), 0, "xy"[d:d+1], pages, n, n, n, d); err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p < pages; p++ {
+			state[d][p] = float64(1 + d + 3*p)
+			if err := devs[d].FillPage(bg, p, state[d][p]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for d := range devs {
+		for p := 0; p < pages; p++ {
+			regions[d] = append(regions[d], pagedev.PipeRegion{Index: p, Box: box(n, n, n), Peers: []pagedev.PipePeer{{Ref: devs[1-d].Ref(), Index: p}}})
+		}
+	}
+	for p := 0; p < pages; p++ {
+		idx = append(idx, p)
+	}
+	uniform := func(who string, vals []float64) float64 {
+		for i, v := range vals {
+			if v != vals[0] {
+				t.Errorf("%s: element %d is %v, element 0 is %v: torn", who, i, v, vals[0])
+				break
+			}
+		}
+		return vals[0]
+	}
+
+	stop, bystanders := make(chan struct{}), make(chan struct{}, 3)
+	stopped := func() bool { // and a bystander lets the collectives run: it is not the load
+		runtime.Gosched()
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
+	go func() { // the concurrent lane, whole pages and an interior sub-box
+		defer func() { bystanders <- struct{}{} }()
+		reader := c.Machine(1).Client()
+		for pull := 0; !stopped(); pull++ {
+			b := box(n, n, n)
+			if pull%2 == 1 {
+				b = pagedev.SubBox{Lo: [3]int{1, 2, 3}, Dim: [3]int{n - 2, n - 3, n - 4}}
+			}
+			got, err := readSubs(reader, devs[pull/2%2].Ref(), idx, b)
+			if err != nil {
+				t.Errorf("readSubBatch: %v", err)
+				return
+			}
+			for p, vals := range got {
+				uniform(fmt.Sprintf("pull %d, page %d", pull, p), vals)
+			}
+		}
+	}()
+	pageBytes := 8 * n * n * n
+	for d := range devs { // raw operations on the disk under each device
+		dsk := c.Machine(0).Disks()[d]
+		go func() {
+			defer func() { bystanders <- struct{}{} }()
+			raw, vals := make([]byte, pageBytes), make([]float64, n*n*n)
+			for k := 0; !stopped(); k++ {
+				// 4 MiB on, the contents lock's stripes repeat: this range is no
+				// page of the device and waits for the pages' own stripes.
+				if err := dsk.WriteAt(raw, 4<<20+int64(k%pages)*int64(pageBytes)); err != nil {
+					t.Errorf("raw write: %v", err)
+					return
+				}
+				if err := dsk.ReadAt(raw, int64(k%pages)*int64(pageBytes)); err != nil {
+					t.Errorf("raw read: %v", err)
+					return
+				}
+				if err := pagedev.BytesToFloat64s(vals, raw); err != nil {
+					t.Error(err)
+					return
+				}
+				uniform(fmt.Sprintf("raw read %d of disk %d", k, d), vals)
+			}
+		}()
+	}
+
+	axpy := kernel.Pipeline{Stages: []kernel.Stage{kernel.BinaryStage(kernel.Axpy)}}
+	clients := []*rmi.Client{c.Client(), c.Machine(1).Client()}
+	alpha := []float64{1, -1}
+	for round := 0; round < rounds && !t.Failed(); round++ {
+		done := make(chan error, 2)
+		for d := range devs {
+			go func() {
+				dec, err := clients[d].Call(bg, devs[d].Ref(), "applyPipelineK", func(e *wire.Encoder) error {
+					pagedev.EncodeApplyPipelineK(e, axpy, [][]float64{{alpha[d]}}, regions[d])
+					return nil
+				})
+				dec.Release()
+				done <- err
+			}()
+		}
+		for range devs {
+			if err := <-done; err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+		page := pagedev.NewArrayPage(n, n, n)
+		for p := 0; p < pages; p++ {
+			var now [2]float64
+			for d := range devs {
+				if err := devs[d].ReadPage(bg, page, p); err != nil {
+					t.Fatal(err)
+				}
+				now[d] = uniform(fmt.Sprintf("round %d, page %d of %s", round, p, "xy"[d:d+1]), page.Data)
+			}
+			x, y := state[0][p], state[1][p]
+			if now != [2]float64{x + y, y - (x + y)} && now != [2]float64{x + (y - x), y - x} && now != [2]float64{x + y, y - x} {
+				t.Fatalf("round %d, page %d: (x, y) went from (%v, %v) to (%v, %v): no order of the two collectives gives that", round, p, x, y, now[0], now[1])
+			}
+			state[0][p], state[1][p] = now[0], now[1]
+		}
+	}
+	close(stop)
+	for i := 0; i < cap(bystanders); i++ {
+		<-bystanders
+	}
+}
+
 // pageBits reads a page back as bit patterns.
 func pageBits(t *testing.T, dev *pagedev.ArrayDevice, index int) []uint64 {
 	t.Helper()
@@ -412,6 +574,8 @@ type outcome struct {
 	partials       [][]uint64 // per chain: N, then the accumulator's bits
 	reads, writes  int64      // device stats delta
 	dreads, dwrite int64      // disk.Ops delta
+	// The operand's device and disk, where they are not the swept one's.
+	oreads, odreads int64
 }
 
 // runChainSet drives one chain of every shape — map, reduce, binary,
@@ -506,6 +670,120 @@ func TestBackingsAgree(t *testing.T) {
 	for _, row := range rows[1:] {
 		agree(t, row.name, runChainSet(t, row, 4), want)
 	}
+	// The co-located row: however an operand's page is reached — in place,
+	// copied out, pulled — and whatever store it lies in.
+	var first *outcome
+	for _, dir := range []string{"", t.TempDir()} {
+		for _, where := range []string{"in place", "staged", "remote"} {
+			got := runPeerSet(t, dir, where)
+			if first == nil {
+				if first = &got; got.reads != 6 || got.writes != 4 || got.oreads != 6 {
+					t.Errorf("in place: %d reads, %d writes, %d operand reads for the peer set, want 6, 4 and 6", got.reads, got.writes, got.oreads)
+				}
+			}
+			who := where + ", memory"
+			if dir != "" {
+				who = where + ", file"
+			}
+			agree(t, who, got, *first)
+		}
+	}
+}
+
+// runPeerSet sweeps a 4-page device x on machine 0 through two-operand
+// chains — whole pages and a sub-box; axpy, dot, and a four-stage chain
+// whose first operand is y and whose second is z, always on machine 1 —
+// with y's pages reached one of three ways: "in place", y on machine 0 and
+// cut like x; "staged", the same bytes of the same disk through a device
+// whose pages are twice as deep (page p of it is y's 2p and 2p+1), which x
+// cannot walk in step; "remote", y on machine 1. dir chooses the disks:
+// memory (resident stores), or files under it (every pin a copy).
+func runPeerSet(t *testing.T, dir, where string) outcome {
+	t.Helper()
+	c, err := cluster.New(cluster.Config{Machines: 2, DisksPerMachine: 2, DiskSize: 1 << 20, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	const pages, n = 4, 4
+	open := func(machine int, name string, pages, n1, diskIndex int) *pagedev.ArrayDevice {
+		dev, err := pagedev.NewArrayDevice(bg, c.Client(), machine, name, pages, n1, n, n, diskIndex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dev
+	}
+	x, z := open(0, "x", pages, n, 0), open(1, "z", pages, n, 1)
+	ymachine := 0
+	if where == "remote" {
+		ymachine = 1
+	}
+	y := open(ymachine, "y", 2*pages, n, 1^ymachine) // machine 0's disk 1, machine 1's disk 0
+	page := pagedev.NewArrayPage(n, n, n)
+	for p := 0; p < 2*pages; p++ {
+		for dev, scale := range map[*pagedev.ArrayDevice]float64{x: 1, y: 3, z: -5} {
+			if dev != y && p >= pages {
+				continue
+			}
+			for i := range page.Data {
+				page.Data[i] = scale * float64((p+1)*(i%11)) / 16
+			}
+			if err := dev.WritePage(bg, page, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	operand, index := y, func(p int) int { return 2 * p }
+	if where == "staged" {
+		operand, index = open(0, "deep", pages, 2*n, 1), func(p int) int { return p }
+	}
+	xdsk, odsk := c.Machine(0).Disks()[0], c.Machine(ymachine).Disks()[1^ymachine]
+	r0, w0, _ := x.Stats(bg)
+	or0, _, _ := operand.Stats(bg)
+	dr0, dw0 := xdsk.Ops()
+	odr0, _ := odsk.Ops()
+
+	whole, inner := box(n, n, n), pagedev.SubBox{Lo: [3]int{1, 0, 1}, Dim: [3]int{n / 2, n, n / 2}}
+	region := func(p int, b pagedev.SubBox, more ...pagedev.PipePeer) pagedev.PipeRegion {
+		peers := append([]pagedev.PipePeer{{Ref: operand.Ref(), Index: index(p)}}, more...)
+		return pagedev.PipeRegion{Index: p, Box: b, Fold: true, Peers: peers}
+	}
+	stages := func(s ...kernel.Stage) kernel.Pipeline { return kernel.Pipeline{Stages: s} }
+	var out outcome
+	for _, run := range []struct {
+		p       kernel.Pipeline
+		params  [][]float64
+		regions []pagedev.PipeRegion
+	}{
+		{stages(kernel.BinaryStage(kernel.Axpy)), [][]float64{{-0.5}}, []pagedev.PipeRegion{region(0, whole), region(1, inner)}},
+		{stages(kernel.BinaryReduceStage(kernel.Dot)), [][]float64{nil}, []pagedev.PipeRegion{region(2, whole), region(3, inner)}},
+		{stages(kernel.MapStage(kernel.Scale), kernel.BinaryStage(kernel.Axpy), kernel.ReduceStage(kernel.MinMax), kernel.BinaryReduceStage(kernel.Dot)),
+			[][]float64{{0.5}, {2}, nil, nil},
+			[]pagedev.PipeRegion{region(0, whole, pagedev.PipePeer{Ref: z.Ref(), Index: 3}), region(2, inner, pagedev.PipePeer{Ref: z.Ref(), Index: 1})}},
+	} {
+		_, parts, err := x.ApplyPipelineK(bg, run.p, run.params, run.regions)
+		if err != nil {
+			t.Fatalf("%s: %v: %v", where, run.p, err)
+		}
+		var bits []uint64
+		for _, p := range parts {
+			bits = append(bits, uint64(p.N))
+			for _, v := range p.Acc {
+				bits = append(bits, math.Float64bits(v))
+			}
+		}
+		out.partials = append(out.partials, bits)
+	}
+	r1, w1, _ := x.Stats(bg)
+	or1, _, _ := operand.Stats(bg)
+	dr1, dw1 := xdsk.Ops()
+	odr1, _ := odsk.Ops()
+	out.reads, out.writes, out.dreads, out.dwrite = r1-r0, w1-w0, dr1-dr0, dw1-dw0
+	out.oreads, out.odreads = or1-or0, odr1-odr0
+	for p := 0; p < pages; p++ {
+		out.pages = append(out.pages, pageBits(t, x, p))
+	}
+	return out
 }
 
 // agree fails unless two runs of the chain set left the same pages,
@@ -525,6 +803,9 @@ func agree(t *testing.T, who string, got, want outcome) {
 	if got.reads != want.reads || got.writes != want.writes || got.dreads != want.dreads || got.dwrite != want.dwrite {
 		t.Errorf("%s: device +%d/+%d disk +%d/+%d (reads/writes), memory's +%d/+%d and +%d/+%d", who,
 			got.reads, got.writes, got.dreads, got.dwrite, want.reads, want.writes, want.dreads, want.dwrite)
+	}
+	if got.oreads != want.oreads || got.odreads != want.odreads {
+		t.Errorf("%s: operand device +%d reads, its disk +%d, memory's +%d and +%d", who, got.oreads, got.odreads, want.oreads, want.odreads)
 	}
 }
 

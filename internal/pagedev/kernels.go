@@ -19,16 +19,19 @@ package pagedev
 //	                          without deadlock)
 //
 // Every one of them reaches elements through the device's page accessor
-// (withPage, device.go): on a resident store serial methods mutate the
+// (withPages, device.go): on a resident store serial methods mutate the
 // page itself and the concurrent lane reads it, and the disk's contents
 // lock keeps the two apart. It is per byte range and held for ONE access
 // to ONE page — a page's stage chain, a page's copy-out — so a reader sees
 // each page wholly before or wholly after a chain, never between two of
 // its stages or torn, and two workers on two pages do not wait for each
-// other; it does not make a batch atomic. Nothing is held across a pull:
-// a method, or a worker of it, fetches every peer value it needs (stage)
-// before it enters the page they go into, which is also what lets a device
-// be its own operand (self-dot) and two devices pull from each other.
+// other; it does not make a batch atomic. Beside its own page an access
+// holds, read-only, the co-located operand pages its chain reads whose lock
+// was free when tried: a holder of a contents lock waits for nothing, not a
+// pull and not a second lock. So a method, or a worker of it, fetches remote
+// values (stage) before it enters anything, and first copies out an operand
+// page it cannot have beside its own — so a device can be its own operand
+// (self-dot, x.Axpy(x)) and two devices read each other mid-batch.
 //
 // Batches are not transactional: a mid-batch failure leaves an unspecified
 // subset of the other regions applied, and a kernel that panics leaves its
@@ -59,29 +62,27 @@ type subReq struct {
 
 // forEachRun is the stride-aware row engine: it visits the elements of
 // a sub-box of an n1×n2×n3 page buffer in row-major order, as maximal
-// contiguous runs — axis-3 rows in general, whole j-planes when the box
-// spans full rows, the whole page as one flat []float64 slab when it
-// spans full planes. Kernels then run one long sequential loop instead
-// of dim[0]*dim[1] short ones: the per-call overhead vanishes and the
-// inner loops auto-vectorize. Element order never changes, so sequential
+// contiguous runs of n elements from offset off — axis-3 rows in general,
+// whole j-planes when the box spans full rows, the whole page as one flat
+// slab when it spans full planes — so two pages cut alike are walked in
+// step. Kernels then run one long sequential loop instead of dim[0]*dim[1]
+// short ones: the per-call overhead vanishes and the inner loops
+// auto-vectorize. Element order never changes, so sequential
 // folds (sum, dot) are bitwise independent of the coalescing.
-func forEachRun(elems []float64, n2, n3 int, lo, dim [3]int, fn func(run []float64)) {
+func forEachRun(n2, n3 int, lo, dim [3]int, fn func(off, n int)) {
 	if lo[2] == 0 && dim[2] == n3 {
 		if lo[1] == 0 && dim[1] == n2 {
-			off := lo[0] * n2 * n3
-			fn(elems[off : off+dim[0]*n2*n3])
+			fn(lo[0]*n2*n3, dim[0]*n2*n3)
 			return
 		}
 		for i := 0; i < dim[0]; i++ {
-			off := ((lo[0]+i)*n2 + lo[1]) * n3
-			fn(elems[off : off+dim[1]*n3])
+			fn(((lo[0]+i)*n2+lo[1])*n3, dim[1]*n3)
 		}
 		return
 	}
 	for i := 0; i < dim[0]; i++ {
 		for j := 0; j < dim[1]; j++ {
-			off := ((lo[0]+i)*n2+(lo[1]+j))*n3 + lo[2]
-			fn(elems[off : off+dim[2]])
+			fn(((lo[0]+i)*n2+(lo[1]+j))*n3+lo[2], dim[2])
 		}
 	}
 }
@@ -90,12 +91,12 @@ func forEachRun(elems []float64, n2, n3 int, lo, dim [3]int, fn func(run []float
 // scatterRuns is its inverse. Both move whole runs (forEachRun).
 func gatherRuns(dst, elems []float64, n2, n3 int, lo, dim [3]int) {
 	pos := 0
-	forEachRun(elems, n2, n3, lo, dim, func(run []float64) { pos += copy(dst[pos:], run) })
+	forEachRun(n2, n3, lo, dim, func(off, n int) { pos += copy(dst[pos:], elems[off:off+n]) })
 }
 
 func scatterRuns(elems []float64, n2, n3 int, lo, dim [3]int, src []float64) {
 	pos := 0
-	forEachRun(elems, n2, n3, lo, dim, func(run []float64) { pos += copy(run, src[pos:]) })
+	forEachRun(n2, n3, lo, dim, func(off, n int) { pos += copy(elems[off:off+n], src[pos:]) })
 }
 
 // decodeCount reads a batch's element count and bounds it by the bytes
@@ -122,24 +123,28 @@ const (
 	minCopyElem = 2             // src, dst
 )
 
-// serveSub gathers the row-packed values of one region of this
-// device's page rq.idx into dst. It only reads the page, so it runs
-// outside the mailbox: the body of the concurrent readSubBatch method
-// and of a co-located peer's pull.
+// serveSub gathers the row-packed values of one region of this device's
+// page rq.idx into dst. It only reads the page, so it runs outside the
+// mailbox: a co-located peer's pull of a page it cannot read in place, its
+// box checked against THIS device's pages as readSubBatch checks a remote's.
 func (a *arrayPageDevice) serveSub(rq subReq, dst []float64) error {
+	if !rq.within(a.page()) {
+		return fmt.Errorf("pagedev: sub-box %+v outside page %v", rq.SubBox, a.page())
+	}
 	if rq.Size() == 0 {
 		return nil
 	}
 	return a.withPage(rq.idx, readOnly, func(elems []float64) { gatherRuns(dst, elems, a.n2, a.n3, rq.Lo, rq.Dim) })
 }
 
-// pullSub pulls one region of a peer's page into dst and waits for it:
-// a co-located peer is read in place, with no request built at all.
-func (a *arrayPageDevice) pullSub(env *rmi.Env, peer rmi.Ref, rq subReq, dst []float64) error {
-	if local, ok := localArrayDevice(env, peer); ok {
-		return local.serveSub(rq, dst)
+// operand names a box of a peer's page for withPages: a co-located peer cut
+// into pages alike is read in place, and any other is pulled into slot(i) now.
+func (a *arrayPageDevice) operand(env *rmi.Env, peer PipePeer, box SubBox, slot func(i int) []float64, i int) (pageRef, error) {
+	if local, ok := localArrayDevice(env, peer.Ref); ok && local.page() == a.page() {
+		return pageRef{dev: local, index: peer.Index, box: box}, nil
 	}
-	return a.fetchSubBatchAsync(env, peer, []subReq{rq}, [][]float64{dst})()
+	p := pageRef{vals: slot(i)}
+	return p, a.fetchSubBatchAsync(env, peer.Ref, []subReq{{peer.Index, box}}, [][]float64{p.vals})()
 }
 
 // fetchSubBatchAsync begins the pull of each request's row-packed
@@ -187,38 +192,40 @@ func (a *arrayPageDevice) fetchSubBatchAsync(env *rmi.Env, peer rmi.Ref, reqs []
 	}
 }
 
-// registerTransferMethods installs the peer-pull lane and the transfer
-// primitives on the ArrayPageDevice class.
-func registerTransferMethods(c *rmi.Class[*arrayPageDevice]) {
-	// readSubBatch(count, count×(idx, box)): serve the row-packed values
-	// of each region. CONCURRENT — runs outside the mailbox, reading each
-	// page under the store's lock, so this device can serve peer pulls (halo
-	// planes, binary operands) even while one of its own serial methods
-	// is running.
-	c.ConcurrentMethod("readSubBatch", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		count, err := decodeCount(args, minSubBox)
+// readSubBatch(count, count×(idx, box)): serve the row-packed values
+// of each region. CONCURRENT — runs outside the mailbox, gathering each
+// region straight into the reply under the page's read lock, so this device
+// can serve peer pulls (halo planes, binary operands) even while one of its
+// own serial methods is running.
+func (a *arrayPageDevice) readSubBatch(env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	count, err := decodeCount(args, minSubBox)
+	if err != nil {
+		return err
+	}
+	for ; count > 0; count-- {
+		idx := args.Int()
+		lo, dim, err := decodeSubBox(args, a.page())
 		if err != nil {
 			return err
 		}
-		var out []float64
-		for n := 0; n < count; n++ {
-			idx := args.Int()
-			lo, dim, err := a.decodeSubBox(args)
-			if err != nil {
-				return err
-			}
-			rq := subReq{idx, SubBox{lo, dim}}
-			size := rq.Size()
-			if cap(out) < size {
-				out = make([]float64, size)
-			}
-			if err := a.serveSub(rq, out[:size]); err != nil {
-				return err
-			}
-			reply.PutFloat64s(out[:size])
+		reply.PutFloat64sLen(dim[0] * dim[1] * dim[2])
+		if dim[0]*dim[1]*dim[2] == 0 {
+			continue
 		}
-		return nil
-	})
+		err = a.withPage(idx, readOnly, func(elems []float64) {
+			forEachRun(a.n2, a.n3, lo, dim, func(off, n int) { reply.AppendFloat64s(elems[off : off+n]) })
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// registerTransferMethods installs the peer-pull lane and the transfer
+// primitives on the ArrayPageDevice class.
+func registerTransferMethods(c *rmi.Class[*arrayPageDevice]) {
+	c.ConcurrentMethod("readSubBatch", (*arrayPageDevice).readSubBatch)
 
 	// pullSubBatch(peerRef, count, count×(localIdx, box, peerIdx)):
 	// overwrite each local region with the co-indexed region pulled from
@@ -237,7 +244,7 @@ func registerTransferMethods(c *rmi.Class[*arrayPageDevice]) {
 		total := 0
 		for n := 0; n < count; n++ {
 			idx := args.Int()
-			lo, dim, err := a.decodeSubBox(args)
+			lo, dim, err := decodeSubBox(args, a.page())
 			if err != nil {
 				return err
 			}
@@ -254,21 +261,31 @@ func registerTransferMethods(c *rmi.Class[*arrayPageDevice]) {
 				return err
 			}
 		}
-		// One batched pull for the whole call, staged; then scatter locally.
+		// A co-located peer cut alike is read where it lies, region by region;
+		// any other in one batched pull for the whole call, staged.
 		vals := make([][]float64, len(reqs))
-		staged := a.stage(0, total)
-		for i, rq := range reqs {
-			vals[i], staged = staged[:rq.Size()], staged[rq.Size():]
-		}
-		if err := a.fetchSubBatchAsync(env, peer, reqs, vals)(); err != nil {
-			return err
+		dev, ok := localArrayDevice(env, peer)
+		if !ok || dev.page() != a.page() {
+			dev = nil
+			staged := a.stage(0, total)
+			for i, rq := range reqs {
+				vals[i], staged = staged[:rq.Size()], staged[rq.Size():]
+			}
+			if err := a.fetchSubBatchAsync(env, peer, reqs, vals)(); err != nil {
+				return err
+			}
 		}
 		for i, lr := range local {
 			if lr.Size() == 0 {
 				continue
 			}
-			put := func(elems []float64) { scatterRuns(elems, a.n2, a.n3, lr.Lo, lr.Dim, vals[i]) }
-			if err := a.withPage(lr.idx, update, put); err != nil {
+			pages := []pageRef{{dev: a, index: lr.idx, how: update}, {dev: dev, index: reqs[i].idx, box: lr.SubBox, vals: vals[i]}}
+			slot := func(int) []float64 { return a.stage(0, lr.Size()) }
+			put := func(elems []float64) {
+				pos := 0
+				forEachRun(a.n2, a.n3, lr.Lo, lr.Dim, func(off, n int) { pos += copy(elems[off:off+n], pages[1].run(off, pos, n)) })
+			}
+			if err := withPages(pages, slot, put); err != nil {
 				return err
 			}
 		}
@@ -298,13 +315,12 @@ func registerTransferMethods(c *rmi.Class[*arrayPageDevice]) {
 				return err
 			}
 		}
-		// Through the staging buffer: one page entered at a time, as everywhere.
-		tmp := a.stage(0, a.n1*a.n2*a.n3)
+		// The source is read where it lies; a pair that cannot be held together is staged.
+		whole := SubBox{Dim: a.page()}
+		slot := func(int) []float64 { return a.stage(0, whole.Size()) }
 		for _, p := range pairs {
-			if err := a.withPage(p[0], readOnly, func(src []float64) { copy(tmp, src) }); err != nil {
-				return err
-			}
-			if err := a.withPage(p[1], overwrite, func(dst []float64) { copy(dst, tmp) }); err != nil {
+			pages := []pageRef{{dev: a, index: p[1], how: overwrite}, {dev: a, index: p[0], box: whole}}
+			if err := withPages(pages, slot, func(dst []float64) { copy(dst, pages[1].vals) }); err != nil {
 				return err
 			}
 		}

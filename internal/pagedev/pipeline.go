@@ -20,9 +20,10 @@ package pagedev
 // the client knows.
 //
 // applyPipelineK is a SERIAL method (parallel inside: runKernelBatch), but
-// its two-operand stages pull peer operands through the concurrent
-// readSubBatch lane — all of a region's operands before its page is entered
-// — so two devices mid-batch can still exchange operands without deadlock.
+// its two-operand stages read peer operands from outside the peer's mailbox
+// — a remote one through the concurrent readSubBatch lane before the
+// region's page is entered, a co-located one where it lies (withPages) —
+// so two devices mid-batch can still exchange operands without deadlock.
 
 import (
 	"fmt"
@@ -202,7 +203,7 @@ func DecodePipelinePartials(d *wire.Decoder, reduces int) (touched int64, partia
 // ArrayPageDevice class.
 func registerPipelineMethod(c *rmi.Class[*arrayPageDevice]) {
 	c.Method("applyPipelineK", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		b, err := decodeKernelBatch(args, [3]int{a.n1, a.n2, a.n3})
+		b, err := decodeKernelBatch(args, a.page())
 		if err != nil {
 			return err
 		}
@@ -239,7 +240,8 @@ func (a *arrayPageDevice) runKernelBatch(env *rmi.Env, b kernelBatch, reply *wir
 		workers, shared = 1, 0
 	}
 	a.stage(workers-1, 0) // every goroutine's staging slot exists before a helper looks for its own
-	err := rmi.Share(len(b.regions), shared, func(w, i int) error { return a.region(env, b, accs, w, i) })
+	pages, n := make([]pageRef, len(b.regions)*(1+b.operands)), 1+b.operands
+	err := rmi.Share(len(b.regions), shared, func(w, i int) error { return a.region(env, b, accs, pages[i*n:(i+1)*n], w, i) })
 	if err != nil {
 		return err
 	}
@@ -299,8 +301,8 @@ func (b kernelBatch) orderFree(a *arrayPageDevice, env *rmi.Env) bool {
 	return true
 }
 
-// region walks region i on worker w: operand pulls, then its page through every stage.
-func (a *arrayPageDevice) region(env *rmi.Env, b kernelBatch, accs []float64, w, i int) error {
+// region walks region i on worker w: its operands named or pulled (pages[1:]), then its page (pages[0]) through every stage.
+func (a *arrayPageDevice) region(env *rmi.Env, b kernelBatch, accs []float64, pages []pageRef, w, i int) error {
 	r := &b.regions[i]
 	size := r.Box.Size()
 	if size == 0 {
@@ -308,20 +310,23 @@ func (a *arrayPageDevice) region(env *rmi.Env, b kernelBatch, accs []float64, w,
 		// nothing to write and reduce stages must skip, not fold.
 		return nil
 	}
-	// Operands first, side by side in the worker's staging buffer: a pull
-	// can fail or wait, and neither may happen inside a page. A pull
-	// reads the peer's STORED page, this device's own included (self-dot),
-	// so pulling before the chain reads what pulling mid-chain did. A
-	// non-folding replica skips a binary-reduce stage's pull: the stage
-	// writes nothing to keep in step.
-	operands := a.stage(w, b.operands*size)
-	op := 0
+	// Operands first: a pull can fail or wait, and neither may happen inside
+	// a page. A remote one is pulled now, into its slot of the worker's
+	// staging buffer (allocated when the first is); a co-located one is read
+	// beside the region's page, or copied to its slot if withPages cannot have
+	// both. Either way it is the peer's STORED page that is read, this device's
+	// own included — a chain never has a page it writes in place — as a pull in
+	// front of the chain did. A non-folding replica skips a binary-reduce
+	// stage's operand: the stage writes nothing to keep in step.
+	slot := func(i int) []float64 { return a.stage(w, b.operands*size)[(i-1)*size : i*size] }
+	op := 1
 	for si := range b.stages {
 		switch k := b.stages[si].Kind; k {
 		case kernel.StageBinary, kernel.StageBinaryReduce:
+			pages[op] = pageRef{}
 			if k == kernel.StageBinary || r.Fold {
-				rq := subReq{r.Peers[op].Index, r.Box}
-				if err := a.pullSub(env, r.Peers[op].Ref, rq, operands[op*size:(op+1)*size]); err != nil {
+				var err error
+				if pages[op], err = a.operand(env, r.Peers[op-1], r.Box, slot, op); err != nil {
 					return err
 				}
 			}
@@ -340,8 +345,10 @@ func (a *arrayPageDevice) region(env *rmi.Env, b kernelBatch, accs []float64, w,
 		how = update
 	}
 	accs = accs[i*b.width:]
-	return a.withPage(r.Index, how, func(elems []float64) {
-		op := 0
+	pages[0] = pageRef{dev: a, index: r.Index, how: how}
+	return withPages(pages, slot, func(elems []float64) {
+		walk := func(fn func(off, n int)) { forEachRun(a.n2, a.n3, r.Box.Lo, r.Box.Dim, fn) }
+		op := 1
 		for si := range b.stages {
 			st := &b.stages[si]
 			sp, acc := st.params, accs[:st.width]
@@ -352,26 +359,25 @@ func (a *arrayPageDevice) region(env *rmi.Env, b kernelBatch, accs []float64, w,
 			switch st.Kind {
 			case kernel.StageMap:
 				fn := st.Map.Fn
-				forEachRun(elems, a.n2, a.n3, r.Box.Lo, r.Box.Dim, func(run []float64) { fn(run, sp) })
+				walk(func(off, n int) { fn(elems[off:off+n], sp) })
 			case kernel.StageBinary:
-				fn, vals := st.Bin.Fn, operands[op*size:(op+1)*size]
+				fn, peer, pos := st.Bin.Fn, &pages[op], 0
 				op++
-				pos := 0
-				forEachRun(elems, a.n2, a.n3, r.Box.Lo, r.Box.Dim, func(run []float64) {
-					fn(run, vals[pos:pos+len(run)], sp)
-					pos += len(run)
+				walk(func(off, n int) {
+					fn(elems[off:off+n], peer.run(off, pos, n), sp)
+					pos += n
 				})
 			case kernel.StageReduce:
 				if r.Fold {
-					forEachRun(elems, a.n2, a.n3, r.Box.Lo, r.Box.Dim, func(run []float64) { st.Red.Row(acc, run, sp) })
+					walk(func(off, n int) { st.Red.Row(acc, elems[off:off+n], sp) })
 				}
 			case kernel.StageBinaryReduce:
-				vals, pos := operands[op*size:(op+1)*size], 0
+				peer, pos := &pages[op], 0
 				op++
 				if r.Fold {
-					forEachRun(elems, a.n2, a.n3, r.Box.Lo, r.Box.Dim, func(run []float64) {
-						st.BinRed.Row(acc, run, vals[pos:pos+len(run)], sp)
-						pos += len(run)
+					walk(func(off, n int) {
+						st.BinRed.Row(acc, elems[off:off+n], peer.run(off, pos, n), sp)
+						pos += n
 					})
 				}
 			}

@@ -378,7 +378,7 @@ func (d *ArrayDevice) writePageArgs(index int, src Block) rmi.ArgEncoder {
 		}
 		e.PutInt(index)
 		e.PutFloat64sLen(src.Box.Size())
-		forEachRun(src.Data, src.N2, src.N3, src.Box.Lo, src.Box.Dim, e.AppendFloat64s)
+		forEachRun(src.N2, src.N3, src.Box.Lo, src.Box.Dim, func(off, n int) { e.AppendFloat64s(src.Data[off : off+n]) })
 		return nil
 	}
 }

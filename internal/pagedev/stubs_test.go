@@ -2,7 +2,9 @@ package pagedev_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"oopp/internal/kernel"
@@ -218,6 +220,72 @@ func TestKernelBatchTwoOperandStages(t *testing.T) {
 	}
 	if sum, err := a.Sum(bg, 0); err != nil || math.Abs(sum-8) > 1e-12 {
 		t.Fatalf("after axpy sum = %v, %v", sum, err)
+	}
+}
+
+// TestOperandBoxIsCheckedAgainstThePeersPages: a two-operand stage and a
+// pullSubBatch validate their box against the pages of the device that
+// executes them; the peer's may be smaller. A box the peer's page does not
+// hold is refused typed by the peer's own bounds — the same refusal whether
+// the peer is on another machine, where its readSubBatch decodes the box, or
+// co-located, where its page is reached directly — before any page is
+// entered: nothing is read, and the destination page is bitwise untouched.
+func TestOperandBoxIsCheckedAgainstThePeersPages(t *testing.T) {
+	c := startCluster(t, 2, 0)
+	client := c.Client()
+	dev, err := pagedev.NewArrayDevice(bg, client, 0, "wide", 1, 4, 4, 4, pagedev.DiskPrivate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Close(bg)
+	page := pagedev.NewArrayPage(4, 4, 4)
+	for i := range page.Data {
+		page.Data[i] = float64(i) + 0.5
+	}
+	if err := dev.WritePage(bg, page, 0); err != nil {
+		t.Fatal(err)
+	}
+	before := pageBits(t, dev, 0)
+	axpy := kernel.Pipeline{Stages: []kernel.Stage{kernel.BinaryStage(kernel.Axpy)}}
+	for _, machine := range []int{1, 0} {
+		peer, err := pagedev.NewArrayDevice(bg, client, machine, "narrow", 1, 2, 2, 2, pagedev.DiskPrivate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer peer.Close(bg)
+		if err := peer.FillPage(bg, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		reads, _, err := peer.Stats(bg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range []pagedev.SubBox{
+			{Lo: [3]int{0, 0, 2}, Dim: [3]int{1, 1, 2}}, // inside the 4x4x4 page; the peer's rows end at 2
+			box(4, 4, 4),
+		} {
+			want := fmt.Sprintf("sub-box %+v outside page [2 2 2]", b)
+			_, _, err := dev.ApplyPipelineK(bg, axpy, [][]float64{{1}}, []pagedev.PipeRegion{
+				{Index: 0, Box: b, Peers: []pagedev.PipePeer{{Ref: peer.Ref(), Index: 0}}}})
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("peer on machine %d, axpy over %+v: %v, want %q", machine, b, err, want)
+			}
+			_, err = dev.PullSubBatchAsync(bg, peer.Ref(), []pagedev.PullRegion{{Index: 0, Box: b, PeerIndex: 0}}).Wait(bg)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("peer on machine %d, pull of %+v: %v, want %q", machine, b, err, want)
+			}
+		}
+		if after, _, err := peer.Stats(bg); err != nil || after != reads {
+			t.Errorf("peer on machine %d: refused boxes read its page: reads %d -> %d, %v", machine, reads, after, err)
+		}
+		if !sameBits(pageBits(t, dev, 0), before) {
+			t.Errorf("peer on machine %d: a refused box changed the destination page", machine)
+		}
+		// A box both pages hold is served from either placement.
+		if _, _, err := dev.ApplyPipelineK(bg, axpy, [][]float64{{0}}, []pagedev.PipeRegion{
+			{Index: 0, Box: box(2, 2, 2), Peers: []pagedev.PipePeer{{Ref: peer.Ref(), Index: 0}}}}); err != nil {
+			t.Errorf("peer on machine %d, a box inside both pages: %v", machine, err)
+		}
 	}
 }
 
