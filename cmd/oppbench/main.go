@@ -1,9 +1,9 @@
 // oppbench runs the experiment suite (internal/exp) and prints one
 // table per experiment. Each experiment reproduces one claim of the
-// paper; -list prints the index.
+// paper; -list prints the index. There is one size: the one
+// `go test ./internal/exp` runs and pins.
 //
-//	go run ./cmd/oppbench                       # full suite
-//	go run ./cmd/oppbench -quick                # smaller sweeps
+//	go run ./cmd/oppbench                       # the whole suite
 //	go run ./cmd/oppbench -experiment E4        # one experiment
 //	go run ./cmd/oppbench -list                 # list experiments
 //
@@ -25,8 +25,7 @@ import (
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "smaller sweeps and iteration counts")
-	which := flag.String("experiment", "all", "experiment id from -list (E1..E17, A1, A2) or 'all'")
+	which := flag.String("experiment", "all", "an id from -list, or 'all'")
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.Parse()
 
@@ -37,16 +36,11 @@ func main() {
 		return
 	}
 
-	cfg := exp.Config{Quick: *quick}
-	mode := "full"
-	if *quick {
-		mode = "quick"
-	}
-	fmt.Printf("oopp experiment suite — mode=%s GOMAXPROCS=%d\n\n", mode, runtime.GOMAXPROCS(0))
+	fmt.Printf("oopp experiment suite — GOMAXPROCS=%d\n\n", runtime.GOMAXPROCS(0))
 
 	run := func(e exp.Experiment) {
 		start := time.Now()
-		table, err := e.Run(cfg)
+		table, err := e.Run()
 		if err != nil {
 			log.Fatalf("%s: %v", e.ID, err)
 		}

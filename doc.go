@@ -47,7 +47,7 @@
 // WithDeadline (a per-call deadline that travels with the future),
 // WithRetryDial (redial on dial failure; requests are never resent), and
 // WithLabel (a trace label woven into failure text). The surface is
-// context-first throughout; the pre-context *NoCtx shims are gone.
+// context-first throughout.
 //
 // # Typed distributed collections
 //

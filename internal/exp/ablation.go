@@ -1,13 +1,12 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"oopp/internal/cluster"
-	"oopp/internal/core"
-	"oopp/internal/disk"
 	"oopp/internal/rmi"
 	"oopp/internal/transport"
 	"oopp/internal/wire"
@@ -17,157 +16,122 @@ import (
 // (see the root package doc), not paper claims: they measure what each
 // mechanism is worth.
 
-// A1PipelineWindow — ablation of the §4 pipelining depth: Array.Read of a
-// large domain with the outstanding-request window swept from 1
-// (sequential semantics) upward.
-func A1PipelineWindow(cfg Config) (*Table, error) {
-	t := &Table{
-		ID:    "A1",
-		Title: "Ablation: pipelining window depth for Array.Read",
-		Claim: "design choice: bounded request pipelining recovers the §4 parallelism;" +
-			" window=1 degenerates to §2 sequential semantics",
-		Columns: []string{"window", "read ms", "speedup vs w=1"},
-	}
-	const devices = 8
-	const N, n = 64, 16
-	cl, err := cluster.New(cluster.Config{
-		Machines:        devices,
-		DisksPerMachine: 1,
-		DiskSize:        64 << 20,
-		DiskModel:       disk.Model{Seek: 1 * time.Millisecond, ReadBandwidth: 1e9, WriteBandwidth: 1e9},
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Shutdown()
-
-	arr, storage, err := buildE7Array(cl, "roundrobin", devices, N, n)
-	if err != nil {
-		return nil, err
-	}
-	defer storage.Close(bg)
-	full := arr.Bounds()
-	if err := arr.Fill(bg, full, 1); err != nil {
-		return nil, err
-	}
-
-	buf := make([]float64, full.Size())
-	var base time.Duration
-	windows := []int{1, 2, 4, 8, 16, 32}
-	if cfg.Quick {
-		windows = []int{1, 4, 16}
-	}
-	for _, w := range windows {
-		arr.SetWindow(w)
-		start := time.Now()
-		if err := arr.Read(bg, buf, full); err != nil {
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		if w == windows[0] {
-			base = elapsed
-		}
-		t.AddRow(fmt.Sprintf("%d", w), msPrec(elapsed),
-			fmt.Sprintf("%.2fx", float64(base)/float64(elapsed)))
-	}
-	t.Note("expected shape: speedup grows until the window covers all devices (8 here), then flattens")
-	return t, nil
-}
-
-// A2DispatchModes — ablation of the object-as-process decision: calls to
-// a serial method on ONE object (mailbox-serialized) vs a concurrent
-// method on the same object vs serial methods on K distinct objects, all
-// from K concurrent callers with a simulated 100µs method body.
-func A2DispatchModes(cfg Config) (*Table, error) {
-	t := &Table{
-		ID:    "A2",
-		Title: "Ablation: mailbox serialization vs concurrent dispatch",
-		Claim: "design choice: an object is a serial process (its mailbox is the" +
-			" consistency mechanism); concurrency comes from more objects or opt-in" +
-			" concurrent methods",
-		Columns: []string{"configuration", "ops/s", "vs serial-1obj"},
-	}
-	cl, err := cluster.New(cluster.Config{Machines: 1, Transport: transport.NewInproc(transport.LinkModel{})})
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Shutdown()
-	client := cl.Client()
-
-	const callers = 8
-	iters := cfg.iters(25, 100) // per caller
-
-	run := func(refs []rmi.Ref, method string) (float64, error) {
-		var wg sync.WaitGroup
-		errCh := make(chan error, callers)
-		start := time.Now()
-		for c := 0; c < callers; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				ref := refs[c%len(refs)]
-				args := func(e *wire.Encoder) error {
-					e.PutInt(100) // 100µs simulated body
-					return nil
-				}
-				for i := 0; i < iters; i++ {
-					d, err := client.Call(bg, ref, method, args)
-					d.Release()
-					if err != nil {
-						errCh <- err
-						return
-					}
-				}
-			}(c)
-		}
-		wg.Wait()
-		close(errCh)
-		for err := range errCh {
-			return 0, err
-		}
-		elapsed := time.Since(start)
-		return float64(callers*iters) / elapsed.Seconds(), nil
-	}
-
-	// One object, serial method.
-	one, err := client.New(bg, 0, ClassBusy, nil)
-	if err != nil {
-		return nil, err
-	}
-	serialOne, err := run([]rmi.Ref{one}, "workSerial")
-	if err != nil {
-		return nil, err
-	}
-	// One object, concurrent method.
-	concOne, err := run([]rmi.Ref{one}, "workConcurrent")
-	if err != nil {
-		return nil, err
-	}
-	// K objects, serial methods.
-	refs := make([]rmi.Ref, callers)
-	for i := range refs {
-		refs[i], err = client.New(bg, 0, ClassBusy, nil)
+// A1 — ablation of the §4 pipelining depth: Array.Read of a large domain
+// with the outstanding-request window swept from 1 (sequential semantics)
+// upward.
+var a1 = Experiment{
+	ID:    "A1",
+	Title: "Ablation: pipelining window depth for Array.Read",
+	Claim: "design choice: bounded request pipelining recovers the §4 parallelism;" +
+		" window=1 degenerates to §2 sequential semantics",
+	Columns: []string{"window", "read ms", "speedup vs w=1"},
+	run: func(x *run) error {
+		cl, err := x.diskCluster(8)
 		if err != nil {
-			return nil, err
+			return err
 		}
-	}
-	serialMany, err := run(refs, "workSerial")
-	if err != nil {
-		return nil, err
-	}
-
-	t.AddRow("serial method, 1 object", fmt.Sprintf("%.0f", serialOne), "1.00x")
-	t.AddRow("concurrent method, 1 object", fmt.Sprintf("%.0f", concOne),
-		fmt.Sprintf("%.2fx", concOne/serialOne))
-	t.AddRow(fmt.Sprintf("serial methods, %d objects", callers), fmt.Sprintf("%.0f", serialMany),
-		fmt.Sprintf("%.2fx", serialMany/serialOne))
-	t.Note("serial-1obj is bounded by the object's mailbox (one 100µs body at a time); both escapes recover concurrency")
-	return t, nil
+		arr, err := x.array(cl, "roundrobin", 64, 16, 0)
+		if err != nil {
+			return err
+		}
+		full := arr.Bounds()
+		if err := arr.Fill(bg, full, 1); err != nil {
+			return err
+		}
+		buf := make([]float64, full.Size())
+		var base time.Duration
+		for _, w := range []int{1, 4, 16} {
+			arr.SetWindow(w)
+			s, err := measure(0, 1, func() error { return arr.Read(bg, buf, full) })
+			if err != nil {
+				return err
+			}
+			if w == 1 {
+				base = s.per
+			}
+			x.AddRow(fmt.Sprintf("%d", w), msPrec(s.per), fmt.Sprintf("%.2fx", float64(base)/float64(s.per)))
+		}
+		x.Note("expected shape: speedup grows until the window covers all devices (8 here), then flattens")
+		return nil
+	},
 }
 
-// ClassBusy is a class whose methods burn a requested number of
+// A2 — ablation of the object-as-process decision: calls to a serial
+// method on ONE object (mailbox-serialized) vs a concurrent method on the
+// same object vs serial methods on K distinct objects, all from K
+// concurrent callers with a simulated 100µs method body.
+var a2 = Experiment{
+	ID:    "A2",
+	Title: "Ablation: mailbox serialization vs concurrent dispatch",
+	Claim: "design choice: an object is a serial process (its mailbox is the" +
+		" consistency mechanism); concurrency comes from more objects or opt-in" +
+		" concurrent methods",
+	Columns: []string{"configuration", "ops/s", "vs serial-1obj"},
+	run: func(x *run) error {
+		cl, err := x.cluster(cluster.Config{Machines: 1, Transport: transport.NewInproc(transport.LinkModel{})})
+		if err != nil {
+			return err
+		}
+		client := cl.Client()
+		const callers, iters = 8, 25 // iters per caller
+		body := func(e *wire.Encoder) error {
+			e.PutInt(100) // 100µs simulated body
+			return nil
+		}
+		// rate is the calls per second of callers concurrent callers, caller
+		// c calling method on refs[c % len(refs)].
+		rate := func(refs []rmi.Ref, method string) (float64, error) {
+			s, err := measure(0, 1, func() error {
+				var wg sync.WaitGroup
+				errs := make([]error, callers)
+				for c := range errs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := 0; i < iters && errs[c] == nil; i++ {
+							d, err := client.Call(bg, refs[c%len(refs)], method, body)
+							d.Release()
+							errs[c] = err
+						}
+					}()
+				}
+				wg.Wait()
+				return errors.Join(errs...)
+			})
+			return float64(callers*iters) / s.per.Seconds(), err
+		}
+
+		refs := make([]rmi.Ref, callers)
+		for i := range refs {
+			if refs[i], err = client.New(bg, 0, classBusy, nil); err != nil {
+				return err
+			}
+		}
+		serialOne, err := rate(refs[:1], "workSerial")
+		if err != nil {
+			return err
+		}
+		concOne, err := rate(refs[:1], "workConcurrent")
+		if err != nil {
+			return err
+		}
+		serialMany, err := rate(refs, "workSerial")
+		if err != nil {
+			return err
+		}
+		x.AddRow("serial method, 1 object", fmt.Sprintf("%.0f", serialOne), "1.00x")
+		x.AddRow("concurrent method, 1 object", fmt.Sprintf("%.0f", concOne),
+			fmt.Sprintf("%.2fx", concOne/serialOne))
+		x.AddRow(fmt.Sprintf("serial methods, %d objects", callers), fmt.Sprintf("%.0f", serialMany),
+			fmt.Sprintf("%.2fx", serialMany/serialOne))
+		x.Note("serial-1obj is bounded by the object's mailbox (one 100µs body at a time); both escapes recover concurrency")
+		return nil
+	},
+}
+
+// classBusy is a class whose methods burn a requested number of
 // microseconds, in serial and concurrent variants.
-const ClassBusy = "exp.Busy"
+const classBusy = "exp.Busy"
 
 type busyObj struct{}
 
@@ -183,7 +147,7 @@ func busyBody(args *wire.Decoder) error {
 }
 
 func init() {
-	rmi.RegisterClass(ClassBusy, func(env *rmi.Env, args *wire.Decoder) (*busyObj, error) {
+	rmi.RegisterClass(classBusy, func(env *rmi.Env, args *wire.Decoder) (*busyObj, error) {
 		return &busyObj{}, nil
 	}).
 		Method("workSerial", func(obj *busyObj, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
@@ -192,13 +156,4 @@ func init() {
 		ConcurrentMethod("workConcurrent", func(obj *busyObj, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 			return busyBody(args)
 		})
-
-	Experiments = append(Experiments,
-		Experiment{"A1", "Ablation: pipelining window depth", A1PipelineWindow},
-		Experiment{"A2", "Ablation: mailbox serialization vs concurrent dispatch", A2DispatchModes},
-	)
 }
-
-// Reference the core package (buildE7Array returns core types) so the
-// ablation file reads standalone.
-var _ = core.PageMapNames

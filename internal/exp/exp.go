@@ -17,38 +17,61 @@ import (
 	"time"
 	"unicode/utf8"
 
+	"oopp/internal/cluster"
+	"oopp/internal/core"
 	"oopp/internal/metrics"
+	"oopp/internal/pagedev"
 	"oopp/internal/rmi"
 	"oopp/internal/wire"
 )
 
-// Config controls experiment scale.
-type Config struct {
-	// Quick shrinks sweeps and iteration counts for CI-speed runs.
-	Quick bool
-}
-
-// iters picks an iteration count by mode.
-func (c Config) iters(quick, full int) int {
-	if c.Quick {
-		return quick
-	}
-	return full
-}
-
-// Table is one experiment's rendered result.
-type Table struct {
+// Experiment is the one declaration of a table: its header, the rules its
+// pinned columns are held to, and the run that fills its rows.
+type Experiment struct {
 	ID      string
 	Title   string
 	Claim   string // the paper claim under test, with its section
 	Columns []string
-	Rows    [][]string
-	Notes   []string
 
 	// pinned names the columns whose cells the code determines, and the
 	// rule each is held to against testdata/pin.txt. A column not named
 	// here is measured on the host and never compared.
 	pinned map[string]rule
+
+	// run adds the table's rows and notes. What it sets up it hands to
+	// x's teardown stack, and it returns at the first error.
+	run func(x *run) error
+}
+
+// Experiments lists the full suite in order.
+var Experiments = []Experiment{e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, e11, e12, e13, e14, e15, e16, e17, a1, a2}
+
+// Find returns the experiment with the given id.
+func Find(id string) (Experiment, bool) {
+	for _, e := range Experiments {
+		if strings.EqualFold(e.ID, id) {
+			return e, true
+		}
+	}
+	return Experiment{}, false
+}
+
+// Run executes the experiment and returns its table. Whatever the run set
+// up is torn down before Run returns, last first, on success or error.
+func (e Experiment) Run() (*Table, error) {
+	x := &run{Table: &Table{Experiment: e}}
+	defer x.unwind(0)
+	if err := e.run(x); err != nil {
+		return nil, err
+	}
+	return x.Table, nil
+}
+
+// Table is one experiment's rendered result.
+type Table struct {
+	Experiment
+	Rows  [][]string
+	Notes []string
 }
 
 // rule is how a pinned column's cells compare with the pin.
@@ -125,45 +148,60 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-n)
 }
 
-// Runner produces one experiment table.
-type Runner func(cfg Config) (*Table, error)
+// ---- the run: a table being filled and a teardown stack ------------------
 
-// Experiment pairs an id with its runner.
-type Experiment struct {
-	ID    string
-	Title string
-	Run   Runner
+// run is one execution of an experiment: the table it fills, and the
+// stack of what it set up, which Run unwinds.
+type run struct {
+	*Table
+	undo []func()
 }
 
-// Experiments lists the full suite in order.
-var Experiments = []Experiment{
-	{"E1", "Remote method execution vs hand-written message passing", E1RMILatency},
-	{"E2", "Element-wise remote access vs bulk transfer", E2ElementVsBulk},
-	{"E3", "Sequential loop vs compiler-split loop over N devices", E3SplitLoop},
-	{"E4", "Move data to computation vs move computation to data", E4MoveDataVsCompute},
-	{"E5", "Parallel FFT scaling with worker processes", E5ParallelFFT},
-	{"E6", "OO-process FFT vs message-passing FFT", E6FFTvsMP},
-	{"E7", "PageMap layout determines I/O parallelism", E7PageMapLayouts},
-	{"E8", "Multiple Array clients deployed in parallel", E8MultiClient},
-	{"E9", "Barrier cost vs process group size", E9Barrier},
-	{"E10", "Persistent processes: passivation and activation", E10Persistence},
-	{"E11", "Deep copy vs remote dereference in SetGroup", E11DeepCopy},
-	{"E12", "Collective broadcast and reduce vs sequential member calls", E12Collective},
-	{"E13", "Owner-computes kernels vs client-side array math", E13OwnerComputes},
-	{"E14", "Serving tier: admission control and graceful saturation", E14ServingTier},
-	{"E15", "Replicated pages: write fan-out cost and failover recovery", E15Replication},
-	{"E16", "Elastic cluster: join, load-aware rebalance, and machine drain", E16Elasticity},
-	{"E17", "Tracing overhead: untraced, unsampled, and sampled calls", E17Tracing},
-}
+// later pushes f onto the teardown stack.
+func (x *run) later(f func()) { x.undo = append(x.undo, f) }
 
-// Find returns the experiment with the given id.
-func Find(id string) (Experiment, bool) {
-	for _, e := range Experiments {
-		if strings.EqualFold(e.ID, id) {
-			return e, true
-		}
+// unwind calls the stack's entries above depth n, last pushed first. A
+// loop whose iterations each stand up their own world unwinds, at the
+// end of each, to the depth it started from.
+func (x *run) unwind(n int) {
+	for len(x.undo) > n {
+		f := x.undo[len(x.undo)-1]
+		x.undo = x.undo[:len(x.undo)-1]
+		f()
 	}
-	return Experiment{}, false
+}
+
+// cluster brings up a cluster that is shut down at teardown.
+func (x *run) cluster(cfg cluster.Config) (*cluster.Cluster, error) {
+	cl, err := cluster.New(cfg)
+	if err == nil {
+		x.later(func() { cl.Shutdown() })
+	}
+	return cl, err
+}
+
+// array builds an N³ array of n³ pages over one device per machine of cl,
+// laid out by layout (a core.NewPageMap name), every device holding spare
+// page slots beyond what the map needs. The devices use their machine's
+// first disk, or a private one on a cluster without disks; the storage is
+// closed at teardown.
+func (x *run) array(cl *cluster.Cluster, layout string, N, n, spare int) (*core.Array, error) {
+	grid, devices := N/n, cl.Size()
+	pm, err := core.NewPageMap(layout, grid, grid, grid, devices)
+	if err != nil {
+		return nil, err
+	}
+	onDisk := pagedev.DiskPrivate
+	if len(cl.Machine(0).Disks()) > 0 {
+		onDisk = 0
+	}
+	storage, err := core.CreateBlockStorage(bg, cl.Client(), machineList(devices, devices),
+		strings.ToLower(x.ID), pm.PagesPerDevice()+spare, n, n, n, onDisk)
+	if err != nil {
+		return nil, err
+	}
+	x.later(func() { storage.Close(bg) })
+	return core.NewArray(bg, storage, pm, N, N, N, n, n, n)
 }
 
 // ---- shared helpers -------------------------------------------------------
@@ -195,6 +233,21 @@ func init() {
 			reply.PutInt(1)
 			return nil
 		})
+}
+
+// echo returns one synchronous echo of payload by the classEcho object
+// ref. The argument encoder is built once and the reply released, as a
+// steady-state caller of the pooled hot path does.
+func echo(ctx context.Context, client *rmi.Client, ref rmi.Ref, payload []byte, opts ...rmi.CallOption) func() error {
+	args := func(e *wire.Encoder) error {
+		e.PutBytes(payload)
+		return nil
+	}
+	return func() error {
+		d, err := client.Call(ctx, ref, "echo", args, opts...)
+		d.Release()
+		return err
+	}
 }
 
 // sample is what one operation of a measured loop cost: wall time, heap
@@ -236,6 +289,18 @@ func measure(warm, iters int, op func() error) (sample, error) {
 	sent = metrics.Default.Snapshot().Sub(sent)
 	return sample{elapsed, float64(m1.Mallocs - m0.Mallocs), float64(sent.BytesSent) / 1024,
 		float64(sent.MessagesSent)}.over(iters), nil
+}
+
+// waitUntil polls cond until it holds, and fails after ten seconds.
+func waitUntil(what string, cond func() bool) error {
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("%s: not within 10s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	return nil
 }
 
 // msPrec formats a duration in milliseconds with 3 decimals.

@@ -6,13 +6,14 @@ import (
 	"math"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// TestAllExperimentsRun executes the whole suite in quick mode: every
-// experiment must produce a non-empty, well-formed table whose pinned
+// TestAllExperimentsRun executes the whole suite: every experiment must
+// produce a non-empty table with a cell for every column, whose pinned
 // columns agree with testdata/pin.txt. This is the integration test for
 // the entire stack — cluster, RMI, devices, array, FFT, persistence —
 // under realistic (modeled) network and disk costs.
@@ -20,37 +21,20 @@ func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite is seconds-long; skipped with -short")
 	}
-	cfg := Config{Quick: true}
-	raw, err := os.ReadFile("testdata/pin.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pin := parsePin(string(raw))
+	pin := readPin(t)
 	for _, e := range Experiments {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			table, err := e.Run(cfg)
+			table, err := e.Run()
 			if err != nil {
 				t.Fatalf("%s failed: %v", e.ID, err)
 			}
-			if table.ID != e.ID {
-				t.Errorf("table id %q, want %q", table.ID, e.ID)
-			}
 			if len(table.Rows) == 0 {
 				t.Fatal("empty table")
-			}
-			if table.Claim == "" || table.Title == "" {
-				t.Error("missing claim/title")
 			}
 			for i, row := range table.Rows {
 				if len(row) != len(table.Columns) {
 					t.Errorf("row %d has %d cells for %d columns", i, len(row), len(table.Columns))
 				}
-			}
-			var buf bytes.Buffer
-			table.Render(&buf)
-			if !strings.Contains(buf.String(), e.ID) {
-				t.Error("render missing id")
 			}
 			// An allocs/op cell is the process's malloc count over a
 			// loop, so a GC that empties the sync.Pools in the middle of
@@ -59,7 +43,7 @@ func TestAllExperimentsRun(t *testing.T) {
 			// keeps its best of three. Exact cells are the first run's.
 			misses, fresh := checkPin(table, pin[e.ID])
 			for try := 2; try <= 3 && onlyCeilingsMiss(misses); try++ {
-				again, err := e.Run(cfg)
+				again, err := e.Run()
 				if err != nil {
 					t.Fatalf("%s failed: %v", e.ID, err)
 				}
@@ -74,11 +58,49 @@ func TestAllExperimentsRun(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRegistry checks the declarations without running anything: ids
+// that Find tells apart, a title and a claim each, pinned rules that name
+// columns, and a pin block for exactly the experiments that pin columns.
+func TestRegistry(t *testing.T) {
+	pin := readPin(t)
+	for _, e := range Experiments {
+		same := 0
+		for _, f := range Experiments {
+			if strings.EqualFold(e.ID, f.ID) {
+				same++
+			}
+		}
+		if same != 1 {
+			t.Errorf("%s: %d experiments have this id under Find's case folding", e.ID, same)
+		}
+		if e.Title == "" || e.Claim == "" || e.run == nil {
+			t.Errorf("%s: missing title, claim or run", e.ID)
+		}
+		for name := range e.pinned {
+			if !slices.Contains(e.Columns, name) {
+				t.Errorf("%s: pinned column %q is not one of %q", e.ID, name, e.Columns)
+			}
+		}
+		if _, ok := pin[e.ID]; ok != (len(e.pinned) > 0) {
+			t.Errorf("%s: %d pinned columns, and a testdata/pin.txt block: %v", e.ID, len(e.pinned), ok)
+		}
+	}
 	for id := range pin {
 		if _, ok := Find(id); !ok {
 			t.Errorf("testdata/pin.txt has a block for %q, which is not an experiment", id)
 		}
 	}
+}
+
+// readPin parses testdata/pin.txt.
+func readPin(t *testing.T) map[string][][]string {
+	raw, err := os.ReadFile("testdata/pin.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return parsePin(string(raw))
 }
 
 // parsePin reads blocks in Table.Render's layout, at any indentation (a
@@ -142,7 +164,7 @@ func keepLowerCeilings(tb, again *Table) {
 // old one.
 func checkPin(tb *Table, want [][]string) (misses []miss, block string) {
 	how := map[rule]string{exact: "exact", kbytes: "within 0.1", ceiling: "no whole allocation above the pin (not under -race)"}
-	sub := &Table{ID: tb.ID, Title: tb.Title, Rows: make([][]string, len(tb.Rows))}
+	sub := &Table{Experiment: Experiment{ID: tb.ID, Title: tb.Title}, Rows: make([][]string, len(tb.Rows))}
 	var rules []rule
 	var claim []string
 	for c, name := range tb.Columns {
@@ -158,10 +180,7 @@ func checkPin(tb *Table, want [][]string) (misses []miss, block string) {
 			sub.Rows[i] = append(sub.Rows[i], row[c])
 		}
 	}
-	if len(rules) != len(tb.pinned) {
-		return []miss{{what: fmt.Sprintf("pinned %v names a column that is not in %q", tb.pinned, tb.Columns)}}, ""
-	}
-	if len(rules) == 0 && want == nil {
+	if len(rules) == 0 {
 		return nil, ""
 	}
 	sub.Claim = strings.Join(claim, "; ")
@@ -218,7 +237,7 @@ func TestE3ShapeSpeedup(t *testing.T) {
 	const want = 2.0
 	var best float64
 	for attempt := 0; attempt < 3; attempt++ {
-		table, err := E3SplitLoop(Config{Quick: true})
+		table, err := e3.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,34 +260,6 @@ func TestE3ShapeSpeedup(t *testing.T) {
 	}
 }
 
-// TestE11ShapeMessages asserts the E11 claim: shallow group setup costs
-// strictly more messages than deep, and the gap widens with group size.
-func TestE11ShapeMessages(t *testing.T) {
-	if testing.Short() {
-		t.Skip("suite test; skipped with -short")
-	}
-	table, err := E11DeepCopy(Config{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var prevRatio float64
-	for i, row := range table.Rows {
-		deep, err1 := strconv.ParseInt(row[2], 10, 64)
-		shallow, err2 := strconv.ParseInt(row[4], 10, 64)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("row %d: unparseable message counts %q %q", i, row[2], row[4])
-		}
-		if shallow <= deep {
-			t.Errorf("group %s: shallow msgs %d <= deep msgs %d", row[0], shallow, deep)
-		}
-		ratio := float64(shallow) / float64(deep)
-		if ratio < prevRatio {
-			t.Errorf("group %s: message ratio %.1f shrank from %.1f — O(N²) vs O(N) not visible", row[0], ratio, prevRatio)
-		}
-		prevRatio = ratio
-	}
-}
-
 func TestFind(t *testing.T) {
 	if _, ok := Find("E1"); !ok {
 		t.Error("E1 not found")
@@ -282,12 +273,12 @@ func TestFind(t *testing.T) {
 }
 
 func TestTableRender(t *testing.T) {
-	table := &Table{
+	table := &Table{Experiment: Experiment{
 		ID:      "EX",
 		Title:   "test",
 		Claim:   "c",
 		Columns: []string{"a", "long-column"},
-	}
+	}}
 	table.AddRow("1", "2")
 	table.AddRow("wide-cell", "3")
 	table.Note("note %d", 42)

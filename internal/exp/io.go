@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -13,161 +14,11 @@ import (
 	"oopp/internal/transport"
 )
 
-// experimentDisk is the disk model for I/O experiments: a visible seek
-// cost so device serialization shows up, scaled down so suites run fast.
-func experimentDisk() disk.Model {
-	return disk.Model{Seek: 2 * time.Millisecond, ReadBandwidth: 500e6, WriteBandwidth: 500e6}
-}
-
-// E3SplitLoop — §4's headline example: a loop reading one page from each
-// of N devices, first with sequential §2 semantics, then split by the
-// compiler into a send loop and a receive loop. With one disk per device
-// the split loop approaches N× speedup.
-func E3SplitLoop(cfg Config) (*Table, error) {
-	t := &Table{
-		ID:    "E3",
-		Title: "Sequential loop vs compiler-split loop over N devices",
-		Claim: "§4: splitting the read loop into send/receive loops parallelizes device" +
-			" I/O; with each device on its own disk, time drops from N·t_disk to ~t_disk",
-		Columns: []string{"devices", "seq ms", "split ms", "speedup", "ideal"},
-	}
-	pageBytes := 64 << 10
-	sizes := []int{1, 2, 4, 8, 16}
-	if cfg.Quick {
-		sizes = []int{1, 2, 4, 8}
-	}
-	for _, n := range sizes {
-		cl, err := cluster.New(cluster.Config{
-			Machines:        n,
-			DisksPerMachine: 1,
-			DiskSize:        int64(pageBytes * 4),
-			DiskModel:       experimentDisk(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		client := cl.Client()
-		devs := make([]*pagedev.Device, n)
-		for i := range devs {
-			devs[i], err = pagedev.NewDevice(bg, client, i, "d", 4, pageBytes, 0)
-			if err != nil {
-				cl.Shutdown()
-				return nil, err
-			}
-		}
-		page := make([]byte, pageBytes)
-		for _, d := range devs {
-			if err := d.Write(bg, 0, page); err != nil {
-				cl.Shutdown()
-				return nil, err
-			}
-		}
-
-		reps := cfg.iters(2, 5)
-		var seq, par time.Duration
-		for r := 0; r < reps; r++ {
-			start := time.Now()
-			for _, d := range devs {
-				if _, err := d.Read(bg, 0); err != nil {
-					cl.Shutdown()
-					return nil, err
-				}
-			}
-			seq += time.Since(start)
-
-			start = time.Now()
-			issue := func(i int) *rmi.Future { return devs[i].ReadAsync(bg, 0) }
-			if err := rmi.SplitLoop(bg, n, n, issue, nil); err != nil {
-				cl.Shutdown()
-				return nil, err
-			}
-			par += time.Since(start)
-		}
-		seq /= time.Duration(reps)
-		par /= time.Duration(reps)
-		t.AddRow(fmt.Sprintf("%d", n), msPrec(seq), msPrec(par),
-			fmt.Sprintf("%.2fx", float64(seq)/float64(par)), fmt.Sprintf("%dx", n))
-		cl.Shutdown()
-	}
-	t.Note("expected shape: split-loop time ~flat in N, speedup tracking the device count")
-	return t, nil
-}
-
-// E4MoveDataVsCompute — §3: "the need to choose between moving the data
-// to the computation and moving the computation to the data". Sum one
-// page either by fetching it (read + local sum) or by remote sum; sweep
-// the page size.
-func E4MoveDataVsCompute(cfg Config) (*Table, error) {
-	t := &Table{
-		ID:    "E4",
-		Title: "Move data to computation vs move computation to data",
-		Claim: "§3: object-oriented processes let the programmer choose where the" +
-			" computation runs; for large pages shipping the scalar beats shipping the page",
-		Columns: []string{"page (f64s)", "bytes", "move-data µs", "move-compute µs", "ratio"},
-	}
-	cl, err := cluster.New(cluster.Config{
-		Machines:        2,
-		Transport:       transport.NewInproc(transport.LinkModel{Latency: 50 * time.Microsecond, Bandwidth: 200e6}),
-		DisksPerMachine: 1,
-		DiskSize:        64 << 20,
-		DiskModel:       disk.Model{Seek: 100 * time.Microsecond, ReadBandwidth: 1e9, WriteBandwidth: 1e9},
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Shutdown()
-	client := cl.Client()
-
-	sizes := []int{64, 256, 1024, 4096, 16384, 65536}
-	if cfg.Quick {
-		sizes = []int{64, 1024, 16384}
-	}
-	iters := cfg.iters(10, 40)
-	for _, elems := range sizes {
-		// One page of elems doubles, laid out as elems×1×1.
-		dev, err := pagedev.NewArrayDevice(bg, client, 1, "e4", 2, elems, 1, 1, 0)
-		if err != nil {
-			return nil, err
-		}
-		if err := dev.FillPage(bg, 0, 0.5); err != nil {
-			return nil, err
-		}
-		page := pagedev.NewArrayPage(elems, 1, 1)
-
-		// Move data: fetch the page, sum locally.
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := dev.ReadPage(bg, page, 0); err != nil {
-				return nil, err
-			}
-			_ = page.Sum()
-		}
-		moveData := time.Since(start) / time.Duration(iters)
-
-		// Move computation: remote sum, ship the scalar.
-		start = time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := dev.Sum(bg, 0); err != nil {
-				return nil, err
-			}
-		}
-		moveCompute := time.Since(start) / time.Duration(iters)
-
-		t.AddRow(fmt.Sprintf("%d", elems), fmt.Sprintf("%d", elems*8),
-			usPrec(moveData), usPrec(moveCompute),
-			fmt.Sprintf("%.2f", float64(moveData)/float64(moveCompute)))
-		if err := dev.Close(bg); err != nil {
-			return nil, err
-		}
-	}
-	t.Note("expected shape: equal at small pages (round trip dominates); move-data grows with page size, move-compute stays flat")
-	return t, nil
-}
-
-// e7Cluster builds the array used by E7/E8: D devices on D machines,
-// one modeled disk each.
-func e7Cluster(devices int) (*cluster.Cluster, error) {
-	return cluster.New(cluster.Config{
+// diskCluster is the cluster of the I/O tables: one machine per device,
+// one modeled disk each, whose seek is long enough that device
+// serialization shows.
+func (x *run) diskCluster(devices int) (*cluster.Cluster, error) {
+	return x.cluster(cluster.Config{
 		Machines:        devices,
 		DisksPerMachine: 1,
 		DiskSize:        64 << 20,
@@ -175,160 +26,238 @@ func e7Cluster(devices int) (*cluster.Cluster, error) {
 	})
 }
 
-func buildE7Array(cl *cluster.Cluster, layout string, devices, N, n int) (*core.Array, *core.BlockStorage, error) {
-	grid := N / n
-	pm, err := core.NewPageMap(layout, grid, grid, grid, devices)
-	if err != nil {
-		return nil, nil, err
-	}
-	storage, err := core.CreateBlockStorage(bg, cl.Client(), machineList(devices, devices), "e7", pm.PagesPerDevice(), n, n, n, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	arr, err := core.NewArray(bg, storage, pm, N, N, N, n, n, n)
-	if err != nil {
-		storage.Close(bg)
-		return nil, nil, err
-	}
-	return arr, storage, nil
+// E3 — §4's headline example: a loop reading one page from each of N
+// devices, first with sequential §2 semantics, then split by the compiler
+// into a send loop and a receive loop. With one disk per device the split
+// loop approaches N× speedup.
+var e3 = Experiment{
+	ID:    "E3",
+	Title: "Sequential loop vs compiler-split loop over N devices",
+	Claim: "§4: splitting the read loop into send/receive loops parallelizes device" +
+		" I/O; with each device on its own disk, time drops from N·t_disk to ~t_disk",
+	Columns: []string{"devices", "seq ms", "split ms", "speedup", "ideal"},
+	run: func(x *run) error {
+		const pageBytes = 64 << 10
+		for _, n := range []int{1, 2, 4, 8} {
+			top := len(x.undo)
+			cl, err := x.diskCluster(n)
+			if err != nil {
+				return err
+			}
+			devs := make([]*pagedev.Device, n)
+			page := make([]byte, pageBytes)
+			for i := range devs {
+				if devs[i], err = pagedev.NewDevice(bg, cl.Client(), i, "d", 4, pageBytes, 0); err != nil {
+					return err
+				}
+				if err := devs[i].Write(bg, 0, page); err != nil {
+					return err
+				}
+			}
+			seq, err := measure(0, 2, func() error {
+				for _, d := range devs {
+					if _, err := d.Read(bg, 0); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+			issue := func(i int) *rmi.Future { return devs[i].ReadAsync(bg, 0) }
+			par, err := measure(0, 2, func() error { return rmi.SplitLoop(bg, n, n, issue, nil) })
+			if err != nil {
+				return err
+			}
+			x.AddRow(fmt.Sprintf("%d", n), msPrec(seq.per), msPrec(par.per),
+				fmt.Sprintf("%.2fx", float64(seq.per)/float64(par.per)), fmt.Sprintf("%dx", n))
+			x.unwind(top)
+		}
+		x.Note("expected shape: split-loop time ~flat in N, speedup tracking the device count")
+		return nil
+	},
 }
 
-// E7PageMapLayouts — §5: "the PageMap describes the array data layout and
-// is crucial in determining the I/O patterns of the computation". Sum the
-// full array and a first-axis slab under each layout; the slab exposes
-// the layouts' parallelism differences sharply.
-func E7PageMapLayouts(cfg Config) (*Table, error) {
-	t := &Table{
-		ID:    "E7",
-		Title: "PageMap layout determines I/O parallelism",
-		Claim: "§5: the PageMap determines the degree of parallelism of array I/O and" +
-			" computation; a layout that concentrates a domain's pages serializes it",
-		Columns: []string{"layout", "full-sum ms", "slab-sum ms", "slab disks hit"},
-		pinned:  map[string]rule{"layout": label, "slab disks hit": exact},
-	}
-	const devices = 8
-	const N, n = 64, 16 // 4×4×4 page grid, 64 pages
-
-	cl, err := e7Cluster(devices)
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Shutdown()
-
-	slab := core.NewDomain(0, 16, 0, N, 0, N) // first page-plane: 16 pages
-
-	for _, layout := range core.PageMapNames() {
-		arr, storage, err := buildE7Array(cl, layout, devices, N, n)
+// E4 — §3: "the need to choose between moving the data to the computation
+// and moving the computation to the data". Sum one page either by
+// fetching it (read + local sum) or by remote sum; sweep the page size.
+var e4 = Experiment{
+	ID:    "E4",
+	Title: "Move data to computation vs move computation to data",
+	Claim: "§3: object-oriented processes let the programmer choose where the" +
+		" computation runs; for large pages shipping the scalar beats shipping the page",
+	Columns: []string{"page (f64s)", "bytes", "move-data µs", "move-compute µs", "ratio"},
+	run: func(x *run) error {
+		cl, err := x.cluster(cluster.Config{
+			Machines:        2,
+			Transport:       transport.NewInproc(transport.LinkModel{Latency: 50 * time.Microsecond, Bandwidth: 200e6}),
+			DisksPerMachine: 1,
+			DiskSize:        64 << 20,
+			DiskModel:       disk.Model{Seek: 100 * time.Microsecond, ReadBandwidth: 1e9, WriteBandwidth: 1e9},
+		})
 		if err != nil {
-			return nil, err
+			return err
+		}
+		for _, elems := range []int{64, 1024, 16384} {
+			// One page of elems doubles, laid out as elems×1×1.
+			dev, err := pagedev.NewArrayDevice(bg, cl.Client(), 1, "e4", 2, elems, 1, 1, 0)
+			if err != nil {
+				return err
+			}
+			if err := dev.FillPage(bg, 0, 0.5); err != nil {
+				return err
+			}
+			page := pagedev.NewArrayPage(elems, 1, 1)
+
+			// Move data: fetch the page, sum locally.
+			moveData, err := measure(0, 10, func() error {
+				err := dev.ReadPage(bg, page, 0)
+				_ = page.Sum()
+				return err
+			})
+			if err != nil {
+				return err
+			}
+			// Move computation: remote sum, ship the scalar.
+			moveCompute, err := measure(0, 10, func() error {
+				_, err := dev.Sum(bg, 0)
+				return err
+			})
+			if err != nil {
+				return err
+			}
+			x.AddRow(fmt.Sprintf("%d", elems), fmt.Sprintf("%d", elems*8),
+				usPrec(moveData.per), usPrec(moveCompute.per),
+				fmt.Sprintf("%.2f", float64(moveData.per)/float64(moveCompute.per)))
+			if err := dev.Close(bg); err != nil {
+				return err
+			}
+		}
+		x.Note("expected shape: equal at small pages (round trip dominates); move-data grows with page size, move-compute stays flat")
+		return nil
+	},
+}
+
+// E7 — §5: "the PageMap describes the array data layout and is crucial in
+// determining the I/O patterns of the computation". Sum the full array
+// and a first-axis slab under each layout; the slab exposes the layouts'
+// parallelism differences sharply.
+var e7 = Experiment{
+	ID:    "E7",
+	Title: "PageMap layout determines I/O parallelism",
+	Claim: "§5: the PageMap determines the degree of parallelism of array I/O and" +
+		" computation; a layout that concentrates a domain's pages serializes it",
+	Columns: []string{"layout", "full-sum ms", "slab-sum ms", "slab disks hit"},
+	pinned:  map[string]rule{"layout": label, "slab disks hit": exact},
+	run: func(x *run) error {
+		const devices = 8
+		const N, n = 64, 16 // 4×4×4 page grid, 64 pages
+		cl, err := x.diskCluster(devices)
+		if err != nil {
+			return err
+		}
+		slab := core.NewDomain(0, 16, 0, N, 0, N) // first page-plane: 16 pages
+		ops := func(i int) int64 { n, _ := cl.Machine(i).Disks()[0].Ops(); return n }
+
+		for _, layout := range core.PageMapNames() {
+			top := len(x.undo)
+			arr, err := x.array(cl, layout, N, n, 0)
+			if err != nil {
+				return err
+			}
+			full := arr.Bounds()
+			if err := arr.Fill(bg, full, 1); err != nil {
+				return err
+			}
+			fullSum, err := measure(0, 1, func() error { _, err := arr.Sum(bg, full); return err })
+			if err != nil {
+				return err
+			}
+			// Count disk engagement during the slab sum.
+			before := make([]int64, devices)
+			for i := range before {
+				before[i] = ops(i)
+			}
+			slabSum, err := measure(0, 1, func() error { _, err := arr.Sum(bg, slab); return err })
+			if err != nil {
+				return err
+			}
+			hit := 0
+			for i := range before {
+				if ops(i) > before[i] {
+					hit++
+				}
+			}
+			x.AddRow(layout, msPrec(fullSum.per), msPrec(slabSum.per), fmt.Sprintf("%d/%d", hit, devices))
+			x.unwind(top)
+		}
+		x.Note("full sums engage all disks under every layout; the slab separates them: roundrobin/hash spread it, striped concentrates it on one disk, blocked on two")
+		return nil
+	},
+}
+
+// E8 — §5: "an application may deploy multiple coordinating Array client
+// processes in parallel". Each client sums a disjoint slab with
+// sequential §2 semantics; adding clients recovers the parallelism that a
+// single sequential client leaves on the table.
+var e8 = Experiment{
+	ID:    "E8",
+	Title: "Multiple Array clients deployed in parallel",
+	Claim: "§5: deploying multiple Array clients in parallel scales array" +
+		" computations; the PageMap keeps their device sets disjoint enough to overlap",
+	Columns: []string{"clients", "sum ms", "speedup"},
+	run: func(x *run) error {
+		const N, n = 64, 16
+		cl, err := x.diskCluster(8)
+		if err != nil {
+			return err
+		}
+		arr, err := x.array(cl, "roundrobin", N, n, 0)
+		if err != nil {
+			return err
 		}
 		full := arr.Bounds()
 		if err := arr.Fill(bg, full, 1); err != nil {
-			return nil, err
+			return err
 		}
+		// Sequential §2 semantics inside each client; parallelism comes only
+		// from deploying more clients.
+		arr.SetWindow(1)
 
-		start := time.Now()
-		if _, err := arr.Sum(bg, full); err != nil {
-			return nil, err
-		}
-		fullTime := time.Since(start)
-
-		// Count disk engagement during the slab sum.
-		before := make([]int64, devices)
-		for i := 0; i < devices; i++ {
-			before[i], _ = cl.Machine(i).Disks()[0].Ops()
-		}
-		start = time.Now()
-		if _, err := arr.Sum(bg, slab); err != nil {
-			return nil, err
-		}
-		slabTime := time.Since(start)
-		hit := 0
-		for i := 0; i < devices; i++ {
-			after, _ := cl.Machine(i).Disks()[0].Ops()
-			if after > before[i] {
-				hit++
+		var base time.Duration
+		for _, clients := range []int{1, 2, 4, 8} {
+			// Split on page boundaries, so that no page is visited by two
+			// clients: the array is N/n page-planes deep on the first axis, and
+			// clients beyond that share a plane along the second.
+			planes := min(clients, N/n)
+			var parts []core.Domain
+			for _, slab := range full.SplitAxis1(planes) {
+				parts = append(parts, slab.SplitAxis(2, clients/planes)...)
 			}
-		}
-
-		t.AddRow(layout, msPrec(fullTime), msPrec(slabTime), fmt.Sprintf("%d/%d", hit, devices))
-		if err := storage.Close(bg); err != nil {
-			return nil, err
-		}
-	}
-	t.Note("full sums engage all disks under every layout; the slab separates them: roundrobin/hash spread it, striped concentrates it on one disk, blocked on two")
-	return t, nil
-}
-
-// E8MultiClient — §5: "an application may deploy multiple coordinating
-// Array client processes in parallel". Each client sums a disjoint slab
-// with sequential §2 semantics; adding clients recovers the parallelism
-// that a single sequential client leaves on the table.
-func E8MultiClient(cfg Config) (*Table, error) {
-	t := &Table{
-		ID:    "E8",
-		Title: "Multiple Array clients deployed in parallel",
-		Claim: "§5: deploying multiple Array clients in parallel scales array" +
-			" computations; the PageMap keeps their device sets disjoint enough to overlap",
-		Columns: []string{"clients", "sum ms", "speedup"},
-	}
-	const devices = 8
-	const N, n = 64, 16
-
-	cl, err := e7Cluster(devices)
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Shutdown()
-
-	arr, storage, err := buildE7Array(cl, "roundrobin", devices, N, n)
-	if err != nil {
-		return nil, err
-	}
-	defer storage.Close(bg)
-	full := arr.Bounds()
-	if err := arr.Fill(bg, full, 1); err != nil {
-		return nil, err
-	}
-	// Sequential §2 semantics inside each client; parallelism comes only
-	// from deploying more clients.
-	arr.SetWindow(1)
-
-	var base time.Duration
-	for _, clients := range []int{1, 2, 4, 8} {
-		// Split on page boundaries, so that no page is visited by two
-		// clients: the array is N/n page-planes deep on the first axis, and
-		// clients beyond that share a plane along the second.
-		planes := min(clients, N/n)
-		var parts []core.Domain
-		for _, slab := range full.SplitAxis1(planes) {
-			parts = append(parts, slab.SplitAxis(2, clients/planes)...)
-		}
-		start := time.Now()
-		var wg sync.WaitGroup
-		errCh := make(chan error, len(parts))
-		for _, dom := range parts {
-			wg.Add(1)
-			go func(dom core.Domain) {
-				defer wg.Done()
-				_, err := arr.Sum(bg, dom)
-				errCh <- err
-			}(dom)
-		}
-		wg.Wait()
-		close(errCh)
-		for err := range errCh {
+			s, err := measure(0, 1, func() error {
+				var wg sync.WaitGroup
+				errs := make([]error, len(parts))
+				for i, dom := range parts {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						_, errs[i] = arr.Sum(bg, dom)
+					}()
+				}
+				wg.Wait()
+				return errors.Join(errs...)
+			})
 			if err != nil {
-				return nil, err
+				return err
 			}
+			if clients == 1 {
+				base = s.per
+			}
+			x.AddRow(fmt.Sprintf("%d", clients), msPrec(s.per),
+				fmt.Sprintf("%.2fx", float64(base)/float64(s.per)))
 		}
-		elapsed := time.Since(start)
-		if clients == 1 {
-			base = elapsed
-		}
-		t.AddRow(fmt.Sprintf("%d", clients), msPrec(elapsed),
-			fmt.Sprintf("%.2fx", float64(base)/float64(elapsed)))
-	}
-	t.Note("each client runs with strict sequential semantics; speedup comes purely from deploying more clients (§5), up to device saturation")
-	return t, nil
+		x.Note("each client runs with strict sequential semantics; speedup comes purely from deploying more clients (§5), up to device saturation")
+		return nil
+	},
 }

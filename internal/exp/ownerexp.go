@@ -8,7 +8,6 @@ import (
 	"oopp/internal/cluster"
 	"oopp/internal/core"
 	"oopp/internal/kernel"
-	"oopp/internal/pagedev"
 	"oopp/internal/transport"
 )
 
@@ -23,333 +22,265 @@ func init() {
 	}})
 }
 
-// E13OwnerComputes — the owner-computes kernel surface vs the
-// client-side path, on the workloads the redesign targets: Jacobi
-// relaxation (sweeps inside the devices, halo planes device-to-device)
-// and the array reductions (device-side kernels vs read-everything-and-
-// compute-at-the-client).
-func E13OwnerComputes(cfg Config) (*Table, error) {
-	t := &Table{
-		ID:    "E13",
-		Title: "Owner-computes kernels vs client-side array math",
-		Claim: "the code should execute inside the objects that hold the data: device-side" +
-			" kernels and halo exchange cut per-sweep traffic from O(N³) moved elements to" +
-			" O(N²) halo planes + O(devices) scalars",
-		Columns: []string{"op", "path", "KB moved/iter", "msgs/iter", "µs/iter", "rows/s", "vs base"},
-		pinned:  map[string]rule{"op": label, "path": label, "KB moved/iter": kbytes, "msgs/iter": exact},
-	}
-	const devices = 8
-	const N, n = 32, 4 // 8 page-planes over 8 devices: one plane per device
-	grid := N / n
+// E13 — the owner-computes kernel surface vs the client-side path, on the
+// workloads the redesign targets: Jacobi relaxation (sweeps inside the
+// devices, halo planes device-to-device) and the array reductions
+// (device-side kernels vs read-everything-and-compute-at-the-client).
+var e13 = Experiment{
+	ID:    "E13",
+	Title: "Owner-computes kernels vs client-side array math",
+	Claim: "the code should execute inside the objects that hold the data: device-side" +
+		" kernels and halo exchange cut per-sweep traffic from O(N³) moved elements to" +
+		" O(N²) halo planes + O(devices) scalars",
+	Columns: []string{"op", "path", "KB moved/iter", "msgs/iter", "µs/iter", "rows/s", "vs base"},
+	pinned:  map[string]rule{"op": label, "path": label, "KB moved/iter": kbytes, "msgs/iter": exact},
+	run: func(x *run) error {
+		const devices = 8
+		const N, n = 32, 4 // 8 page-planes over 8 devices: one plane per device
+		const iters, reps, chIters = 4, 3, 6
+		grid := N / n
 
-	cl, err := cluster.New(cluster.Config{Machines: devices, Transport: transport.NewInproc(modeledLink())})
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Shutdown()
-
-	mkOn := func(cli *cluster.Cluster, name string, banks int) (*core.Array, *core.BlockStorage, error) {
-		pm, err := core.NewStripedMap(grid, grid, grid, devices)
+		cl, err := x.modeled(devices)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		storage, err := core.CreateBlockStorage(bg, cli.Client(), machineList(devices, devices), name,
-			banks*pm.PagesPerDevice(), n, n, n, pagedev.DiskPrivate)
+		own, err := x.array(cl, "striped", N, n, grid*grid*grid/devices) // a second bank: in-place sweep scratch
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		arr, err := core.NewArray(bg, storage, pm, N, N, N, n, n, n)
+		ca, err := x.array(cl, "striped", N, n, 0)
 		if err != nil {
-			storage.Close(bg)
-			return nil, nil, err
-		}
-		return arr, storage, nil
-	}
-	mk := func(name string, banks int) (*core.Array, *core.BlockStorage, error) {
-		return mkOn(cl, name, banks)
-	}
-	own, ownStore, err := mk("e13-own", 2) // second bank: in-place sweep scratch
-	if err != nil {
-		return nil, err
-	}
-	defer ownStore.Close(bg)
-	ca, caStore, err := mk("e13-ca", 1)
-	if err != nil {
-		return nil, err
-	}
-	defer caStore.Close(bg)
-	cb, cbStore, err := mk("e13-cb", 1)
-	if err != nil {
-		return nil, err
-	}
-	defer cbStore.Close(bg)
-
-	full := core.Box(N, N, N)
-	seed := func(arr *core.Array) error {
-		if err := arr.Fill(bg, full, 0); err != nil {
 			return err
 		}
-		hot := core.NewDomain(0, 1, 0, N, 0, N)
-		face := make([]float64, hot.Size())
-		for i := range face {
-			face[i] = 100
-		}
-		return arr.Write(bg, face, hot)
-	}
-
-	// rows is the count of axis-3 rows the op streams per iteration —
-	// the unit the stride-aware row engine works in — so rows/s compares
-	// engine throughput across ops with different traffic shapes.
-	row := func(op, path string, s sample, rows, baseKB float64) {
-		vs := "1.00x"
-		if baseKB > 0 {
-			vs = fmt.Sprintf("%.1fx less", baseKB/s.kb)
-		}
-		rps := "-"
-		if s.per > 0 {
-			rps = fmt.Sprintf("%.3g", rows/s.per.Seconds())
-		}
-		t.AddRow(op, path, fmt.Sprintf("%.1f", s.kb), fmt.Sprintf("%.1f", s.msgs), usPrec(s.per), rps, vs)
-	}
-
-	iters := cfg.iters(4, 10)
-	jrows := float64(N * N) // one sweep streams N² source rows
-
-	// Jacobi: client-side sweeps (halo-expanded slab reads + interior
-	// writes through 4 parallel Array clients) vs owner-computes sweeps,
-	// the latter both with synchronous halo pulls (fetch every edge, then
-	// sweep) and with the overlapped schedule (pulls posted async,
-	// interior swept while the edges fly).
-	if err := seed(ca); err != nil {
-		return nil, err
-	}
-	// One call runs all the sweeps, so each sample is spread over iters.
-	var cliRes, syncRes, ownRes float64
-	cli, err := measure(0, 1, func() (err error) {
-		cliRes, err = core.Jacobi(bg, ca, cb, iters, 4)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	cli = cli.over(iters)
-	row("jacobi", "client", cli, jrows, 0)
-
-	if err := seed(own); err != nil {
-		return nil, err
-	}
-	syn, err := measure(0, 1, func() (err error) {
-		syncRes, err = core.JacobiOwnerSync(bg, own, iters)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	syn = syn.over(iters)
-	row("jacobi", "owner-sync", syn, jrows, cli.kb)
-
-	if err := seed(own); err != nil {
-		return nil, err
-	}
-	ovl, err := measure(0, 1, func() (err error) {
-		ownRes, err = core.JacobiOwner(bg, own, iters)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	ovl = ovl.over(iters)
-	row("jacobi", "owner-overlap", ovl, jrows, cli.kb)
-	if math.Abs(cliRes-ownRes) > 1e-12 {
-		return nil, fmt.Errorf("E13: owner residual %v != client residual %v", ownRes, cliRes)
-	}
-	// Overlap reorders when planes are swept, never a value: the two
-	// owner schedules must agree to the bit, and move identical traffic.
-	if math.Float64bits(syncRes) != math.Float64bits(ownRes) {
-		return nil, fmt.Errorf("E13: overlapped residual %v != synchronous residual %v", ownRes, syncRes)
-	}
-	if syn.msgs != ovl.msgs || syn.kb != ovl.kb {
-		return nil, fmt.Errorf("E13: overlap changed traffic: %v KB %v msgs vs sync %v KB %v msgs",
-			ovl.kb, ovl.msgs, syn.kb, syn.msgs)
-	}
-
-	// Reductions: read-to-client-and-compute vs device-side kernels.
-	reps := cfg.iters(3, 8)
-	buf := make([]float64, full.Size())
-	buf2 := make([]float64, full.Size())
-	var sumClient, sumOwner float64
-	base, err := measure(0, reps, func() error {
-		if err := ca.Read(bg, buf, full); err != nil {
+		cb, err := x.array(cl, "striped", N, n, 0)
+		if err != nil {
 			return err
 		}
-		sumClient = 0
-		for _, v := range buf {
-			sumClient += v
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	row("sum", "client", base, jrows, 0)
-	s, err := measure(0, reps, func() (err error) {
-		sumOwner, err = ca.Sum(bg, full)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	row("sum", "owner", s, jrows, base.kb)
-	if math.Abs(sumClient-sumOwner) > 1e-6*(1+math.Abs(sumClient)) {
-		return nil, fmt.Errorf("E13: owner sum %v != client sum %v", sumOwner, sumClient)
-	}
 
-	var dotClient, dotOwner float64
-	base, err = measure(0, reps, func() error {
-		if err := ca.Read(bg, buf, full); err != nil {
-			return err
-		}
-		if err := cb.Read(bg, buf2, full); err != nil {
-			return err
-		}
-		dotClient = 0
-		for i, v := range buf {
-			dotClient += v * buf2[i]
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	row("dot", "client", base, 2*jrows, 0)
-	s, err = measure(0, reps, func() (err error) {
-		dotOwner, err = ca.Dot(bg, cb, full)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	row("dot", "owner", s, 2*jrows, base.kb)
-	if math.Abs(dotClient-dotOwner) > 1e-6*(1+math.Abs(dotClient)) {
-		return nil, fmt.Errorf("E13: owner dot %v != client dot %v", dotOwner, dotClient)
-	}
-
-	// Kernel fusion: the scale→axpy→sum chain issued as three separate
-	// owner collectives (the pre-pipeline path: one RMI round per stage)
-	// vs one fused ApplyPipeline pass (one RMI per device carries the
-	// whole chain; each page loads and stores once). The axpy operand
-	// shares the striped layout, so its pages are co-located and the
-	// device-side pulls cross no link — the message counts isolate pure
-	// per-stage fan-out cost. The chain runs on its own cluster behind a
-	// millisecond-class link: what fusion eliminates is fan-out ROUNDS,
-	// and a round-trip that dwarfs the per-page bookkeeping makes the
-	// 3-rounds-vs-1 gap the measurement, not the host's scheduler.
-	chCl, err := cluster.New(cluster.Config{Machines: devices,
-		Transport: transport.NewInproc(transport.LinkModel{Latency: time.Millisecond, Bandwidth: 1e9})})
-	if err != nil {
-		return nil, err
-	}
-	defer chCl.Shutdown()
-	ch, chStore, err := mkOn(chCl, "e13-chain", 1)
-	if err != nil {
-		return nil, err
-	}
-	defer chStore.Close(bg)
-	chb, chbStore, err := mkOn(chCl, "e13-chain-b", 1)
-	if err != nil {
-		return nil, err
-	}
-	defer chbStore.Close(bg)
-	chIters := cfg.iters(6, 16)
-	chRows := 3 * jrows // three stages each stream N² rows
-	chParams := [][]float64{{0.5}, {2}, nil}
-
-	if err := chb.Fill(bg, full, 0.25); err != nil {
-		return nil, err
-	}
-	// The time gate at the end compares two wall-clock means taken on a
-	// host the suite shares with other packages' tests, and that noise
-	// only ever adds time: a pair that misses the gate is measured again,
-	// three times at most, and the last pair is the one reported.
-	faster := 2.0
-	if raceEnabled {
-		faster = 1.5
-	}
-	var unfusedSum, fusedSum float64
-	var unf, fus sample
-	for try := 1; try <= 3; try++ {
-		if err := seed(ch); err != nil {
-			return nil, err
-		}
-		unf, err = measure(0, chIters, func() error {
-			if err := ch.Apply(bg, full, kernel.Scale, chParams[0]...); err != nil {
+		full := core.Box(N, N, N)
+		seed := func(arr *core.Array) error {
+			if err := arr.Fill(bg, full, 0); err != nil {
 				return err
 			}
-			if err := ch.ApplyBinary(bg, full, kernel.Axpy, chb, chParams[1]...); err != nil {
-				return err
+			hot := core.NewDomain(0, 1, 0, N, 0, N)
+			face := make([]float64, hot.Size())
+			for i := range face {
+				face[i] = 100
 			}
-			acc, _, err := ch.Reduce(bg, full, kernel.Sum)
+			return arr.Write(bg, face, hot)
+		}
+
+		// rows is the count of axis-3 rows the op streams per iteration —
+		// the unit the stride-aware row engine works in — so rows/s compares
+		// engine throughput across ops with different traffic shapes.
+		row := func(op, path string, s sample, rows, baseKB float64) {
+			vs := "1.00x"
+			if baseKB > 0 {
+				vs = fmt.Sprintf("%.1fx less", baseKB/s.kb)
+			}
+			rps := "-"
+			if s.per > 0 {
+				rps = fmt.Sprintf("%.3g", rows/s.per.Seconds())
+			}
+			x.AddRow(op, path, fmt.Sprintf("%.1f", s.kb), fmt.Sprintf("%.1f", s.msgs), usPrec(s.per), rps, vs)
+		}
+		jrows := float64(N * N) // one sweep streams N² source rows
+
+		// Jacobi: client-side sweeps (halo-expanded slab reads + interior
+		// writes through 4 parallel Array clients) vs owner-computes sweeps,
+		// the latter both with synchronous halo pulls (fetch every edge, then
+		// sweep) and with the overlapped schedule (pulls posted async,
+		// interior swept while the edges fly). One call runs all the sweeps,
+		// so each sample is spread over iters.
+		jacobi := func(arr *core.Array, sweeps func() (float64, error)) (s sample, res float64, err error) {
+			if err = seed(arr); err == nil {
+				s, err = measure(0, 1, func() (err error) { res, err = sweeps(); return err })
+			}
+			return s.over(iters), res, err
+		}
+		cli, cliRes, err := jacobi(ca, func() (float64, error) { return core.Jacobi(bg, ca, cb, iters, 4) })
+		if err != nil {
+			return err
+		}
+		row("jacobi", "client", cli, jrows, 0)
+		syn, syncRes, err := jacobi(own, func() (float64, error) { return core.JacobiOwnerSync(bg, own, iters) })
+		if err != nil {
+			return err
+		}
+		row("jacobi", "owner-sync", syn, jrows, cli.kb)
+		ovl, ownRes, err := jacobi(own, func() (float64, error) { return core.JacobiOwner(bg, own, iters) })
+		if err != nil {
+			return err
+		}
+		row("jacobi", "owner-overlap", ovl, jrows, cli.kb)
+		if math.Abs(cliRes-ownRes) > 1e-12 {
+			return fmt.Errorf("E13: owner residual %v != client residual %v", ownRes, cliRes)
+		}
+		// Overlap reorders when planes are swept, never a value: the two
+		// owner schedules must agree to the bit, and move identical traffic.
+		if math.Float64bits(syncRes) != math.Float64bits(ownRes) {
+			return fmt.Errorf("E13: overlapped residual %v != synchronous residual %v", ownRes, syncRes)
+		}
+		if syn.msgs != ovl.msgs || syn.kb != ovl.kb {
+			return fmt.Errorf("E13: overlap changed traffic: %v KB %v msgs vs sync %v KB %v msgs",
+				ovl.kb, ovl.msgs, syn.kb, syn.msgs)
+		}
+
+		// Reductions: read-to-client-and-compute vs device-side kernels,
+		// which must agree to float tolerance.
+		buf := make([]float64, full.Size())
+		buf2 := make([]float64, full.Size())
+		reduction := func(op string, rows float64, client, owner func() (float64, error)) error {
+			var want, got float64
+			base, err := measure(0, reps, func() (err error) { want, err = client(); return err })
 			if err != nil {
 				return err
 			}
-			unfusedSum = acc[0]
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := seed(ch); err != nil {
-			return nil, err
-		}
-		fus, err = measure(0, chIters, func() error {
-			res, err := ch.ApplyPipeline(bg, full, "e13.chain", []*core.Array{chb}, chParams...)
+			row(op, "client", base, rows, 0)
+			s, err := measure(0, reps, func() (err error) { got, err = owner(); return err })
 			if err != nil {
 				return err
 			}
-			fusedSum = res[0].Acc[0]
+			row(op, "owner", s, rows, base.kb)
+			if math.Abs(want-got) > 1e-6*(1+math.Abs(want)) {
+				return fmt.Errorf("E13: owner %s %v != client %s %v", op, got, op, want)
+			}
 			return nil
-		})
+		}
+		if err := reduction("sum", jrows, func() (sum float64, err error) {
+			err = ca.Read(bg, buf, full)
+			for _, v := range buf {
+				sum += v
+			}
+			return sum, err
+		}, func() (float64, error) { return ca.Sum(bg, full) }); err != nil {
+			return err
+		}
+		if err := reduction("dot", 2*jrows, func() (dot float64, err error) {
+			if err = ca.Read(bg, buf, full); err == nil {
+				err = cb.Read(bg, buf2, full)
+			}
+			for i, v := range buf {
+				dot += v * buf2[i]
+			}
+			return dot, err
+		}, func() (float64, error) { return ca.Dot(bg, cb, full) }); err != nil {
+			return err
+		}
+
+		// Kernel fusion: the scale→axpy→sum chain issued as three separate
+		// owner collectives (the pre-pipeline path: one RMI round per stage)
+		// vs one fused ApplyPipeline pass (one RMI per device carries the
+		// whole chain; each page loads and stores once). The axpy operand
+		// shares the striped layout, so its pages are co-located and the
+		// device-side pulls cross no link — the message counts isolate pure
+		// per-stage fan-out cost. The chain runs on its own cluster behind a
+		// millisecond-class link: what fusion eliminates is fan-out ROUNDS,
+		// and a round-trip that dwarfs the per-page bookkeeping makes the
+		// 3-rounds-vs-1 gap the measurement, not the host's scheduler.
+		chCl, err := x.cluster(cluster.Config{Machines: devices,
+			Transport: transport.NewInproc(transport.LinkModel{Latency: time.Millisecond, Bandwidth: 1e9})})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if float64(unf.per) >= faster*float64(fus.per) {
-			break
+		ch, err := x.array(chCl, "striped", N, n, 0)
+		if err != nil {
+			return err
 		}
-	}
-	row("chain", "unfused", unf, chRows, 0)
-	row("chain", "fused", fus, chRows, unf.kb)
+		chb, err := x.array(chCl, "striped", N, n, 0)
+		if err != nil {
+			return err
+		}
+		chRows := 3 * jrows // three stages each stream N² rows
+		chParams := [][]float64{{0.5}, {2}, nil}
 
-	// Fusion gates. The semantics gate is bitwise: both schedules start
-	// from the same seed and apply the same stage arithmetic to the same
-	// rows in the same order, so the final fold must agree to the bit.
-	if math.Float64bits(fusedSum) != math.Float64bits(unfusedSum) {
-		return nil, fmt.Errorf("E13: fused chain sum %v != unfused sum %v", fusedSum, unfusedSum)
-	}
-	// The traffic gate is deterministic under the modeled links: fused is
-	// ONE batched RMI per device per chain — a request and a reply frame
-	// per device per iteration, nothing else (the co-located operand
-	// pulls are shared-address-space reads) — and unfused is one RMI per
-	// device per STAGE, exactly a 3:1 message ratio for the three-stage
-	// chain.
-	if fus.msgs != float64(2*devices) {
-		return nil, fmt.Errorf("E13: fused chain msgs/iter %v, want exactly %d (one RMI per device)", fus.msgs, 2*devices)
-	}
-	if unf.msgs != 3*fus.msgs {
-		return nil, fmt.Errorf("E13: unfused chain msgs/iter %v, want exactly 3x fused %v", unf.msgs, fus.msgs)
-	}
-	// And the point of the exercise: collapsing three latency-bound fan-
-	// out rounds into one must at least halve the per-iteration time at
-	// 8 devices (the millisecond link makes the 3:1 round-trip ratio
-	// dominate the tiny per-stage math). Under the race detector the
-	// stage math — the same three passes in both schedules — is
-	// instrumented into a share of the iteration that pulls the ratio to
-	// about 2 (1.7–2.2 measured), so the gate there is 1.5x.
-	if float64(unf.per) < faster*float64(fus.per) {
-		return nil, fmt.Errorf("E13: fused chain %v/iter not ≥%.1fx faster than unfused %v/iter", fus.per, faster, unf.per)
-	}
+		if err := chb.Fill(bg, full, 0.25); err != nil {
+			return err
+		}
+		// The time gate at the end compares two wall-clock means taken on a
+		// host the suite shares with other packages' tests, and that noise
+		// only ever adds time: a pair that misses the gate is measured again,
+		// three times at most, and the last pair is the one reported.
+		faster := 2.0
+		if raceEnabled {
+			faster = 1.5
+		}
+		var unfusedSum, fusedSum float64
+		var unf, fus sample
+		for try := 1; try <= 3; try++ {
+			if err := seed(ch); err != nil {
+				return err
+			}
+			unf, err = measure(0, chIters, func() error {
+				if err := ch.Apply(bg, full, kernel.Scale, chParams[0]...); err != nil {
+					return err
+				}
+				if err := ch.ApplyBinary(bg, full, kernel.Axpy, chb, chParams[1]...); err != nil {
+					return err
+				}
+				acc, _, err := ch.Reduce(bg, full, kernel.Sum)
+				if err != nil {
+					return err
+				}
+				unfusedSum = acc[0]
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+			if err := seed(ch); err != nil {
+				return err
+			}
+			fus, err = measure(0, chIters, func() error {
+				res, err := ch.ApplyPipeline(bg, full, "e13.chain", []*core.Array{chb}, chParams...)
+				if err != nil {
+					return err
+				}
+				fusedSum = res[0].Acc[0]
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+			if float64(unf.per) >= faster*float64(fus.per) {
+				break
+			}
+		}
+		row("chain", "unfused", unf, chRows, 0)
+		row("chain", "fused", fus, chRows, unf.kb)
 
-	t.Note("client jacobi includes its scratch seeding, amortized over the sweeps; all paths verified to agree (owner residuals bitwise, client to 1e-12, reductions to float tolerance; fused chain bitwise vs unfused)")
-	t.Note("owner-sync and owner-overlap time two device-side schedules: JacobiOwnerSync forwards the fetch-then-sweep flag, so its devices hold every halo before any arithmetic")
-	t.Note("expected shape: owner rows move several times fewer KB and finish sweeps faster at 8 devices; overlapped halos shave µs/iter off owner-sync at identical traffic; the fused chain runs one RMI per device per iteration — a third of the unfused messages and ≥2x the speed")
-	return t, nil
+		// Fusion gates. The semantics gate is bitwise: both schedules start
+		// from the same seed and apply the same stage arithmetic to the same
+		// rows in the same order, so the final fold must agree to the bit.
+		if math.Float64bits(fusedSum) != math.Float64bits(unfusedSum) {
+			return fmt.Errorf("E13: fused chain sum %v != unfused sum %v", fusedSum, unfusedSum)
+		}
+		// The traffic gate is deterministic under the modeled links: fused is
+		// ONE batched RMI per device per chain — a request and a reply frame
+		// per device per iteration, nothing else (the co-located operand
+		// pulls are shared-address-space reads) — and unfused is one RMI per
+		// device per STAGE, exactly a 3:1 message ratio for the three-stage
+		// chain.
+		if fus.msgs != float64(2*devices) {
+			return fmt.Errorf("E13: fused chain msgs/iter %v, want exactly %d (one RMI per device)", fus.msgs, 2*devices)
+		}
+		if unf.msgs != 3*fus.msgs {
+			return fmt.Errorf("E13: unfused chain msgs/iter %v, want exactly 3x fused %v", unf.msgs, fus.msgs)
+		}
+		// And the point of the exercise: collapsing three latency-bound fan-
+		// out rounds into one must at least halve the per-iteration time at
+		// 8 devices (the millisecond link makes the 3:1 round-trip ratio
+		// dominate the tiny per-stage math). Under the race detector the
+		// stage math — the same three passes in both schedules — is
+		// instrumented into a share of the iteration that pulls the ratio to
+		// about 2 (1.7–2.2 measured), so the gate there is 1.5x.
+		if float64(unf.per) < faster*float64(fus.per) {
+			return fmt.Errorf("E13: fused chain %v/iter not ≥%.1fx faster than unfused %v/iter", fus.per, faster, unf.per)
+		}
+
+		x.Note("client jacobi includes its scratch seeding, amortized over the sweeps; all paths verified to agree (owner residuals bitwise, client to 1e-12, reductions to float tolerance; fused chain bitwise vs unfused)")
+		x.Note("owner-sync and owner-overlap time two device-side schedules: JacobiOwnerSync forwards the fetch-then-sweep flag, so its devices hold every halo before any arithmetic")
+		x.Note("expected shape: owner rows move several times fewer KB and finish sweeps faster at 8 devices; overlapped halos shave µs/iter off owner-sync at identical traffic; the fused chain runs one RMI per device per iteration — a third of the unfused messages and ≥2x the speed")
+		return nil
+	},
 }

@@ -12,11 +12,11 @@ import (
 	"oopp/internal/transport"
 )
 
-// E14ServingTier exercises the high-fan-in serving tier end to end: the
-// paper's "many user programs share the machine room" picture (§5) with
-// the front door pieces PR 6 adds — connection pooling, per-priority
-// admission control, and typed overload rejection. Four phases, one row
-// each (plus the three-point load sweep):
+// E14 exercises the high-fan-in serving tier end to end: the paper's
+// "many user programs share the machine room" picture (§5) with the front
+// door pieces PR 6 adds — connection pooling, per-priority admission
+// control, and typed overload rejection. Four phases, one row each (plus
+// the three-point load sweep), each on a front door of its own:
 //
 //   - storm: park a Work object's mailbox and issue 10k+ calls through a
 //     pooled client — all of them must be held in flight on the server
@@ -34,122 +34,116 @@ import (
 //
 // Shed msgs and allocs/op are pinned; the timing columns are facts about
 // the host, printed for the record.
-func E14ServingTier(cfg Config) (*Table, error) {
-	t := &Table{
-		ID:    "E14",
-		Title: "Serving tier: admission control and graceful saturation",
-		Claim: "§5 \"many user programs\": a pooled front door holds 10k calls in flight, " +
-			"sheds typed overloads in O(µs), and keeps goodput at 2x saturation",
-		Columns: []string{"phase", "load", "offered", "ok", "rejected", "shed msgs",
-			"p50 µs", "p99 µs", "p999 µs", "goodput ops/s", "allocs/op"},
-		pinned: map[string]rule{"phase": label, "load": label, "shed msgs": exact, "allocs/op": ceiling},
-	}
-
-	tr := transport.NewInproc(transport.LinkModel{})
-	cl, err := cluster.New(cluster.Config{Machines: 1, Transport: tr})
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Shutdown()
-	srv := cl.Machine(0).Server()
-	front := &e14Front{tr: tr, cl: cl}
-
-	if err := e14Storm(cfg, t, front, srv); err != nil {
-		return nil, fmt.Errorf("storm: %w", err)
-	}
-	if err := e14Burst(cfg, t, front, srv); err != nil {
-		return nil, fmt.Errorf("burst: %w", err)
-	}
-	if err := e14HotPath(cfg, t, front, srv); err != nil {
-		return nil, fmt.Errorf("hotpath: %w", err)
-	}
-	if err := e14Sweep(cfg, t, front, srv); err != nil {
-		return nil, fmt.Errorf("sweep: %w", err)
-	}
-	return t, nil
-}
-
-// e14Front bundles what a phase needs to stand up its own front door.
-type e14Front struct {
-	tr transport.Transport
-	cl *cluster.Cluster
-}
-
-// pool builds a pooled front door onto the experiment cluster.
-func (f *e14Front) pool(conns int) (*serve.Pool, error) {
-	return serve.NewPool(serve.PoolConfig{
-		Transport: f.tr,
-		Directory: f.cl.Directory(),
-		Conns:     conns,
-	})
-}
-
-// e14WaitDepth polls the server's admitted-depth gauge until cond holds.
-func e14WaitDepth(srv *rmi.Server, cond func([rmi.NumPriorities]int) bool) error {
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if cond(srv.QueueDepths()) {
-			return nil
+var e14 = Experiment{
+	ID:    "E14",
+	Title: "Serving tier: admission control and graceful saturation",
+	Claim: "§5 \"many user programs\": a pooled front door holds 10k calls in flight, " +
+		"sheds typed overloads in O(µs), and keeps goodput at 2x saturation",
+	Columns: []string{"phase", "load", "offered", "ok", "rejected", "shed msgs",
+		"p50 µs", "p99 µs", "p999 µs", "goodput ops/s", "allocs/op"},
+	pinned: map[string]rule{"phase": label, "load": label, "shed msgs": exact, "allocs/op": ceiling},
+	run: func(x *run) error {
+		tr := transport.NewInproc(transport.LinkModel{})
+		cl, err := x.cluster(cluster.Config{Machines: 1, Transport: tr})
+		if err != nil {
+			return err
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("queue depths %v never reached target", srv.QueueDepths())
+		srv := cl.Machine(0).Server()
+		for _, ph := range []struct {
+			name  string
+			admit [rmi.NumPriorities]int // the server's admission budgets
+			conns int                    // the pool's connections
+			run   func(x *run, d door) error
+		}{
+			{"storm", [rmi.NumPriorities]int{rmi.PrioNormal: stormCalls + 64}, 8, e14Storm},
+			{"burst", [rmi.NumPriorities]int{rmi.PrioBulk: bulkCap}, 8, e14Burst},
+			{"hotpath", [rmi.NumPriorities]int{}, 2, e14HotPath},
+			{"sweep", [rmi.NumPriorities]int{rmi.PrioNormal: queueCap}, 4, e14Sweep},
+		} {
+			top := len(x.undo)
+			srv.SetAdmission(rmi.AdmissionConfig{Capacity: ph.admit})
+			d := door{srv: srv}
+			d.pool, err = serve.NewPool(serve.PoolConfig{Transport: tr, Directory: cl.Directory(), Conns: ph.conns})
+			if err == nil {
+				x.later(func() { d.pool.Close() })
+				d.sess = d.pool.Session()
+				d.ref, err = d.sess.New(bg, 0, serve.ClassWork, nil)
+			}
+			if err == nil {
+				x.later(func() { d.sess.Delete(bg, d.ref) })
+				err = ph.run(x, d)
+			}
+			// Shed and refused requests free their slots just after the
+			// reply is sent, so a phase must not read the last one's.
+			if err == nil {
+				err = waitUntil("every admission slot released", func() bool {
+					return srv.QueueDepths() == [rmi.NumPriorities]int{}
+				})
+			}
+			if err != nil {
+				return fmt.Errorf("%s: %w", ph.name, err)
+			}
+			x.unwind(top)
 		}
-		time.Sleep(100 * time.Microsecond)
-	}
+		return nil
+	},
 }
 
-// e14Quiesce waits for every admission slot to be released — shed and
-// refused requests free theirs just after the reply is sent, so depths
-// can lag future completion by a hair and phases must not read each
-// other's leftovers.
-func e14Quiesce(srv *rmi.Server) error {
-	return e14WaitDepth(srv, func(d [rmi.NumPriorities]int) bool {
-		return d == [rmi.NumPriorities]int{}
-	})
+const (
+	stormCalls        = 10240 // held in flight at once
+	bulkCap, overflow = 64, 32
+	serviceUs         = 1000 // 1ms serial service → capacity 1000 ops/s
+	queueCap          = 32
+)
+
+// door is an E14 phase's front door onto the one-machine cluster: a pool
+// of connections, a session on it and a Work object to call, all given
+// back when the phase ends.
+type door struct {
+	srv  *rmi.Server
+	pool *serve.Pool
+	sess *serve.Session
+	ref  rmi.Ref
+}
+
+// park calls wait on the Work object and returns once the server holds
+// the call: every later serial call queues behind it until open.
+func (d door) park() (*rmi.Future, error) {
+	dam := d.sess.CallAsync(bg, d.ref, "wait", nil)
+	return dam, waitUntil("the dam admitted", func() bool { return d.srv.QueueDepths()[rmi.PrioNormal] >= 1 })
+}
+
+// open releases the dam; the call is concurrent and high priority, so it
+// passes the parked mailbox.
+func (d door) open() error {
+	return d.sess.CallAsync(bg, d.ref, "open", nil, rmi.WithPriority(rmi.PrioHigh)).Err(bg)
 }
 
 // e14Storm holds stormCalls calls in flight on one machine at once.
-func e14Storm(cfg Config, t *Table, front *e14Front, srv *rmi.Server) error {
-	const stormCalls = 10240
-	srv.SetAdmission(rmi.AdmissionConfig{
-		Capacity: [rmi.NumPriorities]int{rmi.PrioNormal: stormCalls + 64},
-	})
-	p, err := front.pool(8)
+func e14Storm(x *run, d door) error {
+	// Only start the storm once the dam is admitted, so every later call
+	// is guaranteed to queue behind it.
+	dam, err := d.park()
 	if err != nil {
 		return err
 	}
-	defer p.Close()
-	sess := p.Session()
-	ref, err := sess.New(bg, 0, serve.ClassWork, nil)
-	if err != nil {
-		return err
-	}
-	defer sess.Delete(bg, ref)
-
-	// Park the mailbox, and only start the storm once the dam is admitted
-	// so every later call is guaranteed to queue behind it.
-	futs := []*rmi.Future{sess.CallAsync(bg, ref, "wait", nil)}
-	if err := e14WaitDepth(srv, func(d [rmi.NumPriorities]int) bool {
-		return d[rmi.PrioNormal] >= 1
-	}); err != nil {
-		return err
-	}
+	futs := []*rmi.Future{dam}
 	start := time.Now()
 	for i := 1; i < stormCalls; i++ {
-		futs = append(futs, sess.CallAsync(bg, ref, "sleep", serve.SleepArgs(0)))
+		futs = append(futs, d.sess.CallAsync(bg, d.ref, "sleep", serve.SleepArgs(0)))
 	}
 	// Every storm call must be admitted and held — in flight on the
 	// server, not just pending on the client.
-	if err := e14WaitDepth(srv, func(d [rmi.NumPriorities]int) bool {
-		return d[rmi.PrioNormal] >= stormCalls
+	if err := waitUntil(fmt.Sprintf("%d calls in flight", stormCalls), func() bool {
+		return d.srv.QueueDepths()[rmi.PrioNormal] >= stormCalls
 	}); err != nil {
-		return fmt.Errorf("never reached %d concurrent in-flight: %w", stormCalls, err)
+		return err
 	}
-	if got := p.InFlight(); got < stormCalls {
+	if got := d.pool.InFlight(); got < stormCalls {
 		return fmt.Errorf("pool in-flight %d < %d", got, stormCalls)
 	}
-	if err := sess.CallAsync(bg, ref, "open", nil, rmi.WithPriority(rmi.PrioHigh)).Err(bg); err != nil {
-		return fmt.Errorf("open: %w", err)
+	if err := d.open(); err != nil {
+		return err
 	}
 	for _, f := range futs {
 		if err := f.Err(bg); err != nil {
@@ -157,59 +151,38 @@ func e14Storm(cfg Config, t *Table, front *e14Front, srv *rmi.Server) error {
 		}
 	}
 	elapsed := time.Since(start)
-	if err := e14Quiesce(srv); err != nil {
-		return err
-	}
-	t.AddRow("storm", "-", fmt.Sprint(stormCalls), fmt.Sprint(stormCalls), "0", "0",
+	x.AddRow("storm", "-", fmt.Sprint(stormCalls), fmt.Sprint(stormCalls), "0", "0",
 		"-", "-", "-", fmt.Sprintf("%.0f", float64(stormCalls)/elapsed.Seconds()), "-")
-	t.Note("storm: %d calls held in flight simultaneously on one machine, drained in %v", stormCalls, elapsed.Round(time.Millisecond))
+	x.Note("storm: %d calls held in flight simultaneously on one machine, drained in %v", stormCalls, elapsed.Round(time.Millisecond))
 	return nil
 }
 
-// e14Burst overflows a 64-slot bulk budget by exactly 32 calls.
-func e14Burst(cfg Config, t *Table, front *e14Front, srv *rmi.Server) error {
-	const bulkCap, overflow = 64, 32
-	srv.SetAdmission(rmi.AdmissionConfig{
-		Capacity: [rmi.NumPriorities]int{rmi.PrioBulk: bulkCap},
-	})
-	p, err := front.pool(8)
+// e14Burst overflows a bulkCap-slot bulk budget by exactly overflow calls.
+func e14Burst(x *run, d door) error {
+	dam, err := d.park()
 	if err != nil {
 		return err
 	}
-	defer p.Close()
-	sess := p.Session()
-	ref, err := sess.New(bg, 0, serve.ClassWork, nil)
-	if err != nil {
-		return err
-	}
-	defer sess.Delete(bg, ref)
-
-	futs := []*rmi.Future{sess.CallAsync(bg, ref, "wait", nil)}
-	if err := e14WaitDepth(srv, func(d [rmi.NumPriorities]int) bool {
-		return d[rmi.PrioNormal] >= 1
-	}); err != nil {
-		return err
-	}
-	bulk := p.Session(rmi.WithPriority(rmi.PrioBulk))
+	bulk := d.pool.Session(rmi.WithPriority(rmi.PrioBulk))
 	shedBefore := metrics.Default.ReqShed.Load()
 	var bulkFuts []*rmi.Future
 	for i := 0; i < bulkCap+overflow; i++ {
-		bulkFuts = append(bulkFuts, bulk.CallAsync(bg, ref, "sleep", serve.SleepArgs(0)))
+		bulkFuts = append(bulkFuts, bulk.CallAsync(bg, d.ref, "sleep", serve.SleepArgs(0)))
 	}
 	// The dam never opens until we say so, so no bulk call completes:
 	// exactly bulkCap are admitted and exactly overflow shed, no matter
 	// how the pooled connections interleave — provided every call has
 	// ARRIVED before the dam opens (a straggler would find a freed slot),
 	// so wait for the sheds as well as the depth.
-	shed := 0
-	if err := e14WaitDepth(srv, func(d [rmi.NumPriorities]int) bool {
-		return d[rmi.PrioBulk] >= bulkCap && metrics.Default.ReqShed.Load()-shedBefore >= overflow
+	if err := waitUntil("the bulk budget full and the overflow shed", func() bool {
+		return d.srv.QueueDepths()[rmi.PrioBulk] >= bulkCap && metrics.Default.ReqShed.Load()-shedBefore >= overflow
 	}); err != nil {
 		return err
 	}
-	if err := sess.CallAsync(bg, ref, "open", nil, rmi.WithPriority(rmi.PrioHigh)).Err(bg); err != nil {
-		return fmt.Errorf("open: %w", err)
+	if err := d.open(); err != nil {
+		return err
 	}
+	shed := 0
 	for i, f := range bulkFuts {
 		err := f.Err(bg)
 		switch {
@@ -223,48 +196,26 @@ func e14Burst(cfg Config, t *Table, front *e14Front, srv *rmi.Server) error {
 			return fmt.Errorf("bulk call %d: non-typed failure: %w", i, err)
 		}
 	}
-	for _, f := range futs {
-		if err := f.Err(bg); err != nil {
-			return fmt.Errorf("dam call: %w", err)
-		}
+	if err := dam.Err(bg); err != nil {
+		return fmt.Errorf("dam call: %w", err)
 	}
 	if shed != overflow {
 		return fmt.Errorf("shed %d of %d overflow calls, want exactly %d", shed, overflow, overflow)
 	}
-	if err := e14Quiesce(srv); err != nil {
-		return err
-	}
-	t.AddRow("burst", "bulk", fmt.Sprint(bulkCap+overflow), fmt.Sprint(bulkCap), fmt.Sprint(shed), fmt.Sprint(shed),
+	x.AddRow("burst", "bulk", fmt.Sprint(bulkCap+overflow), fmt.Sprint(bulkCap), fmt.Sprint(shed), fmt.Sprint(shed),
 		"-", "-", "-", "-", "-")
 	return nil
 }
 
 // e14HotPath runs the small-call echo loop through a pooled Session and
 // gates its allocation count.
-func e14HotPath(cfg Config, t *Table, front *e14Front, srv *rmi.Server) error {
-	srv.SetAdmission(rmi.AdmissionConfig{})
-	p, err := front.pool(2)
-	if err != nil {
-		return err
-	}
-	defer p.Close()
-	sess := p.Session()
-	ref, err := sess.New(bg, 0, serve.ClassWork, nil)
-	if err != nil {
-		return err
-	}
-	defer sess.Delete(bg, ref)
-
-	payload := make([]byte, 64)
-	args := serve.EchoArgs(payload)
-	iters := cfg.iters(2000, 20000)
+func e14HotPath(x *run, d door) error {
+	const iters = 2000
+	args := serve.EchoArgs(make([]byte, 64))
 	call := func() error {
-		d, err := sess.Call(bg, ref, "echo", args)
-		if err != nil {
-			return err
-		}
-		d.Release()
-		return nil
+		r, err := d.sess.Call(bg, d.ref, "echo", args)
+		r.Release()
+		return err
 	}
 	if _, err := measure(0, 200, call); err != nil { // discarded: warms the pools, stays out of hist
 		return err
@@ -282,58 +233,37 @@ func e14HotPath(cfg Config, t *Table, front *e14Front, srv *rmi.Server) error {
 	if s.allocs > 0.5 && !raceEnabled {
 		return fmt.Errorf("echo hot path allocates: %.2f allocs/op", s.allocs)
 	}
-	t.AddRow("hotpath", "echo 64B", fmt.Sprint(iters), fmt.Sprint(iters), "0", "0",
+	x.AddRow("hotpath", "echo 64B", fmt.Sprint(iters), fmt.Sprint(iters), "0", "0",
 		fmt.Sprint(hist.QuantileUs(0.50)), fmt.Sprint(hist.QuantileUs(0.99)), fmt.Sprint(hist.QuantileUs(0.999)),
 		fmt.Sprintf("%.0f", float64(time.Second)/float64(s.per)), fmt.Sprintf("%.2f", s.allocs))
 	return nil
 }
 
 // e14Sweep drives open-loop load at 0.5x, 1x, and 2x of a 1ms-serial
-// server's capacity and checks the saturation story: goodput holds and
-// rejects fail fast.
-func e14Sweep(cfg Config, t *Table, front *e14Front, srv *rmi.Server) error {
-	const serviceUs = 1000 // 1ms serial service → capacity 1000 ops/s
-	const queueCap = 32
-	srv.SetAdmission(rmi.AdmissionConfig{
-		Capacity: [rmi.NumPriorities]int{rmi.PrioNormal: queueCap},
-	})
-	p, err := front.pool(4)
-	if err != nil {
-		return err
-	}
-	defer p.Close()
-	sess := p.Session()
-	ref, err := sess.New(bg, 0, serve.ClassWork, nil)
-	if err != nil {
-		return err
-	}
-	defer sess.Delete(bg, ref)
-
-	scale := cfg.iters(1, 5) // quick: ~0.4s per load point; full: ~2s
-	type point struct {
+// server's capacity, ~0.4 s per load point, and checks the saturation
+// story: goodput holds and rejects fail fast.
+func e14Sweep(x *run, d door) error {
+	points := []struct {
 		label string
 		rate  float64
-	}
-	points := []point{{"0.5x", 500}, {"1x", 1000}, {"2x", 2000}}
+	}{{"0.5x", 500}, {"1x", 1000}, {"2x", 2000}}
 	// The gate at the end compares wall-clock goodputs taken on a host the
 	// suite shares with other packages' tests, and that noise only ever
 	// takes goodput away: a sweep that misses the gate is measured again,
-	// three times at most, and the last sweep is the one reported.
+	// three times at most, and the last sweep's rows and notes are the
+	// ones reported.
 	var peak float64
 	var last *serve.LoadResult
-	var rows [][]string
-	var notes []string
+	rows, notes := len(x.Rows), len(x.Notes)
 	for try := 1; try <= 3; try++ {
-		peak, rows, notes = 0, nil, nil
+		peak, x.Rows, x.Notes = 0, x.Rows[:rows], x.Notes[:notes]
 		for _, pt := range points {
 			res := serve.OpenLoop(serve.LoadConfig{
 				Rate:  pt.rate,
-				Count: int(pt.rate) * 2 * scale / 5,
+				Count: int(pt.rate) * 2 / 5,
 				Call: func(i int) error {
-					d, err := sess.Call(bg, ref, "sleep", serve.SleepArgs(serviceUs))
-					if err == nil {
-						d.Release()
-					}
+					r, err := d.sess.Call(bg, d.ref, "sleep", serve.SleepArgs(serviceUs))
+					r.Release()
 					return err
 				},
 			})
@@ -344,15 +274,15 @@ func e14Sweep(cfg Config, t *Table, front *e14Front, srv *rmi.Server) error {
 				peak = g
 			}
 			shedCell := "-" // sheds here depend on scheduling: reported, not gated
-			rows = append(rows, []string{"sweep", pt.label, fmt.Sprint(res.Offered), fmt.Sprint(res.OK), fmt.Sprint(res.Shed), shedCell,
+			x.AddRow("sweep", pt.label, fmt.Sprint(res.Offered), fmt.Sprint(res.OK), fmt.Sprint(res.Shed), shedCell,
 				fmt.Sprint(res.Latency.QuantileUs(0.50)), fmt.Sprint(res.Latency.QuantileUs(0.99)), fmt.Sprint(res.Latency.QuantileUs(0.999)),
-				fmt.Sprintf("%.0f", res.Goodput()), "-"})
+				fmt.Sprintf("%.0f", res.Goodput()), "-")
 			if res.Shed >= 20 {
 				rejP50, okP50 := res.Reject.QuantileUs(0.50), res.Latency.QuantileUs(0.50)
 				if rejP50 >= okP50 {
 					return fmt.Errorf("%s: rejects not fast: reject p50 %dµs >= success p50 %dµs", pt.label, rejP50, okP50)
 				}
-				notes = append(notes, fmt.Sprintf("%s: reject p50 %dµs vs success p50 %dµs — shedding is cheaper than serving", pt.label, rejP50, okP50))
+				x.Note("%s: reject p50 %dµs vs success p50 %dµs — shedding is cheaper than serving", pt.label, rejP50, okP50)
 			}
 			last = res
 		}
@@ -360,15 +290,9 @@ func e14Sweep(cfg Config, t *Table, front *e14Front, srv *rmi.Server) error {
 			break
 		}
 	}
-	for _, row := range rows {
-		t.AddRow(row...)
-	}
-	for _, note := range notes {
-		t.Note("%s", note)
-	}
 	if g := last.Goodput(); g < 0.8*peak {
 		return fmt.Errorf("goodput collapsed at 2x: %.0f ops/s vs peak %.0f", g, peak)
 	}
-	t.Note("2x overload goodput %.0f ops/s within 20%% of peak %.0f — admission sheds instead of collapsing", last.Goodput(), peak)
+	x.Note("2x overload goodput %.0f ops/s within 20%% of peak %.0f — admission sheds instead of collapsing", last.Goodput(), peak)
 	return nil
 }
