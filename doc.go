@@ -250,7 +250,14 @@
 // negligible next to data movement, so the hot path recycles everything:
 // a warmed-up synchronous call performs zero heap allocations end to end,
 // and a bulk read copies its payload exactly once (wire to user buffer).
-// Three rules make that safe:
+// A collective crosses the kernel once per machine each way: its small
+// requests are held and leave together, and the server answers the
+// requests of one such burst with one write as well — the last member to
+// finish sends its siblings' replies with its own, so a reply may wait
+// for its siblings but never for another collective or for a request with
+// a deadline, and the collective returns no later than before. Single
+// calls are never held and answered one by one. Three rules make the
+// recycling safe:
 //
 //   - Send transfers ownership. A frame handed to a transport Send (or,
 //     with others, to SendBurst) belongs to the transport afterwards: the

@@ -70,7 +70,7 @@ var e12 = Experiment{
 		}
 		x.Note("expected shape: speedup ~N while N <= window; broadcast µs/op stays near one RTT instead of N RTTs")
 		x.Note("bcast allocs/op is 2N+1: each member call is an rmi.CallAsync, whose Future and the done channel it closes once are two heap objects, and SplitLoop's ring of outstanding futures is the one more")
-		x.Note("a broadcast's N requests are N messages but leave in one write per machine touched (min(N, 8) here): the issue burst is held on each machine's connection, in storage the connection keeps, and flushed once before the first wait — over TCP that is one syscall and one segment a machine, on this modeled link each message is still handed over and charged by itself; the N replies are written one by one")
+		x.Note("a broadcast's N requests are N messages but leave in one write per machine touched (min(N, 8) here): the issue burst is held on each machine's connection, in storage the connection keeps, and flushed once before the first wait — over TCP that is one syscall and one segment a machine, on this modeled link each message is still handed over and charged by itself; the N replies come back the same way, one write per machine, sent by the member that answers last")
 		x.Note("seq allocs/op is 0 because a synchronous Call waits on a pooled, reusable one-slot waiter where CallAsync hands its caller a Future")
 		return nil
 	},

@@ -102,16 +102,16 @@ func (s *Server) admit(prio Priority) error {
 }
 
 // freeSlot gives the class its in-flight slot back, folding the
-// request's service time (acceptance to reply) into the class's EWMA so
-// future rejections carry a current retry hint. Its one caller is
+// request's service time took (acceptance to reply) into the class's EWMA
+// so future rejections carry a current retry hint. Its one caller is
 // callTask.finish, BEFORE the reply is sent and s.calls.Done() after: a
 // client holding a reply — an error reply included — must find the slot
 // it occupied free (its next request is not shed by its own last one,
 // and QueueDepths read over a second connection does not count it),
 // while Drain returning still means every accepted request's reply is on
 // the wire.
-func (s *Server) freeSlot(prio Priority, start time.Time) {
-	s.observeService(prio, time.Since(start))
+func (s *Server) freeSlot(prio Priority, took time.Duration) {
+	s.observeService(prio, took)
 	s.mu.Lock()
 	s.admitDepth[prio]--
 	s.mu.Unlock()

@@ -233,6 +233,34 @@ func TestRetryAfterExtraction(t *testing.T) {
 	}
 }
 
+// TestGroupedRequestsKeepTheirClass: the frames of a collective carry the
+// reply-group mark in the lead byte beside their class, and the mark
+// changes no class — with the normal budget spent, a PrioHigh fan-out
+// over members of one machine is admitted whole, and DeleteRefs deletes.
+func TestGroupedRequestsKeepTheirClass(t *testing.T) {
+	srv, c, gate := newGateServer(t, AdmissionConfig{})
+	refs, err := SpawnRefs(bg, c, make([]int, 4), "test.Echo", nil, DefaultWindow)
+	if err != nil {
+		t.Fatalf("spawn: %v", err)
+	}
+	srv.SetAdmission(AdmissionConfig{Capacity: [NumPriorities]int{PrioNormal: 1}})
+	futs := saturate(t, c, gate, 1)
+	if _, err := c.Call(bg, refs[0], "echo", nil); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("a normal call with the budget spent: %v, want ErrOverloaded", err)
+	}
+	args := func(_ int, e *wire.Encoder) error { e.PutBytes(nil); return nil }
+	if err := FanOut(bg, c, refs, "echo", args, nil, DefaultWindow, WithPriority(PrioHigh)); err != nil {
+		t.Errorf("a PrioHigh fan-out with the normal budget spent: %v", err)
+	}
+	if err := DeleteRefs(bg, c, refs, DefaultWindow); err != nil {
+		t.Errorf("DeleteRefs with the normal budget spent: %v", err)
+	}
+	if n := srv.NumObjects(); n != 1 {
+		t.Errorf("%d objects live after DeleteRefs, want the gate alone", n)
+	}
+	release(t, c, gate, futs)
+}
+
 // TestAdmissionUnbounded pins the escape hatch: negative caps restore
 // the pre-admission behaviour.
 func TestAdmissionUnbounded(t *testing.T) {

@@ -59,15 +59,74 @@ func notesOf(t *testing.T, c *Client, ref Ref) []int {
 // how many messages each SendBurst carried — and can be made to die: with
 // sendsFail their sends fail while their Recv keeps blocking (a peer whose
 // death the reader has not seen yet), sever closes them and refuses every
-// later dial.
+// later dial. The connections its listeners accept, a server's, report
+// their writes too, apart (answered).
 type burstTap struct {
 	transport.Transport
 	sendsFail atomic.Bool
 	severed   atomic.Bool
 
-	mu     sync.Mutex
-	bursts []int
-	conns  []transport.Conn
+	mu      sync.Mutex
+	bursts  []int
+	answers []int
+	conns   []transport.Conn
+}
+
+// tapListener hands out a server's connections under a burstTap.
+type tapListener struct {
+	transport.Listener
+	t *burstTap
+}
+
+// answerTapConn is a server's connection under a burstTap: a Send is a
+// write of one reply, a SendBurst one of as many as it carries.
+type answerTapConn struct {
+	transport.Conn
+	t *burstTap
+}
+
+func (t *burstTap) Listen(addr string) (transport.Listener, error) {
+	l, err := t.Transport.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &tapListener{l, t}, nil
+}
+
+func (l *tapListener) Accept() (transport.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &answerTapConn{conn, l.t}, nil
+}
+
+func (c *answerTapConn) Send(msg []byte) error {
+	c.t.answer(1)
+	return c.Conn.Send(msg)
+}
+
+func (c *answerTapConn) SendBurst(msgs [][]byte) error {
+	c.t.answer(len(msgs))
+	return c.Conn.SendBurst(msgs)
+}
+
+func (t *burstTap) answer(n int) {
+	t.mu.Lock()
+	t.answers = append(t.answers, n)
+	t.mu.Unlock()
+}
+
+// answered returns the sizes of the reply writes since the last call,
+// largest first: the writes of two servers have no order between them.
+func (t *burstTap) answered() []int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	a := t.answers
+	t.answers = nil
+	slices.Sort(a)
+	slices.Reverse(a)
+	return a
 }
 
 type burstTapConn struct {
@@ -128,16 +187,26 @@ func joined(err error) []error {
 	return nil
 }
 
-// tappedCluster is three machines whose machine-0 client dials through a
-// burstTap; the objects of these tests live on machines 1 and 2.
+// tappedCluster is three machines whose servers listen, and whose
+// machine-0 client dials, through a burstTap; the objects of these tests
+// live on machines 1 and 2.
 func tappedCluster(t *testing.T, tr transport.Transport) (*Client, *burstTap) {
 	t.Helper()
-	nodes, stop := startCluster(t, tr, 3)
-	t.Cleanup(stop)
 	tap := &burstTap{Transport: tr}
+	nodes, stop := startCluster(t, tap, 3)
+	t.Cleanup(stop)
 	c := NewClient(tap, nodes[0].client.Directory())
 	t.Cleanup(func() { c.Close() })
 	return c, tap
+}
+
+// twoMachines places n members on machines 1 and 2, alternately.
+func twoMachines(n int) []int {
+	machines := make([]int, n)
+	for i := range machines {
+		machines[i] = 1 + i%2
+	}
+	return machines
 }
 
 // TestBurstIsOneWritePerMachine: every collective's requests leave in one
@@ -146,18 +215,13 @@ func tappedCluster(t *testing.T, tr transport.Transport) (*Client, *burstTap) {
 func TestBurstIsOneWritePerMachine(t *testing.T) {
 	eachTransport(t, func(t *testing.T, tr transport.Transport) {
 		c, tap := tappedCluster(t, tr)
-		const members = 16
-		machines := make([]int, members)
-		for i := range machines {
-			machines[i] = 1 + i%2
-		}
 		expect := func(what string, want ...int) {
 			t.Helper()
 			if got := tap.written(); !slices.Equal(got, want) {
 				t.Errorf("%s: bursts of %v messages, want %v", what, got, want)
 			}
 		}
-		refs, err := SpawnRefs(bg, c, machines, "test.Echo", nil, DefaultWindow)
+		refs, err := SpawnRefs(bg, c, twoMachines(16), "test.Echo", nil, DefaultWindow)
 		if err != nil {
 			t.Fatalf("spawn: %v", err)
 		}
@@ -187,6 +251,173 @@ func TestBurstIsOneWritePerMachine(t *testing.T) {
 			t.Fatalf("delete: %v", err)
 		}
 		expect("DeleteRefs", 8, 8)
+	})
+}
+
+// TestBurstIsAnsweredInOneWritePerMachine: the replies to a collective's
+// requests leave each server as the requests left the client — in one write
+// per machine, and at a window smaller than the collective in the shape of
+// its bursts — and a request sent by itself is answered by itself.
+func TestBurstIsAnsweredInOneWritePerMachine(t *testing.T) {
+	eachTransport(t, func(t *testing.T, tr transport.Transport) {
+		c, tap := tappedCluster(t, tr)
+		expect := func(what string, want ...int) {
+			t.Helper()
+			if got := tap.answered(); !slices.Equal(got, want) {
+				t.Errorf("%s: answered in writes of %v replies, want %v", what, got, want)
+			}
+		}
+		refs, err := SpawnRefs(bg, c, twoMachines(16), "test.Echo", nil, DefaultWindow)
+		if err != nil {
+			t.Fatalf("spawn: %v", err)
+		}
+		expect("SpawnRefs", 8, 8)
+		args := func(_ int, e *wire.Encoder) error { e.PutBytes(make([]byte, 64)); return nil }
+		if err := FanOut(bg, c, refs, "echo", args, nil, DefaultWindow); err != nil {
+			t.Fatalf("fan-out: %v", err)
+		}
+		expect("FanOut", 8, 8)
+		if err := BarrierRefs(bg, c, refs, DefaultWindow); err != nil {
+			t.Fatalf("barrier: %v", err)
+		}
+		expect("BarrierRefs", 8, 8)
+		if err := FanOut(bg, c, refs, "echo", args, nil, 4); err != nil {
+			t.Fatalf("fan-out, window 4: %v", err)
+		}
+		expect("FanOut at window 4", 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)
+		if err := c.CallAsync(bg, refs[0], "echo", func(e *wire.Encoder) error { return args(0, e) }).Err(bg); err != nil {
+			t.Fatalf("call: %v", err)
+		}
+		expect("CallAsync", 1)
+		if err := DeleteRefs(bg, c, refs, DefaultWindow); err != nil {
+			t.Fatalf("delete: %v", err)
+		}
+		expect("DeleteRefs", 8, 8)
+
+		// A spawn whose caller can give up waits for a hung construction
+		// only so long: no member's reply waits for another's.
+		ctx, cancel := context.WithCancel(bg)
+		defer cancel()
+		if refs, err = SpawnRefs(ctx, c, twoMachines(4), "test.Echo", nil, DefaultWindow); err != nil {
+			t.Fatalf("spawn: %v", err)
+		}
+		expect("SpawnRefs under a context that can end", 1, 1, 1, 1)
+		if err := DeleteRefs(bg, c, refs, DefaultWindow); err != nil {
+			t.Fatalf("delete: %v", err)
+		}
+	})
+}
+
+// TestGroupedRepliesKeepMemberTimeouts: a request with a deadline — its
+// own, or its context's — joins no reply group, so a member that overruns
+// it fails alone and its siblings on the same machine are answered without
+// waiting for it.
+func TestGroupedRepliesKeepMemberTimeouts(t *testing.T) {
+	registerGate()
+	eachTransport(t, func(t *testing.T, tr transport.Transport) {
+		c, _ := tappedCluster(t, tr)
+		gates, err := SpawnRefs(bg, c, []int{1, 1, 1, 1}, "test.Gate", nil, DefaultWindow)
+		if err != nil {
+			t.Fatalf("spawn: %v", err)
+		}
+		const parked = 2 // every gate but this one is open
+		for i, g := range gates {
+			if i != parked {
+				if _, err := c.Call(bg, g, "release", nil); err != nil {
+					t.Fatalf("release %d: %v", i, err)
+				}
+			}
+		}
+		const budget = 100 * time.Millisecond
+		hold := func(how string, ctx context.Context, opts ...CallOption) {
+			err := FanOut(ctx, c, gates, "hold", nil, nil, DefaultWindow, opts...)
+			errs := joined(err)
+			var me *MemberError
+			if len(errs) != 1 || !errors.As(errs[0], &me) || me.Index != parked || !errors.Is(me, context.DeadlineExceeded) {
+				t.Errorf("%s: fan-out returned %v, want member %d alone to have timed out", how, err, parked)
+			}
+		}
+		hold("WithTimeout", bg, WithTimeout(budget))
+		ctx, cancel := context.WithTimeout(bg, budget)
+		defer cancel()
+		hold("context deadline", ctx)
+		if _, err := c.Call(bg, gates[parked], "release", nil); err != nil {
+			t.Fatalf("release: %v", err)
+		}
+		if err := DeleteRefs(bg, c, gates, DefaultWindow); err != nil {
+			t.Fatalf("delete: %v", err)
+		}
+	})
+}
+
+// TestGroupNeverSpansCollectives: two collectives issued on one connection
+// at once, whose frames leave in one write — the first collective's two
+// members, then the second's two. The first waits for a parked member; the
+// second's replies do not wait with it.
+func TestGroupNeverSpansCollectives(t *testing.T) {
+	registerGate()
+	eachTransport(t, func(t *testing.T, tr transport.Transport) {
+		c, tap := tappedCluster(t, tr)
+		gates, err := SpawnRefs(bg, c, []int{1, 1, 1, 1}, "test.Gate", nil, DefaultWindow)
+		if err != nil {
+			t.Fatalf("spawn: %v", err)
+		}
+		echoes, err := SpawnRefs(bg, c, []int{1, 1}, "test.Echo", nil, DefaultWindow)
+		if err != nil {
+			t.Fatalf("spawn: %v", err)
+		}
+		const parked = 1
+		for i, g := range gates {
+			if i != parked {
+				if _, err := c.Call(bg, g, "release", nil); err != nil {
+					t.Fatalf("release %d: %v", i, err)
+				}
+			}
+		}
+		tap.written()
+
+		twoHeld, secondDone := make(chan struct{}), make(chan struct{})
+		first := make(chan error, 1)
+		go func() {
+			first <- FanOut(bg, c, gates, "hold", func(i int, e *wire.Encoder) error {
+				if i == 2 { // members 0 and 1 are held
+					close(twoHeld)
+					<-secondDone
+				}
+				return nil
+			}, nil, DefaultWindow)
+		}()
+		<-twoHeld
+		second := make(chan error, 1)
+		go func() {
+			second <- FanOut(bg, c, echoes, "echo", func(_ int, e *wire.Encoder) error { e.PutBytes(nil); return nil }, nil, DefaultWindow)
+		}()
+		select {
+		case err := <-second:
+			if err != nil {
+				t.Errorf("second collective: %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("the second collective waits for the first's parked member")
+		}
+		if got := tap.written(); !slices.Equal(got, []int{4}) {
+			t.Errorf("the two collectives left in writes of %v, want one of 4", got)
+		}
+		close(secondDone)
+		select {
+		case err := <-first:
+			t.Fatalf("first collective returned (%v) with a member parked", err)
+		case <-time.After(20 * time.Millisecond):
+		}
+		if _, err := c.Call(bg, gates[parked], "release", nil); err != nil {
+			t.Fatalf("release: %v", err)
+		}
+		if err := <-first; err != nil {
+			t.Errorf("first collective: %v", err)
+		}
+		if err := DeleteRefs(bg, c, append(gates, echoes...), DefaultWindow); err != nil {
+			t.Fatalf("delete: %v", err)
+		}
 	})
 }
 
@@ -267,10 +498,7 @@ func TestFanOutSeveredBetweenHoldAndFlush(t *testing.T) {
 			eachTransport(t, func(t *testing.T, tr transport.Transport) {
 				c, tap := tappedCluster(t, tr)
 				const members = 16
-				machines := make([]int, members)
-				for i := range machines {
-					machines[i] = 1 + i%2
-				}
+				machines := twoMachines(members)
 				refs, err := SpawnRefs(bg, c, machines, "test.Echo", nil, DefaultWindow)
 				if err != nil {
 					t.Fatalf("spawn: %v", err)

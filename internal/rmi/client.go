@@ -150,7 +150,8 @@ type Client struct {
 	tr  transport.Transport
 	dir Directory
 
-	nextID atomic.Uint64
+	nextID      atomic.Uint64
+	collectives atomic.Uint64 // numbers the client's collectives (inBurst)
 
 	mu     sync.Mutex
 	conns  map[int]*clientConn
@@ -530,12 +531,13 @@ func (c *Client) CallArgs(ctx context.Context, ref Ref, method string, args ...a
 // Delete destroys a remote object: queued calls complete, the destructor
 // runs, the process terminates (§2).
 func (c *Client) Delete(ctx context.Context, ref Ref, opts ...CallOption) error {
-	return c.deleteAsync(ctx, ref, opts...).Err(ctx)
+	return c.deleteAsync(ctx, ref, resolveOptions(opts)).Err(ctx)
 }
 
-// deleteAsync begins a Delete (DeleteRefs pipelines them).
-func (c *Client) deleteAsync(ctx context.Context, ref Ref, opts ...CallOption) *Future {
-	return c.start(ctx, callSite{machine: ref.Machine, class: ref.Class, method: "~"}, request{op: opDelete, prio: PrioHigh, object: ref.Object}, resolveOptions(opts))
+// deleteAsync begins a Delete under options already resolved (DeleteRefs
+// pipelines them, resolving its options once for all its members).
+func (c *Client) deleteAsync(ctx context.Context, ref Ref, o callOptions) *Future {
+	return c.start(ctx, callSite{machine: ref.Machine, class: ref.Class, method: "~"}, request{op: opDelete, prio: PrioHigh, object: ref.Object}, o)
 }
 
 // control begins a runtime operation addressed to machine m itself —
@@ -700,7 +702,9 @@ func (c *Client) encode(ctx context.Context, rq request, s *callSite, o *callOpt
 // per machine with the rest of the burst, when the collective flushes. A
 // held request is registered, bound and counted like a sent one; its
 // timer or context firing abandons it the same way, and the reply that
-// comes all the same is an orphan.
+// comes all the same is an orphan. A request of a burst that has no
+// deadline is also one of its collective's reply group, so that the
+// replies come back in one write per machine too (clientConn.write).
 //
 // A nil return means pc is — or, where bind said so, already was —
 // completed by someone else; an error means nobody will, and the caller
@@ -733,7 +737,15 @@ func (c *Client) send(ctx context.Context, reqID uint64, e *wire.Encoder, pc pen
 	frame := e.Detach()
 	metrics.Default.MessagesSent.Add(1)
 	metrics.Default.BytesSent.Add(int64(len(frame)))
-	held, err := cc.write(reqID, frame, o.burst)
+	group := o.burst
+	if group != 0 {
+		if _, ok := ctx.Deadline(); ok || o.timeout > 0 {
+			// A request with a deadline joins no reply group: no sibling's
+			// reply waits for it, so its timeout fails it alone.
+			group = 0
+		}
+	}
+	held, err := cc.write(reqID, frame, o.burst != 0, group)
 	if err != nil {
 		cc.unregister(reqID)
 		return err
@@ -812,7 +824,7 @@ func (s *callSite) aborted(cause error) error {
 func (s *callSite) flush() {
 	if s.held {
 		s.held = false
-		_, _ = s.cc.write(0, nil, false)
+		_, _ = s.cc.write(0, nil, false, 0)
 	}
 }
 
@@ -873,12 +885,15 @@ type clientConn struct {
 
 	// wmu orders what leaves on conn. held are the request frames of a
 	// collective's burst that wait for its flush, in issue order, heldIDs
-	// their request ids and heldBytes their lengths' sum; the storage is
-	// reused from burst to burst.
-	wmu       sync.Mutex
-	held      [][]byte
-	heldIDs   []uint64
-	heldBytes int
+	// their request ids and heldBytes their lengths' sum; heldGroups are
+	// the reply groups of held and of the frame written behind them (the
+	// collective, or 0 for none). The storage is reused from burst to
+	// burst.
+	wmu        sync.Mutex
+	held       [][]byte
+	heldIDs    []uint64
+	heldGroups []uint64
+	heldBytes  int
 }
 
 func newClientConn(conn transport.Conn, owner *Client, machine int) *clientConn {
@@ -924,23 +939,36 @@ func (cc *clientConn) unregister(reqID uint64) { cc.take(reqID) }
 // (transport.FitsBurst: a page-sized frame never waits, and sends off what
 // did); held reports that. Every frame is the connection's from here on.
 //
+// group is the reply group frame may join: its collective, or 0. What
+// leaves in one write is marked there (leadGroupFlag) — every frame whose
+// successor in the write has the same non-zero group — so the server
+// answers each run of one collective's frames in one write too, and a run
+// is always closed inside the write that opens it.
+//
 // If the write fails, each held request still registered is completed
 // with the error a failed send has always had, and the same error is
 // returned for frame's; the transport has given the frames back.
-func (cc *clientConn) write(reqID uint64, frame []byte, hold bool) (held bool, err error) {
+func (cc *clientConn) write(reqID uint64, frame []byte, hold bool, group uint64) (held bool, err error) {
 	cc.wmu.Lock()
 	defer cc.wmu.Unlock()
 	if hold && transport.FitsBurst(len(cc.held), cc.heldBytes, len(frame)) {
 		cc.held = append(cc.held, frame)
 		cc.heldIDs = append(cc.heldIDs, reqID)
+		cc.heldGroups = append(cc.heldGroups, group)
 		cc.heldBytes += len(frame)
 		return true, nil
 	}
 	if frame != nil {
 		cc.held = append(cc.held, frame)
+		cc.heldGroups = append(cc.heldGroups, group)
 	}
 	if len(cc.held) == 0 {
 		return false, nil
+	}
+	for i, g := range cc.heldGroups[1:] {
+		if g != 0 && g == cc.heldGroups[i] {
+			cc.held[i][0] |= leadGroupFlag
+		}
 	}
 	if err = cc.conn.SendBurst(cc.held); err != nil {
 		err = cc.sendFailed(err)
@@ -951,7 +979,7 @@ func (cc *clientConn) write(reqID uint64, frame []byte, hold bool) (held bool, e
 		}
 	}
 	clear(cc.held) // the transport's by now, sent or not
-	cc.held, cc.heldIDs, cc.heldBytes = cc.held[:0], cc.heldIDs[:0], 0
+	cc.held, cc.heldIDs, cc.heldGroups, cc.heldBytes = cc.held[:0], cc.heldIDs[:0], cc.heldGroups[:0], 0
 	return false, err
 }
 

@@ -97,8 +97,27 @@
 // abandons it like a sent one, and the reply is an orphan. Nothing is
 // held outside a collective: CallAsync by itself sends before it
 // returns, because issue, compute, then wait — the overlap the paper's
-// transformation is for — depends on it. The server writes its replies
-// one by one, as before. What differs is only how the
+// transformation is for — depends on it.
+//
+// The replies come back the same way, in one write per machine. When a
+// collective's held frames leave, every frame whose successor in the
+// write belongs to the same collective carries the reply-group bit
+// (leadGroupFlag); the server gathers the replies of such a run — the
+// marked requests and the first unmarked one after them — and the member
+// that answers last writes them all with one SendBurst, then retires
+// their drain tokens (replyGroup, server.go). Each member still frees its
+// admission slot, records its stats and ends its span the moment it
+// answers. A collective returns no later than before, since it waits for
+// every member's reply anyway; a reply may wait for its siblings, but
+// never for another collective's, nor for a request with a deadline (a
+// member with a per-call timeout or a context deadline is never marked,
+// so its timeout fails it alone), nor for a synchronous Call, a lone
+// CallAsync or a core.Array transfer, none of which is ever held. A reply
+// too long to hold leaves at once with those gathered before it; a frame
+// the server drops as undecodable, and the end of the connection, close
+// the group.
+//
+// What differs is only how the
 // response is waited for, and there are two ways. The asynchronous forms
 // (CallAsync, NewAsync — both return a Future that has failed already if
 // the request could not leave — and everything built on them) complete a
@@ -265,7 +284,8 @@
 // plus a trace-presence bit), ahead of the request id and opcode:
 //
 //	lead(1) | reqID(uvarint) | op(uvarint) | [trace header] | op-specific...
-//	lead = prio | 0x80 when a trace header follows
+//	lead = prio | 0x40 when the reply may wait for the next request's (reply group)
+//	            | 0x80 when a trace header follows
 //	trace header = traceID(uvarint) | spanID(uvarint) | flags(1, bit0=sampled)
 //
 // Placing the lead first is the point: the server classifies a request
@@ -297,7 +317,11 @@
 // QueueDepths, on this connection or another, meets the slot of a
 // request already answered; then the send; then the record to its pool;
 // and the drain token last, AFTER the send, so Drain returning means
-// every accepted request's reply is on the wire.
+// every accepted request's reply is on the wire. A request of a reply
+// group hands reply and token to its group instead, which sends them with
+// its siblings' and retires the tokens after that write — the promise is
+// the same. The admission class is the lead byte's low two bits: both
+// flags are masked off before it is read.
 // Three classes exist: PrioHigh (control traffic; Ping, Stat, and
 // Delete default here), PrioNormal (Call and New), and PrioBulk
 // (background work; opt in with WithPriority, per call or baked into a
@@ -335,7 +359,10 @@
 // one encode and handed by the one send to the transport, which takes
 // ownership (inproc forwards the very slice; tcp joins it with the rest of
 // its burst, or writes a long one vectored, and recycles it). The frames a
-// collective holds for its burst wait in storage the connection keeps. Responses arrive in pooled frames wrapped by pooled
+// collective holds for its burst wait in storage the connection keeps, and
+// the replies a server gathers for a reply group in a pooled group record,
+// so a steady stream of collectives allocates nothing for either.
+// Responses arrive in pooled frames wrapped by pooled
 // decoders. The two ways to wait are where the cost differs: a
 // synchronous Call completes through a pooled, reusable waiter and
 // allocates nothing; an asynchronous operation completes a Future, which

@@ -123,7 +123,7 @@ func SplitLoop(ctx context.Context, n, window int, issue func(i int) *Future, se
 // errors.Join of one MemberError per failed member (nil if all
 // succeeded).
 func FanOut(ctx context.Context, client *Client, refs []Ref, method string, args func(i int, e *wire.Encoder) error, collect func(i int, d *wire.Decoder) error, window int, opts ...CallOption) error {
-	o := inBurst(resolveOptions(opts))
+	o := client.inBurst(resolveOptions(opts))
 	return joinLoop(ctx, refs, method, window, func(i int) *Future {
 		var enc ArgEncoder
 		if args != nil {
@@ -179,7 +179,12 @@ func SpawnRefs(ctx context.Context, client *Client, machines []int, class string
 	refs := make([]Ref, len(machines))
 	var errs []error
 	issueCtx := context.WithoutCancel(ctx)
-	o := inBurst(resolveOptions(opts))
+	o := client.inBurst(resolveOptions(opts))
+	// A caller that can give up waits for a hung construction only as long
+	// as the grace, so then no member's reply may wait for another's: each
+	// member is a collective of its own, held with the burst and answered
+	// by itself.
+	alone := ctx.Done() != nil
 	var graceEnd time.Time // of the drain, set when the caller first gives up
 	_ = SplitLoop(issueCtx, len(machines), window, func(i int) *Future {
 		if len(errs) > 0 || ctx.Err() != nil {
@@ -188,6 +193,9 @@ func SpawnRefs(ctx context.Context, client *Client, machines []int, class string
 		var enc ArgEncoder
 		if args != nil {
 			enc = func(e *wire.Encoder) error { return args(i, e) }
+		}
+		if alone {
+			o = client.inBurst(o)
 		}
 		return client.newAsync(issueCtx, machines[i], class, enc, o)
 	}, func(i int, fut *Future) error {
@@ -249,5 +257,6 @@ func BarrierRefs(ctx context.Context, client *Client, refs []Ref, window int) er
 // DeleteRefs destroys every member concurrently (bounded by window) and
 // returns errors.Join of the per-member failures.
 func DeleteRefs(ctx context.Context, client *Client, refs []Ref, window int) error {
-	return joinLoop(ctx, refs, "delete", window, func(i int) *Future { return client.deleteAsync(ctx, refs[i], inBurst) }, nil)
+	o := client.inBurst(callOptions{})
+	return joinLoop(ctx, refs, "delete", window, func(i int) *Future { return client.deleteAsync(ctx, refs[i], o) }, nil)
 }

@@ -295,7 +295,8 @@ func TestSplitLoop(t *testing.T) {
 
 // BenchmarkFanOutTCP is one collective over real sockets: a 64 B echo
 // fanned over 16 objects, 8 a machine, on two machines — 16 requests that
-// leave in one write per machine and 16 replies.
+// leave in one write per machine and 16 replies that come back the same
+// way.
 func BenchmarkFanOutTCP(b *testing.B) {
 	const members = 16
 	nodes, stop := startCluster(b, transport.TCP{}, 3)

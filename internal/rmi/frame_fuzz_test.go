@@ -89,7 +89,7 @@ func fuzzServer(t testing.TB, newEcho []byte) (*Server, *tapConn) {
 		t.Fatal(err)
 	}
 	tap := newTapConn()
-	srv.dispatch(tap, slices.Clone(newEcho))
+	srv.dispatch(tap, slices.Clone(newEcho), nil)
 	reply := wire.NewDecoder(awaitReply(t, tap))
 	if reply.Uvarint(); reply.Uvarint() != statusOK || reply.Uvarint() != 1 {
 		t.Fatalf("test.Echo not constructed as object 1")
@@ -154,7 +154,7 @@ func FuzzFrameHeader(f *testing.F) {
 	for _, op := range []uint64{opPing, opStat, opDebug, 77} {
 		c.control(bg, 0, op, nil)
 	}
-	c.deleteAsync(bg, echo)
+	c.deleteAsync(bg, echo, callOptions{})
 	var requests [][]byte
 	for len(tap.sent) > 0 {
 		requests = append(requests, <-tap.sent)
@@ -189,11 +189,21 @@ func FuzzFrameHeader(f *testing.F) {
 	// Real response frames: what a server answers each of them.
 	srv, replies := fuzzServer(f, newEcho)
 	for _, req := range requests[1:] {
-		srv.dispatch(replies, slices.Clone(req))
+		srv.dispatch(replies, slices.Clone(req), nil)
 		f.Add(req)
 		f.Add(awaitReply(f, replies))
 	}
 	srv.Close()
+	// The two calls with arguments, untraced and traced, under each
+	// priority and marked as one of a reply group: the mark changes no
+	// class.
+	for p := range Priority(NumPriorities) {
+		for _, req := range requests[1:3] {
+			marked := slices.Clone(req)
+			marked[0] = marked[0]&leadTraceFlag | byte(p) | leadGroupFlag
+			f.Add(marked)
+		}
+	}
 	// Headers that end early, and a request id of eleven bytes — as a
 	// request, then as a response.
 	f.Add(newEcho[:2])
@@ -214,8 +224,12 @@ func FuzzFrameHeader(f *testing.F) {
 				t.Skip("constructs a", class)
 			}
 		}
+		if got, want := clampPriority(lead), clampPriority(lead&^leadGroupFlag); got != want {
+			t.Fatalf("lead byte %#x is class %v, the same byte unmarked %v", lead, got, want)
+		}
 		srv, replies := fuzzServer(t, newEcho)
-		srv.dispatch(replies, slices.Clone(frame))
+		// A marked frame opens a reply group; the connection's end closes it.
+		srv.dispatch(replies, slices.Clone(frame), nil).close()
 		if readable {
 			reply := wire.NewDecoder(awaitReply(t, replies))
 			if got := reply.Uvarint(); got != reqID || reply.Err() != nil {

@@ -24,7 +24,7 @@ type callOptions struct {
 	sampled       bool          // WithSampled: force span capture (minting a trace if the context has none)
 	prio          Priority      // admission class stamped on the wire header
 	prioSet       bool          // WithPriority was given; otherwise the op's default class applies
-	burst         bool          // inBurst: the request frame may wait on its connection for the burst's flush
+	burst         uint64        // inBurst: the collective the request is one of (0: none); its frame may wait on its connection for the burst's flush
 }
 
 // priority resolves the admission class for an operation whose default
@@ -65,13 +65,16 @@ func WithPriority(p Priority) CallOption {
 	}
 }
 
-// inBurst marks an operation as one of a collective's issue burst: a send
-// loop that flushes before it waits (SplitLoop), the one case in which
-// send may hold the request's frame on its connection so that the burst
-// leaves in one write per machine (clientConn.write). It is not exported:
-// an operation issued by itself must leave at once — the overlap of issue,
+// inBurst marks the operations of one collective of c as its issue burst:
+// a send loop that flushes before it waits (SplitLoop), the one case in
+// which send may hold a request's frame on its connection so that the
+// burst leaves in one write per machine (clientConn.write). Each call
+// names a new collective, so options resolved by it once serve all the
+// members of one collective and no other: frames of two collectives that
+// leave in one write never form one reply group. It is not exported: an
+// operation issued by itself must leave at once — the overlap of issue,
 // compute, then wait depends on it.
-func inBurst(o callOptions) callOptions { o.burst = true; return o }
+func (c *Client) inBurst(o callOptions) callOptions { o.burst = c.collectives.Add(1); return o }
 
 func resolveOptions(opts []CallOption) callOptions {
 	var o callOptions

@@ -13,13 +13,13 @@ import (
 //
 //	reqID uvarint | status uvarint | error string (status!=0) or results
 //
-// The lead byte carries the priority class in its low bits and the
-// trace-presence flag in bit 7 (leadTraceFlag); when the flag is set a
-// trace header follows the op uvarint. The lead byte heads the frame as
-// a fixed-width field so a server can classify — and, under overload,
-// shed — a request by looking at frame[0], before spending any decode
-// work on it. Responses carry no priority: they are answers to work
-// already done.
+// The lead byte carries the priority class in its low bits (0–1), the
+// reply-group flag in bit 6 (leadGroupFlag) and the trace-presence flag in
+// bit 7 (leadTraceFlag); when the trace flag is set a trace header follows
+// the op uvarint. The lead byte heads the frame as a fixed-width field so
+// a server can classify — and, under overload, shed — a request by
+// looking at frame[0], before spending any decode work on it. Responses
+// carry no priority: they are answers to work already done.
 //
 // Frames ride on transport.Conn messages; framing is the transport's job.
 // The opCall header carries the client's absolute deadline (unix
@@ -47,6 +47,16 @@ const (
 // with no trace in its context emits frames byte-identical to the old
 // format. Version tolerance costs one bit, not a protocol revision.
 const leadTraceFlag = 0x80
+
+// leadGroupFlag is bit 6 of the leading byte: the request's reply may wait
+// for the reply of the next request on the connection, so that the replies
+// of a collective's burst leave the server in one write (replyGroup). A
+// client sets it on every frame of a burst it flushes whose successor in
+// the same write belongs to the same collective (clientConn.write); the
+// first unmarked frame after marked ones closes the group. A client that
+// never sets it, an older one among them, has every reply written by
+// itself.
+const leadGroupFlag = 0x40
 
 // decodeTraceHeader reads the optional trace header announced by lead.
 // A frame without the flag, and a frame whose trace fields are truncated
@@ -124,12 +134,12 @@ func (p Priority) String() string {
 }
 
 // clampPriority maps an arbitrary wire byte onto a valid class. The
-// trace-presence flag is masked off first; remaining unknown values (a
-// newer peer's class, a corrupt frame) degrade to PrioNormal rather than
-// failing the request: priority is a scheduling hint, not a correctness
-// bit.
+// trace-presence and reply-group flags are masked off first; remaining
+// unknown values (a newer peer's class, a corrupt frame) degrade to
+// PrioNormal rather than failing the request: priority is a scheduling
+// hint, not a correctness bit.
 func clampPriority(b byte) Priority {
-	b &^= leadTraceFlag
+	b &^= leadTraceFlag | leadGroupFlag
 	if b >= NumPriorities {
 		return PrioNormal
 	}

@@ -225,16 +225,20 @@ func (s *Server) dropConn(conn transport.Conn) {
 
 // serveConn is the per-connection read loop. It must never block on object
 // work: serial calls are enqueued, everything long-running gets its own
-// goroutine.
+// goroutine. It keeps the connection's open reply group, which the end of
+// the connection closes: the replies gathered in it still leave (or fail
+// to) and retire their drain tokens.
 func (s *Server) serveConn(conn transport.Conn) {
 	defer s.connWG.Done()
 	defer s.dropConn(conn)
+	var open *replyGroup
 	for {
 		frame, err := conn.Recv()
 		if err != nil {
+			open.close()
 			return
 		}
-		s.dispatch(conn, frame)
+		open = s.dispatch(conn, frame, open)
 	}
 }
 
@@ -251,9 +255,10 @@ type callTask struct {
 	args  *wire.Decoder // owns the request frame, op header consumed
 	reply *wire.Encoder // the answer, header written; nil until answer()
 
-	admitted bool      // an admission token is held (opNew, opCall)
-	prio     Priority  // its class
-	start    time.Time // admission instant: service-time EWMA, latency histogram
+	admitted bool        // an admission token is held (opNew, opCall)
+	prio     Priority    // its class
+	start    time.Time   // admission instant: service-time EWMA, latency histogram
+	group    *replyGroup // the reply group the request joined; nil: answered by itself
 
 	entry    *objEntry
 	me       methodEntry // zero me.fn marks the built-in ping (nothing to run)
@@ -272,8 +277,30 @@ var callTaskPool = sync.Pool{New: func() any { return new(callTask) }}
 // reports (errors.Is matches context.DeadlineExceeded across the wire).
 var errExpired = fmt.Errorf("expired before execution: %v", context.DeadlineExceeded)
 
-// dispatch decodes one request frame into a record and routes it. The
-// record owns the pooled decoder and the frame under it until finish.
+// dispatch decodes one request frame into a record, files it into the
+// connection's reply grouping — open is the group open before the frame,
+// and the one open after it is returned — and routes it. The record owns
+// the pooled decoder and the frame under it until finish.
+func (s *Server) dispatch(conn transport.Conn, frame []byte, open *replyGroup) *replyGroup {
+	d := wire.GetFrameDecoder(frame)
+	lead := d.Byte()
+	reqID := d.Uvarint()
+	op := d.Uvarint()
+	if d.Err() != nil {
+		// No usable request id: nothing sensible to reply to. The burst
+		// the frame came in ends here all the same.
+		d.Release()
+		open.close()
+		return nil
+	}
+	t := callTaskPool.Get().(*callTask)
+	t.s, t.conn, t.reqID, t.args = s, conn, reqID, d
+	t.group, open = s.joinGroup(conn, open, lead&leadGroupFlag != 0)
+	s.route(t, lead, op)
+	return open
+}
+
+// route runs the request of t, whose lead byte and opcode have been read.
 //
 // Admission runs before the op-specific header is decoded: for calls and
 // constructions only the fixed-offset priority byte and the two leading
@@ -282,18 +309,8 @@ var errExpired = fmt.Errorf("expired before execution: %v", context.DeadlineExce
 // deletes are control plane and bypass admission entirely (pings still
 // observe draining); so does the debug plane — introspection that goes
 // dark under overload is useless exactly when needed.
-func (s *Server) dispatch(conn transport.Conn, frame []byte) {
-	d := wire.GetFrameDecoder(frame)
-	lead := d.Byte()
-	reqID := d.Uvarint()
-	op := d.Uvarint()
-	if d.Err() != nil {
-		// No usable request id: nothing sensible to reply to.
-		d.Release()
-		return
-	}
-	t := callTaskPool.Get().(*callTask)
-	t.s, t.conn, t.reqID, t.args = s, conn, reqID, d
+func (s *Server) route(t *callTask, lead byte, op uint64) {
+	d := t.args
 	// The optional trace header sits between the op and the op-specific
 	// header; decoding it is three fields, and only when the lead byte
 	// announces one — untraced frames pay nothing here.
@@ -389,9 +406,12 @@ func (t *callTask) answer() *wire.Encoder {
 // mailbox) and must find its own call's span and stats there, and its
 // next request — on this connection or another — must find the admission
 // slot this one held free. Latency runs from admission to the reply
-// hand-off (queueing included — that is what the caller experienced).
+// hand-off (queueing included — that is what the caller experienced),
+// read off the clock once for the histogram and the service-time EWMA.
 // The drain token is retired only AFTER the reply is on the wire: Drain
-// returning means every accepted request has answered.
+// returning means every accepted request has answered. A request of a
+// reply group hands its reply and its token to the group, which writes
+// the replies together and retires the tokens after that write.
 func (t *callTask) finish(err error) {
 	s, reply := t.s, t.reply
 	t.args.Release() // handler done: recycle the request frame
@@ -406,8 +426,13 @@ func (t *callTask) finish(err error) {
 	}
 	frame := reply.Detach()
 	wire.PutEncoder(reply)
+	admitted, conn, group := t.admitted, t.conn, t.group
+	var took time.Duration
+	if admitted {
+		took = time.Since(t.start)
+	}
 	if t.stats != nil {
-		t.stats.Hist.Observe(time.Since(t.start))
+		t.stats.Hist.Observe(took)
 		switch {
 		case err == nil:
 			t.stats.OK.Add(1)
@@ -420,18 +445,118 @@ func (t *callTask) finish(err error) {
 		}
 	}
 	t.span.End(err != nil)
-	admitted := t.admitted
 	if admitted {
-		s.freeSlot(t.prio, t.start)
+		s.freeSlot(t.prio, took)
 	}
 	metrics.Default.MessagesSent.Add(1)
 	metrics.Default.BytesSent.Add(int64(len(frame)))
-	// Best effort: if the connection died the client sees ErrClosed.
-	_ = t.conn.Send(frame)
 	*t = callTask{}
 	callTaskPool.Put(t)
+	if group != nil {
+		group.add(frame, admitted)
+		return
+	}
+	// Best effort: if the connection died the client sees ErrClosed.
+	_ = conn.Send(frame)
 	if admitted {
 		s.calls.Done()
+	}
+}
+
+// replyGroup gathers the replies of one run of a collective's requests on
+// one connection, so that they leave in one write (conn.SendBurst) as the
+// requests arrived in one. A marked request (leadGroupFlag) joins the
+// connection's open group, opening one if there is none; the first
+// unmarked request after marked ones joins it and closes it; a frame
+// dropped as undecodable, or the end of the connection, closes it with no
+// member. Each member's finish does all it did before — frees the slot,
+// records the stats, ends the span — and then adds its reply instead of
+// sending it. The member that completes a closed group writes every
+// reply gathered and only then retires the drain tokens of the members
+// that held one, so Drain still means every accepted request has
+// answered. A reply that no longer fits what the client reads at once
+// (transport.FitsBurst) leaves at once and takes the gathered ones with
+// it. Groups recycle through a pool, their reply storage with them.
+type replyGroup struct {
+	s    *Server
+	conn transport.Conn
+
+	mu      sync.Mutex
+	pending int      // members that joined and have not answered
+	closed  bool     // no member joins any more
+	replies [][]byte // gathered, in the order they were added
+	bytes   int      // their lengths' sum
+	tokens  int      // drain tokens of the members whose replies are gathered
+}
+
+var replyGroupPool = sync.Pool{New: func() any { return new(replyGroup) }}
+
+// joinGroup files a request that arrived on conn while open was the
+// connection's open group (nil: none): it returns the group the request
+// joins (nil: it is answered by itself) and the group open after it.
+func (s *Server) joinGroup(conn transport.Conn, open *replyGroup, marked bool) (joined, stillOpen *replyGroup) {
+	if open == nil {
+		if !marked {
+			return nil, nil
+		}
+		open = replyGroupPool.Get().(*replyGroup)
+		open.s, open.conn = s, conn
+	}
+	open.mu.Lock()
+	open.pending++
+	open.closed = !marked
+	open.mu.Unlock()
+	if !marked {
+		return open, nil
+	}
+	return open, open
+}
+
+// add takes the reply frame of a member, and its drain token if it held
+// one, and writes what is gathered when the group is complete or the
+// frame did not fit.
+func (g *replyGroup) add(frame []byte, token bool) {
+	g.mu.Lock()
+	g.pending--
+	if token {
+		g.tokens++
+	}
+	full := !transport.FitsBurst(len(g.replies), g.bytes, len(frame))
+	g.replies = append(g.replies, frame)
+	g.bytes += len(frame)
+	g.unlock(full)
+}
+
+// close closes the group with no further member. A nil group is none.
+func (g *replyGroup) close() {
+	if g == nil {
+		return
+	}
+	g.mu.Lock()
+	g.closed = true
+	g.unlock(false)
+}
+
+// unlock writes what is gathered — when write says so, or when the group
+// is complete — then retires the drain tokens of what it wrote, and lets
+// go of the group; a complete group goes back to the pool.
+func (g *replyGroup) unlock(write bool) {
+	done := g.closed && g.pending == 0
+	if write || done {
+		if len(g.replies) > 0 {
+			// Best effort, as a lone reply's Send.
+			_ = g.conn.SendBurst(g.replies)
+		}
+		if g.tokens > 0 {
+			g.s.calls.Add(-g.tokens)
+		}
+		clear(g.replies) // the transport's by now, sent or not
+		g.replies, g.bytes, g.tokens = g.replies[:0], 0, 0
+	}
+	g.mu.Unlock()
+	if done {
+		g.s, g.conn, g.closed = nil, nil, false
+		replyGroupPool.Put(g)
 	}
 }
 
