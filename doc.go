@@ -159,7 +159,9 @@
 //
 // Data movement composes the same way: Array.CopyFrom copies a
 // subdomain between conformant arrays entirely device-to-device (the
-// §5 copyFrom generalized), and Array.HaloExchange transfers just the
+// §5 copyFrom generalized) as a one-stage KernelCopy chain, so it
+// degrades and parks on a migration fence like every other mutator;
+// Array.HaloExchange, built on it, transfers just the
 // ghost shell around a slab — O(surface) instead of the O(volume) a
 // client-side halo read moves. JacobiOwner builds the full solver on
 // this: sweeps execute inside the devices on the slabs they hold
@@ -396,8 +398,8 @@
 // replica lost to a down machine is tolerated and counted
 // (Array.DegradedWrites) rather than surfaced — any other failure is
 // still an error. One per-region tally in core classifies every
-// replica write outcome — Write's page calls, CopyFrom's pulls, a
-// kernel fan-out's failed devices. The owner-computes kernels replay deterministic
+// replica write outcome — Write's page calls, a kernel fan-out's
+// failed devices. The owner-computes kernels replay deterministic
 // mutations on every replica, so replicas stay bitwise identical
 // without a read-back. Reads cost the same as unreplicated reads: any
 // one live replica serves, and a down primary just routes the read to
@@ -439,8 +441,10 @@
 // Failover reacts to machines dying; elasticity is the planned
 // counterpart: page placement is a live, mutable property of a running
 // array. The migration engine moves pages device-to-device with the
-// one pull plan failover re-seeding and CopyFrom also execute (one
-// pullSubBatch call per destination/source device pair, issued through
+// one pull plan failover re-seeding also executes (one pullSubBatch
+// call per destination/source device pair — a KernelCopy batch of the
+// device's kernel engine, its remote pages fetched in pieces no larger
+// than the buffer pool recycles — issued through
 // the one split loop, rmi.SplitLoop, that bounds every transfer of an
 // Array client — window 1 is the sequential §2 form), under a brief
 // per-page write fence: a fenced page refuses mutations with a typed error the

@@ -53,6 +53,14 @@ const (
 	// are allocated directly and garbage collected.
 	MaxPooled = 1 << maxShift
 
+	// PieceBytes bounds the values of one message that carries part of a
+	// larger transfer: a pfft transpose block, a device's remote operands.
+	// A quarter of MaxPooled: payload and call header together round up to
+	// the class of MaxPooled/2, which keeps eight idle buffers — a piece
+	// going out to and one coming in from each of a few peers at once — so
+	// no such frame is a fresh zeroed allocation.
+	PieceBytes = MaxPooled / 4
+
 	// classBuffers and classBytes bound what one class retains while idle:
 	// that many buffers, and no more than that many bytes of them.
 	classBuffers = 64

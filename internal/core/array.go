@@ -24,8 +24,8 @@ import (
 // measures that scaling.
 //
 // Read and Write move element data between the client and the devices;
-// like every other element move of this client (CopyFrom, re-seeding,
-// migration copies, checkpoints, owner-computes sweeps) they are one
+// like every other element move of this client (re-seeding, migration
+// copies, checkpoints, owner-computes sweeps) they are one
 // rmi.SplitLoop at the window inFlight reports. Every compute operation
 // (Fill, Scale, Sum, MinMax, Norm2, Dot, Axpy, and the Apply/Reduce
 // escape hatch for user kernels) is owner-computes: it executes inside

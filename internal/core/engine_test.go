@@ -32,13 +32,10 @@ func init() {
 // slices — x is a's values over the domain (updated in place), y the
 // operand's; want returns one accumulator per result. Values are small
 // integers, so every sum is exact in any fold order. A transfer that
-// returns data (Read) reports it as one result; noPark marks the one
-// mutator that does not replay across a map flip (CopyFrom surfaces the
-// typed fence refusal instead).
+// returns data (Read) reports it as one result.
 type chainShape struct {
 	name             string
 	mutates, reduces bool
-	noPark           bool
 	run              func(a, b *core.Array, dom core.Domain) ([]core.StageResult, error)
 	want             func(x, y []float64) [][]float64
 }
@@ -51,7 +48,7 @@ func one(acc []float64, n int64, err error) ([]core.StageResult, error) {
 }
 
 var chainShapes = []chainShape{
-	{"map", true, false, false,
+	{"map", true, false,
 		func(a, b *core.Array, dom core.Domain) ([]core.StageResult, error) {
 			return nil, a.Apply(bg, dom, kernel.Scale, 2)
 		},
@@ -61,7 +58,7 @@ var chainShapes = []chainShape{
 			}
 			return nil
 		}},
-	{"reduce", false, true, false,
+	{"reduce", false, true,
 		func(a, b *core.Array, dom core.Domain) ([]core.StageResult, error) {
 			return one(a.Reduce(bg, dom, kernel.Sum))
 		},
@@ -72,7 +69,7 @@ var chainShapes = []chainShape{
 			}
 			return [][]float64{{s}}
 		}},
-	{"binary", true, false, false,
+	{"binary", true, false,
 		func(a, b *core.Array, dom core.Domain) ([]core.StageResult, error) {
 			return nil, a.ApplyBinary(bg, dom, kernel.Axpy, b, 3)
 		},
@@ -82,7 +79,7 @@ var chainShapes = []chainShape{
 			}
 			return nil
 		}},
-	{"binary-reduce", false, true, false,
+	{"binary-reduce", false, true,
 		func(a, b *core.Array, dom core.Domain) ([]core.StageResult, error) {
 			return one(a.ReduceBinary(bg, dom, kernel.Dot, b))
 		},
@@ -93,7 +90,7 @@ var chainShapes = []chainShape{
 			}
 			return [][]float64{{s}}
 		}},
-	{"mixed chain", true, true, false,
+	{"mixed chain", true, true,
 		func(a, b *core.Array, dom core.Domain) ([]core.StageResult, error) {
 			return a.ApplyPipeline(bg, dom, "test.engine.mixed", []*core.Array{b, b}, []float64{2}, []float64{3}, nil, nil)
 		},
@@ -106,16 +103,16 @@ var chainShapes = []chainShape{
 			}
 			return [][]float64{{s}, {d}}
 		}},
-	// The transfer ops: the same split loop, tally and pull plan under
-	// them as under the chains' fan-out.
-	{"read", false, true, false,
+	// The transfer ops: Read and Write run the same split loop and tally
+	// as the chains' fan-out; CopyFrom is a chain.
+	{"read", false, true,
 		func(a, b *core.Array, dom core.Domain) ([]core.StageResult, error) {
 			buf := make([]float64, dom.Size())
 			err := a.Read(bg, buf, dom)
 			return one(buf, int64(len(buf)), err)
 		},
 		func(x, y []float64) [][]float64 { return [][]float64{x} }},
-	{"write", true, false, false,
+	{"write", true, false,
 		func(a, b *core.Array, dom core.Domain) ([]core.StageResult, error) {
 			vals := make([]float64, dom.Size())
 			for i := range vals {
@@ -129,7 +126,7 @@ var chainShapes = []chainShape{
 			}
 			return nil
 		}},
-	{"copyFrom", true, false, true,
+	{"copyFrom", true, false,
 		func(a, b *core.Array, dom core.Domain) ([]core.StageResult, error) {
 			return nil, a.CopyFrom(bg, b, dom)
 		},
@@ -375,12 +372,6 @@ func TestChainShapesAcrossScenarios(t *testing.T) {
 				t.Fatalf("migrate: %+v, %v", rep, err)
 			}
 			out := <-done
-			if sh.noPark {
-				if !errors.Is(out.err, rmi.ErrFenced) {
-					t.Fatalf("non-parking mutator against a fence: got %v, want ErrFenced", out.err)
-				}
-				return 0
-			}
 			if out.err != nil {
 				t.Fatalf("operation across the flip: %v", out.err)
 			}

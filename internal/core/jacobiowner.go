@@ -164,20 +164,16 @@ func jacobiOwner(ctx context.Context, a *Array, iters int, syncHalo bool) (float
 		srcOff, dstOff = dstOff, srcOff
 	}
 
-	// After an odd sweep count the iterate sits in the scratch bank:
-	// move it home with device-local page copies (no data on the wire).
+	// After an odd sweep count the iterate sits in the scratch bank: move
+	// it home, each device pulling from itself (no data on the wire).
 	if srcOff != 0 {
-		copies := make([][]pagedev.PageCopy, a.storage.Len()) // per device
+		home, full := newPullPlan(), pagedev.SubBox{Dim: a.p}
 		for q, d := range s.dev {
 			for _, idx := range s.pages[q] {
-				copies[d] = append(copies[d], pagedev.PageCopy{From: idx + s.ppd, To: idx})
+				home.add(PageAddress{Device: d, Index: idx}, PageAddress{Device: d, Index: idx + s.ppd}, full)
 			}
 		}
-		devs := nonEmpty(copies)
-		err := rmi.SplitLoop(ctx, len(devs), a.inFlight(), func(i int) *rmi.Future {
-			return a.storage.Device(devs[i]).CopyPagesAsync(ctx, copies[devs[i]])
-		}, nil)
-		if err != nil {
+		if err := a.pull(ctx, a, home); err != nil {
 			return 0, err
 		}
 	}

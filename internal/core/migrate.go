@@ -3,7 +3,7 @@ package core
 // Live page migration — ROADMAP item "elastic cluster": page placement
 // becomes a mutable property of a running array. The engine relocates
 // page copies device-to-device with the pull plan failover re-seeding
-// and CopyFrom use (halo.go), under a brief per-page write fence:
+// uses (halo.go), under a brief per-page write fence:
 //
 //	fence src pages  → every in-flight mutator drains (fencePages is a
 //	                   serial mailbox method), then writes to the pages
@@ -20,8 +20,9 @@ package core
 //	                   writing into dead slots
 //
 // Operations on the migrating Array value never fail from the fence:
-// the write and kernel paths park on ErrFenced, wait for the flip, and
-// replay exactly the refused work against the fresh layout (each device
+// every mutator — Write and every kernel chain, CopyFrom and
+// HaloExchange among them — parks on ErrFenced, waits for the flip, and
+// replays exactly the refused work against the fresh layout (each device
 // batch is refused all-or-nothing, so the replay never double-applies a
 // non-idempotent kernel — see pagedev's fence pre-scan). Separate Array
 // clients over the same storage observe typed ErrFenced errors while a
@@ -184,7 +185,7 @@ func (a *Array) MigratePages(ctx context.Context, plan []elastic.Move) (*Migrate
 			src, dst := chain[pos], PageAddress{Device: mv.To, Index: idx}
 			srcIdx[src.Device] = append(srcIdx[src.Device], src.Index)
 			dstIdx[dst.Device] = append(dstIdx[dst.Device], dst.Index)
-			copies.add(dst, src, full, l)
+			copies.add(dst, src, full)
 			moved[src] = dst
 			chain[pos] = dst
 			pinned[[2]int{l, pos}] = true
@@ -229,7 +230,7 @@ func (a *Array) MigratePages(ctx context.Context, plan []elastic.Move) (*Migrate
 	// Copy device-to-device — the pull plan Failover's re-seeding uses,
 	// no element data through the client.
 	copyCtx, copySp := trace.StartSpan(ctx, "migrate.copy")
-	err := a.pull(copyCtx, a, copies, nil)
+	err := a.pull(copyCtx, a, copies)
 	copySp.End(err != nil)
 	if err != nil {
 		abort(len(srcDevs))

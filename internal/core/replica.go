@@ -17,7 +17,7 @@ package core
 // every touched page acknowledges, and replicas that fail with the
 // typed ErrMachineDown are tolerated (counted in DegradedWrites) — any
 // other error still fails the operation. One tally (ackTally) makes
-// that call for Write, CopyFrom and the kernel fan-out alike. Kernels
+// that call for Write and the kernel fan-out alike. Kernels
 // are deterministic, so applying the same batch at every replica keeps
 // replica contents bitwise identical without a coordination round.
 //
@@ -280,8 +280,8 @@ func (a *Array) pickLive(chain []PageAddress, exclude map[int]bool) (PageAddress
 }
 
 // ackTally is the one primary-ack classifier: every replica write
-// outcome of a mutating operation — Write's page calls, CopyFrom's
-// pulls, a kernel fan-out's failed devices (coverDown) — is recorded
+// outcome of a mutating operation — Write's page calls, a kernel
+// fan-out's failed devices (coverDown) — is recorded
 // against the region it served. A region is acknowledged when at least
 // one replica of its chain took the write; its replicas that failed with
 // the typed machine-down error are then tolerated and counted in
@@ -455,13 +455,13 @@ func (a *Array) failover(ctx context.Context, deadMachines ...int) (*FailoverRep
 				rep.Degraded++
 				break
 			}
-			seeds.add(dst, live[0], full, l)
+			seeds.add(dst, live[0], full)
 			live = append(live, dst)
 			rep.Reseeded++
 		}
 		table[l] = live
 	}
-	if err := a.pull(ctx, a, seeds, nil); err != nil {
+	if err := a.pull(ctx, a, seeds); err != nil {
 		return rep, fmt.Errorf("core: failover: re-seeding replicas: %w", err)
 	}
 	a.setMap(a.remint(pm, table, nil, "+failover"))

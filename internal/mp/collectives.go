@@ -1,109 +1,6 @@
 package mp
 
-import (
-	"fmt"
-
-	"oopp/internal/wire"
-)
-
-// Barrier blocks until every rank has entered it (gather to rank 0, then
-// a release broadcast).
-func (c *Comm) Barrier() error {
-	if c.size == 1 {
-		return nil
-	}
-	if c.rank == 0 {
-		for r := 1; r < c.size; r++ {
-			if _, err := c.recv(r, tagBarrier); err != nil {
-				return err
-			}
-		}
-		for r := 1; r < c.size; r++ {
-			if err := c.send(r, tagBarrier, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := c.send(0, tagBarrier, nil); err != nil {
-		return err
-	}
-	_, err := c.recv(0, tagBarrier)
-	return err
-}
-
-// Bcast distributes root's payload to every rank; all ranks return it.
-func (c *Comm) Bcast(root int, payload []byte) ([]byte, error) {
-	if root < 0 || root >= c.size {
-		return nil, fmt.Errorf("mp: bcast root %d of %d", root, c.size)
-	}
-	if c.rank == root {
-		for r := 0; r < c.size; r++ {
-			if r == root {
-				continue
-			}
-			if err := c.send(r, tagBcast, payload); err != nil {
-				return nil, err
-			}
-		}
-		return payload, nil
-	}
-	return c.recv(root, tagBcast)
-}
-
-// ReduceSum sums one float64 per rank at root. Only root's return value
-// carries the total; other ranks return their own contribution.
-func (c *Comm) ReduceSum(root int, x float64) (float64, error) {
-	if root < 0 || root >= c.size {
-		return 0, fmt.Errorf("mp: reduce root %d of %d", root, c.size)
-	}
-	if c.rank != root {
-		e := wire.NewEncoder(8)
-		e.PutFloat64(x)
-		if err := c.send(root, tagReduce, e.Bytes()); err != nil {
-			return 0, err
-		}
-		return x, nil
-	}
-	total := x
-	for r := 0; r < c.size; r++ {
-		if r == root {
-			continue
-		}
-		b, err := c.recv(r, tagReduce)
-		if err != nil {
-			return 0, err
-		}
-		d := wire.NewDecoder(b)
-		total += d.Float64()
-		if err := d.Err(); err != nil {
-			return 0, err
-		}
-	}
-	return total, nil
-}
-
-// AllReduceSum sums one float64 per rank and returns the total on every
-// rank (reduce to 0, then broadcast).
-func (c *Comm) AllReduceSum(x float64) (float64, error) {
-	total, err := c.ReduceSum(0, x)
-	if err != nil {
-		return 0, err
-	}
-	var payload []byte
-	if c.rank == 0 {
-		e := wire.NewEncoder(8)
-		e.PutFloat64(total)
-		payload = e.Bytes()
-	}
-	b, err := c.Bcast(0, payload)
-	if err != nil {
-		return 0, err
-	}
-	d := wire.NewDecoder(b)
-	out := d.Float64()
-	return out, d.Err()
-}
+import "fmt"
 
 // Alltoall sends send[r] to every rank r and returns the slice of
 // payloads received, indexed by sender. send must have world-size
@@ -126,30 +23,4 @@ func (c *Comm) Alltoall(send [][]byte) ([][]byte, error) {
 		recv[r] = b
 	}
 	return recv, nil
-}
-
-// Gather collects every rank's payload at root, indexed by rank. Only
-// root's return value is populated.
-func (c *Comm) Gather(root int, payload []byte) ([][]byte, error) {
-	if root < 0 || root >= c.size {
-		return nil, fmt.Errorf("mp: gather root %d of %d", root, c.size)
-	}
-	if c.rank != root {
-		return nil, c.send(root, tagGather, payload)
-	}
-	out := make([][]byte, c.size)
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
-	out[root] = cp
-	for r := 0; r < c.size; r++ {
-		if r == root {
-			continue
-		}
-		b, err := c.recv(r, tagGather)
-		if err != nil {
-			return nil, err
-		}
-		out[r] = b
-	}
-	return out, nil
 }

@@ -1,12 +1,14 @@
 // Package mp is a minimal message-passing library — ranks, point-to-point
-// send/receive with tag matching, and the usual collectives — running over
-// the same transports as the RMI runtime.
+// send/receive with tag matching, and an all-to-all exchange — running
+// over the same transports as the RMI runtime.
 //
 // The paper positions object-oriented processes against hand-written
 // message passing ("Processes exchange information by executing methods on
 // remote objects rather than by passing messages", §2; MPI is the §1
 // comparator). This package is that comparator, implemented honestly:
-// experiments E1 and E6 run the same workloads both ways and compare.
+// experiments E1 and E6 run the same workloads both ways and compare. It
+// holds what they call and nothing more: E1's echo is Send and Recv, E6's
+// transpose (pfft.MPTransform3D) is Alltoall.
 package mp
 
 import (
@@ -52,13 +54,7 @@ type key struct {
 // Reserved tag space for collectives; user tags must be < TagCollectives.
 const TagCollectives = 1 << 30
 
-const (
-	tagBarrier = TagCollectives + iota
-	tagBcast
-	tagReduce
-	tagAlltoall
-	tagGather
-)
+const tagAlltoall = TagCollectives
 
 // NewWorld builds a fully connected world of n ranks over tr.
 func NewWorld(tr transport.Transport, n int) (*World, error) {
@@ -298,40 +294,4 @@ func (c *Comm) recv(from, tag int) ([]byte, error) {
 	msg := c.queues[k][0]
 	c.queues[k] = c.queues[k][1:]
 	return msg, nil
-}
-
-// SendFloat64s packs and sends a float64 slice.
-func (c *Comm) SendFloat64s(to, tag int, vals []float64) error {
-	e := wire.NewEncoder(8 + 8*len(vals))
-	e.PutFloat64s(vals)
-	return c.Send(to, tag, e.Bytes())
-}
-
-// RecvFloat64s receives a float64 slice.
-func (c *Comm) RecvFloat64s(from, tag int) ([]float64, error) {
-	b, err := c.Recv(from, tag)
-	if err != nil {
-		return nil, err
-	}
-	d := wire.NewDecoder(b)
-	out := d.Float64s()
-	return out, d.Err()
-}
-
-// SendComplex128s packs and sends a complex slice.
-func (c *Comm) SendComplex128s(to, tag int, vals []complex128) error {
-	e := wire.NewEncoder(8 + 16*len(vals))
-	e.PutComplex128s(vals)
-	return c.Send(to, tag, e.Bytes())
-}
-
-// RecvComplex128s receives a complex slice.
-func (c *Comm) RecvComplex128s(from, tag int) ([]complex128, error) {
-	b, err := c.Recv(from, tag)
-	if err != nil {
-		return nil, err
-	}
-	d := wire.NewDecoder(b)
-	out := d.Complex128s()
-	return out, d.Err()
 }

@@ -449,9 +449,10 @@ type arrayPageDevice struct {
 	*pageDevice
 	n1, n2, n3 int
 	// staged holds values a serial method has fetched or decoded but not
-	// yet stored — pulled operands and regions, a written box — since
-	// gathering can fail and a page entered for writing must not: one
-	// buffer per worker of a kernel batch, kept between batches; 0 is the method's.
+	// yet stored — fetched operands, a written box — since gathering can
+	// fail and a page entered for writing must not. Slot 0 is the method's,
+	// a kernel batch's fetched piece among them; slot w+1 is that batch's
+	// worker w's, for operands it copies out. Kept between batches.
 	staged [][]float64
 }
 

@@ -59,7 +59,7 @@ func TestMigrationFence(t *testing.T) {
 
 	// A batched mutator touching the fenced page refuses the WHOLE
 	// batch: the unfenced page of the pair must be untouched too.
-	err = dev.CopyPagesAsync(bg, []pagedev.PageCopy{{From: 0, To: 2}, {From: 0, To: 1}}).Err(bg)
+	err = dev.PullSubBatchAsync(bg, dev.Ref(), []pagedev.PullRegion{{Index: 2, Box: box, PeerIndex: 0}, {Index: 1, Box: box, PeerIndex: 0}}).Err(bg)
 	if !errors.Is(err, rmi.ErrFenced) {
 		t.Fatalf("batch with fenced dst: got %v, want rmi.ErrFenced", err)
 	}

@@ -3,20 +3,19 @@ package pagedev
 // The device-side halves of the owner-computes array surface that are
 // not the kernel engine itself (pipeline.go): the row engine every
 // method walks pages with, the device-to-device operand/halo pull lane,
-// and the transfer primitives (pullSubBatch, copyPages).
+// and the transfer primitive pullSubBatch: a codec for a kernel.Copy batch.
 //
 // Method concurrency classes (they matter — see the mailbox rules in
 // the rmi package doc):
 //
-//	applyPipelineK            serial AS A METHOD, parallel inside (workers
-//	                          share a large batch's regions); the ONE kernel
-//	                          executor: every collective is a chain through it
-//	pullSubBatch, copyPages   serial; pullSubBatch pulls peer regions
-//	                          device-to-device
-//	readSubBatch              CONCURRENT: serves peer pulls while this
-//	                          object's mailbox is busy (two devices
-//	                          mid-sweep can exchange halos and operands
-//	                          without deadlock)
+//	applyPipelineK, pullSubBatch   serial AS A METHOD, parallel inside
+//	                               (workers share a piece's regions); the
+//	                               ONE kernel executor: every collective is
+//	                               a chain through it, a pull a copy chain
+//	readSubBatch                   CONCURRENT: serves peer pulls while this
+//	                               object's mailbox is busy (two devices
+//	                               mid-sweep can exchange halos and operands
+//	                               without deadlock)
 //
 // Every one of them reaches elements through the device's page accessor
 // (withPages, device.go): on a resident store serial methods mutate the
@@ -28,14 +27,16 @@ package pagedev
 // other; it does not make a batch atomic. Beside its own page an access
 // holds, read-only, the co-located operand pages its chain reads whose lock
 // was free when tried: a holder of a contents lock waits for nothing, not a
-// pull and not a second lock. So a method, or a worker of it, fetches remote
-// values (stage) before it enters anything, and first copies out an operand
-// page it cannot have beside its own — so a device can be its own operand
-// (self-dot, x.Axpy(x)) and two devices read each other mid-batch.
+// pull and not a second lock. So the engine fetches a piece's remote values
+// before any worker enters anything, and a worker first copies out an
+// operand page it cannot have beside its own — so a device can be its own
+// operand (self-dot, x.Axpy(x), a bank move) and two devices read each
+// other mid-batch.
 //
 // Batches are not transactional: a mid-batch failure leaves an unspecified
-// subset of the other regions applied, and a kernel that panics leaves its
-// own resident page as far as it got. The one all-or-nothing guarantee is the migration
+// subset of the other regions applied — a failed fetch, the pieces before
+// it — and a kernel that panics leaves its own resident page as far as it
+// got. The one all-or-nothing guarantee is the migration
 // fence (fence.go): every mutating batch pre-scans its destination
 // pages and refuses the WHOLE batch typed (rmi.ErrFenced) if any is
 // mid-migration, so a caller can replay the identical batch after the
@@ -50,6 +51,7 @@ import (
 	"context"
 	"fmt"
 
+	"oopp/internal/kernel"
 	"oopp/internal/rmi"
 	"oopp/internal/wire"
 )
@@ -120,7 +122,6 @@ func decodeCount(args *wire.Decoder, minElem int) (int, error) {
 const (
 	minSubBox   = 7
 	minPullElem = minSubBox + 1 // + peerIdx
-	minCopyElem = 2             // src, dst
 )
 
 // serveSub gathers the row-packed values of one region of this device's
@@ -135,16 +136,6 @@ func (a *arrayPageDevice) serveSub(rq subReq, dst []float64) error {
 		return nil
 	}
 	return a.withPage(rq.idx, readOnly, func(elems []float64) { gatherRuns(dst, elems, a.n2, a.n3, rq.Lo, rq.Dim) })
-}
-
-// operand names a box of a peer's page for withPages: a co-located peer cut
-// into pages alike is read in place, and any other is pulled into slot(i) now.
-func (a *arrayPageDevice) operand(env *rmi.Env, peer PipePeer, box SubBox, slot func(i int) []float64, i int) (pageRef, error) {
-	if local, ok := localArrayDevice(env, peer.Ref); ok && local.page() == a.page() {
-		return pageRef{dev: local, index: peer.Index, box: box}, nil
-	}
-	p := pageRef{vals: slot(i)}
-	return p, a.fetchSubBatchAsync(env, peer.Ref, []subReq{{peer.Index, box}}, [][]float64{p.vals})()
 }
 
 // fetchSubBatchAsync begins the pull of each request's row-packed
@@ -223,107 +214,44 @@ func (a *arrayPageDevice) readSubBatch(env *rmi.Env, args *wire.Decoder, reply *
 }
 
 // registerTransferMethods installs the peer-pull lane and the transfer
-// primitives on the ArrayPageDevice class.
+// primitive on the ArrayPageDevice class.
 func registerTransferMethods(c *rmi.Class[*arrayPageDevice]) {
 	c.ConcurrentMethod("readSubBatch", (*arrayPageDevice).readSubBatch)
 
 	// pullSubBatch(peerRef, count, count×(localIdx, box, peerIdx)):
-	// overwrite each local region with the co-indexed region pulled from
-	// the peer device — the owner-computes transfer primitive (the §5
-	// copyFrom generalized from whole page runs to sub-box batches
-	// between two distributed arrays). One peer per call; the client
-	// groups regions by (destination device, source device).
+	// overwrite each local region with the co-indexed region of the peer
+	// device, this one included — the §5 copyFrom generalized to sub-box
+	// batches, decoded into a one-stage kernel.Copy batch of the engine,
+	// which replies the touched count.
 	c.Method("pullSubBatch", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		peer := args.Ref()
 		count, err := decodeCount(args, minPullElem)
 		if err != nil {
 			return err
 		}
-		reqs := make([]subReq, 0, count)
-		local := make([]subReq, 0, count)
-		total := 0
-		for n := 0; n < count; n++ {
-			idx := args.Int()
-			lo, dim, err := decodeSubBox(args, a.page())
-			if err != nil {
-				return err
-			}
-			peerIdx := args.Int()
-			if err := args.Err(); err != nil {
-				return err
-			}
-			local = append(local, subReq{idx, SubBox{lo, dim}})
-			reqs = append(reqs, subReq{peerIdx, SubBox{lo, dim}})
-			total += reqs[n].Size()
-		}
-		for _, lr := range local {
-			if err := a.checkFence(lr.idx); err != nil {
-				return err
-			}
-		}
-		// A co-located peer cut alike is read where it lies, region by region;
-		// any other in one batched pull for the whole call, staged.
-		vals := make([][]float64, len(reqs))
-		dev, ok := localArrayDevice(env, peer)
-		if !ok || dev.page() != a.page() {
-			dev = nil
-			staged := a.stage(0, total)
-			for i, rq := range reqs {
-				vals[i], staged = staged[:rq.Size()], staged[rq.Size():]
-			}
-			if err := a.fetchSubBatchAsync(env, peer, reqs, vals)(); err != nil {
-				return err
-			}
-		}
-		for i, lr := range local {
-			if lr.Size() == 0 {
-				continue
-			}
-			pages := []pageRef{{dev: a, index: lr.idx, how: update}, {dev: dev, index: reqs[i].idx, box: lr.SubBox, vals: vals[i]}}
-			slot := func(int) []float64 { return a.stage(0, lr.Size()) }
-			put := func(elems []float64) {
-				pos := 0
-				forEachRun(a.n2, a.n3, lr.Lo, lr.Dim, func(off, n int) { pos += copy(elems[off:off+n], pages[1].run(off, pos, n)) })
-			}
-			if err := withPages(pages, slot, put); err != nil {
-				return err
-			}
-		}
-		reply.PutVarint(int64(total))
-		return nil
-	})
-
-	// copyPages(count, count×(srcIdx, dstIdx)): device-local page copies
-	// (bank moves of the owner-computes Jacobi; no data leaves the
-	// device).
-	c.Method("copyPages", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		count, err := decodeCount(args, minCopyElem)
+		cp, err := kernel.LookupBinary(kernel.Copy, nil)
 		if err != nil {
 			return err
 		}
-		pairs := make([][2]int, 0, count)
-		for n := 0; n < count; n++ {
-			src := args.Int()
-			dst := args.Int()
+		b := kernelBatch{
+			stages:   []batchStage{{ResolvedStage: kernel.ResolvedStage{Kind: kernel.StageBinary, Name: kernel.Copy, Bin: cp}}},
+			regions:  make([]PipeRegion, count),
+			mutates:  true,
+			operands: 1,
+		}
+		peers := make([]PipePeer, count)
+		for n := range b.regions {
+			r := &b.regions[n]
+			r.Index = args.Int()
+			if r.Box.Lo, r.Box.Dim, err = decodeSubBox(args, a.page()); err != nil {
+				return err
+			}
+			peers[n] = PipePeer{Ref: peer, Index: args.Int()}
+			r.Peers = peers[n : n+1]
 			if err := args.Err(); err != nil {
 				return err
 			}
-			pairs = append(pairs, [2]int{src, dst})
 		}
-		for _, p := range pairs {
-			if err := a.checkFence(p[1]); err != nil {
-				return err
-			}
-		}
-		// The source is read where it lies; a pair that cannot be held together is staged.
-		whole := SubBox{Dim: a.page()}
-		slot := func(int) []float64 { return a.stage(0, whole.Size()) }
-		for _, p := range pairs {
-			pages := []pageRef{{dev: a, index: p[1], how: overwrite}, {dev: a, index: p[0], box: whole}}
-			if err := withPages(pages, slot, func(dst []float64) { copy(dst, pages[1].vals) }); err != nil {
-				return err
-			}
-		}
-		return nil
+		return a.runKernelBatch(env, b, reply)
 	})
 }

@@ -1,9 +1,9 @@
 package pagedev
 
-// Client stubs and wire encoders for the kernel engine's one method and
-// the owner-computes transfer methods. core.Array drives the batched
-// methods through its storage collection with the encoders; the stub
-// methods exist for direct device use and tests.
+// Client stubs and wire encoders for the kernel engine's one method, the
+// owner-computes transfer method and the Jacobi plane sweep. core.Array
+// drives the batched methods through its storage collection with the
+// encoders; the stub methods exist for direct device use and tests.
 
 import (
 	"context"
@@ -20,22 +20,6 @@ type PullRegion struct {
 	Index     int
 	Box       SubBox
 	PeerIndex int
-}
-
-// PageCopy is one device-local page copy.
-type PageCopy struct {
-	From, To int
-}
-
-// EncodePullSubBatch packs a pullSubBatch request: one source device,
-// many (local region ← peer page) transfers.
-func EncodePullSubBatch(e *wire.Encoder, peer rmi.Ref, regions []PullRegion) {
-	e.PutRef(peer)
-	e.PutInt(len(regions))
-	for _, r := range regions {
-		putSubBox(e, r.Index, r.Box)
-		e.PutInt(r.PeerIndex)
-	}
 }
 
 // ApplyPipelineK runs the stage chain p (params[i] belongs to
@@ -57,21 +41,15 @@ func (d *ArrayDevice) ApplyPipelineK(ctx context.Context, p kernel.Pipeline, par
 
 // PullSubBatchAsync begins an owner-computes transfer: this device
 // overwrites each listed local region with the co-indexed region pulled
-// from the peer device, device-to-device.
+// from the peer device, device-to-device. The peer may be this device (a
+// move between its own pages).
 func (d *ArrayDevice) PullSubBatchAsync(ctx context.Context, peer rmi.Ref, regions []PullRegion) *rmi.Future {
 	return d.client.CallAsync(ctx, d.ref, "pullSubBatch", func(e *wire.Encoder) error {
-		EncodePullSubBatch(e, peer, regions)
-		return nil
-	})
-}
-
-// CopyPagesAsync begins a batch of device-local page copies.
-func (d *ArrayDevice) CopyPagesAsync(ctx context.Context, pairs []PageCopy) *rmi.Future {
-	return d.client.CallAsync(ctx, d.ref, "copyPages", func(e *wire.Encoder) error {
-		e.PutInt(len(pairs))
-		for _, p := range pairs {
-			e.PutInt(p.From)
-			e.PutInt(p.To)
+		e.PutRef(peer)
+		e.PutInt(len(regions))
+		for _, r := range regions {
+			putSubBox(e, r.Index, r.Box)
+			e.PutInt(r.PeerIndex)
 		}
 		return nil
 	})

@@ -21,13 +21,20 @@ package pagedev
 //
 // applyPipelineK is a SERIAL method (parallel inside: runKernelBatch), but
 // its two-operand stages read peer operands from outside the peer's mailbox
-// — a remote one through the concurrent readSubBatch lane before the
-// region's page is entered, a co-located one where it lies (withPages) —
-// so two devices mid-batch can still exchange operands without deadlock.
+// — a co-located one cut alike where it lies (withPages), any other through
+// the concurrent readSubBatch lane before a page is entered — so two
+// devices mid-batch can still exchange operands without deadlock.
+//
+// Operands not read where they lie arrive in pieces — runs of regions
+// whose fetched values fit bufpool.PieceBytes, or one larger region — one
+// readSubBatch per peer and piece, so no reply outgrows the buffer pool. A
+// batch that fetches nothing is one piece.
 
 import (
 	"fmt"
+	"slices"
 
+	"oopp/internal/bufpool"
 	"oopp/internal/kernel"
 	"oopp/internal/rmi"
 	"oopp/internal/wire"
@@ -211,14 +218,15 @@ func registerPipelineMethod(c *rmi.Class[*arrayPageDevice]) {
 	})
 }
 
-// runKernelBatch executes a decoded batch: fence pre-scan, the regions
-// shared among the machine's processors by rmi.Share — which says who runs
-// them, when a batch is too small to share and what becomes of an error or a
-// panic — then the regions' accumulators merged into the reply. Which
-// goroutine ran which region shows nowhere: a reduce stage folds each region
-// into that region's OWN accumulator (Init, then Row per run), merged
-// afterwards in region order with the kernel's Merge, so the reply is bitwise
-// the same for one goroutine or eight.
+// runKernelBatch executes a decoded batch: fence pre-scan, then piece by
+// piece the operands fetched and the regions shared among the machine's
+// processors by rmi.Share — which says who runs them, when a piece is too
+// small to share and what becomes of an error or a panic — then the regions'
+// accumulators merged into the reply. Which goroutine ran which region shows
+// nowhere: a reduce stage folds each region into that region's OWN
+// accumulator (Init, then Row per run), merged afterwards in region order
+// with the kernel's Merge, so the reply is bitwise the same for one
+// goroutine or eight.
 func (a *arrayPageDevice) runKernelBatch(env *rmi.Env, b kernelBatch, reply *wire.Encoder) error {
 	// Fence-scan the whole batch before touching any page (mutating
 	// chains only; reads are never fenced): a batch refused by the
@@ -235,15 +243,30 @@ func (a *arrayPageDevice) runKernelBatch(env *rmi.Env, b kernelBatch, reply *wir
 	}
 	// One slab: a row of b.width floats per region, and a last row to merge into.
 	accs := make([]float64, (len(b.regions)+1)*b.width)
-	workers, shared := rmi.Sharers(len(b.regions), elems), elems
+	workers, share := rmi.Sharers(len(b.regions), elems), true
 	if workers > 1 && !b.orderFree(a, env) {
-		workers, shared = 1, 0
+		workers, share = 1, false
 	}
-	a.stage(workers-1, 0) // every goroutine's staging slot exists before a helper looks for its own
+	// Slot 0 holds a piece's fetched operands, slot w+1 is worker w's: all exist
+	// before a helper looks for its own, as no piece has more sharers than the batch.
+	a.stage(workers, 0)
 	pages, n := make([]pageRef, len(b.regions)*(1+b.operands)), 1+b.operands
-	err := rmi.Share(len(b.regions), shared, func(w, i int) error { return a.region(env, b, accs, pages[i*n:(i+1)*n], w, i) })
-	if err != nil {
-		return err
+	for lo, hi := 0, 0; lo < len(b.regions); lo = hi {
+		var size int
+		var err error
+		if hi, size, err = a.piece(env, b, pages, lo); err != nil {
+			return err
+		}
+		if !share {
+			size = 0
+		}
+		err = rmi.Share(hi-lo, size, func(w, k int) error {
+			i := lo + k
+			return a.region(b, accs, pages[i*n:(i+1)*n], w, i)
+		})
+		if err != nil {
+			return err
+		}
 	}
 	// The first folded region's accumulator is copied over the identity, not
 	// merged into it; a stage no region folded (all empty or fold=false)
@@ -275,6 +298,68 @@ func (a *arrayPageDevice) runKernelBatch(env *rmi.Env, b kernelBatch, reply *wir
 	return nil
 }
 
+// piece names the operands of the regions from lo on (pages[i*n+1:], n per
+// region): a co-located peer cut alike in place, any other fetched into
+// staging slot 0 before it returns — one readSubBatch per peer, all posted
+// before the first is waited for. The piece ends at hi, where a further
+// region would take its fetched values past bufpool.PieceBytes; size is its
+// elements. A non-folding replica reads no binary-reduce operand: the stage
+// writes nothing to keep in step.
+func (a *arrayPageDevice) piece(env *rmi.Env, b kernelBatch, pages []pageRef, lo int) (hi, size int, err error) {
+	type fetch struct {
+		p    *pageRef
+		peer int // in peers
+		subReq
+	}
+	var fetches []fetch
+	var peers []rmi.Ref
+	n, fetched := 1+b.operands, 0
+	for hi = lo; hi < len(b.regions); hi++ {
+		r := &b.regions[hi]
+		rs, before, need, op := r.Box.Size(), len(fetches), 0, 0
+		for si := range b.stages {
+			if k := b.stages[si].Kind; k == kernel.StageBinary || k == kernel.StageBinaryReduce {
+				p, peer := &pages[hi*n+1+op], r.Peers[op]
+				*p = pageRef{}
+				op++
+				if rs == 0 || k == kernel.StageBinaryReduce && !r.Fold {
+					continue
+				}
+				if local, ok := localArrayDevice(env, peer.Ref); ok && local.page() == a.page() {
+					*p = pageRef{dev: local, index: peer.Index, box: r.Box}
+					continue
+				}
+				f := fetch{p, slices.Index(peers, peer.Ref), subReq{peer.Index, r.Box}}
+				if f.peer < 0 {
+					f.peer, peers = len(peers), append(peers, peer.Ref)
+				}
+				fetches, need = append(fetches, f), need+rs
+			}
+		}
+		if fetched > 0 && 8*(fetched+need) > bufpool.PieceBytes {
+			fetches = fetches[:before]
+			break
+		}
+		fetched, size = fetched+need, size+rs
+	}
+	// A peer only the region left for the next piece named has no request here, and no call.
+	vals, reqs, dst := a.stage(0, fetched), make([][]subReq, len(peers)), make([][][]float64, len(peers))
+	for _, f := range fetches {
+		f.p.vals, vals = vals[:f.Size()], vals[f.Size():]
+		reqs[f.peer], dst[f.peer] = append(reqs[f.peer], f.subReq), append(dst[f.peer], f.p.vals)
+	}
+	waits := make([]func() error, len(peers))
+	for k, ref := range peers {
+		waits[k] = a.fetchSubBatchAsync(env, ref, reqs[k], dst[k])
+	}
+	for _, wait := range waits {
+		if werr := wait(); err == nil {
+			err = werr
+		}
+	}
+	return hi, size, err
+}
+
 // orderFree reports whether the batch's regions may run in any order: not
 // when the chain writes and two regions share a page, or one's operand is
 // a page of this very device that ANOTHER region writes. Such a batch —
@@ -301,8 +386,13 @@ func (b kernelBatch) orderFree(a *arrayPageDevice, env *rmi.Env) bool {
 	return true
 }
 
-// region walks region i on worker w: its operands named or pulled (pages[1:]), then its page (pages[0]) through every stage.
-func (a *arrayPageDevice) region(env *rmi.Env, b kernelBatch, accs []float64, pages []pageRef, w, i int) error {
+// region walks region i on worker w: its page (pages[0]) through every
+// stage, beside the operands piece named or fetched (pages[1:]). What is
+// read is always the peer's STORED page, this device's own included — a
+// chain never has a page it writes in place — so an operand withPages
+// cannot hold beside the page is first copied to its slot of the worker's
+// staging buffer.
+func (a *arrayPageDevice) region(b kernelBatch, accs []float64, pages []pageRef, w, i int) error {
 	r := &b.regions[i]
 	size := r.Box.Size()
 	if size == 0 {
@@ -310,29 +400,7 @@ func (a *arrayPageDevice) region(env *rmi.Env, b kernelBatch, accs []float64, pa
 		// nothing to write and reduce stages must skip, not fold.
 		return nil
 	}
-	// Operands first: a pull can fail or wait, and neither may happen inside
-	// a page. A remote one is pulled now, into its slot of the worker's
-	// staging buffer (allocated when the first is); a co-located one is read
-	// beside the region's page, or copied to its slot if withPages cannot have
-	// both. Either way it is the peer's STORED page that is read, this device's
-	// own included — a chain never has a page it writes in place — as a pull in
-	// front of the chain did. A non-folding replica skips a binary-reduce
-	// stage's operand: the stage writes nothing to keep in step.
-	slot := func(i int) []float64 { return a.stage(w, b.operands*size)[(i-1)*size : i*size] }
-	op := 1
-	for si := range b.stages {
-		switch k := b.stages[si].Kind; k {
-		case kernel.StageBinary, kernel.StageBinaryReduce:
-			pages[op] = pageRef{}
-			if k == kernel.StageBinary || r.Fold {
-				var err error
-				if pages[op], err = a.operand(env, r.Peers[op-1], r.Box, slot, op); err != nil {
-					return err
-				}
-			}
-			op++
-		}
-	}
+	slot := func(i int) []float64 { return a.stage(w+1, b.operands*size)[(i-1)*size : i*size] }
 	// A chain that never writes only reads its pages (no write charged);
 	// one whose first stage overwrites every element need not load a
 	// whole-page region (no read charged) — every later stage then reads

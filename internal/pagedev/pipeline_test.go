@@ -120,7 +120,6 @@ func TestOversizedBatchCountRefused(t *testing.T) {
 		},
 		"readSubBatch": func(e *wire.Encoder) { e.PutInt(huge) },
 		"pullSubBatch": func(e *wire.Encoder) { e.PutRef(dev.Ref()); e.PutInt(huge) },
-		"copyPages":    func(e *wire.Encoder) { e.PutInt(huge) },
 		"fencePages":   func(e *wire.Encoder) { e.PutInt(huge) },
 	}
 	for method, enc := range frames {

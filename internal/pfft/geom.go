@@ -51,24 +51,18 @@ func (g geom) planes(phase int) (count, blockPlane int) {
 	return g.h1, g.h2 * g.n3
 }
 
-// pieceBytes bounds the values of one message that carries part of a
-// buffer. A quarter of the largest pooled frame: payload and call header
-// together then round up to the bufpool class of MaxPooled/2, which keeps
-// eight idle buffers — a piece going out to and one coming in from each of
-// a few peers at once — so no frame on any pfft path is a fresh zeroed
-// allocation, and a piece is small enough beside a buffer (1/8 of a block
-// at 128³ on two workers) that sending it overlaps most of the arithmetic.
-const pieceBytes = bufpool.MaxPooled / 4
-
 // cut is planes [0, count) of a buffer in consecutive pieces of per planes,
 // the last one shorter if per does not divide count.
 type cut struct{ count, per int }
 
 // cutPlanes cuts count planes of planeLen values each into pieces of as
-// many whole planes as fit pieceBytes, and of one if none does. A buffer of
-// few planes is one piece; there is no other form.
+// many whole planes as fit bufpool.PieceBytes, and of one if none does —
+// so no frame on any pfft path is a fresh zeroed allocation, and a piece is
+// small enough beside a buffer (1/8 of a block at 128³ on two workers) that
+// sending it overlaps most of the arithmetic. A buffer of few planes is one
+// piece; there is no other form.
 func cutPlanes(count, planeLen int) cut {
-	return cut{count: count, per: max(1, pieceBytes/(16*planeLen))}
+	return cut{count: count, per: max(1, bufpool.PieceBytes/(16*planeLen))}
 }
 
 func (c cut) pieces() int { return (c.count + c.per - 1) / c.per }

@@ -168,13 +168,9 @@ func TestDistributedOverTCP(t *testing.T) {
 	}
 }
 
-// pieceBytes is the bound on a piece's values that internal/pfft works to
-// (geom.go); the tests compute the pieces of a transfer from it.
-const pieceBytes = bufpool.MaxPooled / 4
-
 // piecesOf is how many pieces carry planes planes of planeLen values each.
 func piecesOf(planes, planeLen int) (pieces, per int) {
-	per = max(1, pieceBytes/(16*planeLen))
+	per = max(1, bufpool.PieceBytes/(16*planeLen))
 	return (planes + per - 1) / per, per
 }
 
@@ -341,7 +337,7 @@ func TestTransformAllocatesNoBlocks(t *testing.T) {
 		transform()
 		frames := make([][]byte, 2*p*(p-1))
 		for i := range frames {
-			frames[i] = bufpool.Get(min(16*(c.n1/p)*(c.n2/p)*c.n3, pieceBytes) + 64)
+			frames[i] = bufpool.Get(min(16*(c.n1/p)*(c.n2/p)*c.n3, bufpool.PieceBytes) + 64)
 		}
 		for _, b := range frames {
 			bufpool.Put(b)

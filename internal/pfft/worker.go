@@ -29,8 +29,8 @@
 // knows where they lie. The sender's planes cut it into contiguous runs
 // (forward, plane i1 of the slab holds the block's h2 rows (i1, ·); back,
 // plane i2 of the transposed buffer its h1 rows (·, i2)), and it crosses as
-// pieces: as many whole planes as fit pieceBytes, so that every frame on
-// the path is one the buffer pool recycles. A block smaller than that is
+// pieces: as many whole planes as fit bufpool.PieceBytes, so that every
+// frame on the path is one the buffer pool recycles. A block smaller than that is
 // one piece; there is no whole-block form beside the pieces. A piece
 // crosses with one pass per side and no buffer of its own: the sender
 // gathers its rows out of the planes it has just transformed — they are

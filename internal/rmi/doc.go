@@ -194,7 +194,7 @@
 //	applyPipelineK(chain, regions)            the one kernel executor            serial
 //	readSubBatch(regions)                     peer operand and halo pulls        CONCURRENT
 //	pullSubBatch(peer, regions)               device-to-device sub-box transfer  serial
-//	copyPages(pairs)                          local bank moves                   serial
+//	                                          (a kernel.Copy batch of the engine)
 //	jacobiPlane(...)                          owner Jacobi sweep                 serial
 //	readArray, writeArray, writeSub           the Array read/write path          serial
 //	sum, fillPage (one page)                  the §3 "move the computation to    serial

@@ -25,13 +25,6 @@ type LinkModel struct {
 	// Bandwidth is the link throughput in bytes per second. Zero means
 	// infinite bandwidth.
 	Bandwidth float64
-	// Serialize, if true, holds the link direction for a message's whole
-	// transfer (propagation included) before the next may start — a
-	// half-duplex NIC. If false only the transmission time (the
-	// bandwidth term) occupies the direction, and propagation delays
-	// overlap freely (an idealized switch fabric with finite injection
-	// rate).
-	Serialize bool
 }
 
 // IsZero reports whether the model imposes no costs.
@@ -74,11 +67,6 @@ func (l *link) arrival(n int) time.Time {
 	}
 	total := l.model.TransferTime(n)
 	hold := total - l.model.Latency // transmission time: the serializing term
-	if l.model.Serialize {
-		// Half-duplex NIC: the whole transfer (propagation included)
-		// must finish before the next message starts transmitting.
-		hold = total
-	}
 	now := time.Now()
 	l.mu.Lock()
 	start := now
