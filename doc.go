@@ -258,8 +258,14 @@
 // finish sends its siblings' replies with its own, so a reply may wait
 // for its siblings but never for another collective or for a request with
 // a deadline, and the collective returns no later than before. Single
-// calls are never held and answered one by one. Three rules make the
-// recycling safe:
+// calls are never held and answered one by one. Nor do two processors
+// queue for one lock on a call's path: a frame of 64 KiB or less is
+// recycled through a free list per processor (the small tier of
+// internal/bufpool; larger frames keep bounded shared lists), and a
+// server admits a request, finds its object, method and telemetry, and a
+// client finds its connection, in atomics and in tables that are
+// published copies, rewritten only when an object, a method or a
+// connection comes or goes. Three rules make the recycling safe:
 //
 //   - Send transfers ownership. A frame handed to a transport Send (or,
 //     with others, to SendBurst) belongs to the transport afterwards: the

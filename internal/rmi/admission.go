@@ -58,18 +58,33 @@ func Unbounded() AdmissionConfig {
 // admissions see the new caps (a cap below the current depth simply
 // sheds new arrivals until the class drains under it).
 func (s *Server) SetAdmission(cfg AdmissionConfig) {
-	caps := cfg.resolve()
-	s.mu.Lock()
-	s.admitCap = caps
-	s.mu.Unlock()
+	for p, c := range cfg.resolve() {
+		s.admitCap[p].Store(int64(c))
+	}
 }
 
 // QueueDepths returns the current in-flight request count per priority
 // class, for tests and stats.
-func (s *Server) QueueDepths() [NumPriorities]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.admitDepth
+func (s *Server) QueueDepths() (depths [NumPriorities]int) {
+	for p := range depths {
+		depths[p] = int(s.admitDepth[p].Load())
+	}
+	return depths
+}
+
+// The bits of Server.stopped.
+const (
+	stopDraining = 1 << iota // Drain was called
+	stopClosed               // Close was called
+)
+
+// stop sets bit in s.stopped; the first stop gives back the token the
+// server holds, so that the drain tokens can reach zero. The caller holds
+// s.mu.
+func (s *Server) stop(bit uint32) {
+	if s.stopped.Or(bit) == 0 {
+		s.release(1)
+	}
 }
 
 // admit accepts one unit of in-flight work in class prio, or explains
@@ -77,44 +92,64 @@ func (s *Server) QueueDepths() [NumPriorities]int {
 // first, so drain and overload never mask each other), an
 // *OverloadedError when the class budget is spent. A nil return hands
 // the caller a slot of the class and a drain token, which the request's
-// finish gives back.
+// finish gives back. It takes no lock: the slot is a compare-and-swap
+// of the class's depth below its cap, so the depth never exceeds the cap
+// however many processors admit at once, and the token is refused once
+// the count has reached zero — a Drain that has returned, or that raced
+// the flag check above, admits nothing after it.
 func (s *Server) admit(prio Priority) error {
-	s.mu.Lock()
-	if s.draining || s.closed {
-		s.mu.Unlock()
+	if s.stopped.Load() != 0 {
 		return ErrDraining
 	}
-	if c := s.admitCap[prio]; c >= 0 && s.admitDepth[prio] >= c {
-		depth := s.admitDepth[prio]
-		s.mu.Unlock()
-		metrics.Default.ReqShed.Add(1)
-		return &OverloadedError{
-			Machine:    s.machine,
-			Priority:   prio,
-			Queued:     depth,
-			RetryAfter: s.retryHint(prio),
+	depth, limit := &s.admitDepth[prio], s.admitCap[prio].Load()
+	for {
+		d := depth.Load()
+		if limit >= 0 && d >= limit {
+			s.shed.Add(1)
+			metrics.Default.ReqShed.Add(1)
+			return &OverloadedError{
+				Machine:    s.machine,
+				Priority:   prio,
+				Queued:     int(d),
+				RetryAfter: s.retryHint(prio),
+			}
+		}
+		if depth.CompareAndSwap(d, d+1) {
+			break
 		}
 	}
-	s.admitDepth[prio]++
-	s.calls.Add(1)
-	s.mu.Unlock()
-	return nil
+	for {
+		n := s.tokens.Load()
+		if n == 0 {
+			depth.Add(-1)
+			return ErrDraining
+		}
+		if s.tokens.CompareAndSwap(n, n+1) {
+			return nil
+		}
+	}
+}
+
+// release retires n drain tokens; the release that retires the last one
+// tells Drain.
+func (s *Server) release(n int) {
+	if s.tokens.Add(-int64(n)) == 0 {
+		close(s.drained)
+	}
 }
 
 // freeSlot gives the class its in-flight slot back, folding the
 // request's service time took (acceptance to reply) into the class's EWMA
 // so future rejections carry a current retry hint. Its one caller is
-// callTask.finish, BEFORE the reply is sent and s.calls.Done() after: a
-// client holding a reply — an error reply included — must find the slot
-// it occupied free (its next request is not shed by its own last one,
-// and QueueDepths read over a second connection does not count it),
-// while Drain returning still means every accepted request's reply is on
-// the wire.
+// callTask.finish, BEFORE the reply is sent and the drain token is
+// released after: a client holding a reply — an error reply included —
+// must find the slot it occupied free (its next request is not shed by
+// its own last one, and QueueDepths read over a second connection does
+// not count it), while Drain returning still means every accepted
+// request's reply is on the wire.
 func (s *Server) freeSlot(prio Priority, took time.Duration) {
 	s.observeService(prio, took)
-	s.mu.Lock()
-	s.admitDepth[prio]--
-	s.mu.Unlock()
+	s.admitDepth[prio].Add(-1)
 }
 
 // serviceEWMA tuning: new samples get 1/ewmaDiv weight, and hints are

@@ -2,11 +2,15 @@ package rmi
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"oopp/internal/trace"
 	"oopp/internal/transport"
 	"oopp/internal/wire"
 )
@@ -336,5 +340,129 @@ func TestHeartbeatSurvivesBulkSaturation(t *testing.T) {
 		}
 	}
 
+	release(t, c, ref, futs)
+}
+
+// TestAdmissionDepthNeverExceedsCap: admission takes no lock, so 16
+// callers, each on a connection of its own — which the server reads, and
+// admits from, on a goroutine of its own — race each other for the last
+// slots of the class, while a sampler reads the depth. The object is
+// parked at first, so the class fills and sheds; once it is released,
+// calls come and go around the cap. No sample may exceed the cap, every
+// call is either admitted or shed, and the depth returns to zero.
+func TestAdmissionDepthNeverExceedsCap(t *testing.T) {
+	const (
+		limit   = 8
+		callers = 16
+		calls   = 200
+	)
+	registerGate()
+	tr := transport.NewInproc(transport.LinkModel{})
+	nodes, stop := startCluster(t, tr, 1)
+	defer stop()
+	srv, c := nodes[0].server, nodes[0].client
+	srv.SetAdmission(AdmissionConfig{Capacity: [NumPriorities]int{PrioNormal: limit}})
+	ref, err := c.New(bg, 0, "test.Gate", nil)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	hold := c.CallAsync(bg, ref, "hold", nil)
+	waitUntil(t, func() bool { return srv.QueueDepths()[PrioNormal] == 1 })
+
+	done := make(chan struct{})
+	sampled := make(chan int)
+	go func() {
+		deepest := 0
+		for {
+			select {
+			case <-done:
+				sampled <- deepest
+				return
+			default:
+			}
+			deepest = max(deepest, srv.QueueDepths()[PrioNormal])
+			runtime.Gosched()
+		}
+	}()
+
+	var admitted, shed atomic.Int64
+	var wg sync.WaitGroup
+	for range callers {
+		caller := NewClient(tr, StaticDirectory{srv.Addr()})
+		defer caller.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range calls {
+				d, err := caller.Call(bg, ref, "noop", nil)
+				d.Release()
+				switch {
+				case err == nil:
+					admitted.Add(1)
+				case errors.Is(err, ErrOverloaded):
+					shed.Add(1)
+				default:
+					t.Errorf("call: %v", err)
+				}
+			}
+		}()
+	}
+	// The callers parked behind the gate hold at most limit-1 slots; the
+	// others shed until the gate opens.
+	waitUntil(t, func() bool { return shed.Load() >= 100 })
+	if err := c.CallAsync(bg, ref, "release", nil, WithPriority(PrioHigh)).Err(bg); err != nil {
+		t.Fatalf("release: %v", err)
+	}
+	wg.Wait()
+	if err := hold.Err(bg); err != nil {
+		t.Fatalf("hold: %v", err)
+	}
+	close(done)
+	if deepest := <-sampled; deepest > limit {
+		t.Errorf("the normal class held %d requests at once, cap %d", deepest, limit)
+	}
+	if a, s := admitted.Load(), shed.Load(); a+s != callers*calls {
+		t.Errorf("%d admitted + %d shed = %d, offered %d", a, s, a+s, callers*calls)
+	}
+	waitUntil(t, func() bool { return srv.QueueDepths() == [NumPriorities]int{} })
+}
+
+// TestDebugShedIsPerMachine: a machine's debug snapshot counts the
+// requests its own admission shed, not the process's. Two machines share
+// a process; only machine 0's bulk class is saturated.
+func TestDebugShedIsPerMachine(t *testing.T) {
+	const limit, overflow = 2, 5
+	registerGate()
+	nodes, stop := startCluster(t, transport.NewInproc(transport.LinkModel{}), 2)
+	defer stop()
+	c := nodes[0].client
+	nodes[0].server.SetAdmission(AdmissionConfig{Capacity: [NumPriorities]int{PrioBulk: limit}})
+	ref, err := c.New(bg, 0, "test.Gate", nil)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	futs := []*Future{c.CallAsync(bg, ref, "hold", nil, WithPriority(PrioBulk))}
+	for range limit - 1 {
+		futs = append(futs, c.CallAsync(bg, ref, "noop", nil, WithPriority(PrioBulk)))
+	}
+	waitUntil(t, func() bool { return nodes[0].server.QueueDepths()[PrioBulk] == limit })
+	for range overflow {
+		if _, err := c.Call(bg, ref, "noop", nil, WithPriority(PrioBulk)); !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("bulk call into a full class: %v, want ErrOverloaded", err)
+		}
+	}
+	for m, want := range []int64{overflow, 0} {
+		buf, err := c.Debug(bg, m)
+		if err != nil {
+			t.Fatalf("debug %d: %v", m, err)
+		}
+		var snap trace.Snapshot
+		if err := json.Unmarshal(buf, &snap); err != nil {
+			t.Fatalf("snapshot %d: %v", m, err)
+		}
+		if snap.Shed != want {
+			t.Errorf("machine %d reports %d sheds, want %d", m, snap.Shed, want)
+		}
+	}
 	release(t, c, ref, futs)
 }

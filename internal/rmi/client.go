@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
@@ -153,8 +154,12 @@ type Client struct {
 	nextID      atomic.Uint64
 	collectives atomic.Uint64 // numbers the client's collectives (inBurst)
 
+	// conns caches a connection per machine. Every change to it, under
+	// mu, publishes a copy in cached, which is never written: an operation
+	// finds its connection there without a lock.
 	mu     sync.Mutex
 	conns  map[int]*clientConn
+	cached atomic.Pointer[map[int]*clientConn]
 	down   map[int]error // machines declared down by the failure detector
 	streak map[int]int   // consecutive dial failures per machine (backoff seed)
 	closed bool
@@ -162,13 +167,22 @@ type Client struct {
 
 // NewClient returns a client over tr, resolving machines through dir.
 func NewClient(tr transport.Transport, dir Directory) *Client {
-	return &Client{
+	c := &Client{
 		tr:     tr,
 		dir:    dir,
 		conns:  make(map[int]*clientConn),
 		down:   make(map[int]error),
 		streak: make(map[int]int),
 	}
+	c.publishConns()
+	return c
+}
+
+// publishConns publishes a copy of the connection cache. The caller holds
+// c.mu, or is NewClient.
+func (c *Client) publishConns() {
+	conns := maps.Clone(c.conns)
+	c.cached.Store(&conns)
 }
 
 // Directory returns the client's machine directory.
@@ -184,6 +198,7 @@ func (c *Client) Close() error {
 	c.closed = true
 	conns := c.conns
 	c.conns = make(map[int]*clientConn)
+	c.publishConns()
 	c.mu.Unlock()
 	for _, cc := range conns {
 		cc.close(ErrClientClosed)
@@ -197,8 +212,12 @@ func (c *Client) Close() error {
 // receive loop, so the next call through here transparently reconnects —
 // a dropped link never strands a machine. Machines marked down by the
 // failure detector fail fast with the recorded *MachineDownError until a
-// probe (o.probe) or an explicit recovery clears the mark.
+// probe (o.probe) or an explicit recovery clears the mark. A cached
+// connection is found without a lock; a closed client caches none.
 func (c *Client) conn(ctx context.Context, m int, o *callOptions) (*clientConn, error) {
+	if cc, ok := (*c.cached.Load())[m]; ok {
+		return cc, nil
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -262,6 +281,7 @@ func (c *Client) conn(ctx context.Context, m int, o *callOptions) (*clientConn, 
 		return existing, nil
 	}
 	c.conns[m] = cc
+	c.publishConns()
 	return cc, nil
 }
 
@@ -271,6 +291,7 @@ func (c *Client) forget(m int, cc *clientConn) {
 	c.mu.Lock()
 	if c.conns[m] == cc {
 		delete(c.conns, m)
+		c.publishConns()
 	}
 	c.mu.Unlock()
 }
@@ -297,8 +318,10 @@ func (c *Client) markDown(m int, cause error, closeConn bool) {
 	c.down[m] = down
 	var cc *clientConn
 	if closeConn {
-		cc = c.conns[m]
-		delete(c.conns, m)
+		if cc = c.conns[m]; cc != nil {
+			delete(c.conns, m)
+			c.publishConns()
+		}
 	}
 	c.mu.Unlock()
 	if cc != nil {
@@ -334,10 +357,8 @@ func (c *Client) MachineDown(m int) error {
 // failed, or abandoned. It is a live load signal: the serve package's
 // connection pool picks the least-loaded client with it.
 func (c *Client) InFlight() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var n int64
-	for _, cc := range c.conns {
+	for _, cc := range *c.cached.Load() {
 		n += cc.inflight.Load()
 	}
 	return int(n)
@@ -346,9 +367,7 @@ func (c *Client) InFlight() int {
 // InFlightTo returns the number of outstanding requests on the
 // connection to machine m (0 when no connection is cached).
 func (c *Client) InFlightTo(m int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cc, ok := c.conns[m]; ok {
+	if cc, ok := (*c.cached.Load())[m]; ok {
 		return int(cc.inflight.Load())
 	}
 	return 0

@@ -275,8 +275,11 @@
 // reply, while new constructions, calls, and pings are refused with
 // ErrDraining — a typed RemoteError, so clients and failure detectors
 // can tell an orderly departure from a crash. Stats and deletes keep
-// working during the drain window. Drain then Close is the SIGTERM path
-// of cmd/oppcluster and the e2e server processes.
+// working during the drain window. A Drain whose context ends first
+// returns its error and leaves nothing behind: it waits on a channel the
+// last accepted request's answer closes, not on a goroutine of its own.
+// Drain then Close is the SIGTERM path of cmd/oppcluster and the e2e
+// server processes.
 //
 // # Priorities and admission control
 //
@@ -347,10 +350,18 @@
 // delay high-priority traffic, so heartbeats never declare a merely
 // busy machine down; and admission is checked only after the
 // draining/closed states, so ErrOverloaded never masks ErrDraining.
-// Sheds count in metrics.Default.ReqShed; the per-class depths are
-// Server.QueueDepths. The serve package builds the client half — session
-// multiplexing over bounded connection pools and the open-loop load
-// harness — on this contract.
+// Admission takes no server lock, so connections served on different
+// processors never wait for each other to be admitted: draining or
+// closed is one atomic word, read first; a class's depth is raised by a
+// compare-and-swap below its cap, so the cap holds however many admit at
+// once; and the drain token is an atomic count that refuses to rise
+// from zero, so nothing is admitted after a Drain has returned. Sheds
+// count per machine — the shed field of the machine's debug snapshot,
+// which cmd/opptrace sums over the cluster — and process-wide in
+// metrics.Default.ReqShed; the per-class depths are Server.QueueDepths.
+// The serve package builds the client half — session multiplexing over
+// bounded connection pools and the open-loop load harness — on this
+// contract.
 //
 // # Performance and buffer ownership
 //
@@ -372,6 +383,18 @@
 // reply encoder is taken when the answer is written — header first, so
 // results are appended once, to the frame that leaves; a request waiting
 // in a mailbox holds no buffer.
+//
+// Nor does a request take a lock that a request on another processor
+// takes. Its frames, 64 KiB or less, come from and go back to the
+// per-processor tier of internal/bufpool. The server finds the object,
+// the method and the method's telemetry in tables that are published and
+// never written — the object table, the class's method table, a table of
+// stats by methodEntry.index — and a client finds its connection to the
+// machine the same way; whatever changes one of them (a construction, a
+// delete, a registration, a dial) publishes a copy under the owner's
+// lock. Admission and the drain tokens are atomics (above), and the
+// admission instant is one read of the monotonic clock, an offset from a
+// package epoch.
 //
 // The caller's half of the bargain is Release: the decoder returned by
 // Call (or Future.Wait) owns its response frame, and releasing it after

@@ -2,8 +2,11 @@ package rmi
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"oopp/internal/wire"
 )
@@ -33,19 +36,28 @@ type Destroyer interface {
 type methodEntry struct {
 	name       string
 	full       string // "class.method", precomputed so telemetry keys never concatenate on the hot path
+	index      int    // numbers full process-wide: a server finds the method's telemetry by it
 	fn         MethodFunc
 	concurrent bool
 }
+
+// methodIndexes hands out methodEntry.index.
+var methodIndexes atomic.Int64
 
 // ClassSpec is the untyped descriptor of a registered remote class: its
 // constructor and method table. It is the dispatch representation the
 // server uses; user code normally holds the generic Class[T] handle from
 // RegisterClass, which wraps a ClassSpec.
+//
+// The method table is published read-only: a request reads the map
+// methods points to without a lock, and registration — Method,
+// ConcurrentMethod, Extend, Override — builds a new map under mu and
+// publishes it in place of the old one.
 type ClassSpec struct {
 	name    string
 	ctor    Constructor
-	mu      sync.RWMutex
-	methods map[string]methodEntry
+	mu      sync.Mutex // orders the writers of methods
+	methods atomic.Pointer[map[string]methodEntry]
 }
 
 // Name returns the registered class name.
@@ -74,10 +86,23 @@ func (c *ClassSpec) addMethod(name string, fn MethodFunc, concurrent bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, dup := c.methods[name]; dup {
+	if _, dup := c.table()[name]; dup {
 		panic(fmt.Sprintf("rmi: duplicate method %s.%s", c.name, name))
 	}
-	c.methods[name] = methodEntry{name: name, full: c.name + "." + name, fn: fn, concurrent: concurrent}
+	c.publish(methodEntry{name: name, full: c.name + "." + name, index: int(methodIndexes.Add(1) - 1), fn: fn, concurrent: concurrent})
+}
+
+// table is the published method table. It is never written.
+func (c *ClassSpec) table() map[string]methodEntry { return *c.methods.Load() }
+
+// publish replaces the method table by a copy of it with entries put in.
+// The caller holds c.mu.
+func (c *ClassSpec) publish(entries ...methodEntry) {
+	next := maps.Clone(c.table())
+	for _, e := range entries {
+		next[e.name] = e
+	}
+	c.methods.Store(&next)
 }
 
 // Extend registers a derived class that inherits every method of c (the
@@ -86,16 +111,18 @@ func (c *ClassSpec) addMethod(name string, fn MethodFunc, concurrent bool) {
 // its own constructor and may add or override methods.
 func (c *ClassSpec) Extend(name string, ctor Constructor) *ClassSpec {
 	derived := Register(name, ctor)
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	inherited := c.table()
+	entries := make([]methodEntry, 0, len(inherited))
+	for m, e := range inherited {
+		// Re-key the telemetry name and index: an inherited method invoked
+		// on the derived class reports under the derived class's name.
+		e.full = name + "." + m
+		e.index = int(methodIndexes.Add(1) - 1)
+		entries = append(entries, e)
+	}
 	derived.mu.Lock()
 	defer derived.mu.Unlock()
-	for m, e := range c.methods {
-		// Re-key the telemetry name: an inherited method invoked on the
-		// derived class reports under the derived class's name.
-		e.full = name + "." + m
-		derived.methods[m] = e
-	}
+	derived.publish(entries...)
 	return derived
 }
 
@@ -104,43 +131,27 @@ func (c *ClassSpec) Extend(name string, ctor Constructor) *ClassSpec {
 func (c *ClassSpec) Override(name string, fn MethodFunc) *ClassSpec {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.methods[name]
+	e, ok := c.table()[name]
 	if !ok {
 		panic(fmt.Sprintf("rmi: Override of unknown method %s.%s", c.name, name))
 	}
 	e.fn = fn
-	c.methods[name] = e
+	c.publish(e)
 	return c
 }
 
 // MethodNames returns the sorted method names (used by tests and
 // introspection).
 func (c *ClassSpec) MethodNames() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	names := make([]string, 0, len(c.methods))
-	for n := range c.methods {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(c.table()))
 }
 
-func (c *ClassSpec) lookup(method string) (methodEntry, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	e, ok := c.methods[method]
-	return e, ok
-}
-
-// lookupBytes is lookup keyed by a raw byte view of the method name (as
-// decoded from a request frame). Indexing the map with a string([]byte)
+// lookupBytes finds a method by a raw byte view of its name (as decoded
+// from a request frame). Indexing the map with a string([]byte)
 // conversion does not allocate, which keeps the dispatch path
 // allocation-free.
 func (c *ClassSpec) lookupBytes(method []byte) (methodEntry, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	e, ok := c.methods[string(method)]
+	e, ok := c.table()[string(method)]
 	return e, ok
 }
 
@@ -158,7 +169,8 @@ func Register(name string, ctor Constructor) *ClassSpec {
 	if name == "" {
 		panic("rmi: empty class name")
 	}
-	c := &ClassSpec{name: name, ctor: ctor, methods: make(map[string]methodEntry)}
+	c := &ClassSpec{name: name, ctor: ctor}
+	c.methods.Store(&map[string]methodEntry{})
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	if _, dup := registry[name]; dup {

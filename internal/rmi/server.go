@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,28 +34,43 @@ type Server struct {
 
 	// methods is the always-on per-method telemetry registry: one latency
 	// histogram plus outcome counters per class.method, served raw by the
-	// opDebug introspection op.
+	// opDebug introspection op. stats finds a method's entry in it by
+	// methodEntry.index: a published table that is never written, which
+	// methodStats replaces, under mu, on a method's first call here.
 	methods trace.Methods
+	stats   atomic.Pointer[[]*trace.MethodStats]
 
-	mu       sync.Mutex
-	objects  map[uint64]*objEntry
-	nextID   uint64
-	total    uint64
-	closed   bool
-	draining bool
-	conns    map[transport.Conn]struct{}
+	// objects is the live object table. adopt, a take and Close write it
+	// under mu, and each publishes a copy in table, which is never written:
+	// a request looks an object up there without a lock. Objects are born
+	// and die far less often than they are called.
+	mu      sync.Mutex
+	objects map[uint64]*objEntry
+	table   atomic.Pointer[map[uint64]*objEntry]
+	nextID  uint64
+	total   atomic.Uint64 // objects ever adopted under a fresh id
+	conns   map[transport.Conn]struct{}
+
+	// stopped holds stopDraining and stopClosed, which Drain and Close set
+	// under mu: once either is set no new work is admitted.
+	stopped atomic.Uint32
 
 	// Admission control state (see admission.go): per-class in-flight
-	// caps and depths, guarded by mu; ewmaNs tracks recent service time
-	// per class for the retry-after hint on rejections.
-	admitCap   [NumPriorities]int
-	admitDepth [NumPriorities]int
+	// caps and depths, this machine's shed count, and ewmaNs, the recent
+	// service time per class for the retry-after hint on rejections.
+	admitCap   [NumPriorities]atomic.Int64
+	admitDepth [NumPriorities]atomic.Int64
+	shed       atomic.Int64
 	ewmaNs     [NumPriorities]atomic.Int64
 
-	// calls counts in-flight accepted work (constructions and method
-	// calls, from acceptance to reply). Drain waits on it: once draining
-	// is set no new work is accepted, so the counter only falls.
-	calls sync.WaitGroup
+	// tokens counts drain tokens: one per accepted request (construction
+	// or method call) from admission until its reply is written, and one
+	// the server holds until it is first stopped. So the count reaches
+	// zero once, when the server is stopped and every accepted request has
+	// answered; the release that brings it there closes drained, which
+	// Drain waits on. Nothing is admitted once the count is zero.
+	tokens  atomic.Int64
+	drained chan struct{}
 
 	// connWG tracks transport goroutines (accept loop, per-connection
 	// readers): Close always drains these. objWG tracks object work
@@ -94,8 +111,12 @@ func NewServer(machine int, tr transport.Transport, addr string, env *Env) (*Ser
 		listener: l,
 		objects:  make(map[uint64]*objEntry),
 		conns:    make(map[transport.Conn]struct{}),
-		admitCap: AdmissionConfig{}.resolve(),
+		drained:  make(chan struct{}),
 	}
+	s.publishObjects()
+	s.stats.Store(new([]*trace.MethodStats))
+	s.tokens.Store(1)
+	s.SetAdmission(AdmissionConfig{})
 	s.connWG.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -111,10 +132,13 @@ func (s *Server) Machine() int { return s.machine }
 func (s *Server) Env() *Env { return s.env }
 
 // NumObjects returns the number of live objects.
-func (s *Server) NumObjects() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.objects)
+func (s *Server) NumObjects() int { return len(*s.table.Load()) }
+
+// publishObjects publishes a copy of the object table for lookups. The
+// caller holds s.mu, or is NewServer.
+func (s *Server) publishObjects() {
+	table := maps.Clone(s.objects)
+	s.table.Store(&table)
 }
 
 // Drain puts the server into graceful-shutdown mode and waits (bounded
@@ -129,10 +153,10 @@ func (s *Server) NumObjects() int {
 // exactly Drain-then-Close.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
-	s.draining = true
+	s.stop(stopDraining)
 	s.mu.Unlock()
 	select {
-	case <-waited(&s.calls):
+	case <-s.drained:
 		return nil
 	case <-ctx.Done():
 		return fmt.Errorf("rmi: machine %d drain: %w", s.machine, ctx.Err())
@@ -140,31 +164,28 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // Draining reports whether the server is refusing new work.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
+func (s *Server) Draining() bool { return s.stopped.Load()&stopDraining != 0 }
+
+// closed reports whether Close was called.
+func (s *Server) closed() bool { return s.stopped.Load()&stopClosed != 0 }
 
 // Close shuts the server down: stop accepting, close connections,
 // terminate every object process (running destructors), wait for
 // goroutines to drain.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed() {
 		s.mu.Unlock()
 		return nil
 	}
-	s.closed = true
+	s.stop(stopClosed)
 	conns := make([]transport.Conn, 0, len(s.conns))
 	for c := range s.conns {
 		conns = append(conns, c)
 	}
-	entries := make([]*objEntry, 0, len(s.objects))
-	for _, e := range s.objects {
-		entries = append(entries, e)
-	}
-	s.objects = make(map[uint64]*objEntry)
+	entries := slices.Collect(maps.Values(s.objects))
+	clear(s.objects)
+	s.publishObjects()
 	s.mu.Unlock()
 
 	s.listener.Close()
@@ -204,7 +225,7 @@ func (s *Server) acceptLoop() {
 			return
 		}
 		s.mu.Lock()
-		if s.closed {
+		if s.closed() {
 			s.mu.Unlock()
 			conn.Close()
 			return
@@ -255,10 +276,10 @@ type callTask struct {
 	args  *wire.Decoder // owns the request frame, op header consumed
 	reply *wire.Encoder // the answer, header written; nil until answer()
 
-	admitted bool        // an admission token is held (opNew, opCall)
-	prio     Priority    // its class
-	start    time.Time   // admission instant: service-time EWMA, latency histogram
-	group    *replyGroup // the reply group the request joined; nil: answered by itself
+	admitted bool          // an admission token is held (opNew, opCall)
+	prio     Priority      // its class
+	start    time.Duration // admission instant, since epoch: service-time EWMA, latency histogram
+	group    *replyGroup   // the reply group the request joined; nil: answered by itself
 
 	entry    *objEntry
 	me       methodEntry // zero me.fn marks the built-in ping (nothing to run)
@@ -270,6 +291,10 @@ type callTask struct {
 }
 
 var callTaskPool = sync.Pool{New: func() any { return new(callTask) }}
+
+// epoch is the origin of callTask.start. An instant stamped as an offset
+// from it is one read of the monotonic clock, where time.Now is two.
+var epoch = time.Now()
 
 // errExpired answers a call whose client deadline passed while it sat in
 // the mailbox: nobody is waiting for the result, so executing it would
@@ -324,7 +349,7 @@ func (s *Server) route(t *callTask, lead byte, op uint64) {
 			t.finish(err)
 			return
 		}
-		t.admitted, t.prio, t.start = true, prio, time.Now()
+		t.admitted, t.prio, t.start = true, prio, time.Since(epoch)
 	}
 	switch op {
 	case opPing:
@@ -335,10 +360,8 @@ func (s *Server) route(t *callTask, lead byte, op uint64) {
 		t.finish(nil)
 	case opStat:
 		reply := t.answer()
-		s.mu.Lock()
-		reply.PutUvarint(uint64(len(s.objects)))
-		reply.PutUvarint(s.total)
-		s.mu.Unlock()
+		reply.PutUvarint(uint64(s.NumObjects()))
+		reply.PutUvarint(s.total.Load())
 		t.finish(nil)
 	case opDebug:
 		snap, err := s.debugSnapshot()
@@ -429,7 +452,7 @@ func (t *callTask) finish(err error) {
 	admitted, conn, group := t.admitted, t.conn, t.group
 	var took time.Duration
 	if admitted {
-		took = time.Since(t.start)
+		took = time.Since(epoch) - t.start
 	}
 	if t.stats != nil {
 		t.stats.Hist.Observe(took)
@@ -459,7 +482,7 @@ func (t *callTask) finish(err error) {
 	// Best effort: if the connection died the client sees ErrClosed.
 	_ = conn.Send(frame)
 	if admitted {
-		s.calls.Done()
+		s.release(1)
 	}
 }
 
@@ -548,7 +571,7 @@ func (g *replyGroup) unlock(write bool) {
 			_ = g.conn.SendBurst(g.replies)
 		}
 		if g.tokens > 0 {
-			g.s.calls.Add(-g.tokens)
+			g.s.release(g.tokens)
 		}
 		clear(g.replies) // the transport's by now, sent or not
 		g.replies, g.bytes, g.tokens = g.replies[:0], 0, 0
@@ -624,18 +647,19 @@ func (s *Server) adopt(cl *ClassSpec, obj any, id uint64) (uint64, error) {
 	entry := &objEntry{id: id, class: cl, obj: obj, mb: newMailbox()}
 	s.mu.Lock()
 	switch {
-	case s.closed:
+	case s.closed():
 		s.mu.Unlock()
 		return 0, fmt.Errorf("rmi: machine %d is shut down", s.machine)
 	case id == 0:
 		s.nextID++
-		s.total++
+		s.total.Add(1)
 		entry.id = s.nextID
 	case s.objects[id] != nil:
 		s.mu.Unlock()
 		return 0, fmt.Errorf("rmi: object %d already live on machine %d", id, s.machine)
 	}
 	s.objects[entry.id] = entry
+	s.publishObjects()
 	s.mu.Unlock()
 
 	// The object's process: a goroutine draining its mailbox.
@@ -648,15 +672,20 @@ func (s *Server) adopt(cl *ClassSpec, obj any, id uint64) (uint64, error) {
 }
 
 // lookup finds a live object, removing it from the table when take is
-// set (its mailbox is then the caller's to close).
+// set (its mailbox is then the caller's to close). Only a take locks.
 func (s *Server) lookup(id uint64, take bool) (*objEntry, error) {
-	s.mu.Lock()
-	entry, ok := s.objects[id]
-	if ok && take {
-		delete(s.objects, id)
+	var entry *objEntry
+	if take {
+		s.mu.Lock()
+		if entry = s.objects[id]; entry != nil {
+			delete(s.objects, id)
+			s.publishObjects()
+		}
+		s.mu.Unlock()
+	} else {
+		entry = (*s.table.Load())[id]
 	}
-	s.mu.Unlock()
-	if !ok {
+	if entry == nil {
 		return nil, fmt.Errorf("%w: machine %d object %d", ErrNoSuchObject, s.machine, id)
 	}
 	return entry, nil
@@ -759,7 +788,7 @@ func (t *callTask) run() {
 		return
 	}
 	var err error
-	t.stats = t.s.methods.Get(t.me.full)
+	t.stats = t.s.methodStats(&t.me)
 	if t.deadline != 0 && time.Now().UnixNano() > t.deadline {
 		metrics.Default.ReqExpired.Add(1)
 		err = errExpired
@@ -770,6 +799,26 @@ func (t *callTask) run() {
 		err = fmt.Errorf("%s.%s: %w", t.entry.class.name, t.me.name, err)
 	}
 	t.finish(err)
+}
+
+// methodStats is me's telemetry entry on this server, found by me.index in
+// the published table. A method's first call here puts it in: under mu,
+// into a copy that replaces the table.
+func (s *Server) methodStats(me *methodEntry) *trace.MethodStats {
+	if tab := *s.stats.Load(); me.index < len(tab) && tab[me.index] != nil {
+		return tab[me.index]
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	tab := *s.stats.Load()
+	if me.index >= len(tab) || tab[me.index] == nil {
+		next := make([]*trace.MethodStats, max(len(tab), me.index+1))
+		copy(next, tab)
+		next[me.index] = s.methods.Get(me.full)
+		s.stats.Store(&next)
+		tab = next
+	}
+	return tab[me.index]
 }
 
 // invoke runs a method, converting panics into errors. env is the
@@ -812,14 +861,14 @@ func (s *Server) destroyObject(entry *objEntry) (err error) {
 }
 
 // debugSnapshot is the machine's introspection snapshot: the per-method
-// telemetry registry, the admission shed count, and the process span
-// ring, JSON-encoded. The snapshot is self-describing (field names,
+// telemetry registry, the requests this machine's admission shed, and the
+// process span ring, JSON-encoded. The snapshot is self-describing (field names,
 // sparse histogram buckets), so the debug plane never needs a protocol
 // revision to grow a field.
 func (s *Server) debugSnapshot() ([]byte, error) {
 	return json.Marshal(trace.Snapshot{
 		Machine: s.machine,
-		Shed:    metrics.Default.ReqShed.Load(),
+		Shed:    s.shed.Load(),
 		Methods: s.methods.Snapshot(),
 		Spans:   trace.Spans(),
 	})
