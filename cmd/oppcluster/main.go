@@ -95,32 +95,8 @@ func main() {
 	}
 }
 
-// directoryFor builds the peer directory from -peers or -registry.
-// size 0 is inferred from the peer list.
-func directoryFor(size int, peers, registry string) (rmi.Directory, int, error) {
-	peerList, err := cluster.ParsePeers(peers)
-	if err != nil {
-		return nil, 0, err
-	}
-	if size == 0 {
-		size = len(peerList)
-	}
-	switch {
-	case registry != "":
-		if size == 0 {
-			return nil, 0, fmt.Errorf("-registry needs -machines (cluster size)")
-		}
-		reg, err := cluster.NewFileRegistry(registry, size, 5*time.Second)
-		return reg, size, err
-	case len(peerList) > 0:
-		return rmi.StaticDirectory(peerList), size, nil
-	default:
-		return nil, size, nil
-	}
-}
-
 func runServer(machine int, join bool, machines int, addr, peers, registry string, disks int, diskSize int64, drain time.Duration, admission rmi.AdmissionConfig) error {
-	dir, size, err := directoryFor(machines, peers, registry)
+	dir, err := cluster.PeerDirectory(machines, peers, registry)
 	if err != nil {
 		return err
 	}
@@ -128,7 +104,7 @@ func runServer(machine int, join bool, machines int, addr, peers, registry strin
 		Machine:   machine,
 		Addr:      addr,
 		Directory: dir,
-		Machines:  size,
+		Machines:  machines,
 		Disks:     disks,
 		DiskSize:  diskSize,
 		Admission: admission,
@@ -186,7 +162,7 @@ func runServer(machine int, join bool, machines int, addr, peers, registry strin
 func runDemo(machines int, peers, registry string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	dir, _, err := directoryFor(machines, peers, registry)
+	dir, err := cluster.PeerDirectory(machines, peers, registry)
 	if err != nil {
 		return err
 	}
@@ -255,7 +231,7 @@ func runDemo(machines int, peers, registry string) error {
 func runDrainPages(target, machines int, peers, registry string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	dir, _, err := directoryFor(machines, peers, registry)
+	dir, err := cluster.PeerDirectory(machines, peers, registry)
 	if err != nil {
 		return err
 	}

@@ -119,27 +119,6 @@ func parseMix(s string) ([]string, error) {
 	return ring, nil
 }
 
-func directoryFor(size int, peers, registry string) (rmi.Directory, error) {
-	peerList, err := cluster.ParsePeers(peers)
-	if err != nil {
-		return nil, err
-	}
-	if size == 0 {
-		size = len(peerList)
-	}
-	switch {
-	case registry != "":
-		if size == 0 {
-			return nil, fmt.Errorf("-registry needs -machines (cluster size)")
-		}
-		return cluster.NewFileRegistry(registry, size, 5*time.Second)
-	case len(peerList) > 0:
-		return rmi.StaticDirectory(peerList), nil
-	default:
-		return nil, fmt.Errorf("need -peers or -registry")
-	}
-}
-
 // classOf maps a mix kind to the admission class its call travels at.
 func classOf(kind string) rmi.Priority {
 	switch kind {
@@ -158,9 +137,12 @@ func run(peers, registry string, machines, conns, sessions int, rate float64,
 	if err != nil {
 		return err
 	}
-	dir, err := directoryFor(machines, peers, registry)
+	dir, err := cluster.PeerDirectory(machines, peers, registry)
 	if err != nil {
 		return err
+	}
+	if dir == nil {
+		return fmt.Errorf("need -peers or -registry")
 	}
 	count := int(rate * duration.Seconds())
 	if count < 1 {

@@ -55,27 +55,6 @@ func main() {
 	}
 }
 
-func directoryFor(size int, peers, registry string) (rmi.Directory, error) {
-	peerList, err := cluster.ParsePeers(peers)
-	if err != nil {
-		return nil, err
-	}
-	if size == 0 {
-		size = len(peerList)
-	}
-	switch {
-	case registry != "":
-		if size == 0 {
-			return nil, fmt.Errorf("-registry needs -machines (cluster size)")
-		}
-		return cluster.NewFileRegistry(registry, size, 5*time.Second)
-	case len(peerList) > 0:
-		return rmi.StaticDirectory(peerList), nil
-	default:
-		return nil, fmt.Errorf("need -peers or -registry")
-	}
-}
-
 // mergedMethod is one class.method aggregated across machines.
 type mergedMethod struct {
 	name                      string
@@ -84,9 +63,12 @@ type mergedMethod struct {
 }
 
 func run(peers, registry string, machines int, traceIDStr string, assertCross bool, timeout time.Duration) error {
-	dir, err := directoryFor(machines, peers, registry)
+	dir, err := cluster.PeerDirectory(machines, peers, registry)
 	if err != nil {
 		return err
+	}
+	if dir == nil {
+		return fmt.Errorf("need -peers or -registry")
 	}
 	client := rmi.NewClient(transport.TCP{}, dir)
 	defer client.Close()

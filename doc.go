@@ -258,7 +258,10 @@
 // finish sends its siblings' replies with its own, so a reply may wait
 // for its siblings but never for another collective or for a request with
 // a deadline, and the collective returns no later than before. Single
-// calls are never held and answered one by one. Nor do two processors
+// calls are never held and answered one by one. Both sides gather what
+// leaves together in one transport.Burst, which also refuses a frame over
+// 64 MiB: the request it belongs to fails with transport.ErrFrameTooLarge,
+// and nothing else does. Nor do two processors
 // queue for one lock on a call's path: a frame of 64 KiB or less is
 // recycled through a free list per processor (the small tier of
 // internal/bufpool; larger frames keep bounded shared lists), and a

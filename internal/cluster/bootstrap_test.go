@@ -182,6 +182,50 @@ func TestParsePeers(t *testing.T) {
 	}
 }
 
+// TestPeerDirectory: what each way of naming a cluster on a command line
+// resolves to — a registry wins over a peer list, and its size comes from
+// -machines or else from the peers — and that naming none is no directory
+// rather than an error.
+func TestPeerDirectory(t *testing.T) {
+	reg := t.TempDir()
+	for _, c := range []struct {
+		name            string
+		size            int
+		peers, registry string
+		want            string // "static", "registry", "none", or "error"
+		machines        int
+	}{
+		{"peers only", 0, "a:1,b:2", "", "static", 2},
+		{"peers and a size", 3, "a:1,b:2", "", "static", 2},
+		{"registry without a machine count", 0, "", reg, "error", 0},
+		{"registry with a machine count", 3, "", reg, "registry", 3},
+		{"both, sized by the peers", 0, "a:1,b:2", reg, "registry", 2},
+		{"both and a size", 4, "a:1,b:2", reg, "registry", 4},
+		{"neither", 0, "", "", "none", 0},
+		{"a malformed peer list", 0, "a:1,,b:2", "", "error", 0},
+	} {
+		dir, err := PeerDirectory(c.size, c.peers, c.registry)
+		got := "error"
+		switch dir.(type) {
+		case rmi.StaticDirectory:
+			got = "static"
+		case *FileRegistry:
+			got = "registry"
+		case nil:
+			if err == nil {
+				got = "none"
+			}
+		}
+		if got != c.want || (err == nil) != (c.want != "error") {
+			t.Errorf("%s: %T, %v; want %s", c.name, dir, err, c.want)
+			continue
+		}
+		if dir != nil && dir.Size() != c.machines {
+			t.Errorf("%s: %d machines, want %d", c.name, dir.Size(), c.machines)
+		}
+	}
+}
+
 // TestNodesOverRegistry boots two Nodes as a registry-connected TCP
 // cluster inside one process — the same wiring cmd/oppcluster and the
 // e2e harness use across processes — and checks cross-machine traffic

@@ -9,6 +9,7 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -182,6 +183,33 @@ func ParsePeers(s string) ([]string, error) {
 		}
 	}
 	return parts, nil
+}
+
+// PeerDirectory is the directory a command line names with -machines
+// (size), -peers and -registry: a FileRegistry of size machines when
+// registry is given, size defaulting to the number of peers; else the
+// StaticDirectory of peers. With neither it is nil, for the caller to
+// refuse or to do without.
+func PeerDirectory(size int, peers, registry string) (rmi.Directory, error) {
+	peerList, err := ParsePeers(peers)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case registry != "":
+		if size = cmp.Or(size, len(peerList)); size == 0 {
+			return nil, fmt.Errorf("-registry needs -machines (cluster size)")
+		}
+		reg, err := NewFileRegistry(registry, size, 5*time.Second)
+		if err != nil {
+			return nil, err
+		}
+		return reg, nil
+	case len(peerList) > 0:
+		return rmi.StaticDirectory(peerList), nil
+	default:
+		return nil, nil
+	}
 }
 
 // readyBackoffMax caps WaitReady's per-machine retry backoff.

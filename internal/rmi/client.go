@@ -136,17 +136,13 @@ func backoffDelay(failures int) time.Duration {
 // if any, is dropped and counted (see metrics.Counters).
 //
 // A request leaves a client one way: every operation is a request that
-// encode writes and send sends — at once, or, for a collective's burst, in
-// one write per machine when the collective flushes (clientConn.write) —
-// and the operations differ only in how they wait for the response: on a
-// Future (CallAsync, NewAsync and what is built on them), or, for Call,
-// on a pooled waiter, which is what
-// keeps the synchronous path allocation-free in steady state: request
-// frames come from pooled encoders, the transport takes ownership of them
-// (no copy on inproc), responses arrive in pooled frames, and the decoder
-// handed back to the caller returns everything to the pools via
-// wire.Decoder.Release. Callers that drop the decoder instead merely fall
-// back to the garbage collector.
+// encode writes and send sends (through clientConn.write), and the
+// operations differ only in how they wait for the response: on a Future
+// (CallAsync, NewAsync and what is built on them), or, for Call, on a
+// pooled waiter, which keeps the synchronous path allocation-free in
+// steady state with the pooled encoders, frames and decoders under it.
+// Callers that drop the decoder instead of releasing it merely fall back
+// to the garbage collector.
 type Client struct {
 	tr  transport.Transport
 	dir Directory
@@ -721,9 +717,7 @@ func (c *Client) encode(ctx context.Context, rq request, s *callSite, o *callOpt
 // per machine with the rest of the burst, when the collective flushes. A
 // held request is registered, bound and counted like a sent one; its
 // timer or context firing abandons it the same way, and the reply that
-// comes all the same is an orphan. A request of a burst that has no
-// deadline is also one of its collective's reply group, so that the
-// replies come back in one write per machine too (clientConn.write).
+// comes all the same is an orphan.
 //
 // A nil return means pc is — or, where bind said so, already was —
 // completed by someone else; an error means nobody will, and the caller
@@ -756,15 +750,7 @@ func (c *Client) send(ctx context.Context, reqID uint64, e *wire.Encoder, pc pen
 	frame := e.Detach()
 	metrics.Default.MessagesSent.Add(1)
 	metrics.Default.BytesSent.Add(int64(len(frame)))
-	group := o.burst
-	if group != 0 {
-		if _, ok := ctx.Deadline(); ok || o.timeout > 0 {
-			// A request with a deadline joins no reply group: no sibling's
-			// reply waits for it, so its timeout fails it alone.
-			group = 0
-		}
-	}
-	held, err := cc.write(reqID, frame, o.burst != 0, group)
+	held, err := cc.write(reqID, frame, o.burst != 0, o.group)
 	if err != nil {
 		cc.unregister(reqID)
 		return err
@@ -902,17 +888,15 @@ type clientConn struct {
 	pending map[uint64]pendingCall
 	dead    error
 
-	// wmu orders what leaves on conn. held are the request frames of a
+	// wmu orders what leaves on conn. held gathers the request frames of a
 	// collective's burst that wait for its flush, in issue order, heldIDs
-	// their request ids and heldBytes their lengths' sum; heldGroups are
-	// the reply groups of held and of the frame written behind them (the
-	// collective, or 0 for none). The storage is reused from burst to
+	// their request ids, and group is the reply group of the frame held
+	// last (0: none, or nothing held). The storage is reused from burst to
 	// burst.
-	wmu        sync.Mutex
-	held       [][]byte
-	heldIDs    []uint64
-	heldGroups []uint64
-	heldBytes  int
+	wmu     sync.Mutex
+	held    transport.Burst
+	heldIDs []uint64
+	group   uint64
 }
 
 func newClientConn(conn transport.Conn, owner *Client, machine int) *clientConn {
@@ -953,16 +937,14 @@ func (cc *clientConn) unregister(reqID uint64) { cc.take(reqID) }
 // object) holds whoever writes next, a collective's flush (frame nil), a
 // later member too long to hold, or somebody's synchronous Call.
 //
-// With hold, frame — registered as reqID — joins the held ones instead,
-// if with them it still fits what the far side reads at once
-// (transport.FitsBurst: a page-sized frame never waits, and sends off what
-// did); held reports that. Every frame is the connection's from here on.
-//
-// group is the reply group frame may join: its collective, or 0. What
-// leaves in one write is marked there (leadGroupFlag) — every frame whose
-// successor in the write has the same non-zero group — so the server
-// answers each run of one collective's frames in one write too, and a run
-// is always closed inside the write that opens it.
+// With hold, frame — registered as reqID — is held instead while the burst
+// has room for another (a page-sized frame never waits, and sends off what
+// did); held reports that. A frame too long to be one is refused alone
+// (transport.ErrFrameTooLarge), and nothing is written. Either way it is
+// the connection's from here on. A frame is marked (leadGroupFlag) when its
+// successor in the write is of the same reply group (inBurst; 0: none), so
+// the server answers each run of one collective's frames in one write, and
+// a run is always closed inside the write that opens it.
 //
 // If the write fails, each held request still registered is completed
 // with the error a failed send has always had, and the same error is
@@ -970,26 +952,22 @@ func (cc *clientConn) unregister(reqID uint64) { cc.take(reqID) }
 func (cc *clientConn) write(reqID uint64, frame []byte, hold bool, group uint64) (held bool, err error) {
 	cc.wmu.Lock()
 	defer cc.wmu.Unlock()
-	if hold && transport.FitsBurst(len(cc.held), cc.heldBytes, len(frame)) {
-		cc.held = append(cc.held, frame)
-		cc.heldIDs = append(cc.heldIDs, reqID)
-		cc.heldGroups = append(cc.heldGroups, group)
-		cc.heldBytes += len(frame)
-		return true, nil
-	}
 	if frame != nil {
-		cc.held = append(cc.held, frame)
-		cc.heldGroups = append(cc.heldGroups, group)
-	}
-	if len(cc.held) == 0 {
-		return false, nil
-	}
-	for i, g := range cc.heldGroups[1:] {
-		if g != 0 && g == cc.heldGroups[i] {
-			cc.held[i][0] |= leadGroupFlag
+		last := cc.held.Last()
+		room, err := cc.held.Add(frame)
+		if err != nil {
+			return false, fmt.Errorf("rmi: send to machine %d: %w", cc.machine, err)
+		}
+		if group != 0 && group == cc.group {
+			last[0] |= leadGroupFlag
+		}
+		cc.group = group
+		if hold && room {
+			cc.heldIDs = append(cc.heldIDs, reqID)
+			return true, nil
 		}
 	}
-	if err = cc.conn.SendBurst(cc.held); err != nil {
+	if err = cc.held.Flush(cc.conn); err != nil {
 		err = cc.sendFailed(err)
 		for _, id := range cc.heldIDs {
 			if pc, ok := cc.take(id); ok {
@@ -997,8 +975,7 @@ func (cc *clientConn) write(reqID uint64, frame []byte, hold bool, group uint64)
 			}
 		}
 	}
-	clear(cc.held) // the transport's by now, sent or not
-	cc.held, cc.heldIDs, cc.heldGroups, cc.heldBytes = cc.held[:0], cc.heldIDs[:0], cc.heldGroups[:0], 0
+	cc.heldIDs, cc.group = cc.heldIDs[:0], 0
 	return false, err
 }
 

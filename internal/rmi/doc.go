@@ -80,42 +80,43 @@
 // the dial and the wait with one budget. A request leaves one way, and
 // that way ends in the one place that writes to a connection
 // (clientConn.write): at once — or, if it is one of a collective's issue
-// burst, in one write per machine with the rest of the burst. A
-// collective (everything on SplitLoop through FanOut, SpawnRefs,
-// BarrierRefs, DeleteRefs) holds each small request frame on its
-// connection, registered and bound like a sent one, and its send loop
-// flushes every connection it held a frame on before its first wait; the
-// transport joins them in one write (transport.Conn.SendBurst) and the
-// far side cuts them out of one read. Whoever writes to a connection
-// writes what is held on it first, so a synchronous Call from inside an
-// issue step cannot overtake the members issued before it: issue order
-// per (connection, object) holds. Only a frame that, with what is held,
-// fits what the far side reads at once is held (transport.FitsBurst): a
-// page goes out at once and takes what was held with it. A failed flush
-// answers every held request with the *MachineDownError a failed send
-// has always had; a timer or context that fires on a held request
-// abandons it like a sent one, and the reply is an orphan. Nothing is
-// held outside a collective: CallAsync by itself sends before it
-// returns, because issue, compute, then wait — the overlap the paper's
-// transformation is for — depends on it.
+// burst (everything on SplitLoop through FanOut, SpawnRefs, BarrierRefs,
+// DeleteRefs), held on its connection in a transport.Burst, registered and
+// bound like a sent one, until the send loop flushes it before its first
+// wait: one SendBurst per machine, cut out of one read on the far side.
+// Whoever writes to a connection writes what is held on it first, so issue
+// order per (connection, object) holds, a synchronous Call from inside an
+// issue step included. A frame is held only while the burst has room for
+// another in what the far side reads at once: a page goes out at once and
+// takes what was held with it. A failed flush answers every held request
+// with the *MachineDownError a failed send has always had; a timer or
+// context that fires on a held request abandons it like a sent one. Nothing
+// is held outside a collective: issue, compute, then wait — the overlap
+// the paper's transformation is for — depends on a lone CallAsync leaving
+// before it returns.
 //
-// The replies come back the same way, in one write per machine. When a
-// collective's held frames leave, every frame whose successor in the
-// write belongs to the same collective carries the reply-group bit
-// (leadGroupFlag); the server gathers the replies of such a run — the
-// marked requests and the first unmarked one after them — and the member
-// that answers last writes them all with one SendBurst, then retires
-// their drain tokens (replyGroup, server.go). Each member still frees its
-// admission slot, records its stats and ends its span the moment it
-// answers. A collective returns no later than before, since it waits for
-// every member's reply anyway; a reply may wait for its siblings, but
-// never for another collective's, nor for a request with a deadline (a
-// member with a per-call timeout or a context deadline is never marked,
-// so its timeout fails it alone), nor for a synchronous Call, a lone
-// CallAsync or a core.Array transfer, none of which is ever held. A reply
-// too long to hold leaves at once with those gathered before it; a frame
-// the server drops as undecodable, and the end of the connection, close
-// the group.
+// The replies come back the same way. A request's reply group is decided
+// by one rule (inBurst): a request with a deadline joins none, so its
+// timeout fails it alone; each member of a spawn whose caller can give up
+// is its own; any other member joins its collective's. A frame whose
+// successor in the write is of its group carries the reply-group bit
+// (leadGroupFlag). The server gathers the replies of such a run — the
+// marked requests and the first unmarked one after them — in a replyGroup
+// (server.go), which the member that answers last writes with one
+// SendBurst before it retires their drain tokens; every other request is a
+// group of one, so a reply leaves the server one way. A reply may wait for
+// its siblings, never for another collective's nor for a request that is
+// never held; the collective waits for every member anyway. A reply after
+// which the group has no room for another leaves at once with those
+// gathered before it; a frame dropped as undecodable, and the end of the
+// connection, close the group.
+//
+// A frame over 64 MiB fails its own request and nothing else, on every
+// transport: the burst refuses it with transport.ErrFrameTooLarge. A
+// request too long fails at once, and its connection goes on; a reply too
+// long is answered with an error reply that errors.Is matches to
+// transport.ErrFrameTooLarge, and its siblings leave as usual. Neither is
+// ErrMachineDown.
 //
 // What differs is only how the
 // response is waited for, and there are two ways. The asynchronous forms
@@ -311,20 +312,18 @@
 // method through the object's mailbox or beside it when concurrent, a
 // destructor as the mailbox's last task, the control operations inline).
 // The record ends in exactly one finish(err), the only place a reply
-// frame is completed, counted and sent, and it gives things back in one
-// order: the request frame; then the bookkeeping — per-method stats,
-// span, and the admission slot the request held — BEFORE the reply is
-// sent, so a client holding a reply (an error reply included) can pull
-// the debug snapshot, which bypasses the mailbox, and is guaranteed to
-// find its own call there, and neither its next request nor
-// QueueDepths, on this connection or another, meets the slot of a
-// request already answered; then the send; then the record to its pool;
-// and the drain token last, AFTER the send, so Drain returning means
-// every accepted request's reply is on the wire. A request of a reply
-// group hands reply and token to its group instead, which sends them with
-// its siblings' and retires the tokens after that write — the promise is
-// the same. The admission class is the lead byte's low two bits: both
-// flags are masked off before it is read.
+// frame is completed, and it gives things back in one order: the request
+// frame; then the bookkeeping — per-method stats, span, and the admission
+// slot the request held — BEFORE the reply is sent, so a client holding a
+// reply (an error reply included) can pull the debug snapshot, which
+// bypasses the mailbox, and is guaranteed to find its own call there, and
+// neither its next request nor QueueDepths, on this connection or another,
+// meets the slot of a request already answered; then the record to its
+// pool; and last its one exit, the reply group, which counts and sends the
+// reply with its siblings' and retires the drain tokens AFTER that write,
+// so Drain returning means every accepted request's reply is on the wire.
+// The admission class is the lead byte's low two bits: both flags are
+// masked off before it is read.
 // Three classes exist: PrioHigh (control traffic; Ping, Stat, and
 // Delete default here), PrioNormal (Call and New), and PrioBulk
 // (background work; opt in with WithPriority, per call or baked into a
@@ -370,9 +369,9 @@
 // one encode and handed by the one send to the transport, which takes
 // ownership (inproc forwards the very slice; tcp joins it with the rest of
 // its burst, or writes a long one vectored, and recycles it). The frames a
-// collective holds for its burst wait in storage the connection keeps, and
-// the replies a server gathers for a reply group in a pooled group record,
-// so a steady stream of collectives allocates nothing for either.
+// collective holds wait in a transport.Burst the connection keeps, and
+// every reply in the transport.Burst of a pooled reply group, so a steady
+// stream of calls and collectives allocates nothing for either.
 // Responses arrive in pooled frames wrapped by pooled
 // decoders. The two ways to wait are where the cost differs: a
 // synchronous Call completes through a pooled, reusable waiter and

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"oopp/internal/transport"
 )
 
 // ErrNoSuchObject is returned when a call targets an object that does not
@@ -169,6 +171,10 @@ func (e *RemoteError) Is(target error) bool {
 		return containsSentinel(e.Msg, ErrOverloaded)
 	case ErrFenced:
 		return containsSentinel(e.Msg, ErrFenced)
+	case transport.ErrFrameTooLarge:
+		// The method ran, but its reply was too long to be sent: the
+		// server answered with why instead.
+		return containsSentinel(e.Msg, transport.ErrFrameTooLarge)
 	case context.DeadlineExceeded:
 		// A server-side deadline shed (see the opCall deadline field)
 		// reports the same type the client's own timer would have: the

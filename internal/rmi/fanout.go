@@ -123,7 +123,7 @@ func SplitLoop(ctx context.Context, n, window int, issue func(i int) *Future, se
 // errors.Join of one MemberError per failed member (nil if all
 // succeeded).
 func FanOut(ctx context.Context, client *Client, refs []Ref, method string, args func(i int, e *wire.Encoder) error, collect func(i int, d *wire.Decoder) error, window int, opts ...CallOption) error {
-	o := client.inBurst(resolveOptions(opts))
+	o := client.inBurst(ctx, resolveOptions(opts), false)
 	return joinLoop(ctx, refs, method, window, func(i int) *Future {
 		var enc ArgEncoder
 		if args != nil {
@@ -179,12 +179,7 @@ func SpawnRefs(ctx context.Context, client *Client, machines []int, class string
 	refs := make([]Ref, len(machines))
 	var errs []error
 	issueCtx := context.WithoutCancel(ctx)
-	o := client.inBurst(resolveOptions(opts))
-	// A caller that can give up waits for a hung construction only as long
-	// as the grace, so then no member's reply may wait for another's: each
-	// member is a collective of its own, held with the burst and answered
-	// by itself.
-	alone := ctx.Done() != nil
+	o := client.inBurst(ctx, resolveOptions(opts), true)
 	var graceEnd time.Time // of the drain, set when the caller first gives up
 	_ = SplitLoop(issueCtx, len(machines), window, func(i int) *Future {
 		if len(errs) > 0 || ctx.Err() != nil {
@@ -193,9 +188,6 @@ func SpawnRefs(ctx context.Context, client *Client, machines []int, class string
 		var enc ArgEncoder
 		if args != nil {
 			enc = func(e *wire.Encoder) error { return args(i, e) }
-		}
-		if alone {
-			o = client.inBurst(o)
 		}
 		return client.newAsync(issueCtx, machines[i], class, enc, o)
 	}, func(i int, fut *Future) error {
@@ -257,6 +249,6 @@ func BarrierRefs(ctx context.Context, client *Client, refs []Ref, window int) er
 // DeleteRefs destroys every member concurrently (bounded by window) and
 // returns errors.Join of the per-member failures.
 func DeleteRefs(ctx context.Context, client *Client, refs []Ref, window int) error {
-	o := client.inBurst(callOptions{})
+	o := client.inBurst(ctx, callOptions{}, false)
 	return joinLoop(ctx, refs, "delete", window, func(i int) *Future { return client.deleteAsync(ctx, refs[i], o) }, nil)
 }

@@ -1,6 +1,9 @@
 package rmi
 
-import "time"
+import (
+	"context"
+	"time"
+)
 
 // CallOption tunes one remote operation (construction, call, delete).
 // Options compose with the context.Context passed to the same operation:
@@ -25,6 +28,7 @@ type callOptions struct {
 	prio          Priority      // admission class stamped on the wire header
 	prioSet       bool          // WithPriority was given; otherwise the op's default class applies
 	burst         uint64        // inBurst: the collective the request is one of (0: none); its frame may wait on its connection for the burst's flush
+	group         uint64        // inBurst: the reply group the request joins (0: none, its reply leaves by itself)
 }
 
 // priority resolves the admission class for an operation whose default
@@ -65,16 +69,37 @@ func WithPriority(p Priority) CallOption {
 	}
 }
 
-// inBurst marks the operations of one collective of c as its issue burst:
-// a send loop that flushes before it waits (SplitLoop), the one case in
-// which send may hold a request's frame on its connection so that the
-// burst leaves in one write per machine (clientConn.write). Each call
-// names a new collective, so options resolved by it once serve all the
-// members of one collective and no other: frames of two collectives that
+// inBurst marks the operations of one collective of c, issued under ctx, as
+// its issue burst: a send loop that flushes before it waits (SplitLoop),
+// the one case in which send may hold a request's frame on its connection
+// so that the burst leaves in one write per machine (clientConn.write).
+// Each call names a new collective, so frames of two collectives that
 // leave in one write never form one reply group. It is not exported: an
 // operation issued by itself must leave at once — the overlap of issue,
 // compute, then wait depends on it.
-func (c *Client) inBurst(o callOptions) callOptions { o.burst = c.collectives.Add(1); return o }
+//
+// It also decides the members' reply group, by the one rule there is — a
+// reply waits only for siblings that cannot strand it:
+//   - a request with a deadline, its own or its context's, joins no group,
+//     so its timeout fails it alone;
+//   - each member of a spawn whose caller can give up is its own group (no
+//     group, on the wire): the spawn waits for a hung construction only as
+//     long as its grace;
+//   - otherwise the request joins its collective's group.
+func (c *Client) inBurst(ctx context.Context, o callOptions, spawn bool) callOptions {
+	o.burst = c.collectives.Add(1)
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	_, deadline := ctx.Deadline()
+	switch {
+	case deadline || o.timeout > 0:
+	case spawn && ctx.Done() != nil:
+	default:
+		o.group = o.burst
+	}
+	return o
+}
 
 func resolveOptions(opts []CallOption) callOptions {
 	var o callOptions

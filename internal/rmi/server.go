@@ -279,7 +279,7 @@ type callTask struct {
 	admitted bool          // an admission token is held (opNew, opCall)
 	prio     Priority      // its class
 	start    time.Duration // admission instant, since epoch: service-time EWMA, latency histogram
-	group    *replyGroup   // the reply group the request joined; nil: answered by itself
+	group    *replyGroup   // the reply group the request joined (of one, when by itself)
 
 	entry    *objEntry
 	me       methodEntry // zero me.fn marks the built-in ping (nothing to run)
@@ -303,9 +303,9 @@ var epoch = time.Now()
 var errExpired = fmt.Errorf("expired before execution: %v", context.DeadlineExceeded)
 
 // dispatch decodes one request frame into a record, files it into the
-// connection's reply grouping — open is the group open before the frame,
-// and the one open after it is returned — and routes it. The record owns
-// the pooled decoder and the frame under it until finish.
+// connection's reply grouping — open is the group open before the frame
+// (nil: none), and the one open after it is returned — and routes it. The
+// record owns the pooled decoder and the frame under it until finish.
 func (s *Server) dispatch(conn transport.Conn, frame []byte, open *replyGroup) *replyGroup {
 	d := wire.GetFrameDecoder(frame)
 	lead := d.Byte()
@@ -318,10 +318,21 @@ func (s *Server) dispatch(conn transport.Conn, frame []byte, open *replyGroup) *
 		open.close()
 		return nil
 	}
+	if open == nil {
+		open = replyGroupPool.Get().(*replyGroup)
+		open.s, open.conn = s, conn
+	}
+	marked := lead&leadGroupFlag != 0
+	open.mu.Lock()
+	open.pending++
+	open.closed = !marked
+	open.mu.Unlock()
 	t := callTaskPool.Get().(*callTask)
-	t.s, t.conn, t.reqID, t.args = s, conn, reqID, d
-	t.group, open = s.joinGroup(conn, open, lead&leadGroupFlag != 0)
+	t.s, t.conn, t.reqID, t.args, t.group = s, conn, reqID, d, open
 	s.route(t, lead, op)
+	if !marked {
+		return nil // the group is closed, and may be answered already
+	}
 	return open
 }
 
@@ -431,10 +442,10 @@ func (t *callTask) answer() *wire.Encoder {
 // slot this one held free. Latency runs from admission to the reply
 // hand-off (queueing included — that is what the caller experienced),
 // read off the clock once for the histogram and the service-time EWMA.
-// The drain token is retired only AFTER the reply is on the wire: Drain
-// returning means every accepted request has answered. A request of a
-// reply group hands its reply and its token to the group, which writes
-// the replies together and retires the tokens after that write.
+// The reply and the drain token leave one way, through the request's reply
+// group (a lone request is a group of one), which retires the token only
+// AFTER the reply is on the wire: Drain returning means every accepted
+// request has answered.
 func (t *callTask) finish(err error) {
 	s, reply := t.s, t.reply
 	t.args.Release() // handler done: recycle the request frame
@@ -442,14 +453,11 @@ func (t *callTask) finish(err error) {
 		reply = t.answer()
 	}
 	if err != nil {
-		reply.Reset()
-		reply.PutUvarint(t.reqID)
-		reply.PutUvarint(statusErr)
-		reply.PutString(err.Error())
+		errorReply(reply, t.reqID, err)
 	}
 	frame := reply.Detach()
 	wire.PutEncoder(reply)
-	admitted, conn, group := t.admitted, t.conn, t.group
+	admitted, reqID, group := t.admitted, t.reqID, t.group
 	var took time.Duration
 	if admitted {
 		took = time.Since(epoch) - t.start
@@ -471,83 +479,64 @@ func (t *callTask) finish(err error) {
 	if admitted {
 		s.freeSlot(t.prio, took)
 	}
-	metrics.Default.MessagesSent.Add(1)
-	metrics.Default.BytesSent.Add(int64(len(frame)))
 	*t = callTask{}
 	callTaskPool.Put(t)
-	if group != nil {
-		group.add(frame, admitted)
-		return
-	}
-	// Best effort: if the connection died the client sees ErrClosed.
-	_ = conn.Send(frame)
-	if admitted {
-		s.release(1)
-	}
+	group.add(reqID, frame, admitted)
 }
 
-// replyGroup gathers the replies of one run of a collective's requests on
-// one connection, so that they leave in one write (conn.SendBurst) as the
-// requests arrived in one. A marked request (leadGroupFlag) joins the
-// connection's open group, opening one if there is none; the first
-// unmarked request after marked ones joins it and closes it; a frame
-// dropped as undecodable, or the end of the connection, closes it with no
-// member. Each member's finish does all it did before — frees the slot,
-// records the stats, ends the span — and then adds its reply instead of
-// sending it. The member that completes a closed group writes every
-// reply gathered and only then retires the drain tokens of the members
-// that held one, so Drain still means every accepted request has
-// answered. A reply that no longer fits what the client reads at once
-// (transport.FitsBurst) leaves at once and takes the gathered ones with
-// it. Groups recycle through a pool, their reply storage with them.
+// errorReply makes e the reply that answers request reqID with err.
+func errorReply(e *wire.Encoder, reqID uint64, err error) {
+	e.Reset()
+	e.PutUvarint(reqID)
+	e.PutUvarint(statusErr)
+	e.PutString(err.Error())
+}
+
+// replyGroup gathers the replies of one run of requests on one connection,
+// so that they leave in one write as the requests arrived in one. A marked
+// request (leadGroupFlag) joins the connection's open group, opening one
+// if there is none; an unmarked one joins it and closes it, or, with none
+// open, is a group of one; a frame dropped as undecodable, or the end of
+// the connection, closes it with no member. The member that completes a
+// closed group writes every reply gathered and only then retires the drain
+// tokens of the members that held one. A reply after which the burst has
+// no room for another leaves at once with the gathered ones; a reply too
+// long to be a frame is answered with an error reply instead. Groups
+// recycle through a pool, their reply storage with them.
 type replyGroup struct {
 	s    *Server
 	conn transport.Conn
 
 	mu      sync.Mutex
-	pending int      // members that joined and have not answered
-	closed  bool     // no member joins any more
-	replies [][]byte // gathered, in the order they were added
-	bytes   int      // their lengths' sum
-	tokens  int      // drain tokens of the members whose replies are gathered
+	pending int             // members that joined and have not answered
+	closed  bool            // no member joins any more
+	replies transport.Burst // gathered, in the order they were added
+	tokens  int             // drain tokens of the members whose replies are gathered
 }
 
 var replyGroupPool = sync.Pool{New: func() any { return new(replyGroup) }}
 
-// joinGroup files a request that arrived on conn while open was the
-// connection's open group (nil: none): it returns the group the request
-// joins (nil: it is answered by itself) and the group open after it.
-func (s *Server) joinGroup(conn transport.Conn, open *replyGroup, marked bool) (joined, stillOpen *replyGroup) {
-	if open == nil {
-		if !marked {
-			return nil, nil
-		}
-		open = replyGroupPool.Get().(*replyGroup)
-		open.s, open.conn = s, conn
-	}
-	open.mu.Lock()
-	open.pending++
-	open.closed = !marked
-	open.mu.Unlock()
-	if !marked {
-		return open, nil
-	}
-	return open, open
-}
-
-// add takes the reply frame of a member, and its drain token if it held
-// one, and writes what is gathered when the group is complete or the
-// frame did not fit.
-func (g *replyGroup) add(frame []byte, token bool) {
+// add takes the reply frame of member reqID, and its drain token if it held
+// one, and writes what is gathered when the group is complete or has no
+// room for another reply.
+func (g *replyGroup) add(reqID uint64, frame []byte, token bool) {
 	g.mu.Lock()
 	g.pending--
 	if token {
 		g.tokens++
 	}
-	full := !transport.FitsBurst(len(g.replies), g.bytes, len(frame))
-	g.replies = append(g.replies, frame)
-	g.bytes += len(frame)
-	g.unlock(full)
+	n := len(frame)
+	room, err := g.replies.Add(frame)
+	if err != nil {
+		e := wire.GetEncoder(96)
+		errorReply(e, reqID, err)
+		n = e.Len()
+		room, _ = g.replies.Add(e.Detach()) // an error reply is short
+		wire.PutEncoder(e)
+	}
+	metrics.Default.MessagesSent.Add(1)
+	metrics.Default.BytesSent.Add(int64(n))
+	g.unlock(!room)
 }
 
 // close closes the group with no further member. A nil group is none.
@@ -566,15 +555,12 @@ func (g *replyGroup) close() {
 func (g *replyGroup) unlock(write bool) {
 	done := g.closed && g.pending == 0
 	if write || done {
-		if len(g.replies) > 0 {
-			// Best effort, as a lone reply's Send.
-			_ = g.conn.SendBurst(g.replies)
-		}
+		// Best effort: if the connection died, the client sees it go.
+		_ = g.replies.Flush(g.conn)
 		if g.tokens > 0 {
 			g.s.release(g.tokens)
 		}
-		clear(g.replies) // the transport's by now, sent or not
-		g.replies, g.bytes, g.tokens = g.replies[:0], 0, 0
+		g.tokens = 0
 	}
 	g.mu.Unlock()
 	if done {

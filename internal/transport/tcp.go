@@ -11,10 +11,6 @@ import (
 	"oopp/internal/bufpool"
 )
 
-// maxFrame bounds a single framed message (64 MiB). Anything larger is a
-// protocol error: the runtime chunks bulk transfers well below this.
-const maxFrame = 64 << 20
-
 // TCP is a Transport over real TCP sockets with 4-byte length framing.
 // It carries the same frames as Inproc, so a cluster can move from
 // one-process simulation to one-process-per-machine deployment
@@ -80,18 +76,9 @@ const frameHeader = 4
 // in user space on each side: Recv reads the socket into a buffer of this
 // size and cuts frames out of it, and SendBurst joins headers and short
 // messages in one of the same size, so a burst that fits crosses the kernel
-// once each way. FitsBurst is the same number seen by a sender that holds
-// messages back for such a burst.
+// once each way. Burst.Add's room is the same number seen by a sender
+// that holds messages back for such a burst.
 const readAhead = 16 << 10
-
-// FitsBurst reports whether a message of n bytes, sent by one SendBurst
-// behind msgs messages of bytes bytes in all that already wait for it,
-// still leaves room for another in the receiver's read-ahead buffer —
-// whether holding it back can save the far side a read. A page-sized
-// message never does.
-func FitsBurst(msgs, bytes, n int) bool {
-	return bytes+n+frameHeader*(msgs+1) < readAhead
-}
 
 type tcpConn struct {
 	nc     net.Conn
@@ -124,12 +111,7 @@ func newTCPConn(nc net.Conn) *tcpConn {
 
 func (c *tcpConn) Send(msg []byte) error {
 	one := [1][]byte{msg}
-	c.sendMu.Lock()
-	err := c.writeBurst(one[:])
-	c.sendMu.Unlock()
-	// Send owns msg either way; recycle it once the write is done.
-	bufpool.Put(msg)
-	return err
+	return c.SendBurst(one[:])
 }
 
 func (c *tcpConn) SendBurst(msgs [][]byte) error {
@@ -153,7 +135,7 @@ func (c *tcpConn) SendBurst(msgs [][]byte) error {
 func (c *tcpConn) writeBurst(msgs [][]byte) error {
 	for _, m := range msgs {
 		if len(m) > maxFrame {
-			return fmt.Errorf("transport: frame too large (%d bytes)", len(m))
+			return fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, len(m))
 		}
 	}
 	w := c.wbuf[:0]

@@ -37,9 +37,12 @@
 //     delivered before a close is reported. An error from Recv is final:
 //     the stream may stand anywhere inside a frame then, so every later
 //     Recv on the connection returns the same error.
-//   - FitsBurst tells a sender that holds messages back for a burst
-//     whether one more still fits what the receiver reads at once; both
-//     buffers and that bound are one size.
+//   - A sender that holds messages back gathers them in a Burst, which
+//     says when one more would not fit what the receiver reads at once
+//     (both buffers and that bound are one size) and sends them with one
+//     SendBurst. It refuses a message longer than a frame may be (64 MiB)
+//     with ErrFrameTooLarge, on every transport: such a message fails by
+//     itself, and neither what was gathered with it nor the connection.
 //
 // # Buffer ownership
 //
@@ -72,6 +75,56 @@ import (
 
 // ErrClosed is returned by operations on a closed connection or listener.
 var ErrClosed = errors.New("transport: closed")
+
+// ErrFrameTooLarge refuses a message longer than a frame may be (64 MiB,
+// maxFrame), in Burst.Add and in tcp's write.
+var ErrFrameTooLarge = errors.New("transport: frame too large")
+
+const maxFrame = 64 << 20
+
+// Burst gathers whole messages, in order, for one SendBurst. The zero value
+// is ready, its storage is reused from flush to flush, and its owner
+// serializes Add and Flush.
+type Burst struct {
+	msgs  [][]byte
+	bytes int // the lengths of msgs, summed
+}
+
+// Add gathers msg and reports whether the burst still has room for another
+// in what the receiver reads at once: when not, holding more back cannot
+// save the far side a read. A message too long to be a frame is refused,
+// with ErrFrameTooLarge, and released: msg is no longer the caller's either
+// way, as with Send.
+func (b *Burst) Add(msg []byte) (room bool, err error) {
+	if len(msg) > maxFrame {
+		bufpool.Put(msg)
+		return true, fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, len(msg))
+	}
+	b.msgs = append(b.msgs, msg)
+	b.bytes += len(msg)
+	return b.bytes+frameHeader*len(b.msgs) < readAhead, nil
+}
+
+// Last returns the message gathered last (nil: none), whose bytes are the
+// caller's to write into until Flush.
+func (b *Burst) Last() []byte {
+	if n := len(b.msgs); n > 0 {
+		return b.msgs[n-1]
+	}
+	return nil
+}
+
+// Flush sends what is gathered, if anything, on c by one SendBurst, which
+// takes the messages whether it succeeds or not, and empties the burst.
+func (b *Burst) Flush(c Conn) error {
+	if len(b.msgs) == 0 {
+		return nil
+	}
+	err := c.SendBurst(b.msgs)
+	clear(b.msgs)
+	b.msgs, b.bytes = b.msgs[:0], 0
+	return err
+}
 
 // Conn is a reliable, ordered, message-oriented duplex connection.
 // Send and Recv are safe for concurrent use by multiple goroutines

@@ -2,7 +2,9 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -470,9 +472,67 @@ func TestTCPRejectsOversizedFrame(t *testing.T) {
 	}
 	defer c.Close()
 	huge := make([]byte, maxFrame+1)
-	if err := c.Send(huge); err == nil {
-		t.Fatal("expected oversized frame rejection")
+	if err := c.Send(huge); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("an oversized frame sent: %v, want ErrFrameTooLarge", err)
 	}
+}
+
+// TestBurst: a burst sends what it gathered, in order, in one SendBurst,
+// and afterwards refers to none of it; a message too long to be a frame is
+// refused by itself, typed, and what was gathered before it stays; and
+// room runs out where the receiver's read-ahead buffer would.
+func TestBurst(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, tr Transport) {
+		addr, stop := startEcho(t, tr)
+		defer stop()
+		c, err := tr.Dial(addr)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer c.Close()
+		var b Burst
+		for pass := range 2 { // the second reuses the first's storage
+			for i := range 3 {
+				if room, err := b.Add(append(GetFrame(0), byte(pass), byte(i))); !room || err != nil {
+					t.Fatalf("pass %d: message %d: room %v, %v", pass, i, room, err)
+				}
+			}
+			if _, err := b.Add(make([]byte, maxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
+				t.Errorf("pass %d: a message too long gathered: %v", pass, err)
+			}
+			if len(b.msgs) != 3 || !bytes.Equal(b.Last(), []byte{byte(pass), 2}) {
+				t.Errorf("pass %d: after the refusal %d gathered, the last %v", pass, len(b.msgs), b.Last())
+			}
+			if err := b.Flush(c); err != nil {
+				t.Fatalf("pass %d: flush: %v", pass, err)
+			}
+			if b.Last() != nil || b.bytes != 0 || slices.ContainsFunc(b.msgs[:cap(b.msgs)], func(m []byte) bool { return m != nil }) {
+				t.Errorf("pass %d: a flushed burst still refers to a message", pass)
+			}
+			for i := range 3 {
+				if msg, err := c.Recv(); err != nil || !bytes.Equal(msg, []byte{byte(pass), byte(i)}) {
+					t.Fatalf("pass %d: echo %d is %v (%v)", pass, i, msg, err)
+				}
+			}
+		}
+		if err := b.Flush(c); err != nil {
+			t.Errorf("an empty flush: %v", err)
+		}
+		if room, _ := b.Add(GetFrame(readAhead - 2*frameHeader - 1)); !room {
+			t.Errorf("no room after a message with room for a header and a byte more")
+		}
+		if room, _ := b.Add(GetFrame(1)); room {
+			t.Errorf("room after the read-ahead buffer is full")
+		}
+		if err := b.Flush(c); err != nil {
+			t.Fatalf("flush: %v", err)
+		}
+		for range 2 {
+			if _, err := c.Recv(); err != nil {
+				t.Fatalf("recv: %v", err)
+			}
+		}
+	})
 }
 
 func BenchmarkInprocRoundTrip(b *testing.B) {
