@@ -65,16 +65,17 @@ func TestCollectiveAllocs(t *testing.T) {
 	}
 }
 
-// Measured 30 and 33 (before the device stopped allocating an index
-// slice per batch and request literals plus a page of bytes per operand
-// pull: 29 and 41). Of Sum's 30 the device's share is 6 — the decoded
-// batch, the state its workers share, ONE slab holding every region's
-// accumulator and one naming every region's pages (its own and, in place,
-// its co-located operands'); Axpy has no accumulator slab, and paid for no
-// partial before either. The rest is the client's plan and fan-out.
+// Measured 26 and 30: the client builds one kernel.Chain and folds each
+// reply into the chain's identity partials (before it copied the chain
+// into a client-side struct and decoded a partial slice per reply: 30
+// and 33). Of Sum's 26 the device's share is 6 — the decoded batch, the
+// state its workers share, ONE slab holding every region's accumulator
+// and one naming every region's pages (its own and, in place, its
+// co-located operands'); Axpy has no accumulator slab. The rest is the
+// client's plan and fan-out.
 const (
-	maxSumAllocs  = 32
-	maxAxpyAllocs = 34
+	maxSumAllocs  = 28
+	maxAxpyAllocs = 31
 )
 
 // Measured 28 and 35 for 8 pages (with a scratch page per call: 29 and

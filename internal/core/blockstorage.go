@@ -200,14 +200,18 @@ func (b *BlockStorage) Refs() []rmi.Ref { return b.snap().coll.Refs() }
 // device: the same engine batch Array collectives send, with one
 // whole-page region per physical index (the devices know their own
 // page counts, so they are asked first).
-func (b *BlockStorage) runAll(ctx context.Context, st kernel.ResolvedStage, params []float64) ([]StageResult, error) {
-	s := b.snap()
-	c := newChain([]kernel.ResolvedStage{st}, [][]float64{params})
+func (b *BlockStorage) runAll(ctx context.Context, stage kernel.Stage, params []float64) ([]StageResult, error) {
+	st, err := kernel.Resolve(stage, params)
+	if err != nil {
+		return nil, err
+	}
+	c, s := kernel.Chain{st}, b.snap()
+	totals := c.Identity()
 	if len(s.devices) == 0 {
-		return c.results(nil), nil
+		return results(c, totals), nil
 	}
 	byDev := make(map[int][]pagedev.PipeRegion, len(s.devices))
-	err := s.coll.CallAll(ctx, "numPages", nil, func(m collection.Member, d *wire.Decoder) error {
+	err = s.coll.CallAll(ctx, "numPages", nil, func(m collection.Member, d *wire.Decoder) error {
 		n1, n2, n3 := s.devices[m.Index].Dims()
 		regs := make([]pagedev.PipeRegion, d.Int())
 		for i := range regs {
@@ -219,11 +223,10 @@ func (b *BlockStorage) runAll(ctx context.Context, st kernel.ResolvedStage, para
 	if err != nil {
 		return nil, err
 	}
-	totals := make([]pagedev.ReducePartial, len(c.reds))
-	if err := c.fanOut(ctx, s.coll, byDev, totals); err != nil {
+	if err := fanOut(ctx, s.coll, c, byDev, totals); err != nil {
 		return nil, err
 	}
-	return c.results(totals), nil
+	return results(c, totals), nil
 }
 
 // ApplyAll runs a registered map kernel over every element of every
@@ -232,11 +235,7 @@ func (b *BlockStorage) runAll(ctx context.Context, st kernel.ResolvedStage, para
 // pages the PageMap may leave unmapped; use it to initialize storage,
 // not to transform a subdomain.)
 func (b *BlockStorage) ApplyAll(ctx context.Context, name string, params ...float64) error {
-	k, err := kernel.LookupMap(name, params)
-	if err != nil {
-		return err
-	}
-	_, err = b.runAll(ctx, kernel.ResolvedStage{Kind: kernel.StageMap, Name: name, Map: k}, params)
+	_, err := b.runAll(ctx, kernel.MapStage(name), params)
 	return err
 }
 
@@ -246,11 +245,7 @@ func (b *BlockStorage) ApplyAll(ctx context.Context, name string, params ...floa
 // returns the combined accumulator and the element count folded; an
 // empty storage returns the kernel identity with n == 0.
 func (b *BlockStorage) ReduceAll(ctx context.Context, name string, params ...float64) (acc []float64, n int64, err error) {
-	k, err := kernel.LookupReduce(name, params)
-	if err != nil {
-		return nil, 0, err
-	}
-	res, err := b.runAll(ctx, kernel.ResolvedStage{Kind: kernel.StageReduce, Name: name, Red: k}, params)
+	res, err := b.runAll(ctx, kernel.ReduceStage(name), params)
 	if err != nil {
 		return nil, 0, err
 	}

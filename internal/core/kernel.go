@@ -14,15 +14,19 @@ import (
 	"oopp/internal/trace"
 )
 
-// runStage runs a one-stage chain over dom and unwraps its reduce
-// result, if the stage has one. operand is the second array of a
-// two-operand stage, nil otherwise.
-func (a *Array) runStage(ctx context.Context, dom Domain, st kernel.ResolvedStage, operand *Array, params []float64) (acc []float64, n int64, err error) {
+// runStage resolves s with params as a one-stage chain, runs it over dom
+// and unwraps its reduce result, if the stage has one. operand is the
+// second array of a two-operand stage, nil otherwise.
+func (a *Array) runStage(ctx context.Context, dom Domain, s kernel.Stage, operand *Array, params []float64) (acc []float64, n int64, err error) {
+	st, err := kernel.Resolve(s, params)
+	if err != nil {
+		return nil, 0, err
+	}
 	var operands []*Array
 	if operand != nil {
 		operands = []*Array{operand}
 	}
-	res, err := a.runChain(ctx, dom, []kernel.ResolvedStage{st}, operands, [][]float64{params})
+	res, err := a.runChain(ctx, dom, kernel.Chain{st}, operands)
 	if err != nil || len(res) == 0 {
 		return nil, 0, err
 	}
@@ -40,10 +44,7 @@ func (a *Array) Apply(ctx context.Context, dom Domain, name string, params ...fl
 	// On a sampled trace the whole kernel application is one span whose
 	// children are the per-device applyPipelineK batches.
 	ctx, sp := trace.StartSpan(ctx, "kernel.apply")
-	k, err := kernel.LookupMap(name, params)
-	if err == nil {
-		_, _, err = a.runStage(ctx, dom, kernel.ResolvedStage{Kind: kernel.StageMap, Name: name, Map: k}, nil, params)
-	}
+	_, _, err := a.runStage(ctx, dom, kernel.MapStage(name), nil, params)
 	sp.End(err != nil)
 	return err
 }
@@ -61,10 +62,7 @@ func (a *Array) Apply(ctx context.Context, dom Domain, name string, params ...fl
 // survivors (see runChain).
 func (a *Array) Reduce(ctx context.Context, dom Domain, name string, params ...float64) (acc []float64, n int64, err error) {
 	ctx, sp := trace.StartSpan(ctx, "kernel.reduce")
-	k, err := kernel.LookupReduce(name, params)
-	if err == nil {
-		acc, n, err = a.runStage(ctx, dom, kernel.ResolvedStage{Kind: kernel.StageReduce, Name: name, Red: k}, nil, params)
-	}
+	acc, n, err = a.runStage(ctx, dom, kernel.ReduceStage(name), nil, params)
 	sp.End(err != nil)
 	return acc, n, err
 }
@@ -78,11 +76,7 @@ func (a *Array) Reduce(ctx context.Context, dom Domain, name string, params ...f
 // the same machines), the pull is a shared-address-space read and no
 // operand data touches the network at all.
 func (a *Array) ApplyBinary(ctx context.Context, dom Domain, name string, b *Array, params ...float64) error {
-	k, err := kernel.LookupBinary(name, params)
-	if err != nil {
-		return err
-	}
-	_, _, err = a.runStage(ctx, dom, kernel.ResolvedStage{Kind: kernel.StageBinary, Name: name, Bin: k}, b, params)
+	_, _, err := a.runStage(ctx, dom, kernel.BinaryStage(name), b, params)
 	return err
 }
 
@@ -90,9 +84,5 @@ func (a *Array) ApplyBinary(ctx context.Context, dom Domain, name string, b *Arr
 // over the co-indexed regions of a and b — the dot-product shape: the
 // operand pages meet at a's devices, only scalars return.
 func (a *Array) ReduceBinary(ctx context.Context, dom Domain, name string, b *Array, params ...float64) (acc []float64, n int64, err error) {
-	k, err := kernel.LookupBinaryReduce(name, params)
-	if err != nil {
-		return nil, 0, err
-	}
-	return a.runStage(ctx, dom, kernel.ResolvedStage{Kind: kernel.StageBinaryReduce, Name: name, BinRed: k}, b, params)
+	return a.runStage(ctx, dom, kernel.BinaryReduceStage(name), b, params)
 }

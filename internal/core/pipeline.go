@@ -3,13 +3,13 @@ package core
 // The kernel engine, client side: every array collective — Apply,
 // Reduce, ApplyBinary, ReduceBinary and the algebra built on them
 // (kernel.go), the fused ApplyPipeline, and the storage-wide
-// ApplyAll/ReduceAll — is a stage chain handed to ONE loop: plan the
+// ApplyAll/ReduceAll — is one kernel.Chain handed to ONE loop: plan the
 // per-device region batches, fan them out (one RMI per involved device
 // carries the whole chain; each device walks every page region through
 // all stages in a single load/store pass), classify the failures, and
 // replay what a migration fence refused. Stage parameters travel out,
-// fixed-width reduce partials travel back; no element data touches the
-// client.
+// fixed-width reduce partials travel back and fold into the chain's
+// identity by its stages' fold rule; no element data touches the client.
 
 import (
 	"context"
@@ -35,80 +35,31 @@ type StageResult struct {
 	N     int64
 }
 
-// chain is one resolved stage chain ready to ship: its wire form, the
-// per-stage parameter vectors, and the client half of its reduce stages.
-type chain struct {
-	p      kernel.Pipeline
-	params [][]float64
-	reds   []reducer
-}
-
-// reducer is the client half of one reduce (or binary-reduce) stage:
-// where it sits in the chain, and its kernel's accumulator shape.
-type reducer struct {
-	stage int
-	name  string
-	width int
-	init  func(acc, params []float64)
-	merge func(acc, other []float64)
-}
-
-func newChain(stages []kernel.ResolvedStage, params [][]float64) *chain {
-	c := &chain{p: kernel.Pipeline{Stages: make([]kernel.Stage, len(stages))}, params: params}
-	for si, st := range stages {
-		c.p.Stages[si] = kernel.Stage{Kind: st.Kind, Name: st.Name}
-		switch st.Kind {
-		case kernel.StageReduce:
-			c.reds = append(c.reds, reducer{si, st.Name, st.Red.Width, st.Red.Init, st.Red.Merge})
-		case kernel.StageBinaryReduce:
-			c.reds = append(c.reds, reducer{si, st.Name, st.BinRed.Width, st.BinRed.Init, st.BinRed.Merge})
-		}
-	}
-	return c
-}
-
 // fanOut sends every device of view its batch — one applyPipelineK call
-// each — and merges each member's partials into totals in member order
-// (CallAll serializes collect), skipping identity-only (N == 0)
-// partials so ±Inf-style identities never poison a result.
-func (c *chain) fanOut(ctx context.Context, view *collection.Collection[*pagedev.ArrayDevice], byDev map[int][]pagedev.PipeRegion, totals []pagedev.ReducePartial) error {
+// each — and folds each member's partials into totals, one per reduce
+// stage of c, in member order (CallAll serializes collect).
+func fanOut(ctx context.Context, view *collection.Collection[*pagedev.ArrayDevice], c kernel.Chain, byDev map[int][]pagedev.PipeRegion, totals []kernel.Partial) error {
 	return view.CallAll(ctx, "applyPipelineK",
 		func(m collection.Member, e *wire.Encoder) error {
-			pagedev.EncodeApplyPipelineK(e, c.p, c.params, byDev[m.Index])
+			pagedev.EncodeApplyPipelineK(e, c, byDev[m.Index])
 			return nil
 		},
 		func(m collection.Member, d *wire.Decoder) error {
-			_, parts, err := pagedev.DecodePipelinePartials(d, len(c.reds))
-			if err != nil {
-				return err
-			}
-			for i, y := range parts {
-				x := &totals[i]
-				switch {
-				case y.N == 0:
-				case x.N == 0:
-					*x = y
-				default:
-					c.reds[i].merge(x.Acc, y.Acc)
-					x.N += y.N
-				}
-			}
-			return nil
+			_, err := pagedev.DecodePipelineReply(d, c, totals)
+			return err
 		})
 }
 
-// results materializes the per-stage outcomes: totals merges, in device order,
-// each device's merge, in region order, of one accumulator per page region. An untouched
-// stage (N == 0, or totals == nil: empty domain) reports its identity, never a merged one.
-func (c *chain) results(totals []pagedev.ReducePartial) []StageResult {
-	out := make([]StageResult, len(c.reds))
-	for i, r := range c.reds {
-		out[i] = StageResult{Stage: r.stage, Name: r.name}
-		if totals == nil || totals[i].N == 0 {
-			out[i].Acc = make([]float64, r.width)
-			r.init(out[i].Acc, c.params[r.stage])
-		} else {
-			out[i].Acc, out[i].N = totals[i].Acc, totals[i].N
+// results names the reduce stages' totals: each the fold, in device
+// order, of each device's fold, in region order, of one accumulator per
+// page region — or, for a stage nothing was folded into (N == 0: an
+// empty domain), the identity the totals started from.
+func results(c kernel.Chain, totals []kernel.Partial) []StageResult {
+	out := make([]StageResult, 0, len(totals))
+	for si := range c {
+		if c[si].Width() > 0 {
+			t := totals[len(out)]
+			out = append(out, StageResult{Stage: si, Name: c[si].Name, Acc: t.Acc, N: t.N})
 		}
 	}
 	return out
@@ -127,8 +78,8 @@ func (c *chain) results(totals []pagedev.ReducePartial) []StageResult {
 // exclude set of the retry path, folding there. Each two-operand
 // stage's operand page is read from the operand array's first live
 // replica.
-func (a *Array) plan(c *chain, operands []*Array, regs []region, exclude map[int]bool) (devs []int, byDev map[int][]pagedev.PipeRegion, err error) {
-	mutates, fold := c.p.Mutates(), len(c.reds) > 0
+func (a *Array) plan(c kernel.Chain, operands []*Array, regs []region, exclude map[int]bool) (devs []int, byDev map[int][]pagedev.PipeRegion, err error) {
+	mutates, fold := c.Mutates(), c.Width() > 0
 	byDev = make(map[int][]pagedev.PipeRegion)
 	add := func(addr PageAddress, pr pagedev.PipeRegion) {
 		pr.Index = addr.Index
@@ -215,10 +166,10 @@ func (a *Array) kernelView(devs []int) *collection.Collection[*pagedev.ArrayDevi
 // and machine failure.
 func (a *Array) ApplyPipeline(ctx context.Context, dom Domain, name string, operands []*Array, params ...[]float64) ([]StageResult, error) {
 	ctx, sp := trace.StartSpan(ctx, "kernel.pipeline")
-	_, stages, err := kernel.LookupPipeline(name, params)
+	c, err := kernel.LookupPipeline(name, params)
 	var res []StageResult
 	if err == nil {
-		res, err = a.runChain(ctx, dom, stages, operands, params)
+		res, err = a.runChain(ctx, dom, c, operands)
 	}
 	sp.End(err != nil)
 	return res, err
@@ -245,10 +196,9 @@ func (a *Array) ApplyPipeline(ctx context.Context, dom Domain, name string, oper
 // against the surviving replicas. A chain that both mutates and reduces
 // returns the failure — its mutations cannot be safely re-executed to
 // recover the lost partials.
-func (a *Array) runChain(ctx context.Context, dom Domain, stages []kernel.ResolvedStage, operands []*Array, params [][]float64) ([]StageResult, error) {
-	c := newChain(stages, params)
-	if len(operands) != c.p.Binaries() {
-		return nil, fmt.Errorf("core: chain has %d two-operand stage(s), got %d operand array(s)", c.p.Binaries(), len(operands))
+func (a *Array) runChain(ctx context.Context, dom Domain, c kernel.Chain, operands []*Array) ([]StageResult, error) {
+	if len(operands) != c.Operands() {
+		return nil, fmt.Errorf("core: chain has %d two-operand stage(s), got %d operand array(s)", c.Operands(), len(operands))
 	}
 	for _, b := range operands {
 		if err := a.conformant(b); err != nil {
@@ -261,18 +211,18 @@ func (a *Array) runChain(ctx context.Context, dom Domain, stages []kernel.Resolv
 	pm := a.Map()
 	regs := a.regionsOf(pm, dom)
 	if len(regs) == 0 {
-		return c.results(nil), nil
+		return results(c, c.Identity()), nil
 	}
 
-	if c.p.Mutates() {
+	if c.Mutates() {
 		devs, byDev, err := a.plan(c, operands, regs, nil)
 		if err != nil {
 			return nil, err
 		}
 		// totals persists across fence-replay rounds: members that
 		// succeeded keep their partials, refused members folded nothing.
-		totals := make([]pagedev.ReducePartial, len(c.reds))
-		err = c.fanOut(ctx, a.kernelView(devs), byDev, totals)
+		totals := c.Identity()
+		err = fanOut(ctx, a.kernelView(devs), c, byDev, totals)
 		for attempt := 0; err != nil && allFenced(err) && attempt < maxFenceRetries; attempt++ {
 			newPM, werr := a.waitMapFlip(ctx, pm)
 			if werr != nil {
@@ -283,10 +233,10 @@ func (a *Array) runChain(ctx context.Context, dom Domain, stages []kernel.Resolv
 				err = nil
 				break
 			}
-			err = c.fanOut(ctx, a.kernelView(devs), byDev, totals)
+			err = fanOut(ctx, a.kernelView(devs), c, byDev, totals)
 		}
 		if err != nil {
-			if len(c.reds) > 0 {
+			if c.Width() > 0 {
 				return nil, err
 			}
 			down := make(map[int]bool)
@@ -297,7 +247,7 @@ func (a *Array) runChain(ctx context.Context, dom Domain, stages []kernel.Resolv
 				return nil, cerr
 			}
 		}
-		return c.results(totals), nil
+		return results(c, totals), nil
 	}
 
 	replicas := replicaCount(pm)
@@ -307,8 +257,8 @@ func (a *Array) runChain(ctx context.Context, dom Domain, stages []kernel.Resolv
 		if err != nil {
 			return nil, err
 		}
-		totals := make([]pagedev.ReducePartial, len(c.reds))
-		if err := c.fanOut(ctx, a.kernelView(devs), byDev, totals); err != nil {
+		totals := c.Identity()
+		if err := fanOut(ctx, a.kernelView(devs), c, byDev, totals); err != nil {
 			if attempt+1 < replicas && allMachineDown(err) {
 				for _, dev := range collection.Failed(err) {
 					exclude[dev] = true
@@ -317,6 +267,6 @@ func (a *Array) runChain(ctx context.Context, dom Domain, stages []kernel.Resolv
 			}
 			return nil, err
 		}
-		return c.results(totals), nil
+		return results(c, totals), nil
 	}
 }

@@ -20,9 +20,10 @@
 // The four kernel shapes live in independent namespaces: a map kernel
 // and a reduce kernel may share a name without conflict. [RegisterMap],
 // [RegisterReduce], [RegisterBinary] and [RegisterBinaryReduce] install
-// them; the matching Lookup functions ([LookupMap], [LookupReduce],
-// [LookupBinary], [LookupBinaryReduce]) resolve a name AND validate the
-// parameter vector in one step.
+// them. [Resolve] is the one lookup: it finds a [Stage]'s kernel in its
+// kind's namespace AND validates the parameter vector in one step;
+// [LookupMap], [LookupReduce], [LookupBinary] and [LookupBinaryReduce]
+// are Resolve for one kind, for a caller that wants the kernel itself.
 //
 // # Kernel shapes
 //
@@ -32,9 +33,10 @@
 //     (fill, scale, user transforms via Array.Apply).
 //   - [Reduce]: a fixed-width accumulator folded over runs device-side
 //     (sum, minmax, Array.Reduce). Each page region folds into its own
-//     accumulator; Merge combines the regions' accumulators inside the
-//     device, in region order, and the devices' partials client-side, in
-//     device order. Merge must be associative, and need be nothing more:
+//     accumulator; the device folds its regions' accumulators in region
+//     order and the client the devices' partials in device order, both
+//     by one rule, [ResolvedStage.Fold]. Merge must be associative, and
+//     need be nothing more:
 //     the order is fixed, so the reduction is deterministic — bitwise
 //     the same however many workers a device shares its regions among.
 //   - [Binary]: an in-place transform of a destination run given the
@@ -44,34 +46,37 @@
 //
 // # One engine: the stage chain
 //
-// Kernels never travel alone. The unit of execution is a [Pipeline]: an
-// ordered chain of [Stage] values, one [StageKind] per kernel shape
-// ([StageMap], [StageBinary], [StageReduce], [StageBinaryReduce]),
-// executed device-side as ONE page pass — each page region is entered
-// once and every stage applied in order, in place, over one batched
-// RMI per device. Array.Apply/Reduce/ApplyBinary/ReduceBinary are
+// Kernels never travel alone. The unit of execution is a [Chain]: an
+// ordered list of [ResolvedStage] values — a [Stage], of one [StageKind]
+// per kernel shape ([StageMap], [StageBinary], [StageReduce],
+// [StageBinaryReduce]), with its kernel and parameter vector — executed
+// device-side as ONE page pass: each page region is entered once and
+// every stage applied in order, in place ([ResolvedStage.Row] per run),
+// over one batched RMI per device. The client plans with the same Chain
+// value the wire carries and the device walks, and both fold its partials
+// by the same rule. Array.Apply/Reduce/ApplyBinary/ReduceBinary are
 // one-stage chains; a chain of k such calls costs k RMIs and k page
 // passes per device, where the fused chain costs one of each
 // (operator-oriented composition; see the "Kernel pipeline" chapter in
 // the root package doc for client-side semantics).
 //
 // The chain crosses the wire INLINE — (kind, kernel name, parameters)
-// per stage — and the device resolves every stage in its kind's
-// registry before touching a page. "Both sides know every kernel" is
-// therefore enforced per kernel, and a device needs no pipeline table:
-// [RegisterPipeline] / [LookupPipeline] are a client-side name→chain
-// convenience (registration still panics on a stage whose kernel is not
-// registered).
+// per stage — and the device resolves every stage again before touching
+// a page. "Both sides know every kernel" is therefore enforced per
+// kernel, and a device needs no pipeline table: a [Pipeline] names a
+// chain's stages, and [RegisterPipeline] / [LookupPipeline] are a
+// client-side name→chain convenience (registration still panics on a
+// stage whose kernel is not registered).
 //
 // # Parameter-arity validation
 //
 // Every kernel declares MinParams, the least number of float64
-// parameters its function consumes. Lookup validates the caller's
+// parameters its function consumes. [Resolve] validates the caller's
 // vector against it via [CheckParams] — client-side at issue time and
 // device-side at execution time — so a forgotten parameter is a typed
 // error on the calling machine, never an index-out-of-range panic
 // inside a storage device. Chains validate per stage: params[i]
-// belongs to Stages[i], and [LookupPipeline] requires exactly one
+// belongs to Stages[i], and [Pipeline.Resolve] requires exactly one
 // vector per stage (nil is fine for parameterless stages).
 //
 // # Row engine

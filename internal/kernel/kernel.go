@@ -23,11 +23,11 @@ type Map struct {
 // accumulator (it may consult params); Row folds one contiguous row in;
 // Merge combines another accumulator into acc and must be associative.
 // The fold order is fixed: every page region is folded into an
-// accumulator of its own (Init, then Row per run), a device merges its
-// regions' accumulators in region order — the first is taken as it is,
-// never merged into an identity — and the client merges the devices'
-// partials in device order. So a result does not depend on how many
-// workers a device shared its regions among.
+// accumulator of its own (Init, then Row per run), a device folds its
+// regions' accumulators in region order and the client the devices'
+// partials in device order, both by ResolvedStage.Fold — the first is
+// taken as it is, never merged into an identity. So a result does not
+// depend on how many workers a device shared its regions among.
 type Reduce struct {
 	Width     int
 	MinParams int
@@ -130,50 +130,29 @@ func RegisterBinaryReduce(name string, k BinaryReduce) {
 }
 
 // LookupMap resolves a map kernel by name and validates the parameter
-// vector against its declared arity — called on both sides of the
-// wire, so a missing parameter fails fast at the client and cannot
-// slip to a half-applied batch via a stale registry either.
+// vector against its declared arity: Resolve of a map stage, for a
+// caller that wants the kernel itself.
 func LookupMap(name string, params []float64) (Map, error) {
-	mu.RLock()
-	k, ok := maps[name]
-	mu.RUnlock()
-	if !ok {
-		return Map{}, fmt.Errorf("kernel: unknown map kernel %q", name)
-	}
-	return k, CheckParams(name, k.MinParams, params)
+	r, err := Resolve(MapStage(name), params)
+	return r.Map, err
 }
 
-// LookupReduce resolves a reduction kernel by name, validating params.
+// LookupReduce is Resolve of a reduce stage, returning its kernel.
 func LookupReduce(name string, params []float64) (Reduce, error) {
-	mu.RLock()
-	k, ok := reduces[name]
-	mu.RUnlock()
-	if !ok {
-		return Reduce{}, fmt.Errorf("kernel: unknown reduce kernel %q", name)
-	}
-	return k, CheckParams(name, k.MinParams, params)
+	r, err := Resolve(ReduceStage(name), params)
+	return r.Red, err
 }
 
-// LookupBinary resolves a two-operand map kernel by name, validating
-// params.
+// LookupBinary is Resolve of a two-operand map stage, returning its
+// kernel.
 func LookupBinary(name string, params []float64) (Binary, error) {
-	mu.RLock()
-	k, ok := binaries[name]
-	mu.RUnlock()
-	if !ok {
-		return Binary{}, fmt.Errorf("kernel: unknown binary kernel %q", name)
-	}
-	return k, CheckParams(name, k.MinParams, params)
+	r, err := Resolve(BinaryStage(name), params)
+	return r.Bin, err
 }
 
-// LookupBinaryReduce resolves a two-operand reduction kernel by name,
-// validating params.
+// LookupBinaryReduce is Resolve of a two-operand reduction stage,
+// returning its kernel.
 func LookupBinaryReduce(name string, params []float64) (BinaryReduce, error) {
-	mu.RLock()
-	k, ok := binaryReduces[name]
-	mu.RUnlock()
-	if !ok {
-		return BinaryReduce{}, fmt.Errorf("kernel: unknown binary reduce kernel %q", name)
-	}
-	return k, CheckParams(name, k.MinParams, params)
+	r, err := Resolve(BinaryReduceStage(name), params)
+	return r.BinRed, err
 }

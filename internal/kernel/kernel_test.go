@@ -168,6 +168,35 @@ var registerShared = sync.OnceFunc(func() {
 	})
 })
 
+// The one fold rule, for a device's regions and a client's devices: a
+// partial of no elements is never merged, the first with elements is
+// copied over the identity — bitwise: merging −0 into a zero sum gives
+// +0 — and each later one is merged.
+func TestFoldRule(t *testing.T) {
+	c, err := Pipeline{Stages: []Stage{MapStage(Scale), ReduceStage(MinMax), BinaryReduceStage(Dot)}}.Resolve([][]float64{{2}, nil, nil})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Width() != 3 || c.Operands() != 1 || !c.Mutates() {
+		t.Fatalf("chain: width %d, %d operands, mutates %v; want 3, 1, true", c.Width(), c.Operands(), c.Mutates())
+	}
+	totals := c.Identity()
+	if len(totals) != 2 || totals[0].N != 0 || !math.IsInf(totals[0].Acc[0], 1) || !math.IsInf(totals[0].Acc[1], -1) || totals[1].Acc[0] != 0 {
+		t.Fatalf("identity = %+v", totals)
+	}
+	minmax, dot := &c[1], &c[2]
+	for _, y := range []Partial{{Acc: []float64{math.Inf(-1), math.Inf(1)}}, {N: 2, Acc: []float64{3, 5}}, {N: 1, Acc: []float64{-1, 4}}} {
+		minmax.Fold(&totals[0], y)
+	}
+	if totals[0].N != 3 || totals[0].Acc[0] != -1 || totals[0].Acc[1] != 5 {
+		t.Errorf("minmax folded to %+v, want [-1 5] over 3 elements", totals[0])
+	}
+	dot.Fold(&totals[1], Partial{N: 4, Acc: []float64{math.Copysign(0, -1)}})
+	if totals[1].N != 4 || !math.Signbit(totals[1].Acc[0]) {
+		t.Errorf("the first dot partial was merged into the identity, not copied: %+v", totals[1])
+	}
+}
+
 // Namespaces are independent: the same name may identify one kernel of
 // each shape.
 func TestNamespacesIndependent(t *testing.T) {

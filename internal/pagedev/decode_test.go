@@ -12,11 +12,16 @@ import (
 	"oopp/internal/wire"
 )
 
-// batchFrame encodes a valid applyPipelineK request, then lets edit
+// batchFrame encodes an applyPipelineK request of p's stages with params —
+// unresolved, so a frame may name what no registry holds — then lets edit
 // damage the bytes.
 func batchFrame(p kernel.Pipeline, params [][]float64, regions []PipeRegion, edit func([]byte) []byte) []byte {
+	c := make(kernel.Chain, len(p.Stages))
+	for i, s := range p.Stages {
+		c[i] = kernel.ResolvedStage{Stage: s, Params: params[i]}
+	}
 	e := wire.NewEncoder(64)
-	EncodeApplyPipelineK(e, p, params, regions)
+	EncodeApplyPipelineK(e, c, regions)
 	frame := append([]byte(nil), e.Bytes()...)
 	if edit != nil {
 		frame = edit(frame)
@@ -87,8 +92,8 @@ func TestKernelBatchDecode(t *testing.T) {
 		if (err == nil) != tc.ok || (tc.is != nil && !errors.Is(err, tc.is)) {
 			t.Errorf("%s: decode error = %v, want ok=%v matching %v", tc.name, err, tc.ok, tc.is)
 		}
-		if err == nil && (len(b.stages) != 1 || len(b.regions) > 1) {
-			t.Errorf("%s: decoded %d stages, %d regions", tc.name, len(b.stages), len(b.regions))
+		if err == nil && (len(b.chain) != 1 || len(b.regions) > 1) {
+			t.Errorf("%s: decoded %d stages, %d regions", tc.name, len(b.chain), len(b.regions))
 		}
 	}
 }
@@ -106,15 +111,15 @@ func FuzzKernelBatchDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(b.stages) == 0 || b.operands > len(b.stages) {
+		if len(b.chain) == 0 || b.chain.Operands() > len(b.chain) {
 			t.Fatalf("accepted an inconsistent chain: %+v", b)
 		}
 		if len(b.regions) > len(frame)/minRegion {
 			t.Fatalf("%d regions decoded from %d bytes", len(b.regions), len(frame))
 		}
 		for _, r := range b.regions {
-			if len(r.Peers) != b.operands {
-				t.Fatalf("region carries %d peers for %d two-operand stages", len(r.Peers), b.operands)
+			if len(r.Peers) != b.chain.Operands() {
+				t.Fatalf("region carries %d peers for %d two-operand stages", len(r.Peers), b.chain.Operands())
 			}
 			for x, n := range [3]int{2, 2, 2} {
 				if r.Box.Lo[x] < 0 || r.Box.Lo[x] > n || r.Box.Dim[x] < 0 || r.Box.Dim[x] > n-r.Box.Lo[x] {
@@ -123,6 +128,27 @@ func FuzzKernelBatchDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestPipelineReplyRefusesWrongWidth: a reply is read off a socket too. A
+// partial whose accumulator is not its stage's width is refused as a
+// corrupt frame and folds nothing — taken as it came, a one-float minmax
+// partial became the accumulator Array.MinMax reads two floats of.
+func TestPipelineReplyRefusesWrongWidth(t *testing.T) {
+	c, err := kernel.Pipeline{Stages: []kernel.Stage{kernel.ReduceStage(kernel.MinMax)}}.Resolve([][]float64{nil})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, acc := range [][]float64{{1}, {1, 2, 3}} {
+		e := wire.NewEncoder(32)
+		e.PutVarint(4)
+		e.PutVarint(4)
+		e.PutFloat64s(acc)
+		totals := c.Identity()
+		if _, err := DecodePipelineReply(wire.NewDecoder(e.Bytes()), c, totals); !errors.Is(err, wire.ErrCorrupt) || totals[0].N != 0 {
+			t.Errorf("a %d-float minmax accumulator: %v, %d elements folded; want wire.ErrCorrupt and none", len(acc), err, totals[0].N)
+		}
+	}
 }
 
 // TestReadSubBatchReplyFrame: the peer-pull lane gathers each region from

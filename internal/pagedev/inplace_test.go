@@ -281,15 +281,21 @@ func opposingCollectives(t *testing.T, n, rounds int) {
 		}()
 	}
 
-	axpy := kernel.Pipeline{Stages: []kernel.Stage{kernel.BinaryStage(kernel.Axpy)}}
 	clients := []*rmi.Client{c.Client(), c.Machine(1).Client()}
-	alpha := []float64{1, -1}
+	var axpy [2]kernel.Chain // x += y on x's device, y -= x on y's
+	for d, alpha := range []float64{1, -1} {
+		st, err := kernel.Resolve(kernel.BinaryStage(kernel.Axpy), []float64{alpha})
+		if err != nil {
+			t.Fatal(err)
+		}
+		axpy[d] = kernel.Chain{st}
+	}
 	for round := 0; round < rounds && !t.Failed(); round++ {
 		done := make(chan error, 2)
 		for d := range devs {
 			go func() {
 				dec, err := clients[d].Call(bg, devs[d].Ref(), "applyPipelineK", func(e *wire.Encoder) error {
-					pagedev.EncodeApplyPipelineK(e, axpy, [][]float64{{alpha[d]}}, regions[d])
+					pagedev.EncodeApplyPipelineK(e, axpy[d], regions[d])
 					return nil
 				})
 				dec.Release()

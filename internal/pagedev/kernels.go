@@ -229,16 +229,11 @@ func registerTransferMethods(c *rmi.Class[*arrayPageDevice]) {
 		if err != nil {
 			return err
 		}
-		cp, err := kernel.LookupBinary(kernel.Copy, nil)
+		cp, err := kernel.Resolve(kernel.BinaryStage(kernel.Copy), nil)
 		if err != nil {
 			return err
 		}
-		b := kernelBatch{
-			stages:   []batchStage{{ResolvedStage: kernel.ResolvedStage{Kind: kernel.StageBinary, Name: kernel.Copy, Bin: cp}}},
-			regions:  make([]PipeRegion, count),
-			mutates:  true,
-			operands: 1,
-		}
+		b := kernelBatch{chain: kernel.Chain{cp}, regions: make([]PipeRegion, count)}
 		peers := make([]PipePeer, count)
 		for n := range b.regions {
 			r := &b.regions[n]

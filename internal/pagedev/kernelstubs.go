@@ -22,21 +22,27 @@ type PullRegion struct {
 	PeerIndex int
 }
 
-// ApplyPipelineK runs the stage chain p (params[i] belongs to
-// p.Stages[i]) over the listed regions with one remote call: each
-// region's page is entered once and every stage applied in order, in
-// place. It returns the element count touched and one partial per
+// ApplyPipelineK resolves the stage chain p (params[i] belongs to
+// p.Stages[i]) and runs it over the listed regions with one remote call:
+// each region's page is entered once and every stage applied in order,
+// in place. It returns the element count touched and one partial per
 // reduce stage.
-func (d *ArrayDevice) ApplyPipelineK(ctx context.Context, p kernel.Pipeline, params [][]float64, regions []PipeRegion) (int64, []ReducePartial, error) {
+func (d *ArrayDevice) ApplyPipelineK(ctx context.Context, p kernel.Pipeline, params [][]float64, regions []PipeRegion) (int64, []kernel.Partial, error) {
+	c, err := p.Resolve(params)
+	if err != nil {
+		return 0, nil, err
+	}
 	dec, err := d.client.Call(ctx, d.ref, "applyPipelineK", func(e *wire.Encoder) error {
-		EncodeApplyPipelineK(e, p, params, regions)
+		EncodeApplyPipelineK(e, c, regions)
 		return nil
 	})
 	if err != nil {
 		return 0, nil, err
 	}
 	defer dec.Release()
-	return DecodePipelinePartials(dec, p.Reduces())
+	parts := c.Identity()
+	touched, err := DecodePipelineReply(dec, c, parts)
+	return touched, parts, err
 }
 
 // PullSubBatchAsync begins an owner-computes transfer: this device

@@ -1,9 +1,9 @@
 package pagedev
 
 // The kernel engine: applyPipelineK is the ONE device method every
-// array collective executes through. A request carries a stage chain
+// array collective executes through. A request carries a kernel.Chain
 // inline plus the batch of page regions this device owns; each region's
-// page is entered once (withPage) and walked through every stage in
+// page is entered once (withPages) and walked through every stage in
 // order — in place, when the store is resident. A one-stage chain is
 // Apply, Reduce, ApplyBinary or ReduceBinary; a longer one is fused.
 //
@@ -15,9 +15,9 @@ package pagedev
 //	reply:   touched, reduces×(n, accumulator)
 //
 // where operands is the chain's two-operand stage count and reduces its
-// reduce-stage count. Each stage resolves in its kind's kernel registry
-// on this side of the wire too, so a chain can never run a kernel only
-// the client knows.
+// reduce-stage count. Each stage is resolved again on this side of the
+// wire (kernel.Resolve), so a chain can never run a kernel only the
+// client knows.
 //
 // applyPipelineK is a SERIAL method (parallel inside: runKernelBatch), but
 // its two-operand stages read peer operands from outside the peer's mailbox
@@ -62,25 +62,14 @@ type PipeRegion struct {
 	Peers []PipePeer
 }
 
-// ReducePartial is one device's contribution to one reduce stage: how
-// many elements it folded and the accumulator it folded them into. A
-// partial with N == 0 carries only the reduction identity and must not
-// be merged (this is the structural fix for the empty-page ±Inf
-// poisoning of min/max reductions).
-type ReducePartial struct {
-	N   int64
-	Acc []float64
-}
-
 // EncodeApplyPipelineK packs an applyPipelineK request: the chain inline
-// (params[i] belongs to p.Stages[i]) and the region batch with fold
-// flags and per-stage peer operands.
-func EncodeApplyPipelineK(e *wire.Encoder, p kernel.Pipeline, params [][]float64, regions []PipeRegion) {
-	e.PutInt(len(p.Stages))
-	for i, st := range p.Stages {
-		e.PutByte(byte(st.Kind))
-		e.PutString(st.Name)
-		e.PutFloat64s(params[i])
+// and the region batch with fold flags and per-stage peer operands.
+func EncodeApplyPipelineK(e *wire.Encoder, c kernel.Chain, regions []PipeRegion) {
+	e.PutInt(len(c))
+	for i := range c {
+		e.PutByte(byte(c[i].Kind))
+		e.PutString(c[i].Name)
+		e.PutFloat64s(c[i].Params)
 	}
 	e.PutInt(len(regions))
 	for _, r := range regions {
@@ -102,23 +91,11 @@ const (
 	minOperand = 4
 )
 
-// kernelBatch is a decoded, validated applyPipelineK request.
+// kernelBatch is a decoded, validated applyPipelineK request: the chain,
+// resolved in this process's registry, and the regions it runs over.
 type kernelBatch struct {
-	stages   []batchStage
-	regions  []PipeRegion
-	mutates  bool // some stage writes: fence-scan first, store each page after
-	operands int  // two-operand stages: peers carried per region
-	width    int  // the reduce stages' accumulators side by side, in floats
-}
-
-// batchStage is one stage with its kernel resolved in this process's
-// registry, its parameter vector, and for a reduce stage of either kind
-// the accumulator's shape (width 0 otherwise).
-type batchStage struct {
-	kernel.ResolvedStage
-	params      []float64
-	width       int
-	init, merge func(acc, other []float64)
+	chain   kernel.Chain
+	regions []PipeRegion
 }
 
 // decodeKernelBatch is the pure decode step of applyPipelineK: bytes in,
@@ -135,44 +112,24 @@ func decodeKernelBatch(args *wire.Decoder, page [3]int) (b kernelBatch, err erro
 	if nstages == 0 {
 		return b, fmt.Errorf("pagedev: applyPipelineK: empty stage chain")
 	}
-	b.stages = make([]batchStage, nstages)
-	for i := range b.stages {
-		st := &b.stages[i]
-		st.Kind = kernel.StageKind(args.Byte())
-		st.Name = args.String()
-		st.params = args.Float64s()
+	b.chain = make(kernel.Chain, nstages)
+	for i := range b.chain {
+		s := kernel.Stage{Kind: kernel.StageKind(args.Byte()), Name: args.String()}
+		params := args.Float64s()
 		if err := args.Err(); err != nil {
 			return b, err
 		}
-		switch st.Kind {
-		case kernel.StageMap:
-			st.Map, err = kernel.LookupMap(st.Name, st.params)
-			b.mutates = true
-		case kernel.StageBinary:
-			st.Bin, err = kernel.LookupBinary(st.Name, st.params)
-			b.mutates = true
-			b.operands++
-		case kernel.StageReduce:
-			st.Red, err = kernel.LookupReduce(st.Name, st.params)
-			st.width, st.init, st.merge = st.Red.Width, st.Red.Init, st.Red.Merge
-		case kernel.StageBinaryReduce:
-			st.BinRed, err = kernel.LookupBinaryReduce(st.Name, st.params)
-			st.width, st.init, st.merge = st.BinRed.Width, st.BinRed.Init, st.BinRed.Merge
-			b.operands++
-		default:
-			err = fmt.Errorf("pagedev: %w: unknown stage kind %d", wire.ErrCorrupt, int(st.Kind))
-		}
-		if err != nil {
+		if b.chain[i], err = kernel.Resolve(s, params); err != nil {
 			return b, fmt.Errorf("pagedev: applyPipelineK stage %d: %w", i, err)
 		}
-		b.width += st.width
 	}
-	count, err := decodeCount(args, minRegion+b.operands*minOperand)
+	operands := b.chain.Operands()
+	count, err := decodeCount(args, minRegion+operands*minOperand)
 	if err != nil {
 		return b, err
 	}
 	b.regions = make([]PipeRegion, count)
-	peers := make([]PipePeer, count*b.operands) // one backing array for every region's operands
+	peers := make([]PipePeer, count*operands) // one backing array for every region's operands
 	for n := range b.regions {
 		r := &b.regions[n]
 		r.Index = args.Int()
@@ -180,7 +137,7 @@ func decodeKernelBatch(args *wire.Decoder, page [3]int) (b kernelBatch, err erro
 			return b, err
 		}
 		r.Fold = args.Bool()
-		r.Peers = peers[n*b.operands : (n+1)*b.operands]
+		r.Peers = peers[n*operands : (n+1)*operands]
 		for o := range r.Peers {
 			r.Peers[o] = PipePeer{Ref: args.Ref(), Index: args.Int()}
 		}
@@ -194,16 +151,28 @@ func decodeKernelBatch(args *wire.Decoder, page [3]int) (b kernelBatch, err erro
 	return b, nil
 }
 
-// DecodePipelinePartials reads an applyPipelineK reply: the element
-// count touched, then one ReducePartial per reduce stage in stage
-// order.
-func DecodePipelinePartials(d *wire.Decoder, reduces int) (touched int64, partials []ReducePartial, err error) {
+// DecodePipelineReply reads an applyPipelineK reply — the element count
+// touched, then one (count, accumulator) partial per reduce stage of c,
+// in stage order — and folds each partial into totals, shaped as
+// c.Identity(), by its stage's fold rule. A partial whose accumulator is
+// not its stage's width is refused, never folded.
+func DecodePipelineReply(d *wire.Decoder, c kernel.Chain, totals []kernel.Partial) (touched int64, err error) {
 	touched = d.Varint()
-	partials = make([]ReducePartial, reduces)
-	for i := range partials {
-		partials[i] = ReducePartial{N: d.Varint(), Acc: d.Float64s()}
+	buf, i := make([]float64, c.Width()), 0
+	for si := range c {
+		st := &c[si]
+		w := st.Width()
+		if w == 0 {
+			continue
+		}
+		y := kernel.Partial{N: d.Varint(), Acc: buf[:w]}
+		if d.Float64sInto(y.Acc); d.Err() != nil {
+			break
+		}
+		st.Fold(&totals[i], y)
+		i++
 	}
-	return touched, partials, d.Err()
+	return touched, d.Err()
 }
 
 // registerPipelineMethod installs applyPipelineK on the
@@ -221,28 +190,29 @@ func registerPipelineMethod(c *rmi.Class[*arrayPageDevice]) {
 // runKernelBatch executes a decoded batch: fence pre-scan, then piece by
 // piece the operands fetched and the regions shared among the machine's
 // processors by rmi.Share — which says who runs them, when a piece is too
-// small to share and what becomes of an error or a panic — then the regions'
-// accumulators merged into the reply. Which goroutine ran which region shows
-// nowhere: a reduce stage folds each region into that region's OWN
-// accumulator (Init, then Row per run), merged afterwards in region order
-// with the kernel's Merge, so the reply is bitwise the same for one
-// goroutine or eight.
+// small to share and what becomes of an error or a panic — then each
+// reduce stage's region accumulators folded into the reply. Which goroutine
+// ran which region shows nowhere: a reduce stage folds each region into
+// that region's OWN accumulator (Init, then Row per run), and those are
+// folded afterwards in region order by the stage's one fold rule, so the
+// reply is bitwise the same for one goroutine or eight.
 func (a *arrayPageDevice) runKernelBatch(env *rmi.Env, b kernelBatch, reply *wire.Encoder) error {
 	// Fence-scan the whole batch before touching any page (mutating
 	// chains only; reads are never fenced): a batch refused by the
 	// migration fence applies nowhere, so the caller can replay it
 	// verbatim — fold flags included — without double-applying.
+	mutates, width := b.chain.Mutates(), b.chain.Width()
 	elems := 0
 	for i := range b.regions {
-		if b.mutates {
+		if mutates {
 			if err := a.checkFence(b.regions[i].Index); err != nil {
 				return err
 			}
 		}
 		elems += b.regions[i].Box.Size()
 	}
-	// One slab: a row of b.width floats per region, and a last row to merge into.
-	accs := make([]float64, (len(b.regions)+1)*b.width)
+	// One slab: a row of width floats per region, and a last row to fold into.
+	accs := make([]float64, (len(b.regions)+1)*width)
 	workers, share := rmi.Sharers(len(b.regions), elems), true
 	if workers > 1 && !b.orderFree(a, env) {
 		workers, share = 1, false
@@ -250,7 +220,8 @@ func (a *arrayPageDevice) runKernelBatch(env *rmi.Env, b kernelBatch, reply *wir
 	// Slot 0 holds a piece's fetched operands, slot w+1 is worker w's: all exist
 	// before a helper looks for its own, as no piece has more sharers than the batch.
 	a.stage(workers, 0)
-	pages, n := make([]pageRef, len(b.regions)*(1+b.operands)), 1+b.operands
+	n := 1 + b.chain.Operands()
+	pages := make([]pageRef, len(b.regions)*n)
 	for lo, hi := 0, 0; lo < len(b.regions); lo = hi {
 		var size int
 		var err error
@@ -262,38 +233,32 @@ func (a *arrayPageDevice) runKernelBatch(env *rmi.Env, b kernelBatch, reply *wir
 		}
 		err = rmi.Share(hi-lo, size, func(w, k int) error {
 			i := lo + k
-			return a.region(b, accs, pages[i*n:(i+1)*n], w, i)
+			return a.region(b, accs[i*width:], pages[i*n:(i+1)*n], w, i)
 		})
 		if err != nil {
 			return err
 		}
 	}
-	// The first folded region's accumulator is copied over the identity, not
-	// merged into it; a stage no region folded (all empty or fold=false)
-	// reports N == 0 beside the identity, which the client never merges.
+	// A stage no region folded (all empty or fold=false) reports N == 0
+	// beside the identity, which the client never merges.
 	reply.PutVarint(int64(elems))
-	total, off := accs[len(b.regions)*b.width:], 0
-	for si := range b.stages {
-		st := &b.stages[si]
-		if st.width == 0 {
+	total, off := accs[len(b.regions)*width:], 0
+	for si := range b.chain {
+		st := &b.chain[si]
+		w := st.Width()
+		if w == 0 {
 			continue
 		}
-		sum, n := total[off:off+st.width], 0
-		st.init(sum, st.params)
+		sum := kernel.Partial{Acc: total[off : off+w]}
+		st.Init(sum.Acc)
 		for i, r := range b.regions {
-			if !r.Fold || r.Box.Size() == 0 {
-				continue
+			if r.Fold {
+				st.Fold(&sum, kernel.Partial{N: int64(r.Box.Size()), Acc: accs[i*width+off:][:w]})
 			}
-			if acc := accs[i*b.width+off:][:st.width]; n == 0 {
-				copy(sum, acc)
-			} else {
-				st.merge(sum, acc)
-			}
-			n += r.Box.Size()
 		}
-		reply.PutVarint(int64(n))
-		reply.PutFloat64s(sum)
-		off += st.width
+		reply.PutVarint(sum.N)
+		reply.PutFloat64s(sum.Acc)
+		off += w
 	}
 	return nil
 }
@@ -313,28 +278,30 @@ func (a *arrayPageDevice) piece(env *rmi.Env, b kernelBatch, pages []pageRef, lo
 	}
 	var fetches []fetch
 	var peers []rmi.Ref
-	n, fetched := 1+b.operands, 0
+	n, fetched := 1+b.chain.Operands(), 0
 	for hi = lo; hi < len(b.regions); hi++ {
 		r := &b.regions[hi]
 		rs, before, need, op := r.Box.Size(), len(fetches), 0, 0
-		for si := range b.stages {
-			if k := b.stages[si].Kind; k == kernel.StageBinary || k == kernel.StageBinaryReduce {
-				p, peer := &pages[hi*n+1+op], r.Peers[op]
-				*p = pageRef{}
-				op++
-				if rs == 0 || k == kernel.StageBinaryReduce && !r.Fold {
-					continue
-				}
-				if local, ok := localArrayDevice(env, peer.Ref); ok && local.page() == a.page() {
-					*p = pageRef{dev: local, index: peer.Index, box: r.Box}
-					continue
-				}
-				f := fetch{p, slices.Index(peers, peer.Ref), subReq{peer.Index, r.Box}}
-				if f.peer < 0 {
-					f.peer, peers = len(peers), append(peers, peer.Ref)
-				}
-				fetches, need = append(fetches, f), need+rs
+		for si := range b.chain {
+			st := &b.chain[si]
+			if !st.Operand() {
+				continue
 			}
+			p, peer := &pages[hi*n+1+op], r.Peers[op]
+			*p = pageRef{}
+			op++
+			if rs == 0 || st.Width() > 0 && !r.Fold {
+				continue
+			}
+			if local, ok := localArrayDevice(env, peer.Ref); ok && local.page() == a.page() {
+				*p = pageRef{dev: local, index: peer.Index, box: r.Box}
+				continue
+			}
+			f := fetch{p, slices.Index(peers, peer.Ref), subReq{peer.Index, r.Box}}
+			if f.peer < 0 {
+				f.peer, peers = len(peers), append(peers, peer.Ref)
+			}
+			fetches, need = append(fetches, f), need+rs
 		}
 		if fetched > 0 && 8*(fetched+need) > bufpool.PieceBytes {
 			fetches = fetches[:before]
@@ -365,7 +332,7 @@ func (a *arrayPageDevice) piece(env *rmi.Env, b kernelBatch, pages []pageRef, lo
 // a page of this very device that ANOTHER region writes. Such a batch —
 // the array layer plans none — keeps region order, on one worker.
 func (b kernelBatch) orderFree(a *arrayPageDevice, env *rmi.Env) bool {
-	if !b.mutates {
+	if !b.chain.Mutates() {
 		return true
 	}
 	written := make(map[int]bool, len(b.regions))
@@ -387,7 +354,8 @@ func (b kernelBatch) orderFree(a *arrayPageDevice, env *rmi.Env) bool {
 }
 
 // region walks region i on worker w: its page (pages[0]) through every
-// stage, beside the operands piece named or fetched (pages[1:]). What is
+// stage, beside the operands piece named or fetched (pages[1:]), folding
+// its reduce stages into accs, one accumulator each, side by side. What is
 // read is always the peer's STORED page, this device's own included — a
 // chain never has a page it writes in place — so an operand withPages
 // cannot hold beside the page is first copied to its slot of the worker's
@@ -400,55 +368,42 @@ func (a *arrayPageDevice) region(b kernelBatch, accs []float64, pages []pageRef,
 		// nothing to write and reduce stages must skip, not fold.
 		return nil
 	}
-	slot := func(i int) []float64 { return a.stage(w+1, b.operands*size)[(i-1)*size : i*size] }
+	slot := func(i int) []float64 { return a.stage(w+1, (len(pages)-1)*size)[(i-1)*size : i*size] }
 	// A chain that never writes only reads its pages (no write charged);
 	// one whose first stage overwrites every element need not load a
-	// whole-page region (no read charged) — every later stage then reads
-	// what earlier stages wrote, never the stale page.
+	// whole-page region (no read charged).
 	how := readOnly
 	switch {
-	case b.stages[0].Kind == kernel.StageMap && b.stages[0].Map.Overwrites && size == a.n1*a.n2*a.n3:
+	case b.chain.Overwrites() && size == a.n1*a.n2*a.n3:
 		how = overwrite
-	case b.mutates:
+	case b.chain.Mutates():
 		how = update
 	}
-	accs = accs[i*b.width:]
 	pages[0] = pageRef{dev: a, index: r.Index, how: how}
 	return withPages(pages, slot, func(elems []float64) {
-		walk := func(fn func(off, n int)) { forEachRun(a.n2, a.n3, r.Box.Lo, r.Box.Dim, fn) }
 		op := 1
-		for si := range b.stages {
-			st := &b.stages[si]
-			sp, acc := st.params, accs[:st.width]
-			accs = accs[st.width:]
-			if st.width > 0 && r.Fold {
-				st.init(acc, sp)
+		for si := range b.chain {
+			st := &b.chain[si]
+			var peer *pageRef
+			if st.Operand() {
+				peer, op = &pages[op], op+1
 			}
-			switch st.Kind {
-			case kernel.StageMap:
-				fn := st.Map.Fn
-				walk(func(off, n int) { fn(elems[off:off+n], sp) })
-			case kernel.StageBinary:
-				fn, peer, pos := st.Bin.Fn, &pages[op], 0
-				op++
-				walk(func(off, n int) {
-					fn(elems[off:off+n], peer.run(off, pos, n), sp)
-					pos += n
-				})
-			case kernel.StageReduce:
-				if r.Fold {
-					walk(func(off, n int) { st.Red.Row(acc, elems[off:off+n], sp) })
+			acc := accs[:st.Width()]
+			accs = accs[len(acc):]
+			if len(acc) > 0 {
+				if !r.Fold {
+					continue
 				}
-			case kernel.StageBinaryReduce:
-				peer, pos := &pages[op], 0
-				op++
-				if r.Fold {
-					walk(func(off, n int) {
-						st.BinRed.Row(acc, elems[off:off+n], peer.run(off, pos, n), sp)
-						pos += n
-					})
-				}
+				st.Init(acc)
 			}
+			pos := 0
+			forEachRun(a.n2, a.n3, r.Box.Lo, r.Box.Dim, func(off, n int) {
+				var pv []float64
+				if peer != nil {
+					pv, pos = peer.run(off, pos, n), pos+n
+				}
+				st.Row(acc, elems[off:off+n], pv)
+			})
 		}
 	})
 }

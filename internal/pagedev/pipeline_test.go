@@ -109,9 +109,13 @@ func TestOversizedBatchCountRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	const huge = 1 << 40
+	chain, err := scaleMinMax.Resolve([][]float64{{2}, nil})
+	if err != nil {
+		t.Fatal(err)
+	}
 	frames := map[string]func(e *wire.Encoder){
 		"applyPipelineK": func(e *wire.Encoder) {
-			pagedev.EncodeApplyPipelineK(e, scaleMinMax, [][]float64{{2}, nil}, nil)
+			pagedev.EncodeApplyPipelineK(e, chain, nil)
 			// Replace the trailing region count (0) with the huge one.
 			frame := e.Bytes()
 			e.Reset()
