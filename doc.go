@@ -450,12 +450,12 @@
 // Failover reacts to machines dying; elasticity is the planned
 // counterpart: page placement is a live, mutable property of a running
 // array. The migration engine moves pages device-to-device with the
-// one pull plan failover re-seeding also executes (one pullSubBatch
-// call per destination/source device pair — a KernelCopy batch of the
-// device's kernel engine, its remote pages fetched in pieces no larger
-// than the buffer pool recycles — issued through
-// the one split loop, rmi.SplitLoop, that bounds every transfer of an
-// Array client — window 1 is the sequential §2 form), under a brief
+// page copy failover re-seeding also executes (one applyPipelineK call
+// per destination device — a KernelCopy batch of the device's kernel
+// engine that names each source device once, its remote pages fetched
+// in pieces no larger than the buffer pool recycles — fanned out like
+// every collective, within the Array client's transfer window — window
+// 1 is the sequential §2 form), under a brief
 // per-page write fence: a fenced page refuses mutations with a typed error the
 // client parks on and replays after the map flip, reads never block,
 // and the whole array keeps serving throughout. When the copies land,

@@ -210,14 +210,14 @@ func (b *BlockStorage) runAll(ctx context.Context, stage kernel.Stage, params []
 	if len(s.devices) == 0 {
 		return results(c, totals), nil
 	}
-	byDev := make(map[int][]pagedev.PipeRegion, len(s.devices))
+	byDev := make(map[int]pagedev.Batch, len(s.devices))
 	err = s.coll.CallAll(ctx, "numPages", nil, func(m collection.Member, d *wire.Decoder) error {
 		n1, n2, n3 := s.devices[m.Index].Dims()
 		regs := make([]pagedev.PipeRegion, d.Int())
 		for i := range regs {
 			regs[i] = pagedev.PipeRegion{Index: i, Box: pagedev.SubBox{Dim: [3]int{n1, n2, n3}}, Fold: true}
 		}
-		byDev[m.Index] = regs
+		byDev[m.Index] = pagedev.Batch{Regions: regs}
 		return d.Err()
 	})
 	if err != nil {

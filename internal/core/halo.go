@@ -4,57 +4,36 @@ package core
 // the §5 copyFrom construct generalized from "pull N whole pages from
 // one device" to "pull any subdomain between two distributed arrays" —
 // a kernel.Copy chain — and HaloExchange builds the stencil client's
-// ghost-shell transfer on top of it. In both, element data moves
-// directly between the device processes that own it.
+// ghost-shell transfer on top of it; copyPages is the same chain between
+// explicit page addresses. In all three, element data moves directly
+// between the device processes that own it.
 
 import (
 	"context"
 
 	"oopp/internal/kernel"
 	"oopp/internal/pagedev"
-	"oopp/internal/rmi"
 )
 
-// pullPlan copies between explicit page addresses, not through the map
-// (Failover's re-seeds, MigratePages' copies, JacobiOwner's bank move):
-// page regions grouped into one pullSubBatch call per (destination,
-// source) device pair, pairs in first-seen order.
-type pullPlan struct {
-	batches []pullBatch
-	at      map[[2]int]int // (dst, src) device pair -> index in batches
-}
+// pageCopy is one whole page copied from src to dst.
+type pageCopy struct{ dst, src PageAddress }
 
-// pullBatch is everything one device pair exchanges.
-type pullBatch struct {
-	dst, src int
-	regions  []pagedev.PullRegion
-}
-
-func newPullPlan() *pullPlan { return &pullPlan{at: make(map[[2]int]int)} }
-
-// add plans the pull of box from the page at src into the page at dst.
-func (p *pullPlan) add(dst, src PageAddress, box pagedev.SubBox) {
-	pair := [2]int{dst.Device, src.Device}
-	i, ok := p.at[pair]
-	if !ok {
-		i = len(p.batches)
-		p.at[pair] = i
-		p.batches = append(p.batches, pullBatch{dst: dst.Device, src: src.Device})
+// copyPages copies whole pages between explicit addresses, not through
+// the map (Failover's re-seeds, MigratePages' copies, JacobiOwner's bank
+// move): one kernel.Copy batch per destination device, in first-seen
+// order, naming each source device once, sent through the fan-out every
+// collective takes; no element data passes through the client.
+func (a *Array) copyPages(ctx context.Context, copies []pageCopy) error {
+	cp, err := kernel.Resolve(kernel.BinaryStage(kernel.Copy), nil)
+	if err != nil {
+		return err
 	}
-	b := &p.batches[i]
-	b.regions = append(b.regions, pagedev.PullRegion{Index: dst.Index, Box: box, PeerIndex: src.Index})
-}
-
-// pull executes a plan: a's devices pull from from's, one call per
-// batch through the split loop, no element data through the client; the
-// first failed batch stops the transfer.
-func (a *Array) pull(ctx context.Context, from *Array, p *pullPlan) error {
-	return rmi.SplitLoop(ctx, len(p.batches), a.inFlight(),
-		func(i int) *rmi.Future {
-			b := &p.batches[i]
-			return a.storage.Device(b.dst).PullSubBatchAsync(ctx, from.storage.Device(b.src).Ref(), b.regions)
-		},
-		func(i int, f *rmi.Future) error { return f.Err(ctx) })
+	var p batches
+	full := pagedev.SubBox{Dim: a.p}
+	for _, c := range copies {
+		p.add(c.dst, full, false, []operand{{a.storage.Device(c.src.Device).Ref(), c.src.Index}})
+	}
+	return a.send(ctx, kernel.Chain{cp}, p, nil)
 }
 
 // CopyFrom copies the subdomain dom of the conformant array src into

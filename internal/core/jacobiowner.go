@@ -154,7 +154,7 @@ func jacobiOwner(ctx context.Context, a *Array, iters int, syncHalo bool) (float
 				return a.storage.Device(s.dev[q]).JacobiPlaneAsync(ctx, s.args(q, srcOff, dstOff))
 			},
 			func(_ int, f *rmi.Future) error {
-				r, err := pagedev.DecodeSum(ctx, f)
+				r, err := pagedev.DecodeResidual(ctx, f)
 				residual = math.Max(residual, r)
 				return err
 			})
@@ -165,15 +165,15 @@ func jacobiOwner(ctx context.Context, a *Array, iters int, syncHalo bool) (float
 	}
 
 	// After an odd sweep count the iterate sits in the scratch bank: move
-	// it home, each device pulling from itself (no data on the wire).
+	// it home, each device copying from itself (no data on the wire).
 	if srcOff != 0 {
-		home, full := newPullPlan(), pagedev.SubBox{Dim: a.p}
+		var home []pageCopy
 		for q, d := range s.dev {
 			for _, idx := range s.pages[q] {
-				home.add(PageAddress{Device: d, Index: idx}, PageAddress{Device: d, Index: idx + s.ppd}, full)
+				home = append(home, pageCopy{PageAddress{Device: d, Index: idx}, PageAddress{Device: d, Index: idx + s.ppd}})
 			}
 		}
-		if err := a.pull(ctx, a, home); err != nil {
+		if err := a.copyPages(ctx, home); err != nil {
 			return 0, err
 		}
 	}

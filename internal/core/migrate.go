@@ -2,14 +2,14 @@ package core
 
 // Live page migration — ROADMAP item "elastic cluster": page placement
 // becomes a mutable property of a running array. The engine relocates
-// page copies device-to-device with the pull plan failover re-seeding
+// page copies device-to-device with the copyPages failover re-seeding
 // uses (halo.go), under a brief per-page write fence:
 //
 //	fence src pages  → every in-flight mutator drains (fencePages is a
 //	                   serial mailbox method), then writes to the pages
 //	                   are refused typed (rmi.ErrFenced); reads flow
 //	copy src → dst   → the fenced pages are an immutable snapshot, so
-//	                   the device-to-device pull needs no quiescing
+//	                   the device-to-device copy needs no quiescing
 //	flip the map     → a re-minted table map (remint in replica.go, name
 //	                   marker "+resharded") atomically replaces the
 //	                   layout; new operations address the destinations
@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"oopp/internal/elastic"
-	"oopp/internal/pagedev"
 	"oopp/internal/rmi"
 	"oopp/internal/trace"
 )
@@ -158,9 +157,8 @@ func (a *Array) MigratePages(ctx context.Context, plan []elastic.Move) (*Migrate
 	// and its entry in the flipped map's moved index.
 	srcIdx := make([][]int, D)
 	dstIdx := make([][]int, D)
-	copies := newPullPlan()
+	var copies []pageCopy
 	moved := make(map[PageAddress]PageAddress)
-	full := pagedev.SubBox{Dim: a.p}
 	pinned := make(map[[2]int]bool)
 	for _, mv := range plan {
 		left := mv.Pages
@@ -185,7 +183,7 @@ func (a *Array) MigratePages(ctx context.Context, plan []elastic.Move) (*Migrate
 			src, dst := chain[pos], PageAddress{Device: mv.To, Index: idx}
 			srcIdx[src.Device] = append(srcIdx[src.Device], src.Index)
 			dstIdx[dst.Device] = append(dstIdx[dst.Device], dst.Index)
-			copies.add(dst, src, full)
+			copies = append(copies, pageCopy{dst, src})
 			moved[src] = dst
 			chain[pos] = dst
 			pinned[[2]int{l, pos}] = true
@@ -227,10 +225,10 @@ func (a *Array) MigratePages(ctx context.Context, plan []elastic.Move) (*Migrate
 	}
 	fenceSp.End(false)
 
-	// Copy device-to-device — the pull plan Failover's re-seeding uses,
-	// no element data through the client.
+	// Copy device-to-device — one kernel.Copy batch per destination
+	// device, as Failover's re-seeding; no element data through the client.
 	copyCtx, copySp := trace.StartSpan(ctx, "migrate.copy")
-	err := a.pull(copyCtx, a, copies)
+	err := a.copyPages(copyCtx, copies)
 	copySp.End(err != nil)
 	if err != nil {
 		abort(len(srcDevs))

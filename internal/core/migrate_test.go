@@ -5,12 +5,14 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"oopp/internal/cluster"
 	"oopp/internal/core"
 	"oopp/internal/elastic"
 	"oopp/internal/metrics"
 	"oopp/internal/pagedev"
+	"oopp/internal/rmi"
 )
 
 // devicePages counts page copies per device in the array's current map.
@@ -380,4 +382,67 @@ func TestMigrateUnderConcurrentLoad(t *testing.T) {
 			t.Fatalf("element %d = %v, want %v after live migrations", i, v, want)
 		}
 	}
+}
+
+// TestFailoverAndMigrateCopyOneBatchPerDevice: a device that takes pages
+// from two source devices is sent ONE applyPipelineK — a kernel.Copy batch
+// naming both sources in its peer list — and no pullSubBatch, whether the
+// copies are Failover's re-seeds or a MigratePages; the pages arrive
+// bitwise intact. Each device has a machine of its own, so a machine's
+// served calls are its device's.
+func TestFailoverAndMigrateCopyOneBatchPerDevice(t *testing.T) {
+	copyCalls := func(cl *cluster.Cluster, machines ...int) (batches, pulls int64) {
+		for _, m := range machines {
+			batches += servedCalls(t, cl, m, "applyPipelineK")
+			pulls += servedCalls(t, cl, m, "pullSubBatch")
+		}
+		return batches, pulls
+	}
+
+	t.Run("migrate", func(t *testing.T) {
+		cl, arr, stop := buildReplicated(t, "roundrobin", 3, 1, 4, 4, 4, 2, 2, 2, 2)
+		defer stop()
+		want := fillPattern(t, arr, 0.25)
+		b0, p0 := copyCalls(cl, 2)
+		rep, err := arr.MigratePages(bg, []elastic.Move{{From: 0, To: 2, Pages: 1}, {From: 1, To: 2, Pages: 1}})
+		if err != nil || rep.Moved != 2 {
+			t.Fatalf("MigratePages: moved %v, %v; want 2", rep, err)
+		}
+		if b, p := copyCalls(cl, 2); b-b0 != 1 || p-p0 != 0 {
+			t.Errorf("device 2 took pages from devices 0 and 1 in %d applyPipelineK and %d pullSubBatch calls, want 1 and 0", b-b0, p-p0)
+		}
+		checkPattern(t, arr, want, "after migration")
+	})
+
+	t.Run("failover", func(t *testing.T) {
+		// Four devices, 2-way round-robin: page l's chain is devices
+		// (l%4, l%4+1). Moving page 3's copy off device 0 onto device 1
+		// makes its chain (3, 1); with machine 3 dead, Failover re-seeds
+		// pages 2 and 6 from device 2 and page 3 from device 1, all onto
+		// device 0 (and page 7 from device 0 onto device 1).
+		cl, arr, stop := buildReplicated(t, "roundrobin", 4, 2, 4, 4, 4, 2, 2, 2, 4)
+		defer stop()
+		hb := cl.Client().StartHeartbeat(rmi.HeartbeatConfig{Interval: 20 * time.Millisecond, Misses: 3})
+		defer hb.Stop()
+		want := fillPattern(t, arr, 0.5)
+		if _, err := arr.MigratePages(bg, []elastic.Move{{From: 0, To: 1, Pages: 1}}); err != nil {
+			t.Fatalf("MigratePages: %v", err)
+		}
+		killMachine(t, cl, 3)
+		on0, _ := copyCalls(cl, 0)
+		b0, p0 := copyCalls(cl, 0, 1, 2)
+		rep, err := arr.Failover(bg, 3)
+		if err != nil || rep.Reseeded != 4 || rep.Degraded != 0 {
+			t.Fatalf("Failover: %+v, %v; want 4 re-seeded, none degraded", rep, err)
+		}
+		if b, _ := copyCalls(cl, 0); b-on0 != 1 {
+			t.Errorf("device 0 took pages from devices 1 and 2 in %d applyPipelineK calls, want 1", b-on0)
+		}
+		if b, p := copyCalls(cl, 0, 1, 2); b-b0 != 2 || p-p0 != 0 {
+			t.Errorf("the re-seeds took %d applyPipelineK calls (want 2, one per destination) and %d pullSubBatch (want 0)", b-b0, p-p0)
+		}
+		// Reads rotate over a page's replicas: two reads see both copies.
+		checkPattern(t, arr, want, "after failover")
+		checkPattern(t, arr, want, "after failover, the other replicas")
+	})
 }

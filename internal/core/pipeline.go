@@ -35,10 +35,50 @@ type StageResult struct {
 	N     int64
 }
 
+// batches is a chain's plan: one pagedev.Batch per device, devices in
+// first-seen order.
+type batches struct {
+	devs  []int
+	byDev map[int]pagedev.Batch
+	peers []pagedev.PipePeer // what the next regions' operands are cut from
+}
+
+// operand is the page a two-operand stage reads for one region: page
+// index of the device ref.
+type operand struct {
+	ref   rmi.Ref
+	index int
+}
+
+// add appends the region box of the page at addr to its device's batch,
+// its operands ops, one per two-operand stage; each operand's device
+// joins the batch's peer list the first time it is named.
+func (p *batches) add(addr PageAddress, box pagedev.SubBox, fold bool, ops []operand) {
+	b, ok := p.byDev[addr.Device]
+	if !ok {
+		if p.byDev == nil {
+			p.byDev = make(map[int]pagedev.Batch)
+		}
+		p.devs = append(p.devs, addr.Device)
+	}
+	r := pagedev.PipeRegion{Index: addr.Index, Box: box, Fold: fold}
+	if len(ops) > 0 {
+		if len(p.peers) < len(ops) {
+			p.peers = make([]pagedev.PipePeer, 64*len(ops))
+		}
+		r.Peers, p.peers = p.peers[:len(ops):len(ops)], p.peers[len(ops):]
+		for i, o := range ops {
+			r.Peers[i] = pagedev.PipePeer{Peer: b.Peer(o.ref), Index: o.index}
+		}
+	}
+	b.Regions = append(b.Regions, r)
+	p.byDev[addr.Device] = b
+}
+
 // fanOut sends every device of view its batch — one applyPipelineK call
 // each — and folds each member's partials into totals, one per reduce
 // stage of c, in member order (CallAll serializes collect).
-func fanOut(ctx context.Context, view *collection.Collection[*pagedev.ArrayDevice], c kernel.Chain, byDev map[int][]pagedev.PipeRegion, totals []kernel.Partial) error {
+func fanOut(ctx context.Context, view *collection.Collection[*pagedev.ArrayDevice], c kernel.Chain, byDev map[int]pagedev.Batch, totals []kernel.Partial) error {
 	return view.CallAll(ctx, "applyPipelineK",
 		func(m collection.Member, e *wire.Encoder) error {
 			pagedev.EncodeApplyPipelineK(e, c, byDev[m.Index])
@@ -48,6 +88,11 @@ func fanOut(ctx context.Context, view *collection.Collection[*pagedev.ArrayDevic
 			_, err := pagedev.DecodePipelineReply(d, c, totals)
 			return err
 		})
+}
+
+// send fans the planned batches out to the array's devices (fanOut).
+func (a *Array) send(ctx context.Context, c kernel.Chain, p batches, totals []kernel.Partial) error {
+	return fanOut(ctx, a.kernelView(p.devs), c, p.byDev, totals)
 }
 
 // results names the reduce stages' totals: each the fold, in device
@@ -78,25 +123,16 @@ func results(c kernel.Chain, totals []kernel.Partial) []StageResult {
 // exclude set of the retry path, folding there. Each two-operand
 // stage's operand page is read from the operand array's first live
 // replica.
-func (a *Array) plan(c kernel.Chain, operands []*Array, regs []region, exclude map[int]bool) (devs []int, byDev map[int][]pagedev.PipeRegion, err error) {
+func (a *Array) plan(c kernel.Chain, operands []*Array, regs []region, exclude map[int]bool) (p batches, err error) {
 	mutates, fold := c.Mutates(), c.Width() > 0
-	byDev = make(map[int][]pagedev.PipeRegion)
-	add := func(addr PageAddress, pr pagedev.PipeRegion) {
-		pr.Index = addr.Index
-		if _, ok := byDev[addr.Device]; !ok {
-			devs = append(devs, addr.Device)
-		}
-		byDev[addr.Device] = append(byDev[addr.Device], pr)
-	}
+	ops := make([]operand, 0, 4)
 	for _, r := range regs {
-		pr := pagedev.PipeRegion{Box: subBoxFor(r)}
-		if len(operands) > 0 {
-			pr.Peers = make([]pagedev.PipePeer, len(operands))
-			for i, b := range operands {
-				bChain := replicasOf(b.Map(), r.box.Lo[0]/a.p[0], r.box.Lo[1]/a.p[1], r.box.Lo[2]/a.p[2])
-				bAddr, _ := b.pickLive(bChain, nil)
-				pr.Peers[i] = pagedev.PipePeer{Ref: b.storage.Device(bAddr.Device).Ref(), Index: bAddr.Index}
-			}
+		box := subBoxFor(r)
+		ops = ops[:0]
+		for _, b := range operands {
+			bChain := replicasOf(b.Map(), r.box.Lo[0]/a.p[0], r.box.Lo[1]/a.p[1], r.box.Lo[2]/a.p[2])
+			bAddr, _ := b.pickLive(bChain, nil)
+			ops = append(ops, operand{b.storage.Device(bAddr.Device).Ref(), bAddr.Index})
 		}
 		if mutates {
 			var foldAddr PageAddress
@@ -104,19 +140,17 @@ func (a *Array) plan(c kernel.Chain, operands []*Array, regs []region, exclude m
 				foldAddr, _ = a.pickLive(r.chain, nil)
 			}
 			for _, addr := range r.chain {
-				pr.Fold = fold && addr == foldAddr
-				add(addr, pr)
+				p.add(addr, box, fold && addr == foldAddr, ops)
 			}
 			continue
 		}
 		addr, ok := a.pickLive(r.chain, exclude)
 		if !ok {
-			return nil, nil, fmt.Errorf("core: page %v: no replica left outside failed machines: %w", r.chain[0], rmi.ErrMachineDown)
+			return p, fmt.Errorf("core: page %v: no replica left outside failed machines: %w", r.chain[0], rmi.ErrMachineDown)
 		}
-		pr.Fold = true
-		add(addr, pr)
+		p.add(addr, box, true, ops)
 	}
-	return devs, byDev, nil
+	return p, nil
 }
 
 // relocate is the one relocator: it rebuilds the refused devices'
@@ -126,20 +160,19 @@ func (a *Array) plan(c kernel.Chain, operands []*Array, regs []region, exclude m
 // (pagedev's fence pre-scan) — a fenced device neither mutated nor
 // folded — so replaying exactly the refused batches keeps both the
 // mutations and the partials exactly-once.
-func relocate(pm PageMap, failed []int, byDev map[int][]pagedev.PipeRegion) ([]int, map[int][]pagedev.PipeRegion) {
-	nb := make(map[int][]pagedev.PipeRegion)
-	var devs []int
+func relocate(pm PageMap, failed []int, old batches) (p batches) {
+	ops := make([]operand, 0, 4)
 	for _, dev := range failed {
-		for _, pr := range byDev[dev] {
-			na := relocatedAddr(pm, PageAddress{Device: dev, Index: pr.Index})
-			if _, ok := nb[na.Device]; !ok {
-				devs = append(devs, na.Device)
+		b := old.byDev[dev]
+		for _, r := range b.Regions {
+			ops = ops[:0]
+			for _, pe := range r.Peers {
+				ops = append(ops, operand{b.Peers[pe.Peer], pe.Index})
 			}
-			pr.Index = na.Index
-			nb[na.Device] = append(nb[na.Device], pr)
+			p.add(relocatedAddr(pm, PageAddress{Device: dev, Index: r.Index}), r.Box, r.Fold, ops)
 		}
 	}
-	return devs, nb
+	return p
 }
 
 // kernelView builds the collection view of exactly the listed devices,
@@ -215,25 +248,25 @@ func (a *Array) runChain(ctx context.Context, dom Domain, c kernel.Chain, operan
 	}
 
 	if c.Mutates() {
-		devs, byDev, err := a.plan(c, operands, regs, nil)
+		p, err := a.plan(c, operands, regs, nil)
 		if err != nil {
 			return nil, err
 		}
 		// totals persists across fence-replay rounds: members that
 		// succeeded keep their partials, refused members folded nothing.
 		totals := c.Identity()
-		err = fanOut(ctx, a.kernelView(devs), c, byDev, totals)
+		err = a.send(ctx, c, p, totals)
 		for attempt := 0; err != nil && allFenced(err) && attempt < maxFenceRetries; attempt++ {
 			newPM, werr := a.waitMapFlip(ctx, pm)
 			if werr != nil {
 				return nil, err
 			}
 			pm = newPM
-			if devs, byDev = relocate(pm, collection.Failed(err), byDev); len(devs) == 0 {
+			if p = relocate(pm, collection.Failed(err), p); len(p.devs) == 0 {
 				err = nil
 				break
 			}
-			err = fanOut(ctx, a.kernelView(devs), c, byDev, totals)
+			err = a.send(ctx, c, p, totals)
 		}
 		if err != nil {
 			if c.Width() > 0 {
@@ -253,12 +286,12 @@ func (a *Array) runChain(ctx context.Context, dom Domain, c kernel.Chain, operan
 	replicas := replicaCount(pm)
 	exclude := make(map[int]bool)
 	for attempt := 0; ; attempt++ {
-		devs, byDev, err := a.plan(c, operands, regs, exclude)
+		p, err := a.plan(c, operands, regs, exclude)
 		if err != nil {
 			return nil, err
 		}
 		totals := c.Identity()
-		if err := fanOut(ctx, a.kernelView(devs), c, byDev, totals); err != nil {
+		if err := a.send(ctx, c, p, totals); err != nil {
 			if attempt+1 < replicas && allMachineDown(err) {
 				for _, dev := range collection.Failed(err) {
 					exclude[dev] = true

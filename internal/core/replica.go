@@ -32,8 +32,8 @@ package core
 // declares machines down: starting from the chain table MigratePages
 // also edits (pageTable), dead devices are dropped from every chain
 // (the first survivor is promoted to acting primary), lost replicas
-// are re-seeded onto spare page slots of surviving devices with the
-// pull plan of halo.go — no element data passes through the client —
+// are re-seeded onto spare page slots of surviving devices by copyPages
+// (halo.go) — no element data passes through the client —
 // and remint, the one constructor of a table map, builds the result.
 // Pages whose whole chain died are reported as Lost; for the k=1 case,
 // recover.go's checkpoint/cold-recovery path restores them from a
@@ -47,7 +47,6 @@ import (
 	"strconv"
 	"strings"
 
-	"oopp/internal/pagedev"
 	"oopp/internal/rmi"
 	"oopp/internal/trace"
 )
@@ -372,8 +371,9 @@ type FailoverReport struct {
 //   - each lost replica is re-seeded onto a surviving device that has
 //     spare page slots beyond the map's nominal requirement (devices
 //     provisioned with pagesPerDevice > map.PagesPerDevice() have
-//     them), copied device-to-device from the acting primary via the
-//     pullSubBatch lane;
+//     them), copied device-to-device from the acting primary: one
+//     kernel.Copy batch per destination device, an applyPipelineK like
+//     every collective's, that names each source device once;
 //   - the array's map is atomically replaced with the re-minted table,
 //     so subsequent reads, writes, and kernels address only survivors.
 //
@@ -430,8 +430,7 @@ func (a *Array) failover(ctx context.Context, deadMachines ...int) (*FailoverRep
 	// Drop the dead from every chain of the table; re-seeds pull whole
 	// pages from the acting primary.
 	table := a.pageTable(pm)
-	seeds := newPullPlan()
-	full := pagedev.SubBox{Dim: a.p}
+	var seeds []pageCopy
 	for l, chain := range table {
 		live := make([]PageAddress, 0, len(chain))
 		for _, addr := range chain {
@@ -455,13 +454,13 @@ func (a *Array) failover(ctx context.Context, deadMachines ...int) (*FailoverRep
 				rep.Degraded++
 				break
 			}
-			seeds.add(dst, live[0], full)
+			seeds = append(seeds, pageCopy{dst, live[0]})
 			live = append(live, dst)
 			rep.Reseeded++
 		}
 		table[l] = live
 	}
-	if err := a.pull(ctx, a, seeds); err != nil {
+	if err := a.copyPages(ctx, seeds); err != nil {
 		return rep, fmt.Errorf("core: failover: re-seeding replicas: %w", err)
 	}
 	a.setMap(a.remint(pm, table, nil, "+failover"))

@@ -5,6 +5,7 @@ import (
 
 	"oopp/internal/kernel"
 	"oopp/internal/pagedev"
+	"oopp/internal/rmi"
 )
 
 // Two-operand chains over two devices on one machine: x is swept, y is the
@@ -14,10 +15,10 @@ import (
 
 func benchCoLocated(b *testing.B, p kernel.Pipeline, params [][]float64) {
 	const pages, n = 64, 32
-	c := startCluster(b, 1, 0)
+	cl := startCluster(b, 1, 0)
 	var devs [2]*pagedev.ArrayDevice
 	for d := range devs {
-		dev, err := pagedev.NewArrayDevice(bg, c.Client(), 0, "xy"[d:d+1], pages, n, n, n, pagedev.DiskPrivate)
+		dev, err := pagedev.NewArrayDevice(bg, cl.Client(), 0, "xy"[d:d+1], pages, n, n, n, pagedev.DiskPrivate)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -29,15 +30,16 @@ func benchCoLocated(b *testing.B, p kernel.Pipeline, params [][]float64) {
 		}
 		devs[d] = dev
 	}
-	var regions []pagedev.PipeRegion
+	c := resolve(b, p, params...)
+	batch := pagedev.Batch{Peers: []rmi.Ref{devs[1].Ref()}}
 	for i := 0; i < pages; i++ {
-		regions = append(regions, pagedev.PipeRegion{Index: i, Box: box(n, n, n), Fold: true,
-			Peers: []pagedev.PipePeer{{Ref: devs[1].Ref(), Index: i}}})
+		batch.Regions = append(batch.Regions, pagedev.PipeRegion{Index: i, Box: box(n, n, n), Fold: true,
+			Peers: []pagedev.PipePeer{{Peer: 0, Index: i}}})
 	}
 	b.SetBytes(pages * n * n * n * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := devs[0].ApplyPipelineK(bg, p, params, regions); err != nil {
+		if _, _, err := devs[0].ApplyPipelineK(bg, c, batch); err != nil {
 			b.Fatal(err)
 		}
 	}

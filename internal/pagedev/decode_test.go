@@ -13,15 +13,16 @@ import (
 )
 
 // batchFrame encodes an applyPipelineK request of p's stages with params —
-// unresolved, so a frame may name what no registry holds — then lets edit
-// damage the bytes.
-func batchFrame(p kernel.Pipeline, params [][]float64, regions []PipeRegion, edit func([]byte) []byte) []byte {
+// resolved where they resolve, and sent as named where not, so a frame may
+// name what no registry holds — over batch b, then lets edit damage the
+// bytes.
+func batchFrame(p kernel.Pipeline, params [][]float64, b Batch, edit func([]byte) []byte) []byte {
 	c := make(kernel.Chain, len(p.Stages))
 	for i, s := range p.Stages {
-		c[i] = kernel.ResolvedStage{Stage: s, Params: params[i]}
+		c[i], _ = kernel.Resolve(s, params[i])
 	}
 	e := wire.NewEncoder(64)
-	EncodeApplyPipelineK(e, c, regions)
+	EncodeApplyPipelineK(e, c, b)
 	frame := append([]byte(nil), e.Bytes()...)
 	if edit != nil {
 		frame = edit(frame)
@@ -49,43 +50,54 @@ type decodeCase struct {
 }
 
 var decodeCases = func() []decodeCase {
-	peer := []PipePeer{{Ref: rmi.Ref{Machine: 1, Object: 7, Class: ClassArrayPageDevice}, Index: 3}}
+	peers := []rmi.Ref{{Machine: 1, Object: 7, Class: ClassArrayPageDevice}}
 	box := SubBox{Lo: [3]int{0, 1, 0}, Dim: [3]int{2, 1, 2}}
+	operand := func(peer int) Batch {
+		return Batch{Peers: peers, Regions: []PipeRegion{{Index: 1, Box: box, Fold: true, Peers: []PipePeer{{Peer: peer, Index: 3}}}}}
+	}
 	one := func(st kernel.Stage) kernel.Pipeline { return kernel.Pipeline{Stages: []kernel.Stage{st}} }
 	scale, sum := one(kernel.MapStage(kernel.Scale)), one(kernel.ReduceStage(kernel.Sum))
 	axpy, dot := one(kernel.BinaryStage(kernel.Axpy)), one(kernel.BinaryReduceStage(kernel.Dot))
-	plain := []PipeRegion{{Index: 1, Box: box, Fold: true}}
-	paired := []PipeRegion{{Index: 1, Box: box, Fold: true, Peers: peer}}
+	plain := Batch{Regions: []PipeRegion{{Index: 1, Box: box, Fold: true}}}
+	paired, unlisted := operand(0), operand(0)
+	unlisted.Peers = nil
 	return []decodeCase{
 		{"map", batchFrame(scale, [][]float64{{2}}, plain, nil), true, nil},
 		{"reduce", batchFrame(sum, [][]float64{nil}, plain, nil), true, nil},
 		{"binary", batchFrame(axpy, [][]float64{{2}}, paired, nil), true, nil},
 		{"binary reduce", batchFrame(dot, [][]float64{nil}, paired, nil), true, nil},
-		{"no regions", batchFrame(scale, [][]float64{{2}}, nil, nil), true, nil},
+		{"no regions", batchFrame(scale, [][]float64{{2}}, Batch{}, nil), true, nil},
+		{"binary, no regions", batchFrame(axpy, [][]float64{{2}}, Batch{}, nil), true, nil},
 		{"empty frame", nil, false, nil},
 		{"empty chain", batchFrame(kernel.Pipeline{}, nil, plain, nil), false, nil},
 		{"truncated stage", batchFrame(scale, [][]float64{{2}}, plain, func(b []byte) []byte { return b[:4] }), false, nil},
 		{"truncated region", batchFrame(scale, [][]float64{{2}}, plain, func(b []byte) []byte { return b[:len(b)-3] }), false, nil},
 		{"stage count 1<<40", appendInt(0, 1<<40)(nil), false, wire.ErrCorrupt},
-		{"region count 1<<40", batchFrame(scale, [][]float64{{2}}, nil, appendInt(1, 1<<40)), false, wire.ErrCorrupt},
-		{"negative region count", batchFrame(scale, [][]float64{{2}}, nil, appendInt(1, -1)), false, wire.ErrCorrupt},
+		{"region count 1<<40", batchFrame(scale, [][]float64{{2}}, Batch{}, appendInt(1, 1<<40)), false, wire.ErrCorrupt},
+		{"negative region count", batchFrame(scale, [][]float64{{2}}, Batch{}, appendInt(1, -1)), false, wire.ErrCorrupt},
+		{"peer count 1<<40", batchFrame(axpy, [][]float64{{2}}, Batch{}, appendInt(2, 1<<40)), false, wire.ErrCorrupt},
 		{"bad kind byte", batchFrame(one(kernel.Stage{Kind: 9, Name: kernel.Scale}), [][]float64{{2}}, plain, nil), false, nil},
 		{"unknown kernel", batchFrame(one(kernel.MapStage("no.such.kernel")), [][]float64{nil}, plain, nil), false, nil},
 		{"kernel of another kind", batchFrame(one(kernel.ReduceStage(kernel.Scale)), [][]float64{nil}, plain, nil), false, nil},
 		{"missing parameter", batchFrame(scale, [][]float64{nil}, plain, nil), false, nil},
-		{"box outside page", batchFrame(scale, [][]float64{{2}}, []PipeRegion{{Box: SubBox{Dim: [3]int{3, 1, 1}}}}, nil), false, nil},
-		{"box wraps int", batchFrame(scale, [][]float64{{2}}, []PipeRegion{{Box: SubBox{Lo: [3]int{math.MaxInt, 0, 0}, Dim: [3]int{1, 1, 1}}}}, nil), false, nil},
+		{"box outside page", batchFrame(scale, [][]float64{{2}}, Batch{Regions: []PipeRegion{{Box: SubBox{Dim: [3]int{3, 1, 1}}}}}, nil), false, nil},
+		{"box wraps int", batchFrame(scale, [][]float64{{2}}, Batch{Regions: []PipeRegion{{Box: SubBox{Lo: [3]int{math.MaxInt, 0, 0}, Dim: [3]int{1, 1, 1}}}}}, nil), false, nil},
 		{"peer missing", batchFrame(axpy, [][]float64{{2}}, plain, nil), false, nil},
 		{"peer unasked for", batchFrame(scale, [][]float64{{2}}, paired, nil), false, nil},
+		{"peer past the list", batchFrame(axpy, [][]float64{{2}}, operand(1), nil), false, wire.ErrCorrupt},
+		{"negative peer", batchFrame(dot, [][]float64{nil}, operand(-1), nil), false, wire.ErrCorrupt},
+		{"binary, empty peer list", batchFrame(axpy, [][]float64{{2}}, unlisted, nil), false, wire.ErrCorrupt},
+		{"binary reduce, empty peer list", batchFrame(dot, [][]float64{nil}, unlisted, nil), false, wire.ErrCorrupt},
 	}
 }()
 
 // The one kernel-batch decoder: every stage kind round-trips, and every
 // malformed frame — truncated, oversized or negative counts, bad kind
 // byte, unknown kernel, wrong arity, box outside the page, peer count
-// not matching the chain's two-operand stages — is refused before any
-// page could be touched; the oversized counts fail as corrupt frames,
-// not as allocations.
+// not matching the chain's two-operand stages, an operand naming a peer
+// past the batch's peer list or naming one in an empty list — is refused
+// before any page could be touched; the oversized counts and the peer
+// positions fail as corrupt frames, not as allocations or lookups.
 func TestKernelBatchDecode(t *testing.T) {
 	for _, tc := range decodeCases {
 		b, err := decodeKernelBatch(wire.NewDecoder(tc.frame), [3]int{2, 2, 2})
@@ -101,7 +113,8 @@ func TestKernelBatchDecode(t *testing.T) {
 // FuzzKernelBatchDecode: the decoder reads bytes off a socket, so no
 // input may panic it or make it allocate past the frame, and whatever
 // it accepts must be internally consistent — the region walk indexes
-// Peers by the chain's two-operand stage count.
+// Peers by the chain's two-operand stage count, and the peer list by each
+// operand's position.
 func FuzzKernelBatchDecode(f *testing.F) {
 	for _, tc := range decodeCases {
 		f.Add(tc.frame)
@@ -120,6 +133,11 @@ func FuzzKernelBatchDecode(f *testing.F) {
 		for _, r := range b.regions {
 			if len(r.Peers) != b.chain.Operands() {
 				t.Fatalf("region carries %d peers for %d two-operand stages", len(r.Peers), b.chain.Operands())
+			}
+			for _, pe := range r.Peers {
+				if pe.Peer < 0 || pe.Peer >= len(b.peers) {
+					t.Fatalf("accepted peer %d of a %d-peer list", pe.Peer, len(b.peers))
+				}
 			}
 			for x, n := range [3]int{2, 2, 2} {
 				if r.Box.Lo[x] < 0 || r.Box.Lo[x] > n || r.Box.Dim[x] < 0 || r.Box.Dim[x] > n-r.Box.Lo[x] {

@@ -518,15 +518,6 @@ func newArrayClass() *rmi.Class[*arrayPageDevice] {
 			}
 		})
 
-	c.Method("sum", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		// The §3 "move the computation to the data" method: the page never
-		// leaves this machine; only the scalar result crosses the network.
-		index := args.Int()
-		if err := args.Err(); err != nil {
-			return err
-		}
-		return a.withPage(index, readOnly, func(elems []float64) { reply.PutFloat64((&ArrayPage{Data: elems}).Sum()) })
-	})
 	c.Method("readArray", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		index := args.Int()
 		if err := args.Err(); err != nil {
@@ -548,14 +539,6 @@ func newArrayClass() *rmi.Class[*arrayPageDevice] {
 			return fmt.Errorf("pagedev: %w: writeArray carries %d values, a page has %d", wire.ErrCorrupt, n, a.n1*a.n2*a.n3)
 		}
 		return a.withPage(index, overwrite, args.CopyFloat64s)
-	})
-	c.Method("fillPage", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		index := args.Int()
-		v := args.Float64()
-		if err := args.Err(); err != nil {
-			return err
-		}
-		return a.withPage(index, overwrite, func(elems []float64) { (&ArrayPage{Data: elems}).Fill(v) })
 	})
 	// writeSub(index, lo3, dim3, rows...): overlay a sub-box with values
 	// that arrive row-packed, dim1*dim2 runs of dim3 float64s. A serial
@@ -580,7 +563,7 @@ func newArrayClass() *rmi.Class[*arrayPageDevice] {
 		}
 		return a.withPage(index, update, func(elems []float64) { scatterRuns(elems, a.n2, a.n3, lo, dim, rows) })
 	})
-	registerTransferMethods(c)
+	c.ConcurrentMethod("readSubBatch", (*arrayPageDevice).readSubBatch)
 	registerPipelineMethod(c)
 	registerOwnerMethods(c)
 	return c

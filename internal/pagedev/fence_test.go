@@ -47,9 +47,9 @@ func TestMigrationFence(t *testing.T) {
 
 	// A kernel batch over every page refuses while any fence is up, and
 	// applies nowhere.
-	fill := kernel.Pipeline{Stages: []kernel.Stage{kernel.MapStage(kernel.Fill)}}
+	fill := resolve(t, kernel.Pipeline{Stages: []kernel.Stage{kernel.MapStage(kernel.Fill)}}, []float64{5})
 	box := pagedev.SubBox{Dim: [3]int{2, 2, 2}}
-	_, _, err = dev.ApplyPipelineK(bg, fill, [][]float64{{5}}, []pagedev.PipeRegion{{Index: 0, Box: box}, {Index: 1, Box: box}, {Index: 2, Box: box}})
+	_, _, err = dev.ApplyPipelineK(bg, fill, pagedev.Batch{Regions: []pagedev.PipeRegion{{Index: 0, Box: box}, {Index: 1, Box: box}, {Index: 2, Box: box}}})
 	if !errors.Is(err, rmi.ErrFenced) {
 		t.Fatalf("fill of every page under fence: got %v, want rmi.ErrFenced", err)
 	}
@@ -59,7 +59,9 @@ func TestMigrationFence(t *testing.T) {
 
 	// A batched mutator touching the fenced page refuses the WHOLE
 	// batch: the unfenced page of the pair must be untouched too.
-	err = dev.PullSubBatchAsync(bg, dev.Ref(), []pagedev.PullRegion{{Index: 2, Box: box, PeerIndex: 0}, {Index: 1, Box: box, PeerIndex: 0}}).Err(bg)
+	cp := resolve(t, kernel.Pipeline{Stages: []kernel.Stage{kernel.BinaryStage(kernel.Copy)}}, nil)
+	from0 := []pagedev.PipePeer{{Peer: 0, Index: 0}}
+	_, _, err = dev.ApplyPipelineK(bg, cp, pagedev.Batch{Peers: []rmi.Ref{dev.Ref()}, Regions: []pagedev.PipeRegion{{Index: 2, Box: box, Peers: from0}, {Index: 1, Box: box, Peers: from0}}})
 	if !errors.Is(err, rmi.ErrFenced) {
 		t.Fatalf("batch with fenced dst: got %v, want rmi.ErrFenced", err)
 	}

@@ -108,7 +108,7 @@ func hammerPages(t *testing.T, diskIndex, n, sn, rounds int) {
 	swept := make(chan error, 1)
 	go func() {
 		for k := 0; k < rounds; k++ {
-			if _, _, err := dev.ApplyPipelineK(bg, twice, [][]float64{{1}, {1}}, regions); err != nil {
+			if _, _, err := dev.ApplyPipelineK(bg, resolve(t, twice, []float64{1}, []float64{1}), pagedev.Batch{Regions: regions}); err != nil {
 				swept <- err
 				return
 			}
@@ -196,7 +196,7 @@ func opposingCollectives(t *testing.T, n, rounds int) {
 	defer watchdog.Stop()
 	devs := make([]*pagedev.ArrayDevice, 2)
 	state := make([][pages]float64, 2) // what page p of x and of y holds, every element of it
-	regions := make([][]pagedev.PipeRegion, 2)
+	regions := make([]pagedev.Batch, 2)
 	var idx []int
 	for d := range devs {
 		if devs[d], err = pagedev.NewArrayDevice(bg, c.Client(), 0, "xy"[d:d+1], pages, n, n, n, d); err != nil {
@@ -210,8 +210,9 @@ func opposingCollectives(t *testing.T, n, rounds int) {
 		}
 	}
 	for d := range devs {
+		regions[d].Peers = []rmi.Ref{devs[1-d].Ref()}
 		for p := 0; p < pages; p++ {
-			regions[d] = append(regions[d], pagedev.PipeRegion{Index: p, Box: box(n, n, n), Peers: []pagedev.PipePeer{{Ref: devs[1-d].Ref(), Index: p}}})
+			regions[d].Regions = append(regions[d].Regions, pagedev.PipeRegion{Index: p, Box: box(n, n, n), Peers: []pagedev.PipePeer{{Peer: 0, Index: p}}})
 		}
 	}
 	for p := 0; p < pages; p++ {
@@ -455,9 +456,9 @@ func TestFailedMutatorStoresNothing(t *testing.T) {
 	if err := gone.Close(bg); err != nil {
 		t.Fatal(err)
 	}
-	chain := kernel.Pipeline{Stages: []kernel.Stage{kernel.MapStage(kernel.Scale), kernel.BinaryStage(kernel.Axpy)}}
-	_, _, err = dev.ApplyPipelineK(bg, chain, [][]float64{{2}, {1}}, []pagedev.PipeRegion{
-		{Index: 0, Box: box(4, 4, 4), Peers: []pagedev.PipePeer{{Ref: gone.Ref(), Index: 0}}}})
+	chain := resolve(t, kernel.Pipeline{Stages: []kernel.Stage{kernel.MapStage(kernel.Scale), kernel.BinaryStage(kernel.Axpy)}}, []float64{2}, []float64{1})
+	_, _, err = dev.ApplyPipelineK(bg, chain, pagedev.Batch{Peers: []rmi.Ref{gone.Ref()}, Regions: []pagedev.PipeRegion{
+		{Index: 0, Box: box(4, 4, 4), Peers: []pagedev.PipePeer{{Peer: 0, Index: 0}}}}})
 	if err == nil {
 		t.Fatal("a chain with a dead operand succeeded")
 	}
@@ -479,16 +480,16 @@ func TestFailedMutatorStoresNothing(t *testing.T) {
 	if err := operand.FillPage(bg, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	var regions []pagedev.PipeRegion
+	regions := pagedev.Batch{Peers: []rmi.Ref{operand.Ref(), gone.Ref()}}
 	for p := 0; p < pages; p++ {
-		peer := pagedev.PipePeer{Ref: operand.Ref()}
+		var peer pagedev.PipePeer
 		switch p {
 		case 2:
-			peer.Ref = gone.Ref()
+			peer.Peer = 1
 		case 4:
 			peer.Index = 9
 		}
-		regions = append(regions, pagedev.PipeRegion{Index: p, Box: box(bigN, bigN, bigN), Peers: []pagedev.PipePeer{peer}})
+		regions.Regions = append(regions.Regions, pagedev.PipeRegion{Index: p, Box: box(bigN, bigN, bigN), Peers: []pagedev.PipePeer{peer}})
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4} {
@@ -502,7 +503,7 @@ func TestFailedMutatorStoresNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err = big.ApplyPipelineK(bg, chain, [][]float64{{2}, {1}}, regions); !errors.Is(err, rmi.ErrNoSuchObject) {
+		if _, _, err = big.ApplyPipelineK(bg, chain, regions); !errors.Is(err, rmi.ErrNoSuchObject) {
 			t.Fatalf("%d processors: the batch failed with %v, want region 2's %v", procs, err, rmi.ErrNoSuchObject)
 		}
 		applied := int64(0)
@@ -610,7 +611,7 @@ func runChainSet(t *testing.T, row backingRow, n int) outcome {
 	dr0, dw0 := row.dsk.Ops()
 
 	whole, inner := box(n, n, n), pagedev.SubBox{Lo: [3]int{1, 0, 1}, Dim: [3]int{n / 2, n, n / 2}}
-	self := func(i int) []pagedev.PipePeer { return []pagedev.PipePeer{{Ref: dev.Ref(), Index: i}} }
+	self := func(i int) []pagedev.PipePeer { return []pagedev.PipePeer{{Peer: 0, Index: i}} }
 	stages := func(s ...kernel.Stage) kernel.Pipeline { return kernel.Pipeline{Stages: s} }
 	var out outcome
 	for _, run := range []struct {
@@ -633,7 +634,7 @@ func runChainSet(t *testing.T, row backingRow, n int) outcome {
 		{"fill", stages(kernel.MapStage(kernel.Fill), kernel.ReduceStage(kernel.Sum)), [][]float64{{0.125}, nil},
 			[]pagedev.PipeRegion{{Index: 3, Box: whole, Fold: true}, {Index: 1, Box: inner, Fold: true}}},
 	} {
-		_, parts, err := dev.ApplyPipelineK(bg, run.p, run.params, run.regions)
+		_, parts, err := dev.ApplyPipelineK(bg, resolve(t, run.p, run.params...), pagedev.Batch{Peers: []rmi.Ref{dev.Ref()}, Regions: run.regions})
 		if err != nil {
 			t.Fatalf("%s: %s chain: %v", row.name, run.what, err)
 		}
@@ -751,7 +752,7 @@ func runPeerSet(t *testing.T, dir, where string) outcome {
 
 	whole, inner := box(n, n, n), pagedev.SubBox{Lo: [3]int{1, 0, 1}, Dim: [3]int{n / 2, n, n / 2}}
 	region := func(p int, b pagedev.SubBox, more ...pagedev.PipePeer) pagedev.PipeRegion {
-		peers := append([]pagedev.PipePeer{{Ref: operand.Ref(), Index: index(p)}}, more...)
+		peers := append([]pagedev.PipePeer{{Peer: 0, Index: index(p)}}, more...)
 		return pagedev.PipeRegion{Index: p, Box: b, Fold: true, Peers: peers}
 	}
 	stages := func(s ...kernel.Stage) kernel.Pipeline { return kernel.Pipeline{Stages: s} }
@@ -765,9 +766,9 @@ func runPeerSet(t *testing.T, dir, where string) outcome {
 		{stages(kernel.BinaryReduceStage(kernel.Dot)), [][]float64{nil}, []pagedev.PipeRegion{region(2, whole), region(3, inner)}},
 		{stages(kernel.MapStage(kernel.Scale), kernel.BinaryStage(kernel.Axpy), kernel.ReduceStage(kernel.MinMax), kernel.BinaryReduceStage(kernel.Dot)),
 			[][]float64{{0.5}, {2}, nil, nil},
-			[]pagedev.PipeRegion{region(0, whole, pagedev.PipePeer{Ref: z.Ref(), Index: 3}), region(2, inner, pagedev.PipePeer{Ref: z.Ref(), Index: 1})}},
+			[]pagedev.PipeRegion{region(0, whole, pagedev.PipePeer{Peer: 1, Index: 3}), region(2, inner, pagedev.PipePeer{Peer: 1, Index: 1})}},
 	} {
-		_, parts, err := x.ApplyPipelineK(bg, run.p, run.params, run.regions)
+		_, parts, err := x.ApplyPipelineK(bg, resolve(t, run.p, run.params...), pagedev.Batch{Peers: []rmi.Ref{operand.Ref(), z.Ref()}, Regions: run.regions})
 		if err != nil {
 			t.Fatalf("%s: %v: %v", where, run.p, err)
 		}
@@ -832,19 +833,19 @@ func TestWorkerCountDoesNotShow(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		for _, row := range openBackings(t, disk.Model{}, bigN) {
 			got := runChainSet(t, row, bigN)
-			var regions []pagedev.PipeRegion
+			regions := pagedev.Batch{Peers: []rmi.Ref{row.dev.Ref()}}
 			for p := 0; p < 4; p++ {
-				self := pagedev.PipePeer{Ref: row.dev.Ref(), Index: p}
-				regions = append(regions, pagedev.PipeRegion{Index: p, Box: box(bigN, bigN, bigN), Fold: true, Peers: []pagedev.PipePeer{self, self}})
+				self := pagedev.PipePeer{Peer: 0, Index: p}
+				regions.Regions = append(regions.Regions, pagedev.PipeRegion{Index: p, Box: box(bigN, bigN, bigN), Fold: true, Peers: []pagedev.PipePeer{self, self}})
 			}
-			touched, parts, err := row.dev.ApplyPipelineK(bg, all, [][]float64{{1.0 / 3}, {0.7}, nil, nil}, regions)
+			touched, parts, err := row.dev.ApplyPipelineK(bg, resolve(t, all, []float64{1.0 / 3}, []float64{0.7}, nil, nil), regions)
 			if err != nil || touched != 4*bigN*bigN*bigN {
 				t.Fatalf("%s, %d processors: chain over every page touched %d, %v", row.name, procs, touched, err)
 			}
 			for _, part := range parts {
 				got.partials = append(got.partials, []uint64{uint64(part.N), math.Float64bits(part.Acc[0])})
 			}
-			for p := range regions {
+			for p := range regions.Regions {
 				got.pages = append(got.pages, pageBits(t, row.dev, p))
 			}
 			if want == nil {
@@ -880,8 +881,8 @@ func TestPanickingKernelGivesThePageUp(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := pageBits(t, row.dev, 0)
-		_, _, err := row.dev.ApplyPipelineK(bg, kernel.Pipeline{Stages: []kernel.Stage{kernel.MapStage("test.halfThenPanic")}},
-			[][]float64{nil}, []pagedev.PipeRegion{{Index: 0, Box: box(4, 4, 4)}})
+		_, _, err := row.dev.ApplyPipelineK(bg, resolve(t, kernel.Pipeline{Stages: []kernel.Stage{kernel.MapStage("test.halfThenPanic")}}, nil),
+			pagedev.Batch{Regions: []pagedev.PipeRegion{{Index: 0, Box: box(4, 4, 4)}}})
 		if err == nil {
 			t.Fatalf("%s: a panicking kernel reported success", row.name)
 		}
@@ -906,7 +907,7 @@ func TestPanickingKernelGivesThePageUp(t *testing.T) {
 			regions = append(regions, pagedev.PipeRegion{Index: p, Box: box(bigN, bigN, bigN)})
 		}
 		goroutines := runtime.NumGoroutine()
-		_, _, err := row.dev.ApplyPipelineK(bg, kernel.Pipeline{Stages: []kernel.Stage{kernel.MapStage("test.halfThenPanic")}}, [][]float64{nil}, regions)
+		_, _, err := row.dev.ApplyPipelineK(bg, resolve(t, kernel.Pipeline{Stages: []kernel.Stage{kernel.MapStage("test.halfThenPanic")}}, nil), pagedev.Batch{Regions: regions})
 		if err == nil || !strings.Contains(err.Error(), "kernel bug") {
 			t.Fatalf("%s: a kernel panicking on helper goroutines: %v", row.name, err)
 		}

@@ -2,20 +2,19 @@ package pagedev
 
 // The device-side halves of the owner-computes array surface that are
 // not the kernel engine itself (pipeline.go): the row engine every
-// method walks pages with, the device-to-device operand/halo pull lane,
-// and the transfer primitive pullSubBatch: a codec for a kernel.Copy batch.
+// method walks pages with and the device-to-device operand/halo read
+// lane.
 //
 // Method concurrency classes (they matter — see the mailbox rules in
 // the rmi package doc):
 //
-//	applyPipelineK, pullSubBatch   serial AS A METHOD, parallel inside
-//	                               (workers share a piece's regions); the
-//	                               ONE kernel executor: every collective is
-//	                               a chain through it, a pull a copy chain
-//	readSubBatch                   CONCURRENT: serves peer pulls while this
-//	                               object's mailbox is busy (two devices
-//	                               mid-sweep can exchange halos and operands
-//	                               without deadlock)
+//	applyPipelineK   serial AS A METHOD, parallel inside (workers share a
+//	                 piece's regions); the ONE kernel executor: every
+//	                 collective, per-page sum and fill and page copy is a
+//	                 chain through it
+//	readSubBatch     CONCURRENT: serves peer reads while this object's
+//	                 mailbox is busy (two devices mid-sweep can exchange
+//	                 halos and operands without deadlock)
 //
 // Every one of them reaches elements through the device's page accessor
 // (withPages, device.go): on a resident store serial methods mutate the
@@ -27,7 +26,7 @@ package pagedev
 // other; it does not make a batch atomic. Beside its own page an access
 // holds, read-only, the co-located operand pages its chain reads whose lock
 // was free when tried: a holder of a contents lock waits for nothing, not a
-// pull and not a second lock. So the engine fetches a piece's remote values
+// fetch and not a second lock. So the engine fetches a piece's remote values
 // before any worker enters anything, and a worker first copies out an
 // operand page it cannot have beside its own — so a device can be its own
 // operand (self-dot, x.Axpy(x), a bank move) and two devices read each
@@ -51,7 +50,6 @@ import (
 	"context"
 	"fmt"
 
-	"oopp/internal/kernel"
 	"oopp/internal/rmi"
 	"oopp/internal/wire"
 )
@@ -116,13 +114,9 @@ func decodeCount(args *wire.Decoder, minElem int) (int, error) {
 	return count, nil
 }
 
-// Minimum encoded sizes, in bytes, of one batch element of each method:
-// every varint, bool and length prefix is at least one byte, and a
-// sub-box is an index plus six ints.
-const (
-	minSubBox   = 7
-	minPullElem = minSubBox + 1 // + peerIdx
-)
+// minSubBox is the minimum encoded size, in bytes, of a sub-box: every
+// varint is at least one byte, and a sub-box is an index plus six ints.
+const minSubBox = 7
 
 // serveSub gathers the row-packed values of one region of this device's
 // page rq.idx into dst. It only reads the page, so it runs outside the
@@ -211,42 +205,4 @@ func (a *arrayPageDevice) readSubBatch(env *rmi.Env, args *wire.Decoder, reply *
 		}
 	}
 	return nil
-}
-
-// registerTransferMethods installs the peer-pull lane and the transfer
-// primitive on the ArrayPageDevice class.
-func registerTransferMethods(c *rmi.Class[*arrayPageDevice]) {
-	c.ConcurrentMethod("readSubBatch", (*arrayPageDevice).readSubBatch)
-
-	// pullSubBatch(peerRef, count, count×(localIdx, box, peerIdx)):
-	// overwrite each local region with the co-indexed region of the peer
-	// device, this one included — the §5 copyFrom generalized to sub-box
-	// batches, decoded into a one-stage kernel.Copy batch of the engine,
-	// which replies the touched count.
-	c.Method("pullSubBatch", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		peer := args.Ref()
-		count, err := decodeCount(args, minPullElem)
-		if err != nil {
-			return err
-		}
-		cp, err := kernel.Resolve(kernel.BinaryStage(kernel.Copy), nil)
-		if err != nil {
-			return err
-		}
-		b := kernelBatch{chain: kernel.Chain{cp}, regions: make([]PipeRegion, count)}
-		peers := make([]PipePeer, count)
-		for n := range b.regions {
-			r := &b.regions[n]
-			r.Index = args.Int()
-			if r.Box.Lo, r.Box.Dim, err = decodeSubBox(args, a.page()); err != nil {
-				return err
-			}
-			peers[n] = PipePeer{Ref: peer, Index: args.Int()}
-			r.Peers = peers[n : n+1]
-			if err := args.Err(); err != nil {
-				return err
-			}
-		}
-		return a.runKernelBatch(env, b, reply)
-	})
 }

@@ -1,9 +1,9 @@
 package pagedev
 
-// Client stubs and wire encoders for the kernel engine's one method, the
-// owner-computes transfer method and the Jacobi plane sweep. core.Array
-// drives the batched methods through its storage collection with the
-// encoders; the stub methods exist for direct device use and tests.
+// Client stubs and wire encoders for the kernel engine's one method and
+// the Jacobi plane sweep. core.Array drives the batched methods through
+// its storage collection with the encoders; the stub methods exist for
+// direct device use and tests.
 
 import (
 	"context"
@@ -14,26 +14,13 @@ import (
 	"oopp/internal/wire"
 )
 
-// PullRegion names a local region and the peer page it is pulled from
-// (the box is shared: conformant arrays tile identically).
-type PullRegion struct {
-	Index     int
-	Box       SubBox
-	PeerIndex int
-}
-
-// ApplyPipelineK resolves the stage chain p (params[i] belongs to
-// p.Stages[i]) and runs it over the listed regions with one remote call:
-// each region's page is entered once and every stage applied in order,
-// in place. It returns the element count touched and one partial per
-// reduce stage.
-func (d *ArrayDevice) ApplyPipelineK(ctx context.Context, p kernel.Pipeline, params [][]float64, regions []PipeRegion) (int64, []kernel.Partial, error) {
-	c, err := p.Resolve(params)
-	if err != nil {
-		return 0, nil, err
-	}
+// ApplyPipelineK runs the chain c over the batch's regions with one
+// remote call: each region's page is entered once and every stage
+// applied in order, in place. It returns the element count touched and
+// one partial per reduce stage.
+func (d *ArrayDevice) ApplyPipelineK(ctx context.Context, c kernel.Chain, b Batch) (int64, []kernel.Partial, error) {
 	dec, err := d.client.Call(ctx, d.ref, "applyPipelineK", func(e *wire.Encoder) error {
-		EncodeApplyPipelineK(e, c, regions)
+		EncodeApplyPipelineK(e, c, b)
 		return nil
 	})
 	if err != nil {
@@ -45,20 +32,35 @@ func (d *ArrayDevice) ApplyPipelineK(ctx context.Context, p kernel.Pipeline, par
 	return touched, parts, err
 }
 
-// PullSubBatchAsync begins an owner-computes transfer: this device
-// overwrites each listed local region with the co-indexed region pulled
-// from the peer device, device-to-device. The peer may be this device (a
-// move between its own pages).
-func (d *ArrayDevice) PullSubBatchAsync(ctx context.Context, peer rmi.Ref, regions []PullRegion) *rmi.Future {
-	return d.client.CallAsync(ctx, d.ref, "pullSubBatch", func(e *wire.Encoder) error {
-		e.PutRef(peer)
-		e.PutInt(len(regions))
-		for _, r := range regions {
-			putSubBox(e, r.Index, r.Box)
-			e.PutInt(r.PeerIndex)
-		}
-		return nil
-	})
+// onPage runs the one-stage chain of s and params over the whole of page
+// index.
+func (d *ArrayDevice) onPage(ctx context.Context, index int, s kernel.Stage, params ...float64) ([]kernel.Partial, error) {
+	st, err := kernel.Resolve(s, params)
+	if err != nil {
+		return nil, err
+	}
+	whole := PipeRegion{Index: index, Box: SubBox{Dim: d.dims()}, Fold: true}
+	_, parts, err := d.ApplyPipelineK(ctx, kernel.Chain{st}, Batch{Regions: []PipeRegion{whole}})
+	return parts, err
+}
+
+// Sum computes the page's element sum on the remote machine — "moving the
+// computation to the data" (§3): only the scalar crosses the network. It
+// is a one-region kernel.Sum chain, whose row fold over a whole page is
+// one sequential loop from zero, so it is bitwise ArrayPage.Sum.
+func (d *ArrayDevice) Sum(ctx context.Context, index int) (float64, error) {
+	parts, err := d.onPage(ctx, index, kernel.ReduceStage(kernel.Sum))
+	if err != nil {
+		return 0, err
+	}
+	return parts[0].Acc[0], nil
+}
+
+// FillPage sets every element of page index to v, remotely: a one-region
+// kernel.Fill chain.
+func (d *ArrayDevice) FillPage(ctx context.Context, index int, v float64) error {
+	_, err := d.onPage(ctx, index, kernel.MapStage(kernel.Fill), v)
+	return err
 }
 
 // JacobiHalo names the neighbour plane of an owner-computes sweep: the
@@ -86,7 +88,7 @@ type JacobiPlaneArgs struct {
 }
 
 // JacobiPlaneAsync begins one owner-computes plane sweep; decode the
-// plane residual with DecodeSum.
+// plane residual with DecodeResidual.
 func (d *ArrayDevice) JacobiPlaneAsync(ctx context.Context, a JacobiPlaneArgs) *rmi.Future {
 	return d.client.CallAsync(ctx, d.ref, "jacobiPlane", func(e *wire.Encoder) error {
 		if len(a.Pages) != a.P2*a.P3 {

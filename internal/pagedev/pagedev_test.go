@@ -13,12 +13,24 @@ import (
 
 	"oopp/internal/cluster"
 	"oopp/internal/disk"
+	"oopp/internal/kernel"
 	"oopp/internal/pagedev"
 	"oopp/internal/rmi"
 )
 
 // bg is the neutral context for call sites with no deadline.
 var bg = context.Background()
+
+// resolve is Pipeline.Resolve for a test's chain: p with one parameter
+// vector per stage.
+func resolve(t testing.TB, p kernel.Pipeline, params ...[]float64) kernel.Chain {
+	t.Helper()
+	c, err := p.Resolve(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
 
 func startCluster(t testing.TB, machines, disks int) *cluster.Cluster {
 	t.Helper()
@@ -299,9 +311,11 @@ func TestInheritedMethodsOnDerived(t *testing.T) {
 
 // TestConstructFromProcess exercises the §5 use case: a new
 // ArrayPageDevice built around an existing PageDevice process; the two
-// co-exist, and deleting the wrapper leaves the original intact.
+// co-exist, and deleting the wrapper leaves the original intact. The
+// remote Sum is bitwise ArrayPage.Sum through the wrapper as on a device
+// of its own disk.
 func TestConstructFromProcess(t *testing.T) {
-	c := startCluster(t, 3, 0)
+	c := startCluster(t, 3, 1)
 	client := c.Client()
 
 	const n1, n2, n3 = 4, 4, 2
@@ -359,6 +373,30 @@ func TestConstructFromProcess(t *testing.T) {
 	for i, v := range back {
 		if v != 1 {
 			t.Fatalf("element %d = %v through original device", i, v)
+		}
+	}
+
+	// Values whose sum depends on the order they are added in: the kernel
+	// batch behind Sum must add them as ArrayPage.Sum does.
+	odd := pagedev.NewArrayPage(n1, n2, n3)
+	for i := range odd.Data {
+		odd.Data[i] = math.Ldexp(1+float64(i)/7, (i*13)%41-20)
+	}
+	onDisk, err := pagedev.NewArrayDevice(bg, client, 1, "ondisk", 1, n1, n2, n3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer onDisk.Close(bg)
+	for _, tc := range []struct {
+		what  string
+		dev   *pagedev.ArrayDevice
+		index int
+	}{{"disk-backed", onDisk, 0}, {"remote-backed", wrapper, 3}} {
+		if err := tc.dev.WritePage(bg, odd, tc.index); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := tc.dev.Sum(bg, tc.index); err != nil || math.Float64bits(got) != math.Float64bits(odd.Sum()) {
+			t.Errorf("%s device: remote sum %v (%v), ArrayPage.Sum %v: want the same bits", tc.what, got, err, odd.Sum())
 		}
 	}
 

@@ -7,6 +7,7 @@ import (
 
 	"oopp/internal/cluster"
 	"oopp/internal/kernel"
+	"oopp/internal/rmi"
 )
 
 // In place has no counter and no switch; what shows that it happened is what
@@ -76,7 +77,7 @@ func TestCoLocatedOperandsAreReadInPlace(t *testing.T) {
 			for _, box := range []SubBox{whole, inner} {
 				var one, two []PipeRegion
 				for p := 0; p < pages; p++ {
-					peer := PipePeer{Ref: y.Ref(), Index: p}
+					peer := PipePeer{Peer: 0, Index: p}
 					one = append(one, PipeRegion{Index: p, Box: box, Fold: true, Peers: []PipePeer{peer}})
 					two = append(two, PipeRegion{Index: p, Box: box, Fold: true, Peers: []PipePeer{peer, peer}})
 				}
@@ -85,7 +86,11 @@ func TestCoLocatedOperandsAreReadInPlace(t *testing.T) {
 					params  [][]float64
 					regions []PipeRegion
 				}{{axpy, [][]float64{{0.5}}, one}, {dot, [][]float64{nil}, one}, {chain, [][]float64{{2}, {-1}, nil, nil}, two}} {
-					_, parts, err := x.ApplyPipelineK(ctx, run.p, run.params, run.regions)
+					c, err := run.p.Resolve(run.params)
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, parts, err := x.ApplyPipelineK(ctx, c, Batch{Peers: []rmi.Ref{y.Ref()}, Regions: run.regions})
 					if err != nil {
 						t.Fatalf("%d³ pages, %v: %v", n, run.p, err)
 					}
@@ -143,7 +148,10 @@ func TestHeldStripeStagesAtTheSameCharge(t *testing.T) {
 	}
 	defer c.Shutdown()
 	const far = 64 << 10 / (4 * 4 * 4 * 8) // pages of 512 B to a granule of the lock
-	chain := kernel.Pipeline{Stages: []kernel.Stage{kernel.MapStage(kernel.Scale), kernel.BinaryStage(kernel.Axpy), kernel.BinaryReduceStage(kernel.Dot)}}
+	chain, err := kernel.Pipeline{Stages: []kernel.Stage{kernel.MapStage(kernel.Scale), kernel.BinaryStage(kernel.Axpy), kernel.BinaryReduceStage(kernel.Dot)}}.Resolve([][]float64{{3}, {2}, nil})
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := func(operand int) (page []float64, counts [4]int64, staged int) {
 		dev, err := NewArrayDevice(ctx, c.Client(), 0, "d", far+1, 4, 4, 4, 0)
 		if err != nil {
@@ -158,9 +166,9 @@ func TestHeldStripeStagesAtTheSameCharge(t *testing.T) {
 		dsk := c.Machine(0).Disks()[0]
 		r0, w0, _ := dev.Stats(ctx)
 		dr0, dw0 := dsk.Ops()
-		peer := PipePeer{Ref: dev.Ref(), Index: operand}
+		peer := PipePeer{Peer: 0, Index: operand}
 		regions := []PipeRegion{{Index: 0, Box: SubBox{Lo: [3]int{1, 1, 0}, Dim: [3]int{3, 2, 4}}, Fold: true, Peers: []PipePeer{peer, peer}}}
-		if _, _, err := dev.ApplyPipelineK(ctx, chain, [][]float64{{3}, {2}, nil}, regions); err != nil {
+		if _, _, err := dev.ApplyPipelineK(ctx, chain, Batch{Peers: []rmi.Ref{dev.Ref()}, Regions: regions}); err != nil {
 			t.Fatal(err)
 		}
 		r1, w1, _ := dev.Stats(ctx)

@@ -1,23 +1,31 @@
 package pagedev
 
-// The kernel engine: applyPipelineK is the ONE device method every
-// array collective executes through. A request carries a kernel.Chain
-// inline plus the batch of page regions this device owns; each region's
-// page is entered once (withPages) and walked through every stage in
-// order — in place, when the store is resident. A one-stage chain is
-// Apply, Reduce, ApplyBinary or ReduceBinary; a longer one is fused.
+// The kernel engine: applyPipelineK is the ONE device method that copies
+// or computes on a page: every array collective, the per-page Sum and
+// FillPage, and every device-to-device page copy (Failover's re-seeds,
+// MigratePages, JacobiOwner's bank move) run through it. A request
+// carries a kernel.Chain inline plus the batch of page regions this
+// device owns; each region's page is entered once (withPages) and walked
+// through every stage in order — in place, when the store is resident. A
+// one-stage chain is Apply, Reduce, ApplyBinary or ReduceBinary, and a
+// page copy is a one-stage kernel.Copy chain; a longer one is fused.
 //
 // Only this file knows the wire format — the encoder, the decoder and
 // the reply pair sit side by side:
 //
 //	request: nstages, nstages×(kind byte, kernel name, params),
-//	         count, count×(idx, box, fold, operands×(peerRef, peerIdx))
+//	         [npeers, npeers×peerRef,]
+//	         count, count×(idx, box, [fold,] operands×(peer, peerIdx))
 //	reply:   touched, reduces×(n, accumulator)
 //
 // where operands is the chain's two-operand stage count and reduces its
-// reduce-stage count. Each stage is resolved again on this side of the
-// wire (kernel.Resolve), so a chain can never run a kernel only the
-// client knows.
+// reduce-stage count. A region's fold flag is there only when reduces is
+// not zero, and the peer list only when operands is not: it names each
+// peer device the batch reads once, and a region's operand names its peer
+// by its position in that list — a position past the list is a corrupt
+// frame. Each stage is resolved again on this side of the wire
+// (kernel.Resolve), so a chain can never run a kernel only the client
+// knows.
 //
 // applyPipelineK is a SERIAL method (parallel inside: runKernelBatch), but
 // its two-operand stages read peer operands from outside the peer's mailbox
@@ -32,7 +40,6 @@ package pagedev
 
 import (
 	"fmt"
-	"slices"
 
 	"oopp/internal/bufpool"
 	"oopp/internal/kernel"
@@ -41,10 +48,10 @@ import (
 )
 
 // PipePeer names the second operand of one two-operand stage for one
-// region: the peer device process and the page index holding the
-// co-indexed box.
+// region: the peer device, by its position in the batch's Peers, and the
+// page index holding the co-indexed box.
 type PipePeer struct {
-	Ref   rmi.Ref
+	Peer  int
 	Index int
 }
 
@@ -62,48 +69,90 @@ type PipeRegion struct {
 	Peers []PipePeer
 }
 
-// EncodeApplyPipelineK packs an applyPipelineK request: the chain inline
-// and the region batch with fold flags and per-stage peer operands.
-func EncodeApplyPipelineK(e *wire.Encoder, c kernel.Chain, regions []PipeRegion) {
+// Batch is one device's share of a kernel chain: the regions it runs and
+// the peer devices their operands read, each device listed once.
+type Batch struct {
+	Peers   []rmi.Ref
+	Regions []PipeRegion
+}
+
+// Peer returns ref's position in b.Peers, appending it if it is not
+// listed yet.
+func (b *Batch) Peer(ref rmi.Ref) int {
+	for i, p := range b.Peers {
+		if p == ref {
+			return i
+		}
+	}
+	b.Peers = append(b.Peers, ref)
+	return len(b.Peers) - 1
+}
+
+// EncodeApplyPipelineK packs an applyPipelineK request: the chain inline,
+// the batch's peer list when the chain has a two-operand stage, and the
+// regions with their fold flags, when the chain has a reduce stage, and
+// per-stage peer operands.
+func EncodeApplyPipelineK(e *wire.Encoder, c kernel.Chain, b Batch) {
 	e.PutInt(len(c))
 	for i := range c {
 		e.PutByte(byte(c[i].Kind))
 		e.PutString(c[i].Name)
 		e.PutFloat64s(c[i].Params)
 	}
-	e.PutInt(len(regions))
-	for _, r := range regions {
+	if c.Operands() > 0 {
+		e.PutInt(len(b.Peers))
+		for _, ref := range b.Peers {
+			e.PutRef(ref)
+		}
+	}
+	e.PutInt(len(b.Regions))
+	reduces := c.Width() > 0
+	for _, r := range b.Regions {
 		putSubBox(e, r.Index, r.Box)
-		e.PutBool(r.Fold)
+		if reduces {
+			e.PutBool(r.Fold)
+		}
 		for _, pe := range r.Peers {
-			e.PutRef(pe.Ref)
+			e.PutInt(pe.Peer)
 			e.PutInt(pe.Index)
 		}
 	}
 }
 
 // Minimum encoded sizes: a stage is a kind byte and two length
-// prefixes; a region is a sub-box and a fold flag, plus a ref (three
-// fields) and an index per operand.
+// prefixes; a peer ref is a machine, an object and a class name; a
+// region is a sub-box, plus a fold flag when the chain reduces and a peer
+// position and an index per operand.
 const (
 	minStage   = 3
-	minRegion  = minSubBox + 1
-	minOperand = 4
+	minRef     = 3
+	minRegion  = minSubBox
+	minOperand = 2
 )
 
 // kernelBatch is a decoded, validated applyPipelineK request: the chain,
-// resolved in this process's registry, and the regions it runs over.
+// resolved in this process's registry, the peers its operands read and
+// the regions it runs over.
 type kernelBatch struct {
 	chain   kernel.Chain
+	peers   []batchPeer
 	regions []PipeRegion
+}
+
+// batchPeer is one peer device of a batch: its ref as decoded and, once
+// the batch runs (runKernelBatch resolves each peer once), the device
+// itself when it lives in this process — nil for any other.
+type batchPeer struct {
+	ref rmi.Ref
+	dev *arrayPageDevice
 }
 
 // decodeKernelBatch is the pure decode step of applyPipelineK: bytes in,
 // a validated batch out, no page touched. Every stage's kind, kernel
 // name and parameter arity, every sub-box against the page geometry,
-// and every count against the frame length are checked here; a frame
-// with bytes left over (more peers than two-operand stages) is refused
-// like one that runs short.
+// every peer position against the peer list, and every count against the
+// frame length are checked here; a frame with bytes left over (more peers
+// than two-operand stages) is refused like one that runs short.
 func decodeKernelBatch(args *wire.Decoder, page [3]int) (b kernelBatch, err error) {
 	nstages, err := decodeCount(args, minStage)
 	if err != nil {
@@ -124,7 +173,18 @@ func decodeKernelBatch(args *wire.Decoder, page [3]int) (b kernelBatch, err erro
 		}
 	}
 	operands := b.chain.Operands()
-	count, err := decodeCount(args, minRegion+operands*minOperand)
+	if operands > 0 {
+		npeers, err := decodeCount(args, minRef)
+		if err != nil {
+			return b, err
+		}
+		b.peers = make([]batchPeer, npeers)
+		for i := range b.peers {
+			b.peers[i].ref = args.Ref()
+		}
+	}
+	folds := min(b.chain.Width(), 1) // a fold flag's byte, when the chain reduces
+	count, err := decodeCount(args, minRegion+folds+operands*minOperand)
 	if err != nil {
 		return b, err
 	}
@@ -136,13 +196,18 @@ func decodeKernelBatch(args *wire.Decoder, page [3]int) (b kernelBatch, err erro
 		if r.Box.Lo, r.Box.Dim, err = decodeSubBox(args, page); err != nil {
 			return b, err
 		}
-		r.Fold = args.Bool()
+		r.Fold = folds > 0 && args.Bool()
 		r.Peers = peers[n*operands : (n+1)*operands]
 		for o := range r.Peers {
-			r.Peers[o] = PipePeer{Ref: args.Ref(), Index: args.Int()}
+			r.Peers[o] = PipePeer{Peer: args.Int(), Index: args.Int()}
 		}
 		if err := args.Err(); err != nil {
 			return b, err
+		}
+		for _, pe := range r.Peers {
+			if pe.Peer < 0 || pe.Peer >= len(b.peers) {
+				return b, fmt.Errorf("pagedev: %w: region %d names peer %d of %d", wire.ErrCorrupt, n, pe.Peer, len(b.peers))
+			}
 		}
 	}
 	if args.Remaining() != 0 {
@@ -211,10 +276,14 @@ func (a *arrayPageDevice) runKernelBatch(env *rmi.Env, b kernelBatch, reply *wir
 		}
 		elems += b.regions[i].Box.Size()
 	}
+	// Each peer is resolved once for the whole batch.
+	for k := range b.peers {
+		b.peers[k].dev, _ = localArrayDevice(env, b.peers[k].ref)
+	}
 	// One slab: a row of width floats per region, and a last row to fold into.
 	accs := make([]float64, (len(b.regions)+1)*width)
 	workers, share := rmi.Sharers(len(b.regions), elems), true
-	if workers > 1 && !b.orderFree(a, env) {
+	if workers > 1 && !b.orderFree(a) {
 		workers, share = 1, false
 	}
 	// Slot 0 holds a piece's fetched operands, slot w+1 is worker w's: all exist
@@ -273,11 +342,10 @@ func (a *arrayPageDevice) runKernelBatch(env *rmi.Env, b kernelBatch, reply *wir
 func (a *arrayPageDevice) piece(env *rmi.Env, b kernelBatch, pages []pageRef, lo int) (hi, size int, err error) {
 	type fetch struct {
 		p    *pageRef
-		peer int // in peers
+		peer int // in b.peers
 		subReq
 	}
 	var fetches []fetch
-	var peers []rmi.Ref
 	n, fetched := 1+b.chain.Operands(), 0
 	for hi = lo; hi < len(b.regions); hi++ {
 		r := &b.regions[hi]
@@ -287,21 +355,17 @@ func (a *arrayPageDevice) piece(env *rmi.Env, b kernelBatch, pages []pageRef, lo
 			if !st.Operand() {
 				continue
 			}
-			p, peer := &pages[hi*n+1+op], r.Peers[op]
+			p, pe := &pages[hi*n+1+op], r.Peers[op]
 			*p = pageRef{}
 			op++
 			if rs == 0 || st.Width() > 0 && !r.Fold {
 				continue
 			}
-			if local, ok := localArrayDevice(env, peer.Ref); ok && local.page() == a.page() {
-				*p = pageRef{dev: local, index: peer.Index, box: r.Box}
+			if peer := b.peers[pe.Peer].dev; peer != nil && peer.page() == a.page() {
+				*p = pageRef{dev: peer, index: pe.Index, box: r.Box}
 				continue
 			}
-			f := fetch{p, slices.Index(peers, peer.Ref), subReq{peer.Index, r.Box}}
-			if f.peer < 0 {
-				f.peer, peers = len(peers), append(peers, peer.Ref)
-			}
-			fetches, need = append(fetches, f), need+rs
+			fetches, need = append(fetches, fetch{p, pe.Peer, subReq{pe.Index, r.Box}}), need+rs
 		}
 		if fetched > 0 && 8*(fetched+need) > bufpool.PieceBytes {
 			fetches = fetches[:before]
@@ -309,15 +373,18 @@ func (a *arrayPageDevice) piece(env *rmi.Env, b kernelBatch, pages []pageRef, lo
 		}
 		fetched, size = fetched+need, size+rs
 	}
+	if len(fetches) == 0 { // everything read in place: no call, nothing staged
+		return hi, size, nil
+	}
 	// A peer only the region left for the next piece named has no request here, and no call.
-	vals, reqs, dst := a.stage(0, fetched), make([][]subReq, len(peers)), make([][][]float64, len(peers))
+	vals, reqs, dst := a.stage(0, fetched), make([][]subReq, len(b.peers)), make([][][]float64, len(b.peers))
 	for _, f := range fetches {
 		f.p.vals, vals = vals[:f.Size()], vals[f.Size():]
 		reqs[f.peer], dst[f.peer] = append(reqs[f.peer], f.subReq), append(dst[f.peer], f.p.vals)
 	}
-	waits := make([]func() error, len(peers))
-	for k, ref := range peers {
-		waits[k] = a.fetchSubBatchAsync(env, ref, reqs[k], dst[k])
+	waits := make([]func() error, len(b.peers))
+	for k, peer := range b.peers {
+		waits[k] = a.fetchSubBatchAsync(env, peer.ref, reqs[k], dst[k])
 	}
 	for _, wait := range waits {
 		if werr := wait(); err == nil {
@@ -331,7 +398,7 @@ func (a *arrayPageDevice) piece(env *rmi.Env, b kernelBatch, pages []pageRef, lo
 // when the chain writes and two regions share a page, or one's operand is
 // a page of this very device that ANOTHER region writes. Such a batch —
 // the array layer plans none — keeps region order, on one worker.
-func (b kernelBatch) orderFree(a *arrayPageDevice, env *rmi.Env) bool {
+func (b kernelBatch) orderFree(a *arrayPageDevice) bool {
 	if !b.chain.Mutates() {
 		return true
 	}
@@ -342,10 +409,9 @@ func (b kernelBatch) orderFree(a *arrayPageDevice, env *rmi.Env) bool {
 		}
 		written[r.Index] = true
 	}
-	self := func(ref rmi.Ref) bool { peer, ok := localArrayDevice(env, ref); return ok && peer == a }
 	for _, r := range b.regions {
 		for _, pe := range r.Peers {
-			if pe.Index != r.Index && written[pe.Index] && self(pe.Ref) {
+			if pe.Index != r.Index && written[pe.Index] && b.peers[pe.Peer].dev == a {
 				return false
 			}
 		}

@@ -39,12 +39,12 @@ func TestApplyPipelineKEmptyRegionSkips(t *testing.T) {
 
 	full := pagedev.SubBox{Lo: [3]int{0, 0, 0}, Dim: [3]int{2, 2, 2}}
 	empty := pagedev.SubBox{Lo: [3]int{0, 0, 0}, Dim: [3]int{0, 2, 2}}
-	params := [][]float64{{2}, nil}
+	chain := resolve(t, scaleMinMax, []float64{2}, nil)
 
 	// A batch that is ONLY empty regions folds nothing and mutates
 	// nothing: identity partial, N == 0, zero elements touched.
-	touched, parts, err := dev.ApplyPipelineK(bg, scaleMinMax, params,
-		[]pagedev.PipeRegion{{Index: 0, Box: empty, Fold: true}})
+	touched, parts, err := dev.ApplyPipelineK(bg, chain,
+		pagedev.Batch{Regions: []pagedev.PipeRegion{{Index: 0, Box: empty, Fold: true}}})
 	if err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
@@ -57,11 +57,11 @@ func TestApplyPipelineKEmptyRegionSkips(t *testing.T) {
 
 	// Empty and non-empty regions in one batch: only the non-empty one
 	// folds, and the scale applied exactly once.
-	touched, parts, err = dev.ApplyPipelineK(bg, scaleMinMax, params,
-		[]pagedev.PipeRegion{
+	touched, parts, err = dev.ApplyPipelineK(bg, chain,
+		pagedev.Batch{Regions: []pagedev.PipeRegion{
 			{Index: 0, Box: empty, Fold: true},
 			{Index: 0, Box: full, Fold: true},
-		})
+		}})
 	if err != nil {
 		t.Fatalf("mixed batch: %v", err)
 	}
@@ -74,8 +74,8 @@ func TestApplyPipelineKEmptyRegionSkips(t *testing.T) {
 
 	// Fold=false still mutates (the non-folding replica case) but
 	// reports nothing.
-	touched, parts, err = dev.ApplyPipelineK(bg, scaleMinMax, params,
-		[]pagedev.PipeRegion{{Index: 0, Box: full, Fold: false}})
+	touched, parts, err = dev.ApplyPipelineK(bg, chain,
+		pagedev.Batch{Regions: []pagedev.PipeRegion{{Index: 0, Box: full, Fold: false}}})
 	if err != nil {
 		t.Fatalf("no-fold batch: %v", err)
 	}
@@ -115,7 +115,7 @@ func TestOversizedBatchCountRefused(t *testing.T) {
 	}
 	frames := map[string]func(e *wire.Encoder){
 		"applyPipelineK": func(e *wire.Encoder) {
-			pagedev.EncodeApplyPipelineK(e, chain, nil)
+			pagedev.EncodeApplyPipelineK(e, chain, pagedev.Batch{})
 			// Replace the trailing region count (0) with the huge one.
 			frame := e.Bytes()
 			e.Reset()
@@ -123,7 +123,6 @@ func TestOversizedBatchCountRefused(t *testing.T) {
 			e.PutInt(huge)
 		},
 		"readSubBatch": func(e *wire.Encoder) { e.PutInt(huge) },
-		"pullSubBatch": func(e *wire.Encoder) { e.PutRef(dev.Ref()); e.PutInt(huge) },
 		"fencePages":   func(e *wire.Encoder) { e.PutInt(huge) },
 	}
 	for method, enc := range frames {

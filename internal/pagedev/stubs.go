@@ -54,7 +54,7 @@ func (d *Device) Client() *rmi.Client { return d.client }
 // Client.Call, whose pooled waiter allocates no Future) and its *Async
 // twin share one argument encoder and one reply decoder.
 
-// indexArgs encodes the lone page index read, sum and readArray take.
+// indexArgs encodes the lone page index read and readArray take.
 func indexArgs(index int) rmi.ArgEncoder {
 	return func(e *wire.Encoder) error {
 		e.PutInt(index)
@@ -232,25 +232,16 @@ func AttachArrayDevice(client *rmi.Client, ref rmi.Ref, n1, n2, n3 int) *ArrayDe
 // Dims returns the locally known block dimensions.
 func (d *ArrayDevice) Dims() (n1, n2, n3 int) { return d.n1, d.n2, d.n3 }
 
-// sumReply decodes the scalar sum (and jacobiPlane) reply.
-func sumReply(dec *wire.Decoder, err error) (float64, error) {
+// DecodeResidual extracts the plane residual from a completed
+// JacobiPlaneAsync future.
+func DecodeResidual(ctx context.Context, fut *rmi.Future) (float64, error) {
+	dec, err := fut.Wait(ctx)
 	if err != nil {
 		return 0, err
 	}
 	defer dec.Release()
 	v := dec.Float64()
 	return v, dec.Err()
-}
-
-// Sum computes the page's element sum on the remote machine — "moving the
-// computation to the data" (§3): only the scalar crosses the network.
-func (d *ArrayDevice) Sum(ctx context.Context, index int) (float64, error) {
-	return sumReply(d.client.Call(ctx, d.ref, "sum", indexArgs(index)))
-}
-
-// DecodeSum extracts the scalar from a completed JacobiPlaneAsync future.
-func DecodeSum(ctx context.Context, fut *rmi.Future) (float64, error) {
-	return sumReply(fut.Wait(ctx))
 }
 
 // checkDims refuses a page whose dimensions are not the device's.
@@ -395,15 +386,6 @@ func (d *ArrayDevice) WritePage(ctx context.Context, p *ArrayPage, index int) er
 // page's extents.
 func (d *ArrayDevice) WritePageAsync(ctx context.Context, index int, src Block) *rmi.Future {
 	return d.client.CallAsync(ctx, d.ref, "writeArray", d.writePageArgs(index, src))
-}
-
-// FillPage sets every element of page index to v, remotely.
-func (d *ArrayDevice) FillPage(ctx context.Context, index int, v float64) error {
-	return voidReply(d.client.Call(ctx, d.ref, "fillPage", func(e *wire.Encoder) error {
-		e.PutInt(index)
-		e.PutFloat64(v)
-		return nil
-	}))
 }
 
 // SubBox identifies a region inside a page, in local page coordinates:

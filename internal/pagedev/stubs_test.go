@@ -192,30 +192,30 @@ func TestKernelBatchTwoOperandStages(t *testing.T) {
 		}
 	}
 	full := pagedev.SubBox{Dim: [3]int{2, 2, 2}}
-	page0With := func(peer *pagedev.ArrayDevice) []pagedev.PipeRegion {
-		return []pagedev.PipeRegion{{Index: 0, Box: full, Fold: true, Peers: []pagedev.PipePeer{{Ref: peer.Ref(), Index: 1}}}}
+	page0With := func(peer *pagedev.ArrayDevice) pagedev.Batch {
+		return pagedev.Batch{Peers: []rmi.Ref{peer.Ref()}, Regions: []pagedev.PipeRegion{{Index: 0, Box: full, Fold: true, Peers: []pagedev.PipePeer{{Peer: 0, Index: 1}}}}}
 	}
-	dot := kernel.Pipeline{Stages: []kernel.Stage{kernel.BinaryReduceStage(kernel.Dot)}}
-	axpy := kernel.Pipeline{Stages: []kernel.Stage{kernel.BinaryStage(kernel.Axpy)}}
+	dot := resolve(t, kernel.Pipeline{Stages: []kernel.Stage{kernel.BinaryReduceStage(kernel.Dot)}}, nil)
+	axpy := resolve(t, kernel.Pipeline{Stages: []kernel.Stage{kernel.BinaryStage(kernel.Axpy)}}, []float64{-0.5})
 
 	// Cross-machine dot: page a[0] · page b[1] = 8 * 12; self dot a[0] · a[1] = 8 * 6.
 	for _, tc := range []struct {
 		peer *pagedev.ArrayDevice
 		want float64
 	}{{b, 8 * 12}, {a, 8 * 6}} {
-		touched, parts, err := a.ApplyPipelineK(bg, dot, [][]float64{nil}, page0With(tc.peer))
+		touched, parts, err := a.ApplyPipelineK(bg, dot, page0With(tc.peer))
 		if err != nil || touched != 8 || parts[0].N != 8 || parts[0].Acc[0] != tc.want {
 			t.Fatalf("dot with %v: touched %d, partial %+v, %v (want %v)", tc.peer.Ref(), touched, parts, err, tc.want)
 		}
 	}
 	// A non-folding replica of a binary-reduce stage reports nothing.
 	regs := page0With(b)
-	regs[0].Fold = false
-	if _, parts, err := a.ApplyPipelineK(bg, dot, [][]float64{nil}, regs); err != nil || parts[0].N != 0 {
+	regs.Regions[0].Fold = false
+	if _, parts, err := a.ApplyPipelineK(bg, dot, regs); err != nil || parts[0].N != 0 {
 		t.Fatalf("no-fold dot: %+v, %v", parts, err)
 	}
 	// AXPY: a[0] += -0.5 * b[1]  => 3 - 2 = 1 everywhere.
-	if _, _, err := a.ApplyPipelineK(bg, axpy, [][]float64{{-0.5}}, page0With(b)); err != nil {
+	if _, _, err := a.ApplyPipelineK(bg, axpy, page0With(b)); err != nil {
 		t.Fatalf("axpy: %v", err)
 	}
 	if sum, err := a.Sum(bg, 0); err != nil || math.Abs(sum-8) > 1e-12 {
@@ -223,9 +223,9 @@ func TestKernelBatchTwoOperandStages(t *testing.T) {
 	}
 }
 
-// TestOperandBoxIsCheckedAgainstThePeersPages: a two-operand stage and a
-// pullSubBatch validate their box against the pages of the device that
-// executes them; the peer's may be smaller. A box the peer's page does not
+// TestOperandBoxIsCheckedAgainstThePeersPages: a two-operand stage, a page
+// copy among them, validates its box against the pages of the device that
+// executes it; the peer's may be smaller. A box the peer's page does not
 // hold is refused typed by the peer's own bounds — the same refusal whether
 // the peer is on another machine, where its readSubBatch decodes the box, or
 // co-located, where its page is reached directly — before any page is
@@ -247,6 +247,7 @@ func TestOperandBoxIsCheckedAgainstThePeersPages(t *testing.T) {
 	}
 	before := pageBits(t, dev, 0)
 	axpy := kernel.Pipeline{Stages: []kernel.Stage{kernel.BinaryStage(kernel.Axpy)}}
+	cp := resolve(t, kernel.Pipeline{Stages: []kernel.Stage{kernel.BinaryStage(kernel.Copy)}}, nil)
 	for _, machine := range []int{1, 0} {
 		peer, err := pagedev.NewArrayDevice(bg, client, machine, "narrow", 1, 2, 2, 2, pagedev.DiskPrivate)
 		if err != nil {
@@ -265,12 +266,11 @@ func TestOperandBoxIsCheckedAgainstThePeersPages(t *testing.T) {
 			box(4, 4, 4),
 		} {
 			want := fmt.Sprintf("sub-box %+v outside page [2 2 2]", b)
-			_, _, err := dev.ApplyPipelineK(bg, axpy, [][]float64{{1}}, []pagedev.PipeRegion{
-				{Index: 0, Box: b, Peers: []pagedev.PipePeer{{Ref: peer.Ref(), Index: 0}}}})
+			_, _, err := dev.ApplyPipelineK(bg, resolve(t, axpy, []float64{1}), fromPeer(peer, b))
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("peer on machine %d, axpy over %+v: %v, want %q", machine, b, err, want)
 			}
-			_, err = dev.PullSubBatchAsync(bg, peer.Ref(), []pagedev.PullRegion{{Index: 0, Box: b, PeerIndex: 0}}).Wait(bg)
+			_, _, err = dev.ApplyPipelineK(bg, cp, fromPeer(peer, b))
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("peer on machine %d, pull of %+v: %v, want %q", machine, b, err, want)
 			}
@@ -282,11 +282,16 @@ func TestOperandBoxIsCheckedAgainstThePeersPages(t *testing.T) {
 			t.Errorf("peer on machine %d: a refused box changed the destination page", machine)
 		}
 		// A box both pages hold is served from either placement.
-		if _, _, err := dev.ApplyPipelineK(bg, axpy, [][]float64{{0}}, []pagedev.PipeRegion{
-			{Index: 0, Box: box(2, 2, 2), Peers: []pagedev.PipePeer{{Ref: peer.Ref(), Index: 0}}}}); err != nil {
+		if _, _, err := dev.ApplyPipelineK(bg, resolve(t, axpy, []float64{0}), fromPeer(peer, box(2, 2, 2))); err != nil {
 			t.Errorf("peer on machine %d, a box inside both pages: %v", machine, err)
 		}
 	}
+}
+
+// fromPeer is a one-region batch over box of page 0, its operand the same
+// box of peer's page 0.
+func fromPeer(peer *pagedev.ArrayDevice, box pagedev.SubBox) pagedev.Batch {
+	return pagedev.Batch{Peers: []rmi.Ref{peer.Ref()}, Regions: []pagedev.PipeRegion{{Index: 0, Box: box, Peers: []pagedev.PipePeer{{Peer: 0, Index: 0}}}}}
 }
 
 // TestPersistAllBackings passivates and reactivates devices on each

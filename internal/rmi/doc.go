@@ -181,25 +181,22 @@
 // frame that is recycled the moment the callback returns — decode by
 // value, or copy views that must outlive the call.
 //
-// The ArrayPageDevice class registers ten methods of its own (plus the
+// The ArrayPageDevice class registers six methods of its own (plus the
 // inherited PageDevice and fence protocols). One of them is the kernel
 // engine: every array collective — fill, scale, sum, minmax, dot, axpy,
-// user kernels, fused pipelines, whole-storage fills and sums — is a
-// stage chain carried inline by applyPipelineK, so the per-method
-// telemetry of all collectives appears under
+// user kernels, fused pipelines, whole-storage fills and sums — and every
+// page copy (failover re-seeds, migrations) and one-page Sum or FillPage
+// is a stage chain carried inline by applyPipelineK, so the per-method
+// telemetry of all of them appears under
 // ArrayPageDevice.applyPipelineK (sampled spans keep the client-side
 // entry-point names kernel.apply / kernel.reduce / kernel.pipeline):
 //
 //	method                                    role                               class
 //	----------------------------------------  ---------------------------------  ----------
-//	applyPipelineK(chain, regions)            the one kernel executor            serial
+//	applyPipelineK(chain, peers, regions)     the one kernel executor            serial
 //	readSubBatch(regions)                     peer operand and halo pulls        CONCURRENT
-//	pullSubBatch(peer, regions)               device-to-device sub-box transfer  serial
-//	                                          (a kernel.Copy batch of the engine)
 //	jacobiPlane(...)                          owner Jacobi sweep                 serial
 //	readArray, writeArray, writeSub           the Array read/write path          serial
-//	sum, fillPage (one page)                  the §3 "move the computation to    serial
-//	                                          the data" illustration
 //
 // The concurrency column is the point: readSubBatch executes outside
 // the object mailbox (reading each page under its disk's contents lock,
