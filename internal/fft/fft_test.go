@@ -430,11 +430,29 @@ func TestFFT3DRoundTripAndAxes(t *testing.T) {
 	if err := TransformAxis23(b, n1, n2, n3, -1); err != nil {
 		t.Fatal(err)
 	}
+	c := append([]complex128(nil), b...)
 	if err := TransformAxis1(b, n1, n2, n3, -1); err != nil {
 		t.Fatal(err)
 	}
 	if !approxEqual(a, b, tol) {
 		t.Fatal("phase decomposition != direct 3D FFT")
+	}
+
+	// TransformAxis1Split with rows [1, 3) at stride m+2 in a second
+	// buffer == TransformAxis1, once those rows are put back.
+	const m = n2 * n3
+	own := Window{V: make([]complex128, 2*m+2), Stride: m + 2, Lo: 1, Hi: 3}
+	for i := own.Lo; i < own.Hi; i++ {
+		copy(own.V[(i-own.Lo)*own.Stride:], c[i*m:(i+1)*m])
+	}
+	if err := TransformAxis1Split(c, own, n1, n2, n3, -1); err != nil {
+		t.Fatal(err)
+	}
+	for i := own.Lo; i < own.Hi; i++ {
+		copy(c[i*m:(i+1)*m], own.V[(i-own.Lo)*own.Stride:])
+	}
+	if !sameBits(c, b) {
+		t.Error("TransformAxis1Split != TransformAxis1")
 	}
 
 	if err := FFT3D(x, 5, 5, 5, -1); err == nil {
@@ -445,6 +463,16 @@ func TestFFT3DRoundTripAndAxes(t *testing.T) {
 	}
 	if err := TransformAxis1(x, 5, 5, 5, -1); err == nil {
 		t.Error("bad block geometry accepted")
+	}
+	for _, w := range []Window{
+		{V: make([]complex128, 4*m), Stride: m, Lo: -1, Hi: 1},
+		{V: make([]complex128, 4*m), Stride: m, Lo: 2, Hi: n1 + 1},
+		{V: make([]complex128, 4*m), Stride: m - 1, Lo: 0, Hi: 2},
+		{V: make([]complex128, 2*m-1), Stride: m, Lo: 1, Hi: 3},
+	} {
+		if err := TransformAxis1Split(x, w, n1, n2, n3, -1); err == nil {
+			t.Errorf("window of rows [%d, %d) at stride %d in %d values accepted", w.Lo, w.Hi, w.Stride, len(w.V))
+		}
 	}
 }
 
@@ -528,7 +556,11 @@ func sameValues(got, want []complex128) bool {
 // TestColumnsEqualGatheredLines: the strided-axis kernel gives every
 // column what Plan.Transform gives it as a line of its own — one row and
 // one column, widths on both sides of a tile edge, a length that takes the
-// Bluestein path, both signs.
+// Bluestein path, both signs — and so it does when rows [lo, hi) of the
+// block lie in a second buffer at a stride of their own: all of them (a
+// pfft worker alone) and an interior run. The kernel leaves the rest of
+// the second buffer, and the window's rows of the first, bit for bit as
+// they were.
 func TestColumnsEqualGatheredLines(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8, 16, 64, 128, 12} {
 		p, err := PlanFor(n)
@@ -537,16 +569,54 @@ func TestColumnsEqualGatheredLines(t *testing.T) {
 		}
 		for _, m := range []int{1, colTile - 1, colTile, colTile + 1, 128 * 3} {
 			for _, sign := range []int{-1, +1} {
-				x := testData(n*m, uint64(n*1000+m))
-				want := slices.Clone(x)
-				gatherAxis(t, want, [3]int{1, n, m}, 1, sign)
-				p.columns(x, m, sign)
-				if !sameValues(x, want) {
-					t.Errorf("n=%d m=%d sign=%+d: columns differs from the gathered lines", n, m, sign)
+				for _, win := range [][2]int{{0, 0}, {0, n}, {n / 4, max(n/4+1, n-n/4)}} {
+					lo, hi := win[0], win[1]
+					x := testData(n*m, uint64(n*1000+m))
+					stride := m + 3
+					other := testData(n*stride, uint64(n*1000+m+7))
+					block := slices.Clone(x)
+					for i := lo; i < hi; i++ {
+						copy(block[i*m:(i+1)*m], other[i*stride:])
+					}
+					want := slices.Clone(block)
+					gatherAxis(t, want, [3]int{1, n, m}, 1, sign)
+					x0, other0 := slices.Clone(x), slices.Clone(other)
+					if hi == lo {
+						p.columns(x, m, sign)
+					} else {
+						p.split(x, Window{V: other[lo*stride:], Stride: stride, Lo: lo, Hi: hi}, m, sign)
+					}
+					got := slices.Clone(x)
+					for i := lo; i < hi; i++ {
+						copy(got[i*m:(i+1)*m], other[i*stride:])
+						copy(other[i*stride:i*stride+m], other0[i*stride:]) // the rest is checked below
+					}
+					if !sameValues(got, want) {
+						t.Errorf("n=%d m=%d sign=%+d rows [%d, %d) apart: columns differs from the gathered lines", n, m, sign, lo, hi)
+					}
+					for i := lo; i < hi; i++ {
+						if !sameBits(x[i*m:(i+1)*m], x0[i*m:(i+1)*m]) {
+							t.Errorf("n=%d m=%d sign=%+d: row %d of the first buffer, in the window [%d, %d), was written", n, m, sign, i, lo, hi)
+						}
+					}
+					if !sameBits(other, other0) {
+						t.Errorf("n=%d m=%d sign=%+d: the second buffer was written outside the window [%d, %d)", n, m, sign, lo, hi)
+					}
 				}
 			}
 		}
 	}
+}
+
+// sameBits holds got to want bit for bit on every target.
+func sameBits(got, want []complex128) bool {
+	for i := range got {
+		if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+			math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+			return false
+		}
+	}
+	return len(got) == len(want)
 }
 
 // TestMultiAxisEqualGathered: FFT2D, FFT3D, TransformAxis23 and

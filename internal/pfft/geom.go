@@ -60,7 +60,9 @@ type cut struct{ count, per int }
 // so no frame on any pfft path is a fresh zeroed allocation, and a piece is
 // small enough beside a buffer (1/8 of a block at 128³ on two workers) that
 // sending it overlaps most of the arithmetic. A buffer of few planes is one
-// piece; there is no other form.
+// piece; there is no other form. Pieces exist only where frames cross: Load
+// and Gather, and the exchange of a worker that has peers. A worker alone
+// transforms each phase as one piece.
 func cutPlanes(count, planeLen int) cut {
 	return cut{count: count, per: max(1, bufpool.PieceBytes/(16*planeLen))}
 }
@@ -80,9 +82,10 @@ func (c cut) piece(k int) (lo, hi int) { return k * c.per, min((k+1)*c.per, c.co
 // (i1*n2 + s2*h2 + i2)*n3, layout B of worker s2 at (i2*n1 + s1*h1 + i1)*n3;
 // forward the sender holds A and counts its planes by i1, back it holds B
 // and counts them by i2. A gather on one side and a scatter on the other,
-// a worker's own block (from == to) and the baseline's Alltoall payloads
-// are all this sequence, and the back transpose is the forward one with
-// the two layouts swapped.
+// and the baseline's Alltoall payloads, are all this sequence, and the back
+// transpose is the forward one with the two layouts swapped. Callers
+// never pass from == to: a worker's own block is not sent, and admit
+// refuses a piece from the worker itself.
 func (g geom) rows(phase, from, to, lo, hi int, fn func(src, dst int)) {
 	mine, theirs, srcRows, dstRows := g.h1, g.h2, g.n2, g.n1
 	if phase == phaseBack {
@@ -119,8 +122,12 @@ func (g geom) axis23(slab []complex128, i1, sign int) error {
 }
 
 // axis1 is phase 3 on i2-plane i2 of a buffer in layout B: the FFTs along
-// axis 1, which is the first axis of the n1×n3 plane.
-func (g geom) axis1(tr []complex128, i2, sign int) error {
+// axis 1, which is the first axis of the n1×n3 plane. Worker s's own rows
+// of the plane, i1 in [s*h1, (s+1)*h1), are not in tr: they never left its
+// slab, where row (i1 - s*h1, s*h2 + i2) holds them, and are transformed
+// there through a window; tr's rows for them are unused.
+func (g geom) axis1(tr, slab []complex128, s, i2, sign int) error {
 	plane := g.n1 * g.n3
-	return fft.TransformAxis1(tr[i2*plane:(i2+1)*plane], g.n1, 1, g.n3, sign)
+	own := fft.Window{V: slab[(s*g.h2+i2)*g.n3:], Stride: g.n2 * g.n3, Lo: s * g.h1, Hi: (s + 1) * g.h1}
+	return fft.TransformAxis1Split(tr[i2*plane:(i2+1)*plane], own, g.n1, 1, g.n3, sign)
 }

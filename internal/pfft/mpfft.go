@@ -32,20 +32,24 @@ func MPTransform3D(world *mp.World, x []complex128, n1, n2, n3, sign int) error 
 		if err := g.alltoall(c, phaseForward, slab, tr); err != nil {
 			return err
 		}
-		if err := rmi.Share(g.h2, 2*len(tr), func(_, i2 int) error { return g.axis1(tr, i2, sign) }); err != nil {
+		if err := rmi.Share(g.h2, 2*len(tr), func(_, i2 int) error { return g.axis1(tr, slab, c.Rank(), i2, sign) }); err != nil {
 			return err
 		}
 		return g.alltoall(c, phaseBack, tr, slab)
 	})
 }
 
-// alltoall is one transpose of the baseline: the payload for every rank,
-// this one included, gathered from src; the exchange; every payload
-// received scattered into dst.
+// alltoall is one transpose of the baseline: the payload for every other
+// rank gathered from src; the exchange, in which this rank's own payload is
+// empty — its own block stays in the slab, where axis1 reads it; every
+// payload received from another rank scattered into dst.
 func (g geom) alltoall(c *mp.Comm, phase int, src, dst []complex128) error {
 	planes, _ := g.planes(phase)
 	send := make([][]byte, g.p)
 	for v := range send {
+		if v == c.Rank() {
+			continue
+		}
 		e := wire.NewEncoder(binary.MaxVarintLen64 + 16*g.blockLen())
 		g.gather(e, phase, c.Rank(), v, 0, planes, src)
 		send[v] = e.Bytes()
@@ -55,6 +59,9 @@ func (g geom) alltoall(c *mp.Comm, phase int, src, dst []complex128) error {
 		return err
 	}
 	for u, payload := range recv {
+		if u == c.Rank() {
+			continue
+		}
 		d := wire.NewDecoder(payload)
 		if n := d.Complex128sLen(); d.Err() != nil || n != g.blockLen() {
 			return fmt.Errorf("pfft: rank %d: phase %d block from %d has %d elements (%v), want %d", c.Rank(), phase, u, n, d.Err(), g.blockLen())

@@ -168,6 +168,69 @@ func TestDistributedOverTCP(t *testing.T) {
 	}
 }
 
+// TestTransformEqualsFFT3DBitwise: a forward Transform and then an inverse
+// one give, on amd64, fft.FFT3D's forward and then inverse outputs bit for
+// bit, for one worker, two and four, in process and over TCP. Where a
+// worker's planes are transformed, and whether its rows crossed a socket,
+// changes no operation on any element.
+func TestTransformEqualsFFT3DBitwise(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("bitwise equality is held on amd64, not %s", runtime.GOARCH)
+	}
+	for _, d := range [][3]int{{32, 8, 16}, {128, 16, 64}} {
+		n1, n2, n3 := d[0], d[1], d[2]
+		x := testData(n1*n2*n3, uint64(n1+n2))
+		fwd := append([]complex128(nil), x...)
+		if err := fft.FFT3D(fwd, n1, n2, n3, -1); err != nil {
+			t.Fatal(err)
+		}
+		inv := append([]complex128(nil), fwd...)
+		if err := fft.FFT3D(inv, n1, n2, n3, +1); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{1, 2, 4} {
+			for _, tcp := range []bool{false, true} {
+				cfg := cluster.Config{Machines: p}
+				if tcp {
+					cfg.Transport = transport.TCP{}
+				}
+				cl, err := cluster.New(cfg)
+				if err != nil {
+					t.Fatalf("cluster: %v", err)
+				}
+				f, err := pfft.New(bg, cl.Client(), machineList(p), n1, n2, n3)
+				if err != nil {
+					t.Fatalf("pfft.New: %v", err)
+				}
+				if err := f.Load(bg, x); err != nil {
+					t.Fatal(err)
+				}
+				got := make([]complex128, len(x))
+				for _, leg := range []struct {
+					sign int
+					want []complex128
+				}{{-1, fwd}, {+1, inv}} {
+					if err := f.Transform(bg, leg.sign); err != nil {
+						t.Fatal(err)
+					}
+					if err := f.Gather(bg, got); err != nil {
+						t.Fatal(err)
+					}
+					for i := range got {
+						if math.Float64bits(real(got[i])) != math.Float64bits(real(leg.want[i])) ||
+							math.Float64bits(imag(got[i])) != math.Float64bits(imag(leg.want[i])) {
+							t.Errorf("%v, %d workers, tcp %v, sign %+d: element %d is %v, fft.FFT3D gives %v", d, p, tcp, leg.sign, i, got[i], leg.want[i])
+							break
+						}
+					}
+				}
+				f.Close(bg)
+				cl.Shutdown()
+			}
+		}
+	}
+}
+
 // piecesOf is how many pieces carry planes planes of planeLen values each.
 func piecesOf(planes, planeLen int) (pieces, per int) {
 	per = max(1, bufpool.PieceBytes/(16*planeLen))

@@ -25,8 +25,8 @@ func goid() string {
 }
 
 // newAlone returns a worker that is a group by itself on a 16×128×64 array:
-// its forward exchange is two pieces of eight 128 KiB planes, each piece
-// large enough to be shared among the machine's processors.
+// its forward exchange is one piece of sixteen 128 KiB planes, large enough
+// to be shared among the machine's processors.
 func newAlone() (*worker, error) {
 	w, err := newWorker(0, 16, 128, 64)
 	if err == nil {
@@ -59,10 +59,12 @@ func TestOneProcessorStartsNoGoroutine(t *testing.T) {
 	}
 }
 
-// TestComputeErrorStopsTheExchange: plane 3 fails while helpers share its
-// piece. Its error is what the exchange returns — not that of plane 5, which
-// fails too if it is reached — and no plane of the second piece is computed.
-func TestComputeErrorStopsTheExchange(t *testing.T) {
+// TestAloneForksOncePerPhase: a worker with no peers shares a phase's
+// planes in one fork-join, not one per piece — with nothing to send there
+// is nothing for a piece to overlap. On four processors its planes are
+// computed on at most four goroutines, the method's and three helpers; a
+// fork per piece would start three more for each.
+func TestAloneForksOncePerPhase(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	runtime.GOMAXPROCS(4)
 	w, err := newAlone()
@@ -70,9 +72,70 @@ func TestComputeErrorStopsTheExchange(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
+	on := map[string]bool{}
+	err = w.exchange(rmi.NewEnv(0), phaseForward, func(int) error {
+		time.Sleep(time.Millisecond) // long enough that every helper claims a plane
+		mu.Lock()
+		defer mu.Unlock()
+		on[goid()] = true
+		return nil
+	})
+	if err != nil || len(on) > 4 {
+		t.Errorf("%v: %d planes computed on %d goroutines, want at most 4", err, w.h1, len(on))
+	}
+}
+
+// newPaired returns worker 0 of a group of two on a 32×256×64 array, whose
+// peer is a worker on the other machine of cl, and the environment it
+// exchanges in: its forward exchange is two pieces of eight 128 KiB planes,
+// each shared among the machine's processors before it is sent.
+func newPaired(cl *cluster.Cluster) (*worker, *rmi.Env, error) {
+	const n1, n2, n3 = 32, 256, 64
+	peer, err := cl.Client().New(context.Background(), 1, ClassWorker, func(e *wire.Encoder) error {
+		e.PutInt(1)
+		e.PutInt(n1)
+		e.PutInt(n2)
+		e.PutInt(n3)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	w, err := newWorker(0, n1, n2, n3)
+	if err == nil {
+		err = w.setGroup(2, []rmi.Ref{{}, peer})
+	}
+	env := rmi.NewEnv(0)
+	env.Client = cl.Client()
+	return w, env, err
+}
+
+// TestComputeErrorStopsTheExchange: plane 3 fails while helpers share the
+// first piece of a worker with a peer. Its error is what the exchange
+// returns — not that of plane 5, which fails too if it is reached — and no
+// plane of the second piece is computed: a piece that failed is sent to no
+// one, and the next is not begun. (A worker alone has one piece a phase,
+// and its helpers stop claiming only once plane 3 has failed, so for it no
+// plane is held back by a piece edge.)
+func TestComputeErrorStopsTheExchange(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(4)
+	cl, err := cluster.NewLocal(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Shutdown()
+	w, env, err := newPaired(cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parts := cutPlanes(w.planes(phaseForward)); parts.per != 8 || parts.pieces() != 2 {
+		t.Fatalf("forward exchange in %d pieces of %d planes, want 2 of 8", parts.pieces(), parts.per)
+	}
+	var mu sync.Mutex
 	var planes []int
 	errs := map[int]error{3: errors.New("plane 3"), 5: errors.New("plane 5")}
-	err = w.exchange(rmi.NewEnv(0), phaseForward, func(i1 int) error {
+	err = w.exchange(env, phaseForward, func(i1 int) error {
 		mu.Lock()
 		defer mu.Unlock()
 		planes = append(planes, i1)

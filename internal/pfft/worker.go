@@ -36,16 +36,21 @@
 // gathers its rows out of the planes it has just transformed — they are
 // still in cache — straight into the request frame, the receiver's
 // storeBlock scatters them out of the frame straight into its other
-// buffer; a worker's own rows are one strided copy per piece. The sends are
-// a rmi.SplitLoop over pieces × peers, the §4 split loop like every other
-// transfer in the repo, whose issue step is where a piece's planes are
-// transformed: a call is on the wire, and being placed by the peer, while
-// the planes of the next are computed — by the method's goroutine and, the
-// worker being a process with a machine to itself, by helpers on the
-// machine's other processors (rmi.Share, the fork-join a page device's
-// kernel batch uses), each claiming one plane at a time: its transform, then
-// the copy of the worker's own rows of it. The helpers are joined before
-// the piece is gathered. Load and Gather move the slabs in the same pieces.
+// buffer. A worker's own block is neither sent nor copied: its rows stay
+// in the slab, where the forward phase leaves them and the back phase
+// transforms them through a window (geom.axis1), and its rows of tr are
+// unused. So a worker alone moves no byte, and a group moves only peer
+// rows. The sends are a rmi.SplitLoop over pieces × peers, the §4 split
+// loop like every other transfer in the repo, whose issue step is where a
+// piece's planes are transformed: a call is on the wire, and being placed by
+// the peer, while the planes of the next are computed — by the method's
+// goroutine and, the worker being a process with a machine to itself, by
+// helpers on the machine's other processors (rmi.Share, the fork-join a page
+// device's kernel batch uses), each claiming one plane at a time. The
+// helpers are joined before the piece is gathered. A worker with no peers
+// has no frame to keep small and no send to overlap: its phase is one
+// piece, shared in one fork-join. Load and Gather move the slabs in pieces
+// too.
 //
 // storeBlock is a concurrent method (see rmi package doc): every worker
 // is inside its serial transform method during the exchange, so the data
@@ -71,10 +76,15 @@
 // may write is separated from that write by mu, on both sides — and every
 // access of a helper, which takes no lock: it lives between a fork and a
 // join on the method's goroutine, inside planes whose slot is closed, and
-// only that goroutine opens a slot, after the join. Between honest workers
-// the table never refuses: v cannot answer a block before all of it was
-// sent. But that order is carried by the socket, where neither the memory
-// model nor the race detector can see it; the table states it where both can.
+// only that goroutine opens a slot, after the join. A worker's own rows
+// have no slot: they are never sent or landed, no peer's piece targets them
+// (admit refuses a piece from the worker itself), and only this worker's
+// back-phase compute touches them, on the method's goroutine and its
+// helpers, inside planes whose peers' rows lie elsewhere in the slab.
+// Between honest workers the table never refuses: v cannot answer a block
+// before all of it was sent. But that order is carried by the socket, where
+// neither the memory model nor the race detector can see it; the table
+// states it where both can.
 //
 // A piece is accepted whole or refused whole. Phase, sender, the presence
 // of every announced byte, the count (whole planes, at least one), the
@@ -237,33 +247,31 @@ func (w *worker) storeBlock(args *wire.Decoder) error {
 }
 
 // exchange is one transpose, worked piece by piece with the arithmetic
-// that precedes it: compute transforms a plane of the source buffer and
-// this worker's own rows of it are copied across, the planes [lo, hi) of a
-// piece shared among the machine's processors; then they are gathered into
-// a storeBlock call to each peer, which is on its way while the next piece
-// is transformed; the split loop settles the calls, two pieces to every peer
-// outstanding at most, so a receiver never holds more frames than the pool
-// keeps. Then a wait until every plane of every peer's block has landed here.
+// that precedes it: compute transforms a plane — of the source buffer, and
+// in the back phase also this worker's own rows of the slab — the planes
+// [lo, hi) of a piece shared among the machine's processors; then they are
+// gathered into a storeBlock call to each peer, which is on its way while
+// the next piece is transformed; the split loop settles the calls, two
+// pieces to every peer outstanding at most, so a receiver never holds more
+// frames than the pool keeps. Then a wait until every plane of every peer's
+// block has landed here. Alone, a worker's phase is one piece.
 func (w *worker) exchange(env *rmi.Env, phase int, compute func(plane int) error) error {
-	src, dst := w.bufs(phase)
+	src, _ := w.bufs(phase)
 	count, blockPlane := w.planes(phase)
 	parts := cutPlanes(count, blockPlane)
 	peers := w.p - 1
+	if peers == 0 {
+		parts.per = count // nothing crosses: the phase is one piece, one fork-join
+	}
 	if peers > 0 && env.Client == nil {
 		return fmt.Errorf("pfft: machine %d has no outbound client", env.Machine)
 	}
-	ready := 0 // pieces transformed, own rows copied
+	ready := 0 // pieces transformed
 	var failed error
 	readyThrough := func(k int) {
 		for ; ready <= k && failed == nil; ready++ {
 			lo, hi := parts.piece(ready)
-			failed = rmi.Share(hi-lo, 2*(hi-lo)*(len(src)/count), func(_, i int) error {
-				if err := compute(lo + i); err != nil {
-					return err
-				}
-				w.rows(phase, w.id, w.id, lo+i, lo+i+1, func(s, d int) { copy(dst[d:d+w.n3], src[s:s+w.n3]) })
-				return nil
-			})
+			failed = rmi.Share(hi-lo, 2*(hi-lo)*(len(src)/count), func(_, i int) error { return compute(lo + i) })
 		}
 	}
 	err := rmi.SplitLoop(env.Ctx(), parts.pieces()*peers, 2*peers, func(i int) *rmi.Future {
@@ -322,7 +330,7 @@ func (w *worker) transform(env *rmi.Env, sign int) error {
 	if err != nil {
 		return err
 	}
-	return w.exchange(env, phaseBack, func(i2 int) error { return w.axis1(w.tr, i2, sign) })
+	return w.exchange(env, phaseBack, func(i2 int) error { return w.axis1(w.tr, w.slab, w.id, i2, sign) })
 }
 
 // slabPlanes checks that [lo, hi) is a non-empty run of this worker's
