@@ -160,11 +160,9 @@
 // Data movement composes the same way: Array.CopyFrom copies a
 // subdomain between conformant arrays entirely device-to-device (the
 // §5 copyFrom generalized) as a one-stage KernelCopy chain, so it
-// degrades and parks on a migration fence like every other mutator;
-// Array.HaloExchange, built on it, transfers just the
-// ghost shell around a slab — O(surface) instead of the O(volume) a
-// client-side halo read moves. JacobiOwner builds the full solver on
-// this: sweeps execute inside the devices on the slabs they hold
+// degrades and parks on a migration fence like every other mutator.
+// JacobiOwner runs the full solver the same way: sweeps execute
+// inside the devices on the slabs they hold
 // (plane-aligned layout, i.e. striped), double-buffered in a second
 // on-device page bank (create the storage with 2×PagesPerDevice), with
 // halo planes pulled between neighbouring devices mid-sweep — served
@@ -552,8 +550,7 @@
 //   - Collection, Member, Distribution, Spawn/SpawnClass, Reduce,
 //     MapIndexed: typed distributed collections with concurrent
 //     collectives and combining reductions.
-//   - Float64Array, ByteArray: remote plain memory
-//     ("new(machine 2) double[1024]").
+//   - Float64Array: remote plain memory ("new(machine 2) double[1024]").
 //   - Device, ArrayDevice, Page, ArrayPage: the storage process hierarchy
 //     with process inheritance.
 //   - Array, Domain, PageMap, BlockStorage: the distributed 3D array, its

@@ -60,12 +60,6 @@ func DecodeInt(_ Member, d *wire.Decoder) (int, error) {
 	return v, d.Err()
 }
 
-// DecodeInts reads one packed []int result (copied out of the frame).
-func DecodeInts(_ Member, d *wire.Decoder) ([]int, error) {
-	v := d.Ints()
-	return v, d.Err()
-}
-
 // Common monoids for Reduce.
 
 // SumFloat64 is the addition monoid on float64.
@@ -88,18 +82,4 @@ func MaxFloat64(a, b float64) float64 {
 		return b
 	}
 	return a
-}
-
-// SumInts adds integer vectors elementwise (the histogram-merge
-// monoid); the shorter operand is treated as zero-extended.
-func SumInts(a, b []int) []int {
-	if len(b) > len(a) {
-		a, b = b, a
-	}
-	out := make([]int, len(a))
-	copy(out, a)
-	for i, v := range b {
-		out[i] += v
-	}
-	return out
 }

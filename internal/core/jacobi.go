@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"oopp/internal/pagedev"
 )
 
 // Jacobi runs weighted Jacobi relaxation for the 3D Laplace problem on a
@@ -90,23 +92,21 @@ func jacobiSweepSlab(ctx context.Context, src, dst *Array, slab Domain) (float64
 	}
 	h2 := halo.Hi[1] - halo.Lo[1]
 	h3 := halo.Hi[2] - halo.Lo[2]
-	at := func(i, j, k int) float64 {
-		return in[((i-halo.Lo[0])*h2+(j-halo.Lo[1]))*h3+(k-halo.Lo[2])]
+	d2 := slab.Hi[1] - slab.Lo[1]
+	d3 := slab.Hi[2] - slab.Lo[2]
+	// row(i, j) is the halo row through (i, j) over the slab's k-range
+	// widened by one point each side.
+	row := func(i, j int) []float64 {
+		return in[((i-halo.Lo[0])*h2+(j-halo.Lo[1]))*h3+(slab.Lo[2]-1-halo.Lo[2]):][:d3+2]
 	}
 
 	out := make([]float64, slab.Size())
-	d2 := slab.Hi[1] - slab.Lo[1]
-	d3 := slab.Hi[2] - slab.Lo[2]
 	var residual float64
 	for i := slab.Lo[0]; i < slab.Hi[0]; i++ {
 		for j := slab.Lo[1]; j < slab.Hi[1]; j++ {
-			for k := slab.Lo[2]; k < slab.Hi[2]; k++ {
-				avg := (at(i-1, j, k) + at(i+1, j, k) +
-					at(i, j-1, k) + at(i, j+1, k) +
-					at(i, j, k-1) + at(i, j, k+1)) / 6
-				out[((i-slab.Lo[0])*d2+(j-slab.Lo[1]))*d3+(k-slab.Lo[2])] = avg
-				residual = math.Max(residual, math.Abs(avg-at(i, j, k)))
-			}
+			o := out[((i-slab.Lo[0])*d2+(j-slab.Lo[1]))*d3:][:d3]
+			r := pagedev.JacobiRow(o, row(i, j), row(i-1, j), row(i+1, j), row(i, j-1), row(i, j+1))
+			residual = math.Max(residual, r)
 		}
 	}
 	if err := dst.Write(ctx, out, slab); err != nil {

@@ -20,14 +20,14 @@ package core
 //	                   writing into dead slots
 //
 // Operations on the migrating Array value never fail from the fence:
-// every mutator — Write and every kernel chain, CopyFrom and
-// HaloExchange among them — parks on ErrFenced, waits for the flip, and
-// replays exactly the refused work against the fresh layout (each device
-// batch is refused all-or-nothing, so the replay never double-applies a
-// non-idempotent kernel — see pagedev's fence pre-scan). Separate Array
-// clients over the same storage observe typed ErrFenced errors while a
-// foreign migration is in flight, exactly as they observe
-// ErrMachineDown before running their own Failover.
+// every mutator — Write and every kernel chain, CopyFrom among them —
+// parks on ErrFenced, waits for the flip, and replays exactly the
+// refused work against the fresh layout (each device batch is refused
+// all-or-nothing, so the replay never double-applies a non-idempotent
+// kernel — see pagedev's fence pre-scan). Separate Array clients over
+// the same storage observe typed ErrFenced errors while a foreign
+// migration is in flight, exactly as they observe ErrMachineDown before
+// running their own Failover.
 //
 // Which pages move is decided here; *how many* move between which
 // devices is the elastic planner's job (internal/elastic): Rebalance
@@ -201,16 +201,18 @@ func (a *Array) MigratePages(ctx context.Context, plan []elastic.Move) (*Migrate
 	// source pages are an immutable, consistent snapshot. Each migration
 	// phase gets its own span when the caller's trace is sampled, so a
 	// slow migration shows *which* phase ate the time.
-	abort := func(upto int) {
-		for _, d := range srcDevs[:upto] {
+	// abort unfences every source device, the failed one too: it may have
+	// fenced and lost the reply; unfencing an unfenced page does nothing.
+	abort := func() {
+		for _, d := range srcDevs {
 			_ = a.storage.Device(d).UnfencePages(ctx, srcIdx[d], false)
 		}
 	}
 	fenceCtx, fenceSp := trace.StartSpan(ctx, "migrate.fence")
-	for i, d := range srcDevs {
+	for _, d := range srcDevs {
 		if err := a.storage.Device(d).FencePages(fenceCtx, srcIdx[d]); err != nil {
 			fenceSp.End(true)
-			abort(i)
+			abort()
 			return rep, fmt.Errorf("core: migrate: fencing device %d: %w", d, err)
 		}
 	}
@@ -219,7 +221,7 @@ func (a *Array) MigratePages(ctx context.Context, plan []elastic.Move) (*Migrate
 	for _, d := range dstDevs {
 		if err := a.storage.Device(d).UnfencePages(fenceCtx, dstIdx[d], false); err != nil {
 			fenceSp.End(true)
-			abort(len(srcDevs))
+			abort()
 			return rep, fmt.Errorf("core: migrate: reclaiming slots on device %d: %w", d, err)
 		}
 	}
@@ -231,7 +233,7 @@ func (a *Array) MigratePages(ctx context.Context, plan []elastic.Move) (*Migrate
 	err := a.copyPages(copyCtx, copies)
 	copySp.End(err != nil)
 	if err != nil {
-		abort(len(srcDevs))
+		abort()
 		return rep, fmt.Errorf("core: migrate: copying pages: %w", err)
 	}
 

@@ -30,6 +30,9 @@ package pagedev
 //     engine clears them with release=false before copying).
 //     adoptPages is the destination-side accounting hook. Both feed the
 //     process-wide gauges (metrics.PagesHeld/PagesMigrated/BytesMigrated).
+//   - A refused fencePages or unfencePages changes nothing: both decode
+//     and check the whole index list before touching the fence set or
+//     the gauges.
 //
 // The fence set lives on pageDevice and is touched only by serial mailbox
 // methods, or read by helpers one of them is waiting for: no lock.
@@ -54,6 +57,25 @@ func (p *pageDevice) checkFence(index int) error {
 	return nil
 }
 
+// fenceIndices decodes the count×idx list of a fence request and checks
+// every index, so the caller changes the fence set only once the whole
+// request is known to be good.
+func (p *pageDevice) fenceIndices(args *wire.Decoder) ([]int, error) {
+	count := args.Int() // 0 if it did not decode
+	var idxs []int      // no size hint: count is straight off the socket
+	for n := 0; n < count; n++ {
+		idx := args.Int()
+		if err := args.Err(); err != nil {
+			return nil, err
+		}
+		if err := p.checkIndex(idx); err != nil {
+			return nil, err
+		}
+		idxs = append(idxs, idx)
+	}
+	return idxs, args.Err()
+}
+
 // registerFenceMethods installs the migration-fence protocol on a class
 // (both PageDevice and, via Extend, ArrayPageDevice carry it).
 func registerFenceMethods(c *rmi.Class[baser]) *rmi.Class[baser] {
@@ -63,22 +85,14 @@ func registerFenceMethods(c *rmi.Class[baser]) *rmi.Class[baser] {
 			// every earlier mutator has completed — the fenced pages are
 			// now a consistent, immutable snapshot for the copy.
 			p := obj.base()
-			count := args.Int()
-			if err := args.Err(); err != nil {
+			idxs, err := p.fenceIndices(args)
+			if err != nil {
 				return err
 			}
 			if p.fence == nil {
-				// No size hint: count is straight off the socket.
 				p.fence = make(map[int]struct{})
 			}
-			for n := 0; n < count; n++ {
-				idx := args.Int()
-				if err := args.Err(); err != nil {
-					return err
-				}
-				if err := p.checkIndex(idx); err != nil {
-					return err
-				}
+			for _, idx := range idxs {
 				p.fence[idx] = struct{}{}
 			}
 			return nil
@@ -93,21 +107,16 @@ func registerFenceMethods(c *rmi.Class[baser]) *rmi.Class[baser] {
 			// retired fence with release=false first.
 			p := obj.base()
 			release := args.Bool()
-			count := args.Int()
-			if err := args.Err(); err != nil {
+			idxs, err := p.fenceIndices(args)
+			if err != nil {
 				return err
 			}
-			for n := 0; n < count; n++ {
-				idx := args.Int()
-				if err := args.Err(); err != nil {
-					return err
-				}
-				if !release {
-					delete(p.fence, idx)
-				}
-			}
 			if release {
-				metrics.Default.PagesHeld.Add(int64(-count))
+				metrics.Default.PagesHeld.Add(int64(-len(idxs)))
+				return nil
+			}
+			for _, idx := range idxs {
+				delete(p.fence, idx)
 			}
 			return nil
 		}).

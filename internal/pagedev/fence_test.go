@@ -116,3 +116,37 @@ func TestMigrationFence(t *testing.T) {
 		t.Fatal("fencing page 17 of a 3-page device must fail")
 	}
 }
+
+// A refused fencePages or unfencePages changes nothing: a bad index
+// anywhere in the list leaves the fence set and the gauges as they were.
+func TestRefusedFenceChangesNothing(t *testing.T) {
+	c := startCluster(t, 1, 0)
+	dev, err := pagedev.NewArrayDevice(bg, c.Client(), 0, "refused", 3, 2, 2, 2, pagedev.DiskPrivate)
+	if err != nil {
+		t.Fatalf("device: %v", err)
+	}
+	defer dev.Close(bg)
+
+	if err := dev.FencePages(bg, []int{0, 3}); err == nil {
+		t.Fatal("fencing pages 0 and 3 of a 3-page device must fail")
+	}
+	if err := dev.FillPage(bg, 0, 1); err != nil {
+		t.Fatalf("FillPage after a refused fence: %v", err)
+	}
+
+	if err := dev.FencePages(bg, []int{1}); err != nil {
+		t.Fatal(err)
+	}
+	before := metrics.Default.Snapshot()
+	for _, release := range []bool{false, true} {
+		if err := dev.UnfencePages(bg, []int{1, 3}, release); err == nil {
+			t.Fatalf("unfencing pages 1 and 3 (release=%v) of a 3-page device must fail", release)
+		}
+	}
+	if err := dev.FillPage(bg, 1, 1); !errors.Is(err, rmi.ErrFenced) {
+		t.Fatalf("FillPage after a refused unfence: got %v, want rmi.ErrFenced", err)
+	}
+	if d := metrics.Default.Snapshot().Sub(before); d.PagesHeld != 0 {
+		t.Fatalf("refused unfence moved PagesHeld by %d", d.PagesHeld)
+	}
+}

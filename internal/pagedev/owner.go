@@ -152,33 +152,28 @@ func registerOwnerMethods(c *rmi.Class[*arrayPageDevice]) {
 		}
 
 		// Sweep, one global plane at a time: interior points average
-		// their six neighbours, boundary points carry over — the same
-		// arithmetic, in the same order, as the client-side sweep, so the
-		// paths agree bit for bit. Each output value depends only on the
-		// source slab and the residual is a max (order-independent), so
-		// the plane ORDER is free: the overlap schedule sweeps every
-		// plane that needs no halo while the pulls are in flight, then
-		// finishes the boundary planes on arrival, and still produces
-		// bitwise-identical pages and residual.
-		at := func(si, gj, gk int) float64 { return slab[(si*N2+gj)*N3+gk] }
+		// their six neighbours through JacobiRow, the row the client-side
+		// sweep runs too, so the paths agree bit for bit; boundary points
+		// carry over. Each output value depends only on the source slab
+		// and the residual is a max (order-independent), so the plane
+		// ORDER is free: the overlap schedule sweeps every plane that
+		// needs no halo while the pulls are in flight, then finishes the
+		// boundary planes on arrival, and still produces bitwise-identical
+		// pages and residual.
+		row := func(si, gj int) []float64 { return slab[(si*N2+gj)*N3:][:N3] }
 		out := make([]float64, n1*N2*N3)
 		var residual float64
 		sweepPlane := func(i int) {
 			gi, si := qbase+i, row0+i
 			for gj := 0; gj < N2; gj++ {
-				base := (i*N2 + gj) * N3
-				for gk := 0; gk < N3; gk++ {
-					v := at(si, gj, gk)
-					if gi > 0 && gi < N1-1 && gj > 0 && gj < N2-1 && gk > 0 && gk < N3-1 {
-						avg := (at(si-1, gj, gk) + at(si+1, gj, gk) +
-							at(si, gj-1, gk) + at(si, gj+1, gk) +
-							at(si, gj, gk-1) + at(si, gj, gk+1)) / 6
-						out[base+gk] = avg
-						residual = math.Max(residual, math.Abs(avg-v))
-					} else {
-						out[base+gk] = v
-					}
+				o, c := out[(i*N2+gj)*N3:][:N3], row(si, gj)
+				if gi == 0 || gi == N1-1 || gj == 0 || gj == N2-1 {
+					copy(o, c)
+					continue
 				}
+				o[0], o[N3-1] = c[0], c[N3-1]
+				r := JacobiRow(o[1:], c, row(si-1, gj), row(si+1, gj), row(si, gj-1), row(si, gj+1))
+				residual = math.Max(residual, r)
 			}
 		}
 		// Plane i reads the lo halo iff it is the slab's first plane and
@@ -221,4 +216,20 @@ func registerOwnerMethods(c *rmi.Class[*arrayPageDevice]) {
 		reply.PutFloat64(residual)
 		return nil
 	})
+}
+
+// JacobiRow is the 7-point Jacobi stencil along one grid row, the one
+// copy jacobiPlane and core.Jacobi sweep with. c is the row; im, ip are
+// its neighbour rows along the first axis and jm, jp along the second.
+// For each k in [1, len(c)-1) it stores in out[k-1] the average of the
+// six neighbours, added in the order im, ip, jm, jp, c[k-1], c[k+1], and
+// it returns the max |out[k-1] - c[k]|.
+func JacobiRow(out, c, im, ip, jm, jp []float64) float64 {
+	var residual float64
+	for k := 1; k < len(c)-1; k++ {
+		avg := (im[k] + ip[k] + jm[k] + jp[k] + c[k-1] + c[k+1]) / 6
+		out[k-1] = avg
+		residual = math.Max(residual, math.Abs(avg-c[k]))
+	}
+	return residual
 }

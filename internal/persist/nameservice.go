@@ -91,11 +91,6 @@ func NewNameService(ctx context.Context, client *rmi.Client, m int) (*NameServic
 	return &NameService{client: client, ref: ref}, nil
 }
 
-// AttachNameService wraps an existing directory ref.
-func AttachNameService(client *rmi.Client, ref rmi.Ref) *NameService {
-	return &NameService{client: client, ref: ref}
-}
-
 // Ref returns the directory's remote pointer.
 func (n *NameService) Ref() rmi.Ref { return n.ref }
 

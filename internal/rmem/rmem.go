@@ -23,19 +23,11 @@ import (
 // ClassFloat64 is the registered class name for float64 blocks.
 const ClassFloat64 = "rmem.Float64Block"
 
-// ClassBytes is the registered class name for byte blocks.
-const ClassBytes = "rmem.ByteBlock"
-
 // float64Block is the server-side object: the process that owns the
 // memory. Methods run serially through its mailbox, so no further locking
 // is needed — the object *is* its process (§2).
 type float64Block struct {
 	data []float64
-}
-
-// byteBlock is the byte-typed variant.
-type byteBlock struct {
-	data []byte
 }
 
 // Float64BlockClass is the typed handle for float64 blocks; stubs
@@ -114,46 +106,6 @@ var Float64BlockClass = rmi.RegisterClass(ClassFloat64, func(env *rmi.Env, args 
 			s += v
 		}
 		reply.PutFloat64(s)
-		return nil
-	})
-
-// ByteBlockClass is the typed handle for byte blocks.
-var ByteBlockClass = rmi.RegisterClass(ClassBytes, func(env *rmi.Env, args *wire.Decoder) (*byteBlock, error) {
-	n := args.Int()
-	if err := args.Err(); err != nil {
-		return nil, err
-	}
-	if n < 0 || int64(n) > 1<<31 {
-		return nil, fmt.Errorf("rmem: invalid block size %d", n)
-	}
-	return &byteBlock{data: make([]byte, n)}, nil
-}).
-	Method("getRange", func(b *byteBlock, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		off := args.Int()
-		n := args.Int()
-		if err := args.Err(); err != nil {
-			return err
-		}
-		if off < 0 || n < 0 || off+n > len(b.data) {
-			return fmt.Errorf("rmem: range [%d,%d) out of [0,%d)", off, off+n, len(b.data))
-		}
-		reply.PutBytes(b.data[off : off+n])
-		return nil
-	}).
-	Method("setRange", func(b *byteBlock, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		off := args.Int()
-		vals := args.Bytes()
-		if err := args.Err(); err != nil {
-			return err
-		}
-		if off < 0 || off+len(vals) > len(b.data) {
-			return fmt.Errorf("rmem: range [%d,%d) out of [0,%d)", off, off+len(vals), len(b.data))
-		}
-		copy(b.data[off:], vals)
-		return nil
-	}).
-	Method("len", func(b *byteBlock, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		reply.PutInt(len(b.data))
 		return nil
 	})
 
@@ -299,84 +251,3 @@ func (a *Float64Array) RemoteLen(ctx context.Context) (int, error) {
 func (a *Float64Array) Free(ctx context.Context) error {
 	return a.client.Delete(ctx, a.ref)
 }
-
-// ByteArray is the byte-typed client stub.
-type ByteArray struct {
-	client *rmi.Client
-	ref    rmi.Ref
-	n      int
-}
-
-// NewByteArray allocates n bytes on machine m.
-func NewByteArray(ctx context.Context, client *rmi.Client, m int, n int) (*ByteArray, error) {
-	ref, err := ByteBlockClass.New(ctx, client, m, func(e *wire.Encoder) error {
-		e.PutInt(n)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &ByteArray{client: client, ref: ref, n: n}, nil
-}
-
-// Ref returns the remote pointer.
-func (a *ByteArray) Ref() rmi.Ref { return a.ref }
-
-// Len returns the (locally cached) length.
-func (a *ByteArray) Len() int { return a.n }
-
-// GetRange reads n bytes at off.
-func (a *ByteArray) GetRange(ctx context.Context, off, n int) ([]byte, error) {
-	d, err := a.client.Call(ctx, a.ref, "getRange", func(e *wire.Encoder) error {
-		e.PutInt(off)
-		e.PutInt(n)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer d.Release()
-	out := d.BytesCopy()
-	return out, d.Err()
-}
-
-// GetRangeInto reads len(dst) bytes at off straight into dst — one copy,
-// wire to user buffer, nothing allocated in steady state.
-func (a *ByteArray) GetRangeInto(ctx context.Context, off int, dst []byte) error {
-	d, err := a.client.Call(ctx, a.ref, "getRange", func(e *wire.Encoder) error {
-		e.PutInt(off)
-		e.PutInt(len(dst))
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	defer d.Release()
-	d.BytesInto(dst)
-	return d.Err()
-}
-
-// SetRange writes vals at off.
-func (a *ByteArray) SetRange(ctx context.Context, off int, vals []byte) error {
-	d, err := a.client.Call(ctx, a.ref, "setRange", func(e *wire.Encoder) error {
-		e.PutInt(off)
-		e.PutBytes(vals)
-		return nil
-	})
-	d.Release()
-	return err
-}
-
-// RemoteLen asks the process for its length (vs the cached Len).
-func (a *ByteArray) RemoteLen(ctx context.Context) (int, error) {
-	d, err := a.client.Call(ctx, a.ref, "len", nil)
-	if err != nil {
-		return 0, err
-	}
-	defer d.Release()
-	n := d.Int()
-	return n, d.Err()
-}
-
-// Free destroys the remote block.
-func (a *ByteArray) Free(ctx context.Context) error { return a.client.Delete(ctx, a.ref) }

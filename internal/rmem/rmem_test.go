@@ -151,44 +151,6 @@ func TestBoundsErrors(t *testing.T) {
 	}
 }
 
-func TestByteArray(t *testing.T) {
-	c := startCluster(t, 2)
-	b, err := rmem.NewByteArray(bg, c.Client(), 1, 256)
-	if err != nil {
-		t.Fatalf("alloc: %v", err)
-	}
-	defer b.Free(bg)
-	if b.Len() != 256 {
-		t.Errorf("Len = %d", b.Len())
-	}
-	if b.Ref().IsNil() {
-		t.Error("nil ref")
-	}
-	payload := []byte{1, 2, 3, 4, 5}
-	if err := b.SetRange(bg, 100, payload); err != nil {
-		t.Fatalf("SetRange: %v", err)
-	}
-	got, err := b.GetRange(bg, 100, 5)
-	if err != nil {
-		t.Fatalf("GetRange: %v", err)
-	}
-	for i := range payload {
-		if got[i] != payload[i] {
-			t.Fatalf("byte %d = %d", i, got[i])
-		}
-	}
-	if err := b.SetRange(bg, 255, []byte{1, 2}); err == nil {
-		t.Error("expected bounds error")
-	}
-	if _, err := b.GetRange(bg, -1, 1); err == nil {
-		t.Error("expected bounds error")
-	}
-	n, err := b.RemoteLen(bg)
-	if err != nil || n != 256 {
-		t.Errorf("RemoteLen = %d, %v", n, err)
-	}
-}
-
 // Property: a random sequence of in-bounds Set operations followed by Gets
 // behaves exactly like a local []float64.
 func TestQuickShadowModel(t *testing.T) {

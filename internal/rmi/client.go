@@ -92,9 +92,6 @@ func (d StaticDirectory) Size() int { return len(d) }
 // this is the client half of the compiler-generated protocol.
 type ArgEncoder func(e *wire.Encoder) error
 
-// NoArgs is the ArgEncoder for nullary calls.
-func NoArgs(*wire.Encoder) error { return nil }
-
 // AnyArgs is the ArgEncoder for the tagged generic encoding — the layer
 // under NewOn/Invoke.
 func AnyArgs(args ...any) ArgEncoder {
@@ -391,12 +388,6 @@ func (c *Client) newAsync(ctx context.Context, m int, class string, args ArgEnco
 	return c.start(ctx, callSite{machine: m, class: class}, request{op: opNew, prio: PrioNormal, args: args}, o)
 }
 
-// NewArgs is New with the tagged generic argument encoding. Prefer the
-// typed NewOn[T].
-func (c *Client) NewArgs(ctx context.Context, m int, class string, args ...any) (Ref, error) {
-	return c.New(ctx, m, class, AnyArgs(args...))
-}
-
 // Call invokes a method on a remote object and blocks until its results
 // arrive (§2 sequential semantics). The returned decoder is positioned at
 // the method's results.
@@ -528,21 +519,6 @@ func (c *Client) callAsync(ctx context.Context, ref Ref, method string, args Arg
 	return c.start(ctx, callSite{machine: ref.Machine, class: ref.Class, method: method}, request{op: opCall, prio: PrioNormal, object: ref.Object, args: args}, o)
 }
 
-// CallArgs invokes a method using the tagged generic encoding for both
-// arguments and results: results written by the method as PutAnys are
-// decoded into []any. Prefer the typed Invoke[R].
-func (c *Client) CallArgs(ctx context.Context, ref Ref, method string, args ...any) ([]any, error) {
-	d, err := c.Call(ctx, ref, method, AnyArgs(args...))
-	if err != nil {
-		return nil, err
-	}
-	defer d.Release()
-	if d.Remaining() == 0 {
-		return nil, nil
-	}
-	return d.Anys()
-}
-
 // Delete destroys a remote object: queued calls complete, the destructor
 // runs, the process terminates (§2).
 func (c *Client) Delete(ctx context.Context, ref Ref, opts ...CallOption) error {
@@ -564,14 +540,6 @@ func (c *Client) control(ctx context.Context, m int, op uint64, opts []CallOptio
 // Ping round-trips an empty frame to machine m.
 func (c *Client) Ping(ctx context.Context, m int, opts ...CallOption) error {
 	return c.control(ctx, m, opPing, opts).Err(ctx)
-}
-
-// PingObject sends the built-in no-op through an object's mailbox; its
-// completion proves all earlier messages to that object were processed.
-func (c *Client) PingObject(ctx context.Context, ref Ref) error {
-	d, err := c.Call(ctx, ref, methodPing, nil)
-	d.Release()
-	return err
 }
 
 // Stat returns (live, total) object counts for machine m.
@@ -598,9 +566,9 @@ func (c *Client) Debug(ctx context.Context, m int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer fut.Release()
-	buf := d.BytesCopy()
-	return buf, d.Err()
+	buf, err := d.BytesCopy(), d.Err()
+	fut.Release()
+	return buf, err
 }
 
 // request is one outbound operation as encode writes it; where it goes

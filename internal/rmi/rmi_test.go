@@ -771,7 +771,7 @@ func TestPingStatAndBuiltins(t *testing.T) {
 	if live != live0+1 || total != total0+1 {
 		t.Errorf("stat after new: live %d->%d total %d->%d", live0, live, total0, total)
 	}
-	if err := c.PingObject(bg, ref); err != nil {
+	if err := BarrierRefs(bg, c, []Ref{ref}, 1); err != nil {
 		t.Fatalf("ping object: %v", err)
 	}
 	// Echo round trip, and env.Machine visible to methods.
@@ -786,7 +786,7 @@ func TestPingStatAndBuiltins(t *testing.T) {
 
 // genericKV is a class written against the tagged generic layer: its
 // constructor and methods read Anys and write Anys, so clients can use
-// NewArgs/CallArgs without hand-written stubs.
+// New/Call with AnyArgs and Decoder.Anys without hand-written stubs.
 type genericKV struct {
 	mu sync.Mutex
 	m  map[string]float64
@@ -835,21 +835,30 @@ func TestCallArgsGenericLayer(t *testing.T) {
 	nodes, stop := startCluster(t, transport.NewInproc(transport.LinkModel{}), 1)
 	defer stop()
 	c := nodes[0].client
-	ref, err := c.NewArgs(bg, 0, "test.GenericKV", "seed")
+	ref, err := c.New(bg, 0, "test.GenericKV", AnyArgs("seed"))
 	if err != nil {
-		t.Fatalf("NewArgs: %v", err)
+		t.Fatalf("New: %v", err)
 	}
-	if _, err := c.CallArgs(bg, ref, "set", "pi", 3.14159); err != nil {
+	// call sends args tagged and decodes the tagged results.
+	call := func(method string, args ...any) ([]any, error) {
+		d, err := c.Call(bg, ref, method, AnyArgs(args...))
+		if err != nil {
+			return nil, err
+		}
+		defer d.Release()
+		return d.Anys()
+	}
+	if _, err := call("set", "pi", 3.14159); err != nil {
 		t.Fatalf("set: %v", err)
 	}
-	out, err := c.CallArgs(bg, ref, "get", "pi")
+	out, err := call("get", "pi")
 	if err != nil {
 		t.Fatalf("get: %v", err)
 	}
 	if len(out) != 2 || out[0].(float64) != 3.14159 || out[1].(bool) != true {
 		t.Fatalf("get result: %v", out)
 	}
-	out, err = c.CallArgs(bg, ref, "get", "absent")
+	out, err = call("get", "absent")
 	if err != nil {
 		t.Fatalf("get absent: %v", err)
 	}

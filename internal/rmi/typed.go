@@ -92,9 +92,6 @@ func ExtendClass[U any, T any](base *Class[T], name string, ctor func(env *Env, 
 // Name returns the registered class name.
 func (c *Class[T]) Name() string { return c.spec.Name() }
 
-// Spec returns the untyped descriptor (for dynamic/introspective code).
-func (c *Class[T]) Spec() *ClassSpec { return c.spec }
-
 // Method registers a serial method: invocations are delivered through the
 // object's mailbox and execute one at a time in arrival order. The
 // callback receives the object as T — no manual assertion. It returns the
@@ -161,20 +158,11 @@ func SpecFor[T any]() (*ClassSpec, error) { return classSpecFor[T]() }
 // args.Any); classes with packed constructor encodings construct through
 // their Class[T].New handle instead.
 func NewOn[T any](ctx context.Context, client *Client, m int, args ...any) (Ref, error) {
-	return NewOnAsync[T](ctx, client, m, args...).Ref(ctx)
-}
-
-// NewOnAsync is NewOn split §4-style: it returns the construction future
-// immediately — failed already if no class is registered for T or the
-// request could not leave.
-func NewOnAsync[T any](ctx context.Context, client *Client, m int, args ...any) *Future {
 	spec, err := classSpecFor[T]()
 	if err != nil {
-		fut := &Future{done: make(chan struct{})}
-		fut.complete(nil, err)
-		return fut
+		return Ref{}, err
 	}
-	return client.NewAsync(ctx, m, spec.Name(), AnyArgs(args...))
+	return client.New(ctx, m, spec.Name(), AnyArgs(args...))
 }
 
 // Invoke calls a method whose arguments and single result use the tagged
@@ -185,17 +173,9 @@ func Invoke[R any](ctx context.Context, client *Client, ref Ref, method string, 
 }
 
 // InvokeAsync begins a typed method invocation and returns its typed
-// future immediately — the §4 send-loop half. Options (deadline, retry,
-// label) attach to the underlying call via InvokeOpts.
+// future immediately — the §4 send-loop half.
 func InvokeAsync[R any](ctx context.Context, client *Client, ref Ref, method string, args ...any) *TypedFuture[R] {
-	return InvokeOpts[R](ctx, client, ref, method, args, nil)
-}
-
-// InvokeOpts is InvokeAsync with explicit CallOptions (kept separate so
-// the common case keeps its variadic args).
-func InvokeOpts[R any](ctx context.Context, client *Client, ref Ref, method string, args []any, opts []CallOption) *TypedFuture[R] {
-	fut := client.CallAsync(ctx, ref, method, AnyArgs(args...), opts...)
-	return &TypedFuture[R]{fut: fut}
+	return &TypedFuture[R]{fut: client.CallAsync(ctx, ref, method, AnyArgs(args...))}
 }
 
 // InvokeVoid calls a tagged-encoding method with no result.

@@ -201,7 +201,7 @@ func TestContextCancelAbortsInFlightCall(t *testing.T) {
 			t.Fatal("orphaned response was not counted")
 		}
 		// The object is still alive and serviceable after the abort.
-		if err := c.PingObject(bg, ref); err != nil {
+		if err := BarrierRefs(bg, c, []Ref{ref}, 1); err != nil {
 			t.Fatalf("object unusable after canceled call: %v", err)
 		}
 	})

@@ -51,8 +51,6 @@ type (
 
 	// Float64Array is remote plain memory of float64s.
 	Float64Array = rmem.Float64Array
-	// ByteArray is remote plain memory of bytes.
-	ByteArray = rmem.ByteArray
 
 	// Page is a block of unstructured data.
 	Page = pagedev.Page
@@ -238,11 +236,6 @@ func TCPTransport() Transport { return transport.TCP{} }
 // "new(machine m) double[n]".
 func NewFloat64Array(ctx context.Context, client *Client, m, n int) (*Float64Array, error) {
 	return rmem.NewFloat64Array(ctx, client, m, n)
-}
-
-// NewByteArray allocates n bytes on machine m.
-func NewByteArray(ctx context.Context, client *Client, m, n int) (*ByteArray, error) {
-	return rmem.NewByteArray(ctx, client, m, n)
 }
 
 // NewPage allocates an n-byte page.

@@ -327,17 +327,7 @@ func TestFacadePublishedDataset(t *testing.T) {
 		t.Fatalf("destroy: %v", err)
 	}
 
-	// Remaining wrappers: attach, byte arrays, stores, name service.
-	ba, err := oopp.NewByteArray(bg, client, 1, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ba.SetRange(bg, 0, []byte{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ba.Free(bg); err != nil {
-		t.Fatal(err)
-	}
+	// Remaining wrappers: attach, stores, name service.
 	ns, err := oopp.NewNameService(bg, client, 0)
 	if err != nil {
 		t.Fatal(err)
