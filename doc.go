@@ -391,8 +391,10 @@
 // # Fault tolerance
 //
 // A distributed array is as mortal as its least reliable machine —
-// unless its pages live in more than one place. NewReplicatedMap wraps
-// any layout so every page occupies k distinct devices:
+// unless its pages live in more than one place. Every PageMap is a
+// table that gives each page a chain of copies; NewReplicatedMap
+// returns the PageMap whose chains place every page of a layout on k
+// distinct devices:
 //
 //	base, _ := oopp.NewPageMap("roundrobin", 4, 4, 4, devices)
 //	pm, _ := oopp.NewReplicatedMap(base, 2)
@@ -435,8 +437,8 @@
 // re-seed lane, not a rejoin.
 //
 // For k=1 arrays the story is a checkpoint, not a failover:
-// CheckpointArray streams the geometry, the page map as it stands (a
-// re-minted one as its table) and every device's pages into a
+// CheckpointArray streams the geometry, the page map's table as it
+// stands and every device's pages into a
 // persistence Store, and after any number of machine deaths
 // RecoverArray reconstructs the array from the store — cold state,
 // full data, on the store's machine. The kill-one-server e2e suite
@@ -459,9 +461,9 @@
 // and the whole array keeps serving throughout. When the copies land,
 // the engine atomically re-mints the page map — through the same one
 // constructor failover uses; its name gains a "+resharded" marker (the
-// markers are for people and never repeat back to back: a re-minted map
-// is a table, which PublishArray and CheckpointArray store in the
-// array's descriptor and no name rebuilds) — and retires
+// markers are for people and never repeat back to back: every map is a
+// table, which PublishArray and CheckpointArray store in the array's
+// descriptor, and no name rebuilds a re-minted one) — and retires
 // the source slots — a client still holding the pre-flip map gets the
 // typed fence error and re-resolves, never a silent write into a dead
 // slot.
@@ -554,7 +556,8 @@
 //   - Device, ArrayDevice, Page, ArrayPage: the storage process hierarchy
 //     with process inheritance.
 //   - Array, Domain, PageMap, BlockStorage: the distributed 3D array, its
-//     subdomains, and the data layouts that determine I/O parallelism.
+//     subdomains, and the data layouts — one page table type — that
+//     determine I/O parallelism.
 //   - MapKernel, ReduceKernel, BinaryKernel, BinaryReduceKernel and the
 //     Register*Kernel functions: the owner-computes kernel registry
 //     behind the Array's compute surface and its Apply/Reduce escape
@@ -562,9 +565,9 @@
 //   - PFFT: the group of FFT processes jointly computing a 3D transform.
 //   - Address, NameService, Store, Manager: persistent processes with
 //     symbolic addresses.
-//   - ReplicaMap, ReplicatedMap, FailoverReport, CheckpointArray,
-//     RecoverArray: k-way page replication with failover, and
-//     persist-backed cold recovery.
+//   - NewReplicatedMap (a PageMap of k-address chains), FailoverReport,
+//     CheckpointArray, RecoverArray: k-way page replication with
+//     failover, and persist-backed cold recovery.
 //   - Move, DeviceLoad, MigrateReport, RebalanceConfig, JoinNode,
 //     BalancePlan, DrainPlan: the elastic cluster — live page
 //     migration, the load-aware rebalancer, and machine join/drain.

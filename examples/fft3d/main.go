@@ -3,8 +3,9 @@
 // the deep-copy SetGroup, scatters a 3D array, triggers the joint
 // transform (workers exchange transpose blocks by calling methods on
 // each other), gathers the result, and checks it against the local FFT.
+// The workers talk over the in-process transport or real TCP sockets.
 //
-//	go run ./examples/fft3d [-n 32] [-workers 4]
+//	go run ./examples/fft3d [-n 32] [-workers 4] [-transport inproc|tcp]
 package main
 
 import (
@@ -23,6 +24,7 @@ func main() {
 	ctx := context.Background()
 	nFlag := flag.Int("n", 32, "array extent per axis (power of two)")
 	workers := flag.Int("workers", 4, "number of FFT worker processes")
+	transportName := flag.String("transport", "inproc", "inproc or tcp")
 	flag.Parse()
 	n := *nFlag
 	p := *workers
@@ -30,7 +32,15 @@ func main() {
 		log.Fatalf("n=%d must be divisible by workers=%d", n, p)
 	}
 
-	cl, err := oopp.NewLocalCluster(p, 0)
+	cfg := oopp.ClusterConfig{Machines: p}
+	switch *transportName {
+	case "inproc":
+	case "tcp":
+		cfg.Transport = oopp.TCPTransport()
+	default:
+		log.Fatalf("unknown transport %q", *transportName)
+	}
+	cl, err := oopp.NewCluster(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -87,7 +97,7 @@ func main() {
 		maxErr = math.Max(maxErr, cmplx.Abs(got[i]-want[i]))
 		ref = math.Max(ref, cmplx.Abs(want[i]))
 	}
-	fmt.Printf("3D FFT %d^3 with %d worker processes\n", n, p)
+	fmt.Printf("3D FFT %d^3 with %d worker processes, %s transport\n", n, p, *transportName)
 	fmt.Printf("local (1 core)      : %v\n", localTime)
 	fmt.Printf("distributed (%d proc): %v\n", p, distTime)
 	fmt.Printf("max relative error  : %.2e\n", maxErr/ref)

@@ -22,15 +22,15 @@ type Distribution struct {
 }
 
 // Block lays members out in contiguous runs: the first ceil(members/
-// machines) members on machine 0, and so on — the blockedMap of member
-// placement. Consecutive members share machines, minimizing the set of
+// machines) members on machine 0, and so on — the blocked page layout,
+// for members. Consecutive members share machines, minimizing the set of
 // machines a Slice view touches.
 func Block(members, machines int) Distribution {
 	return Distribution{layout: "block", members: members, machines: machines, replicas: 1}
 }
 
 // Cyclic deals members to machines round-robin: member i on machine
-// i mod machines — the roundRobinMap of member placement. Consecutive
+// i mod machines — the round-robin page layout, for members. Consecutive
 // members land on distinct machines, maximizing the parallelism of a
 // broadcast window.
 func Cyclic(members, machines int) Distribution {

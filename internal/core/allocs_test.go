@@ -65,23 +65,27 @@ func TestCollectiveAllocs(t *testing.T) {
 	}
 }
 
-// Measured 26 and 30: the client builds one kernel.Chain and folds each
+// Measured 24 and 26: the client builds one kernel.Chain and folds each
 // reply into the chain's identity partials (before it copied the chain
 // into a client-side struct and decoded a partial slice per reply: 30
-// and 33). Of Sum's 26 the device's share is 6 — the decoded batch, the
-// state its workers share, ONE slab holding every region's accumulator
-// and one naming every region's pages (its own and, in place, its
-// co-located operands'); Axpy has no accumulator slab. The rest is the
-// client's plan and fan-out.
+// and 33), and a region shares its page's chain with the map's table
+// (before, a plain map allocated a one-address chain per page per
+// operation and the operand's replica lookup another: 26 and 30). Of
+// Sum's 24 the device's share is 6 — the decoded batch, the state its
+// workers share, ONE slab holding every region's accumulator and one
+// naming every region's pages (its own and, in place, its co-located
+// operands'); Axpy has no accumulator slab. The rest is the client's
+// plan and fan-out.
 const (
-	maxSumAllocs  = 28
-	maxAxpyAllocs = 31
+	maxSumAllocs  = 26
+	maxAxpyAllocs = 27
 )
 
-// Measured 28 and 35 for 8 pages (with a scratch page per call: 29 and
-// 36, the 32 KiB page among them). The slack is well under one allocation
-// per page, so a buffer that comes back per page trips the ceiling.
+// Measured 20 and 27 for 8 pages: no chain is allocated per page (before
+// the map was a table, a one-address chain per region: 28 and 35). The
+// slack is well under one allocation per page, so a buffer that comes
+// back per page trips the ceiling.
 const (
-	maxWriteAllocs = 31
-	maxReadAllocs  = 38
+	maxWriteAllocs = 23
+	maxReadAllocs  = 30
 )

@@ -68,8 +68,9 @@ type Array struct {
 const DefaultWindow = rmi.DefaultWindow
 
 // NewArray validates geometry and capacity and returns an Array client.
-// Array dims must be multiples of the page dims; every device must have
-// the page dimensions and at least PageMap.PagesPerDevice pages.
+// Array dims must be multiples of the page dims, the map must be built
+// for the array's page grid and storage's device count, and every device
+// must have the page dimensions and at least PageMap.PagesPerDevice pages.
 func NewArray(ctx context.Context, storage *BlockStorage, pm PageMap, N1, N2, N3, n1, n2, n3 int) (*Array, error) {
 	if N1 <= 0 || N2 <= 0 || N3 <= 0 || n1 <= 0 || n2 <= 0 || n3 <= 0 {
 		return nil, fmt.Errorf("core: invalid array geometry %dx%dx%d pages %dx%dx%d", N1, N2, N3, n1, n2, n3)
@@ -77,8 +78,8 @@ func NewArray(ctx context.Context, storage *BlockStorage, pm PageMap, N1, N2, N3
 	if N1%n1 != 0 || N2%n2 != 0 || N3%n3 != 0 {
 		return nil, fmt.Errorf("core: array dims %dx%dx%d not divisible by page dims %dx%dx%d", N1, N2, N3, n1, n2, n3)
 	}
-	if storage.Len() != pm.Devices() {
-		return nil, fmt.Errorf("core: page map expects %d devices, storage has %d", pm.Devices(), storage.Len())
+	if g := (grid{N1 / n1, N2 / n2, N3 / n3, storage.Len()}); pm.grid != g {
+		return nil, fmt.Errorf("core: page map grid %+v does not fit the array's %+v", pm.grid, g)
 	}
 	need := pm.PagesPerDevice()
 	for i := 0; i < storage.Len(); i++ {
@@ -181,7 +182,7 @@ func (a *Array) regionsOf(pm PageMap, dom Domain) []region {
 					continue
 				}
 				out = append(out, region{
-					chain: replicasOf(pm, p1, p2, p3),
+					chain: pm.chain(p1, p2, p3),
 					box:   box,
 					isect: isect,
 					full:  isect.Equal(box),
@@ -329,7 +330,7 @@ func (a *Array) Write(ctx context.Context, subarray []float64, dom Domain) error
 func (a *Array) writeWith(ctx context.Context, pm PageMap, subarray []float64, dom Domain) error {
 	regs := a.regionsOf(pm, dom)
 	type replicaWrite struct{ reg, pos int }
-	calls := make([]replicaWrite, 0, len(regs)*replicaCount(pm))
+	calls := make([]replicaWrite, 0, len(regs)*pm.Replicas())
 	for ri, r := range regs {
 		for pos := range r.chain {
 			calls = append(calls, replicaWrite{ri, pos})

@@ -421,8 +421,14 @@ func TestNewArrayGeometryErrors(t *testing.T) {
 	if _, err := core.NewArray(bg, storage, pm3, 8, 8, 8, 4, 4, 4); err == nil {
 		t.Error("device count mismatch accepted")
 	}
+	// A map of another page grid: its table has no chain for the
+	// array's other pages.
+	if _, err := core.NewArray(bg, storage, pm, 16, 8, 8, 4, 4, 4); err == nil {
+		t.Error("page grid mismatch accepted")
+	}
 	// Mismatched page dims.
-	if _, err := core.NewArray(bg, storage, pm, 8, 8, 8, 2, 2, 2); err == nil {
+	pm4, _ := core.NewRoundRobinMap(4, 4, 4, 2)
+	if _, err := core.NewArray(bg, storage, pm4, 8, 8, 8, 2, 2, 2); err == nil {
 		t.Error("page dim mismatch accepted")
 	}
 	// Insufficient capacity: map needs more pages per device than devices

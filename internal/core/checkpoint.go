@@ -30,42 +30,31 @@ const ClassArrayMeta = "core.ArrayMeta"
 // arrayMeta is the server-side descriptor object. It is Persistable, so a
 // published array can be fully passivated, descriptor included.
 type arrayMeta struct {
-	n, p    [3]int // array dims, page dims
-	layout  string
-	devices int
-	// A map re-minted by Failover or MigratePages is its table, which no
-	// name can carry: the descriptor stores what the remintedMap holds
-	// (moved is in-flight state and is not stored). Nil for a layout
-	// NewPageMap builds from its name.
-	table *remintedMap
+	n, p [3]int // array dims, page dims
+	// pm is the page map, stored as its table: name, device count, k,
+	// capacity and every page's chain (the moved index of a migration is
+	// in-flight state and is not stored).
+	pm PageMap
 }
 
-// describe is the descriptor of arr as it stands: geometry, device count
-// and the current page map — by name, or by table once it was re-minted.
+// describe is the descriptor of arr as it stands: geometry and the
+// current page map.
 func describe(arr *Array) *arrayMeta {
-	pm := arr.Map()
-	m := &arrayMeta{n: arr.n, p: arr.p, layout: pm.Name(), devices: arr.Storage().Len()}
-	m.table, _ = pm.(*remintedMap)
-	return m
+	return &arrayMeta{n: arr.n, p: arr.p, pm: arr.Map()}
 }
 
-// encode writes the descriptor: geometry, layout name, device count, then
-// the page count of the table (0, one byte, for a named layout) and, for
-// a table, k, ppd and each page's chain.
+// encode writes the descriptor: geometry, layout name, device count, the
+// page count of the table, k, ppd and each page's chain.
 func (m *arrayMeta) encode(e *wire.Encoder) {
 	for _, v := range [...]int{m.n[0], m.n[1], m.n[2], m.p[0], m.p[1], m.p[2]} {
 		e.PutInt(v)
 	}
-	e.PutString(m.layout)
-	e.PutInt(m.devices)
-	if m.table == nil {
-		e.PutUvarint(0)
-		return
-	}
-	e.PutUvarint(uint64(len(m.table.table)))
-	e.PutInt(m.table.k)
-	e.PutInt(m.table.ppd)
-	for _, chain := range m.table.table {
+	e.PutString(m.pm.name)
+	e.PutInt(m.pm.devices)
+	e.PutUvarint(uint64(len(m.pm.chains)))
+	e.PutInt(m.pm.k)
+	e.PutInt(m.pm.ppd)
+	for _, chain := range m.pm.chains {
 		e.PutUvarint(uint64(len(chain)))
 		for _, addr := range chain {
 			e.PutInt(addr.Device)
@@ -75,16 +64,17 @@ func (m *arrayMeta) encode(e *wire.Encoder) {
 }
 
 // decode reads a descriptor and refuses it whole unless an array can be
-// assembled from it: a page grid that exists, and — when a table follows —
-// exactly one non-empty chain per page of that grid, every address inside
-// devices × ppd and none used twice.
+// assembled from it: a page grid that exists, and exactly one chain per
+// page of that grid, of 1 to k addresses on as many devices, every
+// address inside devices × ppd and none used twice.
 func (m *arrayMeta) decode(d *wire.Decoder) error {
 	*m = arrayMeta{}
 	m.n = [3]int{d.Int(), d.Int(), d.Int()}
 	m.p = [3]int{d.Int(), d.Int(), d.Int()}
-	m.layout = d.String()
-	m.devices = d.Int()
+	layout := d.String()
+	devices := d.Int()
 	pages := d.Uvarint()
+	k, ppd := d.Int(), d.Int()
 	if d.Err() != nil {
 		return d.Err()
 	}
@@ -93,31 +83,28 @@ func (m *arrayMeta) decode(d *wire.Decoder) error {
 			return fmt.Errorf("core: array descriptor: dims %v in pages of %v", m.n, m.p)
 		}
 	}
-	if m.devices <= 0 {
-		return fmt.Errorf("core: array descriptor: %d devices", m.devices)
+	if devices <= 0 {
+		return fmt.Errorf("core: array descriptor: %d devices", devices)
 	}
-	if pages == 0 {
-		return nil
-	}
-	k, ppd := d.Int(), d.Int()
 	// A page costs at least three bytes, which bounds the table by the
 	// bytes at hand before anything is allocated for it; the grid's
 	// extents multiply without overflow once each is known to be within
 	// that bound.
-	g := m.grid()
+	g := grid{m.n[0] / m.p[0], m.n[1] / m.p[1], m.n[2] / m.p[2], devices}
 	if pages > uint64(d.Remaining())/3 || uint64(g.p1) > pages || uint64(g.p2) > pages || uint64(g.p3) > pages ||
 		uint64(g.p1)*uint64(g.p2) > pages || uint64(g.total()) != pages {
 		return fmt.Errorf("core: array descriptor: table of %d pages for a %dx%dx%d grid in %d bytes", pages, g.p1, g.p2, g.p3, d.Remaining())
 	}
-	if k < 1 || k > m.devices || ppd < 1 {
-		return fmt.Errorf("core: array descriptor: table with k=%d, %d pages per device, %d devices", k, ppd, m.devices)
+	if k < 1 || k > devices || ppd < 1 {
+		return fmt.Errorf("core: array descriptor: table with k=%d, %d pages per device, %d devices", k, ppd, devices)
 	}
 	table := make([][]PageAddress, pages)
 	used := make(map[PageAddress]struct{}, pages)
+	holder := make(map[int]int) // device → 1 + the last page with a copy on it
 	for l := range table {
 		n := d.Uvarint()
-		if n == 0 || n > uint64(d.Remaining())/2 {
-			return fmt.Errorf("core: array descriptor: page %d has a chain of %d (%d bytes left)", l, n, d.Remaining())
+		if n == 0 || n > uint64(k) || n > uint64(d.Remaining())/2 {
+			return fmt.Errorf("core: array descriptor: page %d has a chain of %d with k=%d (%d bytes left)", l, n, k, d.Remaining())
 		}
 		table[l] = make([]PageAddress, n)
 		for r := range table[l] {
@@ -125,30 +112,17 @@ func (m *arrayMeta) decode(d *wire.Decoder) error {
 			if d.Err() != nil {
 				return d.Err()
 			}
-			if _, twice := used[addr]; twice || addr.Device < 0 || addr.Device >= m.devices || addr.Index < 0 || addr.Index >= ppd {
-				return fmt.Errorf("core: array descriptor: page %d replica %d at %+v (twice: %v) with %d devices of %d pages", l, r, addr, twice, m.devices, ppd)
+			_, twice := used[addr]
+			twice = twice || holder[addr.Device] == l+1
+			if twice || addr.Device < 0 || addr.Device >= devices || addr.Index < 0 || addr.Index >= ppd {
+				return fmt.Errorf("core: array descriptor: page %d replica %d at %+v (twice: %v) with %d devices of %d pages", l, r, addr, twice, devices, ppd)
 			}
-			used[addr] = struct{}{}
+			used[addr], holder[addr.Device] = struct{}{}, l+1
 			table[l][r] = addr
 		}
 	}
-	m.table = newRemintedMap(g, k, ppd, m.layout, table, nil)
+	m.pm = newPageMap(g, k, ppd, layout, table, nil)
 	return nil
-}
-
-// grid is the page grid of the described array.
-func (m *arrayMeta) grid() grid {
-	return grid{m.n[0] / m.p[0], m.n[1] / m.p[1], m.n[2] / m.p[2], m.devices}
-}
-
-// pageMap is the described layout: the stored table, or the one NewPageMap
-// builds from the name.
-func (m *arrayMeta) pageMap() (PageMap, error) {
-	if m.table != nil {
-		return m.table, nil
-	}
-	g := m.grid()
-	return NewPageMap(m.layout, g.p1, g.p2, g.p3, g.devices)
 }
 
 // SaveState implements persist.Persistable.
@@ -218,11 +192,7 @@ func fetchMeta(ctx context.Context, client *rmi.Client, metaRef rmi.Ref) (*array
 // from the descriptor, each device's ref from refOf, an Array client
 // validated against both.
 func assemble(ctx context.Context, client *rmi.Client, meta *arrayMeta, refOf func(i int) (rmi.Ref, error)) (*Array, error) {
-	pm, err := meta.pageMap()
-	if err != nil {
-		return nil, err
-	}
-	devices := make([]*pagedev.ArrayDevice, meta.devices)
+	devices := make([]*pagedev.ArrayDevice, meta.pm.devices)
 	for i := range devices {
 		ref, err := refOf(i)
 		if err != nil {
@@ -230,7 +200,7 @@ func assemble(ctx context.Context, client *rmi.Client, meta *arrayMeta, refOf fu
 		}
 		devices[i] = pagedev.AttachArrayDevice(client, ref, meta.p[0], meta.p[1], meta.p[2])
 	}
-	return NewArray(ctx, NewBlockStorage(devices), pm, meta.n[0], meta.n[1], meta.n[2], meta.p[0], meta.p[1], meta.p[2])
+	return NewArray(ctx, NewBlockStorage(devices), meta.pm, meta.n[0], meta.n[1], meta.n[2], meta.p[0], meta.p[1], meta.p[2])
 }
 
 // PublishArray registers arr as a persistent collection under base: a

@@ -190,7 +190,7 @@ func TestPublishAfterFailoverReopens(t *testing.T) {
 	if name := reopened.Map().Name(); name != "striped+r2+failover" {
 		t.Errorf("reopened map is %q", name)
 	}
-	if k := reopened.Map().(core.ReplicaMap).Replicas(); k != 2 {
+	if k := reopened.Map().Replicas(); k != 2 {
 		t.Errorf("reopened map has k = %d", k)
 	}
 	// Reads rotate over a page's chain: several passes visit every replica.

@@ -161,7 +161,6 @@ func newEngineRig(t *testing.T, mode engineMode, machines int, aOn, bOn []int, k
 	t.Cleanup(func() { cl.Shutdown() })
 	grid := engN / engn
 	mk := func(layout, name string, on []int, k, spare int) *core.Array {
-		var pm core.PageMap
 		pm, err := core.NewPageMap(layout, grid, grid, grid, len(on))
 		if err == nil && k > 1 {
 			pm, err = core.NewReplicatedMap(pm, k)
@@ -232,7 +231,7 @@ func (r *engineRig) run(sh chainShape) ([]core.StageResult, int64, error) {
 func (r *engineRig) copiesOn(dev int) (n int64) {
 	grid := engN / engn
 	for p := 0; p < grid*grid*grid; p++ {
-		for _, addr := range r.a.Map().(core.ReplicaMap).LocateAll(p/(grid*grid), p/grid%grid, p%grid) {
+		for _, addr := range r.a.Map().LocateAll(p/(grid*grid), p/grid%grid, p%grid) {
 			if addr.Device == dev {
 				n++
 			}

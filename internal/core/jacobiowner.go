@@ -71,7 +71,7 @@ func planSweep(ctx context.Context, a *Array, syncHalo bool) (*planeSweep, error
 	}
 	P1, P2, P3 := a.g[0], a.g[1], a.g[2]
 	pm := a.Map()
-	if replicaCount(pm) > 1 {
+	if pm.Replicas() > 1 {
 		// The plane-sweep engine writes bank pages directly on the
 		// devices, bypassing the replica write fan-out — it would leave
 		// replicas stale. Run it on an unreplicated array (or after

@@ -10,7 +10,7 @@ package core
 //	                   are refused typed (rmi.ErrFenced); reads flow
 //	copy src → dst   → the fenced pages are an immutable snapshot, so
 //	                   the device-to-device copy needs no quiescing
-//	flip the map     → a re-minted table map (remint in replica.go, name
+//	flip the map     → a re-minted map (remint in replica.go, name
 //	                   marker "+resharded") atomically replaces the
 //	                   layout; new operations address the destinations
 //	adopt / retire   → destination accounting (adoptPages), then the
@@ -64,21 +64,6 @@ type MigrateReport struct {
 	Skipped int   // planned moves with no movable copy (replica-placement constraints)
 }
 
-// pageTable snapshots pm's full replica-chain table, one mutable chain
-// per linear page.
-func (a *Array) pageTable(pm PageMap) [][]PageAddress {
-	table := make([][]PageAddress, a.g[0]*a.g[1]*a.g[2])
-	for p1 := 0; p1 < a.g[0]; p1++ {
-		for p2 := 0; p2 < a.g[1]; p2++ {
-			for p3 := 0; p3 < a.g[2]; p3++ {
-				l := (p1*a.g[1]+p2)*a.g[2] + p3
-				table[l] = append([]PageAddress(nil), replicasOf(pm, p1, p2, p3)...)
-			}
-		}
-	}
-	return table
-}
-
 // nonEmpty lists, ascending, the devices whose per-device work list has
 // entries.
 func nonEmpty[T any](perDev [][]T) (devs []int) {
@@ -113,7 +98,7 @@ func (a *Array) MigratePages(ctx context.Context, plan []elastic.Move) (*Migrate
 			return rep, fmt.Errorf("core: migrate: bad move %+v over %d devices", mv, D)
 		}
 	}
-	table := a.pageTable(pm)
+	table := pm.table()
 
 	// Occupancy from the table; everything else in [0, NumPages) is
 	// allocatable — including slots retired by earlier migrations (their
@@ -285,7 +270,7 @@ type RebalanceReport struct {
 func (a *Array) deviceLoads(ctx context.Context) ([]elastic.DeviceLoad, error) {
 	D := a.storage.Len()
 	pages := make([]int, D)
-	for _, chain := range a.pageTable(a.Map()) {
+	for _, chain := range a.Map().chains {
 		for _, addr := range chain {
 			if addr.Device >= 0 && addr.Device < D {
 				pages[addr.Device]++
@@ -388,7 +373,7 @@ func (a *Array) DrainMachine(ctx context.Context, m int) (*MigrateReport, error)
 	// Placement constraints (a chain spanning every device) can leave
 	// copies behind even when capacity was fine: a drain must be
 	// complete or report failure.
-	for _, chain := range a.pageTable(a.Map()) {
+	for _, chain := range a.Map().chains {
 		for _, addr := range chain {
 			if onM[addr.Device] {
 				return total, fmt.Errorf("core: drain machine %d: page copy %v could not be moved (chain spans every surviving device?)", m, addr)
@@ -434,10 +419,8 @@ func (a *Array) waitMapFlip(ctx context.Context, old PageMap) (PageMap, error) {
 // (their batch was refused because a *neighbor* in it was fenced — the
 // copy stayed put and still needs the work).
 func relocatedAddr(pm PageMap, addr PageAddress) PageAddress {
-	if rm, ok := pm.(*remintedMap); ok && rm.moved != nil {
-		if dst, ok := rm.moved[addr]; ok {
-			return dst
-		}
+	if dst, ok := pm.moved[addr]; ok {
+		return dst
 	}
 	return addr
 }

@@ -12,10 +12,12 @@ import (
 	"oopp/internal/elastic"
 	"oopp/internal/metrics"
 	"oopp/internal/pagedev"
+	"oopp/internal/persist"
 	"oopp/internal/rmi"
 )
 
-// devicePages counts page copies per device in the array's current map.
+// devicePages counts page copies per device in the array's current map,
+// failing on an address outside its devices × PagesPerDevice.
 func devicePages(t *testing.T, arr *core.Array) map[int]int {
 	t.Helper()
 	pm := arr.Map()
@@ -24,12 +26,12 @@ func devicePages(t *testing.T, arr *core.Array) map[int]int {
 	for p1 := 0; p1 < P1; p1++ {
 		for p2 := 0; p2 < P2; p2++ {
 			for p3 := 0; p3 < P3; p3++ {
-				if rm, ok := pm.(core.ReplicaMap); ok {
-					for _, addr := range rm.LocateAll(p1, p2, p3) {
-						pages[addr.Device]++
+				for _, addr := range pm.LocateAll(p1, p2, p3) {
+					if addr.Device < 0 || addr.Device >= pm.Devices() || addr.Index < 0 || addr.Index >= pm.PagesPerDevice() {
+						t.Fatalf("%s: page (%d,%d,%d) at %+v outside %d devices of %d pages",
+							pm.Name(), p1, p2, p3, addr, pm.Devices(), pm.PagesPerDevice())
 					}
-				} else {
-					pages[pm.Locate(p1, p2, p3).Device]++
+					pages[addr.Device]++
 				}
 			}
 		}
@@ -273,11 +275,30 @@ func TestJoinDeviceAndRebalance(t *testing.T) {
 	if rep.Skipped != 0 || rep.Moved == 0 {
 		t.Fatalf("rebalance moved %d skipped %d", rep.Moved, rep.Skipped)
 	}
+	if d := arr.Map().Devices(); d != storage.Len() {
+		t.Fatalf("map after join rebalance spans %d devices, storage has %d", d, storage.Len())
+	}
 	pages := devicePages(t, arr)
 	if pages[2] < 2 {
 		t.Fatalf("newcomer holds %d pages after rebalance (%v)", pages[2], pages)
 	}
 	checkPattern(t, arr, want, "after join rebalance")
+
+	// The descriptor stores the grown map: a checkpoint taken now
+	// recovers, newcomer's pages included.
+	store, err := persist.NewStore(bg, cl.Client(), 0)
+	if err != nil {
+		t.Fatalf("store: %v", err)
+	}
+	if err := core.CheckpointArray(bg, arr, store, "ck/joined"); err != nil {
+		t.Fatalf("checkpoint after join: %v", err)
+	}
+	rec, err := core.RecoverArray(bg, cl.Client(), store, "ck/joined")
+	if err != nil {
+		t.Fatalf("recover after join: %v", err)
+	}
+	checkPattern(t, rec, want, "recovered after join rebalance")
+	rec.Storage().Close(bg)
 
 	// Leave: drain the newcomer empty, then rejoin its slot with a
 	// fresh process (the restart story) and flow pages back.

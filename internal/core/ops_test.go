@@ -25,7 +25,7 @@ func buildPair(t testing.TB, devices, N, n int) (*core.Array, *core.Array, func(
 		t.Fatal(err)
 	}
 	// Different layout for b on purpose: Dot/Axpy must work across maps.
-	pmB, err := core.NewBlockedMap(grid, grid, grid, devices)
+	pmB, err := core.NewPageMap("blocked", grid, grid, grid, devices)
 	if err != nil {
 		cl.Shutdown()
 		t.Fatal(err)

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // PageAddress is the physical location of a logical array page: which
 // storage device process holds it, and at which page index — the paper's
@@ -16,19 +19,79 @@ type PageAddress struct {
 // describes the array data layout and is crucial in determining the I/O
 // patterns of the computation" (§5): experiment E7 measures exactly this.
 //
-// A PageMap is constructed for a fixed page grid (P1×P2×P3 pages) and
-// device count; Locate must be a total injective function into
-// [0,Devices) × [0,PagesPerDevice).
-type PageMap interface {
-	// Locate returns the physical address of logical page (p1,p2,p3).
-	Locate(p1, p2, p3 int) PageAddress
-	// Devices returns the number of devices the map spreads over.
-	Devices() int
-	// PagesPerDevice returns the per-device capacity the map requires.
-	PagesPerDevice() int
-	// Name identifies the layout in experiment tables.
-	Name() string
+// Every map is one immutable table over a fixed P1×P2×P3 page grid and
+// device count: for each page, the chain of addresses that keep its
+// copies, primary first — one address for a plain layout, k for a
+// replicated one (replica.go), fewer after a Failover dropped dead
+// devices. Beside the chains it keeps the nominal replication factor k,
+// the per-device capacity requirement, the name, and — for a map a
+// migration minted — the moved index the park-and-replay path reads.
+// A layout is a rule for filling the table (layouts, tabulate); Failover,
+// MigratePages and a stored descriptor hand a table to the same
+// constructor (newPageMap). The chains are shared inside the package;
+// LocateAll hands out a copy.
+type PageMap = *pageTable
+
+type pageTable struct {
+	grid
+	k    int // nominal replication factor
+	ppd  int // capacity requirement: at least one past the highest slot in the table
+	name string
+	// chains[l] is the live chain of linear page l. A page whose whole
+	// chain died keeps its pre-failover chain so operations against it
+	// fail typed (ErrMachineDown) instead of panicking.
+	chains [][]PageAddress
+	// moved maps each migrated copy's pre-flip address to its new home
+	// (migration mints only; nil otherwise). The park-and-replay path
+	// uses it to re-aim work a fence refused — see relocatedAddr in
+	// migrate.go.
+	moved map[PageAddress]PageAddress
 }
+
+// newPageMap is the one constructor of a page map. The capacity
+// requirement grows from the floor ppd to cover every slot the table
+// addresses. A layout passes 0; a mutation passes the pre-mutation map's,
+// so a later Failover still takes its spare slots from above it.
+func newPageMap(g grid, k, ppd int, name string, chains [][]PageAddress, moved map[PageAddress]PageAddress) PageMap {
+	for _, chain := range chains {
+		for _, addr := range chain {
+			ppd = max(ppd, addr.Index+1)
+		}
+	}
+	return &pageTable{grid: g, k: k, ppd: ppd, name: name, chains: chains, moved: moved}
+}
+
+// Locate returns the primary address of logical page (p1,p2,p3).
+func (m *pageTable) Locate(p1, p2, p3 int) PageAddress { return m.chains[m.linear(p1, p2, p3)][0] }
+
+// LocateAll returns a copy of the page's chain of copies, primary first.
+func (m *pageTable) LocateAll(p1, p2, p3 int) []PageAddress { return slices.Clone(m.chain(p1, p2, p3)) }
+
+// chain returns the page's shared chain, which no caller may write into.
+func (m *pageTable) chain(p1, p2, p3 int) []PageAddress { return m.chains[m.linear(p1, p2, p3)] }
+
+// table copies the chains, one mutable chain per linear page: what a
+// mutation edits before remint.
+func (m *pageTable) table() [][]PageAddress {
+	t := make([][]PageAddress, len(m.chains))
+	for l, chain := range m.chains {
+		t[l] = slices.Clone(chain)
+	}
+	return t
+}
+
+// Devices returns the number of devices the map spreads over.
+func (m *pageTable) Devices() int { return m.devices }
+
+// PagesPerDevice returns the per-device capacity the map requires.
+func (m *pageTable) PagesPerDevice() int { return m.ppd }
+
+// Replicas returns the nominal replication factor k (chains may be
+// shorter after a Failover).
+func (m *pageTable) Replicas() int { return m.k }
+
+// Name identifies the layout in experiment tables.
+func (m *pageTable) Name() string { return m.name }
 
 // grid carries the shared page-grid geometry.
 type grid struct {
@@ -52,128 +115,83 @@ func (g grid) check() error {
 	return nil
 }
 
-// roundRobinMap deals consecutive pages to devices cyclically: page l
-// goes to device l mod D. Consecutive pages land on distinct devices, so
-// bulk operations engage every disk — the maximally parallel layout.
-type roundRobinMap struct{ grid }
-
-// NewRoundRobinMap builds the cyclic layout over a P1×P2×P3 page grid and
-// devices devices.
-func NewRoundRobinMap(p1, p2, p3, devices int) (PageMap, error) {
-	g := grid{p1, p2, p3, devices}
-	if err := g.check(); err != nil {
-		return nil, err
-	}
-	return &roundRobinMap{g}, nil
+// layout is a named placement rule.
+type layout struct {
+	name string
+	rule func(g grid) func(l int) PageAddress
 }
 
-func (m *roundRobinMap) Locate(p1, p2, p3 int) PageAddress {
-	l := m.linear(p1, p2, p3)
-	return PageAddress{Device: l % m.devices, Index: l / m.devices}
-}
-
-func (m *roundRobinMap) Devices() int { return m.devices }
-
-func (m *roundRobinMap) PagesPerDevice() int {
-	return (m.total() + m.devices - 1) / m.devices
-}
-
-func (m *roundRobinMap) Name() string { return "roundrobin" }
-
-// blockedMap stores contiguous runs of pages on each device: device 0
-// holds the first total/D pages, and so on. Contiguous domains then hit
-// one device at a time — the maximally *serial* layout, the adversarial
-// baseline in experiment E7.
-type blockedMap struct {
-	grid
-	chunk int
-}
-
-// NewBlockedMap builds the contiguous-chunk layout.
-func NewBlockedMap(p1, p2, p3, devices int) (PageMap, error) {
-	g := grid{p1, p2, p3, devices}
-	if err := g.check(); err != nil {
-		return nil, err
-	}
-	chunk := (g.total() + devices - 1) / devices
-	return &blockedMap{grid: g, chunk: chunk}, nil
-}
-
-func (m *blockedMap) Locate(p1, p2, p3 int) PageAddress {
-	l := m.linear(p1, p2, p3)
-	return PageAddress{Device: l / m.chunk, Index: l % m.chunk}
-}
-
-func (m *blockedMap) Devices() int { return m.devices }
-
-func (m *blockedMap) PagesPerDevice() int { return m.chunk }
-
-func (m *blockedMap) Name() string { return "blocked" }
-
-// stripedMap assigns pages by their first-axis coordinate: plane p1 goes
-// to device p1 mod D. Slab-shaped access along axis 1 parallelizes
-// perfectly; a single plane concentrates on one device. This is the
-// layout a 3D-FFT slab decomposition wants.
-type stripedMap struct{ grid }
-
-// NewStripedMap builds the plane-striped layout.
-func NewStripedMap(p1, p2, p3, devices int) (PageMap, error) {
-	g := grid{p1, p2, p3, devices}
-	if err := g.check(); err != nil {
-		return nil, err
-	}
-	return &stripedMap{g}, nil
-}
-
-func (m *stripedMap) Locate(p1, p2, p3 int) PageAddress {
-	return PageAddress{
-		Device: p1 % m.devices,
-		Index:  (p1/m.devices)*m.p2*m.p3 + p2*m.p3 + p3,
-	}
-}
-
-func (m *stripedMap) Devices() int { return m.devices }
-
-func (m *stripedMap) PagesPerDevice() int {
-	planes := (m.p1 + m.devices - 1) / m.devices
-	return planes * m.p2 * m.p3
-}
-
-func (m *stripedMap) Name() string { return "striped" }
-
-// hashMap scatters pages pseudo-randomly (splitmix-style avalanche on the
-// linear index), precomputing a dense per-device index assignment. It
-// decorrelates any access pattern from device placement at the cost of an
-// O(total) table.
-type hashMap struct {
-	grid
-	addr   []PageAddress
-	perDev int
-}
-
-// NewHashMap builds the pseudo-random layout.
-func NewHashMap(p1, p2, p3, devices int) (PageMap, error) {
-	g := grid{p1, p2, p3, devices}
-	if err := g.check(); err != nil {
-		return nil, err
-	}
-	total := g.total()
-	m := &hashMap{grid: g, addr: make([]PageAddress, total)}
-	counts := make([]int, devices)
-	for l := 0; l < total; l++ {
-		d := int(mix64(uint64(l)) % uint64(devices))
-		m.addr[l] = PageAddress{Device: d, Index: counts[d]}
-		counts[d]++
-	}
-	for _, c := range counts {
-		if c > m.perDev {
-			m.perDev = c
+// layouts lists every named layout with its placement rule: given the
+// grid, the address of linear page l, asked once per page in order.
+var layouts = []layout{
+	// roundrobin, the cyclic layout: page l goes to device l mod D.
+	// Consecutive pages land on distinct devices, so bulk operations
+	// engage every disk — the maximally parallel layout.
+	{"roundrobin", func(g grid) func(int) PageAddress {
+		return func(l int) PageAddress { return PageAddress{Device: l % g.devices, Index: l / g.devices} }
+	}},
+	// blocked, the contiguous-chunk layout: device 0 holds the first
+	// total/D pages, and so on. Contiguous domains then hit one device at
+	// a time — the maximally *serial* layout, the adversarial baseline in
+	// experiment E7.
+	{"blocked", func(g grid) func(int) PageAddress {
+		chunk := (g.total() + g.devices - 1) / g.devices
+		return func(l int) PageAddress { return PageAddress{Device: l / chunk, Index: l % chunk} }
+	}},
+	// striped, the plane-striped layout: plane p1 goes to device p1 mod D.
+	// Slab-shaped access along axis 1 parallelizes perfectly; a single
+	// plane concentrates on one device. This is the layout a 3D-FFT slab
+	// decomposition wants.
+	{"striped", func(g grid) func(int) PageAddress {
+		plane := g.p2 * g.p3
+		return func(l int) PageAddress {
+			return PageAddress{Device: l / plane % g.devices, Index: l/plane/g.devices*plane + l%plane}
 		}
+	}},
+	// hash, the pseudo-random layout: pages scatter by a splitmix-style
+	// avalanche of the linear index, each device's slots dealt densely in
+	// page order. It decorrelates any access pattern from device
+	// placement.
+	{"hash", func(g grid) func(int) PageAddress {
+		dealt := make([]int, g.devices)
+		return func(l int) PageAddress {
+			d := int(mix64(uint64(l)) % uint64(g.devices))
+			dealt[d]++
+			return PageAddress{Device: d, Index: dealt[d] - 1}
+		}
+	}},
+}
+
+// tabulate builds the named layout over g: every page's one-address
+// chain, cut from one backing slice — one allocation for the table, not
+// one per page.
+func tabulate(name string, g grid) (PageMap, error) {
+	i := slices.IndexFunc(layouts, func(l layout) bool { return l.name == name })
+	if i < 0 {
+		return nil, fmt.Errorf("core: unknown page map %q", name)
 	}
-	if m.perDev == 0 {
-		m.perDev = 1
+	if err := g.check(); err != nil {
+		return nil, err
 	}
-	return m, nil
+	addrs, chains := make([]PageAddress, g.total()), make([][]PageAddress, g.total())
+	at := layouts[i].rule(g)
+	for l := range chains {
+		addrs[l] = at(l)
+		chains[l] = addrs[l : l+1 : l+1]
+	}
+	return newPageMap(g, 1, 0, name, chains, nil), nil
+}
+
+// NewRoundRobinMap builds the "roundrobin" layout over a P1×P2×P3 page
+// grid and devices devices.
+func NewRoundRobinMap(p1, p2, p3, devices int) (PageMap, error) {
+	return tabulate("roundrobin", grid{p1, p2, p3, devices})
+}
+
+// NewStripedMap builds the "striped" layout over a P1×P2×P3 page grid
+// and devices devices.
+func NewStripedMap(p1, p2, p3, devices int) (PageMap, error) {
+	return tabulate("striped", grid{p1, p2, p3, devices})
 }
 
 // mix64 is the splitmix64 finalizer: a deterministic avalanche function
@@ -185,44 +203,18 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-func (m *hashMap) Locate(p1, p2, p3 int) PageAddress {
-	return m.addr[m.linear(p1, p2, p3)]
-}
-
-func (m *hashMap) Devices() int { return m.devices }
-
-func (m *hashMap) PagesPerDevice() int { return m.perDev }
-
-func (m *hashMap) Name() string { return "hash" }
-
 // NewPageMap builds a layout by name: "roundrobin", "blocked", "striped"
 // or "hash", optionally suffixed "+r<k>" for k-way replication (e.g.
-// "striped+r2" — the grammar ReplicatedMap.Name renders, so published
-// replicated arrays reopen with their replication factor intact). Used
-// by the experiment harness, checkpoint reopen, and cmd flags.
+// "striped+r2" — the grammar NewReplicatedMap names its map by). Used by
+// the experiment harness and cmd flags.
 //
 // A map re-minted at runtime (Array.Failover, MigratePages) renders
-// "+failover" / "+resharded" markers in its Name, but it is a per-page
-// table and no name builds it: such names are unknown here, and a
-// descriptor carries the table itself (arrayMeta).
+// "+failover" / "+resharded" markers in its Name, but no name builds its
+// table: such names are unknown here, and a descriptor carries the table
+// itself (arrayMeta).
 func NewPageMap(name string, p1, p2, p3, devices int) (PageMap, error) {
 	base, k, replicated := parseReplicaSuffix(name)
-	var (
-		pm  PageMap
-		err error
-	)
-	switch base {
-	case "roundrobin":
-		pm, err = NewRoundRobinMap(p1, p2, p3, devices)
-	case "blocked":
-		pm, err = NewBlockedMap(p1, p2, p3, devices)
-	case "striped":
-		pm, err = NewStripedMap(p1, p2, p3, devices)
-	case "hash":
-		pm, err = NewHashMap(p1, p2, p3, devices)
-	default:
-		return nil, fmt.Errorf("core: unknown page map %q", name)
-	}
+	pm, err := tabulate(base, grid{p1, p2, p3, devices})
 	if err == nil && replicated {
 		pm, err = NewReplicatedMap(pm, k)
 	}
@@ -231,5 +223,9 @@ func NewPageMap(name string, p1, p2, p3, devices int) (PageMap, error) {
 
 // PageMapNames lists the available layouts.
 func PageMapNames() []string {
-	return []string{"roundrobin", "blocked", "striped", "hash"}
+	names := make([]string, len(layouts))
+	for i, l := range layouts {
+		names[i] = l.name
+	}
+	return names
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -97,8 +99,22 @@ func TestRoundRobinSpreadsConsecutivePages(t *testing.T) {
 	}
 }
 
+// TestLocateAllIsACopy: a caller that writes into the chain LocateAll
+// returned leaves the map as it was.
+func TestLocateAllIsACopy(t *testing.T) {
+	m, err := NewPageMap("roundrobin+r2", 2, 1, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := m.LocateAll(1, 0, 0)
+	m.LocateAll(1, 0, 0)[1] = PageAddress{Device: -1, Index: -1}
+	if got := m.LocateAll(1, 0, 0); !slices.Equal(got, want) {
+		t.Fatalf("chain after a write into a LocateAll result: %v, want %v", got, want)
+	}
+}
+
 func TestBlockedConcentratesRuns(t *testing.T) {
-	m, err := NewBlockedMap(8, 1, 1, 2)
+	m, err := NewPageMap("blocked", 8, 1, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +147,8 @@ func TestStripedAssignsByPlane(t *testing.T) {
 }
 
 func TestHashIsDeterministic(t *testing.T) {
-	m1, _ := NewHashMap(4, 4, 4, 5)
-	m2, _ := NewHashMap(4, 4, 4, 5)
+	m1, _ := NewPageMap("hash", 4, 4, 4, 5)
+	m2, _ := NewPageMap("hash", 4, 4, 4, 5)
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
 			for k := 0; k < 4; k++ {
@@ -141,6 +157,39 @@ func TestHashIsDeterministic(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestLayoutsDoNotMove hashes every table NewPageMap builds — each layout
+// plain, "+r2" and "+r3", over grids of every shape the tests above use —
+// and holds the digest to the one the layouts had as formula maps.
+func TestLayoutsDoNotMove(t *testing.T) {
+	const want = "a4d34c1521c96a254fa67651b3559ce94b70c69765e13617cd977304240a18f9"
+	h := sha256.New()
+	built := 0
+	for _, grid := range [][4]int{{1, 1, 1, 1}, {4, 4, 4, 8}, {8, 2, 2, 3}, {5, 3, 7, 4}, {16, 1, 1, 4}, {2, 2, 2, 16}, {3, 5, 7, 4}} {
+		for _, layout := range PageMapNames() {
+			for _, suffix := range []string{"", "+r2", "+r3"} {
+				m, err := NewPageMap(layout+suffix, grid[0], grid[1], grid[2], grid[3])
+				if err != nil {
+					fmt.Fprintf(h, "%v %s%s: error\n", grid, layout, suffix)
+					continue
+				}
+				built++
+				fmt.Fprintf(h, "%v %s %d %d:", grid, m.Name(), m.Devices(), m.PagesPerDevice())
+				for p1 := 0; p1 < grid[0]; p1++ {
+					for p2 := 0; p2 < grid[1]; p2++ {
+						for p3 := 0; p3 < grid[2]; p3++ {
+							fmt.Fprintf(h, " %v", m.LocateAll(p1, p2, p3))
+						}
+					}
+				}
+				fmt.Fprintln(h)
+			}
+		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); built != 76 || got != want {
+		t.Fatalf("%d maps with digest %s, want 76 with %s", built, got, want)
 	}
 }
 
@@ -268,8 +317,8 @@ func TestPageMapNamesComplete(t *testing.T) {
 	}
 }
 
-// FuzzPageMapName gives NewPageMap arbitrary names, as a checkpoint
-// header or a command-line flag can: it returns an error, or a map whose
+// FuzzPageMapName gives NewPageMap arbitrary names, as a command-line
+// flag can: it returns an error, or a map whose
 // Name() builds the same map again — same Name(), same PagesPerDevice().
 func FuzzPageMapName(f *testing.F) {
 	for _, layout := range PageMapNames() {

@@ -130,7 +130,7 @@ func (a *Array) plan(c kernel.Chain, operands []*Array, regs []region, exclude m
 		box := subBoxFor(r)
 		ops = ops[:0]
 		for _, b := range operands {
-			bChain := replicasOf(b.Map(), r.box.Lo[0]/a.p[0], r.box.Lo[1]/a.p[1], r.box.Lo[2]/a.p[2])
+			bChain := b.Map().chain(r.box.Lo[0]/a.p[0], r.box.Lo[1]/a.p[1], r.box.Lo[2]/a.p[2])
 			bAddr, _ := b.pickLive(bChain, nil)
 			ops = append(ops, operand{b.storage.Device(bAddr.Device).Ref(), bAddr.Index})
 		}
@@ -283,7 +283,7 @@ func (a *Array) runChain(ctx context.Context, dom Domain, c kernel.Chain, operan
 		return results(c, totals), nil
 	}
 
-	replicas := replicaCount(pm)
+	replicas := pm.Replicas()
 	exclude := make(map[int]bool)
 	for attempt := 0; ; attempt++ {
 		p, err := a.plan(c, operands, regs, exclude)

@@ -4,12 +4,13 @@ package core
 // item 2, the data-intensive reading of the paper's persistent-process
 // §5: a page is no longer "as durable as the one device that owns it".
 //
-// A ReplicatedMap wraps any base PageMap and places replica r of the
-// page at base address (d, i) on device (d+r) mod D, at page index
-// r·basePPD + i — each device's page space is split into k banks, bank
-// r holding its rotation-r replicas. The layout stays injective, every
-// device carries the same page count (balanced capacity overhead of
-// exactly k×), and replica sets never share a device when k ≤ D.
+// Replication is a page table of k-address chains: NewReplicatedMap
+// gives the page whose primary base address is (d, i) the chain whose
+// replica r lives on device (d+r) mod D, at page index r·basePPD + i —
+// each device's page space is split into k banks, bank r holding its
+// rotation-r replicas. The table stays injective, every device carries
+// the same page count (balanced capacity overhead of exactly k×), and a
+// chain never names a device twice when k ≤ D.
 //
 // Write semantics ("primary-ack"): mutating operations fan out to the
 // whole replica set through the split loop every transfer uses
@@ -29,12 +30,12 @@ package core
 // the same page spread across its whole replica set.
 //
 // Failover (Array.Failover) re-mints the page map after the heartbeat
-// declares machines down: starting from the chain table MigratePages
-// also edits (pageTable), dead devices are dropped from every chain
+// declares machines down: in a copy of the map's chains, as MigratePages
+// edits them, dead devices are dropped from every chain
 // (the first survivor is promoted to acting primary), lost replicas
 // are re-seeded onto spare page slots of surviving devices by copyPages
 // (halo.go) — no element data passes through the client —
-// and remint, the one constructor of a table map, builds the result.
+// and remint hands the edited chains to the map constructor.
 // Pages whose whole chain died are reported as Lost; for the k=1 case,
 // recover.go's checkpoint/cold-recovery path restores them from a
 // persist store on a surviving machine.
@@ -51,74 +52,33 @@ import (
 	"oopp/internal/trace"
 )
 
-// ReplicaMap is a PageMap that places each page on a *set* of devices.
-// Locate returns the primary; LocateAll returns the full replica chain,
-// primary first. Replicas reports the nominal replication factor k
-// (chains may be shorter after failover).
-type ReplicaMap interface {
-	PageMap
-	Replicas() int
-	LocateAll(p1, p2, p3 int) []PageAddress
-}
-
-// ReplicatedMap wraps a base layout with k-way replication: replica r
-// of the page at base address (d, i) lives on device (d+r) mod D at
-// page index r·basePPD + i (bank r of the device). PagesPerDevice is
-// k times the base map's.
-type ReplicatedMap struct {
-	base PageMap
-	k    int
-}
-
-// NewReplicatedMap builds the k-way replicated layout over base.
-// k must be in [1, base.Devices()]: more replicas than devices would
-// put two copies of a page on one device, which survives nothing.
-func NewReplicatedMap(base PageMap, k int) (*ReplicatedMap, error) {
+// NewReplicatedMap builds the k-way replicated table over base: replica
+// r of the page whose primary base address is (d, i) lives on device
+// (d+r) mod D at page index r·basePPD + i (bank r of the device), so
+// PagesPerDevice is k times the base map's. k must be in [1,
+// base.Devices()]: more replicas than devices would put two copies of a
+// page on one device, which survives nothing. The name is "<base>+r<k>"
+// (the base's for k=1), which NewPageMap parses back.
+func NewReplicatedMap(base PageMap, k int) (PageMap, error) {
 	if base == nil {
 		return nil, fmt.Errorf("core: replicated map needs a base layout")
 	}
-	if k < 1 || k > base.Devices() {
-		return nil, fmt.Errorf("core: replication factor %d outside [1,%d devices]", k, base.Devices())
+	if k < 1 || k > base.devices {
+		return nil, fmt.Errorf("core: replication factor %d outside [1,%d devices]", k, base.devices)
 	}
-	return &ReplicatedMap{base: base, k: k}, nil
-}
-
-// Base returns the wrapped layout.
-func (m *ReplicatedMap) Base() PageMap { return m.base }
-
-// Replicas returns the replication factor k.
-func (m *ReplicatedMap) Replicas() int { return m.k }
-
-// Locate returns the primary (bank-0) address — the base layout's.
-func (m *ReplicatedMap) Locate(p1, p2, p3 int) PageAddress {
-	return m.base.Locate(p1, p2, p3)
-}
-
-// LocateAll returns the replica chain, primary first.
-func (m *ReplicatedMap) LocateAll(p1, p2, p3 int) []PageAddress {
-	a0 := m.base.Locate(p1, p2, p3)
-	d := m.base.Devices()
-	ppd := m.base.PagesPerDevice()
-	out := make([]PageAddress, m.k)
-	for r := 0; r < m.k; r++ {
-		out[r] = PageAddress{Device: (a0.Device + r) % d, Index: r*ppd + a0.Index}
+	name := base.name
+	if k > 1 {
+		name = fmt.Sprintf("%s+r%d", name, k)
 	}
-	return out
-}
-
-// Devices returns the base device count (replication adds no devices).
-func (m *ReplicatedMap) Devices() int { return m.base.Devices() }
-
-// PagesPerDevice returns k banks of the base capacity.
-func (m *ReplicatedMap) PagesPerDevice() int { return m.k * m.base.PagesPerDevice() }
-
-// Name renders "<base>+r<k>"; NewPageMap parses it back, so published
-// replicated arrays reopen with their replication factor intact.
-func (m *ReplicatedMap) Name() string {
-	if m.k == 1 {
-		return m.base.Name()
+	// One slab backs every chain: one allocation, not one per page.
+	slab, chains := make([]PageAddress, len(base.chains)*k), make([][]PageAddress, len(base.chains))
+	for l, chain := range base.chains {
+		chains[l] = slab[l*k : (l+1)*k : (l+1)*k]
+		for r := range chains[l] {
+			chains[l][r] = PageAddress{Device: (chain[0].Device + r) % base.devices, Index: r*base.ppd + chain[0].Index}
+		}
 	}
-	return fmt.Sprintf("%s+r%d", m.base.Name(), m.k)
+	return newPageMap(base.grid, k, k*base.ppd, name, chains, nil), nil
 }
 
 // parseReplicaSuffix splits "striped+r2" into ("striped", 2, true).
@@ -134,84 +94,22 @@ func parseReplicaSuffix(name string) (base string, k int, ok bool) {
 	return name[:i], n, true
 }
 
-// remintedMap is the explicit layout a mutation leaves behind: a
-// per-page table of replica chains (acting primary first). Failover
-// mints one with dead devices dropped and re-seeded replicas appended,
-// MigratePages one with relocated copies re-addressed; both go through
-// remint, and a stored one comes back through the same constructor —
-// never by name.
-type remintedMap struct {
-	grid
-	k    int // nominal replication factor
-	ppd  int // capacity requirement: the pre-mutation map's, or the highest slot in the table
-	name string
-	// table[l] is the live chain of linear page l. A page whose whole
-	// chain died keeps its pre-failover chain so operations against it
-	// fail typed (ErrMachineDown) instead of panicking.
-	table [][]PageAddress
-	// moved maps each migrated copy's pre-flip address to its new home
-	// (migration mints only; nil after failover). The park-and-replay
-	// path uses it to re-aim work a fence refused — see relocatedAddr
-	// in migrate.go.
-	moved map[PageAddress]PageAddress
-}
-
-func (m *remintedMap) Locate(p1, p2, p3 int) PageAddress {
-	return m.table[m.linear(p1, p2, p3)][0]
-}
-
-func (m *remintedMap) LocateAll(p1, p2, p3 int) []PageAddress {
-	return m.table[m.linear(p1, p2, p3)]
-}
-
-func (m *remintedMap) Devices() int        { return m.devices }
-func (m *remintedMap) PagesPerDevice() int { return m.ppd }
-func (m *remintedMap) Replicas() int       { return m.k }
-func (m *remintedMap) Name() string        { return m.name }
-
-// remint builds the layout a mutation of pm leaves behind: table (a
-// mutated pageTable snapshot of pm) under pm's name with marker —
+// remint builds the map a mutation of pm leaves behind: table (a mutated
+// copy of pm's chains) over the array's devices — the storage's count,
+// which a join may have grown past pm's — under pm's name with marker —
 // "+failover" or "+resharded" — appended unless the name already ends in
 // it, so repeating a mutation never grows the name. The markers are for
 // people: no name rebuilds a table (NewPageMap rejects them), a
-// descriptor carries it (checkpoint.go).
-func (a *Array) remint(pm PageMap, table [][]PageAddress, moved map[PageAddress]PageAddress, marker string) *remintedMap {
-	name := pm.Name()
+// descriptor carries it (checkpoint.go). pm's capacity requirement is
+// the floor: a later Failover takes its spare slots from above it.
+func (a *Array) remint(pm PageMap, table [][]PageAddress, moved map[PageAddress]PageAddress, marker string) PageMap {
+	name := pm.name
 	if !strings.HasSuffix(name, marker) {
 		name += marker
 	}
-	g := grid{a.g[0], a.g[1], a.g[2], a.storage.Len()}
-	return newRemintedMap(g, replicaCount(pm), pm.PagesPerDevice(), name, table, moved)
-}
-
-// newRemintedMap is the one constructor of a table map, for a mutation
-// (remint) and for a descriptor that stored one (arrayMeta.pageMap). The
-// capacity requirement grows from ppd to cover every slot the table
-// addresses.
-func newRemintedMap(g grid, k, ppd int, name string, table [][]PageAddress, moved map[PageAddress]PageAddress) *remintedMap {
-	for _, chain := range table {
-		for _, addr := range chain {
-			ppd = max(ppd, addr.Index+1)
-		}
-	}
-	return &remintedMap{grid: g, k: k, ppd: ppd, name: name, table: table, moved: moved}
-}
-
-// replicasOf returns pm's replica chain for a page — a single-element
-// chain for plain maps.
-func replicasOf(pm PageMap, p1, p2, p3 int) []PageAddress {
-	if rm, ok := pm.(ReplicaMap); ok {
-		return rm.LocateAll(p1, p2, p3)
-	}
-	return []PageAddress{pm.Locate(p1, p2, p3)}
-}
-
-// replicaCount returns pm's nominal replication factor.
-func replicaCount(pm PageMap) int {
-	if rm, ok := pm.(ReplicaMap); ok {
-		return rm.Replicas()
-	}
-	return 1
+	g := pm.grid
+	g.devices = a.storage.Len()
+	return newPageMap(g, pm.k, pm.ppd, name, table, moved)
 }
 
 // allLeaves reports whether every leaf failure in err (an errors.Join
@@ -429,7 +327,7 @@ func (a *Array) failover(ctx context.Context, deadMachines ...int) (*FailoverRep
 
 	// Drop the dead from every chain of the table; re-seeds pull whole
 	// pages from the acting primary.
-	table := a.pageTable(pm)
+	table := pm.table()
 	var seeds []pageCopy
 	for l, chain := range table {
 		live := make([]PageAddress, 0, len(chain))

@@ -117,10 +117,9 @@ var e16 = Experiment{
 }
 
 // copiesOnDevice counts page copies the array's current map places on
-// device d. The array is replicated (k=1), and so is every map a
-// migration leaves it.
+// device d.
 func copiesOnDevice(arr *core.Array, d int) int {
-	pm := arr.Map().(core.ReplicaMap)
+	pm := arr.Map()
 	P1, P2, P3 := arr.GridDims()
 	count := 0
 	for p := 0; p < P1*P2*P3; p++ {

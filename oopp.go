@@ -65,7 +65,8 @@ type (
 	Domain = core.Domain
 	// PageAddress locates a logical page on a device.
 	PageAddress = core.PageAddress
-	// PageMap maps logical pages to physical addresses (the data layout).
+	// PageMap maps logical pages to physical addresses (the data
+	// layout): an immutable table of each page's chain of copies.
 	PageMap = core.PageMap
 	// BlockStorage is the vector of storage device processes.
 	BlockStorage = core.BlockStorage
@@ -276,7 +277,7 @@ func NewDomain(l1, h1, l2, h2, l3, h3 int) Domain { return core.NewDomain(l1, h1
 func Box(n1, n2, n3 int) Domain { return core.Box(n1, n2, n3) }
 
 // NewPageMap builds a layout by name: "roundrobin", "blocked", "striped",
-// "hash".
+// "hash", optionally suffixed "+r<k>" for k-way replication.
 func NewPageMap(name string, p1, p2, p3, devices int) (PageMap, error) {
 	return core.NewPageMap(name, p1, p2, p3, devices)
 }
@@ -303,22 +304,16 @@ func NewArray(ctx context.Context, storage *BlockStorage, pm PageMap, N1, N2, N3
 // persist-backed cold recovery for unreplicated arrays. See the "Fault
 // tolerance" chapter of the package doc.
 
-type (
-	// ReplicaMap is a PageMap that places every page on k devices.
-	ReplicaMap = core.ReplicaMap
-	// ReplicatedMap is the standard ReplicaMap: a base layout whose
-	// replica r is rotated r devices along.
-	ReplicatedMap = core.ReplicatedMap
-	// FailoverReport summarizes one Array.Failover: promotions,
-	// re-seeds, pages left degraded or lost.
-	FailoverReport = core.FailoverReport
-)
+// FailoverReport summarizes one Array.Failover: promotions, re-seeds,
+// pages left degraded or lost.
+type FailoverReport = core.FailoverReport
 
-// NewReplicatedMap wraps a base layout so every page lives on k distinct
-// devices. Arrays over it fan writes out to all replicas (primary-ack)
-// and serve reads from any live replica; devices need k× the base map's
-// pages-per-device, plus spare slots if Failover is to re-seed.
-func NewReplicatedMap(base PageMap, k int) (*ReplicatedMap, error) {
+// NewReplicatedMap returns the PageMap that places every page of base on
+// k distinct devices: each page's chain holds k addresses. Arrays over
+// it fan writes out to all replicas (primary-ack) and serve reads from
+// any live replica; devices need k× the base map's pages-per-device,
+// plus spare slots if Failover is to re-seed.
+func NewReplicatedMap(base PageMap, k int) (PageMap, error) {
 	return core.NewReplicatedMap(base, k)
 }
 
