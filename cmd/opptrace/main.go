@@ -6,6 +6,9 @@
 //   - a per-method table: calls, outcome split, p50/p99 — the
 //     histograms are merged across machines, so the quantiles describe
 //     the cluster, not one server;
+//   - a per-machine counter table: one row per counter of the machines'
+//     registries (messages and bytes sent, disk operations, sheds, ...),
+//     one column per machine;
 //   - a tree view of one trace: spans from every machine stitched by
 //     parent links, indented by causality — a cross-machine method
 //     chain reads top to bottom like a call stack.
@@ -29,6 +32,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"reflect"
 	"sort"
 	"strconv"
 	"time"
@@ -53,13 +57,6 @@ func main() {
 		log.Print(err)
 		os.Exit(1)
 	}
-}
-
-// mergedMethod is one class.method aggregated across machines.
-type mergedMethod struct {
-	name                      string
-	ok, errs, expired, fenced int64
-	hist                      metrics.Hist
 }
 
 func run(peers, registry string, machines int, traceIDStr string, assertCross bool, timeout time.Duration) error {
@@ -90,6 +87,7 @@ func run(peers, registry string, machines int, traceIDStr string, assertCross bo
 	}
 
 	printMethodTable(snaps)
+	printCounterTable(snaps)
 
 	spans := make([]trace.SpanRecord, 0, 256)
 	for _, s := range snaps {
@@ -128,37 +126,50 @@ func run(peers, registry string, machines int, traceIDStr string, assertCross bo
 }
 
 func printMethodTable(snaps []trace.Snapshot) {
-	merged := make(map[string]*mergedMethod)
-	var shed int64
+	// Each class.method aggregated across machines.
+	merged := make(map[string]*trace.MethodStats)
+	var table []*trace.MethodStats
 	for _, s := range snaps {
-		shed += s.Shed
 		for _, ms := range s.Methods {
-			mm := merged[ms.Name]
-			if mm == nil {
-				mm = &mergedMethod{name: ms.Name}
-				merged[ms.Name] = mm
+			st := merged[ms.Name]
+			if st == nil {
+				st = &trace.MethodStats{Name: ms.Name}
+				merged[ms.Name] = st
+				table = append(table, st)
 			}
-			mm.ok += ms.OK
-			mm.errs += ms.Errs
-			mm.expired += ms.Expired
-			mm.fenced += ms.Fenced
-			mm.hist.Merge(ms.Hist)
+			st.OK.Add(ms.OK)
+			st.Errs.Add(ms.Errs)
+			st.Expired.Add(ms.Expired)
+			st.Fenced.Add(ms.Fenced)
+			st.Hist.Merge(ms.Hist)
 		}
 	}
-	names := make([]string, 0, len(merged))
-	for n := range merged {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	fmt.Printf("%-40s %10s %8s %8s %8s %10s %10s\n",
 		"METHOD", "OK", "ERRS", "EXPIRED", "FENCED", "P50(µs)", "P99(µs)")
-	for _, n := range names {
-		mm := merged[n]
+	for _, ms := range trace.SnapshotMethods(table) {
+		hist := &merged[ms.Name].Hist
 		fmt.Printf("%-40s %10d %8d %8d %8d %10d %10d\n",
-			mm.name, mm.ok, mm.errs, mm.expired, mm.fenced,
-			mm.hist.QuantileUs(0.50), mm.hist.QuantileUs(0.99))
+			ms.Name, ms.OK, ms.Errs, ms.Expired, ms.Fenced,
+			hist.QuantileUs(0.50), hist.QuantileUs(0.99))
 	}
-	fmt.Printf("cluster sheds: %d\n", shed)
+}
+
+// printCounterTable prints every machine's registry, one row per counter
+// and one column per machine. A machine's expired requests are not a
+// counter of their own: the method table's EXPIRED column has them.
+func printCounterTable(snaps []trace.Snapshot) {
+	fmt.Printf("\n%-16s", "COUNTER")
+	for _, s := range snaps {
+		fmt.Printf(" %14s", fmt.Sprintf("m%d", s.Machine))
+	}
+	typ := reflect.TypeOf(metrics.Snapshot{})
+	for i := range typ.NumField() {
+		fmt.Printf("\n%-16s", typ.Field(i).Name)
+		for _, s := range snaps {
+			fmt.Printf(" %14d", reflect.ValueOf(s.Counters).Field(i).Int())
+		}
+	}
+	fmt.Println()
 }
 
 func printTraceSummary(byTrace map[uint64][]trace.SpanRecord) {

@@ -73,8 +73,8 @@
 // .Replicate(k)) place members over machines the way PageMap layouts
 // place pages over devices. Collective operations fan out concurrently
 // with a bounded in-flight window and report errors.Join of all member
-// failures — each a MemberError carrying the member index
-// (FailedMembers extracts them) — never a silent first-error abort.
+// failures — each a MemberError carrying the member index — never a
+// silent first-error abort.
 // Views (Slice, OnMachine) are sub-collections sharing the same remote
 // objects; MapIndexed runs per-member work concurrently with the
 // member's index and owning machine in hand (owner-computes iteration).
@@ -506,12 +506,16 @@
 // a sampled half, priced so that the paper's zero-allocation hot path
 // is untouched when nobody is watching.
 //
-// Always on: every server keeps a per-method registry — a latency
+// Always on: every machine keeps one telemetry registry — a latency
 // histogram plus OK / error / expired-deadline / fenced counters per
-// class.method — updated on every dispatch, allocation-free after the
-// first call of a method. The debug plane (a dedicated introspection
-// op that, like Stat, bypasses admission control) serializes the whole
-// registry as a self-describing JSON snapshot.
+// class.method, updated on every dispatch, allocation-free after the
+// first call of a method, and the machine's counters (rmi.Env.Counters):
+// messages and bytes its server and outbound client send, disk
+// operations, sheds, retries, pages migrated in. No event is counted
+// twice. The debug plane (a dedicated introspection op that, like Stat,
+// bypasses admission control) serializes the whole registry as a
+// self-describing JSON snapshot, so even an in-process cluster says
+// which machine paid.
 //
 // Sampled: requests carry a trace context (trace id, parent span id,
 // sampled bit) in the wire header. WithSampled at any call site mints
@@ -530,7 +534,8 @@
 //
 // cmd/opptrace is the introspection client: it pulls every machine's
 // snapshot, merges the histograms into cluster-wide per-method
-// p50/p99 tables, and stitches one trace's spans from all machines
+// p50/p99 tables, prints the counters one column per machine, and
+// stitches one trace's spans from all machines
 // into a causality tree ("-trace 0x1a2b"); -assert-cross-machine is
 // the CI gate that a child span's parent ran on another machine.
 // cmd/opploadgen drives sampled load ("-sample 0.01") and reports
@@ -558,8 +563,7 @@
 //   - Array, Domain, PageMap, BlockStorage: the distributed 3D array, its
 //     subdomains, and the data layouts — one page table type — that
 //     determine I/O parallelism.
-//   - MapKernel, ReduceKernel, BinaryKernel, BinaryReduceKernel and the
-//     Register*Kernel functions: the owner-computes kernel registry
+//   - MapKernel and RegisterMapKernel: the owner-computes kernel registry
 //     behind the Array's compute surface and its Apply/Reduce escape
 //     hatch.
 //   - PFFT: the group of FFT processes jointly computing a 3D transform.
@@ -569,11 +573,12 @@
 //     CheckpointArray, RecoverArray: k-way page replication with
 //     failover, and persist-backed cold recovery.
 //   - Move, DeviceLoad, MigrateReport, RebalanceConfig, JoinNode,
-//     BalancePlan, DrainPlan: the elastic cluster — live page
+//     DrainPlan: the elastic cluster — live page
 //     migration, the load-aware rebalancer, and machine join/drain.
 //   - WithSampled, Client.Debug, trace.Snapshot: the observability
-//     plane — wire-propagated trace context, per-method telemetry, and
-//     the sampled span ring, pulled and stitched by cmd/opptrace.
+//     plane — wire-propagated trace context, per-machine counters and
+//     per-method telemetry, and the sampled span ring, pulled and
+//     stitched by cmd/opptrace.
 //
 // This package doc is the system inventory; `oppbench -list` indexes the
 // experiment suite, and cmd/oppbench reproduces every experiment table.

@@ -88,7 +88,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	// Outbound clients share the final directory.
 	for _, m := range c.machines {
-		m.attach(cfg.Transport, c.dir)
+		m.client = m.Env().AttachClient(cfg.Transport, c.dir)
 	}
 	return c, nil
 }

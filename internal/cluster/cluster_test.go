@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,6 +13,9 @@ import (
 	"time"
 
 	"oopp/internal/disk"
+	"oopp/internal/metrics"
+	"oopp/internal/serve"
+	"oopp/internal/trace"
 	"oopp/internal/transport"
 )
 
@@ -244,5 +248,56 @@ func TestFailedBringUpLeavesNoDiskOpen(t *testing.T) {
 		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, dir) {
 			t.Errorf("descriptor %s still open on %s", fd.Name(), target)
 		}
+	}
+}
+
+// TestCountersAttributeToMachines: n echo calls from machine 0's client to
+// an object on machine 1 count in the registry of the machine that sent
+// each message — n requests with their bytes on machine 0, whose server
+// answers none, and n replies on machine 1. The debug plane ships machine
+// 1's registry as it stands, and the process sum moves by exactly the
+// two machines' sum.
+func TestCountersAttributeToMachines(t *testing.T) {
+	const n, size = 10, 64
+	c, err := NewLocal(2, 0)
+	if err != nil {
+		t.Fatalf("NewLocal: %v", err)
+	}
+	defer c.Shutdown()
+	client := c.Client()
+	ref, err := client.New(bg, 1, serve.ClassWork, nil)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	counters := func(m int) metrics.Snapshot { return c.Machine(m).Env().Counters().Snapshot() }
+	before0, before1, before := counters(0), counters(1), metrics.Default.Snapshot()
+	for range n {
+		d, err := client.Call(bg, ref, "echo", serve.EchoArgs(make([]byte, size)))
+		if err != nil {
+			t.Fatalf("echo: %v", err)
+		}
+		d.Release()
+	}
+	after1 := counters(1)
+	d0, d1 := counters(0).Sub(before0), after1.Sub(before1)
+	if d0.MessagesSent != n || d0.BytesSent < n*size {
+		t.Errorf("machine 0 sent %d messages, %d bytes; want its client's %d requests of at least %d bytes and no reply", d0.MessagesSent, d0.BytesSent, n, size)
+	}
+	if d1.MessagesSent != n || d1.BytesSent < n*size {
+		t.Errorf("machine 1 sent %d messages, %d bytes; want %d replies of at least %d bytes", d1.MessagesSent, d1.BytesSent, n, size)
+	}
+	if rest := metrics.Default.Snapshot().Sub(before).Sub(d0).Sub(d1); rest != (metrics.Snapshot{}) {
+		t.Errorf("process sum moved by %+v beyond the two machines", rest)
+	}
+	buf, err := client.Debug(bg, 1)
+	if err != nil {
+		t.Fatalf("Debug: %v", err)
+	}
+	var snap trace.Snapshot
+	if err := json.Unmarshal(buf, &snap); err != nil {
+		t.Fatalf("decoding snapshot: %v", err)
+	}
+	if snap.Machine != 1 || snap.Counters != after1 {
+		t.Errorf("machine %d's debug snapshot counts %+v, want machine 1's registry %+v", snap.Machine, snap.Counters, after1)
 	}
 }

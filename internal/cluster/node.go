@@ -78,7 +78,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		return nil, err
 	}
 	if dir != nil {
-		n.attach(cfg.Transport, dir)
+		n.client = n.Env().AttachClient(cfg.Transport, dir)
 	}
 	if cfg.Registry != nil {
 		if err := cfg.Registry.Publish(cfg.Machine, n.Addr()); err != nil {
@@ -121,6 +121,7 @@ func bringUp(cfg NodeConfig) (*Node, error) {
 				return nil, err
 			}
 		}
+		d.CountInto(env.Counters())
 		env.PutResource(fmt.Sprintf("disk/%d", j), d)
 		n.disks = append(n.disks, d)
 	}
@@ -133,12 +134,6 @@ func bringUp(cfg NodeConfig) (*Node, error) {
 	n.server = srv
 	env.PutResource(rmi.ResourceServer, srv)
 	return n, nil
-}
-
-// attach gives the machine its outbound client over dir.
-func (n *Node) attach(tr transport.Transport, dir rmi.Directory) {
-	n.client = rmi.NewClient(tr, dir)
-	n.server.Env().Client = n.client
 }
 
 // JoinNode starts a node on the next free machine index claimed from

@@ -220,10 +220,9 @@ var engineModes = []engineMode{
 // run executes the shape on the rig and returns, beside its outcome, the
 // number of messages the cluster's clients sent for it.
 func (r *engineRig) run(sh chainShape) ([]core.StageResult, int64, error) {
-	sent := &metrics.Default.MessagesSent
-	before := sent.Load()
+	before := metrics.Default.Snapshot()
 	got, err := sh.run(r.a, r.b, engDom)
-	return got, sent.Load() - before, err
+	return got, metrics.Default.Snapshot().Sub(before).MessagesSent, err
 }
 
 // copiesOn counts the page copies of a that live on device dev (engDom

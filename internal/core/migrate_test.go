@@ -66,6 +66,32 @@ func checkPattern(t *testing.T, arr *core.Array, want []float64, when string) {
 	}
 }
 
+// TestPagesHeldIsNetPagesMigratedIn pins PagesHeld's contract: per
+// machine, the pages migrated in net of those migrated out, not the pages
+// the machine holds. Creating and writing an array moves it on no
+// machine; migrating m pages from device 0 to device 2 (each device on
+// the machine of its index) reads -m on machine 0 and +m on machine 2.
+func TestPagesHeldIsNetPagesMigratedIn(t *testing.T) {
+	const m = 2
+	cl, arr, stop := buildReplicated(t, "striped", 3, 1, 4, 4, 4, 2, 2, 2, 4)
+	defer stop()
+	held := func(i int) int64 { return cl.Machine(i).Env().Counters().PagesHeld.Load() }
+	fillPattern(t, arr, 7)
+	for i := range 3 {
+		if h := held(i); h != 0 {
+			t.Fatalf("machine %d: PagesHeld %d after NewArray and Write, want 0", i, h)
+		}
+	}
+	if _, err := arr.MigratePages(bg, []elastic.Move{{From: 0, To: 2, Pages: m}}); err != nil {
+		t.Fatalf("MigratePages: %v", err)
+	}
+	for i, want := range []int64{-m, 0, m} {
+		if h := held(i); h != want {
+			t.Errorf("machine %d: PagesHeld %d after migrating %d pages 0→2, want %d", i, h, m, want)
+		}
+	}
+}
+
 // TestMigratePagesPreservesContents pins the fence→copy→flip→retire
 // cycle: an explicit move plan relocates pages between devices with
 // contents bitwise intact, the map re-mints with the "+resharded"

@@ -21,7 +21,7 @@
 // A memory-backed disk can also be used in place: Resident hands out its
 // live bytes, and Acquire holds the device and counts the access exactly
 // as ReadAt/WriteAt of the same range would — closed and bounds checks,
-// modeled Seek + n/Bandwidth, Ops() and the metrics Disk* counters —
+// modeled Seek + n/Bandwidth, Ops() and its machine's Disk* counters —
 // while moving no byte. What the memcpy gave for free, that nobody sees a
 // range half-written, the contents lock gives instead: Acquire holds it
 // until Release and ReadAt/WriteAt take it around their own move, so
@@ -108,6 +108,18 @@ type Disk struct {
 	contents [stripes]sync.RWMutex
 
 	reads, writes atomic.Int64 // lifetime operations, for Ops
+
+	// counters is the registry of the machine the disk is attached to
+	// (CountInto), which counts its operations too.
+	counters *metrics.Registry
+}
+
+// detached counts the operations of the disks attached to no machine.
+var detached metrics.Registry
+
+// newDisk returns a disk over b, attached to no machine.
+func newDisk(name string, model Model, b Backing) *Disk {
+	return &Disk{name: name, model: model, backing: b, counters: &detached}
 }
 
 // The contents lock's geometry: 64 KiB granules, repeating every 4 MiB.
@@ -121,11 +133,7 @@ var ErrOutOfRange = errors.New("disk: offset out of range")
 
 // NewMem creates a memory-backed disk of the given size.
 func NewMem(name string, size int64, model Model) *Disk {
-	return &Disk{
-		name:    name,
-		model:   model,
-		backing: &memBacking{data: make([]byte, size)},
-	}
+	return newDisk(name, model, &memBacking{data: make([]byte, size)})
 }
 
 // NewFile creates (or truncates) a file-backed disk at path.
@@ -138,11 +146,7 @@ func NewFile(name, path string, size int64, model Model) (*Disk, error) {
 		f.Close()
 		return nil, fmt.Errorf("disk: truncate %s: %w", path, err)
 	}
-	return &Disk{
-		name:    name,
-		model:   model,
-		backing: &fileBacking{f: f, size: size},
-	}, nil
+	return newDisk(name, model, &fileBacking{f: f, size: size}), nil
 }
 
 // OpenFile reattaches an existing disk image without truncating it — the
@@ -157,12 +161,12 @@ func OpenFile(name, path string, model Model) (*Disk, error) {
 		f.Close()
 		return nil, fmt.Errorf("disk: stat %s: %w", path, err)
 	}
-	return &Disk{
-		name:    name,
-		model:   model,
-		backing: &fileBacking{f: f, size: info.Size()},
-	}, nil
+	return newDisk(name, model, &fileBacking{f: f, size: info.Size()}), nil
 }
+
+// CountInto attaches the disk to the machine whose registry is r: its
+// operations count there as well. Call it before the first operation.
+func (d *Disk) CountInto(r *metrics.Registry) { d.counters = r }
 
 // Name returns the device name.
 func (d *Disk) Name() string { return d.name }
@@ -278,9 +282,9 @@ func (d *Disk) op(p []byte, off int64, n int, write bool) (err error) {
 	if off < 0 || off+int64(n) > d.backing.Size() {
 		return fmt.Errorf("%w: [%d,%d) of %d", ErrOutOfRange, off, off+int64(n), d.backing.Size())
 	}
-	hold, ops, count := d.model.ReadTime(n), &d.reads, &metrics.Default.DiskReads
+	hold, ops, count := d.model.ReadTime(n), &d.reads, &d.counters.DiskReads
 	if write {
-		hold, ops, count = d.model.WriteTime(n), &d.writes, &metrics.Default.DiskWrites
+		hold, ops, count = d.model.WriteTime(n), &d.writes, &d.counters.DiskWrites
 	}
 	if !d.model.IsZero() {
 		simtime.Sleep(hold)

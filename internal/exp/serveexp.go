@@ -164,7 +164,7 @@ func e14Burst(x *run, d door) error {
 		return err
 	}
 	bulk := d.pool.Session(rmi.WithPriority(rmi.PrioBulk))
-	shedBefore := metrics.Default.ReqShed.Load()
+	shedBefore := d.srv.Env().Counters().ReqShed.Load()
 	var bulkFuts []*rmi.Future
 	for i := 0; i < bulkCap+overflow; i++ {
 		bulkFuts = append(bulkFuts, bulk.CallAsync(bg, d.ref, "sleep", serve.SleepArgs(0)))
@@ -175,7 +175,7 @@ func e14Burst(x *run, d door) error {
 	// ARRIVED before the dam opens (a straggler would find a freed slot),
 	// so wait for the sheds as well as the depth.
 	if err := waitUntil("the bulk budget full and the overflow shed", func() bool {
-		return d.srv.QueueDepths()[rmi.PrioBulk] >= bulkCap && metrics.Default.ReqShed.Load()-shedBefore >= overflow
+		return d.srv.QueueDepths()[rmi.PrioBulk] >= bulkCap && d.srv.Env().Counters().ReqShed.Load()-shedBefore >= overflow
 	}); err != nil {
 		return err
 	}

@@ -1,16 +1,19 @@
 // Package metrics provides lightweight instrumentation for the OOPP
-// runtime. The experiment harness uses it to report the quantities the
-// paper reasons about — number of client-server messages, bytes moved,
-// disk operations — alongside wall-clock time.
+// runtime: latency histograms (Hist), and the quantities the paper
+// reasons about — messages, bytes moved, disk operations — counted in one
+// Registry per machine (rmi.Env.Counters), which the debug plane ships.
 //
 // All counters are safe for concurrent use.
 package metrics
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
-// Counters aggregates the runtime's communication counters. The zero value
-// is ready to use.
-type Counters struct {
+// Registry is one machine's counters. NewRegistry makes one that Default
+// counts; Close it when the machine goes away.
+type Registry struct {
 	MessagesSent    atomic.Int64 // frames handed to the transport
 	BytesSent       atomic.Int64 // payload bytes sent
 	DiskReads       atomic.Int64 // simulated disk read operations
@@ -19,18 +22,14 @@ type Counters struct {
 	RespOrphaned    atomic.Int64 // responses to abandoned (canceled/timed-out) requests
 	DialRetries     atomic.Int64 // redials performed under the WithRetryDial call option
 	OverloadRetries atomic.Int64 // call re-issues under the WithRetryOverload call option
-	ReqShed         atomic.Int64 // requests rejected at admission (ErrOverloaded)
-	ReqExpired      atomic.Int64 // admitted requests shed because the client deadline had passed
-	PagesHeld       atomic.Int64 // gauge: pages this process's devices hold per the live map
-	PagesMigrated   atomic.Int64 // pages moved device-to-device by the migration engine
-	BytesMigrated   atomic.Int64 // payload bytes moved by the migration engine
+	ReqShed         atomic.Int64 // requests this machine's admission rejected (ErrOverloaded)
+	PagesHeld       atomic.Int64 // net pages migrated in: adopted here minus retired from here
+	PagesMigrated   atomic.Int64 // pages the migration engine moved onto this machine
+	BytesMigrated   atomic.Int64 // payload bytes of those pages
 }
 
-// Default is the process-wide counter set used when no explicit set is
-// wired through.
-var Default = &Counters{}
-
-// Snapshot is a point-in-time copy of all counters.
+// Snapshot is a point-in-time copy of a registry's counters, or of a sum
+// of registries.
 type Snapshot struct {
 	MessagesSent    int64
 	BytesSent       int64
@@ -41,47 +40,90 @@ type Snapshot struct {
 	DialRetries     int64
 	OverloadRetries int64
 	ReqShed         int64
-	ReqExpired      int64
 	PagesHeld       int64
 	PagesMigrated   int64
 	BytesMigrated   int64
 }
 
+// counters lists r's counters in Snapshot's field order.
+func (r *Registry) counters() [12]*atomic.Int64 {
+	return [...]*atomic.Int64{&r.MessagesSent, &r.BytesSent, &r.DiskReads, &r.DiskWrites,
+		&r.RespDropped, &r.RespOrphaned, &r.DialRetries, &r.OverloadRetries,
+		&r.ReqShed, &r.PagesHeld, &r.PagesMigrated, &r.BytesMigrated}
+}
+
+// fields lists s's fields in declaration order.
+func (s *Snapshot) fields() [12]*int64 {
+	return [...]*int64{&s.MessagesSent, &s.BytesSent, &s.DiskReads, &s.DiskWrites,
+		&s.RespDropped, &s.RespOrphaned, &s.DialRetries, &s.OverloadRetries,
+		&s.ReqShed, &s.PagesHeld, &s.PagesMigrated, &s.BytesMigrated}
+}
+
 // Snapshot returns a copy of the current counter values.
-func (c *Counters) Snapshot() Snapshot {
-	return Snapshot{
-		MessagesSent:    c.MessagesSent.Load(),
-		BytesSent:       c.BytesSent.Load(),
-		DiskReads:       c.DiskReads.Load(),
-		DiskWrites:      c.DiskWrites.Load(),
-		RespDropped:     c.RespDropped.Load(),
-		RespOrphaned:    c.RespOrphaned.Load(),
-		DialRetries:     c.DialRetries.Load(),
-		OverloadRetries: c.OverloadRetries.Load(),
-		ReqShed:         c.ReqShed.Load(),
-		ReqExpired:      c.ReqExpired.Load(),
-		PagesHeld:       c.PagesHeld.Load(),
-		PagesMigrated:   c.PagesMigrated.Load(),
-		BytesMigrated:   c.BytesMigrated.Load(),
+func (r *Registry) Snapshot() (s Snapshot) {
+	r.addTo(&s)
+	return s
+}
+
+// addTo adds r's counters to s.
+func (r *Registry) addTo(s *Snapshot) {
+	f := s.fields()
+	for i, c := range r.counters() {
+		*f[i] += c.Load()
 	}
 }
 
 // Sub returns the delta s - prev, counter-wise. Use around a measured
-// region: before := c.Snapshot(); ...; delta := c.Snapshot().Sub(before).
+// region: before := r.Snapshot(); ...; delta := r.Snapshot().Sub(before).
 func (s Snapshot) Sub(prev Snapshot) Snapshot {
-	return Snapshot{
-		MessagesSent:    s.MessagesSent - prev.MessagesSent,
-		BytesSent:       s.BytesSent - prev.BytesSent,
-		DiskReads:       s.DiskReads - prev.DiskReads,
-		DiskWrites:      s.DiskWrites - prev.DiskWrites,
-		RespDropped:     s.RespDropped - prev.RespDropped,
-		RespOrphaned:    s.RespOrphaned - prev.RespOrphaned,
-		DialRetries:     s.DialRetries - prev.DialRetries,
-		OverloadRetries: s.OverloadRetries - prev.OverloadRetries,
-		ReqShed:         s.ReqShed - prev.ReqShed,
-		ReqExpired:      s.ReqExpired - prev.ReqExpired,
-		PagesHeld:       s.PagesHeld - prev.PagesHeld,
-		PagesMigrated:   s.PagesMigrated - prev.PagesMigrated,
-		BytesMigrated:   s.BytesMigrated - prev.BytesMigrated,
+	f := s.fields()
+	for i, p := range prev.fields() {
+		*f[i] -= *p
 	}
+	return s
+}
+
+// process is every registry of the process: the live ones, and the sum
+// of those closed.
+var process = struct {
+	mu     sync.Mutex
+	live   map[*Registry]bool
+	closed Snapshot
+}{live: map[*Registry]bool{}}
+
+// NewRegistry returns an empty registry that Default counts.
+func NewRegistry() *Registry {
+	r := new(Registry)
+	process.mu.Lock()
+	process.live[r] = true
+	process.mu.Unlock()
+	return r
+}
+
+// Close folds r's counts into Default's sum of closed registries; what r
+// counts afterwards stays in r alone. Closing twice is harmless.
+func (r *Registry) Close() {
+	process.mu.Lock()
+	defer process.mu.Unlock()
+	if process.live[r] {
+		delete(process.live, r)
+		r.addTo(&process.closed)
+	}
+}
+
+// Default is the read-only sum over every registry of the process, live
+// and closed, so a delta of two of its snapshots never goes back.
+var Default processSum
+
+type processSum struct{}
+
+// Snapshot returns the sum over every registry of the process.
+func (processSum) Snapshot() Snapshot {
+	process.mu.Lock()
+	defer process.mu.Unlock()
+	s := process.closed
+	for r := range process.live {
+		r.addTo(&s)
+	}
+	return s
 }

@@ -6,7 +6,7 @@ import (
 )
 
 func TestSnapshotAndSub(t *testing.T) {
-	var c Counters
+	var c Registry
 	c.MessagesSent.Add(10)
 	c.BytesSent.Add(100)
 	before := c.Snapshot()
@@ -29,7 +29,7 @@ func TestSnapshotAndSub(t *testing.T) {
 }
 
 func TestConcurrentCounting(t *testing.T) {
-	var c Counters
+	var c Registry
 	var wg sync.WaitGroup
 	const workers = 16
 	const perWorker = 1000
@@ -45,5 +45,28 @@ func TestConcurrentCounting(t *testing.T) {
 	wg.Wait()
 	if got := c.MessagesSent.Load(); got != workers*perWorker {
 		t.Errorf("MessagesSent = %d, want %d", got, workers*perWorker)
+	}
+}
+
+// Default sums every registry, and a closed one stays in the sum: a
+// delta across a machine's shutdown never goes back.
+func TestDefaultSumsLiveAndClosed(t *testing.T) {
+	before := Default.Snapshot()
+	a, b := NewRegistry(), NewRegistry()
+	a.MessagesSent.Add(3)
+	b.MessagesSent.Add(4)
+	b.DiskReads.Add(1)
+	if d := Default.Snapshot().Sub(before); d.MessagesSent != 7 || d.DiskReads != 1 {
+		t.Fatalf("live sum: %+v, want 7 messages and 1 disk read", d)
+	}
+	a.Close()
+	a.Close()
+	a.MessagesSent.Add(100) // after Close: a's alone
+	if d := Default.Snapshot().Sub(before); d.MessagesSent != 7 {
+		t.Fatalf("after close: %d messages, want 7", d.MessagesSent)
+	}
+	b.Close()
+	if d := Default.Snapshot().Sub(before); d.MessagesSent != 7 || d.DiskReads != 1 {
+		t.Fatalf("all closed: %+v, want 7 messages and 1 disk read", d)
 	}
 }

@@ -40,6 +40,9 @@ type Comm struct {
 	size  int
 	peers []transport.Conn // peers[rank] == nil (self)
 
+	// counters is the rank's own registry, which World.Close closes.
+	counters *metrics.Registry
+
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queues map[key][][]byte
@@ -64,7 +67,7 @@ func NewWorld(tr transport.Transport, n int) (*World, error) {
 	w := &World{size: n}
 	w.comms = make([]*Comm, n)
 	for r := 0; r < n; r++ {
-		c := &Comm{world: w, rank: r, size: n, peers: make([]transport.Conn, n), queues: make(map[key][][]byte)}
+		c := &Comm{world: w, rank: r, size: n, peers: make([]transport.Conn, n), counters: metrics.NewRegistry(), queues: make(map[key][][]byte)}
 		c.cond = sync.NewCond(&c.mu)
 		w.comms[r] = c
 	}
@@ -153,7 +156,8 @@ func (w *World) Size() int { return w.size }
 // Comm returns rank r's endpoint.
 func (w *World) Comm(r int) *Comm { return w.comms[r] }
 
-// Close tears down every connection; blocked receives fail.
+// Close tears down every connection and closes the ranks' registries;
+// blocked receives fail.
 func (w *World) Close() {
 	w.mu.Lock()
 	if w.closed {
@@ -175,6 +179,7 @@ func (w *World) Close() {
 			}
 		}
 		c.fail(transport.ErrClosed)
+		c.counters.Close()
 	}
 }
 
@@ -263,8 +268,8 @@ func (c *Comm) send(to, tag int, payload []byte) error {
 	e := wire.NewEncoder(8 + len(payload))
 	e.PutInt(tag)
 	e.PutBytes(payload)
-	metrics.Default.MessagesSent.Add(1)
-	metrics.Default.BytesSent.Add(int64(e.Len()))
+	c.counters.MessagesSent.Add(1)
+	c.counters.BytesSent.Add(int64(e.Len()))
 	return c.peers[to].Send(e.Bytes())
 }
 

@@ -176,7 +176,7 @@ func TestPipelineReplyRefusesWrongWidth(t *testing.T) {
 // whole 2×2×2 page, a box of two half-rows, an empty box (a count and no
 // page entered: its index is not even checked), and the last plane.
 func TestReadSubBatchReplyFrame(t *testing.T) {
-	pd, err := newPageDevice(nil, "golden", 2, 2*2*2*8, DiskPrivate)
+	pd, err := newPageDevice(rmi.NewEnv(0), "golden", 2, 2*2*2*8, DiskPrivate)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -296,7 +296,9 @@ func newPageDevice(env *rmi.Env, name string, numPages, pageSize, diskIndex int)
 	need := int64(numPages) * int64(pageSize)
 	var store backing
 	if diskIndex == DiskPrivate {
-		store = newDiskBacking(disk.NewMem(name, need, disk.Model{}), numPages, pageSize, true)
+		dsk := disk.NewMem(name, need, disk.Model{})
+		dsk.CountInto(env.Counters())
+		store = newDiskBacking(dsk, numPages, pageSize, true)
 	} else {
 		res, err := env.MustResource(fmt.Sprintf("disk/%d", diskIndex))
 		if err != nil {

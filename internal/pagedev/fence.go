@@ -29,10 +29,11 @@ package pagedev
 //     reclaimed when a later migration picks them as destinations (the
 //     engine clears them with release=false before copying).
 //     adoptPages is the destination-side accounting hook. Both feed the
-//     process-wide gauges (metrics.PagesHeld/PagesMigrated/BytesMigrated).
+//     machine's migration counters (metrics.Registry: PagesHeld, the net
+//     pages migrated in, PagesMigrated and BytesMigrated).
 //   - A refused fencePages or unfencePages changes nothing: both decode
 //     and check the whole index list before touching the fence set or
-//     the gauges.
+//     the counters.
 //
 // The fence set lives on pageDevice and is touched only by serial mailbox
 // methods, or read by helpers one of them is waiting for: no lock.
@@ -41,7 +42,6 @@ import (
 	"context"
 	"fmt"
 
-	"oopp/internal/metrics"
 	"oopp/internal/rmi"
 	"oopp/internal/wire"
 )
@@ -101,7 +101,7 @@ func registerFenceMethods(c *rmi.Class[baser]) *rmi.Class[baser] {
 			// unfencePages(release, count, count×idx). release=false
 			// aborts: the fence clears and the pages are writable here
 			// again. release=true retires: the pages moved away for good,
-			// so the pages-held gauge drops — but the fence entries are
+			// so the machine's PagesHeld drops — but the fence entries are
 			// KEPT so a stale pre-flip map cannot silently write into the
 			// dead slots; a later migration reusing a slot clears its
 			// retired fence with release=false first.
@@ -112,11 +112,11 @@ func registerFenceMethods(c *rmi.Class[baser]) *rmi.Class[baser] {
 				return err
 			}
 			if release {
-				metrics.Default.PagesHeld.Add(int64(-len(idxs)))
-				return nil
-			}
-			for _, idx := range idxs {
-				delete(p.fence, idx)
+				env.Counters().PagesHeld.Add(int64(-len(idxs)))
+			} else {
+				for _, idx := range idxs {
+					delete(p.fence, idx)
+				}
 			}
 			return nil
 		}).
@@ -129,9 +129,9 @@ func registerFenceMethods(c *rmi.Class[baser]) *rmi.Class[baser] {
 			if err := args.Err(); err != nil {
 				return err
 			}
-			metrics.Default.PagesHeld.Add(int64(count))
-			metrics.Default.PagesMigrated.Add(int64(count))
-			metrics.Default.BytesMigrated.Add(bytes)
+			env.Counters().PagesHeld.Add(int64(count))
+			env.Counters().PagesMigrated.Add(int64(count))
+			env.Counters().BytesMigrated.Add(bytes)
 			return nil
 		})
 }
@@ -152,7 +152,7 @@ func (d *Device) FencePages(ctx context.Context, indices []int) error {
 // UnfencePages ends a migration on the given indices. release=false
 // aborts it: the fence clears and the pages are owned here again.
 // release=true retires the slots: the pages have permanently left this
-// device (the pages-held gauge drops) and the fence entries persist so
+// device (its machine's PagesHeld drops) and the fence entries persist so
 // stale writers get the typed refusal instead of losing data; the slots
 // become reusable when a later migration clears them (release=false).
 func (d *Device) UnfencePages(ctx context.Context, indices []int, release bool) error {
@@ -168,7 +168,7 @@ func (d *Device) UnfencePages(ctx context.Context, indices []int, release bool) 
 
 // AdoptPages records that count migrated pages (bytes payload bytes)
 // now live on this device — the destination half of the migration
-// gauges.
+// counters.
 func (d *Device) AdoptPages(ctx context.Context, count int, bytes int64) error {
 	return voidReply(d.client.Call(ctx, d.ref, "adoptPages", func(e *wire.Encoder) error {
 		e.PutInt(count)

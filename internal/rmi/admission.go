@@ -2,8 +2,6 @@ package rmi
 
 import (
 	"time"
-
-	"oopp/internal/metrics"
 )
 
 // AdmissionConfig bounds a server's in-flight work per priority class.
@@ -105,8 +103,7 @@ func (s *Server) admit(prio Priority) error {
 	for {
 		d := depth.Load()
 		if limit >= 0 && d >= limit {
-			s.shed.Add(1)
-			metrics.Default.ReqShed.Add(1)
+			s.counters.ReqShed.Add(1)
 			return &OverloadedError{
 				Machine:    s.machine,
 				Priority:   prio,

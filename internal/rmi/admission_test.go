@@ -460,8 +460,8 @@ func TestDebugShedIsPerMachine(t *testing.T) {
 		if err := json.Unmarshal(buf, &snap); err != nil {
 			t.Fatalf("snapshot %d: %v", m, err)
 		}
-		if snap.Shed != want {
-			t.Errorf("machine %d reports %d sheds, want %d", m, snap.Shed, want)
+		if snap.Counters.ReqShed != want {
+			t.Errorf("machine %d reports %d sheds, want %d", m, snap.Counters.ReqShed, want)
 		}
 	}
 	release(t, c, ref, futs)

@@ -130,7 +130,7 @@ func backoffDelay(failures int) time.Duration {
 // context.Background()) and optional CallOptions. The context governs
 // dialing and sending and — for the synchronous forms — waiting;
 // cancellation aborts the in-flight call promptly and the late response,
-// if any, is dropped and counted (see metrics.Counters).
+// if any, is dropped and counted (metrics.Registry.RespOrphaned).
 //
 // A request leaves a client one way: every operation is a request that
 // encode writes and send sends (through clientConn.write), and the
@@ -143,6 +143,10 @@ func backoffDelay(failures int) time.Duration {
 type Client struct {
 	tr  transport.Transport
 	dir Directory
+
+	// counters is the registry the client counts into: its machine's
+	// (Env.AttachClient), or machineless.
+	counters *metrics.Registry
 
 	nextID      atomic.Uint64
 	collectives atomic.Uint64 // numbers the client's collectives (inBurst)
@@ -158,17 +162,31 @@ type Client struct {
 	closed bool
 }
 
-// NewClient returns a client over tr, resolving machines through dir.
+// machineless is the registry of the clients that serve no machine:
+// drivers, load generators, introspection tools.
+var machineless = metrics.NewRegistry()
+
+// NewClient returns a client over tr, resolving machines through dir,
+// that serves no machine: it counts into machineless.
 func NewClient(tr transport.Transport, dir Directory) *Client {
 	c := &Client{
-		tr:     tr,
-		dir:    dir,
-		conns:  make(map[int]*clientConn),
-		down:   make(map[int]error),
-		streak: make(map[int]int),
+		tr:       tr,
+		dir:      dir,
+		counters: machineless,
+		conns:    make(map[int]*clientConn),
+		down:     make(map[int]error),
+		streak:   make(map[int]int),
 	}
 	c.publishConns()
 	return c
+}
+
+// AttachClient gives the machine of e an outbound client over tr and dir,
+// which counts into the machine's registry, and installs it as e.Client.
+func (e *Env) AttachClient(tr transport.Transport, dir Directory) *Client {
+	e.Client = NewClient(tr, dir)
+	e.Client.counters = e.Counters()
+	return e.Client
 }
 
 // publishConns publishes a copy of the connection cache. The caller holds
@@ -251,7 +269,7 @@ func (c *Client) conn(ctx context.Context, m int, o *callOptions) (*clientConn, 
 			c.mu.Unlock()
 			return nil, &MachineDownError{Machine: m, Cause: fmt.Errorf("rmi: dial machine %d: %w", m, err)}
 		}
-		metrics.Default.DialRetries.Add(1)
+		c.counters.DialRetries.Add(1)
 		select {
 		case <-ctx.Done():
 			return nil, fmt.Errorf("rmi: dial machine %d: %w", m, ctx.Err())
@@ -330,13 +348,6 @@ func (c *Client) markUp(m int) {
 	c.mu.Unlock()
 }
 
-// MarkUp manually clears a failure-detector verdict for machine m, so
-// traffic dials it again. Normally recovery is automatic — a successful
-// probe (heartbeat ping, cluster.WaitReady) clears the mark — but an
-// operator restarting machines with no detector running can use this
-// directly.
-func (c *Client) MarkUp(m int) { c.markUp(m) }
-
 // MachineDown returns the *MachineDownError recorded for machine m by the
 // failure detector, or nil while m is considered up.
 func (c *Client) MachineDown(m int) error {
@@ -414,7 +425,7 @@ func (c *Client) Call(ctx context.Context, ref Ref, method string, args ArgEncod
 		if err == nil || attempt >= o.retryOverload || !errors.Is(err, ErrOverloaded) {
 			return d, err
 		}
-		metrics.Default.OverloadRetries.Add(1)
+		c.counters.OverloadRetries.Add(1)
 		wait := overloadBackoff(err, attempt, o.retryMaxWait)
 		select {
 		case <-time.After(wait):
@@ -716,8 +727,8 @@ func (c *Client) send(ctx context.Context, reqID uint64, e *wire.Encoder, pc pen
 		return nil
 	}
 	frame := e.Detach()
-	metrics.Default.MessagesSent.Add(1)
-	metrics.Default.BytesSent.Add(int64(len(frame)))
+	c.counters.MessagesSent.Add(1)
+	c.counters.BytesSent.Add(int64(len(frame)))
 	held, err := cc.write(reqID, frame, o.burst != 0, o.group)
 	if err != nil {
 		cc.unregister(reqID)
@@ -966,7 +977,7 @@ func (cc *clientConn) recvLoop() {
 		if d.Err() != nil {
 			// Unparseable response header: nothing to match it to. Count it
 			// — a nonzero RespDropped means a peer is speaking garbage.
-			metrics.Default.RespDropped.Add(1)
+			cc.owner.counters.RespDropped.Add(1)
 			d.Release()
 			continue
 		}
@@ -975,7 +986,7 @@ func (cc *clientConn) recvLoop() {
 			// Response to an abandoned request (canceled, timed out, or
 			// never registered). Expected under cancellation, but counted
 			// so operators can see the orphan rate.
-			metrics.Default.RespOrphaned.Add(1)
+			cc.owner.counters.RespOrphaned.Add(1)
 			d.Release()
 			continue
 		}

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"oopp/internal/metrics"
 	"oopp/internal/wire"
 )
 
@@ -50,17 +49,24 @@ func (g *tallyObj) release() { g.once.Do(func() { close(g.gate) }) }
 // TestDeadlineShedBeforeExecution pins the deadline-propagation contract:
 // a request admitted and queued behind a parked mailbox whose client
 // deadline passes before it reaches the front is dropped by the server
-// without executing — typed context.DeadlineExceeded, counted in
-// ReqExpired, and the method body never runs.
+// without executing — typed context.DeadlineExceeded, counted in the
+// method's Expired, and the method body never runs.
 func TestDeadlineShedBeforeExecution(t *testing.T) {
 	registerTally()
-	_, c, _ := newGateServer(t, Unbounded())
+	srv, c, _ := newGateServer(t, Unbounded())
 	ref, err := c.New(bg, 0, "test.Tally", nil)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 
-	before := metrics.Default.Snapshot()
+	expired := func() int64 {
+		for _, st := range *srv.stats.Load() {
+			if st != nil && st.Name == "test.Tally.bump" {
+				return st.Expired.Load()
+			}
+		}
+		return 0
+	}
 
 	// Park the mailbox, then queue a mutation with a deadline far shorter
 	// than the park.
@@ -83,7 +89,7 @@ func TestDeadlineShedBeforeExecution(t *testing.T) {
 	// The server noticed the expiry itself (the client timer firing is
 	// not enough — the shed must happen server-side, before execution).
 	waitUntil(t, func() bool {
-		return metrics.Default.Snapshot().Sub(before).ReqExpired >= 1
+		return expired() >= 1
 	})
 
 	// The method body never ran: a fresh in-deadline call sees count 0,
@@ -100,8 +106,8 @@ func TestDeadlineShedBeforeExecution(t *testing.T) {
 	if _, err := c.Call(bg, ref, "bump", nil, WithTimeout(5*time.Second)); err != nil {
 		t.Fatalf("in-deadline bump: %v", err)
 	}
-	if delta := metrics.Default.Snapshot().Sub(before); delta.ReqExpired != 1 {
-		t.Fatalf("ReqExpired = %d, want exactly 1", delta.ReqExpired)
+	if n := expired(); n != 1 {
+		t.Fatalf("Expired = %d, want exactly 1", n)
 	}
 }
 

@@ -49,8 +49,8 @@
 // sending, and cancellation aborts an in-flight call promptly — the
 // pending request is unregistered, the future fails with an error
 // wrapping ctx.Err(), and the late response is dropped and counted
-// (metrics.Counters.RespOrphaned; unparseable response headers count as
-// RespDropped). Variadic CallOptions carry per-call policy: WithTimeout/
+// (metrics.Registry.RespOrphaned in the client's registry; unparseable
+// response headers count as RespDropped). Variadic CallOptions carry per-call policy: WithTimeout/
 // WithDeadline arm a deadline that travels with the future (so a §4
 // send-loop can stamp deadlines on calls it waits on much later),
 // WithRetryDial retries failed dials (never requests), and WithLabel
@@ -248,9 +248,8 @@
 //     work come typed from the server itself while the link lives.
 //     Probes (WithProbe — heartbeat pings, cluster.WaitReady) are the
 //     revival path: they may dial a down machine, and success clears
-//     the verdict even after the detector stopped; Client.MarkUp clears
-//     it manually. OnDown/OnUp callbacks observe transitions;
-//     Heartbeat.Down lists current verdicts.
+//     the verdict even after the detector stopped. OnDown/OnUp callbacks
+//     observe transitions; Heartbeat.Down lists current verdicts.
 //
 // Collectives compose with detection: a broadcast over a collection
 // with a dead machine still reaches every live member, and the joined
@@ -352,9 +351,9 @@
 // compare-and-swap below its cap, so the cap holds however many admit at
 // once; and the drain token is an atomic count that refuses to rise
 // from zero, so nothing is admitted after a Drain has returned. Sheds
-// count per machine — the shed field of the machine's debug snapshot,
-// which cmd/opptrace sums over the cluster — and process-wide in
-// metrics.Default.ReqShed; the per-class depths are Server.QueueDepths.
+// count once, in the machine's registry (Env.Counters, ReqShed), which
+// the machine's debug snapshot carries and cmd/opptrace tabulates per
+// machine; the per-class depths are Server.QueueDepths.
 // The serve package builds the client half — session multiplexing over
 // bounded connection pools and the open-loop load harness — on this
 // contract.

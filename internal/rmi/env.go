@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sync"
+
+	"oopp/internal/metrics"
 )
 
 // Env is the per-machine environment visible to server-side objects. It is
@@ -38,14 +40,21 @@ type Env struct {
 
 // envShared is the machine state every per-call Env view aliases.
 type envShared struct {
+	counters  *metrics.Registry
 	mu        sync.RWMutex
 	resources map[string]any
 }
 
-// NewEnv returns an environment for the given machine index.
+// NewEnv returns an environment for the given machine index, with an
+// empty counter registry that the machine's server closes.
 func NewEnv(machine int) *Env {
-	return &Env{Machine: machine, shared: &envShared{resources: make(map[string]any)}}
+	return &Env{Machine: machine, shared: &envShared{counters: metrics.NewRegistry(), resources: make(map[string]any)}}
 }
+
+// Counters is the machine's counter registry: its server, its outbound
+// client (AttachClient), its page devices and their disks count there,
+// and the debug plane ships it (Client.Debug).
+func (e *Env) Counters() *metrics.Registry { return e.shared.counters }
 
 // Ctx returns the context of the call being handled. For a request that
 // arrived with a trace header it carries the restored trace.SpanContext,

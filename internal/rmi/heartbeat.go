@@ -72,8 +72,7 @@ type Heartbeat struct {
 // StartHeartbeat starts a failure detector over the client's machines.
 // Stop it with Heartbeat.Stop; stopping does not clear down marks — a
 // later successful probe (another heartbeat, a cluster.WaitReady
-// readiness ping, any WithProbe operation) or an explicit Client.MarkUp
-// revives the machine.
+// readiness ping, any WithProbe operation) revives the machine.
 func (c *Client) StartHeartbeat(cfg HeartbeatConfig) *Heartbeat {
 	cfg = cfg.withDefaults()
 	machines := cfg.Machines

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"oopp/internal/metrics"
 )
 
 // TestRetryOverloadSucceedsAfterShed pins the happy path of
@@ -18,7 +16,7 @@ func TestRetryOverloadSucceedsAfterShed(t *testing.T) {
 	_, c, ref := newGateServer(t, AdmissionConfig{Capacity: [NumPriorities]int{PrioNormal: cap}})
 
 	futs := saturate(t, c, ref, cap)
-	before := metrics.Default.OverloadRetries.Load()
+	before := c.counters.OverloadRetries.Load()
 
 	done := make(chan error, 1)
 	go func() {
@@ -33,7 +31,7 @@ func TestRetryOverloadSucceedsAfterShed(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("retried call: %v", err)
 	}
-	if got := metrics.Default.OverloadRetries.Load() - before; got == 0 {
+	if got := c.counters.OverloadRetries.Load() - before; got == 0 {
 		t.Fatalf("OverloadRetries did not move; the call never hit the shed path")
 	}
 }
@@ -46,12 +44,12 @@ func TestRetryOverloadBudgetExhausted(t *testing.T) {
 	_, c, ref := newGateServer(t, AdmissionConfig{Capacity: [NumPriorities]int{PrioNormal: cap}})
 
 	futs := saturate(t, c, ref, cap)
-	before := metrics.Default.OverloadRetries.Load()
+	before := c.counters.OverloadRetries.Load()
 	_, err := c.Call(bg, ref, "noop", nil, WithRetryOverload(budget, 2*time.Millisecond))
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("exhausted retry budget: got %v, want ErrOverloaded", err)
 	}
-	if got := metrics.Default.OverloadRetries.Load() - before; got != budget {
+	if got := c.counters.OverloadRetries.Load() - before; got != budget {
 		t.Fatalf("OverloadRetries moved by %d, want %d", got, budget)
 	}
 	release(t, c, ref, futs)
@@ -92,7 +90,7 @@ func TestRetryOverloadNeverOnNew(t *testing.T) {
 	_, c, ref := newGateServer(t, AdmissionConfig{Capacity: [NumPriorities]int{PrioNormal: cap}})
 
 	futs := saturate(t, c, ref, cap)
-	before := metrics.Default.OverloadRetries.Load()
+	before := c.counters.OverloadRetries.Load()
 	start := time.Now()
 	_, err := c.New(bg, 0, "test.Gate", nil, WithRetryOverload(100, 50*time.Millisecond))
 	if !errors.Is(err, ErrOverloaded) {
@@ -103,7 +101,7 @@ func TestRetryOverloadNeverOnNew(t *testing.T) {
 	if took := time.Since(start); took > 2*time.Second {
 		t.Fatalf("New appears to have retried: took %v", took)
 	}
-	if got := metrics.Default.OverloadRetries.Load() - before; got != 0 {
+	if got := c.counters.OverloadRetries.Load() - before; got != 0 {
 		t.Fatalf("New moved OverloadRetries by %d, want 0", got)
 	}
 	release(t, c, ref, futs)

@@ -250,10 +250,8 @@ func startCluster(t testing.TB, tr transport.Transport, n int) ([]*testNode, fun
 		nodes[i] = &testNode{server: srv}
 		addrs[i] = srv.Addr()
 	}
-	for i, node := range nodes {
-		node.client = NewClient(tr, addrs)
-		node.server.Env().Client = node.client
-		_ = i
+	for _, node := range nodes {
+		node.client = node.server.Env().AttachClient(tr, addrs)
 	}
 	return nodes, func() {
 		for _, node := range nodes {

@@ -32,13 +32,16 @@ type Server struct {
 	env      *Env
 	listener transport.Listener
 
-	// methods is the always-on per-method telemetry registry: one latency
-	// histogram plus outcome counters per class.method, served raw by the
-	// opDebug introspection op. stats finds a method's entry in it by
-	// methodEntry.index: a published table that is never written, which
+	// The machine's telemetry registry, served raw by the opDebug
+	// introspection op. stats is the always-on per-method part: one
+	// latency histogram plus outcome counters per class.method, indexed by
+	// methodEntry.index, in a published table that is never written, which
 	// methodStats replaces, under mu, on a method's first call here.
-	methods trace.Methods
-	stats   atomic.Pointer[[]*trace.MethodStats]
+	// counters is the machine's counters (Env.Counters), which Close
+	// closes: the replies sent and the requests admission shed count
+	// there; the requests that expired are the methods' Expired.
+	stats    atomic.Pointer[[]*trace.MethodStats]
+	counters *metrics.Registry
 
 	// objects is the live object table. adopt, a take and Close write it
 	// under mu, and each publishes a copy in table, which is never written:
@@ -56,11 +59,10 @@ type Server struct {
 	stopped atomic.Uint32
 
 	// Admission control state (see admission.go): per-class in-flight
-	// caps and depths, this machine's shed count, and ewmaNs, the recent
-	// service time per class for the retry-after hint on rejections.
+	// caps and depths, and ewmaNs, the recent service time per class for
+	// the retry-after hint on rejections.
 	admitCap   [NumPriorities]atomic.Int64
 	admitDepth [NumPriorities]atomic.Int64
-	shed       atomic.Int64
 	ewmaNs     [NumPriorities]atomic.Int64
 
 	// tokens counts drain tokens: one per accepted request (construction
@@ -108,6 +110,7 @@ func NewServer(machine int, tr transport.Transport, addr string, env *Env) (*Ser
 	s := &Server{
 		machine:  machine,
 		env:      env,
+		counters: env.Counters(),
 		listener: l,
 		objects:  make(map[uint64]*objEntry),
 		conns:    make(map[transport.Conn]struct{}),
@@ -171,7 +174,7 @@ func (s *Server) closed() bool { return s.stopped.Load()&stopClosed != 0 }
 
 // Close shuts the server down: stop accepting, close connections,
 // terminate every object process (running destructors), wait for
-// goroutines to drain.
+// goroutines to drain, and close the machine's counter registry.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed() {
@@ -204,6 +207,7 @@ func (s *Server) Close() error {
 		// One or more object methods are blocked indefinitely; their
 		// goroutines are abandoned (they exit if the method ever returns).
 	}
+	s.counters.Close()
 	return nil
 }
 
@@ -534,8 +538,8 @@ func (g *replyGroup) add(reqID uint64, frame []byte, token bool) {
 		room, _ = g.replies.Add(e.Detach()) // an error reply is short
 		wire.PutEncoder(e)
 	}
-	metrics.Default.MessagesSent.Add(1)
-	metrics.Default.BytesSent.Add(int64(n))
+	g.s.counters.MessagesSent.Add(1)
+	g.s.counters.BytesSent.Add(int64(n))
 	g.unlock(!room)
 }
 
@@ -776,7 +780,6 @@ func (t *callTask) run() {
 	var err error
 	t.stats = t.s.methodStats(&t.me)
 	if t.deadline != 0 && time.Now().UnixNano() > t.deadline {
-		metrics.Default.ReqExpired.Add(1)
 		err = errExpired
 	} else {
 		err = t.s.invoke(t.me.fn, t.env, t.entry, t.args, t.answer())
@@ -800,7 +803,7 @@ func (s *Server) methodStats(me *methodEntry) *trace.MethodStats {
 	if me.index >= len(tab) || tab[me.index] == nil {
 		next := make([]*trace.MethodStats, max(len(tab), me.index+1))
 		copy(next, tab)
-		next[me.index] = s.methods.Get(me.full)
+		next[me.index] = &trace.MethodStats{Name: me.full}
 		s.stats.Store(&next)
 		tab = next
 	}
@@ -846,16 +849,16 @@ func (s *Server) destroyObject(entry *objEntry) (err error) {
 	return nil
 }
 
-// debugSnapshot is the machine's introspection snapshot: the per-method
-// telemetry registry, the requests this machine's admission shed, and the
-// process span ring, JSON-encoded. The snapshot is self-describing (field names,
+// debugSnapshot is the machine's introspection snapshot: its counters,
+// the per-method telemetry registry, and the process span ring,
+// JSON-encoded. The snapshot is self-describing (field names,
 // sparse histogram buckets), so the debug plane never needs a protocol
 // revision to grow a field.
 func (s *Server) debugSnapshot() ([]byte, error) {
 	return json.Marshal(trace.Snapshot{
-		Machine: s.machine,
-		Shed:    s.shed.Load(),
-		Methods: s.methods.Snapshot(),
-		Spans:   trace.Spans(),
+		Machine:  s.machine,
+		Counters: s.counters.Snapshot(),
+		Methods:  trace.SnapshotMethods(*s.stats.Load()),
+		Spans:    trace.Spans(),
 	})
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"oopp/internal/metrics"
@@ -13,6 +12,7 @@ import (
 // and outcome counters. Observation is allocation-free; the RMI server
 // classifies outcomes because the typed errors live above this package.
 type MethodStats struct {
+	Name string // "class.method"
 	Hist metrics.Hist
 	// OK counts successful invocations; Errs every other failure not
 	// counted below.
@@ -25,23 +25,6 @@ type MethodStats struct {
 	Fenced  atomic.Int64
 }
 
-// Methods is a per-server registry of MethodStats keyed by
-// "class.method". The hot path is a lock-free sync.Map load on a
-// precomputed key; the entry is created once, on a method's first call.
-type Methods struct {
-	m sync.Map // string -> *MethodStats
-}
-
-// Get returns the stats entry for full ("class.method"), creating it on
-// first use. The Load fast path does not allocate.
-func (ms *Methods) Get(full string) *MethodStats {
-	if v, ok := ms.m.Load(full); ok {
-		return v.(*MethodStats)
-	}
-	v, _ := ms.m.LoadOrStore(full, new(MethodStats))
-	return v.(*MethodStats)
-}
-
 // MethodSnapshot is the serialized telemetry of one method.
 type MethodSnapshot struct {
 	Name    string               `json:"name"`
@@ -52,32 +35,35 @@ type MethodSnapshot struct {
 	Hist    metrics.HistSnapshot `json:"hist"`
 }
 
-// Snapshot captures every method's telemetry, sorted by name.
-func (ms *Methods) Snapshot() []MethodSnapshot {
+// SnapshotMethods captures the telemetry of every method in table (a nil
+// entry is a method not called yet), sorted by name.
+func SnapshotMethods(table []*MethodStats) []MethodSnapshot {
 	var out []MethodSnapshot
-	ms.m.Range(func(k, v any) bool {
-		st := v.(*MethodStats)
+	for _, st := range table {
+		if st == nil {
+			continue
+		}
 		out = append(out, MethodSnapshot{
-			Name:    k.(string),
+			Name:    st.Name,
 			OK:      st.OK.Load(),
 			Errs:    st.Errs.Load(),
 			Expired: st.Expired.Load(),
 			Fenced:  st.Fenced.Load(),
 			Hist:    st.Hist.Snapshot(),
 		})
-		return true
-	})
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
 // Snapshot is one machine's full debug-plane answer: its identity, its
-// per-method telemetry, server-level shed count, and the span ring. It
-// is self-describing JSON — the opDebug op returns exactly this, and
-// cmd/opptrace merges one per machine.
+// counters (messages, bytes, disk operations, sheds, ...), its per-method
+// telemetry, and the span ring. A machine's expired requests are its
+// methods' Expired, summed. It is self-describing JSON — the opDebug op
+// returns exactly this, and cmd/opptrace merges one per machine.
 type Snapshot struct {
-	Machine int              `json:"machine"`
-	Shed    int64            `json:"shed,omitempty"`
-	Methods []MethodSnapshot `json:"methods,omitempty"`
-	Spans   []SpanRecord     `json:"spans,omitempty"`
+	Machine  int              `json:"machine"`
+	Counters metrics.Snapshot `json:"counters"`
+	Methods  []MethodSnapshot `json:"methods,omitempty"`
+	Spans    []SpanRecord     `json:"spans,omitempty"`
 }

@@ -116,17 +116,16 @@ func TestRingOverwriteAndConcurrency(t *testing.T) {
 	}
 }
 
+// A server's method table is indexed by method and holds nil for a
+// method not called there yet; its snapshot skips those and sorts by
+// name.
 func TestMethodsRegistry(t *testing.T) {
-	var ms Methods
-	e := ms.Get("cls.echo")
-	if e2 := ms.Get("cls.echo"); e2 != e {
-		t.Fatal("Get minted a second entry for the same key")
-	}
-	e.Hist.Observe(40 * time.Microsecond)
-	e.OK.Add(1)
-	ms.Get("cls.apply").Errs.Add(2)
+	echo, apply := &MethodStats{Name: "cls.echo"}, &MethodStats{Name: "cls.apply"}
+	echo.Hist.Observe(40 * time.Microsecond)
+	echo.OK.Add(1)
+	apply.Errs.Add(2)
 
-	snap := ms.Snapshot()
+	snap := SnapshotMethods([]*MethodStats{echo, nil, apply})
 	if len(snap) != 2 || snap[0].Name != "cls.apply" || snap[1].Name != "cls.echo" {
 		t.Fatalf("snapshot order/content wrong: %+v", snap)
 	}

@@ -88,8 +88,6 @@ type (
 	// Persistable is implemented by passivatable server-side objects.
 	Persistable = persist.Persistable
 
-	// LinkModel is the simulated network cost model.
-	LinkModel = transport.LinkModel
 	// DiskModel is the simulated disk cost model.
 	DiskModel = disk.Model
 	// Transport moves framed messages between machines.
@@ -193,10 +191,6 @@ func RetryAfter(err error) (time.Duration, bool) { return rmi.RetryAfter(err) }
 // "Observability" chapter of the package doc.
 func WithSampled() CallOption { return rmi.WithSampled() }
 
-// UnboundedAdmission returns an AdmissionConfig that admits everything —
-// the pre-admission-control behavior.
-func UnboundedAdmission() AdmissionConfig { return rmi.Unbounded() }
-
 // NewPool creates a connection pool for high-fan-in clients.
 func NewPool(cfg PoolConfig) (*Pool, error) { return serve.NewPool(cfg) }
 
@@ -225,10 +219,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
 // NewLocalCluster brings up n machines with d memory disks each over a
 // cost-free in-process transport — the quickstart configuration.
 func NewLocalCluster(n, d int) (*Cluster, error) { return cluster.NewLocal(n, d) }
-
-// NewInprocTransport returns an in-process transport whose links follow
-// model (zero model = free links).
-func NewInprocTransport(model LinkModel) Transport { return transport.NewInproc(model) }
 
 // TCPTransport returns the real-socket transport.
 func TCPTransport() Transport { return transport.TCP{} }
@@ -366,11 +356,6 @@ type (
 // BlockStorage.AddDevice and Array.Rebalance to flow pages onto it.
 func JoinNode(cfg NodeConfig) (*Node, error) { return cluster.JoinNode(cfg) }
 
-// BalancePlan computes the minimal-move plan leveling page occupancy
-// across devices, hottest donors first (Array.Rebalance observes the
-// cluster and runs this for you; use it directly for custom loads).
-func BalancePlan(loads []DeviceLoad) []Move { return elastic.Balance(loads) }
-
 // DrainPlan computes the complete-or-fail plan moving every page off
 // the drained device onto the emptiest survivors.
 func DrainPlan(loads []DeviceLoad, drain int) ([]Move, error) {
@@ -388,14 +373,6 @@ func DrainPlan(loads []DeviceLoad, drain int) ([]Move, error) {
 type (
 	// MapKernel transforms one contiguous row of elements in place.
 	MapKernel = kernel.Map
-	// ReduceKernel folds rows into a fixed-width accumulator
-	// device-side; partials merge client-side.
-	ReduceKernel = kernel.Reduce
-	// BinaryKernel transforms a destination row given the co-indexed
-	// source row pulled from a peer device.
-	BinaryKernel = kernel.Binary
-	// BinaryReduceKernel folds co-indexed row pairs (dot products).
-	BinaryReduceKernel = kernel.BinaryReduce
 	// Pipeline is the fused-kernel shape: an ordered stage chain
 	// executed device-side as one page pass over one RMI per device.
 	Pipeline = kernel.Pipeline
@@ -427,17 +404,6 @@ const (
 // Like class registration, kernels register at init time in every
 // process of a deployment (same binary ⇒ same registry).
 func RegisterMapKernel(name string, k MapKernel) { kernel.RegisterMap(name, k) }
-
-// RegisterReduceKernel installs a reduction kernel.
-func RegisterReduceKernel(name string, k ReduceKernel) { kernel.RegisterReduce(name, k) }
-
-// RegisterBinaryKernel installs a two-operand map kernel.
-func RegisterBinaryKernel(name string, k BinaryKernel) { kernel.RegisterBinary(name, k) }
-
-// RegisterBinaryReduceKernel installs a two-operand reduction kernel.
-func RegisterBinaryReduceKernel(name string, k BinaryReduceKernel) {
-	kernel.RegisterBinaryReduce(name, k)
-}
 
 // MapStage names a registered map kernel as one pipeline stage.
 func MapStage(name string) PipelineStage { return kernel.MapStage(name) }

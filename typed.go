@@ -133,10 +133,6 @@ func MapIndexed[T, R any](ctx context.Context, c *Collection[T], fn func(ctx con
 	return collection.MapIndexed(ctx, c, fn)
 }
 
-// FailedMembers extracts the member indices from a collective
-// operation's errors.Join aggregate.
-func FailedMembers(err error) []int { return collection.Failed(err) }
-
 // WithTimeout bounds a remote operation (dial, send, remote execution,
 // response) to d. The deadline is armed at issue time and travels with
 // the future.
