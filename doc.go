@@ -69,8 +69,8 @@
 //	// lives, merged client-side with a monoid, in member order
 //	total, _ := oopp.Reduce(ctx, coll, "count", nil, decodeInt, sumInt)
 //
-// Distribution descriptors (Block, Cyclic, OnMachines, optionally
-// .Replicate(k)) place members over machines the way PageMap layouts
+// Distribution descriptors (Block, Cyclic, OnMachines) place members
+// over machines the way PageMap layouts
 // place pages over devices. Collective operations fan out concurrently
 // with a bounded in-flight window and report errors.Join of all member
 // failures — each a MemberError carrying the member index — never a
@@ -88,7 +88,7 @@
 // The paper's central claim is that code should execute inside the
 // objects that hold the data. The Array takes that literally: Read and
 // Write move elements between client and devices, but every *compute*
-// operation — Fill, Scale, Sum, MinMax, Norm2, Dot, Axpy — is a kernel
+// operation — Fill, Scale, Sum, Norm2, Dot, Axpy — is a kernel
 // collective that executes inside the storage device processes owning
 // the pages. The client sends one batched RMI per involved device (a
 // kernel name, a few float64 parameters, and the list of page regions
@@ -120,9 +120,8 @@
 //
 // There is ONE engine behind all of it. Every collective is a stage
 // chain — Fill, Scale, Sum, Dot, Axpy and the user-kernel entry points
-// are one-stage chains, a fused pipeline (next chapter) a longer one,
-// BlockStorage.ApplyAll/ReduceAll the same chain over every physical
-// page — and every chain goes through one device method
+// are one-stage chains, a fused pipeline (next chapter) a longer one —
+// and every chain goes through one device method
 // (applyPipelineK, which carries the chain inline and resolves each
 // stage in the device's own kernel registry) and one client loop: plan
 // the per-device batches, fan out, classify failures, replay what a
@@ -285,7 +284,7 @@
 //     (BytesCopy) anything that must outlive the decode. Encoders
 //     obtained from wire.GetEncoder panic if used after PutEncoder.
 //
-// The *Into decode forms (Float64sInto, Complex128sInto, BytesInto) and
+// The *Into decode forms (Float64sInto, Complex128sInto) and
 // the stub fast lanes built on them (rmem GetRangeInto, pagedev ReadPage)
 // fill caller-owned buffers in a single pass — the bulk-data path the E2
 // experiment measures against the modeled link bandwidth.
@@ -490,9 +489,8 @@
 //	idx, _ := storage.AddDevice(ctx, node.Machine(), pages, oopp.DiskPrivate)
 //	arr.Rebalance(ctx, oopp.RebalanceConfig{})
 //
-// and Rebalance flows its fair share of pages onto it; ReviveDevice is
-// the restart half, giving a dead device slot a fresh process that the
-// next Rebalance repopulates. cmd/oppcluster exposes both drills:
+// and Rebalance flows its fair share of pages onto it. cmd/oppcluster
+// exposes two drills:
 // -join serves a machine on a claimed index, -drain-pages migrates
 // every page off a machine and verifies the contents survived.
 // Experiment E16 gates the cost: a rebalance ships only the moved

@@ -46,21 +46,19 @@ func receiverType(e ast.Expr) string {
 	}
 }
 
-// indexModule parses every non-test Go file under root and returns the
-// symbol index per package name, plus the list of doc.go file paths.
-// Packages named main (commands, examples) are not referenceable from
-// prose and are skipped from the index.
-func indexModule(t *testing.T, root string) (map[string]*docSymbols, []string) {
+// parseModule parses every non-test Go file under root, skipping the
+// directories below it that the go tool ignores (testdata, and names
+// beginning with "." or "_"), and hands each file to visit with its path
+// as the walk found it (root joined with the relative path).
+func parseModule(t *testing.T, root string, visit func(path string, f *ast.File)) {
 	t.Helper()
-	pkgs := make(map[string]*docSymbols)
-	var docs []string
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if name := d.Name(); name == ".git" || name == "testdata" {
+			if name := d.Name(); path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -72,12 +70,29 @@ func indexModule(t *testing.T, root string) (map[string]*docSymbols, []string) {
 		if err != nil {
 			return err
 		}
+		visit(path, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("walk: %v", err)
+	}
+}
+
+// indexModule parses every non-test Go file under root and returns the
+// symbol index per package name, plus the list of doc.go file paths.
+// Packages named main (commands, examples) are not referenceable from
+// prose and are skipped from the index.
+func indexModule(t *testing.T, root string) (map[string]*docSymbols, []string) {
+	t.Helper()
+	pkgs := make(map[string]*docSymbols)
+	var docs []string
+	parseModule(t, root, func(path string, f *ast.File) {
 		if filepath.Base(path) == "doc.go" {
 			docs = append(docs, path)
 		}
 		pkg := f.Name.Name
 		if pkg == "main" {
-			return nil
+			return
 		}
 		syms := pkgs[pkg]
 		if syms == nil {
@@ -114,11 +129,7 @@ func indexModule(t *testing.T, root string) (map[string]*docSymbols, []string) {
 				}
 			}
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatalf("walk: %v", err)
-	}
 	return pkgs, docs
 }
 

@@ -1,7 +1,8 @@
 // Bigarray: the paper's §5 Array — a 3D array paged across many storage
 // device processes. The example builds the array under two PageMaps,
 // fills a subdomain, computes sums both by moving data and by moving
-// computation, and shows that the layout decides how many devices an
+// computation, copies a subdomain into a second array device to device
+// (§5's copyFrom), and shows that the layout decides how many devices an
 // operation engages.
 //
 //	go run ./examples/bigarray
@@ -90,6 +91,31 @@ func main() {
 			fmt.Printf(" d%d=%d", i, r-opsBefore[i])
 		}
 		fmt.Println()
+
+		// §5's copyFrom: a conformant array on a second storage takes the
+		// hot subdomain device to device; no element passes through here.
+		copyStore, err := oopp.CreateBlockStorage(ctx, client, machines, "bigarray-copy", pm.PagesPerDevice(), n, n, n, oopp.DiskPrivate)
+		if err != nil {
+			log.Fatal(err)
+		}
+		dup, err := oopp.NewArray(ctx, copyStore, pm, N, N, N, n, n, n)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := dup.CopyFrom(ctx, arr, hot); err != nil {
+			log.Fatal(err)
+		}
+		hotSum, err := dup.Sum(ctx, hot)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if want := 2 * float64(hot.Size()); hotSum != want {
+			log.Fatalf("[%s] copied subdomain sums to %.0f, want %.0f", layout, hotSum, want)
+		}
+		fmt.Printf("[%-10s] copyFrom(hot) into a second array: sum %.0f\n", layout, hotSum)
+		if err := copyStore.Close(ctx); err != nil {
+			log.Fatal(err)
+		}
 
 		// Move data vs move computation on one page (§3).
 		dev := storage.Device(0)

@@ -316,7 +316,7 @@ func TestWaitReadyRevivesDownMachine(t *testing.T) {
 	hb := client.StartHeartbeat(rmi.HeartbeatConfig{Interval: 25 * time.Millisecond, Misses: 2})
 	n.Close() // machine dies
 	deadline := time.Now().Add(10 * time.Second)
-	for len(hb.Down()) == 0 && time.Now().Before(deadline) {
+	for client.MachineDown(0) == nil && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	hb.Stop() // detector gone; the down mark stays

@@ -41,7 +41,7 @@ type Config struct {
 	DataDir string
 	// Admission bounds each machine's in-flight work per priority class
 	// (see rmi.AdmissionConfig). The zero value selects the rmi defaults;
-	// use rmi.Unbounded() to disable shedding entirely.
+	// negative capacities disable shedding entirely.
 	Admission rmi.AdmissionConfig
 }
 
@@ -67,7 +67,7 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Transport == nil {
 		cfg.Transport = transport.NewInproc(transport.LinkModel{})
 	}
-	c := &Cluster{}
+	c := &Cluster{machines: make([]*Machine, 0, cfg.Machines)}
 	for i := 0; i < cfg.Machines; i++ {
 		m, err := bringUp(NodeConfig{
 			Machine:   i,
@@ -111,9 +111,6 @@ func (c *Cluster) Client() *rmi.Client { return c.machines[0].client }
 
 // Directory returns the address directory (machine i -> address).
 func (c *Cluster) Directory() rmi.Directory { return c.dir }
-
-// Addrs returns the listen addresses of all machines.
-func (c *Cluster) Addrs() []string { return append([]string(nil), c.dir...) }
 
 // Shutdown stops every machine: clients close — all of them first, so no
 // object calls out into a cluster that is going away — then servers

@@ -50,8 +50,8 @@ func TestNewLocalDefaults(t *testing.T) {
 	if c.Size() != 3 {
 		t.Fatalf("size = %d", c.Size())
 	}
-	if len(c.Addrs()) != 3 {
-		t.Fatalf("addrs = %v", c.Addrs())
+	if len(c.dir) != 3 {
+		t.Fatalf("addrs = %v", c.dir)
 	}
 	for i := 0; i < 3; i++ {
 		m := c.Machine(i)

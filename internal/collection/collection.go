@@ -58,7 +58,7 @@ type Collection[T any] struct {
 }
 
 // Spawn constructs a collection of the class registered for type T, one
-// member per slot of dist, passing args with the tagged generic
+// member per machine assignment of dist, passing args with the tagged generic
 // encoding (every member receives the same args; use SpawnClass for
 // per-member constructor arguments). It is the collective form of
 // rmi.NewOn[T].
@@ -127,9 +127,6 @@ func (c *Collection[T]) Client() *rmi.Client { return c.client }
 // Len returns the number of members.
 func (c *Collection[T]) Len() int { return len(c.members) }
 
-// Member returns the i-th member descriptor.
-func (c *Collection[T]) Member(i int) Member { return c.members[i] }
-
 // Ref returns the i-th member's remote pointer.
 func (c *Collection[T]) Ref(i int) rmi.Ref { return c.members[i].Ref }
 
@@ -174,8 +171,7 @@ func (c *Collection[T]) view(members []Member) *Collection[T] {
 
 // Slice returns the view of members [lo, hi). Member descriptors keep
 // their original Index, so collectives over the view still report and
-// encode global member indices. With a replicated distribution,
-// Slice(r*n, (r+1)*n) is exactly replica r.
+// encode global member indices.
 func (c *Collection[T]) Slice(lo, hi int) *Collection[T] {
 	return c.view(c.members[lo:hi])
 }

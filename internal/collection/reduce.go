@@ -46,40 +46,11 @@ func Reduce[T, R any](ctx context.Context, c *Collection[T], method string, args
 	return acc, nil
 }
 
-// Common result decoders for Reduce.
-
-// DecodeFloat64 reads one float64 result.
-func DecodeFloat64(_ Member, d *wire.Decoder) (float64, error) {
-	v := d.Float64()
-	return v, d.Err()
-}
-
-// DecodeInt reads one varint result as an int.
+// DecodeInt reads one varint result as an int — a decoder for Reduce.
 func DecodeInt(_ Member, d *wire.Decoder) (int, error) {
 	v := d.Int()
 	return v, d.Err()
 }
 
-// Common monoids for Reduce.
-
-// SumFloat64 is the addition monoid on float64.
-func SumFloat64(a, b float64) float64 { return a + b }
-
-// SumInt is the addition monoid on int.
+// SumInt is the addition monoid on int — a combine for Reduce.
 func SumInt(a, b int) int { return a + b }
-
-// MinFloat64 is the minimum monoid on float64.
-func MinFloat64(a, b float64) float64 {
-	if b < a {
-		return b
-	}
-	return a
-}
-
-// MaxFloat64 is the maximum monoid on float64.
-func MaxFloat64(a, b float64) float64 {
-	if b > a {
-		return b
-	}
-	return a
-}

@@ -27,8 +27,8 @@ func killCollMachine(t *testing.T, cl *cluster.Cluster, client *rmi.Client, m in
 // TestReplicatedViewsWithDeadMachine pins the failure shape of a
 // replicated spawn: a broadcast over the whole collection reports only
 // the slots on the dead machine, each replica slice keeps its own global
-// indices, and the replica slice avoiding the dead machine still
-// completes cleanly — the placement rotation is what makes that replica
+// indices, and the survivor view avoiding the dead machine still
+// completes cleanly — the placement rotation is what makes that view
 // exist.
 func TestReplicatedViewsWithDeadMachine(t *testing.T) {
 	cl, client := testCluster(t, 3)
@@ -37,7 +37,7 @@ func TestReplicatedViewsWithDeadMachine(t *testing.T) {
 
 	// 3 logical members × 2 replicas, replica-major: slots 0-2 are
 	// replica 0 (machines 0,1,2), slots 3-5 replica 1 (machines 1,2,0).
-	dist := Cyclic(3, 3).Replicate(2)
+	dist := OnMachines(0, 1, 2, 1, 2, 0)
 	coll, err := SpawnNamed[*cell](bg, client, dist, "collection.Cell", cellEnc)
 	if err != nil {
 		t.Fatalf("spawn: %v", err)
@@ -100,8 +100,8 @@ func TestReplicatedViewsWithDeadMachine(t *testing.T) {
 }
 
 // TestReplicateBeyondLiveMachines pins the degradation edge: a
-// replication factor that exceeds the *live* machine pool still
-// validates against the nominal pool, and the spawn fails typed on the
+// replicated placement that names a dead machine still validates (the
+// descriptor cannot know liveness), and the spawn fails typed on the
 // dead machine rather than silently thinning the replica set.
 func TestReplicateBeyondLiveMachines(t *testing.T) {
 	cl, client := testCluster(t, 3)
@@ -110,9 +110,9 @@ func TestReplicateBeyondLiveMachines(t *testing.T) {
 
 	killCollMachine(t, cl, client, 1)
 
-	// k == nominal machines: valid by descriptor (the descriptor cannot
-	// know liveness)...
-	dist := Cyclic(2, 3).Replicate(3)
+	// 2 logical members × 3 replicas over 3 machines, replica-major:
+	// valid by descriptor...
+	dist := OnMachines(0, 1, 1, 2, 2, 0)
 	if err := dist.Validate(); err != nil {
 		t.Fatalf("validate with nominal pool: %v", err)
 	}
@@ -135,13 +135,8 @@ func TestReplicateBeyondLiveMachines(t *testing.T) {
 		}
 	}
 
-	// k above the nominal pool never validates, live or not.
-	if err := Cyclic(2, 3).Replicate(4).Validate(); err == nil {
-		t.Fatal("replication beyond the machine pool validated")
-	}
-
 	// The resilient shape: replicate over the *live* machines only.
-	live := OnMachines(0, 2).Replicate(2)
+	live := OnMachines(0, 2, 2, 0)
 	coll, err := SpawnNamed[*cell](bg, client, live, "collection.Cell", cellEnc)
 	if err != nil {
 		t.Fatalf("spawn on live machines: %v", err)

@@ -110,9 +110,6 @@ func NewArray(ctx context.Context, storage *BlockStorage, pm PageMap, N1, N2, N3
 // Dims returns the array extents.
 func (a *Array) Dims() (N1, N2, N3 int) { return a.n[0], a.n[1], a.n[2] }
 
-// PageDims returns the page extents.
-func (a *Array) PageDims() (n1, n2, n3 int) { return a.p[0], a.p[1], a.p[2] }
-
 // GridDims returns the page-grid extents.
 func (a *Array) GridDims() (P1, P2, P3 int) { return a.g[0], a.g[1], a.g[2] }
 
@@ -377,16 +374,4 @@ func (a *Array) Fill(ctx context.Context, dom Domain, v float64) error {
 // own the pages.
 func (a *Array) Scale(ctx context.Context, dom Domain, alpha float64) error {
 	return a.Apply(ctx, dom, kernel.Scale, alpha)
-}
-
-// MinMax returns the extrema over dom, computed where the pages live
-// (one device-side minmax reduction per involved device). An empty
-// domain yields the reduction identity (+Inf, -Inf); devices fold no
-// empty regions, so the identity never contaminates a non-empty result.
-func (a *Array) MinMax(ctx context.Context, dom Domain) (lo, hi float64, err error) {
-	acc, _, err := a.Reduce(ctx, dom, kernel.MinMax)
-	if err != nil {
-		return 0, 0, err
-	}
-	return acc[0], acc[1], nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"oopp/internal/cluster"
 	"oopp/internal/core"
+	"oopp/internal/kernel"
 	"oopp/internal/pagedev"
 	"oopp/internal/transport"
 )
@@ -244,10 +245,11 @@ func TestArraySumFillScaleMinMax(t *testing.T) {
 		}
 	}
 
-	lo, hi, err := arr.MinMax(bg, full)
+	acc, _, err := arr.Reduce(bg, full, kernel.MinMax)
 	if err != nil {
 		t.Fatalf("minmax: %v", err)
 	}
+	lo, hi := acc[0], acc[1]
 	wlo, whi := math.Inf(1), math.Inf(-1)
 	for _, v := range ref.data {
 		wlo, whi = math.Min(wlo, v), math.Max(whi, v)
@@ -384,9 +386,6 @@ func TestArrayValidation(t *testing.T) {
 	// Geometry accessors.
 	if n1, n2, n3 := arr.Dims(); n1 != 8 || n2 != 8 || n3 != 8 {
 		t.Errorf("dims %d %d %d", n1, n2, n3)
-	}
-	if p1, p2, p3 := arr.PageDims(); p1 != 4 || p2 != 4 || p3 != 4 {
-		t.Errorf("page dims %d %d %d", p1, p2, p3)
 	}
 	if g1, g2, g3 := arr.GridDims(); g1 != 2 || g2 != 2 || g3 != 2 {
 		t.Errorf("grid dims %d %d %d", g1, g2, g3)

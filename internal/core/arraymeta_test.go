@@ -55,20 +55,21 @@ func FuzzArrayMeta(f *testing.F) {
 	damaged(func(m *arrayMeta) { m.pm.chains[0] = []PageAddress{{0, 0}, {0, 2}} })         // two copies on one device
 	damaged(func(m *arrayMeta) { m.pm.chains[1] = []PageAddress{{0, 1}, {2, 5}, {1, 0}} }) // more copies than k
 	// Lengths no frame can hold, where the page count and a chain length go.
-	head := wire.NewEncoder(64)
-	for _, v := range [...]int{4, 4, 2, 2, 2, 2} {
-		head.PutInt(v)
-	}
-	head.PutString("striped+r2")
-	head.PutInt(3)
-	for _, n := range []uint64{math.MaxUint64 / 2, 1 << 61, math.MaxUint64/3 + 1, math.MaxUint64} {
+	head := func() *wire.Encoder {
 		e := wire.NewEncoder(64)
-		e.AppendRaw(head.Bytes())
+		for _, v := range [...]int{4, 4, 2, 2, 2, 2} {
+			e.PutInt(v)
+		}
+		e.PutString("striped+r2")
+		e.PutInt(3)
+		return e
+	}
+	for _, n := range []uint64{math.MaxUint64 / 2, 1 << 61, math.MaxUint64/3 + 1, math.MaxUint64} {
+		e := head()
 		e.PutUvarint(n)
 		e.PutBytes(make([]byte, 64)) // something behind the prefix, as in a real frame
 		f.Add(e.Bytes())
-		e = wire.NewEncoder(64)
-		e.AppendRaw(head.Bytes())
+		e = head()
 		e.PutUvarint(4)
 		e.PutInt(2)
 		e.PutInt(6)

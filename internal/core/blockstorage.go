@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"oopp/internal/collection"
-	"oopp/internal/kernel"
 	"oopp/internal/pagedev"
 	"oopp/internal/rmi"
 	"oopp/internal/wire"
@@ -22,16 +21,17 @@ import (
 // over. Each device should live on its own disk (ideally its own
 // machine); the PageMap decides which logical page goes to which device.
 //
-// Device-wide collectives (creation, fill, stat, barrier, teardown) run
-// over a typed Collection: concurrent with a bounded window, reporting
-// errors.Join of all member failures.
+// Device-wide collectives (creation, barrier, teardown) run over a typed
+// Collection: concurrent with a bounded window, reporting errors.Join of
+// all member failures. Computing over the pages is the Array's business:
+// its collectives reach the devices through the map.
 //
 // Membership is elastic: AddDevice appends a freshly spawned device
-// (the join half of the elastic cluster) and ReviveDevice respawns a
-// dead one in place. Both swap an immutable membership snapshot
-// (copy-on-write), so Array clients running operations concurrently
-// with a join never observe a half-updated device table — they keep
-// using the snapshot their page-map snapshot was built against.
+// (the join half of the elastic cluster) by swapping an immutable
+// membership snapshot (copy-on-write), so Array clients running
+// operations concurrently with a join never observe a half-updated
+// device table — they keep using the snapshot their page-map snapshot
+// was built against.
 type BlockStorage struct {
 	name  string     // base name spawned devices derive theirs from
 	mu    sync.Mutex // serializes membership changes, not reads
@@ -115,56 +115,23 @@ func CreateBlockStorage(ctx context.Context, client *rmi.Client, machines []int,
 func (b *BlockStorage) AddDevice(ctx context.Context, machine, pages, diskIndex int) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	idx := b.Len()
+	s := b.snap()
+	idx := len(s.devices)
 	if idx == 0 {
 		return 0, fmt.Errorf("core: cannot join a device to an empty storage")
 	}
-	if err := b.spawn(ctx, idx, machine, pages, diskIndex); err != nil {
-		return 0, fmt.Errorf("core: joining device on machine %d: %w", machine, err)
-	}
-	return idx, nil
-}
-
-// ReviveDevice respawns device i's process — the rejoin half: after a
-// machine restart (its old process died and Failover routed around it),
-// revive gives the device slot a fresh, empty process on machine, and
-// a following Array.Rebalance flows pages back onto it. The old process
-// must be gone; revive does not reap it.
-func (b *BlockStorage) ReviveDevice(ctx context.Context, i, machine, pages, diskIndex int) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if i < 0 || i >= b.Len() {
-		return fmt.Errorf("core: revive: no device %d in storage of %d", i, b.Len())
-	}
-	if err := b.spawn(ctx, i, machine, pages, diskIndex); err != nil {
-		return fmt.Errorf("core: reviving device %d on machine %d: %w", i, machine, err)
-	}
-	return nil
-}
-
-// spawn starts a fresh, empty device process on machine for slot i — an
-// existing slot, or the one past the last — and swaps in a membership
-// snapshot that has it there. The caller holds b.mu; the storage is not
-// empty (the new device takes its page dimensions from device 0).
-func (b *BlockStorage) spawn(ctx context.Context, i, machine, pages, diskIndex int) error {
-	s := b.snap()
 	n1, n2, n3 := s.devices[0].Dims()
 	name := b.name
 	if name == "" {
 		name = "storage"
 	}
 	dev, err := pagedev.NewArrayDevice(ctx, s.coll.Client(), machine,
-		fmt.Sprintf("%s/%d", name, i), pages, n1, n2, n3, diskIndex)
+		fmt.Sprintf("%s/%d", name, idx), pages, n1, n2, n3, diskIndex)
 	if err != nil {
-		return err
+		return 0, fmt.Errorf("core: joining device on machine %d: %w", machine, err)
 	}
-	devices := slices.Clone(s.devices)
-	if i == len(devices) {
-		devices = append(devices, nil)
-	}
-	devices[i] = dev
-	b.swap(devices)
-	return nil
+	b.swap(append(slices.Clip(s.devices), dev))
+	return idx, nil
 }
 
 // Len returns the number of devices.
@@ -195,95 +162,6 @@ func (b *BlockStorage) Collection() *collection.Collection[*pagedev.ArrayDevice]
 // Refs returns the remote pointers of all devices (for passing storage to
 // other processes).
 func (b *BlockStorage) Refs() []rmi.Ref { return b.snap().coll.Refs() }
-
-// runAll runs a one-stage chain over every physical page of every
-// device: the same engine batch Array collectives send, with one
-// whole-page region per physical index (the devices know their own
-// page counts, so they are asked first).
-func (b *BlockStorage) runAll(ctx context.Context, stage kernel.Stage, params []float64) ([]StageResult, error) {
-	st, err := kernel.Resolve(stage, params)
-	if err != nil {
-		return nil, err
-	}
-	c, s := kernel.Chain{st}, b.snap()
-	totals := c.Identity()
-	if len(s.devices) == 0 {
-		return results(c, totals), nil
-	}
-	byDev := make(map[int]pagedev.Batch, len(s.devices))
-	err = s.coll.CallAll(ctx, "numPages", nil, func(m collection.Member, d *wire.Decoder) error {
-		n1, n2, n3 := s.devices[m.Index].Dims()
-		regs := make([]pagedev.PipeRegion, d.Int())
-		for i := range regs {
-			regs[i] = pagedev.PipeRegion{Index: i, Box: pagedev.SubBox{Dim: [3]int{n1, n2, n3}}, Fold: true}
-		}
-		byDev[m.Index] = pagedev.Batch{Regions: regs}
-		return d.Err()
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := fanOut(ctx, s.coll, c, byDev, totals); err != nil {
-		return nil, err
-	}
-	return results(c, totals), nil
-}
-
-// ApplyAll runs a registered map kernel over every element of every
-// physical page on every device — one kernel batch per device, no
-// element data on the wire. (Unlike Array.Apply it covers physical
-// pages the PageMap may leave unmapped; use it to initialize storage,
-// not to transform a subdomain.)
-func (b *BlockStorage) ApplyAll(ctx context.Context, name string, params ...float64) error {
-	_, err := b.runAll(ctx, kernel.MapStage(name), params)
-	return err
-}
-
-// ReduceAll folds a registered reduction kernel over every element of
-// every physical page on every device: per-device partials computed by
-// the data server processes, merged client-side in device order. It
-// returns the combined accumulator and the element count folded; an
-// empty storage returns the kernel identity with n == 0.
-func (b *BlockStorage) ReduceAll(ctx context.Context, name string, params ...float64) (acc []float64, n int64, err error) {
-	res, err := b.runAll(ctx, kernel.ReduceStage(name), params)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res[0].Acc, res[0].N, nil
-}
-
-// FillAll sets every element of every page on every device to v — the
-// whole-storage fill broadcast, now a kernel collective.
-func (b *BlockStorage) FillAll(ctx context.Context, v float64) error {
-	return b.ApplyAll(ctx, kernel.Fill, v)
-}
-
-// SumAll reduces the element sum of every page on every device — the
-// whole-storage combining reduction (partial sums computed by the data
-// server processes, combined client-side, §5).
-func (b *BlockStorage) SumAll(ctx context.Context) (float64, error) {
-	acc, _, err := b.ReduceAll(ctx, kernel.Sum)
-	if err != nil {
-		return 0, err
-	}
-	return acc[0], nil
-}
-
-// IOStats aggregates the served (reads, writes) counters across all
-// devices — the stat reduction of the storage collective.
-func (b *BlockStorage) IOStats(ctx context.Context) (reads, writes int64, err error) {
-	type rw struct{ r, w int64 }
-	total, err := collection.Reduce(ctx, b.snap().coll, "stats", nil,
-		func(_ collection.Member, d *wire.Decoder) (rw, error) {
-			v := rw{r: d.Varint(), w: d.Varint()}
-			return v, d.Err()
-		},
-		func(a, b rw) rw { return rw{a.r + b.r, a.w + b.w} })
-	if err != nil {
-		return 0, 0, err
-	}
-	return total.r, total.w, nil
-}
 
 // Barrier synchronizes with every device process: its completion proves
 // every earlier message to every device was processed.

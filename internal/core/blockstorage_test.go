@@ -39,29 +39,41 @@ func TestBlockStorageCollectives(t *testing.T) {
 		}
 	}
 
-	// FillAll broadcast: every element of every page of every device.
-	if err := b.FillAll(bgCtx, 1.5); err != nil {
-		t.Fatalf("fillAll: %v", err)
+	// An array over every page of every device: a fill broadcast, then a
+	// sum reduction — partial sums on the devices, combined here.
+	pm, err := NewRoundRobinMap(1, 1, 3*pages, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewArray(bgCtx, b, pm, n1, n2, 3*pages*n3, n1, n2, n3)
+	if err != nil {
+		t.Fatalf("array: %v", err)
+	}
+	if err := a.Fill(bgCtx, a.Bounds(), 1.5); err != nil {
+		t.Fatalf("fill: %v", err)
 	}
 	if err := b.Barrier(bgCtx); err != nil {
 		t.Fatalf("barrier: %v", err)
 	}
-	// SumAll reduction: partial sums on the devices, combined here.
-	sum, err := b.SumAll(bgCtx)
+	sum, err := a.Sum(bgCtx, a.Bounds())
 	if err != nil {
-		t.Fatalf("sumAll: %v", err)
+		t.Fatalf("sum: %v", err)
 	}
 	want := 1.5 * float64(3*pages*n1*n2*n3)
 	if sum != want {
-		t.Fatalf("sumAll = %v, want %v", sum, want)
+		t.Fatalf("sum = %v, want %v", sum, want)
 	}
 
-	// IOStats reduction aggregates device counters; fillAll wrote every
-	// page once (the fill kernel is write-only: no page load) and
-	// sumAll read every page once.
-	reads, writes, err := b.IOStats(bgCtx)
-	if err != nil {
-		t.Fatalf("ioStats: %v", err)
+	// The devices' served counters: the fill wrote every page once (the
+	// fill kernel is write-only: no page load) and the sum read every
+	// page once.
+	var reads, writes int64
+	for i := 0; i < b.Len(); i++ {
+		r, w, err := b.Device(i).Stats(bgCtx)
+		if err != nil {
+			t.Fatalf("stats: %v", err)
+		}
+		reads, writes = reads+r, writes+w
 	}
 	if reads != int64(3*pages) || writes != int64(3*pages) {
 		t.Fatalf("io = %d reads %d writes, want %d/%d", reads, writes, 3*pages, 3*pages)

@@ -1,11 +1,11 @@
 package core
 
 // Owner-computes data movement between distributed arrays: CopyFrom is
-// the §5 copyFrom construct generalized from "pull N whole pages from
-// one device" to "pull any subdomain between two distributed arrays" —
-// a kernel.Copy chain — and copyPages is the same chain between
-// explicit page addresses. In both, element data moves directly
-// between the device processes that own it.
+// the §5 copyFrom construct, which pulls whole pages from one device,
+// generalized to any subdomain between two distributed arrays — a
+// kernel.Copy chain — and copyPages is the same chain between explicit
+// page addresses. In both, element data moves directly between the
+// device processes that own it.
 
 import (
 	"context"

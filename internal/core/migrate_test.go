@@ -27,9 +27,9 @@ func devicePages(t *testing.T, arr *core.Array) map[int]int {
 		for p2 := 0; p2 < P2; p2++ {
 			for p3 := 0; p3 < P3; p3++ {
 				for _, addr := range pm.LocateAll(p1, p2, p3) {
-					if addr.Device < 0 || addr.Device >= pm.Devices() || addr.Index < 0 || addr.Index >= pm.PagesPerDevice() {
+					if addr.Device < 0 || addr.Device >= core.MapDevices(pm) || addr.Index < 0 || addr.Index >= pm.PagesPerDevice() {
 						t.Fatalf("%s: page (%d,%d,%d) at %+v outside %d devices of %d pages",
-							pm.Name(), p1, p2, p3, addr, pm.Devices(), pm.PagesPerDevice())
+							pm.Name(), p1, p2, p3, addr, core.MapDevices(pm), pm.PagesPerDevice())
 					}
 					pages[addr.Device]++
 				}
@@ -258,8 +258,8 @@ func TestDrainMachineOrderIsDeterministic(t *testing.T) {
 // TestJoinDeviceAndRebalance is the elastic-growth contract: a device
 // joins a running storage (AddDevice on a machine that had none),
 // Rebalance flows its fair share of pages onto it with data intact,
-// and after a drain ReviveDevice gives the slot a fresh process that
-// Rebalance repopulates — the full leave/rejoin cycle.
+// and after a drain Rebalance repopulates it — the full leave/rejoin
+// cycle.
 func TestJoinDeviceAndRebalance(t *testing.T) {
 	cl, err := cluster.NewLocal(3, 0)
 	if err != nil {
@@ -301,7 +301,7 @@ func TestJoinDeviceAndRebalance(t *testing.T) {
 	if rep.Skipped != 0 || rep.Moved == 0 {
 		t.Fatalf("rebalance moved %d skipped %d", rep.Moved, rep.Skipped)
 	}
-	if d := arr.Map().Devices(); d != storage.Len() {
+	if d := core.MapDevices(arr.Map()); d != storage.Len() {
 		t.Fatalf("map after join rebalance spans %d devices, storage has %d", d, storage.Len())
 	}
 	pages := devicePages(t, arr)
@@ -326,24 +326,20 @@ func TestJoinDeviceAndRebalance(t *testing.T) {
 	checkPattern(t, rec, want, "recovered after join rebalance")
 	rec.Storage().Close(bg)
 
-	// Leave: drain the newcomer empty, then rejoin its slot with a
-	// fresh process (the restart story) and flow pages back.
+	// Leave: drain the newcomer empty, then flow pages back onto it.
 	if _, err := arr.DrainMachine(bg, 2); err != nil {
 		t.Fatalf("DrainMachine: %v", err)
 	}
 	if pages = devicePages(t, arr); pages[2] != 0 {
 		t.Fatalf("drained newcomer still holds %d pages", pages[2])
 	}
-	if err := storage.ReviveDevice(bg, 2, 2, spare, pagedev.DiskPrivate); err != nil {
-		t.Fatalf("ReviveDevice: %v", err)
-	}
 	if _, err := arr.Rebalance(bg, core.RebalanceConfig{}); err != nil {
-		t.Fatalf("Rebalance after revive: %v", err)
+		t.Fatalf("Rebalance after drain: %v", err)
 	}
 	if pages = devicePages(t, arr); pages[2] < 2 {
-		t.Fatalf("revived device holds %d pages (%v)", pages[2], pages)
+		t.Fatalf("rejoined device holds %d pages (%v)", pages[2], pages)
 	}
-	checkPattern(t, arr, want, "after revive rebalance")
+	checkPattern(t, arr, want, "after rejoin rebalance")
 }
 
 // TestMigrateUnderConcurrentLoad is the live-reshard contract at unit

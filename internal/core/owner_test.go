@@ -328,13 +328,6 @@ func TestReduceEmptyDomain(t *testing.T) {
 	if n != 0 || !math.IsInf(acc[0], 1) || !math.IsInf(acc[1], -1) {
 		t.Fatalf("empty minmax = %v (n=%d)", acc, n)
 	}
-	lo, hi, err := arr.MinMax(bg, empty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(lo, 1) || !math.IsInf(hi, -1) {
-		t.Fatalf("empty MinMax = (%v,%v)", lo, hi)
-	}
 	s, err := arr.Sum(bg, empty)
 	if err != nil || s != 0 {
 		t.Fatalf("empty Sum = %v, %v", s, err)

@@ -80,9 +80,6 @@ func (m *pageTable) table() [][]PageAddress {
 	return t
 }
 
-// Devices returns the number of devices the map spreads over.
-func (m *pageTable) Devices() int { return m.devices }
-
 // PagesPerDevice returns the per-device capacity the map requires.
 func (m *pageTable) PagesPerDevice() int { return m.ppd }
 

@@ -29,8 +29,8 @@ func checkMapInvariants(m PageMap, p1, p2, p3 int) error {
 		for j := 0; j < p2; j++ {
 			for k := 0; k < p3; k++ {
 				a := m.Locate(i, j, k)
-				if a.Device < 0 || a.Device >= m.Devices() {
-					return fmt.Errorf("%s: page (%d,%d,%d) -> device %d out of [0,%d)", m.Name(), i, j, k, a.Device, m.Devices())
+				if a.Device < 0 || a.Device >= m.devices {
+					return fmt.Errorf("%s: page (%d,%d,%d) -> device %d out of [0,%d)", m.Name(), i, j, k, a.Device, m.devices)
 				}
 				if a.Index < 0 || a.Index >= m.PagesPerDevice() {
 					return fmt.Errorf("%s: page (%d,%d,%d) -> index %d out of [0,%d)", m.Name(), i, j, k, a.Index, m.PagesPerDevice())
@@ -176,7 +176,7 @@ func TestLayoutsDoNotMove(t *testing.T) {
 					continue
 				}
 				built++
-				fmt.Fprintf(h, "%v %s %d %d:", grid, m.Name(), m.Devices(), m.PagesPerDevice())
+				fmt.Fprintf(h, "%v %s %d %d:", grid, m.Name(), m.devices, m.PagesPerDevice())
 				for p1 := 0; p1 < grid[0]; p1++ {
 					for p2 := 0; p2 < grid[1]; p2++ {
 						for p3 := 0; p3 < grid[2]; p3++ {
@@ -223,8 +223,8 @@ func TestPageMapRoundTrip(t *testing.T) {
 		if m.Name() != name {
 			t.Errorf("map %q round-trips as %q", name, m.Name())
 		}
-		if m.Devices() != devices {
-			t.Errorf("%s: Devices = %d, want %d", name, m.Devices(), devices)
+		if m.devices != devices {
+			t.Errorf("%s: Devices = %d, want %d", name, m.devices, devices)
 		}
 		maxIdx := make([]int, devices)
 		for i := range maxIdx {
@@ -311,8 +311,8 @@ func TestPageMapNamesComplete(t *testing.T) {
 		if m.Name() != n {
 			t.Errorf("map %q reports name %q", n, m.Name())
 		}
-		if m.Devices() != 2 {
-			t.Errorf("%s: devices = %d", n, m.Devices())
+		if m.devices != 2 {
+			t.Errorf("%s: devices = %d", n, m.devices)
 		}
 	}
 }

@@ -2,14 +2,14 @@ package core
 
 // The kernel engine, client side: every array collective — Apply,
 // Reduce, ApplyBinary, ReduceBinary and the algebra built on them
-// (kernel.go), the fused ApplyPipeline, and the storage-wide
-// ApplyAll/ReduceAll — is one kernel.Chain handed to ONE loop: plan the
-// per-device region batches, fan them out (one RMI per involved device
-// carries the whole chain; each device walks every page region through
-// all stages in a single load/store pass), classify the failures, and
-// replay what a migration fence refused. Stage parameters travel out,
-// fixed-width reduce partials travel back and fold into the chain's
-// identity by its stages' fold rule; no element data touches the client.
+// (kernel.go), and the fused ApplyPipeline — is one kernel.Chain handed
+// to ONE loop, runChain: plan the per-device region batches, fan them
+// out (one RMI per involved device carries the whole chain; each device
+// walks every page region through all stages in a single load/store
+// pass), classify the failures, and replay what a migration fence
+// refused. Stage parameters travel out, fixed-width reduce partials
+// travel back and fold into the chain's identity by its stages' fold
+// rule; no element data touches the client.
 
 import (
 	"context"
@@ -75,24 +75,20 @@ func (p *batches) add(addr PageAddress, box pagedev.SubBox, fold bool, ops []ope
 	p.byDev[addr.Device] = b
 }
 
-// fanOut sends every device of view its batch — one applyPipelineK call
-// each — and folds each member's partials into totals, one per reduce
-// stage of c, in member order (CallAll serializes collect).
-func fanOut(ctx context.Context, view *collection.Collection[*pagedev.ArrayDevice], c kernel.Chain, byDev map[int]pagedev.Batch, totals []kernel.Partial) error {
-	return view.CallAll(ctx, "applyPipelineK",
+// send fans the planned batches out to the array's devices — one
+// applyPipelineK call each — and folds each member's partials into
+// totals, one per reduce stage of c, in member order (CallAll serializes
+// collect).
+func (a *Array) send(ctx context.Context, c kernel.Chain, p batches, totals []kernel.Partial) error {
+	return a.kernelView(p.devs).CallAll(ctx, "applyPipelineK",
 		func(m collection.Member, e *wire.Encoder) error {
-			pagedev.EncodeApplyPipelineK(e, c, byDev[m.Index])
+			pagedev.EncodeApplyPipelineK(e, c, p.byDev[m.Index])
 			return nil
 		},
 		func(m collection.Member, d *wire.Decoder) error {
 			_, err := pagedev.DecodePipelineReply(d, c, totals)
 			return err
 		})
-}
-
-// send fans the planned batches out to the array's devices (fanOut).
-func (a *Array) send(ctx context.Context, c kernel.Chain, p batches, totals []kernel.Partial) error {
-	return fanOut(ctx, a.kernelView(p.devs), c, p.byDev, totals)
 }
 
 // results names the reduce stages' totals: each the fold, in device

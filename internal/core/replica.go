@@ -56,7 +56,7 @@ import (
 // r of the page whose primary base address is (d, i) lives on device
 // (d+r) mod D at page index r·basePPD + i (bank r of the device), so
 // PagesPerDevice is k times the base map's. k must be in [1,
-// base.Devices()]: more replicas than devices would put two copies of a
+// base.devices]: more replicas than devices would put two copies of a
 // page on one device, which survives nothing. The name is "<base>+r<k>"
 // (the base's for k=1), which NewPageMap parses back.
 func NewReplicatedMap(base PageMap, k int) (PageMap, error) {

@@ -19,21 +19,21 @@
 // real file on the host filesystem.
 //
 // A memory-backed disk can also be used in place: Resident hands out its
-// live bytes, and Acquire holds the device and counts the access exactly
+// live bytes, and Charge holds the device and counts the access exactly
 // as ReadAt/WriteAt of the same range would — closed and bounds checks,
 // modeled Seek + n/Bandwidth, Ops() and its machine's Disk* counters —
 // while moving no byte. What the memcpy gave for free, that nobody sees a
-// range half-written, the contents lock gives instead: Acquire holds it
+// range half-written, the contents lock gives instead: Lock holds it
 // until Release and ReadAt/WriteAt take it around their own move, so
 // every user of one disk, in place or copying, sees each access whole.
 // The lock is on the access's byte range: overlapping ranges exclude (readers
 // share); disjoint ones — two workers of a device on two pages — need not wait.
 //
-// Acquire is two halves, and a caller with several ranges in hand, of one disk
-// or of many, uses them apart: Charge each first, holding nothing — a charge
-// waits for the device and can refuse — then Lock ONE and only try the rest. A
-// holder waits for nothing: on a miss it gives back what it has and takes the
-// ranges one at a time, so no order among them is needed.
+// A caller with several ranges in hand, of one disk or of many, Charges each
+// first, holding nothing — a charge waits for the device and can refuse —
+// then Locks ONE and only tries the rest. A holder waits for nothing: on a
+// miss it gives back what it has and takes the ranges one at a time, so no
+// order among them is needed.
 package disk
 
 import (
@@ -149,21 +149,6 @@ func NewFile(name, path string, size int64, model Model) (*Disk, error) {
 	return newDisk(name, model, &fileBacking{f: f, size: size}), nil
 }
 
-// OpenFile reattaches an existing disk image without truncating it — the
-// "machine restart" path: the drive's contents survive across processes.
-func OpenFile(name, path string, model Model) (*Disk, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("disk: open %s: %w", path, err)
-	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("disk: stat %s: %w", path, err)
-	}
-	return newDisk(name, model, &fileBacking{f: f, size: info.Size()}), nil
-}
-
 // CountInto attaches the disk to the machine whose registry is r: its
 // operations count there as well. Call it before the first operation.
 func (d *Disk) CountInto(r *metrics.Registry) { d.counters = r }
@@ -181,9 +166,6 @@ func (d *Disk) Size() int64 {
 	return d.backing.Size()
 }
 
-// Model returns the performance model.
-func (d *Disk) Model() Model { return d.model }
-
 // ReadAt reads len(p) bytes at offset off, holding the device for the
 // modeled duration.
 func (d *Disk) ReadAt(p []byte, off int64) error { return d.op(p, off, len(p), false) }
@@ -192,20 +174,10 @@ func (d *Disk) ReadAt(p []byte, off int64) error { return d.op(p, off, len(p), f
 // modeled duration.
 func (d *Disk) WriteAt(p []byte, off int64) error { return d.op(p, off, len(p), true) }
 
-// Acquire is ReadAt (if read) and WriteAt (if write) of n bytes at off for
-// a caller that works on the Resident bytes themselves: Charge, which moves
-// nothing, then Lock — the range is held, shared or exclusive for write,
-// until Release of the same range.
-func (d *Disk) Acquire(off int64, n int, read, write bool) error {
-	err := d.Charge(off, n, read, write)
-	if err == nil {
-		d.Lock(off, n, write, false)
-	}
-	return err
-}
-
-// Charge is the half that can wait or refuse: it holds the device and counts
-// each access exactly as ReadAt/WriteAt would. It takes no contents lock.
+// Charge is ReadAt (if read) and WriteAt (if write) of n bytes at off for a
+// caller that works on the Resident bytes themselves: it can wait or refuse,
+// holds the device and counts each access exactly as ReadAt/WriteAt would,
+// and moves nothing. It takes no contents lock; Lock does.
 func (d *Disk) Charge(off int64, n int, read, write bool) (err error) {
 	if read {
 		err = d.op(nil, off, n, false)
@@ -218,8 +190,8 @@ func (d *Disk) Charge(off int64, n int, read, write bool) (err error) {
 
 // Lock waits for the contents lock of [off, off+n), so its caller holds no
 // other; with try it takes it only if all of it is free now — how a holder goes
-// for a second range. Release ends the Acquire or Lock of the same range and
-// side; the holder must not call the disk before it.
+// for a second range. Release ends the Lock of the same range and side; the
+// holder must not call the disk before it.
 func (d *Disk) Lock(off int64, n int, write, try bool) bool {
 	return d.lockRange(off, n, stripes, write, try, false)
 }
@@ -261,7 +233,7 @@ func (d *Disk) lockRange(off int64, n, limit int, write, try, unlock bool) bool 
 
 // Resident returns the live bytes of a memory-backed disk — not a copy —
 // or nil for a file-backed or closed one. Nothing is charged: access goes
-// between Acquire and Release. They stay valid (but detached) after Close.
+// between Charge and Lock, and Release. They stay valid (but detached) after Close.
 func (d *Disk) Resident() []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -272,7 +244,7 @@ func (d *Disk) Resident() []byte {
 }
 
 // op is every operation: n bytes at off, read or written, moved through
-// p under the contents lock unless p is nil (Acquire: access in place).
+// p under the contents lock unless p is nil (Charge: access in place).
 func (d *Disk) op(p []byte, off int64, n int, write bool) (err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

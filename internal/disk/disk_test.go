@@ -58,43 +58,6 @@ func TestFileBacking(t *testing.T) {
 	}
 }
 
-// TestOpenFileReattachesImage writes through one disk handle, closes it
-// ("machine power-off"), reopens the image, and reads the data back.
-func TestOpenFileReattachesImage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "persist.img")
-	d1, err := NewFile("gen1", path, 8192, Model{})
-	if err != nil {
-		t.Fatalf("NewFile: %v", err)
-	}
-	data := []byte("survives restarts")
-	if err := d1.WriteAt(data, 4000); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if err := d1.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-
-	d2, err := OpenFile("gen2", path, Model{})
-	if err != nil {
-		t.Fatalf("OpenFile: %v", err)
-	}
-	defer d2.Close()
-	if d2.Size() != 8192 {
-		t.Fatalf("reopened size = %d", d2.Size())
-	}
-	got := make([]byte, len(data))
-	if err := d2.ReadAt(got, 4000); err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatalf("data lost across reattach: %q", got)
-	}
-	// Opening a missing image fails.
-	if _, err := OpenFile("x", filepath.Join(t.TempDir(), "missing.img"), Model{}); err == nil {
-		t.Fatal("opened a missing image")
-	}
-}
-
 func TestOutOfRange(t *testing.T) {
 	d := NewMem("d0", 100, Model{})
 	defer d.Close()
@@ -260,11 +223,11 @@ func TestAcquireIsTheOperationInPlace(t *testing.T) {
 	if len(mem) != 64 {
 		t.Fatalf("resident bytes: %d, want 64", len(mem))
 	}
-	if err := d.Acquire(60, 8, true, true); !errors.Is(err, ErrOutOfRange) {
+	if err := chargeAndLock(d, 60, 8, true, true); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("acquire past the end: %v", err)
 	}
 	t0 := time.Now()
-	if err := d.Acquire(8, 8, true, true); err != nil {
+	if err := chargeAndLock(d, 8, 8, true, true); err != nil {
 		t.Fatal(err)
 	}
 	if took := time.Since(t0); took < 2*seek {
@@ -285,7 +248,7 @@ func TestAcquireIsTheOperationInPlace(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		if err := d.Acquire(8, 8, true, false); err != nil {
+		if err := chargeAndLock(d, 8, 8, true, false); err != nil {
 			t.Error(err)
 			return
 		}
@@ -306,7 +269,7 @@ func TestAcquireIsTheOperationInPlace(t *testing.T) {
 		t.Errorf("ops = (%d,%d), want (3,1)", r, w)
 	}
 	d.Close()
-	if err := d.Acquire(0, 8, true, false); !errors.Is(err, ErrClosed) {
+	if err := chargeAndLock(d, 0, 8, true, false); !errors.Is(err, ErrClosed) {
 		t.Errorf("acquire after close: %v", err)
 	}
 	f, err := NewFile("f0", filepath.Join(t.TempDir(), "f0.img"), 64, Model{})
@@ -331,7 +294,7 @@ func TestAcquireIsTheOperationInPlace(t *testing.T) {
 	acquire := func(off int64, n int, write bool) held {
 		h := held{off, n, write, make(chan struct{})}
 		go func() {
-			if err := big.Acquire(off, n, !write, write); err != nil {
+			if err := chargeAndLock(big, off, n, !write, write); err != nil {
 				t.Error(err)
 			}
 			close(h.got)
@@ -390,7 +353,7 @@ func TestAcquireIsTheOperationInPlace(t *testing.T) {
 		go func(r held) {
 			defer both.Done()
 			for i := 0; i < 2000; i++ {
-				if err := big.Acquire(r.off, r.n, false, true); err != nil {
+				if err := chargeAndLock(big, r.off, r.n, false, true); err != nil {
 					t.Error(err)
 					return
 				}
@@ -469,7 +432,7 @@ func TestTryLockIsAllOrNothing(t *testing.T) {
 	if err := d.Charge(0, 8, true, false); !errors.Is(err, ErrClosed) {
 		t.Errorf("charge after close: %v", err)
 	}
-	if err := d.Acquire(0, 8, true, true); !errors.Is(err, ErrClosed) {
+	if err := chargeAndLock(d, 0, 8, true, true); !errors.Is(err, ErrClosed) {
 		t.Errorf("acquire after close: %v", err)
 	}
 	if r, w := d.Ops(); r != 0 || w != 0 {
@@ -478,4 +441,14 @@ func TestTryLockIsAllOrNothing(t *testing.T) {
 	for g := int64(0); g < stripes; g++ {
 		free("after refused charges", g*granule)
 	}
+}
+
+// chargeAndLock charges a range of d for a read and/or a write and locks it —
+// an in-place access, as pagedev makes one.
+func chargeAndLock(d *Disk, off int64, n int, read, write bool) error {
+	err := d.Charge(off, n, read, write)
+	if err == nil {
+		d.Lock(off, n, write, false)
+	}
+	return err
 }

@@ -54,6 +54,27 @@ func testCtx(t *testing.T) context.Context {
 	return ctx
 }
 
+// decodeFloat reads a member's float64 reply and addFloat combines two —
+// the decoder and monoid of the suite's collection.Reduce calls.
+func decodeFloat(_ collection.Member, d *wire.Decoder) (float64, error) {
+	v := d.Float64()
+	return v, d.Err()
+}
+
+func addFloat(a, b float64) float64 { return a + b }
+
+// downMachines lists, in order, the machines of cl that its client's
+// failure detector has declared down.
+func downMachines(cl *Cluster) []int {
+	var down []int
+	for m := 0; m < cl.n; m++ {
+		if cl.Client.MachineDown(m) != nil {
+			down = append(down, m)
+		}
+	}
+	return down
+}
+
 // counter is the typed-RMI test class. Its remoteAdd method calls a
 // counter on *another* machine through the server's outbound client —
 // the peer-to-peer path (§4) that only exists when every server process
@@ -255,7 +276,7 @@ func TestCollectionCollectivesOverTCP(t *testing.T) {
 		t.Fatalf("barrier: %v", err)
 	}
 	// sum over members: sum(i + 0.5 for i in 0..7) = 28 + 4 = 32.
-	total, err := collection.Reduce(ctx, coll, "sum", nil, collection.DecodeFloat64, collection.SumFloat64)
+	total, err := collection.Reduce(ctx, coll, "sum", nil, decodeFloat, addFloat)
 	if err != nil {
 		t.Fatalf("reduce: %v", err)
 	}
@@ -263,7 +284,7 @@ func TestCollectionCollectivesOverTCP(t *testing.T) {
 		t.Fatalf("reduce sum = %v, want 32", total)
 	}
 	// A machine view reduces only its members (cyclic: 1 and 5 on m1).
-	viewTotal, err := collection.Reduce(ctx, coll.OnMachine(1), "sum", nil, collection.DecodeFloat64, collection.SumFloat64)
+	viewTotal, err := collection.Reduce(ctx, coll.OnMachine(1), "sum", nil, decodeFloat, addFloat)
 	if err != nil {
 		t.Fatalf("view reduce: %v", err)
 	}
@@ -296,12 +317,21 @@ func TestBlockStorageOverTCP(t *testing.T) {
 	if storage.Len() != 4 {
 		t.Fatalf("storage has %d devices", storage.Len())
 	}
-	if err := storage.FillAll(ctx, 1.5); err != nil {
-		t.Fatalf("fillall: %v", err)
+	// An array over every page of every device: fill, then sum.
+	pm, err := core.NewRoundRobinMap(1, 1, 4*pagesPer, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr, err := core.NewArray(ctx, storage, pm, n1, n2, 4*pagesPer*n3, n1, n2, n3)
+	if err != nil {
+		t.Fatalf("array: %v", err)
+	}
+	if err := arr.Fill(ctx, arr.Bounds(), 1.5); err != nil {
+		t.Fatalf("fill: %v", err)
 	}
 	elems := float64(4 * pagesPer * n1 * n2 * n3)
-	if sum, err := storage.SumAll(ctx); err != nil || sum != 1.5*elems {
-		t.Fatalf("sumall = %v, %v; want %v", sum, err, 1.5*elems)
+	if sum, err := arr.Sum(ctx, arr.Bounds()); err != nil || sum != 1.5*elems {
+		t.Fatalf("sum = %v, %v; want %v", sum, err, 1.5*elems)
 	}
 
 	// Page round trip against the device on machine 2.
@@ -321,12 +351,12 @@ func TestBlockStorageOverTCP(t *testing.T) {
 		t.Fatal("page round trip over TCP corrupted data")
 	}
 
-	reads, writes, err := storage.IOStats(ctx)
+	reads, writes, err := dev.Stats(ctx)
 	if err != nil {
-		t.Fatalf("iostats: %v", err)
+		t.Fatalf("stats: %v", err)
 	}
 	if writes == 0 {
-		t.Fatalf("iostats: reads=%d writes=%d, want write traffic recorded", reads, writes)
+		t.Fatalf("stats: reads=%d writes=%d, want write traffic recorded", reads, writes)
 	}
 	if err := storage.Barrier(ctx); err != nil {
 		t.Fatalf("barrier: %v", err)
@@ -366,14 +396,14 @@ func TestKillOneServerFailureDetection(t *testing.T) {
 
 	cl.Kill(2)
 	deadline := time.Now().Add(30 * time.Second)
-	for len(hb.Down()) == 0 && time.Now().Before(deadline) {
+	for len(downMachines(cl)) == 0 && time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)
 	}
-	if down := hb.Down(); len(down) != 1 || down[0] != 2 {
+	if down := downMachines(cl); len(down) != 1 || down[0] != 2 {
 		t.Fatalf("heartbeat detected down=%v, want [2]", down)
 	}
-	if err := hb.DownError(2); !errors.Is(err, rmi.ErrMachineDown) {
-		t.Fatalf("DownError(2) = %v, want ErrMachineDown", err)
+	if err := cl.Client.MachineDown(2); !errors.Is(err, rmi.ErrMachineDown) {
+		t.Fatalf("MachineDown(2) = %v, want ErrMachineDown", err)
 	}
 
 	// Partial success: the broadcast reaches every survivor and reports
@@ -400,14 +430,11 @@ func TestKillOneServerFailureDetection(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("dead-machine call took %v, want fast fail", elapsed)
 	}
-	// ... while the survivors kept both adds: member i holds i + 2.
+	// ... while the survivors kept both adds: member i holds i + 2, and
+	// machine m holds members m and m+4.
 	for _, m := range []int{0, 1, 3} {
-		view := coll.OnMachine(m)
-		want := 0.0
-		for i := 0; i < view.Len(); i++ {
-			want += float64(view.Member(i).Index) + 2
-		}
-		got, err := collection.Reduce(ctx, view, "sum", nil, collection.DecodeFloat64, collection.SumFloat64)
+		want := float64(m+2) + float64(m+4+2)
+		got, err := collection.Reduce(ctx, coll.OnMachine(m), "sum", nil, decodeFloat, addFloat)
 		if err != nil {
 			t.Fatalf("surviving machine %d reduce: %v", m, err)
 		}
@@ -472,10 +499,10 @@ func TestKillOneServerReplicatedZeroLoss(t *testing.T) {
 
 	cl.Kill(2)
 	deadline := time.Now().Add(30 * time.Second)
-	for len(hb.Down()) == 0 && time.Now().Before(deadline) {
+	for len(downMachines(cl)) == 0 && time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)
 	}
-	if down := hb.Down(); len(down) != 1 || down[0] != 2 {
+	if down := downMachines(cl); len(down) != 1 || down[0] != 2 {
 		t.Fatalf("heartbeat detected down=%v, want [2]", down)
 	}
 

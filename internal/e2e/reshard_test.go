@@ -227,7 +227,7 @@ func TestDrainPagesThenKillMachineOverTCP(t *testing.T) {
 	defer hb.Stop()
 	cl.Kill(2)
 	deadline := time.Now().Add(30 * time.Second)
-	for len(hb.Down()) == 0 && time.Now().Before(deadline) {
+	for len(downMachines(cl)) == 0 && time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)
 	}
 

@@ -74,7 +74,7 @@ func TestServingTierAdmissionOverTCP(t *testing.T) {
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-	if down := hb.Down(); len(down) != 0 {
+	if down := downMachines(cl); len(down) != 0 {
 		t.Fatalf("heartbeat declared %v down while only the normal class was full", down)
 	}
 

@@ -61,7 +61,7 @@
 // with the scratch of both forms recycled by the plan.
 //
 // Conventions: sign=-1 is the forward transform, sign=+1 the inverse;
-// the inverse is normalized by 1/N, so Inverse(Forward(x)) == x.
+// the inverse is normalized by 1/N, so the inverse of the forward is x.
 package fft
 
 import (
@@ -70,26 +70,6 @@ import (
 	"math/bits"
 	"sync"
 )
-
-// Forward transforms x in place with sign -1.
-func Forward(x []complex128) error { return Transform(x, -1) }
-
-// Inverse transforms x in place with sign +1 and 1/N normalization.
-func Inverse(x []complex128) error { return Transform(x, +1) }
-
-// Transform runs an in-place 1D FFT of any length: the radix-4 kernel of
-// the package comment for powers of two — two radix-2 stages to a sweep,
-// no multiplication by a twiddle that is 1 nor by the −i between the two
-// stages, the inverse's 1/n folded into the first sweep — and Bluestein's
-// algorithm over that kernel otherwise.
-func Transform(x []complex128, sign int) error {
-	p, err := PlanFor(len(x))
-	if err != nil {
-		return err
-	}
-	p.Transform(x, sign)
-	return nil
-}
 
 // planCache shares plans across calls. A Plan is immutable after
 // construction (Transform touches only the input and per-call scratch),

@@ -61,7 +61,7 @@ func TestMatchesNaiveDFT(t *testing.T) {
 		x := testData(n, uint64(n))
 		want := DFTNaive(x, -1)
 		got := append([]complex128(nil), x...)
-		if err := Transform(got, -1); err != nil {
+		if err := transform(got, -1); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		if !approxEqual(got, want, tol) {
@@ -70,7 +70,7 @@ func TestMatchesNaiveDFT(t *testing.T) {
 		// Inverse too.
 		wantInv := DFTNaive(x, +1)
 		gotInv := append([]complex128(nil), x...)
-		if err := Transform(gotInv, +1); err != nil {
+		if err := transform(gotInv, +1); err != nil {
 			t.Fatalf("n=%d inverse: %v", n, err)
 		}
 		if !approxEqual(gotInv, wantInv, tol) {
@@ -87,19 +87,19 @@ func TestRoundTripAllSizes(t *testing.T) {
 	for _, n := range sizes {
 		x := testData(n, uint64(2*n+1))
 		y := append([]complex128(nil), x...)
-		if err := Forward(y); err != nil {
+		if err := transform(y, -1); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if err := Inverse(y); err != nil {
+		if err := transform(y, +1); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		if !approxEqual(y, x, tol) {
 			t.Errorf("n=%d: inverse(forward(x)) != x", n)
 		}
-		if err := Inverse(y); err != nil {
+		if err := transform(y, +1); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if err := Forward(y); err != nil {
+		if err := transform(y, -1); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		if !approxEqual(y, x, tol) {
@@ -151,7 +151,7 @@ func TestRadix4WithinUlpsOfRadix2(t *testing.T) {
 			x := testData(n, uint64(3*n))
 			want := slices.Clone(x)
 			radix2(want, sign)
-			if err := Transform(x, sign); err != nil {
+			if err := transform(x, sign); err != nil {
 				t.Fatal(err)
 			}
 			if !approxEqual(x, want, 1e-12) {
@@ -166,7 +166,7 @@ func TestImpulseAndConstant(t *testing.T) {
 	// Impulse -> flat spectrum of ones.
 	x := make([]complex128, n)
 	x[0] = 1
-	if err := Forward(x); err != nil {
+	if err := transform(x, -1); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range x {
@@ -178,7 +178,7 @@ func TestImpulseAndConstant(t *testing.T) {
 	for i := range x {
 		x[i] = 2
 	}
-	if err := Forward(x); err != nil {
+	if err := transform(x, -1); err != nil {
 		t.Fatal(err)
 	}
 	if cmplx.Abs(x[0]-complex(2*n, 0)) > tol {
@@ -198,7 +198,7 @@ func TestParseval(t *testing.T) {
 		for _, v := range x {
 			timeE += real(v)*real(v) + imag(v)*imag(v)
 		}
-		if err := Forward(x); err != nil {
+		if err := transform(x, -1); err != nil {
 			t.Fatal(err)
 		}
 		var freqE float64
@@ -223,13 +223,13 @@ func TestQuickLinearity(t *testing.T) {
 		for i := range lhs {
 			lhs[i] = a*x[i] + y[i]
 		}
-		if err := Forward(lhs); err != nil {
+		if err := transform(lhs, -1); err != nil {
 			return false
 		}
-		if err := Forward(x); err != nil {
+		if err := transform(x, -1); err != nil {
 			return false
 		}
-		if err := Forward(y); err != nil {
+		if err := transform(y, -1); err != nil {
 			return false
 		}
 		rhs := make([]complex128, n)
@@ -254,10 +254,10 @@ func TestShiftTheorem(t *testing.T) {
 	}
 	fx := append([]complex128(nil), x...)
 	fs := append([]complex128(nil), shifted...)
-	if err := Forward(fx); err != nil {
+	if err := transform(fx, -1); err != nil {
 		t.Fatal(err)
 	}
-	if err := Forward(fs); err != nil {
+	if err := transform(fs, -1); err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < n; k++ {
@@ -286,17 +286,17 @@ func TestConvolutionTheorem(t *testing.T) {
 		// FFT route: ifft(fft(x) .* fft(y)).
 		fx := append([]complex128(nil), x...)
 		fy := append([]complex128(nil), y...)
-		if err := Forward(fx); err != nil {
+		if err := transform(fx, -1); err != nil {
 			t.Fatal(err)
 		}
-		if err := Forward(fy); err != nil {
+		if err := transform(fy, -1); err != nil {
 			t.Fatal(err)
 		}
 		got := make([]complex128, n)
 		for i := range got {
 			got[i] = fx[i] * fy[i]
 		}
-		if err := Inverse(got); err != nil {
+		if err := transform(got, +1); err != nil {
 			t.Fatal(err)
 		}
 		if !approxEqual(got, want, 1e-8) {
@@ -364,7 +364,7 @@ func TestPlanReuseAndErrors(t *testing.T) {
 	if _, err := NewPlan(-4); err == nil {
 		t.Error("NewPlan(-4) accepted")
 	}
-	if err := Transform(nil, -1); err == nil {
+	if err := transform(nil, -1); err == nil {
 		t.Error("empty transform accepted")
 	}
 	// Wrong length panics (programming error).
@@ -714,4 +714,14 @@ func BenchmarkLines(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p.lines(x, -1)
 	}
+}
+
+// transform runs x through the shared plan of its length.
+func transform(x []complex128, sign int) error {
+	p, err := PlanFor(len(x))
+	if err != nil {
+		return err
+	}
+	p.Transform(x, sign)
+	return nil
 }

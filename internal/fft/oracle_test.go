@@ -92,7 +92,7 @@ func TestBitwiseOracle(t *testing.T) {
 		}{
 			{"Transform", 3 * n, func(x []complex128, sign int) error {
 				for i := 0; i < len(x); i += n {
-					if err := Transform(x[i:i+n], sign); err != nil {
+					if err := transform(x[i:i+n], sign); err != nil {
 						return err
 					}
 				}

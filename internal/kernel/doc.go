@@ -22,8 +22,8 @@
 // [RegisterReduce], [RegisterBinary] and [RegisterBinaryReduce] install
 // them. [Resolve] is the one lookup: it finds a [Stage]'s kernel in its
 // kind's namespace AND validates the parameter vector in one step;
-// [LookupMap], [LookupReduce], [LookupBinary] and [LookupBinaryReduce]
-// are Resolve for one kind, for a caller that wants the kernel itself.
+// [LookupMap], [LookupReduce] and [LookupBinary] are Resolve for one
+// kind, for a caller that wants the kernel itself.
 //
 // # Kernel shapes
 //
@@ -119,8 +119,8 @@
 // Edge cases the engine guarantees around this catalog: reduction
 // kernels never see empty sub-boxes — the device engine skips them and
 // reports an element count alongside each partial, so an identity
-// accumulator (+Inf for min, 0 for sum) cannot poison a combined result
-// (the ArrayPage.MinMax empty-page fix, done structurally). The same
+// accumulator (+Inf for min, 0 for sum) cannot poison a combined
+// result. The same
 // skip applies to reduce stages inside a fused pipeline: a stage that
 // folded zero rows reports N == 0 and its identity partial is never
 // merged. ±Inf and NaN element values pass through map kernels

@@ -149,10 +149,3 @@ func LookupBinary(name string, params []float64) (Binary, error) {
 	r, err := Resolve(BinaryStage(name), params)
 	return r.Bin, err
 }
-
-// LookupBinaryReduce is Resolve of a two-operand reduction stage,
-// returning its kernel.
-func LookupBinaryReduce(name string, params []float64) (BinaryReduce, error) {
-	r, err := Resolve(BinaryReduceStage(name), params)
-	return r.BinRed, err
-}

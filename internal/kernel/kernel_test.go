@@ -120,10 +120,11 @@ func TestBuiltinBinaryKernels(t *testing.T) {
 		t.Fatalf("mul: %v", dst)
 	}
 
-	dot, err := LookupBinaryReduce(Dot, nil)
+	r, err := Resolve(BinaryReduceStage(Dot), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dot := r.BinRed
 	acc := dot.NewAcc(nil)
 	dot.Row(acc, []float64{1, 2}, []float64{3, 4}, nil)
 	if acc[0] != 11 {
@@ -141,7 +142,7 @@ func TestLookupUnknown(t *testing.T) {
 	if _, err := LookupBinary("nope", nil); err == nil {
 		t.Error("unknown binary kernel resolved")
 	}
-	if _, err := LookupBinaryReduce("nope", nil); err == nil {
+	if _, err := Resolve(BinaryReduceStage("nope"), nil); err == nil {
 		t.Error("unknown binary reduce kernel resolved")
 	}
 }

@@ -1,10 +1,12 @@
 package pagedev
 
 import (
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"oopp/internal/kernel"
@@ -33,10 +35,7 @@ func batchFrame(p kernel.Pipeline, params [][]float64, b Batch, edit func([]byte
 // appendInt drops the frame's last n bytes and appends v as a varint.
 func appendInt(n int, v int) func([]byte) []byte {
 	return func(b []byte) []byte {
-		e := wire.NewEncoder(len(b) + 10)
-		e.AppendRaw(b[:len(b)-n])
-		e.PutInt(v)
-		return append([]byte(nil), e.Bytes()...)
+		return binary.AppendVarint(slices.Clip(b[:len(b)-n]), int64(v))
 	}
 }
 

@@ -241,7 +241,7 @@ type pageDevice struct {
 	fence map[int]struct{}
 }
 
-// pageBytes is the byte protocol's page buffer (read, copyFrom: serial).
+// pageBytes is the byte protocol's page buffer (read: serial).
 func (p *pageDevice) pageBytes() []byte {
 	if len(p.raw) != p.pageSize {
 		p.raw = make([]byte, p.pageSize)
@@ -365,33 +365,6 @@ func registerBaseMethods(c *rmi.Class[baser]) *rmi.Class[baser] {
 			p := obj.base()
 			reply.PutVarint(p.reads.Load())
 			reply.PutVarint(p.writes.Load())
-			return nil
-		}).
-		Method("copyFrom", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			// copyFrom(src Ref, count int): pull count pages from another
-			// device process — the §5 copy-constructor building block.
-			p := obj.base()
-			src := args.Ref()
-			count := args.Int()
-			if err := args.Err(); err != nil {
-				return err
-			}
-			if env.Client == nil {
-				return fmt.Errorf("pagedev: machine %d has no outbound client", env.Machine)
-			}
-			if count > p.numPages {
-				return fmt.Errorf("pagedev: copyFrom %d pages into %d-page device", count, p.numPages)
-			}
-			rb := &remoteBacking{client: env.Client, ref: src}
-			buf := p.pageBytes()
-			for i := 0; i < count; i++ {
-				if err := rb.readPage(i, buf); err != nil {
-					return fmt.Errorf("pagedev: copyFrom page %d: %w", i, err)
-				}
-				if err := p.write(i, buf); err != nil {
-					return err
-				}
-			}
 			return nil
 		}).
 		Method("checkpointTo", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {

@@ -438,7 +438,9 @@ func TestFailedMutatorStoresNothing(t *testing.T) {
 		_, err = client.Call(bg, dev.Ref(), "writeArray", func(e *wire.Encoder) error {
 			e.PutInt(index)
 			e.PutFloat64s(make([]float64, 64))
-			e.AppendRaw([]byte{0xFF, 0xFF, 0xFF, 0x01, 0x02})
+			for _, b := range []byte{0xFF, 0xFF, 0xFF, 0x01, 0x02} {
+				e.PutByte(b)
+			}
 			return nil
 		})
 		if err == nil {

@@ -17,7 +17,6 @@ package pagedev
 
 import (
 	"fmt"
-	"math"
 
 	"oopp/internal/wire"
 )
@@ -50,9 +49,6 @@ func (p *ArrayPage) Index(i, j, k int) int {
 	return (i*p.N2+j)*p.N3 + k
 }
 
-// At returns element (i,j,k).
-func (p *ArrayPage) At(i, j, k int) float64 { return p.Data[p.Index(i, j, k)] }
-
 // Set stores v at (i,j,k).
 func (p *ArrayPage) Set(i, j, k int, v float64) { p.Data[p.Index(i, j, k)] = v }
 
@@ -79,29 +75,6 @@ func (p *ArrayPage) Fill(v float64) {
 		p.Data[i] = v
 	}
 }
-
-// MinMax returns the extrema. ok is false for an empty page, in which
-// case (min, max) is the reduction identity (+Inf, -Inf) — previously
-// that identity was returned indistinguishably from data and could
-// silently poison a combined reduction.
-func (p *ArrayPage) MinMax() (min, max float64, ok bool) {
-	min, max = math.Inf(1), math.Inf(-1)
-	for _, v := range p.Data {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return min, max, len(p.Data) > 0
-}
-
-// Elems returns the element count N1*N2*N3.
-func (p *ArrayPage) Elems() int { return p.N1 * p.N2 * p.N3 }
-
-// SizeBytes returns the page's size in bytes when stored.
-func (p *ArrayPage) SizeBytes() int { return 8 * p.Elems() }
 
 // Float64sToBytes packs vals into little-endian bytes (the on-device page
 // representation, which is the wire's: wire.PackFloat64s). dst must be

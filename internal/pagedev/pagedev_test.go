@@ -409,56 +409,6 @@ func TestConstructFromProcess(t *testing.T) {
 	}
 }
 
-// TestCopyFrom exercises the §5 copy-constructor building block: copy all
-// pages from one device process into another, server-to-server.
-func TestCopyFrom(t *testing.T) {
-	c := startCluster(t, 3, 0)
-	client := c.Client()
-
-	src, err := pagedev.NewDevice(bg, client, 1, "src", 3, 128, pagedev.DiskPrivate)
-	if err != nil {
-		t.Fatalf("src: %v", err)
-	}
-	defer src.Close(bg)
-	for i := 0; i < 3; i++ {
-		page := bytes.Repeat([]byte{byte(i + 1)}, 128)
-		if err := src.Write(bg, i, page); err != nil {
-			t.Fatalf("seed %d: %v", i, err)
-		}
-	}
-
-	dst, err := pagedev.NewDevice(bg, client, 2, "dst", 3, 128, pagedev.DiskPrivate)
-	if err != nil {
-		t.Fatalf("dst: %v", err)
-	}
-	defer dst.Close(bg)
-
-	if err := dst.CopyFrom(bg, src.Ref(), 3); err != nil {
-		t.Fatalf("CopyFrom: %v", err)
-	}
-	for i := 0; i < 3; i++ {
-		got, err := dst.Read(bg, i)
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		if got[0] != byte(i+1) || got[127] != byte(i+1) {
-			t.Fatalf("page %d content wrong: %v", i, got[0])
-		}
-	}
-	// Copying more pages than the destination holds fails.
-	if err := dst.CopyFrom(bg, src.Ref(), 4); err == nil {
-		t.Fatal("oversized CopyFrom accepted")
-	}
-
-	// §5 completion: "delete page_device" — the original can now go.
-	if err := src.Close(bg); err != nil {
-		t.Fatalf("src close: %v", err)
-	}
-	if _, err := dst.Read(bg, 0); err != nil {
-		t.Fatalf("copy not independent of source: %v", err)
-	}
-}
-
 // TestParallelReadsAcrossDevices is the §4 split-loop example at package
 // level: N devices on N machines, one page from each; the async form must
 // overlap device time.
@@ -507,7 +457,7 @@ func TestParallelReadsAcrossDevices(t *testing.T) {
 		futs[i] = d.ReadAsync(bg, 0)
 	}
 	for _, f := range futs {
-		if _, err := pagedev.DecodePage(bg, f); err != nil {
+		if err := f.Err(bg); err != nil {
 			t.Fatalf("async read: %v", err)
 		}
 	}
@@ -533,14 +483,14 @@ func TestQuickArrayPageIndexBijection(t *testing.T) {
 			for j := 0; j < n2; j++ {
 				for k := 0; k < n3; k++ {
 					idx := p.Index(i, j, k)
-					if idx < 0 || idx >= p.Elems() || seen[idx] {
+					if idx < 0 || idx >= len(p.Data) || seen[idx] {
 						return false
 					}
 					seen[idx] = true
 				}
 			}
 		}
-		return len(seen) == p.Elems()
+		return len(seen) == len(p.Data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -579,12 +529,12 @@ func TestQuickPackUnpack(t *testing.T) {
 
 func TestArrayPageValueOps(t *testing.T) {
 	p := pagedev.NewArrayPage(2, 3, 4)
-	if p.Elems() != 24 || p.SizeBytes() != 192 {
-		t.Fatalf("geometry: %d elems %d bytes", p.Elems(), p.SizeBytes())
+	if len(p.Data) != 24 {
+		t.Fatalf("geometry: %d elems", len(p.Data))
 	}
 	p.Set(1, 2, 3, 42)
-	if p.At(1, 2, 3) != 42 {
-		t.Fatal("At/Set mismatch")
+	if p.Data[p.Index(1, 2, 3)] != 42 {
+		t.Fatal("Index/Set mismatch")
 	}
 	p.Fill(2)
 	if s := p.Sum(); s != 48 {
@@ -593,20 +543,6 @@ func TestArrayPageValueOps(t *testing.T) {
 	p.Scale(0.5)
 	if s := p.Sum(); s != 24 {
 		t.Fatalf("scaled sum = %v", s)
-	}
-	lo, hi, ok := p.MinMax()
-	if lo != 1 || hi != 1 || !ok {
-		t.Fatalf("minmax = %v,%v,%v", lo, hi, ok)
-	}
-	// An empty page reports !ok instead of silently returning the ±Inf
-	// identity as if it were data.
-	empty := &pagedev.ArrayPage{}
-	elo, ehi, eok := empty.MinMax()
-	if eok {
-		t.Fatal("empty page reported ok extrema")
-	}
-	if !math.IsInf(elo, 1) || !math.IsInf(ehi, -1) {
-		t.Fatalf("empty page identity = %v,%v", elo, ehi)
 	}
 	pg := pagedev.NewPage(16)
 	if pg.Len() != 16 {

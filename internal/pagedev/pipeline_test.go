@@ -119,7 +119,9 @@ func TestOversizedBatchCountRefused(t *testing.T) {
 			// Replace the trailing region count (0) with the huge one.
 			frame := e.Bytes()
 			e.Reset()
-			e.AppendRaw(frame[:len(frame)-1])
+			for _, b := range frame[:len(frame)-1] {
+				e.PutByte(b)
+			}
 			e.PutInt(huge)
 		},
 		"readSubBatch": func(e *wire.Encoder) { e.PutInt(huge) },

@@ -93,14 +93,9 @@ func (d *Device) Read(ctx context.Context, index int) ([]byte, error) {
 	return pageReply(d.client.Call(ctx, d.ref, "read", indexArgs(index)))
 }
 
-// ReadAsync begins a page read; decode the result with DecodePage.
+// ReadAsync begins a page read; its reply holds the page bytes.
 func (d *Device) ReadAsync(ctx context.Context, index int) *rmi.Future {
 	return d.client.CallAsync(ctx, d.ref, "read", indexArgs(index))
-}
-
-// DecodePage extracts the page bytes from a completed ReadAsync future.
-func DecodePage(ctx context.Context, fut *rmi.Future) ([]byte, error) {
-	return pageReply(fut.Wait(ctx))
 }
 
 // NumPages returns the device capacity in pages.
@@ -135,17 +130,6 @@ func (d *Device) Stats(ctx context.Context) (reads, writes int64, err error) {
 	reads = dec.Varint()
 	writes = dec.Varint()
 	return reads, writes, dec.Err()
-}
-
-// CopyFrom pulls count pages from another device process into this one —
-// the transfer happens directly between the two server processes; the
-// client only orchestrates (§5 copy-construction).
-func (d *Device) CopyFrom(ctx context.Context, src rmi.Ref, count int) error {
-	return voidReply(d.client.Call(ctx, d.ref, "copyFrom", func(e *wire.Encoder) error {
-		e.PutRef(src)
-		e.PutInt(count)
-		return nil
-	}))
 }
 
 // CheckpointToAsync begins a device checkpoint: the device serializes

@@ -26,10 +26,11 @@ func TestAsyncStubVariants(t *testing.T) {
 	if err := dev.Write(bg, 0, raw); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	got, err := pagedev.DecodePage(bg, dev.ReadAsync(bg, 0))
-	if err != nil || !bytes.Equal(got, raw) {
+	d, err := dev.ReadAsync(bg, 0).Wait(bg)
+	if err != nil || !bytes.Equal(d.BytesView(), raw) {
 		t.Fatalf("ReadAsync: %v", err)
 	}
+	d.Release()
 
 	// Array-typed async path.
 	page := pagedev.NewArrayPage(2, 2, 2)
@@ -94,7 +95,7 @@ func TestBlockTransfers(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 3; j++ {
 			for k := 0; k < 4; k++ {
-				if got, want := page.At(i, j, k), big[((1+i)*N2+1+j)*N3+2+k]; got != want {
+				if got, want := page.Data[page.Index(i, j, k)], big[((1+i)*N2+1+j)*N3+2+k]; got != want {
 					t.Fatalf("page(%d,%d,%d) = %v, want %v", i, j, k, got, want)
 				}
 			}
@@ -124,7 +125,7 @@ func TestBlockTransfers(t *testing.T) {
 	}
 	for j := 0; j < 2; j++ {
 		for k := 0; k < 2; k++ {
-			if got, want := corner[2*j+k], page.At(1, 1+j, 1+k); got != want {
+			if got, want := corner[2*j+k], page.Data[page.Index(1, 1+j, 1+k)]; got != want {
 				t.Fatalf("sub-box (%d,%d) = %v, want %v", j, k, got, want)
 			}
 		}
@@ -137,7 +138,7 @@ func TestBlockTransfers(t *testing.T) {
 	if err := dev.ReadPage(bg, page, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := page.At(1, 2, 2), big[1*N3+1]; got != want {
+	if got, want := page.Data[page.Index(1, 2, 2)], big[1*N3+1]; got != want {
 		t.Fatalf("after writeSub page(1,2,2) = %v, want %v", got, want)
 	}
 

@@ -3,8 +3,6 @@ package persist
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strings"
 
 	"oopp/internal/collection"
 	"oopp/internal/rmi"
@@ -54,24 +52,6 @@ func init() {
 				return err
 			}
 			delete(ns.bindings, addr)
-			return nil
-		}).
-		Method("list", func(ns *nameService, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			prefix := args.String()
-			if err := args.Err(); err != nil {
-				return err
-			}
-			var names []string
-			for n := range ns.bindings {
-				if strings.HasPrefix(n, prefix) {
-					names = append(names, n)
-				}
-			}
-			sort.Strings(names)
-			reply.PutUvarint(uint64(len(names)))
-			for _, n := range names {
-				reply.PutString(n)
-			}
 			return nil
 		})
 }
@@ -130,25 +110,6 @@ func (n *NameService) Unbind(ctx context.Context, addr Address) error {
 	return err
 }
 
-// List returns all bound addresses with the given string prefix
-// (pass "" for everything).
-func (n *NameService) List(ctx context.Context, prefix string) ([]string, error) {
-	d, err := n.client.Call(ctx, n.ref, "list", func(e *wire.Encoder) error {
-		e.PutString(prefix)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer d.Release()
-	cnt := d.Uvarint()
-	out := make([]string, 0, cnt)
-	for i := uint64(0); i < cnt; i++ {
-		out = append(out, d.String())
-	}
-	return out, d.Err()
-}
-
 // Close deletes the directory process.
 func (n *NameService) Close(ctx context.Context) error { return n.client.Delete(ctx, n.ref) }
 
@@ -185,9 +146,6 @@ func NewManager(ctx context.Context, client *rmi.Client, nsMachine int, storeMac
 	}
 	return m, nil
 }
-
-// NameService returns the underlying directory stub.
-func (m *Manager) NameService() *NameService { return m.ns }
 
 // StoreOn returns the store for a machine.
 func (m *Manager) StoreOn(ctx context.Context, machine int) (*Store, error) {

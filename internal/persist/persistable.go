@@ -2,7 +2,6 @@ package persist
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"oopp/internal/rmi"
@@ -48,16 +47,4 @@ func lookupRestorer(class string) (Restorer, bool) {
 	defer restorersMu.RUnlock()
 	r, ok := restorers[class]
 	return r, ok
-}
-
-// RestorableClasses returns the sorted class names with restorers.
-func RestorableClasses() []string {
-	restorersMu.RLock()
-	defer restorersMu.RUnlock()
-	names := make([]string, 0, len(restorers))
-	for n := range restorers {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"oopp/internal/rmi"
 	"oopp/internal/wire"
@@ -80,32 +79,6 @@ func (s *store) remove(name string) {
 	if s.dir != "" {
 		_ = os.Remove(s.fileFor(name))
 	}
-}
-
-func (s *store) names() []string {
-	set := make(map[string]bool, len(s.blobs))
-	for n := range s.blobs {
-		set[n] = true
-	}
-	if s.dir != "" {
-		if entries, err := os.ReadDir(s.dir); err == nil {
-			for _, ent := range entries {
-				base := ent.Name()
-				if filepath.Ext(base) != ".proc" {
-					continue
-				}
-				if raw, err := hex.DecodeString(base[:len(base)-len(".proc")]); err == nil {
-					set[string(raw)] = true
-				}
-			}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func localServer(env *rmi.Env) (*rmi.Server, error) {
@@ -219,32 +192,12 @@ func init() {
 			reply.PutRef(ref)
 			return nil
 		}).
-		Method("exists", func(s *store, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			name := args.String()
-			if err := args.Err(); err != nil {
-				return err
-			}
-			_, ok, err := s.get(name)
-			if err != nil {
-				return err
-			}
-			reply.PutBool(ok)
-			return nil
-		}).
 		Method("remove", func(s *store, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 			name := args.String()
 			if err := args.Err(); err != nil {
 				return err
 			}
 			s.remove(name)
-			return nil
-		}).
-		Method("list", func(s *store, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			names := s.names()
-			reply.PutUvarint(uint64(len(names)))
-			for _, n := range names {
-				reply.PutString(n)
-			}
 			return nil
 		})
 }
@@ -314,20 +267,6 @@ func (s *Store) Activate(ctx context.Context, name string) (rmi.Ref, error) {
 	return ref, d.Err()
 }
 
-// Exists reports whether a passivated process named name is stored.
-func (s *Store) Exists(ctx context.Context, name string) (bool, error) {
-	d, err := s.client.Call(ctx, s.ref, "exists", func(e *wire.Encoder) error {
-		e.PutString(name)
-		return nil
-	})
-	if err != nil {
-		return false, err
-	}
-	defer d.Release()
-	ok := d.Bool()
-	return ok, d.Err()
-}
-
 // Remove discards a passivated process's stored state.
 func (s *Store) Remove(ctx context.Context, name string) error {
 	d, err := s.client.Call(ctx, s.ref, "remove", func(e *wire.Encoder) error {
@@ -336,21 +275,6 @@ func (s *Store) Remove(ctx context.Context, name string) error {
 	})
 	d.Release()
 	return err
-}
-
-// List returns the names of all passivated processes on the machine.
-func (s *Store) List(ctx context.Context) ([]string, error) {
-	d, err := s.client.Call(ctx, s.ref, "list", nil)
-	if err != nil {
-		return nil, err
-	}
-	defer d.Release()
-	n := d.Uvarint()
-	out := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		out = append(out, d.String())
-	}
-	return out, d.Err()
 }
 
 // Close deletes the store process (stored blobs on disk survive).

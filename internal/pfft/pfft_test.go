@@ -88,8 +88,8 @@ func TestDistributedMatchesLocal(t *testing.T) {
 				t.Fatalf("pfft.New: %v", err)
 			}
 			defer f.Close(bg)
-			if f.Workers() != p {
-				t.Fatalf("workers = %d", f.Workers())
+			if n := len(f.Refs()); n != p {
+				t.Fatalf("workers = %d", n)
 			}
 
 			if err := f.Load(bg, x); err != nil {

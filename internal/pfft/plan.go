@@ -26,8 +26,10 @@ func New(ctx context.Context, client *rmi.Client, machines []int, n1, n2, n3 int
 }
 
 // NewShallow is New with the §4 anti-pattern group setup (members fetched
-// one remote call at a time through a RefTable process). It exists for
-// experiment E11; prefer New.
+// one remote call at a time through a RefTable process). It stays as
+// experiment E11's subject — the measured side of §4's deep-copy advice,
+// whose message counts internal/exp/testdata/pin.txt pins — rather than
+// being folded into E11's own code; prefer New.
 func NewShallow(ctx context.Context, client *rmi.Client, machines []int, n1, n2, n3 int) (*PFFT, error) {
 	return newPFFT(ctx, client, machines, n1, n2, n3, true)
 }
@@ -55,44 +57,37 @@ func newPFFT(ctx context.Context, client *rmi.Client, machines []int, n1, n2, n3
 	if shallow {
 		// Create the RefTable process next to worker 0 and hand every
 		// worker the table's remote pointer only.
-		tableRef, err := client.New(ctx, machines[0], ClassRefTable, func(e *wire.Encoder) error {
+		var tableRef rmi.Ref
+		tableRef, err = client.New(ctx, machines[0], ClassRefTable, func(e *wire.Encoder) error {
 			e.PutRefs(workers.Refs())
 			return nil
 		})
-		if err != nil {
-			f.Close(ctx)
-			return nil, err
+		if err == nil {
+			err = workers.Broadcast(ctx, "setGroupShallow", func(m collection.Member, e *wire.Encoder) error {
+				e.PutRef(tableRef)
+				return nil
+			})
+			if derr := client.Delete(ctx, tableRef); err == nil {
+				err = derr
+			}
 		}
-		err = workers.Broadcast(ctx, "setGroupShallow", func(m collection.Member, e *wire.Encoder) error {
-			e.PutRef(tableRef)
+	} else {
+		// "It informs each process in the group that it is a part of a
+		// group of N concurrent processes" — deep copy of the remote
+		// pointer array.
+		refs := workers.Refs()
+		err = workers.Broadcast(ctx, "setGroup", func(m collection.Member, e *wire.Encoder) error {
+			e.PutInt(g.p)
+			e.PutRefs(refs)
 			return nil
 		})
-		if derr := client.Delete(ctx, tableRef); derr != nil && err == nil {
-			err = derr
-		}
-		if err != nil {
-			f.Close(ctx)
-			return nil, err
-		}
-		return f, nil
 	}
-
-	// "It informs each process in the group that it is a part of a group
-	// of N concurrent processes" — deep copy of the remote pointer array.
-	refs := workers.Refs()
-	if err := workers.Broadcast(ctx, "setGroup", func(m collection.Member, e *wire.Encoder) error {
-		e.PutInt(g.p)
-		e.PutRefs(refs)
-		return nil
-	}); err != nil {
+	if err != nil {
 		f.Close(ctx)
 		return nil, err
 	}
 	return f, nil
 }
-
-// Workers returns the number of worker processes.
-func (f *PFFT) Workers() int { return f.p }
 
 // Refs exposes the worker remote pointers, in id order.
 func (f *PFFT) Refs() []rmi.Ref { return f.workers.Refs() }

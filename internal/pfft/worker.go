@@ -112,6 +112,7 @@ const ClassWorker = "pfft.Worker"
 // ClassRefTable is a tiny holder process used by the shallow SetGroup
 // variant (experiment E11): it owns the group's remote pointer array, and
 // workers fetch members one remote call at a time — the §4 anti-pattern.
+// Like NewShallow it stays as E11's subject, whose cells are pinned.
 const ClassRefTable = "pfft.RefTable"
 
 // worker is the server-side FFT process.

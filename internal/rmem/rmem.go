@@ -74,22 +74,6 @@ var Float64BlockClass = rmi.RegisterClass(ClassFloat64, func(env *rmi.Env, args 
 		reply.PutFloat64s(b.data[off : off+n])
 		return nil
 	}).
-	Method("setRange", func(b *float64Block, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		off := args.Int()
-		vals := args.Float64s()
-		if err := args.Err(); err != nil {
-			return err
-		}
-		if off < 0 || off+len(vals) > len(b.data) {
-			return fmt.Errorf("rmem: range [%d,%d) out of [0,%d)", off, off+len(vals), len(b.data))
-		}
-		copy(b.data[off:], vals)
-		return nil
-	}).
-	Method("len", func(b *float64Block, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		reply.PutInt(len(b.data))
-		return nil
-	}).
 	Method("fill", func(b *float64Block, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		v := args.Float64()
 		if err := args.Err(); err != nil {
@@ -130,13 +114,6 @@ func NewFloat64Array(ctx context.Context, client *rmi.Client, m int, n int) (*Fl
 	return &Float64Array{client: client, ref: ref, n: n}, nil
 }
 
-// Attach wraps an existing remote pointer (received from another process
-// or resolved from a persistent address) in a client stub. n is the
-// locally cached length.
-func Attach(client *rmi.Client, ref rmi.Ref, n int) *Float64Array {
-	return &Float64Array{client: client, ref: ref, n: n}
-}
-
 // Ref returns the remote pointer.
 func (a *Float64Array) Ref() rmi.Ref { return a.ref }
 
@@ -168,23 +145,6 @@ func (a *Float64Array) Set(ctx context.Context, i int, v float64) error {
 	return err
 }
 
-// GetRange reads n elements starting at off in one round trip. The result
-// is freshly allocated and filled straight from the wire — one copy; use
-// GetRangeInto to reuse a caller buffer and skip even the allocation.
-func (a *Float64Array) GetRange(ctx context.Context, off, n int) ([]float64, error) {
-	d, err := a.client.Call(ctx, a.ref, "getRange", func(e *wire.Encoder) error {
-		e.PutInt(off)
-		e.PutInt(n)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer d.Release()
-	out := d.Float64s()
-	return out, d.Err()
-}
-
 // GetRangeInto reads len(dst) elements starting at off into dst in one
 // round trip — the bulk fast lane: the only copy is wire to dst, and the
 // steady state allocates nothing.
@@ -200,18 +160,6 @@ func (a *Float64Array) GetRangeInto(ctx context.Context, off int, dst []float64)
 	defer d.Release()
 	d.Float64sInto(dst)
 	return d.Err()
-}
-
-// SetRange writes vals starting at off in one round trip. vals are packed
-// straight into the request frame — one copy, no intermediate staging.
-func (a *Float64Array) SetRange(ctx context.Context, off int, vals []float64) error {
-	d, err := a.client.Call(ctx, a.ref, "setRange", func(e *wire.Encoder) error {
-		e.PutInt(off)
-		e.PutFloat64s(vals)
-		return nil
-	})
-	d.Release()
-	return err
 }
 
 // Fill sets every element to v remotely (computation at the data).
@@ -233,17 +181,6 @@ func (a *Float64Array) Sum(ctx context.Context) (float64, error) {
 	defer d.Release()
 	v := d.Float64()
 	return v, d.Err()
-}
-
-// RemoteLen asks the process for its length (vs the cached Len).
-func (a *Float64Array) RemoteLen(ctx context.Context) (int, error) {
-	d, err := a.client.Call(ctx, a.ref, "len", nil)
-	if err != nil {
-		return 0, err
-	}
-	defer d.Release()
-	n := d.Int()
-	return n, d.Err()
 }
 
 // Free destroys the remote block — the paper's delete, terminating the

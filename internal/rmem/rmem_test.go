@@ -8,7 +8,7 @@ import (
 
 	"oopp/internal/cluster"
 	"oopp/internal/rmem"
-	"oopp/internal/rmi"
+	"oopp/internal/wire"
 )
 
 // bg is the neutral context for call sites with no deadline.
@@ -57,10 +57,6 @@ func TestPaperExample(t *testing.T) {
 	if data.Len() != 1024 {
 		t.Errorf("Len = %d", data.Len())
 	}
-	n, err := data.RemoteLen(bg)
-	if err != nil || n != 1024 {
-		t.Errorf("RemoteLen = %d, %v", n, err)
-	}
 	if err := data.Free(bg); err != nil {
 		t.Fatalf("free: %v", err)
 	}
@@ -80,13 +76,13 @@ func TestRangeOps(t *testing.T) {
 	vals := make([]float64, 40)
 	for i := range vals {
 		vals[i] = float64(i) * 1.5
+		if err := a.Set(bg, 10+i, vals[i]); err != nil {
+			t.Fatalf("Set: %v", err)
+		}
 	}
-	if err := a.SetRange(bg, 10, vals); err != nil {
-		t.Fatalf("SetRange: %v", err)
-	}
-	got, err := a.GetRange(bg, 10, 40)
-	if err != nil {
-		t.Fatalf("GetRange: %v", err)
+	got := make([]float64, 40)
+	if err := a.GetRangeInto(bg, 10, got); err != nil {
+		t.Fatalf("GetRangeInto: %v", err)
 	}
 	for i := range vals {
 		if got[i] != vals[i] {
@@ -94,9 +90,9 @@ func TestRangeOps(t *testing.T) {
 		}
 	}
 	// Untouched prefix still zero.
-	head, err := a.GetRange(bg, 0, 10)
-	if err != nil {
-		t.Fatalf("GetRange head: %v", err)
+	head := make([]float64, 10)
+	if err := a.GetRangeInto(bg, 0, head); err != nil {
+		t.Fatalf("GetRangeInto head: %v", err)
 	}
 	for i, v := range head {
 		if v != 0 {
@@ -136,9 +132,8 @@ func TestBoundsErrors(t *testing.T) {
 		func() error { _, err := a.Get(bg, -1); return err },
 		func() error { _, err := a.Get(bg, 10); return err },
 		func() error { return a.Set(bg, 10, 1) },
-		func() error { _, err := a.GetRange(bg, 5, 6); return err },
-		func() error { _, err := a.GetRange(bg, -1, 2); return err },
-		func() error { return a.SetRange(bg, 8, []float64{1, 2, 3}) },
+		func() error { return a.GetRangeInto(bg, 5, make([]float64, 6)) },
+		func() error { return a.GetRangeInto(bg, -1, make([]float64, 2)) },
 	}
 	for i, f := range cases {
 		if err := f(); err == nil {
@@ -179,9 +174,9 @@ func TestQuickShadowModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Final full-state comparison.
-	got, err := a.GetRange(bg, 0, n)
-	if err != nil {
-		t.Fatalf("GetRange: %v", err)
+	got := make([]float64, n)
+	if err := a.GetRangeInto(bg, 0, got); err != nil {
+		t.Fatalf("GetRangeInto: %v", err)
 	}
 	for i := range shadow {
 		if math.Float64bits(got[i]) != math.Float64bits(shadow[i]) {
@@ -204,10 +199,15 @@ func TestSharedBlockAcrossClients(t *testing.T) {
 	// Machines 0..2 each write their slot through their own client,
 	// sharing the same remote pointer (Ref).
 	for m := 0; m < 3; m++ {
-		stub := attach(c.Machine(m).Client(), a.Ref(), 16)
-		if err := stub.Set(bg, m, float64(m+1)); err != nil {
+		d, err := c.Machine(m).Client().Call(bg, a.Ref(), "set", func(e *wire.Encoder) error {
+			e.PutInt(m)
+			e.PutFloat64(float64(m + 1))
+			return nil
+		})
+		if err != nil {
 			t.Fatalf("machine %d set: %v", m, err)
 		}
+		d.Release()
 	}
 	for m := 0; m < 3; m++ {
 		v, err := a.Get(bg, m)
@@ -218,10 +218,4 @@ func TestSharedBlockAcrossClients(t *testing.T) {
 			t.Errorf("slot %d = %v, want %d", m, v, m+1)
 		}
 	}
-}
-
-// attach builds a Float64Array stub around an existing ref, exercising the
-// "remote pointers travel between processes" property.
-func attach(client *rmi.Client, ref rmi.Ref, n int) *rmem.Float64Array {
-	return rmem.Attach(client, ref, n)
 }

@@ -41,16 +41,6 @@ func (a AdmissionConfig) resolve() [NumPriorities]int {
 	return caps
 }
 
-// Unbounded returns an AdmissionConfig that disables admission control —
-// every class accepts unlimited in-flight work.
-func Unbounded() AdmissionConfig {
-	var a AdmissionConfig
-	for p := range a.Capacity {
-		a.Capacity[p] = -1
-	}
-	return a
-}
-
 // SetAdmission installs new per-class in-flight budgets. Safe to call on
 // a live server: work already admitted is unaffected, subsequent
 // admissions see the new caps (a cap below the current depth simply

@@ -53,7 +53,7 @@ func (g *tallyObj) release() { g.once.Do(func() { close(g.gate) }) }
 // method's Expired, and the method body never runs.
 func TestDeadlineShedBeforeExecution(t *testing.T) {
 	registerTally()
-	srv, c, _ := newGateServer(t, Unbounded())
+	srv, c, _ := newGateServer(t, unbounded())
 	ref, err := c.New(bg, 0, "test.Tally", nil)
 	if err != nil {
 		t.Fatalf("New: %v", err)

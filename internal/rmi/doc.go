@@ -249,7 +249,7 @@
 //     Probes (WithProbe — heartbeat pings, cluster.WaitReady) are the
 //     revival path: they may dial a down machine, and success clears
 //     the verdict even after the detector stopped. OnDown/OnUp callbacks
-//     observe transitions; Heartbeat.Down lists current verdicts.
+//     observe transitions; Client.MachineDown reports a current verdict.
 //
 // Collectives compose with detection: a broadcast over a collection
 // with a dead machine still reaches every live member, and the joined
@@ -332,7 +332,7 @@
 // so without admission a slow object grows its mailbox without bound
 // while every caller burns its timeout. With admission
 // (Server.SetAdmission / AdmissionConfig; capacity 0 selects the class
-// default, negative means unbounded, Unbounded() disables the tier), a
+// default, negative means unbounded), a
 // request beyond its class's capacity fails immediately with
 // *OverloadedError — carrying the machine, the saturated class, its
 // queue depth, and a retry-after hint estimated from an EWMA of

@@ -106,14 +106,3 @@ func (e *Env) MustResource(name string) (any, error) {
 	}
 	return nil, fmt.Errorf("rmi: machine %d has no resource %q", e.Machine, name)
 }
-
-// ResourceNames returns the installed resource names (unordered).
-func (e *Env) ResourceNames() []string {
-	e.shared.mu.RLock()
-	defer e.shared.mu.RUnlock()
-	names := make([]string, 0, len(e.shared.resources))
-	for n := range e.shared.resources {
-		names = append(names, n)
-	}
-	return names
-}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -65,7 +64,7 @@ type Heartbeat struct {
 
 	mu       sync.Mutex
 	misses   map[int]int
-	down     map[int]error
+	down     map[int]bool // machines this detector has declared down
 	inflight map[int]bool // probes not yet returned, keyed by machine
 }
 
@@ -86,7 +85,7 @@ func (c *Client) StartHeartbeat(cfg HeartbeatConfig) *Heartbeat {
 		cfg:      cfg,
 		stop:     make(chan struct{}),
 		misses:   make(map[int]int),
-		down:     make(map[int]error),
+		down:     make(map[int]bool),
 		inflight: make(map[int]bool),
 	}
 	h.wg.Add(1)
@@ -98,25 +97,6 @@ func (c *Client) StartHeartbeat(cfg HeartbeatConfig) *Heartbeat {
 func (h *Heartbeat) Stop() {
 	h.stopOnce.Do(func() { close(h.stop) })
 	h.wg.Wait()
-}
-
-// Down returns the machines currently declared down, sorted.
-func (h *Heartbeat) Down() []int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]int, 0, len(h.down))
-	for m := range h.down {
-		out = append(out, m)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// DownError returns the cause recorded for a down machine, nil if up.
-func (h *Heartbeat) DownError(m int) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.down[m]
 }
 
 func (h *Heartbeat) loop(machines []int) {
@@ -169,7 +149,7 @@ func (h *Heartbeat) probeAll(machines []int) {
 func (h *Heartbeat) record(m int, err error) {
 	h.mu.Lock()
 	if err == nil {
-		_, wasDown := h.down[m]
+		wasDown := h.down[m]
 		delete(h.down, m)
 		h.misses[m] = 0
 		h.mu.Unlock()
@@ -182,12 +162,11 @@ func (h *Heartbeat) record(m int, err error) {
 		return
 	}
 	h.misses[m]++
-	_, already := h.down[m]
-	trip := h.misses[m] >= h.cfg.Misses && !already
+	trip := h.misses[m] >= h.cfg.Misses && !h.down[m]
 	var cause error
 	if trip {
 		cause = fmt.Errorf("rmi: %d consecutive heartbeat probes failed: %w", h.misses[m], err)
-		h.down[m] = &MachineDownError{Machine: m, Cause: cause}
+		h.down[m] = true
 	}
 	h.mu.Unlock()
 	if trip {

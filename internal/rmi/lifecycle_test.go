@@ -224,10 +224,7 @@ func TestHeartbeatDetectsFailureAndRecovery(t *testing.T) {
 	defer hb.Stop()
 
 	srv.Close()
-	waitFor(t, 5*time.Second, func() bool { return len(hb.Down()) == 1 })
-	if err := hb.DownError(0); !errors.Is(err, ErrMachineDown) {
-		t.Fatalf("DownError = %v, want ErrMachineDown", err)
-	}
+	waitFor(t, 5*time.Second, func() bool { return c.MachineDown(0) != nil })
 	if err := c.MachineDown(0); !errors.Is(err, ErrMachineDown) {
 		t.Fatalf("client.MachineDown = %v, want ErrMachineDown", err)
 	}
@@ -250,7 +247,7 @@ func TestHeartbeatDetectsFailureAndRecovery(t *testing.T) {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
 	defer srv2.Close()
-	waitFor(t, 5*time.Second, func() bool { return len(hb.Down()) == 0 })
+	waitFor(t, 5*time.Second, func() bool { return c.MachineDown(0) == nil })
 	if err := c.Ping(bg, 0, WithRetryDial(20)); err != nil {
 		t.Fatalf("ping after recovery: %v", err)
 	}
@@ -287,7 +284,7 @@ func TestHeartbeatSeesDrainingMachine(t *testing.T) {
 
 	hb := c.StartHeartbeat(HeartbeatConfig{Interval: 20 * time.Millisecond, Misses: 2})
 	defer hb.Stop()
-	waitFor(t, 5*time.Second, func() bool { return len(hb.Down()) == 1 })
+	waitFor(t, 5*time.Second, func() bool { return c.MachineDown(0) != nil })
 
 	// Verdict is in; the in-flight call must still complete — a drain is
 	// an orderly departure, not a crash, so pending calls are not severed.

@@ -34,10 +34,9 @@ const DefaultConns = 4
 // count at Conns per machine, and the pick spreads outstanding requests
 // across the clients by live in-flight count.
 type Pool struct {
-	clients  []*rmi.Client
-	rotor    atomic.Uint64 // tie-break start point, advanced per pick
-	sessions atomic.Int64
-	closed   atomic.Bool
+	clients []*rmi.Client
+	rotor   atomic.Uint64 // tie-break start point, advanced per pick
+	closed  atomic.Bool
 }
 
 // NewPool creates a pool of cfg.Conns clients.
@@ -94,15 +93,11 @@ func (p *Pool) InFlight() int {
 	return n
 }
 
-// Sessions returns how many sessions have been opened on the pool.
-func (p *Pool) Sessions() int64 { return p.sessions.Load() }
-
 // Session opens a logical client on the pool. The given options become
 // the session's defaults, applied before any per-call options. Sessions
 // are cheap (two words plus the defaults) and need no teardown; drop
 // them when done.
 func (p *Pool) Session(defaults ...rmi.CallOption) *Session {
-	p.sessions.Add(1)
 	return &Session{pool: p, opts: defaults}
 }
 

@@ -57,9 +57,6 @@ func TestWorkEcho(t *testing.T) {
 	if err := sess.Delete(bg, ref); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
-	if n := p.Sessions(); n != 1 {
-		t.Fatalf("sessions = %d, want 1", n)
-	}
 }
 
 // TestPoolSpreadsLoad pins the in-flight-aware pick: with the mailbox

@@ -173,16 +173,3 @@ func GetFrame(n int) []byte { return bufpool.GetLen(n) }
 // (typically after decoding a frame returned by Recv). The caller must
 // hold the only reference.
 func ReleaseFrame(b []byte) { bufpool.Put(b) }
-
-// New returns a transport by name. The inproc transport returned here has
-// no link model; use NewInproc for a modeled network.
-func New(name string) (Transport, error) {
-	switch name {
-	case "inproc":
-		return NewInproc(LinkModel{}), nil
-	case "tcp":
-		return TCP{}, nil
-	default:
-		return nil, fmt.Errorf("transport: unknown transport %q", name)
-	}
-}

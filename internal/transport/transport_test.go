@@ -402,21 +402,6 @@ func TestInprocListenerCloseReleasesAddress(t *testing.T) {
 	l2.Close()
 }
 
-func TestNewByName(t *testing.T) {
-	for _, name := range []string{"inproc", "tcp"} {
-		tr, err := New(name)
-		if err != nil {
-			t.Fatalf("New(%q): %v", name, err)
-		}
-		if tr.Name() != name {
-			t.Fatalf("New(%q).Name() = %q", name, tr.Name())
-		}
-	}
-	if _, err := New("carrier-pigeon"); err == nil {
-		t.Fatal("expected error for unknown transport")
-	}
-}
-
 func TestLinkModelTransferTime(t *testing.T) {
 	m := LinkModel{Latency: time.Millisecond, Bandwidth: 1e6} // 1 MB/s
 	if got := m.TransferTime(0); got != time.Millisecond {

@@ -77,9 +77,9 @@ func FuzzBulkFloat64sEqualPortable(f *testing.F) {
 		ref = binary.AppendUvarint(ref, uint64(n))
 		ref = append(ref, packed...)
 		whole, runs := NewEncoder(0), NewEncoder(0)
-		whole.AppendRaw(ref[:off])
+		whole.buf = append(whole.buf, ref[:off]...)
 		whole.PutFloat64s(want)
-		runs.AppendRaw(ref[:off])
+		runs.buf = append(runs.buf, ref[:off]...)
 		runs.PutFloat64sLen(n)
 		cut := n / 3
 		runs.AppendFloat64s(want[:cut])

@@ -144,24 +144,6 @@ func TestStringBytesMatchesString(t *testing.T) {
 	}
 }
 
-func TestBytesInto(t *testing.T) {
-	e := GetEncoder(32)
-	e.PutBytes([]byte{9, 8, 7})
-	d := NewDecoder(e.Bytes())
-	dst := make([]byte, 3)
-	d.BytesInto(dst)
-	if d.Err() != nil || dst[0] != 9 || dst[2] != 7 {
-		t.Fatalf("BytesInto: %v %v", dst, d.Err())
-	}
-
-	d2 := NewDecoder(e.Bytes())
-	short := make([]byte, 2)
-	d2.BytesInto(short)
-	if d2.Err() == nil {
-		t.Fatal("BytesInto length mismatch not detected")
-	}
-}
-
 func TestComplex128sInto(t *testing.T) {
 	vals := []complex128{1 + 2i, -3.5 + 0.25i, 0}
 	e := GetEncoder(64)

@@ -157,12 +157,6 @@ func (e *Encoder) grow(n int) {
 	e.aliased = false
 }
 
-// AppendRaw appends pre-encoded bytes verbatim (frame assembly).
-func (e *Encoder) AppendRaw(b []byte) {
-	e.ensure(len(b))
-	e.buf = append(e.buf, b...)
-}
-
 // PutByte appends one raw byte. Fixed-width header fields (e.g. the RMI
 // priority byte) use it so they can be read from a frame by offset,
 // before any decoder is attached.
@@ -455,21 +449,6 @@ func (d *Decoder) BytesCopy() []byte {
 	out := make([]byte, len(b))
 	copy(out, b)
 	return out
-}
-
-// BytesInto reads a length-prefixed byte slice into dst, which must have
-// exactly the encoded length — the single wire-to-user-buffer copy of a
-// bulk read.
-func (d *Decoder) BytesInto(dst []byte) {
-	b := d.BytesView()
-	if d.err != nil {
-		return
-	}
-	if len(b) != len(dst) {
-		d.fail(fmt.Errorf("%w: BytesInto length %d, want %d", ErrCorrupt, len(b), len(dst)))
-		return
-	}
-	copy(dst, b)
 }
 
 // bulkLen reads the count n of a run of values of at least size bytes each

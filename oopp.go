@@ -365,7 +365,7 @@ func DrainPlan(loads []DeviceLoad, drain int) ([]Move, error) {
 // ---- Owner-computes kernels --------------------------------------------------
 //
 // Array math executes inside the device processes that own the pages:
-// Fill/Scale/Sum/MinMax/Norm2/Dot/Axpy are kernel collectives (one RMI
+// Fill/Scale/Sum/Norm2/Dot/Axpy are kernel collectives (one RMI
 // per involved device), and Array.Apply/Reduce/ApplyBinary/ReduceBinary
 // run user-registered kernels the same way. See the "Owner-computes
 // kernels" chapter of the package doc.
@@ -384,8 +384,7 @@ type (
 	StageResult = core.StageResult
 )
 
-// Builtin kernel names, usable with Array.Apply/Reduce and
-// BlockStorage.ApplyAll/ReduceAll.
+// Builtin kernel names, usable with Array.Apply/Reduce.
 const (
 	KernelFill   = kernel.Fill
 	KernelScale  = kernel.Scale

@@ -117,9 +117,9 @@ func TestFacadeArrayScenario(t *testing.T) {
 	if err := arr.Scale(bg, full, 0.5); err != nil {
 		t.Fatalf("scale: %v", err)
 	}
-	lo, hi, err := arr.MinMax(bg, full)
-	if err != nil || lo != 1 || hi != 1 {
-		t.Fatalf("minmax = %v %v, %v", lo, hi, err)
+	acc, _, err := arr.Reduce(bg, full, oopp.KernelMinMax)
+	if err != nil || acc[0] != 1 || acc[1] != 1 {
+		t.Fatalf("minmax = %v, %v", acc, err)
 	}
 }
 
@@ -339,7 +339,7 @@ func TestFacadePublishedDataset(t *testing.T) {
 	}
 	defer st.Close(bg)
 	page := oopp.NewArrayPage(2, 2, 2)
-	if page.Elems() != 8 {
+	if len(page.Data) != 8 {
 		t.Fatal("array page geometry")
 	}
 	var blocks []oopp.Ref
@@ -456,8 +456,8 @@ func TestFacadeOwnerComputesScenario(t *testing.T) {
 	if err := own.Apply(bg, oopp.NewDomain(0, 1, 0, N, 0, N), "facade.halve"); err != nil {
 		t.Fatalf("apply user kernel: %v", err)
 	}
-	if lo, hi, err := own.MinMax(bg, full); err != nil || lo != 0 || hi != 50 {
-		t.Fatalf("after halve: minmax = (%v,%v), %v", lo, hi, err)
+	if acc, _, err := own.Reduce(bg, full, oopp.KernelMinMax); err != nil || acc[0] != 0 || acc[1] != 50 {
+		t.Fatalf("after halve: minmax = %v, %v", acc, err)
 	}
 	acc, n, err := own.Reduce(bg, full, oopp.KernelAbsMax)
 	if err != nil || n != int64(full.Size()) || acc[0] != 50 {

@@ -85,7 +85,7 @@ type (
 	// MemberEncoder encodes one member's call arguments.
 	MemberEncoder = collection.MemberEncoder
 	// Distribution places collection members over machines (Block,
-	// Cyclic, OnMachines, optionally Replicate-d).
+	// Cyclic, OnMachines).
 	Distribution = collection.Distribution
 	// MemberError wraps one member's failure inside a collective
 	// operation's errors.Join aggregate.
