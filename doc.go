@@ -324,8 +324,9 @@
 //     down — pending and new calls fail fast with ErrMachineDown
 //     instead of burning timeouts, and a recovered machine is detected
 //     and marked up automatically. Collectives surface the verdict per
-//     member: collection.Failed(err) lists the failed member indices,
-//     collection.FailedMachines(err) the machines.
+//     member: each failed member is an rmi.MemberError (its index,
+//     machine and cause) in the joined error, and FailedMachines(err)
+//     lists the machines.
 //   - Graceful drain: rmi.Server.Drain finishes in-flight calls while
 //     refusing new work with ErrDraining (pings included, so probes see
 //     the machine leaving); oppcluster wires SIGINT/SIGTERM to

@@ -1,17 +1,20 @@
 // Package collection implements the paper's central aggregate idiom —
 // "FFT * fft[N]", a distributed collection of element objects operated
 // on collectively (§4) — as a generic, typed surface over the RMI
-// collective engine.
+// collective engine (rmi.FanOut and its siblings). core.Array's
+// kernel collectives call that engine directly; a collection is the
+// surface for user classes, and for the storage's spawn, barrier and
+// teardown.
 //
 // A Collection[T] is an ordered set of member stubs, each a remote
 // object of class-type T living on some machine. It is created by
 // spawning (Spawn / SpawnClass / SpawnNamed, placed by a Distribution
 // descriptor) or by attaching existing refs (FromRefs). Collective
 // operations — Broadcast, CallAll, Reduce, Barrier, Destroy — issue
-// member calls concurrently through the async lanes with a bounded
-// in-flight window, and report errors.Join of all member failures
-// (each an rmi.MemberError carrying the member index), never a silent
-// first-error abort.
+// member calls concurrently through the async lanes with at most
+// rmi.DefaultWindow in flight, and report errors.Join of all member
+// failures (each an rmi.MemberError carrying the member index), never a
+// silent first-error abort.
 //
 // Views (Slice, OnMachine) share member refs without respawning: they
 // are windows onto the same remote objects, and destroying a view
@@ -54,7 +57,6 @@ type Collection[T any] struct {
 	client  *rmi.Client
 	members []Member
 	refs    []rmi.Ref // members[i].Ref, cached so collectives don't rebuild it
-	window  int
 }
 
 // Spawn constructs a collection of the class registered for type T, one
@@ -118,7 +120,7 @@ func FromRefs[T any](client *rmi.Client, refs []rmi.Ref) *Collection[T] {
 	for i, r := range own {
 		members[i] = Member{Index: i, Machine: r.Machine, Ref: r}
 	}
-	return &Collection[T]{client: client, members: members, refs: own, window: rmi.DefaultWindow}
+	return &Collection[T]{client: client, members: members, refs: own}
 }
 
 // Client returns the client the collection issues its calls through.
@@ -151,14 +153,6 @@ func (c *Collection[T]) Machines() []int {
 	return out
 }
 
-// SetWindow bounds the number of outstanding requests in the
-// collection's collective operations. Values < 1 reset to
-// rmi.DefaultWindow. It returns the collection for chaining.
-func (c *Collection[T]) SetWindow(w int) *Collection[T] {
-	c.window = w
-	return c
-}
-
 // view derives a collection sharing member refs (no respawn, no copy of
 // the remote objects — destroying a view destroys its members).
 func (c *Collection[T]) view(members []Member) *Collection[T] {
@@ -166,7 +160,7 @@ func (c *Collection[T]) view(members []Member) *Collection[T] {
 	for i, m := range members {
 		refs[i] = m.Ref
 	}
-	return &Collection[T]{client: c.client, members: members, refs: refs, window: c.window}
+	return &Collection[T]{client: c.client, members: members, refs: refs}
 }
 
 // Slice returns the view of members [lo, hi). Member descriptors keep
@@ -174,19 +168,6 @@ func (c *Collection[T]) view(members []Member) *Collection[T] {
 // encode global member indices.
 func (c *Collection[T]) Slice(lo, hi int) *Collection[T] {
 	return c.view(c.members[lo:hi])
-}
-
-// Select returns the view of the members at the listed positions (in
-// this collection), in the given order. Like every view, descriptors
-// keep their original Index, so collectives over the selection report
-// and encode global member identities — core.Array's kernel collectives
-// use this to address exactly the devices a domain's pages live on.
-func (c *Collection[T]) Select(positions ...int) *Collection[T] {
-	members := make([]Member, len(positions))
-	for i, p := range positions {
-		members[i] = c.members[p]
-	}
-	return c.view(members)
 }
 
 // OnMachine returns the view of the members hosted on machine m — the
@@ -221,7 +202,7 @@ func (c *Collection[T]) callAll(ctx context.Context, method string, args MemberE
 	if args != nil {
 		enc = func(i int, e *wire.Encoder) error { return args(c.members[i], e) }
 	}
-	return c.globalizeIndices(rmi.FanOut(ctx, c.client, c.refs, method, enc, collect, c.window, opts...))
+	return c.globalizeIndices(rmi.FanOut(ctx, c.client, c.refs, method, enc, collect, rmi.DefaultWindow, opts...))
 }
 
 // globalizeIndices rewrites the engine's position-based MemberError
@@ -240,7 +221,8 @@ func (c *Collection[T]) globalizeIndices(err error) error {
 
 // walkMemberErrors visits every rmi.MemberError in an error tree built
 // from errors.Join / fmt wrapping — the one traversal shared by index
-// globalization and Failed (errors.As would stop at the first match).
+// globalization and FailedMachines (errors.As would stop at the first
+// match).
 func walkMemberErrors(err error, fn func(*rmi.MemberError)) {
 	if err == nil {
 		return
@@ -259,11 +241,11 @@ func walkMemberErrors(err error, fn func(*rmi.MemberError)) {
 	}
 }
 
-// Broadcast invokes method on every member concurrently (bounded by the
-// window), discarding results — the paper's "fft[id]->transform(...)"
-// loop in its collective form. args may be nil for nullary methods. It
-// attempts every member and returns errors.Join of all member
-// failures.
+// Broadcast invokes method on every member concurrently (bounded by
+// rmi.DefaultWindow), discarding results — the paper's
+// "fft[id]->transform(...)" loop in its collective form. args may be nil
+// for nullary methods. It attempts every member and returns errors.Join
+// of all member failures.
 func (c *Collection[T]) Broadcast(ctx context.Context, method string, args MemberEncoder, opts ...rmi.CallOption) error {
 	return c.callAll(ctx, method, args, nil, opts...)
 }
@@ -284,31 +266,25 @@ func (c *Collection[T]) CallAll(ctx context.Context, method string, args MemberE
 // each member has processed all messages sent to it before the barrier
 // — the paper's "fft->barrier()" (§4).
 func (c *Collection[T]) Barrier(ctx context.Context) error {
-	return c.globalizeIndices(rmi.BarrierRefs(ctx, c.client, c.refs, c.window))
+	return c.globalizeIndices(rmi.BarrierRefs(ctx, c.client, c.refs, rmi.DefaultWindow))
 }
 
 // Destroy deletes every member process concurrently and returns
 // errors.Join of the per-member failures. On a view it destroys exactly
 // the members the view exposes.
 func (c *Collection[T]) Destroy(ctx context.Context) error {
-	return c.globalizeIndices(rmi.DeleteRefs(ctx, c.client, c.refs, c.window))
+	return c.globalizeIndices(rmi.DeleteRefs(ctx, c.client, c.refs, rmi.DefaultWindow))
 }
 
-// MapIndexed runs fn once per member, concurrently with the
-// collection's window bound, and returns the results in member order —
-// owner-computes iteration where fn decides what to run against each
-// member (typically one or more RMI calls against m.Ref). Failed
+// MapIndexed runs fn once per member, at most rmi.DefaultWindow at a
+// time, and returns the results in member order — owner-computes
+// iteration where fn decides what to run against each member
+// (typically one or more RMI calls against m.Ref). Failed
 // members leave their zero value in the result slice; the error is
 // errors.Join of per-member failures.
 func MapIndexed[T, R any](ctx context.Context, c *Collection[T], fn func(ctx context.Context, m Member) (R, error)) ([]R, error) {
 	n := len(c.members)
-	window := c.window
-	if window < 1 {
-		window = rmi.DefaultWindow
-	}
-	if window > n {
-		window = n
-	}
+	window := min(rmi.DefaultWindow, n)
 	results := make([]R, n)
 	errSlots := make([]error, n)
 	if n == 0 {
@@ -332,17 +308,6 @@ func MapIndexed[T, R any](ctx context.Context, c *Collection[T], fn func(ctx con
 		sem <- struct{}{}
 	}
 	return results, errors.Join(errSlots...)
-}
-
-// Failed returns the member indices named in an error produced by a
-// collective operation (the rmi.MemberError entries of its
-// errors.Join), in occurrence order. errors.As on a joined error finds
-// only the first member; this walks the whole tree. A nil error yields
-// nil.
-func Failed(err error) []int {
-	var out []int
-	walkMemberErrors(err, func(me *rmi.MemberError) { out = append(out, me.Index) })
-	return out
 }
 
 // FailedMachines returns the distinct machines named in an error

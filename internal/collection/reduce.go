@@ -7,8 +7,8 @@ import (
 	"oopp/internal/wire"
 )
 
-// Reduce invokes method on every member concurrently (bounded by the
-// collection's window), decodes each member's reply into an R with dec,
+// Reduce invokes method on every member concurrently (bounded by
+// rmi.DefaultWindow), decodes each member's reply into an R with dec,
 // and combines the per-member results client-side with the user monoid
 // — the paper's barrier+combine pattern ("the partial sums are computed
 // by the data server processes and combined together by the client",

@@ -60,8 +60,8 @@ func TestReplicatedViewsWithDeadMachine(t *testing.T) {
 	if !errors.Is(err, rmi.ErrMachineDown) {
 		t.Fatalf("broadcast error %v does not wrap ErrMachineDown", err)
 	}
-	if got := Failed(err); len(got) != 2 || got[0] != 2 || got[1] != 4 {
-		t.Fatalf("Failed(err) = %v, want [2 4]", got)
+	if got := failedMembers(err); len(got) != 2 || got[0] != 2 || got[1] != 4 {
+		t.Fatalf("failedMembers(err) = %v, want [2 4]", got)
 	}
 	if got := FailedMachines(err); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("FailedMachines(err) = %v, want [2]", got)
@@ -75,22 +75,22 @@ func TestReplicatedViewsWithDeadMachine(t *testing.T) {
 		e.PutInt(1)
 		return nil
 	})
-	if got := Failed(err); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("replica 0 Failed(err) = %v, want [2]", got)
+	if got := failedMembers(err); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("replica 0 failedMembers(err) = %v, want [2]", got)
 	}
 	r1 := coll.Slice(3, 6)
 	err = r1.Broadcast(bg, "add", func(m Member, e *wire.Encoder) error {
 		e.PutInt(1)
 		return nil
 	})
-	if got := Failed(err); len(got) != 1 || got[0] != 4 {
-		t.Fatalf("replica 1 Failed(err) = %v, want [4]", got)
+	if got := failedMembers(err); len(got) != 1 || got[0] != 4 {
+		t.Fatalf("replica 1 failedMembers(err) = %v, want [4]", got)
 	}
 
 	// The survivor view — replica 0's live slots plus replica 1's copy
 	// of logical member 2 (slot 5, machine 0) — covers every logical
 	// member without touching machine 2.
-	survivors := coll.Select(0, 1, 5)
+	survivors := FromRefs[*cell](client, []rmi.Ref{coll.Ref(0), coll.Ref(1), coll.Ref(5)})
 	if err := survivors.Broadcast(bg, "add", func(m Member, e *wire.Encoder) error {
 		e.PutInt(1)
 		return nil

@@ -65,27 +65,30 @@ func TestCollectiveAllocs(t *testing.T) {
 	}
 }
 
-// Measured 24 and 26: the client builds one kernel.Chain and folds each
-// reply into the chain's identity partials (before it copied the chain
-// into a client-side struct and decoded a partial slice per reply: 30
-// and 33), and a region shares its page's chain with the map's table
-// (before, a plain map allocated a one-address chain per page per
-// operation and the operand's replica lookup another: 26 and 30). Of
-// Sum's 24 the device's share is 6 — the decoded batch, the state its
+// Measured 20 and 22: core hands its plan's device refs to rmi.FanOut
+// itself (before, every call built a collection view of the involved
+// devices — its member slice, its ref slice and the view — to reach the
+// same fan-out: 24 and 26, with the slice of live replicas pickLive
+// allocated per page), and the plan's ref slice is one allocation. Of
+// Sum's 20 the device's share is 6 — the decoded batch, the state its
 // workers share, ONE slab holding every region's accumulator and one
 // naming every region's pages (its own and, in place, its co-located
 // operands'); Axpy has no accumulator slab. The rest is the client's
-// plan and fan-out.
+// plan and fan-out: the plan's batch map, device and ref lists and
+// region slices, the reduce totals and results, and the fan-out's
+// Future and argument closure per device.
 const (
-	maxSumAllocs  = 26
-	maxAxpyAllocs = 27
+	maxSumAllocs  = 21
+	maxAxpyAllocs = 23
 )
 
-// Measured 20 and 27 for 8 pages: no chain is allocated per page (before
-// the map was a table, a one-address chain per region: 28 and 35). The
-// slack is well under one allocation per page, so a buffer that comes
-// back per page trips the ceiling.
+// Measured 20 and 19 for 8 pages: no chain is allocated per page (before
+// the map was a table, a one-address chain per region: 28 and 35), and
+// Read picks each page's replica without allocating (before, pickLive's
+// slice of live replicas per page: 27). The slack is well under one
+// allocation per page, so a buffer that comes back per page trips the
+// ceiling.
 const (
 	maxWriteAllocs = 23
-	maxReadAllocs  = 30
+	maxReadAllocs  = 22
 )

@@ -418,3 +418,43 @@ func TestChainShapesAcrossScenarios(t *testing.T) {
 		}
 	}
 }
+
+// TestChainFencedAndMachineDownReturnsBoth: one mutate-only fan-out
+// fails on two devices for two typed causes — device 0's pages are
+// fenced, device 2's machine is closed. The failures share no cause, so
+// the loop neither parks for a flip nor absorbs the machine-down one as
+// degraded writes: the error comes back at once and names both. The
+// domain's first page lives on devices 1 and 2, so the fan-out's
+// positions are not the device indices its error must name.
+func TestChainFencedAndMachineDownReturnsBoth(t *testing.T) {
+	r := newEngineRig(t, engineModes[0], 3, []int{0, 1, 2}, []int{0, 1, 2}, 2, 4)
+	var held []int
+	grid := engN / engn
+	for p := 0; p < grid*grid*grid; p++ {
+		for _, addr := range r.a.Map().LocateAll(p/(grid*grid), p/grid%grid, p%grid) {
+			if addr.Device == 0 {
+				held = append(held, addr.Index)
+			}
+		}
+	}
+	if err := r.a.Storage().Device(0).FencePages(bg, held); err != nil {
+		t.Fatal(err)
+	}
+	r.cl.Machine(2).Server().Close()
+	start := time.Now()
+	err := r.a.Apply(bg, core.NewDomain(0, engN, 0, engN, engn, engN), kernel.Scale, 2)
+	if elapsed := time.Since(start); elapsed > core.FenceFlipWait/4 {
+		t.Errorf("returned after %v: parked for a flip (the wait is %v)", elapsed, core.FenceFlipWait)
+	}
+	if !errors.Is(err, rmi.ErrFenced) || !errors.Is(err, rmi.ErrMachineDown) {
+		t.Fatalf("got %v, want an error matching both ErrFenced and ErrMachineDown", err)
+	}
+	for _, dev := range []string{"member 0 (machine 0)", "member 2 (machine 2)"} {
+		if !strings.Contains(err.Error(), dev) {
+			t.Errorf("error does not name device %s: %v", dev, err)
+		}
+	}
+	if n := r.a.DegradedWrites(); n != 0 {
+		t.Errorf("%d degraded writes counted for a failure that was not all machine-down", n)
+	}
+}

@@ -30,9 +30,10 @@ func (a *Array) copyPages(ctx context.Context, copies []pageCopy) error {
 	var p batches
 	full := pagedev.SubBox{Dim: a.p}
 	for _, c := range copies {
-		p.add(c.dst, full, false, []operand{{a.storage.Device(c.src.Device).Ref(), c.src.Index}})
+		p.add(a.storage.Device(c.dst.Device).Ref(), c.dst, full, false, []operand{{a.storage.Device(c.src.Device).Ref(), c.src.Index}})
 	}
-	return a.send(ctx, kernel.Chain{cp}, p, nil)
+	_, _, err = a.send(ctx, kernel.Chain{cp}, p, nil)
+	return err
 }
 
 // CopyFrom copies the subdomain dom of the conformant array src into

@@ -385,10 +385,6 @@ func (a *Array) DrainMachine(ctx context.Context, m int) (*MigrateReport, error)
 
 // --- the park-and-replay half: operations surviving a live flip ---
 
-// allFenced: every leaf is the mid-migration refusal, the class the
-// park-and-replay path may absorb.
-func allFenced(err error) bool { return allLeaves(err, rmi.ErrFenced) }
-
 // waitMapFlip parks until the array's map snapshot differs from old —
 // the migration that fenced our pages has flipped (setMap's signal) — or
 // the bounded wait expires (a foreign client's migration never flips our

@@ -4,18 +4,19 @@ package core
 // Reduce, ApplyBinary, ReduceBinary and the algebra built on them
 // (kernel.go), and the fused ApplyPipeline — is one kernel.Chain handed
 // to ONE loop, runChain: plan the per-device region batches, fan them
-// out (one RMI per involved device carries the whole chain; each device
-// walks every page region through all stages in a single load/store
-// pass), classify the failures, and replay what a migration fence
-// refused. Stage parameters travel out, fixed-width reduce partials
-// travel back and fold into the chain's identity by its stages' fold
-// rule; no element data touches the client.
+// out on rmi.FanOut (one RMI per involved device carries the whole
+// chain; each device walks every page region through all stages in a
+// single load/store pass), classify the failed devices once by the
+// typed cause they share, and replay. Stage parameters travel out,
+// fixed-width reduce partials travel back and fold into the chain's
+// identity by its stages' fold rule; no element data touches the
+// client.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
-	"oopp/internal/collection"
 	"oopp/internal/kernel"
 	"oopp/internal/pagedev"
 	"oopp/internal/rmi"
@@ -36,9 +37,10 @@ type StageResult struct {
 }
 
 // batches is a chain's plan: one pagedev.Batch per device, devices in
-// first-seen order.
+// first-seen order, each beside its ref.
 type batches struct {
 	devs  []int
+	refs  []rmi.Ref // refs[i] is device devs[i]'s
 	byDev map[int]pagedev.Batch
 	peers []pagedev.PipePeer // what the next regions' operands are cut from
 }
@@ -52,14 +54,16 @@ type operand struct {
 
 // add appends the region box of the page at addr to its device's batch,
 // its operands ops, one per two-operand stage; each operand's device
-// joins the batch's peer list the first time it is named.
-func (p *batches) add(addr PageAddress, box pagedev.SubBox, fold bool, ops []operand) {
+// joins the batch's peer list the first time it is named. ref is the
+// ref of addr's device.
+func (p *batches) add(ref rmi.Ref, addr PageAddress, box pagedev.SubBox, fold bool, ops []operand) {
 	b, ok := p.byDev[addr.Device]
 	if !ok {
 		if p.byDev == nil {
 			p.byDev = make(map[int]pagedev.Batch)
 		}
 		p.devs = append(p.devs, addr.Device)
+		p.refs = append(p.refs, ref)
 	}
 	r := pagedev.PipeRegion{Index: addr.Index, Box: box, Fold: fold}
 	if len(ops) > 0 {
@@ -75,20 +79,41 @@ func (p *batches) add(addr PageAddress, box pagedev.SubBox, fold bool, ops []ope
 	p.byDev[addr.Device] = b
 }
 
-// send fans the planned batches out to the array's devices — one
-// applyPipelineK call each — and folds each member's partials into
-// totals, one per reduce stage of c, in member order (CallAll serializes
-// collect).
-func (a *Array) send(ctx context.Context, c kernel.Chain, p batches, totals []kernel.Partial) error {
-	return a.kernelView(p.devs).CallAll(ctx, "applyPipelineK",
-		func(m collection.Member, e *wire.Encoder) error {
-			pagedev.EncodeApplyPipelineK(e, c, p.byDev[m.Index])
+// send fans the planned batches out to their devices — one
+// applyPipelineK call each, on rmi.FanOut over the plan's refs at the
+// array's window, so a machine's share leaves in one write — and folds
+// each member's partials into totals, one per reduce stage of c, in
+// device order (FanOut serializes collect). On failure it returns the
+// joined error, each rmi.MemberError renamed from its position in the
+// fan-out to its device index, the failed devices, and the one typed
+// cause they all share: rmi.ErrFenced, rmi.ErrMachineDown, or nil.
+func (a *Array) send(ctx context.Context, c kernel.Chain, p batches, totals []kernel.Partial) (failed []int, cause, err error) {
+	err = rmi.FanOut(ctx, a.storage.Client(), p.refs, "applyPipelineK",
+		func(i int, e *wire.Encoder) error {
+			pagedev.EncodeApplyPipelineK(e, c, p.byDev[p.devs[i]])
 			return nil
 		},
-		func(m collection.Member, d *wire.Decoder) error {
+		func(_ int, d *wire.Decoder) error {
 			_, err := pagedev.DecodePipelineReply(d, c, totals)
 			return err
-		})
+		}, a.inFlight())
+	if err == nil {
+		return nil, nil, nil
+	}
+	cause = rmi.ErrFenced
+	if !errors.Is(err, cause) {
+		cause = rmi.ErrMachineDown
+	}
+	// FanOut's error is errors.Join of one MemberError per failed member.
+	for _, e := range err.(interface{ Unwrap() []error }).Unwrap() {
+		me := e.(*rmi.MemberError)
+		me.Index = p.devs[me.Index]
+		failed = append(failed, me.Index)
+		if cause != nil && !errors.Is(me, cause) {
+			cause = nil
+		}
+	}
+	return failed, cause, err
 }
 
 // results names the reduce stages' totals: each the fold, in device
@@ -136,7 +161,7 @@ func (a *Array) plan(c kernel.Chain, operands []*Array, regs []region, exclude m
 				foldAddr, _ = a.pickLive(r.chain, nil)
 			}
 			for _, addr := range r.chain {
-				p.add(addr, box, fold && addr == foldAddr, ops)
+				p.add(a.storage.Device(addr.Device).Ref(), addr, box, fold && addr == foldAddr, ops)
 			}
 			continue
 		}
@@ -144,7 +169,7 @@ func (a *Array) plan(c kernel.Chain, operands []*Array, regs []region, exclude m
 		if !ok {
 			return p, fmt.Errorf("core: page %v: no replica left outside failed machines: %w", r.chain[0], rmi.ErrMachineDown)
 		}
-		p.add(addr, box, true, ops)
+		p.add(a.storage.Device(addr.Device).Ref(), addr, box, true, ops)
 	}
 	return p, nil
 }
@@ -156,7 +181,7 @@ func (a *Array) plan(c kernel.Chain, operands []*Array, regs []region, exclude m
 // (pagedev's fence pre-scan) — a fenced device neither mutated nor
 // folded — so replaying exactly the refused batches keeps both the
 // mutations and the partials exactly-once.
-func relocate(pm PageMap, failed []int, old batches) (p batches) {
+func (a *Array) relocate(pm PageMap, failed []int, old batches) (p batches) {
 	ops := make([]operand, 0, 4)
 	for _, dev := range failed {
 		b := old.byDev[dev]
@@ -165,16 +190,11 @@ func relocate(pm PageMap, failed []int, old batches) (p batches) {
 			for _, pe := range r.Peers {
 				ops = append(ops, operand{b.Peers[pe.Peer], pe.Index})
 			}
-			p.add(relocatedAddr(pm, PageAddress{Device: dev, Index: r.Index}), r.Box, r.Fold, ops)
+			addr := relocatedAddr(pm, PageAddress{Device: dev, Index: r.Index})
+			p.add(a.storage.Device(addr.Device).Ref(), addr, r.Box, r.Fold, ops)
 		}
 	}
 	return p
-}
-
-// kernelView builds the collection view of exactly the listed devices,
-// fanning out with the array's transfer window.
-func (a *Array) kernelView(devs []int) *collection.Collection[*pagedev.ArrayDevice] {
-	return a.storage.Collection().Select(devs...).SetWindow(a.inFlight())
 }
 
 // ApplyPipeline runs the registered pipeline name over dom as one fused
@@ -209,22 +229,25 @@ func (a *Array) ApplyPipeline(ctx context.Context, dom Domain, name string, oper
 // leave dom partially transformed.
 //
 // Under a replicated map a mutating chain fans out to every replica of
-// every page while each page's reduce stages fold on exactly one. A
-// batch racing a live migration of this Array value is refused
-// all-or-nothing per device (rmi.ErrFenced): the loop parks until the
-// map flips and replays exactly the refused batches at the copies' new
-// addresses — each page copy sees each mutating stage exactly once,
-// fenced or not.
+// every page while each page's reduce stages fold on exactly one. Each
+// fan-out's failed devices are classified once, by the typed cause they
+// all share (send), and the loop takes one of four turns:
 //
-// Failure tolerance depends on the chain's shape. A chain that only
-// mutates has primary-ack semantics: member failures that are the
-// typed machine-down error are absorbed while every page kept at least
-// one live replica (the write lands there; the dead copy is dropped and
-// re-seeded at Failover). A chain that only reduces is read-only, so a
-// device that fails machine-down is excluded and the whole fold retries
-// against the surviving replicas. A chain that both mutates and reduces
-// returns the failure — its mutations cannot be safely re-executed to
-// recover the lost partials.
+//   - fenced: a batch racing a live migration of this Array value is
+//     refused all-or-nothing per device (rmi.ErrFenced); the loop parks
+//     until the map flips and replays exactly the refused batches at
+//     the copies' new addresses (relocate) — each page copy sees each
+//     mutating stage exactly once, fenced or not;
+//   - machine-down on a read-only chain: the failed devices are
+//     excluded and the whole fold is planned again against the
+//     surviving replicas, from fresh totals;
+//   - machine-down on a mutate-only chain: primary-ack semantics — the
+//     failure is absorbed while every page kept at least one live
+//     replica (coverDown: the write landed there; the dead copy is
+//     dropped and re-seeded at Failover);
+//   - anything else is returned, machine-down on a chain that both
+//     mutates and reduces among it: its mutations cannot be safely
+//     re-executed to recover the lost partials.
 func (a *Array) runChain(ctx context.Context, dom Domain, c kernel.Chain, operands []*Array) ([]StageResult, error) {
 	if len(operands) != c.Operands() {
 		return nil, fmt.Errorf("core: chain has %d two-operand stage(s), got %d operand array(s)", c.Operands(), len(operands))
@@ -242,60 +265,41 @@ func (a *Array) runChain(ctx context.Context, dom Domain, c kernel.Chain, operan
 	if len(regs) == 0 {
 		return results(c, c.Identity()), nil
 	}
-
-	if c.Mutates() {
-		p, err := a.plan(c, operands, regs, nil)
-		if err != nil {
-			return nil, err
-		}
-		// totals persists across fence-replay rounds: members that
-		// succeeded keep their partials, refused members folded nothing.
-		totals := c.Identity()
-		err = a.send(ctx, c, p, totals)
-		for attempt := 0; err != nil && allFenced(err) && attempt < maxFenceRetries; attempt++ {
-			newPM, werr := a.waitMapFlip(ctx, pm)
+	exclude := make(map[int]bool)
+	p, err := a.plan(c, operands, regs, exclude)
+	if err != nil {
+		return nil, err
+	}
+	// totals persists across fence replays: members that succeeded keep
+	// their partials, refused members folded nothing.
+	totals := c.Identity()
+	for attempt := 0; ; attempt++ {
+		failed, cause, err := a.send(ctx, c, p, totals)
+		switch {
+		case err == nil:
+			return results(c, totals), nil
+		case cause == rmi.ErrFenced && attempt < maxFenceRetries:
+			next, werr := a.waitMapFlip(ctx, pm)
 			if werr != nil {
 				return nil, err
 			}
-			pm = newPM
-			if p = relocate(pm, collection.Failed(err), p); len(p.devs) == 0 {
-				err = nil
-				break
+			pm = next
+			p = a.relocate(pm, failed, p)
+		case cause == rmi.ErrMachineDown && !c.Mutates() && attempt+1 < pm.Replicas():
+			for _, dev := range failed {
+				exclude[dev] = true
 			}
-			err = a.send(ctx, c, p, totals)
-		}
-		if err != nil {
-			if c.Width() > 0 {
+			if p, err = a.plan(c, operands, regs, exclude); err != nil {
 				return nil, err
 			}
-			down := make(map[int]bool)
-			for _, dev := range collection.Failed(err) {
-				down[dev] = true
+			totals = c.Identity()
+		case cause == rmi.ErrMachineDown && c.Width() == 0:
+			if err := a.coverDown(err, regs, failed); err != nil {
+				return nil, err
 			}
-			if cerr := a.coverDown(err, regs, down); cerr != nil {
-				return nil, cerr
-			}
-		}
-		return results(c, totals), nil
-	}
-
-	replicas := pm.Replicas()
-	exclude := make(map[int]bool)
-	for attempt := 0; ; attempt++ {
-		p, err := a.plan(c, operands, regs, exclude)
-		if err != nil {
+			return results(c, totals), nil
+		default:
 			return nil, err
 		}
-		totals := c.Identity()
-		if err := a.send(ctx, c, p, totals); err != nil {
-			if attempt+1 < replicas && allMachineDown(err) {
-				for _, dev := range collection.Failed(err) {
-					exclude[dev] = true
-				}
-				continue
-			}
-			return nil, err
-		}
-		return results(c, totals), nil
 	}
 }

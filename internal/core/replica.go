@@ -112,25 +112,6 @@ func (a *Array) remint(pm PageMap, table [][]PageAddress, moved map[PageAddress]
 	return newPageMap(g, pm.k, pm.ppd, name, table, moved)
 }
 
-// allLeaves reports whether every leaf failure in err (an errors.Join
-// tree of MemberErrors, or a single wrapped error) is the typed failure
-// target — the only way a fan-out's error may be absorbed whole.
-func allLeaves(err, target error) bool {
-	if u, ok := err.(interface{ Unwrap() []error }); ok {
-		for _, sub := range u.Unwrap() {
-			if !allLeaves(sub, target) {
-				return false
-			}
-		}
-		return true
-	}
-	return err == nil || errors.Is(err, target)
-}
-
-// allMachineDown: every leaf is the machine-down failure, the class
-// replica tolerance may absorb.
-func allMachineDown(err error) bool { return allLeaves(err, rmi.ErrMachineDown) }
-
 // machineUp reports whether the storage device's machine is not
 // currently marked down by the failure detector.
 func (a *Array) machineUp(dev int) bool {
@@ -151,7 +132,7 @@ func (a *Array) machineUp(dev int) bool {
 // replica at all.
 func (a *Array) pickLive(chain []PageAddress, exclude map[int]bool) (PageAddress, bool) {
 	var fallback *PageAddress
-	live := make([]PageAddress, 0, len(chain))
+	live := make([]PageAddress, 0, 8) // on the stack for k ≤ 8
 	for i := range chain {
 		if exclude[chain[i].Device] {
 			continue
@@ -220,21 +201,16 @@ func (t *ackTally) record(ri int, err error) error {
 	return nil
 }
 
-// coverDown classifies a kernel fan-out failure: it returns nil —
-// absorbing the error as degraded writes — iff every leaf failure is the
-// typed machine-down error and every region in regs still has at least
-// one replica on a device outside the failed set. downDevs is the set of
-// failed device indices (collection member indices are global device
-// indices).
-func (a *Array) coverDown(err error, regs []region, downDevs map[int]bool) error {
-	if !allMachineDown(err) {
-		return err
-	}
+// coverDown settles a mutate-only kernel fan-out whose failed devices
+// all failed machine-down (err): it returns nil — absorbing the error as
+// degraded writes — iff every region in regs still has at least one
+// replica on a device outside failed.
+func (a *Array) coverDown(err error, regs []region, failed []int) error {
 	t := a.newAckTally(regs)
 	for i, r := range regs {
 		for _, addr := range r.chain {
 			var outcome error
-			if downDevs[addr.Device] {
+			if slices.Contains(failed, addr.Device) {
 				outcome = err
 			}
 			if stop := t.record(i, outcome); stop != nil {

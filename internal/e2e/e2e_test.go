@@ -415,8 +415,15 @@ func TestKillOneServerFailureDetection(t *testing.T) {
 	if !errors.Is(err, rmi.ErrMachineDown) {
 		t.Fatalf("broadcast error = %v, want to wrap ErrMachineDown", err)
 	}
-	if got := collection.Failed(err); !reflect.DeepEqual(got, []int{2, 6}) {
-		t.Fatalf("Failed(err) = %v, want [2 6] (machine 2's members)", got)
+	var failed []int
+	for _, e := range err.(interface{ Unwrap() []error }).Unwrap() {
+		var me *rmi.MemberError
+		if errors.As(e, &me) {
+			failed = append(failed, me.Index)
+		}
+	}
+	if !reflect.DeepEqual(failed, []int{2, 6}) {
+		t.Fatalf("failed members %v, want [2 6] (machine 2's members)", failed)
 	}
 	if got := collection.FailedMachines(err); !reflect.DeepEqual(got, []int{2}) {
 		t.Fatalf("FailedMachines(err) = %v, want [2]", got)

@@ -1,9 +1,9 @@
 package pagedev
 
 // Client stubs and wire encoders for the kernel engine's one method and
-// the Jacobi plane sweep. core.Array drives the batched methods through
-// its storage collection with the encoders; the stub methods exist for
-// direct device use and tests.
+// the Jacobi plane sweep. core.Array drives the batched methods with the
+// encoders, on rmi.FanOut over its devices' refs; the stub methods exist
+// for direct device use and tests.
 
 import (
 	"context"

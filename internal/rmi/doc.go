@@ -254,8 +254,8 @@
 // Collectives compose with detection: a broadcast over a collection
 // with a dead machine still reaches every live member, and the joined
 // error carries one MemberError per dead member wrapping ErrMachineDown
-// — collection.Failed(err) extracts which members, and
-// collection.FailedMachines(err) which machines. A remote pointer is
+// — each MemberError names its member, and
+// collection.FailedMachines(err) lists the machines. A remote pointer is
 // bound to the process that minted it: a machine that comes back is a
 // new address space, and calls against pre-restart refs report
 // ErrNoSuchObject. Surviving a kill therefore means holding the state

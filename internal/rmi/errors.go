@@ -30,7 +30,7 @@ var ErrClientClosed = errors.New("rmi: client closed")
 // machine failed. Match with errors.Is; the concrete error in the chain
 // is a *MachineDownError carrying the machine index and cause, so a
 // collective's errors.Join can be mined for exactly which machines
-// failed (collection.Failed / collection.FailedMachines).
+// failed (each MemberError's Machine; collection.FailedMachines).
 var ErrMachineDown = errors.New("rmi: machine down")
 
 // ErrDraining is reported by a server that is gracefully shutting down:

@@ -12,8 +12,8 @@ import (
 // This file is the collective fan-out engine: one windowed, concurrent
 // issue/settle loop (SplitLoop) shared by every aggregate surface in the
 // repo — the typed Collection[T] in internal/collection is a thin skin
-// over FanOut, and core.Array's element transfers call SplitLoop
-// directly.
+// over FanOut, core.Array's kernel collectives call FanOut over their
+// devices' refs, and its element transfers call SplitLoop directly.
 //
 // Two properties define a collective here:
 //

@@ -52,8 +52,8 @@ func (cfg HeartbeatConfig) withDefaults() HeartbeatConfig {
 // Collective operations surface detector verdicts per member: a
 // Collection broadcast over a cluster with one dead machine returns an
 // errors.Join whose MemberErrors for that machine's members wrap
-// ErrMachineDown — collection.Failed extracts which members, and
-// collection.FailedMachines which machines.
+// ErrMachineDown — each names its member, and
+// collection.FailedMachines lists the machines.
 type Heartbeat struct {
 	client *Client
 	cfg    HeartbeatConfig

@@ -51,7 +51,7 @@ var methodIndexes atomic.Int64
 //
 // The method table is published read-only: a request reads the map
 // methods points to without a lock, and registration — Method,
-// ConcurrentMethod, Extend, Override — builds a new map under mu and
+// ConcurrentMethod, Extend — builds a new map under mu and
 // publishes it in place of the old one.
 type ClassSpec struct {
 	name    string
@@ -108,7 +108,8 @@ func (c *ClassSpec) publish(entries ...methodEntry) {
 // Extend registers a derived class that inherits every method of c (the
 // paper's process inheritance, §3: "straightforward to derive new
 // processes using previously defined processes"). The derived class gets
-// its own constructor and may add or override methods.
+// its own constructor and may add methods; reusing an inherited name
+// panics like any duplicate, so no derived class overrides one.
 func (c *ClassSpec) Extend(name string, ctor Constructor) *ClassSpec {
 	derived := Register(name, ctor)
 	inherited := c.table()
@@ -124,20 +125,6 @@ func (c *ClassSpec) Extend(name string, ctor Constructor) *ClassSpec {
 	defer derived.mu.Unlock()
 	derived.publish(entries...)
 	return derived
-}
-
-// Override replaces an inherited method implementation. Unlike Method it
-// requires the method to already exist, catching typos in the override.
-func (c *ClassSpec) Override(name string, fn MethodFunc) *ClassSpec {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.table()[name]
-	if !ok {
-		panic(fmt.Sprintf("rmi: Override of unknown method %s.%s", c.name, name))
-	}
-	e.fn = fn
-	c.publish(e)
-	return c
 }
 
 // MethodNames returns the sorted method names (used by tests and

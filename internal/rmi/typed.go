@@ -73,7 +73,8 @@ func RegisterClass[T any](name string, ctor func(env *Env, args *wire.Decoder) (
 // ExtendClass registers a derived class that inherits every method of
 // base (the paper's process inheritance, §3). The derived class has its
 // own object type U — which must satisfy whatever base's methods assert —
-// its own constructor, and may add or override methods.
+// its own constructor, and may add methods (an inherited name panics, as
+// in Extend).
 func ExtendClass[U any, T any](base *Class[T], name string, ctor func(env *Env, args *wire.Decoder) (U, error)) *Class[U] {
 	spec := base.spec.Extend(name, func(env *Env, args *wire.Decoder) (any, error) {
 		return ctor(env, args)
@@ -106,13 +107,6 @@ func (c *Class[T]) Method(name string, fn func(obj T, env *Env, args *wire.Decod
 // responsible for synchronizing any state such a method touches.
 func (c *Class[T]) ConcurrentMethod(name string, fn func(obj T, env *Env, args *wire.Decoder, reply *wire.Encoder) error) *Class[T] {
 	c.spec.ConcurrentMethod(name, typedMethod(c.spec.Name(), name, fn))
-	return c
-}
-
-// Override replaces an inherited method implementation; it panics if the
-// method does not exist, catching typos in the override.
-func (c *Class[T]) Override(name string, fn func(obj T, env *Env, args *wire.Decoder, reply *wire.Encoder) error) *Class[T] {
-	c.spec.Override(name, typedMethod(c.spec.Name(), name, fn))
 	return c
 }
 
