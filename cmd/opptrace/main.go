@@ -7,8 +7,8 @@
 //     histograms are merged across machines, so the quantiles describe
 //     the cluster, not one server;
 //   - a per-machine counter table: one row per counter of the machines'
-//     registries (messages and bytes sent, disk operations, sheds, ...),
-//     one column per machine;
+//     registries (messages and bytes sent, disk operations, sheds, ...)
+//     and a last row of live objects, one column per machine;
 //   - a tree view of one trace: spans from every machine stitched by
 //     parent links, indented by causality — a cross-machine method
 //     chain reads top to bottom like a call stack.
@@ -74,9 +74,13 @@ func run(peers, registry string, machines int, traceIDStr string, assertCross bo
 	// fails the run: a debug plane that silently drops machines would
 	// report misleading cluster-wide quantiles.
 	snaps := make([]trace.Snapshot, dir.Size())
+	live := make([]uint64, dir.Size())
 	for m := 0; m < dir.Size(); m++ {
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		buf, err := client.Debug(ctx, m)
+		if err == nil {
+			live[m], _, err = client.Stat(ctx, m)
+		}
 		cancel()
 		if err != nil {
 			return fmt.Errorf("machine %d: debug pull: %w", m, err)
@@ -87,7 +91,7 @@ func run(peers, registry string, machines int, traceIDStr string, assertCross bo
 	}
 
 	printMethodTable(snaps)
-	printCounterTable(snaps)
+	printCounterTable(snaps, live)
 
 	spans := make([]trace.SpanRecord, 0, 256)
 	for _, s := range snaps {
@@ -155,9 +159,10 @@ func printMethodTable(snaps []trace.Snapshot) {
 }
 
 // printCounterTable prints every machine's registry, one row per counter
-// and one column per machine. A machine's expired requests are not a
-// counter of their own: the method table's EXPIRED column has them.
-func printCounterTable(snaps []trace.Snapshot) {
+// and one column per machine, then each machine's live objects. A
+// machine's expired requests are not a counter of their own: the method
+// table's EXPIRED column has them.
+func printCounterTable(snaps []trace.Snapshot, live []uint64) {
 	fmt.Printf("\n%-16s", "COUNTER")
 	for _, s := range snaps {
 		fmt.Printf(" %14s", fmt.Sprintf("m%d", s.Machine))
@@ -168,6 +173,10 @@ func printCounterTable(snaps []trace.Snapshot) {
 		for _, s := range snaps {
 			fmt.Printf(" %14d", reflect.ValueOf(s.Counters).Field(i).Int())
 		}
+	}
+	fmt.Printf("\n%-16s", "Objects")
+	for _, n := range live {
+		fmt.Printf(" %14d", n)
 	}
 	fmt.Println()
 }

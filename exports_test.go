@@ -8,17 +8,28 @@ package oopp_test
 // that only tests reach is surface nothing uses; it goes, or the
 // allowlist below names it with a reason.
 //
-// Functions match by import path and name. Methods match by name alone:
-// a call x.Foo() counts for every method named Foo, so a dead method that
-// shares its name with a live one is not flagged. Methods the standard
-// library calls through an interface (Error, Unwrap, Is, As, String) are
-// exempt. The root facade (oopp.go, typed.go) is the module's importable
-// API and is not checked, though the methods it reaches through its type
-// aliases are, since they are declared under internal/.
+// References resolve by type: the modules' packages are type-checked from
+// source (the standard library from export data), and an export is
+// called when a selector, method value, method expression or plain name
+// outside its own declaration denotes it, a generic method by its origin.
+// A method is also called when code calls an interface method of its
+// name, since a call through an interface may reach it. Methods the
+// standard library calls through an interface (Error, Unwrap, Is, As,
+// String) are exempt. The root facade (oopp.go, typed.go) is the module's
+// importable API and is not checked, though the methods it reaches
+// through its type aliases are, since they are declared under internal/.
 
 import (
+	"bytes"
+	"encoding/json"
 	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -41,142 +52,130 @@ var exportAllowlist = map[string]string{
 // interfaces (error, fmt.Stringer, errors.Is/As/Unwrap).
 var exemptMethods = map[string]bool{"Error": true, "Unwrap": true, "Is": true, "As": true, "String": true}
 
+// listedPackage is what the check reads of `go list -json`.
+type listedPackage struct {
+	ImportPath, Dir, Export string
+	GoFiles                 []string
+	Standard                bool
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
 // uncalledExports returns the exports under root's internal/ that no
 // non-test code references, as "dir.Func" or "dir.Type.Method" with dir
-// relative to root, each with the file that declares it.
+// relative to root, each with the file that declares it. The code
+// searched is root's module and, if root has one, the module in bench/.
 func uncalledExports(t *testing.T, root string) map[string]string {
 	t.Helper()
-	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	root, err := filepath.Abs(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var modPath string
-	for _, line := range strings.Split(string(mod), "\n") {
-		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
-			modPath = strings.TrimSpace(rest)
+	// Every package the modules build, dependencies first: the standard
+	// library's export data, and the modules' own packages to check.
+	var pkgs []listedPackage
+	exportData := make(map[string]string) // import path -> export data file
+	seen := make(map[string]bool)
+	for _, dir := range []string{root, filepath.Join(root, "bench")} {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err != nil {
+			continue
+		}
+		cmd := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Dir,Export,GoFiles,Standard", "./...")
+		cmd.Dir = dir
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("go list in %s: %v", dir, err)
+		}
+		for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+			var p listedPackage
+			if err := dec.Decode(&p); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case seen[p.ImportPath]:
+			case p.Standard:
+				exportData[p.ImportPath] = p.Export
+			default:
+				pkgs = append(pkgs, p)
+			}
+			seen[p.ImportPath] = true
 		}
 	}
+
+	fset := token.NewFileSet()
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) { return os.Open(exportData[path]) })
+	checked := make(map[string]*types.Package)
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p, nil
+		}
+		return std.Import(path)
+	})}
+	info := &types.Info{Defs: make(map[*ast.Ident]types.Object), Uses: make(map[*ast.Ident]types.Object)}
 	type file struct {
-		dir, name string // package directory relative to root ("." for the root), file name
+		dir, path string // package directory and file, relative to root
 		f         *ast.File
 	}
 	var files []file
-	pkgName := make(map[string]string) // dir -> package name
-	parseModule(t, root, func(path string, f *ast.File) {
-		rel, err := filepath.Rel(root, filepath.Dir(path))
+	for _, p := range pkgs {
+		rel, err := filepath.Rel(root, p.Dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dir := filepath.ToSlash(rel)
-		files = append(files, file{dir, filepath.Base(path), f})
-		pkgName[dir] = f.Name.Name
-	})
+		var asts []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			asts = append(asts, f)
+			files = append(files, file{filepath.ToSlash(rel), filepath.ToSlash(filepath.Join(rel, name)), f})
+		}
+		if checked[p.ImportPath], err = conf.Check(p.ImportPath, fset, asts, info); err != nil {
+			t.Fatalf("type-check %s: %v", p.ImportPath, err)
+		}
+	}
 
-	// Declarations: function key "dir.Name", method key "#Name".
 	type export struct{ report, file string }
-	decls := make(map[string][]export)
-	declKey := func(dir string, d *ast.FuncDecl) string {
-		if d.Recv != nil && len(d.Recv.List) > 0 {
-			return "#" + d.Name.Name
-		}
-		return dir + "." + d.Name.Name
-	}
+	decls := make(map[*types.Func]export)
+	called := make(map[*types.Func]bool)
+	ifaceCalled := make(map[string]bool) // names of the interface methods code calls
 	for _, fl := range files {
-		if !strings.HasPrefix(fl.dir, "internal/") {
-			continue
-		}
 		for _, decl := range fl.f.Decls {
-			d, ok := decl.(*ast.FuncDecl)
-			if !ok || !d.Name.IsExported() {
-				continue
-			}
-			report := fl.dir + "." + d.Name.Name
-			if d.Recv != nil && len(d.Recv.List) > 0 {
-				if exemptMethods[d.Name.Name] {
-					continue
-				}
-				report = fl.dir + "." + receiverType(d.Recv.List[0].Type) + "." + d.Name.Name
-			}
-			k := declKey(fl.dir, d)
-			decls[k] = append(decls[k], export{report, fl.dir + "/" + fl.name})
-		}
-	}
-
-	// References from every non-test file, a declaration's references to
-	// its own key excepted.
-	refs := make(map[string]bool)
-	for _, fl := range files {
-		imports := make(map[string]string) // local name -> dir
-		for _, imp := range fl.f.Imports {
-			p := strings.Trim(imp.Path.Value, `"`)
-			var dir string
-			switch {
-			case p == modPath:
-				dir = "."
-			case strings.HasPrefix(p, modPath+"/"):
-				dir = strings.TrimPrefix(p, modPath+"/")
-			default:
-				continue
-			}
-			name := pkgName[dir]
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			imports[name] = dir
-		}
-		// self is the declaration being walked; a function's references
-		// to its own key, and a method's calls of itself on its receiver
-		// recv, are not callers. A method's other references to its own
-		// name are: a wrapper's x.inner.M() calls another type's M.
-		var self, recv string
-		var visit func(n ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.SelectorExpr:
-				id, _ := x.X.(*ast.Ident)
-				switch {
-				case id != nil && imports[id.Name] != "":
-					refs[imports[id.Name]+"."+x.Sel.Name] = true
-				case id != nil && id.Name == recv && "#"+x.Sel.Name == self:
-					// a method calling itself on its own receiver
-				default:
-					refs["#"+x.Sel.Name] = true
-					ast.Inspect(x.X, visit)
-				}
-				return false // x.Sel is not a name of this package
-			case *ast.Ident:
-				if key := fl.dir + "." + x.Name; key != self {
-					refs[key] = true
-				}
-			}
-			return true
-		}
-		for _, decl := range fl.f.Decls {
-			self, recv = "", ""
+			var self types.Object
 			if d, ok := decl.(*ast.FuncDecl); ok {
-				self = declKey(fl.dir, d)
-				if d.Recv != nil {
-					if names := d.Recv.List[0].Names; len(names) > 0 {
-						recv = names[0].Name
+				self = info.Defs[d.Name]
+				exempt := d.Recv != nil && exemptMethods[d.Name.Name]
+				if strings.HasPrefix(fl.dir, "internal/") && d.Name.IsExported() && !exempt {
+					name := d.Name.Name
+					if d.Recv != nil {
+						name = receiverType(d.Recv.List[0].Type) + "." + name
 					}
-					ast.Inspect(d.Recv, visit)
+					decls[self.(*types.Func)] = export{fl.dir + "." + name, fl.path}
 				}
-				ast.Inspect(d.Type, visit)
-				if d.Body != nil {
-					ast.Inspect(d.Body, visit)
-				}
-				continue
 			}
-			ast.Inspect(decl, visit)
+			ast.Inspect(decl, func(n ast.Node) bool {
+				id, _ := n.(*ast.Ident)
+				fn, _ := info.Uses[id].(*types.Func)
+				if fn == nil || fn.Origin() == self {
+					return true
+				}
+				called[fn.Origin()] = true
+				if recv := fn.Signature().Recv(); recv != nil && types.IsInterface(recv.Type()) {
+					ifaceCalled[fn.Name()] = true
+				}
+				return true
+			})
 		}
 	}
 
 	flagged := make(map[string]string)
-	for k, exps := range decls {
-		if refs[k] {
-			continue
-		}
-		for _, e := range exps {
+	for fn, e := range decls {
+		if !called[fn] && !(fn.Signature().Recv() != nil && ifaceCalled[fn.Name()]) {
 			flagged[e.report] = e.file
 		}
 	}
@@ -211,14 +210,17 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	}
 }
 
-// TestExportsCheckFlagsFixture runs the check on a module of four
-// exports: one nothing calls, one only a test calls, one another package
-// calls, and an Is method. Exactly the first two are flagged.
+// TestExportsCheckFlagsFixture runs the check on a module of exports:
+// one nothing calls, one only a test calls, one another package calls, an
+// Is method, two methods named Len of which one is called, and a method
+// called only through an interface. Exactly the first two and the
+// uncalled Len are flagged.
 func TestExportsCheckFlagsFixture(t *testing.T) {
 	got := uncalledExports(t, filepath.Join("testdata", "exports"))
 	want := map[string]string{
 		"internal/lib.Uncalled":   "internal/lib/lib.go",
 		"internal/lib.OnlyTested": "internal/lib/lib.go",
+		"internal/lib.Dead.Len":   "internal/lib/lib.go",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flagged %v, want %v", got, want)

@@ -161,10 +161,10 @@ func TestJoinNode(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := WaitReady(ctx, n0.Client(), joined.Machine()); err != nil {
+	if err := WaitReady(ctx, n0.Env().Client, joined.Machine()); err != nil {
 		t.Fatalf("newcomer not ready: %v", err)
 	}
-	if err := n0.Client().Ping(ctx, joined.Machine()); err != nil {
+	if err := n0.Env().Client.Ping(ctx, joined.Machine()); err != nil {
 		t.Fatalf("ping newcomer: %v", err)
 	}
 }
@@ -250,17 +250,17 @@ func TestNodesOverRegistry(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := WaitReady(ctx, nodes[0].Client()); err != nil {
+	if err := WaitReady(ctx, nodes[0].Env().Client); err != nil {
 		t.Fatalf("WaitReady: %v", err)
 	}
-	if err := nodes[1].Client().Ping(ctx, 0); err != nil {
+	if err := nodes[1].Env().Client.Ping(ctx, 0); err != nil {
 		t.Fatalf("cross ping: %v", err)
 	}
 
 	if err := nodes[1].Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if err := nodes[0].Client().Ping(ctx, 1); !errors.Is(err, rmi.ErrDraining) {
+	if err := nodes[0].Env().Client.Ping(ctx, 1); !errors.Is(err, rmi.ErrDraining) {
 		t.Fatalf("ping of draining node: %v, want ErrDraining", err)
 	}
 }

@@ -61,7 +61,7 @@ func TestNewLocalDefaults(t *testing.T) {
 		if len(m.Disks()) != 2 {
 			t.Errorf("machine %d has %d disks", i, len(m.Disks()))
 		}
-		if m.Client() == nil || m.Server() == nil {
+		if m.Env().Client == nil || m.Server() == nil {
 			t.Errorf("machine %d missing client/server", i)
 		}
 		if m.Env().Machines != 3 {
@@ -84,7 +84,7 @@ func TestCrossMachinePing(t *testing.T) {
 	// Every machine pings every other through its own client.
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
-			if err := c.Machine(i).Client().Ping(bg, j); err != nil {
+			if err := c.Machine(i).Env().Client.Ping(bg, j); err != nil {
 				t.Fatalf("machine %d -> %d ping: %v", i, j, err)
 			}
 		}
@@ -185,7 +185,7 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 		// Create some traffic so conns and object goroutines exist.
 		for i := 0; i < 4; i++ {
 			for j := 0; j < 4; j++ {
-				if err := c.Machine(i).Client().Ping(bg, j); err != nil {
+				if err := c.Machine(i).Env().Client.Ping(bg, j); err != nil {
 					t.Fatalf("ping: %v", err)
 				}
 			}

@@ -163,9 +163,6 @@ func (n *Node) Addr() string { return n.server.Addr() }
 // Server returns the node's object server.
 func (n *Node) Server() *rmi.Server { return n.server }
 
-// Client returns the node's outbound client (nil without a directory).
-func (n *Node) Client() *rmi.Client { return n.client }
-
 // Env returns the node's environment.
 func (n *Node) Env() *rmi.Env { return n.server.Env() }
 

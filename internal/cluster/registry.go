@@ -165,9 +165,6 @@ func (r *FileRegistry) ClaimIndex() (int, error) {
 	}
 }
 
-// Dir returns the registry's root directory.
-func (r *FileRegistry) Dir() string { return r.dir }
-
 // ParsePeers splits a comma-separated address list ("a:1,b:2") into a
 // directory-ready slice, rejecting empty entries — the validation shared
 // by cmd/oppcluster's -peers flag and tests.

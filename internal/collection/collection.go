@@ -139,20 +139,6 @@ func (c *Collection[T]) Refs() []rmi.Ref {
 	return refs
 }
 
-// Machines returns the distinct machines hosting members, in first-seen
-// member order.
-func (c *Collection[T]) Machines() []int {
-	seen := make(map[int]bool)
-	var out []int
-	for _, m := range c.members {
-		if !seen[m.Machine] {
-			seen[m.Machine] = true
-			out = append(out, m.Machine)
-		}
-	}
-	return out
-}
-
 // view derives a collection sharing member refs (no respawn, no copy of
 // the remote objects — destroying a view destroys its members).
 func (c *Collection[T]) view(members []Member) *Collection[T] {

@@ -145,9 +145,6 @@ func (b *BlockStorage) Device(i int) *pagedev.ArrayDevice { return b.snap().devi
 // machine-level verdicts into device sets.
 func (b *BlockStorage) MachineOf(i int) int { return b.snap().machines[i] }
 
-// Machines returns the per-device machine list (not a copy).
-func (b *BlockStorage) Machines() []int { return b.snap().machines }
-
 // Client returns the RMI client the device stubs share (nil for an
 // empty storage).
 func (b *BlockStorage) Client() *rmi.Client { return b.snap().coll.Client() }
@@ -158,14 +155,6 @@ func (b *BlockStorage) Client() *rmi.Client { return b.snap().coll.Client() }
 func (b *BlockStorage) Collection() *collection.Collection[*pagedev.ArrayDevice] {
 	return b.snap().coll
 }
-
-// Refs returns the remote pointers of all devices (for passing storage to
-// other processes).
-func (b *BlockStorage) Refs() []rmi.Ref { return b.snap().coll.Refs() }
-
-// Barrier synchronizes with every device process: its completion proves
-// every earlier message to every device was processed.
-func (b *BlockStorage) Barrier(ctx context.Context) error { return b.snap().coll.Barrier(ctx) }
 
 // Close deletes every device process, concurrently.
 func (b *BlockStorage) Close(ctx context.Context) error { return b.snap().coll.Destroy(ctx) }

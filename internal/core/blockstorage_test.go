@@ -52,7 +52,7 @@ func TestBlockStorageCollectives(t *testing.T) {
 	if err := a.Fill(bgCtx, a.Bounds(), 1.5); err != nil {
 		t.Fatalf("fill: %v", err)
 	}
-	if err := b.Barrier(bgCtx); err != nil {
+	if err := b.Collection().Barrier(bgCtx); err != nil {
 		t.Fatalf("barrier: %v", err)
 	}
 	sum, err := a.Sum(bgCtx, a.Bounds())

@@ -51,13 +51,6 @@ func (d Domain) Size() int {
 // Empty reports whether the box contains no elements.
 func (d Domain) Empty() bool { return d.Size() == 0 }
 
-// Contains reports whether (i,j,k) lies inside the box.
-func (d Domain) Contains(i, j, k int) bool {
-	return i >= d.Lo[0] && i < d.Hi[0] &&
-		j >= d.Lo[1] && j < d.Hi[1] &&
-		k >= d.Lo[2] && k < d.Hi[2]
-}
-
 // Within reports whether d lies entirely inside o.
 func (d Domain) Within(o Domain) bool {
 	if d.Empty() {

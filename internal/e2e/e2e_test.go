@@ -358,7 +358,7 @@ func TestBlockStorageOverTCP(t *testing.T) {
 	if writes == 0 {
 		t.Fatalf("stats: reads=%d writes=%d, want write traffic recorded", reads, writes)
 	}
-	if err := storage.Barrier(ctx); err != nil {
+	if err := storage.Collection().Barrier(ctx); err != nil {
 		t.Fatalf("barrier: %v", err)
 	}
 	if err := storage.Close(ctx); err != nil {

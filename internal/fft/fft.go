@@ -128,10 +128,7 @@ func NewPlan(n int) (*Plan, error) {
 	return p, nil
 }
 
-// Len returns the transform length.
-func (p *Plan) Len() int { return p.n }
-
-// Transform runs the planned FFT on x in place. len(x) must equal Len.
+// Transform runs the planned FFT on x in place. len(x) must be NewPlan's n.
 // sign=-1 forward, sign=+1 inverse (normalized).
 func (p *Plan) Transform(x []complex128, sign int) {
 	if len(x) != p.n {

@@ -71,13 +71,6 @@ func (r Reduce) NewAcc(params []float64) []float64 {
 	return acc
 }
 
-// NewAcc returns a freshly initialized accumulator for the reduction.
-func (r BinaryReduce) NewAcc(params []float64) []float64 {
-	acc := make([]float64, r.Width)
-	r.Init(acc, params)
-	return acc
-}
-
 // The four namespaces are independent: a map kernel and a reduce kernel
 // may share a name without conflict.
 var (

@@ -125,7 +125,8 @@ func TestBuiltinBinaryKernels(t *testing.T) {
 		t.Fatal(err)
 	}
 	dot := r.BinRed
-	acc := dot.NewAcc(nil)
+	acc := make([]float64, dot.Width)
+	dot.Init(acc, nil)
 	dot.Row(acc, []float64{1, 2}, []float64{3, 4}, nil)
 	if acc[0] != 11 {
 		t.Fatalf("dot = %v", acc)

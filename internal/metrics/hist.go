@@ -167,16 +167,6 @@ func (h *Hist) Merge(s HistSnapshot) {
 	}
 }
 
-// Reset zeroes the histogram.
-func (h *Hist) Reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sumUs.Store(0)
-	h.maxUs.Store(0)
-}
-
 // String summarizes the distribution for logs: count, mean and the
 // three tail quantiles the serving tier reports everywhere.
 func (h *Hist) String() string {

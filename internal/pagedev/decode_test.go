@@ -211,3 +211,55 @@ func TestReadSubBatchReplyFrame(t *testing.T) {
 		t.Errorf("three regions served, %d page reads counted", reads)
 	}
 }
+
+// FuzzJacobiPlane: whatever the bytes, decodeJacobiPlane does not panic,
+// and a plane it accepts names, in itself and in each halo, a grid's worth
+// of pages, no more than the device holds, each one of its own. The device
+// is three pages of 2×2×2 elements.
+func FuzzJacobiPlane(f *testing.F) {
+	const numPages = 3
+	page := [3]int{2, 2, 2}
+	halo := &JacobiHalo{Ref: rmi.Ref{Machine: 1, Object: 7, Class: ClassArrayPageDevice}, Pages: []int{2}}
+	for _, a := range []JacobiPlaneArgs{
+		{N1: 2, N2: 2, N3: 2, P2: 1, P3: 1, Pages: []int{0}},
+		{SrcOff: 1, QBase: 2, N1: 6, N2: 2, N3: 2, P2: 1, P3: 1, SyncHalo: true, Pages: []int{1}, Lo: halo, Hi: halo},
+	} {
+		e := wire.NewEncoder(64)
+		if err := encodeJacobiPlane(e, a); err != nil {
+			f.Fatal(err)
+		}
+		if _, err := decodeJacobiPlane(wire.NewDecoder(e.Bytes()), numPages, page); err != nil {
+			f.Fatalf("a real request %+v: %v", a, err)
+		}
+		f.Add(e.Bytes())
+	}
+	// The oversized plane: a 4096×4096 grid, and no page after the header.
+	e := wire.NewEncoder(32)
+	for _, v := range []int{0, 0, 0, 2, 2 * 4096, 2 * 4096, 4096, 4096} {
+		e.PutInt(v)
+	}
+	e.PutBool(false)
+	f.Add(e.Bytes())
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		a, err := decodeJacobiPlane(wire.NewDecoder(frame), numPages, page)
+		if err != nil {
+			return
+		}
+		planes := [][]int{a.Pages}
+		for _, h := range []*JacobiHalo{a.Lo, a.Hi} {
+			if h != nil {
+				planes = append(planes, h.Pages)
+			}
+		}
+		for _, pages := range planes {
+			if len(pages) != a.P2*a.P3 || len(pages) > numPages {
+				t.Fatalf("accepted %d pages for a %dx%d grid on a %d-page device", len(pages), a.P2, a.P3, numPages)
+			}
+			for _, p := range pages {
+				if p < 0 || p >= numPages {
+					t.Fatalf("accepted page index %d of a %d-page device", p, numPages)
+				}
+			}
+		}
+	})
+}

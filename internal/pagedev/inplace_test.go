@@ -115,7 +115,7 @@ func hammerPages(t *testing.T, diskIndex, n, sn, rounds int) {
 		}
 		swept <- nil
 	}()
-	reader := c.Machine(1).Client()
+	reader := c.Machine(1).Env().Client
 	for pull, sweeping := 0, true; sweeping || pull == 0; pull++ {
 		select {
 		case err := <-swept:
@@ -240,7 +240,7 @@ func opposingCollectives(t *testing.T, n, rounds int) {
 	}
 	go func() { // the concurrent lane, whole pages and an interior sub-box
 		defer func() { bystanders <- struct{}{} }()
-		reader := c.Machine(1).Client()
+		reader := c.Machine(1).Env().Client
 		for pull := 0; !stopped(); pull++ {
 			b := box(n, n, n)
 			if pull%2 == 1 {
@@ -282,7 +282,7 @@ func opposingCollectives(t *testing.T, n, rounds int) {
 		}()
 	}
 
-	clients := []*rmi.Client{c.Client(), c.Machine(1).Client()}
+	clients := []*rmi.Client{c.Client(), c.Machine(1).Env().Client}
 	var axpy [2]kernel.Chain // x += y on x's device, y -= x on y's
 	for d, alpha := range []float64{1, -1} {
 		st, err := kernel.Resolve(kernel.BinaryStage(kernel.Axpy), []float64{alpha})
@@ -878,7 +878,7 @@ func init() {
 func TestPanickingKernelGivesThePageUp(t *testing.T) {
 	for _, row := range openBackings(t, disk.Model{}, 4) {
 		page := pagedev.NewArrayPage(4, 4, 4)
-		page.Fill(3)
+		fill(page, 3)
 		if err := row.dev.WritePage(bg, page, 0); err != nil {
 			t.Fatal(err)
 		}

@@ -90,39 +90,42 @@ type JacobiPlaneArgs struct {
 // JacobiPlaneAsync begins one owner-computes plane sweep; decode the
 // plane residual with DecodeResidual.
 func (d *ArrayDevice) JacobiPlaneAsync(ctx context.Context, a JacobiPlaneArgs) *rmi.Future {
-	return d.client.CallAsync(ctx, d.ref, "jacobiPlane", func(e *wire.Encoder) error {
-		if len(a.Pages) != a.P2*a.P3 {
-			return fmt.Errorf("pagedev: jacobiPlane: %d pages for a %dx%d grid", len(a.Pages), a.P2, a.P3)
-		}
-		e.PutInt(a.SrcOff)
-		e.PutInt(a.DstOff)
-		e.PutInt(a.QBase)
-		e.PutInt(a.N1)
-		e.PutInt(a.N2)
-		e.PutInt(a.N3)
-		e.PutInt(a.P2)
-		e.PutInt(a.P3)
-		e.PutBool(a.SyncHalo)
-		for _, p := range a.Pages {
-			e.PutInt(p)
-		}
-		putHalo := func(h *JacobiHalo) error {
-			e.PutBool(h != nil)
-			if h == nil {
-				return nil
-			}
-			if len(h.Pages) != a.P2*a.P3 {
-				return fmt.Errorf("pagedev: jacobiPlane halo: %d pages for a %dx%d grid", len(h.Pages), a.P2, a.P3)
-			}
-			e.PutRef(h.Ref)
-			for _, p := range h.Pages {
-				e.PutInt(p)
-			}
+	return d.client.CallAsync(ctx, d.ref, "jacobiPlane", func(e *wire.Encoder) error { return encodeJacobiPlane(e, a) })
+}
+
+// encodeJacobiPlane writes a jacobiPlane request (decodeJacobiPlane).
+func encodeJacobiPlane(e *wire.Encoder, a JacobiPlaneArgs) error {
+	if len(a.Pages) != a.P2*a.P3 {
+		return fmt.Errorf("pagedev: jacobiPlane: %d pages for a %dx%d grid", len(a.Pages), a.P2, a.P3)
+	}
+	e.PutInt(a.SrcOff)
+	e.PutInt(a.DstOff)
+	e.PutInt(a.QBase)
+	e.PutInt(a.N1)
+	e.PutInt(a.N2)
+	e.PutInt(a.N3)
+	e.PutInt(a.P2)
+	e.PutInt(a.P3)
+	e.PutBool(a.SyncHalo)
+	for _, p := range a.Pages {
+		e.PutInt(p)
+	}
+	putHalo := func(h *JacobiHalo) error {
+		e.PutBool(h != nil)
+		if h == nil {
 			return nil
 		}
-		if err := putHalo(a.Lo); err != nil {
-			return err
+		if len(h.Pages) != a.P2*a.P3 {
+			return fmt.Errorf("pagedev: jacobiPlane halo: %d pages for a %dx%d grid", len(h.Pages), a.P2, a.P3)
 		}
-		return putHalo(a.Hi)
-	})
+		e.PutRef(h.Ref)
+		for _, p := range h.Pages {
+			e.PutInt(p)
+		}
+		return nil
+	}
+	if err := putHalo(a.Lo); err != nil {
+		return err
+	}
+	return putHalo(a.Hi)
 }

@@ -23,55 +23,84 @@ import (
 	"oopp/internal/wire"
 )
 
+// decodeJacobiPlane is the pure decode step of jacobiPlane: bytes in, a
+// sweep bounded by this device out, no page touched. The request is
+//
+//	srcOff, dstOff, qbase, N1, N2, N3, P2, P3, sync,
+//	P2*P3×pageIdx,
+//	hasLo [loRef, P2*P3×loIdx],
+//	hasHi [hiRef, P2*P3×hiIdx]
+//
+// (JacobiPlaneArgs). A device of numPages pages of the given shape
+// refuses, before any slice is sized, a plane of more pages than it holds
+// or than the frame's remaining bytes can carry, and any page or halo
+// index outside it.
+func decodeJacobiPlane(args *wire.Decoder, numPages int, page [3]int) (a JacobiPlaneArgs, err error) {
+	a.SrcOff, a.DstOff, a.QBase = args.Int(), args.Int(), args.Int()
+	a.N1, a.N2, a.N3 = args.Int(), args.Int(), args.Int()
+	a.P2, a.P3 = args.Int(), args.Int()
+	a.SyncHalo = args.Bool()
+	if err := args.Err(); err != nil {
+		return a, err
+	}
+	// P3 > numPages/P2 is P2*P3 > numPages without the product, which
+	// may overflow; past it the product is at most numPages.
+	if a.P2 <= 0 || a.P3 <= 0 || a.P3 > numPages/a.P2 || a.P2*a.P3 > args.Remaining() {
+		return a, fmt.Errorf("pagedev: %w: jacobiPlane grid %dx%d for a device of %d pages, %d bytes left", wire.ErrCorrupt, a.P2, a.P3, numPages, args.Remaining())
+	}
+	n1, n2, n3 := page[0], page[1], page[2]
+	if n2*a.P2 != a.N2 || n3*a.P3 != a.N3 {
+		return a, fmt.Errorf("pagedev: jacobiPlane grid %dx%d of %dx%dx%d pages does not tile %dx%dx%d", a.P2, a.P3, n1, n2, n3, a.N1, a.N2, a.N3)
+	}
+	if a.N1 < n1 || a.QBase < 0 || a.QBase > a.N1-n1 {
+		return a, fmt.Errorf("pagedev: jacobiPlane slab [%d,%d) outside [0,%d)", a.QBase, a.QBase+n1, a.N1)
+	}
+	readPages := func() ([]int, error) {
+		idxs := make([]int, a.P2*a.P3)
+		for i := range idxs {
+			if idxs[i] = args.Int(); idxs[i] < 0 || idxs[i] >= numPages {
+				return nil, fmt.Errorf("pagedev: %w: jacobiPlane page index %d outside [0,%d)", wire.ErrCorrupt, idxs[i], numPages)
+			}
+		}
+		return idxs, args.Err()
+	}
+	readHalo := func() (*JacobiHalo, error) {
+		if !args.Bool() {
+			return nil, args.Err()
+		}
+		h := &JacobiHalo{Ref: args.Ref()}
+		h.Pages, err = readPages()
+		return h, err
+	}
+	if a.Pages, err = readPages(); err != nil {
+		return a, err
+	}
+	if a.Lo, err = readHalo(); err != nil {
+		return a, err
+	}
+	if a.Hi, err = readHalo(); err != nil {
+		return a, err
+	}
+	if (a.QBase > 0) != (a.Lo != nil) || (a.QBase+n1 < a.N1) != (a.Hi != nil) {
+		return a, fmt.Errorf("pagedev: jacobiPlane halo presence inconsistent with slab [%d,%d) of [0,%d)", a.QBase, a.QBase+n1, a.N1)
+	}
+	return a, nil
+}
+
 func registerOwnerMethods(c *rmi.Class[*arrayPageDevice]) {
-	// jacobiPlane(srcOff, dstOff, qbase, N1, N2, N3, P2, P3, sync,
-	//             P2*P3×pageIdx,
-	//             hasLo [loRef, P2*P3×loIdx],
-	//             hasHi [hiRef, P2*P3×hiIdx]):
-	// sweep the page-plane whose global first-axis range is
-	// [qbase, qbase+n1), reading bank srcOff and writing bank dstOff
-	// (offsets added to every page index). Replies the plane's max
-	// |update| over interior points.
+	// jacobiPlane(JacobiPlaneArgs, as decodeJacobiPlane reads it): sweep
+	// the page-plane whose global first-axis range is [qbase, qbase+n1),
+	// reading bank srcOff and writing bank dstOff (offsets added to every
+	// page index). Replies the plane's max |update| over interior points.
 	c.Method("jacobiPlane", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		srcOff, dstOff := args.Int(), args.Int()
-		qbase := args.Int()
-		N1, N2, N3 := args.Int(), args.Int(), args.Int()
-		P2, P3 := args.Int(), args.Int()
-		sync := args.Bool()
-		if err := args.Err(); err != nil {
+		req, err := decodeJacobiPlane(args, a.numPages, a.page())
+		if err != nil {
 			return err
 		}
+		srcOff, dstOff, qbase, sync := req.SrcOff, req.DstOff, req.QBase, req.SyncHalo
+		N1, N2, N3, P2, P3 := req.N1, req.N2, req.N3, req.P2, req.P3
+		pages, hasLo, hasHi := req.Pages, req.Lo != nil, req.Hi != nil
 		n1, n2, n3 := a.n1, a.n2, a.n3
-		if P2 <= 0 || P3 <= 0 || n2*P2 != N2 || n3*P3 != N3 {
-			return fmt.Errorf("pagedev: jacobiPlane grid %dx%d of %dx%dx%d pages does not tile %dx%dx%d", P2, P3, n1, n2, n3, N1, N2, N3)
-		}
-		if qbase < 0 || qbase+n1 > N1 {
-			return fmt.Errorf("pagedev: jacobiPlane slab [%d,%d) outside [0,%d)", qbase, qbase+n1, N1)
-		}
-		pages := make([]int, P2*P3)
-		for i := range pages {
-			pages[i] = args.Int()
-		}
-		readHalo := func() (ref rmi.Ref, idxs []int, ok bool) {
-			ok = args.Bool()
-			if !ok {
-				return ref, nil, false
-			}
-			ref = args.Ref()
-			idxs = make([]int, P2*P3)
-			for i := range idxs {
-				idxs[i] = args.Int()
-			}
-			return ref, idxs, true
-		}
-		loRef, loPages, hasLo := readHalo()
-		hiRef, hiPages, hasHi := readHalo()
-		if err := args.Err(); err != nil {
-			return err
-		}
-		if (qbase > 0) != hasLo || (qbase+n1 < N1) != hasHi {
-			return fmt.Errorf("pagedev: jacobiPlane halo presence inconsistent with slab [%d,%d) of [0,%d)", qbase, qbase+n1, N1)
-		}
 
 		// The slab holds n1 global planes plus the halo planes, indexed
 		// slab[(si*N2+gj)*N3+gk]; the sweep writes into a separate output
@@ -124,10 +153,10 @@ func registerOwnerMethods(c *rmi.Class[*arrayPageDevice]) {
 		}
 		var pulls []haloPull
 		if hasLo {
-			pulls = append(pulls, postHalo(loRef, loPages, n1-1, 0, "lo"))
+			pulls = append(pulls, postHalo(req.Lo.Ref, req.Lo.Pages, n1-1, 0, "lo"))
 		}
 		if hasHi {
-			pulls = append(pulls, postHalo(hiRef, hiPages, 0, H-1, "hi"))
+			pulls = append(pulls, postHalo(req.Hi.Ref, req.Hi.Pages, 0, H-1, "hi"))
 		}
 		if sync {
 			// Reference schedule: all edges in hand before any arithmetic.

@@ -29,9 +29,6 @@ type Page struct {
 // NewPage allocates an n-byte page.
 func NewPage(n int) *Page { return &Page{Data: make([]byte, n)} }
 
-// Len returns the page size in bytes.
-func (p *Page) Len() int { return len(p.Data) }
-
 // ArrayPage is a three-dimensional N1×N2×N3 block of float64s stored in
 // row-major order (k fastest), the unit an ArrayPageDevice stores.
 type ArrayPage struct {
@@ -44,14 +41,6 @@ func NewArrayPage(n1, n2, n3 int) *ArrayPage {
 	return &ArrayPage{N1: n1, N2: n2, N3: n3, Data: make([]float64, n1*n2*n3)}
 }
 
-// Index returns the linear index of (i,j,k).
-func (p *ArrayPage) Index(i, j, k int) int {
-	return (i*p.N2+j)*p.N3 + k
-}
-
-// Set stores v at (i,j,k).
-func (p *ArrayPage) Set(i, j, k int, v float64) { p.Data[p.Index(i, j, k)] = v }
-
 // Sum returns the sum of all elements — the method the paper adds to
 // ArrayPage "as an example of a method that uses the array structure".
 func (p *ArrayPage) Sum() float64 {
@@ -60,20 +49,6 @@ func (p *ArrayPage) Sum() float64 {
 		s += v
 	}
 	return s
-}
-
-// Scale multiplies every element by alpha.
-func (p *ArrayPage) Scale(alpha float64) {
-	for i := range p.Data {
-		p.Data[i] *= alpha
-	}
-}
-
-// Fill sets every element to v.
-func (p *ArrayPage) Fill(v float64) {
-	for i := range p.Data {
-		p.Data[i] = v
-	}
 }
 
 // Float64sToBytes packs vals into little-endian bytes (the on-device page

@@ -358,7 +358,7 @@ func TestConstructFromProcess(t *testing.T) {
 
 	// Writes through the wrapper land in the original device.
 	page := pagedev.NewArrayPage(n1, n2, n3)
-	page.Fill(1)
+	fill(page, 1)
 	if err := wrapper.WritePage(bg, page, 0); err != nil {
 		t.Fatalf("wrapper write: %v", err)
 	}
@@ -482,7 +482,7 @@ func TestQuickArrayPageIndexBijection(t *testing.T) {
 		for i := 0; i < n1; i++ {
 			for j := 0; j < n2; j++ {
 				for k := 0; k < n3; k++ {
-					idx := p.Index(i, j, k)
+					idx := index(p, i, j, k)
 					if idx < 0 || idx >= len(p.Data) || seen[idx] {
 						return false
 					}
@@ -532,20 +532,21 @@ func TestArrayPageValueOps(t *testing.T) {
 	if len(p.Data) != 24 {
 		t.Fatalf("geometry: %d elems", len(p.Data))
 	}
-	p.Set(1, 2, 3, 42)
-	if p.Data[p.Index(1, 2, 3)] != 42 {
-		t.Fatal("Index/Set mismatch")
-	}
-	p.Fill(2)
+	fill(p, 2)
 	if s := p.Sum(); s != 48 {
 		t.Fatalf("sum = %v", s)
 	}
-	p.Scale(0.5)
-	if s := p.Sum(); s != 24 {
-		t.Fatalf("scaled sum = %v", s)
+	if pg := pagedev.NewPage(16); len(pg.Data) != 16 {
+		t.Fatalf("page len = %d", len(pg.Data))
 	}
-	pg := pagedev.NewPage(16)
-	if pg.Len() != 16 {
-		t.Fatalf("page len = %d", pg.Len())
+}
+
+// index is the linear index of (i,j,k) in p, row-major with k fastest.
+func index(p *pagedev.ArrayPage, i, j, k int) int { return (i*p.N2+j)*p.N3 + k }
+
+// fill sets every element of p to v.
+func fill(p *pagedev.ArrayPage, v float64) {
+	for i := range p.Data {
+		p.Data[i] = v
 	}
 }

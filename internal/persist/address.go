@@ -67,6 +67,3 @@ func MustParseAddress(s string) Address {
 func (a Address) String() string {
 	return Scheme + "://" + a.Namespace + "/" + a.Path
 }
-
-// IsZero reports whether the address is empty.
-func (a Address) IsZero() bool { return a.Namespace == "" && a.Path == "" }

@@ -71,9 +71,6 @@ func NewNameService(ctx context.Context, client *rmi.Client, m int) (*NameServic
 	return &NameService{client: client, ref: ref}, nil
 }
 
-// Ref returns the directory's remote pointer.
-func (n *NameService) Ref() rmi.Ref { return n.ref }
-
 // Bind associates addr with a remote pointer.
 func (n *NameService) Bind(ctx context.Context, addr Address, ref rmi.Ref) error {
 	d, err := n.client.Call(ctx, n.ref, "bind", func(e *wire.Encoder) error {

@@ -89,9 +89,6 @@ func newPFFT(ctx context.Context, client *rmi.Client, machines []int, n1, n2, n3
 	return f, nil
 }
 
-// Refs exposes the worker remote pointers, in id order.
-func (f *PFFT) Refs() []rmi.Ref { return f.workers.Refs() }
-
 // Load scatters a full n1×n2×n3 row-major array to the workers' slabs, in
 // pieces of whole planes (cutPlanes), a split loop over every worker's.
 func (f *PFFT) Load(ctx context.Context, x []complex128) error {

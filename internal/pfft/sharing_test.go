@@ -17,6 +17,10 @@ import (
 	"oopp/internal/wire"
 )
 
+// Refs returns the worker remote pointers, in id order, for tests that
+// call a worker directly.
+func (f *PFFT) Refs() []rmi.Ref { return f.workers.Refs() }
+
 // goid names the calling goroutine: the "goroutine N" its stack begins with.
 func goid() string {
 	buf := make([]byte, 64)

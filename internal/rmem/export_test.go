@@ -1,0 +1,7 @@
+package rmem
+
+import "oopp/internal/rmi"
+
+// Ref returns the block's remote pointer, for tests that call it from
+// other clients.
+func (a *Float64Array) Ref() rmi.Ref { return a.ref }

@@ -74,16 +74,6 @@ var Float64BlockClass = rmi.RegisterClass(ClassFloat64, func(env *rmi.Env, args 
 		reply.PutFloat64s(b.data[off : off+n])
 		return nil
 	}).
-	Method("fill", func(b *float64Block, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		v := args.Float64()
-		if err := args.Err(); err != nil {
-			return err
-		}
-		for i := range b.data {
-			b.data[i] = v
-		}
-		return nil
-	}).
 	Method("sum", func(b *float64Block, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		var s float64
 		for _, v := range b.data {
@@ -98,7 +88,6 @@ var Float64BlockClass = rmi.RegisterClass(ClassFloat64, func(env *rmi.Env, args 
 type Float64Array struct {
 	client *rmi.Client
 	ref    rmi.Ref
-	n      int
 }
 
 // NewFloat64Array allocates n float64s on machine m — the paper's
@@ -111,14 +100,8 @@ func NewFloat64Array(ctx context.Context, client *rmi.Client, m int, n int) (*Fl
 	if err != nil {
 		return nil, err
 	}
-	return &Float64Array{client: client, ref: ref, n: n}, nil
+	return &Float64Array{client: client, ref: ref}, nil
 }
-
-// Ref returns the remote pointer.
-func (a *Float64Array) Ref() rmi.Ref { return a.ref }
-
-// Len returns the (locally cached) element count.
-func (a *Float64Array) Len() int { return a.n }
 
 // Get reads element i — "double x = data[i]": one round trip.
 func (a *Float64Array) Get(ctx context.Context, i int) (float64, error) {
@@ -160,16 +143,6 @@ func (a *Float64Array) GetRangeInto(ctx context.Context, off int, dst []float64)
 	defer d.Release()
 	d.Float64sInto(dst)
 	return d.Err()
-}
-
-// Fill sets every element to v remotely (computation at the data).
-func (a *Float64Array) Fill(ctx context.Context, v float64) error {
-	d, err := a.client.Call(ctx, a.ref, "fill", func(e *wire.Encoder) error {
-		e.PutFloat64(v)
-		return nil
-	})
-	d.Release()
-	return err
 }
 
 // Sum reduces the block remotely and ships back only the scalar.

@@ -215,9 +215,6 @@ func (t *TypedFuture[R]) Wait(ctx context.Context) (R, error) {
 // Done returns the underlying completion channel.
 func (t *TypedFuture[R]) Done() <-chan struct{} { return t.fut.Done() }
 
-// Future returns the untyped future, for WaitAll-style aggregation.
-func (t *TypedFuture[R]) Future() *Future { return t.fut }
-
 // decodeResult reads one tagged value from d and asserts it to R.
 func decodeResult[R any](f *Future, d *wire.Decoder) (R, error) {
 	var zero R

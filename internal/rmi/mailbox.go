@@ -111,13 +111,6 @@ func (m *mailbox) popBatch(dst []task) (int, bool) {
 	return k, true
 }
 
-// capacity reports the ring size (test hook for the shrink behaviour).
-func (m *mailbox) capacity() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.buf)
-}
-
 // close marks the mailbox closed. Tasks already queued still run; new
 // pushes are refused. Safe to call more than once.
 func (m *mailbox) close() {

@@ -11,6 +11,13 @@ import (
 
 // ---- mailbox ring buffer -------------------------------------------------
 
+// capacity reports the ring size, for the shrink tests.
+func (m *mailbox) capacity() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.buf)
+}
+
 func TestMailboxFIFOBatch(t *testing.T) {
 	m := newMailbox()
 	const n = 100

@@ -1104,8 +1104,8 @@ func TestObjectLookup(t *testing.T) {
 	if srv.NumObjects() != 1 {
 		t.Fatalf("NumObjects = %d", srv.NumObjects())
 	}
-	if srv.Machine() != 0 {
-		t.Fatalf("Machine = %d", srv.Machine())
+	if srv.machine != 0 {
+		t.Fatalf("machine = %d", srv.machine)
 	}
 }
 

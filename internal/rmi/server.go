@@ -128,9 +128,6 @@ func NewServer(machine int, tr transport.Transport, addr string, env *Env) (*Ser
 // Addr returns the listen address clients dial.
 func (s *Server) Addr() string { return s.listener.Addr() }
 
-// Machine returns the machine index.
-func (s *Server) Machine() int { return s.machine }
-
 // Env returns the server's environment (for installing resources).
 func (s *Server) Env() *Env { return s.env }
 

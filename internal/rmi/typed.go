@@ -117,12 +117,6 @@ func (c *Class[T]) New(ctx context.Context, client *Client, m int, args ArgEncod
 	return client.New(ctx, m, c.spec.Name(), args, opts...)
 }
 
-// NewAsync begins a remote construction of this class and returns its
-// future immediately, failed already if the request could not leave.
-func (c *Class[T]) NewAsync(ctx context.Context, client *Client, m int, args ArgEncoder, opts ...CallOption) *Future {
-	return client.NewAsync(ctx, m, c.spec.Name(), args, opts...)
-}
-
 // classSpecFor resolves the ClassSpec registered for type T, accepting
 // either the exact registered type or T's pointer type (so value types
 // can be used as the type argument: NewOn[Counter] for a *Counter class).

@@ -58,9 +58,6 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	return p, nil
 }
 
-// Conns returns the pool's per-machine socket budget.
-func (p *Pool) Conns() int { return len(p.clients) }
-
 // ClientFor returns the pooled client with the fewest outstanding
 // requests toward machine m. Ties go round-robin (a rotor offsets the
 // scan start), so an idle pool still spreads connections instead of
@@ -127,9 +124,6 @@ type Session struct {
 	opts []rmi.CallOption
 }
 
-// Pool returns the session's pool.
-func (s *Session) Pool() *Pool { return s.pool }
-
 // merge combines session defaults with per-call options. The common
 // cases (either side empty) reuse the existing slice.
 func (s *Session) merge(opts []rmi.CallOption) []rmi.CallOption {
@@ -160,12 +154,6 @@ func (s *Session) New(ctx context.Context, m int, class string, args rmi.ArgEnco
 	return s.pool.ClientFor(m).New(ctx, m, class, args, s.merge(opts)...)
 }
 
-// NewAsync begins a construction on machine m through the pool; the
-// future has failed already if the request could not leave.
-func (s *Session) NewAsync(ctx context.Context, m int, class string, args rmi.ArgEncoder, opts ...rmi.CallOption) *rmi.Future {
-	return s.pool.ClientFor(m).NewAsync(ctx, m, class, args, s.merge(opts)...)
-}
-
 // Delete destroys a remote object through the pool.
 func (s *Session) Delete(ctx context.Context, ref rmi.Ref, opts ...rmi.CallOption) error {
 	return s.pool.ClientFor(ref.Machine).Delete(ctx, ref, s.merge(opts)...)
@@ -174,9 +162,4 @@ func (s *Session) Delete(ctx context.Context, ref rmi.Ref, opts ...rmi.CallOptio
 // Ping round-trips an empty frame to machine m through the pool.
 func (s *Session) Ping(ctx context.Context, m int, opts ...rmi.CallOption) error {
 	return s.pool.ClientFor(m).Ping(ctx, m, s.merge(opts)...)
-}
-
-// Stat returns machine m's object counts through the pool.
-func (s *Session) Stat(ctx context.Context, m int) (live, total uint64, err error) {
-	return s.pool.ClientFor(m).Stat(ctx, m)
 }

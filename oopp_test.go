@@ -205,6 +205,20 @@ func TestFacadePersistenceScenario(t *testing.T) {
 	}
 }
 
+// newBlock allocates a 4-element remote float64 block on machine m by
+// its class name, for tests that pass refs around.
+func newBlock(t *testing.T, client *oopp.Client, m int) oopp.Ref {
+	t.Helper()
+	ref, err := client.New(bg, m, "rmem.Float64Block", func(e *oopp.Encoder) error {
+		e.PutInt(4)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("block on machine %d: %v", m, err)
+	}
+	return ref
+}
+
 func TestFacadeGroupsAndFutures(t *testing.T) {
 	cl, err := oopp.NewLocalCluster(4, 0)
 	if err != nil {
@@ -222,8 +236,8 @@ func TestFacadeGroupsAndFutures(t *testing.T) {
 		}
 	}
 	for i, a := range arrays {
-		if err := a.Fill(bg, float64(i+1)); err != nil {
-			t.Fatalf("fill: %v", err)
+		if err := a.Set(bg, 0, 100*float64(i+1)); err != nil {
+			t.Fatalf("set: %v", err)
 		}
 	}
 	total := 0.0
@@ -238,13 +252,17 @@ func TestFacadeGroupsAndFutures(t *testing.T) {
 		t.Fatalf("total = %v", total)
 	}
 	// Refs travel: attach a stub from another machine's client.
-	other := cl.Machine(3).Client()
-	stub := oopp.AttachDevice(other, arrays[0].Ref())
+	refs := []oopp.Ref{newBlock(t, client, 0), newBlock(t, client, 1)}
+	other := cl.Machine(3).Env().Client
+	stub := oopp.AttachDevice(other, refs[0])
 	_ = stub // devices and arrays share the ref concept; just type-check
 
-	g := oopp.AttachCollection[any](client, []oopp.Ref{arrays[0].Ref(), arrays[1].Ref()})
+	g := oopp.AttachCollection[any](client, refs)
 	if err := g.Barrier(bg); err != nil {
 		t.Fatalf("barrier: %v", err)
+	}
+	if err := g.Destroy(bg); err != nil {
+		t.Fatal(err)
 	}
 	for _, a := range arrays {
 		if err := a.Free(bg); err != nil {
@@ -342,15 +360,7 @@ func TestFacadePublishedDataset(t *testing.T) {
 	if len(page.Data) != 8 {
 		t.Fatal("array page geometry")
 	}
-	var blocks []oopp.Ref
-	for m := 0; m < 2; m++ {
-		blk, err := oopp.NewFloat64Array(bg, client, m, 4)
-		if err != nil {
-			t.Fatalf("block on machine %d: %v", m, err)
-		}
-		blocks = append(blocks, blk.Ref())
-	}
-	group := oopp.AttachCollection[any](client, blocks)
+	group := oopp.AttachCollection[any](client, []oopp.Ref{newBlock(t, client, 0), newBlock(t, client, 1)})
 	if err := group.Barrier(bg); err != nil {
 		t.Fatal(err)
 	}

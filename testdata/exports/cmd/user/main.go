@@ -2,4 +2,7 @@ package main
 
 import "fixture/internal/lib"
 
-func main() { println(lib.Called()) }
+func main() {
+	var sized interface{ Size() int } = lib.Box{}
+	println(lib.Called(), lib.Live{}.Len(), sized.Size())
+}

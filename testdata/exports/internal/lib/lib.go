@@ -1,5 +1,5 @@
-// Package lib is the exports check's fixture: four exports, of which the
-// check must flag Uncalled and OnlyTested.
+// Package lib is the exports check's fixture: of its exports, the check
+// must flag Uncalled, OnlyTested and Dead.Len.
 package lib
 
 // Uncalled has no caller at all.
@@ -18,3 +18,16 @@ func (Err) Error() string { return "err" }
 
 // Is is exempt: the standard library calls it through an interface.
 func (Err) Is(target error) bool { return target == Err{} }
+
+// Live and Dead each have a Len: cmd/user calls Live's, and a call of
+// one is no call of the other.
+type Live struct{}
+type Dead struct{}
+
+func (Live) Len() int { return 4 }
+func (Dead) Len() int { return 5 }
+
+// Box's Size is reached only through an interface cmd/user calls.
+type Box struct{}
+
+func (Box) Size() int { return 6 }

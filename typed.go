@@ -32,16 +32,7 @@ func ExtendClass[U any, T any](base *Class[T], name string, ctor func(env *Env, 
 
 // TypedFuture is the generic, decoded view of a Future: Wait(ctx) returns
 // the call's single tagged result as R.
-type TypedFuture[R any] struct{ inner *rmi.TypedFuture[R] }
-
-// Wait blocks (honoring ctx) and returns the decoded result of type R.
-func (t TypedFuture[R]) Wait(ctx context.Context) (R, error) { return t.inner.Wait(ctx) }
-
-// Done returns the underlying completion channel for select statements.
-func (t TypedFuture[R]) Done() <-chan struct{} { return t.inner.Done() }
-
-// Future returns the untyped future, for WaitAll-style aggregation.
-func (t TypedFuture[R]) Future() *Future { return t.inner.Future() }
+type TypedFuture[R any] = rmi.TypedFuture[R]
 
 // NewOn constructs an object of the class registered for type T on
 // machine m — the paper's "new(machine m) T(args...)" with the class
@@ -59,8 +50,8 @@ func Invoke[R any](ctx context.Context, client *Client, ref Ref, method string, 
 
 // InvokeAsync begins a typed invocation and returns its future — the §4
 // send-loop half of Invoke.
-func InvokeAsync[R any](ctx context.Context, client *Client, ref Ref, method string, args ...any) TypedFuture[R] {
-	return TypedFuture[R]{inner: rmi.InvokeAsync[R](ctx, client, ref, method, args...)}
+func InvokeAsync[R any](ctx context.Context, client *Client, ref Ref, method string, args ...any) *TypedFuture[R] {
+	return rmi.InvokeAsync[R](ctx, client, ref, method, args...)
 }
 
 // InvokeVoid calls a tagged-encoding method with no result.
