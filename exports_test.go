@@ -13,7 +13,10 @@ package oopp_test
 // called when a selector, method value, method expression or plain name
 // outside its own declaration denotes it, a generic method by its origin.
 // A method is also called when code calls an interface method of its
-// name, since a call through an interface may reach it. Methods the
+// name, since a call through an interface may reach it. A remote method
+// handle (a package-level variable of rmi's Method type) is dead when
+// nothing outside its own declaration references it: the server body it
+// registers is then a method no stub, peer or fan-out calls. Methods the
 // standard library calls through an interface (Error, Unwrap, Is, As,
 // String) are exempt. The root facade (oopp.go, typed.go) is the module's
 // importable API and is not checked, though the methods it reaches
@@ -142,44 +145,82 @@ func uncalledExports(t *testing.T, root string) map[string]string {
 
 	type export struct{ report, file string }
 	decls := make(map[*types.Func]export)
-	called := make(map[*types.Func]bool)
+	handles := make(map[*types.Var]export)
+	used := make(map[types.Object]bool)
 	ifaceCalled := make(map[string]bool) // names of the interface methods code calls
 	for _, fl := range files {
 		for _, decl := range fl.f.Decls {
-			var self types.Object
-			if d, ok := decl.(*ast.FuncDecl); ok {
-				self = info.Defs[d.Name]
-				exempt := d.Recv != nil && exemptMethods[d.Name.Name]
-				if strings.HasPrefix(fl.dir, "internal/") && d.Name.IsExported() && !exempt {
-					name := d.Name.Name
-					if d.Recv != nil {
-						name = receiverType(d.Recv.List[0].Type) + "." + name
-					}
-					decls[self.(*types.Func)] = export{fl.dir + "." + name, fl.path}
+			// A function is one unit, and so is each spec of a declaration
+			// group: what a unit declares is not used by its own references.
+			units := []ast.Node{decl}
+			if g, ok := decl.(*ast.GenDecl); ok {
+				units = units[:0]
+				for _, spec := range g.Specs {
+					units = append(units, spec)
 				}
 			}
-			ast.Inspect(decl, func(n ast.Node) bool {
-				id, _ := n.(*ast.Ident)
-				fn, _ := info.Uses[id].(*types.Func)
-				if fn == nil || fn.Origin() == self {
+			for _, unit := range units {
+				self := make(map[types.Object]bool)
+				switch d := unit.(type) {
+				case *ast.FuncDecl:
+					self[info.Defs[d.Name]] = true
+					exempt := d.Recv != nil && exemptMethods[d.Name.Name]
+					if strings.HasPrefix(fl.dir, "internal/") && d.Name.IsExported() && !exempt {
+						name := d.Name.Name
+						if d.Recv != nil {
+							name = receiverType(d.Recv.List[0].Type) + "." + name
+						}
+						decls[info.Defs[d.Name].(*types.Func)] = export{fl.dir + "." + name, fl.path}
+					}
+				case *ast.ValueSpec:
+					for _, id := range d.Names {
+						self[info.Defs[id]] = true
+						if v, ok := info.Defs[id].(*types.Var); ok && strings.HasPrefix(fl.dir, "internal/") && isHandle(v) {
+							handles[v] = export{fl.dir + "." + id.Name, fl.path}
+						}
+					}
+				}
+				ast.Inspect(unit, func(n ast.Node) bool {
+					id, _ := n.(*ast.Ident)
+					obj := info.Uses[id]
+					if fn, ok := obj.(*types.Func); ok {
+						obj = fn.Origin()
+						if recv := fn.Signature().Recv(); recv != nil && types.IsInterface(recv.Type()) {
+							ifaceCalled[fn.Name()] = true
+						}
+					}
+					if obj != nil && !self[obj] {
+						used[obj] = true
+					}
 					return true
-				}
-				called[fn.Origin()] = true
-				if recv := fn.Signature().Recv(); recv != nil && types.IsInterface(recv.Type()) {
-					ifaceCalled[fn.Name()] = true
-				}
-				return true
-			})
+				})
+			}
 		}
 	}
 
 	flagged := make(map[string]string)
 	for fn, e := range decls {
-		if !called[fn] && !(fn.Signature().Recv() != nil && ifaceCalled[fn.Name()]) {
+		if !used[fn] && !(fn.Signature().Recv() != nil && ifaceCalled[fn.Name()]) {
+			flagged[e.report] = e.file
+		}
+	}
+	for v, e := range handles {
+		if !used[v] {
 			flagged[e.report] = e.file
 		}
 	}
 	return flagged
+}
+
+// isHandle reports whether v is a remote method handle: a package-level
+// variable of the Method type of a package .../internal/rmi.
+func isHandle(v *types.Var) bool {
+	n, ok := v.Type().(*types.Named)
+	if !ok || v.Parent() != v.Pkg().Scope() {
+		return false
+	}
+	o := n.Origin().Obj()
+	return o.Name() == "Method" && o.Pkg() != nil && strings.HasSuffix(o.Pkg().Path(), "internal/rmi")
 }
 
 func TestInternalExportsHaveCallers(t *testing.T) {
@@ -213,14 +254,16 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 // TestExportsCheckFlagsFixture runs the check on a module of exports:
 // one nothing calls, one only a test calls, one another package calls, an
 // Is method, two methods named Len of which one is called, and a method
-// called only through an interface. Exactly the first two and the
-// uncalled Len are flagged.
+// called only through an interface, and two remote method handles of
+// which only a test references one. Exactly the first two, the uncalled
+// Len and the test-only handle are flagged.
 func TestExportsCheckFlagsFixture(t *testing.T) {
 	got := uncalledExports(t, filepath.Join("testdata", "exports"))
 	want := map[string]string{
 		"internal/lib.Uncalled":   "internal/lib/lib.go",
 		"internal/lib.OnlyTested": "internal/lib/lib.go",
 		"internal/lib.Dead.Len":   "internal/lib/lib.go",
+		"internal/lib.dead":       "internal/lib/lib.go",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flagged %v, want %v", got, want)

@@ -136,18 +136,20 @@ func (m *arrayMeta) LoadState(env *rmi.Env, d *wire.Decoder) error {
 	return m.decode(d)
 }
 
+var arrayMetaClass = rmi.RegisterClass(ClassArrayMeta, func(env *rmi.Env, args *wire.Decoder) (*arrayMeta, error) {
+	m := &arrayMeta{}
+	if err := m.decode(args); err != nil {
+		return nil, err
+	}
+	return m, nil
+})
+
+var metaDescribe = arrayMetaClass.Declare("describe", func(m *arrayMeta, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	m.encode(reply)
+	return nil
+})
+
 func init() {
-	rmi.Register(ClassArrayMeta, func(env *rmi.Env, args *wire.Decoder) (any, error) {
-		m := &arrayMeta{}
-		if err := m.decode(args); err != nil {
-			return nil, err
-		}
-		return m, nil
-	}).
-		Method("describe", func(obj any, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			obj.(*arrayMeta).encode(reply)
-			return nil
-		})
 	persist.RegisterRestorable(ClassArrayMeta, func() persist.Persistable { return &arrayMeta{} })
 }
 
@@ -179,7 +181,7 @@ func eachMember(devices int, visit func(i int) error) error {
 
 // fetchMeta asks a live descriptor process for its descriptor.
 func fetchMeta(ctx context.Context, client *rmi.Client, metaRef rmi.Ref) (*arrayMeta, error) {
-	d, err := client.Call(ctx, metaRef, "describe", nil)
+	d, err := metaDescribe.Call(ctx, client, metaRef, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -88,7 +88,7 @@ func (p *batches) add(ref rmi.Ref, addr PageAddress, box pagedev.SubBox, fold bo
 // fan-out to its device index, the failed devices, and the one typed
 // cause they all share: rmi.ErrFenced, rmi.ErrMachineDown, or nil.
 func (a *Array) send(ctx context.Context, c kernel.Chain, p batches, totals []kernel.Partial) (failed []int, cause, err error) {
-	err = rmi.FanOut(ctx, a.storage.Client(), p.refs, "applyPipelineK",
+	err = rmi.FanOut(ctx, a.storage.Client(), p.refs, pagedev.DevApplyPipelineK.Name(),
 		func(i int, e *wire.Encoder) error {
 			pagedev.EncodeApplyPipelineK(e, c, p.byDev[p.devs[i]])
 			return nil

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"oopp/internal/disk"
+	"oopp/internal/persist"
 	"oopp/internal/rmi"
 	"oopp/internal/wire"
 )
@@ -186,7 +187,7 @@ func (b *remoteBacking) lock(index int, write, try bool) bool { return true }
 func (b *remoteBacking) unlock(index int, write bool)         {}
 
 func (b *remoteBacking) readPage(index int, dst []byte) error {
-	d, err := b.client.Call(context.Background(), b.ref, "read", func(e *wire.Encoder) error {
+	d, err := devRead.Call(context.Background(), b.client, b.ref, func(e *wire.Encoder) error {
 		e.PutInt(index)
 		return nil
 	})
@@ -208,7 +209,7 @@ func (b *remoteBacking) readPage(index int, dst []byte) error {
 }
 
 func (b *remoteBacking) writePage(index int, src []byte) error {
-	d, err := b.client.Call(context.Background(), b.ref, "write", func(e *wire.Encoder) error {
+	d, err := devWrite.Call(context.Background(), b.client, b.ref, func(e *wire.Encoder) error {
 		e.PutInt(index)
 		e.PutBytes(src)
 		return nil
@@ -322,90 +323,8 @@ func newPageDevice(env *rmi.Env, name string, numPages, pageSize, diskIndex int)
 	}, nil
 }
 
-// registerBaseMethods installs the PageDevice protocol on a class. Both
-// the base class and (via Extend) the derived class carry these; this
-// function is the "compiler output" for the §2 class declaration.
-func registerBaseMethods(c *rmi.Class[baser]) *rmi.Class[baser] {
-	return c.
-		Method("write", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			p := obj.base()
-			index := args.Int()
-			data := args.Bytes()
-			if err := args.Err(); err != nil {
-				return err
-			}
-			return p.write(index, data)
-		}).
-		Method("read", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			p := obj.base()
-			index := args.Int()
-			if err := args.Err(); err != nil {
-				return err
-			}
-			if err := p.checkIndex(index); err != nil {
-				return err
-			}
-			buf := p.pageBytes()
-			if err := p.store.readPage(index, buf); err != nil {
-				return err
-			}
-			p.reads.Add(1)
-			reply.PutBytes(buf)
-			return nil
-		}).
-		Method("numPages", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			reply.PutInt(obj.base().numPages)
-			return nil
-		}).
-		Method("name", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			reply.PutString(obj.base().name)
-			return nil
-		}).
-		Method("stats", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			p := obj.base()
-			reply.PutVarint(p.reads.Load())
-			reply.PutVarint(p.writes.Load())
-			return nil
-		}).
-		Method("checkpointTo", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			// checkpointTo(store Ref, name, class): serialize this
-			// device's full representation (the same SaveState blob
-			// passivation produces) and ship it to a persist store —
-			// typically on *another* machine, so the checkpoint survives
-			// losing this one. Runs in the serial mailbox, so the
-			// snapshot is consistent with every other device method; the
-			// device stays live throughout (unlike passivate).
-			p := obj.base()
-			store := args.Ref()
-			name := args.String()
-			class := args.String()
-			if err := args.Err(); err != nil {
-				return err
-			}
-			if env.Client == nil {
-				return fmt.Errorf("pagedev: machine %d has no outbound client", env.Machine)
-			}
-			sav, ok := obj.(interface{ SaveState(*wire.Encoder) error })
-			if !ok {
-				return fmt.Errorf("pagedev: %T cannot checkpoint", obj)
-			}
-			e := wire.NewEncoder(p.numPages*p.pageSize + 256)
-			if err := sav.SaveState(e); err != nil {
-				return err
-			}
-			d, err := env.Client.Call(env.Ctx(), store, "put", func(enc *wire.Encoder) error {
-				enc.PutString(name)
-				enc.PutString(class)
-				enc.PutBytes(e.Bytes())
-				return nil
-			})
-			d.Release()
-			return err
-		})
-}
-
 // PageDeviceClass is the registered base class.
-var PageDeviceClass = registerFenceMethods(registerBaseMethods(rmi.RegisterClass(ClassPageDevice,
+var PageDeviceClass = rmi.RegisterClass(ClassPageDevice,
 	func(env *rmi.Env, args *wire.Decoder) (baser, error) {
 		name := args.String()
 		numPages := args.Int()
@@ -415,7 +334,80 @@ var PageDeviceClass = registerFenceMethods(registerBaseMethods(rmi.RegisterClass
 			return nil, err
 		}
 		return newPageDevice(env, name, numPages, pageSize, diskIndex)
-	})))
+	})
+
+// The PageDevice protocol, the "compiler output" for the §2 class
+// declaration: declared on the base class, inherited by ArrayPageDevice.
+var (
+	devWrite = PageDeviceClass.Declare("write", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		p := obj.base()
+		index := args.Int()
+		data := args.Bytes()
+		if err := args.Err(); err != nil {
+			return err
+		}
+		return p.write(index, data)
+	})
+	devRead = PageDeviceClass.Declare("read", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		p := obj.base()
+		index := args.Int()
+		if err := args.Err(); err != nil {
+			return err
+		}
+		if err := p.checkIndex(index); err != nil {
+			return err
+		}
+		buf := p.pageBytes()
+		if err := p.store.readPage(index, buf); err != nil {
+			return err
+		}
+		p.reads.Add(1)
+		reply.PutBytes(buf)
+		return nil
+	})
+	devNumPages = PageDeviceClass.Declare("numPages", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		reply.PutInt(obj.base().numPages)
+		return nil
+	})
+	devName = PageDeviceClass.Declare("name", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		reply.PutString(obj.base().name)
+		return nil
+	})
+	devStats = PageDeviceClass.Declare("stats", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		p := obj.base()
+		reply.PutVarint(p.reads.Load())
+		reply.PutVarint(p.writes.Load())
+		return nil
+	})
+	devCheckpointTo = PageDeviceClass.Declare("checkpointTo", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		// checkpointTo(store Ref, name, class): serialize this device's
+		// full representation (the same SaveState blob passivation
+		// produces) and ship it to a persist store — typically on
+		// *another* machine, so the checkpoint survives losing this one.
+		// Runs in the serial mailbox, so the snapshot is consistent with
+		// every other device method; the device stays live throughout
+		// (unlike passivate).
+		p := obj.base()
+		store := args.Ref()
+		name := args.String()
+		class := args.String()
+		if err := args.Err(); err != nil {
+			return err
+		}
+		if env.Client == nil {
+			return fmt.Errorf("pagedev: machine %d has no outbound client", env.Machine)
+		}
+		sav, ok := obj.(interface{ SaveState(*wire.Encoder) error })
+		if !ok {
+			return fmt.Errorf("pagedev: %T cannot checkpoint", obj)
+		}
+		e := wire.NewEncoder(p.numPages*p.pageSize + 256)
+		if err := sav.SaveState(e); err != nil {
+			return err
+		}
+		return persist.AttachStore(env.Client, store).Put(env.Ctx(), name, class, e.Bytes())
+	})
+)
 
 // arrayPageDevice is the derived process (§3): same storage protocol,
 // plus structure-aware computation. Embedding pageDevice is Go's
@@ -439,68 +431,67 @@ const (
 
 // ArrayPageDeviceClass is the registered derived class; it inherits every
 // base method via Extend and adds the structure-aware ones.
-var ArrayPageDeviceClass = newArrayClass()
-
-func newArrayClass() *rmi.Class[*arrayPageDevice] {
-	c := rmi.ExtendClass(PageDeviceClass, ClassArrayPageDevice,
-		func(env *rmi.Env, args *wire.Decoder) (*arrayPageDevice, error) {
-			mode := args.Int()
-			switch mode {
-			case ctorFresh:
-				name := args.String()
-				numPages := args.Int()
-				n1, n2, n3 := args.Int(), args.Int(), args.Int()
-				diskIndex := args.Int()
-				if err := args.Err(); err != nil {
-					return nil, err
-				}
-				if n1 <= 0 || n2 <= 0 || n3 <= 0 {
-					return nil, fmt.Errorf("pagedev: invalid block dims %dx%dx%d", n1, n2, n3)
-				}
-				// The paper's derived constructor computes the page size
-				// from the block dims: N1*N2*N3*sizeof(double).
-				pd, err := newPageDevice(env, name, numPages, n1*n2*n3*8, diskIndex)
-				if err != nil {
-					return nil, err
-				}
-				return &arrayPageDevice{pageDevice: pd, n1: n1, n2: n2, n3: n3}, nil
-			case ctorFromProcess:
-				// §5: ArrayPageDevice(PageDevice * page_device) — the new
-				// process co-exists with and delegates to the existing one.
-				src := args.Ref()
-				numPages := args.Int()
-				n1, n2, n3 := args.Int(), args.Int(), args.Int()
-				if err := args.Err(); err != nil {
-					return nil, err
-				}
-				if env.Client == nil {
-					return nil, fmt.Errorf("pagedev: machine %d has no outbound client", env.Machine)
-				}
-				if n1 <= 0 || n2 <= 0 || n3 <= 0 {
-					return nil, fmt.Errorf("pagedev: invalid block dims %dx%dx%d", n1, n2, n3)
-				}
-				pageSize := n1 * n2 * n3 * 8
-				pd := &pageDevice{
-					name:      src.String(),
-					numPages:  numPages,
-					pageSize:  pageSize,
-					diskIndex: diskRemote,
-					store:     &remoteBacking{client: env.Client, ref: src, cp: copies{pageSize: pageSize}},
-				}
-				return &arrayPageDevice{pageDevice: pd, n1: n1, n2: n2, n3: n3}, nil
-			default:
-				return nil, fmt.Errorf("pagedev: unknown constructor mode %d", mode)
+var ArrayPageDeviceClass = rmi.ExtendClass(PageDeviceClass, ClassArrayPageDevice,
+	func(env *rmi.Env, args *wire.Decoder) (*arrayPageDevice, error) {
+		mode := args.Int()
+		switch mode {
+		case ctorFresh:
+			name := args.String()
+			numPages := args.Int()
+			n1, n2, n3 := args.Int(), args.Int(), args.Int()
+			diskIndex := args.Int()
+			if err := args.Err(); err != nil {
+				return nil, err
 			}
-		})
+			if n1 <= 0 || n2 <= 0 || n3 <= 0 {
+				return nil, fmt.Errorf("pagedev: invalid block dims %dx%dx%d", n1, n2, n3)
+			}
+			// The paper's derived constructor computes the page size
+			// from the block dims: N1*N2*N3*sizeof(double).
+			pd, err := newPageDevice(env, name, numPages, n1*n2*n3*8, diskIndex)
+			if err != nil {
+				return nil, err
+			}
+			return &arrayPageDevice{pageDevice: pd, n1: n1, n2: n2, n3: n3}, nil
+		case ctorFromProcess:
+			// §5: ArrayPageDevice(PageDevice * page_device) — the new
+			// process co-exists with and delegates to the existing one.
+			src := args.Ref()
+			numPages := args.Int()
+			n1, n2, n3 := args.Int(), args.Int(), args.Int()
+			if err := args.Err(); err != nil {
+				return nil, err
+			}
+			if env.Client == nil {
+				return nil, fmt.Errorf("pagedev: machine %d has no outbound client", env.Machine)
+			}
+			if n1 <= 0 || n2 <= 0 || n3 <= 0 {
+				return nil, fmt.Errorf("pagedev: invalid block dims %dx%dx%d", n1, n2, n3)
+			}
+			pageSize := n1 * n2 * n3 * 8
+			pd := &pageDevice{
+				name:      src.String(),
+				numPages:  numPages,
+				pageSize:  pageSize,
+				diskIndex: diskRemote,
+				store:     &remoteBacking{client: env.Client, ref: src, cp: copies{pageSize: pageSize}},
+			}
+			return &arrayPageDevice{pageDevice: pd, n1: n1, n2: n2, n3: n3}, nil
+		default:
+			return nil, fmt.Errorf("pagedev: unknown constructor mode %d", mode)
+		}
+	})
 
-	c.Method("readArray", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+// The structure-aware methods ArrayPageDevice adds (§3).
+var (
+	devReadArray = ArrayPageDeviceClass.Declare("readArray", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		index := args.Int()
 		if err := args.Err(); err != nil {
 			return err
 		}
 		return a.withPage(index, readOnly, reply.PutFloat64s)
 	})
-	c.Method("writeArray", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	devWriteArray = ArrayPageDeviceClass.Declare("writeArray", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		// The frame is validated before the page is entered — a page's worth
 		// of values announced, every byte of them present — and only then
 		// copied, once, from the frame to the page: a short or wrong-length
@@ -523,7 +514,7 @@ func newArrayClass() *rmi.Class[*arrayPageDevice] {
 	// concurrently (§5) without lost updates, and it ships only the
 	// region instead of the whole page. The rows are decoded before the
 	// page is opened: a truncated frame changes nothing.
-	c.Method("writeSub", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	devWriteSub = ArrayPageDeviceClass.Declare("writeSub", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		index := args.Int()
 		lo, dim, err := decodeSubBox(args, a.page())
 		if err != nil {
@@ -538,11 +529,8 @@ func newArrayClass() *rmi.Class[*arrayPageDevice] {
 		}
 		return a.withPage(index, update, func(elems []float64) { scatterRuns(elems, a.n2, a.n3, lo, dim, rows) })
 	})
-	c.ConcurrentMethod("readSubBatch", (*arrayPageDevice).readSubBatch)
-	registerPipelineMethod(c)
-	registerOwnerMethods(c)
-	return c
-}
+	devReadSubBatch = ArrayPageDeviceClass.DeclareConcurrent("readSubBatch", (*arrayPageDevice).readSubBatch)
+)
 
 // withPage is the device's one page accessor: every method that touches
 // an element does it inside fn, on page index as float64s — the store's

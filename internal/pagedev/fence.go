@@ -76,71 +76,70 @@ func (p *pageDevice) fenceIndices(args *wire.Decoder) ([]int, error) {
 	return idxs, args.Err()
 }
 
-// registerFenceMethods installs the migration-fence protocol on a class
-// (both PageDevice and, via Extend, ArrayPageDevice carry it).
-func registerFenceMethods(c *rmi.Class[baser]) *rmi.Class[baser] {
-	return c.
-		Method("fencePages", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			// fencePages(count, count×idx): serial, so returning proves
-			// every earlier mutator has completed — the fenced pages are
-			// now a consistent, immutable snapshot for the copy.
-			p := obj.base()
-			idxs, err := p.fenceIndices(args)
-			if err != nil {
-				return err
-			}
-			if p.fence == nil {
-				p.fence = make(map[int]struct{})
-			}
+// The migration-fence protocol, declared on PageDevice and inherited by
+// ArrayPageDevice.
+var (
+	devFencePages = PageDeviceClass.Declare("fencePages", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		// fencePages(count, count×idx): serial, so returning proves
+		// every earlier mutator has completed — the fenced pages are
+		// now a consistent, immutable snapshot for the copy.
+		p := obj.base()
+		idxs, err := p.fenceIndices(args)
+		if err != nil {
+			return err
+		}
+		if p.fence == nil {
+			p.fence = make(map[int]struct{})
+		}
+		for _, idx := range idxs {
+			p.fence[idx] = struct{}{}
+		}
+		return nil
+	})
+	devUnfencePages = PageDeviceClass.Declare("unfencePages", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		// unfencePages(release, count, count×idx). release=false
+		// aborts: the fence clears and the pages are writable here
+		// again. release=true retires: the pages moved away for good,
+		// so the machine's PagesHeld drops — but the fence entries are
+		// KEPT so a stale pre-flip map cannot silently write into the
+		// dead slots; a later migration reusing a slot clears its
+		// retired fence with release=false first.
+		p := obj.base()
+		release := args.Bool()
+		idxs, err := p.fenceIndices(args)
+		if err != nil {
+			return err
+		}
+		if release {
+			env.Counters().PagesHeld.Add(int64(-len(idxs)))
+		} else {
 			for _, idx := range idxs {
-				p.fence[idx] = struct{}{}
+				delete(p.fence, idx)
 			}
-			return nil
-		}).
-		Method("unfencePages", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			// unfencePages(release, count, count×idx). release=false
-			// aborts: the fence clears and the pages are writable here
-			// again. release=true retires: the pages moved away for good,
-			// so the machine's PagesHeld drops — but the fence entries are
-			// KEPT so a stale pre-flip map cannot silently write into the
-			// dead slots; a later migration reusing a slot clears its
-			// retired fence with release=false first.
-			p := obj.base()
-			release := args.Bool()
-			idxs, err := p.fenceIndices(args)
-			if err != nil {
-				return err
-			}
-			if release {
-				env.Counters().PagesHeld.Add(int64(-len(idxs)))
-			} else {
-				for _, idx := range idxs {
-					delete(p.fence, idx)
-				}
-			}
-			return nil
-		}).
-		Method("adoptPages", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			// adoptPages(count, bytes): destination-side accounting after
-			// a migration copy lands — count pages (bytes payload bytes)
-			// now live here per the flipped map.
-			count := args.Int()
-			bytes := args.Varint()
-			if err := args.Err(); err != nil {
-				return err
-			}
-			env.Counters().PagesHeld.Add(int64(count))
-			env.Counters().PagesMigrated.Add(int64(count))
-			env.Counters().BytesMigrated.Add(bytes)
-			return nil
-		})
-}
+		}
+		return nil
+	})
+	devAdoptPages = PageDeviceClass.Declare("adoptPages", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		// adoptPages(count, bytes): destination-side accounting after
+		// a migration copy lands — count pages (bytes payload bytes)
+		// now live here per the flipped map.
+		count := args.Int()
+		bytes := args.Varint()
+		if err := args.Err(); err != nil {
+			return err
+		}
+		env.Counters().PagesHeld.Add(int64(count))
+		env.Counters().PagesMigrated.Add(int64(count))
+		env.Counters().BytesMigrated.Add(bytes)
+		return nil
+	})
+)
 
 // FencePages marks the given page indices mid-migration on the device:
 // once it returns, mutators targeting them are refused typed
 // (rmi.ErrFenced) until UnfencePages, while reads keep flowing.
 func (d *Device) FencePages(ctx context.Context, indices []int) error {
-	return voidReply(d.client.Call(ctx, d.ref, "fencePages", func(e *wire.Encoder) error {
+	return voidReply(devFencePages.Call(ctx, d.client, d.ref, func(e *wire.Encoder) error {
 		e.PutInt(len(indices))
 		for _, idx := range indices {
 			e.PutInt(idx)
@@ -156,7 +155,7 @@ func (d *Device) FencePages(ctx context.Context, indices []int) error {
 // stale writers get the typed refusal instead of losing data; the slots
 // become reusable when a later migration clears them (release=false).
 func (d *Device) UnfencePages(ctx context.Context, indices []int, release bool) error {
-	return voidReply(d.client.Call(ctx, d.ref, "unfencePages", func(e *wire.Encoder) error {
+	return voidReply(devUnfencePages.Call(ctx, d.client, d.ref, func(e *wire.Encoder) error {
 		e.PutBool(release)
 		e.PutInt(len(indices))
 		for _, idx := range indices {
@@ -170,7 +169,7 @@ func (d *Device) UnfencePages(ctx context.Context, indices []int, release bool) 
 // now live on this device — the destination half of the migration
 // counters.
 func (d *Device) AdoptPages(ctx context.Context, count int, bytes int64) error {
-	return voidReply(d.client.Call(ctx, d.ref, "adoptPages", func(e *wire.Encoder) error {
+	return voidReply(devAdoptPages.Call(ctx, d.client, d.ref, func(e *wire.Encoder) error {
 		e.PutInt(count)
 		e.PutVarint(bytes)
 		return nil

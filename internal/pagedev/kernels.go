@@ -157,7 +157,7 @@ func (a *arrayPageDevice) fetchSubBatchAsync(env *rmi.Env, peer rmi.Ref, reqs []
 	if env.Client == nil {
 		return done(fmt.Errorf("pagedev: machine %d has no outbound client", env.Machine))
 	}
-	fut := env.Client.CallAsync(env.Ctx(), peer, "readSubBatch", func(e *wire.Encoder) error {
+	fut := devReadSubBatch.CallAsync(env.Ctx(), env.Client, peer, func(e *wire.Encoder) error {
 		e.PutInt(len(reqs))
 		for _, rq := range reqs {
 			putSubBox(e, rq.idx, rq.SubBox)

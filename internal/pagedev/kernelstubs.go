@@ -19,7 +19,7 @@ import (
 // applied in order, in place. It returns the element count touched and
 // one partial per reduce stage.
 func (d *ArrayDevice) ApplyPipelineK(ctx context.Context, c kernel.Chain, b Batch) (int64, []kernel.Partial, error) {
-	dec, err := d.client.Call(ctx, d.ref, "applyPipelineK", func(e *wire.Encoder) error {
+	dec, err := DevApplyPipelineK.Call(ctx, d.client, d.ref, func(e *wire.Encoder) error {
 		EncodeApplyPipelineK(e, c, b)
 		return nil
 	})
@@ -90,7 +90,7 @@ type JacobiPlaneArgs struct {
 // JacobiPlaneAsync begins one owner-computes plane sweep; decode the
 // plane residual with DecodeResidual.
 func (d *ArrayDevice) JacobiPlaneAsync(ctx context.Context, a JacobiPlaneArgs) *rmi.Future {
-	return d.client.CallAsync(ctx, d.ref, "jacobiPlane", func(e *wire.Encoder) error { return encodeJacobiPlane(e, a) })
+	return devJacobiPlane.CallAsync(ctx, d.client, d.ref, func(e *wire.Encoder) error { return encodeJacobiPlane(e, a) })
 }
 
 // encodeJacobiPlane writes a jacobiPlane request (decodeJacobiPlane).

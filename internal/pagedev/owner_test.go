@@ -41,3 +41,43 @@ func TestJacobiPlaneRefusesOversizedPlane(t *testing.T) {
 		t.Fatalf("refusing the frame allocated %d bytes", grew)
 	}
 }
+
+// TestJacobiHaloNamesTheNeighboursPages: a halo index names a page of the
+// neighbour, and BlockStorage.AddDevice can join a neighbour of more pages
+// than this device. A sweep of a two-page device (banks at 0 and 1) whose
+// hi halo is page 5 of an eight-page neighbour is served: the one interior
+// point averages its six neighbours, of which only the halo's (6) is not
+// zero, so the residual is exactly 1. A negative halo index is refused as
+// corrupt by the decode.
+func TestJacobiHaloNamesTheNeighboursPages(t *testing.T) {
+	c := startCluster(t, 2, 0)
+	dev, err := pagedev.NewArrayDevice(bg, c.Client(), 0, "small", 2, 2, 3, 3, pagedev.DiskPrivate)
+	if err != nil {
+		t.Fatalf("device: %v", err)
+	}
+	defer dev.Close(bg)
+	big, err := pagedev.NewArrayDevice(bg, c.Client(), 1, "big", 8, 2, 3, 3, pagedev.DiskPrivate)
+	if err != nil {
+		t.Fatalf("neighbour: %v", err)
+	}
+	defer big.Close(bg)
+	sixes := pagedev.NewArrayPage(2, 3, 3)
+	for i := range sixes.Data {
+		sixes.Data[i] = 6
+	}
+	if err := big.WritePage(bg, sixes, 5); err != nil {
+		t.Fatal(err)
+	}
+	sweep := func(haloPage int) (float64, error) {
+		return pagedev.DecodeResidual(bg, dev.JacobiPlaneAsync(bg, pagedev.JacobiPlaneArgs{
+			DstOff: 1, N1: 4, N2: 3, N3: 3, P2: 1, P3: 1, Pages: []int{0},
+			Hi: &pagedev.JacobiHalo{Ref: big.Ref(), Pages: []int{haloPage}},
+		}))
+	}
+	if r, err := sweep(5); err != nil || r != 1 {
+		t.Fatalf("sweep with the neighbour's page 5 as halo: residual %v, %v; want 1, nil", r, err)
+	}
+	if _, err := sweep(-1); err == nil || !strings.Contains(err.Error(), wire.ErrCorrupt.Error()) {
+		t.Fatalf("halo index -1: %v, want the refusal of a corrupt frame", err)
+	}
+}

@@ -240,17 +240,15 @@ func DecodePipelineReply(d *wire.Decoder, c kernel.Chain, totals []kernel.Partia
 	return touched, d.Err()
 }
 
-// registerPipelineMethod installs applyPipelineK on the
-// ArrayPageDevice class.
-func registerPipelineMethod(c *rmi.Class[*arrayPageDevice]) {
-	c.Method("applyPipelineK", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		b, err := decodeKernelBatch(args, a.page())
-		if err != nil {
-			return err
-		}
-		return a.runKernelBatch(env, b, reply)
-	})
-}
+// DevApplyPipelineK is the kernel engine's one method, a decoded batch run
+// by runKernelBatch; core.Array fans it out over its devices.
+var DevApplyPipelineK = ArrayPageDeviceClass.Declare("applyPipelineK", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	b, err := decodeKernelBatch(args, a.page())
+	if err != nil {
+		return err
+	}
+	return a.runKernelBatch(env, b, reply)
+})
 
 // runKernelBatch executes a decoded batch: fence pre-scan, then piece by
 // piece the operands fetched and the regions shared among the machine's

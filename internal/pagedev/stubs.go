@@ -81,7 +81,7 @@ func pageReply(dec *wire.Decoder, err error) ([]byte, error) {
 
 // Write stores page data at the given page index.
 func (d *Device) Write(ctx context.Context, index int, data []byte) error {
-	return voidReply(d.client.Call(ctx, d.ref, "write", func(e *wire.Encoder) error {
+	return voidReply(devWrite.Call(ctx, d.client, d.ref, func(e *wire.Encoder) error {
 		e.PutInt(index)
 		e.PutBytes(data)
 		return nil
@@ -90,17 +90,17 @@ func (d *Device) Write(ctx context.Context, index int, data []byte) error {
 
 // Read fetches the page at the given index.
 func (d *Device) Read(ctx context.Context, index int) ([]byte, error) {
-	return pageReply(d.client.Call(ctx, d.ref, "read", indexArgs(index)))
+	return pageReply(devRead.Call(ctx, d.client, d.ref, indexArgs(index)))
 }
 
 // ReadAsync begins a page read; its reply holds the page bytes.
 func (d *Device) ReadAsync(ctx context.Context, index int) *rmi.Future {
-	return d.client.CallAsync(ctx, d.ref, "read", indexArgs(index))
+	return devRead.CallAsync(ctx, d.client, d.ref, indexArgs(index))
 }
 
 // NumPages returns the device capacity in pages.
 func (d *Device) NumPages(ctx context.Context) (int, error) {
-	dec, err := d.client.Call(ctx, d.ref, "numPages", nil)
+	dec, err := devNumPages.Call(ctx, d.client, d.ref, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -111,7 +111,7 @@ func (d *Device) NumPages(ctx context.Context) (int, error) {
 
 // Name returns the device label.
 func (d *Device) Name(ctx context.Context) (string, error) {
-	dec, err := d.client.Call(ctx, d.ref, "name", nil)
+	dec, err := devName.Call(ctx, d.client, d.ref, nil)
 	if err != nil {
 		return "", err
 	}
@@ -122,7 +122,7 @@ func (d *Device) Name(ctx context.Context) (string, error) {
 
 // Stats returns the device's served (reads, writes).
 func (d *Device) Stats(ctx context.Context) (reads, writes int64, err error) {
-	dec, err := d.client.Call(ctx, d.ref, "stats", nil)
+	dec, err := devStats.Call(ctx, d.client, d.ref, nil)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -138,7 +138,7 @@ func (d *Device) Stats(ctx context.Context) (reads, writes int64, err error) {
 // checkpoint half of cold recovery. The device stays live; the blob
 // activates later like any passivated process.
 func (d *Device) CheckpointToAsync(ctx context.Context, store rmi.Ref, name string) *rmi.Future {
-	return d.client.CallAsync(ctx, d.ref, "checkpointTo", func(e *wire.Encoder) error {
+	return devCheckpointTo.CallAsync(ctx, d.client, d.ref, func(e *wire.Encoder) error {
 		e.PutRef(store)
 		e.PutString(name)
 		e.PutString(d.ref.Class)
@@ -328,13 +328,13 @@ func (d *ArrayDevice) ReadPage(ctx context.Context, p *ArrayPage, index int) err
 	if err := d.checkDims(p); err != nil {
 		return err
 	}
-	dec, err := d.client.Call(ctx, d.ref, "readArray", indexArgs(index))
+	dec, err := devReadArray.Call(ctx, d.client, d.ref, indexArgs(index))
 	return d.scatterReply(dec, err, p.Whole().Box, p.Whole())
 }
 
 // ReadPageAsync begins an array page read; settle it with ScatterPage.
 func (d *ArrayDevice) ReadPageAsync(ctx context.Context, index int) *rmi.Future {
-	return d.client.CallAsync(ctx, d.ref, "readArray", indexArgs(index))
+	return devReadArray.CallAsync(ctx, d.client, d.ref, indexArgs(index))
 }
 
 // ScatterPage settles a ReadPageAsync future: the sub-box box of the page
@@ -363,13 +363,13 @@ func (d *ArrayDevice) WritePage(ctx context.Context, p *ArrayPage, index int) er
 	if err := d.checkDims(p); err != nil {
 		return err
 	}
-	return voidReply(d.client.Call(ctx, d.ref, "writeArray", d.writePageArgs(index, p.Whole())))
+	return voidReply(devWriteArray.Call(ctx, d.client, d.ref, d.writePageArgs(index, p.Whole())))
 }
 
 // WritePageAsync begins the write of page index from src, a block of the
 // page's extents.
 func (d *ArrayDevice) WritePageAsync(ctx context.Context, index int, src Block) *rmi.Future {
-	return d.client.CallAsync(ctx, d.ref, "writeArray", d.writePageArgs(index, src))
+	return devWriteArray.CallAsync(ctx, d.client, d.ref, d.writePageArgs(index, src))
 }
 
 // SubBox identifies a region inside a page, in local page coordinates:
@@ -410,7 +410,7 @@ func putSubBox(e *wire.Encoder, index int, box SubBox) {
 // the device process's serial method, so concurrent clients updating
 // disjoint regions of one page cannot lose updates.
 func (d *ArrayDevice) WriteSubAsync(ctx context.Context, index int, box SubBox, src Block) *rmi.Future {
-	return d.client.CallAsync(ctx, d.ref, "writeSub", func(e *wire.Encoder) error {
+	return devWriteSub.CallAsync(ctx, d.client, d.ref, func(e *wire.Encoder) error {
 		if err := src.check(box.Dim); err != nil {
 			return err
 		}

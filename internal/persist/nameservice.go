@@ -18,43 +18,44 @@ type nameService struct {
 	bindings map[string]rmi.Ref
 }
 
-func init() {
-	rmi.RegisterClass(ClassNameService, func(env *rmi.Env, args *wire.Decoder) (*nameService, error) {
-		return &nameService{bindings: make(map[string]rmi.Ref)}, nil
-	}).
-		Method("bind", func(ns *nameService, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			addr := args.String()
-			ref := args.Ref()
-			if err := args.Err(); err != nil {
-				return err
-			}
-			if _, err := ParseAddress(addr); err != nil {
-				return err
-			}
-			ns.bindings[addr] = ref
-			return nil
-		}).
-		Method("resolve", func(ns *nameService, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			addr := args.String()
-			if err := args.Err(); err != nil {
-				return err
-			}
-			ref, ok := ns.bindings[addr]
-			if !ok {
-				return fmt.Errorf("persist: address %q not bound", addr)
-			}
-			reply.PutRef(ref)
-			return nil
-		}).
-		Method("unbind", func(ns *nameService, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			addr := args.String()
-			if err := args.Err(); err != nil {
-				return err
-			}
-			delete(ns.bindings, addr)
-			return nil
-		})
-}
+var nameServiceClass = rmi.RegisterClass(ClassNameService, func(env *rmi.Env, args *wire.Decoder) (*nameService, error) {
+	return &nameService{bindings: make(map[string]rmi.Ref)}, nil
+})
+
+var (
+	nsBind = nameServiceClass.Declare("bind", func(ns *nameService, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		addr := args.String()
+		ref := args.Ref()
+		if err := args.Err(); err != nil {
+			return err
+		}
+		if _, err := ParseAddress(addr); err != nil {
+			return err
+		}
+		ns.bindings[addr] = ref
+		return nil
+	})
+	nsResolve = nameServiceClass.Declare("resolve", func(ns *nameService, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		addr := args.String()
+		if err := args.Err(); err != nil {
+			return err
+		}
+		ref, ok := ns.bindings[addr]
+		if !ok {
+			return fmt.Errorf("persist: address %q not bound", addr)
+		}
+		reply.PutRef(ref)
+		return nil
+	})
+	nsUnbind = nameServiceClass.Declare("unbind", func(ns *nameService, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		addr := args.String()
+		if err := args.Err(); err != nil {
+			return err
+		}
+		delete(ns.bindings, addr)
+		return nil
+	})
+)
 
 // NameService is the client stub for the address directory process.
 type NameService struct {
@@ -73,7 +74,7 @@ func NewNameService(ctx context.Context, client *rmi.Client, m int) (*NameServic
 
 // Bind associates addr with a remote pointer.
 func (n *NameService) Bind(ctx context.Context, addr Address, ref rmi.Ref) error {
-	d, err := n.client.Call(ctx, n.ref, "bind", func(e *wire.Encoder) error {
+	d, err := nsBind.Call(ctx, n.client, n.ref, func(e *wire.Encoder) error {
 		e.PutString(addr.String())
 		e.PutRef(ref)
 		return nil
@@ -85,7 +86,7 @@ func (n *NameService) Bind(ctx context.Context, addr Address, ref rmi.Ref) error
 // Resolve looks up the remote pointer bound to addr — the paper's
 // 'PageDevice * pd = "http://data/set/PageDevice/34"'.
 func (n *NameService) Resolve(ctx context.Context, addr Address) (rmi.Ref, error) {
-	d, err := n.client.Call(ctx, n.ref, "resolve", func(e *wire.Encoder) error {
+	d, err := nsResolve.Call(ctx, n.client, n.ref, func(e *wire.Encoder) error {
 		e.PutString(addr.String())
 		return nil
 	})
@@ -99,7 +100,7 @@ func (n *NameService) Resolve(ctx context.Context, addr Address) (rmi.Ref, error
 
 // Unbind removes a binding (missing bindings are not an error).
 func (n *NameService) Unbind(ctx context.Context, addr Address) error {
-	d, err := n.client.Call(ctx, n.ref, "unbind", func(e *wire.Encoder) error {
+	d, err := nsUnbind.Call(ctx, n.client, n.ref, func(e *wire.Encoder) error {
 		e.PutString(addr.String())
 		return nil
 	})

@@ -762,13 +762,26 @@ func TestTransformRefusesOtherSigns(t *testing.T) {
 // an inverse transform an iteration. Run it with -cpu 1,2 to see what the
 // worker's second processor gives; nothing compares the numbers.
 func BenchmarkTransformOneWorker(b *testing.B) {
+	benchmarkTransform(b, cluster.Config{Machines: 1})
+}
+
+// BenchmarkTransformTwoWorkers is the same on two workers exchanging their
+// transpose blocks over TCP loopback: the exchange's profile target
+// (-cpuprofile), where the transform's own arithmetic is the one worker's.
+func BenchmarkTransformTwoWorkers(b *testing.B) {
+	benchmarkTransform(b, cluster.Config{Machines: 2, Transport: transport.TCP{}})
+}
+
+// benchmarkTransform times a forward and an inverse 128³ transform an
+// iteration, one worker on each of cfg's machines.
+func benchmarkTransform(b *testing.B, cfg cluster.Config) {
 	const n = 128
-	cl, err := cluster.NewLocal(1, 0)
+	cl, err := cluster.New(cfg)
 	if err != nil {
 		b.Fatalf("cluster: %v", err)
 	}
 	defer cl.Shutdown()
-	f, err := pfft.New(bg, cl.Client(), machineList(1), n, n, n)
+	f, err := pfft.New(bg, cl.Client(), machineList(cfg.Machines), n, n, n)
 	if err != nil {
 		b.Fatalf("pfft.New: %v", err)
 	}

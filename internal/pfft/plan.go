@@ -63,7 +63,7 @@ func newPFFT(ctx context.Context, client *rmi.Client, machines []int, n1, n2, n3
 			return nil
 		})
 		if err == nil {
-			err = workers.Broadcast(ctx, "setGroupShallow", func(m collection.Member, e *wire.Encoder) error {
+			err = workers.Broadcast(ctx, workerSetGroupShallow.Name(), func(m collection.Member, e *wire.Encoder) error {
 				e.PutRef(tableRef)
 				return nil
 			})
@@ -76,7 +76,7 @@ func newPFFT(ctx context.Context, client *rmi.Client, machines []int, n1, n2, n3
 		// group of N concurrent processes" — deep copy of the remote
 		// pointer array.
 		refs := workers.Refs()
-		err = workers.Broadcast(ctx, "setGroup", func(m collection.Member, e *wire.Encoder) error {
+		err = workers.Broadcast(ctx, workerSetGroup.Name(), func(m collection.Member, e *wire.Encoder) error {
 			e.PutInt(g.p)
 			e.PutRefs(refs)
 			return nil
@@ -92,7 +92,7 @@ func newPFFT(ctx context.Context, client *rmi.Client, machines []int, n1, n2, n3
 // Load scatters a full n1×n2×n3 row-major array to the workers' slabs, in
 // pieces of whole planes (cutPlanes), a split loop over every worker's.
 func (f *PFFT) Load(ctx context.Context, x []complex128) error {
-	return f.slabPieces(ctx, x, "loadSlab", func(e *wire.Encoder, lo, _ int, part []complex128) {
+	return f.slabPieces(ctx, x, workerLoadSlab, func(e *wire.Encoder, lo, _ int, part []complex128) {
 		e.PutInt(lo)
 		e.PutComplex128s(part)
 	}, nil)
@@ -100,7 +100,7 @@ func (f *PFFT) Load(ctx context.Context, x []complex128) error {
 
 // Gather collects the workers' slabs into x, in the same pieces.
 func (f *PFFT) Gather(ctx context.Context, x []complex128) error {
-	return f.slabPieces(ctx, x, "readSlab", func(e *wire.Encoder, lo, hi int, _ []complex128) {
+	return f.slabPieces(ctx, x, workerReadSlab, func(e *wire.Encoder, lo, hi int, _ []complex128) {
 		e.PutInt(lo)
 		e.PutInt(hi)
 	}, func(d *wire.Decoder, part []complex128) {
@@ -117,7 +117,7 @@ func (f *PFFT) Gather(ctx context.Context, x []complex128) error {
 // wait for each answer. args encodes the request for planes [lo, hi) of a
 // worker's slab, which are part of x; reply (nil: the method returns
 // nothing) decodes its answer.
-func (f *PFFT) slabPieces(ctx context.Context, x []complex128, method string, args func(e *wire.Encoder, lo, hi int, part []complex128), reply func(d *wire.Decoder, part []complex128)) error {
+func (f *PFFT) slabPieces(ctx context.Context, x []complex128, method rmi.Method[*worker], args func(e *wire.Encoder, lo, hi int, part []complex128), reply func(d *wire.Decoder, part []complex128)) error {
 	if len(x) != f.n1*f.n2*f.n3 {
 		return fmt.Errorf("pfft: array has %d elements, want %d", len(x), f.n1*f.n2*f.n3)
 	}
@@ -131,7 +131,7 @@ func (f *PFFT) slabPieces(ctx context.Context, x []complex128, method string, ar
 	}
 	return rmi.SplitLoop(ctx, parts.pieces()*f.p, rmi.DefaultWindow, func(i int) *rmi.Future {
 		m, lo, hi, part := piece(i)
-		return f.client.CallAsync(ctx, refs[m], method, func(e *wire.Encoder) error {
+		return method.CallAsync(ctx, f.client, refs[m], func(e *wire.Encoder) error {
 			args(e, lo, hi, part)
 			return nil
 		})
@@ -151,7 +151,7 @@ func (f *PFFT) slabPieces(ctx context.Context, x []complex128, method string, ar
 // transform method concurrently, exchanging transpose blocks peer to
 // peer. sign=-1 forward, sign=+1 normalized inverse.
 func (f *PFFT) Transform(ctx context.Context, sign int) error {
-	return f.workers.Broadcast(ctx, "transform", func(m collection.Member, e *wire.Encoder) error {
+	return f.workers.Broadcast(ctx, workerTransform.Name(), func(m collection.Member, e *wire.Encoder) error {
 		e.PutInt(sign)
 		return nil
 	})

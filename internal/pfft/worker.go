@@ -282,7 +282,7 @@ func (w *worker) exchange(env *rmi.Env, phase int, compute func(plane int) error
 		}
 		readyThrough(k)
 		lo, hi := parts.piece(k)
-		return env.Client.CallAsync(env.Ctx(), w.peers[v], "storeBlock", func(e *wire.Encoder) error {
+		return workerStoreBlock.CallAsync(env.Ctx(), env.Client, w.peers[v], func(e *wire.Encoder) error {
 			if failed != nil {
 				return failed
 			}
@@ -351,128 +351,131 @@ type refTable struct {
 
 // workerClass is the typed handle to the FFT worker class; plan.go
 // spawns the worker collection through it.
-var workerClass = registerWorkerClass()
+var workerClass = rmi.RegisterClass(ClassWorker, func(env *rmi.Env, args *wire.Decoder) (*worker, error) {
+	id := args.Int()
+	n1, n2, n3 := args.Int(), args.Int(), args.Int()
+	if err := args.Err(); err != nil {
+		return nil, err
+	}
+	return newWorker(id, n1, n2, n3)
+})
 
-func registerWorkerClass() *rmi.Class[*worker] {
-	return rmi.RegisterClass(ClassWorker, func(env *rmi.Env, args *wire.Decoder) (*worker, error) {
-		id := args.Int()
-		n1, n2, n3 := args.Int(), args.Int(), args.Int()
+// The worker's methods: group setup, slab transfers, the joint transform
+// and the concurrent landing of a peer's transpose block.
+var (
+	workerSetGroup = workerClass.Declare("setGroup", func(w *worker, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		n := args.Int()
+		refs := args.Refs()
 		if err := args.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		return newWorker(id, n1, n2, n3)
-	}).
-		Method("setGroup", func(w *worker, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			n := args.Int()
-			refs := args.Refs()
-			if err := args.Err(); err != nil {
-				return err
-			}
-			return w.setGroup(n, refs)
-		}).
-		Method("setGroupShallow", func(w *worker, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			// The §4 anti-pattern: the argument is a remote pointer to a
-			// table of remote pointers; every member access is a further
-			// round trip.
-			table := args.Ref()
-			if err := args.Err(); err != nil {
-				return err
-			}
-			if env.Client == nil {
-				return fmt.Errorf("pfft: machine %d has no outbound client", env.Machine)
-			}
-			d, err := env.Client.Call(context.Background(), table, "size", nil)
+		return w.setGroup(n, refs)
+	})
+	workerSetGroupShallow = workerClass.Declare("setGroupShallow", func(w *worker, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		// The §4 anti-pattern: the argument is a remote pointer to a
+		// table of remote pointers; every member access is a further
+		// round trip.
+		table := args.Ref()
+		if err := args.Err(); err != nil {
+			return err
+		}
+		if env.Client == nil {
+			return fmt.Errorf("pfft: machine %d has no outbound client", env.Machine)
+		}
+		d, err := tableSize.Call(context.Background(), env.Client, table, nil)
+		if err != nil {
+			return err
+		}
+		n := d.Int()
+		err = d.Err()
+		d.Release()
+		if err != nil {
+			return err
+		}
+		refs := make([]rmi.Ref, n)
+		for i := 0; i < n; i++ {
+			d, err := tableGetRef.Call(context.Background(), env.Client, table, func(e *wire.Encoder) error {
+				e.PutInt(i)
+				return nil
+			})
 			if err != nil {
 				return err
 			}
-			n := d.Int()
+			refs[i] = d.Ref()
 			err = d.Err()
 			d.Release()
 			if err != nil {
 				return err
 			}
-			refs := make([]rmi.Ref, n)
-			for i := 0; i < n; i++ {
-				d, err := env.Client.Call(context.Background(), table, "getRef", func(e *wire.Encoder) error {
-					e.PutInt(i)
-					return nil
-				})
-				if err != nil {
-					return err
-				}
-				refs[i] = d.Ref()
-				err = d.Err()
-				d.Release()
-				if err != nil {
-					return err
-				}
-			}
-			return w.setGroup(n, refs)
-		}).
-		Method("loadSlab", func(w *worker, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			// First plane, then whole planes of values: range and count
-			// are checked before one value is stored.
-			lo := args.Int()
-			n := args.Complex128sLen()
-			if err := args.Err(); err != nil {
-				return err
-			}
-			plane := w.n2 * w.n3
-			if n == 0 || n%plane != 0 {
-				return fmt.Errorf("pfft: worker %d: loadSlab of %d elements, not whole planes of %d", w.id, n, plane)
-			}
-			dst, err := w.slabPlanes(lo, lo+n/plane)
-			if err != nil {
-				return err
-			}
-			args.CopyComplex128s(dst)
-			return nil
-		}).
-		Method("readSlab", func(w *worker, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			lo, hi := args.Int(), args.Int()
-			if err := args.Err(); err != nil {
-				return err
-			}
-			src, err := w.slabPlanes(lo, hi)
-			if err != nil {
-				return err
-			}
-			reply.PutComplex128s(src)
-			return nil
-		}).
-		Method("transform", func(w *worker, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			sign := args.Int()
-			if err := args.Err(); err != nil {
-				return err
-			}
-			return w.transform(env, sign)
-		}).
-		ConcurrentMethod("storeBlock", func(w *worker, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			return w.storeBlock(args)
-		})
-}
-
-func init() {
-	rmi.RegisterClass(ClassRefTable, func(env *rmi.Env, args *wire.Decoder) (*refTable, error) {
-		refs := args.Refs()
-		if err := args.Err(); err != nil {
-			return nil, err
 		}
-		return &refTable{refs: refs}, nil
-	}).
-		Method("size", func(t *refTable, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			reply.PutInt(len(t.refs))
-			return nil
-		}).
-		Method("getRef", func(t *refTable, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			i := args.Int()
-			if err := args.Err(); err != nil {
-				return err
-			}
-			if i < 0 || i >= len(t.refs) {
-				return fmt.Errorf("pfft: ref index %d of %d", i, len(t.refs))
-			}
-			reply.PutRef(t.refs[i])
-			return nil
-		})
-}
+		return w.setGroup(n, refs)
+	})
+	workerLoadSlab = workerClass.Declare("loadSlab", func(w *worker, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		// First plane, then whole planes of values: range and count
+		// are checked before one value is stored.
+		lo := args.Int()
+		n := args.Complex128sLen()
+		if err := args.Err(); err != nil {
+			return err
+		}
+		plane := w.n2 * w.n3
+		if n == 0 || n%plane != 0 {
+			return fmt.Errorf("pfft: worker %d: loadSlab of %d elements, not whole planes of %d", w.id, n, plane)
+		}
+		dst, err := w.slabPlanes(lo, lo+n/plane)
+		if err != nil {
+			return err
+		}
+		args.CopyComplex128s(dst)
+		return nil
+	})
+	workerReadSlab = workerClass.Declare("readSlab", func(w *worker, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		lo, hi := args.Int(), args.Int()
+		if err := args.Err(); err != nil {
+			return err
+		}
+		src, err := w.slabPlanes(lo, hi)
+		if err != nil {
+			return err
+		}
+		reply.PutComplex128s(src)
+		return nil
+	})
+	workerTransform = workerClass.Declare("transform", func(w *worker, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		sign := args.Int()
+		if err := args.Err(); err != nil {
+			return err
+		}
+		return w.transform(env, sign)
+	})
+	workerStoreBlock = workerClass.DeclareConcurrent("storeBlock", func(w *worker, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		return w.storeBlock(args)
+	})
+)
+
+var refTableClass = rmi.RegisterClass(ClassRefTable, func(env *rmi.Env, args *wire.Decoder) (*refTable, error) {
+	refs := args.Refs()
+	if err := args.Err(); err != nil {
+		return nil, err
+	}
+	return &refTable{refs: refs}, nil
+})
+
+// The table's methods, each a further round trip of the shallow setGroup.
+var (
+	tableSize = refTableClass.Declare("size", func(t *refTable, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		reply.PutInt(len(t.refs))
+		return nil
+	})
+	tableGetRef = refTableClass.Declare("getRef", func(t *refTable, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		i := args.Int()
+		if err := args.Err(); err != nil {
+			return err
+		}
+		if i < 0 || i >= len(t.refs) {
+			return fmt.Errorf("pfft: ref index %d of %d", i, len(t.refs))
+		}
+		reply.PutRef(t.refs[i])
+		return nil
+	})
+)

@@ -41,16 +41,18 @@ var Float64BlockClass = rmi.RegisterClass(ClassFloat64, func(env *rmi.Env, args 
 		return nil, fmt.Errorf("rmem: invalid block size %d", n)
 	}
 	return &float64Block{data: make([]float64, n)}, nil
-}).
-	Method("get", func(b *float64Block, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+})
+
+var (
+	blockGet = Float64BlockClass.Declare("get", func(b *float64Block, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		i := args.Int()
 		if i < 0 || i >= len(b.data) {
 			return fmt.Errorf("rmem: index %d out of range [0,%d)", i, len(b.data))
 		}
 		reply.PutFloat64(b.data[i])
 		return nil
-	}).
-	Method("set", func(b *float64Block, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	})
+	blockSet = Float64BlockClass.Declare("set", func(b *float64Block, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		i := args.Int()
 		v := args.Float64()
 		if err := args.Err(); err != nil {
@@ -61,8 +63,8 @@ var Float64BlockClass = rmi.RegisterClass(ClassFloat64, func(env *rmi.Env, args 
 		}
 		b.data[i] = v
 		return nil
-	}).
-	Method("getRange", func(b *float64Block, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	})
+	blockGetRange = Float64BlockClass.Declare("getRange", func(b *float64Block, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		off := args.Int()
 		n := args.Int()
 		if err := args.Err(); err != nil {
@@ -73,8 +75,8 @@ var Float64BlockClass = rmi.RegisterClass(ClassFloat64, func(env *rmi.Env, args 
 		}
 		reply.PutFloat64s(b.data[off : off+n])
 		return nil
-	}).
-	Method("sum", func(b *float64Block, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	})
+	blockSum = Float64BlockClass.Declare("sum", func(b *float64Block, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		var s float64
 		for _, v := range b.data {
 			s += v
@@ -82,6 +84,7 @@ var Float64BlockClass = rmi.RegisterClass(ClassFloat64, func(env *rmi.Env, args 
 		reply.PutFloat64(s)
 		return nil
 	})
+)
 
 // Float64Array is the client stub — the "remote pointer" the paper's user
 // program holds. Each method is one remote instruction with §2 semantics.
@@ -105,7 +108,7 @@ func NewFloat64Array(ctx context.Context, client *rmi.Client, m int, n int) (*Fl
 
 // Get reads element i — "double x = data[i]": one round trip.
 func (a *Float64Array) Get(ctx context.Context, i int) (float64, error) {
-	d, err := a.client.Call(ctx, a.ref, "get", func(e *wire.Encoder) error {
+	d, err := blockGet.Call(ctx, a.client, a.ref, func(e *wire.Encoder) error {
 		e.PutInt(i)
 		return nil
 	})
@@ -119,7 +122,7 @@ func (a *Float64Array) Get(ctx context.Context, i int) (float64, error) {
 
 // Set writes element i — "data[i] = v": one round trip.
 func (a *Float64Array) Set(ctx context.Context, i int, v float64) error {
-	d, err := a.client.Call(ctx, a.ref, "set", func(e *wire.Encoder) error {
+	d, err := blockSet.Call(ctx, a.client, a.ref, func(e *wire.Encoder) error {
 		e.PutInt(i)
 		e.PutFloat64(v)
 		return nil
@@ -132,7 +135,7 @@ func (a *Float64Array) Set(ctx context.Context, i int, v float64) error {
 // round trip — the bulk fast lane: the only copy is wire to dst, and the
 // steady state allocates nothing.
 func (a *Float64Array) GetRangeInto(ctx context.Context, off int, dst []float64) error {
-	d, err := a.client.Call(ctx, a.ref, "getRange", func(e *wire.Encoder) error {
+	d, err := blockGetRange.Call(ctx, a.client, a.ref, func(e *wire.Encoder) error {
 		e.PutInt(off)
 		e.PutInt(len(dst))
 		return nil
@@ -147,7 +150,7 @@ func (a *Float64Array) GetRangeInto(ctx context.Context, off int, dst []float64)
 
 // Sum reduces the block remotely and ships back only the scalar.
 func (a *Float64Array) Sum(ctx context.Context) (float64, error) {
-	d, err := a.client.Call(ctx, a.ref, "sum", nil)
+	d, err := blockSum.Call(ctx, a.client, a.ref, nil)
 	if err != nil {
 		return 0, err
 	}

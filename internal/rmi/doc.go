@@ -23,21 +23,27 @@
 //	type counter struct{ n int }
 //
 //	var counterClass = rmi.RegisterClass("app.Counter",
-//	        func(env *rmi.Env, args *wire.Decoder) (*counter, error) { ... }).
-//	        Method("add", func(c *counter, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error { ... })
+//	        func(env *rmi.Env, args *wire.Decoder) (*counter, error) { ... })
+//	var counterAdd = counterClass.Declare("add",
+//	        func(c *counter, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error { ... })
 //
-//	ref, _ := rmi.NewOn[counter](ctx, client, m, 100)   // new(machine m) Counter(100)
-//	n, _ := rmi.Invoke[int](ctx, client, ref, "add", 1) // typed result, decoded and checked
+//	ref, _ := counterClass.New(ctx, client, m, args) // new(machine m) Counter(...)
+//	d, _ := counterAdd.Call(ctx, client, ref, args)  // the declared method, by its handle
 //
 // RegisterClass returns a Class[T] handle: server-side method bodies
 // receive the object already asserted to T, and client-side construction
 // goes through the handle (Class[T].New with a packed ArgEncoder, or
-// NewOn[T] with the tagged generic encoding) — no string class names at
-// call sites. ExtendClass renders the paper's process inheritance (§3):
-// the derived class inherits the base method table under its own Go type.
-// Invoke[R]/InvokeAsync[R] decode a method's tagged result into R,
-// failing loudly on a type mismatch; InvokeAsync returns a TypedFuture[R]
-// whose Wait(ctx) is the typed receive-loop half.
+// NewOn[T] with the tagged generic encoding). Declare returns a method's
+// Method[T] handle, the one value its server body and its callers name:
+// stubs, peers and fan-outs call through it (Call, CallAsync, or Name for
+// the by-name surfaces), so a renamed method is a compile error and one
+// that nothing calls is a handle nothing references, which the module's
+// exports check reports. The wire carries the method's name, as a call by
+// name (Client.Call, the chaining Class[T].Method, Invoke[R]) does.
+// ExtendClass renders the paper's process inheritance (§3): the derived
+// class inherits the base method table under its own Go type, and answers
+// the base's handles. Invoke[R]/InvokeAsync[R] decode a method's tagged
+// result into R, failing loudly on a type mismatch.
 //
 // Bulk-data stubs (pages, float slices) keep hand-written ArgEncoder
 // closures over the packed wire encodings — that layer remains available
@@ -66,8 +72,8 @@
 // a send-loop and a receive-loop is exactly
 //
 //	futs := make([]*rmi.Future, n)
-//	for i := range devs { futs[i] = client.CallAsync(ctx, devs[i], "read", ...) } // send loop
-//	for i := range futs { futs[i].Wait(ctx) }                                     // receive loop
+//	for i := range devs { futs[i] = read.CallAsync(ctx, client, devs[i], ...) } // send loop
+//	for i := range futs { futs[i].Wait(ctx) }                                   // receive loop
 //
 // The two are one request with the wait moved, and the client has one
 // path for it (client.go): every operation — New, Call, CallAsync,

@@ -61,7 +61,7 @@ func (e *Env) Counters() *metrics.Registry { return e.shared.counters }
 // so peer hops made through env.Client extend the caller's trace with
 // correctly-parented spans:
 //
-//	d, err := env.Client.Call(env.Ctx(), peer, "readSubBatch", ...)
+//	fut := readSubBatch.CallAsync(env.Ctx(), env.Client, peer, ...)
 //
 // Untraced requests (and code running outside a call) get
 // context.Background() — handlers can always pass Ctx() where they used

@@ -119,7 +119,7 @@ func RetryAfter(err error) (d time.Duration, ok bool) {
 		return oe.RetryAfter, true
 	}
 	var re *RemoteError
-	if !errors.As(err, &re) || !containsSentinel(re.Msg, ErrOverloaded) {
+	if !errors.As(err, &re) || !errors.Is(re, ErrOverloaded) {
 		return 0, false
 	}
 	i := strings.LastIndex(re.Msg, retryAfterMarker)
@@ -155,43 +155,26 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("rmi: remote error on machine %d in %s.%s: %s", e.Machine, e.Class, e.Method, e.Msg)
 }
 
+// wireSentinels are the sentinels an error keeps across the wire: the
+// server sends only text, and RemoteError.Is finds a sentinel by its text
+// in the message.
+var wireSentinels = []error{
+	ErrNoSuchObject, ErrNoSuchClass, ErrNoSuchMethod, ErrDraining, ErrOverloaded, ErrFenced,
+	// The method ran, but its reply was too long to be sent: the server
+	// answered with why instead.
+	transport.ErrFrameTooLarge,
+	// A server-side deadline shed (see the opCall deadline field) reports
+	// the same type the client's own timer would have: the request missed
+	// its deadline, whichever side noticed first.
+	context.DeadlineExceeded,
+}
+
 // Is reports sentinel matches so callers can use errors.Is against the
 // exported sentinels even though the error crossed the wire as text.
 func (e *RemoteError) Is(target error) bool {
-	switch target {
-	case ErrNoSuchObject:
-		return containsSentinel(e.Msg, ErrNoSuchObject)
-	case ErrNoSuchClass:
-		return containsSentinel(e.Msg, ErrNoSuchClass)
-	case ErrNoSuchMethod:
-		return containsSentinel(e.Msg, ErrNoSuchMethod)
-	case ErrDraining:
-		return containsSentinel(e.Msg, ErrDraining)
-	case ErrOverloaded:
-		return containsSentinel(e.Msg, ErrOverloaded)
-	case ErrFenced:
-		return containsSentinel(e.Msg, ErrFenced)
-	case transport.ErrFrameTooLarge:
-		// The method ran, but its reply was too long to be sent: the
-		// server answered with why instead.
-		return containsSentinel(e.Msg, transport.ErrFrameTooLarge)
-	case context.DeadlineExceeded:
-		// A server-side deadline shed (see the opCall deadline field)
-		// reports the same type the client's own timer would have: the
-		// request missed its deadline, whichever side noticed first.
-		return containsSentinel(e.Msg, context.DeadlineExceeded)
-	}
-	return false
-}
-
-func containsSentinel(msg string, sentinel error) bool {
-	s := sentinel.Error()
-	if len(msg) < len(s) {
-		return false
-	}
-	for i := 0; i+len(s) <= len(msg); i++ {
-		if msg[i:i+len(s)] == s {
-			return true
+	for _, s := range wireSentinels {
+		if target == s {
+			return strings.Contains(e.Msg, s.Error())
 		}
 	}
 	return false

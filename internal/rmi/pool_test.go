@@ -202,12 +202,23 @@ func TestPooledFramesConcurrentCallAsync(t *testing.T) {
 	})
 }
 
+// handleEcho is an echo declared through a handle, for the handle form of
+// TestSyncCallSteadyStateAllocs.
+type handleEcho struct{}
+
+var handleEchoEcho = RegisterClass("test.HandleEcho", func(*Env, *wire.Decoder) (*handleEcho, error) { return &handleEcho{}, nil }).
+	Declare("echo", func(_ *handleEcho, _ *Env, args *wire.Decoder, reply *wire.Encoder) error {
+		reply.PutBytes(args.Bytes())
+		return nil
+	})
+
 // TestSyncCallSteadyStateAllocs pins, at the unit level, what each way to
 // wait costs on a warmed-up round trip over inproc. The synchronous one
 // allocates nothing — request frame, response frame, decoder, encoder,
 // waiter and mailbox task all recycle — and the fence is as tight as E1's
-// pin: no whole allocation. The asynchronous one costs its Future and the
-// Future's channel, which is why Call is not CallAsync + Wait.
+// pin: no whole allocation; a call through a method handle is the same
+// call. The asynchronous one costs its Future and the Future's channel,
+// which is why Call is not CallAsync + Wait.
 func TestSyncCallSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless")
@@ -217,6 +228,10 @@ func TestSyncCallSteadyStateAllocs(t *testing.T) {
 	client := nodes[0].client
 
 	ref, err := client.New(bg, 1, "test.Echo", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	href, err := client.New(bg, 1, "test.HandleEcho", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,6 +247,11 @@ func TestSyncCallSteadyStateAllocs(t *testing.T) {
 	}{
 		{"Call", 0, func() error {
 			d, err := client.Call(bg, ref, "echo", args)
+			d.Release()
+			return err
+		}},
+		{"Method.Call", 0, func() error {
+			d, err := handleEchoEcho.Call(bg, client, href, args)
 			d.Release()
 			return err
 		}},

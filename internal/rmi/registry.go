@@ -22,8 +22,9 @@ type Constructor func(env *Env, args *wire.Decoder) (any, error)
 
 // MethodFunc executes a method on a server-side object. Arguments are read
 // from args in the order the stub wrote them; results are written to
-// reply. This pair of reader and writer is the "protocol generated by the
-// compiler from the class description".
+// reply. The paper's compiler generates this protocol from the class
+// description; here a class's Declare registers the body and returns the
+// Method handle every caller names, so the two halves name one value.
 type MethodFunc func(obj any, env *Env, args *wire.Decoder, reply *wire.Encoder) error
 
 // Destroyer is implemented by objects that need destructor logic beyond
@@ -56,7 +57,8 @@ var methodIndexes atomic.Int64
 type ClassSpec struct {
 	name    string
 	ctor    Constructor
-	mu      sync.Mutex // orders the writers of methods
+	mu      sync.Mutex   // orders the writers of methods and derived
+	derived []*ClassSpec // the classes Extend made of this one
 	methods atomic.Pointer[map[string]methodEntry]
 }
 
@@ -84,46 +86,46 @@ func (c *ClassSpec) addMethod(name string, fn MethodFunc, concurrent bool) {
 	if name == "" || name[0] == '_' {
 		panic(fmt.Sprintf("rmi: method name %q is reserved", name))
 	}
+	c.add(methodEntry{name: name, fn: fn, concurrent: concurrent})
+}
+
+// add publishes e in c's method table and in every class derived from c,
+// each under its own telemetry name and index: an inherited method invoked
+// on a derived class reports under the derived class's name. A base class
+// may gain a method after it was extended, so the order in which a
+// package's method declarations run does not matter.
+func (c *ClassSpec) add(e methodEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, dup := c.table()[name]; dup {
-		panic(fmt.Sprintf("rmi: duplicate method %s.%s", c.name, name))
+	if _, dup := c.table()[e.name]; dup {
+		panic(fmt.Sprintf("rmi: duplicate method %s.%s", c.name, e.name))
 	}
-	c.publish(methodEntry{name: name, full: c.name + "." + name, index: int(methodIndexes.Add(1) - 1), fn: fn, concurrent: concurrent})
+	e.full, e.index = c.name+"."+e.name, int(methodIndexes.Add(1)-1)
+	next := maps.Clone(c.table())
+	next[e.name] = e
+	c.methods.Store(&next)
+	for _, d := range c.derived {
+		d.add(e)
+	}
 }
 
 // table is the published method table. It is never written.
 func (c *ClassSpec) table() map[string]methodEntry { return *c.methods.Load() }
 
-// publish replaces the method table by a copy of it with entries put in.
-// The caller holds c.mu.
-func (c *ClassSpec) publish(entries ...methodEntry) {
-	next := maps.Clone(c.table())
-	for _, e := range entries {
-		next[e.name] = e
-	}
-	c.methods.Store(&next)
-}
-
 // Extend registers a derived class that inherits every method of c (the
 // paper's process inheritance, §3: "straightforward to derive new
-// processes using previously defined processes"). The derived class gets
-// its own constructor and may add methods; reusing an inherited name
-// panics like any duplicate, so no derived class overrides one.
+// processes using previously defined processes"), those c gains later
+// included. The derived class gets its own constructor and may add
+// methods; reusing an inherited name panics like any duplicate, so no
+// derived class overrides one.
 func (c *ClassSpec) Extend(name string, ctor Constructor) *ClassSpec {
 	derived := Register(name, ctor)
-	inherited := c.table()
-	entries := make([]methodEntry, 0, len(inherited))
-	for m, e := range inherited {
-		// Re-key the telemetry name and index: an inherited method invoked
-		// on the derived class reports under the derived class's name.
-		e.full = name + "." + m
-		e.index = int(methodIndexes.Add(1) - 1)
-		entries = append(entries, e)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.derived = append(c.derived, derived)
+	for _, e := range c.table() {
+		derived.add(e)
 	}
-	derived.mu.Lock()
-	defer derived.mu.Unlock()
-	derived.publish(entries...)
 	return derived
 }
 

@@ -1004,6 +1004,56 @@ func TestInheritanceExtendOverride(t *testing.T) {
 	}
 }
 
+// lateBase is the object type of TestExtendInheritsLaterMethods' base
+// class; *lateDerived, its derived class's, satisfies it.
+type lateBase interface{ who() string }
+
+type lateDerived struct{}
+
+func (*lateDerived) who() string { return "late" }
+
+// TestExtendInheritsLaterMethods: a package declares its methods as
+// variables, in an order it does not choose, so a method the base class
+// gains after it was extended is the derived class's too, under the
+// derived class's name; a name the derived class already has panics.
+func TestExtendInheritsLaterMethods(t *testing.T) {
+	base := RegisterClass("test.LateBase", func(*Env, *wire.Decoder) (lateBase, error) { return &lateDerived{}, nil })
+	derived := ExtendClass(base, "test.LateDerived", func(*Env, *wire.Decoder) (*lateDerived, error) { return &lateDerived{}, nil })
+	derived.Declare("own", func(*lateDerived, *Env, *wire.Decoder, *wire.Encoder) error { return nil })
+	late := base.Declare("late", func(obj lateBase, _ *Env, _ *wire.Decoder, reply *wire.Encoder) error {
+		reply.PutString(obj.who())
+		return nil
+	})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("declaring on the base a name the derived class has did not panic")
+			}
+		}()
+		base.Declare("own", func(lateBase, *Env, *wire.Decoder, *wire.Encoder) error { return nil })
+	}()
+
+	nodes, stop := startCluster(t, transport.NewInproc(transport.LinkModel{}), 1)
+	defer stop()
+	c := nodes[0].client
+	ref, err := derived.New(bg, c, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := late.Call(bg, c, ref, nil)
+	if err != nil {
+		t.Fatalf("the derived class does not answer the base's later method: %v", err)
+	}
+	if got := d.String(); got != "late" {
+		t.Errorf("late = %q", got)
+	}
+	d.Release()
+	spec, _ := LookupClass("test.LateDerived")
+	if e, ok := spec.table()["late"]; !ok || e.full != "test.LateDerived.late" {
+		t.Errorf("derived entry %+v, want it under test.LateDerived.late", e)
+	}
+}
+
 func TestRegistryGuards(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()

@@ -14,7 +14,9 @@ import (
 // generics instead of a compiler pass:
 //
 //   - RegisterClass[T] declares a class and returns a Class[T] handle
-//     whose Method callbacks receive the object already asserted to T.
+//     whose method callbacks receive the object already asserted to T.
+//   - Class[T].Declare registers a method and returns its Method[T]
+//     handle, the one value the server body and every caller name.
 //   - Class[T].New / NewOn[T] construct remote objects without string
 //     class names at the call site.
 //   - Invoke[R] / InvokeAsync[R] perform method calls whose single tagged
@@ -93,21 +95,59 @@ func ExtendClass[U any, T any](base *Class[T], name string, ctor func(env *Env, 
 // Name returns the registered class name.
 func (c *Class[T]) Name() string { return c.spec.Name() }
 
-// Method registers a serial method: invocations are delivered through the
-// object's mailbox and execute one at a time in arrival order. The
-// callback receives the object as T — no manual assertion. It returns the
-// handle for chaining.
+// Method registers a serial method like Declare and returns the class
+// for chaining, for code that calls the method by name.
 func (c *Class[T]) Method(name string, fn func(obj T, env *Env, args *wire.Decoder, reply *wire.Encoder) error) *Class[T] {
-	c.spec.Method(name, typedMethod(c.spec.Name(), name, fn))
+	c.Declare(name, fn)
 	return c
 }
 
-// ConcurrentMethod registers a method that executes outside the object's
-// mailbox, concurrently with the object's serial stream. The object is
-// responsible for synchronizing any state such a method touches.
+// ConcurrentMethod registers a method like DeclareConcurrent and returns
+// the class for chaining.
 func (c *Class[T]) ConcurrentMethod(name string, fn func(obj T, env *Env, args *wire.Decoder, reply *wire.Encoder) error) *Class[T] {
-	c.spec.ConcurrentMethod(name, typedMethod(c.spec.Name(), name, fn))
+	c.DeclareConcurrent(name, fn)
 	return c
+}
+
+// Declare registers a serial method — invocations are delivered through
+// the object's mailbox and execute one at a time in arrival order, the
+// callback receiving the object as T — and returns its handle.
+func (c *Class[T]) Declare(name string, fn func(obj T, env *Env, args *wire.Decoder, reply *wire.Encoder) error) Method[T] {
+	c.spec.Method(name, typedMethod(c.spec.Name(), name, fn))
+	return Method[T]{name}
+}
+
+// DeclareConcurrent registers a method that executes outside the object's
+// mailbox, concurrently with the object's serial stream, and returns its
+// handle. The object is responsible for synchronizing any state such a
+// method touches.
+func (c *Class[T]) DeclareConcurrent(name string, fn func(obj T, env *Env, args *wire.Decoder, reply *wire.Encoder) error) Method[T] {
+	c.spec.ConcurrentMethod(name, typedMethod(c.spec.Name(), name, fn))
+	return Method[T]{name}
+}
+
+// Method is a remote method of the class whose objects are T, declared
+// once: Declare registers its server body and returns it, and every stub,
+// peer call and fan-out names the method through it, so a method that
+// nothing calls is a handle that nothing references. On the wire it is
+// its name, as a call by name is, and a class derived from T's answers
+// it too.
+type Method[T any] struct{ name string }
+
+// Name is the method's wire name, for the surfaces that take a method by
+// name (FanOut, the collection collectives).
+func (m Method[T]) Name() string { return m.name }
+
+// Call executes the method on ref and waits for its reply, as
+// Client.Call does.
+func (m Method[T]) Call(ctx context.Context, client *Client, ref Ref, args ArgEncoder, opts ...CallOption) (*wire.Decoder, error) {
+	return client.Call(ctx, ref, m.name, args, opts...)
+}
+
+// CallAsync begins the method on ref and returns its future, as
+// Client.CallAsync does.
+func (m Method[T]) CallAsync(ctx context.Context, client *Client, ref Ref, args ArgEncoder, opts ...CallOption) *Future {
+	return client.CallAsync(ctx, ref, m.name, args, opts...)
 }
 
 // New constructs an object of this class on machine m — the paper's

@@ -1,6 +1,8 @@
 // Package lib is the exports check's fixture: of its exports, the check
-// must flag Uncalled, OnlyTested and Dead.Len.
+// must flag Uncalled, OnlyTested and Dead.Len, and of its handles dead.
 package lib
+
+import "fixture/internal/rmi"
 
 // Uncalled has no caller at all.
 func Uncalled() int { return 1 }
@@ -9,7 +11,13 @@ func Uncalled() int { return 1 }
 func OnlyTested() int { return 2 }
 
 // Called is called by cmd/user.
-func Called() int { return 3 }
+func Called() string { return live.Name() }
+
+// live is referenced by Called; dead only by its declaration and a test.
+var (
+	live = rmi.Declare[Live]("live")
+	dead = rmi.Declare[Dead]("dead")
+)
 
 // Err is an error type; errors.Is calls its Is method.
 type Err struct{}
