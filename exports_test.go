@@ -219,7 +219,7 @@ func isHandle(v *types.Var) bool {
 	if !ok || v.Parent() != v.Pkg().Scope() {
 		return false
 	}
-	o := n.Origin().Obj()
+	o := n.Obj()
 	return o.Name() == "Method" && o.Pkg() != nil && strings.HasSuffix(o.Pkg().Path(), "internal/rmi")
 }
 

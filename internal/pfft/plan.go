@@ -117,7 +117,7 @@ func (f *PFFT) Gather(ctx context.Context, x []complex128) error {
 // wait for each answer. args encodes the request for planes [lo, hi) of a
 // worker's slab, which are part of x; reply (nil: the method returns
 // nothing) decodes its answer.
-func (f *PFFT) slabPieces(ctx context.Context, x []complex128, method rmi.Method[*worker], args func(e *wire.Encoder, lo, hi int, part []complex128), reply func(d *wire.Decoder, part []complex128)) error {
+func (f *PFFT) slabPieces(ctx context.Context, x []complex128, method rmi.Method, args func(e *wire.Encoder, lo, hi int, part []complex128), reply func(d *wire.Decoder, part []complex128)) error {
 	if len(x) != f.n1*f.n2*f.n3 {
 		return fmt.Errorf("pfft: array has %d elements, want %d", len(x), f.n1*f.n2*f.n3)
 	}

@@ -70,8 +70,8 @@ var (
 		if err := args.Err(); err != nil {
 			return err
 		}
-		if off < 0 || n < 0 || off+n > len(b.data) {
-			return fmt.Errorf("rmem: range [%d,%d) out of [0,%d)", off, off+n, len(b.data))
+		if off < 0 || n < 0 || n > len(b.data)-off {
+			return fmt.Errorf("rmem: range [%d,+%d) out of [0,%d)", off, n, len(b.data))
 		}
 		reply.PutFloat64s(b.data[off : off+n])
 		return nil

@@ -3,6 +3,7 @@ package rmem_test
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -142,6 +143,26 @@ func TestBoundsErrors(t *testing.T) {
 	// Negative allocation size.
 	if _, err := rmem.NewFloat64Array(bg, c.Client(), 0, -5); err == nil {
 		t.Error("expected error for negative size")
+	}
+}
+
+// TestGetRangeRefusesOverflowingRange: a request whose end overflows an
+// int gets the range error, not a slice panic.
+func TestGetRangeRefusesOverflowingRange(t *testing.T) {
+	c := startCluster(t, 1)
+	a, err := rmem.NewFloat64Array(bg, c.Client(), 0, 10)
+	if err != nil {
+		t.Fatalf("alloc: %v", err)
+	}
+	defer a.Free(bg)
+	d, err := rmem.BlockGetRange.Call(bg, c.Client(), a.Ref(), func(e *wire.Encoder) error {
+		e.PutInt(1)
+		e.PutInt(math.MaxInt)
+		return nil
+	})
+	d.Release()
+	if err == nil || !strings.Contains(err.Error(), "rmem: range") {
+		t.Errorf("getRange(1, MaxInt) = %v, want the range error", err)
 	}
 }
 

@@ -34,7 +34,7 @@
 // receive the object already asserted to T, and client-side construction
 // goes through the handle (Class[T].New with a packed ArgEncoder, or
 // NewOn[T] with the tagged generic encoding). Declare returns a method's
-// Method[T] handle, the one value its server body and its callers name:
+// Method handle, the one value its server body and its callers name:
 // stubs, peers and fan-outs call through it (Call, CallAsync, or Name for
 // the by-name surfaces), so a renamed method is a compile error and one
 // that nothing calls is a handle nothing references, which the module's

@@ -1012,35 +1012,49 @@ type lateDerived struct{}
 
 func (*lateDerived) who() string { return "late" }
 
+// lateClasses is what registerLateClasses registered: the base's later
+// method, the derived class, and whether declaring on the base a name the
+// derived class has panicked.
+type lateClasses struct {
+	late        Method
+	derived     *Class[*lateDerived]
+	ownPanicked bool
+}
+
+// registerLateClasses registers test.LateBase and test.LateDerived once a
+// process, as registerBaseAndDerived does: the derived class's own method,
+// then the base's later one, then the base's "own".
+var registerLateClasses = sync.OnceValue(func() (r lateClasses) {
+	base := RegisterClass("test.LateBase", func(*Env, *wire.Decoder) (lateBase, error) { return &lateDerived{}, nil })
+	r.derived = ExtendClass(base, "test.LateDerived", func(*Env, *wire.Decoder) (*lateDerived, error) { return &lateDerived{}, nil })
+	r.derived.Declare("own", func(*lateDerived, *Env, *wire.Decoder, *wire.Encoder) error { return nil })
+	r.late = base.Declare("late", func(obj lateBase, _ *Env, _ *wire.Decoder, reply *wire.Encoder) error {
+		reply.PutString(obj.who())
+		return nil
+	})
+	defer func() { r.ownPanicked = recover() != nil }()
+	base.Declare("own", func(lateBase, *Env, *wire.Decoder, *wire.Encoder) error { return nil })
+	return r
+})
+
 // TestExtendInheritsLaterMethods: a package declares its methods as
 // variables, in an order it does not choose, so a method the base class
 // gains after it was extended is the derived class's too, under the
 // derived class's name; a name the derived class already has panics.
 func TestExtendInheritsLaterMethods(t *testing.T) {
-	base := RegisterClass("test.LateBase", func(*Env, *wire.Decoder) (lateBase, error) { return &lateDerived{}, nil })
-	derived := ExtendClass(base, "test.LateDerived", func(*Env, *wire.Decoder) (*lateDerived, error) { return &lateDerived{}, nil })
-	derived.Declare("own", func(*lateDerived, *Env, *wire.Decoder, *wire.Encoder) error { return nil })
-	late := base.Declare("late", func(obj lateBase, _ *Env, _ *wire.Decoder, reply *wire.Encoder) error {
-		reply.PutString(obj.who())
-		return nil
-	})
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("declaring on the base a name the derived class has did not panic")
-			}
-		}()
-		base.Declare("own", func(lateBase, *Env, *wire.Decoder, *wire.Encoder) error { return nil })
-	}()
+	r := registerLateClasses()
+	if !r.ownPanicked {
+		t.Error("declaring on the base a name the derived class has did not panic")
+	}
 
 	nodes, stop := startCluster(t, transport.NewInproc(transport.LinkModel{}), 1)
 	defer stop()
 	c := nodes[0].client
-	ref, err := derived.New(bg, c, 0, nil)
+	ref, err := r.derived.New(bg, c, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := late.Call(bg, c, ref, nil)
+	d, err := r.late.Call(bg, c, ref, nil)
 	if err != nil {
 		t.Fatalf("the derived class does not answer the base's later method: %v", err)
 	}

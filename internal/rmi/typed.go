@@ -15,7 +15,7 @@ import (
 //
 //   - RegisterClass[T] declares a class and returns a Class[T] handle
 //     whose method callbacks receive the object already asserted to T.
-//   - Class[T].Declare registers a method and returns its Method[T]
+//   - Class[T].Declare registers a method and returns its Method
 //     handle, the one value the server body and every caller name.
 //   - Class[T].New / NewOn[T] construct remote objects without string
 //     class names at the call site.
@@ -112,41 +112,42 @@ func (c *Class[T]) ConcurrentMethod(name string, fn func(obj T, env *Env, args *
 // Declare registers a serial method — invocations are delivered through
 // the object's mailbox and execute one at a time in arrival order, the
 // callback receiving the object as T — and returns its handle.
-func (c *Class[T]) Declare(name string, fn func(obj T, env *Env, args *wire.Decoder, reply *wire.Encoder) error) Method[T] {
+func (c *Class[T]) Declare(name string, fn func(obj T, env *Env, args *wire.Decoder, reply *wire.Encoder) error) Method {
 	c.spec.Method(name, typedMethod(c.spec.Name(), name, fn))
-	return Method[T]{name}
+	return Method{name}
 }
 
 // DeclareConcurrent registers a method that executes outside the object's
 // mailbox, concurrently with the object's serial stream, and returns its
 // handle. The object is responsible for synchronizing any state such a
 // method touches.
-func (c *Class[T]) DeclareConcurrent(name string, fn func(obj T, env *Env, args *wire.Decoder, reply *wire.Encoder) error) Method[T] {
+func (c *Class[T]) DeclareConcurrent(name string, fn func(obj T, env *Env, args *wire.Decoder, reply *wire.Encoder) error) Method {
 	c.spec.ConcurrentMethod(name, typedMethod(c.spec.Name(), name, fn))
-	return Method[T]{name}
+	return Method{name}
 }
 
-// Method is a remote method of the class whose objects are T, declared
-// once: Declare registers its server body and returns it, and every stub,
-// peer call and fan-out names the method through it, so a method that
-// nothing calls is a handle that nothing references. On the wire it is
-// its name, as a call by name is, and a class derived from T's answers
-// it too.
-type Method[T any] struct{ name string }
+// Method is a remote method declared once: Declare registers its server
+// body and returns it, and every stub, peer call and fan-out names the
+// method through it, so a method that nothing calls is a handle that
+// nothing references. On the wire it is its name, as a call by name is,
+// and a class derived from the declaring one answers it too. It carries
+// no class type: Call takes an untyped Ref, so a type parameter here
+// would check nothing.
+type Method struct{ name string }
 
 // Name is the method's wire name, for the surfaces that take a method by
 // name (FanOut, the collection collectives).
-func (m Method[T]) Name() string { return m.name }
+func (m Method) Name() string { return m.name }
 
 // Call executes the method on ref and waits for its reply, as
 // Client.Call does.
-func (m Method[T]) Call(ctx context.Context, client *Client, ref Ref, args ArgEncoder, opts ...CallOption) (*wire.Decoder, error) {
+func (m Method) Call(ctx context.Context, client *Client, ref Ref, args ArgEncoder, opts ...CallOption) (*wire.Decoder, error) {
 	return client.Call(ctx, ref, m.name, args, opts...)
 }
 
 // CallAsync begins the method on ref and returns its future, as
 // Client.CallAsync does.
-func (m Method[T]) CallAsync(ctx context.Context, client *Client, ref Ref, args ArgEncoder, opts ...CallOption) *Future {
+func (m Method) CallAsync(ctx context.Context, client *Client, ref Ref, args ArgEncoder, opts ...CallOption) *Future {
 	return client.CallAsync(ctx, ref, m.name, args, opts...)
 }
 

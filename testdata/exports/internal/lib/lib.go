@@ -15,8 +15,8 @@ func Called() string { return live.Name() }
 
 // live is referenced by Called; dead only by its declaration and a test.
 var (
-	live = rmi.Declare[Live]("live")
-	dead = rmi.Declare[Dead]("dead")
+	live = rmi.Declare("live")
+	dead = rmi.Declare("dead")
 )
 
 // Err is an error type; errors.Is calls its Is method.

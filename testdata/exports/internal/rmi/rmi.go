@@ -3,10 +3,10 @@
 package rmi
 
 // Method is a handle to the remote method named name.
-type Method[T any] struct{ name string }
+type Method struct{ name string }
 
 // Declare returns the handle a class's registration would.
-func Declare[T any](name string) Method[T] { return Method[T]{name} }
+func Declare(name string) Method { return Method{name} }
 
 // Name is the handle's wire name.
-func (m Method[T]) Name() string { return m.name }
+func (m Method) Name() string { return m.name }
