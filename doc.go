@@ -176,6 +176,18 @@
 // interfacing with non-kernel code (the FFT), or any transform that is
 // not expressible as an elementwise/reduction kernel over rows.
 //
+// Read and Write walk the client's array a pencil at a time, not a page
+// at a time: a pencil is a run of pages side by side along the last axis,
+// whose rows together are whole rows of the client's array, so memory is
+// walked row by row, in order. Write packs a pencil's rows once into a
+// pooled staging buffer and copies each page from there into the frame
+// of every replica's call, so k replicas share one packing. Read holds a
+// pencil's replies, checks each one whole, and then copies each row's
+// runs straight out of the replies. A page is all or nothing: a page
+// whose read fails leaves its elements of the destination as they were,
+// while the rest of its pencil lands. The messages and bytes on the wire
+// are those of one call per page and replica.
+//
 // # Kernel pipeline
 //
 // Each kernel collective costs one fan-out round and one page pass per

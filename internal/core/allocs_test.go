@@ -63,6 +63,25 @@ func TestCollectiveAllocs(t *testing.T) {
 	if write > maxWriteAllocs || read > maxReadAllocs {
 		t.Errorf("allocs per 8-page transfer: Write %.0f (max %d), Read %.0f (max %d)", write, maxWriteAllocs, read, maxReadAllocs)
 	}
+
+	// The same 8 pages on two machines, each page on both: 16 write calls
+	// from one staging of each pencil, and 8 reads.
+	_, k2, doneK2 := buildReplicated(t, "roundrobin", 2, 2, 32, 32, 32, 16, 16, 16, 0)
+	defer doneK2()
+	write = testing.AllocsPerRun(100, func() {
+		if err := k2.Write(bg, vals, k2.Bounds()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	read = testing.AllocsPerRun(100, func() {
+		if err := k2.Read(bg, out, k2.Bounds()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs per 8-page k=2 transfer: Write %.0f, Read %.0f", write, read)
+	if write > maxWriteK2Allocs || read > maxReadK2Allocs {
+		t.Errorf("allocs per 8-page k=2 transfer: Write %.0f (max %d), Read %.0f (max %d)", write, maxWriteK2Allocs, read, maxReadK2Allocs)
+	}
 }
 
 // Measured 20 and 22: core hands its plan's device refs to rmi.FanOut
@@ -91,4 +110,16 @@ const (
 const (
 	maxWriteAllocs = 23
 	maxReadAllocs  = 22
+)
+
+// Measured 36 and 19 before transfers moved a pencil at a time, and the
+// same after: the ceilings are those counts, with no slack. A Write is its
+// plan (regions, calls, the ack tally) and a Future and its channel per
+// call; its staging buffer comes from the buffer pool. A Read is its plan
+// and a Future and its channel per page: the replies a pencil holds live
+// in the one per-page slice. Staging that allocated per pencil, per page
+// or per replica would trip them.
+const (
+	maxWriteK2Allocs = 36
+	maxReadK2Allocs  = 19
 )

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"oopp/internal/bufpool"
 	"oopp/internal/kernel"
 	"oopp/internal/pagedev"
 	"oopp/internal/rmi"
@@ -146,7 +147,12 @@ func (a *Array) SetWindow(w int) { a.window = w }
 // inFlight is the window every transfer and kernel fan-out of this
 // client hands to rmi.SplitLoop — the one place the pipelining
 // configuration is read.
-func (a *Array) inFlight() int { return a.window }
+func (a *Array) inFlight() int {
+	if a.window < 1 {
+		return DefaultWindow
+	}
+	return a.window
+}
 
 // region is one page overlapped by a domain operation.
 type region struct {
@@ -203,21 +209,86 @@ func (a *Array) checkDomain(dom Domain) error {
 	return nil
 }
 
-// blockOf names, for the device stubs, the part isect of a dom-shaped
-// row-major subarray: a transfer gathers a page's rows from there, or
-// scatters them there, with no page-sized buffer in between.
-func blockOf(subarray []float64, dom, isect Domain) pagedev.Block {
-	return pagedev.Block{Data: subarray, N2: dom.Hi[1] - dom.Lo[1], N3: dom.Hi[2] - dom.Lo[2], Box: subBoxIn(isect, dom)}
-}
-
-// subBoxIn gives the box isect in coordinates local to outer.
-func subBoxIn(isect, outer Domain) pagedev.SubBox {
+// subBoxFor converts a region's intersection into the device-local
+// sub-box coordinates used by the sub-page methods.
+func subBoxFor(r region) pagedev.SubBox {
 	var b pagedev.SubBox
 	for x := 0; x < 3; x++ {
-		b.Lo[x] = isect.Lo[x] - outer.Lo[x]
-		b.Dim[x] = isect.Hi[x] - isect.Lo[x]
+		b.Lo[x] = r.isect.Lo[x] - r.box.Lo[x]
+		b.Dim[x] = r.isect.Hi[x] - r.isect.Lo[x]
 	}
 	return b
+}
+
+// stageValues bounds the values of a pencil, so that a Write's staging
+// buffer is one the buffer pool recycles.
+const stageValues = bufpool.MaxPooled / 8
+
+// Read and Write move element data a pencil at a time. A pencil is a run
+// of consecutive regions, in regionsOf order, that share their axis-0/1
+// extent: pages side by side along axis 2, which together cover whole
+// rows of the operation's domain. A transfer walks a pencil's rows of the
+// caller's array once, in order, instead of walking each page's short
+// runs on its own.
+
+// pencilEnd returns the end of the pencil that starts at regs[lo]: the
+// longest run of regions from lo that share its axis-0/1 extent, with at
+// most a.inFlight() regions and, past its first region, at most
+// stageValues values.
+func (a *Array) pencilEnd(regs []region, lo int) int {
+	first := regs[lo].isect
+	n, hi := first.Size(), lo+1
+	for ; hi < len(regs) && hi-lo < a.inFlight(); hi++ {
+		x := regs[hi].isect
+		if x.Lo[0] != first.Lo[0] || x.Hi[0] != first.Hi[0] || x.Lo[1] != first.Lo[1] || x.Hi[1] != first.Hi[1] || n+x.Size() > stageValues {
+			break
+		}
+		n += x.Size()
+	}
+	return hi
+}
+
+// eachPencilRun walks the rows of the dom-shaped subarray that pencil
+// covers, once and in order, and each row region by region: fn(k, i, j,
+// at, w) is region k's run of row (i, j), counted from the pencil's first
+// row, whose w values start at subarray[at].
+func eachPencilRun(dom Domain, pencil []region, fn func(k, i, j, at, w int)) {
+	x := pencil[0].isect
+	d2, d3 := dom.Hi[1]-dom.Lo[1], dom.Hi[2]-dom.Lo[2]
+	for i := 0; i < x.Hi[0]-x.Lo[0]; i++ {
+		for j := 0; j < x.Hi[1]-x.Lo[1]; j++ {
+			at := ((x.Lo[0]-dom.Lo[0]+i)*d2+x.Lo[1]-dom.Lo[1]+j)*d3 + x.Lo[2] - dom.Lo[2]
+			for k := range pencil {
+				w := pencil[k].isect.Hi[2] - pencil[k].isect.Lo[2]
+				fn(k, i, j, at, w)
+				at += w
+			}
+		}
+	}
+}
+
+// packPencil stages a pencil's values for its write calls: region after
+// region, each row-major over its box, taken in one walk over the
+// pencil's rows of subarray.
+func packPencil(staged, subarray []float64, dom Domain, pencil []region) {
+	x := pencil[0].isect
+	dim1 := x.Hi[1] - x.Lo[1]
+	rows := (x.Hi[0] - x.Lo[0]) * dim1
+	eachPencilRun(dom, pencil, func(k, i, j, at, w int) {
+		// The regions before k hold rows values per column of theirs.
+		base := rows * (pencil[k].isect.Lo[2] - x.Lo[2])
+		copy(staged[base+(i*dim1+j)*w:], subarray[at:at+w])
+	})
+}
+
+// pageRead is one region of a Read: the replica it was sent to, its call,
+// and, once its pencil settles, the reply checked whole or why there is
+// none.
+type pageRead struct {
+	addr  PageAddress
+	fut   *rmi.Future
+	reply pagedev.PageReply
+	err   error
 }
 
 // Read gathers the subdomain dom into subarray (row-major, dom.Dims()
@@ -226,8 +297,14 @@ func subBoxIn(isect, outer Domain) pagedev.SubBox {
 // that engages (§5). Under a replicated map each page is read from a
 // *live* replica (the failure detector's verdicts route around
 // down machines; a call-time machine-down failure falls back to the
-// next replica), so replication doubles as read scaling. Each page's
-// rows go from its reply frame to their place in subarray in one copy.
+// next replica), so replication doubles as read scaling.
+//
+// Replies land a pencil at a time: Read holds a pencil's replies, checks
+// each one whole, then walks the pencil's rows of subarray once, in
+// order, copying each page's run straight out of its own reply frame.
+// Each page is all or nothing: a page whose read fails leaves its
+// elements of subarray as they were, the rest of its pencil still lands,
+// and the first such error is returned.
 func (a *Array) Read(ctx context.Context, subarray []float64, dom Domain) error {
 	if err := a.checkDomain(dom); err != nil {
 		return err
@@ -236,50 +313,83 @@ func (a *Array) Read(ctx context.Context, subarray []float64, dom Domain) error 
 		return fmt.Errorf("core: subarray has %d elements, domain %v has %d", len(subarray), dom, dom.Size())
 	}
 	regs := a.regionsOf(a.Map(), dom)
-	picked := make([]PageAddress, len(regs))
-	return rmi.SplitLoop(ctx, len(regs), a.inFlight(),
+	pages := make([]pageRead, len(regs))
+	// The replies a pencil holds count against the window: the split loop
+	// keeps the rest of it, so that no more than inFlight replies are ever
+	// outstanding or held.
+	longest := 0
+	for lo := 0; lo < len(regs); {
+		hi := a.pencilEnd(regs, lo)
+		longest, lo = max(longest, hi-lo), hi
+	}
+	lo, hi := 0, 0 // the pencil being settled: regs[lo:hi]
+	return rmi.SplitLoop(ctx, len(regs), a.inFlight()-longest+1,
 		func(i int) *rmi.Future {
-			picked[i], _ = a.pickLive(regs[i].chain, nil)
-			return a.storage.Device(picked[i].Device).ReadPageAsync(ctx, picked[i].Index)
+			pages[i].addr, _ = a.pickLive(regs[i].chain, nil)
+			return a.storage.Device(pages[i].addr.Device).ReadPageAsync(ctx, pages[i].addr.Index)
 		},
 		func(i int, f *rmi.Future) error {
-			r := regs[i]
-			box, dst := subBoxFor(r), blockOf(subarray, dom, r.isect)
-			err := a.storage.Device(picked[i].Device).ScatterPage(ctx, f, box, dst)
-			if err != nil {
-				// A replica dying between issue and decode: retry the page
-				// synchronously on its remaining replicas before giving up.
-				err = a.retryRead(ctx, r, picked[i], box, dst, err)
+			if i == hi {
+				lo, hi = i, a.pencilEnd(regs, i)
 			}
-			return err
+			pages[i].fut = f
+			if i+1 < hi {
+				return nil
+			}
+			return a.landPencil(ctx, subarray, dom, regs[lo:hi], pages[lo:hi])
 		})
+}
+
+// landPencil settles a pencil's reads and copies what they brought into
+// subarray, releasing every reply.
+func (a *Array) landPencil(ctx context.Context, subarray []float64, dom Domain, pencil []region, pages []pageRead) error {
+	var first error
+	for k := range pages {
+		p := &pages[k]
+		p.reply, p.err = a.storage.Device(p.addr.Device).OpenPage(ctx, p.fut)
+		if p.err != nil {
+			// A replica dying between issue and reply: read the page
+			// again from its remaining replicas before giving up.
+			p.reply, p.err = a.retryRead(ctx, pencil[k], p.addr, p.err)
+		}
+		if first == nil {
+			first = p.err
+		}
+	}
+	eachPencilRun(dom, pencil, func(k, i, j, at, w int) {
+		if p := &pages[k]; p.err == nil {
+			r := &pencil[k]
+			p.reply.Copy(subarray[at:at+w], r.isect.Lo[0]-r.box.Lo[0]+i, r.isect.Lo[1]-r.box.Lo[1]+j, r.isect.Lo[2]-r.box.Lo[2])
+		}
+	})
+	for k := range pages {
+		if pages[k].err == nil {
+			pages[k].reply.Release()
+		}
+	}
+	return first
 }
 
 // retryRead walks the remaining replicas of r after a read from the
 // failed address errored: only typed machine-down failures are
 // retried; any other error (or running out of replicas) returns the
 // original error.
-func (a *Array) retryRead(ctx context.Context, r region, failed PageAddress, box pagedev.SubBox, dst pagedev.Block, err error) error {
+func (a *Array) retryRead(ctx context.Context, r region, failed PageAddress, err error) (pagedev.PageReply, error) {
 	if !errors.Is(err, rmi.ErrMachineDown) {
-		return err
+		return pagedev.PageReply{}, err
 	}
 	for _, addr := range r.chain {
 		if addr == failed || !a.machineUp(addr.Device) {
 			continue
 		}
 		dev := a.storage.Device(addr.Device)
-		if rerr := dev.ScatterPage(ctx, dev.ReadPageAsync(ctx, addr.Index), box, dst); rerr == nil {
-			return nil
-		} else if !errors.Is(rerr, rmi.ErrMachineDown) {
-			return rerr
+		reply, rerr := dev.OpenPage(ctx, dev.ReadPageAsync(ctx, addr.Index))
+		if rerr == nil || !errors.Is(rerr, rmi.ErrMachineDown) {
+			return reply, rerr
 		}
 	}
-	return err
+	return pagedev.PageReply{}, err
 }
-
-// subBoxFor converts a region's intersection into the device-local
-// sub-box coordinates used by the sub-page methods.
-func subBoxFor(r region) pagedev.SubBox { return subBoxIn(r.isect, r.box) }
 
 // Write scatters subarray into the subdomain dom — the paper's
 // Array::write. Fully covered pages are written whole; partially covered
@@ -321,9 +431,13 @@ func (a *Array) Write(ctx context.Context, subarray []float64, dom Domain) error
 
 // writeWith is one Write attempt against an explicit map snapshot: one
 // call per (region, replica) pair, in region order, settled into the
-// primary-ack tally. Each call gathers its region's rows from subarray
-// straight into its own request frame — one pass over the values per
-// replica, and nothing held between calls.
+// primary-ack tally. Values go out a pencil at a time: the first call of
+// a pencil walks its rows of subarray once into a pooled staging buffer
+// (packPencil), and every call of the pencil, each replica of each of
+// its pages, copies its page's values from there into its frame in one
+// run — so a page's replicas share one packing. A call's frame is
+// encoded when the call is issued, so the buffer serves pencil after
+// pencil.
 func (a *Array) writeWith(ctx context.Context, pm PageMap, subarray []float64, dom Domain) error {
 	regs := a.regionsOf(pm, dom)
 	type replicaWrite struct{ reg, pos int }
@@ -334,17 +448,30 @@ func (a *Array) writeWith(ctx context.Context, pm PageMap, subarray []float64, d
 		}
 	}
 	t := a.newAckTally(regs)
+	// A pencil holds at most stageValues values, or one page.
+	staged := pagedev.GetFloat64s(min(dom.Size(), max(stageValues, a.p[0]*a.p[1]*a.p[2])))
+	defer pagedev.PutFloat64s(staged)
+	hi, off, end := 0, 0, 0 // regs[:hi] are staged; the current region's values are staged[off:end]
 	return rmi.SplitLoop(ctx, len(calls), a.inFlight(),
 		func(i int) *rmi.Future {
-			r := regs[calls[i].reg]
-			addr := r.chain[calls[i].pos]
-			dev, src := a.storage.Device(addr.Device), blockOf(subarray, dom, r.isect)
+			c := calls[i]
+			r := regs[c.reg]
+			if c.pos == 0 {
+				if c.reg == hi {
+					hi = a.pencilEnd(regs, c.reg)
+					packPencil(staged, subarray, dom, regs[c.reg:hi])
+					end = 0
+				}
+				off, end = end, end+r.isect.Size()
+			}
+			addr := r.chain[c.pos]
+			dev, vals := a.storage.Device(addr.Device), staged[off:end]
 			if r.full {
-				return dev.WritePageAsync(ctx, addr.Index, src)
+				return dev.WritePageAsync(ctx, addr.Index, vals)
 			}
 			// Partial page: atomic sub-page write on the device (only the
 			// region travels, and concurrent clients can share the page).
-			return dev.WriteSubAsync(ctx, addr.Index, subBoxFor(r), src)
+			return dev.WriteSubAsync(ctx, addr.Index, subBoxFor(r), vals)
 		},
 		func(i int, f *rmi.Future) error { return t.record(calls[i].reg, f.Err(ctx)) })
 }

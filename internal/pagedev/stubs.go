@@ -237,88 +237,55 @@ func (d *ArrayDevice) checkDims(p *ArrayPage) error {
 	return nil
 }
 
-// Block names the elements a transfer gathers from or scatters to where
-// they are, in the caller's memory: the sub-box Box of a row-major array
-// Data whose second and third extents are N2 and N3. The stubs move a
-// block's runs between Data and the frame directly, so a page that is a
-// piece of a larger array is never assembled in a buffer of its own.
-type Block struct {
-	Data   []float64
-	N2, N3 int
-	Box    SubBox
-}
-
-// Whole is the block that is all of page p.
-func (p *ArrayPage) Whole() Block {
-	return Block{Data: p.Data, N2: p.N2, N3: p.N3, Box: SubBox{Dim: [3]int{p.N1, p.N2, p.N3}}}
-}
-
-// check refuses a block that is not dim-shaped or not inside its Data.
-func (b Block) check(dim [3]int) error {
-	if b.Box.Dim != dim {
-		return fmt.Errorf("pagedev: block of %v elements where %v are wanted", b.Box.Dim, dim)
-	}
-	if b.N2 <= 0 || b.N3 <= 0 || !b.Box.within([3]int{len(b.Data) / (b.N2 * b.N3), b.N2, b.N3}) {
-		return fmt.Errorf("pagedev: block %+v outside its %d-element ?x%dx%d array", b.Box, len(b.Data), b.N2, b.N3)
-	}
-	return nil
-}
-
-// contiguous reports whether the block's elements are one run of Data.
-func (b Block) contiguous() bool {
-	return b.Box.Lo[1] == 0 && b.Box.Lo[2] == 0 && b.Box.Dim[1] == b.N2 && b.Box.Dim[2] == b.N3
-}
-
-// origin is the index in Data of the block's first element; its row (i, j)
-// starts (i*N2+j)*N3 after that.
-func (b *Block) origin() int {
-	return (b.Box.Lo[0]*b.N2+b.Box.Lo[1])*b.N3 + b.Box.Lo[2]
-}
-
 func (d *ArrayDevice) dims() [3]int { return [3]int{d.n1, d.n2, d.n3} }
 
-// scatterReply settles readArray: the sub-box box of the page in the reply
-// goes to dst, each run copied once, from the frame to where it belongs.
-// The reply is validated whole — a page's worth of values, all present —
-// before the first element is stored, so a failed read leaves dst as it
-// was.
-func (d *ArrayDevice) scatterReply(dec *wire.Decoder, err error, box SubBox, dst Block) error {
+// PageReply is a readArray reply checked whole — a page's worth of values,
+// all of them in the frame — so that taking values from it cannot fail.
+// Its values are taken forward only, in runs, each starting at or after
+// the end of the one before: the order in which a walk over a larger
+// array's rows meets the rows of one of its pages. Release returns the
+// frame.
+type PageReply struct {
+	dec    *wire.Decoder
+	n2, n3 int
+	pos    int // the page offset of the next value in dec
+}
+
+// openReply checks readArray's reply whole before anything is taken from
+// it, so a failed read stores nothing.
+func (d *ArrayDevice) openReply(dec *wire.Decoder, err error) (PageReply, error) {
 	if err != nil {
-		return err
-	}
-	defer dec.Release()
-	if !box.within(d.dims()) {
-		return fmt.Errorf("pagedev: sub-box %+v outside page %v", box, d.dims())
-	}
-	if err := dst.check(box.Dim); err != nil {
-		return err
+		return PageReply{}, err
 	}
 	n := dec.Float64sLen()
 	if err := dec.Err(); err != nil {
-		return err
+		dec.Release()
+		return PageReply{}, err
 	}
-	if n != d.n1*d.n2*d.n3 {
-		return fmt.Errorf("pagedev: %w: page reply carries %d values, a page has %d", wire.ErrCorrupt, n, d.n1*d.n2*d.n3)
+	if want := d.n1 * d.n2 * d.n3; n != want {
+		dec.Release()
+		return PageReply{}, fmt.Errorf("pagedev: %w: page reply carries %d values, a page has %d", wire.ErrCorrupt, n, want)
 	}
-	// Both sides walk their rows from the box's first element: row (i, j)
-	// starts (i*N2+j)*N3 after it.
-	page := Block{N2: d.n2, N3: d.n3, Box: box}
-	from0, at0 := page.origin(), dst.origin()
-	if page.contiguous() && dst.contiguous() {
-		dec.SkipFloat64s(from0)
-		dec.CopyFloat64s(dst.Data[at0 : at0+box.Size()])
-		return dec.Err()
+	return PageReply{dec: dec, n2: d.n2, n3: d.n3}, nil
+}
+
+// Copy fills dst with the page's values from element (i, j, k) on, in
+// row-major order. A run that starts before the end of the previous one,
+// or runs off the page, is the caller's bug, and panics.
+func (r *PageReply) Copy(dst []float64, i, j, k int) {
+	off := (i*r.n2+j)*r.n3 + k
+	r.dec.SkipFloat64s(off - r.pos)
+	r.dec.CopyFloat64s(dst)
+	if err := r.dec.Err(); err != nil {
+		panic(fmt.Sprintf("pagedev: page run (%d,%d,%d)+%d after offset %d: %v", i, j, k, len(dst), r.pos, err))
 	}
-	pos, run := 0, box.Dim[2]
-	for i := 0; i < box.Dim[0]; i++ {
-		for j := 0; j < box.Dim[1]; j++ {
-			from, at := from0+(i*d.n2+j)*d.n3, at0+(i*dst.N2+j)*dst.N3
-			dec.SkipFloat64s(from - pos)
-			dec.CopyFloat64s(dst.Data[at : at+run])
-			pos = from + run
-		}
-	}
-	return dec.Err()
+	r.pos = off + len(dst)
+}
+
+// Release returns the reply's frame to the pool; the reply is spent.
+func (r *PageReply) Release() {
+	r.dec.Release()
+	r.dec = nil
 }
 
 // ReadPage fetches page index into p — "moving the data to the
@@ -328,32 +295,36 @@ func (d *ArrayDevice) ReadPage(ctx context.Context, p *ArrayPage, index int) err
 	if err := d.checkDims(p); err != nil {
 		return err
 	}
-	dec, err := devReadArray.Call(ctx, d.client, d.ref, indexArgs(index))
-	return d.scatterReply(dec, err, p.Whole().Box, p.Whole())
+	r, err := d.openReply(devReadArray.Call(ctx, d.client, d.ref, indexArgs(index)))
+	if err != nil {
+		return err
+	}
+	r.Copy(p.Data, 0, 0, 0)
+	r.Release()
+	return nil
 }
 
-// ReadPageAsync begins an array page read; settle it with ScatterPage.
+// ReadPageAsync begins an array page read; settle it with OpenPage.
 func (d *ArrayDevice) ReadPageAsync(ctx context.Context, index int) *rmi.Future {
 	return devReadArray.CallAsync(ctx, d.client, d.ref, indexArgs(index))
 }
 
-// ScatterPage settles a ReadPageAsync future: the sub-box box of the page
-// read goes to the equally shaped block dst, straight from the reply.
-func (d *ArrayDevice) ScatterPage(ctx context.Context, fut *rmi.Future, box SubBox, dst Block) error {
-	dec, err := fut.Wait(ctx)
-	return d.scatterReply(dec, err, box, dst)
+// OpenPage settles a ReadPageAsync future: it waits for the reply and
+// checks it whole. The caller takes the values it wants with Copy and then
+// releases the reply.
+func (d *ArrayDevice) OpenPage(ctx context.Context, fut *rmi.Future) (PageReply, error) {
+	return d.openReply(fut.Wait(ctx))
 }
 
-// writePageArgs encodes writeArray(index, page) with the page's values
-// gathered from src straight into the frame.
-func (d *ArrayDevice) writePageArgs(index int, src Block) rmi.ArgEncoder {
+// writePageArgs encodes writeArray(index, page) from vals, the page's
+// values in row-major order.
+func (d *ArrayDevice) writePageArgs(index int, vals []float64) rmi.ArgEncoder {
 	return func(e *wire.Encoder) error {
-		if err := src.check(d.dims()); err != nil {
-			return err
+		if want := d.n1 * d.n2 * d.n3; len(vals) != want {
+			return fmt.Errorf("pagedev: %d values for a page of %d", len(vals), want)
 		}
 		e.PutInt(index)
-		e.PutFloat64sLen(src.Box.Size())
-		forEachRun(src.N2, src.N3, src.Box.Lo, src.Box.Dim, func(off, n int) { e.AppendFloat64s(src.Data[off : off+n]) })
+		e.PutFloat64s(vals)
 		return nil
 	}
 }
@@ -363,13 +334,13 @@ func (d *ArrayDevice) WritePage(ctx context.Context, p *ArrayPage, index int) er
 	if err := d.checkDims(p); err != nil {
 		return err
 	}
-	return voidReply(devWriteArray.Call(ctx, d.client, d.ref, d.writePageArgs(index, p.Whole())))
+	return voidReply(devWriteArray.Call(ctx, d.client, d.ref, d.writePageArgs(index, p.Data)))
 }
 
-// WritePageAsync begins the write of page index from src, a block of the
-// page's extents.
-func (d *ArrayDevice) WritePageAsync(ctx context.Context, index int, src Block) *rmi.Future {
-	return devWriteArray.CallAsync(ctx, d.client, d.ref, d.writePageArgs(index, src))
+// WritePageAsync begins the write of page index from vals, the page's
+// values in row-major order, copied into the frame in one run.
+func (d *ArrayDevice) WritePageAsync(ctx context.Context, index int, vals []float64) *rmi.Future {
+	return devWriteArray.CallAsync(ctx, d.client, d.ref, d.writePageArgs(index, vals))
 }
 
 // SubBox identifies a region inside a page, in local page coordinates:
@@ -404,23 +375,20 @@ func putSubBox(e *wire.Encoder, index int, box SubBox) {
 	}
 }
 
-// WriteSubAsync overlays the region box of page index with the equally
-// shaped block src, sent row-packed: Dim[0]*Dim[1] runs of Dim[2] values,
-// gathered straight into the frame. The read-modify-write happens inside
-// the device process's serial method, so concurrent clients updating
-// disjoint regions of one page cannot lose updates.
-func (d *ArrayDevice) WriteSubAsync(ctx context.Context, index int, box SubBox, src Block) *rmi.Future {
+// WriteSubAsync overlays the region box of page index with vals, the
+// box's values in row-major order, sent as Dim[0]*Dim[1] runs of Dim[2]
+// values. The read-modify-write happens inside the device process's serial
+// method, so concurrent clients updating disjoint regions of one page
+// cannot lose updates.
+func (d *ArrayDevice) WriteSubAsync(ctx context.Context, index int, box SubBox, vals []float64) *rmi.Future {
 	return devWriteSub.CallAsync(ctx, d.client, d.ref, func(e *wire.Encoder) error {
-		if err := src.check(box.Dim); err != nil {
-			return err
+		if !box.within(d.dims()) || len(vals) != box.Size() {
+			return fmt.Errorf("pagedev: %d values for sub-box %+v of page %v", len(vals), box, d.dims())
 		}
 		putSubBox(e, index, box)
-		at0, run := src.origin(), box.Dim[2]
-		for i := 0; i < box.Dim[0]; i++ {
-			for j := 0; j < box.Dim[1]; j++ {
-				at := at0 + (i*src.N2+j)*src.N3
-				e.PutFloat64s(src.Data[at : at+run])
-			}
+		run := box.Dim[2]
+		for r := 0; r < box.Dim[0]*box.Dim[1]; r++ {
+			e.PutFloat64s(vals[r*run : (r+1)*run])
 		}
 		return nil
 	})

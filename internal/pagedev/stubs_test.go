@@ -35,13 +35,16 @@ func TestAsyncStubVariants(t *testing.T) {
 	// Array-typed async path.
 	page := pagedev.NewArrayPage(2, 2, 2)
 	fill(page, 2.5)
-	if err := dev.WritePageAsync(bg, 1, page.Whole()).Err(bg); err != nil {
+	if err := dev.WritePageAsync(bg, 1, page.Data).Err(bg); err != nil {
 		t.Fatalf("WritePageAsync: %v", err)
 	}
 	back := pagedev.NewArrayPage(2, 2, 2)
-	if err := dev.ScatterPage(bg, dev.ReadPageAsync(bg, 1), back.Whole().Box, back.Whole()); err != nil {
+	reply, err := dev.OpenPage(bg, dev.ReadPageAsync(bg, 1))
+	if err != nil {
 		t.Fatalf("ReadPageAsync: %v", err)
 	}
+	reply.Copy(back.Data, 0, 0, 0)
+	reply.Release()
 	for i, v := range back.Data {
 		if v != 2.5 {
 			t.Fatalf("element %d = %v", i, v)
@@ -65,11 +68,12 @@ func TestAsyncStubVariants(t *testing.T) {
 	}
 }
 
-// TestBlockTransfers: a page written from, and read into, a piece of a
-// larger row-major array — the form core.Array uses — moves exactly the
-// block's elements and nothing around them; a sub-box of the page lands
-// the same way; and a block of the wrong shape, or one that runs off its
-// array, is refused before anything is sent or stored.
+// TestBlockTransfers: a page written from its values and a sub-box
+// written from its row-packed values store exactly those values; a reply
+// is taken in forward runs, each from where it names, and a run that goes
+// backward or off the page panics; values of the wrong count, a sub-box
+// off the page and a reply of the wrong size are refused before anything
+// is sent or stored.
 func TestBlockTransfers(t *testing.T) {
 	c := startCluster(t, 2, 0)
 	dev, err := pagedev.NewArrayDevice(bg, c.Client(), 1, "blocks", 2, 2, 3, 4, pagedev.DiskPrivate)
@@ -78,90 +82,105 @@ func TestBlockTransfers(t *testing.T) {
 	}
 	defer dev.Close(bg)
 
-	// A 3x5x6 array holding the page at (1,1,2).
-	const N2, N3 = 5, 6
-	big := make([]float64, 3*N2*N3)
-	for i := range big {
-		big[i] = float64(i) + 0.5
+	vals := make([]float64, 2*3*4)
+	for i := range vals {
+		vals[i] = float64(i) + 0.5
 	}
-	at := pagedev.SubBox{Lo: [3]int{1, 1, 2}, Dim: [3]int{2, 3, 4}}
-	if err := dev.WritePageAsync(bg, 0, pagedev.Block{Data: big, N2: N2, N3: N3, Box: at}).Err(bg); err != nil {
-		t.Fatalf("WritePageAsync from a block: %v", err)
+	if err := dev.WritePageAsync(bg, 0, vals).Err(bg); err != nil {
+		t.Fatalf("WritePageAsync: %v", err)
 	}
 	page := pagedev.NewArrayPage(2, 3, 4)
+	if err := dev.ReadPage(bg, page, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range page.Data {
+		if v != vals[i] {
+			t.Fatalf("element %d = %v, want %v", i, v, vals[i])
+		}
+	}
+
+	// Forward runs out of one reply: (0,1,1)+2, then (0,2,0)+3, then
+	// (1,2,2)+2, the last two values of the page.
+	reply, err := dev.OpenPage(bg, dev.ReadPageAsync(bg, 0))
+	if err != nil {
+		t.Fatalf("OpenPage: %v", err)
+	}
+	for _, run := range []struct{ i, j, k, n int }{{0, 1, 1, 2}, {0, 2, 0, 3}, {1, 2, 2, 2}} {
+		got := make([]float64, run.n)
+		reply.Copy(got, run.i, run.j, run.k)
+		for x, v := range got {
+			if want := page.Data[index(page, run.i, run.j, run.k+x)]; v != want {
+				t.Fatalf("run %+v value %d = %v, want %v", run, x, v, want)
+			}
+		}
+	}
+	reply.Release()
+	for _, bad := range []struct {
+		name    string
+		i, j, k int
+	}{{"backward", 0, 0, 0}, {"off the page", 1, 2, 3}} {
+		reply, err := dev.OpenPage(bg, dev.ReadPageAsync(bg, 0))
+		if err != nil {
+			t.Fatalf("OpenPage: %v", err)
+		}
+		reply.Copy(make([]float64, 2), 0, 1, 0)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a run %s did not panic", bad.name)
+				}
+			}()
+			reply.Copy(make([]float64, 2), bad.i, bad.j, bad.k)
+		}()
+		reply.Release()
+	}
+
+	// The sub-box (1,1,1)+(1,2,2) overwritten from row-packed values.
+	sub := pagedev.SubBox{Lo: [3]int{1, 1, 1}, Dim: [3]int{1, 2, 2}}
+	if err := dev.WriteSubAsync(bg, 0, sub, []float64{-1, -2, -3, -4}).Err(bg); err != nil {
+		t.Fatalf("WriteSubAsync: %v", err)
+	}
 	if err := dev.ReadPage(bg, page, 0); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 3; j++ {
 			for k := 0; k < 4; k++ {
-				if got, want := page.Data[index(page, i, j, k)], big[((1+i)*N2+1+j)*N3+2+k]; got != want {
-					t.Fatalf("page(%d,%d,%d) = %v, want %v", i, j, k, got, want)
+				want := vals[index(page, i, j, k)]
+				if i == 1 && j >= 1 && k >= 1 && k < 3 {
+					want = -float64(2*(j-1) + k)
+				}
+				if got := page.Data[index(page, i, j, k)]; got != want {
+					t.Fatalf("after writeSub page(%d,%d,%d) = %v, want %v", i, j, k, got, want)
 				}
 			}
 		}
 	}
 
-	// Back into a cleared array: only the block's elements are stored.
-	out := make([]float64, len(big))
-	if err := dev.ScatterPage(bg, dev.ReadPageAsync(bg, 0), page.Whole().Box, pagedev.Block{Data: out, N2: N2, N3: N3, Box: at}); err != nil {
-		t.Fatalf("ScatterPage into a block: %v", err)
-	}
-	inside := func(x int) bool {
-		i, j, k := x/(N2*N3), x/N3%N2, x%N3
-		return i >= 1 && i < 3 && j >= 1 && j < 4 && k >= 2 && k < 6
-	}
-	for x := range out {
-		if want := map[bool]float64{true: big[x], false: 0}[inside(x)]; out[x] != want {
-			t.Fatalf("element %d = %v, want %v", x, out[x], want)
-		}
-	}
-
-	// The page's sub-box (1,1,1)+(1,2,2) into the corner of a 1x2x2 array.
-	corner := make([]float64, 4)
-	sub := pagedev.SubBox{Lo: [3]int{1, 1, 1}, Dim: [3]int{1, 2, 2}}
-	if err := dev.ScatterPage(bg, dev.ReadPageAsync(bg, 0), sub, pagedev.Block{Data: corner, N2: 2, N3: 2, Box: pagedev.SubBox{Dim: sub.Dim}}); err != nil {
-		t.Fatalf("ScatterPage of a sub-box: %v", err)
-	}
-	for j := 0; j < 2; j++ {
-		for k := 0; k < 2; k++ {
-			if got, want := corner[2*j+k], page.Data[index(page, 1, 1+j, 1+k)]; got != want {
-				t.Fatalf("sub-box (%d,%d) = %v, want %v", j, k, got, want)
-			}
-		}
-	}
-	// The same sub-box overwritten through writeSub from a block of big.
-	from := pagedev.SubBox{Lo: [3]int{0, 0, 0}, Dim: sub.Dim}
-	if err := dev.WriteSubAsync(bg, 0, sub, pagedev.Block{Data: big, N2: N2, N3: N3, Box: from}).Err(bg); err != nil {
-		t.Fatalf("WriteSubAsync from a block: %v", err)
-	}
-	if err := dev.ReadPage(bg, page, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := page.Data[index(page, 1, 2, 2)], big[1*N3+1]; got != want {
-		t.Fatalf("after writeSub page(1,2,2) = %v, want %v", got, want)
-	}
-
 	_, writes, _ := dev.Stats(bg)
-	bad := []pagedev.Block{
-		{Data: big, N2: N2, N3: N3, Box: pagedev.SubBox{Lo: at.Lo, Dim: [3]int{2, 3, 3}}},            // not page-shaped
-		{Data: big, N2: N2, N3: N3, Box: pagedev.SubBox{Lo: [3]int{2, 1, 2}, Dim: at.Dim}},           // off the end of its array
-		{Data: big, N2: N2, N3: N3, Box: pagedev.SubBox{Lo: [3]int{1, 1, 3}, Dim: at.Dim}},           // rows wrap
-		{Data: big, N2: 0, N3: N3, Box: at},                                                          // no array at all
-		{Data: big[:10], N2: N2, N3: N3, Box: pagedev.SubBox{Lo: [3]int{0, 1, 2}, Dim: at.Dim}},      // shorter than its box
-		{Data: big, N2: N2, N3: N3, Box: pagedev.SubBox{Lo: [3]int{-1, 1, 2}, Dim: at.Dim}},          // negative origin
-		{Data: big, N2: N2, N3: N3, Box: pagedev.SubBox{Lo: [3]int{1, 1, 2}, Dim: [3]int{2, 3, -4}}}, // negative extent
+	if err := dev.WritePageAsync(bg, 0, vals[1:]).Err(bg); err == nil {
+		t.Error("a page write one value short was accepted")
 	}
-	for i, blk := range bad {
-		if err := dev.WritePageAsync(bg, 0, blk).Err(bg); err == nil {
-			t.Errorf("bad block %d: write accepted", i)
+	for i, box := range []pagedev.SubBox{
+		{Lo: [3]int{1, 1, 1}, Dim: [3]int{1, 2, 4}},   // runs off the page along axis 2
+		{Lo: [3]int{2, 0, 0}, Dim: [3]int{1, 1, 1}},   // starts past the page
+		{Lo: [3]int{0, 0, 0}, Dim: [3]int{-1, -1, 1}}, // negative extents of positive size
+	} {
+		if err := dev.WriteSubAsync(bg, 0, box, make([]float64, max(box.Size(), 0))).Err(bg); err == nil {
+			t.Errorf("bad sub-box %d: write accepted", i)
 		}
-		if err := dev.ScatterPage(bg, dev.ReadPageAsync(bg, 0), page.Whole().Box, blk); err == nil {
-			t.Errorf("bad block %d: read accepted", i)
-		}
+	}
+	if err := dev.WriteSubAsync(bg, 0, sub, make([]float64, 3)).Err(bg); err == nil {
+		t.Error("a sub-box write one value short was accepted")
 	}
 	if _, after, _ := dev.Stats(bg); after != writes {
-		t.Errorf("refused blocks reached the device: writes %d -> %d", writes, after)
+		t.Errorf("refused writes reached the device: writes %d -> %d", writes, after)
+	}
+
+	// A stub that believes the pages smaller refuses the reply whole.
+	small := pagedev.AttachArrayDevice(c.Client(), dev.Ref(), 2, 3, 3)
+	if _, err := small.OpenPage(bg, small.ReadPageAsync(bg, 0)); err == nil {
+		t.Error("a reply of the wrong size was opened")
 	}
 }
 

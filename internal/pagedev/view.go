@@ -3,6 +3,8 @@ package pagedev
 import (
 	"encoding/binary"
 	"unsafe"
+
+	"oopp/internal/bufpool"
 )
 
 // The one place the module views bytes as float64s (wire/bulk.go views
@@ -29,4 +31,25 @@ func f64view(b []byte) []float64 {
 		return nil
 	}
 	return unsafe.Slice((*float64)(p), len(b)/8)
+}
+
+// GetFloat64s takes room for n float64s from the buffer pool: values a
+// transfer stages between a caller's array and its frames. PutFloat64s
+// gives it back. Where the pool's bytes cannot be viewed as float64s, as
+// on a big-endian host, the room is a plain allocation; there PutFloat64s
+// leaves it to the collector.
+func GetFloat64s(n int) []float64 {
+	b := bufpool.Get(8 * n)
+	if v := f64view(b[:cap(b)]); v != nil {
+		return v[:n]
+	}
+	return make([]float64, n)
+}
+
+// PutFloat64s returns room taken with GetFloat64s; nothing may use it
+// afterwards.
+func PutFloat64s(v []float64) {
+	if hostLittleEndian && cap(v) > 0 {
+		bufpool.Put(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*cap(v)))
+	}
 }

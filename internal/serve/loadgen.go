@@ -60,7 +60,10 @@ func (r *LoadResult) Goodput() float64 {
 // for all of them. Arrivals are scheduled against the wall clock from
 // the run's start — if the generator falls behind (scheduler hiccup), it
 // issues immediately rather than stretching the schedule, preserving the
-// offered rate on average.
+// offered rate on average. A request's latency runs from its due instant,
+// start + i/Rate, not from when its goroutine got to run: the time a late
+// generator owes a request is time that request waited, and leaving it out
+// would hide the lag (coordinated omission).
 func OpenLoop(cfg LoadConfig) *LoadResult {
 	res := &LoadResult{Offered: cfg.Count}
 	if cfg.Count <= 0 || cfg.Rate <= 0 || cfg.Call == nil {
@@ -73,15 +76,15 @@ func OpenLoop(cfg LoadConfig) *LoadResult {
 	interval := float64(time.Second) / cfg.Rate
 	start := time.Now()
 	for i := 0; i < cfg.Count; i++ {
-		if d := time.Until(start.Add(time.Duration(float64(i) * interval))); d > 0 {
+		due := start.Add(time.Duration(float64(i) * interval))
+		if d := time.Until(due); d > 0 {
 			time.Sleep(d)
 		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			t0 := time.Now()
 			err := cfg.Call(i)
-			lat := time.Since(t0)
+			lat := time.Since(due)
 			switch {
 			case err == nil:
 				res.Latency.Observe(lat)

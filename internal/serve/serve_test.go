@@ -196,3 +196,25 @@ func TestOpenLoop(t *testing.T) {
 		t.Fatal("no goodput")
 	}
 }
+
+// TestOpenLoopTimesFromDueInstant: a generator that cannot keep up — two
+// thousand arrivals due within two microseconds, each call a 1 ms sleep —
+// must count the time it owed a request in that request's latency. The
+// last call to finish was due at the start, so the largest latency is
+// about the whole run, not one call's millisecond.
+func TestOpenLoopTimesFromDueInstant(t *testing.T) {
+	res := OpenLoop(LoadConfig{
+		Rate:  1e9,
+		Count: 2000,
+		Call: func(int) error {
+			time.Sleep(time.Millisecond)
+			return nil
+		},
+	})
+	if res.OK != 2000 {
+		t.Fatalf("ok %d of 2000", res.OK)
+	}
+	if maxUs, runUs := res.Latency.MaxUs(), res.Elapsed.Microseconds(); float64(maxUs) < 0.9*float64(runUs) {
+		t.Fatalf("largest latency %d µs of a %d µs run: the generator's lag is missing from it", maxUs, runUs)
+	}
+}
