@@ -180,8 +180,12 @@
 // at a time: a pencil is a run of pages side by side along the last axis,
 // whose rows together are whole rows of the client's array, so memory is
 // walked row by row, in order. Write packs a pencil's rows once into a
-// pooled staging buffer and copies each page from there into the frame
-// of every replica's call, so k replicas share one packing. Read holds a
+// pooled staging buffer, and every replica's call of a page sends the
+// page's values from there: its frame borrows them as its tail
+// (wire.Encoder.BorrowFloat64s), TCP writes them from where they lie behind
+// the call's header in one vectored write, and the call has left when it
+// is issued, so the buffer is packed again for the next pencil. k
+// replicas share one packing and no copy into a frame. Read holds a
 // pencil's replies, checks each one whole, and then copies each row's
 // runs straight out of the replies. A page is all or nothing: a page
 // whose read fails leaves its elements of the destination as they were,
@@ -284,7 +288,9 @@
 //     in-process transport forwards the very slice to the peer, the TCP
 //     transport joins small frames in one write, writes a long one
 //     vectored (header + payload, no join), and recycles it. Never touch
-//     a buffer you have sent.
+//     a buffer you have sent. A frame's borrowed tail (a page write's
+//     values) is the one exception: SendBurst only reads it, and it is
+//     the sender's again when SendBurst returns.
 //   - Receive then Release. The decoder returned by Call / Future.Wait
 //     owns its response frame; call Release once decoding is done to
 //     return the frame to the shared pool. Forgetting Release is safe —

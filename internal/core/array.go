@@ -434,10 +434,10 @@ func (a *Array) Write(ctx context.Context, subarray []float64, dom Domain) error
 // primary-ack tally. Values go out a pencil at a time: the first call of
 // a pencil walks its rows of subarray once into a pooled staging buffer
 // (packPencil), and every call of the pencil, each replica of each of
-// its pages, copies its page's values from there into its frame in one
-// run — so a page's replicas share one packing. A call's frame is
-// encoded when the call is issued, so the buffer serves pencil after
-// pencil.
+// its pages, sends its page's values from there — a whole page's frame
+// borrows them as its tail, a partial page's copies its runs — so a
+// page's replicas share one packing. A call's frame has left when the
+// call is issued, so the buffer serves pencil after pencil.
 func (a *Array) writeWith(ctx context.Context, pm PageMap, subarray []float64, dom Domain) error {
 	regs := a.regionsOf(pm, dom)
 	type replicaWrite struct{ reg, pos int }

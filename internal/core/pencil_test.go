@@ -10,6 +10,7 @@ import (
 	"oopp/internal/cluster"
 	"oopp/internal/core"
 	"oopp/internal/rmi"
+	"oopp/internal/transport"
 )
 
 // pencilDomains are the domains the pencil tests move through a 48³ array
@@ -41,43 +42,65 @@ func pencilDomains() []core.Domain {
 // reference array after every step: the domain reads back exactly, and
 // nothing outside it moved.
 func TestPencilTransfers(t *testing.T) {
-	const N, n = 48, 16
 	for _, k := range []int{1, 2} {
 		for _, window := range []int{core.DefaultWindow, 2, 1} {
 			t.Run(fmt.Sprintf("k=%d/window=%d", k, window), func(t *testing.T) {
-				_, arr, done := buildReplicated(t, "roundrobin", 3, k, N, N, N, n, n, n, 0)
-				defer done()
-				arr.SetWindow(window)
-				ref := newShadow(N, N, N)
-				whole := make([]float64, N*N*N)
-				for d, dom := range pencilDomains() {
-					src := make([]float64, dom.Size())
-					for i := range src {
-						src[i] = float64(d*1_000_000+i) + 0.25
-					}
-					if err := arr.Write(bg, src, dom); err != nil {
-						t.Fatalf("domain %d %v: write: %v", d, dom, err)
-					}
-					ref.write(src, dom)
-					got := make([]float64, dom.Size())
-					if err := arr.Read(bg, got, dom); err != nil {
-						t.Fatalf("domain %d %v: read: %v", d, dom, err)
-					}
-					for i, v := range src {
-						if got[i] != v {
-							t.Fatalf("domain %d %v: element %d reads %v, wrote %v", d, dom, i, got[i], v)
-						}
-					}
-					if err := arr.Read(bg, whole, arr.Bounds()); err != nil {
-						t.Fatalf("domain %d %v: whole read: %v", d, dom, err)
-					}
-					for i, v := range ref.data {
-						if whole[i] != v {
-							t.Fatalf("after domain %d %v: array element %d is %v, reference %v", d, dom, i, whole[i], v)
-						}
-					}
-				}
+				pencilTransfers(t, nil, k, window)
 			})
+		}
+	}
+}
+
+// TestPencilTransfersTCP is TestPencilTransfers over TCP, the transport
+// that writes a whole page's values from the staging buffer they were
+// packed in: a page write that had not left when its call was issued would
+// send values of the next pencil packed there since, and read back wrong.
+func TestPencilTransfersTCP(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		for _, window := range []int{core.DefaultWindow, 2} {
+			t.Run(fmt.Sprintf("k=%d/window=%d", k, window), func(t *testing.T) {
+				pencilTransfers(t, transport.TCP{}, k, window)
+			})
+		}
+	}
+}
+
+// pencilTransfers moves every pencil domain through a 48³ array of 16³
+// pages on three machines joined by tr (nil: in-proc), k replicas of each
+// page, at the given window, and holds it to a reference array after every
+// step.
+func pencilTransfers(t *testing.T, tr transport.Transport, k, window int) {
+	const N, n = 48, 16
+	_, arr, done := buildReplicatedOn(t, tr, "roundrobin", 3, k, N, N, N, n, n, n, 0)
+	defer done()
+	arr.SetWindow(window)
+	ref := newShadow(N, N, N)
+	whole := make([]float64, N*N*N)
+	for d, dom := range pencilDomains() {
+		src := make([]float64, dom.Size())
+		for i := range src {
+			src[i] = float64(d*1_000_000+i) + 0.25
+		}
+		if err := arr.Write(bg, src, dom); err != nil {
+			t.Fatalf("domain %d %v: write: %v", d, dom, err)
+		}
+		ref.write(src, dom)
+		got := make([]float64, dom.Size())
+		if err := arr.Read(bg, got, dom); err != nil {
+			t.Fatalf("domain %d %v: read: %v", d, dom, err)
+		}
+		for i, v := range src {
+			if got[i] != v {
+				t.Fatalf("domain %d %v: element %d reads %v, wrote %v", d, dom, i, got[i], v)
+			}
+		}
+		if err := arr.Read(bg, whole, arr.Bounds()); err != nil {
+			t.Fatalf("domain %d %v: whole read: %v", d, dom, err)
+		}
+		for i, v := range ref.data {
+			if whole[i] != v {
+				t.Fatalf("after domain %d %v: array element %d is %v, reference %v", d, dom, i, whole[i], v)
+			}
 		}
 	}
 }

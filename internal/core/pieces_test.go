@@ -36,10 +36,10 @@ type tapListener struct {
 	t *frameTap
 }
 
-func (t *frameTap) note(msgs ...[]byte) {
-	for _, m := range msgs {
-		for old := t.largest.Load(); int64(len(m)) > old; old = t.largest.Load() {
-			if t.largest.CompareAndSwap(old, int64(len(m))) {
+func (t *frameTap) note(frames ...transport.Frame) {
+	for _, f := range frames {
+		for old := t.largest.Load(); int64(f.Len()) > old; old = t.largest.Load() {
+			if t.largest.CompareAndSwap(old, int64(f.Len())) {
 				break
 			}
 		}
@@ -71,13 +71,13 @@ func (l tapListener) Accept() (transport.Conn, error) {
 }
 
 func (c tapConn) Send(msg []byte) error {
-	c.t.note(msg)
+	c.t.note(transport.Frame{Head: msg})
 	return c.Conn.Send(msg)
 }
 
-func (c tapConn) SendBurst(msgs [][]byte) error {
-	c.t.note(msgs...)
-	return c.Conn.SendBurst(msgs)
+func (c tapConn) SendBurst(frames []transport.Frame) error {
+	c.t.note(frames...)
+	return c.Conn.SendBurst(frames)
 }
 
 // servedCalls reports how many calls of an ArrayPageDevice method machine m

@@ -10,6 +10,7 @@ import (
 	"oopp/internal/pagedev"
 	"oopp/internal/persist"
 	"oopp/internal/rmi"
+	"oopp/internal/transport"
 )
 
 // TestReplicatedMapGeometry pins the bank layout: replica sets never
@@ -81,7 +82,14 @@ func TestReplicatedMapGeometry(t *testing.T) {
 // with spare page slots for failover re-seeding.
 func buildReplicated(t testing.TB, layout string, devices, k, N1, N2, N3, n1, n2, n3, sparePages int) (*cluster.Cluster, *core.Array, func()) {
 	t.Helper()
-	cl, err := cluster.NewLocal(devices, 0)
+	return buildReplicatedOn(t, nil, layout, devices, k, N1, N2, N3, n1, n2, n3, sparePages)
+}
+
+// buildReplicatedOn is buildReplicated with the machines joined by tr
+// (nil: in-proc).
+func buildReplicatedOn(t testing.TB, tr transport.Transport, layout string, devices, k, N1, N2, N3, n1, n2, n3, sparePages int) (*cluster.Cluster, *core.Array, func()) {
+	t.Helper()
+	cl, err := cluster.New(cluster.Config{Machines: devices, Transport: tr})
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
 	}

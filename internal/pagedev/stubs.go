@@ -317,14 +317,16 @@ func (d *ArrayDevice) OpenPage(ctx context.Context, fut *rmi.Future) (PageReply,
 }
 
 // writePageArgs encodes writeArray(index, page) from vals, the page's
-// values in row-major order.
+// values in row-major order. The frame borrows vals as its tail
+// (wire.Encoder.BorrowFloat64s), so the values go to the transport from
+// where they lie; the call has sent them when it is issued.
 func (d *ArrayDevice) writePageArgs(index int, vals []float64) rmi.ArgEncoder {
 	return func(e *wire.Encoder) error {
 		if want := d.n1 * d.n2 * d.n3; len(vals) != want {
 			return fmt.Errorf("pagedev: %d values for a page of %d", len(vals), want)
 		}
 		e.PutInt(index)
-		e.PutFloat64s(vals)
+		e.BorrowFloat64s(vals)
 		return nil
 	}
 }
@@ -338,7 +340,9 @@ func (d *ArrayDevice) WritePage(ctx context.Context, p *ArrayPage, index int) er
 }
 
 // WritePageAsync begins the write of page index from vals, the page's
-// values in row-major order, copied into the frame in one run.
+// values in row-major order. When it returns the values have left (on tcp
+// written from where they lie) or never will: the caller may change vals
+// then.
 func (d *ArrayDevice) WritePageAsync(ctx context.Context, index int, vals []float64) *rmi.Future {
 	return devWriteArray.CallAsync(ctx, d.client, d.ref, d.writePageArgs(index, vals))
 }

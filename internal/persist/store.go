@@ -42,12 +42,12 @@ func (s *store) put(name string, b blob) error {
 	if s.dir == "" {
 		return nil
 	}
-	e := wire.NewEncoder(16 + len(b.class) + len(b.state))
-	e.PutString(b.class)
-	e.PutBytes(b.state)
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return err
 	}
+	e := wire.NewEncoder(16 + len(b.class) + len(b.state))
+	e.PutString(b.class)
+	e.PutBytes(b.state)
 	return os.WriteFile(s.fileFor(name), e.Bytes(), 0o644)
 }
 

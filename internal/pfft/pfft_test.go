@@ -337,11 +337,11 @@ func (c sizedConn) Send(msg []byte) error {
 	return c.Conn.Send(msg)
 }
 
-func (c sizedConn) SendBurst(msgs [][]byte) error {
-	for _, m := range msgs {
-		c.t.note(len(m))
+func (c sizedConn) SendBurst(frames []transport.Frame) error {
+	for _, f := range frames {
+		c.t.note(f.Len())
 	}
-	return c.Conn.SendBurst(msgs)
+	return c.Conn.SendBurst(frames)
 }
 
 func (c sizedConn) Recv() ([]byte, error) {

@@ -174,9 +174,9 @@ func (c *depthTap) Send(msg []byte) error {
 	return c.tapConn.Send(msg)
 }
 
-func (c *depthTap) SendBurst(msgs [][]byte) error {
+func (c *depthTap) SendBurst(frames []transport.Frame) error {
 	c.look()
-	return c.tapConn.SendBurst(msgs)
+	return c.tapConn.SendBurst(frames)
 }
 
 func (c *depthTap) look() {

@@ -106,9 +106,9 @@ func (c *answerTapConn) Send(msg []byte) error {
 	return c.Conn.Send(msg)
 }
 
-func (c *answerTapConn) SendBurst(msgs [][]byte) error {
-	c.t.answer(len(msgs))
-	return c.Conn.SendBurst(msgs)
+func (c *answerTapConn) SendBurst(frames []transport.Frame) error {
+	c.t.answer(len(frames))
+	return c.Conn.SendBurst(frames)
 }
 
 func (t *burstTap) answer(n int) {
@@ -166,17 +166,17 @@ func (t *burstTap) written() []int {
 	return b
 }
 
-func (c *burstTapConn) SendBurst(msgs [][]byte) error {
+func (c *burstTapConn) SendBurst(frames []transport.Frame) error {
 	c.t.mu.Lock()
-	c.t.bursts = append(c.t.bursts, len(msgs))
+	c.t.bursts = append(c.t.bursts, len(frames))
 	c.t.mu.Unlock()
 	if c.t.sendsFail.Load() {
-		for _, m := range msgs {
-			transport.ReleaseFrame(m)
+		for _, f := range frames {
+			transport.ReleaseFrame(f.Head)
 		}
 		return transport.ErrClosed
 	}
-	return c.Conn.SendBurst(msgs)
+	return c.Conn.SendBurst(frames)
 }
 
 // joined returns the errors a collective joined into err.

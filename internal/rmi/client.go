@@ -726,9 +726,10 @@ func (c *Client) send(ctx context.Context, reqID uint64, e *wire.Encoder, pc pen
 		cc.unregister(reqID)
 		return nil
 	}
-	frame := e.Detach()
+	head, tail := e.DetachFrame()
+	frame := transport.Frame{Head: head, Tail: tail}
 	c.counters.MessagesSent.Add(1)
-	c.counters.BytesSent.Add(int64(len(frame)))
+	c.counters.BytesSent.Add(int64(frame.Len()))
 	held, err := cc.write(reqID, frame, o.burst != 0, o.group)
 	if err != nil {
 		cc.unregister(reqID)
@@ -808,7 +809,7 @@ func (s *callSite) aborted(cause error) error {
 func (s *callSite) flush() {
 	if s.held {
 		s.held = false
-		_, _ = s.cc.write(0, nil, false, 0)
+		_, _ = s.cc.write(0, transport.Frame{}, false, 0)
 	}
 }
 
@@ -918,9 +919,10 @@ func (cc *clientConn) unregister(reqID uint64) { cc.take(reqID) }
 //
 // With hold, frame — registered as reqID — is held instead while the burst
 // has room for another (a page-sized frame never waits, and sends off what
-// did); held reports that. A frame too long to be one is refused alone
-// (transport.ErrFrameTooLarge), and nothing is written. Either way it is
-// the connection's from here on. A frame is marked (leadGroupFlag) when its
+// did; nor does a frame with a borrowed tail, which has left when write
+// returns); held reports that. A frame too long to be one is refused alone
+// (transport.ErrFrameTooLarge), and nothing is written. Either way its head
+// is the connection's from here on. A frame is marked (leadGroupFlag) when its
 // successor in the write is of the same reply group (inBurst; 0: none), so
 // the server answers each run of one collective's frames in one write, and
 // a run is always closed inside the write that opens it.
@@ -928,10 +930,10 @@ func (cc *clientConn) unregister(reqID uint64) { cc.take(reqID) }
 // If the write fails, each held request still registered is completed
 // with the error a failed send has always had, and the same error is
 // returned for frame's; the transport has given the frames back.
-func (cc *clientConn) write(reqID uint64, frame []byte, hold bool, group uint64) (held bool, err error) {
+func (cc *clientConn) write(reqID uint64, frame transport.Frame, hold bool, group uint64) (held bool, err error) {
 	cc.wmu.Lock()
 	defer cc.wmu.Unlock()
-	if frame != nil {
+	if frame.Head != nil {
 		last := cc.held.Last()
 		room, err := cc.held.Add(frame)
 		if err != nil {

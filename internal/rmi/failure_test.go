@@ -382,14 +382,14 @@ func (c *halfDeadConn) Send(msg []byte) error {
 	return c.Conn.Send(msg)
 }
 
-func (c *halfDeadConn) SendBurst(msgs [][]byte) error {
+func (c *halfDeadConn) SendBurst(frames []transport.Frame) error {
 	if c.dead.Load() {
-		for _, m := range msgs {
-			transport.ReleaseFrame(m)
+		for _, f := range frames {
+			transport.ReleaseFrame(f.Head)
 		}
 		return transport.ErrClosed
 	}
-	return c.Conn.SendBurst(msgs)
+	return c.Conn.SendBurst(frames)
 }
 
 // TestSendToDeadPeerIsTypedMachineDown: a call that reaches a connection

@@ -42,9 +42,11 @@ func (c *tapConn) Send(msg []byte) error {
 	}
 }
 
-func (c *tapConn) SendBurst(msgs [][]byte) error {
-	for _, m := range msgs {
-		if err := c.Send(m); err != nil {
+func (c *tapConn) SendBurst(frames []transport.Frame) error {
+	for _, f := range frames {
+		// The tail is only lent until SendBurst returns: what comes out of
+		// sent is a copy of the whole message, in the head's place.
+		if err := c.Send(append(f.Head, f.Tail...)); err != nil {
 			return err
 		}
 	}

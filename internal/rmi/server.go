@@ -527,12 +527,12 @@ func (g *replyGroup) add(reqID uint64, frame []byte, token bool) {
 		g.tokens++
 	}
 	n := len(frame)
-	room, err := g.replies.Add(frame)
+	room, err := g.replies.Add(transport.Frame{Head: frame})
 	if err != nil {
 		e := wire.GetEncoder(96)
 		errorReply(e, reqID, err)
 		n = e.Len()
-		room, _ = g.replies.Add(e.Detach()) // an error reply is short
+		room, _ = g.replies.Add(transport.Frame{Head: e.Detach()}) // an error reply is short
 		wire.PutEncoder(e)
 	}
 	g.s.counters.MessagesSent.Add(1)

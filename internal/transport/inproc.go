@@ -154,20 +154,34 @@ func (c *inprocConn) Send(msg []byte) error {
 	}
 }
 
-func (c *inprocConn) SendBurst(msgs [][]byte) error {
+func (c *inprocConn) SendBurst(frames []Frame) error {
 	// A channel carries one message at a time, so a burst is handed over
 	// message by message, each charged to the link as Send charges it:
 	// counts and modeled costs are those of as many Sends. After a failure
 	// the rest are recycled — the burst owns them all.
 	var err error
-	for _, m := range msgs {
+	for _, f := range frames {
 		if err != nil {
-			bufpool.Put(m)
+			bufpool.Put(f.Head)
 			continue
 		}
-		err = c.Send(m)
+		err = c.Send(joined(f))
 	}
 	return err
+}
+
+// joined returns f as one message: its head, or, for a frame with a tail,
+// a pooled frame holding both, the head recycled. The receiver is handed
+// the very slice a channel carries, and a tail is only borrowed, so it is
+// copied here — once, as an encoder that had packed it would have.
+func joined(f Frame) []byte {
+	if f.Tail == nil {
+		return f.Head
+	}
+	m := bufpool.GetLen(f.Len())
+	copy(m[copy(m, f.Head):], f.Tail)
+	bufpool.Put(f.Head)
+	return m
 }
 
 func (c *inprocConn) Recv() ([]byte, error) {

@@ -87,14 +87,14 @@ type tcpConn struct {
 
 	// Send side, guarded by sendMu. wbuf is where a burst's length headers
 	// and its short messages are joined for one write; a message longer
-	// than the room left goes to the kernel from where it lies, behind
-	// what is joined, in one vectored write (iov, rebuilt from iovArr each
-	// time — WriteTo consumes the slice; a field rather than a local so
-	// &iov escaping into the netpoll internals does not allocate per
-	// send).
+	// than the room left goes to the kernel from where it lies, its head
+	// and then its borrowed tail behind what is joined, in one vectored
+	// write (iov, rebuilt from iovArr each time — WriteTo consumes the
+	// slice; a field rather than a local so &iov escaping into the netpoll
+	// internals does not allocate per send).
 	wbuf   [readAhead]byte
 	iov    net.Buffers
-	iovArr [2][]byte
+	iovArr [3][]byte
 
 	// Receive side, guarded by recvMu. rbuf[rpos:rend] is what has been
 	// read off the socket and not yet delivered. recvErr is the first
@@ -110,37 +110,40 @@ func newTCPConn(nc net.Conn) *tcpConn {
 }
 
 func (c *tcpConn) Send(msg []byte) error {
-	one := [1][]byte{msg}
+	one := [1]Frame{{Head: msg}}
 	return c.SendBurst(one[:])
 }
 
-func (c *tcpConn) SendBurst(msgs [][]byte) error {
+func (c *tcpConn) SendBurst(frames []Frame) error {
 	c.sendMu.Lock()
-	err := c.writeBurst(msgs)
+	err := c.writeBurst(frames)
 	c.sendMu.Unlock()
-	// The burst owns its messages either way; recycle them once the write
-	// is done.
-	for _, m := range msgs {
-		bufpool.Put(m)
+	// The burst owns its heads either way; recycle them once the write is
+	// done. The tails were only lent, and the write is over.
+	for _, f := range frames {
+		bufpool.Put(f.Head)
 	}
 	return err
 }
 
-// writeBurst writes msgs as length-prefixed frames, in order, under
+// writeBurst writes frames as length-prefixed messages, in order, under
 // sendMu: no other sender's bytes come between them. Headers and the
 // messages that fit are joined in wbuf and leave in one write — a burst
 // of small frames is one syscall and, TCP_NODELAY or not, one segment; a
-// message that does not fit is never copied. It does not release the
-// messages. Nothing is written if any of them is too large.
-func (c *tcpConn) writeBurst(msgs [][]byte) error {
-	for _, m := range msgs {
-		if len(m) > maxFrame {
-			return fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, len(m))
+// message that does not fit is never copied: its head and its tail are
+// written from where they lie. Every byte of a tail is written when it
+// returns. It does not release the heads. Nothing is written if any frame
+// is too large.
+func (c *tcpConn) writeBurst(frames []Frame) error {
+	for _, f := range frames {
+		if n := f.Len(); n > maxFrame {
+			return fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, n)
 		}
 	}
 	w := c.wbuf[:0]
-	for _, m := range msgs {
-		if room := cap(w) - len(w) - frameHeader; room < 0 || (len(m) > room && frameHeader+len(m) <= cap(w)) {
+	for _, f := range frames {
+		n := f.Len()
+		if room := cap(w) - len(w) - frameHeader; room < 0 || (n > room && frameHeader+n <= cap(w)) {
 			// No room for its header, or none for it where an empty buffer
 			// would have some: what is joined goes first.
 			if _, err := c.nc.Write(w); err != nil {
@@ -148,12 +151,13 @@ func (c *tcpConn) writeBurst(msgs [][]byte) error {
 			}
 			w = w[:0]
 		}
-		w = binary.BigEndian.AppendUint32(w, uint32(len(m)))
-		if len(m) <= cap(w)-len(w) {
-			w = append(w, m...)
+		w = binary.BigEndian.AppendUint32(w, uint32(n))
+		if n <= cap(w)-len(w) {
+			w = append(w, f.Head...)
+			w = append(w, f.Tail...)
 			continue
 		}
-		c.iov = append(net.Buffers(c.iovArr[:0]), w, m)
+		c.iov = append(net.Buffers(c.iovArr[:0]), w, f.Head, f.Tail)
 		if _, err := c.iov.WriteTo(c.nc); err != nil {
 			return translateNetErr(err)
 		}

@@ -222,7 +222,7 @@ func TestTCPConcurrentCloseVsSend(t *testing.T) {
 					}
 				} else {
 					second := GetFrame(64)
-					if err := c.SendBurst([][]byte{frame, second}); err != nil {
+					if err := c.SendBurst([]Frame{{Head: frame}, {Head: second}}); err != nil {
 						return
 					}
 				}
@@ -310,11 +310,11 @@ func TestTCPBurstCrossesTheKernelOnce(t *testing.T) {
 		t.Errorf("%d frames written in one piece took %d reads, want at most 2", n, got)
 	}
 
-	burst := make([][]byte, 8)
+	burst := make([]Frame, 8)
 	for i := range burst {
-		burst[i] = GetFrame(64)
-		for j := range burst[i] {
-			burst[i][j] = byte(i)
+		burst[i].Head = GetFrame(64)
+		for j := range burst[i].Head {
+			burst[i].Head[j] = byte(i)
 		}
 	}
 	sent := make(chan error, 1)

@@ -24,12 +24,16 @@
 // way, not once a message:
 //
 //   - SendBurst transmits many whole messages, in order, with no other
-//     sender's message between them. On tcp their headers and bodies are
+//     sender's message between them. Each is a Frame: a head and,
+//     optionally, a tail the sender lends — a page write's values, sent
+//     from where the caller packed them. On tcp their headers and bodies are
 //     joined in a per-connection buffer and leave in one write (a message
 //     longer than the buffer is never copied: it follows what is joined in
-//     the same vectored write). On inproc each message is handed over and
-//     charged to the LinkModel as by a Send of its own, so message counts
-//     and modeled costs are those of as many Sends.
+//     the same vectored write, its tail from where it lies). On inproc each
+//     message is handed over and charged to the LinkModel as by a Send of
+//     its own, so message counts and modeled costs are those of as many
+//     Sends; a frame with a tail is joined into one pooled message first,
+//     since the receiver is handed the very slice.
 //   - Recv on tcp reads the socket into a per-connection read-ahead buffer
 //     and cuts frames out of it: a frame wholly buffered costs no syscall,
 //     a longer one takes what is buffered by one copy and the rest from the
@@ -39,23 +43,30 @@
 //     Recv on the connection returns the same error.
 //   - A sender that holds messages back gathers them in a Burst, which
 //     says when one more would not fit what the receiver reads at once
-//     (both buffers and that bound are one size) and sends them with one
-//     SendBurst. It refuses a message longer than a frame may be (64 MiB)
-//     with ErrFrameTooLarge, on every transport: such a message fails by
-//     itself, and neither what was gathered with it nor the connection.
+//     (both buffers and that bound are one size), or when the last one
+//     has a tail that must leave now, and sends them with one SendBurst.
+//     It refuses a message longer than a frame may be (64 MiB, head and
+//     tail together) with ErrFrameTooLarge, on every transport: such a
+//     message fails by itself, and neither what was gathered with it nor
+//     the connection.
 //
 // # Buffer ownership
 //
 // Frames are owned by exactly one party at a time, which is what lets the
 // hot path run without copies or steady-state allocation:
 //
-//   - Send and SendBurst take ownership of every message passed to them,
-//     whether they succeed or fail. The caller must not read, write, or
-//     resend a buffer after handing it over — the transport forwards it
-//     (inproc passes the very slice to the peer) or recycles it into the
-//     shared frame pool (tcp, after the socket write). Callers that need a
-//     sent payload again must keep their own copy before sending. The
-//     slice of messages given to SendBurst stays the caller's, to reuse.
+//   - Send and SendBurst take ownership of every message passed to them —
+//     of a Frame's head — whether they succeed or fail. The caller must
+//     not read, write, or resend a buffer after handing it over — the
+//     transport forwards it (inproc passes the very slice to the peer) or
+//     recycles it into the shared frame pool (tcp, after the socket
+//     write). Callers that need a sent payload again must keep their own
+//     copy before sending. The slice of frames given to SendBurst stays
+//     the caller's, to reuse.
+//   - A Frame's tail is only borrowed, until SendBurst returns: the
+//     transport has copied it or written every byte of it by then, never
+//     keeps it and never releases it to the pool. The sender must not
+//     change it while SendBurst runs and may do anything with it after.
 //   - Recv transfers ownership of the returned frame to the caller. When
 //     the caller is done decoding it should hand the frame back with
 //     ReleaseFrame (directly or via wire.Decoder.Release) so the storage
@@ -82,47 +93,61 @@ var ErrFrameTooLarge = errors.New("transport: frame too large")
 
 const maxFrame = 64 << 20
 
+// Frame is one message as a sender hands it to SendBurst: Head, then Tail.
+// The transport owns Head, as Send owns its message; Tail — values the
+// sender packed elsewhere, a wire.Encoder's borrowed ones — it only
+// borrows, reads before SendBurst returns, and never releases. A frame
+// with no tail is a whole message in Head.
+type Frame struct {
+	Head, Tail []byte
+}
+
+// Len is the length of the message the frame is: head and tail.
+func (f Frame) Len() int { return len(f.Head) + len(f.Tail) }
+
 // Burst gathers whole messages, in order, for one SendBurst. The zero value
 // is ready, its storage is reused from flush to flush, and its owner
 // serializes Add and Flush.
 type Burst struct {
-	msgs  [][]byte
-	bytes int // the lengths of msgs, summed
+	frames []Frame
+	bytes  int // the lengths of frames, summed
 }
 
-// Add gathers msg and reports whether the burst still has room for another
+// Add gathers f and reports whether the burst still has room for another
 // in what the receiver reads at once: when not, holding more back cannot
-// save the far side a read. A message too long to be a frame is refused,
-// with ErrFrameTooLarge, and released: msg is no longer the caller's either
-// way, as with Send.
-func (b *Burst) Add(msg []byte) (room bool, err error) {
-	if len(msg) > maxFrame {
-		bufpool.Put(msg)
-		return true, fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, len(msg))
+// save the far side a read. A frame with a tail leaves no room: its lender
+// may change the tail once the SendBurst that carries it returns, so it
+// must not wait for a later one. A frame too long to be one, head and tail
+// together, is refused, with ErrFrameTooLarge, and its head released: the
+// head is no longer the caller's either way, as with Send.
+func (b *Burst) Add(f Frame) (room bool, err error) {
+	if n := f.Len(); n > maxFrame {
+		bufpool.Put(f.Head)
+		return true, fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, n)
 	}
-	b.msgs = append(b.msgs, msg)
-	b.bytes += len(msg)
-	return b.bytes+frameHeader*len(b.msgs) < readAhead, nil
+	b.frames = append(b.frames, f)
+	b.bytes += f.Len()
+	return f.Tail == nil && b.bytes+frameHeader*len(b.frames) < readAhead, nil
 }
 
-// Last returns the message gathered last (nil: none), whose bytes are the
-// caller's to write into until Flush.
+// Last returns the head of the frame gathered last (nil: none), whose bytes
+// are the caller's to write into until Flush.
 func (b *Burst) Last() []byte {
-	if n := len(b.msgs); n > 0 {
-		return b.msgs[n-1]
+	if n := len(b.frames); n > 0 {
+		return b.frames[n-1].Head
 	}
 	return nil
 }
 
 // Flush sends what is gathered, if anything, on c by one SendBurst, which
-// takes the messages whether it succeeds or not, and empties the burst.
+// takes the heads whether it succeeds or not, and empties the burst.
 func (b *Burst) Flush(c Conn) error {
-	if len(b.msgs) == 0 {
+	if len(b.frames) == 0 {
 		return nil
 	}
-	err := c.SendBurst(b.msgs)
-	clear(b.msgs)
-	b.msgs, b.bytes = b.msgs[:0], 0
+	err := c.SendBurst(b.frames)
+	clear(b.frames)
+	b.frames, b.bytes = b.frames[:0], 0
 	return err
 }
 
@@ -134,12 +159,13 @@ type Conn interface {
 	// must not touch the buffer afterwards (see the package comment). The
 	// transport releases it to the shared frame pool once transmitted.
 	Send(msg []byte) error
-	// SendBurst transmits every message of msgs, in order and with nothing
-	// between them, as Send would one by one — but in as few writes as the
-	// transport can (see the package comment). Ownership of every message
-	// transfers to the transport, exactly as with Send; on an error some of
-	// them may have been transmitted.
-	SendBurst(msgs [][]byte) error
+	// SendBurst transmits every frame of frames, each its head followed by
+	// its tail, in order and with nothing between them, as Send would one
+	// by one — but in as few writes as the transport can (see the package
+	// comment). Ownership of every head transfers to the transport, exactly
+	// as with Send; a tail is only borrowed, until SendBurst returns. On
+	// an error some of them may have been transmitted.
+	SendBurst(frames []Frame) error
 	// Recv blocks until the next message arrives. The returned slice is
 	// owned by the caller; pass it to ReleaseFrame when done to recycle.
 	Recv() ([]byte, error)

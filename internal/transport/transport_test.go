@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"oopp/internal/wire"
 )
 
 // forEachTransport runs f against every transport implementation.
@@ -207,9 +209,9 @@ func TestSendBurstFramingEquivalence(t *testing.T) {
 			{long, long[:readAhead-4], long[:readAhead-3], []byte("e")},
 		}
 		for i, msgs := range cases {
-			burst := make([][]byte, len(msgs))
+			burst := make([]Frame, len(msgs))
 			for j, m := range msgs {
-				burst[j] = append(GetFrame(0), m...) // SendBurst takes ownership
+				burst[j].Head = append(GetFrame(0), m...) // SendBurst takes ownership
 			}
 			if err := c.SendBurst(burst); err != nil {
 				t.Fatalf("case %d: SendBurst: %v", i, err)
@@ -460,6 +462,72 @@ func TestTCPRejectsOversizedFrame(t *testing.T) {
 	if err := c.Send(huge); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("an oversized frame sent: %v, want ErrFrameTooLarge", err)
 	}
+	// Head and tail count together, and a burst with an oversized frame in
+	// it writes nothing, not even what comes before.
+	pair := []Frame{{Head: []byte("before")}, {Head: GetFrame(1), Tail: huge[:maxFrame]}}
+	if err := c.SendBurst(pair); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("an oversized head and tail sent: %v, want ErrFrameTooLarge", err)
+	}
+	if err := c.Send([]byte("after")); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	if msg, err := c.Recv(); err != nil || string(msg) != "after" {
+		t.Fatalf("after a refused burst the echo is %q (%v), want \"after\"", msg, err)
+	}
+}
+
+// TestBorrowedTail: a frame whose tail is borrowed arrives as the one
+// message its head and tail make — the bytes of the frame an encoder makes
+// by copying the values in — between the short frames sent before and after
+// it in the same burst, on both transports, whether it is short enough to
+// be joined with them or not. The tail is the sender's again when
+// SendBurst returns: what it writes there afterwards does not arrive.
+func TestBorrowedTail(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, tr Transport) {
+		addr, stop := startEcho(t, tr)
+		defer stop()
+		c, err := tr.Dial(addr)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer c.Close()
+		for _, n := range []int{100, 5 * readAhead / 8 / 2} { // joined, written from where it lies
+			vals := make([]float64, n)
+			for i := range vals {
+				vals[i] = float64(i) - 0.5
+			}
+			e := wire.GetEncoder(16)
+			e.PutInt(n)
+			e.PutFloat64s(vals)
+			want := e.Detach()
+			e.PutInt(n)
+			e.BorrowFloat64s(vals)
+			head, tail := e.DetachFrame()
+			wire.PutEncoder(e)
+			if tail == nil {
+				t.Fatal("nothing borrowed")
+			}
+			burst := []Frame{
+				{Head: append(GetFrame(0), "first"...)},
+				{Head: head, Tail: tail},
+				{Head: append(GetFrame(0), "last"...)},
+			}
+			if err := c.SendBurst(burst); err != nil {
+				t.Fatalf("%d values: SendBurst: %v", n, err)
+			}
+			clear(vals)
+			for i, w := range [][]byte{[]byte("first"), want, []byte("last")} {
+				got, err := c.Recv()
+				if err != nil {
+					t.Fatalf("%d values: recv %d: %v", n, i, err)
+				}
+				if !bytes.Equal(got, w) {
+					t.Fatalf("%d values: message %d is %d bytes, want %d; differ", n, i, len(got), len(w))
+				}
+				ReleaseFrame(got)
+			}
+		}
+	})
 }
 
 // TestBurst: a burst sends what it gathered, in order, in one SendBurst,
@@ -476,22 +544,26 @@ func TestBurst(t *testing.T) {
 		}
 		defer c.Close()
 		var b Burst
+		longTail := make([]byte, maxFrame)
 		for pass := range 2 { // the second reuses the first's storage
 			for i := range 3 {
-				if room, err := b.Add(append(GetFrame(0), byte(pass), byte(i))); !room || err != nil {
+				if room, err := b.Add(Frame{Head: append(GetFrame(0), byte(pass), byte(i))}); !room || err != nil {
 					t.Fatalf("pass %d: message %d: room %v, %v", pass, i, room, err)
 				}
 			}
-			if _, err := b.Add(make([]byte, maxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
+			if _, err := b.Add(Frame{Head: make([]byte, maxFrame+1)}); !errors.Is(err, ErrFrameTooLarge) {
 				t.Errorf("pass %d: a message too long gathered: %v", pass, err)
 			}
-			if len(b.msgs) != 3 || !bytes.Equal(b.Last(), []byte{byte(pass), 2}) {
-				t.Errorf("pass %d: after the refusal %d gathered, the last %v", pass, len(b.msgs), b.Last())
+			if _, err := b.Add(Frame{Head: GetFrame(1), Tail: longTail}); !errors.Is(err, ErrFrameTooLarge) {
+				t.Errorf("pass %d: a head and tail too long together gathered: %v", pass, err)
+			}
+			if len(b.frames) != 3 || !bytes.Equal(b.Last(), []byte{byte(pass), 2}) {
+				t.Errorf("pass %d: after the refusal %d gathered, the last %v", pass, len(b.frames), b.Last())
 			}
 			if err := b.Flush(c); err != nil {
 				t.Fatalf("pass %d: flush: %v", pass, err)
 			}
-			if b.Last() != nil || b.bytes != 0 || slices.ContainsFunc(b.msgs[:cap(b.msgs)], func(m []byte) bool { return m != nil }) {
+			if b.Last() != nil || b.bytes != 0 || slices.ContainsFunc(b.frames[:cap(b.frames)], func(f Frame) bool { return f.Head != nil || f.Tail != nil }) {
 				t.Errorf("pass %d: a flushed burst still refers to a message", pass)
 			}
 			for i := range 3 {
@@ -503,16 +575,23 @@ func TestBurst(t *testing.T) {
 		if err := b.Flush(c); err != nil {
 			t.Errorf("an empty flush: %v", err)
 		}
-		if room, _ := b.Add(GetFrame(readAhead - 2*frameHeader - 1)); !room {
+		if room, _ := b.Add(Frame{Head: GetFrame(readAhead - 2*frameHeader - 1)}); !room {
 			t.Errorf("no room after a message with room for a header and a byte more")
 		}
-		if room, _ := b.Add(GetFrame(1)); room {
+		if room, _ := b.Add(Frame{Head: GetFrame(1)}); room {
 			t.Errorf("room after the read-ahead buffer is full")
 		}
 		if err := b.Flush(c); err != nil {
 			t.Fatalf("flush: %v", err)
 		}
-		for range 2 {
+		// A frame with a tail must leave before its lender changes the tail.
+		if room, _ := b.Add(Frame{Head: GetFrame(1), Tail: []byte{1}}); room {
+			t.Errorf("room after a frame with a tail")
+		}
+		if err := b.Flush(c); err != nil {
+			t.Fatalf("flush: %v", err)
+		}
+		for range 3 {
 			if _, err := c.Recv(); err != nil {
 				t.Fatalf("recv: %v", err)
 			}
@@ -542,9 +621,9 @@ func BenchmarkTCPBurst(b *testing.B) {
 		b.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
-	msgs := make([][]byte, burst)
+	msgs := make([]Frame, burst)
 	for i := range msgs {
-		msgs[i] = GetFrame(size)
+		msgs[i].Head = GetFrame(size)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -554,7 +633,7 @@ func BenchmarkTCPBurst(b *testing.B) {
 			b.Fatal(err)
 		}
 		for j := range msgs {
-			if msgs[j], err = c.Recv(); err != nil {
+			if msgs[j].Head, err = c.Recv(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"testing"
+	"unsafe"
 )
 
 func TestEncoderDetachAndRecycle(t *testing.T) {
@@ -191,5 +192,27 @@ func TestEncodeDecodeCycleAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("pooled encode/decode cycle allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestPutEncoderLetsGoOfTail: a borrowed tail is never in the encoder's
+// buffer, so PutEncoder pools the head alone, and it drops the tail, so a
+// recycled encoder carries no borrowed memory into a later frame.
+func TestPutEncoderLetsGoOfTail(t *testing.T) {
+	vals := make([]float64, 64)
+	e := GetEncoder(16)
+	e.PutInt(1)
+	e.BorrowFloat64s(vals)
+	buf := e.buf[:cap(e.buf)]
+	if len(e.tail) != 8*len(vals) {
+		t.Fatalf("%d bytes borrowed, want %d", len(e.tail), 8*len(vals))
+	}
+	lo, hi := uintptr(unsafe.Pointer(&vals[0])), uintptr(unsafe.Pointer(&vals[0]))+8*uintptr(len(vals))
+	if p := uintptr(unsafe.Pointer(&buf[0])); p < hi && lo < p+uintptr(len(buf)) {
+		t.Fatal("the buffer PutEncoder pools overlaps the borrowed values")
+	}
+	PutEncoder(e)
+	if e.tail != nil {
+		t.Fatal("PutEncoder kept the borrowed tail")
 	}
 }

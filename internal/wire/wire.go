@@ -65,6 +65,13 @@
 // transpose blocks cross that way. Counts off a socket are compared against
 // the values that fit in what remains of the frame, never multiplied by the
 // value size first.
+//
+// A writer whose block ends the frame, and whose values stay put until the
+// frame has been sent, may lend them instead (BorrowFloat64s): the encoder
+// puts the count and keeps the slice as the frame's tail, and a sender that
+// writes a frame in two parts takes head and tail with DetachFrame. The rmi
+// client sends every request that way (transport.Frame), so a page write
+// goes out of the caller's staging buffer without a copy into a frame.
 package wire
 
 import (
@@ -97,6 +104,9 @@ type Encoder struct {
 	// released poisons an encoder returned with PutEncoder: further use is
 	// a pooling bug and panics rather than corrupting a recycled buffer.
 	released bool
+	// tail is the frame's borrowed end (BorrowFloat64s): the caller's
+	// values as packed bytes, after buf and never in it, never pooled.
+	tail []byte
 }
 
 // NewEncoder returns an encoder with the given initial capacity.
@@ -104,43 +114,72 @@ func NewEncoder(capacity int) *Encoder {
 	return &Encoder{buf: make([]byte, 0, capacity)}
 }
 
-// Bytes returns the encoded bytes. The slice is owned by the encoder and
-// is invalidated by further Put calls or Reset. Prefer Detach when the
-// buffer's ownership should leave the encoder (e.g. for Conn.Send).
+// Bytes returns the encoded bytes, a borrowed tail copied in. The slice is
+// owned by the encoder and is invalidated by further Put calls or Reset.
+// Prefer Detach when the buffer's ownership should leave the encoder (e.g.
+// for Conn.Send).
 func (e *Encoder) Bytes() []byte {
+	e.ensure(0)
 	e.aliased = true
 	return e.buf
 }
 
-// Detach returns the encoded frame and removes it from the encoder, which
-// becomes empty. The caller owns the returned buffer; handing it to
-// transport.Conn.Send passes that ownership on. Detach is how a pooled
-// encoder's frame outlives PutEncoder.
+// Detach returns the encoded frame, a borrowed tail copied in, and removes
+// it from the encoder, which becomes empty. The caller owns the returned
+// buffer; handing it to transport.Conn.Send passes that ownership on.
+// Detach is how a pooled encoder's frame outlives PutEncoder.
 func (e *Encoder) Detach() []byte {
+	if e.tail != nil {
+		e.grow(0)
+	}
 	b := e.buf
-	e.buf = nil
-	e.aliased = false
+	e.buf, e.aliased = nil, false
 	return b
 }
 
-// Len returns the number of encoded bytes so far.
-func (e *Encoder) Len() int { return len(e.buf) }
+// DetachFrame is Detach for a sender that writes a frame in two parts:
+// head, the encoded bytes, which the caller owns as it would Detach's
+// frame, then tail, the values borrowed by BorrowFloat64s (nil: none),
+// which stay the lender's. The frame is head followed by tail.
+func (e *Encoder) DetachFrame() (head, tail []byte) {
+	head, tail = e.buf, e.tail
+	e.buf, e.tail = nil, nil
+	e.aliased = false
+	return head, tail
+}
+
+// Len returns the number of encoded bytes so far, a borrowed tail's
+// included.
+func (e *Encoder) Len() int { return len(e.buf) + len(e.tail) }
 
 // Reset discards the encoder contents, retaining the allocation.
-func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+func (e *Encoder) Reset() { e.buf, e.tail = e.buf[:0], nil }
 
-// ensure makes room for n more bytes, growing through the buffer pool.
+// ensure makes room for n more bytes after a borrowed tail, which it
+// copies in first (the bytes after it are put there), growing through the
+// buffer pool. A released encoder has no buffer, so a put of any byte
+// reaches grow, which panics.
 func (e *Encoder) ensure(n int) {
-	if e.released {
-		panic("wire: encoder used after PutEncoder")
-	}
-	if len(e.buf)+n <= cap(e.buf) {
+	if len(e.buf)+n <= cap(e.buf) && e.tail == nil {
 		return
 	}
 	e.grow(n)
 }
 
+// grow is ensure's slow path, kept apart so that ensure inlines into every
+// put.
 func (e *Encoder) grow(n int) {
+	if e.released {
+		panic("wire: encoder used after PutEncoder")
+	}
+	if t := e.tail; t != nil {
+		e.tail = nil
+		e.ensure(len(t))
+		e.buf = append(e.buf, t...)
+	}
+	if len(e.buf)+n <= cap(e.buf) {
+		return
+	}
 	// Grow geometrically so k appends cost O(k) copies, but source the new
 	// buffer from (and retire the old one to) the pool: in steady state a
 	// bulk reply grows straight into the recycled bulk frame.
@@ -221,6 +260,23 @@ func (e *Encoder) PutBytes(b []byte) {
 func (e *Encoder) PutFloat64s(v []float64) {
 	e.PutFloat64sLen(len(v))
 	e.AppendFloat64s(v)
+}
+
+// BorrowFloat64s appends v as PutFloat64s does, the same bytes, but borrows
+// v as the frame's tail instead of copying it: only the prefix goes into
+// the buffer, and a sender that takes the frame with DetachFrame writes the
+// values from where they lie (transport.Frame). So v ends the frame, and
+// it must not change until the frame has left — until the SendBurst that
+// carries it has returned. Whatever wants the frame in one buffer copies v
+// in then: Bytes, Detach, or a put after it. On a host whose float64s are
+// not in the wire's byte order, v is copied at once, as by PutFloat64s.
+func (e *Encoder) BorrowFloat64s(v []float64) {
+	if len(v) == 0 || !hostLittleEndian {
+		e.PutFloat64s(v)
+		return
+	}
+	e.PutUvarint(uint64(len(v)))
+	e.tail = float64Bytes(v)
 }
 
 // PutFloat64sLen opens a packed []float64 of n values for a caller whose
