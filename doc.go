@@ -185,9 +185,14 @@
 // (wire.Encoder.BorrowFloat64s), TCP writes them from where they lie behind
 // the call's header in one vectored write, and the call has left when it
 // is issued, so the buffer is packed again for the next pencil. k
-// replicas share one packing and no copy into a frame. Read holds a
-// pencil's replies, checks each one whole, and then copies each row's
-// runs straight out of the replies. A page is all or nothing: a page
+// replicas share one packing and no copy into a frame. A device answers a
+// page read from the page it holds: the reply lends the page as its tail,
+// and the page stays entered — pinned, read-locked where it lies in
+// memory — until the reply has left, before the device's next method.
+// Read holds a pencil's replies, checks each one whole, and then copies
+// each row's runs straight out of the replies, one slice copy a run. So a
+// page crosses memory only in the sockets and in that landing copy. A
+// page is all or nothing: a page
 // whose read fails leaves its elements of the destination as they were,
 // while the rest of its pencil lands. The messages and bytes on the wire
 // are those of one call per page and replica.

@@ -43,14 +43,16 @@
 // copy the header without boxing, and retention is bounded per class in
 // bytes (classBytes) and in buffers (classBuffers), whichever is fewer. The
 // byte bound is what a page read needs: a 32^3 float64 page is 256 KiB of
-// payload plus a few dozen bytes of reply header, so its reply frame lives
-// in the 512 KiB class, and a split loop keeps rmi.DefaultWindow = 32 of
-// them in flight at once — taken together, returned together. 32 x 512 KiB
-// is the 16 MiB a class may keep; a class that kept fewer would allocate
-// and zero a fresh span for the rest of every window. A page write's
-// frame takes no such buffer on the client: its values are sent from the
-// caller's staging buffer (wire.Encoder.BorrowFloat64s), and only the
-// frame the device receives comes from this class. The large tier therefore
+// payload plus a few dozen bytes of reply header, so the frame a client
+// receives it in lives in the 512 KiB class, and a split loop keeps
+// rmi.DefaultWindow = 32 of them in flight at once — taken together,
+// returned together. 32 x 512 KiB is the 16 MiB a class may keep; a class
+// that kept fewer would allocate and zero a fresh span for the rest of
+// every window. A page's sender takes no such buffer: a page write's
+// values are sent from the caller's staging buffer, and a page read's
+// reply from the page the device holds (wire.Encoder.BorrowFloat64s), so
+// only the frames that receive them — a device's write frame, a client's
+// reply frame — come from this class. The large tier therefore
 // holds at most 88 MiB while idle, reached only by a process that has had
 // that much in flight in every class at once. Overflow is dropped to the
 // garbage collector.

@@ -356,10 +356,11 @@ func (a *Array) landPencil(ctx context.Context, subarray []float64, dom Domain, 
 			first = p.err
 		}
 	}
+	n2, n3 := a.p[1], a.p[2]
 	eachPencilRun(dom, pencil, func(k, i, j, at, w int) {
 		if p := &pages[k]; p.err == nil {
-			r := &pencil[k]
-			p.reply.Copy(subarray[at:at+w], r.isect.Lo[0]-r.box.Lo[0]+i, r.isect.Lo[1]-r.box.Lo[1]+j, r.isect.Lo[2]-r.box.Lo[2])
+			lo, box := &pencil[k].isect.Lo, &pencil[k].box.Lo
+			p.reply.Copy(subarray[at:at+w], ((lo[0]-box[0]+i)*n2+lo[1]-box[1]+j)*n3+lo[2]-box[2])
 		}
 	})
 	for k := range pages {

@@ -421,6 +421,16 @@ type arrayPageDevice struct {
 	// a kernel batch's fetched piece among them; slot w+1 is that batch's
 	// worker w's, for operands it copies out. Kept between batches.
 	staged [][]float64
+	// lent is the page a readArray reply has borrowed, entered until
+	// giveBack — a.leave, bound at the first lend — runs.
+	lent     lentPage
+	giveBack func()
+}
+
+// lentPage is a page entered readOnly for a reply that lends it (lend).
+type lentPage struct {
+	index int
+	buf   *pageBuf
 }
 
 // constructor modes for ArrayPageDevice (§3 fresh, §5 from-process).
@@ -484,12 +494,14 @@ var ArrayPageDeviceClass = rmi.ExtendClass(PageDeviceClass, ClassArrayPageDevice
 
 // The structure-aware methods ArrayPageDevice adds (§3).
 var (
+	// readArray(index): page index's values, which the reply lends from
+	// the page itself (lend) rather than packing them into the frame.
 	devReadArray = ArrayPageDeviceClass.Declare("readArray", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		index := args.Int()
 		if err := args.Err(); err != nil {
 			return err
 		}
-		return a.withPage(index, readOnly, reply.PutFloat64s)
+		return a.lend(index, reply)
 	})
 	devWriteArray = ArrayPageDeviceClass.Declare("writeArray", func(a *arrayPageDevice, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		// The frame is validated before the page is entered — a page's worth
@@ -532,15 +544,53 @@ var (
 	devReadSubBatch = ArrayPageDeviceClass.DeclareConcurrent("readSubBatch", (*arrayPageDevice).readSubBatch)
 )
 
-// withPage is the device's one page accessor: every method that touches
-// an element does it inside fn, on page index as float64s — the store's
-// own memory under its contents lock when the store is resident, a copy
-// loaded before and stored after fn otherwise (backing.pin). fn may only
-// read (readOnly: one read charged; safe outside the mailbox), may modify
-// in place (update: a read and a write), or must write every element
-// (overwrite: one write; contents on entry undefined). One page of withPages.
+// withPage is the device's one page accessor for a method that touches
+// elements itself: it does it inside fn, on page index as float64s — the
+// store's own memory under its contents lock when the store is resident, a
+// copy loaded before and stored after fn otherwise (backing.pin). fn may
+// only read (readOnly: one read charged; safe outside the mailbox), may
+// modify in place (update: a read and a write), or must write every
+// element (overwrite: one write; contents on entry undefined). One page of
+// withPages. A page that leaves in a reply is not read inside fn but lent
+// (lend), entered the same way until the reply has left.
 func (a *arrayPageDevice) withPage(index int, how access, fn func(elems []float64)) error {
 	return withPages([]pageRef{{dev: a, index: index, how: how}}, nil, fn)
+}
+
+// lend answers readArray from the page itself, with no copy: it enters page
+// index readOnly as withPage would — pinned, then read-locked on a resident
+// store; on a copying store the pooled copy is loaded — and the reply
+// borrows its elements as its tail (wire.Encoder.BorrowFloat64s). The page
+// stays entered until the reply has left, when rmi runs the giveBack: on
+// this method's goroutine, before the device's next serial method, so a
+// device lends one page at a time. Until then readers outside the
+// mailbox share the page and writers outside it — a co-located device's
+// pull, a device on the same machine disk — wait for it or miss.
+func (a *arrayPageDevice) lend(index int, reply *wire.Encoder) error {
+	if err := a.checkIndex(index); err != nil {
+		return err
+	}
+	vals, buf, err := a.store.pin(index, readOnly)
+	if err != nil {
+		return err
+	}
+	a.reads.Add(1)
+	a.store.lock(index, false, false)
+	if a.giveBack == nil {
+		a.giveBack = a.leave
+	}
+	a.lent = lentPage{index: index, buf: buf}
+	reply.BorrowFloat64s(vals, a.giveBack)
+	return nil
+}
+
+// leave gives back the lent page: unlock, then unpin, which for a readOnly
+// page stores nothing and cannot fail.
+func (a *arrayPageDevice) leave() {
+	l := a.lent
+	a.lent = lentPage{}
+	a.store.unlock(l.index, false)
+	_ = a.store.unpin(l.index, l.buf, false)
 }
 
 // pageRef is one page of an access (withPages): page index of dev, entered

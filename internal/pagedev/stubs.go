@@ -241,14 +241,12 @@ func (d *ArrayDevice) dims() [3]int { return [3]int{d.n1, d.n2, d.n3} }
 
 // PageReply is a readArray reply checked whole — a page's worth of values,
 // all of them in the frame — so that taking values from it cannot fail.
-// Its values are taken forward only, in runs, each starting at or after
-// the end of the one before: the order in which a walk over a larger
-// array's rows meets the rows of one of its pages. Release returns the
-// frame.
+// Its values are taken in runs, in any order, each run one copy straight
+// out of the frame: the rows a walk over a larger array meets of one of
+// its pages. Release returns the frame.
 type PageReply struct {
-	dec    *wire.Decoder
-	n2, n3 int
-	pos    int // the page offset of the next value in dec
+	dec  *wire.Decoder
+	vals []byte // the page's packed values, a view of dec's frame
 }
 
 // openReply checks readArray's reply whole before anything is taken from
@@ -257,35 +255,29 @@ func (d *ArrayDevice) openReply(dec *wire.Decoder, err error) (PageReply, error)
 	if err != nil {
 		return PageReply{}, err
 	}
-	n := dec.Float64sLen()
+	vals := dec.Float64sView()
 	if err := dec.Err(); err != nil {
 		dec.Release()
 		return PageReply{}, err
 	}
-	if want := d.n1 * d.n2 * d.n3; n != want {
+	if want := d.n1 * d.n2 * d.n3; len(vals) != 8*want {
 		dec.Release()
-		return PageReply{}, fmt.Errorf("pagedev: %w: page reply carries %d values, a page has %d", wire.ErrCorrupt, n, want)
+		return PageReply{}, fmt.Errorf("pagedev: %w: page reply carries %d values, a page has %d", wire.ErrCorrupt, len(vals)/8, want)
 	}
-	return PageReply{dec: dec, n2: d.n2, n3: d.n3}, nil
+	return PageReply{dec: dec, vals: vals}, nil
 }
 
-// Copy fills dst with the page's values from element (i, j, k) on, in
-// row-major order. A run that starts before the end of the previous one,
-// or runs off the page, is the caller's bug, and panics.
-func (r *PageReply) Copy(dst []float64, i, j, k int) {
-	off := (i*r.n2+j)*r.n3 + k
-	r.dec.SkipFloat64s(off - r.pos)
-	r.dec.CopyFloat64s(dst)
-	if err := r.dec.Err(); err != nil {
-		panic(fmt.Sprintf("pagedev: page run (%d,%d,%d)+%d after offset %d: %v", i, j, k, len(dst), r.pos, err))
-	}
-	r.pos = off + len(dst)
+// Copy fills dst with the page's values from element off on, in row-major
+// order: element (i, j, k) is at off (i*n2+j)*n3+k. A run that runs off
+// the page is the caller's bug, and panics.
+func (r *PageReply) Copy(dst []float64, off int) {
+	wire.UnpackFloat64s(dst, r.vals[8*off:])
 }
 
 // Release returns the reply's frame to the pool; the reply is spent.
 func (r *PageReply) Release() {
 	r.dec.Release()
-	r.dec = nil
+	r.dec, r.vals = nil, nil
 }
 
 // ReadPage fetches page index into p — "moving the data to the
@@ -299,7 +291,7 @@ func (d *ArrayDevice) ReadPage(ctx context.Context, p *ArrayPage, index int) err
 	if err != nil {
 		return err
 	}
-	r.Copy(p.Data, 0, 0, 0)
+	r.Copy(p.Data, 0)
 	r.Release()
 	return nil
 }
@@ -326,7 +318,7 @@ func (d *ArrayDevice) writePageArgs(index int, vals []float64) rmi.ArgEncoder {
 			return fmt.Errorf("pagedev: %d values for a page of %d", len(vals), want)
 		}
 		e.PutInt(index)
-		e.BorrowFloat64s(vals)
+		e.BorrowFloat64s(vals, nil)
 		return nil
 	}
 }

@@ -43,7 +43,7 @@ func TestAsyncStubVariants(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadPageAsync: %v", err)
 	}
-	reply.Copy(back.Data, 0, 0, 0)
+	reply.Copy(back.Data, 0)
 	reply.Release()
 	for i, v := range back.Data {
 		if v != 2.5 {
@@ -70,8 +70,8 @@ func TestAsyncStubVariants(t *testing.T) {
 
 // TestBlockTransfers: a page written from its values and a sub-box
 // written from its row-packed values store exactly those values; a reply
-// is taken in forward runs, each from where it names, and a run that goes
-// backward or off the page panics; values of the wrong count, a sub-box
+// is taken in runs, each from where it names, backward ones included, and
+// a run that goes off the page panics; values of the wrong count, a sub-box
 // off the page and a reply of the wrong size are refused before anything
 // is sent or stored.
 func TestBlockTransfers(t *testing.T) {
@@ -99,15 +99,16 @@ func TestBlockTransfers(t *testing.T) {
 		}
 	}
 
-	// Forward runs out of one reply: (0,1,1)+2, then (0,2,0)+3, then
-	// (1,2,2)+2, the last two values of the page.
+	// Runs out of one reply: (0,1,1)+2, then (0,2,0)+3, then (1,2,2)+2,
+	// the last two values of the page, then back to (0,0,0)+2 and to
+	// (0,1,2)+1, inside the first run taken.
 	reply, err := dev.OpenPage(bg, dev.ReadPageAsync(bg, 0))
 	if err != nil {
 		t.Fatalf("OpenPage: %v", err)
 	}
-	for _, run := range []struct{ i, j, k, n int }{{0, 1, 1, 2}, {0, 2, 0, 3}, {1, 2, 2, 2}} {
+	for _, run := range []struct{ i, j, k, n int }{{0, 1, 1, 2}, {0, 2, 0, 3}, {1, 2, 2, 2}, {0, 0, 0, 2}, {0, 1, 2, 1}} {
 		got := make([]float64, run.n)
-		reply.Copy(got, run.i, run.j, run.k)
+		reply.Copy(got, index(page, run.i, run.j, run.k))
 		for x, v := range got {
 			if want := page.Data[index(page, run.i, run.j, run.k+x)]; v != want {
 				t.Fatalf("run %+v value %d = %v, want %v", run, x, v, want)
@@ -118,19 +119,19 @@ func TestBlockTransfers(t *testing.T) {
 	for _, bad := range []struct {
 		name    string
 		i, j, k int
-	}{{"backward", 0, 0, 0}, {"off the page", 1, 2, 3}} {
+	}{{"off the end of the page", 1, 2, 3}, {"from before the page", 0, 0, -1}} {
 		reply, err := dev.OpenPage(bg, dev.ReadPageAsync(bg, 0))
 		if err != nil {
 			t.Fatalf("OpenPage: %v", err)
 		}
-		reply.Copy(make([]float64, 2), 0, 1, 0)
+		reply.Copy(make([]float64, 2), index(page, 0, 1, 0))
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("a run %s did not panic", bad.name)
 				}
 			}()
-			reply.Copy(make([]float64, 2), bad.i, bad.j, bad.k)
+			reply.Copy(make([]float64, 2), index(page, bad.i, bad.j, bad.k))
 		}()
 		reply.Release()
 	}

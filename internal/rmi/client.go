@@ -726,11 +726,14 @@ func (c *Client) send(ctx context.Context, reqID uint64, e *wire.Encoder, pc pen
 		cc.unregister(reqID)
 		return nil
 	}
-	head, tail := e.DetachFrame()
+	head, tail, giveBack := e.DetachFrame()
 	frame := transport.Frame{Head: head, Tail: tail}
 	c.counters.MessagesSent.Add(1)
 	c.counters.BytesSent.Add(int64(frame.Len()))
 	held, err := cc.write(reqID, frame, o.burst != 0, o.group)
+	if giveBack != nil {
+		giveBack() // a frame with a tail is never held: it has left
+	}
 	if err != nil {
 		cc.unregister(reqID)
 		return err

@@ -385,6 +385,22 @@
 // results are appended once, to the frame that leaves; a request waiting
 // in a mailbox holds no buffer.
 //
+// A method may lend its reply's tail instead of packing it: values that
+// end the reply and stay put until it has left
+// (wire.Encoder.BorrowFloat64s, with a giveBack). The reply then leaves as
+// a transport.Frame whose tail is those values, written from where they
+// lie on tcp, and finish runs the giveBack once the reply has left, or its
+// write has failed — exactly once on every path: an error reply (the
+// method failing or panicking after the borrow) drops the tail and gives
+// it back at once. A reply with a tail never waits in a reply group
+// (transport.Burst.Add leaves no room after it), so for a serial method
+// the giveBack comes on the object's mailbox goroutine, before the
+// object's next serial method: the object may lend state it owns without
+// a lock of its own. pagedev's readArray answers from the page it holds
+// this way. A client request's ArgEncoder may lend the same way; its
+// giveBack runs once the request has left (such a frame is never held
+// either), or when it never will.
+//
 // Nor does a request take a lock that a request on another processor
 // takes. Its frames, 64 KiB or less, come from and go back to the
 // per-processor tier of internal/bufpool. The server finds the object,

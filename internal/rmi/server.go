@@ -447,6 +447,14 @@ func (t *callTask) answer() *wire.Encoder {
 // group (a lone request is a group of one), which retires the token only
 // AFTER the reply is on the wire: Drain returning means every accepted
 // request has answered.
+//
+// A method may end its reply with values it lends (wire.Encoder's
+// BorrowFloat64s): the reply leaves as a frame with that tail, and the
+// lender's giveBack runs once the group's add has returned. A frame with a
+// tail never waits in a group (transport.Burst.Add leaves no room after
+// it), so by then the reply has been written, or its write has failed;
+// and on a mailbox's goroutine that is before the object's next serial
+// method. An error reply drops the tail, and the encoder gives it back.
 func (t *callTask) finish(err error) {
 	s, reply := t.s, t.reply
 	t.args.Release() // handler done: recycle the request frame
@@ -456,7 +464,7 @@ func (t *callTask) finish(err error) {
 	if err != nil {
 		errorReply(reply, t.reqID, err)
 	}
-	frame := reply.Detach()
+	head, tail, giveBack := reply.DetachFrame()
 	wire.PutEncoder(reply)
 	admitted, reqID, group := t.admitted, t.reqID, t.group
 	var took time.Duration
@@ -482,10 +490,14 @@ func (t *callTask) finish(err error) {
 	}
 	*t = callTask{}
 	callTaskPool.Put(t)
-	group.add(reqID, frame, admitted)
+	group.add(reqID, transport.Frame{Head: head, Tail: tail}, admitted)
+	if giveBack != nil {
+		giveBack()
+	}
 }
 
-// errorReply makes e the reply that answers request reqID with err.
+// errorReply makes e the reply that answers request reqID with err; a
+// borrowed tail is given back.
 func errorReply(e *wire.Encoder, reqID uint64, err error) {
 	e.Reset()
 	e.PutUvarint(reqID)
@@ -519,15 +531,15 @@ var replyGroupPool = sync.Pool{New: func() any { return new(replyGroup) }}
 
 // add takes the reply frame of member reqID, and its drain token if it held
 // one, and writes what is gathered when the group is complete or has no
-// room for another reply.
-func (g *replyGroup) add(reqID uint64, frame []byte, token bool) {
+// room for another reply — at once, for a frame with a tail.
+func (g *replyGroup) add(reqID uint64, frame transport.Frame, token bool) {
 	g.mu.Lock()
 	g.pending--
 	if token {
 		g.tokens++
 	}
-	n := len(frame)
-	room, err := g.replies.Add(transport.Frame{Head: frame})
+	n := frame.Len()
+	room, err := g.replies.Add(frame)
 	if err != nil {
 		e := wire.GetEncoder(96)
 		errorReply(e, reqID, err)

@@ -501,8 +501,8 @@ func TestBorrowedTail(t *testing.T) {
 			e.PutFloat64s(vals)
 			want := e.Detach()
 			e.PutInt(n)
-			e.BorrowFloat64s(vals)
-			head, tail := e.DetachFrame()
+			e.BorrowFloat64s(vals, nil)
+			head, tail, _ := e.DetachFrame()
 			wire.PutEncoder(e)
 			if tail == nil {
 				t.Fatal("nothing borrowed")

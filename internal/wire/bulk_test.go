@@ -89,7 +89,7 @@ func FuzzBulkFloat64sEqualPortable(f *testing.F) {
 			t.Fatalf("encoded block differs from prefix + portable bytes (offset %d, n %d)", off, n)
 		}
 
-		// The decoder, whole and in runs with a skip.
+		// The decoder, whole, in runs, and as a view taken in runs.
 		d := NewDecoder(ref[off:])
 		if out := d.Float64s(); d.Err() != nil || !sameFloatBits(out, want) {
 			t.Fatalf("Float64s: %v", d.Err())
@@ -106,10 +106,20 @@ func FuzzBulkFloat64sEqualPortable(f *testing.F) {
 		}
 		clear(got)
 		d.CopyFloat64s(got[:cut])
-		d.SkipFloat64s(n - cut - n/2)
-		d.CopyFloat64s(got[n-n/2:])
-		if d.Err() != nil || d.Remaining() != 0 || !sameFloatBits(got[:cut], want[:cut]) || !sameFloatBits(got[n-n/2:], want[n-n/2:]) {
+		d.CopyFloat64s(got[cut:])
+		if d.Err() != nil || d.Remaining() != 0 || !sameFloatBits(got, want) {
 			t.Fatalf("run-wise decode: %v, %d bytes left", d.Err(), d.Remaining())
+		}
+		d = NewDecoder(ref[off:])
+		view := d.Float64sView()
+		if d.Err() != nil || d.Remaining() != 0 || !bytes.Equal(view, packed) {
+			t.Fatalf("Float64sView: %v, %d bytes left, the view is not the packed values", d.Err(), d.Remaining())
+		}
+		clear(got)
+		UnpackFloat64s(got[cut:], view[8*cut:]) // the later run first
+		UnpackFloat64s(got[:cut], view)
+		if !sameFloatBits(got, want) {
+			t.Fatal("runs unpacked from a view, last first, differ from the values")
 		}
 
 		// complex128: real before imaginary, each a float64 as above.
@@ -158,7 +168,8 @@ func FuzzBulkFloat64sEqualPortable(f *testing.F) {
 // FuzzFloat64sDecodeNoPanic: every bulk reader, prefixed or run-wise, over
 // arbitrary bytes either yields values or reports an error — it never
 // panics, never sizes anything by an unchecked count, and a length
-// Float64sLen has accepted is one the runs can then be taken at.
+// Float64sLen has accepted is one the runs can then be taken at, and the
+// one whose bytes Float64sView returns.
 func FuzzFloat64sDecodeNoPanic(f *testing.F) {
 	f.Add([]byte{}, uint16(0))
 	f.Add(append([]byte{3}, make([]byte, 24)...), uint16(2))
@@ -177,7 +188,7 @@ func FuzzFloat64sDecodeNoPanic(f *testing.F) {
 			func(d *Decoder) { d.Ints() },
 			func(d *Decoder) { d.CopyFloat64s(make([]float64, want)) },
 			func(d *Decoder) { d.CopyComplex128s(make([]complex128, want)) },
-			func(d *Decoder) { d.SkipFloat64s(int(want)); d.SkipFloat64s(-int(want) - 1) },
+			func(d *Decoder) { d.Float64sView() },
 		} {
 			d := NewDecoder(data)
 			read(d)
@@ -198,13 +209,16 @@ func FuzzFloat64sDecodeNoPanic(f *testing.F) {
 		}
 		part := min(n, int(want))
 		d.CopyFloat64s(make([]float64, part))
-		d.SkipFloat64s(n - part)
+		d.CopyFloat64s(make([]float64, n-part))
 		if d.Err() != nil {
 			t.Fatalf("runs within an accepted length failed: %v", d.Err())
 		}
 		d.CopyFloat64s(make([]float64, d.Remaining()/8+1))
 		if d.Err() == nil {
 			t.Fatal("a run past the end of the frame was accepted")
+		}
+		if d = NewDecoder(data); len(d.Float64sView()) != 8*n || d.Err() != nil {
+			t.Fatalf("Float64sView of an accepted length is not its %d values: %v", n, d.Err())
 		}
 
 		// The complex count is held to the same: accepted means every value

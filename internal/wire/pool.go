@@ -24,15 +24,14 @@ func GetEncoder(capacity int) *Encoder {
 	e.buf = bufpool.Get(capacity)
 	e.aliased = false
 	e.released = false
-	e.tail = nil
 	return e
 }
 
 // PutEncoder recycles an encoder obtained from GetEncoder. Any frame not
 // removed with Detach is recycled with it (unless Bytes leaked a view, in
 // which case the buffer is left to the garbage collector); a borrowed tail
-// is let go, never pooled. The encoder is poisoned: any further Put
-// panics. PutEncoder is idempotent.
+// is let go, never pooled, and its giveBack run. The encoder is poisoned:
+// any further Put panics. PutEncoder is idempotent.
 func PutEncoder(e *Encoder) {
 	if e == nil || e.released {
 		return
@@ -41,7 +40,8 @@ func PutEncoder(e *Encoder) {
 	if !e.aliased {
 		bufpool.Put(e.buf)
 	}
-	e.buf, e.tail = nil, nil
+	e.buf = nil
+	e.letGo()
 	e.aliased = false
 	encoderPool.Put(e)
 }

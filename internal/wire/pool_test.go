@@ -202,7 +202,7 @@ func TestPutEncoderLetsGoOfTail(t *testing.T) {
 	vals := make([]float64, 64)
 	e := GetEncoder(16)
 	e.PutInt(1)
-	e.BorrowFloat64s(vals)
+	e.BorrowFloat64s(vals, nil)
 	buf := e.buf[:cap(e.buf)]
 	if len(e.tail) != 8*len(vals) {
 		t.Fatalf("%d bytes borrowed, want %d", len(e.tail), 8*len(vals))

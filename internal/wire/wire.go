@@ -26,8 +26,9 @@
 // The hot path never allocates in steady state. GetEncoder/PutEncoder and
 // GetFrameDecoder/Decoder.Release recycle codec state through
 // internal/bufpool capacity classes; Encoder growth itself draws from and
-// returns to the same pool, so a server reply that packs a 512 KiB bulk
-// payload grows directly into the buffer the previous response released.
+// returns to the same pool, so a reply that packs a bulk payload (a pfft
+// transpose piece, say) grows directly into the buffer the previous one
+// released.
 // The lifecycle rules:
 //
 //   - GetEncoder(c) returns a pooled encoder; Detach() hands its frame to
@@ -59,19 +60,26 @@
 // array this way); a reader that must not half-store a block, or wants its
 // runs somewhere other than one slice, reads the count with Float64sLen —
 // which checks that every byte announced is in the frame before any is
-// consumed — and takes runs with CopyFloat64s and SkipFloat64s. The complex
-// forms (PutComplex128sLen, AppendComplex128s, Complex128sLen,
-// CopyComplex128s) are the same four over a complex128's two parts; pfft's
-// transpose blocks cross that way. Counts off a socket are compared against
-// the values that fit in what remains of the frame, never multiplied by the
-// value size first.
+// consumed — and takes runs with CopyFloat64s; one that takes runs in any
+// order reads the block as a view of its packed bytes (Float64sView) and
+// unpacks each run from there. The complex forms (PutComplex128sLen,
+// AppendComplex128s, Complex128sLen, CopyComplex128s) are the same four
+// over a complex128's two parts; pfft's transpose blocks cross that way.
+// Counts off a socket are compared against the values that fit in what
+// remains of the frame, never multiplied by the value size first.
 //
 // A writer whose block ends the frame, and whose values stay put until the
 // frame has been sent, may lend them instead (BorrowFloat64s): the encoder
 // puts the count and keeps the slice as the frame's tail, and a sender that
-// writes a frame in two parts takes head and tail with DetachFrame. The rmi
-// client sends every request that way (transport.Frame), so a page write
-// goes out of the caller's staging buffer without a copy into a frame.
+// writes a frame in two parts takes head and tail with DetachFrame. A
+// lender that must know when the values are free again passes a giveBack:
+// it runs once, when nothing refers to them any more — where the encoder
+// copies them in or drops them, or else where the sender that took them
+// with DetachFrame is done with the frame. The rmi client sends every
+// request that way (transport.Frame), so a page write goes out of the
+// caller's staging buffer without a copy into a frame; the rmi server
+// sends every reply that way, so a page device answers a page read from
+// the page it holds, given back once the reply has left.
 package wire
 
 import (
@@ -107,6 +115,9 @@ type Encoder struct {
 	// tail is the frame's borrowed end (BorrowFloat64s): the caller's
 	// values as packed bytes, after buf and never in it, never pooled.
 	tail []byte
+	// giveBack is the tail's lender's, run once the encoder no longer
+	// refers to the tail (letGo); nil: nothing to run.
+	giveBack func()
 }
 
 // NewEncoder returns an encoder with the given initial capacity.
@@ -140,20 +151,35 @@ func (e *Encoder) Detach() []byte {
 // DetachFrame is Detach for a sender that writes a frame in two parts:
 // head, the encoded bytes, which the caller owns as it would Detach's
 // frame, then tail, the values borrowed by BorrowFloat64s (nil: none),
-// which stay the lender's. The frame is head followed by tail.
-func (e *Encoder) DetachFrame() (head, tail []byte) {
-	head, tail = e.buf, e.tail
-	e.buf, e.tail = nil, nil
+// which stay the lender's, and the lender's giveBack (nil: none), which
+// the caller now runs, once, when the frame has left or never will. The
+// frame is head followed by tail.
+func (e *Encoder) DetachFrame() (head, tail []byte, giveBack func()) {
+	head, tail, giveBack = e.buf, e.tail, e.giveBack
+	e.buf, e.tail, e.giveBack = nil, nil, nil
 	e.aliased = false
-	return head, tail
+	return head, tail, giveBack
 }
 
 // Len returns the number of encoded bytes so far, a borrowed tail's
 // included.
 func (e *Encoder) Len() int { return len(e.buf) + len(e.tail) }
 
-// Reset discards the encoder contents, retaining the allocation.
-func (e *Encoder) Reset() { e.buf, e.tail = e.buf[:0], nil }
+// Reset discards the encoder contents, retaining the allocation; a
+// borrowed tail is let go.
+func (e *Encoder) Reset() {
+	e.buf = e.buf[:0]
+	e.letGo()
+}
+
+// letGo ends a borrow: the encoder drops the tail and runs its giveBack.
+func (e *Encoder) letGo() {
+	back := e.giveBack
+	e.tail, e.giveBack = nil, nil
+	if back != nil {
+		back()
+	}
+}
 
 // ensure makes room for n more bytes after a borrowed tail, which it
 // copies in first (the bytes after it are put there), growing through the
@@ -176,6 +202,7 @@ func (e *Encoder) grow(n int) {
 		e.tail = nil
 		e.ensure(len(t))
 		e.buf = append(e.buf, t...)
+		e.letGo()
 	}
 	if len(e.buf)+n <= cap(e.buf) {
 		return
@@ -270,13 +297,22 @@ func (e *Encoder) PutFloat64s(v []float64) {
 // carries it has returned. Whatever wants the frame in one buffer copies v
 // in then: Bytes, Detach, or a put after it. On a host whose float64s are
 // not in the wire's byte order, v is copied at once, as by PutFloat64s.
-func (e *Encoder) BorrowFloat64s(v []float64) {
+//
+// giveBack (nil: none) is the lender's, run exactly once when nothing
+// refers to v any more: where v is copied in (at once, or by a join),
+// where Reset or PutEncoder drops it, and otherwise by whoever took it
+// with DetachFrame, once the frame has left or never will — on the
+// goroutine that ends the borrow.
+func (e *Encoder) BorrowFloat64s(v []float64, giveBack func()) {
 	if len(v) == 0 || !hostLittleEndian {
 		e.PutFloat64s(v)
+		if giveBack != nil {
+			giveBack()
+		}
 		return
 	}
 	e.PutUvarint(uint64(len(v)))
-	e.tail = float64Bytes(v)
+	e.tail, e.giveBack = float64Bytes(v), giveBack
 }
 
 // PutFloat64sLen opens a packed []float64 of n values for a caller whose
@@ -553,7 +589,7 @@ func (d *Decoder) Float64sInto(dst []float64) {
 // Float64sLen reads the prefix of a packed []float64 and returns its count
 // n, having checked that all 8n bytes are present (0 and a sticky error
 // otherwise). The values follow; the caller takes exactly n of them, in
-// runs, with CopyFloat64s and SkipFloat64s — none of which can then fail.
+// runs, with CopyFloat64s — none of which can then fail.
 // This is how a reader validates a block before it commits to storing it,
 // and scatters one without a copy in between.
 func (d *Decoder) Float64sLen() int {
@@ -575,16 +611,19 @@ func (d *Decoder) CopyFloat64s(dst []float64) {
 	d.off += 8 * len(dst)
 }
 
-// SkipFloat64s passes over the next n packed values.
-func (d *Decoder) SkipFloat64s(n int) {
-	if d.err != nil {
-		return
+// Float64sView reads a packed []float64 without copying it: the prefix,
+// checked as by Float64sLen, then the block's 8n packed bytes, returned as
+// a view of the frame (nil and a sticky error when any is missing). Like
+// BytesView's, the view is valid only until Release. A reader takes values
+// out of it with UnpackFloat64s, in runs, in any order.
+func (d *Decoder) Float64sView() []byte {
+	n, ok := d.bulkLen(8)
+	if !ok {
+		return nil
 	}
-	if n < 0 || n > d.Remaining()/8 {
-		d.fail(ErrTruncated)
-		return
-	}
+	b := d.buf[d.off : d.off+8*n : d.off+8*n]
 	d.off += 8 * n
+	return b
 }
 
 // Complex128s reads a length-prefixed packed []complex128.
