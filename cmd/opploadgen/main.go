@@ -188,7 +188,7 @@ func run(peers, registry string, machines, conns, sessions int, rate float64,
 			}
 		}
 		for m, ref := range refs {
-			if d, err := boot.Call(ctx, ref, "bind", serve.BindArgs(peerRefs[m])); err != nil {
+			if d, err := boot.Call(ctx, ref, serve.WorkBind.Name(), serve.BindArgs(peerRefs[m])); err != nil {
 				return fmt.Errorf("machine %d: bind relay peer: %w", m, err)
 			} else {
 				d.Release()
@@ -242,17 +242,17 @@ func run(peers, registry string, machines, conns, sessions int, rate float64,
 			var err error
 			switch ring[i%len(ring)] {
 			case "echo":
-				d, err = s.Call(ctx, ref, "echo", echoArgs, opts...)
+				d, err = s.Call(ctx, ref, serve.WorkEcho.Name(), echoArgs, opts...)
 			case "sleep":
-				d, err = s.Call(ctx, ref, "sleep", sleepArgs, opts...)
+				d, err = s.Call(ctx, ref, serve.WorkSleep.Name(), sleepArgs, opts...)
 			case "spin":
-				d, err = s.Call(ctx, ref, "spin", sleepArgs, opts...)
+				d, err = s.Call(ctx, ref, serve.WorkSpin.Name(), sleepArgs, opts...)
 			case "bulk":
-				d, err = s.Call(ctx, ref, "sleep", sleepArgs, append(opts, rmi.WithPriority(rmi.PrioBulk))...)
+				d, err = s.Call(ctx, ref, serve.WorkSleep.Name(), sleepArgs, append(opts, rmi.WithPriority(rmi.PrioBulk))...)
 			case "ping":
 				err = s.Ping(ctx, ref.Machine, opts...)
 			case "relay":
-				d, err = s.Call(ctx, ref, "relay", echoArgs, opts...)
+				d, err = s.Call(ctx, ref, serve.WorkRelay.Name(), echoArgs, opts...)
 			}
 			if d != nil {
 				d.Release()

@@ -34,13 +34,14 @@
 //
 // # The typed, context-aware surface
 //
-// User-defined classes register with the generic surface and are used
-// without string class names or manual decoding:
+// User-defined classes register with the generic surface, declare each
+// method once, and are used without string names or manual decoding:
 //
-//	ref, _ := oopp.NewOn[Counter](ctx, client, m, 100)      // construction by type
-//	n, _ := oopp.Invoke[int](ctx, client, ref, "add", 23)   // decoded, type-checked result
-//	fut := oopp.InvokeAsync[int](ctx, client, ref, "get")   // §4 send half
-//	n, _ = fut.Wait(ctx)                                    // §4 receive half
+//	var counterAdd = counterClass.Declare("add", addBody)      // the method's one declaration
+//	ref, _ := oopp.NewOn[Counter](ctx, client, m, 100)         // construction by type
+//	n, _ := oopp.Invoke[int](ctx, client, ref, counterAdd, 23) // decoded, type-checked result
+//	fut := oopp.InvokeAsync[int](ctx, client, ref, counterGet) // §4 send half
+//	n, _ = fut.Wait(ctx)                                       // §4 receive half
 //
 // Every remote operation takes a context.Context — cancellation aborts
 // the in-flight call promptly — and accepts CallOptions: WithTimeout /
@@ -59,7 +60,7 @@
 //	coll, _ := oopp.SpawnClass(ctx, client, oopp.Cyclic(8, 4), shardClass, ctorArgs)
 //
 //	// concurrent broadcast: completes in ~max(member latency), not the sum
-//	_ = coll.Broadcast(ctx, "observe", func(m oopp.Member, e *oopp.Encoder) error {
+//	_ = coll.Broadcast(ctx, shardObserve.Name(), func(m oopp.Member, e *oopp.Encoder) error {
 //	        e.PutFloat64s(data[m.Index*chunk : (m.Index+1)*chunk])
 //	        return nil
 //	})
@@ -67,7 +68,7 @@
 //
 //	// combining reduction: per-member partials computed where the data
 //	// lives, merged client-side with a monoid, in member order
-//	total, _ := oopp.Reduce(ctx, coll, "count", nil, decodeInt, sumInt)
+//	total, _ := oopp.Reduce(ctx, coll, shardCount.Name(), nil, decodeInt, sumInt)
 //
 // Distribution descriptors (Block, Cyclic, OnMachines) place members
 // over machines the way PageMap layouts
@@ -380,7 +381,7 @@
 //
 //	pool, _ := oopp.NewPool(oopp.PoolConfig{Transport: tr, Directory: dir})
 //	sess := pool.Session(oopp.WithTimeout(5 * time.Second))
-//	fut := sess.CallAsync(ctx, ref, "work", args)
+//	fut := sess.CallAsync(ctx, ref, appWork.Name(), args)
 //
 // On the server, admission control bounds the work each machine
 // accepts, per priority class (AdmissionConfig, set via
@@ -395,7 +396,7 @@
 // retry-after hint derived from observed service times
 // (oopp.RetryAfter extracts it, locally or across the wire).
 //
-//	if _, err := sess.Call(ctx, ref, "work", args); errors.Is(err, oopp.ErrOverloaded) {
+//	if _, err := sess.Call(ctx, ref, appWork.Name(), args); errors.Is(err, oopp.ErrOverloaded) {
 //	        d, _ := oopp.RetryAfter(err)
 //	        time.Sleep(d) // back off and retry; the server is alive, just full
 //	}
@@ -552,7 +553,7 @@
 // shows where the time went.
 //
 //	ref, _ := sess.New(ctx, 0, "app.Work", nil)
-//	d, _ := sess.Call(ctx, ref, "relay", args, oopp.WithSampled())
+//	d, _ := sess.Call(ctx, ref, appRelay.Name(), args, oopp.WithSampled())
 //
 // cmd/opptrace is the introspection client: it pulls every machine's
 // snapshot, merges the histograms into cluster-wide per-method

@@ -45,8 +45,10 @@ var shardClass = oopp.RegisterClass("example.HistShard",
 			return nil, fmt.Errorf("HistShard wants nbins > 0 and hi > lo, got %d [%v,%v)", nbins, lo, hi)
 		}
 		return &shard{lo: lo, hi: hi, bins: make([]int, nbins)}, nil
-	}).
-	Method("observe", func(s *shard, env *oopp.Env, args *oopp.Decoder, reply *oopp.Encoder) error {
+	})
+
+var (
+	shardObserve = shardClass.Declare("observe", func(s *shard, env *oopp.Env, args *oopp.Decoder, reply *oopp.Encoder) error {
 		vals := args.Float64s()
 		if err := args.Err(); err != nil {
 			return err
@@ -69,20 +71,21 @@ var shardClass = oopp.RegisterClass("example.HistShard",
 			s.bins[b]++
 		}
 		return nil
-	}).
-	Method("histogram", func(s *shard, env *oopp.Env, args *oopp.Decoder, reply *oopp.Encoder) error {
+	})
+	shardHistogram = shardClass.Declare("histogram", func(s *shard, env *oopp.Env, args *oopp.Decoder, reply *oopp.Encoder) error {
 		reply.PutInts(s.bins)
 		return nil
-	}).
-	Method("count", func(s *shard, env *oopp.Env, args *oopp.Decoder, reply *oopp.Encoder) error {
+	})
+	shardCount = shardClass.Declare("count", func(s *shard, env *oopp.Env, args *oopp.Decoder, reply *oopp.Encoder) error {
 		reply.PutInt(s.count)
 		return nil
-	}).
-	Method("minmax", func(s *shard, env *oopp.Env, args *oopp.Decoder, reply *oopp.Encoder) error {
+	})
+	shardMinMax = shardClass.Declare("minmax", func(s *shard, env *oopp.Env, args *oopp.Decoder, reply *oopp.Encoder) error {
 		reply.PutFloat64(s.min)
 		reply.PutFloat64(s.max)
 		return nil
 	})
+)
 
 // decodeMinMax reads a shard's (min, max) pair.
 func decodeMinMax(_ oopp.Member, d *oopp.Decoder) ([2]float64, error) {
@@ -154,7 +157,7 @@ func main() {
 	// the data set in one windowed fan-out, completing in ~max(member
 	// latency) rather than the sum.
 	chunk := samples / shards
-	if err := coll.Broadcast(ctx, "observe", func(m oopp.Member, e *oopp.Encoder) error {
+	if err := coll.Broadcast(ctx, shardObserve.Name(), func(m oopp.Member, e *oopp.Encoder) error {
 		e.PutFloat64s(data[m.Index*chunk : (m.Index+1)*chunk])
 		return nil
 	}); err != nil {
@@ -167,15 +170,15 @@ func main() {
 
 	// Combining reductions: per-shard partials computed where the data
 	// lives, merged client-side with a monoid.
-	hist, err := oopp.Reduce(ctx, coll, "histogram", nil, decodeInts, sumInts)
+	hist, err := oopp.Reduce(ctx, coll, shardHistogram.Name(), nil, decodeInts, sumInts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	total, err := oopp.Reduce(ctx, coll, "count", nil, decodeInt, sumInt)
+	total, err := oopp.Reduce(ctx, coll, shardCount.Name(), nil, decodeInt, sumInt)
 	if err != nil {
 		log.Fatal(err)
 	}
-	mm, err := oopp.Reduce(ctx, coll, "minmax", nil, decodeMinMax, combineMinMax)
+	mm, err := oopp.Reduce(ctx, coll, shardMinMax.Name(), nil, decodeMinMax, combineMinMax)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -194,11 +197,11 @@ func main() {
 
 	// Sub-collection views share the member refs — no respawn: the first
 	// half of the shards, and the shards owned by machine 1.
-	firstHalf, err := oopp.Reduce(ctx, coll.Slice(0, shards/2), "count", nil, decodeInt, sumInt)
+	firstHalf, err := oopp.Reduce(ctx, coll.Slice(0, shards/2), shardCount.Name(), nil, decodeInt, sumInt)
 	if err != nil {
 		log.Fatal(err)
 	}
-	onM1, err := oopp.Reduce(ctx, coll.OnMachine(1), "count", nil, decodeInt, sumInt)
+	onM1, err := oopp.Reduce(ctx, coll.OnMachine(1), shardCount.Name(), nil, decodeInt, sumInt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -207,7 +210,7 @@ func main() {
 	// Owner-computes iteration: per-member work issued concurrently
 	// (bounded by the collection window), results in member order.
 	counts, err := oopp.MapIndexed(ctx, coll, func(ctx context.Context, m oopp.Member) (int, error) {
-		d, err := client.Call(ctx, m.Ref, "count", nil)
+		d, err := shardCount.Call(ctx, client, m.Ref, nil)
 		if err != nil {
 			return 0, err
 		}

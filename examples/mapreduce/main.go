@@ -7,9 +7,9 @@
 // The mapper class is defined and registered here, in the example — the
 // framework needs nothing built in for new process types. Registration
 // uses the typed Class[T] surface: method bodies receive *wordMapper
-// directly, construction goes through the class handle, and the per-
-// mapper shard count comes back through a typed Invoke — no string class
-// names and no hand-rolled assertions at any call site.
+// directly, construction and calls go through the class's and methods'
+// handles, and the per-mapper shard count comes back through a typed
+// Invoke — no string names and no hand-rolled assertions at a call site.
 //
 //	go run ./examples/mapreduce
 package main
@@ -37,8 +37,10 @@ type wordMapper struct {
 var mapperClass = oopp.RegisterClass("example.WordMapper",
 	func(env *oopp.Env, args *oopp.Decoder) (*wordMapper, error) {
 		return &wordMapper{counts: make(map[string]int)}, nil
-	}).
-	Method("mapShard", func(m *wordMapper, env *oopp.Env, args *oopp.Decoder, reply *oopp.Encoder) error {
+	})
+
+var (
+	mapperMapShard = mapperClass.Declare("mapShard", func(m *wordMapper, env *oopp.Env, args *oopp.Decoder, reply *oopp.Encoder) error {
 		text := args.String()
 		if err := args.Err(); err != nil {
 			return err
@@ -51,13 +53,13 @@ var mapperClass = oopp.RegisterClass("example.WordMapper",
 		}
 		m.shards++
 		return nil
-	}).
-	// shards replies in the tagged encoding so the master can read it
-	// with a typed Invoke[int].
-	Method("shards", func(m *wordMapper, env *oopp.Env, args *oopp.Decoder, reply *oopp.Encoder) error {
+	})
+	// mapperShards replies in the tagged encoding so the master can read
+	// it with a typed Invoke[int].
+	mapperShards = mapperClass.Declare("shards", func(m *wordMapper, env *oopp.Env, args *oopp.Decoder, reply *oopp.Encoder) error {
 		return reply.PutAny(m.shards)
-	}).
-	Method("emit", func(m *wordMapper, env *oopp.Env, args *oopp.Decoder, reply *oopp.Encoder) error {
+	})
+	mapperEmit = mapperClass.Declare("emit", func(m *wordMapper, env *oopp.Env, args *oopp.Decoder, reply *oopp.Encoder) error {
 		words := make([]string, 0, len(m.counts))
 		for w := range m.counts {
 			words = append(words, w)
@@ -70,6 +72,7 @@ var mapperClass = oopp.RegisterClass("example.WordMapper",
 		}
 		return nil
 	})
+)
 
 var corpus = strings.Repeat(
 	"objects are processes and processes are objects "+
@@ -106,7 +109,7 @@ func main() {
 		lo := i * shardSize
 		hi := min(len(words), lo+shardSize)
 		shard := strings.Join(words[lo:hi], " ")
-		futs = append(futs, client.CallAsync(ctx, group.Ref(i), "mapShard", func(e *oopp.Encoder) error {
+		futs = append(futs, mapperMapShard.CallAsync(ctx, client, group.Ref(i), func(e *oopp.Encoder) error {
 			e.PutString(shard)
 			return nil
 		}))
@@ -118,7 +121,7 @@ func main() {
 	// Typed invocation: each mapper reports how many shards it processed,
 	// decoded straight into an int.
 	for i := 0; i < mappers; i++ {
-		n, err := oopp.Invoke[int](ctx, client, group.Ref(i), "shards")
+		n, err := oopp.Invoke[int](ctx, client, group.Ref(i), mapperShards)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -127,7 +130,7 @@ func main() {
 
 	// Reduce: collect every mapper's table and merge.
 	total := make(map[string]int)
-	if err := group.CallAll(ctx, "emit", nil, func(_ oopp.Member, d *oopp.Decoder) error {
+	if err := group.CallAll(ctx, mapperEmit.Name(), nil, func(_ oopp.Member, d *oopp.Decoder) error {
 		n := d.Uvarint()
 		for j := uint64(0); j < n; j++ {
 			w := d.String()

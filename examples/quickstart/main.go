@@ -22,12 +22,12 @@ import (
 )
 
 // counter is a user-defined remote class: the §2 "objects are processes"
-// in its smallest form. It is declared with the typed registration
-// surface; construction below goes through the type itself
-// (NewOn[counter]), so no string class name appears at any call site.
+// in its smallest form, declared with the typed registration surface:
+// construction goes through the type (NewOn[counter]) and calls through
+// the handles Declare returns, so no string name appears at a call site.
 type counter struct{ n int }
 
-var _ = oopp.RegisterClass("example.Counter",
+var counterClass = oopp.RegisterClass("example.Counter",
 	func(env *oopp.Env, args *oopp.Decoder) (*counter, error) {
 		vals, err := args.Anys()
 		if err != nil {
@@ -42,8 +42,10 @@ var _ = oopp.RegisterClass("example.Counter",
 			c.n = n
 		}
 		return c, nil
-	}).
-	Method("add", func(c *counter, env *oopp.Env, args *oopp.Decoder, reply *oopp.Encoder) error {
+	})
+
+var (
+	counterAdd = counterClass.Declare("add", func(c *counter, env *oopp.Env, args *oopp.Decoder, reply *oopp.Encoder) error {
 		vals, err := args.Anys()
 		if err != nil {
 			return err
@@ -57,10 +59,11 @@ var _ = oopp.RegisterClass("example.Counter",
 		}
 		c.n += d
 		return reply.PutAny(c.n)
-	}).
-	Method("get", func(c *counter, env *oopp.Env, args *oopp.Decoder, reply *oopp.Encoder) error {
+	})
+	counterGet = counterClass.Declare("get", func(c *counter, env *oopp.Env, args *oopp.Decoder, reply *oopp.Encoder) error {
 		return reply.PutAny(c.n)
 	})
+)
 
 func main() {
 	ctx := context.Background()
@@ -131,7 +134,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	n, err := oopp.Invoke[int](ctx, client, ref, "add", 23)
+	n, err := oopp.Invoke[int](ctx, client, ref, counterAdd, 23)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -139,7 +142,7 @@ func main() {
 
 	// The §4 split form, typed: issue now, wait (with ctx) later. A
 	// per-call deadline and trace label ride along as options.
-	fut := oopp.InvokeAsync[int](ctx, client, ref, "get")
+	fut := oopp.InvokeAsync[int](ctx, client, ref, counterGet)
 	got, err := fut.Wait(ctx)
 	if err != nil {
 		log.Fatal(err)

@@ -25,6 +25,7 @@ package oopp_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -66,13 +67,32 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// uncalledExports returns the exports under root's internal/ that no
-// non-test code references, as "dir.Func" or "dir.Type.Method" with dir
-// relative to root, each with the file that declares it. The code
-// searched is root's module and, if root has one, the module in bench/.
-func uncalledExports(t *testing.T, root string) map[string]string {
+// sourceFile is one non-test file of a checked module.
+type sourceFile struct {
+	dir, path string // package directory and file, relative to the root
+	f         *ast.File
+}
+
+// checkedModules is root's module and, if root has one, the module in
+// bench/, type-checked from source: their non-test files, and what the
+// type checker recorded of every identifier and expression in them.
+type checkedModules struct {
+	fset  *token.FileSet
+	files []sourceFile
+	info  *types.Info
+}
+
+// loaded keeps each root's type-checked modules: the tests that read them
+// share one load.
+var loaded = make(map[string]*checkedModules)
+
+// loadModules type-checks root's modules once and returns them.
+func loadModules(t *testing.T, root string) *checkedModules {
 	t.Helper()
-	root, err := filepath.Abs(root)
+	if m := loaded[root]; m != nil {
+		return m
+	}
+	abs, err := filepath.Abs(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +101,7 @@ func uncalledExports(t *testing.T, root string) map[string]string {
 	var pkgs []listedPackage
 	exportData := make(map[string]string) // import path -> export data file
 	seen := make(map[string]bool)
-	for _, dir := range []string{root, filepath.Join(root, "bench")} {
+	for _, dir := range []string{abs, filepath.Join(abs, "bench")} {
 		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err != nil {
 			continue
 		}
@@ -118,14 +138,14 @@ func uncalledExports(t *testing.T, root string) map[string]string {
 		}
 		return std.Import(path)
 	})}
-	info := &types.Info{Defs: make(map[*ast.Ident]types.Object), Uses: make(map[*ast.Ident]types.Object)}
-	type file struct {
-		dir, path string // package directory and file, relative to root
-		f         *ast.File
+	info := &types.Info{
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
+		Types: make(map[ast.Expr]types.TypeAndValue),
 	}
-	var files []file
+	m := &checkedModules{fset: fset, info: info}
 	for _, p := range pkgs {
-		rel, err := filepath.Rel(root, p.Dir)
+		rel, err := filepath.Rel(abs, p.Dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,19 +156,31 @@ func uncalledExports(t *testing.T, root string) map[string]string {
 				t.Fatal(err)
 			}
 			asts = append(asts, f)
-			files = append(files, file{filepath.ToSlash(rel), filepath.ToSlash(filepath.Join(rel, name)), f})
+			m.files = append(m.files, sourceFile{filepath.ToSlash(rel), filepath.ToSlash(filepath.Join(rel, name)), f})
 		}
 		if checked[p.ImportPath], err = conf.Check(p.ImportPath, fset, asts, info); err != nil {
 			t.Fatalf("type-check %s: %v", p.ImportPath, err)
 		}
 	}
+	loaded[root] = m
+	return m
+}
+
+// uncalledExports returns the exports under root's internal/ that no
+// non-test code references, as "dir.Func" or "dir.Type.Method" with dir
+// relative to root, each with the file that declares it. The code
+// searched is root's module and, if root has one, the module in bench/.
+func uncalledExports(t *testing.T, root string) map[string]string {
+	t.Helper()
+	m := loadModules(t, root)
+	info := m.info
 
 	type export struct{ report, file string }
 	decls := make(map[*types.Func]export)
 	handles := make(map[*types.Var]export)
 	used := make(map[types.Object]bool)
 	ifaceCalled := make(map[string]bool) // names of the interface methods code calls
-	for _, fl := range files {
+	for _, fl := range m.files {
 		for _, decl := range fl.f.Decls {
 			// A function is one unit, and so is each spec of a declaration
 			// group: what a unit declares is not used by its own references.
@@ -212,6 +244,68 @@ func uncalledExports(t *testing.T, root string) map[string]string {
 	return flagged
 }
 
+// namedByConstant returns the places where non-test code of root's own
+// module, outside internal/rmi, names a remote method other than by its
+// handle, as "file:line: what": a constant passed for a string parameter
+// named method (Client.Call, FanOut, a collection's Broadcast, a serve
+// Session's Call and every other by-name surface), and a registration
+// through rmi's ClassSpec.Method or ConcurrentMethod. A handle's Name()
+// is the accepted argument. The bench module is not searched.
+func namedByConstant(t *testing.T, root string) []string {
+	t.Helper()
+	m := loadModules(t, root)
+	var found []string
+	for _, fl := range m.files {
+		if fl.dir == "bench" || strings.HasPrefix(fl.dir, "bench/") || fl.dir == "internal/rmi" {
+			continue
+		}
+		ast.Inspect(fl.f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			at := func(x ast.Node) string { return fmt.Sprintf("%s:%d: ", fl.path, m.fset.Position(x.Pos()).Line) }
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+				if fn, ok := m.info.Uses[sel.Sel].(*types.Func); ok && isClassSpecRegistration(fn) {
+					found = append(found, at(sel.Sel)+"registers through ClassSpec."+fn.Name())
+				}
+			}
+			sig, ok := m.info.TypeOf(call.Fun).(*types.Signature)
+			if !ok {
+				return true
+			}
+			for i, arg := range call.Args {
+				if i >= sig.Params().Len() {
+					break
+				}
+				p := sig.Params().At(i)
+				if p.Name() == "method" && types.Identical(p.Type(), types.Typ[types.String]) && m.info.Types[arg].Value != nil {
+					found = append(found, at(arg)+"names a method by the constant "+m.info.Types[arg].Value.String())
+				}
+			}
+			return true
+		})
+	}
+	sort.Strings(found)
+	return found
+}
+
+// isClassSpecRegistration reports whether fn is the Method or
+// ConcurrentMethod method of the ClassSpec type of a package
+// .../internal/rmi.
+func isClassSpecRegistration(fn *types.Func) bool {
+	recv := fn.Signature().Recv()
+	if recv == nil || (fn.Name() != "Method" && fn.Name() != "ConcurrentMethod") {
+		return false
+	}
+	ptr, ok := recv.Type().(*types.Pointer)
+	if !ok {
+		return false
+	}
+	n, ok := ptr.Elem().(*types.Named)
+	return ok && n.Obj().Name() == "ClassSpec" && strings.HasSuffix(n.Obj().Pkg().Path(), "internal/rmi")
+}
+
 // isHandle reports whether v is a remote method handle: a package-level
 // variable of the Method type of a package .../internal/rmi.
 func isHandle(v *types.Var) bool {
@@ -267,5 +361,25 @@ func TestExportsCheckFlagsFixture(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flagged %v, want %v", got, want)
+	}
+}
+
+// TestMethodsAreNamedByHandle holds the module to one way of naming a
+// remote method outside internal/rmi: its Declare'd handle, whose Name()
+// the by-name surfaces take.
+func TestMethodsAreNamedByHandle(t *testing.T) {
+	for _, f := range namedByConstant(t, ".") {
+		t.Errorf("%s; declare the method and name it through its handle", f)
+	}
+}
+
+// TestNamedByConstantFlagsFixture runs the rule on the fixture module,
+// whose lib passes a by-name surface one constant and one handle's
+// Name(): only the constant is flagged.
+func TestNamedByConstantFlagsFixture(t *testing.T) {
+	got := namedByConstant(t, filepath.Join("testdata", "exports"))
+	want := []string{`internal/lib/lib.go:18: names a method by the constant "dead"`}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("flagged %q, want %q", got, want)
 	}
 }

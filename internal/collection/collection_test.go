@@ -26,7 +26,7 @@ type cell struct {
 var liveCells atomic.Int64
 
 func init() {
-	rmi.RegisterClass("collection.Cell", func(env *rmi.Env, args *wire.Decoder) (*cell, error) {
+	cellClass := rmi.RegisterClass("collection.Cell", func(env *rmi.Env, args *wire.Decoder) (*cell, error) {
 		value := args.Int()
 		stallMs := args.Int()
 		fail := args.Bool()
@@ -41,21 +41,21 @@ func init() {
 		}
 		liveCells.Add(1)
 		return &cell{value: value}, nil
-	}).
-		Method("value", func(c *cell, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			reply.PutInt(c.value)
-			return nil
-		}).
-		Method("add", func(c *cell, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			c.value += args.Int()
-			return args.Err()
-		}).
-		Method("failIfOdd", func(c *cell, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			if c.value%2 == 1 {
-				return fmt.Errorf("cell %d: odd", c.value)
-			}
-			return nil
-		})
+	})
+	cellClass.Declare("value", func(c *cell, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		reply.PutInt(c.value)
+		return nil
+	})
+	cellClass.Declare("add", func(c *cell, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		c.value += args.Int()
+		return args.Err()
+	})
+	cellClass.Declare("failIfOdd", func(c *cell, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		if c.value%2 == 1 {
+			return fmt.Errorf("cell %d: odd", c.value)
+		}
+		return nil
+	})
 }
 
 // cellEnc encodes a Cell constructor: value = member index, no stall,
@@ -213,7 +213,7 @@ func TestSpawnTypedTagged(t *testing.T) {
 type taggedCell struct{ v int }
 
 func init() {
-	rmi.RegisterClass("collection.TaggedCell", func(env *rmi.Env, args *wire.Decoder) (*taggedCell, error) {
+	taggedClass := rmi.RegisterClass("collection.TaggedCell", func(env *rmi.Env, args *wire.Decoder) (*taggedCell, error) {
 		vals, err := args.Anys()
 		if err != nil {
 			return nil, err
@@ -227,11 +227,11 @@ func init() {
 			c.v = n
 		}
 		return c, nil
-	}).
-		Method("value", func(c *taggedCell, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			reply.PutInt(c.v)
-			return nil
-		})
+	})
+	taggedClass.Declare("value", func(c *taggedCell, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		reply.PutInt(c.v)
+		return nil
+	})
 }
 
 func TestViewsShareRefs(t *testing.T) {

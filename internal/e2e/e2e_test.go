@@ -96,8 +96,10 @@ var counterClass = rmi.RegisterClass("e2e.Counter",
 			c.n = start
 		}
 		return c, nil
-	}).
-	Method("add", func(c *counter, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	})
+
+var (
+	counterAdd = counterClass.Declare("add", func(c *counter, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		vals, err := args.Anys()
 		if err != nil {
 			return err
@@ -108,14 +110,14 @@ var counterClass = rmi.RegisterClass("e2e.Counter",
 		}
 		c.n += d
 		return reply.PutAny(c.n)
-	}).
-	Method("get", func(c *counter, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	})
+	counterGet = counterClass.Declare("get", func(c *counter, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		return reply.PutAny(c.n)
-	}).
-	Method("boom", func(c *counter, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	})
+	counterBoom = counterClass.Declare("boom", func(c *counter, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		return fmt.Errorf("counter told to fail")
-	}).
-	Method("slowAdd", func(c *counter, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	})
+	counterSlowAdd = counterClass.Declare("slowAdd", func(c *counter, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		vals, err := args.Anys()
 		if err != nil {
 			return err
@@ -127,8 +129,8 @@ var counterClass = rmi.RegisterClass("e2e.Counter",
 		time.Sleep(500 * time.Millisecond)
 		c.n += d
 		return reply.PutAny(c.n)
-	}).
-	Method("remoteAdd", func(c *counter, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	})
+	counterRemoteAdd = counterClass.Declare("remoteAdd", func(c *counter, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		// new(machine m) Counter(base); counter->add(delta) — issued from
 		// inside a server process, to a peer server process.
 		vals, err := args.Anys()
@@ -148,7 +150,7 @@ var counterClass = rmi.RegisterClass("e2e.Counter",
 		if err != nil {
 			return err
 		}
-		sum, err := rmi.Invoke[int](context.Background(), env.Client, ref, "add", delta)
+		sum, err := rmi.Invoke[int](context.Background(), env.Client, ref, counterAdd, delta)
 		if err != nil {
 			return err
 		}
@@ -157,24 +159,25 @@ var counterClass = rmi.RegisterClass("e2e.Counter",
 		}
 		return reply.PutAny(sum)
 	})
+)
 
 // shard is the collection test class: one float64 accumulator per
 // member, packed encodings on the hot methods.
 type shard struct{ value float64 }
 
 func init() {
-	rmi.RegisterClass("e2e.Shard", func(env *rmi.Env, args *wire.Decoder) (*shard, error) {
+	shardClass := rmi.RegisterClass("e2e.Shard", func(env *rmi.Env, args *wire.Decoder) (*shard, error) {
 		v := args.Float64()
 		return &shard{value: v}, args.Err()
-	}).
-		Method("add", func(s *shard, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			s.value += args.Float64()
-			return args.Err()
-		}).
-		Method("sum", func(s *shard, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			reply.PutFloat64(s.value)
-			return nil
-		})
+	})
+	shardClass.Declare("add", func(s *shard, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		s.value += args.Float64()
+		return args.Err()
+	})
+	shardClass.Declare("sum", func(s *shard, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		reply.PutFloat64(s.value)
+		return nil
+	})
 }
 
 func spawnShards(t *testing.T, ctx context.Context, client *rmi.Client, n, machines int) *collection.Collection[*shard] {
@@ -203,14 +206,14 @@ func TestTypedRMIOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewOn: %v", err)
 	}
-	if got, err := rmi.Invoke[int](ctx, c, ref, "add", 2); err != nil || got != 42 {
+	if got, err := rmi.Invoke[int](ctx, c, ref, counterAdd, 2); err != nil || got != 42 {
 		t.Fatalf("add = %d, %v; want 42", got, err)
 	}
 
 	// §4 split form: a pipelined burst of typed futures.
 	futs := make([]*rmi.TypedFuture[int], 16)
 	for i := range futs {
-		futs[i] = rmi.InvokeAsync[int](ctx, c, ref, "add", 1)
+		futs[i] = rmi.InvokeAsync[int](ctx, c, ref, counterAdd, 1)
 	}
 	last := 0
 	for _, f := range futs {
@@ -225,7 +228,7 @@ func TestTypedRMIOverTCP(t *testing.T) {
 	}
 
 	// Remote failure crosses the wire typed.
-	if _, err := rmi.Invoke[int](ctx, c, ref, "boom"); err == nil {
+	if _, err := rmi.Invoke[int](ctx, c, ref, counterBoom); err == nil {
 		t.Fatal("boom succeeded")
 	} else {
 		var re *rmi.RemoteError
@@ -235,14 +238,14 @@ func TestTypedRMIOverTCP(t *testing.T) {
 	}
 
 	// Peer-to-peer: machine 1's counter builds and drives one on 2.
-	if got, err := rmi.Invoke[int](ctx, c, ref, "remoteAdd", 2, 100, 11); err != nil || got != 111 {
+	if got, err := rmi.Invoke[int](ctx, c, ref, counterRemoteAdd, 2, 100, 11); err != nil || got != 111 {
 		t.Fatalf("remoteAdd via machine 1 -> 2 = %d, %v; want 111", got, err)
 	}
 
 	if err := c.Delete(ctx, ref); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
-	if _, err := rmi.Invoke[int](ctx, c, ref, "get"); !errors.Is(err, rmi.ErrNoSuchObject) {
+	if _, err := rmi.Invoke[int](ctx, c, ref, counterGet); !errors.Is(err, rmi.ErrNoSuchObject) {
 		t.Fatalf("call after delete: %v, want ErrNoSuchObject", err)
 	}
 
@@ -609,7 +612,7 @@ func TestRestartReconnectsThroughRegistry(t *testing.T) {
 	// (Checked before constructing anything on the reborn server — object
 	// ids restart from 1, so a stale ref could otherwise alias a new
 	// object; remote pointers are not restart-safe by design.)
-	if _, err := rmi.Invoke[int](ctx, cl.Client, ref, "get"); !errors.Is(err, rmi.ErrNoSuchObject) {
+	if _, err := rmi.Invoke[int](ctx, cl.Client, ref, counterGet); !errors.Is(err, rmi.ErrNoSuchObject) {
 		t.Fatalf("stale ref call = %v, want ErrNoSuchObject", err)
 	}
 	// Fresh construction on the reborn machine works through the same
@@ -619,7 +622,7 @@ func TestRestartReconnectsThroughRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewOn after restart: %v", err)
 	}
-	if got, err := rmi.Invoke[int](ctx, cl.Client, ref2, "add", 1); err != nil || got != 2 {
+	if got, err := rmi.Invoke[int](ctx, cl.Client, ref2, counterAdd, 1); err != nil || got != 2 {
 		t.Fatalf("add after restart = %d, %v; want 2", got, err)
 	}
 	if err := cl.Client.Delete(ctx, ref2); err != nil {
@@ -641,7 +644,7 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 		t.Fatalf("NewOn: %v", err)
 	}
 	// Put a 500ms call in flight, then SIGTERM everything mid-execution.
-	fut := rmi.InvokeAsync[int](ctx, cl.Client, ref, "slowAdd", 1)
+	fut := rmi.InvokeAsync[int](ctx, cl.Client, ref, counterSlowAdd, 1)
 	time.Sleep(100 * time.Millisecond)
 	cl.Stop() // SIGTERM both machines; asserts exit 0 for each
 
@@ -653,7 +656,7 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 		t.Fatalf("in-flight result = %d, want 42", got)
 	}
 	// The machines are gone now: new work fails.
-	if _, err := rmi.Invoke[int](ctx, cl.Client, ref, "add", 1); err == nil {
+	if _, err := rmi.Invoke[int](ctx, cl.Client, ref, counterAdd, 1); err == nil {
 		t.Fatal("call after shutdown succeeded")
 	}
 }

@@ -80,7 +80,7 @@ var a2 = Experiment{
 		}
 		// rate is the calls per second of callers concurrent callers, caller
 		// c calling method on refs[c % len(refs)].
-		rate := func(refs []rmi.Ref, method string) (float64, error) {
+		rate := func(refs []rmi.Ref, method rmi.Method) (float64, error) {
 			s, err := measure(0, 1, func() error {
 				var wg sync.WaitGroup
 				errs := make([]error, callers)
@@ -89,7 +89,7 @@ var a2 = Experiment{
 					go func() {
 						defer wg.Done()
 						for i := 0; i < iters && errs[c] == nil; i++ {
-							d, err := client.Call(bg, refs[c%len(refs)], method, body)
+							d, err := method.Call(bg, client, refs[c%len(refs)], body)
 							d.Release()
 							errs[c] = err
 						}
@@ -103,19 +103,19 @@ var a2 = Experiment{
 
 		refs := make([]rmi.Ref, callers)
 		for i := range refs {
-			if refs[i], err = client.New(bg, 0, classBusy, nil); err != nil {
+			if refs[i], err = busyClass.New(bg, client, 0, nil); err != nil {
 				return err
 			}
 		}
-		serialOne, err := rate(refs[:1], "workSerial")
+		serialOne, err := rate(refs[:1], workSerial)
 		if err != nil {
 			return err
 		}
-		concOne, err := rate(refs[:1], "workConcurrent")
+		concOne, err := rate(refs[:1], workConcurrent)
 		if err != nil {
 			return err
 		}
-		serialMany, err := rate(refs, "workSerial")
+		serialMany, err := rate(refs, workSerial)
 		if err != nil {
 			return err
 		}
@@ -128,10 +128,6 @@ var a2 = Experiment{
 		return nil
 	},
 }
-
-// classBusy is a class whose methods burn a requested number of
-// microseconds, in serial and concurrent variants.
-const classBusy = "exp.Busy"
 
 type busyObj struct{}
 
@@ -146,14 +142,17 @@ func busyBody(args *wire.Decoder) error {
 	return nil
 }
 
-func init() {
-	rmi.RegisterClass(classBusy, func(env *rmi.Env, args *wire.Decoder) (*busyObj, error) {
-		return &busyObj{}, nil
-	}).
-		Method("workSerial", func(obj *busyObj, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			return busyBody(args)
-		}).
-		ConcurrentMethod("workConcurrent", func(obj *busyObj, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			return busyBody(args)
-		})
-}
+// busyClass is a class whose methods burn a requested number of
+// microseconds, in serial and concurrent variants.
+var busyClass = rmi.RegisterClass("exp.Busy", func(env *rmi.Env, args *wire.Decoder) (*busyObj, error) {
+	return &busyObj{}, nil
+})
+
+var (
+	workSerial = busyClass.Declare("workSerial", func(obj *busyObj, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		return busyBody(args)
+	})
+	workConcurrent = busyClass.DeclareConcurrent("workConcurrent", func(obj *busyObj, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		return busyBody(args)
+	})
+)

@@ -39,7 +39,7 @@ var e12 = Experiment{
 			// one completed round trip after the other (§2 semantics).
 			seq, err := measure(3, iters, func() error {
 				return coll.ForEach(func(m collection.Member) error {
-					d, err := client.Call(bg, m.Ref, "noop", nil)
+					d, err := echoNoop.Call(bg, client, m.Ref, nil)
 					d.Release()
 					return err
 				})
@@ -47,12 +47,12 @@ var e12 = Experiment{
 			if err != nil {
 				return err
 			}
-			bcast, err := measure(3, iters, func() error { return coll.Broadcast(bg, "noop", nil) })
+			bcast, err := measure(3, iters, func() error { return coll.Broadcast(bg, echoNoop.Name(), nil) })
 			if err != nil {
 				return err
 			}
 			red, err := measure(3, iters, func() error {
-				n, err := collection.Reduce(bg, coll, "one", nil, collection.DecodeInt, collection.SumInt)
+				n, err := collection.Reduce(bg, coll, echoOne.Name(), nil, collection.DecodeInt, collection.SumInt)
 				if err == nil && n != size {
 					err = fmt.Errorf("E12: reduce over %d members returned %d", size, n)
 				}

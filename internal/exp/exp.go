@@ -206,36 +206,35 @@ func (x *run) array(cl *cluster.Cluster, layout string, N, n, spare int) (*core.
 
 // ---- shared helpers -------------------------------------------------------
 
-// classEcho is a minimal server class used by the latency and barrier
-// experiments: it returns its payload.
-const classEcho = "exp.Echo"
-
-type echoObj struct{}
-
 // bg is the neutral context used by experiment-harness call sites: each
 // experiment is a top-level entry point with no caller context.
 var bg = context.Background()
 
-func init() {
-	rmi.RegisterClass(classEcho, func(env *rmi.Env, args *wire.Decoder) (*echoObj, error) {
-		return &echoObj{}, nil
-	}).
-		Method("echo", func(obj *echoObj, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			reply.PutBytes(args.Bytes())
-			return args.Err()
-		}).
-		Method("noop", func(obj *echoObj, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			return nil
-		}).
-		Method("one", func(obj *echoObj, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			// The unit of the counting monoid: reducing "one" over a
-			// collection counts its live members (E12's reduce lane).
-			reply.PutInt(1)
-			return nil
-		})
-}
+type echoObj struct{}
 
-// echo returns one synchronous echo of payload by the classEcho object
+// echoClass is a minimal server class used by the latency and barrier
+// experiments: it returns its payload.
+var echoClass = rmi.RegisterClass("exp.Echo", func(env *rmi.Env, args *wire.Decoder) (*echoObj, error) {
+	return &echoObj{}, nil
+})
+
+var (
+	echoEcho = echoClass.Declare("echo", func(obj *echoObj, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		reply.PutBytes(args.Bytes())
+		return args.Err()
+	})
+	echoNoop = echoClass.Declare("noop", func(obj *echoObj, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		return nil
+	})
+	echoOne = echoClass.Declare("one", func(obj *echoObj, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		// The unit of the counting monoid: reducing echoOne over a
+		// collection counts its live members (E12's reduce lane).
+		reply.PutInt(1)
+		return nil
+	})
+)
+
+// echo returns one synchronous echo of payload by the echoClass object
 // ref. The argument encoder is built once and the reply released, as a
 // steady-state caller of the pooled hot path does.
 func echo(ctx context.Context, client *rmi.Client, ref rmi.Ref, payload []byte, opts ...rmi.CallOption) func() error {
@@ -244,7 +243,7 @@ func echo(ctx context.Context, client *rmi.Client, ref rmi.Ref, payload []byte, 
 		return nil
 	}
 	return func() error {
-		d, err := client.Call(ctx, ref, "echo", args, opts...)
+		d, err := echoEcho.Call(ctx, client, ref, args, opts...)
 		d.Release()
 		return err
 	}

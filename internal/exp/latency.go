@@ -51,7 +51,7 @@ var e1 = Experiment{
 				return err
 			}
 			client := cl.Client()
-			ref, err := client.New(bg, 1, classEcho, nil)
+			ref, err := echoClass.New(bg, client, 1, nil)
 			if err != nil {
 				return err
 			}
@@ -179,7 +179,7 @@ var e9 = Experiment{
 		client := cl.Client()
 
 		for _, size := range []int{1, 2, 4, 8, 16, 32, 64} {
-			g, err := collection.SpawnNamed[any](bg, client, collection.OnMachines(machineList(size, machines)...), classEcho, nil)
+			g, err := collection.SpawnClass(bg, client, collection.OnMachines(machineList(size, machines)...), echoClass, nil)
 			if err != nil {
 				return err
 			}

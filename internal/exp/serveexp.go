@@ -109,14 +109,14 @@ type door struct {
 // park calls wait on the Work object and returns once the server holds
 // the call: every later serial call queues behind it until open.
 func (d door) park() (*rmi.Future, error) {
-	dam := d.sess.CallAsync(bg, d.ref, "wait", nil)
+	dam := d.sess.CallAsync(bg, d.ref, serve.WorkWait.Name(), nil)
 	return dam, waitUntil("the dam admitted", func() bool { return d.srv.QueueDepths()[rmi.PrioNormal] >= 1 })
 }
 
 // open releases the dam; the call is concurrent and high priority, so it
 // passes the parked mailbox.
 func (d door) open() error {
-	return d.sess.CallAsync(bg, d.ref, "open", nil, rmi.WithPriority(rmi.PrioHigh)).Err(bg)
+	return d.sess.CallAsync(bg, d.ref, serve.WorkOpen.Name(), nil, rmi.WithPriority(rmi.PrioHigh)).Err(bg)
 }
 
 // e14Storm holds stormCalls calls in flight on one machine at once.
@@ -130,7 +130,7 @@ func e14Storm(x *run, d door) error {
 	futs := []*rmi.Future{dam}
 	start := time.Now()
 	for i := 1; i < stormCalls; i++ {
-		futs = append(futs, d.sess.CallAsync(bg, d.ref, "sleep", serve.SleepArgs(0)))
+		futs = append(futs, d.sess.CallAsync(bg, d.ref, serve.WorkSleep.Name(), serve.SleepArgs(0)))
 	}
 	// Every storm call must be admitted and held — in flight on the
 	// server, not just pending on the client.
@@ -167,7 +167,7 @@ func e14Burst(x *run, d door) error {
 	shedBefore := d.srv.Env().Counters().ReqShed.Load()
 	var bulkFuts []*rmi.Future
 	for i := 0; i < bulkCap+overflow; i++ {
-		bulkFuts = append(bulkFuts, bulk.CallAsync(bg, d.ref, "sleep", serve.SleepArgs(0)))
+		bulkFuts = append(bulkFuts, bulk.CallAsync(bg, d.ref, serve.WorkSleep.Name(), serve.SleepArgs(0)))
 	}
 	// The dam never opens until we say so, so no bulk call completes:
 	// exactly bulkCap are admitted and exactly overflow shed, no matter
@@ -213,7 +213,7 @@ func e14HotPath(x *run, d door) error {
 	const iters = 2000
 	args := serve.EchoArgs(make([]byte, 64))
 	call := func() error {
-		r, err := d.sess.Call(bg, d.ref, "echo", args)
+		r, err := d.sess.Call(bg, d.ref, serve.WorkEcho.Name(), args)
 		r.Release()
 		return err
 	}
@@ -262,7 +262,7 @@ func e14Sweep(x *run, d door) error {
 				Rate:  pt.rate,
 				Count: int(pt.rate) * 2 / 5,
 				Call: func(i int) error {
-					r, err := d.sess.Call(bg, d.ref, "sleep", serve.SleepArgs(serviceUs))
+					r, err := d.sess.Call(bg, d.ref, serve.WorkSleep.Name(), serve.SleepArgs(serviceUs))
 					r.Release()
 					return err
 				},

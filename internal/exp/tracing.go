@@ -42,7 +42,7 @@ var e17 = Experiment{
 			return err
 		}
 		client := cl.Client()
-		ref, err := client.New(bg, 1, classEcho, nil)
+		ref, err := echoClass.New(bg, client, 1, nil)
 		if err != nil {
 			return err
 		}

@@ -440,7 +440,7 @@ const (
 )
 
 // ArrayPageDeviceClass is the registered derived class; it inherits every
-// base method via Extend and adds the structure-aware ones.
+// base method and adds the structure-aware ones.
 var ArrayPageDeviceClass = rmi.ExtendClass(PageDeviceClass, ClassArrayPageDevice,
 	func(env *rmi.Env, args *wire.Decoder) (*arrayPageDevice, error) {
 		mode := args.Int()

@@ -159,14 +159,14 @@ type panicky struct{ *worker }
 var panickyCompute func(method string, i1 int) error
 
 func init() {
-	rmi.RegisterClass("pfft.test.Panicky", func(env *rmi.Env, args *wire.Decoder) (panicky, error) {
+	panickyClass := rmi.RegisterClass("pfft.test.Panicky", func(env *rmi.Env, args *wire.Decoder) (panicky, error) {
 		w, err := newAlone()
 		return panicky{w}, err
-	}).
-		Method("transform", func(w panicky, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			me := goid()
-			return w.exchange(env, phaseForward, func(i1 int) error { return panickyCompute(me, i1) })
-		})
+	})
+	panickyClass.Declare("transform", func(w panicky, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		me := goid()
+		return w.exchange(env, phaseForward, func(i1 int) error { return panickyCompute(me, i1) })
+	})
 }
 
 // TestPanickingPlaneFailsTheCall: a plane's compute panics on a helper

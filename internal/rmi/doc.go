@@ -35,15 +35,15 @@
 // goes through the handle (Class[T].New with a packed ArgEncoder, or
 // NewOn[T] with the tagged generic encoding). Declare returns a method's
 // Method handle, the one value its server body and its callers name:
-// stubs, peers and fan-outs call through it (Call, CallAsync, or Name for
-// the by-name surfaces), so a renamed method is a compile error and one
-// that nothing calls is a handle nothing references, which the module's
+// stubs, peers and fan-outs call through it (Call, CallAsync, Invoke[R],
+// or Name for the by-name surfaces: Client.Call, FanOut, the collection
+// collectives), so a renamed method is a compile error and one that
+// nothing calls is a handle nothing references, which the module's
 // exports check reports. The wire carries the method's name, as a call by
-// name (Client.Call, the chaining Class[T].Method, Invoke[R]) does.
-// ExtendClass renders the paper's process inheritance (§3): the derived
-// class inherits the base method table under its own Go type, and answers
-// the base's handles. Invoke[R]/InvokeAsync[R] decode a method's tagged
-// result into R, failing loudly on a type mismatch.
+// name does. ExtendClass renders the paper's process inheritance (§3):
+// the derived class inherits the base method table under its own Go type,
+// and answers the base's handles. Invoke[R]/InvokeAsync[R] decode a
+// method's tagged result into R, failing loudly on a type mismatch.
 //
 // Bulk-data stubs (pages, float slices) keep hand-written ArgEncoder
 // closures over the packed wire encodings — that layer remains available

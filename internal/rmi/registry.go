@@ -52,13 +52,13 @@ var methodIndexes atomic.Int64
 //
 // The method table is published read-only: a request reads the map
 // methods points to without a lock, and registration — Method,
-// ConcurrentMethod, Extend — builds a new map under mu and
+// ConcurrentMethod, inherit — builds a new map under mu and
 // publishes it in place of the old one.
 type ClassSpec struct {
 	name    string
 	ctor    Constructor
 	mu      sync.Mutex   // orders the writers of methods and derived
-	derived []*ClassSpec // the classes Extend made of this one
+	derived []*ClassSpec // the classes that inherit from this one
 	methods atomic.Pointer[map[string]methodEntry]
 }
 
@@ -112,21 +112,19 @@ func (c *ClassSpec) add(e methodEntry) {
 // table is the published method table. It is never written.
 func (c *ClassSpec) table() map[string]methodEntry { return *c.methods.Load() }
 
-// Extend registers a derived class that inherits every method of c (the
-// paper's process inheritance, §3: "straightforward to derive new
-// processes using previously defined processes"), those c gains later
-// included. The derived class gets its own constructor and may add
+// inherit makes c a class derived from base: c gets every method of base
+// (the paper's process inheritance, §3: "straightforward to derive new
+// processes using previously defined processes"), those base gains later
+// included. The derived class has its own constructor and may add
 // methods; reusing an inherited name panics like any duplicate, so no
 // derived class overrides one.
-func (c *ClassSpec) Extend(name string, ctor Constructor) *ClassSpec {
-	derived := Register(name, ctor)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.derived = append(c.derived, derived)
-	for _, e := range c.table() {
-		derived.add(e)
+func (c *ClassSpec) inherit(base *ClassSpec) {
+	base.mu.Lock()
+	defer base.mu.Unlock()
+	base.derived = append(base.derived, c)
+	for _, e := range base.table() {
+		c.add(e)
 	}
-	return derived
 }
 
 // MethodNames returns the sorted method names (used by tests and

@@ -951,9 +951,10 @@ var registerBaseAndDerived = sync.OnceValue(func() *ClassSpec {
 			return nil
 		})
 
-	derived := base.Extend("test.Derived", func(env *Env, args *wire.Decoder) (any, error) {
+	derived := Register("test.Derived", func(env *Env, args *wire.Decoder) (any, error) {
 		return &counter{}, nil
 	})
+	derived.inherit(base)
 	derived.Method("extra", func(obj any, env *Env, args *wire.Decoder, reply *wire.Encoder) error {
 		reply.PutString("extra")
 		return nil

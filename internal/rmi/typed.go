@@ -19,8 +19,8 @@ import (
 //     handle, the one value the server body and every caller name.
 //   - Class[T].New / NewOn[T] construct remote objects without string
 //     class names at the call site.
-//   - Invoke[R] / InvokeAsync[R] perform method calls whose single tagged
-//     result is decoded and type-checked into R (TypedFuture[R]).
+//   - Invoke[R] / InvokeAsync[R] call a method through its handle, its
+//     single tagged result decoded and type-checked into R (TypedFuture[R]).
 //
 // Bulk-data stubs (pages, float slices) keep hand-written ArgEncoders for
 // their packed encodings; they still construct through Class[T] handles.
@@ -34,87 +34,54 @@ type Class[T any] struct {
 	spec *ClassSpec
 }
 
-// typedMethod wraps a typed callback into the untyped dispatch form,
-// asserting the object to T exactly once at the dispatch boundary.
-func typedMethod[T any](class, name string, fn func(obj T, env *Env, args *wire.Decoder, reply *wire.Encoder) error) MethodFunc {
-	return func(obj any, env *Env, args *wire.Decoder, reply *wire.Encoder) error {
-		t, ok := obj.(T)
-		if !ok {
-			return fmt.Errorf("rmi: %s.%s: object is %T, class registered for %v",
-				class, name, obj, reflect.TypeFor[T]())
-		}
-		return fn(t, env, args, reply)
-	}
-}
-
 var (
 	classByTypeMu sync.RWMutex
 	classByType   = make(map[reflect.Type]*ClassSpec)
 )
 
 // RegisterClass declares a remote class with a typed constructor and
-// returns its handle, normally from a package init function (the analogue
-// of the compiler seeing the class declaration). It panics on duplicate
-// names. The type T is also recorded so NewOn[T] can resolve the class
-// without naming it.
+// returns its handle, normally from a package-level declaration (the
+// analogue of the compiler seeing the class declaration). It panics on
+// duplicate names. The type T is also recorded so NewOn[T] can resolve the
+// class without naming it.
 func RegisterClass[T any](name string, ctor func(env *Env, args *wire.Decoder) (T, error)) *Class[T] {
 	spec := Register(name, func(env *Env, args *wire.Decoder) (any, error) {
 		return ctor(env, args)
 	})
-	t := reflect.TypeFor[T]()
-	classByTypeMu.Lock()
-	if _, dup := classByType[t]; dup {
-		classByTypeMu.Unlock()
-		panic(fmt.Sprintf("rmi: type %v already registered as a class", t))
-	}
-	classByType[t] = spec
-	classByTypeMu.Unlock()
-	return &Class[T]{spec: spec}
+	return &Class[T]{spec: recordClass(reflect.TypeFor[T](), spec)}
 }
 
-// ExtendClass registers a derived class that inherits every method of
-// base (the paper's process inheritance, §3). The derived class has its
-// own object type U — which must satisfy whatever base's methods assert —
-// its own constructor, and may add methods (an inherited name panics, as
-// in Extend).
+// ExtendClass registers a derived class, as RegisterClass does, that
+// inherits every method of base (the paper's process inheritance, §3). The
+// derived class has its own object type U — which must satisfy whatever
+// base's methods assert — its own constructor, and may add methods (an
+// inherited name panics like any duplicate).
 func ExtendClass[U any, T any](base *Class[T], name string, ctor func(env *Env, args *wire.Decoder) (U, error)) *Class[U] {
-	spec := base.spec.Extend(name, func(env *Env, args *wire.Decoder) (any, error) {
-		return ctor(env, args)
-	})
-	t := reflect.TypeFor[U]()
+	derived := RegisterClass(name, ctor)
+	derived.spec.inherit(base.spec)
+	return derived
+}
+
+// recordClass records spec as the class of type t and returns it. It
+// panics if t already has a class.
+func recordClass(t reflect.Type, spec *ClassSpec) *ClassSpec {
 	classByTypeMu.Lock()
+	defer classByTypeMu.Unlock()
 	if _, dup := classByType[t]; dup {
-		classByTypeMu.Unlock()
 		panic(fmt.Sprintf("rmi: type %v already registered as a class", t))
 	}
 	classByType[t] = spec
-	classByTypeMu.Unlock()
-	return &Class[U]{spec: spec}
+	return spec
 }
 
 // Name returns the registered class name.
 func (c *Class[T]) Name() string { return c.spec.Name() }
 
-// Method registers a serial method like Declare and returns the class
-// for chaining, for code that calls the method by name.
-func (c *Class[T]) Method(name string, fn func(obj T, env *Env, args *wire.Decoder, reply *wire.Encoder) error) *Class[T] {
-	c.Declare(name, fn)
-	return c
-}
-
-// ConcurrentMethod registers a method like DeclareConcurrent and returns
-// the class for chaining.
-func (c *Class[T]) ConcurrentMethod(name string, fn func(obj T, env *Env, args *wire.Decoder, reply *wire.Encoder) error) *Class[T] {
-	c.DeclareConcurrent(name, fn)
-	return c
-}
-
 // Declare registers a serial method — invocations are delivered through
 // the object's mailbox and execute one at a time in arrival order, the
 // callback receiving the object as T — and returns its handle.
 func (c *Class[T]) Declare(name string, fn func(obj T, env *Env, args *wire.Decoder, reply *wire.Encoder) error) Method {
-	c.spec.Method(name, typedMethod(c.spec.Name(), name, fn))
-	return Method{name}
+	return declare(c.spec, name, fn, false)
 }
 
 // DeclareConcurrent registers a method that executes outside the object's
@@ -122,7 +89,22 @@ func (c *Class[T]) Declare(name string, fn func(obj T, env *Env, args *wire.Deco
 // handle. The object is responsible for synchronizing any state such a
 // method touches.
 func (c *Class[T]) DeclareConcurrent(name string, fn func(obj T, env *Env, args *wire.Decoder, reply *wire.Encoder) error) Method {
-	c.spec.ConcurrentMethod(name, typedMethod(c.spec.Name(), name, fn))
+	return declare(c.spec, name, fn, true)
+}
+
+// declare registers fn as class's method name in the untyped dispatch
+// form, which asserts the object to T exactly once at the dispatch
+// boundary, and returns the method's handle.
+func declare[T any](class *ClassSpec, name string, fn func(obj T, env *Env, args *wire.Decoder, reply *wire.Encoder) error, concurrent bool) Method {
+	className := class.Name()
+	class.addMethod(name, func(obj any, env *Env, args *wire.Decoder, reply *wire.Encoder) error {
+		t, ok := obj.(T)
+		if !ok {
+			return fmt.Errorf("rmi: %s.%s: object is %T, class registered for %v",
+				className, name, obj, reflect.TypeFor[T]())
+		}
+		return fn(t, env, args, reply)
+	}, concurrent)
 	return Method{name}
 }
 
@@ -158,10 +140,11 @@ func (c *Class[T]) New(ctx context.Context, client *Client, m int, args ArgEncod
 	return client.New(ctx, m, c.spec.Name(), args, opts...)
 }
 
-// classSpecFor resolves the ClassSpec registered for type T, accepting
-// either the exact registered type or T's pointer type (so value types
-// can be used as the type argument: NewOn[Counter] for a *Counter class).
-func classSpecFor[T any]() (*ClassSpec, error) {
+// SpecFor resolves the ClassSpec registered for type T, accepting either
+// the exact registered type or T's pointer type (so value types can be
+// used as the type argument: NewOn[Counter] for a *Counter class). NewOn
+// and the typed collection layer's Spawn[T] resolve their class by it.
+func SpecFor[T any]() (*ClassSpec, error) {
 	t := reflect.TypeFor[T]()
 	classByTypeMu.RLock()
 	spec, ok := classByType[t]
@@ -175,11 +158,6 @@ func classSpecFor[T any]() (*ClassSpec, error) {
 	return spec, nil
 }
 
-// SpecFor resolves the ClassSpec registered for type T (accepting the
-// pointer type too, like NewOn). It is the resolver the typed
-// collection layer builds its Spawn[T] on.
-func SpecFor[T any]() (*ClassSpec, error) { return classSpecFor[T]() }
-
 // NewOn constructs an object of the class registered for type T on
 // machine m, encoding args with the tagged generic encoding — the typed
 // rendering of "new(machine m) T(args...)". The class's constructor must
@@ -187,29 +165,29 @@ func SpecFor[T any]() (*ClassSpec, error) { return classSpecFor[T]() }
 // args.Any); classes with packed constructor encodings construct through
 // their Class[T].New handle instead.
 func NewOn[T any](ctx context.Context, client *Client, m int, args ...any) (Ref, error) {
-	spec, err := classSpecFor[T]()
+	spec, err := SpecFor[T]()
 	if err != nil {
 		return Ref{}, err
 	}
 	return client.New(ctx, m, spec.Name(), AnyArgs(args...))
 }
 
-// Invoke calls a method whose arguments and single result use the tagged
-// generic encoding, blocking until the decoded result of type R arrives.
-// A result of a different dynamic type is an error, not a zero value.
-func Invoke[R any](ctx context.Context, client *Client, ref Ref, method string, args ...any) (R, error) {
-	return InvokeAsync[R](ctx, client, ref, method, args...).Wait(ctx)
+// Invoke calls m with arguments and a single result in the tagged generic
+// encoding, blocking until the decoded result of type R arrives. A result
+// of a different dynamic type is an error, not a zero value.
+func Invoke[R any](ctx context.Context, client *Client, ref Ref, m Method, args ...any) (R, error) {
+	return InvokeAsync[R](ctx, client, ref, m, args...).Wait(ctx)
 }
 
-// InvokeAsync begins a typed method invocation and returns its typed
-// future immediately — the §4 send-loop half.
-func InvokeAsync[R any](ctx context.Context, client *Client, ref Ref, method string, args ...any) *TypedFuture[R] {
-	return &TypedFuture[R]{fut: client.CallAsync(ctx, ref, method, AnyArgs(args...))}
+// InvokeAsync begins a typed invocation of m and returns its typed future
+// immediately — the §4 send-loop half.
+func InvokeAsync[R any](ctx context.Context, client *Client, ref Ref, m Method, args ...any) *TypedFuture[R] {
+	return &TypedFuture[R]{fut: m.CallAsync(ctx, client, ref, AnyArgs(args...))}
 }
 
 // InvokeVoid calls a tagged-encoding method with no result.
-func InvokeVoid(ctx context.Context, client *Client, ref Ref, method string, args ...any) error {
-	d, err := client.Call(ctx, ref, method, AnyArgs(args...))
+func InvokeVoid(ctx context.Context, client *Client, ref Ref, m Method, args ...any) error {
+	d, err := m.Call(ctx, client, ref, AnyArgs(args...))
 	d.Release()
 	return err
 }

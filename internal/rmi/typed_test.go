@@ -33,8 +33,10 @@ var typedCounterClass = RegisterClass("test.TypedCounter",
 			c.n = start
 		}
 		return c, nil
-	}).
-	Method("add", func(c *typedCounter, env *Env, args *wire.Decoder, reply *wire.Encoder) error {
+	})
+
+var (
+	typedAdd = typedCounterClass.Declare("add", func(c *typedCounter, env *Env, args *wire.Decoder, reply *wire.Encoder) error {
 		vals, err := args.Anys()
 		if err != nil {
 			return err
@@ -48,16 +50,17 @@ var typedCounterClass = RegisterClass("test.TypedCounter",
 		}
 		c.n += d
 		return reply.PutAny(c.n)
-	}).
-	Method("get", func(c *typedCounter, env *Env, args *wire.Decoder, reply *wire.Encoder) error {
+	})
+	typedGet = typedCounterClass.Declare("get", func(c *typedCounter, env *Env, args *wire.Decoder, reply *wire.Encoder) error {
 		return reply.PutAny(c.n)
-	}).
-	Method("label", func(c *typedCounter, env *Env, args *wire.Decoder, reply *wire.Encoder) error {
+	})
+	typedLabel = typedCounterClass.Declare("label", func(c *typedCounter, env *Env, args *wire.Decoder, reply *wire.Encoder) error {
 		return reply.PutAny(fmt.Sprintf("counter(%d)", c.n))
-	}).
-	Method("void", func(c *typedCounter, env *Env, args *wire.Decoder, reply *wire.Encoder) error {
+	})
+	typedVoid = typedCounterClass.Declare("void", func(c *typedCounter, env *Env, args *wire.Decoder, reply *wire.Encoder) error {
 		return nil
 	})
+)
 
 // TestTypedRoundTrip drives the tentpole surface end to end: construction
 // by type (NewOn), typed invocation (Invoke), the §4 split form
@@ -75,7 +78,7 @@ func TestTypedRoundTrip(t *testing.T) {
 		t.Fatalf("ref class = %q", ref.Class)
 	}
 
-	n, err := Invoke[int](bg, c, ref, "add", 2)
+	n, err := Invoke[int](bg, c, ref, typedAdd, 2)
 	if err != nil {
 		t.Fatalf("Invoke add: %v", err)
 	}
@@ -83,13 +86,13 @@ func TestTypedRoundTrip(t *testing.T) {
 		t.Fatalf("add result = %d, want 42", n)
 	}
 
-	fut := InvokeAsync[int](bg, c, ref, "get")
+	fut := InvokeAsync[int](bg, c, ref, typedGet)
 	got, err := fut.Wait(bg)
 	if err != nil || got != 42 {
 		t.Fatalf("InvokeAsync get = %d, %v", got, err)
 	}
 
-	if err := InvokeVoid(bg, c, ref, "void"); err != nil {
+	if err := InvokeVoid(bg, c, ref, typedVoid); err != nil {
 		t.Fatalf("InvokeVoid: %v", err)
 	}
 
@@ -98,7 +101,7 @@ func TestTypedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("handle New: %v", err)
 	}
-	if v, err := Invoke[int](bg, c, ref2, "get"); err != nil || v != 7 {
+	if v, err := Invoke[int](bg, c, ref2, typedGet); err != nil || v != 7 {
 		t.Fatalf("handle-built counter get = %d, %v", v, err)
 	}
 	if err := c.Delete(bg, ref); err != nil {
@@ -132,7 +135,7 @@ func TestInvokeDecodeMismatch(t *testing.T) {
 		t.Fatalf("NewOn: %v", err)
 	}
 	// label returns a string; asking for an int must fail loudly.
-	_, err = Invoke[int](bg, c, ref, "label")
+	_, err = Invoke[int](bg, c, ref, typedLabel)
 	if err == nil {
 		t.Fatal("decode mismatch succeeded")
 	}
@@ -140,7 +143,7 @@ func TestInvokeDecodeMismatch(t *testing.T) {
 		t.Fatalf("mismatch error %q does not mention %q", err, want)
 	}
 	// void returns nothing; asking for a result must fail loudly.
-	_, err = Invoke[int](bg, c, ref, "void")
+	_, err = Invoke[int](bg, c, ref, typedVoid)
 	if err == nil || !contains(err.Error(), "no result") {
 		t.Fatalf("void invoke error = %v, want no-result error", err)
 	}

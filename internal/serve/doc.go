@@ -19,9 +19,10 @@
 //     default CallOptions (priority, timeout, label) that routes every
 //     operation through the pool's pick. 10k sessions over a 4-client
 //     pool is the intended shape.
-//   - Work: a registered benchmark/test class (echo, timed sleep, timed
-//     spin, and a gate for building precise queue shapes) used by the
-//     admission-control tests, experiment E14 and cmd/opploadgen.
+//   - Work: a registered benchmark/test class used by the admission-control
+//     tests, experiment E14 and cmd/opploadgen. Its methods are handles:
+//     WorkEcho, the timed WorkSleep and WorkSpin, WorkWait/WorkOpen (a gate
+//     for building precise queue shapes) and the peer hop WorkBind/WorkRelay.
 //   - OpenLoop: an open-loop load generator. Arrivals follow the clock,
 //     not the completions — the generator does not slow down when the
 //     server does, which is what makes saturation visible instead of

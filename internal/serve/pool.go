@@ -69,7 +69,7 @@ func (p *Pool) ClientFor(m int) *rmi.Client {
 	if k == 1 {
 		return p.clients[0]
 	}
-	start := int(p.rotor.Add(1)) % k
+	start := int(p.rotor.Add(1) % uint64(k))
 	best := p.clients[start]
 	bestLoad := best.InFlightTo(m)
 	for i := 1; i < k; i++ {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -113,6 +114,21 @@ func TestPoolSpreadsLoad(t *testing.T) {
 	}
 	if got := p.InFlight(); got != 0 {
 		t.Fatalf("pool in-flight after drain = %d, want 0", got)
+	}
+}
+
+// TestClientForPastTheRotorsSignBit picks from a 4-client pool whose
+// rotor has passed 2^63: read as a signed int, the rotor would start the
+// scan at a negative index.
+func TestClientForPastTheRotorsSignBit(t *testing.T) {
+	tr, srv := newCluster(t, rmi.AdmissionConfig{})
+	p := newPool(t, tr, srv, 4)
+	p.rotor.Store(1 << 63)
+	for i := 0; i < 8; i++ {
+		c := p.ClientFor(0)
+		if !slices.Contains(p.clients, c) {
+			t.Fatalf("pick %d: a client outside the pool", i)
+		}
 	}
 }
 

@@ -14,18 +14,18 @@ const ClassWork = "serve.Work"
 
 // Work is a remote workload object with precisely-shaped service times,
 // used by the admission-control tests, experiment E14, cmd/opploadgen
-// and the e2e suite. Its serial methods:
+// and the e2e suite. Its serial methods, each named by its handle:
 //
-//	echo(payload []byte) -> payload     — the small-call hot path
-//	sleep(us int)        -> ()          — off-CPU service time
-//	spin(us int)         -> ()          — on-CPU service time
-//	wait()               -> ()          — block until open is called
-//	bind(peer Ref)       -> ()          — set the relay target
-//	relay(payload)       -> payload     — echo via the bound peer's machine
+//	WorkEcho  echo(payload []byte) -> payload — the small-call hot path
+//	WorkSleep sleep(us int)        -> ()      — off-CPU service time
+//	WorkSpin  spin(us int)         -> ()      — on-CPU service time
+//	WorkWait  wait()               -> ()      — block until open is called
+//	WorkBind  bind(peer Ref)       -> ()      — set the relay target
+//	WorkRelay relay(payload)       -> payload — echo via the bound peer's machine
 //
 // and one concurrent method:
 //
-//	open()               -> ()          — release every wait, permanently
+//	WorkOpen  open()               -> ()      — release every wait, permanently
 //
 // wait/open build exact queue shapes: wait parks the object's serial
 // mailbox, every later serial call queues behind it (counting against
@@ -46,72 +46,72 @@ type Work struct {
 	peer     rmi.Ref // relay target; set by bind (serial, like relay)
 }
 
-// Open releases the gate server-side (same effect as the remote "open").
+// Open releases the gate server-side (same effect as a call of WorkOpen).
 func (w *Work) Open() { w.openOnce.Do(func() { close(w.gate) }) }
 
-func init() {
-	rmi.Register(ClassWork, func(env *rmi.Env, args *wire.Decoder) (any, error) {
-		return &Work{gate: make(chan struct{}), parked: make(chan struct{})}, nil
-	}).
-		Method("echo", func(obj any, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			reply.PutBytes(args.BytesView())
-			return nil
-		}).
-		Method("sleep", func(obj any, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			time.Sleep(time.Duration(args.Int()) * time.Microsecond)
-			return nil
-		}).
-		Method("spin", func(obj any, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			d := time.Duration(args.Int()) * time.Microsecond
-			for start := time.Now(); time.Since(start) < d; {
-			}
-			return nil
-		}).
-		Method("wait", func(obj any, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			w := obj.(*Work)
-			w.parkOnce.Do(func() { close(w.parked) })
-			<-w.gate
-			return nil
-		}).
-		Method("bind", func(obj any, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			obj.(*Work).peer = args.Ref()
-			return nil
-		}).
-		Method("relay", func(obj any, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			w := obj.(*Work)
-			if w.peer.IsNil() {
-				return fmt.Errorf("serve: relay with no bound peer (call bind first)")
-			}
-			if env.Client == nil {
-				return fmt.Errorf("serve: relay needs an outbound client")
-			}
-			payload := args.BytesView()
-			d, err := env.Client.Call(env.Ctx(), w.peer, "echo", EchoArgs(payload))
-			if err != nil {
-				return err
-			}
-			reply.PutBytes(d.BytesView())
-			d.Release()
-			return nil
-		}).
-		ConcurrentMethod("open", func(obj any, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-			obj.(*Work).Open()
-			return nil
-		})
-}
+var workClass = rmi.RegisterClass(ClassWork, func(env *rmi.Env, args *wire.Decoder) (*Work, error) {
+	return &Work{gate: make(chan struct{}), parked: make(chan struct{})}, nil
+})
 
-// SleepArgs encodes the argument of Work.sleep/spin.
+// Work's methods; the type's doc lists their arguments and replies.
+var (
+	WorkEcho = workClass.Declare("echo", func(w *Work, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		reply.PutBytes(args.BytesView())
+		return nil
+	})
+	WorkSleep = workClass.Declare("sleep", func(w *Work, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		time.Sleep(time.Duration(args.Int()) * time.Microsecond)
+		return nil
+	})
+	WorkSpin = workClass.Declare("spin", func(w *Work, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		d := time.Duration(args.Int()) * time.Microsecond
+		for start := time.Now(); time.Since(start) < d; {
+		}
+		return nil
+	})
+	WorkWait = workClass.Declare("wait", func(w *Work, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		w.parkOnce.Do(func() { close(w.parked) })
+		<-w.gate
+		return nil
+	})
+	WorkBind = workClass.Declare("bind", func(w *Work, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		w.peer = args.Ref()
+		return nil
+	})
+	WorkRelay = workClass.Declare("relay", func(w *Work, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		if w.peer.IsNil() {
+			return fmt.Errorf("serve: relay with no bound peer (call bind first)")
+		}
+		if env.Client == nil {
+			return fmt.Errorf("serve: relay needs an outbound client")
+		}
+		payload := args.BytesView()
+		d, err := WorkEcho.Call(env.Ctx(), env.Client, w.peer, EchoArgs(payload))
+		if err != nil {
+			return err
+		}
+		reply.PutBytes(d.BytesView())
+		d.Release()
+		return nil
+	})
+	WorkOpen = workClass.DeclareConcurrent("open", func(w *Work, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+		w.Open()
+		return nil
+	})
+)
+
+// SleepArgs encodes the argument of WorkSleep and WorkSpin.
 func SleepArgs(us int) rmi.ArgEncoder {
 	return func(e *wire.Encoder) error { e.PutInt(us); return nil }
 }
 
-// EchoArgs encodes the argument of Work.echo. The payload is captured by
-// reference; it must stay unchanged until the call is issued.
+// EchoArgs encodes the argument of WorkEcho and WorkRelay. The payload is
+// captured by reference; it must stay unchanged until the call is issued.
 func EchoArgs(payload []byte) rmi.ArgEncoder {
 	return func(e *wire.Encoder) error { e.PutBytes(payload); return nil }
 }
 
-// BindArgs encodes the argument of Work.bind: the peer the object will
+// BindArgs encodes the argument of WorkBind: the peer the object will
 // relay through.
 func BindArgs(peer rmi.Ref) rmi.ArgEncoder {
 	return func(e *wire.Encoder) error { e.PutRef(peer); return nil }

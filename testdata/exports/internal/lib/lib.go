@@ -1,5 +1,6 @@
 // Package lib is the exports check's fixture: of its exports, the check
-// must flag Uncalled, OnlyTested and Dead.Len, and of its handles dead.
+// must flag Uncalled, OnlyTested and Dead.Len, of its handles dead, and of
+// its by-name calls the one passed a constant.
 package lib
 
 import "fixture/internal/rmi"
@@ -10,8 +11,13 @@ func Uncalled() int { return 1 }
 // OnlyTested is called only by lib_test.go.
 func OnlyTested() int { return 2 }
 
-// Called is called by cmd/user.
-func Called() string { return live.Name() }
+// Called is called by cmd/user. Of the two methods it names by name, the
+// check accepts live's handle's Name() and flags the constant.
+func Called() string {
+	rmi.Call(live.Name())
+	rmi.Call("dead")
+	return live.Name()
+}
 
 // live is referenced by Called; dead only by its declaration and a test.
 var (

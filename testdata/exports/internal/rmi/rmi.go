@@ -10,3 +10,6 @@ func Declare(name string) Method { return Method{name} }
 
 // Name is the handle's wire name.
 func (m Method) Name() string { return m.name }
+
+// Call stands in for a surface that takes a method by name.
+func Call(method string) {}

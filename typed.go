@@ -10,12 +10,15 @@ import (
 
 // This file re-exports the typed, context-aware RMI surface at the facade
 // level, so user programs can stay on the oopp package for the common
-// cases: typed construction (NewOn), typed invocation (Invoke/InvokeAsync
-// returning decoded results), and per-call options.
+// cases: typed declaration, construction (NewOn), invocation through a
+// method's handle (Invoke/InvokeAsync returning decoded results), options.
 
 // Class is the typed handle to a registered remote class: method
 // registration on the server side, construction on the client side.
 type Class[T any] = rmi.Class[T]
+
+// Method is a remote method's handle, returned by Class[T].Declare.
+type Method = rmi.Method
 
 // RegisterClass declares a remote class with a typed constructor and
 // returns its handle — the registration half of the typed surface.
@@ -41,22 +44,22 @@ func NewOn[T any](ctx context.Context, client *Client, m int, args ...any) (Ref,
 	return rmi.NewOn[T](ctx, client, m, args...)
 }
 
-// Invoke calls a tagged-encoding method and blocks for its decoded result
-// of type R. A result of a different dynamic type is an error, not a
-// silent zero value.
-func Invoke[R any](ctx context.Context, client *Client, ref Ref, method string, args ...any) (R, error) {
-	return rmi.Invoke[R](ctx, client, ref, method, args...)
+// Invoke calls the tagged-encoding method m and blocks for its decoded
+// result of type R. A result of a different dynamic type is an error, not
+// a silent zero value.
+func Invoke[R any](ctx context.Context, client *Client, ref Ref, m Method, args ...any) (R, error) {
+	return rmi.Invoke[R](ctx, client, ref, m, args...)
 }
 
 // InvokeAsync begins a typed invocation and returns its future — the §4
 // send-loop half of Invoke.
-func InvokeAsync[R any](ctx context.Context, client *Client, ref Ref, method string, args ...any) *TypedFuture[R] {
-	return rmi.InvokeAsync[R](ctx, client, ref, method, args...)
+func InvokeAsync[R any](ctx context.Context, client *Client, ref Ref, m Method, args ...any) *TypedFuture[R] {
+	return rmi.InvokeAsync[R](ctx, client, ref, m, args...)
 }
 
 // InvokeVoid calls a tagged-encoding method with no result.
-func InvokeVoid(ctx context.Context, client *Client, ref Ref, method string, args ...any) error {
-	return rmi.InvokeVoid(ctx, client, ref, method, args...)
+func InvokeVoid(ctx context.Context, client *Client, ref Ref, m Method, args ...any) error {
+	return rmi.InvokeVoid(ctx, client, ref, m, args...)
 }
 
 // ---- Typed distributed collections -----------------------------------------
