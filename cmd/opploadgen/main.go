@@ -162,7 +162,8 @@ func run(peers, registry string, machines, conns, sessions int, rate float64,
 	// round-robin so every machine sees its share of the offered load.
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	boot := pool.Session(rmi.WithTimeout(10 * time.Second))
+	bootTimeout := rmi.WithTimeout(10 * time.Second)
+	boot := pool.Session(bootTimeout)
 	if err := cluster.WaitReady(ctx, pool.ClientFor(0)); err != nil {
 		return fmt.Errorf("cluster not ready: %w", err)
 	}
@@ -188,10 +189,8 @@ func run(peers, registry string, machines, conns, sessions int, rate float64,
 			}
 		}
 		for m, ref := range refs {
-			if d, err := boot.Call(ctx, ref, serve.WorkBind.Name(), serve.BindArgs(peerRefs[m])); err != nil {
+			if _, err := serve.WorkBind.Call(ctx, pool.ClientFor(m), ref, peerRefs[m], bootTimeout); err != nil {
 				return fmt.Errorf("machine %d: bind relay peer: %w", m, err)
-			} else {
-				d.Release()
 			}
 		}
 	}

@@ -34,14 +34,16 @@
 //
 // # The typed, context-aware surface
 //
-// User-defined classes register with the generic surface, declare each
-// method once, and are used without string names or manual decoding:
+// User-defined classes register with the generic surface and declare each
+// method once, with the codecs of its argument and its result, so that
+// neither the caller nor the body writes or reads a byte by hand:
 //
-//	var counterAdd = counterClass.Declare("add", addBody)      // the method's one declaration
-//	ref, _ := oopp.NewOn[Counter](ctx, client, m, 100)         // construction by type
-//	n, _ := oopp.Invoke[int](ctx, client, ref, counterAdd, 23) // decoded, type-checked result
-//	fut := oopp.InvokeAsync[int](ctx, client, ref, counterGet) // §4 send half
-//	n, _ = fut.Wait(ctx)                                       // §4 receive half
+//	var counterAdd = oopp.DeclareOp(counterClass, "add", oopp.IntCodec, oopp.IntCodec,
+//		func(c *Counter, env *oopp.Env, d int) (int, error) { c.n += d; return c.n, nil })
+//	ref, _ := counterClass.New(ctx, client, m, ctorArgs)         // new(machine m) Counter(...)
+//	n, _ := counterAdd.Call(ctx, client, ref, 23)                // the declared method, decoded result
+//	fut := counterGet.CallAsync(ctx, client, ref, struct{}{})    // §4 send half
+//	n, _ = fut.Wait(ctx)                                         // §4 receive half
 //
 // Every remote operation takes a context.Context — cancellation aborts
 // the in-flight call promptly — and accepts CallOptions: WithTimeout /
@@ -301,7 +303,7 @@
 //     owns its response frame; call Release once decoding is done to
 //     return the frame to the shared pool. Forgetting Release is safe —
 //     the garbage collector takes over — it just stops the recycling.
-//     Err, Ref and the typed Invoke surface release for you; the bulk
+//     Err, Ref and an Op's Call and TypedFuture release for you; the bulk
 //     stubs (GetRangeInto, ReadPage, ...) do too.
 //   - Views die with their frame. BytesView/Bytes/StringBytes return
 //     slices aliasing the response frame, valid only until Release; copy
@@ -574,10 +576,10 @@
 //   - Cluster, Machine: the simulated multicomputer (in-process transport
 //     with an optional latency/bandwidth link model, or real TCP). A
 //     Machine is a Node — what StartNode runs one of per process.
-//   - Client, Ref, Future, TypedFuture, CallOption: the RMI runtime —
-//     remote new, remote method execution, typed futures, per-call
-//     policy.
-//   - Collection, Member, Distribution, Spawn/SpawnClass, Reduce,
+//   - Client, Ref, Future, Op, Codec, TypedFuture, CallOption: the RMI
+//     runtime — remote new, remote method execution, methods declared with
+//     their codecs and their decoded futures, per-call policy.
+//   - Collection, Member, Distribution, SpawnClass, Reduce,
 //     MapIndexed: typed distributed collections with concurrent
 //     collectives and combining reductions.
 //   - Float64Array: remote plain memory ("new(machine 2) double[1024]").

@@ -47,12 +47,18 @@ var shardClass = oopp.RegisterClass("example.HistShard",
 		return &shard{lo: lo, hi: hi, bins: make([]int, nbins)}, nil
 	})
 
+// The codecs of the shards' arguments and results that are not scalars:
+// the first two from the encoder's and decoder's own methods.
 var (
-	shardObserve = shardClass.Declare("observe", func(s *shard, env *oopp.Env, args *oopp.Decoder, reply *oopp.Encoder) error {
-		vals := args.Float64s()
-		if err := args.Err(); err != nil {
-			return err
-		}
+	float64sCodec = oopp.CodecOf((*oopp.Encoder).PutFloat64s, (*oopp.Decoder).Float64s)
+	intsCodec     = oopp.CodecOf((*oopp.Encoder).PutInts, (*oopp.Decoder).Ints)
+	minMaxCodec   = oopp.CodecOf(
+		func(e *oopp.Encoder, v [2]float64) { e.PutFloat64(v[0]); e.PutFloat64(v[1]) },
+		func(d *oopp.Decoder) [2]float64 { return [2]float64{d.Float64(), d.Float64()} })
+)
+
+var (
+	shardObserve = oopp.DeclareOp(shardClass, "observe", float64sCodec, oopp.VoidCodec, func(s *shard, env *oopp.Env, vals []float64) (struct{}, error) {
 		for _, v := range vals {
 			if s.count == 0 || v < s.min {
 				s.min = v
@@ -70,27 +76,22 @@ var (
 			}
 			s.bins[b]++
 		}
-		return nil
+		return struct{}{}, nil
 	})
-	shardHistogram = shardClass.Declare("histogram", func(s *shard, env *oopp.Env, args *oopp.Decoder, reply *oopp.Encoder) error {
-		reply.PutInts(s.bins)
-		return nil
+	shardHistogram = oopp.DeclareOp(shardClass, "histogram", oopp.VoidCodec, intsCodec, func(s *shard, env *oopp.Env, _ struct{}) ([]int, error) {
+		return s.bins, nil
 	})
-	shardCount = shardClass.Declare("count", func(s *shard, env *oopp.Env, args *oopp.Decoder, reply *oopp.Encoder) error {
-		reply.PutInt(s.count)
-		return nil
+	shardCount = oopp.DeclareOp(shardClass, "count", oopp.VoidCodec, oopp.IntCodec, func(s *shard, env *oopp.Env, _ struct{}) (int, error) {
+		return s.count, nil
 	})
-	shardMinMax = shardClass.Declare("minmax", func(s *shard, env *oopp.Env, args *oopp.Decoder, reply *oopp.Encoder) error {
-		reply.PutFloat64(s.min)
-		reply.PutFloat64(s.max)
-		return nil
+	shardMinMax = oopp.DeclareOp(shardClass, "minmax", oopp.VoidCodec, minMaxCodec, func(s *shard, env *oopp.Env, _ struct{}) ([2]float64, error) {
+		return [2]float64{s.min, s.max}, nil
 	})
 )
 
-// decodeMinMax reads a shard's (min, max) pair.
-func decodeMinMax(_ oopp.Member, d *oopp.Decoder) ([2]float64, error) {
-	v := [2]float64{d.Float64(), d.Float64()}
-	return v, d.Err()
+// decodeWith adapts a result codec to a reduction's per-member decoder.
+func decodeWith[R any](c oopp.Codec[R]) func(oopp.Member, *oopp.Decoder) (R, error) {
+	return func(_ oopp.Member, d *oopp.Decoder) (R, error) { return c.Get(d) }
 }
 
 // combineMinMax merges two (min, max) pairs.
@@ -158,7 +159,7 @@ func main() {
 	// latency) rather than the sum.
 	chunk := samples / shards
 	if err := coll.Broadcast(ctx, shardObserve.Name(), func(m oopp.Member, e *oopp.Encoder) error {
-		e.PutFloat64s(data[m.Index*chunk : (m.Index+1)*chunk])
+		shardObserve.PutArgs(e, data[m.Index*chunk:(m.Index+1)*chunk])
 		return nil
 	}); err != nil {
 		log.Fatal(err)
@@ -170,15 +171,15 @@ func main() {
 
 	// Combining reductions: per-shard partials computed where the data
 	// lives, merged client-side with a monoid.
-	hist, err := oopp.Reduce(ctx, coll, shardHistogram.Name(), nil, decodeInts, sumInts)
+	hist, err := oopp.Reduce(ctx, coll, shardHistogram.Name(), nil, decodeWith(intsCodec), sumInts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	total, err := oopp.Reduce(ctx, coll, shardCount.Name(), nil, decodeInt, sumInt)
+	total, err := oopp.Reduce(ctx, coll, shardCount.Name(), nil, decodeWith(oopp.IntCodec), sumInt)
 	if err != nil {
 		log.Fatal(err)
 	}
-	mm, err := oopp.Reduce(ctx, coll, shardMinMax.Name(), nil, decodeMinMax, combineMinMax)
+	mm, err := oopp.Reduce(ctx, coll, shardMinMax.Name(), nil, decodeWith(minMaxCodec), combineMinMax)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -197,11 +198,11 @@ func main() {
 
 	// Sub-collection views share the member refs — no respawn: the first
 	// half of the shards, and the shards owned by machine 1.
-	firstHalf, err := oopp.Reduce(ctx, coll.Slice(0, shards/2), shardCount.Name(), nil, decodeInt, sumInt)
+	firstHalf, err := oopp.Reduce(ctx, coll.Slice(0, shards/2), shardCount.Name(), nil, decodeWith(oopp.IntCodec), sumInt)
 	if err != nil {
 		log.Fatal(err)
 	}
-	onM1, err := oopp.Reduce(ctx, coll.OnMachine(1), shardCount.Name(), nil, decodeInt, sumInt)
+	onM1, err := oopp.Reduce(ctx, coll.OnMachine(1), shardCount.Name(), nil, decodeWith(oopp.IntCodec), sumInt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -210,13 +211,7 @@ func main() {
 	// Owner-computes iteration: per-member work issued concurrently
 	// (bounded by the collection window), results in member order.
 	counts, err := oopp.MapIndexed(ctx, coll, func(ctx context.Context, m oopp.Member) (int, error) {
-		d, err := shardCount.Call(ctx, client, m.Ref, nil)
-		if err != nil {
-			return 0, err
-		}
-		defer d.Release()
-		v := d.Int()
-		return v, d.Err()
+		return shardCount.Call(ctx, client, m.Ref, struct{}{})
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -229,18 +224,7 @@ func main() {
 	fmt.Println("collection destroyed")
 }
 
-// Packed-result decoders / monoids (mirrors of the collection package
-// helpers, spelled out here to show the shape).
-func decodeInt(_ oopp.Member, d *oopp.Decoder) (int, error) {
-	v := d.Int()
-	return v, d.Err()
-}
-
-func decodeInts(_ oopp.Member, d *oopp.Decoder) ([]int, error) {
-	v := d.Ints()
-	return v, d.Err()
-}
-
+// The monoids the reductions combine with.
 func sumInt(a, b int) int { return a + b }
 
 func sumInts(a, b []int) []int {

@@ -6,10 +6,11 @@
 //
 // The mapper class is defined and registered here, in the example — the
 // framework needs nothing built in for new process types. Registration
-// uses the typed Class[T] surface: method bodies receive *wordMapper
-// directly, construction and calls go through the class's and methods'
-// handles, and the per-mapper shard count comes back through a typed
-// Invoke — no string names and no hand-rolled assertions at a call site.
+// uses the typed Class[T] surface: each method is declared once with the
+// codecs of its argument and its result (DeclareOp), its body receives
+// *wordMapper and decoded values, and construction and calls go through
+// the class's and methods' handles — no string names, and no byte written
+// by hand at a call site.
 //
 //	go run ./examples/mapreduce
 package main
@@ -18,6 +19,8 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -33,18 +36,34 @@ type wordMapper struct {
 
 // mapperClass is the typed handle — the "compiler output" for the class
 // declaration. Everything the master does below goes through it or
-// through the typed invocation helpers.
+// through the methods' Ops.
 var mapperClass = oopp.RegisterClass("example.WordMapper",
 	func(env *oopp.Env, args *oopp.Decoder) (*wordMapper, error) {
 		return &wordMapper{counts: make(map[string]int)}, nil
 	})
 
-var (
-	mapperMapShard = mapperClass.Declare("mapShard", func(m *wordMapper, env *oopp.Env, args *oopp.Decoder, reply *oopp.Encoder) error {
-		text := args.String()
-		if err := args.Err(); err != nil {
-			return err
+// tableCodec is a mapper's word counts on the wire: the number of words,
+// then each word, in order, with its count.
+var tableCodec = oopp.CodecOf(
+	func(e *oopp.Encoder, counts map[string]int) {
+		words := slices.Sorted(maps.Keys(counts))
+		e.PutUvarint(uint64(len(words)))
+		for _, w := range words {
+			e.PutString(w)
+			e.PutInt(counts[w])
 		}
+	},
+	func(d *oopp.Decoder) map[string]int {
+		counts := make(map[string]int)
+		for n := d.Uvarint(); n > 0 && d.Err() == nil; n-- {
+			w := d.String()
+			counts[w] += d.Int()
+		}
+		return counts
+	})
+
+var (
+	mapperMapShard = oopp.DeclareOp(mapperClass, "mapShard", oopp.StringCodec, oopp.VoidCodec, func(m *wordMapper, env *oopp.Env, text string) (struct{}, error) {
 		for _, w := range strings.Fields(text) {
 			w = strings.ToLower(strings.Trim(w, ".,;:!?\"'()"))
 			if w != "" {
@@ -52,25 +71,13 @@ var (
 			}
 		}
 		m.shards++
-		return nil
+		return struct{}{}, nil
 	})
-	// mapperShards replies in the tagged encoding so the master can read
-	// it with a typed Invoke[int].
-	mapperShards = mapperClass.Declare("shards", func(m *wordMapper, env *oopp.Env, args *oopp.Decoder, reply *oopp.Encoder) error {
-		return reply.PutAny(m.shards)
+	mapperShards = oopp.DeclareOp(mapperClass, "shards", oopp.VoidCodec, oopp.IntCodec, func(m *wordMapper, env *oopp.Env, _ struct{}) (int, error) {
+		return m.shards, nil
 	})
-	mapperEmit = mapperClass.Declare("emit", func(m *wordMapper, env *oopp.Env, args *oopp.Decoder, reply *oopp.Encoder) error {
-		words := make([]string, 0, len(m.counts))
-		for w := range m.counts {
-			words = append(words, w)
-		}
-		sort.Strings(words)
-		reply.PutUvarint(uint64(len(words)))
-		for _, w := range words {
-			reply.PutString(w)
-			reply.PutInt(m.counts[w])
-		}
-		return nil
+	mapperEmit = oopp.DeclareOp(mapperClass, "emit", oopp.VoidCodec, tableCodec, func(m *wordMapper, env *oopp.Env, _ struct{}) (map[string]int, error) {
+		return m.counts, nil
 	})
 )
 
@@ -109,10 +116,7 @@ func main() {
 		lo := i * shardSize
 		hi := min(len(words), lo+shardSize)
 		shard := strings.Join(words[lo:hi], " ")
-		futs = append(futs, mapperMapShard.CallAsync(ctx, client, group.Ref(i), func(e *oopp.Encoder) error {
-			e.PutString(shard)
-			return nil
-		}))
+		futs = append(futs, mapperMapShard.CallAsync(ctx, client, group.Ref(i), shard).Future)
 	}
 	if err := oopp.WaitAll(ctx, futs); err != nil {
 		log.Fatal(err)
@@ -121,7 +125,7 @@ func main() {
 	// Typed invocation: each mapper reports how many shards it processed,
 	// decoded straight into an int.
 	for i := 0; i < mappers; i++ {
-		n, err := oopp.Invoke[int](ctx, client, group.Ref(i), mapperShards)
+		n, err := mapperShards.Call(ctx, client, group.Ref(i), struct{}{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -131,13 +135,11 @@ func main() {
 	// Reduce: collect every mapper's table and merge.
 	total := make(map[string]int)
 	if err := group.CallAll(ctx, mapperEmit.Name(), nil, func(_ oopp.Member, d *oopp.Decoder) error {
-		n := d.Uvarint()
-		for j := uint64(0); j < n; j++ {
-			w := d.String()
-			c := d.Int()
+		counts, err := tableCodec.Get(d)
+		for w, c := range counts {
 			total[w] += c
 		}
-		return d.Err()
+		return err
 	}); err != nil {
 		log.Fatal(err)
 	}

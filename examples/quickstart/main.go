@@ -7,8 +7,8 @@
 // process on machine 1, stores and fetches a page through its remote
 // pointer, allocates remote plain memory on machine 2
 // ("new(machine 2) double[1024]"), defines and uses a typed Counter class
-// (construction by type, invocation with decoded results, a per-call
-// deadline), and finally deletes the processes.
+// (methods declared with their codecs, calls with decoded results, a
+// per-call deadline), and finally deletes the processes.
 package main
 
 import (
@@ -23,45 +23,24 @@ import (
 
 // counter is a user-defined remote class: the §2 "objects are processes"
 // in its smallest form, declared with the typed registration surface:
-// construction goes through the type (NewOn[counter]) and calls through
-// the handles Declare returns, so no string name appears at a call site.
+// each method is declared once with the codecs of its argument and its
+// result (DeclareOp), and callers call the Op handle that returns, so no
+// string name appears at a call site and no byte is written by hand.
 type counter struct{ n int }
 
 var counterClass = oopp.RegisterClass("example.Counter",
 	func(env *oopp.Env, args *oopp.Decoder) (*counter, error) {
-		vals, err := args.Anys()
-		if err != nil {
-			return nil, err
-		}
-		c := &counter{}
-		if len(vals) == 1 {
-			n, ok := vals[0].(int)
-			if !ok {
-				return nil, fmt.Errorf("Counter wants an int start, got %T", vals[0])
-			}
-			c.n = n
-		}
-		return c, nil
+		c := &counter{n: args.Int()}
+		return c, args.Err()
 	})
 
 var (
-	counterAdd = counterClass.Declare("add", func(c *counter, env *oopp.Env, args *oopp.Decoder, reply *oopp.Encoder) error {
-		vals, err := args.Anys()
-		if err != nil {
-			return err
-		}
-		if len(vals) != 1 {
-			return fmt.Errorf("add wants 1 arg, got %d", len(vals))
-		}
-		d, ok := vals[0].(int)
-		if !ok {
-			return fmt.Errorf("add wants an int, got %T", vals[0])
-		}
+	counterAdd = oopp.DeclareOp(counterClass, "add", oopp.IntCodec, oopp.IntCodec, func(c *counter, env *oopp.Env, d int) (int, error) {
 		c.n += d
-		return reply.PutAny(c.n)
+		return c.n, nil
 	})
-	counterGet = counterClass.Declare("get", func(c *counter, env *oopp.Env, args *oopp.Decoder, reply *oopp.Encoder) error {
-		return reply.PutAny(c.n)
+	counterGet = oopp.DeclareOp(counterClass, "get", oopp.VoidCodec, oopp.IntCodec, func(c *counter, env *oopp.Env, _ struct{}) (int, error) {
+		return c.n, nil
 	})
 )
 
@@ -128,13 +107,17 @@ func main() {
 	}
 	fmt.Printf("remote memory on machine 2: data[2] = %v, data[7] = %v\n", x, v7)
 
-	// The typed surface: "new(machine 1) Counter(100)" is construction by
-	// type — no string class name — and calls come back decoded.
-	ref, err := oopp.NewOn[counter](ctx, client, 1, 100)
+	// The typed surface: "new(machine 1) Counter(100)" is construction
+	// through the class handle — no string class name — and calls go
+	// through the methods' Ops, their results coming back decoded.
+	ref, err := counterClass.New(ctx, client, 1, func(e *oopp.Encoder) error {
+		e.PutInt(100)
+		return nil
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	n, err := oopp.Invoke[int](ctx, client, ref, counterAdd, 23)
+	n, err := counterAdd.Call(ctx, client, ref, 23)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -142,7 +125,7 @@ func main() {
 
 	// The §4 split form, typed: issue now, wait (with ctx) later. A
 	// per-call deadline and trace label ride along as options.
-	fut := oopp.InvokeAsync[int](ctx, client, ref, counterGet)
+	fut := counterGet.CallAsync(ctx, client, ref, struct{}{})
 	got, err := fut.Wait(ctx)
 	if err != nil {
 		log.Fatal(err)

@@ -307,14 +307,15 @@ func isClassSpecRegistration(fn *types.Func) bool {
 }
 
 // isHandle reports whether v is a remote method handle: a package-level
-// variable of the Method type of a package .../internal/rmi.
+// variable of the Method type, or of an instance of the generic Op type,
+// of a package .../internal/rmi.
 func isHandle(v *types.Var) bool {
 	n, ok := v.Type().(*types.Named)
 	if !ok || v.Parent() != v.Pkg().Scope() {
 		return false
 	}
-	o := n.Obj()
-	return o.Name() == "Method" && o.Pkg() != nil && strings.HasSuffix(o.Pkg().Path(), "internal/rmi")
+	o := n.Origin().Obj()
+	return (o.Name() == "Method" || o.Name() == "Op") && o.Pkg() != nil && strings.HasSuffix(o.Pkg().Path(), "internal/rmi")
 }
 
 func TestInternalExportsHaveCallers(t *testing.T) {
@@ -348,9 +349,9 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 // TestExportsCheckFlagsFixture runs the check on a module of exports:
 // one nothing calls, one only a test calls, one another package calls, an
 // Is method, two methods named Len of which one is called, and a method
-// called only through an interface, and two remote method handles of
-// which only a test references one. Exactly the first two, the uncalled
-// Len and the test-only handle are flagged.
+// called only through an interface, and two remote method handles and two
+// Op handles of which only a test references one each. Exactly the first
+// two, the uncalled Len and the test-only handles are flagged.
 func TestExportsCheckFlagsFixture(t *testing.T) {
 	got := uncalledExports(t, filepath.Join("testdata", "exports"))
 	want := map[string]string{
@@ -358,6 +359,7 @@ func TestExportsCheckFlagsFixture(t *testing.T) {
 		"internal/lib.OnlyTested": "internal/lib/lib.go",
 		"internal/lib.Dead.Len":   "internal/lib/lib.go",
 		"internal/lib.dead":       "internal/lib/lib.go",
+		"internal/lib.deadOp":     "internal/lib/lib.go",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flagged %v, want %v", got, want)

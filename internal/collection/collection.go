@@ -59,22 +59,6 @@ type Collection[T any] struct {
 	refs    []rmi.Ref // members[i].Ref, cached so collectives don't rebuild it
 }
 
-// Spawn constructs a collection of the class registered for type T, one
-// member per machine assignment of dist, passing args with the tagged generic
-// encoding (every member receives the same args; use SpawnClass for
-// per-member constructor arguments). It is the collective form of
-// rmi.NewOn[T].
-func Spawn[T any](ctx context.Context, client *rmi.Client, dist Distribution, args ...any) (*Collection[T], error) {
-	spec, err := rmi.SpecFor[T]()
-	if err != nil {
-		return nil, err
-	}
-	// Always encode the tagged sequence — like NewOn, a nullary call
-	// still carries the count-0 prefix the constructor's Anys expects.
-	enc := func(_ int, e *wire.Encoder) error { return e.PutAnys(args) }
-	return spawn[T](ctx, client, dist, spec.Name(), enc)
-}
-
 // SpawnClass constructs a collection through a typed class handle with a
 // per-member packed constructor encoding — the collective form of
 // Class[T].New.

@@ -183,14 +183,16 @@ func TestSpawnBroadcastReduce(t *testing.T) {
 
 func TestSpawnTypedTagged(t *testing.T) {
 	_, client := testCluster(t, 2)
-	// The tagged Spawn resolves the class from the type and passes the
-	// same args to every member; taggedCell decodes them generically.
-	coll, err := Spawn[*taggedCell](bg, client, Block(4, 2), 7)
+	// The typed spawn passes the same args to every member.
+	coll, err := SpawnClass(bg, client, Block(4, 2), taggedClass, func(_ Member, e *wire.Encoder) error {
+		e.PutInt(7)
+		return nil
+	})
 	if err != nil {
 		t.Fatalf("spawn: %v", err)
 	}
 	defer coll.Destroy(bg)
-	sum, err := Reduce(bg, coll, "value", nil, DecodeInt, SumInt)
+	sum, err := Reduce(bg, coll, taggedValue.Name(), nil, DecodeInt, SumInt)
 	if err != nil {
 		t.Fatalf("reduce: %v", err)
 	}
@@ -198,41 +200,32 @@ func TestSpawnTypedTagged(t *testing.T) {
 		t.Fatalf("sum = %d, want %d", sum, 4*7)
 	}
 
-	// A nullary tagged spawn still carries the empty tagged sequence the
-	// constructor's Anys decode expects (like NewOn with no args).
-	bare, err := Spawn[*taggedCell](bg, client, Block(2, 2))
+	// A nullary spawn sends no args at all.
+	bare, err := SpawnClass(bg, client, Block(2, 2), taggedClass, nil)
 	if err != nil {
 		t.Fatalf("nullary spawn: %v", err)
 	}
 	defer bare.Destroy(bg)
-	if sum, err := Reduce(bg, bare, "value", nil, DecodeInt, SumInt); err != nil || sum != 0 {
+	if sum, err := Reduce(bg, bare, taggedValue.Name(), nil, DecodeInt, SumInt); err != nil || sum != 0 {
 		t.Fatalf("nullary reduce = %d, %v", sum, err)
 	}
 }
 
+// taggedCell holds the int it was constructed with, 0 if none.
 type taggedCell struct{ v int }
 
-func init() {
-	taggedClass := rmi.RegisterClass("collection.TaggedCell", func(env *rmi.Env, args *wire.Decoder) (*taggedCell, error) {
-		vals, err := args.Anys()
-		if err != nil {
-			return nil, err
-		}
-		c := &taggedCell{}
-		if len(vals) == 1 {
-			n, ok := vals[0].(int)
-			if !ok {
-				return nil, fmt.Errorf("TaggedCell wants an int, got %T", vals[0])
-			}
-			c.v = n
-		}
-		return c, nil
-	})
-	taggedClass.Declare("value", func(c *taggedCell, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		reply.PutInt(c.v)
-		return nil
-	})
-}
+var taggedClass = rmi.RegisterClass("collection.TaggedCell", func(env *rmi.Env, args *wire.Decoder) (*taggedCell, error) {
+	c := &taggedCell{}
+	if args.Remaining() > 0 {
+		c.v = args.Int()
+	}
+	return c, args.Err()
+})
+
+var taggedValue = taggedClass.Declare("value", func(c *taggedCell, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	reply.PutInt(c.v)
+	return nil
+})
 
 func TestViewsShareRefs(t *testing.T) {
 	_, client := testCluster(t, 3)
@@ -375,18 +368,16 @@ func TestSpawnPartialFailureCleansUp(t *testing.T) {
 // partial-failure case.
 type grumpyCell struct{}
 
-func init() {
-	rmi.RegisterClass("collection.GrumpyCell", func(env *rmi.Env, args *wire.Decoder) (*grumpyCell, error) {
-		if env.Machine == 1 {
-			return nil, fmt.Errorf("grumpy: not on machine 1")
-		}
-		return &grumpyCell{}, nil
-	})
-}
+var grumpyClass = rmi.RegisterClass("collection.GrumpyCell", func(env *rmi.Env, args *wire.Decoder) (*grumpyCell, error) {
+	if env.Machine == 1 {
+		return nil, fmt.Errorf("grumpy: not on machine 1")
+	}
+	return &grumpyCell{}, nil
+})
 
 func TestTypedSpawnPartialFailureCleansUp(t *testing.T) {
 	_, client := testCluster(t, 3)
-	_, err := Spawn[*grumpyCell](bg, client, Cyclic(6, 3))
+	_, err := SpawnClass(bg, client, Cyclic(6, 3), grumpyClass, nil)
 	if err == nil {
 		t.Fatal("expected spawn failure")
 	}

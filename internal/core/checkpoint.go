@@ -136,17 +136,26 @@ func (m *arrayMeta) LoadState(env *rmi.Env, d *wire.Decoder) error {
 	return m.decode(d)
 }
 
+// metaCodec is a descriptor on the wire, as its constructor and describe
+// carry it.
+var metaCodec = wire.Codec[*arrayMeta]{
+	Put: func(e *wire.Encoder, m *arrayMeta) { m.encode(e) },
+	Get: func(d *wire.Decoder) (*arrayMeta, error) {
+		m := &arrayMeta{}
+		if err := m.decode(d); err != nil {
+			return nil, err
+		}
+		return m, nil
+	},
+}
+
 var arrayMetaClass = rmi.RegisterClass(ClassArrayMeta, func(env *rmi.Env, args *wire.Decoder) (*arrayMeta, error) {
-	m := &arrayMeta{}
-	if err := m.decode(args); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return metaCodec.Get(args)
 })
 
-var metaDescribe = arrayMetaClass.Declare("describe", func(m *arrayMeta, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-	m.encode(reply)
-	return nil
+// metaDescribe asks a live descriptor process for its descriptor.
+var metaDescribe = rmi.DeclareOp(arrayMetaClass, "describe", wire.Void, metaCodec, func(m *arrayMeta, env *rmi.Env, _ struct{}) (*arrayMeta, error) {
+	return m, nil
 })
 
 func init() {
@@ -177,17 +186,6 @@ func eachMember(devices int, visit func(i int) error) error {
 		errs = append(errs, visit(i))
 	}
 	return errors.Join(append(errs, visit(-1))...)
-}
-
-// fetchMeta asks a live descriptor process for its descriptor.
-func fetchMeta(ctx context.Context, client *rmi.Client, metaRef rmi.Ref) (*arrayMeta, error) {
-	d, err := metaDescribe.Call(ctx, client, metaRef, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer d.Release()
-	meta := &arrayMeta{}
-	return meta, meta.decode(d)
 }
 
 // assemble is the one way a described array comes back: its page map
@@ -237,7 +235,7 @@ func OpenArray(ctx context.Context, mgr *persist.Manager, client *rmi.Client, ba
 	if err != nil {
 		return nil, fmt.Errorf("core: resolving array descriptor: %w", err)
 	}
-	meta, err := fetchMeta(ctx, client, metaRef)
+	meta, err := metaDescribe.Call(ctx, client, metaRef, struct{}{})
 	if err != nil {
 		return nil, err
 	}

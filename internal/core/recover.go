@@ -55,7 +55,7 @@ func RecoverArray(ctx context.Context, client *rmi.Client, store *persist.Store,
 	if err != nil {
 		return nil, fmt.Errorf("core: recovering descriptor: %w", err)
 	}
-	meta, err := fetchMeta(ctx, client, metaRef)
+	meta, err := metaDescribe.Call(ctx, client, metaRef, struct{}{})
 	_ = client.Delete(ctx, metaRef) // transient: only needed for describe
 	if err != nil {
 		return nil, err

@@ -83,81 +83,57 @@ type counter struct{ n int }
 
 var counterClass = rmi.RegisterClass("e2e.Counter",
 	func(env *rmi.Env, args *wire.Decoder) (*counter, error) {
-		vals, err := args.Anys()
-		if err != nil {
-			return nil, err
-		}
 		c := &counter{}
-		if len(vals) == 1 {
-			start, ok := vals[0].(int)
-			if !ok {
-				return nil, fmt.Errorf("counter wants an int start, got %T", vals[0])
-			}
-			c.n = start
+		if args.Remaining() > 0 {
+			c.n = args.Int()
 		}
-		return c, nil
+		return c, args.Err()
 	})
 
+// counterArgs encodes a counter's start value.
+func counterArgs(n int) rmi.ArgEncoder {
+	return func(e *wire.Encoder) error { e.PutInt(n); return nil }
+}
+
+// remoteAddArgs is the argument of remoteAdd: a counter starting at base
+// on machine m, added delta.
+type remoteAddArgs struct{ m, base, delta int }
+
+var remoteAddCodec = wire.CodecOf(
+	func(e *wire.Encoder, a remoteAddArgs) { e.PutInt(a.m); e.PutInt(a.base); e.PutInt(a.delta) },
+	func(d *wire.Decoder) remoteAddArgs { return remoteAddArgs{d.Int(), d.Int(), d.Int()} })
+
 var (
-	counterAdd = counterClass.Declare("add", func(c *counter, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		vals, err := args.Anys()
-		if err != nil {
-			return err
-		}
-		d, ok := vals[0].(int)
-		if !ok {
-			return fmt.Errorf("add wants an int, got %T", vals[0])
-		}
+	counterAdd = rmi.DeclareOp(counterClass, "add", wire.Int, wire.Int, func(c *counter, env *rmi.Env, d int) (int, error) {
 		c.n += d
-		return reply.PutAny(c.n)
+		return c.n, nil
 	})
-	counterGet = counterClass.Declare("get", func(c *counter, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		return reply.PutAny(c.n)
+	counterGet = rmi.DeclareOp(counterClass, "get", wire.Void, wire.Int, func(c *counter, env *rmi.Env, _ struct{}) (int, error) {
+		return c.n, nil
 	})
-	counterBoom = counterClass.Declare("boom", func(c *counter, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		return fmt.Errorf("counter told to fail")
+	counterBoom = rmi.DeclareOp(counterClass, "boom", wire.Void, wire.Int, func(c *counter, env *rmi.Env, _ struct{}) (int, error) {
+		return 0, fmt.Errorf("counter told to fail")
 	})
-	counterSlowAdd = counterClass.Declare("slowAdd", func(c *counter, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		vals, err := args.Anys()
-		if err != nil {
-			return err
-		}
-		d, ok := vals[0].(int)
-		if !ok {
-			return fmt.Errorf("slowAdd wants an int, got %T", vals[0])
-		}
+	counterSlowAdd = rmi.DeclareOp(counterClass, "slowAdd", wire.Int, wire.Int, func(c *counter, env *rmi.Env, d int) (int, error) {
 		time.Sleep(500 * time.Millisecond)
 		c.n += d
-		return reply.PutAny(c.n)
+		return c.n, nil
 	})
-	counterRemoteAdd = counterClass.Declare("remoteAdd", func(c *counter, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	counterRemoteAdd = rmi.DeclareOp(counterClass, "remoteAdd", remoteAddCodec, wire.Int, func(c *counter, env *rmi.Env, a remoteAddArgs) (int, error) {
 		// new(machine m) Counter(base); counter->add(delta) — issued from
 		// inside a server process, to a peer server process.
-		vals, err := args.Anys()
-		if err != nil {
-			return err
-		}
-		m, ok1 := vals[0].(int)
-		base, ok2 := vals[1].(int)
-		delta, ok3 := vals[2].(int)
-		if !ok1 || !ok2 || !ok3 {
-			return fmt.Errorf("remoteAdd wants (machine, base, delta) ints")
-		}
 		if env.Client == nil {
-			return fmt.Errorf("machine %d has no outbound client", env.Machine)
+			return 0, fmt.Errorf("machine %d has no outbound client", env.Machine)
 		}
-		ref, err := rmi.NewOn[counter](context.Background(), env.Client, m, base)
+		ref, err := counterClass.New(context.Background(), env.Client, a.m, counterArgs(a.base))
 		if err != nil {
-			return err
+			return 0, err
 		}
-		sum, err := rmi.Invoke[int](context.Background(), env.Client, ref, counterAdd, delta)
+		sum, err := counterAdd.Call(context.Background(), env.Client, ref, a.delta)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		if err := env.Client.Delete(context.Background(), ref); err != nil {
-			return err
-		}
-		return reply.PutAny(sum)
+		return sum, env.Client.Delete(context.Background(), ref)
 	})
 )
 
@@ -202,18 +178,18 @@ func TestTypedRMIOverTCP(t *testing.T) {
 	ctx := testCtx(t)
 	c := cl.Client
 
-	ref, err := rmi.NewOn[counter](ctx, c, 1, 40)
+	ref, err := counterClass.New(ctx, c, 1, counterArgs(40))
 	if err != nil {
-		t.Fatalf("NewOn: %v", err)
+		t.Fatalf("New: %v", err)
 	}
-	if got, err := rmi.Invoke[int](ctx, c, ref, counterAdd, 2); err != nil || got != 42 {
+	if got, err := counterAdd.Call(ctx, c, ref, 2); err != nil || got != 42 {
 		t.Fatalf("add = %d, %v; want 42", got, err)
 	}
 
 	// §4 split form: a pipelined burst of typed futures.
-	futs := make([]*rmi.TypedFuture[int], 16)
+	futs := make([]rmi.TypedFuture[int], 16)
 	for i := range futs {
-		futs[i] = rmi.InvokeAsync[int](ctx, c, ref, counterAdd, 1)
+		futs[i] = counterAdd.CallAsync(ctx, c, ref, 1)
 	}
 	last := 0
 	for _, f := range futs {
@@ -228,7 +204,7 @@ func TestTypedRMIOverTCP(t *testing.T) {
 	}
 
 	// Remote failure crosses the wire typed.
-	if _, err := rmi.Invoke[int](ctx, c, ref, counterBoom); err == nil {
+	if _, err := counterBoom.Call(ctx, c, ref, struct{}{}); err == nil {
 		t.Fatal("boom succeeded")
 	} else {
 		var re *rmi.RemoteError
@@ -238,14 +214,14 @@ func TestTypedRMIOverTCP(t *testing.T) {
 	}
 
 	// Peer-to-peer: machine 1's counter builds and drives one on 2.
-	if got, err := rmi.Invoke[int](ctx, c, ref, counterRemoteAdd, 2, 100, 11); err != nil || got != 111 {
+	if got, err := counterRemoteAdd.Call(ctx, c, ref, remoteAddArgs{2, 100, 11}); err != nil || got != 111 {
 		t.Fatalf("remoteAdd via machine 1 -> 2 = %d, %v; want 111", got, err)
 	}
 
 	if err := c.Delete(ctx, ref); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
-	if _, err := rmi.Invoke[int](ctx, c, ref, counterGet); !errors.Is(err, rmi.ErrNoSuchObject) {
+	if _, err := counterGet.Call(ctx, c, ref, struct{}{}); !errors.Is(err, rmi.ErrNoSuchObject) {
 		t.Fatalf("call after delete: %v, want ErrNoSuchObject", err)
 	}
 
@@ -434,7 +410,7 @@ func TestKillOneServerFailureDetection(t *testing.T) {
 
 	// Dead-machine calls fail fast (no timeout burn)...
 	start := time.Now()
-	if _, err := rmi.NewOn[counter](ctx, cl.Client, 2, 0); !errors.Is(err, rmi.ErrMachineDown) {
+	if _, err := counterClass.New(ctx, cl.Client, 2, counterArgs(0)); !errors.Is(err, rmi.ErrMachineDown) {
 		t.Fatalf("new on dead machine: %v, want ErrMachineDown", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -596,9 +572,9 @@ func TestRestartReconnectsThroughRegistry(t *testing.T) {
 	cl := StartCluster(t, 4)
 	ctx := testCtx(t)
 
-	ref, err := rmi.NewOn[counter](ctx, cl.Client, 3, 7)
+	ref, err := counterClass.New(ctx, cl.Client, 3, counterArgs(7))
 	if err != nil {
-		t.Fatalf("NewOn: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	oldAddr := cl.Addr(3)
 
@@ -612,17 +588,17 @@ func TestRestartReconnectsThroughRegistry(t *testing.T) {
 	// (Checked before constructing anything on the reborn server — object
 	// ids restart from 1, so a stale ref could otherwise alias a new
 	// object; remote pointers are not restart-safe by design.)
-	if _, err := rmi.Invoke[int](ctx, cl.Client, ref, counterGet); !errors.Is(err, rmi.ErrNoSuchObject) {
+	if _, err := counterGet.Call(ctx, cl.Client, ref, struct{}{}); !errors.Is(err, rmi.ErrNoSuchObject) {
 		t.Fatalf("stale ref call = %v, want ErrNoSuchObject", err)
 	}
 	// Fresh construction on the reborn machine works through the same
 	// client — the dead connection was evicted and the registry
 	// re-resolved.
-	ref2, err := rmi.NewOn[counter](ctx, cl.Client, 3, 1)
+	ref2, err := counterClass.New(ctx, cl.Client, 3, counterArgs(1))
 	if err != nil {
-		t.Fatalf("NewOn after restart: %v", err)
+		t.Fatalf("New after restart: %v", err)
 	}
-	if got, err := rmi.Invoke[int](ctx, cl.Client, ref2, counterAdd, 1); err != nil || got != 2 {
+	if got, err := counterAdd.Call(ctx, cl.Client, ref2, 1); err != nil || got != 2 {
 		t.Fatalf("add after restart = %d, %v; want 2", got, err)
 	}
 	if err := cl.Client.Delete(ctx, ref2); err != nil {
@@ -639,12 +615,12 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 	cl := StartCluster(t, 2)
 	ctx := testCtx(t)
 
-	ref, err := rmi.NewOn[counter](ctx, cl.Client, 1, 41)
+	ref, err := counterClass.New(ctx, cl.Client, 1, counterArgs(41))
 	if err != nil {
-		t.Fatalf("NewOn: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	// Put a 500ms call in flight, then SIGTERM everything mid-execution.
-	fut := rmi.InvokeAsync[int](ctx, cl.Client, ref, counterSlowAdd, 1)
+	fut := counterSlowAdd.CallAsync(ctx, cl.Client, ref, 1)
 	time.Sleep(100 * time.Millisecond)
 	cl.Stop() // SIGTERM both machines; asserts exit 0 for each
 
@@ -656,7 +632,7 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 		t.Fatalf("in-flight result = %d, want 42", got)
 	}
 	// The machines are gone now: new work fails.
-	if _, err := rmi.Invoke[int](ctx, cl.Client, ref, counterAdd, 1); err == nil {
+	if _, err := counterAdd.Call(ctx, cl.Client, ref, 1); err == nil {
 		t.Fatal("call after shutdown succeeded")
 	}
 }

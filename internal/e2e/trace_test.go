@@ -48,10 +48,8 @@ func TestCrossMachineTraceOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("new work on 1: %v", err)
 	}
-	if d, err := c.Call(ctx, w0, "bind", serve.BindArgs(w1)); err != nil {
+	if _, err := serve.WorkBind.Call(ctx, c, w0, w1); err != nil {
 		t.Fatalf("bind: %v", err)
-	} else {
-		d.Release()
 	}
 
 	payload := []byte("causality")

@@ -74,13 +74,10 @@ var a2 = Experiment{
 		}
 		client := cl.Client()
 		const callers, iters = 8, 25 // iters per caller
-		body := func(e *wire.Encoder) error {
-			e.PutInt(100) // 100µs simulated body
-			return nil
-		}
+		const bodyUs = 100           // 100µs simulated body
 		// rate is the calls per second of callers concurrent callers, caller
 		// c calling method on refs[c % len(refs)].
-		rate := func(refs []rmi.Ref, method rmi.Method) (float64, error) {
+		rate := func(refs []rmi.Ref, method rmi.Op[int, struct{}]) (float64, error) {
 			s, err := measure(0, 1, func() error {
 				var wg sync.WaitGroup
 				errs := make([]error, callers)
@@ -89,9 +86,7 @@ var a2 = Experiment{
 					go func() {
 						defer wg.Done()
 						for i := 0; i < iters && errs[c] == nil; i++ {
-							d, err := method.Call(bg, client, refs[c%len(refs)], body)
-							d.Release()
-							errs[c] = err
+							_, errs[c] = method.Call(bg, client, refs[c%len(refs)], bodyUs)
 						}
 					}()
 				}
@@ -131,15 +126,12 @@ var a2 = Experiment{
 
 type busyObj struct{}
 
-func busyBody(args *wire.Decoder) error {
-	us := args.Int()
-	if err := args.Err(); err != nil {
-		return err
-	}
+// busyBody burns us microseconds of CPU.
+func busyBody(_ *busyObj, _ *rmi.Env, us int) (struct{}, error) {
 	deadline := time.Now().Add(time.Duration(us) * time.Microsecond)
 	for time.Now().Before(deadline) {
 	}
-	return nil
+	return struct{}{}, nil
 }
 
 // busyClass is a class whose methods burn a requested number of
@@ -149,10 +141,6 @@ var busyClass = rmi.RegisterClass("exp.Busy", func(env *rmi.Env, args *wire.Deco
 })
 
 var (
-	workSerial = busyClass.Declare("workSerial", func(obj *busyObj, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		return busyBody(args)
-	})
-	workConcurrent = busyClass.DeclareConcurrent("workConcurrent", func(obj *busyObj, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		return busyBody(args)
-	})
+	workSerial     = rmi.DeclareOp(busyClass, "workSerial", wire.Int, wire.Void, busyBody)
+	workConcurrent = rmi.DeclareConcurrentOp(busyClass, "workConcurrent", wire.Int, wire.Void, busyBody)
 )

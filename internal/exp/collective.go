@@ -31,7 +31,7 @@ var e12 = Experiment{
 		client := cl.Client()
 
 		for _, size := range []int{1, 2, 4, 8, 16, 32} {
-			coll, err := collection.Spawn[*echoObj](bg, client, collection.Cyclic(size, machines))
+			coll, err := collection.SpawnClass(bg, client, collection.Cyclic(size, machines), echoClass, nil)
 			if err != nil {
 				return err
 			}
@@ -39,8 +39,7 @@ var e12 = Experiment{
 			// one completed round trip after the other (§2 semantics).
 			seq, err := measure(3, iters, func() error {
 				return coll.ForEach(func(m collection.Member) error {
-					d, err := echoNoop.Call(bg, client, m.Ref, nil)
-					d.Release()
+					_, err := echoNoop.Call(bg, client, m.Ref, struct{}{})
 					return err
 				})
 			})

@@ -223,14 +223,13 @@ var (
 		reply.PutBytes(args.Bytes())
 		return args.Err()
 	})
-	echoNoop = echoClass.Declare("noop", func(obj *echoObj, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		return nil
+	echoNoop = rmi.DeclareOp(echoClass, "noop", wire.Void, wire.Void, func(obj *echoObj, env *rmi.Env, _ struct{}) (struct{}, error) {
+		return struct{}{}, nil
 	})
-	echoOne = echoClass.Declare("one", func(obj *echoObj, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	echoOne = rmi.DeclareOp(echoClass, "one", wire.Void, wire.Int, func(obj *echoObj, env *rmi.Env, _ struct{}) (int, error) {
 		// The unit of the counting monoid: reducing echoOne over a
 		// collection counts its live members (E12's reduce lane).
-		reply.PutInt(1)
-		return nil
+		return 1, nil
 	})
 )
 

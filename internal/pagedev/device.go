@@ -365,21 +365,17 @@ var (
 		reply.PutBytes(buf)
 		return nil
 	})
-	devNumPages = PageDeviceClass.Declare("numPages", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		reply.PutInt(obj.base().numPages)
-		return nil
+	devNumPages = rmi.DeclareOp(PageDeviceClass, "numPages", wire.Void, wire.Int, func(obj baser, env *rmi.Env, _ struct{}) (int, error) {
+		return obj.base().numPages, nil
 	})
-	devName = PageDeviceClass.Declare("name", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		reply.PutString(obj.base().name)
-		return nil
+	devName = rmi.DeclareOp(PageDeviceClass, "name", wire.Void, wire.String, func(obj baser, env *rmi.Env, _ struct{}) (string, error) {
+		return obj.base().name, nil
 	})
-	devStats = PageDeviceClass.Declare("stats", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	devStats = rmi.DeclareOp(PageDeviceClass, "stats", wire.Void, statsCodec, func(obj baser, env *rmi.Env, _ struct{}) (deviceStats, error) {
 		p := obj.base()
-		reply.PutVarint(p.reads.Load())
-		reply.PutVarint(p.writes.Load())
-		return nil
+		return deviceStats{p.reads.Load(), p.writes.Load()}, nil
 	})
-	devCheckpointTo = PageDeviceClass.Declare("checkpointTo", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	devCheckpointTo = rmi.DeclareOp(PageDeviceClass, "checkpointTo", checkpointCodec, wire.Void, func(obj baser, env *rmi.Env, a checkpointArgs) (struct{}, error) {
 		// checkpointTo(store Ref, name, class): serialize this device's
 		// full representation (the same SaveState blob passivation
 		// produces) and ship it to a persist store — typically on
@@ -387,27 +383,43 @@ var (
 		// Runs in the serial mailbox, so the snapshot is consistent with
 		// every other device method; the device stays live throughout
 		// (unlike passivate).
-		p := obj.base()
-		store := args.Ref()
-		name := args.String()
-		class := args.String()
-		if err := args.Err(); err != nil {
-			return err
-		}
-		if env.Client == nil {
-			return fmt.Errorf("pagedev: machine %d has no outbound client", env.Machine)
-		}
-		sav, ok := obj.(interface{ SaveState(*wire.Encoder) error })
-		if !ok {
-			return fmt.Errorf("pagedev: %T cannot checkpoint", obj)
-		}
-		e := wire.NewEncoder(p.numPages*p.pageSize + 256)
-		if err := sav.SaveState(e); err != nil {
-			return err
-		}
-		return persist.AttachStore(env.Client, store).Put(env.Ctx(), name, class, e.Bytes())
+		return struct{}{}, checkpointTo(obj, env, a)
 	})
 )
+
+// deviceStats is the reply of stats: the reads and writes a device served.
+type deviceStats struct{ reads, writes int64 }
+
+var statsCodec = wire.CodecOf(
+	func(e *wire.Encoder, s deviceStats) { e.PutVarint(s.reads); e.PutVarint(s.writes) },
+	func(d *wire.Decoder) deviceStats { return deviceStats{d.Varint(), d.Varint()} })
+
+// checkpointArgs is the argument of checkpointTo: the persist store, and
+// the name and class the device's blob is stored under.
+type checkpointArgs struct {
+	store       rmi.Ref
+	name, class string
+}
+
+var checkpointCodec = wire.CodecOf(
+	func(e *wire.Encoder, a checkpointArgs) { e.PutRef(a.store); e.PutString(a.name); e.PutString(a.class) },
+	func(d *wire.Decoder) checkpointArgs { return checkpointArgs{d.Ref(), d.String(), d.String()} })
+
+func checkpointTo(obj baser, env *rmi.Env, a checkpointArgs) error {
+	p := obj.base()
+	if env.Client == nil {
+		return fmt.Errorf("pagedev: machine %d has no outbound client", env.Machine)
+	}
+	sav, ok := obj.(interface{ SaveState(*wire.Encoder) error })
+	if !ok {
+		return fmt.Errorf("pagedev: %T cannot checkpoint", obj)
+	}
+	e := wire.NewEncoder(p.numPages*p.pageSize + 256)
+	if err := sav.SaveState(e); err != nil {
+		return err
+	}
+	return persist.AttachStore(env.Client, a.store).Put(env.Ctx(), a.name, a.class, e.Bytes())
+}
 
 // arrayPageDevice is the derived process (§3): same storage protocol,
 // plus structure-aware computation. Embedding pageDevice is Go's

@@ -57,36 +57,69 @@ func (p *pageDevice) checkFence(index int) error {
 	return nil
 }
 
-// fenceIndices decodes the count×idx list of a fence request and checks
-// every index, so the caller changes the fence set only once the whole
-// request is known to be good.
-func (p *pageDevice) fenceIndices(args *wire.Decoder) ([]int, error) {
-	count := args.Int() // 0 if it did not decode
-	var idxs []int      // no size hint: count is straight off the socket
-	for n := 0; n < count; n++ {
-		idx := args.Int()
-		if err := args.Err(); err != nil {
-			return nil, err
-		}
-		if err := p.checkIndex(idx); err != nil {
-			return nil, err
-		}
-		idxs = append(idxs, idx)
+// indicesCodec is a fence request's page list: a count, then the
+// indices.
+var indicesCodec = wire.CodecOf(putIndices, getIndices)
+
+func putIndices(e *wire.Encoder, idxs []int) {
+	e.PutInt(len(idxs))
+	for _, idx := range idxs {
+		e.PutInt(idx)
 	}
-	return idxs, args.Err()
+}
+
+func getIndices(d *wire.Decoder) []int {
+	count := d.Int() // 0 if it did not decode
+	var idxs []int   // no size hint: count is straight off the socket
+	for n := 0; n < count && d.Err() == nil; n++ {
+		idxs = append(idxs, d.Int())
+	}
+	return idxs
+}
+
+// unfenceArgs is the argument of unfencePages.
+type unfenceArgs struct {
+	release bool
+	idxs    []int
+}
+
+var unfenceCodec = wire.CodecOf(
+	func(e *wire.Encoder, a unfenceArgs) { e.PutBool(a.release); putIndices(e, a.idxs) },
+	func(d *wire.Decoder) unfenceArgs { return unfenceArgs{d.Bool(), getIndices(d)} })
+
+// adoptArgs is the argument of adoptPages: count pages of bytes payload
+// bytes.
+type adoptArgs struct {
+	count int
+	bytes int64
+}
+
+var adoptCodec = wire.CodecOf(
+	func(e *wire.Encoder, a adoptArgs) { e.PutInt(a.count); e.PutVarint(a.bytes) },
+	func(d *wire.Decoder) adoptArgs { return adoptArgs{d.Int(), d.Varint()} })
+
+// checkIndices refuses a fence request unless every index names a page,
+// so the caller changes the fence set only once the whole request is
+// known to be good.
+func (p *pageDevice) checkIndices(idxs []int) error {
+	for _, idx := range idxs {
+		if err := p.checkIndex(idx); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // The migration-fence protocol, declared on PageDevice and inherited by
 // ArrayPageDevice.
 var (
-	devFencePages = PageDeviceClass.Declare("fencePages", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	devFencePages = rmi.DeclareOp(PageDeviceClass, "fencePages", indicesCodec, wire.Void, func(obj baser, env *rmi.Env, idxs []int) (struct{}, error) {
 		// fencePages(count, count×idx): serial, so returning proves
 		// every earlier mutator has completed — the fenced pages are
 		// now a consistent, immutable snapshot for the copy.
 		p := obj.base()
-		idxs, err := p.fenceIndices(args)
-		if err != nil {
-			return err
+		if err := p.checkIndices(idxs); err != nil {
+			return struct{}{}, err
 		}
 		if p.fence == nil {
 			p.fence = make(map[int]struct{})
@@ -94,9 +127,9 @@ var (
 		for _, idx := range idxs {
 			p.fence[idx] = struct{}{}
 		}
-		return nil
+		return struct{}{}, nil
 	})
-	devUnfencePages = PageDeviceClass.Declare("unfencePages", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	devUnfencePages = rmi.DeclareOp(PageDeviceClass, "unfencePages", unfenceCodec, wire.Void, func(obj baser, env *rmi.Env, a unfenceArgs) (struct{}, error) {
 		// unfencePages(release, count, count×idx). release=false
 		// aborts: the fence clears and the pages are writable here
 		// again. release=true retires: the pages moved away for good,
@@ -105,33 +138,26 @@ var (
 		// dead slots; a later migration reusing a slot clears its
 		// retired fence with release=false first.
 		p := obj.base()
-		release := args.Bool()
-		idxs, err := p.fenceIndices(args)
-		if err != nil {
-			return err
+		if err := p.checkIndices(a.idxs); err != nil {
+			return struct{}{}, err
 		}
-		if release {
-			env.Counters().PagesHeld.Add(int64(-len(idxs)))
+		if a.release {
+			env.Counters().PagesHeld.Add(int64(-len(a.idxs)))
 		} else {
-			for _, idx := range idxs {
+			for _, idx := range a.idxs {
 				delete(p.fence, idx)
 			}
 		}
-		return nil
+		return struct{}{}, nil
 	})
-	devAdoptPages = PageDeviceClass.Declare("adoptPages", func(obj baser, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	devAdoptPages = rmi.DeclareOp(PageDeviceClass, "adoptPages", adoptCodec, wire.Void, func(obj baser, env *rmi.Env, a adoptArgs) (struct{}, error) {
 		// adoptPages(count, bytes): destination-side accounting after
 		// a migration copy lands — count pages (bytes payload bytes)
 		// now live here per the flipped map.
-		count := args.Int()
-		bytes := args.Varint()
-		if err := args.Err(); err != nil {
-			return err
-		}
-		env.Counters().PagesHeld.Add(int64(count))
-		env.Counters().PagesMigrated.Add(int64(count))
-		env.Counters().BytesMigrated.Add(bytes)
-		return nil
+		env.Counters().PagesHeld.Add(int64(a.count))
+		env.Counters().PagesMigrated.Add(int64(a.count))
+		env.Counters().BytesMigrated.Add(a.bytes)
+		return struct{}{}, nil
 	})
 )
 
@@ -139,13 +165,8 @@ var (
 // once it returns, mutators targeting them are refused typed
 // (rmi.ErrFenced) until UnfencePages, while reads keep flowing.
 func (d *Device) FencePages(ctx context.Context, indices []int) error {
-	return voidReply(devFencePages.Call(ctx, d.client, d.ref, func(e *wire.Encoder) error {
-		e.PutInt(len(indices))
-		for _, idx := range indices {
-			e.PutInt(idx)
-		}
-		return nil
-	}))
+	_, err := devFencePages.Call(ctx, d.client, d.ref, indices)
+	return err
 }
 
 // UnfencePages ends a migration on the given indices. release=false
@@ -155,23 +176,14 @@ func (d *Device) FencePages(ctx context.Context, indices []int) error {
 // stale writers get the typed refusal instead of losing data; the slots
 // become reusable when a later migration clears them (release=false).
 func (d *Device) UnfencePages(ctx context.Context, indices []int, release bool) error {
-	return voidReply(devUnfencePages.Call(ctx, d.client, d.ref, func(e *wire.Encoder) error {
-		e.PutBool(release)
-		e.PutInt(len(indices))
-		for _, idx := range indices {
-			e.PutInt(idx)
-		}
-		return nil
-	}))
+	_, err := devUnfencePages.Call(ctx, d.client, d.ref, unfenceArgs{release, indices})
+	return err
 }
 
 // AdoptPages records that count migrated pages (bytes payload bytes)
 // now live on this device — the destination half of the migration
 // counters.
 func (d *Device) AdoptPages(ctx context.Context, count int, bytes int64) error {
-	return voidReply(devAdoptPages.Call(ctx, d.client, d.ref, func(e *wire.Encoder) error {
-		e.PutInt(count)
-		e.PutVarint(bytes)
-		return nil
-	}))
+	_, err := devAdoptPages.Call(ctx, d.client, d.ref, adoptArgs{count, bytes})
+	return err
 }

@@ -100,36 +100,18 @@ func (d *Device) ReadAsync(ctx context.Context, index int) *rmi.Future {
 
 // NumPages returns the device capacity in pages.
 func (d *Device) NumPages(ctx context.Context) (int, error) {
-	dec, err := devNumPages.Call(ctx, d.client, d.ref, nil)
-	if err != nil {
-		return 0, err
-	}
-	defer dec.Release()
-	n := dec.Int()
-	return n, dec.Err()
+	return devNumPages.Call(ctx, d.client, d.ref, struct{}{})
 }
 
 // Name returns the device label.
 func (d *Device) Name(ctx context.Context) (string, error) {
-	dec, err := devName.Call(ctx, d.client, d.ref, nil)
-	if err != nil {
-		return "", err
-	}
-	defer dec.Release()
-	s := dec.String()
-	return s, dec.Err()
+	return devName.Call(ctx, d.client, d.ref, struct{}{})
 }
 
 // Stats returns the device's served (reads, writes).
 func (d *Device) Stats(ctx context.Context) (reads, writes int64, err error) {
-	dec, err := devStats.Call(ctx, d.client, d.ref, nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer dec.Release()
-	reads = dec.Varint()
-	writes = dec.Varint()
-	return reads, writes, dec.Err()
+	s, err := devStats.Call(ctx, d.client, d.ref, struct{}{})
+	return s.reads, s.writes, err
 }
 
 // CheckpointToAsync begins a device checkpoint: the device serializes
@@ -138,12 +120,7 @@ func (d *Device) Stats(ctx context.Context) (reads, writes int64, err error) {
 // checkpoint half of cold recovery. The device stays live; the blob
 // activates later like any passivated process.
 func (d *Device) CheckpointToAsync(ctx context.Context, store rmi.Ref, name string) *rmi.Future {
-	return devCheckpointTo.CallAsync(ctx, d.client, d.ref, func(e *wire.Encoder) error {
-		e.PutRef(store)
-		e.PutString(name)
-		e.PutString(d.ref.Class)
-		return nil
-	})
+	return devCheckpointTo.CallAsync(ctx, d.client, d.ref, checkpointArgs{store, name, d.ref.Class}).Future
 }
 
 // Close destroys the remote process — "delete PageStore".

@@ -22,38 +22,34 @@ var nameServiceClass = rmi.RegisterClass(ClassNameService, func(env *rmi.Env, ar
 	return &nameService{bindings: make(map[string]rmi.Ref)}, nil
 })
 
+// bindArgs is the argument of bind: addr names ref.
+type bindArgs struct {
+	addr string
+	ref  rmi.Ref
+}
+
+var bindCodec = wire.CodecOf(
+	func(e *wire.Encoder, a bindArgs) { e.PutString(a.addr); e.PutRef(a.ref) },
+	func(d *wire.Decoder) bindArgs { return bindArgs{d.String(), d.Ref()} })
+
 var (
-	nsBind = nameServiceClass.Declare("bind", func(ns *nameService, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		addr := args.String()
-		ref := args.Ref()
-		if err := args.Err(); err != nil {
-			return err
+	nsBind = rmi.DeclareOp(nameServiceClass, "bind", bindCodec, wire.Void, func(ns *nameService, env *rmi.Env, a bindArgs) (struct{}, error) {
+		if _, err := ParseAddress(a.addr); err != nil {
+			return struct{}{}, err
 		}
-		if _, err := ParseAddress(addr); err != nil {
-			return err
-		}
-		ns.bindings[addr] = ref
-		return nil
+		ns.bindings[a.addr] = a.ref
+		return struct{}{}, nil
 	})
-	nsResolve = nameServiceClass.Declare("resolve", func(ns *nameService, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		addr := args.String()
-		if err := args.Err(); err != nil {
-			return err
-		}
+	nsResolve = rmi.DeclareOp(nameServiceClass, "resolve", wire.String, wire.RemoteRef, func(ns *nameService, env *rmi.Env, addr string) (rmi.Ref, error) {
 		ref, ok := ns.bindings[addr]
 		if !ok {
-			return fmt.Errorf("persist: address %q not bound", addr)
+			return rmi.Ref{}, fmt.Errorf("persist: address %q not bound", addr)
 		}
-		reply.PutRef(ref)
-		return nil
+		return ref, nil
 	})
-	nsUnbind = nameServiceClass.Declare("unbind", func(ns *nameService, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		addr := args.String()
-		if err := args.Err(); err != nil {
-			return err
-		}
+	nsUnbind = rmi.DeclareOp(nameServiceClass, "unbind", wire.String, wire.Void, func(ns *nameService, env *rmi.Env, addr string) (struct{}, error) {
 		delete(ns.bindings, addr)
-		return nil
+		return struct{}{}, nil
 	})
 )
 
@@ -74,37 +70,19 @@ func NewNameService(ctx context.Context, client *rmi.Client, m int) (*NameServic
 
 // Bind associates addr with a remote pointer.
 func (n *NameService) Bind(ctx context.Context, addr Address, ref rmi.Ref) error {
-	d, err := nsBind.Call(ctx, n.client, n.ref, func(e *wire.Encoder) error {
-		e.PutString(addr.String())
-		e.PutRef(ref)
-		return nil
-	})
-	d.Release()
+	_, err := nsBind.Call(ctx, n.client, n.ref, bindArgs{addr.String(), ref})
 	return err
 }
 
 // Resolve looks up the remote pointer bound to addr — the paper's
 // 'PageDevice * pd = "http://data/set/PageDevice/34"'.
 func (n *NameService) Resolve(ctx context.Context, addr Address) (rmi.Ref, error) {
-	d, err := nsResolve.Call(ctx, n.client, n.ref, func(e *wire.Encoder) error {
-		e.PutString(addr.String())
-		return nil
-	})
-	if err != nil {
-		return rmi.Ref{}, err
-	}
-	defer d.Release()
-	ref := d.Ref()
-	return ref, d.Err()
+	return nsResolve.Call(ctx, n.client, n.ref, addr.String())
 }
 
 // Unbind removes a binding (missing bindings are not an error).
 func (n *NameService) Unbind(ctx context.Context, addr Address) error {
-	d, err := nsUnbind.Call(ctx, n.client, n.ref, func(e *wire.Encoder) error {
-		e.PutString(addr.String())
-		return nil
-	})
-	d.Release()
+	_, err := nsUnbind.Call(ctx, n.client, n.ref, addr.String())
 	return err
 }
 

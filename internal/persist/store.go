@@ -101,109 +101,117 @@ var storeClass = rmi.RegisterClass(ClassStore, func(env *rmi.Env, args *wire.Dec
 	return &store{dir: dir, blobs: make(map[string]blob)}, nil
 })
 
+// passivateArgs is the argument of passivate: the process ref, saved
+// under name.
+type passivateArgs struct {
+	ref  rmi.Ref
+	name string
+}
+
+var passivateCodec = wire.CodecOf(
+	func(e *wire.Encoder, a passivateArgs) { e.PutRef(a.ref); e.PutString(a.name) },
+	func(d *wire.Decoder) passivateArgs { return passivateArgs{d.Ref(), d.String()} })
+
+// putArgs is the argument of put: a serialized process of class, stored
+// under name.
+type putArgs struct {
+	name, class string
+	state       []byte
+}
+
+var putCodec = wire.CodecOf(
+	func(e *wire.Encoder, a putArgs) { e.PutString(a.name); e.PutString(a.class); e.PutBytes(a.state) },
+	func(d *wire.Decoder) putArgs { return putArgs{d.String(), d.String(), d.BytesCopy()} })
+
 // The store's methods: a live process in (passivate) or a serialized one
 // (put), a process back out (activate), a blob dropped (remove).
 var (
-	storePassivate = storeClass.Declare("passivate", func(s *store, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		ref := args.Ref()
-		name := args.String()
-		if err := args.Err(); err != nil {
-			return err
-		}
-		if ref.Machine != env.Machine {
-			return fmt.Errorf("persist: store on machine %d cannot passivate object on machine %d", env.Machine, ref.Machine)
-		}
-		srv, err := localServer(env)
-		if err != nil {
-			return err
-		}
-		// Refuse early for classes that cannot be persisted, before
-		// touching the live process.
-		if inst, ok := srv.Object(ref.Object); ok {
-			if _, persistable := inst.(Persistable); !persistable {
-				return fmt.Errorf("persist: class %s does not implement Persistable", ref.Class)
-			}
-		}
-		target, err := srv.TakeObject(ref.Object)
-		if err != nil {
-			return err
-		}
-		p, ok := target.(Persistable)
-		if !ok {
-			// Raced with a class change (impossible today, defensive):
-			// put it back under the same id.
-			if perr := srv.PutBack(ref.Object, ref.Class, target); perr != nil {
-				return fmt.Errorf("persist: %s is not persistable (restore failed: %v)", ref.Class, perr)
-			}
-			return fmt.Errorf("persist: class %s does not implement Persistable", ref.Class)
-		}
-		e := wire.NewEncoder(1024)
-		if err := p.SaveState(e); err != nil {
-			if perr := srv.PutBack(ref.Object, ref.Class, target); perr != nil {
-				return fmt.Errorf("persist: save failed (%v) and restore failed (%v)", err, perr)
-			}
-			return fmt.Errorf("persist: saving %s state: %w", ref.Class, err)
-		}
-		return s.put(name, blob{class: ref.Class, state: e.Bytes()})
+	storePassivate = rmi.DeclareOp(storeClass, "passivate", passivateCodec, wire.Void, func(s *store, env *rmi.Env, a passivateArgs) (struct{}, error) {
+		return struct{}{}, s.passivate(env, a.ref, a.name)
 	})
-	storePut = storeClass.Declare("put", func(s *store, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	storePut = rmi.DeclareOp(storeClass, "put", putCodec, wire.Void, func(s *store, env *rmi.Env, a putArgs) (struct{}, error) {
 		// put(name, class, state): accept an already-serialized blob
 		// over the wire — the checkpoint half of cold recovery. Unlike
 		// passivate it does not touch any live process; the sender
 		// (typically a device on *another* machine checkpointing to
 		// this one) stays up. The class must be a registered
 		// restorable class or the blob will never activate.
-		name := args.String()
-		class := args.String()
-		state := args.BytesCopy()
-		if err := args.Err(); err != nil {
-			return err
+		if _, ok := lookupRestorer(a.class); !ok {
+			return struct{}{}, fmt.Errorf("persist: class %s has no registered restorer", a.class)
 		}
-		if _, ok := lookupRestorer(class); !ok {
-			return fmt.Errorf("persist: class %s has no registered restorer", class)
-		}
-		return s.put(name, blob{class: class, state: state})
+		return struct{}{}, s.put(a.name, blob{class: a.class, state: a.state})
 	})
-	storeActivate = storeClass.Declare("activate", func(s *store, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		name := args.String()
-		if err := args.Err(); err != nil {
-			return err
-		}
-		b, ok, err := s.get(name)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("persist: no passivated process named %q", name)
-		}
-		factory, ok := lookupRestorer(b.class)
-		if !ok {
-			return fmt.Errorf("persist: class %s has no registered restorer", b.class)
-		}
-		inst := factory()
-		if err := inst.LoadState(env, wire.NewDecoder(b.state)); err != nil {
-			return fmt.Errorf("persist: restoring %s: %w", b.class, err)
-		}
-		srv, err := localServer(env)
-		if err != nil {
-			return err
-		}
-		ref, err := srv.AddObject(b.class, inst)
-		if err != nil {
-			return err
-		}
-		reply.PutRef(ref)
-		return nil
-	})
-	storeRemove = storeClass.Declare("remove", func(s *store, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		name := args.String()
-		if err := args.Err(); err != nil {
-			return err
-		}
+	storeActivate = rmi.DeclareOp(storeClass, "activate", wire.String, wire.RemoteRef, (*store).activate)
+	storeRemove   = rmi.DeclareOp(storeClass, "remove", wire.String, wire.Void, func(s *store, env *rmi.Env, name string) (struct{}, error) {
 		s.remove(name)
-		return nil
+		return struct{}{}, nil
 	})
 )
+
+// passivate saves the state of the machine-local process ref under name
+// and takes the process out of its server.
+func (s *store) passivate(env *rmi.Env, ref rmi.Ref, name string) error {
+	if ref.Machine != env.Machine {
+		return fmt.Errorf("persist: store on machine %d cannot passivate object on machine %d", env.Machine, ref.Machine)
+	}
+	srv, err := localServer(env)
+	if err != nil {
+		return err
+	}
+	// Refuse early for classes that cannot be persisted, before
+	// touching the live process.
+	if inst, ok := srv.Object(ref.Object); ok {
+		if _, persistable := inst.(Persistable); !persistable {
+			return fmt.Errorf("persist: class %s does not implement Persistable", ref.Class)
+		}
+	}
+	target, err := srv.TakeObject(ref.Object)
+	if err != nil {
+		return err
+	}
+	p, ok := target.(Persistable)
+	if !ok {
+		// Raced with a class change (impossible today, defensive):
+		// put it back under the same id.
+		if perr := srv.PutBack(ref.Object, ref.Class, target); perr != nil {
+			return fmt.Errorf("persist: %s is not persistable (restore failed: %v)", ref.Class, perr)
+		}
+		return fmt.Errorf("persist: class %s does not implement Persistable", ref.Class)
+	}
+	e := wire.NewEncoder(1024)
+	if err := p.SaveState(e); err != nil {
+		if perr := srv.PutBack(ref.Object, ref.Class, target); perr != nil {
+			return fmt.Errorf("persist: save failed (%v) and restore failed (%v)", err, perr)
+		}
+		return fmt.Errorf("persist: saving %s state: %w", ref.Class, err)
+	}
+	return s.put(name, blob{class: ref.Class, state: e.Bytes()})
+}
+
+// activate reconstructs the passivated process named name on this
+// machine and returns its new remote pointer.
+func (s *store) activate(env *rmi.Env, name string) (rmi.Ref, error) {
+	b, ok, err := s.get(name)
+	if err != nil {
+		return rmi.Ref{}, err
+	}
+	if !ok {
+		return rmi.Ref{}, fmt.Errorf("persist: no passivated process named %q", name)
+	}
+	factory, ok := lookupRestorer(b.class)
+	if !ok {
+		return rmi.Ref{}, fmt.Errorf("persist: class %s has no registered restorer", b.class)
+	}
+	inst := factory()
+	if err := inst.LoadState(env, wire.NewDecoder(b.state)); err != nil {
+		return rmi.Ref{}, fmt.Errorf("persist: restoring %s: %w", b.class, err)
+	}
+	srv, err := localServer(env)
+	if err != nil {
+		return rmi.Ref{}, err
+	}
+	return srv.AddObject(b.class, inst)
+}
 
 // Store is the client stub for a machine's passivation store.
 type Store struct {
@@ -231,12 +239,7 @@ func (s *Store) Ref() rmi.Ref { return s.ref }
 // Passivate saves the state of the (machine-local) process ref under name
 // and terminates the process. The ref becomes dangling.
 func (s *Store) Passivate(ctx context.Context, ref rmi.Ref, name string) error {
-	d, err := storePassivate.Call(ctx, s.client, s.ref, func(e *wire.Encoder) error {
-		e.PutRef(ref)
-		e.PutString(name)
-		return nil
-	})
-	d.Release()
+	_, err := storePassivate.Call(ctx, s.client, s.ref, passivateArgs{ref, name})
 	return err
 }
 
@@ -245,38 +248,19 @@ func (s *Store) Passivate(ctx context.Context, ref rmi.Ref, name string) error {
 // The blob lands in this store's memory (and DataDir mirror, when the
 // machine has one) and activates later exactly like a passivated process.
 func (s *Store) Put(ctx context.Context, name, class string, state []byte) error {
-	d, err := storePut.Call(ctx, s.client, s.ref, func(e *wire.Encoder) error {
-		e.PutString(name)
-		e.PutString(class)
-		e.PutBytes(state)
-		return nil
-	})
-	d.Release()
+	_, err := storePut.Call(ctx, s.client, s.ref, putArgs{name, class, state})
 	return err
 }
 
 // Activate reconstructs the passivated process named name and returns the
 // new remote pointer.
 func (s *Store) Activate(ctx context.Context, name string) (rmi.Ref, error) {
-	d, err := storeActivate.Call(ctx, s.client, s.ref, func(e *wire.Encoder) error {
-		e.PutString(name)
-		return nil
-	})
-	if err != nil {
-		return rmi.Ref{}, err
-	}
-	defer d.Release()
-	ref := d.Ref()
-	return ref, d.Err()
+	return storeActivate.Call(ctx, s.client, s.ref, name)
 }
 
 // Remove discards a passivated process's stored state.
 func (s *Store) Remove(ctx context.Context, name string) error {
-	d, err := storeRemove.Call(ctx, s.client, s.ref, func(e *wire.Encoder) error {
-		e.PutString(name)
-		return nil
-	})
-	d.Release()
+	_, err := storeRemove.Call(ctx, s.client, s.ref, name)
 	return err
 }
 

@@ -63,8 +63,8 @@ func newPFFT(ctx context.Context, client *rmi.Client, machines []int, n1, n2, n3
 			return nil
 		})
 		if err == nil {
-			err = workers.Broadcast(ctx, workerSetGroupShallow.Name(), func(m collection.Member, e *wire.Encoder) error {
-				e.PutRef(tableRef)
+			err = workers.Broadcast(ctx, workerSetGroupShallow.Name(), func(_ collection.Member, e *wire.Encoder) error {
+				workerSetGroupShallow.PutArgs(e, tableRef)
 				return nil
 			})
 			if derr := client.Delete(ctx, tableRef); err == nil {
@@ -76,9 +76,8 @@ func newPFFT(ctx context.Context, client *rmi.Client, machines []int, n1, n2, n3
 		// group of N concurrent processes" — deep copy of the remote
 		// pointer array.
 		refs := workers.Refs()
-		err = workers.Broadcast(ctx, workerSetGroup.Name(), func(m collection.Member, e *wire.Encoder) error {
-			e.PutInt(g.p)
-			e.PutRefs(refs)
+		err = workers.Broadcast(ctx, workerSetGroup.Name(), func(_ collection.Member, e *wire.Encoder) error {
+			workerSetGroup.PutArgs(e, groupArgs{g.p, refs})
 			return nil
 		})
 	}
@@ -151,8 +150,8 @@ func (f *PFFT) slabPieces(ctx context.Context, x []complex128, method rmi.Method
 // transform method concurrently, exchanging transpose blocks peer to
 // peer. sign=-1 forward, sign=+1 normalized inverse.
 func (f *PFFT) Transform(ctx context.Context, sign int) error {
-	return f.workers.Broadcast(ctx, workerTransform.Name(), func(m collection.Member, e *wire.Encoder) error {
-		e.PutInt(sign)
+	return f.workers.Broadcast(ctx, workerTransform.Name(), func(_ collection.Member, e *wire.Encoder) error {
+		workerTransform.PutArgs(e, sign)
 		return nil
 	})
 }

@@ -360,55 +360,40 @@ var workerClass = rmi.RegisterClass(ClassWorker, func(env *rmi.Env, args *wire.D
 	return newWorker(id, n1, n2, n3)
 })
 
+// groupArgs is the argument of setGroup: the n workers' refs.
+type groupArgs struct {
+	n    int
+	refs []rmi.Ref
+}
+
+var groupCodec = wire.CodecOf(
+	func(e *wire.Encoder, g groupArgs) { e.PutInt(g.n); e.PutRefs(g.refs) },
+	func(d *wire.Decoder) groupArgs { return groupArgs{d.Int(), d.Refs()} })
+
 // The worker's methods: group setup, slab transfers, the joint transform
 // and the concurrent landing of a peer's transpose block.
 var (
-	workerSetGroup = workerClass.Declare("setGroup", func(w *worker, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		n := args.Int()
-		refs := args.Refs()
-		if err := args.Err(); err != nil {
-			return err
-		}
-		return w.setGroup(n, refs)
+	workerSetGroup = rmi.DeclareOp(workerClass, "setGroup", groupCodec, wire.Void, func(w *worker, env *rmi.Env, g groupArgs) (struct{}, error) {
+		return struct{}{}, w.setGroup(g.n, g.refs)
 	})
-	workerSetGroupShallow = workerClass.Declare("setGroupShallow", func(w *worker, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	workerSetGroupShallow = rmi.DeclareOp(workerClass, "setGroupShallow", wire.RemoteRef, wire.Void, func(w *worker, env *rmi.Env, table rmi.Ref) (struct{}, error) {
 		// The §4 anti-pattern: the argument is a remote pointer to a
 		// table of remote pointers; every member access is a further
 		// round trip.
-		table := args.Ref()
-		if err := args.Err(); err != nil {
-			return err
-		}
 		if env.Client == nil {
-			return fmt.Errorf("pfft: machine %d has no outbound client", env.Machine)
+			return struct{}{}, fmt.Errorf("pfft: machine %d has no outbound client", env.Machine)
 		}
-		d, err := tableSize.Call(context.Background(), env.Client, table, nil)
+		n, err := tableSize.Call(context.Background(), env.Client, table, struct{}{})
 		if err != nil {
-			return err
-		}
-		n := d.Int()
-		err = d.Err()
-		d.Release()
-		if err != nil {
-			return err
+			return struct{}{}, err
 		}
 		refs := make([]rmi.Ref, n)
-		for i := 0; i < n; i++ {
-			d, err := tableGetRef.Call(context.Background(), env.Client, table, func(e *wire.Encoder) error {
-				e.PutInt(i)
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			refs[i] = d.Ref()
-			err = d.Err()
-			d.Release()
-			if err != nil {
-				return err
+		for i := range refs {
+			if refs[i], err = tableGetRef.Call(context.Background(), env.Client, table, i); err != nil {
+				return struct{}{}, err
 			}
 		}
-		return w.setGroup(n, refs)
+		return struct{}{}, w.setGroup(n, refs)
 	})
 	workerLoadSlab = workerClass.Declare("loadSlab", func(w *worker, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		// First plane, then whole planes of values: range and count
@@ -441,12 +426,8 @@ var (
 		reply.PutComplex128s(src)
 		return nil
 	})
-	workerTransform = workerClass.Declare("transform", func(w *worker, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		sign := args.Int()
-		if err := args.Err(); err != nil {
-			return err
-		}
-		return w.transform(env, sign)
+	workerTransform = rmi.DeclareOp(workerClass, "transform", wire.Int, wire.Void, func(w *worker, env *rmi.Env, sign int) (struct{}, error) {
+		return struct{}{}, w.transform(env, sign)
 	})
 	workerStoreBlock = workerClass.DeclareConcurrent("storeBlock", func(w *worker, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		return w.storeBlock(args)
@@ -463,19 +444,13 @@ var refTableClass = rmi.RegisterClass(ClassRefTable, func(env *rmi.Env, args *wi
 
 // The table's methods, each a further round trip of the shallow setGroup.
 var (
-	tableSize = refTableClass.Declare("size", func(t *refTable, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		reply.PutInt(len(t.refs))
-		return nil
+	tableSize = rmi.DeclareOp(refTableClass, "size", wire.Void, wire.Int, func(t *refTable, env *rmi.Env, _ struct{}) (int, error) {
+		return len(t.refs), nil
 	})
-	tableGetRef = refTableClass.Declare("getRef", func(t *refTable, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		i := args.Int()
-		if err := args.Err(); err != nil {
-			return err
-		}
+	tableGetRef = rmi.DeclareOp(refTableClass, "getRef", wire.Int, wire.RemoteRef, func(t *refTable, env *rmi.Env, i int) (rmi.Ref, error) {
 		if i < 0 || i >= len(t.refs) {
-			return fmt.Errorf("pfft: ref index %d of %d", i, len(t.refs))
+			return rmi.Ref{}, fmt.Errorf("pfft: ref index %d of %d", i, len(t.refs))
 		}
-		reply.PutRef(t.refs[i])
-		return nil
+		return t.refs[i], nil
 	})
 )

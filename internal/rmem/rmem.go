@@ -43,26 +43,29 @@ var Float64BlockClass = rmi.RegisterClass(ClassFloat64, func(env *rmi.Env, args 
 	return &float64Block{data: make([]float64, n)}, nil
 })
 
+// setArgs is the argument of set: data[i] = v.
+type setArgs struct {
+	i int
+	v float64
+}
+
+var setCodec = wire.CodecOf(
+	func(e *wire.Encoder, a setArgs) { e.PutInt(a.i); e.PutFloat64(a.v) },
+	func(d *wire.Decoder) setArgs { return setArgs{d.Int(), d.Float64()} })
+
 var (
-	blockGet = Float64BlockClass.Declare("get", func(b *float64Block, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		i := args.Int()
-		if i < 0 || i >= len(b.data) {
-			return fmt.Errorf("rmem: index %d out of range [0,%d)", i, len(b.data))
+	blockGet = rmi.DeclareOp(Float64BlockClass, "get", wire.Int, wire.Float64, func(b *float64Block, env *rmi.Env, i int) (float64, error) {
+		if err := b.check(i); err != nil {
+			return 0, err
 		}
-		reply.PutFloat64(b.data[i])
-		return nil
+		return b.data[i], nil
 	})
-	blockSet = Float64BlockClass.Declare("set", func(b *float64Block, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		i := args.Int()
-		v := args.Float64()
-		if err := args.Err(); err != nil {
-			return err
+	blockSet = rmi.DeclareOp(Float64BlockClass, "set", setCodec, wire.Void, func(b *float64Block, env *rmi.Env, a setArgs) (struct{}, error) {
+		err := b.check(a.i)
+		if err == nil {
+			b.data[a.i] = a.v
 		}
-		if i < 0 || i >= len(b.data) {
-			return fmt.Errorf("rmem: index %d out of range [0,%d)", i, len(b.data))
-		}
-		b.data[i] = v
-		return nil
+		return struct{}{}, err
 	})
 	blockGetRange = Float64BlockClass.Declare("getRange", func(b *float64Block, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		off := args.Int()
@@ -76,15 +79,22 @@ var (
 		reply.PutFloat64s(b.data[off : off+n])
 		return nil
 	})
-	blockSum = Float64BlockClass.Declare("sum", func(b *float64Block, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	blockSum = rmi.DeclareOp(Float64BlockClass, "sum", wire.Void, wire.Float64, func(b *float64Block, env *rmi.Env, _ struct{}) (float64, error) {
 		var s float64
 		for _, v := range b.data {
 			s += v
 		}
-		reply.PutFloat64(s)
-		return nil
+		return s, nil
 	})
 )
+
+// check refuses an index outside the block.
+func (b *float64Block) check(i int) error {
+	if i < 0 || i >= len(b.data) {
+		return fmt.Errorf("rmem: index %d out of range [0,%d)", i, len(b.data))
+	}
+	return nil
+}
 
 // Float64Array is the client stub — the "remote pointer" the paper's user
 // program holds. Each method is one remote instruction with §2 semantics.
@@ -108,26 +118,12 @@ func NewFloat64Array(ctx context.Context, client *rmi.Client, m int, n int) (*Fl
 
 // Get reads element i — "double x = data[i]": one round trip.
 func (a *Float64Array) Get(ctx context.Context, i int) (float64, error) {
-	d, err := blockGet.Call(ctx, a.client, a.ref, func(e *wire.Encoder) error {
-		e.PutInt(i)
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	defer d.Release()
-	v := d.Float64()
-	return v, d.Err()
+	return blockGet.Call(ctx, a.client, a.ref, i)
 }
 
 // Set writes element i — "data[i] = v": one round trip.
 func (a *Float64Array) Set(ctx context.Context, i int, v float64) error {
-	d, err := blockSet.Call(ctx, a.client, a.ref, func(e *wire.Encoder) error {
-		e.PutInt(i)
-		e.PutFloat64(v)
-		return nil
-	})
-	d.Release()
+	_, err := blockSet.Call(ctx, a.client, a.ref, setArgs{i, v})
 	return err
 }
 
@@ -150,13 +146,7 @@ func (a *Float64Array) GetRangeInto(ctx context.Context, off int, dst []float64)
 
 // Sum reduces the block remotely and ships back only the scalar.
 func (a *Float64Array) Sum(ctx context.Context) (float64, error) {
-	d, err := blockSum.Call(ctx, a.client, a.ref, nil)
-	if err != nil {
-		return 0, err
-	}
-	defer d.Release()
-	v := d.Float64()
-	return v, d.Err()
+	return blockSum.Call(ctx, a.client, a.ref, struct{}{})
 }
 
 // Free destroys the remote block — the paper's delete, terminating the

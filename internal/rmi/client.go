@@ -92,12 +92,6 @@ func (d StaticDirectory) Size() int { return len(d) }
 // this is the client half of the compiler-generated protocol.
 type ArgEncoder func(e *wire.Encoder) error
 
-// AnyArgs is the ArgEncoder for the tagged generic encoding — the layer
-// under NewOn/Invoke.
-func AnyArgs(args ...any) ArgEncoder {
-	return func(e *wire.Encoder) error { return e.PutAnys(args) }
-}
-
 // Dial backoff tuning: retry k of a dial (WithRetryDial), offset by the
 // machine's persistent failure streak, waits dialBackoff << k capped at
 // dialBackoffMax — exponential backoff, so a machine that keeps refusing

@@ -24,30 +24,36 @@
 //
 //	var counterClass = rmi.RegisterClass("app.Counter",
 //	        func(env *rmi.Env, args *wire.Decoder) (*counter, error) { ... })
-//	var counterAdd = counterClass.Declare("add",
-//	        func(c *counter, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error { ... })
+//	var counterAdd = rmi.DeclareOp(counterClass, "add", wire.Int, wire.Int,
+//	        func(c *counter, env *rmi.Env, d int) (int, error) { ... })
 //
 //	ref, _ := counterClass.New(ctx, client, m, args) // new(machine m) Counter(...)
-//	d, _ := counterAdd.Call(ctx, client, ref, args)  // the declared method, by its handle
+//	n, _ := counterAdd.Call(ctx, client, ref, 23)    // the declared method, by its handle
 //
 // RegisterClass returns a Class[T] handle: server-side method bodies
 // receive the object already asserted to T, and client-side construction
-// goes through the handle (Class[T].New with a packed ArgEncoder, or
-// NewOn[T] with the tagged generic encoding). Declare returns a method's
-// Method handle, the one value its server body and its callers name:
-// stubs, peers and fan-outs call through it (Call, CallAsync, Invoke[R],
-// or Name for the by-name surfaces: Client.Call, FanOut, the collection
-// collectives), so a renamed method is a compile error and one that
-// nothing calls is a handle nothing references, which the module's
-// exports check reports. The wire carries the method's name, as a call by
-// name does. ExtendClass renders the paper's process inheritance (§3):
-// the derived class inherits the base method table under its own Go type,
-// and answers the base's handles. Invoke[R]/InvokeAsync[R] decode a
-// method's tagged result into R, failing loudly on a type mismatch.
+// goes through the handle (Class[T].New with a packed ArgEncoder).
+// DeclareOp declares a method from the codecs (wire.Codec) of its
+// argument and its result and a body over decoded values, and returns
+// its Op handle, the one value its server body and its callers name: the
+// server decodes the whole argument before the body runs, and Op.Call and
+// Op.CallAsync (whose TypedFuture decodes the result) encode and decode
+// through the same two codecs, so the two halves of the call cannot
+// disagree. Stubs, peers and fan-outs call through the handle, or pass
+// its Name to the by-name surfaces (Client.Call, FanOut, the collection
+// collectives, which take PutArgs for the argument), so a renamed method
+// is a compile error and one that nothing calls is a handle nothing
+// references, which the module's exports check reports. The wire carries
+// the method's name, as a call by name does. ExtendClass renders the
+// paper's process inheritance (§3): the derived class inherits the base
+// method table under its own Go type, and answers the base's handles.
 //
-// Bulk-data stubs (pages, float slices) keep hand-written ArgEncoder
-// closures over the packed wire encodings — that layer remains available
-// under the typed one, and the substrate packages use both.
+// The bulk methods, whose frames borrow or lend their values (page reads
+// and writes, kernel batches, transpose pieces), are declared with
+// Class[T].Declare instead: their bodies read and write the packed wire
+// encodings themselves, and their Method handles take hand-written
+// ArgEncoder closures, so that no codec stands between the frame and the
+// page.
 //
 // # Contexts and call options
 //

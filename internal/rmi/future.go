@@ -2,7 +2,6 @@ package rmi
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -186,48 +185,23 @@ func WaitAll(ctx context.Context, futs []*Future) error {
 	return first
 }
 
-// TypedFuture is the generic, decoded view of a Future: Wait returns the
-// call's single tagged result as R instead of a raw decoder. It is
-// produced by InvokeAsync and by Class[T] construction helpers.
+// TypedFuture is the pending result of an Op's CallAsync. It is its
+// Future, for SplitLoop, WaitAll and Err, and its Wait decodes the result
+// through the Op's result codec.
 type TypedFuture[R any] struct {
-	fut *Future
+	*Future
+	res wire.Codec[R]
 }
 
-// Wait blocks (honoring ctx like Future.Wait) and decodes the result. A
-// method that returned a value of a different dynamic type fails with a
-// descriptive mismatch error rather than a zero value. The response frame
-// is recycled once the result is decoded (tagged results are copies, so
-// nothing aliases it).
-func (t *TypedFuture[R]) Wait(ctx context.Context) (R, error) {
-	var zero R
-	if t == nil || t.fut == nil {
-		return zero, fmt.Errorf("rmi: wait on nil typed future")
-	}
-	d, err := t.fut.Wait(ctx)
+// Wait blocks (honoring ctx like Future.Wait) and decodes the result. The
+// response frame is recycled once the result is decoded.
+func (t TypedFuture[R]) Wait(ctx context.Context) (R, error) {
+	d, err := t.Future.Wait(ctx)
 	if err != nil {
+		var zero R
 		return zero, err
 	}
-	r, err := decodeResult[R](t.fut, d)
-	t.fut.Release()
+	r, err := t.res.Get(d)
+	t.Release()
 	return r, err
-}
-
-// Done returns the underlying completion channel.
-func (t *TypedFuture[R]) Done() <-chan struct{} { return t.fut.Done() }
-
-// decodeResult reads one tagged value from d and asserts it to R.
-func decodeResult[R any](f *Future, d *wire.Decoder) (R, error) {
-	var zero R
-	if d.Remaining() == 0 {
-		return zero, fmt.Errorf("rmi: %s returned no result, want %T", f.describe(), zero)
-	}
-	v, err := d.Any()
-	if err != nil {
-		return zero, fmt.Errorf("rmi: %s: decoding result: %w", f.describe(), err)
-	}
-	r, ok := v.(R)
-	if !ok {
-		return zero, fmt.Errorf("rmi: %s returned %T, want %T", f.describe(), v, zero)
-	}
-	return r, nil
 }

@@ -206,11 +206,17 @@ func TestPooledFramesConcurrentCallAsync(t *testing.T) {
 // TestSyncCallSteadyStateAllocs.
 type handleEcho struct{}
 
-var handleEchoEcho = RegisterClass("test.HandleEcho", func(*Env, *wire.Decoder) (*handleEcho, error) { return &handleEcho{}, nil }).
-	Declare("echo", func(_ *handleEcho, _ *Env, args *wire.Decoder, reply *wire.Encoder) error {
+var handleEchoClass = RegisterClass("test.HandleEcho", func(*Env, *wire.Decoder) (*handleEcho, error) { return &handleEcho{}, nil })
+
+var (
+	handleEchoEcho = handleEchoClass.Declare("echo", func(_ *handleEcho, _ *Env, args *wire.Decoder, reply *wire.Encoder) error {
 		reply.PutBytes(args.Bytes())
 		return nil
 	})
+	handleEchoInc = DeclareOp(handleEchoClass, "inc", wire.Int, wire.Int, func(_ *handleEcho, _ *Env, n int) (int, error) {
+		return n + 1, nil
+	})
+)
 
 // TestSyncCallSteadyStateAllocs pins, at the unit level, what each way to
 // wait costs on a warmed-up round trip over inproc. The synchronous one
@@ -259,6 +265,17 @@ func TestSyncCallSteadyStateAllocs(t *testing.T) {
 			fut := client.CallAsync(bg, ref, "echo", args)
 			_, err := fut.Wait(bg)
 			fut.Release()
+			return err
+		}},
+		{"Op.Call", 0, func() error {
+			n, err := handleEchoInc.Call(bg, client, href, 41)
+			if err == nil && n != 42 {
+				err = fmt.Errorf("inc(41) = %d", n)
+			}
+			return err
+		}},
+		{"Op.CallAsync, Wait", 2, func() error {
+			_, err := handleEchoInc.CallAsync(bg, client, href, 41).Wait(bg)
 			return err
 		}},
 	} {

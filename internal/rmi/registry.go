@@ -23,8 +23,9 @@ type Constructor func(env *Env, args *wire.Decoder) (any, error)
 // MethodFunc executes a method on a server-side object. Arguments are read
 // from args in the order the stub wrote them; results are written to
 // reply. The paper's compiler generates this protocol from the class
-// description; here a class's Declare registers the body and returns the
-// Method handle every caller names, so the two halves name one value.
+// description; here a class's DeclareOp (or, for a body that reads and
+// writes its own bytes, Declare) registers the body and returns the handle
+// every caller names, so the two halves name one value.
 type MethodFunc func(obj any, env *Env, args *wire.Decoder, reply *wire.Encoder) error
 
 // Destroyer is implemented by objects that need destructor logic beyond

@@ -805,89 +805,6 @@ func TestPingStatAndBuiltins(t *testing.T) {
 	}
 }
 
-// genericKV is a class written against the tagged generic layer: its
-// constructor and methods read Anys and write Anys, so clients can use
-// New/Call with AnyArgs and Decoder.Anys without hand-written stubs.
-type genericKV struct {
-	mu sync.Mutex
-	m  map[string]float64
-}
-
-func init() {
-	Register("test.GenericKV", func(env *Env, args *wire.Decoder) (any, error) {
-		vals, err := args.Anys()
-		if err != nil {
-			return nil, err
-		}
-		kv := &genericKV{m: make(map[string]float64)}
-		if len(vals) == 1 {
-			kv.m[vals[0].(string)] = 0
-		}
-		return kv, nil
-	}).
-		Method("set", func(obj any, env *Env, args *wire.Decoder, reply *wire.Encoder) error {
-			kv := obj.(*genericKV)
-			vals, err := args.Anys()
-			if err != nil {
-				return err
-			}
-			if len(vals) != 2 {
-				return fmt.Errorf("set wants 2 args, got %d", len(vals))
-			}
-			kv.mu.Lock()
-			kv.m[vals[0].(string)] = vals[1].(float64)
-			kv.mu.Unlock()
-			return reply.PutAnys(nil)
-		}).
-		Method("get", func(obj any, env *Env, args *wire.Decoder, reply *wire.Encoder) error {
-			kv := obj.(*genericKV)
-			vals, err := args.Anys()
-			if err != nil {
-				return err
-			}
-			kv.mu.Lock()
-			v, ok := kv.m[vals[0].(string)]
-			kv.mu.Unlock()
-			return reply.PutAnys([]any{v, ok})
-		})
-}
-
-func TestCallArgsGenericLayer(t *testing.T) {
-	nodes, stop := startCluster(t, transport.NewInproc(transport.LinkModel{}), 1)
-	defer stop()
-	c := nodes[0].client
-	ref, err := c.New(bg, 0, "test.GenericKV", AnyArgs("seed"))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	// call sends args tagged and decodes the tagged results.
-	call := func(method string, args ...any) ([]any, error) {
-		d, err := c.Call(bg, ref, method, AnyArgs(args...))
-		if err != nil {
-			return nil, err
-		}
-		defer d.Release()
-		return d.Anys()
-	}
-	if _, err := call("set", "pi", 3.14159); err != nil {
-		t.Fatalf("set: %v", err)
-	}
-	out, err := call("get", "pi")
-	if err != nil {
-		t.Fatalf("get: %v", err)
-	}
-	if len(out) != 2 || out[0].(float64) != 3.14159 || out[1].(bool) != true {
-		t.Fatalf("get result: %v", out)
-	}
-	out, err = call("get", "absent")
-	if err != nil {
-		t.Fatalf("get absent: %v", err)
-	}
-	if out[1].(bool) {
-		t.Fatalf("absent key reported present")
-	}
-}
-
 func TestStaticDirectory(t *testing.T) {
 	d := StaticDirectory{"a", "b"}
 	if d.Size() != 2 {

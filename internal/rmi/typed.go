@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"sync"
 
 	"oopp/internal/wire"
 )
@@ -15,15 +14,14 @@ import (
 //
 //   - RegisterClass[T] declares a class and returns a Class[T] handle
 //     whose method callbacks receive the object already asserted to T.
-//   - Class[T].Declare registers a method and returns its Method
-//     handle, the one value the server body and every caller name.
-//   - Class[T].New / NewOn[T] construct remote objects without string
-//     class names at the call site.
-//   - Invoke[R] / InvokeAsync[R] call a method through its handle, its
-//     single tagged result decoded and type-checked into R (TypedFuture[R]).
-//
-// Bulk-data stubs (pages, float slices) keep hand-written ArgEncoders for
-// their packed encodings; they still construct through Class[T] handles.
+//   - DeclareOp registers a method from its argument and result codecs
+//     and a body over decoded values, and returns its Op handle: the stub's
+//     Call and the body's arguments come from the one declaration.
+//   - Class[T].Declare registers a method that reads and writes its own
+//     bytes (the bulk paths, which borrow or lend frames) and returns its
+//     Method handle.
+//   - Class[T].New constructs a remote object without a string class
+//     name at the call site.
 
 // Class is the typed handle to a registered remote class. T is the Go
 // type of the server-side object (usually a pointer type, or an interface
@@ -34,21 +32,14 @@ type Class[T any] struct {
 	spec *ClassSpec
 }
 
-var (
-	classByTypeMu sync.RWMutex
-	classByType   = make(map[reflect.Type]*ClassSpec)
-)
-
 // RegisterClass declares a remote class with a typed constructor and
 // returns its handle, normally from a package-level declaration (the
 // analogue of the compiler seeing the class declaration). It panics on
-// duplicate names. The type T is also recorded so NewOn[T] can resolve the
-// class without naming it.
+// duplicate names.
 func RegisterClass[T any](name string, ctor func(env *Env, args *wire.Decoder) (T, error)) *Class[T] {
-	spec := Register(name, func(env *Env, args *wire.Decoder) (any, error) {
+	return &Class[T]{spec: Register(name, func(env *Env, args *wire.Decoder) (any, error) {
 		return ctor(env, args)
-	})
-	return &Class[T]{spec: recordClass(reflect.TypeFor[T](), spec)}
+	})}
 }
 
 // ExtendClass registers a derived class, as RegisterClass does, that
@@ -60,18 +51,6 @@ func ExtendClass[U any, T any](base *Class[T], name string, ctor func(env *Env, 
 	derived := RegisterClass(name, ctor)
 	derived.spec.inherit(base.spec)
 	return derived
-}
-
-// recordClass records spec as the class of type t and returns it. It
-// panics if t already has a class.
-func recordClass(t reflect.Type, spec *ClassSpec) *ClassSpec {
-	classByTypeMu.Lock()
-	defer classByTypeMu.Unlock()
-	if _, dup := classByType[t]; dup {
-		panic(fmt.Sprintf("rmi: type %v already registered as a class", t))
-	}
-	classByType[t] = spec
-	return spec
 }
 
 // Name returns the registered class name.
@@ -133,61 +112,81 @@ func (m Method) CallAsync(ctx context.Context, client *Client, ref Ref, args Arg
 	return client.CallAsync(ctx, ref, m.name, args, opts...)
 }
 
+// DeclareOp registers a serial method of class from the codecs of its
+// argument and its result and a body over decoded values, and returns its
+// handle: the stub's Call and the body's argument come from this one
+// declaration. The server decodes the whole argument before the body
+// runs, so a request whose argument does not decode is refused with the
+// object untouched. (It is a function because a Go method takes no type
+// parameters of its own.)
+func DeclareOp[T, A, R any](class *Class[T], name string, arg wire.Codec[A], res wire.Codec[R], body func(obj T, env *Env, a A) (R, error)) Op[A, R] {
+	return declareOp(class, name, arg, res, body, false)
+}
+
+// DeclareConcurrentOp is DeclareOp for a method that executes outside the
+// object's mailbox, as DeclareConcurrent's does.
+func DeclareConcurrentOp[T, A, R any](class *Class[T], name string, arg wire.Codec[A], res wire.Codec[R], body func(obj T, env *Env, a A) (R, error)) Op[A, R] {
+	return declareOp(class, name, arg, res, body, true)
+}
+
+func declareOp[T, A, R any](class *Class[T], name string, arg wire.Codec[A], res wire.Codec[R], body func(obj T, env *Env, a A) (R, error), concurrent bool) Op[A, R] {
+	m := declare(class.spec, name, func(obj T, env *Env, args *wire.Decoder, reply *wire.Encoder) error {
+		a, err := arg.Get(args)
+		if err != nil {
+			return fmt.Errorf("argument decode: %w", err)
+		}
+		r, err := body(obj, env, a)
+		if err != nil {
+			return err
+		}
+		res.Put(reply, r)
+		return nil
+	}, concurrent)
+	return Op[A, R]{Method: m, arg: arg, res: res}
+}
+
+// Op is a method declared with its codecs (DeclareOp). Call and CallAsync
+// encode the argument and decode the result through the codecs the
+// server uses. It is its Method too, whose Name the by-name surfaces
+// (FanOut, the collection collectives) take.
+type Op[A, R any] struct {
+	Method
+	arg wire.Codec[A]
+	res wire.Codec[R]
+}
+
+// Call executes the method on ref with argument a and waits for its
+// decoded result.
+func (o Op[A, R]) Call(ctx context.Context, client *Client, ref Ref, a A, opts ...CallOption) (R, error) {
+	d, err := client.Call(ctx, ref, o.name, func(e *wire.Encoder) error {
+		o.arg.Put(e, a)
+		return nil
+	}, opts...)
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	r, err := o.res.Get(d)
+	d.Release()
+	return r, err
+}
+
+// CallAsync begins the method on ref with argument a and returns its
+// future — the §4 send-loop half of Call.
+func (o Op[A, R]) CallAsync(ctx context.Context, client *Client, ref Ref, a A, opts ...CallOption) TypedFuture[R] {
+	return TypedFuture[R]{client.CallAsync(ctx, ref, o.name, func(e *wire.Encoder) error {
+		o.arg.Put(e, a)
+		return nil
+	}, opts...), o.res}
+}
+
+// PutArgs appends a to e as the method's argument, for a collective that
+// encodes each member's request itself.
+func (o Op[A, R]) PutArgs(e *wire.Encoder, a A) { o.arg.Put(e, a) }
+
 // New constructs an object of this class on machine m — the paper's
 // "new(machine m) Class(args)" with the class resolved at compile time.
 // args may be nil for nullary constructors.
 func (c *Class[T]) New(ctx context.Context, client *Client, m int, args ArgEncoder, opts ...CallOption) (Ref, error) {
 	return client.New(ctx, m, c.spec.Name(), args, opts...)
-}
-
-// SpecFor resolves the ClassSpec registered for type T, accepting either
-// the exact registered type or T's pointer type (so value types can be
-// used as the type argument: NewOn[Counter] for a *Counter class). NewOn
-// and the typed collection layer's Spawn[T] resolve their class by it.
-func SpecFor[T any]() (*ClassSpec, error) {
-	t := reflect.TypeFor[T]()
-	classByTypeMu.RLock()
-	spec, ok := classByType[t]
-	if !ok {
-		spec, ok = classByType[reflect.PointerTo(t)]
-	}
-	classByTypeMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: no class registered for type %v", ErrNoSuchClass, t)
-	}
-	return spec, nil
-}
-
-// NewOn constructs an object of the class registered for type T on
-// machine m, encoding args with the tagged generic encoding — the typed
-// rendering of "new(machine m) T(args...)". The class's constructor must
-// decode its arguments with the matching tagged decoder (args.Anys or
-// args.Any); classes with packed constructor encodings construct through
-// their Class[T].New handle instead.
-func NewOn[T any](ctx context.Context, client *Client, m int, args ...any) (Ref, error) {
-	spec, err := SpecFor[T]()
-	if err != nil {
-		return Ref{}, err
-	}
-	return client.New(ctx, m, spec.Name(), AnyArgs(args...))
-}
-
-// Invoke calls m with arguments and a single result in the tagged generic
-// encoding, blocking until the decoded result of type R arrives. A result
-// of a different dynamic type is an error, not a zero value.
-func Invoke[R any](ctx context.Context, client *Client, ref Ref, m Method, args ...any) (R, error) {
-	return InvokeAsync[R](ctx, client, ref, m, args...).Wait(ctx)
-}
-
-// InvokeAsync begins a typed invocation of m and returns its typed future
-// immediately — the §4 send-loop half.
-func InvokeAsync[R any](ctx context.Context, client *Client, ref Ref, m Method, args ...any) *TypedFuture[R] {
-	return &TypedFuture[R]{fut: m.CallAsync(ctx, client, ref, AnyArgs(args...))}
-}
-
-// InvokeVoid calls a tagged-encoding method with no result.
-func InvokeVoid(ctx context.Context, client *Client, ref Ref, m Method, args ...any) error {
-	d, err := m.Call(ctx, client, ref, AnyArgs(args...))
-	d.Release()
-	return err
 }

@@ -13,95 +13,81 @@ import (
 )
 
 // typedCounter is a class written against the typed surface: registration
-// returns a Class[*typedCounter] handle, methods receive the object
-// without assertions, and results use the tagged encoding so clients can
-// Invoke with decoded results.
+// returns a Class[*typedCounter] handle, and its methods are declared with
+// their codecs, so they receive decoded arguments and callers get decoded
+// results.
 type typedCounter struct{ n int }
 
 var typedCounterClass = RegisterClass("test.TypedCounter",
 	func(env *Env, args *wire.Decoder) (*typedCounter, error) {
-		vals, err := args.Anys()
-		if err != nil {
-			return nil, err
-		}
 		c := &typedCounter{}
-		if len(vals) == 1 {
-			start, ok := vals[0].(int)
-			if !ok {
-				return nil, fmt.Errorf("counter wants an int start, got %T", vals[0])
-			}
-			c.n = start
+		if args.Remaining() > 0 {
+			c.n = args.Int()
 		}
-		return c, nil
+		return c, args.Err()
 	})
 
 var (
-	typedAdd = typedCounterClass.Declare("add", func(c *typedCounter, env *Env, args *wire.Decoder, reply *wire.Encoder) error {
-		vals, err := args.Anys()
-		if err != nil {
-			return err
-		}
-		if len(vals) != 1 {
-			return fmt.Errorf("add wants 1 arg, got %d", len(vals))
-		}
-		d, ok := vals[0].(int)
-		if !ok {
-			return fmt.Errorf("add wants an int, got %T", vals[0])
-		}
+	typedAdd = DeclareOp(typedCounterClass, "add", wire.Int, wire.Int, func(c *typedCounter, env *Env, d int) (int, error) {
 		c.n += d
-		return reply.PutAny(c.n)
+		return c.n, nil
 	})
-	typedGet = typedCounterClass.Declare("get", func(c *typedCounter, env *Env, args *wire.Decoder, reply *wire.Encoder) error {
-		return reply.PutAny(c.n)
+	typedGet = DeclareOp(typedCounterClass, "get", wire.Void, wire.Int, func(c *typedCounter, env *Env, _ struct{}) (int, error) {
+		return c.n, nil
 	})
-	typedLabel = typedCounterClass.Declare("label", func(c *typedCounter, env *Env, args *wire.Decoder, reply *wire.Encoder) error {
-		return reply.PutAny(fmt.Sprintf("counter(%d)", c.n))
+	typedLabel = DeclareOp(typedCounterClass, "label", wire.Void, wire.String, func(c *typedCounter, env *Env, _ struct{}) (string, error) {
+		return fmt.Sprintf("counter(%d)", c.n), nil
 	})
-	typedVoid = typedCounterClass.Declare("void", func(c *typedCounter, env *Env, args *wire.Decoder, reply *wire.Encoder) error {
-		return nil
+	typedVoid = DeclareOp(typedCounterClass, "void", wire.Void, wire.Void, func(c *typedCounter, env *Env, _ struct{}) (struct{}, error) {
+		return struct{}{}, nil
 	})
 )
 
-// TestTypedRoundTrip drives the tentpole surface end to end: construction
-// by type (NewOn), typed invocation (Invoke), the §4 split form
-// (InvokeAsync + TypedFuture.Wait), and handle-based construction.
+// counterArgs encodes the counter's start value.
+func counterArgs(n int) ArgEncoder {
+	return func(e *wire.Encoder) error { e.PutInt(n); return nil }
+}
+
+// TestTypedRoundTrip drives the typed surface end to end: handle-based
+// construction, a call through an Op's codecs (Call), the §4 split form
+// (CallAsync + TypedFuture.Wait) and a void Op.
 func TestTypedRoundTrip(t *testing.T) {
 	nodes, stop := startCluster(t, transport.NewInproc(transport.LinkModel{}), 2)
 	defer stop()
 	c := nodes[0].client
 
-	ref, err := NewOn[typedCounter](bg, c, 1, 40)
+	ref, err := typedCounterClass.New(bg, c, 1, counterArgs(40))
 	if err != nil {
-		t.Fatalf("NewOn: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	if ref.Class != "test.TypedCounter" {
 		t.Fatalf("ref class = %q", ref.Class)
 	}
 
-	n, err := Invoke[int](bg, c, ref, typedAdd, 2)
+	n, err := typedAdd.Call(bg, c, ref, 2)
 	if err != nil {
-		t.Fatalf("Invoke add: %v", err)
+		t.Fatalf("add: %v", err)
 	}
 	if n != 42 {
 		t.Fatalf("add result = %d, want 42", n)
 	}
 
-	fut := InvokeAsync[int](bg, c, ref, typedGet)
+	fut := typedGet.CallAsync(bg, c, ref, struct{}{})
 	got, err := fut.Wait(bg)
 	if err != nil || got != 42 {
-		t.Fatalf("InvokeAsync get = %d, %v", got, err)
+		t.Fatalf("CallAsync get = %d, %v", got, err)
 	}
 
-	if err := InvokeVoid(bg, c, ref, typedVoid); err != nil {
-		t.Fatalf("InvokeVoid: %v", err)
+	if _, err := typedVoid.Call(bg, c, ref, struct{}{}); err != nil {
+		t.Fatalf("void: %v", err)
 	}
 
-	// Handle-based construction with an explicit encoder.
-	ref2, err := typedCounterClass.New(bg, c, 0, AnyArgs(7))
+	// A nullary construction starts at zero.
+	ref2, err := typedCounterClass.New(bg, c, 0, nil)
 	if err != nil {
 		t.Fatalf("handle New: %v", err)
 	}
-	if v, err := Invoke[int](bg, c, ref2, typedGet); err != nil || v != 7 {
+	if v, err := typedGet.Call(bg, c, ref2, struct{}{}); err != nil || v != 0 {
 		t.Fatalf("handle-built counter get = %d, %v", v, err)
 	}
 	if err := c.Delete(bg, ref); err != nil {
@@ -112,40 +98,33 @@ func TestTypedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestNewOnUnknownType verifies the typed lookup failure mode.
-func TestNewOnUnknownType(t *testing.T) {
-	nodes, stop := startCluster(t, transport.NewInproc(transport.LinkModel{}), 1)
-	defer stop()
-	type unregistered struct{}
-	_, err := NewOn[unregistered](bg, nodes[0].client, 0)
-	if !errors.Is(err, ErrNoSuchClass) {
-		t.Fatalf("NewOn of unregistered type: %v, want ErrNoSuchClass", err)
-	}
-}
-
-// TestInvokeDecodeMismatch checks that a typed future surfaces a wrong
-// result type as a descriptive error instead of a zero value.
+// TestInvokeDecodeMismatch checks that a result the caller's codec cannot
+// decode surfaces as an error instead of a zero value.
 func TestInvokeDecodeMismatch(t *testing.T) {
 	nodes, stop := startCluster(t, transport.NewInproc(transport.LinkModel{}), 1)
 	defer stop()
 	c := nodes[0].client
 
-	ref, err := NewOn[typedCounter](bg, c, 0, 1)
+	ref, err := typedCounterClass.New(bg, c, 0, counterArgs(1))
 	if err != nil {
-		t.Fatalf("NewOn: %v", err)
+		t.Fatalf("New: %v", err)
 	}
-	// label returns a string; asking for an int must fail loudly.
-	_, err = Invoke[int](bg, c, ref, typedLabel)
-	if err == nil {
-		t.Fatal("decode mismatch succeeded")
+	// label returns one string; asking for a string and an int must fail
+	// loudly.
+	type labelled struct {
+		s string
+		n int
 	}
-	if want := "returned string, want int"; !contains(err.Error(), want) {
-		t.Fatalf("mismatch error %q does not mention %q", err, want)
+	wrongLabel := Op[struct{}, labelled]{typedLabel.Method, wire.Void, wire.CodecOf(
+		func(e *wire.Encoder, v labelled) { e.PutString(v.s); e.PutInt(v.n) },
+		func(d *wire.Decoder) labelled { return labelled{d.String(), d.Int()} })}
+	if _, err = wrongLabel.Call(bg, c, ref, struct{}{}); !errors.Is(err, wire.ErrTruncated) {
+		t.Fatalf("decode mismatch: %v, want wire.ErrTruncated", err)
 	}
 	// void returns nothing; asking for a result must fail loudly.
-	_, err = Invoke[int](bg, c, ref, typedVoid)
-	if err == nil || !contains(err.Error(), "no result") {
-		t.Fatalf("void invoke error = %v, want no-result error", err)
+	wrongVoid := Op[struct{}, int]{typedVoid.Method, wire.Void, wire.Int}
+	if _, err = wrongVoid.CallAsync(bg, c, ref, struct{}{}).Wait(bg); !errors.Is(err, wire.ErrTruncated) {
+		t.Fatalf("void call error = %v, want wire.ErrTruncated", err)
 	}
 }
 
@@ -277,13 +256,13 @@ func TestWaitAllMixed(t *testing.T) {
 	defer stop()
 	c := nodes[0].client
 
-	ref, err := NewOn[typedCounter](bg, c, 0, 0)
+	ref, err := typedCounterClass.New(bg, c, 0, counterArgs(0))
 	if err != nil {
-		t.Fatalf("NewOn: %v", err)
+		t.Fatalf("New: %v", err)
 	}
-	ok1 := c.CallAsync(bg, ref, "get", AnyArgs())
+	ok1 := c.CallAsync(bg, ref, "get", nil)
 	failed := c.CallAsync(bg, ref, "nonexistent", nil)
-	ok2 := c.CallAsync(bg, ref, "get", AnyArgs())
+	ok2 := c.CallAsync(bg, ref, "get", nil)
 
 	err = WaitAll(bg, []*Future{nil, ok1, nil, failed, ok2})
 	if !errors.Is(err, ErrNoSuchMethod) {
@@ -312,7 +291,7 @@ func TestCanceledContextFailsSendFast(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	before := metrics.Default.Snapshot()
-	if _, err := c.New(ctx, 0, "test.TypedCounter", AnyArgs(1)); !errors.Is(err, context.Canceled) {
+	if _, err := c.New(ctx, 0, "test.TypedCounter", counterArgs(1)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("New on canceled ctx: %v", err)
 	}
 	eachForm(t, ctx, c, Ref{Machine: 0, Object: 1, Class: "test.TypedCounter"}, "get", nil, nil, func(form string, err error) {

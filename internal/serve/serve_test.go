@@ -5,11 +5,14 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"oopp/internal/cluster"
 	"oopp/internal/rmi"
 	"oopp/internal/transport"
+	"oopp/internal/wire"
 )
 
 var bg = context.Background()
@@ -232,5 +235,48 @@ func TestOpenLoopTimesFromDueInstant(t *testing.T) {
 	}
 	if maxUs, runUs := res.Latency.MaxUs(), res.Elapsed.Microseconds(); float64(maxUs) < 0.9*float64(runUs) {
 		t.Fatalf("largest latency %d µs of a %d µs run: the generator's lag is missing from it", maxUs, runUs)
+	}
+}
+
+// TestRefusedBindKeepsPeer sends bind a truncated ref: the request is
+// refused before the body runs, so the peer bound before stays bound and
+// the next relay goes through it.
+func TestRefusedBindKeepsPeer(t *testing.T) {
+	cl, err := cluster.NewLocal(2, 0)
+	if err != nil {
+		t.Fatalf("cluster: %v", err)
+	}
+	defer cl.Shutdown()
+	c := cl.Client()
+	w0, err := c.New(bg, 0, ClassWork, nil)
+	if err != nil {
+		t.Fatalf("new work on 0: %v", err)
+	}
+	w1, err := c.New(bg, 1, ClassWork, nil)
+	if err != nil {
+		t.Fatalf("new work on 1: %v", err)
+	}
+	if _, err := WorkBind.Call(bg, c, w0, w1); err != nil {
+		t.Fatalf("bind: %v", err)
+	}
+	// The ref's machine and object, without its class.
+	d, err := c.Call(bg, w0, WorkBind.Name(), func(e *wire.Encoder) error {
+		e.PutInt(w1.Machine)
+		e.PutUvarint(w1.Object)
+		return nil
+	})
+	d.Release()
+	if err == nil || !strings.Contains(err.Error(), wire.ErrTruncated.Error()) {
+		t.Fatalf("bind of a truncated ref: %v, want %v", err, wire.ErrTruncated)
+	}
+	payload := []byte("still bound")
+	d, err = c.Call(bg, w0, WorkRelay.Name(), EchoArgs(payload))
+	if err != nil {
+		t.Fatalf("relay after the refused bind: %v", err)
+	}
+	got := d.BytesCopy()
+	d.Release()
+	if !bytes.Equal(got, payload) {
+		t.Fatalf("relay = %q, want %q", got, payload)
 	}
 }

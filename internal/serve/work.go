@@ -59,24 +59,24 @@ var (
 		reply.PutBytes(args.BytesView())
 		return nil
 	})
-	WorkSleep = workClass.Declare("sleep", func(w *Work, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		time.Sleep(time.Duration(args.Int()) * time.Microsecond)
-		return nil
+	WorkSleep = rmi.DeclareOp(workClass, "sleep", wire.Int, wire.Void, func(w *Work, env *rmi.Env, us int) (struct{}, error) {
+		time.Sleep(time.Duration(us) * time.Microsecond)
+		return struct{}{}, nil
 	})
-	WorkSpin = workClass.Declare("spin", func(w *Work, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		d := time.Duration(args.Int()) * time.Microsecond
+	WorkSpin = rmi.DeclareOp(workClass, "spin", wire.Int, wire.Void, func(w *Work, env *rmi.Env, us int) (struct{}, error) {
+		d := time.Duration(us) * time.Microsecond
 		for start := time.Now(); time.Since(start) < d; {
 		}
-		return nil
+		return struct{}{}, nil
 	})
-	WorkWait = workClass.Declare("wait", func(w *Work, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	WorkWait = rmi.DeclareOp(workClass, "wait", wire.Void, wire.Void, func(w *Work, env *rmi.Env, _ struct{}) (struct{}, error) {
 		w.parkOnce.Do(func() { close(w.parked) })
 		<-w.gate
-		return nil
+		return struct{}{}, nil
 	})
-	WorkBind = workClass.Declare("bind", func(w *Work, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
-		w.peer = args.Ref()
-		return nil
+	WorkBind = rmi.DeclareOp(workClass, "bind", wire.RemoteRef, wire.Void, func(w *Work, env *rmi.Env, peer rmi.Ref) (struct{}, error) {
+		w.peer = peer
+		return struct{}{}, nil
 	})
 	WorkRelay = workClass.Declare("relay", func(w *Work, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		if w.peer.IsNil() {
@@ -94,9 +94,9 @@ var (
 		d.Release()
 		return nil
 	})
-	WorkOpen = workClass.DeclareConcurrent("open", func(w *Work, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	WorkOpen = rmi.DeclareConcurrentOp(workClass, "open", wire.Void, wire.Void, func(w *Work, env *rmi.Env, _ struct{}) (struct{}, error) {
 		w.Open()
-		return nil
+		return struct{}{}, nil
 	})
 )
 
@@ -109,10 +109,4 @@ func SleepArgs(us int) rmi.ArgEncoder {
 // captured by reference; it must stay unchanged until the call is issued.
 func EchoArgs(payload []byte) rmi.ArgEncoder {
 	return func(e *wire.Encoder) error { e.PutBytes(payload); return nil }
-}
-
-// BindArgs encodes the argument of WorkBind: the peer the object will
-// relay through.
-func BindArgs(peer rmi.Ref) rmi.ArgEncoder {
-	return func(e *wire.Encoder) error { e.PutRef(peer); return nil }
 }

@@ -18,8 +18,9 @@
 //   - Ref (remote pointer): machine varint + object varint + class string
 //
 // Values carry no type tags; both sides agree on the sequence from the
-// class description, exactly as compiler-generated code would. A tagged
-// "any" layer for generic calls is provided on top (PutAny/Any).
+// class description, exactly as compiler-generated code would. A Codec
+// (codec.go) is that agreement for one value type, written once and used
+// by both the stub and the method body.
 //
 // # Pooling and buffer ownership
 //
@@ -262,12 +263,6 @@ func (e *Encoder) PutFloat64(v float64) {
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
 }
 
-// PutComplex128 appends a complex128 as two float64s.
-func (e *Encoder) PutComplex128(v complex128) {
-	e.PutFloat64(real(v))
-	e.PutFloat64(imag(v))
-}
-
 // PutString appends a length-prefixed string.
 func (e *Encoder) PutString(s string) {
 	e.PutUvarint(uint64(len(s)))
@@ -410,12 +405,7 @@ func (d *Decoder) Uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		if n == 0 {
-			d.fail(ErrTruncated)
-		} else {
-			d.fail(ErrCorrupt)
-		}
+	if !d.varintOK(n) {
 		return 0
 	}
 	d.off += n
@@ -428,16 +418,27 @@ func (d *Decoder) Varint() int64 {
 		return 0
 	}
 	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		if n == 0 {
-			d.fail(ErrTruncated)
-		} else {
-			d.fail(ErrCorrupt)
-		}
+	if !d.varintOK(n) {
 		return 0
 	}
 	d.off += n
 	return v
+}
+
+// varintOK checks n, the length binary.Uvarint or binary.Varint returned
+// for the varint at d.off, and fails d unless it is a whole varint in its
+// shortest form: a longer one ends in a zero byte, which no encoder
+// writes and which would decode to a value that re-encodes shorter.
+func (d *Decoder) varintOK(n int) bool {
+	switch {
+	case n == 0:
+		d.fail(ErrTruncated)
+	case n < 0 || n > 1 && d.buf[d.off+n-1] == 0:
+		d.fail(ErrCorrupt)
+	default:
+		return true
+	}
+	return false
 }
 
 // Int reads an int encoded with PutInt.
@@ -477,13 +478,6 @@ func (d *Decoder) Float64() float64 {
 	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off:]))
 	d.off += 8
 	return v
-}
-
-// Complex128 reads a complex128.
-func (d *Decoder) Complex128() complex128 {
-	re := d.Float64()
-	im := d.Float64()
-	return complex(re, im)
 }
 
 // String reads a length-prefixed string.
@@ -624,17 +618,6 @@ func (d *Decoder) Float64sView() []byte {
 	b := d.buf[d.off : d.off+8*n : d.off+8*n]
 	d.off += 8 * n
 	return b
-}
-
-// Complex128s reads a length-prefixed packed []complex128.
-func (d *Decoder) Complex128s() []complex128 {
-	n, ok := d.bulkLen(16)
-	if !ok {
-		return nil
-	}
-	out := make([]complex128, n)
-	d.CopyComplex128s(out)
-	return out
 }
 
 // Complex128sInto reads a packed []complex128 into dst, which must have

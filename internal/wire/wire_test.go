@@ -234,89 +234,6 @@ func TestHugeLengthRejected(t *testing.T) {
 	}
 }
 
-func TestAnyRoundTrip(t *testing.T) {
-	vals := []any{
-		nil,
-		true,
-		false,
-		int(-17),
-		uint64(42),
-		3.25,
-		complex(1.0, -1.0),
-		"s",
-		[]byte{9, 8},
-		[]float64{1, 2, 3},
-		[]complex128{complex(0, 1)},
-		[]int{5, -5},
-		Ref{Machine: 1, Object: 2, Class: "k"},
-		[]Ref{{Machine: 1, Object: 2, Class: "k"}, {}},
-	}
-	e := NewEncoder(0)
-	if err := e.PutAnys(vals); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	d := NewDecoder(e.Bytes())
-	got, err := d.Anys()
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if len(got) != len(vals) {
-		t.Fatalf("got %d values, want %d", len(got), len(vals))
-	}
-	// Spot-check types and scalar values; slices checked element-wise.
-	for i, want := range vals {
-		switch w := want.(type) {
-		case []byte:
-			g := got[i].([]byte)
-			if string(g) != string(w) {
-				t.Errorf("val %d: got %v want %v", i, g, w)
-			}
-		case []float64:
-			g := got[i].([]float64)
-			for j := range w {
-				if g[j] != w[j] {
-					t.Errorf("val %d[%d]: got %v want %v", i, j, g[j], w[j])
-				}
-			}
-		case []complex128:
-			g := got[i].([]complex128)
-			for j := range w {
-				if g[j] != w[j] {
-					t.Errorf("val %d[%d]: got %v want %v", i, j, g[j], w[j])
-				}
-			}
-		case []int:
-			g := got[i].([]int)
-			for j := range w {
-				if g[j] != w[j] {
-					t.Errorf("val %d[%d]: got %v want %v", i, j, g[j], w[j])
-				}
-			}
-		case []Ref:
-			g := got[i].([]Ref)
-			for j := range w {
-				if g[j] != w[j] {
-					t.Errorf("val %d[%d]: got %v want %v", i, j, g[j], w[j])
-				}
-			}
-		default:
-			if got[i] != want {
-				t.Errorf("val %d: got %#v want %#v", i, got[i], want)
-			}
-		}
-	}
-}
-
-func TestAnyUnsupportedType(t *testing.T) {
-	e := NewEncoder(0)
-	if err := e.PutAny(struct{}{}); err == nil {
-		t.Fatal("expected error for unsupported type")
-	}
-	if err := e.PutAnys([]any{1, struct{}{}}); err == nil {
-		t.Fatal("expected error for unsupported type in slice")
-	}
-}
-
 func TestEncoderReset(t *testing.T) {
 	e := NewEncoder(16)
 	e.PutString("abc")
@@ -391,7 +308,6 @@ func TestQuickFloat64sRoundTrip(t *testing.T) {
 func TestQuickDecodeGarbageNoPanic(t *testing.T) {
 	f := func(b []byte) bool {
 		d := NewDecoder(b)
-		_, _ = d.Anys()
 		_ = d.Ref()
 		_ = d.String()
 		_ = d.Float64s()

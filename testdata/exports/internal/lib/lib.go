@@ -1,6 +1,6 @@
 // Package lib is the exports check's fixture: of its exports, the check
-// must flag Uncalled, OnlyTested and Dead.Len, of its handles dead, and of
-// its by-name calls the one passed a constant.
+// must flag Uncalled, OnlyTested and Dead.Len, of its handles dead and
+// deadOp, and of its by-name calls the one passed a constant.
 package lib
 
 import "fixture/internal/rmi"
@@ -16,13 +16,16 @@ func OnlyTested() int { return 2 }
 func Called() string {
 	rmi.Call(live.Name())
 	rmi.Call("dead")
-	return live.Name()
+	return live.Name() + liveOp.Name()
 }
 
-// live is referenced by Called; dead only by its declaration and a test.
+// live and liveOp are referenced by Called; dead and deadOp only by their
+// declarations and a test.
 var (
-	live = rmi.Declare("live")
-	dead = rmi.Declare("dead")
+	live   = rmi.Declare("live")
+	dead   = rmi.Declare("dead")
+	liveOp = rmi.DeclareOp[int, string]("liveOp")
+	deadOp = rmi.DeclareOp[int, string]("deadOp")
 )
 
 // Err is an error type; errors.Is calls its Is method.

@@ -6,12 +6,13 @@ import (
 
 	"oopp/internal/collection"
 	"oopp/internal/rmi"
+	"oopp/internal/wire"
 )
 
 // This file re-exports the typed, context-aware RMI surface at the facade
 // level, so user programs can stay on the oopp package for the common
-// cases: typed declaration, construction (NewOn), invocation through a
-// method's handle (Invoke/InvokeAsync returning decoded results), options.
+// cases: a class, its methods declared with their codecs (DeclareOp) and
+// called through the Op handle that returns, construction, options.
 
 // Class is the typed handle to a registered remote class: method
 // registration on the server side, construction on the client side.
@@ -19,6 +20,18 @@ type Class[T any] = rmi.Class[T]
 
 // Method is a remote method's handle, returned by Class[T].Declare.
 type Method = rmi.Method
+
+// Op is a remote method declared with the codecs of its argument and its
+// result (DeclareOp): its Call takes an A and returns an R.
+type Op[A, R any] = rmi.Op[A, R]
+
+// Codec is the encoding of one value type: Put appends a value, Get reads
+// one back.
+type Codec[T any] = wire.Codec[T]
+
+// TypedFuture is the pending result of an Op's CallAsync: Wait(ctx)
+// returns it decoded as R.
+type TypedFuture[R any] = rmi.TypedFuture[R]
 
 // RegisterClass declares a remote class with a typed constructor and
 // returns its handle — the registration half of the typed surface.
@@ -33,34 +46,26 @@ func ExtendClass[U any, T any](base *Class[T], name string, ctor func(env *Env, 
 	return rmi.ExtendClass(base, name, ctor)
 }
 
-// TypedFuture is the generic, decoded view of a Future: Wait(ctx) returns
-// the call's single tagged result as R.
-type TypedFuture[R any] = rmi.TypedFuture[R]
-
-// NewOn constructs an object of the class registered for type T on
-// machine m — the paper's "new(machine m) T(args...)" with the class
-// resolved from the type argument instead of a string.
-func NewOn[T any](ctx context.Context, client *Client, m int, args ...any) (Ref, error) {
-	return rmi.NewOn[T](ctx, client, m, args...)
+// DeclareOp registers a serial method of class from the codecs of its
+// argument and its result and a body over decoded values, and returns
+// its Op: the stub's call and the body's argument come from this one
+// declaration.
+func DeclareOp[T, A, R any](class *Class[T], name string, arg Codec[A], res Codec[R], body func(obj T, env *Env, a A) (R, error)) Op[A, R] {
+	return rmi.DeclareOp(class, name, arg, res, body)
 }
 
-// Invoke calls the tagged-encoding method m and blocks for its decoded
-// result of type R. A result of a different dynamic type is an error, not
-// a silent zero value.
-func Invoke[R any](ctx context.Context, client *Client, ref Ref, m Method, args ...any) (R, error) {
-	return rmi.Invoke[R](ctx, client, ref, m, args...)
+// CodecOf builds a Codec from a writer and a reader of T's fields in
+// order; see wire.CodecOf.
+func CodecOf[T any](put func(e *Encoder, v T), get func(d *Decoder) T) Codec[T] {
+	return wire.CodecOf(put, get)
 }
 
-// InvokeAsync begins a typed invocation and returns its future — the §4
-// send-loop half of Invoke.
-func InvokeAsync[R any](ctx context.Context, client *Client, ref Ref, m Method, args ...any) *TypedFuture[R] {
-	return rmi.InvokeAsync[R](ctx, client, ref, m, args...)
-}
-
-// InvokeVoid calls a tagged-encoding method with no result.
-func InvokeVoid(ctx context.Context, client *Client, ref Ref, m Method, args ...any) error {
-	return rmi.InvokeVoid(ctx, client, ref, m, args...)
-}
+// The scalar codecs: an int, a string, no value.
+var (
+	IntCodec    = wire.Int
+	StringCodec = wire.String
+	VoidCodec   = wire.Void
+)
 
 // ---- Typed distributed collections -----------------------------------------
 //
@@ -94,13 +99,6 @@ func Cyclic(members, machines int) Distribution { return collection.Cyclic(membe
 
 // OnMachines places one member per listed machine, in order.
 func OnMachines(machines ...int) Distribution { return collection.OnMachines(machines...) }
-
-// Spawn constructs a collection of the class registered for type T, one
-// member per slot of dist, with tagged constructor args — the
-// collective form of NewOn[T].
-func Spawn[T any](ctx context.Context, client *Client, dist Distribution, args ...any) (*Collection[T], error) {
-	return collection.Spawn[T](ctx, client, dist, args...)
-}
 
 // SpawnClass constructs a collection through a typed class handle with
 // per-member packed constructor arguments.
