@@ -169,9 +169,9 @@ func run(peers, registry string, machines, conns, sessions int, rate float64,
 	}
 	refs := make([]rmi.Ref, dir.Size())
 	for m := range refs {
-		refs[m], err = boot.New(ctx, m, serve.ClassWork, nil)
+		refs[m], err = serve.WorkClass.New(ctx, pool.ClientFor(m), m, struct{}{}, bootTimeout)
 		if err != nil {
-			return fmt.Errorf("machine %d: new %s: %w", m, serve.ClassWork, err)
+			return fmt.Errorf("machine %d: new %s: %w", m, serve.WorkClass.Name(), err)
 		}
 	}
 	var peerRefs []rmi.Ref
@@ -183,9 +183,10 @@ func run(peers, registry string, machines, conns, sessions int, rate float64,
 		// relayed echo, so the wait graph stays acyclic.
 		peerRefs = make([]rmi.Ref, len(refs))
 		for m := range refs {
-			peerRefs[m], err = boot.New(ctx, (m+1)%len(refs), serve.ClassWork, nil)
+			next := (m + 1) % len(refs)
+			peerRefs[m], err = serve.WorkClass.New(ctx, pool.ClientFor(next), next, struct{}{}, bootTimeout)
 			if err != nil {
-				return fmt.Errorf("machine %d: new relay peer: %w", (m+1)%len(refs), err)
+				return fmt.Errorf("machine %d: new relay peer: %w", next, err)
 			}
 		}
 		for m, ref := range refs {

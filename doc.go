@@ -34,13 +34,16 @@
 //
 // # The typed, context-aware surface
 //
-// User-defined classes register with the generic surface and declare each
-// method once, with the codecs of its argument and its result, so that
-// neither the caller nor the body writes or reads a byte by hand:
+// User-defined classes register with the generic surface, a class with
+// the codec of its constructor's argument and each method once with the
+// codecs of its argument and its result, so that neither the caller nor
+// the body writes or reads a byte by hand:
 //
+//	var counterClass = oopp.RegisterClass("app.Counter", oopp.IntCodec,
+//		func(env *oopp.Env, start int) (*Counter, error) { return &Counter{n: start}, nil })
 //	var counterAdd = oopp.DeclareOp(counterClass, "add", oopp.IntCodec, oopp.IntCodec,
 //		func(c *Counter, env *oopp.Env, d int) (int, error) { c.n += d; return c.n, nil })
-//	ref, _ := counterClass.New(ctx, client, m, ctorArgs)         // new(machine m) Counter(...)
+//	ref, _ := counterClass.New(ctx, client, m, 100)              // new(machine m) Counter(100)
 //	n, _ := counterAdd.Call(ctx, client, ref, 23)                // the declared method, decoded result
 //	fut := counterGet.CallAsync(ctx, client, ref, struct{}{})    // §4 send half
 //	n, _ = fut.Wait(ctx)                                         // §4 receive half
@@ -59,7 +62,8 @@
 // (§4). Collection[T] renders that generically:
 //
 //	// "HistShard * shard[8]", shard i on machine i mod 4
-//	coll, _ := oopp.SpawnClass(ctx, client, oopp.Cyclic(8, 4), shardClass, ctorArgs)
+//	coll, _ := oopp.SpawnClass(ctx, client, oopp.Cyclic(8, 4), shardClass,
+//		func(m oopp.Member) histArgs { return histArgs{bins, 0, 1} })
 //
 //	// concurrent broadcast: completes in ~max(member latency), not the sum
 //	_ = coll.Broadcast(ctx, shardObserve.Name(), func(m oopp.Member, e *oopp.Encoder) error {
@@ -554,7 +558,7 @@
 // failover, checkpoint and recovery, admission sheds — so a slow batch
 // shows where the time went.
 //
-//	ref, _ := sess.New(ctx, 0, "app.Work", nil)
+//	ref, _ := sess.New(ctx, 0, workClass.Name(), nil)
 //	d, _ := sess.Call(ctx, ref, appRelay.Name(), args, oopp.WithSampled())
 //
 // cmd/opptrace is the introspection client: it pulls every machine's

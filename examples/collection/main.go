@@ -33,18 +33,21 @@ type shard struct {
 	max    float64
 }
 
+// histArgs is a shard's constructor argument: nbins bins over [lo, hi).
+type histArgs struct {
+	nbins  int
+	lo, hi float64
+}
+
 var shardClass = oopp.RegisterClass("example.HistShard",
-	func(env *oopp.Env, args *oopp.Decoder) (*shard, error) {
-		nbins := args.Int()
-		lo := args.Float64()
-		hi := args.Float64()
-		if err := args.Err(); err != nil {
-			return nil, err
+	oopp.CodecOf(
+		func(e *oopp.Encoder, a histArgs) { e.PutInt(a.nbins); e.PutFloat64(a.lo); e.PutFloat64(a.hi) },
+		func(d *oopp.Decoder) histArgs { return histArgs{d.Int(), d.Float64(), d.Float64()} }),
+	func(env *oopp.Env, a histArgs) (*shard, error) {
+		if a.nbins <= 0 || a.hi <= a.lo {
+			return nil, fmt.Errorf("HistShard wants nbins > 0 and hi > lo, got %d [%v,%v)", a.nbins, a.lo, a.hi)
 		}
-		if nbins <= 0 || hi <= lo {
-			return nil, fmt.Errorf("HistShard wants nbins > 0 and hi > lo, got %d [%v,%v)", nbins, lo, hi)
-		}
-		return &shard{lo: lo, hi: hi, bins: make([]int, nbins)}, nil
+		return &shard{lo: a.lo, hi: a.hi, bins: make([]int, a.nbins)}, nil
 	})
 
 // The codecs of the shards' arguments and results that are not scalars:
@@ -138,12 +141,7 @@ func main() {
 	// "HistShard * shard[8]" — the collection spawn, placed cyclically:
 	// shard i lives on machine i mod 4.
 	coll, err := oopp.SpawnClass(ctx, client, oopp.Cyclic(shards, machines), shardClass,
-		func(m oopp.Member, e *oopp.Encoder) error {
-			e.PutInt(nbins)
-			e.PutFloat64(0)
-			e.PutFloat64(1)
-			return nil
-		})
+		func(oopp.Member) histArgs { return histArgs{nbins, 0, 1} })
 	if err != nil {
 		log.Fatal(err)
 	}

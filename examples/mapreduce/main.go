@@ -6,7 +6,7 @@
 //
 // The mapper class is defined and registered here, in the example — the
 // framework needs nothing built in for new process types. Registration
-// uses the typed Class[T] surface: each method is declared once with the
+// uses the typed Class[T, C] surface: each method is declared once with the
 // codecs of its argument and its result (DeclareOp), its body receives
 // *wordMapper and decoded values, and construction and calls go through
 // the class's and methods' handles — no string names, and no byte written
@@ -37,8 +37,8 @@ type wordMapper struct {
 // mapperClass is the typed handle — the "compiler output" for the class
 // declaration. Everything the master does below goes through it or
 // through the methods' Ops.
-var mapperClass = oopp.RegisterClass("example.WordMapper",
-	func(env *oopp.Env, args *oopp.Decoder) (*wordMapper, error) {
+var mapperClass = oopp.RegisterClass("example.WordMapper", oopp.VoidCodec,
+	func(env *oopp.Env, _ struct{}) (*wordMapper, error) {
 		return &wordMapper{counts: make(map[string]int)}, nil
 	})
 

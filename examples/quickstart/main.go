@@ -22,17 +22,16 @@ import (
 )
 
 // counter is a user-defined remote class: the §2 "objects are processes"
-// in its smallest form, declared with the typed registration surface:
-// each method is declared once with the codecs of its argument and its
-// result (DeclareOp), and callers call the Op handle that returns, so no
-// string name appears at a call site and no byte is written by hand.
+// in its smallest form, declared with the typed registration surface: the
+// class with its constructor's argument codec (its start value), each
+// method once with the codecs of its argument and its result (DeclareOp),
+// and callers construct through the class and call the Op handle that
+// returns, so no string name appears at a call site and no byte is
+// written by hand.
 type counter struct{ n int }
 
-var counterClass = oopp.RegisterClass("example.Counter",
-	func(env *oopp.Env, args *oopp.Decoder) (*counter, error) {
-		c := &counter{n: args.Int()}
-		return c, args.Err()
-	})
+var counterClass = oopp.RegisterClass("example.Counter", oopp.IntCodec,
+	func(env *oopp.Env, start int) (*counter, error) { return &counter{n: start}, nil })
 
 var (
 	counterAdd = oopp.DeclareOp(counterClass, "add", oopp.IntCodec, oopp.IntCodec, func(c *counter, env *oopp.Env, d int) (int, error) {
@@ -110,10 +109,7 @@ func main() {
 	// The typed surface: "new(machine 1) Counter(100)" is construction
 	// through the class handle — no string class name — and calls go
 	// through the methods' Ops, their results coming back decoded.
-	ref, err := counterClass.New(ctx, client, 1, func(e *oopp.Encoder) error {
-		e.PutInt(100)
-		return nil
-	})
+	ref, err := counterClass.New(ctx, client, 1, 100)
 	if err != nil {
 		log.Fatal(err)
 	}

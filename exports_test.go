@@ -245,12 +245,14 @@ func uncalledExports(t *testing.T, root string) map[string]string {
 }
 
 // namedByConstant returns the places where non-test code of root's own
-// module, outside internal/rmi, names a remote method other than by its
-// handle, as "file:line: what": a constant passed for a string parameter
-// named method (Client.Call, FanOut, a collection's Broadcast, a serve
-// Session's Call and every other by-name surface), and a registration
-// through rmi's ClassSpec.Method or ConcurrentMethod. A handle's Name()
-// is the accepted argument. The bench module is not searched.
+// module, outside internal/rmi, names a remote method or class other than
+// by its handle, as "file:line: what": a constant passed for a string
+// parameter named method (Client.Call, FanOut, a collection's Broadcast, a
+// serve Session's Call and every other by-name surface) or class
+// (Client.New, SpawnNamed, SpawnRefs, Session.New, Store.Put,
+// RegisterRestorable), and a registration through rmi's ClassSpec.Method
+// or ConcurrentMethod. A handle's Name() is the accepted argument. The
+// bench module is not searched.
 func namedByConstant(t *testing.T, root string) []string {
 	t.Helper()
 	m := loadModules(t, root)
@@ -279,8 +281,8 @@ func namedByConstant(t *testing.T, root string) []string {
 					break
 				}
 				p := sig.Params().At(i)
-				if p.Name() == "method" && types.Identical(p.Type(), types.Typ[types.String]) && m.info.Types[arg].Value != nil {
-					found = append(found, at(arg)+"names a method by the constant "+m.info.Types[arg].Value.String())
+				if (p.Name() == "method" || p.Name() == "class") && types.Identical(p.Type(), types.Typ[types.String]) && m.info.Types[arg].Value != nil {
+					found = append(found, at(arg)+"names a "+p.Name()+" by the constant "+m.info.Types[arg].Value.String())
 				}
 			}
 			return true
@@ -367,20 +369,24 @@ func TestExportsCheckFlagsFixture(t *testing.T) {
 }
 
 // TestMethodsAreNamedByHandle holds the module to one way of naming a
-// remote method outside internal/rmi: its Declare'd handle, whose Name()
-// the by-name surfaces take.
+// remote method or class outside internal/rmi: its Declare'd or
+// registered handle, whose Name() the by-name surfaces take.
 func TestMethodsAreNamedByHandle(t *testing.T) {
 	for _, f := range namedByConstant(t, ".") {
-		t.Errorf("%s; declare the method and name it through its handle", f)
+		t.Errorf("%s; declare the method or class and name it through its handle", f)
 	}
 }
 
 // TestNamedByConstantFlagsFixture runs the rule on the fixture module,
-// whose lib passes a by-name surface one constant and one handle's
-// Name(): only the constant is flagged.
+// whose lib passes a by-name method surface one constant and one handle's
+// Name(), and a by-name class surface a constant: only the constants are
+// flagged.
 func TestNamedByConstantFlagsFixture(t *testing.T) {
 	got := namedByConstant(t, filepath.Join("testdata", "exports"))
-	want := []string{`internal/lib/lib.go:18: names a method by the constant "dead"`}
+	want := []string{
+		`internal/lib/lib.go:19: names a method by the constant "dead"`,
+		`internal/lib/lib.go:20: names a class by the constant "lib.Cell"`,
+	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flagged %q, want %q", got, want)
 	}

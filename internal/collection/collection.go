@@ -8,7 +8,7 @@
 //
 // A Collection[T] is an ordered set of member stubs, each a remote
 // object of class-type T living on some machine. It is created by
-// spawning (Spawn / SpawnClass / SpawnNamed, placed by a Distribution
+// spawning (SpawnClass / SpawnNamed, placed by a Distribution
 // descriptor) or by attaching existing refs (FromRefs). Collective
 // operations — Broadcast, CallAll, Reduce, Barrier, Destroy — issue
 // member calls concurrently through the async lanes with at most
@@ -51,7 +51,7 @@ type MemberEncoder func(m Member, e *wire.Encoder) error
 
 // Collection is a typed distributed collection of member objects. T is
 // the Go type of the server-side member object (by the same convention
-// as rmi.Class[T]); for attached collections of foreign refs T may be
+// as rmi.Class[T, C]); for attached collections of foreign refs T may be
 // any tag type the caller finds descriptive.
 type Collection[T any] struct {
 	client  *rmi.Client
@@ -59,11 +59,18 @@ type Collection[T any] struct {
 	refs    []rmi.Ref // members[i].Ref, cached so collectives don't rebuild it
 }
 
-// SpawnClass constructs a collection through a typed class handle with a
-// per-member packed constructor encoding — the collective form of
-// Class[T].New.
-func SpawnClass[T any](ctx context.Context, client *rmi.Client, dist Distribution, class *rmi.Class[T], args MemberEncoder, opts ...rmi.CallOption) (*Collection[T], error) {
-	return SpawnNamed[T](ctx, client, dist, class.Name(), args, opts...)
+// SpawnClass constructs a collection through a typed class handle, the
+// collective form of Class[T, C].New: args gives each member the argument
+// the class's codec encodes (nil: C's zero value).
+func SpawnClass[T, C any](ctx context.Context, client *rmi.Client, dist Distribution, class *rmi.Class[T, C], args func(m Member) C, opts ...rmi.CallOption) (*Collection[T], error) {
+	return SpawnNamed[T](ctx, client, dist, class.Name(), func(m Member, e *wire.Encoder) error {
+		var a C
+		if args != nil {
+			a = args(m)
+		}
+		class.PutArgs(e, a)
+		return nil
+	}, opts...)
 }
 
 // SpawnNamed constructs a collection of the class registered under the

@@ -26,21 +26,22 @@ type cell struct {
 var liveCells atomic.Int64
 
 func init() {
-	cellClass := rmi.RegisterClass("collection.Cell", func(env *rmi.Env, args *wire.Decoder) (*cell, error) {
-		value := args.Int()
-		stallMs := args.Int()
-		fail := args.Bool()
-		if err := args.Err(); err != nil {
-			return nil, err
+	type cellArgs struct {
+		value, stallMs int
+		fail           bool
+	}
+	cellCodec := wire.CodecOf(
+		func(e *wire.Encoder, a cellArgs) { e.PutInt(a.value); e.PutInt(a.stallMs); e.PutBool(a.fail) },
+		func(d *wire.Decoder) cellArgs { return cellArgs{d.Int(), d.Int(), d.Bool()} })
+	cellClass := rmi.RegisterClass("collection.Cell", cellCodec, func(env *rmi.Env, a cellArgs) (*cell, error) {
+		if a.stallMs > 0 {
+			time.Sleep(time.Duration(a.stallMs) * time.Millisecond)
 		}
-		if stallMs > 0 {
-			time.Sleep(time.Duration(stallMs) * time.Millisecond)
-		}
-		if fail {
+		if a.fail {
 			return nil, fmt.Errorf("cell: constructor told to fail")
 		}
 		liveCells.Add(1)
-		return &cell{value: value}, nil
+		return &cell{value: a.value}, nil
 	})
 	cellClass.Declare("value", func(c *cell, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		reply.PutInt(c.value)
@@ -184,10 +185,7 @@ func TestSpawnBroadcastReduce(t *testing.T) {
 func TestSpawnTypedTagged(t *testing.T) {
 	_, client := testCluster(t, 2)
 	// The typed spawn passes the same args to every member.
-	coll, err := SpawnClass(bg, client, Block(4, 2), taggedClass, func(_ Member, e *wire.Encoder) error {
-		e.PutInt(7)
-		return nil
-	})
+	coll, err := SpawnClass(bg, client, Block(4, 2), taggedClass, func(Member) int { return 7 })
 	if err != nil {
 		t.Fatalf("spawn: %v", err)
 	}
@@ -200,26 +198,22 @@ func TestSpawnTypedTagged(t *testing.T) {
 		t.Fatalf("sum = %d, want %d", sum, 4*7)
 	}
 
-	// A nullary spawn sends no args at all.
+	// A spawn without args gives every member the zero value.
 	bare, err := SpawnClass(bg, client, Block(2, 2), taggedClass, nil)
 	if err != nil {
-		t.Fatalf("nullary spawn: %v", err)
+		t.Fatalf("spawn without args: %v", err)
 	}
 	defer bare.Destroy(bg)
 	if sum, err := Reduce(bg, bare, taggedValue.Name(), nil, DecodeInt, SumInt); err != nil || sum != 0 {
-		t.Fatalf("nullary reduce = %d, %v", sum, err)
+		t.Fatalf("reduce without args = %d, %v", sum, err)
 	}
 }
 
-// taggedCell holds the int it was constructed with, 0 if none.
+// taggedCell holds the int it was constructed with.
 type taggedCell struct{ v int }
 
-var taggedClass = rmi.RegisterClass("collection.TaggedCell", func(env *rmi.Env, args *wire.Decoder) (*taggedCell, error) {
-	c := &taggedCell{}
-	if args.Remaining() > 0 {
-		c.v = args.Int()
-	}
-	return c, args.Err()
+var taggedClass = rmi.RegisterClass("collection.TaggedCell", wire.Int, func(env *rmi.Env, v int) (*taggedCell, error) {
+	return &taggedCell{v}, nil
 })
 
 var taggedValue = taggedClass.Declare("value", func(c *taggedCell, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
@@ -368,7 +362,7 @@ func TestSpawnPartialFailureCleansUp(t *testing.T) {
 // partial-failure case.
 type grumpyCell struct{}
 
-var grumpyClass = rmi.RegisterClass("collection.GrumpyCell", func(env *rmi.Env, args *wire.Decoder) (*grumpyCell, error) {
+var grumpyClass = rmi.RegisterClass("collection.GrumpyCell", wire.Void, func(env *rmi.Env, _ struct{}) (*grumpyCell, error) {
 	if env.Machine == 1 {
 		return nil, fmt.Errorf("grumpy: not on machine 1")
 	}

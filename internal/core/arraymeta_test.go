@@ -19,7 +19,7 @@ import (
 func FuzzArrayMeta(f *testing.F) {
 	encoded := func(m *arrayMeta) []byte {
 		e := wire.NewEncoder(64)
-		m.encode(e)
+		metaCodec.Put(e, m)
 		return e.Bytes()
 	}
 	// A 2×2×1 grid of 2×2×2 pages over 3 devices.
@@ -39,7 +39,7 @@ func FuzzArrayMeta(f *testing.F) {
 		m.pm, pm.chains = &pm, slices.Clone(pm.chains)
 		damage(&m)
 		blob := encoded(&m)
-		if err := new(arrayMeta).decode(wire.NewDecoder(blob)); err == nil {
+		if _, err := metaCodec.Get(wire.NewDecoder(blob)); err == nil {
 			f.Fatalf("a damaged descriptor decoded: %+v", m)
 		}
 		f.Add(blob)
@@ -80,12 +80,12 @@ func FuzzArrayMeta(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		m := &arrayMeta{}
-		if err := m.decode(wire.NewDecoder(blob)); err != nil {
+		m, err := metaCodec.Get(wire.NewDecoder(blob))
+		if err != nil {
 			return
 		}
-		again := &arrayMeta{}
-		if err := again.decode(wire.NewDecoder(encoded(m))); err != nil || !reflect.DeepEqual(m, again) {
+		again, err := metaCodec.Get(wire.NewDecoder(encoded(m)))
+		if err != nil || !reflect.DeepEqual(m, again) {
 			t.Fatalf("descriptor %+v encodes to one that decodes as %+v (%v)", m, again, err)
 		}
 		pm := m.pm

@@ -10,7 +10,6 @@ import (
 	"oopp/internal/collection"
 	"oopp/internal/pagedev"
 	"oopp/internal/rmi"
-	"oopp/internal/wire"
 )
 
 // BlockStorage is the paper's
@@ -86,10 +85,9 @@ func CreateBlockStorage(ctx context.Context, client *rmi.Client, machines []int,
 		// would reject an empty distribution.
 		return NewBlockStorage(nil), nil
 	}
-	coll, err := collection.SpawnNamed[*pagedev.ArrayDevice](ctx, client, collection.OnMachines(machines...),
-		pagedev.ClassArrayPageDevice, func(m collection.Member, e *wire.Encoder) error {
-			pagedev.EncodeArrayDeviceCtor(e, fmt.Sprintf("%s/%d", name, m.Index), pagesPerDevice, n1, n2, n3, diskIndex)
-			return nil
+	coll, err := collection.SpawnClass(ctx, client, collection.OnMachines(machines...), pagedev.ArrayPageDeviceClass,
+		func(m collection.Member) pagedev.ArrayDeviceArgs {
+			return pagedev.ArrayDeviceArgs{Name: fmt.Sprintf("%s/%d", name, m.Index), NumPages: pagesPerDevice, Dims: [3]int{n1, n2, n3}, DiskIndex: diskIndex}
 		})
 	if err != nil {
 		return nil, fmt.Errorf("core: creating block storage %q: %w", name, err)

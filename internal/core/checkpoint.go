@@ -24,9 +24,6 @@ import (
 // reassembling an Array client. DeactivateArray passivates the whole
 // collection.
 
-// ClassArrayMeta is the registered class of the array descriptor process.
-const ClassArrayMeta = "core.ArrayMeta"
-
 // arrayMeta is the server-side descriptor object. It is Persistable, so a
 // published array can be fully passivated, descriptor included.
 type arrayMeta struct {
@@ -43,115 +40,106 @@ func describe(arr *Array) *arrayMeta {
 	return &arrayMeta{n: arr.n, p: arr.p, pm: arr.Map()}
 }
 
-// encode writes the descriptor: geometry, layout name, device count, the
-// page count of the table, k, ppd and each page's chain.
-func (m *arrayMeta) encode(e *wire.Encoder) {
-	for _, v := range [...]int{m.n[0], m.n[1], m.n[2], m.p[0], m.p[1], m.p[2]} {
-		e.PutInt(v)
-	}
-	e.PutString(m.pm.name)
-	e.PutInt(m.pm.devices)
-	e.PutUvarint(uint64(len(m.pm.chains)))
-	e.PutInt(m.pm.k)
-	e.PutInt(m.pm.ppd)
-	for _, chain := range m.pm.chains {
-		e.PutUvarint(uint64(len(chain)))
-		for _, addr := range chain {
-			e.PutInt(addr.Device)
-			e.PutInt(addr.Index)
+// metaCodec is a descriptor on the wire, as its constructor, describe and
+// its saved state carry it: geometry, layout name, device count, the page
+// count of the table, k, ppd and each page's chain. Get refuses a
+// descriptor whole unless an array can be assembled from it: a page grid
+// that exists, and exactly one chain per page of that grid, of 1 to k
+// addresses on as many devices, every address inside devices × ppd and
+// none used twice.
+var metaCodec = wire.Codec[*arrayMeta]{
+	Put: func(e *wire.Encoder, m *arrayMeta) {
+		for _, v := range [...]int{m.n[0], m.n[1], m.n[2], m.p[0], m.p[1], m.p[2]} {
+			e.PutInt(v)
 		}
-	}
-}
-
-// decode reads a descriptor and refuses it whole unless an array can be
-// assembled from it: a page grid that exists, and exactly one chain per
-// page of that grid, of 1 to k addresses on as many devices, every
-// address inside devices × ppd and none used twice.
-func (m *arrayMeta) decode(d *wire.Decoder) error {
-	*m = arrayMeta{}
-	m.n = [3]int{d.Int(), d.Int(), d.Int()}
-	m.p = [3]int{d.Int(), d.Int(), d.Int()}
-	layout := d.String()
-	devices := d.Int()
-	pages := d.Uvarint()
-	k, ppd := d.Int(), d.Int()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	for i := range m.n {
-		if m.n[i] <= 0 || m.p[i] <= 0 || m.n[i]%m.p[i] != 0 {
-			return fmt.Errorf("core: array descriptor: dims %v in pages of %v", m.n, m.p)
-		}
-	}
-	if devices <= 0 {
-		return fmt.Errorf("core: array descriptor: %d devices", devices)
-	}
-	// A page costs at least three bytes, which bounds the table by the
-	// bytes at hand before anything is allocated for it; the grid's
-	// extents multiply without overflow once each is known to be within
-	// that bound.
-	g := grid{m.n[0] / m.p[0], m.n[1] / m.p[1], m.n[2] / m.p[2], devices}
-	if pages > uint64(d.Remaining())/3 || uint64(g.p1) > pages || uint64(g.p2) > pages || uint64(g.p3) > pages ||
-		uint64(g.p1)*uint64(g.p2) > pages || uint64(g.total()) != pages {
-		return fmt.Errorf("core: array descriptor: table of %d pages for a %dx%dx%d grid in %d bytes", pages, g.p1, g.p2, g.p3, d.Remaining())
-	}
-	if k < 1 || k > devices || ppd < 1 {
-		return fmt.Errorf("core: array descriptor: table with k=%d, %d pages per device, %d devices", k, ppd, devices)
-	}
-	table := make([][]PageAddress, pages)
-	used := make(map[PageAddress]struct{}, pages)
-	holder := make(map[int]int) // device → 1 + the last page with a copy on it
-	for l := range table {
-		n := d.Uvarint()
-		if n == 0 || n > uint64(k) || n > uint64(d.Remaining())/2 {
-			return fmt.Errorf("core: array descriptor: page %d has a chain of %d with k=%d (%d bytes left)", l, n, k, d.Remaining())
-		}
-		table[l] = make([]PageAddress, n)
-		for r := range table[l] {
-			addr := PageAddress{Device: d.Int(), Index: d.Int()}
-			if d.Err() != nil {
-				return d.Err()
+		e.PutString(m.pm.name)
+		e.PutInt(m.pm.devices)
+		e.PutUvarint(uint64(len(m.pm.chains)))
+		e.PutInt(m.pm.k)
+		e.PutInt(m.pm.ppd)
+		for _, chain := range m.pm.chains {
+			e.PutUvarint(uint64(len(chain)))
+			for _, addr := range chain {
+				e.PutInt(addr.Device)
+				e.PutInt(addr.Index)
 			}
-			_, twice := used[addr]
-			twice = twice || holder[addr.Device] == l+1
-			if twice || addr.Device < 0 || addr.Device >= devices || addr.Index < 0 || addr.Index >= ppd {
-				return fmt.Errorf("core: array descriptor: page %d replica %d at %+v (twice: %v) with %d devices of %d pages", l, r, addr, twice, devices, ppd)
-			}
-			used[addr], holder[addr.Device] = struct{}{}, l+1
-			table[l][r] = addr
 		}
-	}
-	m.pm = newPageMap(g, k, ppd, layout, table, nil)
-	return nil
+	},
+	Get: func(d *wire.Decoder) (*arrayMeta, error) {
+		m := &arrayMeta{}
+		m.n = [3]int{d.Int(), d.Int(), d.Int()}
+		m.p = [3]int{d.Int(), d.Int(), d.Int()}
+		layout := d.String()
+		devices := d.Int()
+		pages := d.Uvarint()
+		k, ppd := d.Int(), d.Int()
+		if d.Err() != nil {
+			return nil, d.Err()
+		}
+		for i := range m.n {
+			if m.n[i] <= 0 || m.p[i] <= 0 || m.n[i]%m.p[i] != 0 {
+				return nil, fmt.Errorf("core: array descriptor: dims %v in pages of %v", m.n, m.p)
+			}
+		}
+		if devices <= 0 {
+			return nil, fmt.Errorf("core: array descriptor: %d devices", devices)
+		}
+		// A page costs at least three bytes, which bounds the table by the
+		// bytes at hand before anything is allocated for it; the grid's
+		// extents multiply without overflow once each is known to be within
+		// that bound.
+		g := grid{m.n[0] / m.p[0], m.n[1] / m.p[1], m.n[2] / m.p[2], devices}
+		if pages > uint64(d.Remaining())/3 || uint64(g.p1) > pages || uint64(g.p2) > pages || uint64(g.p3) > pages ||
+			uint64(g.p1)*uint64(g.p2) > pages || uint64(g.total()) != pages {
+			return nil, fmt.Errorf("core: array descriptor: table of %d pages for a %dx%dx%d grid in %d bytes", pages, g.p1, g.p2, g.p3, d.Remaining())
+		}
+		if k < 1 || k > devices || ppd < 1 {
+			return nil, fmt.Errorf("core: array descriptor: table with k=%d, %d pages per device, %d devices", k, ppd, devices)
+		}
+		table := make([][]PageAddress, pages)
+		used := make(map[PageAddress]struct{}, pages)
+		holder := make(map[int]int) // device → 1 + the last page with a copy on it
+		for l := range table {
+			n := d.Uvarint()
+			if n == 0 || n > uint64(k) || n > uint64(d.Remaining())/2 {
+				return nil, fmt.Errorf("core: array descriptor: page %d has a chain of %d with k=%d (%d bytes left)", l, n, k, d.Remaining())
+			}
+			table[l] = make([]PageAddress, n)
+			for r := range table[l] {
+				addr := PageAddress{Device: d.Int(), Index: d.Int()}
+				if d.Err() != nil {
+					return nil, d.Err()
+				}
+				_, twice := used[addr]
+				twice = twice || holder[addr.Device] == l+1
+				if twice || addr.Device < 0 || addr.Device >= devices || addr.Index < 0 || addr.Index >= ppd {
+					return nil, fmt.Errorf("core: array descriptor: page %d replica %d at %+v (twice: %v) with %d devices of %d pages", l, r, addr, twice, devices, ppd)
+				}
+				used[addr], holder[addr.Device] = struct{}{}, l+1
+				table[l][r] = addr
+			}
+		}
+		m.pm = newPageMap(g, k, ppd, layout, table, nil)
+		return m, nil
+	},
 }
 
 // SaveState implements persist.Persistable.
 func (m *arrayMeta) SaveState(e *wire.Encoder) error {
-	m.encode(e)
+	metaCodec.Put(e, m)
 	return nil
 }
 
 // LoadState implements persist.Persistable.
 func (m *arrayMeta) LoadState(env *rmi.Env, d *wire.Decoder) error {
-	return m.decode(d)
+	got, err := metaCodec.Get(d)
+	if err == nil {
+		*m = *got
+	}
+	return err
 }
 
-// metaCodec is a descriptor on the wire, as its constructor and describe
-// carry it.
-var metaCodec = wire.Codec[*arrayMeta]{
-	Put: func(e *wire.Encoder, m *arrayMeta) { m.encode(e) },
-	Get: func(d *wire.Decoder) (*arrayMeta, error) {
-		m := &arrayMeta{}
-		if err := m.decode(d); err != nil {
-			return nil, err
-		}
-		return m, nil
-	},
-}
-
-var arrayMetaClass = rmi.RegisterClass(ClassArrayMeta, func(env *rmi.Env, args *wire.Decoder) (*arrayMeta, error) {
-	return metaCodec.Get(args)
-})
+var arrayMetaClass = rmi.RegisterClass("core.ArrayMeta", metaCodec, func(env *rmi.Env, m *arrayMeta) (*arrayMeta, error) { return m, nil })
 
 // metaDescribe asks a live descriptor process for its descriptor.
 var metaDescribe = rmi.DeclareOp(arrayMetaClass, "describe", wire.Void, metaCodec, func(m *arrayMeta, env *rmi.Env, _ struct{}) (*arrayMeta, error) {
@@ -159,7 +147,7 @@ var metaDescribe = rmi.DeclareOp(arrayMetaClass, "describe", wire.Void, metaCode
 })
 
 func init() {
-	persist.RegisterRestorable(ClassArrayMeta, func() persist.Persistable { return &arrayMeta{} })
+	persist.RegisterRestorable(arrayMetaClass.Name(), func() persist.Persistable { return &arrayMeta{} })
 }
 
 // memberName names one member of a described collection under base:
@@ -207,11 +195,7 @@ func assemble(ctx context.Context, client *rmi.Client, meta *arrayMeta, refOf fu
 // descriptor process (created on metaMachine) at base/meta and each
 // storage device at base/dev/<i>.
 func PublishArray(ctx context.Context, mgr *persist.Manager, client *rmi.Client, metaMachine int, base persist.Address, arr *Array) error {
-	meta := describe(arr)
-	metaRef, err := client.New(ctx, metaMachine, ClassArrayMeta, func(e *wire.Encoder) error {
-		meta.encode(e)
-		return nil
-	})
+	metaRef, err := arrayMetaClass.New(ctx, client, metaMachine, describe(arr))
 	if err != nil {
 		return fmt.Errorf("core: creating array descriptor: %w", err)
 	}

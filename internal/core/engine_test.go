@@ -283,7 +283,7 @@ func fencedBatches(t *testing.T, cl *cluster.Cluster, m int) (n int64) {
 		t.Fatalf("snapshot: %v", err)
 	}
 	for _, ms := range snap.Methods {
-		if strings.HasPrefix(ms.Name, pagedev.ClassArrayPageDevice+".") {
+		if strings.HasPrefix(ms.Name, pagedev.ArrayPageDeviceClass.Name()+".") {
 			n += ms.Fenced
 		}
 	}

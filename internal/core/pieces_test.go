@@ -93,7 +93,7 @@ func servedCalls(t *testing.T, cl *cluster.Cluster, m int, method string) int64 
 		t.Fatalf("snapshot: %v", err)
 	}
 	for _, ms := range snap.Methods {
-		if ms.Name == pagedev.ClassArrayPageDevice+"."+method {
+		if ms.Name == pagedev.ArrayPageDeviceClass.Name()+"."+method {
 			return ms.OK
 		}
 	}

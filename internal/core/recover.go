@@ -33,8 +33,8 @@ func CheckpointArray(ctx context.Context, arr *Array, store *persist.Store, name
 	ctx, sp := trace.StartSpan(ctx, "checkpoint")
 	defer func() { sp.End(err != nil) }()
 	e := wire.NewEncoder(64)
-	describe(arr).encode(e)
-	if err := store.Put(ctx, memberName(name, -1), ClassArrayMeta, e.Bytes()); err != nil {
+	metaCodec.Put(e, describe(arr))
+	if err := store.Put(ctx, memberName(name, -1), arrayMetaClass.Name(), e.Bytes()); err != nil {
 		return fmt.Errorf("core: checkpointing descriptor: %w", err)
 	}
 	st := arr.Storage()

@@ -81,19 +81,9 @@ func downMachines(cl *Cluster) []int {
 // has a working directory of its peers.
 type counter struct{ n int }
 
-var counterClass = rmi.RegisterClass("e2e.Counter",
-	func(env *rmi.Env, args *wire.Decoder) (*counter, error) {
-		c := &counter{}
-		if args.Remaining() > 0 {
-			c.n = args.Int()
-		}
-		return c, args.Err()
-	})
-
-// counterArgs encodes a counter's start value.
-func counterArgs(n int) rmi.ArgEncoder {
-	return func(e *wire.Encoder) error { e.PutInt(n); return nil }
-}
+// counterClass is constructed from the counter's start value.
+var counterClass = rmi.RegisterClass("e2e.Counter", wire.Int,
+	func(env *rmi.Env, n int) (*counter, error) { return &counter{n}, nil })
 
 // remoteAddArgs is the argument of remoteAdd: a counter starting at base
 // on machine m, added delta.
@@ -125,7 +115,7 @@ var (
 		if env.Client == nil {
 			return 0, fmt.Errorf("machine %d has no outbound client", env.Machine)
 		}
-		ref, err := counterClass.New(context.Background(), env.Client, a.m, counterArgs(a.base))
+		ref, err := counterClass.New(context.Background(), env.Client, a.m, a.base)
 		if err != nil {
 			return 0, err
 		}
@@ -142,9 +132,8 @@ var (
 type shard struct{ value float64 }
 
 func init() {
-	shardClass := rmi.RegisterClass("e2e.Shard", func(env *rmi.Env, args *wire.Decoder) (*shard, error) {
-		v := args.Float64()
-		return &shard{value: v}, args.Err()
+	shardClass := rmi.RegisterClass("e2e.Shard", wire.Float64, func(env *rmi.Env, v float64) (*shard, error) {
+		return &shard{value: v}, nil
 	})
 	shardClass.Declare("add", func(s *shard, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		s.value += args.Float64()
@@ -178,7 +167,7 @@ func TestTypedRMIOverTCP(t *testing.T) {
 	ctx := testCtx(t)
 	c := cl.Client
 
-	ref, err := counterClass.New(ctx, c, 1, counterArgs(40))
+	ref, err := counterClass.New(ctx, c, 1, 40)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -410,7 +399,7 @@ func TestKillOneServerFailureDetection(t *testing.T) {
 
 	// Dead-machine calls fail fast (no timeout burn)...
 	start := time.Now()
-	if _, err := counterClass.New(ctx, cl.Client, 2, counterArgs(0)); !errors.Is(err, rmi.ErrMachineDown) {
+	if _, err := counterClass.New(ctx, cl.Client, 2, 0); !errors.Is(err, rmi.ErrMachineDown) {
 		t.Fatalf("new on dead machine: %v, want ErrMachineDown", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -572,7 +561,7 @@ func TestRestartReconnectsThroughRegistry(t *testing.T) {
 	cl := StartCluster(t, 4)
 	ctx := testCtx(t)
 
-	ref, err := counterClass.New(ctx, cl.Client, 3, counterArgs(7))
+	ref, err := counterClass.New(ctx, cl.Client, 3, 7)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -594,7 +583,7 @@ func TestRestartReconnectsThroughRegistry(t *testing.T) {
 	// Fresh construction on the reborn machine works through the same
 	// client — the dead connection was evicted and the registry
 	// re-resolved.
-	ref2, err := counterClass.New(ctx, cl.Client, 3, counterArgs(1))
+	ref2, err := counterClass.New(ctx, cl.Client, 3, 1)
 	if err != nil {
 		t.Fatalf("New after restart: %v", err)
 	}
@@ -615,7 +604,7 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 	cl := StartCluster(t, 2)
 	ctx := testCtx(t)
 
-	ref, err := counterClass.New(ctx, cl.Client, 1, counterArgs(41))
+	ref, err := counterClass.New(ctx, cl.Client, 1, 41)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

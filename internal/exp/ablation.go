@@ -98,7 +98,7 @@ var a2 = Experiment{
 
 		refs := make([]rmi.Ref, callers)
 		for i := range refs {
-			if refs[i], err = busyClass.New(bg, client, 0, nil); err != nil {
+			if refs[i], err = busyClass.New(bg, client, 0, struct{}{}); err != nil {
 				return err
 			}
 		}
@@ -136,7 +136,7 @@ func busyBody(_ *busyObj, _ *rmi.Env, us int) (struct{}, error) {
 
 // busyClass is a class whose methods burn a requested number of
 // microseconds, in serial and concurrent variants.
-var busyClass = rmi.RegisterClass("exp.Busy", func(env *rmi.Env, args *wire.Decoder) (*busyObj, error) {
+var busyClass = rmi.RegisterClass("exp.Busy", wire.Void, func(env *rmi.Env, _ struct{}) (*busyObj, error) {
 	return &busyObj{}, nil
 })
 

@@ -214,7 +214,7 @@ type echoObj struct{}
 
 // echoClass is a minimal server class used by the latency and barrier
 // experiments: it returns its payload.
-var echoClass = rmi.RegisterClass("exp.Echo", func(env *rmi.Env, args *wire.Decoder) (*echoObj, error) {
+var echoClass = rmi.RegisterClass("exp.Echo", wire.Void, func(env *rmi.Env, _ struct{}) (*echoObj, error) {
 	return &echoObj{}, nil
 })
 

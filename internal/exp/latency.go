@@ -51,7 +51,7 @@ var e1 = Experiment{
 				return err
 			}
 			client := cl.Client()
-			ref, err := echoClass.New(bg, client, 1, nil)
+			ref, err := echoClass.New(bg, client, 1, struct{}{})
 			if err != nil {
 				return err
 			}

@@ -67,7 +67,7 @@ var e14 = Experiment{
 			if err == nil {
 				x.later(func() { d.pool.Close() })
 				d.sess = d.pool.Session()
-				d.ref, err = d.sess.New(bg, 0, serve.ClassWork, nil)
+				d.ref, err = serve.WorkClass.New(bg, d.pool.ClientFor(0), 0, struct{}{})
 			}
 			if err == nil {
 				x.later(func() { d.sess.Delete(bg, d.ref) })

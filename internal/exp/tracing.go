@@ -42,7 +42,7 @@ var e17 = Experiment{
 			return err
 		}
 		client := cl.Client()
-		ref, err := echoClass.New(bg, client, 1, nil)
+		ref, err := echoClass.New(bg, client, 1, struct{}{})
 		if err != nil {
 			return err
 		}

@@ -49,7 +49,7 @@ type decodeCase struct {
 }
 
 var decodeCases = func() []decodeCase {
-	peers := []rmi.Ref{{Machine: 1, Object: 7, Class: ClassArrayPageDevice}}
+	peers := []rmi.Ref{{Machine: 1, Object: 7, Class: ArrayPageDeviceClass.Name()}}
 	box := SubBox{Lo: [3]int{0, 1, 0}, Dim: [3]int{2, 1, 2}}
 	operand := func(peer int) Batch {
 		return Batch{Peers: peers, Regions: []PipeRegion{{Index: 1, Box: box, Fold: true, Peers: []PipePeer{{Peer: peer, Index: 3}}}}}
@@ -175,7 +175,7 @@ func TestPipelineReplyRefusesWrongWidth(t *testing.T) {
 // whole 2×2×2 page, a box of two half-rows, an empty box (a count and no
 // page entered: its index is not even checked), and the last plane.
 func TestReadSubBatchReplyFrame(t *testing.T) {
-	pd, err := newPageDevice(rmi.NewEnv(0), "golden", 2, 2*2*2*8, DiskPrivate)
+	pd, err := newPageDevice(rmi.NewEnv(0), deviceArgs{"golden", 2, 2 * 2 * 2 * 8, DiskPrivate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestReadSubBatchReplyFrame(t *testing.T) {
 func FuzzJacobiPlane(f *testing.F) {
 	const numPages = 3
 	page := [3]int{2, 2, 2}
-	halo := &JacobiHalo{Ref: rmi.Ref{Machine: 1, Object: 7, Class: ClassArrayPageDevice}, Pages: []int{2}}
+	halo := &JacobiHalo{Ref: rmi.Ref{Machine: 1, Object: 7, Class: ArrayPageDeviceClass.Name()}, Pages: []int{2}}
 	for _, a := range []JacobiPlaneArgs{
 		{N1: 2, N2: 2, N3: 2, P2: 1, P3: 1, Pages: []int{0}},
 		{SrcOff: 1, QBase: 2, N1: 6, N2: 2, N3: 2, P2: 1, P3: 1, SyncHalo: true, Pages: []int{1}, Lo: halo, Hi: halo},

@@ -3,6 +3,7 @@ package pagedev
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -10,12 +11,6 @@ import (
 	"oopp/internal/persist"
 	"oopp/internal/rmi"
 	"oopp/internal/wire"
-)
-
-// Registered class names.
-const (
-	ClassPageDevice      = "pagedev.PageDevice"
-	ClassArrayPageDevice = "pagedev.ArrayPageDevice"
 )
 
 // DiskPrivate as a disk index gives the device a private, unmodeled
@@ -226,14 +221,11 @@ func (b *remoteBacking) close() error { return nil }
 // pages from outside it: hence the atomic I/O counters, and stores that
 // can be pinned readOnly concurrently.
 type pageDevice struct {
-	name      string
-	numPages  int
-	pageSize  int
-	diskIndex int // DiskPrivate, diskRemote, or a machine disk index
-	store     backing
-	reads     atomic.Int64
-	writes    atomic.Int64
-	raw       []byte // one page in flight in a serial byte-protocol method (pageBytes)
+	deviceArgs
+	store  backing
+	reads  atomic.Int64
+	writes atomic.Int64
+	raw    []byte // one page in flight in a serial byte-protocol method (pageBytes)
 
 	// fence holds page indices mid-migration: mutators targeting a
 	// fenced page are refused typed (rmi.ErrFenced) so the caller can
@@ -288,53 +280,103 @@ func (p *pageDevice) write(index int, src []byte) error {
 // process.
 func (p *pageDevice) OnDestroy(env *rmi.Env) error { return p.store.close() }
 
-// newPageDevice constructs the storage process. Shared constructor logic
-// for both the base and the derived class.
-func newPageDevice(env *rmi.Env, name string, numPages, pageSize, diskIndex int) (*pageDevice, error) {
-	if numPages <= 0 || pageSize <= 0 {
-		return nil, fmt.Errorf("pagedev: invalid geometry %d pages x %d bytes", numPages, pageSize)
+// deviceArgs is PageDevice's constructor argument: a label, numPages
+// pages of pageSize bytes, and the disk behind them — DiskPrivate, a
+// machine disk's index, or (for a device built from a process, never on
+// the wire) diskRemote. A device's saved state begins with it too.
+type deviceArgs struct {
+	name               string
+	numPages, pageSize int
+	diskIndex          int
+}
+
+// deviceCodec refuses a geometry with no size in int64 (checkGeometry).
+var deviceCodec = wire.Codec[deviceArgs]{
+	Put: func(e *wire.Encoder, a deviceArgs) {
+		e.PutString(a.name)
+		e.PutInt(a.numPages)
+		e.PutInt(a.pageSize)
+		e.PutInt(a.diskIndex)
+	},
+	Get: func(d *wire.Decoder) (deviceArgs, error) {
+		a := deviceArgs{d.String(), d.Int(), d.Int(), d.Int()}
+		if err := d.Err(); err != nil {
+			return a, err
+		}
+		return a, checkGeometry(a.numPages, [3]int{a.pageSize, 1, 1}, 1)
+	},
+}
+
+// geometryError refuses a device whose geometry has no size: pages pages
+// of page[0]×page[1]×page[2] elements of elem bytes, where a count is below
+// one or the device's bytes do not fit in an int64.
+type geometryError struct {
+	pages, elem int
+	page        [3]int
+}
+
+func (e *geometryError) Error() string {
+	return fmt.Sprintf("pagedev: invalid geometry: %d pages of %dx%dx%d elements of %d B",
+		e.pages, e.page[0], e.page[1], e.page[2], e.elem)
+}
+
+// checkGeometry refuses with a *geometryError unless every count is at
+// least one and numPages pages of page[0]·page[1]·page[2] elements of elem
+// bytes fit in an int64.
+func checkGeometry(numPages int, page [3]int, elem int) error {
+	size := int64(elem)
+	for _, n := range [...]int{page[0], page[1], page[2], numPages} {
+		if n < 1 || size > math.MaxInt64/int64(n) {
+			return &geometryError{numPages, elem, page}
+		}
+		size *= int64(n)
 	}
-	need := int64(numPages) * int64(pageSize)
+	return nil
+}
+
+// newPageDevice constructs the storage process on the disk a names. Shared
+// constructor logic for both the base and the derived class; a's geometry
+// has passed its codec.
+func newPageDevice(env *rmi.Env, a deviceArgs) (*pageDevice, error) {
+	need := int64(a.numPages) * int64(a.pageSize)
 	var store backing
-	if diskIndex == DiskPrivate {
-		dsk := disk.NewMem(name, need, disk.Model{})
+	if a.diskIndex == DiskPrivate {
+		dsk := disk.NewMem(a.name, need, disk.Model{})
 		dsk.CountInto(env.Counters())
-		store = newDiskBacking(dsk, numPages, pageSize, true)
+		store = newDiskBacking(dsk, a.numPages, a.pageSize, true)
 	} else {
-		res, err := env.MustResource(fmt.Sprintf("disk/%d", diskIndex))
+		res, err := env.MustResource(fmt.Sprintf("disk/%d", a.diskIndex))
 		if err != nil {
 			return nil, err
 		}
 		dsk, ok := res.(*disk.Disk)
 		if !ok {
-			return nil, fmt.Errorf("pagedev: resource disk/%d is %T, not a disk", diskIndex, res)
+			return nil, fmt.Errorf("pagedev: resource disk/%d is %T, not a disk", a.diskIndex, res)
 		}
 		if dsk.Size() < need {
-			return nil, fmt.Errorf("pagedev: device %q needs %d bytes, disk/%d has %d", name, need, diskIndex, dsk.Size())
+			return nil, fmt.Errorf("pagedev: device %q needs %d bytes, disk/%d has %d", a.name, need, a.diskIndex, dsk.Size())
 		}
-		store = newDiskBacking(dsk, numPages, pageSize, false)
+		store = newDiskBacking(dsk, a.numPages, a.pageSize, false)
+	}
+	return &pageDevice{deviceArgs: a, store: store}, nil
+}
+
+// remoteDevice is a device whose numPages pages of pageSize bytes are those
+// of another PageDevice process, src, reached through the machine's
+// outbound client — the §5 construct-from-process backing.
+func remoteDevice(env *rmi.Env, name string, src rmi.Ref, numPages, pageSize int) (*pageDevice, error) {
+	if env.Client == nil {
+		return nil, fmt.Errorf("pagedev: machine %d has no outbound client", env.Machine)
 	}
 	return &pageDevice{
-		name:      name,
-		numPages:  numPages,
-		pageSize:  pageSize,
-		diskIndex: diskIndex,
-		store:     store,
+		deviceArgs: deviceArgs{name, numPages, pageSize, diskRemote},
+		store:      &remoteBacking{client: env.Client, ref: src, cp: copies{pageSize: pageSize}},
 	}, nil
 }
 
 // PageDeviceClass is the registered base class.
-var PageDeviceClass = rmi.RegisterClass(ClassPageDevice,
-	func(env *rmi.Env, args *wire.Decoder) (baser, error) {
-		name := args.String()
-		numPages := args.Int()
-		pageSize := args.Int()
-		diskIndex := args.Int()
-		if err := args.Err(); err != nil {
-			return nil, err
-		}
-		return newPageDevice(env, name, numPages, pageSize, diskIndex)
-	})
+var PageDeviceClass = rmi.RegisterClass("pagedev.PageDevice", deviceCodec,
+	func(env *rmi.Env, a deviceArgs) (baser, error) { return newPageDevice(env, a) })
 
 // The PageDevice protocol, the "compiler output" for the §2 class
 // declaration: declared on the base class, inherited by ArrayPageDevice.
@@ -451,57 +493,79 @@ const (
 	ctorFromProcess = 1
 )
 
+// ArrayDeviceArgs is ArrayPageDevice's constructor argument: NumPages
+// pages of Dims float64s, and either a label and a disk of their own
+// (fresh, §3) or, FromProcess, those of the PageDevice process Src (§5).
+type ArrayDeviceArgs struct {
+	FromProcess bool
+	Name        string  // fresh
+	Src         rmi.Ref // FromProcess
+	NumPages    int
+	Dims        [3]int
+	DiskIndex   int // fresh: DiskPrivate or a machine disk's index
+}
+
+// arrayDeviceCodec writes the mode, then the label or Src, the count and
+// dims, and a fresh device's disk; it refuses a geometry with no size in
+// int64 (checkGeometry).
+var arrayDeviceCodec = wire.Codec[ArrayDeviceArgs]{
+	Put: func(e *wire.Encoder, a ArrayDeviceArgs) {
+		if a.FromProcess {
+			e.PutInt(ctorFromProcess)
+			e.PutRef(a.Src)
+		} else {
+			e.PutInt(ctorFresh)
+			e.PutString(a.Name)
+		}
+		e.PutInt(a.NumPages)
+		for _, n := range a.Dims {
+			e.PutInt(n)
+		}
+		if !a.FromProcess {
+			e.PutInt(a.DiskIndex)
+		}
+	},
+	Get: func(d *wire.Decoder) (a ArrayDeviceArgs, err error) {
+		switch mode := d.Int(); mode {
+		case ctorFresh:
+			a.Name = d.String()
+		case ctorFromProcess:
+			a.FromProcess, a.Src = true, d.Ref()
+		default:
+			return a, fmt.Errorf("pagedev: %w: unknown constructor mode %d", wire.ErrCorrupt, mode)
+		}
+		a.NumPages = d.Int()
+		a.Dims = [3]int{d.Int(), d.Int(), d.Int()}
+		if !a.FromProcess {
+			a.DiskIndex = d.Int()
+		}
+		if err = d.Err(); err != nil {
+			return a, err
+		}
+		return a, checkGeometry(a.NumPages, a.Dims, 8)
+	},
+}
+
 // ArrayPageDeviceClass is the registered derived class; it inherits every
 // base method and adds the structure-aware ones.
-var ArrayPageDeviceClass = rmi.ExtendClass(PageDeviceClass, ClassArrayPageDevice,
-	func(env *rmi.Env, args *wire.Decoder) (*arrayPageDevice, error) {
-		mode := args.Int()
-		switch mode {
-		case ctorFresh:
-			name := args.String()
-			numPages := args.Int()
-			n1, n2, n3 := args.Int(), args.Int(), args.Int()
-			diskIndex := args.Int()
-			if err := args.Err(); err != nil {
-				return nil, err
-			}
-			if n1 <= 0 || n2 <= 0 || n3 <= 0 {
-				return nil, fmt.Errorf("pagedev: invalid block dims %dx%dx%d", n1, n2, n3)
-			}
-			// The paper's derived constructor computes the page size
-			// from the block dims: N1*N2*N3*sizeof(double).
-			pd, err := newPageDevice(env, name, numPages, n1*n2*n3*8, diskIndex)
-			if err != nil {
-				return nil, err
-			}
-			return &arrayPageDevice{pageDevice: pd, n1: n1, n2: n2, n3: n3}, nil
-		case ctorFromProcess:
+var ArrayPageDeviceClass = rmi.ExtendClass(PageDeviceClass, "pagedev.ArrayPageDevice", arrayDeviceCodec,
+	func(env *rmi.Env, a ArrayDeviceArgs) (*arrayPageDevice, error) {
+		// The paper's derived constructor computes the page size from the
+		// block dims: N1*N2*N3*sizeof(double), which the codec has sized.
+		pageSize := a.Dims[0] * a.Dims[1] * a.Dims[2] * 8
+		var pd *pageDevice
+		var err error
+		if a.FromProcess {
 			// §5: ArrayPageDevice(PageDevice * page_device) — the new
 			// process co-exists with and delegates to the existing one.
-			src := args.Ref()
-			numPages := args.Int()
-			n1, n2, n3 := args.Int(), args.Int(), args.Int()
-			if err := args.Err(); err != nil {
-				return nil, err
-			}
-			if env.Client == nil {
-				return nil, fmt.Errorf("pagedev: machine %d has no outbound client", env.Machine)
-			}
-			if n1 <= 0 || n2 <= 0 || n3 <= 0 {
-				return nil, fmt.Errorf("pagedev: invalid block dims %dx%dx%d", n1, n2, n3)
-			}
-			pageSize := n1 * n2 * n3 * 8
-			pd := &pageDevice{
-				name:      src.String(),
-				numPages:  numPages,
-				pageSize:  pageSize,
-				diskIndex: diskRemote,
-				store:     &remoteBacking{client: env.Client, ref: src, cp: copies{pageSize: pageSize}},
-			}
-			return &arrayPageDevice{pageDevice: pd, n1: n1, n2: n2, n3: n3}, nil
-		default:
-			return nil, fmt.Errorf("pagedev: unknown constructor mode %d", mode)
+			pd, err = remoteDevice(env, a.Src.String(), a.Src, a.NumPages, pageSize)
+		} else {
+			pd, err = newPageDevice(env, deviceArgs{a.Name, a.NumPages, pageSize, a.DiskIndex})
 		}
+		if err != nil {
+			return nil, err
+		}
+		return &arrayPageDevice{pageDevice: pd, n1: a.Dims[0], n2: a.Dims[1], n3: a.Dims[2]}, nil
 	})
 
 // The structure-aware methods ArrayPageDevice adds (§3).

@@ -166,6 +166,32 @@ func TestConstructorValidation(t *testing.T) {
 	}
 }
 
+// TestConstructorRefusesGeometryPastInt64: a device whose bytes overflow
+// an int64 is refused at construction with an error that names its
+// geometry. The product used to wrap, and the device was built: the array
+// device with pages of 8 bytes, the other with a disk of none.
+func TestConstructorRefusesGeometryPastInt64(t *testing.T) {
+	c := startCluster(t, 1, 0)
+	client := c.Client()
+	for _, tc := range []struct {
+		name, geometry string
+		new            func() error
+	}{
+		{"array pages of 2^61+1 float64s", "1 pages of 2305843009213693953x1x1 elements of 8 B", func() error {
+			_, err := pagedev.NewArrayDevice(bg, client, 0, "x", 1, 1<<61+1, 1, 1, pagedev.DiskPrivate)
+			return err
+		}},
+		{"2^33 pages of 2^31 bytes", "8589934592 pages of 2147483648x1x1 elements of 1 B", func() error {
+			_, err := pagedev.NewDevice(bg, client, 0, "x", 1<<33, 1<<31, pagedev.DiskPrivate)
+			return err
+		}},
+	} {
+		if err := tc.new(); err == nil || !strings.Contains(err.Error(), "invalid geometry: "+tc.geometry) {
+			t.Errorf("%s: constructing gave %v, want the geometry %q refused", tc.name, err, tc.geometry)
+		}
+	}
+}
+
 func TestWrongPageSizeRejected(t *testing.T) {
 	c := startCluster(t, 1, 0)
 	dev, err := pagedev.NewDevice(bg, c.Client(), 0, "d", 4, 256, pagedev.DiskPrivate)

@@ -22,10 +22,7 @@ import (
 
 // SaveState implements persist.Persistable.
 func (p *pageDevice) SaveState(e *wire.Encoder) error {
-	e.PutString(p.name)
-	e.PutInt(p.numPages)
-	e.PutInt(p.pageSize)
-	e.PutInt(p.diskIndex)
+	deviceCodec.Put(e, p.deviceArgs)
 	switch p.diskIndex {
 	case DiskPrivate:
 		// Dump the entire private device.
@@ -48,62 +45,46 @@ func (p *pageDevice) SaveState(e *wire.Encoder) error {
 
 // LoadState implements persist.Persistable.
 func (p *pageDevice) LoadState(env *rmi.Env, d *wire.Decoder) error {
-	name := d.String()
-	numPages := d.Int()
-	pageSize := d.Int()
-	diskIndex := d.Int()
-	if err := d.Err(); err != nil {
+	a, err := deviceCodec.Get(d)
+	if err != nil {
 		return err
 	}
-	switch diskIndex {
-	case diskRemote:
+	var fresh *pageDevice
+	if a.diskIndex == diskRemote {
 		src := d.Ref()
 		if err := d.Err(); err != nil {
 			return err
 		}
-		if env.Client == nil {
-			return fmt.Errorf("pagedev: machine %d has no outbound client", env.Machine)
-		}
-		p.restoreFrom(&pageDevice{
-			name:      name,
-			numPages:  numPages,
-			pageSize:  pageSize,
-			diskIndex: diskRemote,
-			store:     &remoteBacking{client: env.Client, ref: src, cp: copies{pageSize: pageSize}},
-		})
-		return nil
-	default:
-		fresh, err := newPageDevice(env, name, numPages, pageSize, diskIndex)
-		if err != nil {
+		fresh, err = remoteDevice(env, a.name, src, a.numPages, a.pageSize)
+	} else {
+		fresh, err = newPageDevice(env, a)
+	}
+	if err != nil {
+		return err
+	}
+	if a.diskIndex == DiskPrivate {
+		all := d.Bytes()
+		if err := d.Err(); err != nil {
 			return err
 		}
-		if diskIndex == DiskPrivate {
-			all := d.Bytes()
-			if err := d.Err(); err != nil {
-				return err
-			}
-			if len(all) != numPages*pageSize {
-				return fmt.Errorf("pagedev: state blob has %d data bytes, want %d", len(all), numPages*pageSize)
-			}
-			for i := 0; i < numPages; i++ {
-				if err := fresh.store.writePage(i, all[i*pageSize:(i+1)*pageSize]); err != nil {
-					return fmt.Errorf("pagedev: restoring page %d: %w", i, err)
-				}
+		if len(all) != a.numPages*a.pageSize {
+			return fmt.Errorf("pagedev: state blob has %d data bytes, want %d", len(all), a.numPages*a.pageSize)
+		}
+		for i := 0; i < a.numPages; i++ {
+			if err := fresh.store.writePage(i, all[i*a.pageSize:(i+1)*a.pageSize]); err != nil {
+				return fmt.Errorf("pagedev: restoring page %d: %w", i, err)
 			}
 		}
-		p.restoreFrom(fresh)
-		return nil
 	}
+	p.restoreFrom(fresh)
+	return nil
 }
 
 // restoreFrom adopts a freshly constructed device's state field by
 // field — the struct cannot be copied wholesale since the I/O counters
 // are atomics. An activated device starts with zeroed counters.
 func (p *pageDevice) restoreFrom(fresh *pageDevice) {
-	p.name = fresh.name
-	p.numPages = fresh.numPages
-	p.pageSize = fresh.pageSize
-	p.diskIndex = fresh.diskIndex
+	p.deviceArgs = fresh.deviceArgs
 	p.store = fresh.store
 	p.reads.Store(0)
 	p.writes.Store(0)
@@ -132,10 +113,6 @@ func (a *arrayPageDevice) LoadState(env *rmi.Env, d *wire.Decoder) error {
 }
 
 func init() {
-	persist.RegisterRestorable(ClassPageDevice, func() persist.Persistable {
-		return &pageDevice{}
-	})
-	persist.RegisterRestorable(ClassArrayPageDevice, func() persist.Persistable {
-		return &arrayPageDevice{pageDevice: &pageDevice{}}
-	})
+	persist.RegisterRestorable(PageDeviceClass.Name(), func() persist.Persistable { return &pageDevice{} })
+	persist.RegisterRestorable(ArrayPageDeviceClass.Name(), func() persist.Persistable { return &arrayPageDevice{pageDevice: &pageDevice{}} })
 }

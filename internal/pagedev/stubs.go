@@ -25,13 +25,7 @@ type Device struct {
 // diskIndex selects which of the machine's disks backs the device;
 // DiskPrivate gives it a private in-memory disk.
 func NewDevice(ctx context.Context, client *rmi.Client, m int, name string, numPages, pageSize, diskIndex int) (*Device, error) {
-	ref, err := PageDeviceClass.New(ctx, client, m, func(e *wire.Encoder) error {
-		e.PutString(name)
-		e.PutInt(numPages)
-		e.PutInt(pageSize)
-		e.PutInt(diskIndex)
-		return nil
-	})
+	ref, err := PageDeviceClass.New(ctx, client, m, deviceArgs{name, numPages, pageSize, diskIndex})
 	if err != nil {
 		return nil, err
 	}
@@ -139,10 +133,7 @@ type ArrayDevice struct {
 //	ArrayPageDevice * blocks = new(machine m)
 //	    ArrayPageDevice("array_blocks", NumberOfPages, n1, n2, n3);
 func NewArrayDevice(ctx context.Context, client *rmi.Client, m int, name string, numPages, n1, n2, n3, diskIndex int) (*ArrayDevice, error) {
-	ref, err := ArrayPageDeviceClass.New(ctx, client, m, func(e *wire.Encoder) error {
-		EncodeArrayDeviceCtor(e, name, numPages, n1, n2, n3, diskIndex)
-		return nil
-	})
+	ref, err := ArrayPageDeviceClass.New(ctx, client, m, ArrayDeviceArgs{Name: name, NumPages: numPages, Dims: [3]int{n1, n2, n3}, DiskIndex: diskIndex})
 	if err != nil {
 		return nil, err
 	}
@@ -156,33 +147,11 @@ func NewArrayDevice(ctx context.Context, client *rmi.Client, m int, name string,
 //
 // The new process co-exists and communicates with the old one.
 func NewArrayDeviceFromProcess(ctx context.Context, client *rmi.Client, m int, src rmi.Ref, numPages, n1, n2, n3 int) (*ArrayDevice, error) {
-	ref, err := ArrayPageDeviceClass.New(ctx, client, m, func(e *wire.Encoder) error {
-		e.PutInt(ctorFromProcess)
-		e.PutRef(src)
-		e.PutInt(numPages)
-		e.PutInt(n1)
-		e.PutInt(n2)
-		e.PutInt(n3)
-		return nil
-	})
+	ref, err := ArrayPageDeviceClass.New(ctx, client, m, ArrayDeviceArgs{FromProcess: true, Src: src, NumPages: numPages, Dims: [3]int{n1, n2, n3}})
 	if err != nil {
 		return nil, err
 	}
 	return AttachArrayDevice(client, ref, n1, n2, n3), nil
-}
-
-// EncodeArrayDeviceCtor appends the fresh-construction arguments of an
-// ArrayPageDevice to e — the constructor protocol NewArrayDevice speaks,
-// exported so collective spawns (core.CreateBlockStorage's collection)
-// can construct devices without going through one stub call per member.
-func EncodeArrayDeviceCtor(e *wire.Encoder, name string, numPages, n1, n2, n3, diskIndex int) {
-	e.PutInt(ctorFresh)
-	e.PutString(name)
-	e.PutInt(numPages)
-	e.PutInt(n1)
-	e.PutInt(n2)
-	e.PutInt(n3)
-	e.PutInt(diskIndex)
 }
 
 // AttachArrayDevice wraps an existing remote pointer in an array stub.

@@ -9,16 +9,13 @@ import (
 	"oopp/internal/wire"
 )
 
-// ClassNameService is the registered class of the address directory.
-const ClassNameService = "persist.NameService"
-
 // nameService is the server-side directory object mapping symbolic
 // addresses to remote pointers.
 type nameService struct {
 	bindings map[string]rmi.Ref
 }
 
-var nameServiceClass = rmi.RegisterClass(ClassNameService, func(env *rmi.Env, args *wire.Decoder) (*nameService, error) {
+var nameServiceClass = rmi.RegisterClass("persist.NameService", wire.Void, func(env *rmi.Env, _ struct{}) (*nameService, error) {
 	return &nameService{bindings: make(map[string]rmi.Ref)}, nil
 })
 
@@ -61,7 +58,7 @@ type NameService struct {
 
 // NewNameService creates the directory process on machine m.
 func NewNameService(ctx context.Context, client *rmi.Client, m int) (*NameService, error) {
-	ref, err := client.New(ctx, m, ClassNameService, nil)
+	ref, err := nameServiceClass.New(ctx, client, m, struct{}{})
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +108,7 @@ func NewManager(ctx context.Context, client *rmi.Client, nsMachine int, storeMac
 	}
 	m := &Manager{ns: ns, stores: make(map[int]*Store), client: client}
 	if len(storeMachines) > 0 {
-		coll, err := collection.SpawnNamed[*Store](ctx, client, collection.OnMachines(storeMachines...), ClassStore, nil)
+		coll, err := collection.SpawnClass(ctx, client, collection.OnMachines(storeMachines...), storeClass, nil)
 		if err != nil {
 			m.Close(ctx)
 			return nil, err

@@ -378,7 +378,7 @@ func TestManagerLifecycle(t *testing.T) {
 // TestRestorableClassesRegistry: both device classes register a
 // restorer, so registering either a second time panics.
 func TestRestorableClassesRegistry(t *testing.T) {
-	for _, class := range []string{pagedev.ClassPageDevice, pagedev.ClassArrayPageDevice} {
+	for _, class := range []string{pagedev.PageDeviceClass.Name(), pagedev.ArrayPageDeviceClass.Name()} {
 		func() {
 			defer func() {
 				if recover() == nil {

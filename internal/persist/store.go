@@ -11,9 +11,6 @@ import (
 	"oopp/internal/wire"
 )
 
-// ClassStore is the registered class of the per-machine passivation store.
-const ClassStore = "persist.Store"
-
 // ResourceServer is the Env resource name under which a machine's
 // rmi.Server must be installed for the Store to passivate and activate
 // local processes. The cluster package installs it automatically.
@@ -93,7 +90,7 @@ func localServer(env *rmi.Env) (*rmi.Server, error) {
 	return srv, nil
 }
 
-var storeClass = rmi.RegisterClass(ClassStore, func(env *rmi.Env, args *wire.Decoder) (*store, error) {
+var storeClass = rmi.RegisterClass("persist.Store", wire.Void, func(env *rmi.Env, _ struct{}) (*store, error) {
 	dir := ""
 	if env.DataDir != "" {
 		dir = filepath.Join(env.DataDir, "persist")
@@ -221,7 +218,7 @@ type Store struct {
 
 // NewStore creates the store process on machine m.
 func NewStore(ctx context.Context, client *rmi.Client, m int) (*Store, error) {
-	ref, err := client.New(ctx, m, ClassStore, nil)
+	ref, err := storeClass.New(ctx, client, m, struct{}{})
 	if err != nil {
 		return nil, err
 	}

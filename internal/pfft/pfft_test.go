@@ -558,7 +558,7 @@ func TestGeometryErrors(t *testing.T) {
 	}
 
 	// transform before setGroup on a raw worker.
-	ref, err := cl.Client().New(bg, 0, pfft.ClassWorker, func(e *wire.Encoder) error {
+	ref, err := cl.Client().New(bg, 0, "pfft.Worker", func(e *wire.Encoder) error {
 		e.PutInt(0)
 		e.PutInt(4)
 		e.PutInt(4)
@@ -576,7 +576,7 @@ func TestGeometryErrors(t *testing.T) {
 		t.Error("transform before setGroup accepted")
 	}
 	// Bad constructor dims.
-	if _, err := cl.Client().New(bg, 0, pfft.ClassWorker, func(e *wire.Encoder) error {
+	if _, err := cl.Client().New(bg, 0, "pfft.Worker", func(e *wire.Encoder) error {
 		e.PutInt(0)
 		e.PutInt(0)
 		e.PutInt(4)
@@ -633,7 +633,7 @@ func TestRefTableBounds(t *testing.T) {
 	}
 	defer cl.Shutdown()
 	refs := []rmi.Ref{{Machine: 0, Object: 1, Class: "x"}}
-	table, err := cl.Client().New(bg, 0, pfft.ClassRefTable, func(e *wire.Encoder) error {
+	table, err := cl.Client().New(bg, 0, "pfft.RefTable", func(e *wire.Encoder) error {
 		e.PutRefs(refs)
 		return nil
 	})

@@ -42,13 +42,7 @@ func newPFFT(ctx context.Context, client *rmi.Client, machines []int, n1, n2, n3
 	// The master process creates N parallel processes, assigning ids (§4):
 	// a typed collection spawn, placed by the explicit machine list.
 	workers, err := collection.SpawnClass(ctx, client, collection.OnMachines(machines...), workerClass,
-		func(m collection.Member, e *wire.Encoder) error {
-			e.PutInt(m.Index)
-			e.PutInt(n1)
-			e.PutInt(n2)
-			e.PutInt(n3)
-			return nil
-		})
+		func(m collection.Member) workerArgs { return workerArgs{m.Index, n1, n2, n3} })
 	if err != nil {
 		return nil, err
 	}
@@ -58,10 +52,7 @@ func newPFFT(ctx context.Context, client *rmi.Client, machines []int, n1, n2, n3
 		// Create the RefTable process next to worker 0 and hand every
 		// worker the table's remote pointer only.
 		var tableRef rmi.Ref
-		tableRef, err = client.New(ctx, machines[0], ClassRefTable, func(e *wire.Encoder) error {
-			e.PutRefs(workers.Refs())
-			return nil
-		})
+		tableRef, err = refTableClass.New(ctx, client, machines[0], workers.Refs())
 		if err == nil {
 			err = workers.Broadcast(ctx, workerSetGroupShallow.Name(), func(_ collection.Member, e *wire.Encoder) error {
 				workerSetGroupShallow.PutArgs(e, tableRef)

@@ -95,13 +95,7 @@ func TestAloneForksOncePerPhase(t *testing.T) {
 // each shared among the machine's processors before it is sent.
 func newPaired(cl *cluster.Cluster) (*worker, *rmi.Env, error) {
 	const n1, n2, n3 = 32, 256, 64
-	peer, err := cl.Client().New(context.Background(), 1, ClassWorker, func(e *wire.Encoder) error {
-		e.PutInt(1)
-		e.PutInt(n1)
-		e.PutInt(n2)
-		e.PutInt(n3)
-		return nil
-	})
+	peer, err := workerClass.New(context.Background(), cl.Client(), 1, workerArgs{1, n1, n2, n3})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -159,7 +153,7 @@ type panicky struct{ *worker }
 var panickyCompute func(method string, i1 int) error
 
 func init() {
-	panickyClass := rmi.RegisterClass("pfft.test.Panicky", func(env *rmi.Env, args *wire.Decoder) (panicky, error) {
+	panickyClass := rmi.RegisterClass("pfft.test.Panicky", wire.Void, func(env *rmi.Env, _ struct{}) (panicky, error) {
 		w, err := newAlone()
 		return panicky{w}, err
 	})

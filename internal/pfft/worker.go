@@ -106,15 +106,6 @@ import (
 	"oopp/internal/wire"
 )
 
-// ClassWorker is the registered class name of the FFT worker process.
-const ClassWorker = "pfft.Worker"
-
-// ClassRefTable is a tiny holder process used by the shallow SetGroup
-// variant (experiment E11): it owns the group's remote pointer array, and
-// workers fetch members one remote call at a time — the §4 anti-pattern.
-// Like NewShallow it stays as E11's subject, whose cells are pinned.
-const ClassRefTable = "pfft.RefTable"
-
 // worker is the server-side FFT process.
 type worker struct {
 	id int
@@ -344,21 +335,27 @@ func (w *worker) slabPlanes(lo, hi int) ([]complex128, error) {
 	return w.slab[lo*plane : hi*plane], nil
 }
 
-// refTable is the holder process for the shallow SetGroup experiment.
+// refTable is a tiny holder process used by the shallow SetGroup variant
+// (experiment E11): it owns the group's remote pointer array, and workers
+// fetch members one remote call at a time — the §4 anti-pattern. Like
+// NewShallow it stays as E11's subject, whose cells are pinned.
 type refTable struct {
 	refs []rmi.Ref
 }
 
 // workerClass is the typed handle to the FFT worker class; plan.go
 // spawns the worker collection through it.
-var workerClass = rmi.RegisterClass(ClassWorker, func(env *rmi.Env, args *wire.Decoder) (*worker, error) {
-	id := args.Int()
-	n1, n2, n3 := args.Int(), args.Int(), args.Int()
-	if err := args.Err(); err != nil {
-		return nil, err
-	}
-	return newWorker(id, n1, n2, n3)
+var workerClass = rmi.RegisterClass("pfft.Worker", workerCodec, func(env *rmi.Env, a workerArgs) (*worker, error) {
+	return newWorker(a.id, a.n1, a.n2, a.n3)
 })
+
+// workerArgs is the worker's constructor argument: its id in the group,
+// and the dims.
+type workerArgs struct{ id, n1, n2, n3 int }
+
+var workerCodec = wire.CodecOf(
+	func(e *wire.Encoder, a workerArgs) { e.PutInt(a.id); e.PutInt(a.n1); e.PutInt(a.n2); e.PutInt(a.n3) },
+	func(d *wire.Decoder) workerArgs { return workerArgs{d.Int(), d.Int(), d.Int(), d.Int()} })
 
 // groupArgs is the argument of setGroup: the n workers' refs.
 type groupArgs struct {
@@ -434,13 +431,9 @@ var (
 	})
 )
 
-var refTableClass = rmi.RegisterClass(ClassRefTable, func(env *rmi.Env, args *wire.Decoder) (*refTable, error) {
-	refs := args.Refs()
-	if err := args.Err(); err != nil {
-		return nil, err
-	}
-	return &refTable{refs: refs}, nil
-})
+// refTableClass is constructed from the refs it holds.
+var refTableClass = rmi.RegisterClass("pfft.RefTable", wire.CodecOf((*wire.Encoder).PutRefs, (*wire.Decoder).Refs),
+	func(env *rmi.Env, refs []rmi.Ref) (*refTable, error) { return &refTable{refs: refs}, nil })
 
 // The table's methods, each a further round trip of the shallow setGroup.
 var (

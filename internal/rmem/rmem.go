@@ -20,9 +20,6 @@ import (
 	"oopp/internal/wire"
 )
 
-// ClassFloat64 is the registered class name for float64 blocks.
-const ClassFloat64 = "rmem.Float64Block"
-
 // float64Block is the server-side object: the process that owns the
 // memory. Methods run serially through its mailbox, so no further locking
 // is needed — the object *is* its process (§2).
@@ -30,13 +27,9 @@ type float64Block struct {
 	data []float64
 }
 
-// Float64BlockClass is the typed handle for float64 blocks; stubs
-// construct through it instead of naming the class.
-var Float64BlockClass = rmi.RegisterClass(ClassFloat64, func(env *rmi.Env, args *wire.Decoder) (*float64Block, error) {
-	n := args.Int()
-	if err := args.Err(); err != nil {
-		return nil, err
-	}
+// Float64BlockClass is the typed handle for float64 blocks, constructed
+// from their length; stubs construct through it.
+var Float64BlockClass = rmi.RegisterClass("rmem.Float64Block", wire.Int, func(env *rmi.Env, n int) (*float64Block, error) {
 	if n < 0 || int64(n) > 1<<31 {
 		return nil, fmt.Errorf("rmem: invalid block size %d", n)
 	}
@@ -106,10 +99,7 @@ type Float64Array struct {
 // NewFloat64Array allocates n float64s on machine m — the paper's
 // "new(machine m) double[n]".
 func NewFloat64Array(ctx context.Context, client *rmi.Client, m int, n int) (*Float64Array, error) {
-	ref, err := Float64BlockClass.New(ctx, client, m, func(e *wire.Encoder) error {
-		e.PutInt(n)
-		return nil
-	})
+	ref, err := Float64BlockClass.New(ctx, client, m, n)
 	if err != nil {
 		return nil, err
 	}

@@ -22,18 +22,20 @@
 //
 //	type counter struct{ n int }
 //
-//	var counterClass = rmi.RegisterClass("app.Counter",
-//	        func(env *rmi.Env, args *wire.Decoder) (*counter, error) { ... })
+//	var counterClass = rmi.RegisterClass("app.Counter", wire.Int,
+//	        func(env *rmi.Env, start int) (*counter, error) { ... })
 //	var counterAdd = rmi.DeclareOp(counterClass, "add", wire.Int, wire.Int,
 //	        func(c *counter, env *rmi.Env, d int) (int, error) { ... })
 //
-//	ref, _ := counterClass.New(ctx, client, m, args) // new(machine m) Counter(...)
-//	n, _ := counterAdd.Call(ctx, client, ref, 23)    // the declared method, by its handle
+//	ref, _ := counterClass.New(ctx, client, m, 100) // new(machine m) Counter(100)
+//	n, _ := counterAdd.Call(ctx, client, ref, 23)   // the declared method, by its handle
 //
-// RegisterClass returns a Class[T] handle: server-side method bodies
-// receive the object already asserted to T, and client-side construction
-// goes through the handle (Class[T].New with a packed ArgEncoder).
-// DeclareOp declares a method from the codecs (wire.Codec) of its
+// RegisterClass declares a class from the codec of its constructor's
+// argument and returns a Class[T, C] handle: server-side method bodies
+// receive the object already asserted to T, the server decodes the whole
+// argument before the constructor runs, and client-side construction goes
+// through the handle (Class[T, C].New, or collection.SpawnClass, with a
+// C that the same codec encodes). DeclareOp declares a method from the codecs (wire.Codec) of its
 // argument and its result and a body over decoded values, and returns
 // its Op handle, the one value its server body and its callers name: the
 // server decodes the whole argument before the body runs, and Op.Call and
@@ -50,7 +52,7 @@
 //
 // The bulk methods, whose frames borrow or lend their values (page reads
 // and writes, kernel batches, transpose pieces), are declared with
-// Class[T].Declare instead: their bodies read and write the packed wire
+// Class[T, C].Declare instead: their bodies read and write the packed wire
 // encodings themselves, and their Method handles take hand-written
 // ArgEncoder closures, so that no codec stands between the frame and the
 // page.
@@ -143,9 +145,9 @@
 //
 // A class registers, once, a constructor and a method table (RegisterClass
 // for the typed form, Register for the untyped ClassSpec form used by
-// dynamic code); the registered encoder/decoder pairs and the typed client
-// stubs in the substrate packages are precisely the code a compiler would
-// emit from the class declaration.
+// dynamic code); the registered codecs and the typed client stubs in the
+// substrate packages are precisely the code a compiler would emit from
+// the class declaration.
 //
 // Methods are serial by default (mailbox order). A method may instead be
 // registered as concurrent: it runs outside the object's mailbox and the

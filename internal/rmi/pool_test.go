@@ -206,7 +206,7 @@ func TestPooledFramesConcurrentCallAsync(t *testing.T) {
 // TestSyncCallSteadyStateAllocs.
 type handleEcho struct{}
 
-var handleEchoClass = RegisterClass("test.HandleEcho", func(*Env, *wire.Decoder) (*handleEcho, error) { return &handleEcho{}, nil })
+var handleEchoClass = RegisterClass("test.HandleEcho", wire.Void, func(*Env, struct{}) (*handleEcho, error) { return &handleEcho{}, nil })
 
 var (
 	handleEchoEcho = handleEchoClass.Declare("echo", func(_ *handleEcho, _ *Env, args *wire.Decoder, reply *wire.Encoder) error {

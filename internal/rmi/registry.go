@@ -48,7 +48,7 @@ var methodIndexes atomic.Int64
 
 // ClassSpec is the untyped descriptor of a registered remote class: its
 // constructor and method table. It is the dispatch representation the
-// server uses; user code normally holds the generic Class[T] handle from
+// server uses; user code normally holds the generic Class[T, C] handle from
 // RegisterClass, which wraps a ClassSpec.
 //
 // The method table is published read-only: a request reads the map

@@ -935,7 +935,7 @@ func (*lateDerived) who() string { return "late" }
 // derived class has panicked.
 type lateClasses struct {
 	late        Method
-	derived     *Class[*lateDerived]
+	derived     *Class[*lateDerived, struct{}]
 	ownPanicked bool
 }
 
@@ -943,8 +943,8 @@ type lateClasses struct {
 // process, as registerBaseAndDerived does: the derived class's own method,
 // then the base's later one, then the base's "own".
 var registerLateClasses = sync.OnceValue(func() (r lateClasses) {
-	base := RegisterClass("test.LateBase", func(*Env, *wire.Decoder) (lateBase, error) { return &lateDerived{}, nil })
-	r.derived = ExtendClass(base, "test.LateDerived", func(*Env, *wire.Decoder) (*lateDerived, error) { return &lateDerived{}, nil })
+	base := RegisterClass("test.LateBase", wire.Void, func(*Env, struct{}) (lateBase, error) { return &lateDerived{}, nil })
+	r.derived = ExtendClass(base, "test.LateDerived", wire.Void, func(*Env, struct{}) (*lateDerived, error) { return &lateDerived{}, nil })
 	r.derived.Declare("own", func(*lateDerived, *Env, *wire.Decoder, *wire.Encoder) error { return nil })
 	r.late = base.Declare("late", func(obj lateBase, _ *Env, _ *wire.Decoder, reply *wire.Encoder) error {
 		reply.PutString(obj.who())
@@ -968,7 +968,7 @@ func TestExtendInheritsLaterMethods(t *testing.T) {
 	nodes, stop := startCluster(t, transport.NewInproc(transport.LinkModel{}), 1)
 	defer stop()
 	c := nodes[0].client
-	ref, err := r.derived.New(bg, c, 0, nil)
+	ref, err := r.derived.New(bg, c, 0, struct{}{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,54 +12,63 @@ import (
 // "compiler-generated protocol" the paper assumes, rendered with Go
 // generics instead of a compiler pass:
 //
-//   - RegisterClass[T] declares a class and returns a Class[T] handle
-//     whose method callbacks receive the object already asserted to T.
+//   - RegisterClass declares a class from its constructor's argument codec
+//     and returns a Class[T, C] handle whose method callbacks receive the
+//     object already asserted to T.
 //   - DeclareOp registers a method from its argument and result codecs
 //     and a body over decoded values, and returns its Op handle: the stub's
 //     Call and the body's arguments come from the one declaration.
-//   - Class[T].Declare registers a method that reads and writes its own
+//   - Class[T, C].Declare registers a method that reads and writes its own
 //     bytes (the bulk paths, which borrow or lend frames) and returns its
 //     Method handle.
-//   - Class[T].New constructs a remote object without a string class
-//     name at the call site.
+//   - Class[T, C].New constructs a remote object from a C, through the
+//     codec the server decodes it with.
 
 // Class is the typed handle to a registered remote class. T is the Go
 // type of the server-side object (usually a pointer type, or an interface
-// for inheritable base classes). The handle carries both halves of the
-// protocol: typed method registration on the server side and typed
-// construction on the client side.
-type Class[T any] struct {
+// for inheritable base classes) and C the type of its constructor's
+// argument. The handle carries both halves of the protocol: typed method
+// registration on the server side and typed construction on the client
+// side.
+type Class[T, C any] struct {
 	spec *ClassSpec
+	arg  wire.Codec[C]
 }
 
-// RegisterClass declares a remote class with a typed constructor and
-// returns its handle, normally from a package-level declaration (the
-// analogue of the compiler seeing the class declaration). It panics on
-// duplicate names.
-func RegisterClass[T any](name string, ctor func(env *Env, args *wire.Decoder) (T, error)) *Class[T] {
-	return &Class[T]{spec: Register(name, func(env *Env, args *wire.Decoder) (any, error) {
-		return ctor(env, args)
-	})}
+// RegisterClass declares a remote class from its constructor's argument
+// codec and a constructor over the decoded argument, and returns its
+// handle, normally from a package-level declaration (the analogue of the
+// compiler seeing the class declaration). The server decodes the whole
+// argument before the constructor runs, so a request whose argument does
+// not decode creates no object. It panics on duplicate names.
+func RegisterClass[T, C any](name string, arg wire.Codec[C], ctor func(env *Env, a C) (T, error)) *Class[T, C] {
+	return &Class[T, C]{spec: Register(name, func(env *Env, args *wire.Decoder) (any, error) {
+		a, err := arg.Get(args)
+		if err != nil {
+			return nil, fmt.Errorf("argument decode: %w", err)
+		}
+		return ctor(env, a)
+	}), arg: arg}
 }
 
 // ExtendClass registers a derived class, as RegisterClass does, that
 // inherits every method of base (the paper's process inheritance, §3). The
 // derived class has its own object type U — which must satisfy whatever
-// base's methods assert — its own constructor, and may add methods (an
-// inherited name panics like any duplicate).
-func ExtendClass[U any, T any](base *Class[T], name string, ctor func(env *Env, args *wire.Decoder) (U, error)) *Class[U] {
-	derived := RegisterClass(name, ctor)
+// base's methods assert — its own constructor and argument codec, and may
+// add methods (an inherited name panics like any duplicate).
+func ExtendClass[U, D, T, C any](base *Class[T, C], name string, arg wire.Codec[D], ctor func(env *Env, a D) (U, error)) *Class[U, D] {
+	derived := RegisterClass(name, arg, ctor)
 	derived.spec.inherit(base.spec)
 	return derived
 }
 
 // Name returns the registered class name.
-func (c *Class[T]) Name() string { return c.spec.Name() }
+func (c *Class[T, C]) Name() string { return c.spec.Name() }
 
 // Declare registers a serial method — invocations are delivered through
 // the object's mailbox and execute one at a time in arrival order, the
 // callback receiving the object as T — and returns its handle.
-func (c *Class[T]) Declare(name string, fn func(obj T, env *Env, args *wire.Decoder, reply *wire.Encoder) error) Method {
+func (c *Class[T, C]) Declare(name string, fn func(obj T, env *Env, args *wire.Decoder, reply *wire.Encoder) error) Method {
 	return declare(c.spec, name, fn, false)
 }
 
@@ -67,7 +76,7 @@ func (c *Class[T]) Declare(name string, fn func(obj T, env *Env, args *wire.Deco
 // mailbox, concurrently with the object's serial stream, and returns its
 // handle. The object is responsible for synchronizing any state such a
 // method touches.
-func (c *Class[T]) DeclareConcurrent(name string, fn func(obj T, env *Env, args *wire.Decoder, reply *wire.Encoder) error) Method {
+func (c *Class[T, C]) DeclareConcurrent(name string, fn func(obj T, env *Env, args *wire.Decoder, reply *wire.Encoder) error) Method {
 	return declare(c.spec, name, fn, true)
 }
 
@@ -119,17 +128,17 @@ func (m Method) CallAsync(ctx context.Context, client *Client, ref Ref, args Arg
 // runs, so a request whose argument does not decode is refused with the
 // object untouched. (It is a function because a Go method takes no type
 // parameters of its own.)
-func DeclareOp[T, A, R any](class *Class[T], name string, arg wire.Codec[A], res wire.Codec[R], body func(obj T, env *Env, a A) (R, error)) Op[A, R] {
+func DeclareOp[T, C, A, R any](class *Class[T, C], name string, arg wire.Codec[A], res wire.Codec[R], body func(obj T, env *Env, a A) (R, error)) Op[A, R] {
 	return declareOp(class, name, arg, res, body, false)
 }
 
 // DeclareConcurrentOp is DeclareOp for a method that executes outside the
 // object's mailbox, as DeclareConcurrent's does.
-func DeclareConcurrentOp[T, A, R any](class *Class[T], name string, arg wire.Codec[A], res wire.Codec[R], body func(obj T, env *Env, a A) (R, error)) Op[A, R] {
+func DeclareConcurrentOp[T, C, A, R any](class *Class[T, C], name string, arg wire.Codec[A], res wire.Codec[R], body func(obj T, env *Env, a A) (R, error)) Op[A, R] {
 	return declareOp(class, name, arg, res, body, true)
 }
 
-func declareOp[T, A, R any](class *Class[T], name string, arg wire.Codec[A], res wire.Codec[R], body func(obj T, env *Env, a A) (R, error), concurrent bool) Op[A, R] {
+func declareOp[T, C, A, R any](class *Class[T, C], name string, arg wire.Codec[A], res wire.Codec[R], body func(obj T, env *Env, a A) (R, error), concurrent bool) Op[A, R] {
 	m := declare(class.spec, name, func(obj T, env *Env, args *wire.Decoder, reply *wire.Encoder) error {
 		a, err := arg.Get(args)
 		if err != nil {
@@ -184,9 +193,16 @@ func (o Op[A, R]) CallAsync(ctx context.Context, client *Client, ref Ref, a A, o
 // encodes each member's request itself.
 func (o Op[A, R]) PutArgs(e *wire.Encoder, a A) { o.arg.Put(e, a) }
 
-// New constructs an object of this class on machine m — the paper's
-// "new(machine m) Class(args)" with the class resolved at compile time.
-// args may be nil for nullary constructors.
-func (c *Class[T]) New(ctx context.Context, client *Client, m int, args ArgEncoder, opts ...CallOption) (Ref, error) {
-	return client.New(ctx, m, c.spec.Name(), args, opts...)
+// New constructs an object of this class on machine m from argument a —
+// the paper's "new(machine m) Class(args)" with the class resolved at
+// compile time.
+func (c *Class[T, C]) New(ctx context.Context, client *Client, m int, a C, opts ...CallOption) (Ref, error) {
+	return client.New(ctx, m, c.spec.Name(), func(e *wire.Encoder) error {
+		c.arg.Put(e, a)
+		return nil
+	}, opts...)
 }
+
+// PutArgs appends a to e as the constructor's argument, for a spawn that
+// encodes each member's request itself.
+func (c *Class[T, C]) PutArgs(e *wire.Encoder, a C) { c.arg.Put(e, a) }

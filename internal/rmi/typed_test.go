@@ -13,19 +13,13 @@ import (
 )
 
 // typedCounter is a class written against the typed surface: registration
-// returns a Class[*typedCounter] handle, and its methods are declared with
-// their codecs, so they receive decoded arguments and callers get decoded
-// results.
+// with its start value's codec returns a Class[*typedCounter, int] handle,
+// and its methods are declared with their codecs, so they receive decoded
+// arguments and callers get decoded results.
 type typedCounter struct{ n int }
 
-var typedCounterClass = RegisterClass("test.TypedCounter",
-	func(env *Env, args *wire.Decoder) (*typedCounter, error) {
-		c := &typedCounter{}
-		if args.Remaining() > 0 {
-			c.n = args.Int()
-		}
-		return c, args.Err()
-	})
+var typedCounterClass = RegisterClass("test.TypedCounter", wire.Int,
+	func(env *Env, start int) (*typedCounter, error) { return &typedCounter{n: start}, nil })
 
 var (
 	typedAdd = DeclareOp(typedCounterClass, "add", wire.Int, wire.Int, func(c *typedCounter, env *Env, d int) (int, error) {
@@ -56,7 +50,7 @@ func TestTypedRoundTrip(t *testing.T) {
 	defer stop()
 	c := nodes[0].client
 
-	ref, err := typedCounterClass.New(bg, c, 1, counterArgs(40))
+	ref, err := typedCounterClass.New(bg, c, 1, 40)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -82,8 +76,8 @@ func TestTypedRoundTrip(t *testing.T) {
 		t.Fatalf("void: %v", err)
 	}
 
-	// A nullary construction starts at zero.
-	ref2, err := typedCounterClass.New(bg, c, 0, nil)
+	// A counter started at zero.
+	ref2, err := typedCounterClass.New(bg, c, 0, 0)
 	if err != nil {
 		t.Fatalf("handle New: %v", err)
 	}
@@ -98,6 +92,22 @@ func TestTypedRoundTrip(t *testing.T) {
 	}
 }
 
+// TestConstructorArgumentDecodedFirst: the server decodes a constructor's
+// whole argument before the constructor runs, so a request whose argument
+// does not decode is refused and creates no object.
+func TestConstructorArgumentDecodedFirst(t *testing.T) {
+	nodes, stop := startCluster(t, transport.NewInproc(transport.LinkModel{}), 1)
+	defer stop()
+	before := nodes[0].server.NumObjects()
+	_, err := nodes[0].client.New(bg, 0, typedCounterClass.Name(), nil)
+	if err == nil || !contains(err.Error(), "argument decode: "+wire.ErrTruncated.Error()) {
+		t.Fatalf("construction without its argument: %v, want an argument decode error", err)
+	}
+	if n := nodes[0].server.NumObjects(); n != before {
+		t.Fatalf("%d objects after a refused construction, want %d", n, before)
+	}
+}
+
 // TestInvokeDecodeMismatch checks that a result the caller's codec cannot
 // decode surfaces as an error instead of a zero value.
 func TestInvokeDecodeMismatch(t *testing.T) {
@@ -105,7 +115,7 @@ func TestInvokeDecodeMismatch(t *testing.T) {
 	defer stop()
 	c := nodes[0].client
 
-	ref, err := typedCounterClass.New(bg, c, 0, counterArgs(1))
+	ref, err := typedCounterClass.New(bg, c, 0, 1)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -256,7 +266,7 @@ func TestWaitAllMixed(t *testing.T) {
 	defer stop()
 	c := nodes[0].client
 
-	ref, err := typedCounterClass.New(bg, c, 0, counterArgs(0))
+	ref, err := typedCounterClass.New(bg, c, 0, 0)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -49,36 +49,37 @@ type Work struct {
 // Open releases the gate server-side (same effect as a call of WorkOpen).
 func (w *Work) Open() { w.openOnce.Do(func() { close(w.gate) }) }
 
-var workClass = rmi.RegisterClass(ClassWork, func(env *rmi.Env, args *wire.Decoder) (*Work, error) {
+// WorkClass is Work's class; its constructor takes no argument.
+var WorkClass = rmi.RegisterClass(ClassWork, wire.Void, func(env *rmi.Env, _ struct{}) (*Work, error) {
 	return &Work{gate: make(chan struct{}), parked: make(chan struct{})}, nil
 })
 
 // Work's methods; the type's doc lists their arguments and replies.
 var (
-	WorkEcho = workClass.Declare("echo", func(w *Work, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	WorkEcho = WorkClass.Declare("echo", func(w *Work, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		reply.PutBytes(args.BytesView())
 		return nil
 	})
-	WorkSleep = rmi.DeclareOp(workClass, "sleep", wire.Int, wire.Void, func(w *Work, env *rmi.Env, us int) (struct{}, error) {
+	WorkSleep = rmi.DeclareOp(WorkClass, "sleep", wire.Int, wire.Void, func(w *Work, env *rmi.Env, us int) (struct{}, error) {
 		time.Sleep(time.Duration(us) * time.Microsecond)
 		return struct{}{}, nil
 	})
-	WorkSpin = rmi.DeclareOp(workClass, "spin", wire.Int, wire.Void, func(w *Work, env *rmi.Env, us int) (struct{}, error) {
+	WorkSpin = rmi.DeclareOp(WorkClass, "spin", wire.Int, wire.Void, func(w *Work, env *rmi.Env, us int) (struct{}, error) {
 		d := time.Duration(us) * time.Microsecond
 		for start := time.Now(); time.Since(start) < d; {
 		}
 		return struct{}{}, nil
 	})
-	WorkWait = rmi.DeclareOp(workClass, "wait", wire.Void, wire.Void, func(w *Work, env *rmi.Env, _ struct{}) (struct{}, error) {
+	WorkWait = rmi.DeclareOp(WorkClass, "wait", wire.Void, wire.Void, func(w *Work, env *rmi.Env, _ struct{}) (struct{}, error) {
 		w.parkOnce.Do(func() { close(w.parked) })
 		<-w.gate
 		return struct{}{}, nil
 	})
-	WorkBind = rmi.DeclareOp(workClass, "bind", wire.RemoteRef, wire.Void, func(w *Work, env *rmi.Env, peer rmi.Ref) (struct{}, error) {
+	WorkBind = rmi.DeclareOp(WorkClass, "bind", wire.RemoteRef, wire.Void, func(w *Work, env *rmi.Env, peer rmi.Ref) (struct{}, error) {
 		w.peer = peer
 		return struct{}{}, nil
 	})
-	WorkRelay = workClass.Declare("relay", func(w *Work, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
+	WorkRelay = WorkClass.Declare("relay", func(w *Work, env *rmi.Env, args *wire.Decoder, reply *wire.Encoder) error {
 		if w.peer.IsNil() {
 			return fmt.Errorf("serve: relay with no bound peer (call bind first)")
 		}
@@ -94,7 +95,7 @@ var (
 		d.Release()
 		return nil
 	})
-	WorkOpen = rmi.DeclareConcurrentOp(workClass, "open", wire.Void, wire.Void, func(w *Work, env *rmi.Env, _ struct{}) (struct{}, error) {
+	WorkOpen = rmi.DeclareConcurrentOp(WorkClass, "open", wire.Void, wire.Void, func(w *Work, env *rmi.Env, _ struct{}) (struct{}, error) {
 		w.Open()
 		return struct{}{}, nil
 	})

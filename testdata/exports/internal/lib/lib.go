@@ -1,6 +1,6 @@
 // Package lib is the exports check's fixture: of its exports, the check
 // must flag Uncalled, OnlyTested and Dead.Len, of its handles dead and
-// deadOp, and of its by-name calls the one passed a constant.
+// deadOp, and of its by-name calls the two passed a constant.
 package lib
 
 import "fixture/internal/rmi"
@@ -12,10 +12,12 @@ func Uncalled() int { return 1 }
 func OnlyTested() int { return 2 }
 
 // Called is called by cmd/user. Of the two methods it names by name, the
-// check accepts live's handle's Name() and flags the constant.
+// check accepts live's handle's Name() and flags the constant; it flags
+// the class named by a constant too.
 func Called() string {
 	rmi.Call(live.Name())
 	rmi.Call("dead")
+	rmi.New("lib.Cell")
 	return live.Name() + liveOp.Name()
 }
 

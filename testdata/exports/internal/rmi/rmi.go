@@ -15,6 +15,9 @@ func (m Method) Name() string { return m.name }
 // Call stands in for a surface that takes a method by name.
 func Call(method string) {}
 
+// New stands in for a surface that takes a class by name.
+func New(class string) {}
+
 // Op is a handle to a remote method with the types of its argument and
 // result.
 type Op[A, R any] struct{ Method }

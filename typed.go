@@ -14,11 +14,12 @@ import (
 // cases: a class, its methods declared with their codecs (DeclareOp) and
 // called through the Op handle that returns, construction, options.
 
-// Class is the typed handle to a registered remote class: method
-// registration on the server side, construction on the client side.
-type Class[T any] = rmi.Class[T]
+// Class is the typed handle to a registered remote class whose objects are
+// Ts constructed from a C: method registration on the server side,
+// construction on the client side.
+type Class[T, C any] = rmi.Class[T, C]
 
-// Method is a remote method's handle, returned by Class[T].Declare.
+// Method is a remote method's handle, returned by Class[T, C].Declare.
 type Method = rmi.Method
 
 // Op is a remote method declared with the codecs of its argument and its
@@ -33,24 +34,27 @@ type Codec[T any] = wire.Codec[T]
 // returns it decoded as R.
 type TypedFuture[R any] = rmi.TypedFuture[R]
 
-// RegisterClass declares a remote class with a typed constructor and
-// returns its handle — the registration half of the typed surface.
-// Method callbacks receive the object already asserted to T.
-func RegisterClass[T any](name string, ctor func(env *Env, args *Decoder) (T, error)) *Class[T] {
-	return rmi.RegisterClass(name, ctor)
+// RegisterClass declares a remote class from its constructor's argument
+// codec and a constructor over the decoded argument, and returns its
+// handle — the registration half of the typed surface. Class.New encodes
+// through the same codec. Method callbacks receive the object already
+// asserted to T.
+func RegisterClass[T, C any](name string, arg Codec[C], ctor func(env *Env, a C) (T, error)) *Class[T, C] {
+	return rmi.RegisterClass(name, arg, ctor)
 }
 
 // ExtendClass registers a derived class that inherits every method of
-// base — the paper's process inheritance (§3) — under its own Go type.
-func ExtendClass[U any, T any](base *Class[T], name string, ctor func(env *Env, args *Decoder) (U, error)) *Class[U] {
-	return rmi.ExtendClass(base, name, ctor)
+// base — the paper's process inheritance (§3) — under its own Go type and
+// constructor.
+func ExtendClass[U, D, T, C any](base *Class[T, C], name string, arg Codec[D], ctor func(env *Env, a D) (U, error)) *Class[U, D] {
+	return rmi.ExtendClass(base, name, arg, ctor)
 }
 
 // DeclareOp registers a serial method of class from the codecs of its
 // argument and its result and a body over decoded values, and returns
 // its Op: the stub's call and the body's argument come from this one
 // declaration.
-func DeclareOp[T, A, R any](class *Class[T], name string, arg Codec[A], res Codec[R], body func(obj T, env *Env, a A) (R, error)) Op[A, R] {
+func DeclareOp[T, C, A, R any](class *Class[T, C], name string, arg Codec[A], res Codec[R], body func(obj T, env *Env, a A) (R, error)) Op[A, R] {
 	return rmi.DeclareOp(class, name, arg, res, body)
 }
 
@@ -100,9 +104,9 @@ func Cyclic(members, machines int) Distribution { return collection.Cyclic(membe
 // OnMachines places one member per listed machine, in order.
 func OnMachines(machines ...int) Distribution { return collection.OnMachines(machines...) }
 
-// SpawnClass constructs a collection through a typed class handle with
-// per-member packed constructor arguments.
-func SpawnClass[T any](ctx context.Context, client *Client, dist Distribution, class *Class[T], args MemberEncoder, opts ...CallOption) (*Collection[T], error) {
+// SpawnClass constructs a collection through a typed class handle, args
+// giving each member its constructor argument (nil: C's zero value).
+func SpawnClass[T, C any](ctx context.Context, client *Client, dist Distribution, class *Class[T, C], args func(m Member) C, opts ...CallOption) (*Collection[T], error) {
 	return collection.SpawnClass(ctx, client, dist, class, args, opts...)
 }
 
