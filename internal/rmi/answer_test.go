@@ -81,11 +81,12 @@ func answerServer(t *testing.T) *Server {
 }
 
 // admittedCases are requests that take an admission token — every way a
-// construction or a call can end.
+// construction or a call can end. A constructor's or a method's own error
+// is answered as it is: the client's RemoteError names the operation.
 var admittedCases = []answerCase{
 	{"good call", opCall, callOf(1, "echo", func(e *wire.Encoder) { e.PutBytes([]byte("payload")) }), ""},
-	{"method returns an error", opCall, callOf(2, "fail", nil), "test.Counter.fail: deliberate failure"},
-	{"method panics", opCall, callOf(2, "explode", nil), "test.Counter.explode: method panic: kaboom"},
+	{"method returns an error", opCall, callOf(2, "fail", nil), "deliberate failure"},
+	{"method panics", opCall, callOf(2, "explode", nil), "method panic: kaboom"},
 	{"no such method", opCall, callOf(2, "nope", nil), "rmi: no such method: test.Counter.nope"},
 	{"no such object", opCall, callOf(99, "get", nil), "rmi: no such object: machine 0 object 99"},
 	{"call to a terminated object", opCall, callOf(3, "get", nil), "rmi: no such object: machine 0 object 3 (terminated)"},
@@ -94,8 +95,8 @@ var admittedCases = []answerCase{
 	{"truncated call header", opCall, func(e *wire.Encoder) { e.PutUvarint(2); e.PutUvarint(40); e.PutByte('g') }, "wire: truncated input"},
 	{"truncated new header", opNew, func(e *wire.Encoder) { e.PutUvarint(40); e.PutByte('t') }, "wire: truncated input"},
 	{"unknown class", opNew, newOf("test.Nope", nil), `rmi: no such class: "test.Nope"`},
-	{"constructor fails", opNew, newOf("test.Counter", func(e *wire.Encoder) { e.PutInt(-1) }), "constructing test.Counter: negative start -1"},
-	{"constructor panics", opNew, newOf("test.CounterBoom", nil), "constructing test.CounterBoom: constructor panic: constructor kaboom"},
+	{"constructor fails", opNew, newOf("test.Counter", func(e *wire.Encoder) { e.PutInt(-1) }), "negative start -1"},
+	{"constructor panics", opNew, newOf("test.CounterBoom", nil), "constructor panic: constructor kaboom"},
 	{"constructor succeeds", opNew, newOf("test.Counter", func(e *wire.Encoder) { e.PutInt(7) }), ""},
 }
 
@@ -104,7 +105,7 @@ var admittedCases = []answerCase{
 // or under another request id.
 func ask(t *testing.T, srv *Server, conn transport.Conn, sent <-chan []byte, id uint64, c answerCase) (*wire.Decoder, string) {
 	t.Helper()
-	srv.dispatch(conn, requestFrame(id, PrioNormal, c.op, c.rest), nil)
+	srv.dispatch(&connReader{Conn: conn}, requestFrame(id, PrioNormal, c.op, c.rest), nil)
 	return readAnswer(t, sent, id, c.name)
 }
 
@@ -206,8 +207,9 @@ func TestSlotIsFreeWhenReplyLeaves(t *testing.T) {
 		}
 
 		id += 2
-		open := srv.dispatch(tap, requestFrame(id-1, PrioNormal|leadGroupFlag, c.op, c.rest), nil)
-		srv.dispatch(tap, requestFrame(id, PrioHigh, opPing, nil), open)
+		r := &connReader{Conn: tap}
+		open := srv.dispatch(r, requestFrame(id-1, PrioNormal|leadGroupFlag, c.op, c.rest), nil)
+		srv.dispatch(r, requestFrame(id, PrioHigh, opPing, nil), open)
 		if got := answersOf(t, tap.sent, 2, c.name+", grouped"); got[id-1] != c.want || got[id] != "" {
 			t.Errorf("%s, grouped: answered %q, want %q", c.name, got[id-1], c.want)
 		}
@@ -230,7 +232,7 @@ func TestGroupEndsWithItsConnection(t *testing.T) {
 	}
 	tap := newTapConn()
 	srv.connWG.Add(1)
-	go srv.serveConn(tap)
+	go srv.serveConn(&connReader{Conn: tap})
 	for id, call := range []func(e *wire.Encoder){
 		callOf(1, "echo", func(e *wire.Encoder) { e.PutBytes(nil) }),
 		callOf(gate.Object, "hold", nil),
@@ -296,7 +298,7 @@ func TestEveryRequestIsAnsweredOnce(t *testing.T) {
 	srv.SetAdmission(AdmissionConfig{Capacity: [NumPriorities]int{PrioNormal: 1}})
 	id++
 	parked := id
-	srv.dispatch(tap, requestFrame(parked, PrioNormal, opCall, callOf(gate.Object, "hold", nil)), nil)
+	srv.dispatch(&connReader{Conn: tap}, requestFrame(parked, PrioNormal, opCall, callOf(gate.Object, "hold", nil)), nil)
 	const full = "rmi: machine overloaded: machine 0 normal class full (1 in flight); retry after …"
 	next(answerCase{"shed new", opNew, newOf("test.Counter", nil), full})
 	next(answerCase{"shed call", opCall, callOf(1, "echo", nil), full})
@@ -323,13 +325,14 @@ func TestEveryRequestIsAnsweredOnce(t *testing.T) {
 		{PrioHigh, answerCase{"grouped parked call", opCall, callOf(gated.Object, "hold", nil), ""}},
 	}
 	gtap := newTapConn()
+	gr := &connReader{Conn: gtap}
 	grouped := id + 1
 	var g *replyGroup
 	for _, m := range group {
 		id++
-		g = srv.dispatch(gtap, requestFrame(id, m.prio|leadGroupFlag, m.op, m.rest), g)
+		g = srv.dispatch(gr, requestFrame(id, m.prio|leadGroupFlag, m.op, m.rest), g)
 	}
-	srv.dispatch(gtap, []byte{byte(PrioHigh) | leadGroupFlag, 0x80}, g)
+	srv.dispatch(gr, []byte{byte(PrioHigh) | leadGroupFlag, 0x80}, g)
 
 	// Draining refuses pings; the parked calls still answer, and only then
 	// does Drain return.

@@ -456,9 +456,17 @@ func overloadBackoff(err error, attempt int, maxWait time.Duration) time.Duratio
 // E12, on the hard 0-allocation gates of E14 and E17, and as ≈ +0.06 on
 // small_calls op_x_bare — where a pooled waiter, a reusable one-slot
 // channel nobody else can be waiting on, costs none.
+//
+// A call that nothing but its reply can end — its context cannot be
+// canceled, and it has no WithTimeout — asks to read that reply itself
+// (callSite.asks): when its connection has nothing else in flight and
+// nobody reading, send marks its frame waited (leadWaitedFlag), and the
+// caller, not the connection's receive loop, reads until its reply has
+// come (readOwn). So the reply crosses no goroutine to reach it.
 func (c *Client) callOnce(ctx context.Context, ref Ref, method string, args ArgEncoder, o *callOptions) (*wire.Decoder, error) {
 	w := waiterPool.Get().(*callWaiter)
 	w.callSite = callSite{machine: ref.Machine, class: ref.Class, method: method, label: o.label}
+	w.asks = o.timeout <= 0 && ctx.Done() == nil
 	reqID, e, err := c.encode(ctx, request{op: opCall, prio: PrioNormal, object: ref.Object, args: args}, &w.callSite, o)
 	var timeout <-chan time.Time
 	if err == nil {
@@ -474,6 +482,12 @@ func (c *Client) callOnce(ctx context.Context, ref Ref, method string, args ArgE
 	if err != nil {
 		w.span.End(true)
 		return nil, err
+	}
+	if w.reads {
+		r := w.cc.readOwn(w)
+		w.span.End(r.err != nil)
+		waiterPool.Put(w)
+		return r.d, r.err
 	}
 	select {
 	case r := <-w.ch:
@@ -714,13 +728,23 @@ func (c *Client) send(ctx context.Context, reqID uint64, e *wire.Encoder, pc pen
 	// Register, then bind: a timer that fires in between finds nothing to
 	// abandon and bind reports it; one that fires after bind abandons the
 	// registration itself. The other order would leave a registration
-	// behind a timer that fired between the two.
-	cc.register(reqID, pc)
+	// behind a timer that fired between the two. A connection found stale
+	// has been evicted: the request goes on a fresh one.
+	reads, stale := cc.register(reqID, pc)
+	if stale {
+		if cc, err = c.conn(dialCtx, m, o); err != nil {
+			return err
+		}
+		reads, _ = cc.register(reqID, pc)
+	}
 	if !pc.bind(cc, reqID) {
 		cc.unregister(reqID)
 		return nil
 	}
 	head, tail, giveBack := e.DetachFrame()
+	if reads {
+		head[0] |= leadWaitedFlag
+	}
 	frame := transport.Frame{Head: head, Tail: tail}
 	c.counters.MessagesSent.Add(1)
 	c.counters.BytesSent.Add(int64(frame.Len()))
@@ -730,6 +754,9 @@ func (c *Client) send(ctx context.Context, reqID uint64, e *wire.Encoder, pc pen
 	}
 	if err != nil {
 		cc.unregister(reqID)
+		if reads {
+			cc.leave()
+		}
 		return err
 	}
 	if held {
@@ -770,8 +797,10 @@ type callSite struct {
 	cc    *clientConn
 	reqID uint64
 	// held: the request's frame waits on cc for the burst it was issued
-	// in. Only the issuing goroutine reads or writes it.
-	held bool
+	// in. asks: the caller asks to read the reply itself; reads: register
+	// let it, and once sent it does. Only the issuing goroutine writes
+	// them, before send; the receive side reads asks.
+	held, asks, reads bool
 }
 
 func (s *callSite) site() *callSite { return s }
@@ -847,10 +876,17 @@ func (w *callWaiter) bind(cc *clientConn, reqID uint64) bool {
 func (w *callWaiter) complete(d *wire.Decoder, err error) { w.ch <- waitResult{d: d, err: err} }
 
 // clientConn is one multiplexed connection: a send side shared by callers
-// and a single receive loop matching responses to pending futures and
-// waiters. It knows its owner and machine so connection death can evict
-// it from the owner's cache — the eviction is what makes reconnection
-// automatic.
+// and a receive side matching responses to pending futures and waiters.
+// It knows its owner and machine so connection death can evict it from
+// the owner's cache — the eviction is what makes reconnection automatic.
+//
+// One goroutine at a time reads the connection, whoever holds its receive
+// role: the connection's receive loop (recvLoop), or a synchronous caller
+// reading its own reply (readOwn). Nobody reads a connection whose last
+// reply went to a caller that asked to read its own while nothing is
+// pending on it, so the next operation on it looks first whether its
+// machine went away meanwhile (stale), and if it did, evicts it and
+// redials.
 type clientConn struct {
 	conn    transport.Conn
 	owner   *Client
@@ -864,6 +900,14 @@ type clientConn struct {
 	mu      sync.Mutex
 	pending map[uint64]pendingCall
 	dead    error
+	// reader holds the receive role. The receive loop parks on wake while
+	// it does not, and is given it when a request is registered, or a
+	// caller reading its own reply leaves, with requests pending and
+	// nobody reading. waited is the request id of the caller reading its
+	// own reply.
+	reader role
+	waited uint64
+	wake   chan struct{}
 
 	// wmu orders what leaves on conn. held gathers the request frames of a
 	// collective's burst that wait for its flush, in issue order, heldIDs
@@ -876,23 +920,103 @@ type clientConn struct {
 	group   uint64
 }
 
+// role is who holds a connection's receive role.
+type role uint8
+
+const (
+	nobody   role = iota
+	loop          // the receive loop
+	ownReply      // a synchronous caller, reading its own reply
+)
+
 func newClientConn(conn transport.Conn, owner *Client, machine int) *clientConn {
-	cc := &clientConn{conn: conn, owner: owner, machine: machine, pending: make(map[uint64]pendingCall)}
+	cc := &clientConn{conn: conn, owner: owner, machine: machine, pending: make(map[uint64]pendingCall), wake: make(chan struct{}, 1)}
 	go cc.recvLoop()
 	return cc
 }
 
-func (cc *clientConn) register(reqID uint64, pc pendingCall) {
+// register files pc under reqID. A caller that asks to read its reply
+// itself (callSite.asks) is given the receive role when nothing else is
+// pending and nobody reads; it reports whether the caller reads
+// (callSite.reads). Any other registration with nobody reading hands the
+// role to the receive loop. One behind a caller reading its own reply
+// frees the server's reader of the connection, if it runs that caller's
+// method in this process (handOffRun): the method may be what sends it.
+//
+// Nobody has read a connection with nobody reading since its last reply,
+// so register looks first whether its peer has closed it meanwhile: if
+// so, it files nothing, ends the connection as the receive loop would
+// have on finding that out, and reports it stale — so an operation after
+// its server restarted redials instead of failing.
+func (cc *clientConn) register(reqID uint64, pc pendingCall) (reads, stale bool) {
+	s := pc.site()
 	cc.mu.Lock()
 	if cc.dead != nil {
 		err := cc.dead
 		cc.mu.Unlock()
+		s.reads = false
 		pc.complete(nil, err)
-		return
+		return false, false
 	}
+	if cc.reader == nobody && transport.PeerClosed(cc.conn) {
+		cc.mu.Unlock()
+		cc.fail(fmt.Errorf("rmi: connection lost: %w", transport.ErrClosed))
+		return false, true
+	}
+	behind, waited := cc.reader == ownReply, cc.waited
+	s.reads = s.asks && cc.reader == nobody && len(cc.pending) == 0
 	cc.pending[reqID] = pc
 	cc.inflight.Store(int64(len(cc.pending)))
+	if s.reads {
+		cc.reader, cc.waited = ownReply, reqID
+	}
+	cc.unlockWaking()
+	if behind {
+		handOffRun(waited)
+	}
+	return s.reads, false
+}
+
+// unlockWaking hands the receive role to the receive loop if requests are
+// pending and nobody reads, and unlocks mu.
+func (cc *clientConn) unlockWaking() {
+	wake := cc.reader == nobody && len(cc.pending) > 0
+	if wake {
+		cc.reader = loop
+	}
 	cc.mu.Unlock()
+	if wake {
+		cc.signal()
+	}
+}
+
+// signal wakes the receive loop, if it is parked.
+func (cc *clientConn) signal() {
+	select {
+	case cc.wake <- struct{}{}:
+	default: // a wake is on its way already
+	}
+}
+
+// leave gives up a caller's receive role.
+func (cc *clientConn) leave() {
+	cc.mu.Lock()
+	cc.reader = nobody
+	cc.unlockWaking()
+}
+
+// readOwn is the receive side of a caller that holds the receive role:
+// it receives responses as the receive loop would — its own for w,
+// others' for theirs — until its own has come, and gives the role up. A
+// connection that ends completes every pending request, w's too.
+func (cc *clientConn) readOwn(w *callWaiter) waitResult {
+	for len(w.ch) == 0 {
+		if _, ok := cc.receive(); !ok {
+			break
+		}
+	}
+	cc.leave()
+	return <-w.ch
 }
 
 // take removes reqID's registration and returns it: whoever takes a
@@ -946,72 +1070,110 @@ func (cc *clientConn) write(reqID uint64, frame transport.Frame, hold bool, grou
 		}
 	}
 	if err = cc.held.Flush(cc.conn); err != nil {
-		err = cc.sendFailed(err)
-		for _, id := range cc.heldIDs {
-			if pc, ok := cc.take(id); ok {
-				pc.complete(nil, err)
-			}
-		}
+		// The caller reports its own request; the connection's end fails
+		// the held ones, and the rest, as a failed Recv does: nobody may
+		// be reading to find the peer gone.
+		cc.take(reqID)
+		err = cc.fail(fmt.Errorf("rmi: send to machine %d: %w", cc.machine, err))
 	}
 	cc.heldIDs, cc.group = cc.heldIDs[:0], 0
 	return false, err
 }
 
+// recvLoop reads the connection while it holds the receive role.
 func (cc *clientConn) recvLoop() {
-	for {
-		frame, err := cc.conn.Recv()
-		if err != nil {
-			// The link is gone: evict this connection from the owner's
-			// cache first (so new operations redial instead of landing
-			// here), then fail every pending call with the typed cause.
-			cc.owner.forget(cc.machine, cc)
-			cc.close(&MachineDownError{Machine: cc.machine, Cause: fmt.Errorf("rmi: connection lost: %w", err)})
-			return
-		}
-		// The decoder takes ownership of the pooled frame; it travels to
-		// the caller on success and is released here on every other path.
-		d := wire.GetFrameDecoder(frame)
-		reqID := d.Uvarint()
-		status := d.Uvarint()
-		if d.Err() != nil {
-			// Unparseable response header: nothing to match it to. Count it
-			// — a nonzero RespDropped means a peer is speaking garbage.
-			cc.owner.counters.RespDropped.Add(1)
-			d.Release()
-			continue
-		}
-		pc, ok := cc.take(reqID)
-		if !ok {
-			// Response to an abandoned request (canceled, timed out, or
-			// never registered). Expected under cancellation, but counted
-			// so operators can see the orphan rate.
-			cc.owner.counters.RespOrphaned.Add(1)
-			d.Release()
-			continue
-		}
-		if status == statusOK {
-			pc.complete(d, nil)
-		} else {
-			pc.complete(nil, pc.site().remoteError(d.String()))
-			d.Release()
-		}
+	park, ok := false, true
+	for ok && cc.await(park) {
+		park, ok = cc.receive()
 	}
 }
 
-// sendFailed types the failure of a Send on this established connection.
-// If the connection was closed from this side — the client closed, the
-// failure detector's verdict — the cause it was closed with is the answer.
-// Otherwise the peer is gone and the receive loop has not noticed yet: that
-// is the machine down, as the receive loop will say in a moment, not an
-// untyped transport error for whoever asked first.
-func (cc *clientConn) sendFailed(err error) error {
+// await returns true once the receive loop holds the receive role with
+// requests pending, and false once the connection is dead. With nothing
+// pending it reads on after the reply of a caller that did not ask to
+// read its own — so a link that dies under such traffic is found out at
+// once, and a burst after a burst needs no wake — but after one that did
+// (park) it gives the role up and parks, so that the caller's next call
+// can read its own.
+func (cc *clientConn) await(park bool) bool {
 	cc.mu.Lock()
-	dead := cc.dead
-	cc.mu.Unlock()
-	if dead != nil {
-		return dead
+	for cc.dead == nil {
+		if cc.reader == loop {
+			if len(cc.pending) > 0 || !park {
+				cc.mu.Unlock()
+				return true
+			}
+			cc.reader = nobody
+		}
+		cc.mu.Unlock()
+		<-cc.wake
+		cc.mu.Lock()
 	}
-	return &MachineDownError{Machine: cc.machine, Cause: fmt.Errorf("rmi: send to machine %d: %w", cc.machine, err)}
+	cc.mu.Unlock()
+	return false
+}
+
+// receive reads one response and delivers it, and reports whether it
+// was for a caller that asked to read its own; ok is false when the link
+// is gone: then every pending call has failed with the machine down.
+func (cc *clientConn) receive() (asked, ok bool) {
+	frame, err := cc.conn.Recv()
+	if err != nil {
+		cc.fail(fmt.Errorf("rmi: connection lost: %w", err))
+		return false, false
+	}
+	return cc.deliver(frame), true
+}
+
+// deliver completes the request a response frame answers — the one way a
+// response reaches its caller, whoever read it — and reports whether that
+// caller asked to read its own reply.
+func (cc *clientConn) deliver(frame []byte) (asked bool) {
+	// The decoder takes ownership of the pooled frame; it travels to the
+	// caller on success and is released here on every other path.
+	d := wire.GetFrameDecoder(frame)
+	reqID := d.Uvarint()
+	status := d.Uvarint()
+	if d.Err() != nil {
+		// Unparseable response header: nothing to match it to. Count it —
+		// a nonzero RespDropped means a peer is speaking garbage.
+		cc.owner.counters.RespDropped.Add(1)
+		d.Release()
+		return false
+	}
+	pc, ok := cc.take(reqID)
+	if !ok {
+		// Response to an abandoned request (canceled, timed out, or never
+		// registered). Expected under cancellation, but counted so
+		// operators can see the orphan rate.
+		cc.owner.counters.RespOrphaned.Add(1)
+		d.Release()
+		return false
+	}
+	asked = pc.site().asks // before complete: a waiter is pooled after it
+	if status == statusOK {
+		pc.complete(d, nil)
+	} else {
+		pc.complete(nil, pc.site().remoteError(d.String()))
+		d.Release()
+	}
+	return asked
+}
+
+// fail ends the connection after its transport failed and returns the
+// error it ended with. If it was closed from this side already — the
+// client closed, the failure detector's verdict — that is the cause it
+// was closed with. Otherwise the peer is gone: the connection is evicted
+// from the owner's cache first (so new operations redial instead of
+// landing here), then every pending call fails with the machine down for
+// cause, not an untyped transport error.
+func (cc *clientConn) fail(cause error) error {
+	cc.owner.forget(cc.machine, cc)
+	cc.close(&MachineDownError{Machine: cc.machine, Cause: cause})
+	cc.mu.Lock()
+	err := cc.dead
+	cc.mu.Unlock()
+	return err
 }
 
 // close fails every pending future and closes the socket. A request whose
@@ -1030,6 +1192,7 @@ func (cc *clientConn) close(cause error) {
 	cc.pending = make(map[uint64]pendingCall)
 	cc.inflight.Store(0)
 	cc.mu.Unlock()
+	cc.signal() // a parked receive loop ends
 	cc.conn.Close()
 	for _, pc := range pending {
 		pc.complete(nil, cause)

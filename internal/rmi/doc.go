@@ -13,7 +13,12 @@
 // Faithful to the paper, every object *is* a process: construction spawns
 // a dedicated goroutine with a FIFO mailbox; method invocations on the
 // object execute one at a time, in arrival order, on that goroutine.
-// Distinct objects run concurrently.
+// Distinct objects run concurrently. The process may lend its turn: a
+// synchronous call whose caller waits for it (the lead byte's waited bit)
+// and finds the object idle — nothing queued, nothing running — runs on
+// the reader of the connection it came in on, and the process runs
+// nothing until it has answered. Order and mutual exclusion are the
+// mailbox's all the same; what the loan saves is goroutine hand-offs.
 //
 // # The typed surface
 //
@@ -239,12 +244,18 @@
 // A Client keeps one multiplexed connection per machine. Connection
 // lifecycle is automatic:
 //
-//   - Death and eviction. When a connection's receive loop sees the link
-//     die, every call pending on it fails with a *MachineDownError
-//     (errors.Is(err, ErrMachineDown)) naming the machine and cause, and
-//     the connection is evicted from the cache — the next operation to
-//     that machine redials. A dropped link therefore never strands a
-//     machine; a server restart heals on the next call.
+//   - Death and eviction. When whoever reads a connection — its receive
+//     loop, or a caller reading its own reply — sees the link die, or a
+//     send on it fails, every call pending on it fails with a
+//     *MachineDownError (errors.Is(err, ErrMachineDown)) naming the
+//     machine and cause, and the connection is evicted from the cache —
+//     the next operation to that machine redials. Nobody reads a
+//     connection with nothing pending whose last reply went to a caller
+//     that read it itself, so the next operation on it first looks,
+//     without waiting, whether the peer has closed it meanwhile
+//     (transport.PeerClosed) and if so evicts it and redials. A dropped
+//     link therefore never strands a machine; a server restart heals on
+//     the next call.
 //   - Exponential dial backoff. Dial retries (WithRetryDial) back off
 //     exponentially, seeded by the machine's persistent failure streak,
 //     so a dead machine is probed progressively less aggressively while
@@ -321,6 +332,21 @@
 // only in what runs in between (a constructor on its own goroutine, a
 // method through the object's mailbox or beside it when concurrent, a
 // destructor as the mailbox's last task, the control operations inline).
+// A waited call of a serial method, alone in its reply group, runs on the
+// connection's reader goroutine in the object's stead when the object is
+// idle (Server.runInline); the object stays claimed until finish has
+// written the reply and run its giveBack. A method that blocks there holds
+// up its connection for at most a tick or two: a watchdog, armed by a
+// reader's first inline run since its last tick and disarmed at the first
+// tick that finds none, looks only at those readers, and hands the
+// connection of one that has spent a whole tick (inlineTick, next to
+// closeGrace) in one method to a fresh reader; the stuck goroutine
+// finishes its method as object work (objWG, which Close waits for only
+// up to closeGrace). A client of the same process that sends a request
+// behind a waited one on its connection does not wait for the tick: it
+// hands that connection to a fresh reader at once (handOffRun), for the
+// method may be what sent it — calling back through the client that
+// called it. No timer is touched per call.
 // The record ends in exactly one finish(err), the only place a reply
 // frame is completed, and it gives things back in one order: the request
 // frame; then the bookkeeping — per-method stats, span, and the admission
@@ -332,8 +358,8 @@
 // pool; and last its one exit, the reply group, which counts and sends the
 // reply with its siblings' and retires the drain tokens AFTER that write,
 // so Drain returning means every accepted request's reply is on the wire.
-// The admission class is the lead byte's low two bits: both flags are
-// masked off before it is read.
+// The admission class is the lead byte's low two bits: the three flags
+// (trace, reply group, waited) are masked off before it is read.
 // Three classes exist: PrioHigh (control traffic; Ping, Stat, and
 // Delete default here), PrioNormal (Call and New), and PrioBulk
 // (background work; opt in with WithPriority, per call or baked into a
@@ -393,6 +419,23 @@
 // results are appended once, to the frame that leaves; a request waiting
 // in a mailbox holds no buffer.
 //
+// A synchronous call is one ping-pong, with no goroutine hand-off on
+// either side, when nothing but its reply can end it (no cancelable
+// context, no WithTimeout) and its connection has nothing else in flight:
+// the caller marks its frame waited, writes it, and reads the connection
+// itself until its reply comes (clientConn.readOwn), handing any other
+// caller's reply on as the receive loop would; the server's reader runs
+// the method on an idle object itself, and writes the reply. A call
+// through the mailbox crosses two goroutines: the reader hands the
+// request to the object's process, and the client's receive loop hands
+// the reply to the caller. The receive loop reads while no caller reads
+// its own reply and something is pending, or the last reply was for a
+// caller that did not ask to read its own (an asynchronous one, or one
+// with a cancelable context or a WithTimeout): after one that did ask it
+// parks, and is woken when a request is registered with nobody reading.
+// So the first such call after other traffic goes through the loop, and
+// the ones after it read their own.
+//
 // A method may lend its reply's tail instead of packing it: values that
 // end the reply and stay put until it has left
 // (wire.Encoder.BorrowFloat64s, with a giveBack). The reply then leaves as
@@ -402,12 +445,13 @@
 // method failing or panicking after the borrow) drops the tail and gives
 // it back at once. A reply with a tail never waits in a reply group
 // (transport.Burst.Add leaves no room after it), so for a serial method
-// the giveBack comes on the object's mailbox goroutine, before the
-// object's next serial method: the object may lend state it owns without
-// a lock of its own. pagedev's readArray answers from the page it holds
-// this way. A client request's ArgEncoder may lend the same way; its
-// giveBack runs once the request has left (such a frame is never held
-// either), or when it never will.
+// the giveBack comes on the goroutine that ran it — the object's mailbox
+// goroutine, or the reader it lent its turn to, which gives the turn back
+// only after the giveBack — and before the object's next serial method:
+// the object may lend state it owns without a lock of its own. pagedev's
+// readArray answers from the page it holds this way. A client request's
+// ArgEncoder may lend the same way; its giveBack runs once the request
+// has left (such a frame is never held either), or when it never will.
 //
 // Nor does a request take a lock that a request on another processor
 // takes. Its frames, 64 KiB or less, come from and go back to the

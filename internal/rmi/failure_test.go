@@ -2,6 +2,7 @@ package rmi
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -467,5 +468,41 @@ func TestFailingEncoderNeverDials(t *testing.T) {
 	})
 	if n := tr.dials.Load(); n != 2 {
 		t.Errorf("%d dials for two calls that were encoded, want 2", n)
+	}
+}
+
+// TestRemoteErrorNamesItsOperationOnce: the client's text of a refused
+// construction and of a failing method names the construction, or the
+// class and method, once — the server sends the constructor's or the
+// method's own error, and RemoteError names where it happened — and the
+// sentinels still match across the wire.
+func TestRemoteErrorNamesItsOperationOnce(t *testing.T) {
+	_, c := oneMachine(t)
+	_, err := c.New(bg, 0, "test.Counter", func(e *wire.Encoder) error { e.PutInt(-1); return nil })
+	if err == nil || strings.Count(err.Error(), "test.Counter") != 1 || !strings.Contains(err.Error(), "constructing test.Counter: negative start -1") {
+		t.Errorf("refused construction reads %q, want it to name test.Counter once", err)
+	}
+	ref, err := c.New(bg, 0, "test.Counter", func(e *wire.Encoder) error { e.PutInt(0); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, method := range []string{"fail", "explode"} {
+		_, err := c.Call(bg, ref, method, nil)
+		if err == nil || strings.Count(err.Error(), "test.Counter."+method) != 1 {
+			t.Errorf("failing method reads %q, want it to name test.Counter.%s once", err, method)
+		}
+	}
+	for _, tc := range []struct {
+		err  error
+		want error
+	}{
+		{c.CallAsync(bg, ref, "nope", nil).Err(bg), ErrNoSuchMethod},
+		{c.CallAsync(bg, Ref{Machine: 0, Object: 99, Class: "test.Counter"}, "get", nil).Err(bg), ErrNoSuchObject},
+		{c.NewAsync(bg, 0, "test.Nope", nil).Err(bg), ErrNoSuchClass},
+	} {
+		var remote *RemoteError
+		if !errors.Is(tc.err, tc.want) || !errors.As(tc.err, &remote) {
+			t.Errorf("%v: want a RemoteError matching %v", tc.err, tc.want)
+		}
 	}
 }

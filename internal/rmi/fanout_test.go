@@ -320,3 +320,60 @@ func BenchmarkFanOutTCP(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCallTCP is the synchronous call over real sockets: a 64 B echo
+// to one object on each of two machines, alternating, one call at a time —
+// the path of small_calls' op lane, and its profile target. bg: each call
+// has its connection to itself, so its caller reads its own reply and the
+// object's method runs on the server connection's reader. timeout: the
+// same calls WithTimeout, whose replies the receive loop reads. relay: a
+// call from machine 0's own client to an object on machine 0 whose method
+// makes the echo call to another object there through that same client,
+// on the same connection — the shape of a program on a cluster's client.
+func BenchmarkCallTCP(b *testing.B) {
+	nodes, stop := startCluster(b, transport.TCP{}, 3)
+	defer stop()
+	c := nodes[0].client
+	var refs [2]Ref
+	for i := range refs {
+		var err error
+		if refs[i], err = c.New(bg, 1+i, "test.Echo", nil); err != nil {
+			b.Fatalf("new %d: %v", i, err)
+		}
+	}
+	payload := make([]byte, 64)
+	args := func(e *wire.Encoder) error { e.PutBytes(payload); return nil }
+	run := func(b *testing.B, call func(i int) (*wire.Decoder, error)) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			d, err := call(i)
+			if err != nil {
+				b.Fatal(err)
+			}
+			d.Release()
+		}
+	}
+	b.Run("bg", func(b *testing.B) {
+		run(b, func(i int) (*wire.Decoder, error) { return c.Call(bg, refs[i&1], "echo", args) })
+	})
+	b.Run("timeout", func(b *testing.B) {
+		run(b, func(i int) (*wire.Decoder, error) {
+			return c.Call(bg, refs[i&1], "echo", args, WithTimeout(time.Minute))
+		})
+	})
+	b.Run("relay", func(b *testing.B) {
+		target, err := c.New(bg, 0, "test.Echo", nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rel := &relay{c: c, target: target}
+		ref, err := nodes[0].server.AddObject("test.Relay", rel)
+		if err != nil {
+			b.Fatal(err)
+		}
+		entry, _ := nodes[0].server.lookup(ref.Object, false)
+		rel.mb = entry.mb
+		run(b, func(int) (*wire.Decoder, error) { return c.Call(bg, ref, "relay", args) })
+	})
+}

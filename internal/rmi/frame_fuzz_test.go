@@ -73,14 +73,15 @@ func (c *tapConn) Close() error {
 }
 
 // tappedClient is a client whose connection to machine 0 is a tapConn.
-func tappedClient() (*Client, *tapConn) {
+func tappedClient() (*Client, *clientConn, *tapConn) {
 	c := NewClient(transport.NewInproc(transport.LinkModel{}), StaticDirectory{""})
 	tap := newTapConn()
 	cc := newClientConn(tap, c, 0)
 	c.mu.Lock()
 	c.conns[0] = cc
+	c.publishConns()
 	c.mu.Unlock()
-	return c, tap
+	return c, cc, tap
 }
 
 // fuzzServer is a server that holds one test.Echo object, id 1, and no
@@ -91,7 +92,7 @@ func fuzzServer(t testing.TB, newEcho []byte) (*Server, *tapConn) {
 		t.Fatal(err)
 	}
 	tap := newTapConn()
-	srv.dispatch(tap, slices.Clone(newEcho), nil)
+	srv.dispatch(&connReader{Conn: tap}, slices.Clone(newEcho), nil)
 	reply := wire.NewDecoder(awaitReply(t, tap))
 	if reply.Uvarint(); reply.Uvarint() != statusOK || reply.Uvarint() != 1 {
 		t.Fatalf("test.Echo not constructed as object 1")
@@ -135,13 +136,15 @@ func maskTraceIDs(frame []byte) []byte {
 // response frame while one call is pending: it does not panic, a frame
 // whose request id or status cannot be read (truncated, or a varint longer
 // than ten bytes) or names another request consumes no waiter, and one for
-// the pending request settles it with what follows the header. The seeds
-// are frames a client and a server really sent.
+// the pending request settles it with what follows the header — whoever
+// reads it, the receive loop or a caller reading its own reply, hands it
+// to the one delivery function there is. The seeds are frames a client and
+// a server really sent.
 func FuzzFrameHeader(f *testing.F) {
 	// Real request frames: every operation, with and without a trace
 	// header, a deadline, a priority. The first one constructs the
 	// test.Echo object the others address.
-	c, tap := tappedClient()
+	c, _, tap := tappedClient()
 	echo := Ref{Machine: 0, Object: 1, Class: "test.Echo"}
 	payload := func(e *wire.Encoder) error { e.PutBytes([]byte("payload")); return nil }
 	// A deadline whose bytes on the wire do not depend on the clock.
@@ -161,15 +164,24 @@ func FuzzFrameHeader(f *testing.F) {
 	for len(tap.sent) > 0 {
 		requests = append(requests, <-tap.sent)
 	}
-	called := make(chan struct{})
+	c.Close()
+	// The synchronous Call, issued where nothing else is in flight, on a
+	// connection of its own that numbers on from the first: its caller
+	// reads the reply itself, and the client's Close releases it.
+	c, _, tap = tappedClient()
+	c.nextID.Store(uint64(len(requests)))
+	called := make(chan error)
 	go func() {
-		defer close(called)
-		d, _ := c.Call(bg, echo, "echo", payload) // fails when the client closes
+		d, err := c.Call(bg, echo, "echo", payload)
 		d.Release()
+		called <- err
 	}()
 	requests = append(requests, awaitReply(f, tap))
+	<-tap.asked // the caller is reading
 	c.Close()
-	<-called
+	if err := <-called; !errors.Is(err, ErrClientClosed) {
+		f.Fatalf("a caller reading its own reply, released by Close: %v, want ErrClientClosed", err)
+	}
 	// The wire format is these bytes: what the client of PR 21 wrote for
 	// the same operations, trace and span id masked to one zero byte each.
 	for i, want := range []string{
@@ -181,7 +193,7 @@ func FuzzFrameHeader(f *testing.F) {
 		"81060100000109746573742e4563686f",                 // new, sampled
 		"000704", "000805", "000906", "000a4d",             // ping, stat, debug, opcode 77
 		"000b0301",                             // delete
-		"010c0201046563686f00077061796c6f6164", // Call: the frame of CallAsync
+		"210c0201046563686f00077061796c6f6164", // Call: the frame of CallAsync, marked waited
 	} {
 		if got := hex.EncodeToString(maskTraceIDs(requests[i])); got != want {
 			f.Fatalf("request %d on the wire is %s, want %s", i, got, want)
@@ -191,19 +203,21 @@ func FuzzFrameHeader(f *testing.F) {
 	// Real response frames: what a server answers each of them.
 	srv, replies := fuzzServer(f, newEcho)
 	for _, req := range requests[1:] {
-		srv.dispatch(replies, slices.Clone(req), nil)
+		srv.dispatch(&connReader{Conn: replies}, slices.Clone(req), nil)
 		f.Add(req)
 		f.Add(awaitReply(f, replies))
 	}
 	srv.Close()
 	// The two calls with arguments, untraced and traced, under each
-	// priority and marked as one of a reply group: the mark changes no
-	// class.
+	// priority and marked as one of a reply group, as waited, and as both:
+	// a mark changes no class.
 	for p := range Priority(NumPriorities) {
 		for _, req := range requests[1:3] {
-			marked := slices.Clone(req)
-			marked[0] = marked[0]&leadTraceFlag | byte(p) | leadGroupFlag
-			f.Add(marked)
+			for _, mark := range []byte{leadGroupFlag, leadWaitedFlag, leadGroupFlag | leadWaitedFlag} {
+				marked := slices.Clone(req)
+				marked[0] = marked[0]&leadTraceFlag | byte(p) | mark
+				f.Add(marked)
+			}
 		}
 	}
 	// Headers that end early, and a request id of eleven bytes — as a
@@ -226,12 +240,12 @@ func FuzzFrameHeader(f *testing.F) {
 				t.Skip("constructs a", class)
 			}
 		}
-		if got, want := clampPriority(lead), clampPriority(lead&^leadGroupFlag); got != want {
+		if got, want := clampPriority(lead), clampPriority(lead&^(leadGroupFlag|leadWaitedFlag)); got != want {
 			t.Fatalf("lead byte %#x is class %v, the same byte unmarked %v", lead, got, want)
 		}
 		srv, replies := fuzzServer(t, newEcho)
 		// A marked frame opens a reply group; the connection's end closes it.
-		srv.dispatch(replies, slices.Clone(frame), nil).close()
+		srv.dispatch(&connReader{Conn: replies}, slices.Clone(frame), nil).close()
 		if readable {
 			reply := wire.NewDecoder(awaitReply(t, replies))
 			if got := reply.Uvarint(); got != reqID || reply.Err() != nil {
@@ -244,12 +258,10 @@ func FuzzFrameHeader(f *testing.F) {
 		}
 
 		// As a response, with call number 1 pending.
-		c, tap := tappedClient()
+		c, cc, _ := tappedClient()
 		defer c.Close()
 		fut := c.CallAsync(bg, echo, "echo", nil)
-		<-tap.asked
-		tap.feed <- slices.Clone(frame)
-		<-tap.asked // the loop is back for more: the frame has been dealt with
+		cc.deliver(slices.Clone(frame))
 		hdr = wire.NewDecoder(frame)
 		reqID, status := hdr.Uvarint(), hdr.Uvarint()
 		settled := false

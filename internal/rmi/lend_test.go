@@ -144,7 +144,7 @@ func TestReplyGiveBackRunsOnce(t *testing.T) {
 
 	// Sent as a member of a group that stays open: it leaves at once.
 	id++
-	open := srv.dispatch(tap, requestFrame(id, PrioNormal|leadGroupFlag, opCall, callOf(ref.Object, "lend", lendArgs(3))), nil)
+	open := srv.dispatch(&connReader{Conn: tap}, requestFrame(id, PrioNormal|leadGroupFlag, opCall, callOf(ref.Object, "lend", lendArgs(3))), nil)
 	d, text = readAnswer(t, tap.sent, id, "grouped lend")
 	if text != "" {
 		t.Fatalf("grouped lend: %s", text)
@@ -155,8 +155,8 @@ func TestReplyGiveBackRunsOnce(t *testing.T) {
 
 	// Failed or panicked after the borrow: the error reply drops the tail.
 	for i, c := range []answerCase{
-		{"error after the borrow", opCall, callOf(ref.Object, "lendFail", lendArgs(10)), "test.Lender.lendFail: failed after lending"},
-		{"panic after the borrow", opCall, callOf(ref.Object, "lendPanic", lendArgs(10)), "test.Lender.lendPanic: method panic: lent and exploded"},
+		{"error after the borrow", opCall, callOf(ref.Object, "lendFail", lendArgs(10)), "failed after lending"},
+		{"panic after the borrow", opCall, callOf(ref.Object, "lendPanic", lendArgs(10)), "method panic: lent and exploded"},
 	} {
 		id++
 		if _, text := ask(t, srv, tap, tap.sent, id, c); text != c.want {
@@ -173,7 +173,7 @@ func TestReplyGiveBackRunsOnce(t *testing.T) {
 		e.PutVarint(1) // a deadline long past
 		e.PutInt(10)
 	}
-	if _, text := ask(t, srv, tap, tap.sent, id, answerCase{"expired", opCall, expired, ""}); !answers(text, "test.Lender.lend: expired before execution…") {
+	if _, text := ask(t, srv, tap, tap.sent, id, answerCase{"expired", opCall, expired, ""}); !answers(text, "expired before execution…") {
 		t.Errorf("expired: answered %q", text)
 	}
 	checkGiven("expired", 4)
@@ -182,7 +182,7 @@ func TestReplyGiveBackRunsOnce(t *testing.T) {
 	closed := newTapConn()
 	closed.Close()
 	id++
-	srv.dispatch(closed, requestFrame(id, PrioNormal, opCall, callOf(ref.Object, "lend", lendArgs(1000))), nil)
+	srv.dispatch(&connReader{Conn: closed}, requestFrame(id, PrioNormal, opCall, callOf(ref.Object, "lend", lendArgs(1000))), nil)
 	checkGiven("closed connection", 5)
 
 	// A client's request that lends its arguments: sent, and not sent.

@@ -316,3 +316,45 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 	}
 	t.Fatal("condition not reached in time")
 }
+
+// TestIdleConnectionHealsOnTheNextCall: a server that restarts while the
+// client's connection sits idle after a synchronous call — a connection
+// nobody reads then — is redialed by the next synchronous call, which has
+// no timeout and succeeds: the call looks whether the peer closed the
+// connection before it sends on it.
+func TestIdleConnectionHealsOnTheNextCall(t *testing.T) {
+	for _, tr := range []transport.Transport{transport.TCP{}, transport.NewInproc(transport.LinkModel{})} {
+		srv, err := NewServer(0, tr, "", nil)
+		if err != nil {
+			t.Fatalf("server: %v", err)
+		}
+		addr := srv.Addr()
+		c := NewClient(tr, StaticDirectory{addr})
+		defer c.Close()
+		ref, err := srv.AddObject("test.Echo", &echo{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 2 { // the second reads its own reply, and nobody reads after it
+			d, err := c.Call(bg, ref, methodPing, nil)
+			d.Release()
+			if err != nil {
+				t.Fatalf("%T: call before the restart: %v", tr, err)
+			}
+		}
+		srv.Close()
+		srv2, err := NewServer(0, tr, addr, nil)
+		if err != nil {
+			t.Skipf("could not rebind %s: %v", addr, err)
+		}
+		defer srv2.Close()
+		if ref, err = srv2.AddObject("test.Echo", &echo{}); err != nil {
+			t.Fatal(err)
+		}
+		d, err := c.Call(bg, ref, methodPing, nil)
+		d.Release()
+		if err != nil {
+			t.Errorf("%T: the first call after the restart: %v, want it to redial and succeed", tr, err)
+		}
+	}
+}

@@ -30,13 +30,20 @@ const mailboxShrinkCap = 64
 // instead of sliding a slice window (append + [1:]) down an ever-growing
 // backing array, and drained bursts shrink the ring back down instead of
 // pinning their high-water allocation forever.
+//
+// The process may lend its turn: a connection's reader that claims an idle
+// mailbox (claim: nothing queued, nothing running) runs one task itself,
+// and until it gives the turn back (release) the process runs nothing, so
+// the object's methods still run one at a time and in arrival order.
 type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	buf    []task // ring storage; len(buf) is the capacity
-	head   int    // index of the oldest queued task
-	n      int    // number of queued tasks
-	closed bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	buf     []task // ring storage; len(buf) is the capacity
+	head    int    // index of the oldest queued task
+	n       int    // number of queued tasks
+	closed  bool
+	running bool // the process goroutine is running tasks it popped
+	lent    bool // a reader holds the turn (claim)
 }
 
 func newMailbox() *mailbox {
@@ -86,7 +93,8 @@ func (m *mailbox) resize(capacity int) {
 func (m *mailbox) popBatch(dst []task) (int, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for m.n == 0 && !m.closed {
+	m.running = false // the batch popped last has run
+	for m.lent || m.n == 0 && !m.closed {
 		m.cond.Wait()
 	}
 	if m.n == 0 {
@@ -103,12 +111,37 @@ func (m *mailbox) popBatch(dst []task) (int, bool) {
 	}
 	m.head = (m.head + k) % len(m.buf)
 	m.n -= k
+	m.running = true
 	// Give back burst memory: halve while the ring is mostly empty, down
 	// to the shrink threshold (never below the steady-state minimum).
 	for len(m.buf) > mailboxShrinkCap && m.n <= len(m.buf)/4 {
 		m.resize(len(m.buf) / 2)
 	}
 	return k, true
+}
+
+// claim takes the object's turn for one task the caller runs itself,
+// which it may only when the object is idle: open, nothing queued, nothing
+// running. It reports whether it did; release gives the turn back.
+func (m *mailbox) claim() bool {
+	m.mu.Lock()
+	idle := !m.closed && m.n == 0 && !m.running && !m.lent
+	if idle {
+		m.lent = true
+	}
+	m.mu.Unlock()
+	return idle
+}
+
+// release gives back the turn claim took: what was queued meanwhile runs
+// on the process goroutine, after the claimed task.
+func (m *mailbox) release() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.lent = false
+	if m.n > 0 || m.closed {
+		m.cond.Signal() // the process waits for nothing else
+	}
 }
 
 // close marks the mailbox closed. Tasks already queued still run; new

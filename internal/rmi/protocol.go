@@ -14,8 +14,9 @@ import (
 //	reqID uvarint | status uvarint | error string (status!=0) or results
 //
 // The lead byte carries the priority class in its low bits (0–1), the
-// reply-group flag in bit 6 (leadGroupFlag) and the trace-presence flag in
-// bit 7 (leadTraceFlag); when the trace flag is set a trace header follows
+// waited flag in bit 5 (leadWaitedFlag), the reply-group flag in bit 6
+// (leadGroupFlag) and the trace-presence flag in bit 7 (leadTraceFlag);
+// when the trace flag is set a trace header follows
 // the op uvarint. The lead byte heads the frame as a fixed-width field so
 // a server can classify — and, under overload, shed — a request by
 // looking at frame[0], before spending any decode work on it. Responses
@@ -57,6 +58,17 @@ const leadTraceFlag = 0x80
 // never sets it, an older one among them, has every reply written by
 // itself.
 const leadGroupFlag = 0x40
+
+// leadWaitedFlag is bit 5 of the leading byte: the request's caller is
+// blocked on its reply, had nothing else in flight on the connection when
+// it sent it, and reads the reply off the connection itself
+// (clientConn.readOwn). A serial method so marked, unmarked by a reply
+// group, may run on the server connection's reader goroutine when its
+// object has nothing queued and nothing running (Server.runInline), so that
+// the call crosses no goroutine on either side. A client that never sets
+// it, an older one among them, has every call go through the object's
+// mailbox.
+const leadWaitedFlag = 0x20
 
 // decodeTraceHeader reads the optional trace header announced by lead.
 // A frame without the flag, and a frame whose trace fields are truncated
@@ -134,12 +146,12 @@ func (p Priority) String() string {
 }
 
 // clampPriority maps an arbitrary wire byte onto a valid class. The
-// trace-presence and reply-group flags are masked off first; remaining
+// trace-presence, reply-group and waited flags are masked off first; remaining
 // unknown values (a newer peer's class, a corrupt frame) degrade to
 // PrioNormal rather than failing the request: priority is a scheduling
 // hint, not a correctness bit.
 func clampPriority(b byte) Priority {
-	b &^= leadTraceFlag | leadGroupFlag
+	b &^= leadTraceFlag | leadGroupFlag | leadWaitedFlag
 	if b >= NumPriorities {
 		return PrioNormal
 	}

@@ -75,18 +75,33 @@ type Server struct {
 	drained chan struct{}
 
 	// connWG tracks transport goroutines (accept loop, per-connection
-	// readers): Close always drains these. objWG tracks object work
-	// (process goroutines, constructors, concurrent methods): Close waits
-	// for these only up to closeGrace, because a method blocked forever
-	// inside an object cannot be preempted — like a real process ignoring
-	// SIGTERM — and must not wedge machine shutdown.
+	// readers, the watchdog): Close always drains these. objWG tracks
+	// object work (process goroutines, constructors, concurrent methods,
+	// a reader the watchdog replaced): Close waits for these only up to
+	// closeGrace, because a method blocked forever inside an object cannot
+	// be preempted — like a real process ignoring SIGTERM — and must not
+	// wedge machine shutdown.
 	connWG sync.WaitGroup
 	objWG  sync.WaitGroup
+
+	// wmu guards the watchdog's state: watched lists the readers that
+	// have run a method inline since its last tick, and armed says that
+	// it runs.
+	wmu     sync.Mutex
+	watched []*connReader
+	armed   bool
 }
 
 // closeGrace bounds how long Close waits for object goroutines to finish
 // their queued work (including destructors).
 const closeGrace = 2 * time.Second
+
+// inlineTick is the watchdog's period: a connection whose reader has run
+// one method inline (runInline) for a whole tick gets a fresh reader, so a
+// method that blocks holds up what follows it on its connection by one to
+// two ticks — unless what follows comes from a client of this process,
+// which frees the connection at once (handOffRun).
+const inlineTick = time.Millisecond
 
 // objEntry is one live object: its instance, class, and process mailbox.
 type objEntry struct {
@@ -234,7 +249,7 @@ func (s *Server) acceptLoop() {
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
 		s.connWG.Add(1)
-		go s.serveConn(conn)
+		go s.serveConn(&connReader{Conn: conn})
 	}
 }
 
@@ -245,23 +260,204 @@ func (s *Server) dropConn(conn transport.Conn) {
 	conn.Close()
 }
 
-// serveConn is the per-connection read loop. It must never block on object
-// work: serial calls are enqueued, everything long-running gets its own
-// goroutine. It keeps the connection's open reply group, which the end of
-// the connection closes: the replies gathered in it still leave (or fail
-// to) and retire their drain tokens.
-func (s *Server) serveConn(conn transport.Conn) {
-	defer s.connWG.Done()
-	defer s.dropConn(conn)
+// connReader is the server's side of one accepted connection: the
+// connection, read by one goroutine at a time, and that goroutine's state
+// for the watchdog. The state counts the reader's inline runs: even while
+// it reads, odd while it runs a method inline (req is that request's id),
+// handedOff once the connection has been given to another reader — a
+// fresh connReader — while this one was in a method.
+type connReader struct {
+	transport.Conn
+	state  atomic.Uint64
+	req    atomic.Uint64
+	listed atomic.Bool // in its server's watched list
+	seen   uint64      // the state at the watchdog's last tick, under wmu
+}
+
+const handedOff = ^uint64(0)
+
+// serveConn is the per-connection read loop. It blocks on object work only
+// up to the watchdog: serial calls are enqueued, everything long-running
+// gets its own goroutine, and a waited call to an idle object runs here
+// (runInline) until it returns or the connection is handed to a fresh
+// reader, whereupon this goroutine, object work from then on, ends with
+// the method. It keeps the connection's open reply group, which the end
+// of the connection closes: the replies gathered in it still leave (or
+// fail to) and retire their drain tokens.
+func (s *Server) serveConn(r *connReader) {
 	var open *replyGroup
 	for {
-		frame, err := conn.Recv()
+		frame, err := r.Recv()
 		if err != nil {
 			open.close()
+			s.dropConn(r.Conn)
+			s.connWG.Done()
 			return
 		}
-		open = s.dispatch(conn, frame, open)
+		open = s.dispatch(r, frame, open)
+		if r.state.Load() == handedOff {
+			s.objWG.Done()
+			return
+		}
 	}
+}
+
+// runInline runs t — a waited call of a serial method, alone in its reply
+// group, whose object's turn the caller has claimed — on r's goroutine, and
+// gives the turn back once finish has written the reply and run its
+// giveBack. A reader the watchdog has not listed since its last tick is
+// listed first (watch), so no timer is touched per call.
+func (s *Server) runInline(t *callTask, r *connReader) {
+	mb := t.entry.mb
+	r.req.Store(t.reqID)
+	v := r.state.Add(1) // odd: inline
+	if !r.listed.Load() {
+		s.watch(r)
+	}
+	t.run()
+	mb.release()
+	r.state.CompareAndSwap(v, v+1) // fails once handed off
+}
+
+// watch lists r for the watchdog, and arms the watchdog if it is not
+// armed; r's connWG count keeps Close's wait from ending before the
+// watchdog's is added.
+func (s *Server) watch(r *connReader) {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if r.listed.Load() {
+		return
+	}
+	r.listed.Store(true)
+	s.watched = append(s.watched, r)
+	if !s.armed {
+		s.armed = true
+		watchdogs.set(s, true)
+		s.connWG.Add(1)
+		go s.watchdog()
+	}
+}
+
+// watchdog ticks while the server has listed readers, and disarms at the
+// first tick that leaves none.
+func (s *Server) watchdog() {
+	defer s.connWG.Done()
+	for {
+		time.Sleep(inlineTick)
+		s.wmu.Lock()
+		s.tick()
+		if len(s.watched) == 0 {
+			s.armed = false
+			watchdogs.set(s, false)
+			s.wmu.Unlock()
+			return
+		}
+		s.wmu.Unlock()
+	}
+}
+
+// tick is one look, under wmu, at the readers that have run a method
+// inline since the last: one still in the run it was in then has spent a
+// whole tick in one method, and its connection gets a fresh reader
+// (handOff); one that has run nothing since leaves the list. Leaving
+// stores listed before it looks at the state once more, and a reader
+// going inline sets its state before it looks at listed, so one of the two
+// sees the other: no inline run goes unwatched.
+func (s *Server) tick() {
+	kept := s.watched[:0]
+	for _, r := range s.watched {
+		v := r.state.Load()
+		if v == handedOff {
+			continue
+		}
+		if v == r.seen {
+			if v&1 == 1 && s.handOff(r, v) {
+				continue
+			}
+			if v&1 == 0 {
+				r.listed.Store(false)
+				if r.state.Load() == v {
+					continue
+				}
+				r.listed.Store(true)
+			}
+		}
+		r.seen = v
+		kept = append(kept, r)
+	}
+	clear(s.watched[len(kept):])
+	s.watched = kept
+}
+
+// handOff gives r's connection a fresh reader, under wmu, if r is still in
+// inline run v and the server serves the connection (one whose requests
+// come by other means has no reader to replace). The fresh reader takes
+// over r's connWG count, and r, object work from then on, counts in objWG
+// until its method returns. mu keeps the connection from being dropped,
+// and so Close from waiting on objWG, before the count has moved.
+func (s *Server) handOff(r *connReader, v uint64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, served := s.conns[r.Conn]; !served {
+		return false
+	}
+	s.objWG.Add(1) // before the swap: the method may return at once
+	if !r.state.CompareAndSwap(v, handedOff) {
+		s.objWG.Done()
+		return false
+	}
+	go s.serveConn(&connReader{Conn: r.Conn})
+	return true
+}
+
+// handOffRun gives a fresh reader to every connection whose reader, in a
+// server of this process, runs request reqID inline. A client calls it
+// when it sends a request behind a waited one on the same connection: the
+// waited call's method may be what sends it — calling back through the
+// client that called it — and would otherwise wait for the watchdog's
+// tick to have it read. Request ids are unique per client only, so
+// another connection's reader may be replaced too, which costs a
+// goroutine and nothing else.
+func handOffRun(reqID uint64) {
+	list := watchdogs.servers.Load()
+	if list == nil {
+		return
+	}
+	for _, s := range *list {
+		s.wmu.Lock()
+		for _, r := range s.watched {
+			if v := r.state.Load(); v&1 == 1 && v != handedOff && r.req.Load() == reqID {
+				s.handOff(r, v)
+			}
+		}
+		s.wmu.Unlock()
+	}
+}
+
+// watchdogList lists the servers of this process whose watchdog is armed,
+// as a published copy that is never written: handOffRun reads it without
+// a lock.
+type watchdogList struct {
+	mu      sync.Mutex
+	servers atomic.Pointer[[]*Server]
+}
+
+var watchdogs watchdogList
+
+// set puts s on the list, or takes it off.
+func (w *watchdogList) set(s *Server, armed bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	var list []*Server
+	if p := w.servers.Load(); p != nil {
+		list = slices.Clone(*p)
+	}
+	if armed {
+		list = append(list, s)
+	} else {
+		list = slices.DeleteFunc(list, func(x *Server) bool { return x == s })
+	}
+	w.servers.Store(&list)
 }
 
 // callTask is one request, from the frame that carried it to the frame
@@ -285,6 +481,7 @@ type callTask struct {
 	entry    *objEntry
 	me       methodEntry // zero me.fn marks the built-in ping (nothing to run)
 	deadline int64       // client deadline, unix nanos (0 = none)
+	inline   *connReader // may run the call itself: a waited request alone in its group; nil otherwise
 
 	env   *Env               // handler environment (per-call view when traced)
 	span  *trace.Span        // server span of a sampled request; nil otherwise
@@ -303,11 +500,12 @@ var epoch = time.Now()
 // reports (errors.Is matches context.DeadlineExceeded across the wire).
 var errExpired = fmt.Errorf("expired before execution: %v", context.DeadlineExceeded)
 
-// dispatch decodes one request frame into a record, files it into the
-// connection's reply grouping — open is the group open before the frame
-// (nil: none), and the one open after it is returned — and routes it. The
-// record owns the pooled decoder and the frame under it until finish.
-func (s *Server) dispatch(conn transport.Conn, frame []byte, open *replyGroup) *replyGroup {
+// dispatch decodes one request frame that r read into a record, files it
+// into the connection's reply grouping — open is the group open before
+// the frame (nil: none), and the one open after it is returned — and
+// routes it; a waited request alone in its group may run on r (runInline).
+// The record owns the pooled decoder and the frame under it until finish.
+func (s *Server) dispatch(r *connReader, frame []byte, open *replyGroup) *replyGroup {
 	d := wire.GetFrameDecoder(frame)
 	lead := d.Byte()
 	reqID := d.Uvarint()
@@ -319,17 +517,20 @@ func (s *Server) dispatch(conn transport.Conn, frame []byte, open *replyGroup) *
 		open.close()
 		return nil
 	}
-	if open == nil {
-		open = replyGroupPool.Get().(*replyGroup)
-		open.s, open.conn = s, conn
-	}
+	t := callTaskPool.Get().(*callTask)
 	marked := lead&leadGroupFlag != 0
+	if open == nil {
+		if lead&(leadWaitedFlag|leadGroupFlag) == leadWaitedFlag {
+			t.inline = r
+		}
+		open = replyGroupPool.Get().(*replyGroup)
+		open.s, open.conn = s, r.Conn
+	}
 	open.mu.Lock()
 	open.pending++
 	open.closed = !marked
 	open.mu.Unlock()
-	t := callTaskPool.Get().(*callTask)
-	t.s, t.conn, t.reqID, t.args, t.group = s, conn, reqID, d, open
+	t.s, t.conn, t.reqID, t.args, t.group = s, r.Conn, reqID, d, open
 	s.route(t, lead, op)
 	if !marked {
 		return nil // the group is closed, and may be answered already
@@ -603,7 +804,8 @@ func (s *Server) callEnv(tc trace.SpanContext, nameIfSampled func() string) (*En
 }
 
 // handleNew constructs and adopts an object of class and writes its id
-// as t's answer, or returns the error to send back.
+// as t's answer, or returns the error to send back: the constructor's own,
+// which the client's RemoteError names the construction of.
 func (s *Server) handleNew(t *callTask, class string, tc trace.SpanContext) error {
 	cl, ok := LookupClass(class)
 	if !ok {
@@ -613,7 +815,7 @@ func (s *Server) handleNew(t *callTask, class string, tc trace.SpanContext) erro
 	env, t.span = s.callEnv(tc, func() string { return "serve new " + class })
 	obj, err := s.construct(cl, env, t.args)
 	if err != nil {
-		return fmt.Errorf("constructing %s: %w", class, err)
+		return err
 	}
 	id, err := s.adopt(cl, obj, 0)
 	if err != nil {
@@ -746,10 +948,11 @@ func (s *Server) Object(id uint64) (any, bool) {
 
 // handleCall routes one method invocation: a serial method (and the
 // built-in ping, whose completion through the mailbox is the point) is
-// queued for the object's process, a concurrent one gets its own
-// goroutine so the object can accept peer pushes while busy in a long
-// serial method. Decoder views (method, and the arguments a handler
-// reads) stay valid until finish.
+// queued for the object's process — or, for a waited call when the object
+// is idle, run on the reader in the process's stead (runInline) — and a
+// concurrent one gets its own goroutine so the object can accept peer
+// pushes while busy in a long serial method. Decoder views (method, and
+// the arguments a handler reads) stay valid until finish.
 func (s *Server) handleCall(t *callTask, objID uint64, method []byte, tc trace.SpanContext) {
 	entry, err := s.lookup(objID, false)
 	if err != nil {
@@ -774,13 +977,18 @@ func (s *Server) handleCall(t *callTask, objID uint64, method []byte, tc trace.S
 			return
 		}
 	}
+	if r := t.inline; r != nil && entry.mb.claim() {
+		s.runInline(t, r)
+		return
+	}
 	if !entry.mb.push(t) {
 		t.finish(fmt.Errorf("%w: machine %d object %d (terminated)", ErrNoSuchObject, s.machine, objID))
 	}
 }
 
 // run is the record as a mailbox task: execute the method, its results
-// appended straight to the outgoing frame, and finish.
+// appended straight to the outgoing frame, and finish. The error is the
+// method's own: the client's RemoteError names the class and method.
 func (t *callTask) run() {
 	if t.me.fn == nil { // ping
 		t.finish(nil)
@@ -792,9 +1000,6 @@ func (t *callTask) run() {
 		err = errExpired
 	} else {
 		err = t.s.invoke(t.me.fn, t.env, t.entry, t.args, t.answer())
-	}
-	if err != nil {
-		err = fmt.Errorf("%s.%s: %w", t.entry.class.name, t.me.name, err)
 	}
 	t.finish(err)
 }

@@ -95,12 +95,14 @@ func TestTraceHeaderGarbage(t *testing.T) {
 	}
 }
 
-// TestClampPriorityMasksTraceFlag: the trace bit must never leak into
-// the admission class.
+// TestClampPriorityMasksTraceFlag: the trace bit — nor the reply-group
+// and waited bits — must never leak into the admission class.
 func TestClampPriorityMasksTraceFlag(t *testing.T) {
 	for p := Priority(0); p < NumPriorities; p++ {
-		if got := clampPriority(byte(p) | leadTraceFlag); got != p {
-			t.Fatalf("clampPriority(%#x) = %v, want %v", byte(p)|leadTraceFlag, got, p)
+		for _, flags := range []byte{leadTraceFlag, leadGroupFlag, leadWaitedFlag, leadTraceFlag | leadGroupFlag | leadWaitedFlag} {
+			if got := clampPriority(byte(p) | flags); got != p {
+				t.Fatalf("clampPriority(%#x) = %v, want %v", byte(p)|flags, got, p)
+			}
 		}
 	}
 	if got := clampPriority(0x80 | 0x55); got != PrioNormal {

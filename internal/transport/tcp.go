@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"syscall"
 
 	"oopp/internal/bufpool"
 )
@@ -103,6 +104,14 @@ type tcpConn struct {
 	rbuf       [readAhead]byte
 	rpos, rend int
 	recvErr    error
+
+	// raw is the socket under nc, for peerClosed (nil if nc has none),
+	// and peek the look it takes there, made at the first look so that a
+	// look allocates nothing; peekEOF is what the last look saw. Guarded
+	// by recvMu.
+	raw     syscall.RawConn
+	peek    func(fd uintptr) bool
+	peekEOF bool
 }
 
 func newTCPConn(nc net.Conn) *tcpConn {

@@ -80,6 +80,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"syscall"
 
 	"oopp/internal/bufpool"
 )
@@ -199,3 +200,49 @@ func GetFrame(n int) []byte { return bufpool.GetLen(n) }
 // (typically after decoding a frame returned by Recv). The caller must
 // hold the only reference.
 func ReleaseFrame(b []byte) { bufpool.Put(b) }
+
+// PeerClosed reports whether c's peer is known to have closed it, by a
+// look that neither waits nor takes anything off the connection: so a
+// connection nobody has read for a while finds out that its peer went
+// away meanwhile before it sends on it. A Conn that cannot tell — a
+// wrapper of one of this package's, say — reports false. It and the
+// looks below sit at the end of the package so that they move none of
+// its other functions in memory: the benchmark's quotients are sensitive
+// to code placement.
+func PeerClosed(c Conn) bool {
+	p, ok := c.(interface{ peerClosed() bool })
+	return ok && p.peerClosed()
+}
+
+// peerClosed reports whether either end has closed the connection,
+// whatever it still holds to read.
+func (c *inprocConn) peerClosed() bool {
+	select {
+	case <-c.shared.closed:
+		return true
+	default:
+		return false
+	}
+}
+
+// peerClosed reports whether the peer has closed the stream and every
+// byte it sent before has been read: the stream is at its end, or broken.
+// It asks the socket without waiting (peekEOF) and takes nothing off it.
+func (c *tcpConn) peerClosed() bool {
+	c.recvMu.Lock()
+	closed := c.recvErr != nil
+	if !closed && c.rpos == c.rend {
+		if c.peek == nil {
+			if sc, ok := c.nc.(syscall.Conn); ok {
+				c.raw, _ = sc.SyscallConn() // nil if it has none: no look
+			}
+			c.peek = func(fd uintptr) bool { c.peekEOF = peekEOF(fd); return true }
+		}
+		if c.raw != nil {
+			// An error is a connection closed from this side.
+			closed = c.raw.Read(c.peek) != nil || c.peekEOF
+		}
+	}
+	c.recvMu.Unlock()
+	return closed
+}

@@ -683,3 +683,57 @@ func benchRoundTrip(b *testing.B, tr Transport) {
 		msg = got
 	}
 }
+
+// TestPeerClosed: a connection whose peer is open, or has sent bytes not
+// yet read, is not reported closed, and one whose peer has closed it —
+// every byte before the close read — is; a wrapper cannot tell.
+func TestPeerClosed(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, tr Transport) {
+		l, err := tr.Listen("")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		defer l.Close()
+		accepted := make(chan Conn, 1)
+		go func() {
+			c, err := l.Accept()
+			if err != nil {
+				close(accepted)
+				return
+			}
+			accepted <- c
+		}()
+		c, err := tr.Dial(l.Addr())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer c.Close()
+		peer, ok := <-accepted
+		if !ok {
+			t.Fatal("accept failed")
+		}
+		if PeerClosed(c) {
+			t.Fatal("an open connection is reported closed")
+		}
+		if err := peer.Send([]byte("unread")); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+		peer.Close()
+		if tr.Name() == "tcp" && PeerClosed(c) {
+			t.Fatal("a connection with a message still to read is reported closed")
+		}
+		if msg, err := c.Recv(); err != nil || string(msg) != "unread" {
+			t.Fatalf("recv: %q, %v", msg, err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for !PeerClosed(c) {
+			if time.Now().After(deadline) {
+				t.Fatal("a connection its peer closed is not reported closed")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if PeerClosed(struct{ Conn }{c}) {
+			t.Error("a wrapper of a connection reports it closed")
+		}
+	})
+}
