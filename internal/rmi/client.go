@@ -730,12 +730,12 @@ func (c *Client) send(ctx context.Context, reqID uint64, e *wire.Encoder, pc pen
 	// registration itself. The other order would leave a registration
 	// behind a timer that fired between the two. A connection found stale
 	// has been evicted: the request goes on a fresh one.
-	reads, stale := cc.register(reqID, pc)
+	reads, stale := cc.register(reqID, pc, o.group)
 	if stale {
 		if cc, err = c.conn(dialCtx, m, o); err != nil {
 			return err
 		}
-		reads, _ = cc.register(reqID, pc)
+		reads, _ = cc.register(reqID, pc, o.group)
 	}
 	if !pc.bind(cc, reqID) {
 		cc.unregister(reqID)
@@ -908,6 +908,10 @@ type clientConn struct {
 	reader role
 	waited uint64
 	wake   chan struct{}
+	// lastGroup is the reply group of the collective's member registered
+	// last (0: none yet), and groupLo and groupHi are the request ids of
+	// its first and last members on this connection.
+	lastGroup, groupLo, groupHi uint64
 
 	// wmu orders what leaves on conn. held gathers the request frames of a
 	// collective's burst that wait for its flush, in issue order, heldIDs
@@ -935,20 +939,22 @@ func newClientConn(conn transport.Conn, owner *Client, machine int) *clientConn 
 	return cc
 }
 
-// register files pc under reqID. A caller that asks to read its reply
-// itself (callSite.asks) is given the receive role when nothing else is
-// pending and nobody reads; it reports whether the caller reads
-// (callSite.reads). Any other registration with nobody reading hands the
-// role to the receive loop. One behind a caller reading its own reply
-// frees the server's reader of the connection, if it runs that caller's
-// method in this process (handOffRun): the method may be what sends it.
+// register files pc — of reply group group (0: none) — under reqID. A
+// caller that asks to read its reply itself (callSite.asks) is given the
+// receive role when nothing else is pending and nobody reads; it reports
+// whether the caller reads (callSite.reads). Any other registration with
+// nobody reading hands the role to the receive loop. One behind a caller
+// reading its own reply, or a request of no group behind a group whose
+// last member here is unanswered, frees the server's reader of the
+// connection if it runs that caller's method, or one of the group's, in
+// this process (handOffRun): the method may be what sends it.
 //
 // Nobody has read a connection with nobody reading since its last reply,
 // so register looks first whether its peer has closed it meanwhile: if
 // so, it files nothing, ends the connection as the receive loop would
 // have on finding that out, and reports it stale — so an operation after
 // its server restarted redials instead of failing.
-func (cc *clientConn) register(reqID uint64, pc pendingCall) (reads, stale bool) {
+func (cc *clientConn) register(reqID uint64, pc pendingCall, group uint64) (reads, stale bool) {
 	s := pc.site()
 	cc.mu.Lock()
 	if cc.dead != nil {
@@ -963,7 +969,17 @@ func (cc *clientConn) register(reqID uint64, pc pendingCall) (reads, stale bool)
 		cc.fail(fmt.Errorf("rmi: connection lost: %w", transport.ErrClosed))
 		return false, true
 	}
-	behind, waited := cc.reader == ownReply, cc.waited
+	behind, lo, hi := cc.reader == ownReply, cc.waited, cc.waited
+	switch {
+	case group != 0:
+		if group != cc.lastGroup {
+			cc.lastGroup, cc.groupLo = group, reqID
+		}
+		cc.groupHi = reqID
+	case !behind && len(cc.pending) > 0 && cc.lastGroup != 0:
+		_, behind = cc.pending[cc.groupHi]
+		lo, hi = cc.groupLo, cc.groupHi
+	}
 	s.reads = s.asks && cc.reader == nobody && len(cc.pending) == 0
 	cc.pending[reqID] = pc
 	cc.inflight.Store(int64(len(cc.pending)))
@@ -972,7 +988,7 @@ func (cc *clientConn) register(reqID uint64, pc pendingCall) (reads, stale bool)
 	}
 	cc.unlockWaking()
 	if behind {
-		handOffRun(waited)
+		handOffRun(cc.machine, lo, hi)
 	}
 	return s.reads, false
 }

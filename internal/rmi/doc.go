@@ -128,7 +128,9 @@
 // never held; the collective waits for every member anyway. A reply after
 // which the group has no room for another leaves at once with those
 // gathered before it; a frame dropped as undecodable, and the end of the
-// connection, close the group.
+// connection, close the group. A member whose method is quick runs on the
+// reader that read it (below), so a collective's share of one machine runs
+// in the read it came in, with no wake of the objects' goroutines.
 //
 // A frame over 64 MiB fails its own request and nothing else, on every
 // transport: the burst refuses it with transport.ErrFrameTooLarge. A
@@ -332,21 +334,40 @@
 // only in what runs in between (a constructor on its own goroutine, a
 // method through the object's mailbox or beside it when concurrent, a
 // destructor as the mailbox's last task, the control operations inline).
-// A waited call of a serial method, alone in its reply group, runs on the
-// connection's reader goroutine in the object's stead when the object is
-// idle (Server.runInline); the object stays claimed until finish has
-// written the reply and run its giveBack. A method that blocks there holds
-// up its connection for at most a tick or two: a watchdog, armed by a
-// reader's first inline run since its last tick and disarmed at the first
-// tick that finds none, looks only at those readers, and hands the
+// Two kinds of request run on the connection's reader goroutine in the
+// object's stead when the object is idle (Server.runInline): a waited call
+// of a serial method, alone in its reply group, and a member of a reply
+// group of several — a collective's request that is marked or closes an
+// open group — calling a serial method or the object ping. The object
+// stays claimed until finish has written the reply, or added it to its
+// group, and run its giveBack. A member runs there only if its method is
+// quick: its last request on this server took under inlineQuick (next to
+// inlineTick), read off the clock finish already reads, in the method's
+// one record per server (methodRecord, beside its telemetry). A method
+// never seen on the server runs in its mailbox first. And it runs there
+// only while the members of its group have spent less than memberBudget on
+// that reader: the rest go to their mailboxes and run in parallel. The
+// budget is set from BenchmarkFanOutSpinTCP: a group within it saves its
+// wakes, and one past it costs about a wake more than in the mailboxes. A method that blocks there
+// holds up its connection for at most a tick or two: a watchdog, armed by
+// a reader's first inline run since its last tick and disarmed at the
+// first tick that finds none, looks only at those readers, and hands the
 // connection of one that has spent a whole tick (inlineTick, next to
-// closeGrace) in one method to a fresh reader; the stuck goroutine
-// finishes its method as object work (objWG, which Close waits for only
-// up to closeGrace). A client of the same process that sends a request
-// behind a waited one on its connection does not wait for the tick: it
-// hands that connection to a fresh reader at once (handOffRun), for the
-// method may be what sent it — calling back through the client that
-// called it. No timer is touched per call.
+// closeGrace) in one method to a fresh reader, which carries on the reply
+// group open after that method's request, so the members behind it join
+// the group it joined; the stuck goroutine finishes its method as object
+// work (objWG, which Close waits for only up to closeGrace). A client of
+// the same process that sends a request on a connection behind a waited
+// one, or behind the unanswered members of a reply group, does not wait
+// for the tick: it hands that connection to a fresh reader at once
+// (handOffRun), for the method may be what sent it — calling back through
+// the client that called it. A method whose runs on the reader are handed
+// off so twice in a row is marked, and runs in its mailbox, waited or
+// not, but for one request in 64 that looks again; a run that returns on
+// its reader clears the count. So a request that another goroutine of the
+// client sent during the run by chance marks nothing for long. The
+// watchdog's tick counts nothing, for a method may be slow only once. No
+// timer is touched per call.
 // The record ends in exactly one finish(err), the only place a reply
 // frame is completed, and it gives things back in one order: the request
 // frame; then the bookkeeping — per-method stats, span, and the admission

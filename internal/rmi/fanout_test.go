@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -29,6 +30,18 @@ func init() {
 		}
 		return &echo{}, nil
 	})
+
+	// spin busies its caller's goroutine for the time its argument
+	// gives, in nanoseconds.
+	Register("test.Spin", func(env *Env, args *wire.Decoder) (any, error) {
+		return &echo{}, nil
+	}).
+		Method("spin", func(obj any, env *Env, args *wire.Decoder, reply *wire.Encoder) error {
+			d := time.Duration(args.Int())
+			for start := time.Now(); time.Since(start) < d; {
+			}
+			return args.Err()
+		})
 }
 
 // TestFanOutJoinsAllErrors verifies the collective error contract:
@@ -318,6 +331,40 @@ func BenchmarkFanOutTCP(b *testing.B) {
 		if err := FanOut(bg, c, refs, "echo", args, collect, DefaultWindow); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFanOutSpinTCP is one collective over real sockets of eight
+// members on one machine whose method spins for 1 to 30 µs: it measures
+// where running a reply group's members one after another on the
+// connection's reader stops paying against waking each in its mailbox
+// (memberBudget). inline/op counts the members run on the reader.
+func BenchmarkFanOutSpinTCP(b *testing.B) {
+	const members = 8
+	nodes, stop := startCluster(b, transport.TCP{}, 2)
+	defer stop()
+	c := nodes[0].client
+	refs := make([]Ref, members)
+	for i := range refs {
+		var err error
+		if refs[i], err = c.New(bg, 1, "test.Spin", nil); err != nil {
+			b.Fatalf("new %d: %v", i, err)
+		}
+	}
+	for _, us := range []int{1, 2, 4, 8, 15, 30} {
+		spin := time.Duration(us) * time.Microsecond
+		args := func(_ int, e *wire.Encoder) error { e.PutInt(int(spin)); return nil }
+		b.Run(fmt.Sprintf("%dus", us), func(b *testing.B) {
+			runs := new(atomic.Int64)
+			memberRuns.Store(runs)
+			defer memberRuns.Store(nil)
+			for i := 0; i < b.N; i++ {
+				if err := FanOut(bg, c, refs, "spin", args, nil, DefaultWindow); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(runs.Load())/float64(b.N), "inline/op")
+		})
 	}
 }
 

@@ -33,14 +33,15 @@ type Server struct {
 	listener transport.Listener
 
 	// The machine's telemetry registry, served raw by the opDebug
-	// introspection op. stats is the always-on per-method part: one
-	// latency histogram plus outcome counters per class.method, indexed by
-	// methodEntry.index, in a published table that is never written, which
-	// methodStats replaces, under mu, on a method's first call here.
-	// counters is the machine's counters (Env.Counters), which Close
-	// closes: the replies sent and the requests admission shed count
+	// introspection op. stats is the always-on per-method part: one record
+	// per class.method (methodRecord: a latency histogram, outcome
+	// counters, and what decides whether the method may run on a reader),
+	// indexed by methodEntry.index, in a published table that is never
+	// written, which methodStats replaces, under mu, on a method's first
+	// call here. counters is the machine's counters (Env.Counters), which
+	// Close closes: the replies sent and the requests admission shed count
 	// there; the requests that expired are the methods' Expired.
-	stats    atomic.Pointer[[]*trace.MethodStats]
+	stats    atomic.Pointer[[]*methodRecord]
 	counters *metrics.Registry
 
 	// objects is the live object table. adopt, a take and Close write it
@@ -103,6 +104,52 @@ const closeGrace = 2 * time.Second
 // which frees the connection at once (handOffRun).
 const inlineTick = time.Millisecond
 
+// inlineQuick is how long a collective's member may have taken, last time
+// its method was called here, queueing included, to run on the reader. It
+// leaves out the methods that block or are slow, and a method never seen
+// here runs in its mailbox first; with memberBudget, a group keeps its
+// reader for well under a tick. (In BenchmarkFanOutSpinTCP, members that
+// spin 1 to 4 µs read quick; of 15 µs and more, queued behind each other
+// in their mailboxes on 2 vCPUs, never.)
+const inlineQuick = inlineTick / DefaultWindow
+
+// memberBudget is how long a reader may run one reply group's members
+// inline: a member that finds the group's inline time at or past it goes
+// to its mailbox, and the members that follow run in parallel, each on its
+// object's goroutine. A group within the budget saves its wakes; one past
+// it costs at most the budget's share that the mailboxes would have run
+// in parallel, on 2 vCPUs about half of it, one wake. It is set from
+// BenchmarkFanOutSpinTCP, a collective of eight members on one machine
+// that spin for a set time (2 vCPUs, TCP loopback): at 8 µs, members of 1
+// and 2 µs were faster on the reader than woken in their mailboxes, those
+// of 4 µs, which fill it, cost about a wake more, and none of 8 µs or more
+// ran there; at 16 µs members of 4 µs cost more than at 8.
+const memberBudget = 8 * time.Microsecond
+
+// A method whose inline runs handOffRun hands off callsOutMark times in a
+// row calls back through the client that called it: its requests go to
+// its mailbox, but for one in callsOutRetry, which runs on the reader
+// again to look. A run that returns on its reader clears the count, so a
+// request of another caller that coincided with the method's run marks
+// nothing for long.
+const (
+	callsOutMark  = 2
+	callsOutRetry = 64
+)
+
+// methodRecord is one method's record on one server: its telemetry, and
+// what decides whether it may run on a connection's reader. quick says
+// that its last request here took under inlineQuick, from admission to
+// reply; finish stores it only when it changes. callsOut counts the
+// method's inline runs in a row that handOffRun handed off, up to
+// callsOutMark, and from there counts down the requests that go to the
+// mailbox before one runs on the reader again (callsOutRetry).
+type methodRecord struct {
+	trace.MethodStats
+	quick    atomic.Bool
+	callsOut atomic.Int32
+}
+
 // objEntry is one live object: its instance, class, and process mailbox.
 type objEntry struct {
 	id    uint64
@@ -132,7 +179,7 @@ func NewServer(machine int, tr transport.Transport, addr string, env *Env) (*Ser
 		drained:  make(chan struct{}),
 	}
 	s.publishObjects()
-	s.stats.Store(new([]*trace.MethodStats))
+	s.stats.Store(new([]*methodRecord))
 	s.tokens.Store(1)
 	s.SetAdmission(AdmissionConfig{})
 	s.connWG.Add(1)
@@ -263,13 +310,23 @@ func (s *Server) dropConn(conn transport.Conn) {
 // connReader is the server's side of one accepted connection: the
 // connection, read by one goroutine at a time, and that goroutine's state
 // for the watchdog. The state counts the reader's inline runs: even while
-// it reads, odd while it runs a method inline (req is that request's id),
-// handedOff once the connection has been given to another reader — a
-// fresh connReader — while this one was in a method.
+// it reads, odd while it runs a method inline (req is that request's id,
+// rec its method's record, nil for the object ping), handedOff once the
+// connection has been given to another reader — a fresh connReader —
+// while this one was in a method. open is the reply group open on the
+// connection after the request run inline: a fresh reader starts with its
+// predecessor's, so the members that follow join the group the inline one
+// did. The reader writes rec and open before it goes inline, and handOff
+// reads them only once it has moved the state from that run to handedOff.
+// spent is the time the reader has run the open group's members inline,
+// its own (memberBudget).
 type connReader struct {
 	transport.Conn
 	state  atomic.Uint64
 	req    atomic.Uint64
+	rec    *methodRecord
+	open   *replyGroup
+	spent  time.Duration
 	listed atomic.Bool // in its server's watched list
 	seen   uint64      // the state at the watchdog's last tick, under wmu
 }
@@ -278,14 +335,15 @@ const handedOff = ^uint64(0)
 
 // serveConn is the per-connection read loop. It blocks on object work only
 // up to the watchdog: serial calls are enqueued, everything long-running
-// gets its own goroutine, and a waited call to an idle object runs here
-// (runInline) until it returns or the connection is handed to a fresh
-// reader, whereupon this goroutine, object work from then on, ends with
-// the method. It keeps the connection's open reply group, which the end
-// of the connection closes: the replies gathered in it still leave (or
-// fail to) and retire their drain tokens.
+// gets its own goroutine, and a waited call or a collective's quick member
+// to an idle object runs here (runInline) until it returns or the
+// connection is handed to a fresh reader, whereupon this goroutine, object
+// work from then on, ends with the method. It keeps the connection's open
+// reply group — starting with the one its predecessor handed it (r.open) —
+// which the end of the connection closes: the replies gathered in it still
+// leave (or fail to) and retire their drain tokens.
 func (s *Server) serveConn(r *connReader) {
-	var open *replyGroup
+	open := r.open
 	for {
 		frame, err := r.Recv()
 		if err != nil {
@@ -302,21 +360,34 @@ func (s *Server) serveConn(r *connReader) {
 	}
 }
 
-// runInline runs t — a waited call of a serial method, alone in its reply
-// group, whose object's turn the caller has claimed — on r's goroutine, and
-// gives the turn back once finish has written the reply and run its
-// giveBack. A reader the watchdog has not listed since its last tick is
-// listed first (watch), so no timer is touched per call.
+// runInline runs t — a call of a serial method or the object ping that
+// may run on r (handleCall), whose object's turn the caller has claimed —
+// on r's goroutine, and gives the turn back once finish has written the
+// reply, or added it to its group, and run its giveBack. A reader the
+// watchdog has not listed since its last tick is listed first (watch), so
+// no timer is touched per call. A member's time adds to the group's
+// (r.spent); a run that returns on r clears its method's callsOut count.
 func (s *Server) runInline(t *callTask, r *connReader) {
-	mb := t.entry.mb
+	mb, member, rec := t.entry.mb, t.member, t.stats
+	if member {
+		if n := memberRuns.Load(); n != nil {
+			n.Add(1)
+		}
+	}
 	r.req.Store(t.reqID)
+	r.rec = rec
 	v := r.state.Add(1) // odd: inline
 	if !r.listed.Load() {
 		s.watch(r)
 	}
-	t.run()
+	took := t.call()
 	mb.release()
-	r.state.CompareAndSwap(v, v+1) // fails once handed off
+	if member {
+		r.spent += took
+	}
+	if r.state.CompareAndSwap(v, v+1) && rec != nil && rec.callsOut.Load() != 0 { // fails once handed off
+		rec.callsOut.Store(0)
+	}
 }
 
 // watch lists r for the watchdog, and arms the watchdog if it is not
@@ -389,12 +460,17 @@ func (s *Server) tick() {
 	s.watched = kept
 }
 
+// memberRuns, when set, counts the collective members run on a reader:
+// tests set it to see which requests run there.
+var memberRuns atomic.Pointer[atomic.Int64]
+
 // handOff gives r's connection a fresh reader, under wmu, if r is still in
 // inline run v and the server serves the connection (one whose requests
-// come by other means has no reader to replace). The fresh reader takes
-// over r's connWG count, and r, object work from then on, counts in objWG
-// until its method returns. mu keeps the connection from being dropped,
-// and so Close from waiting on objWG, before the count has moved.
+// come by other means has no reader to replace). The fresh reader carries
+// on the reply group open after r's request, takes over r's connWG count,
+// and r, object work from then on, counts in objWG until its method
+// returns. mu keeps the connection from being dropped, and so Close from
+// waiting on objWG, before the count has moved.
 func (s *Server) handOff(r *connReader, v uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -406,28 +482,40 @@ func (s *Server) handOff(r *connReader, v uint64) bool {
 		s.objWG.Done()
 		return false
 	}
-	go s.serveConn(&connReader{Conn: r.Conn})
+	go s.serveConn(&connReader{Conn: r.Conn, open: r.open})
 	return true
 }
 
 // handOffRun gives a fresh reader to every connection whose reader, in a
-// server of this process, runs request reqID inline. A client calls it
-// when it sends a request behind a waited one on the same connection: the
-// waited call's method may be what sends it — calling back through the
-// client that called it — and would otherwise wait for the watchdog's
-// tick to have it read. Request ids are unique per client only, so
-// another connection's reader may be replaced too, which costs a
-// goroutine and nothing else.
-func handOffRun(reqID uint64) {
+// server of this process for machine m, runs inline a request numbered
+// from lo to hi, and counts the hand-off in the record of the method it
+// runs (methodRecord.callsOut). A client calls it when it sends a request
+// on a connection behind a waited one (lo = hi = its number) or behind
+// the members of a reply group still unanswered (their numbers on that
+// connection lie from lo to hi): the method may be what sends it —
+// calling back through the client that called it — and would otherwise
+// wait for the watchdog's tick to have it read, as it would on every later
+// call. Request numbers are unique per client only, and the request may
+// come from another goroutine of the client, so a method that does not
+// call back may be handed off too: that costs a goroutine, and is marked
+// only if its next inline run is handed off as well.
+func handOffRun(m int, lo, hi uint64) {
 	list := watchdogs.servers.Load()
 	if list == nil {
 		return
 	}
 	for _, s := range *list {
+		if s.machine != m {
+			continue
+		}
 		s.wmu.Lock()
 		for _, r := range s.watched {
-			if v := r.state.Load(); v&1 == 1 && v != handedOff && r.req.Load() == reqID {
-				s.handOff(r, v)
+			v, req := r.state.Load(), r.req.Load()
+			if v&1 == 0 || v == handedOff || req < lo || req > hi || !s.handOff(r, v) {
+				continue
+			}
+			if r.rec != nil && r.rec.callsOut.Add(1) == callsOutMark {
+				r.rec.callsOut.Store(callsOutMark + callsOutRetry)
 			}
 		}
 		s.wmu.Unlock()
@@ -481,11 +569,12 @@ type callTask struct {
 	entry    *objEntry
 	me       methodEntry // zero me.fn marks the built-in ping (nothing to run)
 	deadline int64       // client deadline, unix nanos (0 = none)
-	inline   *connReader // may run the call itself: a waited request alone in its group; nil otherwise
+	inline   *connReader // may run the call itself: a waited request, or a member of a group of several; nil otherwise
+	member   bool        // of a reply group of several
 
-	env   *Env               // handler environment (per-call view when traced)
-	span  *trace.Span        // server span of a sampled request; nil otherwise
-	stats *trace.MethodStats // telemetry slot of a method that reached run
+	env   *Env          // handler environment (per-call view when traced)
+	span  *trace.Span   // server span of a sampled request; nil otherwise
+	stats *methodRecord // record of a method that reached run (or runInline)
 }
 
 var callTaskPool = sync.Pool{New: func() any { return new(callTask) }}
@@ -503,8 +592,10 @@ var errExpired = fmt.Errorf("expired before execution: %v", context.DeadlineExce
 // dispatch decodes one request frame that r read into a record, files it
 // into the connection's reply grouping — open is the group open before
 // the frame (nil: none), and the one open after it is returned — and
-// routes it; a waited request alone in its group may run on r (runInline).
-// The record owns the pooled decoder and the frame under it until finish.
+// routes it. A waited request alone in its group, or a member of a group
+// of several — one that is marked or closes an open group — may run on r
+// (handleCall). The record owns the pooled decoder and the frame under it
+// until finish.
 func (s *Server) dispatch(r *connReader, frame []byte, open *replyGroup) *replyGroup {
 	d := wire.GetFrameDecoder(frame)
 	lead := d.Byte()
@@ -519,22 +610,24 @@ func (s *Server) dispatch(r *connReader, frame []byte, open *replyGroup) *replyG
 	}
 	t := callTaskPool.Get().(*callTask)
 	marked := lead&leadGroupFlag != 0
+	t.member = marked || open != nil
 	if open == nil {
-		if lead&(leadWaitedFlag|leadGroupFlag) == leadWaitedFlag {
-			t.inline = r
-		}
 		open = replyGroupPool.Get().(*replyGroup)
 		open.s, open.conn = s, r.Conn
+		r.spent = 0
 	}
 	open.mu.Lock()
 	open.pending++
 	open.closed = !marked
 	open.mu.Unlock()
 	t.s, t.conn, t.reqID, t.args, t.group = s, r.Conn, reqID, d, open
-	s.route(t, lead, op)
 	if !marked {
-		return nil // the group is closed, and may be answered already
+		open = nil // the group is closed, and may be answered once routed
 	}
+	if t.member || lead&leadWaitedFlag != 0 {
+		t.inline, r.open = r, open
+	}
+	s.route(t, lead, op)
 	return open
 }
 
@@ -656,7 +749,8 @@ func (t *callTask) answer() *wire.Encoder {
 // it), so by then the reply has been written, or its write has failed;
 // and on a mailbox's goroutine that is before the object's next serial
 // method. An error reply drops the tail, and the encoder gives it back.
-func (t *callTask) finish(err error) {
+// finish returns the request's latency (0 when it was not admitted).
+func (t *callTask) finish(err error) time.Duration {
 	s, reply := t.s, t.reply
 	t.args.Release() // handler done: recycle the request frame
 	if reply == nil {
@@ -673,6 +767,9 @@ func (t *callTask) finish(err error) {
 		took = time.Since(epoch) - t.start
 	}
 	if t.stats != nil {
+		if quick := took < inlineQuick; t.stats.quick.Load() != quick {
+			t.stats.quick.Store(quick)
+		}
 		t.stats.Hist.Observe(took)
 		switch {
 		case err == nil:
@@ -695,6 +792,7 @@ func (t *callTask) finish(err error) {
 	if giveBack != nil {
 		giveBack()
 	}
+	return took
 }
 
 // errorReply makes e the reply that answers request reqID with err; a
@@ -948,11 +1046,19 @@ func (s *Server) Object(id uint64) (any, bool) {
 
 // handleCall routes one method invocation: a serial method (and the
 // built-in ping, whose completion through the mailbox is the point) is
-// queued for the object's process — or, for a waited call when the object
-// is idle, run on the reader in the process's stead (runInline) — and a
+// queued for the object's process — or, when it may and the object is
+// idle, run on the reader in the process's stead (runInline) — and a
 // concurrent one gets its own goroutine so the object can accept peer
 // pushes while busy in a long serial method. Decoder views (method, and
 // the arguments a handler reads) stay valid until finish.
+//
+// A request dispatch let run on the reader does so when its method's
+// record allows: not while the method is marked as calling back through
+// its caller's client (callsOut), but for one request in callsOutRetry,
+// and as a member of a reply group of several only if its last request
+// here was quick — a method never seen here runs in its mailbox first —
+// and the group's members have not yet used the reader's memberBudget.
+// The object ping may always, a member within the budget.
 func (s *Server) handleCall(t *callTask, objID uint64, method []byte, tc trace.SpanContext) {
 	entry, err := s.lookup(objID, false)
 	if err != nil {
@@ -977,37 +1083,52 @@ func (s *Server) handleCall(t *callTask, objID uint64, method []byte, tc trace.S
 			return
 		}
 	}
-	if r := t.inline; r != nil && entry.mb.claim() {
-		s.runInline(t, r)
-		return
+	if r := t.inline; r != nil {
+		var rec *methodRecord
+		if t.me.fn != nil {
+			rec = s.methodStats(&t.me)
+		}
+		may := rec == nil || rec.callsOut.Load() < callsOutMark || rec.callsOut.Add(-1) < callsOutMark
+		if t.member {
+			may = may && r.spent < memberBudget && (rec == nil || rec.quick.Load())
+		}
+		if may && entry.mb.claim() {
+			t.stats = rec
+			s.runInline(t, r)
+			return
+		}
 	}
 	if !entry.mb.push(t) {
 		t.finish(fmt.Errorf("%w: machine %d object %d (terminated)", ErrNoSuchObject, s.machine, objID))
 	}
 }
 
-// run is the record as a mailbox task: execute the method, its results
-// appended straight to the outgoing frame, and finish. The error is the
-// method's own: the client's RemoteError names the class and method.
-func (t *callTask) run() {
+// run is the record as a mailbox task (call).
+func (t *callTask) run() { t.call() }
+
+// call executes the method, its results appended straight to the
+// outgoing frame, and finishes, returning finish's latency. The error is
+// the method's own: the client's RemoteError names the class and method.
+func (t *callTask) call() time.Duration {
 	if t.me.fn == nil { // ping
-		t.finish(nil)
-		return
+		return t.finish(nil)
 	}
 	var err error
-	t.stats = t.s.methodStats(&t.me)
+	if t.stats == nil {
+		t.stats = t.s.methodStats(&t.me)
+	}
 	if t.deadline != 0 && time.Now().UnixNano() > t.deadline {
 		err = errExpired
 	} else {
 		err = t.s.invoke(t.me.fn, t.env, t.entry, t.args, t.answer())
 	}
-	t.finish(err)
+	return t.finish(err)
 }
 
-// methodStats is me's telemetry entry on this server, found by me.index in
-// the published table. A method's first call here puts it in: under mu,
-// into a copy that replaces the table.
-func (s *Server) methodStats(me *methodEntry) *trace.MethodStats {
+// methodStats is me's record on this server, found by me.index in the
+// published table. A method's first call here puts it in: under mu, into a
+// copy that replaces the table.
+func (s *Server) methodStats(me *methodEntry) *methodRecord {
 	if tab := *s.stats.Load(); me.index < len(tab) && tab[me.index] != nil {
 		return tab[me.index]
 	}
@@ -1015,9 +1136,9 @@ func (s *Server) methodStats(me *methodEntry) *trace.MethodStats {
 	defer s.mu.Unlock()
 	tab := *s.stats.Load()
 	if me.index >= len(tab) || tab[me.index] == nil {
-		next := make([]*trace.MethodStats, max(len(tab), me.index+1))
+		next := make([]*methodRecord, max(len(tab), me.index+1))
 		copy(next, tab)
-		next[me.index] = &trace.MethodStats{Name: me.full}
+		next[me.index] = &methodRecord{MethodStats: trace.MethodStats{Name: me.full}}
 		s.stats.Store(&next)
 		tab = next
 	}
@@ -1069,10 +1190,16 @@ func (s *Server) destroyObject(entry *objEntry) (err error) {
 // sparse histogram buckets), so the debug plane never needs a protocol
 // revision to grow a field.
 func (s *Server) debugSnapshot() ([]byte, error) {
+	var methods []*trace.MethodStats
+	for _, rec := range *s.stats.Load() {
+		if rec != nil {
+			methods = append(methods, &rec.MethodStats)
+		}
+	}
 	return json.Marshal(trace.Snapshot{
 		Machine:  s.machine,
 		Counters: s.counters.Snapshot(),
-		Methods:  trace.SnapshotMethods(*s.stats.Load()),
+		Methods:  trace.SnapshotMethods(methods),
 		Spans:    trace.Spans(),
 	})
 }
